@@ -30,9 +30,10 @@
 use benchgen::{generate, DatasetSpec};
 use obs::Json;
 use orpheus_core::models::{load_cvd, SplitByRlist};
-use orpheus_core::query::VersionedQuery;
+use orpheus_core::plan::{LogicalPlan, Tables};
+use orpheus_core::query::VQuery;
 use partition::Vid;
-use relstore::{BinOp, Database, ExecContext, Expr, Row, Value, WorkerPool};
+use relstore::{BinOp, Database, ExecContext, Row, Value, WorkerPool};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -177,17 +178,21 @@ fn main() {
         });
 
         // `a1 > 0` scans and filters every record of the target version.
-        let predicate = Expr::Bin(
-            BinOp::Gt,
-            Box::new(Expr::col(2)),
-            Box::new(Expr::Const(Value::Int64(0))),
-        );
+        let plan = LogicalPlan::of(&VQuery::SelectVersions {
+            cvd: cvd.name().to_owned(),
+            versions: vec![target],
+            predicate: Some(("a1".into(), BinOp::Gt, Value::Int64(0))),
+            limit: None,
+        });
         let (q_rows, q_t) = best_of(|| {
-            let q = VersionedQuery::new(&db, &cvd, &model).with_pool(pool.clone());
             let mut ctx = ExecContext::new();
-            q.select_versions(&[target], Some(predicate.clone()), None, &mut ctx)
-                .expect("select_versions")
-                .rows
+            let tables = Tables {
+                db: &db,
+                cvd: &cvd,
+                model: &model,
+                pool: pool.clone(),
+            };
+            tables.run(&plan, &mut ctx).expect("select versions").rows
         });
         if threads > 1 {
             // checkout + query legs, `reps()` runs each, one ParHashJoin

@@ -13,7 +13,8 @@ use crate::cvd::{CommitResult, Cvd};
 use crate::error::{Error, Result};
 use crate::models::{load_cvd, SplitByRlist, VersioningModel};
 use crate::partitioned::PartitionedStore;
-use crate::query::{parse_query, predicate_expr, QueryResult, VQuery, VersionedQuery};
+use crate::plan::{self, Decorator, Instrumented, LogicalPlan, Plain, RidSet, Tables};
+use crate::query::{parse_query, QueryResult};
 use partition::{lyresplit_for_budget, Vid};
 use relstore::{Column, DataType, Database, ExecContext, Row, Schema, Value};
 use std::cell::RefCell;
@@ -670,12 +671,10 @@ impl OrpheusDb {
     /// `diff -v a b`: records in one version but not the other.
     pub fn diff(&self, cvd_name: &str, a: Vid, b: Vid) -> Result<(QueryResult, QueryResult)> {
         let _span = self.db.recorder().enter("orpheus.diff");
-        let handle = self.handle(cvd_name)?;
-        let q =
-            VersionedQuery::new(&self.db, &handle.cvd, &handle.model).with_pool(self.worker_pool());
+        let tables = self.tables(cvd_name)?;
         let mut ctx = ExecContext::new();
-        let left = q.v_diff(a, b, &mut ctx)?;
-        let right = q.v_diff(b, a, &mut ctx)?;
+        let left = tables.run(&LogicalPlan::Fetch(RidSet::Diff(a, b)), &mut ctx)?;
+        let right = tables.run(&LogicalPlan::Fetch(RidSet::Diff(b, a)), &mut ctx)?;
         self.tracker.borrow_mut().absorb(&ctx.tracker);
         Ok((left, right))
     }
@@ -765,68 +764,28 @@ impl OrpheusDb {
         Ok((rows, ctx))
     }
 
-    /// `run`: execute a versioned SQL string (§3.3.2).
-    pub fn run(&self, sql: &str) -> Result<QueryResult> {
+    /// The engine-side plan source for a CVD: its split-by-rlist tables
+    /// read through this instance's worker pool.
+    pub(crate) fn tables(&self, cvd_name: &str) -> Result<Tables<'_>> {
+        let handle = self.handle(cvd_name)?;
+        Ok(Tables {
+            db: &self.db,
+            cvd: &handle.cvd,
+            model: &handle.model,
+            pool: self.worker_pool(),
+        })
+    }
+
+    /// Parse `sql`, plan it, lower it over the engine's tables with `dec`
+    /// and drain it — the whole query path; the decorator is the only
+    /// thing `run` and `explain analyze` disagree on.
+    fn query<D: Decorator>(&self, sql: &str, dec: &D) -> Result<(QueryResult, D::Node)> {
         let _span = self.db.recorder().enter("orpheus.query");
         let start = Instant::now();
-        let parsed = parse_query(sql)?;
+        let query = parse_query(sql)?;
+        let tables = self.tables(query.cvd())?;
         let mut ctx = ExecContext::new();
-        let result = match parsed {
-            VQuery::SelectVersions {
-                cvd,
-                versions,
-                predicate,
-                limit,
-            } => {
-                let handle = self.handle(&cvd)?;
-                let pred = predicate
-                    .as_ref()
-                    .map(|p| predicate_expr(&handle.cvd, p))
-                    .transpose()?;
-                let q = VersionedQuery::new(&self.db, &handle.cvd, &handle.model)
-                    .with_pool(self.worker_pool());
-                q.select_versions(&versions, pred, limit, &mut ctx)
-            }
-            VQuery::AggregateByVersion {
-                cvd,
-                agg,
-                agg_col,
-                predicate,
-            } => {
-                let handle = self.handle(&cvd)?;
-                let pred = predicate
-                    .as_ref()
-                    .map(|p| predicate_expr(&handle.cvd, p))
-                    .transpose()?;
-                let q = VersionedQuery::new(&self.db, &handle.cvd, &handle.model)
-                    .with_pool(self.worker_pool());
-                let col = if agg_col == "rid" { "rid" } else { &agg_col };
-                q.aggregate_by_version(agg, col, pred, &mut ctx)
-            }
-            VQuery::Diff { cvd, a, b } => {
-                let handle = self.handle(&cvd)?;
-                let q = VersionedQuery::new(&self.db, &handle.cvd, &handle.model)
-                    .with_pool(self.worker_pool());
-                q.v_diff(a, b, &mut ctx)
-            }
-            VQuery::Intersect { cvd, versions } => {
-                let handle = self.handle(&cvd)?;
-                let q = VersionedQuery::new(&self.db, &handle.cvd, &handle.model)
-                    .with_pool(self.worker_pool());
-                q.v_intersect(&versions, &mut ctx)
-            }
-            VQuery::JoinVersions {
-                cvd,
-                left,
-                right,
-                on,
-            } => {
-                let handle = self.handle(&cvd)?;
-                let q = VersionedQuery::new(&self.db, &handle.cvd, &handle.model)
-                    .with_pool(self.worker_pool());
-                q.join_versions(left, right, &on, &mut ctx)
-            }
-        };
+        let result = plan::execute(&LogicalPlan::of(&query), &tables, dec, &mut ctx);
         self.tracker.borrow_mut().absorb(&ctx.tracker);
         self.db
             .metrics()
@@ -834,36 +793,24 @@ impl OrpheusDb {
         result
     }
 
-    /// `explain analyze <query>`: run the query through an instrumented
-    /// plan and report estimated vs. actual figures per operator, plus the
-    /// buffer pool's `IoStats` delta across the whole execution. The root
-    /// operator's inclusive measured page reads reconcile with that delta.
+    /// `run`: execute a versioned SQL string (§3.3.2).
+    pub fn run(&self, sql: &str) -> Result<QueryResult> {
+        Ok(self.query(sql, &Plain)?.0)
+    }
+
+    /// `explain analyze <query>`: run the query through the instrumenting
+    /// decorator and report estimated vs. actual figures per operator, plus
+    /// the buffer pool's `IoStats` delta across the whole execution. The
+    /// root operator's inclusive measured page reads reconcile with that
+    /// delta.
     pub fn explain_analyze(&self, sql: &str) -> Result<relstore::ExplainReport> {
-        let _span = self.db.recorder().enter("orpheus.query");
         let start = Instant::now();
-        let parsed = parse_query(sql)?;
-        let handle = self.handle(crate::explain::cvd_of(&parsed))?;
-        let pool = self.worker_pool();
-        let (mut plan, node) = crate::explain::build_instrumented(
-            &self.db,
-            &handle.cvd,
-            &handle.model,
-            &parsed,
-            pool.as_ref(),
-        )?;
         let pool_before = self.db.io_stats();
-        let mut ctx = ExecContext::new();
-        relstore::collect(plan.as_mut(), &mut ctx)?;
-        drop(plan);
-        self.tracker.borrow_mut().absorb(&ctx.tracker);
-        let wall = start.elapsed();
-        self.db
-            .metrics()
-            .observe_duration("orpheus.query.latency_us", wall);
+        let (_, node) = self.query(sql, &Instrumented)?;
         Ok(relstore::ExplainReport {
             root: node.snapshot(),
             pool_delta: self.db.io_stats().since(&pool_before),
-            wall,
+            wall: start.elapsed(),
         })
     }
 
@@ -1761,7 +1708,7 @@ mod tests {
         assert!(report.root.stats.measured.logical_reads > 0);
         let text = report.to_text();
         assert!(
-            text.contains("HashJoin v0.coexpression=v1.coexpression"),
+            text.contains("HashJoin left.coexpression=right.coexpression"),
             "{text}"
         );
         // Parallel plans fuse the probe scan into the join node.
@@ -1774,55 +1721,6 @@ mod tests {
         assert!(text.contains("act rows="), "{text}");
         assert!(text.contains("time="), "{text}");
         assert!(text.contains("pool delta:"), "{text}");
-    }
-
-    /// Every query form the parser accepts builds an instrumented plan
-    /// whose actual row count agrees with the uninstrumented `run` path.
-    #[test]
-    fn explain_analyze_matches_run_for_every_query_form() {
-        let mut odb = setup();
-        odb.checkout("Interaction", &[Vid(0)], "w").unwrap();
-        {
-            let t = odb.staging_table_mut("w").unwrap();
-            t.insert(vec![Value::from("G"), Value::from("H"), Value::Int64(99)])
-                .unwrap();
-        }
-        odb.commit("w", "grow").unwrap();
-        let queries = [
-            "SELECT * FROM VERSION 0, 1 OF CVD Interaction WHERE coexpression > 40 LIMIT 2",
-            "SELECT vid, count(*) FROM CVD Interaction GROUP BY vid",
-            "SELECT vid, sum(coexpression) FROM CVD Interaction WHERE coexpression > 40 GROUP BY vid",
-            "SELECT * FROM V_DIFF(1, 0) OF CVD Interaction",
-            "SELECT * FROM V_INTERSECT(0, 1) OF CVD Interaction",
-            "SELECT * FROM VERSION 0 OF CVD Interaction JOIN VERSION 1 ON coexpression",
-        ];
-        for sql in queries {
-            let expected = odb.run(sql).unwrap().rows.len() as u64;
-            let report = odb.explain_analyze(sql).unwrap();
-            assert_eq!(report.root.stats.rows, expected, "{sql}");
-            assert_eq!(
-                report.root.stats.measured.logical_reads, report.pool_delta.logical_reads,
-                "{sql}"
-            );
-            // The shell command renders the same report.
-            let out = odb.execute(&format!("explain analyze {sql}")).unwrap();
-            match out {
-                CommandOutput::Message(m) => assert!(m.contains("act rows="), "{m}"),
-                other => panic!("expected message, got {other:?}"),
-            }
-        }
-        // JSON form parses and carries the plan tree.
-        let out = odb
-            .execute("explain analyze --json SELECT * FROM V_DIFF(1, 0) OF CVD Interaction")
-            .unwrap();
-        match out {
-            CommandOutput::Message(m) => {
-                let doc = obs::parse(&m).unwrap();
-                assert!(doc.get_path("plan/act_rows").is_some(), "{m}");
-                assert!(doc.get_path("pool_delta/logical_reads").is_some(), "{m}");
-            }
-            other => panic!("expected message, got {other:?}"),
-        }
     }
 
     /// Regression (drift audit): commit paths used to pass a throwaway

@@ -238,7 +238,8 @@ impl Cvd {
         &self.records
     }
 
-    /// All per-version rid lists in vid order.
+    /// All per-version rid lists in vid order, each ascending — what the
+    /// catalog snapshot stores and what query plans resolve rid sets from.
     pub(crate) fn version_records_raw(&self) -> &[Vec<Rid>] {
         &self.version_records
     }
@@ -560,37 +561,17 @@ impl Cvd {
 
     /// `diff`: rids in `a` but not in `b`, and vice versa (§3.3.1(a)).
     pub fn diff(&self, a: Vid, b: Vid) -> Result<(Vec<Rid>, Vec<Rid>)> {
-        self.check_version(a)?;
-        self.check_version(b)?;
-        let ra = &self.version_records[a.idx()];
-        let rb = &self.version_records[b.idx()];
-        let only_a = ra
-            .iter()
-            .copied()
-            .filter(|r| rb.binary_search(r).is_err())
-            .collect();
-        let only_b = rb
-            .iter()
-            .copied()
-            .filter(|r| ra.binary_search(r).is_err())
-            .collect();
-        Ok((only_a, only_b))
+        let (ra, rb) = (self.version_records(a)?, self.version_records(b)?);
+        Ok((only_in(ra, rb), only_in(rb, ra)))
     }
 
     /// `v_intersect`: records present in all given versions (§3.3.2(c)).
     pub fn v_intersect(&self, versions: &[Vid]) -> Result<Vec<Rid>> {
-        if versions.is_empty() {
-            return Ok(Vec::new());
-        }
-        for &v in versions {
-            self.check_version(v)?;
-        }
-        let mut acc: Vec<Rid> = self.version_records[versions[0].idx()].clone();
-        for &v in &versions[1..] {
-            let set = &self.version_records[v.idx()];
-            acc.retain(|r| set.binary_search(r).is_ok());
-        }
-        Ok(acc)
+        let lists: Vec<&[Rid]> = versions
+            .iter()
+            .map(|&v| self.version_records(v))
+            .collect::<Result<_>>()?;
+        Ok(common(lists))
     }
 
     /// The bipartite version–record graph of this CVD.
@@ -631,6 +612,24 @@ impl Cvd {
             .collect();
         Ok((schema, rows))
     }
+}
+
+/// The elements of `a` that `b` lacks; both ascending.
+pub(crate) fn only_in(a: &[Rid], b: &[Rid]) -> Vec<Rid> {
+    a.iter()
+        .copied()
+        .filter(|r| b.binary_search(r).is_err())
+        .collect()
+}
+
+/// The elements every list holds (none for no lists); all ascending.
+pub(crate) fn common<'a>(lists: impl IntoIterator<Item = &'a [Rid]>) -> Vec<Rid> {
+    let mut lists = lists.into_iter();
+    let mut acc = lists.next().map(<[Rid]>::to_vec).unwrap_or_default();
+    for list in lists {
+        acc.retain(|r| list.binary_search(r).is_ok());
+    }
+    acc
 }
 
 #[cfg(test)]

@@ -18,9 +18,14 @@
 //!   delta-based), all implementing [`models::VersioningModel`];
 //! * [`partitioned`] — the partition-optimized split-by-rlist storage that
 //!   Chapter 5 builds with LyreSplit;
-//! * [`query`] — the versioned query layer: `SELECT … FROM VERSION i OF
-//!   CVD c`, aggregates `GROUP BY vid`, and the functional primitives
-//!   `ancestor`/`descendant`/`parent`, `v_diff`, `v_intersect` (§3.3.2);
+//! * [`query`] — the versioned query surface: the parser and the parsed
+//!   [`query::VQuery`] for `SELECT … FROM VERSION i OF CVD c`, aggregates
+//!   `GROUP BY vid`, `v_diff`, `v_intersect` and cross-version `JOIN`
+//!   (§3.3.2; `ancestor`/`descendant`/`parent` live on the version graph);
+//! * [`plan`] — the one translation of a `VQuery`: parse →
+//!   [`plan::LogicalPlan`] → `lower(source, decorator)`, where the source
+//!   is the engine's tables ([`plan::Tables`]) or a pinned [`Snapshot`]
+//!   and the decorator is plain or `explain analyze`'s instrumenting one;
 //! * [`commands`] — the command-line surface: `init`, `checkout`, `commit`,
 //!   `diff`, `ls`, `drop`, `optimize`, plus user management and the
 //!   access-controlled staging area (§3.3.1).
@@ -29,9 +34,9 @@ mod catalog;
 pub mod commands;
 pub mod cvd;
 pub mod error;
-mod explain;
 pub mod models;
 pub mod partitioned;
+pub mod plan;
 pub mod query;
 pub mod snapshot;
 

@@ -56,7 +56,7 @@ impl SplitByRlist {
         let rlist: Vec<i64> = row[1].as_int_array().unwrap_or(&[]).to_vec();
         ctx.tracker.ops(rlist.len() as u64); // unnest(rlist)
                                              // Hash join: build on the unnested rlist, probe the data table.
-        crate::query::rid_join_rows(data, rlist, pool, ctx)
+        crate::plan::rid_join_rows(data, rlist, pool, ctx)
     }
 }
 

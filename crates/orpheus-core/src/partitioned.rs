@@ -117,7 +117,7 @@ impl PartitionedStore {
         let rlist: Vec<i64> = row[2].as_int_array().unwrap_or(&[]).to_vec();
         ctx.tracker.ops(rlist.len() as u64);
         let data = db.table(&self.partition_table(pid))?;
-        crate::query::rid_join_rows(data, rlist, pool, ctx)
+        crate::plan::rid_join_rows(data, rlist, pool, ctx)
     }
 
     /// Records stored across all partitions (the storage cost `S`).

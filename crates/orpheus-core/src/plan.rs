@@ -1,0 +1,767 @@
+//! One logical plan, one lowering (§3.3.2).
+//!
+//! The middleware has exactly one translation of a versioned query: the
+//! parsed [`VQuery`] becomes a [`LogicalPlan`] in [`LogicalPlan::of`], and
+//! [`lower`] turns that plan into a `relstore` operator tree. `lower` is
+//! generic over two small things:
+//!
+//! * a [`Source`] — where version membership and star rows come from: the
+//!   engine's split-by-rlist tables ([`Tables`]) or a pinned
+//!   [`Snapshot`](crate::Snapshot);
+//! * a [`Decorator`] — what happens to each operator as it is built:
+//!   nothing ([`Plain`], what `run` and `diff` execute) or
+//!   [`relstore::wrap`] with a label and an [`Estimate`]
+//!   ([`Instrumented`], what `explain analyze` executes).
+//!
+//! `EXPLAIN ANALYZE` therefore reports the tree the engine runs by
+//! construction: there is no second builder to drift.
+
+use crate::cvd::{common, only_in, Cvd};
+use crate::error::{Error, Result};
+use crate::models::{data_schema, SplitByRlist};
+use crate::query::{Predicate, QueryResult, VQuery};
+use partition::{Rid, Vid};
+use relstore::{
+    collect, AggFunc, BinOp, BoxExec, CostModel, Database, Estimate, ExecContext, Executor,
+    ExplainNode, Expr, Filter, HashAggregate, HashJoin, Limit, ParHashJoin, Project, Schema,
+    SeqScan, Table, Unnest, Values, WorkerPool,
+};
+use std::cell::RefCell;
+use std::fmt::Arguments;
+use std::rc::Rc;
+
+/// A set of records named by version algebra.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RidSet {
+    /// Records of any listed version.
+    Union(Vec<Vid>),
+    /// Records of the first version that the second lacks (`v_diff`).
+    Diff(Vid, Vid),
+    /// Records every listed version holds (`v_intersect`).
+    Intersect(Vec<Vid>),
+}
+
+impl RidSet {
+    /// The set's record ids, ascending — data-table order — given every
+    /// version's ascending record list (index = vid).
+    fn resolve(&self, versions: &[Vec<Rid>]) -> Result<Vec<Rid>> {
+        let rids = |v: &Vid| {
+            let list = versions.get(v.idx()).ok_or(Error::VersionNotFound(v.0))?;
+            Ok(list.as_slice())
+        };
+        Ok(match self {
+            RidSet::Union(vs) => {
+                let mut union = Vec::new();
+                for v in vs {
+                    union.extend_from_slice(rids(v)?);
+                }
+                union.sort_unstable();
+                union.dedup();
+                union
+            }
+            RidSet::Diff(a, b) => only_in(rids(a)?, rids(b)?),
+            RidSet::Intersect(vs) => common(vs.iter().map(rids).collect::<Result<Vec<_>>>()?),
+        })
+    }
+}
+
+/// The relational meaning of a versioned query. `Fetch` yields star rows
+/// `[rid, attrs…]` in data-table order; `Filter` and `Limit` keep their
+/// input's schema; `JoinOn` concatenates its inputs' schemas.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LogicalPlan {
+    Fetch(RidSet),
+    Filter {
+        input: Box<LogicalPlan>,
+        predicate: Predicate,
+    },
+    Limit {
+        input: Box<LogicalPlan>,
+        n: usize,
+    },
+    /// Equi-join of two star-row inputs on one attribute.
+    JoinOn {
+        left: Box<LogicalPlan>,
+        right: Box<LogicalPlan>,
+        on: String,
+    },
+    /// `agg(col)` per version over every (version, record) membership of
+    /// the CVD, the predicate applied to the record before aggregating.
+    AggregateByVid {
+        agg: AggFunc,
+        col: String,
+        predicate: Option<Predicate>,
+    },
+}
+
+impl LogicalPlan {
+    /// The one translation from query shape to plan.
+    pub fn of(query: &VQuery) -> LogicalPlan {
+        let version = |v: &Vid| Box::new(LogicalPlan::Fetch(RidSet::Union(vec![*v])));
+        match query {
+            VQuery::SelectVersions {
+                versions,
+                predicate,
+                limit,
+                ..
+            } => {
+                let mut plan = LogicalPlan::Fetch(RidSet::Union(versions.clone()));
+                if let Some(predicate) = predicate.clone() {
+                    let input = Box::new(plan);
+                    plan = LogicalPlan::Filter { input, predicate };
+                }
+                if let Some(n) = *limit {
+                    let input = Box::new(plan);
+                    plan = LogicalPlan::Limit { input, n };
+                }
+                plan
+            }
+            VQuery::AggregateByVersion {
+                agg,
+                agg_col,
+                predicate,
+                ..
+            } => LogicalPlan::AggregateByVid {
+                agg: *agg,
+                col: agg_col.clone(),
+                predicate: predicate.clone(),
+            },
+            VQuery::Diff { a, b, .. } => LogicalPlan::Fetch(RidSet::Diff(*a, *b)),
+            VQuery::Intersect { versions, .. } => {
+                LogicalPlan::Fetch(RidSet::Intersect(versions.clone()))
+            }
+            VQuery::JoinVersions {
+                left, right, on, ..
+            } => LogicalPlan::JoinOn {
+                left: version(left),
+                right: version(right),
+                on: on.clone(),
+            },
+        }
+    }
+}
+
+/// What [`lower`] does with each operator it builds: the operator, the
+/// nodes of its inputs, its label, and its estimate as a function of its
+/// inputs' explain nodes. A decorator that keeps no explain tree neither
+/// formats the label nor calls `estimate`.
+pub(crate) trait Decorator {
+    /// The per-operator record threaded up the tree.
+    type Node;
+
+    fn wrap<'a>(
+        &self,
+        exec: BoxExec<'a>,
+        inputs: Vec<Self::Node>,
+        label: Arguments<'_>,
+        estimate: impl FnOnce(&[ExplainNode]) -> Estimate,
+    ) -> Op<'a, Self>;
+
+    /// Attach a parallel operator's per-worker row counts to its node.
+    fn set_worker_rows(node: &mut Self::Node, cell: Rc<RefCell<Vec<u64>>>);
+}
+
+/// An operator and its decorator node.
+pub(crate) type Op<'a, D> = (BoxExec<'a>, <D as Decorator>::Node);
+
+/// The identity decorator: the executor comes back untouched, so a plain
+/// plan pays nothing per `next()`.
+pub(crate) struct Plain;
+
+impl Decorator for Plain {
+    type Node = ();
+
+    fn wrap<'a>(
+        &self,
+        exec: BoxExec<'a>,
+        _inputs: Vec<()>,
+        _label: Arguments<'_>,
+        _estimate: impl FnOnce(&[ExplainNode]) -> Estimate,
+    ) -> Op<'a, Self> {
+        (exec, ())
+    }
+
+    fn set_worker_rows(_node: &mut (), _cell: Rc<RefCell<Vec<u64>>>) {}
+}
+
+/// Threads every operator through [`relstore::wrap`], so it records
+/// actual rows, `next()` calls, wall time and measured page I/O next to
+/// the planner's estimate. The estimates use the PostgreSQL-default cost
+/// model the rest of the system charges with ([`CostModel`]), so the
+/// estimated-vs-actual gap in the rendered tree is the gap the Fig. 5.7
+/// experiments measure.
+pub(crate) struct Instrumented;
+
+impl Decorator for Instrumented {
+    type Node = ExplainNode;
+
+    fn wrap<'a>(
+        &self,
+        exec: BoxExec<'a>,
+        inputs: Vec<ExplainNode>,
+        label: Arguments<'_>,
+        estimate: impl FnOnce(&[ExplainNode]) -> Estimate,
+    ) -> Op<'a, Self> {
+        let estimate = estimate(&inputs);
+        relstore::wrap(exec, label.to_string(), estimate, inputs)
+    }
+
+    fn set_worker_rows(node: &mut ExplainNode, cell: Rc<RefCell<Vec<u64>>>) {
+        node.set_worker_rows(cell);
+    }
+}
+
+/// PostgreSQL's default selectivity guesses (`eqsel` / inequality).
+const EQ_SEL: f64 = 0.005;
+const INEQ_SEL: f64 = 1.0 / 3.0;
+
+fn selectivity(pred: &Predicate) -> f64 {
+    match pred.1 {
+        BinOp::Eq => EQ_SEL,
+        _ => INEQ_SEL,
+    }
+}
+
+fn pages_of(rows: f64) -> f64 {
+    (rows / CostModel::default().rows_per_page as f64).ceil()
+}
+
+/// Where a plan's leaves read from.
+pub(crate) trait Source {
+    /// The CVD's attribute schema (without `rid`).
+    fn attrs(&self) -> &Schema;
+    /// The `[rid, attrs…]` star schema.
+    fn star(&self) -> Schema;
+    /// Every version's record ids, ascending; index = vid.
+    fn versions(&self) -> &[Vec<Rid>];
+    /// Star rows of `rids` (ascending) in data-table order.
+    fn fetch<'a, D: Decorator>(&'a self, rids: Vec<Rid>, side: &str, dec: &D) -> Result<Op<'a, D>>;
+    /// Every star row, in data-table order.
+    fn scan_star<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>>;
+    /// One `[vid, rlist]` row per version.
+    fn scan_rlists<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>>;
+}
+
+/// The engine source: a CVD's split-by-rlist tables, optionally read
+/// through a morsel worker pool (`None`, or a single-thread pool, keeps
+/// the sequential operators).
+pub struct Tables<'a> {
+    pub db: &'a Database,
+    pub cvd: &'a Cvd,
+    pub model: &'a SplitByRlist,
+    pub pool: Option<WorkerPool>,
+}
+
+impl Tables<'_> {
+    /// Lower `plan` against these tables and drain it.
+    pub fn run(&self, plan: &LogicalPlan, ctx: &mut ExecContext) -> Result<QueryResult> {
+        Ok(execute(plan, self, &Plain, ctx)?.0)
+    }
+}
+
+fn seq_scan<'t, D: Decorator>(table: &'t Table, side: &str, dec: &D) -> Op<'t, D> {
+    let rows = table.live_row_count() as f64;
+    let label = format_args!("SeqScan {}{side}", table.name());
+    dec.wrap(Box::new(SeqScan::new(table)), vec![], label, |_| {
+        Estimate::new(rows, pages_of(rows))
+    })
+}
+
+impl Source for Tables<'_> {
+    fn attrs(&self) -> &Schema {
+        self.cvd.schema()
+    }
+
+    fn star(&self) -> Schema {
+        data_schema(self.cvd)
+    }
+
+    fn versions(&self) -> &[Vec<Rid>] {
+        self.cvd.version_records_raw()
+    }
+
+    fn fetch<'a, D: Decorator>(&'a self, rids: Vec<Rid>, side: &str, dec: &D) -> Result<Op<'a, D>> {
+        let data = self.db.table(&self.model.data_name())?;
+        let rids = rids.iter().map(|r| r.0 as i64);
+        Ok(rid_join_plan(data, rids, self.pool.as_ref(), side, dec))
+    }
+
+    fn scan_star<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>> {
+        Ok(seq_scan(self.db.table(&self.model.data_name())?, "", dec))
+    }
+
+    fn scan_rlists<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>> {
+        Ok(seq_scan(self.db.table(&self.model.vtab_name())?, "", dec))
+    }
+}
+
+/// The split-by-rlist retrieval pipeline:
+/// `Project star ← HashJoin(Values rids, SeqScan data)`, or its fused
+/// morsel-parallel equivalent when a multi-threaded pool is supplied —
+/// one node where the sequential tree has three; the probe's I/O still
+/// happens (on the coordinator) and stays in the estimate.
+/// Both emit the `[rid, attrs…]` star rows in identical order, so higher
+/// operators (filters, limits, joins) see the same stream either way.
+/// The parallel probe ships zero-copy page leases to the workers
+/// (checkpointed pages only — dirty pages are copied and counted).
+pub(crate) fn rid_join_plan<'t, D: Decorator>(
+    data: &'t Table,
+    rids: impl ExactSizeIterator<Item = i64>,
+    pool: Option<&WorkerPool>,
+    side: &str,
+    dec: &D,
+) -> Op<'t, D> {
+    let est = Estimate::new(rids.len() as f64, pages_of(data.live_row_count() as f64));
+    let build = Box::new(Values::ints("rid", rids));
+    let label = format_args!("Values rids{side}");
+    let (build, build_node) = dec.wrap(build, vec![], label, |_| Estimate::new(est.rows, 0.0));
+    let cols: Vec<usize> = (1..1 + data.schema().len()).collect();
+    if let Some(p) = pool.filter(|p| p.threads() > 1) {
+        let join = ParHashJoin::new(build, data, 0, 0, p.clone()).with_projection(&cols);
+        let (workers, worker_rows) = (join.parallelism(), join.worker_rows());
+        let label = format_args!("ParHashJoin rid=rid{side}");
+        let (join, mut node) = dec.wrap(Box::new(join), vec![build_node], label, |_| {
+            est.with_parallelism(workers)
+        });
+        D::set_worker_rows(&mut node, worker_rows);
+        return (join, node);
+    }
+    let (probe, probe_node) = seq_scan(data, side, dec);
+    let join = Box::new(HashJoin::new(build, probe, 0, 0));
+    let label = format_args!("HashJoin rid=rid{side}");
+    let (join, join_node) = dec.wrap(join, vec![build_node, probe_node], label, |_| est);
+    let project = Box::new(Project::columns(join, &cols));
+    dec.wrap(
+        project,
+        vec![join_node],
+        format_args!("Project star{side}"),
+        |_| est,
+    )
+}
+
+/// [`rid_join_plan`] drained to completion — the checkout path.
+pub(crate) fn rid_join_rows(
+    data: &Table,
+    rids: Vec<i64>,
+    pool: Option<&WorkerPool>,
+    ctx: &mut ExecContext,
+) -> Result<Vec<relstore::Row>> {
+    let (mut plan, ()) = rid_join_plan(data, rids.into_iter(), pool, "", &Plain);
+    Ok(collect(plan.as_mut(), ctx)?)
+}
+
+/// `col op lit` over rows whose star columns start at `star_at`.
+fn predicate_expr(attrs: &Schema, pred: &Predicate, star_at: usize) -> Result<Expr> {
+    let (col, op, value) = pred;
+    let idx = star_at + 1 + attrs.index_of(col)?;
+    Ok(Expr::Bin(
+        *op,
+        Box::new(Expr::col(idx)),
+        Box::new(Expr::Const(value.clone())),
+    ))
+}
+
+fn filter<'a, D: Decorator>(
+    (input, node): Op<'a, D>,
+    pred: &Predicate,
+    expr: Expr,
+    dec: &D,
+) -> Op<'a, D> {
+    let filter = Box::new(Filter::new(input, expr));
+    dec.wrap(filter, vec![node], format_args!("Filter {}", pred.0), |c| {
+        Estimate::new(c[0].estimate.rows * selectivity(pred), c[0].estimate.pages)
+    })
+}
+
+/// A lowered plan: the operator tree, its decorator node, and the schema
+/// results are reported under. (The operators' own schemas carry the
+/// `rhs_` renames of the rid join; the logical schema does not.)
+pub(crate) type Lowered<'a, D> = (BoxExec<'a>, <D as Decorator>::Node, Schema);
+
+/// Lower `plan` to an operator tree over `src`, each operator passed
+/// through `dec`. The only function that builds operators from plan
+/// shapes. `side` tags the leaf labels of a join's inputs
+/// (`" (left)"` / `" (right)"`); it is empty at the root.
+pub(crate) fn lower<'a, S: Source, D: Decorator>(
+    plan: &LogicalPlan,
+    src: &'a S,
+    dec: &D,
+    side: &str,
+) -> Result<Lowered<'a, D>> {
+    match plan {
+        LogicalPlan::Fetch(set) => {
+            let (exec, node) = src.fetch(set.resolve(src.versions())?, side, dec)?;
+            Ok((exec, node, src.star()))
+        }
+        LogicalPlan::Filter { input, predicate } => {
+            let expr = predicate_expr(src.attrs(), predicate, 0)?;
+            let (input, node, schema) = lower(input, src, dec, side)?;
+            let (exec, node) = filter((input, node), predicate, expr, dec);
+            Ok((exec, node, schema))
+        }
+        LogicalPlan::Limit { input, n } => {
+            let (input, node, schema) = lower(input, src, dec, side)?;
+            let limit = Box::new(Limit::new(input, *n));
+            let (exec, node) = dec.wrap(limit, vec![node], format_args!("Limit {n}"), |c| {
+                Estimate::new((*n as f64).min(c[0].estimate.rows), c[0].estimate.pages)
+            });
+            Ok((exec, node, schema))
+        }
+        LogicalPlan::JoinOn { left, right, on } => {
+            // The join attribute must be Int64 (the engine's join-key type).
+            let col = 1 + src.attrs().index_of(on)?;
+            let (left, lnode, lschema) = lower(left, src, dec, " (left)")?;
+            let (right, rnode, rschema) = lower(right, src, dec, " (right)")?;
+            let join = Box::new(HashJoin::new(left, right, col, col));
+            let label = format_args!("HashJoin left.{on}=right.{on}");
+            let (exec, node) = dec.wrap(join, vec![lnode, rnode], label, |c| {
+                let (l, r) = (c[0].estimate, c[1].estimate);
+                Estimate::new(l.rows.max(r.rows), l.pages + r.pages)
+            });
+            Ok((exec, node, lschema.join(&rschema)))
+        }
+        LogicalPlan::AggregateByVid {
+            agg,
+            col,
+            predicate,
+        } => {
+            // (vid, rid) pairs via unnest of every rlist, joined with the
+            // data on rid: `[vid, rid, rid, attrs…]`, so the star columns
+            // start at 2.
+            const STAR_AT: usize = 2;
+            let filtered = match predicate {
+                Some(p) => Some((p, predicate_expr(src.attrs(), p, STAR_AT)?)),
+                None => None,
+            };
+            let agg_idx = STAR_AT + src.star().index_of(col)?;
+            let versions = src.versions();
+            let (rlists, node) = src.scan_rlists(dec)?;
+            let unnest = Box::new(Unnest::new(rlists, 1)?);
+            let (unnest, unnest_node) =
+                dec.wrap(unnest, vec![node], format_args!("Unnest rlist"), |c| {
+                    // Fan-out: total rlist entries across every version.
+                    let entries: usize = versions.iter().map(Vec::len).sum();
+                    Estimate::new(entries as f64, c[0].estimate.pages)
+                });
+            let (probe, probe_node) = src.scan_star(dec)?;
+            let join = Box::new(HashJoin::new(unnest, probe, 1, 0));
+            let label = format_args!("HashJoin rid=rid");
+            let mut op = dec.wrap(join, vec![unnest_node, probe_node], label, |c| {
+                let (l, r) = (c[0].estimate, c[1].estimate);
+                Estimate::new(l.rows, l.pages + r.pages)
+            });
+            if let Some((pred, expr)) = filtered {
+                op = filter(op, pred, expr, dec);
+            }
+            let aggregate = Box::new(HashAggregate::new(op.0, vec![0], vec![(*agg, agg_idx)]));
+            let schema = aggregate.schema().clone();
+            let label = format_args!("HashAggregate {col} by vid");
+            let (exec, node) = dec.wrap(aggregate, vec![op.1], label, |c| {
+                Estimate::new(versions.len() as f64, c[0].estimate.pages)
+            });
+            Ok((exec, node, schema))
+        }
+    }
+}
+
+/// Lower `plan` over `src` with `dec` and drain it. The node comes back
+/// so an instrumenting caller can snapshot it afterwards.
+pub(crate) fn execute<S: Source, D: Decorator>(
+    plan: &LogicalPlan,
+    src: &S,
+    dec: &D,
+    ctx: &mut ExecContext,
+) -> Result<(QueryResult, D::Node)> {
+    let (mut exec, node, schema) = lower(plan, src, dec, "")?;
+    let rows = collect(exec.as_mut(), ctx)?;
+    Ok((QueryResult { schema, rows }, node))
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::commands::{CommandOutput, OrpheusDb};
+    use crate::query::parse_query;
+    use relstore::{Column, DataType, Row, Value};
+
+    /// Two CVDs. `T`: three columns (int key, text, int), four versions —
+    /// v1 and v2 branch from v0 with one new row each, v3 merges them.
+    /// `E`: schema-evolved — v1 adds a `bonus` column, so v0's records are
+    /// narrower than the union schema and read back NULL-padded.
+    pub(crate) fn corpus_db() -> OrpheusDb {
+        let mut odb = OrpheusDb::new();
+        odb.create_user("alice").unwrap();
+        odb.login("alice").unwrap();
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int64),
+            Column::new("name", DataType::Text),
+            Column::new("score", DataType::Int64),
+        ]);
+        let rows: Vec<Row> = (0..20)
+            .map(|i| {
+                vec![
+                    Value::Int64(i),
+                    Value::Text(format!("r{i}")),
+                    Value::Int64(i * 7 % 13),
+                ]
+            })
+            .collect();
+        odb.init_cvd("T", schema, vec!["k".into()], rows).unwrap();
+        odb.execute("checkout T -v 0 -t w1").unwrap();
+        odb.execute("insert w1 100,extra,42").unwrap();
+        odb.execute("commit -t w1 -m v1").unwrap();
+        odb.execute("checkout T -v 0 -t w2").unwrap();
+        odb.execute("insert w2 200,other,7").unwrap();
+        odb.execute("commit -t w2 -m v2").unwrap();
+        odb.execute("checkout T -v 1 2 -t w3").unwrap();
+        odb.execute("commit -t w3 -m merge").unwrap();
+
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int64),
+            Column::new("score", DataType::Int64),
+        ]);
+        let rows: Vec<Row> = (0..6)
+            .map(|i| vec![Value::Int64(i), Value::Int64(i * 10)])
+            .collect();
+        odb.init_cvd("E", schema, vec!["k".into()], rows).unwrap();
+        let csv = odb.checkout_csv("E", &[Vid(0)], "e.csv").unwrap();
+        let widened: String = csv
+            .lines()
+            .enumerate()
+            .map(|(i, line)| match i {
+                0 => format!("{line},bonus\n"),
+                // Rewrite half the records; the rest stay v0's narrow ones.
+                _ if i % 2 == 0 => format!("{line}1,{i}\n"),
+                _ => format!("{line},\n"),
+            })
+            .collect();
+        odb.commit_csv("e.csv", &widened, "k:int,score:int,bonus:int", "widen")
+            .unwrap();
+        odb
+    }
+
+    /// Every query form the parser accepts, over both corpus CVDs.
+    const QUERY_CORPUS: &[&str] = &[
+        // SELECT: one version, several, text and numeric predicates, LIMIT.
+        "SELECT * FROM VERSION 0 OF CVD T",
+        "SELECT * FROM VERSION 1, 2 OF CVD T",
+        "SELECT * FROM VERSION 3 OF CVD T WHERE score > 5",
+        "SELECT * FROM VERSION 0, 3 OF CVD T WHERE name = 'r3'",
+        "SELECT * FROM VERSION 1, 2, 3 OF CVD T LIMIT 7",
+        "SELECT * FROM VERSION 0, 1 OF CVD T WHERE score > 4 LIMIT 2",
+        "SELECT * FROM VERSION 2 OF CVD T WHERE name != 'other' LIMIT 30",
+        // GROUP BY vid: all five aggregates, with and without WHERE.
+        "SELECT vid, count(*) FROM CVD T GROUP BY vid",
+        "SELECT vid, sum(score) FROM CVD T GROUP BY vid",
+        "SELECT vid, avg(score) FROM CVD T GROUP BY vid",
+        "SELECT vid, min(k) FROM CVD T GROUP BY vid",
+        "SELECT vid, max(score) FROM CVD T WHERE k > 4 GROUP BY vid",
+        "SELECT vid, sum(score) FROM CVD T WHERE score > 4 GROUP BY vid",
+        "SELECT vid, count(k) FROM CVD T WHERE name = 'extra' GROUP BY vid",
+        // V_DIFF both ways, V_INTERSECT binary and n-ary.
+        "SELECT * FROM V_DIFF(1, 2) OF CVD T",
+        "SELECT * FROM V_DIFF(2, 1) OF CVD T",
+        "SELECT * FROM V_DIFF(3, 0) OF CVD T",
+        // (empty: the merge v3 holds everything v0 does)
+        "SELECT * FROM V_DIFF(0, 3) OF CVD T",
+        "SELECT * FROM V_INTERSECT(1, 2) OF CVD T",
+        "SELECT * FROM V_INTERSECT(0, 1, 2, 3) OF CVD T",
+        // JOIN on int columns: a key and a many-to-many attribute.
+        "SELECT * FROM VERSION 1 OF CVD T JOIN VERSION 2 ON k",
+        "SELECT * FROM VERSION 0 OF CVD T JOIN VERSION 3 ON score",
+        // Schema-evolved CVD: v0's records are padded to the union schema.
+        "SELECT * FROM VERSION 0 OF CVD E",
+        "SELECT * FROM VERSION 0, 1 OF CVD E WHERE score > 10 LIMIT 5",
+        "SELECT * FROM VERSION 1 OF CVD E WHERE bonus > 2",
+        "SELECT vid, count(bonus) FROM CVD E GROUP BY vid",
+        "SELECT vid, max(bonus) FROM CVD E WHERE score > 0 GROUP BY vid",
+        "SELECT * FROM V_DIFF(1, 0) OF CVD E",
+        "SELECT * FROM V_INTERSECT(0, 1) OF CVD E",
+        "SELECT * FROM VERSION 0 OF CVD E JOIN VERSION 1 ON k",
+    ];
+
+    fn message(out: CommandOutput) -> String {
+        match out {
+            CommandOutput::Message(m) => m,
+            other => panic!("expected message, got {other:?}"),
+        }
+    }
+
+    /// The differential oracle over the corpus: the engine at one and at
+    /// four threads, a pinned snapshot, and the instrumented plan (root
+    /// `act rows`, root measured reads == pool delta, text and JSON
+    /// renderings) agree on every query.
+    #[test]
+    fn corpus_agrees_across_threads_snapshot_and_explain() {
+        let mut odb = corpus_db();
+        // The padded-row case is really in the corpus: v0 of `E` predates
+        // `bonus`, so its rows are widened with a trailing NULL.
+        let narrow = odb.run("SELECT * FROM VERSION 0 OF CVD E").unwrap();
+        assert_eq!(narrow.rows.len(), 6);
+        assert!(narrow
+            .rows
+            .iter()
+            .all(|r| r[..] == [r[0].clone(), r[1].clone(), r[2].clone(), Value::Null]));
+        for sql in QUERY_CORPUS {
+            let query = parse_query(sql).unwrap();
+            odb.set_threads(1);
+            let base = odb.run(sql).unwrap();
+            let pinned = odb.snapshot(query.cvd()).unwrap().run(sql).unwrap();
+            assert_eq!(pinned.schema, base.schema, "snapshot schema: {sql}");
+            assert_eq!(pinned.rows, base.rows, "snapshot rows: {sql}");
+            for threads in [1, 4] {
+                odb.set_threads(threads);
+                assert_eq!(odb.run(sql).unwrap(), base, "{threads} threads: {sql}");
+                // The instrumented lowering yields the same result…
+                let tables = odb.tables(query.cvd()).unwrap();
+                let mut ctx = ExecContext::new();
+                let (explained, _) =
+                    execute(&LogicalPlan::of(&query), &tables, &Instrumented, &mut ctx).unwrap();
+                assert_eq!(explained, base, "instrumented, {threads} threads: {sql}");
+                // …and its report reconciles with the buffer pool.
+                let report = odb.explain_analyze(sql).unwrap();
+                let root = &report.root.stats;
+                assert_eq!(root.rows, base.rows.len() as u64, "{sql}");
+                assert_eq!(
+                    root.measured.logical_reads, report.pool_delta.logical_reads,
+                    "{sql}"
+                );
+                assert_eq!(
+                    root.measured.physical_reads, report.pool_delta.physical_reads,
+                    "{sql}"
+                );
+                // The shell command renders the same report, as text…
+                let text = message(odb.execute(&format!("explain analyze {sql}")).unwrap());
+                assert!(text.contains("act rows="), "{text}");
+                // …and as JSON carrying the plan tree.
+                let json = message(
+                    odb.execute(&format!("explain analyze --json {sql}"))
+                        .unwrap(),
+                );
+                let doc = obs::parse(&json).unwrap();
+                assert_eq!(
+                    doc.get_path("plan/act_rows").and_then(|v| v.as_f64()),
+                    Some(base.rows.len() as f64),
+                    "{json}"
+                );
+                assert!(doc.get_path("pool_delta/logical_reads").is_some(), "{json}");
+            }
+        }
+    }
+
+    /// A decorator that keeps the label tree but hands back the *plain*
+    /// executor: what `run` executes, described the way `explain` would.
+    struct Labelled;
+
+    impl Decorator for Labelled {
+        type Node = ExplainNode;
+
+        fn wrap<'a>(
+            &self,
+            exec: BoxExec<'a>,
+            inputs: Vec<ExplainNode>,
+            label: Arguments<'_>,
+            estimate: impl FnOnce(&[ExplainNode]) -> Estimate,
+        ) -> Op<'a, Self> {
+            let unit = Box::new(Values::ints("unit", []));
+            (exec, Instrumented.wrap(unit, inputs, label, estimate).1)
+        }
+
+        fn set_worker_rows(_node: &mut ExplainNode, _cell: Rc<RefCell<Vec<u64>>>) {}
+    }
+
+    fn label_tree(node: &ExplainNode, depth: usize, out: &mut String) {
+        out.push_str(&format!("{}{}\n", "  ".repeat(depth), node.label));
+        for child in &node.children {
+            label_tree(child, depth + 1, out);
+        }
+    }
+
+    /// Drift regression: `explain analyze` used to instrument a streaming
+    /// `HashJoin(rid_join, rid_join)` for the JOIN form while `run`
+    /// materialised both sides into `Values` first. Both now lower one
+    /// `LogicalPlan`; the decorator cannot change the tree.
+    #[test]
+    fn explain_labels_are_the_tree_run_executes() {
+        let mut odb = corpus_db();
+        let sql = "SELECT * FROM VERSION 1 OF CVD T JOIN VERSION 2 ON k";
+        let plan = LogicalPlan::of(&parse_query(sql).unwrap());
+        for threads in [1, 4] {
+            odb.set_threads(threads);
+            let tables = odb.tables("T").unwrap();
+            let mut explained = String::new();
+            label_tree(
+                &lower(&plan, &tables, &Instrumented, "").unwrap().1,
+                0,
+                &mut explained,
+            );
+            let mut executed = String::new();
+            let mut run = lower(&plan, &tables, &Labelled, "").unwrap();
+            label_tree(&run.1, 0, &mut executed);
+            assert_eq!(explained, executed, "{threads} threads");
+            if threads == 1 {
+                assert_eq!(
+                    explained,
+                    "HashJoin left.k=right.k\n\
+                     \x20 Project star (left)\n\
+                     \x20   HashJoin rid=rid (left)\n\
+                     \x20     Values rids (left)\n\
+                     \x20     SeqScan T__sbr_data (left)\n\
+                     \x20 Project star (right)\n\
+                     \x20   HashJoin rid=rid (right)\n\
+                     \x20     Values rids (right)\n\
+                     \x20     SeqScan T__sbr_data (right)\n"
+                );
+            } else {
+                assert_eq!(
+                    explained,
+                    "HashJoin left.k=right.k\n\
+                     \x20 ParHashJoin rid=rid (left)\n\
+                     \x20   Values rids (left)\n\
+                     \x20 ParHashJoin rid=rid (right)\n\
+                     \x20   Values rids (right)\n"
+                );
+            }
+            // The labelled tree is the plain one: draining it is `run`.
+            let rows = collect(run.0.as_mut(), &mut ExecContext::new()).unwrap();
+            assert_eq!(rows, odb.run(sql).unwrap().rows);
+        }
+        // The same plan over a pinned snapshot differs only at the leaves.
+        let snap = odb.snapshot("T").unwrap();
+        let mut pinned = String::new();
+        label_tree(
+            &lower(&plan, &snap, &Instrumented, "").unwrap().1,
+            0,
+            &mut pinned,
+        );
+        assert_eq!(
+            pinned,
+            "HashJoin left.k=right.k\n\
+             \x20 Values star rows (left)\n\
+             \x20 Values star rows (right)\n"
+        );
+    }
+
+    #[test]
+    fn one_translation_per_query_form() {
+        let plan = |sql| LogicalPlan::of(&parse_query(sql).unwrap());
+        assert_eq!(
+            plan("SELECT * FROM VERSION 1, 2 OF CVD T WHERE k > 3 LIMIT 5"),
+            LogicalPlan::Limit {
+                input: Box::new(LogicalPlan::Filter {
+                    input: Box::new(LogicalPlan::Fetch(RidSet::Union(vec![Vid(1), Vid(2)]))),
+                    predicate: ("k".into(), BinOp::Gt, Value::Int64(3)),
+                }),
+                n: 5,
+            }
+        );
+        assert_eq!(
+            plan("SELECT * FROM V_DIFF(2, 1) OF CVD T"),
+            LogicalPlan::Fetch(RidSet::Diff(Vid(2), Vid(1)))
+        );
+        assert_eq!(
+            plan("SELECT * FROM V_INTERSECT(0, 1, 2) OF CVD T"),
+            LogicalPlan::Fetch(RidSet::Intersect(vec![Vid(0), Vid(1), Vid(2)]))
+        );
+    }
+}

@@ -11,18 +11,14 @@
 //!
 //! plus functional primitives over the version graph —
 //! `ancestor(v)`, `descendant(v)`, `parent(v)`, `v_diff(a, b)`,
-//! `v_intersect(vs)`. Queries are translated into plans over the
-//! split-by-rlist physical tables, exactly as the middleware translates
-//! them to PostgreSQL SQL in the original.
+//! `v_intersect(vs)`. This module is the surface: the parsed [`VQuery`]
+//! and its parser. [`crate::plan`] translates a `VQuery` into a plan over
+//! the split-by-rlist physical tables, exactly as the middleware
+//! translates it to PostgreSQL SQL in the original.
 
-use crate::cvd::Cvd;
 use crate::error::{Error, Result};
-use crate::models::SplitByRlist;
 use partition::Vid;
-use relstore::{
-    AggFunc, BinOp, Database, ExecContext, Executor, Expr, Filter, HashJoin, Limit, ParHashJoin,
-    Project, Row, Schema, SeqScan, Table, Value, Values, WorkerPool,
-};
+use relstore::{AggFunc, BinOp, CostTracker, Expr, Row, Schema, Value};
 
 /// A query result: a schema plus rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,270 +27,35 @@ pub struct QueryResult {
     pub rows: Vec<Row>,
 }
 
-/// Versioned queries over a CVD stored under the split-by-rlist model.
-pub struct VersionedQuery<'a> {
-    db: &'a Database,
-    cvd: &'a Cvd,
-    model: &'a SplitByRlist,
-    pool: Option<WorkerPool>,
-}
+/// A parsed `WHERE col op lit`.
+pub type Predicate = (String, BinOp, Value);
 
-impl<'a> VersionedQuery<'a> {
-    pub fn new(db: &'a Database, cvd: &'a Cvd, model: &'a SplitByRlist) -> Self {
-        VersionedQuery {
-            db,
-            cvd,
-            model,
-            pool: None,
+/// Versions whose aggregate satisfies `cmp value` — e.g. *“find versions
+/// where the total count of tuples with protein1 = X is greater than
+/// 50”* (§4.1) — as a post-filter over the `[vid, agg]` rows of a
+/// `GROUP BY vid` result.
+pub fn versions_where_aggregate(
+    aggregated: &QueryResult,
+    cmp: BinOp,
+    value: &Value,
+) -> Result<Vec<Vid>> {
+    let having = Expr::Bin(
+        cmp,
+        Box::new(Expr::col(1)),
+        Box::new(Expr::Const(value.clone())),
+    );
+    let mut tracker = CostTracker::new();
+    let mut out = Vec::new();
+    for row in &aggregated.rows {
+        if having.matches(row, &mut tracker)? {
+            let vid = row[0]
+                .as_i64()
+                .and_then(|v| u32::try_from(v).ok())
+                .ok_or_else(|| Error::Internal("version id column is not a version id".into()))?;
+            out.push(Vid(vid));
         }
     }
-
-    /// Run the rid-join retrieval pipelines on this morsel worker pool
-    /// (`None`, or a single-thread pool, keeps the sequential plans).
-    pub fn with_pool(mut self, pool: Option<WorkerPool>) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// Output schema of `SELECT *`: `[rid, attrs…]`.
-    fn star_schema(&self) -> Schema {
-        crate::models::data_schema(self.cvd)
-    }
-
-    /// Collect the rids of the listed versions (union, deduplicated).
-    fn rids_of(&self, versions: &[Vid]) -> Result<Vec<i64>> {
-        let mut rids: Vec<i64> = Vec::new();
-        for &v in versions {
-            rids.extend(self.cvd.version_records(v)?.iter().map(|r| r.0 as i64));
-        }
-        rids.sort_unstable();
-        rids.dedup();
-        Ok(rids)
-    }
-
-    /// `SELECT * FROM VERSION v1, v2… OF CVD c [WHERE pred] [LIMIT n]`.
-    /// The predicate is over the `[rid, attrs…]` schema.
-    pub fn select_versions(
-        &self,
-        versions: &[Vid],
-        predicate: Option<Expr>,
-        limit: Option<usize>,
-        ctx: &mut ExecContext,
-    ) -> Result<QueryResult> {
-        let rids = self.rids_of(versions)?;
-        let data = self.db.table(&self.model.data_name())?;
-        let mut plan: Box<dyn Executor + '_> = rid_join_plan(data, rids, self.pool.as_ref());
-        if let Some(pred) = predicate {
-            plan = Box::new(Filter::new(plan, pred));
-        }
-        if let Some(n) = limit {
-            plan = Box::new(Limit::new(plan, n));
-        }
-        let rows = relstore::collect(plan.as_mut(), ctx)?;
-        // The projection is exactly the star schema; use its column names
-        // (the join output renames collided columns with an rhs_ prefix).
-        Ok(QueryResult {
-            schema: self.star_schema(),
-            rows,
-        })
-    }
-
-    /// `SELECT vid, agg(col) FROM CVD c [WHERE pred] GROUP BY vid`
-    /// (§3.3.2): the aggregate runs across every version of the CVD.
-    pub fn aggregate_by_version(
-        &self,
-        agg: AggFunc,
-        agg_col: &str,
-        predicate: Option<Expr>,
-        ctx: &mut ExecContext,
-    ) -> Result<QueryResult> {
-        let data = self.db.table(&self.model.data_name())?;
-        let vtab = self.db.table(&self.model.vtab_name())?;
-        // (vid, rid) pairs via unnest of every rlist.
-        let scan = Box::new(SeqScan::new(vtab));
-        let unnest = Box::new(relstore::Unnest::new(scan, 1).map_err(Error::Storage)?);
-        // Join with the data table on rid.
-        let probe = Box::new(SeqScan::new(data));
-        let join = Box::new(HashJoin::new(unnest, probe, 1, 0));
-        // Joined schema: [vid, rid, rid, attrs…] — predicate columns are
-        // offset by 2 relative to the star schema.
-        let mut plan: Box<dyn Executor + '_> = join;
-        if let Some(pred) = predicate {
-            plan = Box::new(Filter::new(plan, shift_columns(&pred, 2)));
-        }
-        // Joined schema: [vid, rid, rid, attrs…]; star column i sits at i+2.
-        let agg_idx = 2 + self
-            .star_schema()
-            .index_of(agg_col)
-            .map_err(Error::Storage)?;
-        let mut aggregate = relstore::HashAggregate::new(plan, vec![0], vec![(agg, agg_idx)]);
-        let schema = aggregate.schema().clone();
-        let rows = aggregate.collect(ctx)?;
-        Ok(QueryResult { schema, rows })
-    }
-
-    /// Versions whose aggregate satisfies `cmp value` — e.g. *“find versions
-    /// where the total count of tuples with protein1 = X is greater than
-    /// 50”* (§4.1).
-    pub fn versions_where_aggregate(
-        &self,
-        agg: AggFunc,
-        agg_col: &str,
-        predicate: Option<Expr>,
-        cmp: BinOp,
-        value: Value,
-        ctx: &mut ExecContext,
-    ) -> Result<Vec<Vid>> {
-        let result = self.aggregate_by_version(agg, agg_col, predicate, ctx)?;
-        let mut out = Vec::new();
-        for row in &result.rows {
-            let matches = Expr::Bin(
-                cmp,
-                Box::new(Expr::col(1)),
-                Box::new(Expr::Const(value.clone())),
-            )
-            .matches(row, &mut ctx.tracker)?;
-            if matches {
-                let vid = row[0]
-                    .as_i64()
-                    .ok_or_else(|| Error::Internal("version id column is not an integer".into()))?;
-                out.push(Vid(vid as u32));
-            }
-        }
-        Ok(out)
-    }
-
-    /// `v_diff(a, b)` as a query: records in `a` but not `b`, materialized.
-    pub fn v_diff(&self, a: Vid, b: Vid, ctx: &mut ExecContext) -> Result<QueryResult> {
-        let (only_a, _) = self.cvd.diff(a, b)?;
-        let rids: Vec<i64> = only_a.iter().map(|r| r.0 as i64).collect();
-        self.fetch_rids(rids, ctx)
-    }
-
-    /// `v_intersect(vs)`: records present in every listed version.
-    pub fn v_intersect(&self, versions: &[Vid], ctx: &mut ExecContext) -> Result<QueryResult> {
-        let rids: Vec<i64> = self
-            .cvd
-            .v_intersect(versions)?
-            .iter()
-            .map(|r| r.0 as i64)
-            .collect();
-        self.fetch_rids(rids, ctx)
-    }
-
-    /// Join two versions of the CVD on an attribute: rows are
-    /// `[left rid, left attrs…, right rid, right attrs…]` — how §3.3.2's
-    /// renaming trick lets one SQL statement compare versions.
-    pub fn join_versions(
-        &self,
-        left: Vid,
-        right: Vid,
-        on: &str,
-        ctx: &mut ExecContext,
-    ) -> Result<QueryResult> {
-        // The join attribute must be Int64 (the engine's join-key type).
-        let col = 1 + self.cvd.schema().index_of(on).map_err(Error::Storage)?;
-        let data = self.db.table(&self.model.data_name())?;
-        let fetch_side = |v: Vid, ctx: &mut ExecContext| -> Result<Vec<Row>> {
-            let rids: Vec<i64> = self
-                .cvd
-                .version_records(v)?
-                .iter()
-                .map(|r| r.0 as i64)
-                .collect();
-            rid_join_rows(data, rids, self.pool.as_ref(), ctx)
-        };
-        let left_rows = fetch_side(left, ctx)?;
-        let right_rows = fetch_side(right, ctx)?;
-        let star = self.star_schema();
-        let schema = star.join(&star);
-        let lhs = Box::new(Values::new(star.clone(), left_rows));
-        let rhs = Box::new(Values::new(star, right_rows));
-        let mut join = HashJoin::new(lhs, rhs, col, col);
-        let rows = join.collect(ctx)?;
-        Ok(QueryResult { schema, rows })
-    }
-
-    fn fetch_rids(&self, rids: Vec<i64>, ctx: &mut ExecContext) -> Result<QueryResult> {
-        let data = self.db.table(&self.model.data_name())?;
-        let rows = rid_join_rows(data, rids, self.pool.as_ref(), ctx)?;
-        Ok(QueryResult {
-            schema: self.star_schema(),
-            rows,
-        })
-    }
-}
-
-/// The split-by-rlist retrieval pipeline as a plan:
-/// `Project star ← HashJoin(Values rids, SeqScan data)`, or its fused
-/// morsel-parallel equivalent when a multi-threaded pool is supplied.
-/// Both emit the `[rid, attrs…]` star rows in identical order, so higher
-/// operators (filters, limits, joins) see the same stream either way.
-/// The parallel probe ships zero-copy page leases to the workers
-/// (checkpointed pages only — dirty pages are copied and counted).
-pub(crate) fn rid_join_plan<'t>(
-    data: &'t Table,
-    rids: Vec<i64>,
-    pool: Option<&WorkerPool>,
-) -> Box<dyn Executor + 't> {
-    let build = Box::new(Values::ints("rid", rids));
-    let cols: Vec<usize> = (1..1 + data.schema().len()).collect();
-    match pool {
-        Some(p) if p.threads() > 1 => {
-            Box::new(ParHashJoin::new(build, data, 0, 0, p.clone()).with_projection(&cols))
-        }
-        _ => {
-            let probe = Box::new(SeqScan::new(data));
-            let join = Box::new(HashJoin::new(build, probe, 0, 0));
-            Box::new(Project::columns(join, &cols))
-        }
-    }
-}
-
-/// [`rid_join_plan`] drained to completion.
-pub(crate) fn rid_join_rows(
-    data: &Table,
-    rids: Vec<i64>,
-    pool: Option<&WorkerPool>,
-    ctx: &mut ExecContext,
-) -> Result<Vec<Row>> {
-    Ok(relstore::collect(
-        rid_join_plan(data, rids, pool).as_mut(),
-        ctx,
-    )?)
-}
-
-/// Rewrite column ordinals in an expression by a fixed offset (used when a
-/// predicate written against `[rid, attrs…]` runs over a join output with
-/// leading bookkeeping columns).
-pub(crate) fn shift_columns(e: &Expr, offset: usize) -> Expr {
-    match e {
-        Expr::Col(i) => Expr::Col(i + offset),
-        Expr::Const(v) => Expr::Const(v.clone()),
-        Expr::Bin(op, l, r) => Expr::Bin(
-            *op,
-            Box::new(shift_columns(l, offset)),
-            Box::new(shift_columns(r, offset)),
-        ),
-        Expr::And(l, r) => Expr::And(
-            Box::new(shift_columns(l, offset)),
-            Box::new(shift_columns(r, offset)),
-        ),
-        Expr::Or(l, r) => Expr::Or(
-            Box::new(shift_columns(l, offset)),
-            Box::new(shift_columns(r, offset)),
-        ),
-        Expr::Not(x) => Expr::Not(Box::new(shift_columns(x, offset))),
-        Expr::ArrayContains(l, r) => Expr::ArrayContains(
-            Box::new(shift_columns(l, offset)),
-            Box::new(shift_columns(r, offset)),
-        ),
-        Expr::ArrayAppend(l, r) => Expr::ArrayAppend(
-            Box::new(shift_columns(l, offset)),
-            Box::new(shift_columns(r, offset)),
-        ),
-        Expr::IsNull(x) => Expr::IsNull(Box::new(shift_columns(x, offset))),
-    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -308,7 +69,7 @@ pub enum VQuery {
     SelectVersions {
         cvd: String,
         versions: Vec<Vid>,
-        predicate: Option<(String, BinOp, Value)>,
+        predicate: Option<Predicate>,
         limit: Option<usize>,
     },
     /// `SELECT vid, AGG(col) FROM CVD name [WHERE col op lit] GROUP BY vid`
@@ -316,7 +77,7 @@ pub enum VQuery {
         cvd: String,
         agg: AggFunc,
         agg_col: String,
-        predicate: Option<(String, BinOp, Value)>,
+        predicate: Option<Predicate>,
     },
     /// `SELECT * FROM V_DIFF(a, b) OF CVD name` — records in `a` not in `b`
     /// (§3.3.2(b)).
@@ -333,6 +94,19 @@ pub enum VQuery {
     /// `SELECT * FROM V_INTERSECT(v…) OF CVD name` — records in every
     /// listed version (§3.3.2(c)).
     Intersect { cvd: String, versions: Vec<Vid> },
+}
+
+impl VQuery {
+    /// The CVD the query targets.
+    pub fn cvd(&self) -> &str {
+        match self {
+            VQuery::SelectVersions { cvd, .. }
+            | VQuery::AggregateByVersion { cvd, .. }
+            | VQuery::Diff { cvd, .. }
+            | VQuery::JoinVersions { cvd, .. }
+            | VQuery::Intersect { cvd, .. } => cvd,
+        }
+    }
 }
 
 /// Parse the SQL-ish syntax of §3.3.2. Case-insensitive keywords.
@@ -364,11 +138,7 @@ pub fn parse_query(input: &str) -> Result<VQuery> {
         if p.peek_is("V_DIFF") || p.peek_is("V_INTERSECT") {
             let func = p.ident()?.to_ascii_lowercase();
             p.expect_tok("(")?;
-            let mut versions = vec![Vid(p.number()? as u32)];
-            while p.peek_is(",") {
-                p.next();
-                versions.push(Vid(p.number()? as u32));
-            }
+            let versions = p.vids()?;
             p.expect_tok(")")?;
             p.expect_kw("OF")?;
             p.expect_kw("CVD")?;
@@ -388,18 +158,14 @@ pub fn parse_query(input: &str) -> Result<VQuery> {
             };
         }
         p.expect_kw("VERSION")?;
-        let mut versions = vec![Vid(p.number()? as u32)];
-        while p.peek_is(",") {
-            p.next();
-            versions.push(Vid(p.number()? as u32));
-        }
+        let versions = p.vids()?;
         p.expect_kw("OF")?;
         p.expect_kw("CVD")?;
         let cvd = p.ident()?;
         if p.peek_is("JOIN") {
             p.next();
             p.expect_kw("VERSION")?;
-            let right = Vid(p.number()? as u32);
+            let right = p.vid()?;
             p.expect_kw("ON")?;
             let on = p.ident()?;
             p.end()?;
@@ -416,7 +182,7 @@ pub fn parse_query(input: &str) -> Result<VQuery> {
         let predicate = p.parse_where()?;
         let limit = if p.peek_is("LIMIT") {
             p.next();
-            Some(p.number()? as usize)
+            Some(p.number()?)
         } else {
             None
         };
@@ -527,10 +293,26 @@ impl Parser {
             .ok_or_else(|| Error::Parse("expected identifier".into()))
     }
 
-    fn number(&mut self) -> Result<i64> {
+    /// A non-negative integer that fits `T`; anything else (a sign, a
+    /// value past `T::MAX`) is a parse error naming the token.
+    fn number<T: std::str::FromStr>(&mut self) -> Result<T> {
         let t = self.ident()?;
         t.parse()
             .map_err(|_| Error::Parse(format!("expected number, got {t}")))
+    }
+
+    fn vid(&mut self) -> Result<Vid> {
+        self.number::<u32>().map(Vid)
+    }
+
+    /// One or more comma-separated version ids.
+    fn vids(&mut self) -> Result<Vec<Vid>> {
+        let mut versions = vec![self.vid()?];
+        while self.peek_is(",") {
+            self.next();
+            versions.push(self.vid()?);
+        }
+        Ok(versions)
     }
 
     fn parse_agg(&mut self) -> Result<(AggFunc, String)> {
@@ -553,7 +335,7 @@ impl Parser {
         Ok((agg, col))
     }
 
-    fn parse_where(&mut self) -> Result<Option<(String, BinOp, Value)>> {
+    fn parse_where(&mut self) -> Result<Option<Predicate>> {
         if !self.peek_is("WHERE") {
             return Ok(None);
         }
@@ -591,25 +373,6 @@ impl Parser {
             Some(t) => Err(Error::Parse(format!("unexpected trailing token {t}"))),
         }
     }
-}
-
-/// Build a predicate `Expr` over the `[rid, attrs…]` star schema from the
-/// parsed `(col, op, lit)` triple.
-pub fn predicate_expr(cvd: &Cvd, pred: &(String, BinOp, Value)) -> Result<Expr> {
-    predicate_expr_for(cvd.schema(), pred)
-}
-
-/// [`predicate_expr`] against an explicit attribute schema — used by
-/// snapshot readers, which carry a pinned copy of the schema instead of
-/// borrowing the engine's `Cvd`.
-pub(crate) fn predicate_expr_for(attrs: &Schema, pred: &(String, BinOp, Value)) -> Result<Expr> {
-    let (col, op, value) = pred;
-    let idx = 1 + attrs.index_of(col)?;
-    Ok(Expr::Bin(
-        *op,
-        Box::new(Expr::col(idx)),
-        Box::new(Expr::Const(value.clone())),
-    ))
 }
 
 #[cfg(test)]
@@ -707,5 +470,32 @@ mod tests {
         assert!(parse_query("DELETE FROM x").is_err());
         assert!(parse_query("SELECT * FROM VERSION x OF CVD t").is_err());
         assert!(parse_query("SELECT * FROM VERSION 1 OF CVD t LIMIT").is_err());
+        // Out-of-range integers are rejected, never wrapped: 2^32 + 1 is
+        // not version 1, -2^32 is not version 0, and -1 is not "no limit".
+        for (sql, token) in [
+            ("SELECT * FROM VERSION 4294967297 OF CVD t", "4294967297"),
+            ("SELECT * FROM VERSION -4294967296 OF CVD t", "-4294967296"),
+            ("SELECT * FROM VERSION 0, 4294967296 OF CVD t", "4294967296"),
+            ("SELECT * FROM V_DIFF(1, -1) OF CVD t", "-1"),
+            (
+                "SELECT * FROM V_INTERSECT(4294967296) OF CVD t",
+                "4294967296",
+            ),
+            (
+                "SELECT * FROM VERSION 0 OF CVD t JOIN VERSION 4294967297 ON k",
+                "4294967297",
+            ),
+            ("SELECT * FROM VERSION 0 OF CVD t LIMIT -1", "-1"),
+            (
+                "SELECT * FROM VERSION 0 OF CVD t LIMIT 99999999999999999999",
+                "99999999999999999999",
+            ),
+        ] {
+            match parse_query(sql) {
+                Err(Error::Parse(m)) => assert!(m.contains(token), "{sql}: {m}"),
+                other => panic!("{sql}: expected a parse error, got {other:?}"),
+            }
+        }
+        assert!(parse_query("SELECT * FROM VERSION 4294967295 OF CVD t").is_ok());
     }
 }

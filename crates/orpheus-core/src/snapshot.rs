@@ -8,24 +8,22 @@
 //! thread, entirely outside the engine thread: readers are lock-free and
 //! never block (or are blocked by) writers.
 //!
-//! The evaluator reuses the *same relational operators* the engine uses
-//! ([`relstore::Filter`], [`relstore::HashJoin`], [`relstore::Unnest`],
-//! [`relstore::HashAggregate`]) over in-memory [`relstore::Values`]
-//! nodes, feeding them rows in exactly the order the engine's physical
-//! data tables would produce (ascending rid = data-table insertion
-//! order). Output is therefore byte-identical to
+//! A snapshot is a [`Source`] for the one plan lowering in
+//! [`crate::plan`]: the engine's tables and a snapshot run the *same*
+//! operator tree above the leaves, and the snapshot's leaves are
+//! in-memory [`relstore::Values`] nodes fed in exactly the order the
+//! engine's physical data table would produce (ascending rid =
+//! data-table insertion order). Output is therefore byte-identical to
 //! [`OrpheusDb::run`](crate::OrpheusDb::run) on the same version set —
-//! pinned by the parity tests below.
+//! pinned by the query-corpus test in `plan.rs`.
 
 use crate::cvd::Cvd;
 use crate::error::{Error, Result};
-use crate::query::{parse_query, predicate_expr_for, shift_columns, QueryResult, VQuery};
-use partition::Vid;
-use relstore::{
-    collect, Column, DataType, ExecContext, Executor, Filter, HashAggregate, HashJoin, Limit, Row,
-    Schema, Unnest, Value, Values,
-};
-use std::collections::HashSet;
+use crate::plan::{self, Decorator, LogicalPlan, Op, Plain, Source};
+use crate::query::{parse_query, QueryResult, VQuery};
+use partition::{Rid, Vid};
+use relstore::{Column, DataType, Estimate, ExecContext, Row, Schema, Value, Values};
+use std::fmt::Arguments;
 
 /// An immutable, `Send + Sync` view of one CVD at pin time.
 #[derive(Debug, Clone)]
@@ -37,8 +35,8 @@ pub struct Snapshot {
     star: Schema,
     /// Star rows indexed by rid — the data table's insertion order.
     rows: Vec<Row>,
-    /// Per-version record ids, in stored (commit) order.
-    version_rids: Vec<Vec<u64>>,
+    /// Per-version record ids, ascending.
+    version_rids: Vec<Vec<Rid>>,
 }
 
 impl Snapshot {
@@ -48,7 +46,7 @@ impl Snapshot {
         let width = star.len();
         let rows = (0..cvd.num_records())
             .map(|rid| {
-                let mut row = crate::models::data_row(cvd, partition::Rid(rid as u64));
+                let mut row = crate::models::data_row(cvd, Rid(rid as u64));
                 // Records committed before a schema evolution may be
                 // narrower than the union schema; pad like the engine's
                 // migrated tables do.
@@ -56,19 +54,12 @@ impl Snapshot {
                 row
             })
             .collect();
-        let version_rids = (0..cvd.num_versions())
-            .map(|v| {
-                cvd.version_records(Vid(v as u32))
-                    .map(|rids| rids.iter().map(|r| r.0).collect())
-                    .unwrap_or_default()
-            })
-            .collect();
         Snapshot {
             name: cvd.name().to_owned(),
             attrs: cvd.schema().clone(),
             star,
             rows,
-            version_rids,
+            version_rids: cvd.version_records_raw().to_vec(),
         }
     }
 
@@ -87,166 +78,88 @@ impl Snapshot {
         Vid(self.version_rids.len().saturating_sub(1) as u32)
     }
 
-    fn rids(&self, v: Vid) -> Result<&[u64]> {
-        self.version_rids
-            .get(v.idx())
-            .map(Vec::as_slice)
-            .ok_or(Error::VersionNotFound(v.0))
-    }
-
-    /// Star rows of the record set `set`, in data-table (ascending rid)
-    /// order — the order every engine retrieval pipeline emits.
-    fn fetch(&self, set: &HashSet<u64>) -> Vec<Row> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(|(rid, _)| set.contains(&(*rid as u64)))
-            .map(|(_, row)| row.clone())
-            .collect()
-    }
-
-    fn union_rids(&self, versions: &[Vid]) -> Result<HashSet<u64>> {
-        let mut set = HashSet::new();
-        for &v in versions {
-            set.extend(self.rids(v)?.iter().copied());
-        }
-        Ok(set)
-    }
-
     /// Evaluate a versioned SQL string against this snapshot. Supports
     /// the full `run` surface; the CVD named in the query must be the
     /// pinned one.
     pub fn run(&self, sql: &str) -> Result<QueryResult> {
-        let parsed = parse_query(sql)?;
-        let mut ctx = ExecContext::new();
-        match parsed {
-            VQuery::SelectVersions {
-                cvd,
-                versions,
-                predicate,
-                limit,
-            } => {
-                self.check_name(&cvd)?;
-                let rows = self.fetch(&self.union_rids(&versions)?);
-                let mut plan: Box<dyn Executor> = Box::new(Values::new(self.star.clone(), rows));
-                if let Some(pred) = &predicate {
-                    plan = Box::new(Filter::new(plan, predicate_expr_for(&self.attrs, pred)?));
-                }
-                if let Some(n) = limit {
-                    plan = Box::new(Limit::new(plan, n));
-                }
-                let rows = collect(plan.as_mut(), &mut ctx)?;
-                Ok(QueryResult {
-                    schema: self.star.clone(),
-                    rows,
-                })
-            }
-            VQuery::AggregateByVersion {
-                cvd,
-                agg,
-                agg_col,
-                predicate,
-            } => {
-                self.check_name(&cvd)?;
-                // Mirror the engine plan: Unnest(vtab) ⋈ data, then
-                // aggregate grouped by vid over the [vid, rid, rid,
-                // attrs…] join schema.
-                let vtab_schema = Schema::new(vec![
-                    Column::new("vid", DataType::Int64),
-                    Column::new("rlist", DataType::IntArray),
-                ]);
-                let vtab_rows: Vec<Row> = self
-                    .version_rids
-                    .iter()
-                    .enumerate()
-                    .map(|(v, rids)| {
-                        vec![
-                            Value::Int64(v as i64),
-                            Value::IntArray(rids.iter().map(|&r| r as i64).collect()),
-                        ]
-                    })
-                    .collect();
-                let scan = Box::new(Values::new(vtab_schema, vtab_rows));
-                let unnest = Box::new(Unnest::new(scan, 1).map_err(Error::Storage)?);
-                let probe = Box::new(Values::new(self.star.clone(), self.rows.clone()));
-                let join = Box::new(HashJoin::new(unnest, probe, 1, 0));
-                let mut plan: Box<dyn Executor> = join;
-                if let Some(pred) = &predicate {
-                    let expr = predicate_expr_for(&self.attrs, pred)?;
-                    plan = Box::new(Filter::new(plan, shift_columns(&expr, 2)));
-                }
-                let agg_idx = 2 + self.star.index_of(&agg_col).map_err(Error::Storage)?;
-                let mut aggregate = HashAggregate::new(plan, vec![0], vec![(agg, agg_idx)]);
-                let schema = aggregate.schema().clone();
-                let rows = aggregate.collect(&mut ctx)?;
-                Ok(QueryResult { schema, rows })
-            }
-            VQuery::Diff { cvd, a, b } => {
-                self.check_name(&cvd)?;
-                let in_b: HashSet<u64> = self.rids(b)?.iter().copied().collect();
-                let only_a: HashSet<u64> = self
-                    .rids(a)?
-                    .iter()
-                    .copied()
-                    .filter(|r| !in_b.contains(r))
-                    .collect();
-                Ok(QueryResult {
-                    schema: self.star.clone(),
-                    rows: self.fetch(&only_a),
-                })
-            }
-            VQuery::Intersect { cvd, versions } => {
-                self.check_name(&cvd)?;
-                let mut iter = versions.iter();
-                let mut set: HashSet<u64> = match iter.next() {
-                    Some(&v) => self.rids(v)?.iter().copied().collect(),
-                    None => HashSet::new(),
-                };
-                for &v in iter {
-                    let other: HashSet<u64> = self.rids(v)?.iter().copied().collect();
-                    set.retain(|r| other.contains(r));
-                }
-                Ok(QueryResult {
-                    schema: self.star.clone(),
-                    rows: self.fetch(&set),
-                })
-            }
-            VQuery::JoinVersions {
-                cvd,
-                left,
-                right,
-                on,
-            } => {
-                self.check_name(&cvd)?;
-                let col = 1 + self.attrs.index_of(&on).map_err(Error::Storage)?;
-                let lhs: HashSet<u64> = self.rids(left)?.iter().copied().collect();
-                let rhs: HashSet<u64> = self.rids(right)?.iter().copied().collect();
-                let schema = self.star.join(&self.star);
-                let lhs = Box::new(Values::new(self.star.clone(), self.fetch(&lhs)));
-                let rhs = Box::new(Values::new(self.star.clone(), self.fetch(&rhs)));
-                let mut join = HashJoin::new(lhs, rhs, col, col);
-                let rows = join.collect(&mut ctx)?;
-                Ok(QueryResult { schema, rows })
-            }
-        }
+        self.execute(&parse_query(sql)?)
     }
 
-    fn check_name(&self, cvd: &str) -> Result<()> {
-        if cvd == self.name {
-            Ok(())
-        } else {
-            Err(Error::CvdNotFound(format!(
-                "{cvd} (this session pins {})",
+    /// [`run`](Self::run) for a query that is already parsed.
+    pub fn execute(&self, query: &VQuery) -> Result<QueryResult> {
+        if query.cvd() != self.name {
+            return Err(Error::CvdNotFound(format!(
+                "{} (this session pins {})",
+                query.cvd(),
                 self.name
-            )))
+            )));
         }
+        let plan = LogicalPlan::of(query);
+        Ok(plan::execute(&plan, self, &Plain, &mut ExecContext::new())?.0)
+    }
+}
+
+/// A [`Values`] leaf over pinned rows.
+fn values<'a, D: Decorator>(
+    label: Arguments<'_>,
+    schema: Schema,
+    rows: Vec<Row>,
+    dec: &D,
+) -> Op<'a, D> {
+    let n = rows.len() as f64;
+    let values = Box::new(Values::new(schema, rows));
+    dec.wrap(values, vec![], label, |_| Estimate::new(n, 0.0))
+}
+
+/// The snapshot source: every leaf is a [`Values`] node over pinned rows,
+/// fed in exactly the order the engine's data table would produce them.
+impl Source for Snapshot {
+    fn attrs(&self) -> &Schema {
+        &self.attrs
+    }
+
+    fn star(&self) -> Schema {
+        self.star.clone()
+    }
+
+    fn versions(&self) -> &[Vec<Rid>] {
+        &self.version_rids
+    }
+
+    fn fetch<'a, D: Decorator>(&'a self, rids: Vec<Rid>, side: &str, dec: &D) -> Result<Op<'a, D>> {
+        let rows = rids
+            .iter()
+            .filter_map(|r| self.rows.get(r.idx()).cloned())
+            .collect();
+        let label = format_args!("Values star rows{side}");
+        Ok(values(label, self.star.clone(), rows, dec))
+    }
+
+    fn scan_star<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>> {
+        let label = format_args!("Values star");
+        Ok(values(label, self.star.clone(), self.rows.clone(), dec))
+    }
+
+    fn scan_rlists<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>> {
+        let schema = Schema::new(vec![
+            Column::new("vid", DataType::Int64),
+            Column::new("rlist", DataType::IntArray),
+        ]);
+        let rlist = |rids: &Vec<Rid>| Value::IntArray(rids.iter().map(|r| r.0 as i64).collect());
+        let rows = self
+            .version_rids
+            .iter()
+            .enumerate()
+            .map(|(v, rids)| vec![Value::Int64(v as i64), rlist(rids)])
+            .collect();
+        Ok(values(format_args!("Values rlists"), schema, rows, dec))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commands::OrpheusDb;
+    use crate::plan::tests::corpus_db;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -255,93 +168,9 @@ mod tests {
         assert_send_sync::<Snapshot>();
     }
 
-    /// A CVD with three versions, modified rows, a schema-identical merge
-    /// commit, and both text and numeric attributes.
-    fn setup() -> OrpheusDb {
-        let mut odb = OrpheusDb::new();
-        odb.create_user("alice").unwrap();
-        odb.login("alice").unwrap();
-        let schema = Schema::new(vec![
-            Column::new("k", DataType::Int64),
-            Column::new("name", DataType::Text),
-            Column::new("score", DataType::Int64),
-        ]);
-        let rows: Vec<Row> = (0..20)
-            .map(|i| {
-                vec![
-                    Value::Int64(i),
-                    Value::Text(format!("r{i}")),
-                    Value::Int64(i * 7 % 13),
-                ]
-            })
-            .collect();
-        odb.init_cvd("T", schema, vec!["k".into()], rows).unwrap();
-        // v1: bump some scores.
-        odb.execute("checkout T -v 0 -t w1").unwrap();
-        odb.execute("insert w1 100,extra,42").unwrap();
-        odb.execute("commit -t w1 -m v1").unwrap();
-        // v2: branch from v0 with a different new row.
-        odb.execute("checkout T -v 0 -t w2").unwrap();
-        odb.execute("insert w2 200,other,7").unwrap();
-        odb.execute("commit -t w2 -m v2").unwrap();
-        // v3: merge of v1 and v2.
-        odb.execute("checkout T -v 1 2 -t w3").unwrap();
-        odb.execute("commit -t w3 -m merge").unwrap();
-        odb
-    }
-
-    fn parity(odb: &OrpheusDb, sql: &str) {
-        let snap = odb.snapshot("T").unwrap();
-        let engine = odb.run(sql).unwrap();
-        let snapshot = snap.run(sql).unwrap();
-        assert_eq!(engine.schema, snapshot.schema, "schema parity: {sql}");
-        assert_eq!(engine.rows, snapshot.rows, "row parity: {sql}");
-    }
-
-    #[test]
-    fn select_versions_parity() {
-        let odb = setup();
-        parity(&odb, "SELECT * FROM VERSION 0 OF CVD T");
-        parity(&odb, "SELECT * FROM VERSION 1, 2 OF CVD T");
-        parity(&odb, "SELECT * FROM VERSION 3 OF CVD T WHERE score > 5");
-        parity(
-            &odb,
-            "SELECT * FROM VERSION 0, 3 OF CVD T WHERE name = 'r3'",
-        );
-        parity(&odb, "SELECT * FROM VERSION 1, 2, 3 OF CVD T LIMIT 7");
-    }
-
-    #[test]
-    fn aggregate_parity() {
-        let odb = setup();
-        parity(&odb, "SELECT vid, count(*) FROM CVD T GROUP BY vid");
-        parity(&odb, "SELECT vid, sum(score) FROM CVD T GROUP BY vid");
-        parity(&odb, "SELECT vid, avg(score) FROM CVD T GROUP BY vid");
-        parity(&odb, "SELECT vid, min(k) FROM CVD T GROUP BY vid");
-        parity(
-            &odb,
-            "SELECT vid, max(score) FROM CVD T WHERE k > 4 GROUP BY vid",
-        );
-    }
-
-    #[test]
-    fn diff_intersect_join_parity() {
-        let odb = setup();
-        parity(&odb, "SELECT * FROM V_DIFF(1, 2) OF CVD T");
-        parity(&odb, "SELECT * FROM V_DIFF(2, 1) OF CVD T");
-        parity(&odb, "SELECT * FROM V_DIFF(3, 0) OF CVD T");
-        parity(&odb, "SELECT * FROM V_INTERSECT(1, 2) OF CVD T");
-        parity(&odb, "SELECT * FROM V_INTERSECT(0, 1, 2, 3) OF CVD T");
-        parity(&odb, "SELECT * FROM VERSION 1 OF CVD T JOIN VERSION 2 ON k");
-        parity(
-            &odb,
-            "SELECT * FROM VERSION 0 OF CVD T JOIN VERSION 3 ON score",
-        );
-    }
-
     #[test]
     fn snapshot_is_isolated_from_later_commits() {
-        let mut odb = setup();
+        let mut odb = corpus_db();
         let snap = odb.snapshot("T").unwrap();
         assert_eq!(snap.num_versions(), 4);
         assert_eq!(snap.latest_version(), Vid(3));
@@ -362,7 +191,7 @@ mod tests {
 
     #[test]
     fn snapshot_rejects_other_cvds() {
-        let odb = setup();
+        let odb = corpus_db();
         let snap = odb.snapshot("T").unwrap();
         assert!(matches!(
             snap.run("SELECT * FROM VERSION 0 OF CVD Other"),

@@ -4,9 +4,10 @@
 
 use orpheus_core::cvd::Cvd;
 use orpheus_core::models::{load_cvd, SplitByRlist};
-use orpheus_core::query::{predicate_expr, VersionedQuery};
+use orpheus_core::plan::{LogicalPlan, Tables};
+use orpheus_core::query::{parse_query, versions_where_aggregate, QueryResult};
 use orpheus_core::Vid;
-use relstore::{AggFunc, BinOp, Column, DataType, Database, ExecContext, Schema, Value};
+use relstore::{BinOp, Column, DataType, Database, ExecContext, Schema, Value};
 
 fn row(p1: &str, p2: &str, coex: i64) -> Vec<Value> {
     vec![Value::from(p1), Value::from(p2), Value::Int64(coex)]
@@ -54,38 +55,36 @@ fn setup() -> (Database, Cvd, SplitByRlist) {
     (db, cvd, model)
 }
 
+/// Parse, plan, lower and drain `sql` over the loaded tables — what
+/// `OrpheusDb::run` does, minus the command surface.
+fn run(sql: &str) -> QueryResult {
+    let (db, cvd, model) = setup();
+    let tables = Tables {
+        db: &db,
+        cvd: &cvd,
+        model: &model,
+        pool: None,
+    };
+    let plan = LogicalPlan::of(&parse_query(sql).unwrap());
+    tables.run(&plan, &mut ExecContext::new()).unwrap()
+}
+
 #[test]
 fn select_across_versions_unions_records() {
-    let (db, cvd, model) = setup();
-    let q = VersionedQuery::new(&db, &cvd, &model);
-    let mut ctx = ExecContext::new();
     // v1 ∪ v2 with coexpression > 80: AB(95 in v1), CD(90 in both), GH(99).
-    let pred = predicate_expr(&cvd, &("coexpression".into(), BinOp::Gt, Value::Int64(80))).unwrap();
-    let rs = q
-        .select_versions(&[Vid(1), Vid(2)], Some(pred), None, &mut ctx)
-        .unwrap();
+    let rs = run("SELECT * FROM VERSION 1, 2 OF CVD Interaction WHERE coexpression > 80");
     assert_eq!(rs.rows.len(), 3);
 }
 
 #[test]
 fn limit_caps_results() {
-    let (db, cvd, model) = setup();
-    let q = VersionedQuery::new(&db, &cvd, &model);
-    let mut ctx = ExecContext::new();
-    let rs = q
-        .select_versions(&[Vid(3)], None, Some(2), &mut ctx)
-        .unwrap();
+    let rs = run("SELECT * FROM VERSION 3 OF CVD Interaction LIMIT 2");
     assert_eq!(rs.rows.len(), 2);
 }
 
 #[test]
 fn aggregate_by_version_counts_and_sums() {
-    let (db, cvd, model) = setup();
-    let q = VersionedQuery::new(&db, &cvd, &model);
-    let mut ctx = ExecContext::new();
-    let rs = q
-        .aggregate_by_version(AggFunc::Count, "rid", None, &mut ctx)
-        .unwrap();
+    let rs = run("SELECT vid, count(*) FROM CVD Interaction GROUP BY vid");
     // v0: 3, v1: 3, v2: 5, v3: 5.
     let counts: Vec<(i64, i64)> = rs
         .rows
@@ -94,23 +93,16 @@ fn aggregate_by_version_counts_and_sums() {
         .collect();
     assert_eq!(counts, vec![(0, 3), (1, 3), (2, 5), (3, 5)]);
 
-    let rs = q
-        .aggregate_by_version(AggFunc::Max, "coexpression", None, &mut ctx)
-        .unwrap();
+    let rs = run("SELECT vid, max(coexpression) FROM CVD Interaction GROUP BY vid");
     let max_v3 = rs.rows.iter().find(|r| r[0] == Value::Int64(3)).unwrap();
     assert_eq!(max_v3[1], Value::Int64(99));
 }
 
 #[test]
 fn aggregate_with_predicate_filters_first() {
-    let (db, cvd, model) = setup();
-    let q = VersionedQuery::new(&db, &cvd, &model);
-    let mut ctx = ExecContext::new();
-    let pred = predicate_expr(&cvd, &("protein1".into(), BinOp::Eq, Value::from("A"))).unwrap();
-    let rs = q
-        .aggregate_by_version(AggFunc::Count, "rid", Some(pred), &mut ctx)
-        .unwrap();
+    let rs = run("SELECT vid, count(*) FROM CVD Interaction WHERE protein1 = 'A' GROUP BY vid");
     // Every version has exactly one (A, B) record.
+    assert_eq!(rs.rows.len(), 4);
     for r in &rs.rows {
         assert_eq!(r[1], Value::Int64(1));
     }
@@ -120,34 +112,19 @@ fn aggregate_with_predicate_filters_first() {
 fn versions_where_aggregate_selects_versions() {
     // §4.1's example: "find versions where the total count of tuples with
     // protein1 = X is greater than N" — here versions with > 4 records.
-    let (db, cvd, model) = setup();
-    let q = VersionedQuery::new(&db, &cvd, &model);
-    let mut ctx = ExecContext::new();
-    let vids = q
-        .versions_where_aggregate(
-            AggFunc::Count,
-            "rid",
-            None,
-            BinOp::Gt,
-            Value::Int64(4),
-            &mut ctx,
-        )
-        .unwrap();
+    let counts = run("SELECT vid, count(*) FROM CVD Interaction GROUP BY vid");
+    let vids = versions_where_aggregate(&counts, BinOp::Gt, &Value::Int64(4)).unwrap();
     assert_eq!(vids, vec![Vid(2), Vid(3)]);
 }
 
 #[test]
 fn v_diff_and_v_intersect_materialize() {
-    let (db, cvd, model) = setup();
-    let q = VersionedQuery::new(&db, &cvd, &model);
-    let mut ctx = ExecContext::new();
     // v1 \ v0 = the bumped AB record.
-    let rs = q.v_diff(Vid(1), Vid(0), &mut ctx).unwrap();
+    let rs = run("SELECT * FROM V_DIFF(1, 0) OF CVD Interaction");
     assert_eq!(rs.rows.len(), 1);
     assert_eq!(rs.rows[0][3], Value::Int64(95));
     // Records common to all four versions: CD and EF.
-    let all: Vec<Vid> = (0..4).map(Vid).collect();
-    let rs = q.v_intersect(&all, &mut ctx).unwrap();
+    let rs = run("SELECT * FROM V_INTERSECT(0, 1, 2, 3) OF CVD Interaction");
     assert_eq!(rs.rows.len(), 2);
 }
 

@@ -86,7 +86,7 @@ fn engine_down() -> EngineError {
 }
 
 /// Map a command-layer error to its wire code.
-fn map_err(e: &orpheus_core::Error) -> EngineError {
+pub(crate) fn map_err(e: &orpheus_core::Error) -> EngineError {
     use orpheus_core::Error as E;
     let code = match e {
         E::Parse(_) => code::PARSE,

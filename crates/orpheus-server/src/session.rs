@@ -20,7 +20,7 @@
 //!   the group-commit path.
 //! * everything else is forwarded to the engine thread verbatim.
 
-use crate::engine::{EngineError, EngineHandle};
+use crate::engine::{map_err, EngineError, EngineHandle};
 use crate::protocol::{self, code, ClientMsg, ProtoError, ServerMsg};
 use orpheus_core::query::QueryResult;
 use orpheus_core::{CommandOutput, Snapshot};
@@ -297,17 +297,19 @@ fn dispatch(
         }
         "run" => {
             let sql = trimmed.strip_prefix("run").unwrap_or("").trim();
-            if let Some(snap) = snapshot_for(sql, pinned) {
+            // A pinned snapshot of the query's CVD answers it here. A parse
+            // failure, or no such pin, falls through to the engine.
+            let local = orpheus_core::query::parse_query(sql)
+                .ok()
+                .and_then(|query| Some((pinned.get(query.cvd())?, query)));
+            if let Some((snap, query)) = local {
                 // Lock-free read on this session thread; journal it under
                 // the request trace so snapshot reads show up in dumps.
                 let _span = engine.recorder().enter_with(
                     "orpheus.server.snapshot_read",
                     obs::TraceCtx::from_wire(trace),
                 );
-                let table = snap.run(sql).map_err(|e| EngineError {
-                    code: code::INTERNAL,
-                    message: e.to_string(),
-                })?;
+                let table = snap.execute(&query).map_err(|e| map_err(&e))?;
                 engine
                     .registry()
                     .counter_add("orpheus.server.snapshot_reads_total", 1);
@@ -321,21 +323,6 @@ fn dispatch(
             Ok(output_messages(&out))
         }
     }
-}
-
-/// The pinned snapshot that can answer `sql` locally, if any. A parse
-/// failure falls through to the engine so the error message is the
-/// canonical one.
-fn snapshot_for<'a>(sql: &str, pinned: &'a HashMap<String, Snapshot>) -> Option<&'a Snapshot> {
-    use orpheus_core::query::VQuery;
-    let cvd = match orpheus_core::query::parse_query(sql).ok()? {
-        VQuery::SelectVersions { cvd, .. }
-        | VQuery::AggregateByVersion { cvd, .. }
-        | VQuery::Diff { cvd, .. }
-        | VQuery::JoinVersions { cvd, .. }
-        | VQuery::Intersect { cvd, .. } => cvd,
-    };
-    pinned.get(&cvd)
 }
 
 #[cfg(test)]

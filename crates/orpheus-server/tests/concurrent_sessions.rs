@@ -521,3 +521,53 @@ fn snapshot_isolation_across_sessions() {
     server.shutdown().unwrap();
     std::fs::remove_file(&csv).ok();
 }
+
+/// A bad query answers with the same error frame whether or not the
+/// session has pinned the CVD: the pinned path runs on the session thread
+/// but maps errors through the engine's one SQLSTATE table. (It used to
+/// answer `XX000` for everything, so an unknown version was `42P01`
+/// unpinned and `XX000` pinned.)
+#[test]
+fn pinned_and_unpinned_error_frames_are_identical() {
+    let csv = seed_csv("errs");
+    let server = start_server(4, EngineConfig::default());
+    let addr = server.local_addr();
+
+    let mut admin = Client::connect(addr, "admin").unwrap();
+    tag_of(&mut admin, &init_line(&csv));
+
+    let mut unpinned = Client::connect(addr, "plain").unwrap();
+    let mut pinned = Client::connect(addr, "pinner").unwrap();
+    tag_of(&mut pinned, "pin t");
+    // The pin really serves reads locally.
+    tag_of(&mut pinned, "run SELECT * FROM VERSION 0 OF CVD t");
+
+    for (line, code) in [
+        // Unknown version.
+        ("run SELECT * FROM VERSION 999 OF CVD t", "42P01"),
+        ("run SELECT * FROM V_DIFF(0, 999) OF CVD t", "42P01"),
+        // Unknown column in WHERE: a storage-level error, internal.
+        (
+            "run SELECT * FROM VERSION 0 OF CVD t WHERE nope > 1",
+            "XX000",
+        ),
+        // Unknown CVD in a JOIN.
+        (
+            "run SELECT * FROM VERSION 0 OF CVD nope JOIN VERSION 0 ON k",
+            "42P01",
+        ),
+        // A version id past u32 is a parse error, not version 1.
+        ("run SELECT * FROM VERSION 4294967297 OF CVD t", "42601"),
+    ] {
+        let want = unpinned.query(line).unwrap();
+        let got = pinned.query(line).unwrap();
+        assert_eq!(want.error().map(|(c, _)| c), Some(code), "{line}");
+        assert_eq!(got.messages, want.messages, "{line}");
+    }
+
+    pinned.terminate().unwrap();
+    unpinned.terminate().unwrap();
+    admin.terminate().unwrap();
+    server.shutdown().unwrap();
+    std::fs::remove_file(&csv).ok();
+}

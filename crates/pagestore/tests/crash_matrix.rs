@@ -143,9 +143,10 @@ fn run_to_fault(dir: &Path, nth: u64, kind: FaultKind) -> Error {
 }
 
 /// Count the I/O operations in commit 3 (body, checkpoint) with an
-/// unarmed plan, and sanity-check the clean run.
-fn commit3_op_counts() -> (u64, u64) {
-    let base = unique_base("probe");
+/// unarmed plan, and sanity-check the clean run. `caller` keeps the probe
+/// directories of tests running in parallel apart.
+fn commit3_op_counts(caller: &str) -> (u64, u64) {
+    let base = unique_base(&format!("probe-{caller}"));
     let _ = std::fs::remove_dir_all(&base);
     let plan = FaultPlan::unarmed();
     let pool = open_faulty(&base, &plan);
@@ -168,7 +169,7 @@ fn commit3_op_counts() -> (u64, u64) {
 /// restore a consistent store with commit 3 atomically present or absent.
 #[test]
 fn crash_matrix_every_fault_point_recovers_consistently() {
-    let (body_ops, flush_ops) = commit3_op_counts();
+    let (body_ops, flush_ops) = commit3_op_counts("matrix");
     assert!(body_ops >= 1, "commit 3 allocates a page");
     assert!(
         flush_ops >= 8,
@@ -201,7 +202,7 @@ fn crash_matrix_every_fault_point_recovers_consistently() {
 /// retried checkpoint succeeds, and commit 3 becomes fully durable.
 #[test]
 fn transient_error_at_every_checkpoint_op_is_retryable() {
-    let (body_ops, flush_ops) = commit3_op_counts();
+    let (body_ops, flush_ops) = commit3_op_counts("transient");
     let base = unique_base("transient");
     let _ = std::fs::remove_dir_all(&base);
     for nth in 1..=flush_ops {
@@ -232,7 +233,7 @@ fn transient_error_at_every_checkpoint_op_is_retryable() {
 /// *recovered* store's next commit, must still leave commits 1–2 intact.
 #[test]
 fn crash_during_recovery_reopen_then_crash_again() {
-    let (body_ops, flush_ops) = commit3_op_counts();
+    let (body_ops, flush_ops) = commit3_op_counts("double");
     let total = body_ops + flush_ops;
     let base = unique_base("double");
     let _ = std::fs::remove_dir_all(&base);

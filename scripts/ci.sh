@@ -53,7 +53,8 @@ echo "==> parallel determinism (CLI probe, threads 1 vs 4)"
 # Drive the interactive shell with an identical command script at 1 and 4
 # workers and require byte-identical stdout. `--threads 1` must reproduce
 # the sequential engine bit-for-bit; parallel plans must not leak into
-# ordinary command output.
+# ordinary command output. The script issues all five plan shapes
+# (SELECT, GROUP BY vid, V_DIFF, V_INTERSECT, JOIN).
 awk 'BEGIN { print "k,a1,a2"; for (i = 0; i < 500; i++) print i "," i % 7 "," i * 3 % 101 }' \
   > /tmp/orpheus_ci_probe.csv
 probe_cmds() {
@@ -65,6 +66,9 @@ checkout t -v 0 -t w
 commit -t w -m probe
 run SELECT * FROM VERSION 0, 1 OF CVD t WHERE a1 > 3 LIMIT 400
 run SELECT vid, count(k) FROM CVD t GROUP BY vid
+run SELECT * FROM V_DIFF(1, 0) OF CVD t
+run SELECT * FROM V_INTERSECT(0, 1) OF CVD t
+run SELECT * FROM VERSION 0 OF CVD t JOIN VERSION 1 ON a1
 diff t -v 0 1
 quit
 EOF
@@ -217,5 +221,10 @@ echo "==> perf-regression gate (deterministic work counters)"
 # with per-key tolerances (crates/bench/src/gate.rs). Refresh after an
 # intentional perf change: ./scripts/perf_gate.sh --refresh
 ORPHEUS_RESULTS_DIR=results/ci cargo run --release -q -p bench --bin perf_gate
+
+echo "==> net non-test Rust lines per crate (scripts/loc.sh)"
+# Net LOC is a tracked metric (ROADMAP): printed on every run so a PR's
+# before/after figures come from the same counter.
+scripts/loc.sh
 
 echo "CI OK"
