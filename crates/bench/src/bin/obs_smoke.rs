@@ -109,7 +109,7 @@ fn main() {
     );
     for needle in [
         "HashJoin",
-        "SeqScan",
+        "RidFetch",
         "est rows=",
         "act rows=",
         "time=",

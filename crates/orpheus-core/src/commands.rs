@@ -527,7 +527,7 @@ impl OrpheusDb {
         let author = self.whoami()?.to_owned();
         let staged = self.db.table(table)?;
         let schema = staged.schema().clone();
-        let rows: Vec<Row> = staged.iter().map(|(_, r)| r.clone()).collect();
+        let rows: Vec<Row> = staged.rows()?.into_iter().map(|(_, r)| r).collect();
         let handle = self
             .cvds
             .get_mut(&info.cvd)
@@ -1711,12 +1711,10 @@ mod tests {
             text.contains("HashJoin left.coexpression=right.coexpression"),
             "{text}"
         );
-        // Parallel plans fuse the probe scan into the join node.
-        if odb.threads() > 1 {
-            assert!(text.contains("ParHashJoin rid=rid"), "{text}");
-        } else {
-            assert!(text.contains("SeqScan Interaction__sbr_data"), "{text}");
-        }
+        assert!(
+            text.contains("RidFetch Interaction__sbr_data via rid_pk (left)"),
+            "{text}"
+        );
         assert!(text.contains("est rows="), "{text}");
         assert!(text.contains("act rows="), "{text}");
         assert!(text.contains("time="), "{text}");
@@ -2159,7 +2157,7 @@ mod tests {
             .explain_analyze("SELECT * FROM VERSION 1 OF CVD Big")
             .unwrap();
         let text = report.to_text();
-        assert!(text.contains("ParHashJoin"), "{text}");
+        assert!(text.contains("RidFetch Big__sbr_data"), "{text}");
         assert!(text.contains("workers=4"), "{text}");
         assert!(text.contains("rows/worker="), "{text}");
         // Per-worker row counts reconcile with the query's output.
@@ -2175,6 +2173,6 @@ mod tests {
             .unwrap();
         let seq_text = seq.to_text();
         assert!(!seq_text.contains("workers="), "{seq_text}");
-        assert!(seq_text.contains("HashJoin"), "{seq_text}");
+        assert!(seq_text.contains("RidFetch Big__sbr_data"), "{seq_text}");
     }
 }

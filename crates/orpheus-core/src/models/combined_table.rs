@@ -76,7 +76,10 @@ impl VersioningModel for CombinedTable {
             if new_set.contains(&rid) {
                 continue;
             }
-            let ids = table.index_lookup("rid_pk", rid.0 as i64, tracker)?;
+            // Owned: the updates below need the table back.
+            let ids = table
+                .index_lookup("rid_pk", rid.0 as i64, tracker)?
+                .to_vec();
             for id in ids {
                 let mut row = table
                     .get(id)

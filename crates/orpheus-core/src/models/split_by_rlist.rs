@@ -4,7 +4,8 @@
 //! The versioning table maps each `vid` to the array of its records, so a
 //! commit inserts exactly **one** versioning tuple (no array appends), and
 //! a checkout reads one versioning tuple through the primary-key index,
-//! unnests it, and hash-joins the rids with the data table.
+//! unnests it, and fetches the rids' records from the data table through
+//! its `rid_pk` index, page by page.
 
 use super::{data_row, data_schema, sync_table_schema, ModelKind, VersioningModel};
 use crate::cvd::Cvd;
@@ -36,8 +37,8 @@ impl SplitByRlist {
     }
 
     /// [`VersioningModel::checkout`] with an optional morsel worker pool:
-    /// a multi-threaded pool runs the rid hash join morsel-parallel, any
-    /// other value keeps the sequential plan. Both produce identical rows.
+    /// a multi-threaded pool decodes the fetched pages morsel-parallel,
+    /// any other value reads them on the calling thread. Rows are identical.
     pub fn checkout_with_pool(
         &self,
         db: &Database,
@@ -49,13 +50,12 @@ impl SplitByRlist {
         let data = db.table(&self.data_name())?;
         // Retrieve the single versioning tuple via the vid primary key.
         let ids = vtab.index_lookup("vid_pk", vid.0 as i64, &mut ctx.tracker)?;
-        let rows = vtab.fetch(&ids, Some(0), &mut ctx.tracker, &ctx.model);
+        let rows = vtab.fetch(ids, Some(0), &mut ctx.tracker, &ctx.model)?;
         let row = rows
             .first()
             .ok_or(crate::error::Error::VersionNotFound(vid.0))?;
         let rlist: Vec<i64> = row[1].as_int_array().unwrap_or(&[]).to_vec();
         ctx.tracker.ops(rlist.len() as u64); // unnest(rlist)
-                                             // Hash join: build on the unnested rlist, probe the data table.
         crate::plan::rid_join_rows(data, rlist, pool, ctx)
     }
 }

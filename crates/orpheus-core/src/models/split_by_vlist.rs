@@ -85,7 +85,8 @@ impl VersioningModel for SplitByVlist {
             if new_set.contains(&rid) {
                 continue;
             }
-            let ids = vmap.index_lookup("rid_pk", rid.0 as i64, tracker)?;
+            // Owned: the updates below need the table back.
+            let ids = vmap.index_lookup("rid_pk", rid.0 as i64, tracker)?.to_vec();
             for id in ids {
                 let mut row = vmap
                     .get(id)

@@ -23,8 +23,8 @@ use crate::query::{Predicate, QueryResult, VQuery};
 use partition::{Rid, Vid};
 use relstore::{
     collect, AggFunc, BinOp, BoxExec, CostModel, Database, Estimate, ExecContext, Executor,
-    ExplainNode, Expr, Filter, HashAggregate, HashJoin, Limit, ParHashJoin, Project, Schema,
-    SeqScan, Table, Unnest, Values, WorkerPool,
+    ExplainNode, Expr, Filter, HashAggregate, HashJoin, Limit, RidFetch, Schema, SeqScan, Table,
+    Unnest, WorkerPool,
 };
 use std::cell::RefCell;
 use std::fmt::Arguments;
@@ -243,8 +243,8 @@ pub(crate) trait Source {
 }
 
 /// The engine source: a CVD's split-by-rlist tables, optionally read
-/// through a morsel worker pool (`None`, or a single-thread pool, keeps
-/// the sequential operators).
+/// through a morsel worker pool (`None`, or a single-thread pool, reads
+/// on the calling thread).
 pub struct Tables<'a> {
     pub db: &'a Database,
     pub cvd: &'a Cvd,
@@ -283,7 +283,7 @@ impl Source for Tables<'_> {
     fn fetch<'a, D: Decorator>(&'a self, rids: Vec<Rid>, side: &str, dec: &D) -> Result<Op<'a, D>> {
         let data = self.db.table(&self.model.data_name())?;
         let rids = rids.iter().map(|r| r.0 as i64);
-        Ok(rid_join_plan(data, rids, self.pool.as_ref(), side, dec))
+        rid_join_plan(data, rids, self.pool.as_ref(), side, dec)
     }
 
     fn scan_star<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>> {
@@ -295,48 +295,27 @@ impl Source for Tables<'_> {
     }
 }
 
-/// The split-by-rlist retrieval pipeline:
-/// `Project star ← HashJoin(Values rids, SeqScan data)`, or its fused
-/// morsel-parallel equivalent when a multi-threaded pool is supplied —
-/// one node where the sequential tree has three; the probe's I/O still
-/// happens (on the coordinator) and stays in the estimate.
-/// Both emit the `[rid, attrs…]` star rows in identical order, so higher
-/// operators (filters, limits, joins) see the same stream either way.
-/// The parallel probe ships zero-copy page leases to the workers
-/// (checkpointed pages only — dirty pages are copied and counted).
+/// The split-by-rlist retrieval step, `data ⨝ rids`: one [`RidFetch`]
+/// through the data table's `rid_pk` index, which reads only the pages
+/// holding the wanted records and emits their `[rid, attrs…]` star rows in
+/// data-table order at every thread count, so higher operators (filters,
+/// limits, joins) see one stream. Its estimate is exact: the directory
+/// names the rows and pages before anything is read.
 pub(crate) fn rid_join_plan<'t, D: Decorator>(
     data: &'t Table,
-    rids: impl ExactSizeIterator<Item = i64>,
+    rids: impl IntoIterator<Item = i64>,
     pool: Option<&WorkerPool>,
     side: &str,
     dec: &D,
-) -> Op<'t, D> {
-    let est = Estimate::new(rids.len() as f64, pages_of(data.live_row_count() as f64));
-    let build = Box::new(Values::ints("rid", rids));
-    let label = format_args!("Values rids{side}");
-    let (build, build_node) = dec.wrap(build, vec![], label, |_| Estimate::new(est.rows, 0.0));
-    let cols: Vec<usize> = (1..1 + data.schema().len()).collect();
-    if let Some(p) = pool.filter(|p| p.threads() > 1) {
-        let join = ParHashJoin::new(build, data, 0, 0, p.clone()).with_projection(&cols);
-        let (workers, worker_rows) = (join.parallelism(), join.worker_rows());
-        let label = format_args!("ParHashJoin rid=rid{side}");
-        let (join, mut node) = dec.wrap(Box::new(join), vec![build_node], label, |_| {
-            est.with_parallelism(workers)
-        });
-        D::set_worker_rows(&mut node, worker_rows);
-        return (join, node);
-    }
-    let (probe, probe_node) = seq_scan(data, side, dec);
-    let join = Box::new(HashJoin::new(build, probe, 0, 0));
-    let label = format_args!("HashJoin rid=rid{side}");
-    let (join, join_node) = dec.wrap(join, vec![build_node, probe_node], label, |_| est);
-    let project = Box::new(Project::columns(join, &cols));
-    dec.wrap(
-        project,
-        vec![join_node],
-        format_args!("Project star{side}"),
-        |_| est,
-    )
+) -> Result<Op<'t, D>> {
+    let fetch = RidFetch::new(data, "rid_pk", rids, pool)?;
+    let est = Estimate::new(fetch.rows() as f64, fetch.touched_pages() as f64)
+        .with_parallelism(fetch.parallelism());
+    let worker_rows = fetch.worker_rows();
+    let label = format_args!("RidFetch {} via rid_pk{side}", data.name());
+    let (fetch, mut node) = dec.wrap(Box::new(fetch), vec![], label, |_| est);
+    D::set_worker_rows(&mut node, worker_rows);
+    Ok((fetch, node))
 }
 
 /// [`rid_join_plan`] drained to completion — the checkout path.
@@ -346,7 +325,7 @@ pub(crate) fn rid_join_rows(
     pool: Option<&WorkerPool>,
     ctx: &mut ExecContext,
 ) -> Result<Vec<relstore::Row>> {
-    let (mut plan, ()) = rid_join_plan(data, rids.into_iter(), pool, "", &Plain);
+    let (mut plan, ()) = rid_join_plan(data, rids, pool, "", &Plain)?;
     Ok(collect(plan.as_mut(), ctx)?)
 }
 
@@ -482,12 +461,15 @@ pub(crate) mod tests {
     use super::*;
     use crate::commands::{CommandOutput, OrpheusDb};
     use crate::query::parse_query;
-    use relstore::{Column, DataType, Row, Value};
+    use relstore::{Column, DataType, Row, Value, Values};
 
-    /// Two CVDs. `T`: three columns (int key, text, int), four versions —
+    /// Three CVDs. `T`: three columns (int key, text, int), four versions —
     /// v1 and v2 branch from v0 with one new row each, v3 merges them.
     /// `E`: schema-evolved — v1 adds a `bonus` column, so v0's records are
     /// narrower than the union schema and read back NULL-padded.
+    /// `S`: a sparse history — 40 versions fork from a one-page root, each
+    /// adding a page of records of its own, so any one version lives on a
+    /// small share of a multi-page data table.
     pub(crate) fn corpus_db() -> OrpheusDb {
         let mut odb = OrpheusDb::new();
         odb.create_user("alice").unwrap();
@@ -537,6 +519,25 @@ pub(crate) mod tests {
             .collect();
         odb.commit_csv("e.csv", &widened, "k:int,score:int,bonus:int", "widen")
             .unwrap();
+
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int64),
+            Column::new("pad", DataType::Text),
+        ]);
+        let wide = |k: i64| format!("{k}-{}", "s".repeat(300));
+        let rows: Vec<Row> = (0..25)
+            .map(|k| vec![Value::Int64(k), Value::Text(wide(k))])
+            .collect();
+        odb.init_cvd("S", schema, vec!["k".into()], rows).unwrap();
+        for child in 1..=40i64 {
+            let file = format!("s{child}.csv");
+            let mut csv = odb.checkout_csv("S", &[Vid(0)], &file).unwrap();
+            for k in (child * 1000..).take(25) {
+                csv.push_str(&format!("{k},{}\n", wide(k)));
+            }
+            odb.commit_csv(&file, &csv, "k:int,pad:text", "fork")
+                .unwrap();
+        }
         odb
     }
 
@@ -578,6 +579,10 @@ pub(crate) mod tests {
         "SELECT * FROM V_DIFF(1, 0) OF CVD E",
         "SELECT * FROM V_INTERSECT(0, 1) OF CVD E",
         "SELECT * FROM VERSION 0 OF CVD E JOIN VERSION 1 ON k",
+        // Sparse history: a leaf, two leaves filtered, a leaf minus the root.
+        "SELECT * FROM VERSION 40 OF CVD S",
+        "SELECT * FROM VERSION 17, 40 OF CVD S WHERE k > 17010 LIMIT 30",
+        "SELECT * FROM V_DIFF(23, 0) OF CVD S",
     ];
 
     fn message(out: CommandOutput) -> String {
@@ -649,6 +654,39 @@ pub(crate) mod tests {
         }
     }
 
+    /// A version of a sparse history is read through the pages that hold
+    /// it, not through the table: the leaf select's one `RidFetch` node
+    /// reads exactly the pages its estimate names — a small share of the
+    /// heap — at either thread count.
+    #[test]
+    fn sparse_history_select_reads_only_the_pages_holding_the_version() {
+        let mut odb = corpus_db();
+        let heap_pages = {
+            let tables = odb.tables("S").unwrap();
+            let data = tables.db.table(&tables.model.data_name()).unwrap();
+            data.num_heap_pages() as u64
+        };
+        assert!(heap_pages >= 40, "{heap_pages}");
+        for threads in [1, 4] {
+            odb.set_threads(threads);
+            let report = odb
+                .explain_analyze("SELECT * FROM VERSION 40 OF CVD S")
+                .unwrap();
+            let fetch = &report.root;
+            assert_eq!(fetch.label, "RidFetch S__sbr_data via rid_pk");
+            assert!(fetch.children.is_empty());
+            assert_eq!(fetch.stats.rows, 50);
+            assert_eq!(fetch.estimate.rows, 50.0);
+            let reads = fetch.stats.measured.logical_reads;
+            assert_eq!(fetch.estimate.pages as u64, reads, "{threads} threads");
+            assert_eq!(report.pool_delta.logical_reads, reads);
+            assert!(
+                reads >= 2 && reads * 4 < heap_pages,
+                "{reads} of {heap_pages}"
+            );
+        }
+    }
+
     /// A decorator that keeps the label tree but hands back the *plain*
     /// executor: what `run` executes, described the way `explain` would.
     struct Labelled;
@@ -699,29 +737,13 @@ pub(crate) mod tests {
             let mut run = lower(&plan, &tables, &Labelled, "").unwrap();
             label_tree(&run.1, 0, &mut executed);
             assert_eq!(explained, executed, "{threads} threads");
-            if threads == 1 {
-                assert_eq!(
-                    explained,
-                    "HashJoin left.k=right.k\n\
-                     \x20 Project star (left)\n\
-                     \x20   HashJoin rid=rid (left)\n\
-                     \x20     Values rids (left)\n\
-                     \x20     SeqScan T__sbr_data (left)\n\
-                     \x20 Project star (right)\n\
-                     \x20   HashJoin rid=rid (right)\n\
-                     \x20     Values rids (right)\n\
-                     \x20     SeqScan T__sbr_data (right)\n"
-                );
-            } else {
-                assert_eq!(
-                    explained,
-                    "HashJoin left.k=right.k\n\
-                     \x20 ParHashJoin rid=rid (left)\n\
-                     \x20   Values rids (left)\n\
-                     \x20 ParHashJoin rid=rid (right)\n\
-                     \x20   Values rids (right)\n"
-                );
-            }
+            // One tree at every thread count: a fetch per join input.
+            assert_eq!(
+                explained,
+                "HashJoin left.k=right.k\n\
+                 \x20 RidFetch T__sbr_data via rid_pk (left)\n\
+                 \x20 RidFetch T__sbr_data via rid_pk (right)\n"
+            );
             // The labelled tree is the plain one: draining it is `run`.
             let rows = collect(run.0.as_mut(), &mut ExecContext::new()).unwrap();
             assert_eq!(rows, odb.run(sql).unwrap().rows);

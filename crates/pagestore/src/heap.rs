@@ -17,7 +17,7 @@
 //! recycles every page, which is how `relstore` rebuilds a table when
 //! re-clustering it.
 
-use crate::buffer::{BufferPool, PageLease};
+use crate::buffer::{BufferPool, PageLease, PageRef};
 use crate::error::{Error, Result};
 use crate::page::{Page, PageId, MAX_INLINE_TUPLE};
 
@@ -135,31 +135,35 @@ impl HeapFile {
         head.ok_or_else(|| Error::BadAddress("empty overflow chain".into()))
     }
 
-    fn resolve(&self, addr: TupleAddr) -> Result<PageId> {
+    fn page_id(&self, page_ord: usize) -> Result<PageId> {
         self.pages
-            .get(addr.page_ord as usize)
+            .get(page_ord)
             .copied()
-            .ok_or_else(|| Error::BadAddress(format!("{addr:?} is out of range")))
+            .ok_or_else(|| Error::BadAddress(format!("page ordinal {page_ord} out of range")))
+    }
+
+    /// Pin data page `page_ord` for reading chosen slots in place with
+    /// [`slot_tuple`] — one pool access however many slots are read.
+    pub fn pin_page<'p>(&self, pool: &'p BufferPool, page_ord: usize) -> Result<PageRef<'p>> {
+        pool.fetch(self.page_id(page_ord)?)
     }
 
     /// Read the tuple at `addr`.
     pub fn get(&self, pool: &BufferPool, addr: TupleAddr) -> Result<Vec<u8>> {
-        let page_id = self.resolve(addr)?;
+        let page_id = self.page_id(addr.page_ord as usize)?;
         let head;
         {
             let page = pool.fetch(page_id)?;
-            let cell = page
-                .get(addr.slot)
-                .ok_or_else(|| Error::BadAddress(format!("{addr:?} is dead")))?;
-            match cell_kind(cell)? {
-                CellKind::Inline(tuple) => return Ok(tuple.to_vec()),
-                CellKind::Overflow(h) => head = h,
+            match slot_tuple(&page, addr.slot)? {
+                SlotTuple::Inline(tuple) => return Ok(tuple.to_vec()),
+                SlotTuple::Overflow(h) => head = h,
             }
         }
         self.read_chain(pool, head)
     }
 
-    fn read_chain(&self, pool: &BufferPool, head: PageId) -> Result<Vec<u8>> {
+    /// The tuple bytes of the overflow chain starting at `head`.
+    pub fn read_chain(&self, pool: &BufferPool, head: PageId) -> Result<Vec<u8>> {
         let mut bytes = Vec::new();
         let mut next = Some(head);
         while let Some(id) = next {
@@ -182,16 +186,13 @@ impl HeapFile {
         addr: TupleAddr,
         bytes: &[u8],
     ) -> Result<TupleAddr> {
-        let page_id = self.resolve(addr)?;
+        let page_id = self.page_id(addr.page_ord as usize)?;
         // Free an old overflow chain before writing the replacement.
         let old_head = {
             let page = pool.fetch(page_id)?;
-            let cell = page
-                .get(addr.slot)
-                .ok_or_else(|| Error::BadAddress(format!("{addr:?} is dead")))?;
-            match cell_kind(cell)? {
-                CellKind::Inline(_) => None,
-                CellKind::Overflow(head) => Some(head),
+            match slot_tuple(&page, addr.slot)? {
+                SlotTuple::Inline(_) => None,
+                SlotTuple::Overflow(head) => Some(head),
             }
         };
         if let Some(head) = old_head {
@@ -221,15 +222,12 @@ impl HeapFile {
 
     /// Remove the tuple at `addr`, recycling any overflow chain.
     pub fn delete(&mut self, pool: &BufferPool, addr: TupleAddr) -> Result<()> {
-        let page_id = self.resolve(addr)?;
+        let page_id = self.page_id(addr.page_ord as usize)?;
         let head = {
             let page = pool.fetch(page_id)?;
-            let cell = page
-                .get(addr.slot)
-                .ok_or_else(|| Error::BadAddress(format!("{addr:?} is dead")))?;
-            match cell_kind(cell)? {
-                CellKind::Inline(_) => None,
-                CellKind::Overflow(head) => Some(head),
+            match slot_tuple(&page, addr.slot)? {
+                SlotTuple::Inline(_) => None,
+                SlotTuple::Overflow(head) => Some(head),
             }
         };
         if let Some(head) = head {
@@ -256,10 +254,7 @@ impl HeapFile {
         pool: &BufferPool,
         page_ord: usize,
     ) -> Result<Vec<(TupleAddr, Vec<u8>)>> {
-        let page_id = *self
-            .pages
-            .get(page_ord)
-            .ok_or_else(|| Error::BadAddress(format!("page ordinal {page_ord} out of range")))?;
+        let page_id = self.page_id(page_ord)?;
         let mut out = Vec::new();
         let mut chains: Vec<(usize, PageId)> = Vec::new();
         {
@@ -270,8 +265,8 @@ impl HeapFile {
                     slot,
                 };
                 match cell_kind(cell)? {
-                    CellKind::Inline(tuple) => out.push((addr, tuple.to_vec())),
-                    CellKind::Overflow(head) => {
+                    SlotTuple::Inline(tuple) => out.push((addr, tuple.to_vec())),
+                    SlotTuple::Overflow(head) => {
                         out.push((addr, Vec::new()));
                         chains.push((out.len() - 1, head));
                     }
@@ -295,7 +290,7 @@ impl HeapFile {
             {
                 let page = pool.fetch(id)?;
                 for (_, cell) in page.live_tuples() {
-                    if let CellKind::Overflow(head) = cell_kind(cell)? {
+                    if let SlotTuple::Overflow(head) = cell_kind(cell)? {
                         heads.push(head);
                     }
                 }
@@ -322,17 +317,14 @@ impl HeapFile {
     /// The page fetch (and any overflow-chain reads) are charged to the
     /// pool's `IoStats` exactly as a [`HeapFile::tuples_on_page`] scan.
     pub fn snapshot_page(&self, pool: &BufferPool, page_ord: usize) -> Result<PageSnapshot> {
-        let page_id = *self
-            .pages
-            .get(page_ord)
-            .ok_or_else(|| Error::BadAddress(format!("page ordinal {page_ord} out of range")))?;
+        let page_id = self.page_id(page_ord)?;
         let mut tuples: Vec<Vec<u8>> = Vec::new();
         let mut chains: Vec<(usize, PageId)> = Vec::new();
         {
             let page = pool.fetch(page_id)?;
             let mut has_overflow = false;
             for (_, cell) in page.live_tuples() {
-                if matches!(cell_kind(cell)?, CellKind::Overflow(_)) {
+                if matches!(cell_kind(cell)?, SlotTuple::Overflow(_)) {
                     has_overflow = true;
                     break;
                 }
@@ -344,8 +336,8 @@ impl HeapFile {
             }
             for (_, cell) in page.live_tuples() {
                 match cell_kind(cell)? {
-                    CellKind::Inline(tuple) => tuples.push(tuple.to_vec()),
-                    CellKind::Overflow(head) => {
+                    SlotTuple::Inline(tuple) => tuples.push(tuple.to_vec()),
+                    SlotTuple::Overflow(head) => {
                         tuples.push(Vec::new());
                         chains.push((tuples.len() - 1, head));
                     }
@@ -375,18 +367,32 @@ impl HeapFile {
     /// [`snapshot_page`](Self::snapshot_page): one logical read for the
     /// data page plus one per overflow-chain page.
     pub fn lease_page(&self, pool: &BufferPool, page_ord: usize) -> Result<PageView> {
-        let page_id = *self
-            .pages
-            .get(page_ord)
-            .ok_or_else(|| Error::BadAddress(format!("page ordinal {page_ord} out of range")))?;
+        self.lease(pool, page_ord, None)
+    }
+
+    /// [`lease_page`](Self::lease_page) for a reader that wants only
+    /// `slots` (each live): the view is read with
+    /// [`PageView::tuples_at`], overflow cells in *other* slots do not
+    /// force a copy, and the copy fallback holds the wanted tuples alone.
+    pub fn lease_slots(
+        &self,
+        pool: &BufferPool,
+        page_ord: usize,
+        slots: &[u16],
+    ) -> Result<PageView> {
+        self.lease(pool, page_ord, Some(slots))
+    }
+
+    fn lease(&self, pool: &BufferPool, page_ord: usize, slots: Option<&[u16]>) -> Result<PageView> {
+        let page_id = self.page_id(page_ord)?;
         let (mut tuples, chains) = if pool.is_dirty(page_id) {
             let page = pool.fetch(page_id)?;
-            copy_cells(&page)?
+            copy_cells(&page, slots)?
         } else {
             let lease = pool.lease(page_id)?;
             let mut has_overflow = false;
-            for (_, cell) in lease.live_tuples() {
-                if matches!(cell_kind(cell)?, CellKind::Overflow(_)) {
+            for cell in wanted_cells(&lease, slots) {
+                if matches!(cell?, SlotTuple::Overflow(_)) {
                     has_overflow = true;
                     break;
                 }
@@ -396,7 +402,7 @@ impl HeapFile {
             }
             // The lease drops at the end of this block, before the chain
             // reads below need eviction headroom.
-            copy_cells(&lease)?
+            copy_cells(&lease, slots)?
         };
         for (idx, head) in chains {
             tuples[idx] = self.read_chain(pool, head)?;
@@ -411,15 +417,28 @@ impl HeapFile {
 /// as `(slot index into the buffers, chain head page)` pairs.
 type CopiedCells = (Vec<Vec<u8>>, Vec<(usize, PageId)>);
 
-/// Copy a page's live cells into owned tuple buffers, returning overflow
-/// chain heads to resolve (placeholder entries keep slot order).
-fn copy_cells(page: &Page) -> Result<CopiedCells> {
+/// The cells a reader wants from `page`: every live one in slot order,
+/// or exactly those in `slots`, where a dead slot is an error.
+fn wanted_cells<'p>(
+    page: &'p Page,
+    slots: Option<&'p [u16]>,
+) -> impl Iterator<Item = Result<SlotTuple<'p>>> + 'p {
+    let n = slots.map_or(page.slot_count() as usize, <[u16]>::len);
+    (0..n).filter_map(move |i| match slots {
+        None => page.get(i as u16).map(cell_kind),
+        Some(slots) => Some(slot_tuple(page, slots[i])),
+    })
+}
+
+/// Copy a page's wanted cells into owned tuple buffers, returning
+/// overflow chain heads to resolve (placeholder entries keep slot order).
+fn copy_cells(page: &Page, slots: Option<&[u16]>) -> Result<CopiedCells> {
     let mut tuples: Vec<Vec<u8>> = Vec::new();
     let mut chains: Vec<(usize, PageId)> = Vec::new();
-    for (_, cell) in page.live_tuples() {
-        match cell_kind(cell)? {
-            CellKind::Inline(tuple) => tuples.push(tuple.to_vec()),
-            CellKind::Overflow(head) => {
+    for cell in wanted_cells(page, slots) {
+        match cell? {
+            SlotTuple::Inline(tuple) => tuples.push(tuple.to_vec()),
+            SlotTuple::Overflow(head) => {
                 tuples.push(Vec::new());
                 chains.push((tuples.len() - 1, head));
             }
@@ -449,8 +468,8 @@ impl PageView {
                 let mut out = Vec::new();
                 for cell in crate::page::live_cells(lease.bytes()) {
                     match cell_kind(cell)? {
-                        CellKind::Inline(tuple) => out.push(tuple),
-                        CellKind::Overflow(_) => {
+                        SlotTuple::Inline(tuple) => out.push(tuple),
+                        SlotTuple::Overflow(_) => {
                             return Err(Error::Invariant(
                                 "leased page view contains an overflow cell",
                             ))
@@ -459,6 +478,24 @@ impl PageView {
                 }
                 Ok(out)
             }
+            PageView::Resolved(tuples) => Ok(tuples.iter().map(Vec::as_slice).collect()),
+        }
+    }
+
+    /// The payloads of `slots`, in that order, from a view obtained with
+    /// [`HeapFile::lease_slots`] for the same `slots` (the copy fallback
+    /// holds exactly those tuples already).
+    pub fn tuples_at(&self, slots: &[u16]) -> Result<Vec<&[u8]>> {
+        match self {
+            PageView::Leased(lease) => slots
+                .iter()
+                .map(|&slot| match slot_tuple(lease, slot)? {
+                    SlotTuple::Inline(tuple) => Ok(tuple),
+                    SlotTuple::Overflow(_) => Err(Error::Invariant(
+                        "leased page view contains an overflow cell",
+                    )),
+                })
+                .collect(),
             PageView::Resolved(tuples) => Ok(tuples.iter().map(Vec::as_slice).collect()),
         }
     }
@@ -485,8 +522,8 @@ impl PageSnapshot {
                 let mut out = Vec::new();
                 for cell in crate::page::live_cells(data) {
                     match cell_kind(cell)? {
-                        CellKind::Inline(tuple) => out.push(tuple),
-                        CellKind::Overflow(_) => {
+                        SlotTuple::Inline(tuple) => out.push(tuple),
+                        SlotTuple::Overflow(_) => {
                             return Err(Error::Invariant(
                                 "raw page snapshot contains an overflow cell",
                             ))
@@ -500,16 +537,28 @@ impl PageSnapshot {
     }
 }
 
-enum CellKind<'a> {
+/// What a slot's cell holds (see the module docs).
+pub enum SlotTuple<'a> {
+    /// The tuple bytes, in place on the page.
     Inline(&'a [u8]),
+    /// Head of the overflow chain holding the tuple
+    /// ([`HeapFile::read_chain`]).
     Overflow(PageId),
 }
 
-fn cell_kind(cell: &[u8]) -> Result<CellKind<'_>> {
+/// The tuple in `slot` of a pinned or leased data page.
+pub fn slot_tuple(page: &Page, slot: u16) -> Result<SlotTuple<'_>> {
+    let cell = page
+        .get(slot)
+        .ok_or_else(|| Error::BadAddress(format!("slot {slot} is dead")))?;
+    cell_kind(cell)
+}
+
+fn cell_kind(cell: &[u8]) -> Result<SlotTuple<'_>> {
     match cell.split_first() {
-        Some((&TAG_INLINE, tuple)) => Ok(CellKind::Inline(tuple)),
+        Some((&TAG_INLINE, tuple)) => Ok(SlotTuple::Inline(tuple)),
         Some((&TAG_OVERFLOW, rest)) => match <[u8; 4]>::try_from(rest) {
-            Ok(raw) => Ok(CellKind::Overflow(PageId::from_le_bytes(raw))),
+            Ok(raw) => Ok(SlotTuple::Overflow(PageId::from_le_bytes(raw))),
             Err(_) => Err(Error::BadAddress("malformed heap cell".into())),
         },
         _ => Err(Error::BadAddress("malformed heap cell".into())),
@@ -662,6 +711,45 @@ mod tests {
             pool.stats().bytes_copied_to_workers,
             copied_dirty + (b"small".len() + big.len()) as u64
         );
+    }
+
+    #[test]
+    fn lease_slots_copies_only_when_a_wanted_slot_overflows() {
+        let pool = BufferPool::in_memory(4);
+        let mut heap = HeapFile::new();
+        let big: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+        let a = heap.insert(&pool, b"small").unwrap();
+        let b = heap.insert(&pool, &big).unwrap();
+        let c = heap.insert(&pool, b"tiny").unwrap();
+        pool.flush_all().unwrap();
+        pool.reset_stats();
+
+        // The overflow cell is not wanted: still a zero-copy lease.
+        let slots = [a.slot, c.slot];
+        let view = heap.lease_slots(&pool, 0, &slots).unwrap();
+        assert!(matches!(view, PageView::Leased(_)));
+        assert_eq!(view.tuples_at(&slots).unwrap(), [&b"small"[..], b"tiny"]);
+        assert_eq!(pool.stats().bytes_copied_to_workers, 0);
+
+        // Wanted: the copy holds the wanted tuples alone, chain resolved.
+        let slots = [b.slot, c.slot];
+        let view = heap.lease_slots(&pool, 0, &slots).unwrap();
+        assert!(matches!(view, PageView::Resolved(_)));
+        assert_eq!(view.tuples_at(&slots).unwrap(), [&big[..], b"tiny"]);
+        assert_eq!(
+            pool.stats().bytes_copied_to_workers,
+            (big.len() + b"tiny".len()) as u64
+        );
+
+        // A dead slot is an error, not a shorter view.
+        heap.delete(&pool, c).unwrap();
+        assert!(heap.lease_slots(&pool, 0, &[c.slot]).is_err());
+        let page = heap.pin_page(&pool, 0).unwrap();
+        assert!(matches!(
+            slot_tuple(&page, a.slot),
+            Ok(SlotTuple::Inline(b"small"))
+        ));
+        assert!(slot_tuple(&page, c.slot).is_err());
     }
 
     #[test]

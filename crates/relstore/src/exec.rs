@@ -614,12 +614,12 @@ impl Executor for IndexNestedLoopJoin<'_> {
                     };
                     let ids = self.inner.index_lookup(&self.index, k, &mut ctx.tracker)?;
                     let rows = self.inner.fetch_with_state(
-                        &ids,
+                        ids,
                         Some(self.index_col),
                         &mut ctx.tracker,
                         &ctx.model,
                         &mut self.last_page,
-                    );
+                    )?;
                     for inner_row in rows {
                         let mut out = outer_row.clone();
                         out.extend(inner_row);

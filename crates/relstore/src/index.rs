@@ -66,11 +66,13 @@ impl Index {
         }
     }
 
-    pub fn get(&self, key: i64) -> Vec<RowId> {
+    /// Row ids under `key`, borrowed from the index; empty on a miss.
+    pub fn get(&self, key: i64) -> &[RowId] {
         match self {
-            Index::Hash(m) => m.get(&key).cloned().unwrap_or_default(),
-            Index::BTree(m) => m.get(&key).cloned().unwrap_or_default(),
+            Index::Hash(m) => m.get(&key),
+            Index::BTree(m) => m.get(&key),
         }
+        .map_or(&[], Vec::as_slice)
     }
 
     /// Ordered range scan (BTree only; Hash returns an error-free empty set
@@ -111,10 +113,10 @@ mod tests {
             ix.insert(5, 1);
             ix.insert(5, 2);
             ix.insert(7, 3);
-            assert_eq!(ix.get(5), vec![1, 2]);
+            assert_eq!(ix.get(5), [1, 2]);
             assert_eq!(ix.len(), 3);
             ix.remove(5, 1);
-            assert_eq!(ix.get(5), vec![2]);
+            assert_eq!(ix.get(5), [2]);
             ix.remove(5, 2);
             assert!(ix.get(5).is_empty());
             assert_eq!(ix.len(), 1);

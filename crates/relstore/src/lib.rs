@@ -58,7 +58,6 @@ pub mod explain;
 pub mod expr;
 pub mod index;
 pub mod par;
-pub mod plan;
 pub mod schema;
 pub mod table;
 pub mod value;
@@ -75,8 +74,7 @@ pub use explain::{
 };
 pub use expr::{AggFunc, BinOp, Expr};
 pub use index::{Index, IndexKind};
-pub use par::{morsel_pages, ParHashJoin, ParSeqScan, MORSEL_PAGES};
-pub use plan::{choose_join, run_rid_join, JoinChoice};
+pub use par::{morsel_pages, ParSeqScan, RidFetch, MORSEL_PAGES};
 pub use schema::{Column, Schema};
 pub use table::{Clustering, Row, RowId, Table, DEFAULT_POOL_PAGES};
 pub use value::{DataType, Value};

@@ -6,9 +6,9 @@
 //! like the sequential operators — and hands out **zero-copy page
 //! leases** ([`PageView`](pagestore::PageView)), while the
 //! [`WorkerPool`](exec_pool::WorkerPool) workers do the CPU-only work
-//! (slot parsing, tuple decoding, predicate evaluation, projection, hash
-//! build and probe) against the shared frames with worker-local
-//! [`CostTracker`]s that are merged back afterwards.
+//! (slot parsing, tuple decoding, predicate evaluation, projection)
+//! against the shared frames with worker-local [`CostTracker`]s that are
+//! merged back afterwards.
 //!
 //! Leases share the frame's `Arc<Page>` — the coordinator no longer
 //! materialises an owned snapshot of every page before dispatch, which
@@ -20,30 +20,30 @@
 //! bounded by the pool capacity, so a pool smaller than the heap still
 //! scans — zero-copy — wave by wave.
 //!
-//! Determinism: morsels are contiguous page ranges and results are
-//! reassembled in morsel order, so output row order is identical to the
-//! sequential pipeline at every thread count — including the hash join,
-//! which replays the sequential operator's quirk of emitting each probe
-//! row's matches in *reverse* build order (the sequential `HashJoin`
-//! drains its pending matches as a stack).
+//! Two operators share that machinery: [`ParSeqScan`] leases every heap
+//! page, [`RidFetch`] only the pages its keys live on (and, on one
+//! thread, skips the machinery altogether).
+//!
+//! Determinism: morsels are contiguous runs of the page list and results
+//! are reassembled in morsel order, so output row order is physical
+//! `(page, slot)` order — the sequential pipeline's — at every thread
+//! count.
 //!
 //! A pool with one thread runs every morsel inline on the coordinator
 //! without spawning, so `threads=1` is the sequential engine in both
 //! result bytes and thread behaviour.
 
 use crate::cost::CostTracker;
-use crate::error::{Error, Result};
-use crate::exec::{join_key, BoxExec, ExecContext, Executor};
+use crate::error::Result;
+use crate::exec::{ExecContext, Executor};
 use crate::expr::Expr;
 use crate::schema::Schema;
-use crate::table::{Row, Table};
+use crate::table::{Row, Table, TouchedPages};
 use exec_pool::WorkerPool;
 use pagestore::PageView;
 use std::cell::{Ref, RefCell};
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::{Mutex, PoisonError};
 
 /// Default pages per morsel. Sixteen 8 KiB pages ≈ 128 KiB of tuple data
 /// — small enough that a morsel's working set stays cache-resident on a
@@ -72,28 +72,33 @@ pub fn morsel_pages() -> usize {
 /// the wave's leases pin their frames against eviction.
 const LEASE_RESERVE: usize = 2;
 
-/// Leases heap pages in coordinator-paced **waves**: each wave holds at
-/// most `pool.capacity() - LEASE_RESERVE` simultaneous leases, grouped
-/// into contiguous [`morsel_pages`]-sized morsels. Leases refuse eviction,
-/// so leasing the whole heap up front would wedge any pool smaller than
-/// the table; waves bound the lease footprint while keeping every page on
-/// the zero-copy path. Wave boundaries never affect output bytes — merge
-/// order is morsel order and waves are dispatched in order.
-struct LeaseWaves<'a> {
-    table: &'a Table,
-    next_ord: usize,
+/// A morsel: the position of its first page in the page list, and one
+/// view per page from there on.
+type Morsel = (usize, Vec<PageView>);
+
+/// Leases a list of `total` pages in coordinator-paced **waves**: each
+/// wave holds at most `pool.capacity() - LEASE_RESERVE` simultaneous
+/// leases, grouped into contiguous [`morsel_pages`]-sized morsels.
+/// `lease(i, tracker)` leases the list's `i`-th page. Leases refuse
+/// eviction, so leasing the whole list up front would wedge any pool
+/// smaller than it; waves bound the lease footprint while keeping every
+/// page on the zero-copy path. Wave boundaries never affect output bytes —
+/// merge order is morsel order and waves are dispatched in order.
+struct LeaseWaves<L> {
+    lease: L,
+    next: usize,
     total: usize,
     budget: usize,
     pages_per_morsel: usize,
 }
 
-impl<'a> LeaseWaves<'a> {
-    fn new(table: &'a Table) -> Self {
+impl<L: Fn(usize, &mut CostTracker) -> Result<PageView>> LeaseWaves<L> {
+    fn new(table: &Table, total: usize, lease: L) -> Self {
         let budget = table.pool().capacity().saturating_sub(LEASE_RESERVE).max(1);
         LeaseWaves {
-            table,
-            next_ord: 0,
-            total: table.num_heap_pages(),
+            lease,
+            next: 0,
+            total,
             budget,
             pages_per_morsel: morsel_pages().min(budget),
         }
@@ -101,43 +106,80 @@ impl<'a> LeaseWaves<'a> {
 
     /// Lease the next wave of morsels — zero-copy for clean all-inline
     /// pages — charging the measured pool traffic to `tracker`. Returns
-    /// `None` once the heap is exhausted.
-    fn next_wave(&mut self, tracker: &mut CostTracker) -> Result<Option<Vec<Vec<PageView>>>> {
-        if self.next_ord >= self.total {
+    /// `None` once the list is exhausted.
+    fn next_wave(&mut self, tracker: &mut CostTracker) -> Result<Option<Vec<Morsel>>> {
+        if self.next >= self.total {
             return Ok(None);
         }
-        let mut wave: Vec<Vec<PageView>> = Vec::new();
+        let mut wave = Vec::new();
         let mut leased = 0;
-        while self.next_ord < self.total && leased < self.budget {
+        while self.next < self.total && leased < self.budget {
             let take = self
                 .pages_per_morsel
                 .min(self.budget - leased)
-                .min(self.total - self.next_ord);
-            let mut morsel = Vec::with_capacity(take);
-            for ord in self.next_ord..self.next_ord + take {
-                morsel.push(self.table.lease_page(ord, tracker)?);
+                .min(self.total - self.next);
+            let mut views = Vec::with_capacity(take);
+            for i in self.next..self.next + take {
+                views.push((self.lease)(i, tracker)?);
             }
-            self.next_ord += take;
+            wave.push((self.next, views));
+            self.next += take;
             leased += take;
-            wave.push(morsel);
         }
         Ok(Some(wave))
     }
 }
 
-/// Accumulate one morsel result into the output buffer, the per-worker
-/// row counts, and the coordinator's tracker.
-fn merge_morsel(
+/// Per-worker emitted-row counts shared with an explain node.
+type WorkerRows = Rc<RefCell<Vec<u64>>>;
+
+/// Run `decode(i, view, rows, tracker)` over every page of `waves` on the
+/// workers (`i` is the page's position in the leased list) and append each
+/// morsel's rows to `out` in morsel order, merging the worker-local
+/// trackers into the coordinator's.
+fn drain_waves<L, F>(
+    table: &Table,
+    pool: &WorkerPool,
+    mut waves: LeaseWaves<L>,
+    decode: F,
     out: &mut VecDeque<Row>,
-    worker_rows: &mut [u64],
+    worker_rows: &WorkerRows,
     ctx: &mut ExecContext,
-    worker: usize,
-    rows: Vec<Row>,
-    tracker: CostTracker,
-) {
-    worker_rows[worker] += rows.len() as u64;
-    out.extend(rows);
-    ctx.tracker.absorb(&tracker);
+) -> Result<()>
+where
+    L: Fn(usize, &mut CostTracker) -> Result<PageView>,
+    F: Fn(usize, &PageView, &mut Vec<Row>, &mut CostTracker) -> Result<()> + Sync,
+{
+    let decode = &decode;
+    while let Some(wave) = waves.next_wave(&mut ctx.tracker)? {
+        let tasks: Vec<_> = wave
+            .into_iter()
+            .map(|(first, views)| {
+                move |worker: usize| -> Result<(usize, Vec<Row>, CostTracker)> {
+                    let mut tracker = CostTracker::new();
+                    let mut rows = Vec::new();
+                    for (i, view) in views.iter().enumerate() {
+                        decode(first + i, view, &mut rows, &mut tracker)?;
+                    }
+                    Ok((worker, rows, tracker))
+                }
+            })
+            .collect();
+        let mut worker_rows = worker_rows.borrow_mut();
+        let mut wave_decoded = 0;
+        for result in pool.run(tasks)? {
+            let (worker, rows, tracker) = result?;
+            wave_decoded += tracker.measured.tuples_decoded;
+            worker_rows[worker] += rows.len() as u64;
+            out.extend(rows);
+            ctx.tracker.absorb(&tracker);
+        }
+        // Mirror the workers' decode tally into the pool counter
+        // outside any since-window (the morsel_allocs pattern), so
+        // pagestore.page.decoded_tuples stays thread-count-invariant.
+        table.pool().note_tuples_decoded(wave_decoded);
+    }
+    Ok(())
 }
 
 /// Parallel sequential scan with an optional fused filter and projection.
@@ -155,7 +197,7 @@ pub struct ParSeqScan<'a> {
     schema: Schema,
     out: VecDeque<Row>,
     started: bool,
-    worker_rows: Rc<RefCell<Vec<u64>>>,
+    worker_rows: WorkerRows,
 }
 
 impl<'a> ParSeqScan<'a> {
@@ -204,57 +246,35 @@ impl<'a> ParSeqScan<'a> {
     }
 
     fn run(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        ctx.tracker
-            .seq_scan(self.table.heap_size() as u64, &ctx.model);
+        let table = self.table;
+        ctx.tracker.seq_scan(table.heap_size() as u64, &ctx.model);
         let predicate = self.predicate.as_ref();
         let projection = self.projection.as_deref();
-        let decoder = self.table.decoder();
-        let mut waves = LeaseWaves::new(self.table);
-        while let Some(wave) = waves.next_wave(&mut ctx.tracker)? {
-            let tasks: Vec<_> = wave
-                .into_iter()
-                .map(|morsel| {
-                    let decoder = decoder.clone();
-                    move |worker: usize| -> Result<(usize, Vec<Row>, CostTracker)> {
-                        let mut tracker = CostTracker::new();
-                        let mut rows = Vec::new();
-                        for view in &morsel {
-                            for bytes in view.tuples().map_err(Error::from)? {
-                                let (_, row) = decoder.decode_row(bytes)?;
-                                tracker.measured.tuples_decoded += 1;
-                                if let Some(p) = predicate {
-                                    if !p.matches(&row, &mut tracker)? {
-                                        continue;
-                                    }
-                                }
-                                let row = match projection {
-                                    Some(exprs) => exprs
-                                        .iter()
-                                        .map(|e| e.eval(&row, &mut tracker))
-                                        .collect::<Result<Vec<_>>>()?,
-                                    None => row,
-                                };
-                                rows.push(row);
-                            }
-                        }
-                        Ok((worker, rows, tracker))
+        let decoder = table.decoder();
+        let waves = LeaseWaves::new(table, table.num_heap_pages(), |ord, tracker| {
+            table.lease_page(ord, tracker)
+        });
+        let decode = |_, view: &PageView, rows: &mut Vec<Row>, tracker: &mut CostTracker| {
+            for bytes in view.tuples()? {
+                let (_, row) = decoder.decode_row(bytes)?;
+                tracker.measured.tuples_decoded += 1;
+                if let Some(p) = predicate {
+                    if !p.matches(&row, tracker)? {
+                        continue;
                     }
-                })
-                .collect();
-            let results = self.pool.run(tasks)?;
-            let mut worker_rows = self.worker_rows.borrow_mut();
-            let mut wave_decoded = 0;
-            for result in results {
-                let (worker, rows, tracker) = result?;
-                wave_decoded += tracker.measured.tuples_decoded;
-                merge_morsel(&mut self.out, &mut worker_rows, ctx, worker, rows, tracker);
+                }
+                rows.push(match projection {
+                    Some(exprs) => exprs
+                        .iter()
+                        .map(|e| e.eval(&row, tracker))
+                        .collect::<Result<Vec<_>>>()?,
+                    None => row,
+                });
             }
-            // Mirror the workers' decode tally into the pool counter
-            // outside any since-window (the morsel_allocs pattern), so
-            // pagestore.page.decoded_tuples stays thread-count-invariant.
-            self.table.pool().note_tuples_decoded(wave_decoded);
-        }
-        Ok(())
+            Ok(())
+        };
+        let (out, worker_rows) = (&mut self.out, &self.worker_rows);
+        drain_waves(table, &self.pool, waves, decode, out, worker_rows, ctx)
     }
 }
 
@@ -272,236 +292,157 @@ impl Executor for ParSeqScan<'_> {
     }
 }
 
-/// Parallel hash join of a build-side executor against a probed table.
+/// Page-ordered fetch of the rows an index maps a key list to — the rid
+/// join of checkout and versioned queries (§5.5.5), which is *one rlist
+/// plus the records it names*, not a scan.
 ///
-/// The coordinator drains the build child, the workers build per-chunk
-/// hash partitions that are merged in chunk order (so each key's match
-/// list is in global build order), and the probe side is scanned as page
-/// morsels. Byte-identical to the sequential
-/// `HashJoin(build, SeqScan(probe))` pipeline: same output order (each
-/// probe row's matches in reverse build order), same estimated charges
-/// (one hash-insert op per build row, one probe op per scanned row, one
-/// emit per output row).
-pub struct ParHashJoin<'a> {
-    build: Option<BoxExec<'a>>,
-    probe: &'a Table,
-    build_key: usize,
-    probe_key: usize,
-    pool: WorkerPool,
-    projection: Option<Vec<Expr>>,
-    schema: Schema,
+/// Construction resolves every key through the index and the row
+/// directory to a tuple address (keys with no row are skipped, as an inner
+/// join would) and sorts the addresses by `(page, slot)`. Execution pins
+/// each touched page **once** and decodes only the wanted slots, so rows
+/// come out in physical order: exactly the rows and order of
+/// `Project(HashJoin(Values keys, SeqScan table))`, without reading the
+/// pages or decoding the tuples that join discards.
+///
+/// With no pool, or a one-thread pool, pages are read in place on the
+/// coordinator as rows are pulled — no leases, no copies, and a `Limit`
+/// above stops the page reads. With more threads the touched-page list
+/// goes through [`LeaseWaves`] and the workers decode their morsels'
+/// wanted slots; output order is morsel order, so every thread count is
+/// byte-identical.
+///
+/// Estimated cost: one index probe per key, one tuple per located row,
+/// and per touched page a sequential read when it directly follows the
+/// previous touched page, a random read otherwise — charged on the
+/// coordinator before the first row, the same at every thread count.
+pub struct RidFetch<'a> {
+    table: &'a Table,
+    touched: TouchedPages,
+    probes: u64,
+    /// Morsel workers; `None` reads in place on the coordinator.
+    workers: Option<WorkerPool>,
+    /// Next touched page the coordinator reads in place.
+    next_page: usize,
     out: VecDeque<Row>,
     started: bool,
-    worker_rows: Rc<RefCell<Vec<u64>>>,
+    worker_rows: WorkerRows,
 }
 
-impl<'a> ParHashJoin<'a> {
+impl<'a> RidFetch<'a> {
+    /// Fetch the rows `index` (by name) maps `keys` to.
     pub fn new(
-        build: BoxExec<'a>,
-        probe: &'a Table,
-        build_key: usize,
-        probe_key: usize,
-        pool: WorkerPool,
-    ) -> Self {
-        let schema = build.schema().join(probe.schema());
-        let workers = pool.threads();
-        ParHashJoin {
-            build: Some(build),
-            probe,
-            build_key,
-            probe_key,
-            pool,
-            projection: None,
-            schema,
+        table: &'a Table,
+        index: &str,
+        keys: impl IntoIterator<Item = i64>,
+        pool: Option<&WorkerPool>,
+    ) -> Result<Self> {
+        let mut probes = 0;
+        let touched = table.locate(index, keys.into_iter().inspect(|_| probes += 1))?;
+        let workers = pool.filter(|p| p.threads() > 1).cloned();
+        let parallelism = workers.as_ref().map_or(1, WorkerPool::threads);
+        Ok(RidFetch {
+            table,
+            touched,
+            probes,
+            workers,
+            next_page: 0,
             out: VecDeque::new(),
             started: false,
-            worker_rows: Rc::new(RefCell::new(vec![0; workers])),
-        }
+            worker_rows: Rc::new(RefCell::new(vec![0; parallelism])),
+        })
     }
 
-    /// Fuse a column projection over the joined `build ⨝ probe` row
-    /// (applied on the workers), replacing a `Project` on top of the join.
-    pub fn with_projection(mut self, indices: &[usize]) -> Self {
-        self.schema = self.schema.project(indices);
-        self.projection = Some(indices.iter().map(|&i| Expr::col(i)).collect());
-        self
+    /// Rows the keys resolved to — exactly what the fetch emits.
+    pub fn rows(&self) -> usize {
+        self.touched.rows()
     }
 
-    /// Degree of parallelism this join runs at.
+    /// Distinct heap pages holding those rows — exactly the data pages
+    /// the fetch reads (overflow chains come on top).
+    pub fn touched_pages(&self) -> usize {
+        self.touched.len()
+    }
+
+    /// Degree of parallelism this fetch runs at.
     pub fn parallelism(&self) -> usize {
-        self.pool.threads()
+        self.worker_rows.borrow().len()
     }
 
-    /// Shared per-worker emitted-row counts (probe phase).
+    /// Shared per-worker emitted-row counts, for
+    /// [`ExplainNode::set_worker_rows`](crate::explain::ExplainNode::set_worker_rows).
     pub fn worker_rows(&self) -> Rc<RefCell<Vec<u64>>> {
         Rc::clone(&self.worker_rows)
     }
 
-    /// Cheap copy-on-read view of the per-worker row counts: borrows the
-    /// shared cell instead of cloning the vector on every report call.
-    pub fn worker_rows_view(&self) -> Ref<'_, [u64]> {
-        Ref::map(self.worker_rows.borrow(), Vec::as_slice)
+    fn charge(&self, tracker: &mut CostTracker) {
+        tracker.index_probes(self.probes);
+        tracker.tuples += self.touched.rows() as u64;
+        let mut last = None;
+        for i in 0..self.touched.len() {
+            let ord = self.touched.page(i).0;
+            if last.is_some_and(|l| ord == l + 1) {
+                tracker.seq_pages += 1;
+            } else {
+                tracker.random_pages += 1;
+            }
+            last = Some(ord);
+        }
     }
 
-    /// Partition the build rows into contiguous chunks, hash each chunk on
-    /// a worker, and merge the partitions in chunk order. Match lists hold
-    /// indices into `build_rows`, so per-key order is global build order
-    /// no matter how the per-chunk maps iterate.
-    fn build_table(
-        &self,
-        build_rows: &[Row],
-        ctx: &mut ExecContext,
-    ) -> Result<HashMap<i64, Vec<usize>>> {
-        let build_key = self.build_key;
-        let chunks = self.pool.degree_for(build_rows.len());
-        let tasks: Vec<_> = (0..chunks)
-            .map(|c| {
-                let lo = c * build_rows.len() / chunks;
-                let hi = (c + 1) * build_rows.len() / chunks;
-                let rows = &build_rows[lo..hi];
-                move |_worker: usize| -> Result<(HashMap<i64, Vec<usize>>, CostTracker)> {
-                    let mut tracker = CostTracker::new();
-                    let mut map: HashMap<i64, Vec<usize>> = HashMap::new();
-                    for (i, row) in rows.iter().enumerate() {
-                        tracker.ops(1); // hash insert
-                        if let Some(k) = join_key(row, build_key)? {
-                            map.entry(k).or_default().push(lo + i);
-                        }
-                    }
-                    Ok((map, tracker))
-                }
-            })
-            .collect();
-        let mut merged: HashMap<i64, Vec<usize>> = HashMap::new();
-        for result in self.pool.run(tasks)? {
-            let (map, tracker) = result?;
-            ctx.tracker.absorb(&tracker);
-            for (k, mut idxs) in map {
-                merged.entry(k).or_default().append(&mut idxs);
+    fn run_on_workers(&mut self, pool: &WorkerPool, ctx: &mut ExecContext) -> Result<()> {
+        let (table, touched) = (self.table, &self.touched);
+        let decoder = table.decoder();
+        let waves = LeaseWaves::new(table, touched.len(), |i, tracker| {
+            let (ord, slots) = touched.page(i);
+            table.lease_slots(ord, slots, tracker)
+        });
+        let decode = |i, view: &PageView, rows: &mut Vec<Row>, tracker: &mut CostTracker| {
+            for bytes in view.tuples_at(touched.page(i).1)? {
+                rows.push(decoder.decode_row(bytes)?.1);
+                tracker.measured.tuples_decoded += 1;
             }
-        }
-        Ok(merged)
-    }
-
-    fn run(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        let mut build = self
-            .build
-            .take()
-            .ok_or_else(|| Error::Parallel("ParHashJoin::run called twice".into()))?;
-        let mut build_rows: Vec<Row> = Vec::new();
-        while let Some(row) = build.next(ctx)? {
-            build_rows.push(row);
-        }
-        let table = self.build_table(&build_rows, ctx)?;
-
-        ctx.tracker
-            .seq_scan(self.probe.heap_size() as u64, &ctx.model);
-        let probe_key = self.probe_key;
-        let build_rows = &build_rows;
-        let table = &table;
-        let projection = self.projection.as_deref();
-        // One reusable scratch row per worker for the fused projection:
-        // the old hot loop cloned the build row (plus a growth realloc
-        // from the extend) for *every emitted join row* only to project
-        // from it and throw it away. A worker runs its tasks one at a
-        // time, so its scratch lock is always uncontended.
-        let workers = self.pool.threads();
-        let scratch: Vec<Mutex<Row>> = (0..workers).map(|_| Mutex::new(Row::new())).collect();
-        self.probe.pool().note_morsel_allocs(workers as u64);
-        ctx.tracker.measured.morsel_allocs += workers as u64;
-        let scratch = &scratch;
-        let decoder = self.probe.decoder();
-        let mut waves = LeaseWaves::new(self.probe);
-        while let Some(wave) = waves.next_wave(&mut ctx.tracker)? {
-            let tasks: Vec<_> = wave
-                .into_iter()
-                .map(|morsel| {
-                    let decoder = decoder.clone();
-                    move |worker: usize| -> Result<(usize, Vec<Row>, CostTracker)> {
-                        let mut tracker = CostTracker::new();
-                        let mut rows = Vec::new();
-                        let mut tmp = scratch[worker]
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        for view in &morsel {
-                            for bytes in view.tuples().map_err(Error::from)? {
-                                let (_, probe_row) = decoder.decode_row(bytes)?;
-                                tracker.measured.tuples_decoded += 1;
-                                tracker.ops(1); // hash probe
-                                let Some(k) = join_key(&probe_row, probe_key)? else {
-                                    continue;
-                                };
-                                let Some(matches) = table.get(&k) else {
-                                    continue;
-                                };
-                                // Reverse build order — the sequential join
-                                // drains its pending matches as a stack.
-                                for &i in matches.iter().rev() {
-                                    tracker.emit(1);
-                                    let out = match projection {
-                                        Some(exprs) => {
-                                            // Concat into the reused scratch,
-                                            // project straight out of it.
-                                            tmp.clear();
-                                            tmp.extend_from_slice(&build_rows[i]);
-                                            tmp.extend_from_slice(&probe_row);
-                                            exprs
-                                                .iter()
-                                                .map(|e| e.eval(&tmp, &mut tracker))
-                                                .collect::<Result<Vec<_>>>()?
-                                        }
-                                        None => {
-                                            // The concat row *is* the output:
-                                            // build it exactly-sized, no
-                                            // clone-then-extend realloc.
-                                            let mut out = Row::with_capacity(
-                                                build_rows[i].len() + probe_row.len(),
-                                            );
-                                            out.extend_from_slice(&build_rows[i]);
-                                            out.extend_from_slice(&probe_row);
-                                            out
-                                        }
-                                    };
-                                    rows.push(out);
-                                }
-                            }
-                        }
-                        Ok((worker, rows, tracker))
-                    }
-                })
-                .collect();
-            let results = self.pool.run(tasks)?;
-            let mut worker_rows = self.worker_rows.borrow_mut();
-            let mut wave_decoded = 0;
-            for result in results {
-                let (worker, rows, tracker) = result?;
-                wave_decoded += tracker.measured.tuples_decoded;
-                merge_morsel(&mut self.out, &mut worker_rows, ctx, worker, rows, tracker);
-            }
-            self.probe.pool().note_tuples_decoded(wave_decoded);
-        }
-        Ok(())
+            Ok(())
+        };
+        let (out, worker_rows) = (&mut self.out, &self.worker_rows);
+        drain_waves(table, pool, waves, decode, out, worker_rows, ctx)
     }
 }
 
-impl Executor for ParHashJoin<'_> {
+impl Executor for RidFetch<'_> {
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.table.schema()
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
         if !self.started {
             self.started = true;
-            self.run(ctx)?;
+            self.charge(&mut ctx.tracker);
+            if let Some(pool) = self.workers.take() {
+                self.run_on_workers(&pool, ctx)?;
+                self.next_page = self.touched.len();
+            }
         }
-        Ok(self.out.pop_front())
+        loop {
+            if let Some(row) = self.out.pop_front() {
+                return Ok(Some(row));
+            }
+            if self.next_page >= self.touched.len() {
+                return Ok(None);
+            }
+            let (ord, slots) = self.touched.page(self.next_page);
+            self.next_page += 1;
+            let rows = self.table.read_slot_rows(ord, slots, &mut ctx.tracker)?;
+            self.out.extend(rows);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::exec::{collect, Filter, HashJoin, Project, SeqScan, Values};
+    use crate::index::IndexKind;
     use crate::schema::Column;
     use crate::value::{DataType, Value};
 
@@ -666,73 +607,104 @@ mod tests {
         assert_eq!(rows, seq);
     }
 
+    /// The oracle `RidFetch` replaces: `Project(HashJoin(Values, SeqScan))`.
+    fn rid_join_oracle(t: &Table, keys: &[i64]) -> Vec<Row> {
+        let build = Box::new(Values::ints("rid", keys.iter().copied()));
+        let join = HashJoin::new(build, Box::new(SeqScan::new(t)), 0, 0);
+        let cols: Vec<usize> = (1..1 + t.schema().len()).collect();
+        let mut project = Project::columns(Box::new(join), &cols);
+        collect(&mut project, &mut ExecContext::new()).unwrap()
+    }
+
     #[test]
-    fn par_join_matches_sequential_hash_join_at_every_thread_count() {
-        let t = data_table(2_000);
-        // Duplicate build keys: rid % 40 repeats, exercising multi-match
-        // emission order.
-        let build_vals = || Values::ints("rid", (0..2_000).map(|i| i % 40));
-        let mut seq_ctx = ExecContext::new();
-        let mut seq_join = HashJoin::new(Box::new(build_vals()), Box::new(SeqScan::new(&t)), 0, 0);
-        let seq_rows = collect(&mut seq_join, &mut seq_ctx).unwrap();
-        assert!(!seq_rows.is_empty());
+    fn rid_fetch_matches_hash_join_oracle_at_every_thread_count() {
+        let mut t = data_table(2_000);
+        t.create_index("rid_pk", "rid", true, IndexKind::BTree)
+            .unwrap();
+        t.pool().flush_all().unwrap();
+        // Sparse, with a duplicate and two absent keys.
+        let mut keys: Vec<i64> = (0..700).step_by(37).collect();
+        keys.extend([74, -5, 9_999]);
+        let want = rid_join_oracle(&t, &keys);
+        assert_eq!(want.len(), keys.len() - 2);
+        let mut serial = None;
         for threads in [1, 2, 4, 8] {
+            let pool = WorkerPool::new(threads);
+            let before = t.io_stats();
             let mut ctx = ExecContext::new();
-            let mut join =
-                ParHashJoin::new(Box::new(build_vals()), &t, 0, 0, WorkerPool::new(threads));
-            let rows = collect(&mut join, &mut ctx).unwrap();
-            assert_eq!(rows, seq_rows, "threads={threads}");
-            assert_eq!(ctx.tracker.tuples, seq_ctx.tracker.tuples);
-            assert_eq!(ctx.tracker.operator_evals, seq_ctx.tracker.operator_evals);
-            // Cheap copy-on-read view: sum straight off the borrowed slice.
+            let mut fetch = RidFetch::new(&t, "rid_pk", keys.iter().copied(), Some(&pool)).unwrap();
+            assert_eq!(fetch.rows(), want.len());
+            let rows = collect(&mut fetch, &mut ctx).unwrap();
+            assert_eq!(rows, want, "threads={threads}");
+            // Only the touched pages were read, each once, none copied.
+            let delta = t.io_stats().since(&before);
+            assert_eq!(delta.logical_reads, fetch.touched_pages() as u64);
+            assert!(fetch.touched_pages() < t.num_heap_pages());
+            assert_eq!(delta.bytes_copied_to_workers, 0);
+            assert_eq!(ctx.tracker.measured.logical_reads, delta.logical_reads);
             assert_eq!(
-                join.worker_rows_view().iter().sum::<u64>(),
-                seq_rows.len() as u64
+                fetch.worker_rows().borrow().iter().sum::<u64>(),
+                if threads > 1 { want.len() as u64 } else { 0 }
             );
+            // Estimated charges do not depend on the thread count.
+            let mut charged = ctx.tracker;
+            charged.measured = Default::default();
+            assert_eq!(*serial.get_or_insert(charged), charged, "threads={threads}");
+            assert_eq!(charged.index_tuples, keys.len() as u64);
+            assert_eq!(charged.estimated_pages(), fetch.touched_pages() as u64);
         }
     }
 
     #[test]
-    fn par_join_null_and_missing_keys_are_skipped() {
-        let mut t = Table::new(
-            "n",
-            Schema::new(vec![
-                Column::nullable("k", DataType::Int64),
-                Column::new("v", DataType::Int64),
-            ]),
-        );
-        t.insert(vec![Value::Int64(1), Value::Int64(10)]).unwrap();
-        t.insert(vec![Value::Null, Value::Int64(20)]).unwrap();
-        t.insert(vec![Value::Int64(99), Value::Int64(30)]).unwrap();
+    fn rid_fetch_serial_limit_stops_reading_pages() {
+        let mut t = data_table(2_000);
+        t.create_index("rid_pk", "rid", true, IndexKind::BTree)
+            .unwrap();
+        let fetch = RidFetch::new(&t, "rid_pk", 0..2_000, None).unwrap();
+        let touched = fetch.touched_pages() as u64;
         let mut ctx = ExecContext::new();
-        let mut join = ParHashJoin::new(
-            Box::new(Values::ints("k", [1, 2])),
-            &t,
-            0,
-            0,
-            WorkerPool::new(2),
-        );
-        let rows = collect(&mut join, &mut ctx).unwrap();
-        assert_eq!(
-            rows,
-            vec![vec![Value::Int64(1), Value::Int64(1), Value::Int64(10)]]
-        );
+        let mut limit = crate::exec::Limit::new(Box::new(fetch), 3);
+        assert_eq!(collect(&mut limit, &mut ctx).unwrap().len(), 3);
+        assert_eq!(ctx.tracker.measured.logical_reads, 1);
+        assert!(touched > 1);
+        assert!(matches!(
+            RidFetch::new(&t, "no_such_index", [1], None),
+            Err(Error::IndexNotFound(_))
+        ));
     }
 
+    /// A page the pool cannot supply is an error, never a shorter result
+    /// (the rule `Table::fetch` follows), on the coordinator and through
+    /// the lease waves alike.
     #[test]
-    fn par_join_type_error_surfaces() {
-        let t = data_table(10);
-        let mut ctx = ExecContext::new();
-        // Text column as probe key: must error, not panic.
-        let mut join = ParHashJoin::new(
-            Box::new(Values::ints("k", [1])),
-            &t,
-            0,
-            2,
-            WorkerPool::new(2),
+    fn rid_fetch_surfaces_storage_errors() {
+        let pool = Rc::new(pagestore::BufferPool::in_memory(2));
+        let mut t = Table::with_pool(
+            "w",
+            Schema::new(vec![
+                Column::new("rid", DataType::Int64),
+                Column::new("pad", DataType::Text),
+            ]),
+            Rc::clone(&pool),
         );
-        let err = collect(&mut join, &mut ctx);
-        assert!(matches!(err, Err(Error::TypeError(_))));
+        t.create_index("rid_pk", "rid", true, IndexKind::BTree)
+            .unwrap();
+        for i in 0..40i64 {
+            t.insert(vec![Value::Int64(i), Value::Text("y".repeat(1_000))])
+                .unwrap();
+        }
+        pool.flush_all().unwrap();
+        for threads in [1, 4] {
+            let workers = WorkerPool::new(threads);
+            let fetch = || RidFetch::new(&t, "rid_pk", 0..40, Some(&workers)).unwrap();
+            let rows = collect(&mut fetch(), &mut ExecContext::new()).unwrap();
+            assert_eq!(rows.len(), 40);
+            // Both frames pinned: every other page is unreadable.
+            let _a = pool.fetch(0).unwrap();
+            let _b = pool.fetch(1).unwrap();
+            let err = collect(&mut fetch(), &mut ExecContext::new());
+            assert!(matches!(err, Err(Error::Storage(_))), "{err:?}");
+        }
     }
 
     #[test]

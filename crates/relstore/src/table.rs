@@ -15,9 +15,11 @@ use crate::error::{Error, Result};
 use crate::index::{Index, IndexKind};
 use crate::schema::{Column, Schema};
 use crate::value::{DataType, Value};
-use pagestore::{BufferPool, HeapFile, IoStats, TupleAddr};
+use pagestore::{slot_tuple, BufferPool, HeapFile, IoStats, SlotTuple, TupleAddr};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::rc::Rc;
+use std::time::Instant;
 
 /// A row is an ordered list of values matching a table's schema.
 pub type Row = Vec<Value>;
@@ -50,6 +52,34 @@ struct IndexEntry {
     column: usize,
     unique: bool,
     index: Index,
+}
+
+/// The heap pages a set of rows lives on, ascending, each with the
+/// ascending slots wanted from it — what [`Table::locate`] resolves index
+/// keys to, and the order a page-ordered fetch emits rows in.
+#[derive(Debug, Default)]
+pub(crate) struct TouchedPages {
+    /// `(page ordinal, its range of `slots`)`.
+    pages: Vec<(usize, Range<usize>)>,
+    slots: Vec<u16>,
+}
+
+impl TouchedPages {
+    /// Pages touched.
+    pub(crate) fn len(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// Rows located.
+    pub(crate) fn rows(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The `i`-th touched page: its ordinal and wanted slots.
+    pub(crate) fn page(&self, i: usize) -> (usize, &[u16]) {
+        let (ord, slots) = &self.pages[i];
+        (*ord, &self.slots[slots.clone()])
+    }
 }
 
 /// A heap table stored on buffer-pooled slotted pages.
@@ -311,21 +341,22 @@ impl Table {
         self.read_row(id).ok()
     }
 
-    /// Iterate over live rows in physical (page) order.
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, Row)> + '_ {
-        (0..self.heap.num_pages()).flat_map(move |ord| {
-            self.heap
-                .tuples_on_page(&self.pool, ord)
-                .unwrap_or_default()
-                .into_iter()
-                .filter_map(|(_, bytes)| {
-                    let decoded = self.format.decode_row(&bytes).ok();
-                    if decoded.is_some() {
-                        self.pool.note_tuples_decoded(1);
-                    }
-                    decoded
-                })
-        })
+    /// Every live row in physical (page) order.
+    pub fn rows(&self) -> Result<Vec<(RowId, Row)>> {
+        let mut rows = Vec::with_capacity(self.live_count);
+        for ord in 0..self.heap.num_pages() {
+            for (_, bytes) in self.heap.tuples_on_page(&self.pool, ord)? {
+                rows.push(self.format.decode_row(&bytes)?);
+            }
+        }
+        self.pool.note_tuples_decoded(rows.len() as u64);
+        Ok(rows)
+    }
+
+    /// [`rows`](Self::rows) for inspection: a table that cannot be read
+    /// iterates as empty, so never rebuild state from this.
+    pub fn iter(&self) -> impl Iterator<Item = (RowId, Row)> {
+        self.rows().unwrap_or_default().into_iter()
     }
 
     /// Decode every live row on data page `page_ord`, attributing the
@@ -384,6 +415,60 @@ impl Table {
         Ok(view)
     }
 
+    /// Decode the rows in `slots` of data page `page_ord` in place under
+    /// one pin — no tuple bytes are copied unless a tuple overflowed —
+    /// attributing the measured page traffic to `tracker`. The unit of a
+    /// page-ordered fetch.
+    pub(crate) fn read_slot_rows(
+        &self,
+        page_ord: usize,
+        slots: &[u16],
+        tracker: &mut CostTracker,
+    ) -> Result<Vec<Row>> {
+        let before = self.pool.stats();
+        let mut rows = Vec::with_capacity(slots.len());
+        let mut chains = Vec::new();
+        let started;
+        {
+            let page = self.heap.pin_page(&self.pool, page_ord)?;
+            started = Instant::now();
+            for &slot in slots {
+                match slot_tuple(&page, slot)? {
+                    SlotTuple::Inline(bytes) => rows.push(self.format.decode_row(bytes)?.1),
+                    SlotTuple::Overflow(head) => {
+                        chains.push((rows.len(), head));
+                        rows.push(Row::new());
+                    }
+                }
+            }
+        }
+        let decode_micros = started.elapsed().as_micros() as u64;
+        // Chains are read with the data page unpinned, as `HeapFile::get`
+        // does: a small pool needs the frame.
+        for (i, head) in chains {
+            let bytes = self.heap.read_chain(&self.pool, head)?;
+            rows[i] = self.format.decode_row(&bytes)?.1;
+        }
+        tracker.measured.absorb(&self.pool.stats().since(&before));
+        self.pool.note_tuples_decoded(rows.len() as u64);
+        self.pool.note_decode_micros(decode_micros);
+        Ok(rows)
+    }
+
+    /// [`lease_page`](Self::lease_page) for a worker that decodes only
+    /// `slots` (read the view with `PageView::tuples_at`).
+    pub(crate) fn lease_slots(
+        &self,
+        page_ord: usize,
+        slots: &[u16],
+        tracker: &mut CostTracker,
+    ) -> Result<pagestore::PageView> {
+        let before = self.pool.stats();
+        let view = self.heap.lease_slots(&self.pool, page_ord, slots)?;
+        tracker.measured.absorb(&self.pool.stats().since(&before));
+        Ok(view)
+    }
+
     /// Full sequential scan: estimated I/O for every heap slot, measured
     /// I/O for the pages actually pulled through the pool.
     pub fn scan_all(&self, tracker: &mut CostTracker, model: &CostModel) -> Vec<Row> {
@@ -410,7 +495,7 @@ impl Table {
             )));
         }
         let mut index = Index::new(kind);
-        for (id, row) in self.iter() {
+        for (id, row) in self.rows()? {
             if let Some(key) = row[col].as_i64() {
                 if unique && !index.get(key).is_empty() {
                     return Err(Error::DuplicateKey(format!(
@@ -442,13 +527,44 @@ impl Table {
         index: &str,
         key: i64,
         tracker: &mut CostTracker,
-    ) -> Result<Vec<RowId>> {
+    ) -> Result<&[RowId]> {
         let entry = self
             .indexes
             .get(index)
             .ok_or_else(|| Error::IndexNotFound(index.to_owned()))?;
         tracker.index_probes(1);
         Ok(entry.index.get(key))
+    }
+
+    /// Resolve `keys` through `index` and the row directory to the pages
+    /// and slots holding their rows. Keys with no row are skipped; no
+    /// page is touched.
+    pub(crate) fn locate(
+        &self,
+        index: &str,
+        keys: impl IntoIterator<Item = i64>,
+    ) -> Result<TouchedPages> {
+        let entry = self
+            .indexes
+            .get(index)
+            .ok_or_else(|| Error::IndexNotFound(index.to_owned()))?;
+        let mut addrs: Vec<TupleAddr> = Vec::new();
+        for key in keys {
+            let ids = entry.index.get(key).iter();
+            addrs.extend(ids.filter_map(|&id| self.directory.get(id as usize).copied().flatten()));
+        }
+        addrs.sort_unstable_by_key(|a| (a.page_ord, a.slot));
+        let mut touched = TouchedPages::default();
+        for addr in addrs {
+            let ord = addr.page_ord as usize;
+            let at = touched.slots.len();
+            touched.slots.push(addr.slot);
+            match touched.pages.last_mut() {
+                Some((last, slots)) if *last == ord => slots.end = at + 1,
+                _ => touched.pages.push((ord, at..at + 1)),
+            }
+        }
+        Ok(touched)
     }
 
     /// Column an index is built over.
@@ -469,6 +585,7 @@ impl Table {
     /// random page each, while dense probe sets degrade gracefully into a
     /// sequential scan. `last_page` carries the page-position state across
     /// calls (the index-nested-loop join probes one outer row at a time).
+    /// Tombstoned ids are skipped; any other read failure is returned.
     ///
     /// The estimated charge models a cold read of every page; the measured
     /// counters record what the pool actually did (repeat probes of a hot
@@ -480,7 +597,7 @@ impl Table {
         tracker: &mut CostTracker,
         model: &CostModel,
         last_page: &mut Option<u64>,
-    ) -> Vec<Row> {
+    ) -> Result<Vec<Row>> {
         let clustered = match (self.clustering, via_column) {
             (Clustering::On(c), Some(v)) => c == v,
             _ => false,
@@ -501,7 +618,14 @@ impl Table {
         }
         tracker.tuples += ids.len() as u64;
         let before = self.pool.stats();
-        let rows = ids.iter().filter_map(|&id| self.get(id)).collect();
+        // Only a tombstoned id is "no row"; a storage error is an error.
+        let rows = ids
+            .iter()
+            .filter_map(|&id| match self.read_row(id) {
+                Err(Error::RowNotFound(_)) => None,
+                row => Some(row),
+            })
+            .collect();
         tracker.measured.absorb(&self.pool.stats().since(&before));
         rows
     }
@@ -513,7 +637,7 @@ impl Table {
         via_column: Option<usize>,
         tracker: &mut CostTracker,
         model: &CostModel,
-    ) -> Vec<Row> {
+    ) -> Result<Vec<Row>> {
         let mut state = None;
         self.fetch_with_state(ids, via_column, tracker, model, &mut state)
     }
@@ -523,7 +647,7 @@ impl Table {
     /// page, and rebuilds indexes.
     pub fn cluster_on(&mut self, column: &str) -> Result<()> {
         let col = self.schema.index_of(column)?;
-        let mut live_rows: Vec<Row> = self.iter().map(|(_, r)| r).collect();
+        let mut live_rows: Vec<Row> = self.rows()?.into_iter().map(|(_, r)| r).collect();
         live_rows.sort_by(|a, b| a[col].total_cmp(&b[col]));
         let specs: Vec<(String, usize, bool, IndexKind)> = self
             .indexes
@@ -649,7 +773,7 @@ mod tests {
             .unwrap();
         let mut tr = CostTracker::new();
         assert!(t.index_lookup("ix", 10, &mut tr).unwrap().is_empty());
-        assert_eq!(t.index_lookup("ix", 20, &mut tr).unwrap(), vec![id]);
+        assert_eq!(t.index_lookup("ix", 20, &mut tr).unwrap(), [id]);
     }
 
     #[test]
@@ -665,9 +789,9 @@ mod tests {
         let err = t.update(id, vec![Value::Int64(1), Value::Int64(99)]);
         assert!(matches!(err, Err(Error::DuplicateKey(_))));
         let mut tr = CostTracker::new();
-        assert_eq!(t.index_lookup("x_ix", 20, &mut tr).unwrap(), vec![id]);
+        assert_eq!(t.index_lookup("x_ix", 20, &mut tr).unwrap(), [id]);
         assert!(t.index_lookup("x_ix", 99, &mut tr).unwrap().is_empty());
-        assert_eq!(t.index_lookup("rid_pk", 2, &mut tr).unwrap(), vec![id]);
+        assert_eq!(t.index_lookup("rid_pk", 2, &mut tr).unwrap(), [id]);
     }
 
     #[test]
@@ -694,9 +818,9 @@ mod tests {
         let ids: Vec<RowId> = (0..100).collect();
         let model = CostModel::default();
         let mut clustered = CostTracker::new();
-        t.fetch(&ids, Some(0), &mut clustered, &model);
+        t.fetch(&ids, Some(0), &mut clustered, &model).unwrap();
         let mut random = CostTracker::new();
-        t.fetch(&ids, Some(1), &mut random, &model);
+        t.fetch(&ids, Some(1), &mut random, &model).unwrap();
         assert!(clustered.total(&model) < random.total(&model) / 5.0);
     }
 
@@ -747,6 +871,47 @@ mod tests {
         assert!(tr.measured.logical_reads >= t.num_heap_pages() as u64);
         assert!(tr.measured.physical_reads > t.pool().capacity() as u64);
         assert!(t.io_stats().evictions > 0);
+    }
+
+    /// Regression: `fetch` went through `get` (`read_row(..).ok()`) and the
+    /// index build through `iter` (`unwrap_or_default()`), so a page the
+    /// pool could not supply came back as *fewer rows* — a short checkout,
+    /// a partial index, a `cluster_on` that dropped rows.
+    #[test]
+    fn storage_errors_surface_instead_of_shortening_results() {
+        let mut t = Table::with_pool(
+            "wide",
+            Schema::new(vec![
+                Column::new("rid", DataType::Int64),
+                Column::new("payload", DataType::Text),
+            ]),
+            Rc::new(BufferPool::in_memory(2)),
+        );
+        for v in 0..40i64 {
+            t.insert(vec![Value::Int64(v), Value::Text("x".repeat(1_000))])
+                .unwrap();
+        }
+        assert!(t.num_heap_pages() > 4);
+        let ids: Vec<RowId> = (0..40).collect();
+        let (model, mut tr) = (CostModel::default(), CostTracker::new());
+        assert_eq!(t.fetch(&ids, None, &mut tr, &model).unwrap().len(), 40);
+        t.delete(7).unwrap();
+        assert_eq!(t.fetch(&ids, None, &mut tr, &model).unwrap().len(), 39);
+        let pool = Rc::clone(t.pool());
+        {
+            // Both frames pinned: every other page is unreadable.
+            let _a = pool.fetch(0).unwrap();
+            let _b = pool.fetch(1).unwrap();
+            assert!(matches!(
+                t.fetch(&ids, None, &mut tr, &model),
+                Err(Error::Storage(_))
+            ));
+            assert!(t.create_index("pk", "rid", true, IndexKind::BTree).is_err());
+            assert!(!t.has_index("pk"));
+            assert!(t.cluster_on("rid").is_err());
+        }
+        assert_eq!(t.live_row_count(), 39);
+        assert_eq!(t.fetch(&ids, None, &mut tr, &model).unwrap().len(), 39);
     }
 
     #[test]

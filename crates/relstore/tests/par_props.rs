@@ -1,13 +1,15 @@
 //! Property-based tests for the morsel-driven parallel operators: for
 //! arbitrary tables — including tables bigger than their buffer pool, so
 //! the zero-copy lease waves are forced to run under eviction pressure —
-//! the parallel scan and hash join stay byte-identical to the sequential
-//! pipeline at every thread count.
+//! the parallel scan stays byte-identical to the sequential pipeline at
+//! every thread count, and the page-ordered `RidFetch` to the hash join
+//! over a full scan that it replaced.
 
 use proptest::prelude::*;
+use relstore::codec::PageFormatKind;
 use relstore::{
-    collect, BufferPool, Column, DataType, ExecContext, Expr, HashJoin, ParHashJoin, ParSeqScan,
-    Schema, SeqScan, Table, Value, Values, WorkerPool,
+    collect, BufferPool, Column, DataType, ExecContext, Expr, HashJoin, IndexKind, ParSeqScan,
+    Project, RidFetch, Schema, SeqScan, Table, Value, Values, WorkerPool,
 };
 use std::rc::Rc;
 
@@ -72,29 +74,100 @@ proptest! {
         }
     }
 
-    /// Parallel hash join (duplicate keys included) is byte-identical to
-    /// the sequential hash join at 1/2/4/8 threads under a tiny pool.
+    /// `RidFetch` returns exactly the rows, in exactly the order, of the
+    /// `Project(HashJoin(Values keys, SeqScan))` tree it replaced, at
+    /// 1/2/4/8 threads — over tables with tombstones, relocated tuples and
+    /// overflow-chain tuples, Flat and Delta, clean and dirty, a 4-frame
+    /// pool and a roomy one — and reads each touched page exactly once
+    /// (plus the chain pages of the overflow tuples it returns).
     #[test]
-    fn par_join_matches_serial_at_all_thread_counts(
-        rows in prop::collection::vec((0..8i64, 0..64u8), 1..80),
-        build_keys in prop::collection::vec(0..8i64, 0..40),
-        pool_frames in 4usize..10,
+    fn rid_fetch_matches_hash_join_over_scan(
+        pads in prop::collection::vec(0..200u8, 1..100),
+        // (row, what): delete it, grow it past its page (relocation), or
+        // make it an overflow tuple.
+        edits in prop::collection::vec((0..100usize, 0..3u8), 0..30),
+        subset in prop::collection::btree_set(-3i64..103, 0..100),
+        // 0: no keys; 1: every key, absent ones included; else `subset`.
+        key_mode in 0..5u8,
+        small_pool in any::<bool>(),
+        delta in any::<bool>(),
         flush in any::<bool>(),
     ) {
-        let t = tiny_pool_table(&rows, pool_frames, flush);
-        let build = || Values::ints("bk", build_keys.iter().copied());
-        let mut seq_ctx = ExecContext::new();
-        let mut seq_join = HashJoin::new(
-            Box::new(build()), Box::new(SeqScan::new(&t)), 0, 1,
+        const BIG: usize = 9_000; // two overflow-chain pages, either format
+        let pool = Rc::new(BufferPool::in_memory(if small_pool { 4 } else { 256 }));
+        let kind = if delta { PageFormatKind::Delta } else { PageFormatKind::Flat };
+        let mut t = Table::with_format("p", schema(), pool, kind);
+        t.create_index("rid_pk", "rid", true, IndexKind::BTree).unwrap();
+        let row = |rid: usize, edit: usize, pad: usize| vec![
+            Value::Int64(rid as i64),
+            Value::Int64(rid as i64 % 7),
+            // Never written twice, so Delta keeps it inline too.
+            Value::Text(format!("{rid}.{edit}:{}", "x".repeat(pad))),
+        ];
+        // rid -> is it live, and is it an overflow tuple.
+        let mut live: Vec<Option<bool>> = Vec::new();
+        for (rid, &pad) in pads.iter().enumerate() {
+            t.insert(row(rid, 0, pad as usize)).unwrap();
+            live.push(Some(false));
+        }
+        for (edit, &(at, what)) in edits.iter().enumerate() {
+            let rid = at % live.len();
+            if live[rid].is_none() {
+                continue;
+            }
+            match what {
+                0 => {
+                    t.delete(rid as u64).unwrap();
+                    live[rid] = None;
+                }
+                1 => {
+                    t.update(rid as u64, row(rid, edit + 1, 3_000)).unwrap();
+                    live[rid] = Some(false);
+                }
+                _ => {
+                    t.update(rid as u64, row(rid, edit + 1, BIG)).unwrap();
+                    live[rid] = Some(true);
+                }
+            }
+        }
+        if flush {
+            t.pool().flush_all().unwrap();
+        }
+        let keys: Vec<i64> = match key_mode {
+            0 => Vec::new(),
+            1 => (-3..live.len() as i64 + 3).collect(),
+            _ => subset.into_iter().collect(),
+        };
+        let wanted = |big: bool| keys.iter()
+            .filter(|&&k| k >= 0 && live.get(k as usize).copied().flatten() == Some(big))
+            .count();
+
+        let join = HashJoin::new(
+            Box::new(Values::ints("rid", keys.iter().copied())),
+            Box::new(SeqScan::new(&t)),
+            0,
+            0,
         );
-        let seq_rows = collect(&mut seq_join, &mut seq_ctx).unwrap();
+        let mut oracle = Project::columns(Box::new(join), &[1, 2, 3]);
+        let want = collect(&mut oracle, &mut ExecContext::new()).unwrap();
+        prop_assert_eq!(want.len(), wanted(false) + wanted(true));
+
         for threads in [1usize, 2, 4, 8] {
+            let workers = WorkerPool::new(threads);
+            let mut fetch =
+                RidFetch::new(&t, "rid_pk", keys.iter().copied(), Some(&workers)).unwrap();
+            let before = t.io_stats();
             let mut ctx = ExecContext::new();
-            let mut join = ParHashJoin::new(
-                Box::new(build()), &t, 0, 1, WorkerPool::new(threads),
+            let got = collect(&mut fetch, &mut ctx).unwrap();
+            let delta = t.io_stats().since(&before);
+            prop_assert_eq!(&got, &want, "rows, threads={}", threads);
+            let reads = (fetch.touched_pages() + 2 * wanted(true)) as u64;
+            prop_assert_eq!(delta.logical_reads, reads, "pool reads, threads={}", threads);
+            prop_assert_eq!(ctx.tracker.measured.logical_reads, reads, "measured reads, threads={}", threads);
+            prop_assert_eq!(
+                ctx.tracker.measured.physical_reads, delta.physical_reads,
+                "threads={}", threads
             );
-            let par_rows = collect(&mut join, &mut ctx).unwrap();
-            prop_assert_eq!(&par_rows, &seq_rows, "threads={}", threads);
         }
     }
 }
