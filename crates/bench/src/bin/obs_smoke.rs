@@ -8,8 +8,9 @@
 //!   produce a plan tree with estimated and actual row counts, and its
 //!   JSON form must carry the documented schema;
 //! * `metrics --json` must parse and contain the WAL fsync counter, the
-//!   buffer-pool hit ratio gauge, commit/checkout/query latency
-//!   histogram percentiles, and the `obs.journal.*` counters;
+//!   buffer-pool hit ratio, free-page and directory-table gauges,
+//!   commit/checkout/query latency histogram percentiles, and the
+//!   `obs.journal.*` counters;
 //! * `trace dump --json` must export Chrome-trace-event JSONL where
 //!   every line carries the documented keys, with the request, commit,
 //!   and WAL-fsync spans present under non-zero trace ids (a summary is
@@ -161,6 +162,8 @@ fn main() {
             "counters/pagestore.pool.logical_reads",
             "counters/relstore.tracker.tuples",
             "gauges/pagestore.pool.hit_ratio",
+            "gauges/pagestore.pool.free_pages",
+            "gauges/relstore.directory.tables",
             "histograms/orpheus.commit.latency_us/p50",
             "histograms/orpheus.commit.latency_us/p99",
             "histograms/orpheus.checkout.latency_us/p50",

@@ -255,6 +255,8 @@ fn main() {
             "counters/orpheus.server.group_commit.batches",
             "counters/orpheus.server.backpressure_rejections",
             "counters/pagestore.wal.fsyncs",
+            "gauges/pagestore.pool.free_pages",
+            "gauges/relstore.directory.tables",
             "gauges/orpheus.server.active_sessions",
             "gauges/orpheus.server.queued_commits",
             "histograms/orpheus.server.query.latency_us/p50",

@@ -8,9 +8,9 @@
 //! [`partition`]), provenance manager (the staging registry here), and the
 //! access controller (staging-table ownership checks).
 
-use crate::catalog;
 use crate::cvd::{CommitResult, Cvd};
 use crate::error::{Error, Result};
+use crate::metadata;
 use crate::models::{load_cvd, SplitByRlist, VersioningModel};
 use crate::partitioned::PartitionedStore;
 use crate::plan::{self, Decorator, Instrumented, LogicalPlan, Plain, RidSet, Tables};
@@ -65,15 +65,12 @@ pub struct OrpheusDb {
     /// keeps every plan sequential, bit-for-bit identical to the
     /// single-threaded engine.
     threads: usize,
-    /// Whether `commit` ends with its own durability point (the default).
-    /// The server's group-commit path turns this off and issues one
-    /// checkpoint per *batch* of commits instead, so N concurrent commits
-    /// cost one WAL fsync rather than N.
+    /// Whether every command that changes the catalog tables (`commit`,
+    /// `init`, `drop`, `create_user`) ends with its own durability point
+    /// (the default). The server's group-commit path turns this off and
+    /// issues one checkpoint per *batch* of such commands instead, so N
+    /// concurrent commits cost one WAL fsync rather than N.
     auto_checkpoint: bool,
-    /// Data directory of a durable instance; every durability point also
-    /// writes the catalog snapshot (`catalog.orc`) here, so `open_durable`
-    /// can reload the CVDs after a crash. `None` in memory.
-    data_dir: Option<std::path::PathBuf>,
     /// Slow-query threshold in milliseconds (`ORPHEUS_SLOW_MS`, default
     /// 100): any command taking at least this long logs one structured
     /// line to stderr with its trace id and top self-time spans. `0`
@@ -99,39 +96,11 @@ impl Default for OrpheusDb {
 
 impl OrpheusDb {
     pub fn new() -> Self {
-        OrpheusDb {
-            db: Database::new(),
-            cvds: HashMap::new(),
-            users: Vec::new(),
-            current_user: None,
-            staging: HashMap::new(),
-            clock: 0,
-            tracker: RefCell::new(relstore::CostTracker::new()),
-            threads: default_threads(),
-            auto_checkpoint: true,
-            data_dir: None,
-            slow_ms: obs::journal::env_slow_ms(),
-        }
+        OrpheusDb::over(Database::new())
     }
 
-    /// An OrpheusDB instance whose relational storage lives in `dir`
-    /// behind a write-ahead log: every `commit` ends with an atomic
-    /// checkpoint, and reopening after a crash replays the log. The
-    /// returned report says what recovery repaired.
-    ///
-    /// Each durability point also snapshots the logical catalog (users,
-    /// CVDs, version graphs, record payloads) into `catalog.orc` in `dir`;
-    /// reopening loads that snapshot and re-materializes the physical
-    /// models, so committed versions survive even `kill -9`. Uncommitted
-    /// staging tables are deliberately *not* snapshotted — a crash
-    /// discards uncommitted work, like a lost session.
-    pub fn open_durable(
-        dir: impl AsRef<std::path::Path>,
-        pool_pages: usize,
-    ) -> Result<(Self, relstore::RecoveryReport)> {
-        let dir = dir.as_ref().to_path_buf();
-        let (db, report) = Database::open_durable(&dir, pool_pages)?;
-        let mut odb = OrpheusDb {
+    fn over(db: Database) -> Self {
+        OrpheusDb {
             db,
             cvds: HashMap::new(),
             users: Vec::new(),
@@ -141,34 +110,59 @@ impl OrpheusDb {
             tracker: RefCell::new(relstore::CostTracker::new()),
             threads: default_threads(),
             auto_checkpoint: true,
-            data_dir: Some(dir.clone()),
             slow_ms: obs::journal::env_slow_ms(),
-        };
-        if let Some(snap) = catalog::read_snapshot(&dir)? {
-            odb.users = snap.users;
-            odb.clock = snap.clock;
-            for cvd in snap.cvds {
-                let mut model = SplitByRlist::new(cvd.name());
-                load_cvd(&mut model, &mut odb.db, &cvd)?;
-                odb.cvds.insert(
-                    cvd.name().to_owned(),
-                    CvdHandle {
-                        cvd,
-                        model,
-                        partitioned: None,
-                    },
-                );
-            }
         }
-        Ok((odb, report))
     }
 
-    /// Whether `commit` ends with its own checkpoint.
+    /// An OrpheusDB instance whose relational storage lives in `dir`
+    /// behind a write-ahead log: every `commit` ends with an atomic
+    /// checkpoint, and reopening after a crash replays the log. The
+    /// returned report says what recovery repaired.
+    ///
+    /// The page file is the only durable store: users, the clock and
+    /// every CVD — version graph, metadata, attributes, records — live in
+    /// tables ([`crate::metadata`]) beside the data, and are made durable
+    /// by the same WAL batch. Opening reads them back and writes nothing.
+    /// Tables no CVD owns — staging tables a crash or shutdown left
+    /// behind, `optimize`'s partitions — are dropped: uncommitted work is
+    /// lost with its session, derived state is rebuilt on demand.
+    pub fn open_durable(
+        dir: impl AsRef<std::path::Path>,
+        pool_pages: usize,
+    ) -> Result<(Self, relstore::RecoveryReport)> {
+        let (pool, report) =
+            relstore::BufferPool::open_durable(dir, pool_pages).map_err(relstore::Error::from)?;
+        Ok((OrpheusDb::open_pool(pool)?, report))
+    }
+
+    /// [`open_durable`](Self::open_durable) over a write-ahead-logged,
+    /// already recovered pool — how crash tests put fault injectors under
+    /// a whole instance.
+    pub fn open_pool(pool: relstore::BufferPool) -> Result<Self> {
+        let recorder = obs::Recorder::new();
+        let _span = recorder.enter("orpheus.open");
+        let db = Database::open_pool(pool, recorder.clone())?;
+        let (users, clock, cvds) = metadata::load(&db)?;
+        let mut odb = OrpheusDb::over(db);
+        (odb.users, odb.clock) = (users, clock);
+        let mut owned = vec![metadata::SYS.to_owned()];
+        for cvd in cvds {
+            owned.extend(metadata::tables_of(cvd.name()));
+            odb.register(cvd);
+        }
+        let tables = odb.db.table_names().into_iter().map(str::to_owned);
+        for table in tables.filter(|t| !owned.contains(t)).collect::<Vec<_>>() {
+            odb.db.drop_table(&table)?;
+        }
+        Ok(odb)
+    }
+
+    /// Whether catalog-changing commands end with their own checkpoint.
     pub fn auto_checkpoint(&self) -> bool {
         self.auto_checkpoint
     }
 
-    /// Toggle the per-commit checkpoint. With `false`, callers own
+    /// Toggle the per-command checkpoint. With `false`, callers own
     /// durability: they must call [`checkpoint`](Self::checkpoint)
     /// themselves (the server's group-commit loop does this once per
     /// batch). Data is still fully WAL-logged either way — this only
@@ -226,28 +220,21 @@ impl OrpheusDb {
         self.db.is_durable()
     }
 
-    /// Force a durability point (`checkpoint`): flush every dirty page
-    /// under WAL protection and persist the catalog snapshot next to the
-    /// page file. Returns `false` (doing nothing) on an in-memory
+    /// Force a durability point (`checkpoint`): one WAL-protected batch
+    /// carrying every dirty page — data, catalog tables and the table
+    /// directory alike. Returns `false` (doing nothing) on an in-memory
     /// instance.
     pub fn checkpoint(&self) -> Result<bool> {
-        let flushed = self.db.checkpoint()?;
-        if flushed {
-            self.persist_catalog()?;
-        }
-        Ok(flushed)
+        Ok(self.db.checkpoint()?)
     }
 
-    /// Write the catalog snapshot of a durable instance (no-op in memory).
-    /// CVDs are serialized in name order so identical logical state yields
-    /// identical snapshot bytes.
-    fn persist_catalog(&self) -> Result<()> {
-        let Some(dir) = &self.data_dir else {
-            return Ok(());
-        };
-        let mut cvds: Vec<&Cvd> = self.cvds.values().map(|h| &h.cvd).collect();
-        cvds.sort_by_key(|c| c.name());
-        catalog::write_snapshot(dir, &self.users, self.clock, &cvds)
+    /// The durability point a catalog-changing command ends with, unless
+    /// the caller owns durability ([`set_auto_checkpoint`](Self::set_auto_checkpoint)).
+    fn durability_point(&self) -> Result<()> {
+        if self.auto_checkpoint {
+            self.checkpoint()?;
+        }
+        Ok(())
     }
 
     /// Replay the write-ahead log (`recover`), as after a crash.
@@ -266,6 +253,12 @@ impl OrpheusDb {
         if self.users.iter().any(|u| u == name) {
             return Err(Error::UserError(format!("user {name} already exists")));
         }
+        self.add_user(name)?;
+        self.durability_point()
+    }
+
+    fn add_user(&mut self, name: &str) -> Result<()> {
+        metadata::put_user(&mut self.db, name)?;
         self.users.push(name.to_owned());
         Ok(())
     }
@@ -332,7 +325,8 @@ impl OrpheusDb {
              buffer hits   : {} ({:.1}% hit rate)\n\
              physical reads: {}\n\
              evictions     : {}\n\
-             pages written : {} ({} eviction write-backs, {} flushed)",
+             pages written : {} ({} eviction write-backs, {} flushed)\n\
+             free pages    : {} of {} allocated",
             self.db.pool().capacity(),
             relstore::PAGE_SIZE,
             s.logical_reads,
@@ -343,6 +337,8 @@ impl OrpheusDb {
             s.pages_written(),
             s.write_backs,
             s.flushed_writes,
+            self.db.pool().free_pages(),
+            self.db.pool().num_pages(),
         );
         if self.db.is_durable() {
             report.push_str(&format!(
@@ -370,15 +366,21 @@ impl OrpheusDb {
         let (cvd, v0) = Cvd::init(name, schema, pk, rows, &author)?;
         let mut model = SplitByRlist::new(name);
         load_cvd(&mut model, &mut self.db, &cvd)?;
-        self.cvds.insert(
-            name.to_owned(),
-            CvdHandle {
-                cvd,
-                model,
-                partitioned: None,
-            },
-        );
+        metadata::create(&mut self.db, name)?;
+        metadata::sync(&mut self.db, &cvd, self.clock)?;
+        self.register(cvd);
+        self.durability_point()?;
         Ok(v0)
+    }
+
+    /// Take `cvd`, whose tables exist, into the instance.
+    fn register(&mut self, cvd: Cvd) {
+        let handle = CvdHandle {
+            model: SplitByRlist::new(cvd.name()),
+            partitioned: None,
+            cvd,
+        };
+        self.cvds.insert(handle.cvd.name().to_owned(), handle);
     }
 
     /// `log`: render a CVD's version graph as text — the command-line
@@ -420,21 +422,12 @@ impl OrpheusDb {
             .cvds
             .remove(name)
             .ok_or_else(|| Error::CvdNotFound(name.to_owned()))?;
-        for t in self
-            .db
-            .tables_with_prefix(&handle.model.table_prefix())
-            .into_iter()
-            .map(str::to_owned)
-            .collect::<Vec<_>>()
-        {
-            // Best-effort cleanup: the table may already be gone.
-            drop(self.db.drop_table(&t));
-        }
+        metadata::drop_cvd(&mut self.db, name)?;
         if let Some(p) = handle.partitioned {
             p.drop_tables(&mut self.db);
         }
         self.staging.retain(|_, info| info.cvd != name);
-        Ok(())
+        self.durability_point()
     }
 
     fn handle(&self, name: &str) -> Result<&CvdHandle> {
@@ -524,20 +517,38 @@ impl OrpheusDb {
         let _span = self.db.recorder().enter("orpheus.commit");
         let start = Instant::now();
         let info = self.authorize(table)?.clone();
-        let author = self.whoami()?.to_owned();
         let staged = self.db.table(table)?;
         let schema = staged.schema().clone();
         let rows: Vec<Row> = staged.rows()?.into_iter().map(|(_, r)| r).collect();
+        let result = self.apply_commit(&info, &schema, rows, message)?;
+        // Cleanup: remove the staging table (§3.3.1).
+        self.db.drop_table(table)?;
+        self.end_commit(table, start)?;
+        Ok(result)
+    }
+
+    /// The part of a commit that does not depend on where the rows came
+    /// from: the new version in the CVD, its records and rlist in the
+    /// model's tables (and the partitioned store, when one exists), and
+    /// its catalog rows.
+    fn apply_commit(
+        &mut self,
+        info: &StagingInfo,
+        schema: &Schema,
+        rows: Vec<Row>,
+        message: &str,
+    ) -> Result<CommitResult> {
+        let author = self.whoami()?.to_owned();
         let handle = self
             .cvds
             .get_mut(&info.cvd)
             .ok_or_else(|| Error::CvdNotFound(info.cvd.clone()))?;
-        let result = if &schema == handle.cvd.schema() {
+        let result = if schema == handle.cvd.schema() {
             handle.cvd.commit(&info.parents, rows, message, &author)?
         } else {
             handle
                 .cvd
-                .commit_with_schema(&info.parents, &schema, rows, message, &author)?
+                .commit_with_schema(&info.parents, schema, rows, message, &author)?
         };
         // Physical apply: new rids are those the commit introduced.
         let new_rids: Vec<partition::Rid> = {
@@ -560,46 +571,36 @@ impl OrpheusDb {
                 .iter()
                 .max_by_key(|&&pv| handle.cvd.graph().weight(pv, result.vid))
                 .copied();
+            // A version without parents starts a partition of its own.
+            let (pid, fresh) = match best_parent {
+                Some(parent) => (p.partitioning().partition_of(parent), false),
+                None => (p.partitioning().num_partitions(), true),
+            };
             let mut tracker = self.tracker.borrow_mut();
-            match best_parent {
-                Some(parent) => {
-                    let pid = p.partitioning().partition_of(parent);
-                    p.append_version(
-                        &mut self.db,
-                        &handle.cvd,
-                        result.vid,
-                        pid,
-                        false,
-                        &mut tracker,
-                    )?;
-                }
-                None => {
-                    let pid = p.partitioning().num_partitions();
-                    p.append_version(
-                        &mut self.db,
-                        &handle.cvd,
-                        result.vid,
-                        pid,
-                        true,
-                        &mut tracker,
-                    )?;
-                }
-            }
+            p.append_version(
+                &mut self.db,
+                &handle.cvd,
+                result.vid,
+                pid,
+                fresh,
+                &mut tracker,
+            )?;
         }
-        // Cleanup: remove the staging table (§3.3.1).
-        self.db.drop_table(table)?;
-        self.staging.remove(table);
-        // Durability point: once the version graph and data tables hold
-        // the new version, checkpoint so a crash cannot lose it. On an
-        // in-memory instance this is a no-op; under group commit the
-        // server issues one checkpoint per batch instead.
-        if self.auto_checkpoint {
-            self.checkpoint()?;
-        }
+        metadata::sync(&mut self.db, &handle.cvd, self.clock)?;
+        Ok(result)
+    }
+
+    /// The end of every commit: the staging entry goes, and once the
+    /// tables hold the new version a durability point makes sure a crash
+    /// cannot lose it. On an in-memory instance that is a no-op; under
+    /// group commit the server issues one per batch instead.
+    fn end_commit(&mut self, staged: &str, start: Instant) -> Result<()> {
+        self.staging.remove(staged);
+        self.durability_point()?;
         self.db
             .metrics()
             .observe_duration("orpheus.commit.latency_us", start.elapsed());
-        Ok(result)
+        Ok(())
     }
 
     /// `checkout … -f file.csv`: materialize into CSV text instead of a
@@ -634,37 +635,10 @@ impl OrpheusDb {
         let _span = self.db.recorder().enter("orpheus.commit");
         let start = Instant::now();
         let info = self.authorize(file)?.clone();
-        let author = self.whoami()?.to_owned();
         let schema = parse_schema_spec(schema_spec)?;
         let rows = from_csv(&schema, csv)?;
-        let handle = self
-            .cvds
-            .get_mut(&info.cvd)
-            .ok_or_else(|| Error::CvdNotFound(info.cvd.clone()))?;
-        let result = if &schema == handle.cvd.schema() {
-            handle.cvd.commit(&info.parents, rows, message, &author)?
-        } else {
-            handle
-                .cvd
-                .commit_with_schema(&info.parents, &schema, rows, message, &author)?
-        };
-        let new_rids: Vec<partition::Rid> = {
-            let total = handle.cvd.num_records();
-            ((total - result.new_records)..total)
-                .map(|i| partition::Rid(i as u64))
-                .collect()
-        };
-        handle.model.apply_commit(
-            &mut self.db,
-            &handle.cvd,
-            result.vid,
-            &new_rids,
-            &mut self.tracker.borrow_mut(),
-        )?;
-        self.staging.remove(file);
-        self.db
-            .metrics()
-            .observe_duration("orpheus.commit.latency_us", start.elapsed());
+        let result = self.apply_commit(&info, &schema, rows, message)?;
+        self.end_commit(file, start)?;
         Ok(result)
     }
 
@@ -828,7 +802,9 @@ impl OrpheusDb {
     /// `execute_as` calls; this makes each call self-contained).
     pub fn execute_as(&mut self, user: &str, line: &str) -> Result<CommandOutput> {
         if !self.users.iter().any(|u| u == user) {
-            self.users.push(user.to_owned());
+            // Nobody was told this user exists: its row waits for the
+            // next durability point rather than forcing one.
+            self.add_user(user)?;
         }
         let prev = self.current_user.replace(user.to_owned());
         let out = self.execute(line);
@@ -1284,6 +1260,17 @@ pub fn parse_schema_spec(spec: &str) -> Result<Schema> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What the reopen tests in `metadata` reach under an instance.
+    impl OrpheusDb {
+        pub(crate) fn database(&mut self) -> &mut Database {
+            &mut self.db
+        }
+
+        pub(crate) fn users(&self) -> &[String] {
+            &self.users
+        }
+    }
 
     fn setup() -> OrpheusDb {
         let mut odb = OrpheusDb::new();
@@ -1864,6 +1851,7 @@ mod tests {
             let events = odb.recorder().journal().snapshot();
             let fsync = events
                 .iter()
+                .rev()
                 .find(|e| e.phase == obs::Phase::End && e.name.as_ref() == "pagestore.wal.fsync")
                 .unwrap_or_else(|| panic!("no fsync event journaled: {events:?}"));
             assert_ne!(fsync.trace_id, 0);

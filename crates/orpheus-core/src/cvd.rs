@@ -231,29 +231,23 @@ impl Cvd {
             .ok_or(Error::VersionNotFound(v.0))
     }
 
-    // -- catalog snapshot support (crate::catalog) --------------------------
-
-    /// All record payloads in rid order, for the durable catalog snapshot.
-    pub(crate) fn records_raw(&self) -> &[Row] {
-        &self.records
-    }
-
-    /// All per-version rid lists in vid order, each ascending — what the
-    /// catalog snapshot stores and what query plans resolve rid sets from.
+    /// All per-version rid lists in vid order, each ascending — what query
+    /// plans resolve rid sets from.
     pub(crate) fn version_records_raw(&self) -> &[Vec<Rid>] {
         &self.version_records
     }
 
-    pub(crate) fn clock_raw(&self) -> u64 {
+    /// The CVD's logical clock (the last commit timestamp handed out).
+    pub(crate) fn clock(&self) -> u64 {
         self.clock
     }
 
-    /// Rebuild a CVD from a decoded catalog snapshot. The version graph is
-    /// derived state: it is regrown here exactly as `init`/`commit` grew
-    /// it, version by version in vid order, with parent-edge weights
-    /// recomputed from the rid intersections.
-    // lint: the nine fields mirror the snapshot layout 1:1; a builder would
-    // hide which parts of a CVD the catalog format carries.
+    /// Rebuild a CVD from what its tables hold ([`crate::metadata`]). The
+    /// version graph is derived state: it is regrown here exactly as
+    /// `init`/`commit` grew it, version by version in vid order, with
+    /// parent-edge weights recomputed from the rid intersections.
+    // lint: the eight parts are the CVD's tables and system row 1:1; a
+    // builder would hide which of them a CVD is made of.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         name: String,
@@ -267,7 +261,7 @@ impl Cvd {
     ) -> Result<Cvd> {
         if metas.len() != version_records.len() {
             return Err(Error::Internal(format!(
-                "catalog snapshot: {} version metas for {} rid lists",
+                "catalog tables: {} version metas for {} rid lists",
                 metas.len(),
                 version_records.len()
             )));
@@ -277,7 +271,21 @@ impl Cvd {
             let rids = &version_records[idx];
             if meta.vid.idx() != idx {
                 return Err(Error::Internal(format!(
-                    "catalog snapshot: meta #{idx} carries vid {}",
+                    "catalog tables: meta #{idx} carries vid {}",
+                    meta.vid
+                )));
+            }
+            // What every reader indexes by without looking: ascending rids
+            // of records that exist, attribute ids of attributes that do.
+            let ascending = rids.windows(2).all(|w| w[0] < w[1]);
+            let rids_exist = rids.last().is_none_or(|r| r.idx() < records.len());
+            let attrs_exist = meta
+                .attributes
+                .iter()
+                .all(|&a| (a as usize) < attributes.len());
+            if !(ascending && rids_exist && attrs_exist) {
+                return Err(Error::Internal(format!(
+                    "catalog tables: version {} lists a record or attribute that does not exist",
                     meta.vid
                 )));
             }
@@ -291,7 +299,7 @@ impl Cvd {
                         .map(|prs| (p, partition::graph::intersect_count(prs, rids)))
                         .ok_or_else(|| {
                             Error::Internal(format!(
-                                "catalog snapshot: version {} lists missing parent {p}",
+                                "catalog tables: version {} lists missing parent {p}",
                                 meta.vid
                             ))
                         })

@@ -13,6 +13,9 @@
 //! * [`cvd`] — the CVD itself: the record manager (rid assignment under the
 //!   no-cross-version-diff rule), the version manager (metadata table,
 //!   version graph), and schema evolution (attribute table, §4.3);
+//! * `metadata` — the catalog as tables beside the data: the metadata and
+//!   attribute tables of each CVD and one small system table, which is
+//!   all a durable instance reads back at open;
 //! * [`models`] — the five physical data models compared in Chapter 4
 //!   (a-table-per-version, combined-table, split-by-vlist, split-by-rlist,
 //!   delta-based), all implementing [`models::VersioningModel`];
@@ -30,10 +33,10 @@
 //!   `diff`, `ls`, `drop`, `optimize`, plus user management and the
 //!   access-controlled staging area (§3.3.1).
 
-mod catalog;
 pub mod commands;
 pub mod cvd;
 pub mod error;
+mod metadata;
 pub mod models;
 pub mod partitioned;
 pub mod plan;

@@ -1,0 +1,847 @@
+//! The catalog as tables: what a durable instance reads back at open.
+//!
+//! OrpheusDB is "bolt-on" because everything it knows about a CVD sits in
+//! ordinary tables of the same database as the data. Beside a CVD's
+//! `{cvd}__sbr_data` `[rid, attrs…]` (its records) and `{cvd}__sbr_vtab`
+//! `[vid, rlist]` (its versions' record lists), which
+//! [`SplitByRlist`] maintains, this module keeps:
+//!
+//! * `{cvd}__meta` — the metadata table of Fig. 4.2a, one row per version;
+//! * `{cvd}__attr` — the attribute table of §4.3, one row per
+//!   (name, type) pair;
+//! * `__orpheus_sys` `[kind, name, clock, pk, nullable]` — one row per
+//!   user, one for the instance clock, and one per CVD with its clock,
+//!   primary-key columns and nullable columns (the data table keeps every
+//!   attribute nullable).
+//!
+//! `init`, `commit` and `drop` write their rows here where they write
+//! their data rows, so one checkpoint makes all of it durable together,
+//! and [`load`] rebuilds every [`Cvd`] by reading. An in-memory instance
+//! keeps the same tables; nothing ever reads them back.
+
+use crate::cvd::{Attribute, Cvd, VersionMeta};
+use crate::error::{Error, Result};
+use crate::models::SplitByRlist;
+use partition::{Rid, Vid};
+use relstore::{Column, DataType, Database, Row, RowId, Schema, Table, Value};
+
+pub(crate) const SYS: &str = "__orpheus_sys";
+
+const USER: &str = "user";
+const CLOCK: &str = "clock";
+const CVD: &str = "cvd";
+
+fn meta_name(cvd: &str) -> String {
+    format!("{cvd}__meta")
+}
+
+fn attr_name(cvd: &str) -> String {
+    format!("{cvd}__attr")
+}
+
+/// The tables that make up CVD `cvd`; every other table but [`SYS`] is
+/// staging or derived state.
+pub(crate) fn tables_of(cvd: &str) -> [String; 4] {
+    let model = SplitByRlist::new(cvd);
+    [
+        model.data_name(),
+        model.vtab_name(),
+        meta_name(cvd),
+        attr_name(cvd),
+    ]
+}
+
+fn ints<T>(items: impl IntoIterator<Item = T>, f: impl Fn(T) -> i64) -> Value {
+    Value::IntArray(items.into_iter().map(f).collect())
+}
+
+/// A catalog table's schema: no column of one is ever NULL.
+fn schema(columns: &[(&str, DataType)]) -> Schema {
+    let column = |&(name, dtype): &(&str, DataType)| Column::new(name, dtype);
+    Schema::new(columns.iter().map(column).collect())
+}
+
+/// The system table, created on first use.
+fn sys(db: &mut Database) -> Result<&mut Table> {
+    use DataType::{Int64, IntArray, Text};
+    if !db.has_table(SYS) {
+        let columns = [
+            ("kind", Text),
+            ("name", Text),
+            ("clock", Int64),
+            ("pk", IntArray),
+            ("nullable", IntArray),
+        ];
+        db.create_table(SYS, schema(&columns))?;
+    }
+    Ok(db.table_mut(SYS)?)
+}
+
+/// Write (insert or replace) the system row `(kind, name)`.
+fn put_sys(db: &mut Database, kind: &str, name: &str, rest: [Value; 3]) -> Result<()> {
+    let table = sys(db)?;
+    let mut row = vec![Value::from(kind), Value::from(name)];
+    row.extend(rest);
+    match sys_row(table, kind, name)? {
+        Some(id) => table.update(id, row)?,
+        None => drop(table.insert(row)?),
+    }
+    Ok(())
+}
+
+fn sys_row(table: &Table, kind: &str, name: &str) -> Result<Option<RowId>> {
+    let is = |v: Option<&Value>, s| v.and_then(Value::as_str) == Some(s);
+    let found = |row: &Row| is(row.first(), kind) && is(row.get(1), name);
+    let mut rows = table.rows()?.into_iter();
+    Ok(rows.find(|(_, row)| found(row)).map(|(id, _)| id))
+}
+
+/// What a system row that is not a CVD's carries: a clock, no columns.
+fn plain(clock: u64) -> [Value; 3] {
+    let none = || Value::IntArray(Vec::new());
+    [Value::Int64(clock as i64), none(), none()]
+}
+
+pub(crate) fn put_user(db: &mut Database, name: &str) -> Result<()> {
+    put_sys(db, USER, name, plain(0))
+}
+
+/// Create the metadata and attribute tables of a new CVD.
+pub(crate) fn create(db: &mut Database, cvd: &str) -> Result<()> {
+    use DataType::{Int64, IntArray, Text};
+    let meta = [
+        ("vid", Int64),
+        ("parents", IntArray),
+        ("checkout_t", Int64),
+        ("commit_t", Int64),
+        ("message", Text),
+        ("author", Text),
+        ("attributes", IntArray),
+    ];
+    db.create_table(meta_name(cvd), schema(&meta))?;
+    let attr = [("id", Int64), ("name", Text), ("dtype", Text)];
+    db.create_table(attr_name(cvd), schema(&attr))?;
+    Ok(())
+}
+
+/// Bring `cvd`'s catalog rows level with it after `init` or a commit:
+/// versions and attributes only ever grow, so the rows past what each
+/// table holds are appended; the CVD's system row and the instance
+/// `clock` are rewritten.
+pub(crate) fn sync(db: &mut Database, cvd: &Cvd, clock: u64) -> Result<()> {
+    let metas = db.table_mut(&meta_name(cvd.name()))?;
+    for m in cvd.metas().iter().skip(metas.live_row_count()) {
+        metas.insert(vec![
+            Value::Int64(i64::from(m.vid.0)),
+            ints(&m.parents, |p| i64::from(p.0)),
+            Value::Int64(m.checkout_t as i64),
+            Value::Int64(m.commit_t as i64),
+            Value::Text(m.message.clone()),
+            Value::Text(m.author.clone()),
+            ints(&m.attributes, |&a| i64::from(a)),
+        ])?;
+    }
+    let attrs = db.table_mut(&attr_name(cvd.name()))?;
+    for a in cvd.attributes().iter().skip(attrs.live_row_count()) {
+        attrs.insert(vec![
+            Value::Int64(i64::from(a.id)),
+            Value::Text(a.name.clone()),
+            Value::from(a.dtype.name()),
+        ])?;
+    }
+    let columns = cvd.schema().columns().iter().enumerate();
+    let nullable = columns.filter(|(_, c)| c.nullable).map(|(i, _)| i);
+    let row = [
+        Value::Int64(cvd.clock() as i64),
+        ints(cvd.pk_cols()?, |c| c as i64),
+        ints(nullable, |c| c as i64),
+    ];
+    put_sys(db, CVD, cvd.name(), row)?;
+    put_sys(db, CLOCK, "", plain(clock))
+}
+
+/// Remove everything `cvd` owns: its four tables and its system row.
+pub(crate) fn drop_cvd(db: &mut Database, cvd: &str) -> Result<()> {
+    for table in tables_of(cvd) {
+        db.drop_table(&table)?;
+    }
+    let table = sys(db)?;
+    match sys_row(table, CVD, cvd)? {
+        Some(id) => Ok(table.delete(id)?),
+        None => Ok(()),
+    }
+}
+
+/// What [`load`] found: users, the instance clock, every CVD.
+pub(crate) type Catalog = (Vec<String>, u64, Vec<Cvd>);
+
+/// Rebuild the catalog from the tables of a just-opened database.
+pub(crate) fn load(db: &Database) -> Result<Catalog> {
+    let (mut users, mut clock, mut cvds) = (Vec::new(), 0, Vec::new());
+    if !db.has_table(SYS) {
+        return Ok((users, clock, cvds));
+    }
+    for (_, row) in db.table(SYS)?.rows()? {
+        use Value::{Int64, IntArray, Text};
+        match row.as_slice() {
+            [Text(kind), Text(name), ..] if kind == USER => users.push(name.clone()),
+            [Text(kind), _, Int64(t), ..] if kind == CLOCK => clock = nat(*t)?,
+            [Text(kind), Text(name), Int64(t), IntArray(pk), IntArray(nullable)] if kind == CVD => {
+                cvds.push(load_cvd(db, name, nat(*t)?, &nats(pk)?, &nats(nullable)?)?)
+            }
+            _ => return Err(corrupt("system row")),
+        }
+    }
+    Ok((users, clock, cvds))
+}
+
+/// A stored value of the wrong shape is a corrupt catalog, not a panic.
+fn corrupt(what: &str) -> Error {
+    Error::Internal(format!("catalog tables: malformed {what}"))
+}
+
+fn nat<T: TryFrom<i64>>(x: i64) -> Result<T> {
+    T::try_from(x).map_err(|_| corrupt("number"))
+}
+
+fn nats<T: TryFrom<i64>>(items: &[i64]) -> Result<Vec<T>> {
+    items.iter().map(|&x| nat(x)).collect()
+}
+
+/// `table`'s rows in the order of their first column, which must number
+/// them `0..n`.
+fn numbered(table: &Table, what: &str) -> Result<Vec<Row>> {
+    let mut rows: Vec<Row> = table.rows()?.into_iter().map(|(_, row)| row).collect();
+    let number = |row: &Row| row.first().and_then(Value::as_i64);
+    rows.sort_by_key(number);
+    let mut numbers = rows.iter().map(number);
+    if numbers.by_ref().eq((0..rows.len() as i64).map(Some)) {
+        Ok(rows)
+    } else {
+        Err(corrupt(what))
+    }
+}
+
+fn load_cvd(
+    db: &Database,
+    name: &str,
+    clock: u64,
+    pk: &[usize],
+    nullable: &[usize],
+) -> Result<Cvd> {
+    use Value::{Int64, IntArray, Text};
+    let [data, vtab, meta, attr] = tables_of(name);
+    let data = db.table(&data)?;
+    let columns = data.schema().columns().iter().skip(1).enumerate();
+    let columns: Vec<Column> = columns
+        .map(|(i, c)| Column {
+            nullable: nullable.contains(&i),
+            ..c.clone()
+        })
+        .collect();
+    let pk_names = pk
+        .iter()
+        .map(|&c| columns.get(c).map(|col| col.name.clone()))
+        .collect::<Option<Vec<String>>>()
+        .ok_or_else(|| corrupt("primary key"))?;
+    // `numbered` saw a first column — the rid — in every row.
+    let records = numbered(data, "record")?.into_iter().map(|mut row| {
+        row.remove(0);
+        row
+    });
+    let mut version_records = Vec::new();
+    for row in numbered(db.table(&vtab)?, "rlist")? {
+        let [_, IntArray(rlist)] = row.as_slice() else {
+            return Err(corrupt("rlist"));
+        };
+        version_records.push(nats::<u64>(rlist)?.into_iter().map(Rid).collect());
+    }
+    let mut metas = Vec::new();
+    for row in numbered(db.table(&meta)?, "version")? {
+        let [Int64(vid), IntArray(parents), Int64(checkout_t), Int64(commit_t), Text(message), Text(author), IntArray(attributes)] =
+            row.as_slice()
+        else {
+            return Err(corrupt("version"));
+        };
+        metas.push(VersionMeta {
+            vid: Vid(nat(*vid)?),
+            parents: nats::<u32>(parents)?.into_iter().map(Vid).collect(),
+            checkout_t: nat(*checkout_t)?,
+            commit_t: nat(*commit_t)?,
+            message: message.clone(),
+            author: author.clone(),
+            attributes: nats(attributes)?,
+        });
+    }
+    let mut attributes = Vec::new();
+    for row in numbered(db.table(&attr)?, "attribute")? {
+        let [Int64(id), Text(name), Text(dtype)] = row.as_slice() else {
+            return Err(corrupt("attribute"));
+        };
+        attributes.push(Attribute {
+            id: nat(*id)?,
+            name: name.clone(),
+            dtype: DataType::from_name(dtype).ok_or_else(|| corrupt("attribute type"))?,
+        });
+    }
+    Cvd::from_parts(
+        name.to_owned(),
+        Schema::new(columns),
+        pk_names,
+        records.collect(),
+        version_records,
+        metas,
+        attributes,
+        clock,
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::commands::OrpheusDb;
+    use crate::plan::tests::{load_corpus, QUERY_CORPUS};
+    use crate::query::QueryResult;
+    use pagestore::{FaultKind, FaultPager, FaultPlan, FaultWal, FilePager, FileWalStore, Wal};
+    use proptest::prelude::*;
+    use relstore::codec::PageFormatKind;
+    use relstore::BufferPool;
+    use std::path::{Path, PathBuf};
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("orpheus-meta-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn open(dir: &Path, pool_pages: usize) -> OrpheusDb {
+        let mut odb = OrpheusDb::open_durable(dir, pool_pages).unwrap().0;
+        odb.login("alice").ok();
+        odb
+    }
+
+    fn copy_dir(from: &Path, to: &Path) {
+        let _ = std::fs::remove_dir_all(to);
+        std::fs::create_dir_all(to).unwrap();
+        for entry in std::fs::read_dir(from).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+        }
+    }
+
+    fn pages_len(dir: &Path) -> u64 {
+        std::fs::metadata(dir.join("pages.db")).unwrap().len()
+    }
+
+    /// Everything a client can see of an instance: the users and, per
+    /// CVD, its log, schema, keys, attribute and metadata tables, clock,
+    /// and every version's rows — from the CVD and through the tables.
+    fn visible(odb: &OrpheusDb) -> Vec<String> {
+        let mut seen = vec![format!("{:?}", odb.users())];
+        for name in odb.list_cvds() {
+            let cvd = odb.cvd(&name).unwrap();
+            seen.push(odb.log(&name).unwrap());
+            seen.push(format!(
+                "{:?} {:?} {:?} {:?} {}",
+                cvd.schema().columns(),
+                cvd.pk_names(),
+                cvd.attributes(),
+                cvd.metas(),
+                cvd.clock()
+            ));
+            for v in cvd.graph().versions() {
+                seen.push(format!("{v} {:?}", cvd.checkout_rows(&[v]).unwrap()));
+                seen.push(format!("{:?}", odb.checkout_rows_fast(&name, v).unwrap().0));
+            }
+        }
+        seen
+    }
+
+    /// One action of a generated history on CVD `h` (and its sibling `side`).
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Check `parent` out, delete / update / insert rows, commit.
+        Edit {
+            parent: usize,
+            delete: usize,
+            update: usize,
+            inserts: usize,
+        },
+        /// Check two versions out together — the first wins a shared
+        /// primary key — and commit the merge.
+        Merge(usize, usize),
+        /// Commit `parent` through CSV under a changed schema: `x` widened
+        /// to decimal, or a new column.
+        Evolve { parent: usize, widen: bool },
+        /// Drop `side`, or `init` it again.
+        ToggleSide,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let n = || any::<usize>();
+        prop_oneof![
+            (n(), n(), n(), 0..4usize).prop_map(|(parent, delete, update, inserts)| Step::Edit {
+                parent,
+                delete,
+                update,
+                inserts
+            }),
+            (n(), n(), n(), 0..4usize).prop_map(|(parent, delete, update, inserts)| Step::Edit {
+                parent,
+                delete,
+                update,
+                inserts
+            }),
+            (n(), n()).prop_map(|(a, b)| Step::Merge(a, b)),
+            (n(), any::<bool>()).prop_map(|(parent, widen)| Step::Evolve { parent, widen }),
+            Just(Step::ToggleSide),
+        ]
+    }
+
+    fn base_schema() -> Schema {
+        Schema::new(vec![
+            Column::new("k", DataType::Int64),
+            Column::nullable("x", DataType::Int64),
+            Column::nullable("note", DataType::Text),
+        ])
+    }
+
+    fn base_rows(n: i64) -> Vec<Row> {
+        (0..n)
+            .map(|k| vec![Value::Int64(k), Value::Int64(k * 3), Value::from("seed")])
+            .collect()
+    }
+
+    /// A value of `column`'s type derived from `n`.
+    fn value_for(column: &Column, n: i64) -> Value {
+        match column.dtype {
+            DataType::Int64 => Value::Int64(n),
+            DataType::Float64 => Value::Float64(n as f64 + 0.5),
+            DataType::Text => Value::Text(format!("note {}", n % 5)),
+            _ => Value::Null,
+        }
+    }
+
+    /// Apply `step`; `serial` numbers the steps of one history so keys,
+    /// table and column names never repeat.
+    fn apply(odb: &mut OrpheusDb, step: &Step, serial: usize) {
+        let versions = odb.cvd("h").unwrap().num_versions();
+        let pick = |i: usize| Vid((i % versions) as u32);
+        match *step {
+            Step::Edit {
+                parent,
+                delete,
+                update,
+                inserts,
+            } => {
+                odb.checkout("h", &[pick(parent)], "w").unwrap();
+                let t = odb.staging_table_mut("w").unwrap();
+                let columns = t.schema().columns().to_vec();
+                let rows = t.rows().unwrap();
+                if let Some((id, _)) = rows.get(delete % rows.len().max(1)) {
+                    t.delete(*id).unwrap();
+                }
+                if let Some((id, row)) = rows.get(update % rows.len().max(1)) {
+                    let mut row = row.clone();
+                    row[1] = value_for(&columns[1], serial as i64);
+                    // The row deleted above may be the one picked here.
+                    t.update(*id, row).ok();
+                }
+                for i in 0..inserts {
+                    let key = 1_000 + (serial * 10 + i) as i64;
+                    let mut row: Row = columns.iter().map(|c| value_for(c, key)).collect();
+                    row[0] = Value::Int64(key);
+                    t.insert(row).unwrap();
+                }
+                odb.commit("w", &format!("edit {serial}")).unwrap();
+            }
+            Step::Merge(a, b) => {
+                odb.checkout("h", &[pick(a), pick(b)], "m").unwrap();
+                odb.commit("m", &format!("merge {serial}")).unwrap();
+            }
+            Step::Evolve { parent, widen } => {
+                let file = format!("e{serial}.csv");
+                let csv = odb.checkout_csv("h", &[pick(parent)], &file).unwrap();
+                let mut columns = odb.cvd("h").unwrap().schema().columns().to_vec();
+                let mut lines: Vec<String> = csv.lines().map(str::to_owned).collect();
+                if widen {
+                    columns[1].dtype = DataType::Float64;
+                } else {
+                    columns.push(Column::nullable(format!("c{serial}"), DataType::Int64));
+                    lines[0].push_str(&format!(",c{serial}"));
+                    for (i, line) in lines.iter_mut().enumerate().skip(1) {
+                        line.push_str(&format!(",{}", serial * 100 + i));
+                    }
+                }
+                let spec: Vec<String> = columns
+                    .iter()
+                    .map(|c| match c.dtype {
+                        DataType::Int64 => format!("{}:int", c.name),
+                        DataType::Float64 => format!("{}:float", c.name),
+                        _ => format!("{}:text", c.name),
+                    })
+                    .collect();
+                let csv = lines.join("\n") + "\n";
+                odb.commit_csv(&file, &csv, &spec.join(","), "evolve")
+                    .unwrap();
+            }
+            Step::ToggleSide => {
+                if odb.cvd("side").is_ok() {
+                    odb.drop_cvd("side").unwrap();
+                } else {
+                    odb.init_cvd("side", base_schema(), vec![], base_rows(4))
+                        .unwrap();
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Was `snapshot_roundtrips_bit_for_bit`: whatever history ran, a
+        /// reopened instance shows what the live one shows, goes on from
+        /// there exactly as the live one does, and opening wrote nothing.
+        #[test]
+        fn a_reopened_instance_is_the_instance_that_was_closed(
+            steps in prop::collection::vec(step(), 1..9),
+            next in step(),
+            delta in any::<bool>(),
+        ) {
+            let dir = scratch("history");
+            let mut live = open(&dir, 1024);
+            if delta {
+                live.database().set_default_format(PageFormatKind::Delta);
+            }
+            live.create_user("alice").unwrap();
+            live.login("alice").unwrap();
+            live.init_cvd("h", base_schema(), vec!["k".into()], base_rows(12)).unwrap();
+            live.init_cvd("side", base_schema(), vec![], base_rows(4)).unwrap();
+            for (serial, step) in steps.iter().enumerate() {
+                apply(&mut live, step, serial);
+            }
+            let copy = scratch("history-copy");
+            copy_dir(&dir, &copy);
+            let len = pages_len(&copy);
+            let mut reopened = open(&copy, 1024);
+            prop_assert_eq!(visible(&reopened), visible(&live));
+            prop_assert_eq!(reopened.database().io_stats().pages_written(), 0);
+            reopened.checkpoint().unwrap();
+            prop_assert_eq!(reopened.database().io_stats().flushed_writes, 0);
+            apply(&mut live, &next, steps.len());
+            apply(&mut reopened, &next, steps.len());
+            prop_assert_eq!(visible(&reopened), visible(&live));
+            // Open, close, open: the page file keeps its length.
+            drop(reopened);
+            copy_dir(&dir, &copy);
+            prop_assert!(pages_len(&copy) >= len);
+            let len = pages_len(&copy);
+            drop(open(&copy, 1024));
+            drop(open(&copy, 1024));
+            prop_assert_eq!(pages_len(&copy), len);
+            drop(live);
+            std::fs::remove_dir_all(&dir).unwrap();
+            std::fs::remove_dir_all(&copy).unwrap();
+        }
+    }
+
+    fn corpus_answers(odb: &OrpheusDb) -> Vec<QueryResult> {
+        QUERY_CORPUS.iter().map(|q| odb.run(q).unwrap()).collect()
+    }
+
+    #[test]
+    fn query_corpus_answers_survive_a_reopen_in_both_formats() {
+        for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
+            let dir = scratch("corpus");
+            let mut odb = open(&dir, 2048);
+            odb.database().set_default_format(kind);
+            odb.set_auto_checkpoint(false);
+            load_corpus(&mut odb);
+            odb.checkpoint().unwrap();
+            let before = corpus_answers(&odb);
+            drop(odb);
+            let mut odb = open(&dir, 2048);
+            assert_eq!(corpus_answers(&odb), before, "{kind:?}");
+            let data = odb.database().table("T__sbr_data").unwrap();
+            assert_eq!(data.format_kind(), kind);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Was `corrupt_snapshots_fail_with_typed_errors`: flip every third
+    /// bit (each open costs a log fsync) of one stored tuple of each
+    /// catalog table in the page file. Opening answers with an instance
+    /// or a typed error — it never panics — and most flips are caught.
+    #[test]
+    fn bit_flipped_catalog_tuples_are_typed_errors() {
+        let dir = scratch("flips");
+        let mut odb = open(&dir, 256);
+        odb.create_user("alice").unwrap();
+        odb.login("alice").unwrap();
+        odb.init_cvd("d", base_schema(), vec!["k".into()], base_rows(6))
+            .unwrap();
+        apply_edit(&mut odb, "d");
+        let mut targets = Vec::new();
+        for table in [SYS, "d__meta", "d__attr", "d__sbr_vtab", "d__sbr_data"] {
+            let (id, row) = odb
+                .database()
+                .table(table)
+                .unwrap()
+                .rows()
+                .unwrap()
+                .pop()
+                .unwrap();
+            targets.push(relstore::codec::encode_row(id, &row));
+        }
+        drop(odb);
+        let file = std::fs::read(dir.join("pages.db")).unwrap();
+        let damaged = scratch("flips-damaged");
+        copy_dir(&dir, &damaged);
+        let (mut caught, mut flips) = (0, 0);
+        for tuple in &targets {
+            let at = file
+                .windows(tuple.len())
+                .position(|w| w == tuple.as_slice())
+                .expect("the stored tuple is in the page file");
+            for bit in (0..tuple.len() * 8).step_by(3) {
+                let mut bytes = file.clone();
+                bytes[at + bit / 8] ^= 1 << (bit % 8);
+                std::fs::write(damaged.join("pages.db"), &bytes).unwrap();
+                flips += 1;
+                match OrpheusDb::open_durable(&damaged, 16) {
+                    Ok((odb, _)) => drop(visible(&odb)),
+                    Err(Error::Internal(_) | Error::Storage(_)) => caught += 1,
+                    Err(other) => panic!("untyped failure: {other:?}"),
+                }
+            }
+        }
+        assert!(caught * 4 > flips, "{caught} of {flips} flips caught");
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&damaged).unwrap();
+    }
+
+    /// Check the latest version of `cvd` out, add two rows, commit.
+    fn apply_edit(odb: &mut OrpheusDb, cvd: &str) -> Vid {
+        let latest = odb.cvd(cvd).unwrap().latest_version();
+        let serial = latest.0 as i64 + 1;
+        odb.checkout(cvd, &[latest], "w").unwrap();
+        let t = odb.staging_table_mut("w").unwrap();
+        for i in 0..2 {
+            let key = 10_000 + serial * 10 + i;
+            t.insert(vec![Value::Int64(key), Value::Int64(i), Value::from("new")])
+                .unwrap();
+        }
+        odb.commit("w", "edit").unwrap().vid
+    }
+
+    /// The roadmap's reopen leg: at the parent this failed with "all 64
+    /// buffer frames are pinned", because opening re-inserted every record
+    /// into dirty pages a WAL-attached pool may not evict.
+    #[test]
+    fn a_cvd_larger_than_the_pool_reopens_and_answers() {
+        let dir = scratch("small-pool");
+        let wide = |k: i64| {
+            vec![
+                Value::Int64(k),
+                Value::Int64(k % 97),
+                Value::Text(format!("{k}-{}", "p".repeat(400))),
+            ]
+        };
+        {
+            let mut odb = open(&dir, 4096);
+            odb.create_user("alice").unwrap();
+            odb.login("alice").unwrap();
+            odb.set_auto_checkpoint(false);
+            odb.init_cvd(
+                "big",
+                base_schema(),
+                vec!["k".into()],
+                (0..40).map(wide).collect(),
+            )
+            .unwrap();
+            for child in 1..=40i64 {
+                odb.checkout("big", &[Vid(0)], "w").unwrap();
+                let t = odb.staging_table_mut("w").unwrap();
+                for k in child * 1_000..child * 1_000 + 160 {
+                    t.insert(wide(k)).unwrap();
+                }
+                odb.commit("w", "fork").unwrap();
+            }
+            odb.checkpoint().unwrap();
+            let pages = odb
+                .database()
+                .table("big__sbr_data")
+                .unwrap()
+                .num_heap_pages();
+            assert!(pages >= 300, "data table has {pages} pages");
+        }
+        let mut odb = open(&dir, 64);
+        let select = odb
+            .run("SELECT * FROM VERSION 17 OF CVD big WHERE x > 90")
+            .unwrap();
+        let expected: Vec<Row> = (0..40)
+            .chain(17_000..17_160)
+            .filter(|k| k % 97 > 90)
+            .map(wide)
+            .collect();
+        // Every answer row is its record id, then the record.
+        let answered: Vec<&[Value]> = select.rows.iter().map(|r| &r[1..]).collect();
+        assert_eq!(answered.len(), expected.len());
+        assert!(expected
+            .iter()
+            .all(|row| answered.contains(&row.as_slice())));
+        odb.checkout("big", &[Vid(40)], "w").unwrap();
+        assert_eq!(odb.staging_table("w").unwrap().live_row_count(), 200);
+        let t = odb.staging_table_mut("w").unwrap();
+        t.insert(wide(99_999)).unwrap();
+        assert_eq!(odb.commit("w", "after").unwrap().vid, Vid(41));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Regression: a dropped staging table's pages stayed allocated and
+    /// dirty — every cycle grew the page file by a staging table and
+    /// logged it once more.
+    #[test]
+    fn write_cycles_reuse_their_staging_pages() {
+        let dir = scratch("cycles");
+        let mut odb = open(&dir, 2048);
+        // Delta packs an rlist into a thirtieth of its staging table, so
+        // 200 commits' own growth is a few staging tables' worth of pages
+        // and a leaked staging table per cycle stands out.
+        odb.database().set_default_format(PageFormatKind::Delta);
+        odb.create_user("alice").unwrap();
+        odb.login("alice").unwrap();
+        let rows = (0..1_000)
+            .map(|k| {
+                vec![
+                    Value::Int64(k),
+                    Value::Null,
+                    Value::Text(format!("{k:060}")),
+                ]
+            })
+            .collect();
+        odb.init_cvd("c", base_schema(), vec!["k".into()], rows)
+            .unwrap();
+        let staging_pages = {
+            odb.checkout("c", &[Vid(0)], "probe").unwrap();
+            let pages = odb.staging_table("probe").unwrap().num_heap_pages();
+            odb.commit("probe", "probe").unwrap();
+            pages as u32
+        };
+        assert!(staging_pages >= 6);
+        let cycle = |odb: &mut OrpheusDb, table: &str, serial: i64| {
+            odb.checkout("c", &[Vid(0)], table).unwrap();
+            let t = odb.staging_table_mut(table).unwrap();
+            for i in 0..10 {
+                t.insert(vec![
+                    Value::Int64(100_000 + serial * 10 + i),
+                    Value::Null,
+                    Value::Null,
+                ])
+                .unwrap();
+            }
+        };
+        cycle(&mut odb, "w", 0);
+        odb.commit("w", "first").unwrap();
+        let after_first = odb.database().pool().num_pages();
+        for serial in 1..200 {
+            cycle(&mut odb, "w", serial);
+            odb.commit("w", "again").unwrap();
+        }
+        let grown = odb.database().pool().num_pages() - after_first;
+        assert!(grown < 12 * staging_pages, "{grown} pages in 199 cycles");
+
+        // A server batch: two sessions' cycles, one checkpoint.
+        odb.set_auto_checkpoint(false);
+        cycle(&mut odb, "a", 200);
+        cycle(&mut odb, "b", 201);
+        let before = odb.database().io_stats();
+        odb.commit("a", "batch").unwrap();
+        odb.commit("b", "batch").unwrap();
+        odb.checkpoint().unwrap();
+        let flushed = odb.database().io_stats().since(&before).flushed_writes;
+        assert!(
+            flushed < 2 * 12,
+            "{flushed} pages flushed by a 2-commit batch"
+        );
+
+        // The live free list is exactly what reachability finds at open.
+        let pool = odb.database().pool();
+        let (pages, free) = (pool.num_pages(), pool.free_pages());
+        drop(odb);
+        let mut odb = open(&dir, 2048);
+        let pool = odb.database().pool();
+        assert_eq!((pool.num_pages(), pool.free_pages()), (pages, free));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store whose pager and log fail on the schedule of `plan`.
+    fn open_faulty(dir: &Path, plan: &FaultPlan) -> OrpheusDb {
+        std::fs::create_dir_all(dir).unwrap();
+        let pager = FilePager::open_recoverable(dir.join("pages.db")).unwrap();
+        let log = FileWalStore::open(dir.join("wal.log")).unwrap();
+        let pool = BufferPool::with_wal(
+            Box::new(FaultPager::new(Box::new(pager), plan.clone())),
+            Wal::new(Box::new(FaultWal::new(Box::new(log), plan.clone()))),
+            256,
+        );
+        OrpheusDb::open_pool(pool).unwrap()
+    }
+
+    /// Durable history every fault must leave alone: `d` at v0 and v1.
+    fn committed_prefix(odb: &mut OrpheusDb) {
+        odb.create_user("alice").unwrap();
+        odb.login("alice").unwrap();
+        odb.init_cvd("d", base_schema(), vec!["k".into()], base_rows(300))
+            .unwrap();
+        apply_edit(odb, "d");
+    }
+
+    /// Was `write_and_read_are_atomic_per_directory`: a fault at every
+    /// I/O of a commit (its checkout and inserts included). After the
+    /// crash the commit is there whole — log entry, rlist, records — or
+    /// not at all, and what was committed before is untouched.
+    #[test]
+    fn a_commit_is_atomic_under_a_fault_at_every_io() {
+        let probe = scratch("commit-probe");
+        let plan = FaultPlan::unarmed();
+        let mut odb = open_faulty(&probe, &plan);
+        committed_prefix(&mut odb);
+        let before = visible(&odb);
+        let start = plan.ops();
+        apply_edit(&mut odb, "d");
+        let ops = plan.ops() - start;
+        let after = visible(&odb);
+        drop(odb);
+        assert!(ops >= 10, "a commit is more than {ops} I/Os");
+        let (mut kept, mut lost) = (0, 0);
+        for kind in [FaultKind::CrashStop, FaultKind::ShortWrite] {
+            for nth in 1..=ops {
+                let dir = scratch("commit-fault");
+                let plan = FaultPlan::unarmed();
+                let mut odb = open_faulty(&dir, &plan);
+                committed_prefix(&mut odb);
+                plan.arm(nth, kind);
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    apply_edit(&mut odb, "d")
+                }));
+                assert!(plan.fired(), "{kind:?} {nth}: never reached");
+                drop(odb);
+                let seen = visible(&open(&dir, 256));
+                if seen == after {
+                    kept += 1;
+                } else {
+                    assert_eq!(seen, before, "{kind:?} at I/O {nth}: half a commit");
+                    assert!(
+                        outcome.is_err(),
+                        "{kind:?} at I/O {nth}: acknowledged, then lost"
+                    );
+                    lost += 1;
+                }
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+        assert!(kept > 0 && lost > 0, "{kept} kept, {lost} lost");
+        std::fs::remove_dir_all(&probe).unwrap();
+    }
+}

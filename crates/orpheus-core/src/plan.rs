@@ -472,6 +472,12 @@ pub(crate) mod tests {
     /// small share of a multi-page data table.
     pub(crate) fn corpus_db() -> OrpheusDb {
         let mut odb = OrpheusDb::new();
+        load_corpus(&mut odb);
+        odb
+    }
+
+    /// Load the corpus CVDs into `odb`.
+    pub(crate) fn load_corpus(odb: &mut OrpheusDb) {
         odb.create_user("alice").unwrap();
         odb.login("alice").unwrap();
         let schema = Schema::new(vec![
@@ -538,11 +544,10 @@ pub(crate) mod tests {
             odb.commit_csv(&file, &csv, "k:int,pad:text", "fork")
                 .unwrap();
         }
-        odb
     }
 
     /// Every query form the parser accepts, over both corpus CVDs.
-    const QUERY_CORPUS: &[&str] = &[
+    pub(crate) const QUERY_CORPUS: &[&str] = &[
         // SELECT: one version, several, text and numeric predicates, LIMIT.
         "SELECT * FROM VERSION 0 OF CVD T",
         "SELECT * FROM VERSION 1, 2 OF CVD T",

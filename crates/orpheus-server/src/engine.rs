@@ -111,7 +111,8 @@ enum EngineMsg {
         trace: u64,
         reply: Reply,
     },
-    /// A commit; drained into a group-commit batch.
+    /// A commit, or another durable write (`init`, `drop`,
+    /// `create_user`); drained into a group-commit batch.
     Commit {
         session: u64,
         user: String,
@@ -188,7 +189,8 @@ impl EngineHandle {
         rx.recv().unwrap_or_else(|_| Err(engine_down()))
     }
 
-    /// Submit a commit through the bounded admission queue. Rejected with
+    /// Submit a commit — or any other command whose reply must follow a
+    /// durability point — through the bounded admission queue. Rejected with
     /// [`code::BACKPRESSURE`] — without blocking and without queueing —
     /// when `admission_capacity` commits are already waiting.
     // lint:allow(L012): traced engine-side in run_one via enter_with, re-attached to `trace` across the group-commit channel
@@ -550,6 +552,8 @@ fn group_commit(
             .attribute(job.trace, "pagestore.wal.fsync.shared", ckpt_elapsed);
     }
     let n = batch.len() as u64;
+    let commits = batch.iter().filter(|job| job.line.starts_with("commit"));
+    let commits = commits.count() as u64;
     for (job, result) in batch.into_iter().zip(results) {
         let result = match (&ckpt, result) {
             // A failed checkpoint means none of the batch is durable:
@@ -562,7 +566,7 @@ fn group_commit(
         };
         drop(job.reply.send(result));
     }
-    registry.counter_add("orpheus.server.commits_total", n);
+    registry.counter_add("orpheus.server.commits_total", commits);
     registry.counter_add("orpheus.server.group_commit.batches", 1);
     registry.observe("orpheus.server.group_commit.batch_size", n);
     shutdown
@@ -643,5 +647,147 @@ mod tests {
             t.join().unwrap();
         }
         svc.shutdown().unwrap();
+    }
+
+    /// A fault at every I/O of a two-commit batch — the sessions'
+    /// checkouts and inserts, both applies, the one checkpoint. After the
+    /// crash the batch is visible whole or not at all, and a commit that
+    /// was acknowledged is never among the lost.
+    #[test]
+    fn a_batch_has_exactly_one_visibility_point() {
+        use pagestore::{FaultKind, FaultPager, FaultPlan, FaultWal, FilePager, FileWalStore, Wal};
+
+        fn scratch(tag: &str) -> PathBuf {
+            let dir =
+                std::env::temp_dir().join(format!("orpheus-batch-{tag}-{}", std::process::id()));
+            drop(std::fs::remove_dir_all(&dir));
+            std::fs::create_dir_all(&dir).unwrap();
+            dir
+        }
+        fn open_faulty(dir: &std::path::Path, plan: &FaultPlan) -> OrpheusDb {
+            let pager = FilePager::open_recoverable(dir.join("pages.db")).unwrap();
+            let log = FileWalStore::open(dir.join("wal.log")).unwrap();
+            let pool = relstore::BufferPool::with_wal(
+                Box::new(FaultPager::new(Box::new(pager), plan.clone())),
+                Wal::new(Box::new(FaultWal::new(Box::new(log), plan.clone()))),
+                256,
+            );
+            let mut db = OrpheusDb::open_pool(pool).unwrap();
+            db.set_auto_checkpoint(false);
+            db
+        }
+        // The durable history before the batch: `d` at v0, checkpointed.
+        fn prefix(db: &mut OrpheusDb, dir: &std::path::Path) {
+            let csv = dir.join("seed.csv");
+            let rows: String = (0..200).map(|k| format!("{k},{}\n", k * 2)).collect();
+            std::fs::write(&csv, format!("k,x\n{rows}")).unwrap();
+            let init = format!("init d -f {} -s k:int,x:int -k k", csv.display());
+            db.execute_as("a", &init).unwrap();
+            db.checkpoint().unwrap();
+        }
+        // Two sessions stage their work, then their commits meet in one
+        // batch. Returns the two replies.
+        fn batch(db: &mut OrpheusDb) -> Vec<Result<CommandOutput, EngineError>> {
+            for (user, table, key) in [("a", "wa", 1_000), ("b", "wb", 2_000)] {
+                for line in [
+                    format!("checkout d -v 0 -t {table}"),
+                    format!("insert {table} {key},1"),
+                ] {
+                    drop(db.execute_as(user, &line));
+                }
+            }
+            let (tx, rx) = mpsc::channel();
+            let (first_tx, first_rx) = mpsc::channel();
+            let (second_tx, second_rx) = mpsc::channel();
+            let job = |user: &str, table: &str, reply| CommitJob {
+                session: 1,
+                user: user.into(),
+                line: format!("commit -t {table} -m batch"),
+                trace: 0,
+                reply,
+            };
+            let CommitJob {
+                session,
+                user,
+                line,
+                trace,
+                reply,
+            } = job("b", "wb", second_tx);
+            tx.send(EngineMsg::Commit {
+                session,
+                user,
+                line,
+                trace,
+                reply,
+            })
+            .unwrap();
+            let cfg = EngineConfig {
+                linger: Duration::from_millis(20),
+                max_batch: 2,
+                ..EngineConfig::default()
+            };
+            let queued = AtomicUsize::new(2);
+            group_commit(
+                db,
+                job("a", "wa", first_tx),
+                &rx,
+                &cfg,
+                &queued,
+                &Registry::new(),
+            );
+            vec![first_rx.recv().unwrap(), second_rx.recv().unwrap()]
+        }
+        fn visible(db: &OrpheusDb) -> String {
+            let cvd = db.cvd("d").unwrap();
+            let mut seen = format!("{} records\n{}", cvd.num_records(), db.log("d").unwrap());
+            for v in 0..cvd.num_versions() {
+                let rows = db.run(&format!("SELECT * FROM VERSION {v} OF CVD d"));
+                seen.push_str(&format!("{:?}\n", rows.unwrap().rows));
+            }
+            seen
+        }
+        fn reopened(dir: &std::path::Path) -> String {
+            visible(&OrpheusDb::open_durable(dir, 256).unwrap().0)
+        }
+
+        let probe = scratch("probe");
+        let plan = FaultPlan::unarmed();
+        let mut db = open_faulty(&probe, &plan);
+        prefix(&mut db, &probe);
+        let before = visible(&db);
+        let start = plan.ops();
+        assert!(batch(&mut db).iter().all(Result::is_ok));
+        let ops = plan.ops() - start;
+        let after = visible(&db);
+        drop(db);
+        assert_eq!(reopened(&probe), after);
+
+        let (mut kept, mut lost) = (0, 0);
+        for kind in [FaultKind::CrashStop, FaultKind::ShortWrite] {
+            for nth in 1..=ops {
+                let dir = scratch("fault");
+                let plan = FaultPlan::unarmed();
+                let mut db = open_faulty(&dir, &plan);
+                prefix(&mut db, &dir);
+                plan.arm(nth, kind);
+                let replies = batch(&mut db);
+                assert!(plan.fired(), "{kind:?} {nth}: never reached");
+                drop(db);
+                let seen = reopened(&dir);
+                if seen == after {
+                    kept += 1;
+                } else {
+                    assert_eq!(seen, before, "{kind:?} at I/O {nth}: part of a batch");
+                    assert!(
+                        replies.iter().all(Result::is_err),
+                        "{kind:?} at I/O {nth}: acknowledged, then lost"
+                    );
+                    lost += 1;
+                }
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+        assert!(kept > 0 && lost > 0, "{kept} kept, {lost} lost");
+        std::fs::remove_dir_all(&probe).unwrap();
     }
 }

@@ -16,8 +16,10 @@
 //!   it in the session. From then on `run SELECT … OF CVD <cvd>` is
 //!   evaluated *on the session thread* against the snapshot — no engine
 //!   round-trip, no lock, and repeatable reads until `unpin`/re-`pin`.
-//! * `commit …` goes through the engine's bounded admission queue and
-//!   the group-commit path.
+//! * `commit …` — and `init`, `drop`, `create_user`, which change the
+//!   catalog tables just as durably — go through the engine's bounded
+//!   admission queue and the group-commit path, so the reply follows the
+//!   batch's durability point.
 //! * everything else is forwarded to the engine thread verbatim.
 
 use crate::engine::{map_err, EngineError, EngineHandle};
@@ -235,8 +237,8 @@ fn write_all(stream: &mut TcpStream, msgs: &[ServerMsg]) -> Result<(), ProtoErro
     Ok(())
 }
 
-/// Route one query line: snapshot commands stay on this thread, commits
-/// take the admission queue, everything else goes to the engine. `trace`
+/// Route one query line: snapshot commands stay on this thread, durable
+/// writes take the admission queue, everything else goes to the engine. `trace`
 /// is the request's trace id (already adopted or minted, never 0); it
 /// rides along to the engine so remote spans re-attach to this request.
 fn dispatch(
@@ -291,7 +293,9 @@ fn dispatch(
                 trace: None,
             }])
         }
-        "commit" => {
+        // Acknowledged means durable: whatever changes the catalog tables
+        // is answered only after its batch's checkpoint.
+        "commit" | "init" | "drop" | "create_user" => {
             let out = engine.submit_commit(session_id, user, trimmed, trace)?;
             Ok(output_messages(&out))
         }

@@ -275,6 +275,54 @@ fn group_commit_batches_fsyncs_below_commit_count() {
     std::fs::remove_file(&csv).ok();
 }
 
+/// Regression: only `commit` took the group-commit path; `create_user`,
+/// `init` and `drop` were acknowledged with their pages still dirty, and
+/// lost if the server died before someone committed. Copy the page file
+/// and the log from under the running server and open the copy.
+#[test]
+fn acknowledged_init_and_create_user_are_durable_before_any_commit() {
+    let dir = scratch("ack");
+    std::fs::remove_dir_all(&dir).ok();
+    let csv = seed_csv("ack");
+    let server = start_server(
+        2,
+        EngineConfig {
+            data_dir: Some(dir.clone()),
+            ..EngineConfig::default()
+        },
+    );
+    let mut admin = Client::connect(server.local_addr(), "admin").unwrap();
+    tag_of(&mut admin, "create_user carol");
+    tag_of(&mut admin, &init_line(&csv));
+    tag_of(&mut admin, &init_line(&csv).replace("init t", "init gone"));
+    tag_of(&mut admin, "drop gone");
+
+    let copy = scratch("ack-copy");
+    std::fs::remove_dir_all(&copy).ok();
+    std::fs::create_dir_all(&copy).unwrap();
+    for file in ["pages.db", "wal.log"] {
+        std::fs::copy(dir.join(file), copy.join(file)).unwrap();
+    }
+    let (mut db, _) = orpheus_core::OrpheusDb::open_durable(&copy, 64).unwrap();
+    db.login("carol").expect("the created user is there");
+    assert_eq!(
+        db.list_cvds(),
+        ["t"],
+        "init and drop both reached the store"
+    );
+    assert!(db.log("t").unwrap().contains("* v0"), "with its v0");
+    let v0 = db.run("SELECT * FROM VERSION 0 OF CVD t").unwrap();
+    assert_eq!(v0.rows.len(), 20);
+    assert!(!dir.join("catalog.orc").exists(), "one store, one file");
+
+    admin.terminate().unwrap();
+    server.shutdown().unwrap();
+    for d in [&dir, &copy] {
+        std::fs::remove_dir_all(d).ok();
+    }
+    std::fs::remove_file(&csv).ok();
+}
+
 /// A full admission queue rejects new commits with the typed `53300`
 /// error immediately — no hang, no unbounded queueing.
 #[test]

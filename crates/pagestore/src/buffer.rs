@@ -182,6 +182,12 @@ pub struct BufferPool {
     map: RefCell<HashMap<PageId, usize>>,
     hand: Cell<usize>,
     pager: RefCell<Box<dyn Pager>>,
+    /// Allocated pages nothing owns, handed out again by
+    /// [`allocate_pinned`](BufferPool::allocate_pinned) before the pager
+    /// grows. Not persisted: a page is free because no structure reaches
+    /// it, which whoever opens the store works out again
+    /// ([`free_unreached`](BufferPool::free_unreached)).
+    free: RefCell<Vec<PageId>>,
     wal: RefCell<Option<Wal>>,
     stats: RefCell<IoStats>,
     recorder: RefCell<Recorder>,
@@ -206,6 +212,7 @@ impl BufferPool {
             map: RefCell::new(HashMap::with_capacity(capacity)),
             hand: Cell::new(0),
             pager: RefCell::new(pager),
+            free: RefCell::new(Vec::new()),
             wal: RefCell::new(None),
             stats: RefCell::new(IoStats::new()),
             recorder: RefCell::new(Recorder::global().clone()),
@@ -281,6 +288,42 @@ impl BufferPool {
     /// Pages allocated in the underlying pager.
     pub fn num_pages(&self) -> u32 {
         self.pager.borrow().num_pages()
+    }
+
+    /// Pages on the free list.
+    pub fn free_pages(&self) -> usize {
+        self.free.borrow().len()
+    }
+
+    /// Give page `id` back: its contents are dead, so a resident frame
+    /// loses its dirty bit (a checkpoint must not log it) and, unless a
+    /// pin or lease still holds it, its mapping.
+    pub fn free_page(&self, id: PageId) {
+        let resident = self.map.borrow().get(&id).copied();
+        if let Some(idx) = resident {
+            let frame = &self.frames[idx];
+            frame.dirty.set(false);
+            if frame.pin.get() == 0 && frame.lease_count() == 0 {
+                frame.page_id.set(None);
+                frame.referenced.set(false);
+                self.map.borrow_mut().remove(&id);
+            }
+        }
+        self.free.borrow_mut().push(id);
+    }
+
+    /// Make the free list every allocated page not in `reached` — the
+    /// pages the structures of a just-opened store were found to use.
+    /// Lowest ids are handed out first.
+    pub fn free_unreached(&self, reached: impl IntoIterator<Item = PageId>) {
+        let mut used = vec![false; self.num_pages() as usize];
+        for id in reached {
+            if let Some(slot) = used.get_mut(id as usize) {
+                *slot = true;
+            }
+        }
+        let ids = (0..used.len()).rev().filter(|&i| !used[i]);
+        *self.free.borrow_mut() = ids.map(|i| i as PageId).collect();
     }
 
     /// Whether `id` currently occupies a frame (no pin, no I/O charge).
@@ -422,20 +465,42 @@ impl BufferPool {
         }
     }
 
-    /// Allocate a fresh page in the pager and pin it, initialized empty.
-    /// Installing the new page charges no read (there is nothing to read).
+    /// Pin an empty page nothing else owns: one off the free list, or a
+    /// fresh one from the pager. Installing it charges no read (there is
+    /// nothing to read).
     ///
     /// The victim frame is reserved *before* the pager allocates: on an
     /// exhausted pool the allocation never happens, so no page id leaks
     /// into the backing file unreachable.
     pub fn allocate_pinned(&self) -> Result<(PageId, PageMut<'_>)> {
-        let idx = self.victim_frame()?;
-        let id = self.pager.borrow_mut().allocate()?;
+        let recycled = self.free.borrow_mut().pop();
+        let installed = self.install(recycled);
+        if let (Err(_), Some(id)) = (&installed, recycled) {
+            self.free.borrow_mut().push(id);
+        }
+        installed
+    }
+
+    /// Pin page `recycled` — or, for `None`, the page the pager grows by —
+    /// in a frame, empty and dirty, without reading stale contents.
+    fn install(&self, recycled: Option<PageId>) -> Result<(PageId, PageMut<'_>)> {
+        // A freed page is still resident if a pin or a lease held its frame.
+        let resident = recycled.and_then(|id| self.map.borrow().get(&id).copied());
+        let idx = match resident {
+            Some(idx) => idx,
+            None => self.victim_frame()?,
+        };
+        let id = match recycled {
+            Some(id) => id,
+            None => self.pager.borrow_mut().allocate()?,
+        };
         let frame = &self.frames[idx];
-        let mut data = frame.data.borrow_mut();
+        let Ok(mut data) = frame.data.try_borrow_mut() else {
+            return Err(Error::PageBusy(id));
+        };
         Arc::make_mut(&mut data).reset();
         frame.page_id.set(Some(id));
-        frame.pin.set(1);
+        frame.pin.set(frame.pin.get() + 1);
         frame.referenced.set(true);
         frame.dirty.set(true);
         self.map.borrow_mut().insert(id, idx);
@@ -446,38 +511,6 @@ impl BufferPool {
                 pin: &frame.pin,
             },
         ))
-    }
-
-    /// Reinitialize an existing (recycled) page to the empty state and pin
-    /// it for writing, without reading its stale contents from the pager.
-    pub fn reset_pinned(&self, id: PageId) -> Result<PageMut<'_>> {
-        if let Some(&idx) = self.map.borrow().get(&id) {
-            let frame = &self.frames[idx];
-            let Ok(mut data) = frame.data.try_borrow_mut() else {
-                return Err(Error::PageBusy(id));
-            };
-            frame.pin.set(frame.pin.get() + 1);
-            frame.referenced.set(true);
-            frame.dirty.set(true);
-            Arc::make_mut(&mut data).reset();
-            return Ok(PageMut {
-                data,
-                pin: &frame.pin,
-            });
-        }
-        let idx = self.victim_frame()?;
-        let frame = &self.frames[idx];
-        let mut data = frame.data.borrow_mut();
-        Arc::make_mut(&mut data).reset();
-        frame.page_id.set(Some(id));
-        frame.pin.set(1);
-        frame.referenced.set(true);
-        frame.dirty.set(true);
-        self.map.borrow_mut().insert(id, idx);
-        Ok(PageMut {
-            data,
-            pin: &frame.pin,
-        })
     }
 
     /// Write every dirty frame back and sync the pager — the checkpoint.
@@ -731,6 +764,56 @@ mod tests {
         );
     }
 
+    /// Regression: a dropped table's pages stayed allocated and dirty, so
+    /// the next checkpoint logged them and the file never stopped growing.
+    #[test]
+    fn freed_pages_are_not_flushed_and_are_reused_before_the_pager_grows() {
+        let pool = pool_with_pages(4, 3); // three dirty resident pages
+        pool.free_page(1);
+        assert!(!pool.is_resident(1), "a freed frame is unmapped");
+        assert_eq!(pool.free_pages(), 1);
+        pool.flush_all().unwrap();
+        assert_eq!(pool.stats().flushed_writes, 2, "the freed page is dead");
+        let (id, page) = pool.allocate_pinned().unwrap();
+        assert_eq!((id, page.live_count()), (1, 0), "reused, and empty");
+        drop(page);
+        assert_eq!((pool.num_pages(), pool.free_pages()), (3, 0));
+        assert_eq!(pool.allocate_pinned().unwrap().0, 3, "then the pager grows");
+    }
+
+    #[test]
+    fn a_freed_page_still_pinned_cannot_be_handed_out() {
+        let pool = pool_with_pages(2, 1);
+        let guard = pool.fetch(0).unwrap();
+        pool.free_page(0);
+        assert!(matches!(pool.allocate_pinned(), Err(Error::PageBusy(0))));
+        assert_eq!(pool.free_pages(), 1, "and stays on the free list");
+        drop(guard);
+        assert_eq!(pool.allocate_pinned().unwrap().0, 0);
+    }
+
+    #[test]
+    fn freeing_a_leased_page_keeps_the_lease_image() {
+        let pool = pool_with_pages(2, 1);
+        pool.flush_all().unwrap();
+        let lease = pool.lease(0).unwrap();
+        pool.free_page(0);
+        assert!(pool.is_resident(0), "a leased frame stays mapped");
+        let (id, mut page) = pool.allocate_pinned().unwrap();
+        assert_eq!(id, 0);
+        page.insert(b"next owner").unwrap();
+        assert_eq!(lease.get(0).unwrap(), b"page-0");
+    }
+
+    #[test]
+    fn free_unreached_frees_exactly_the_unreached_pages() {
+        let pool = pool_with_pages(2, 5);
+        pool.free_unreached([0, 3, 99]);
+        assert_eq!(pool.free_pages(), 3);
+        let ids: Vec<PageId> = (0..3).map(|_| pool.allocate_pinned().unwrap().0).collect();
+        assert_eq!(ids, [1, 2, 4]);
+    }
+
     /// Regression: re-pinning a page while a mutable guard is live hit a
     /// `RefCell` borrow panic; it must be a typed `PageBusy` error, and
     /// the pin taken for the failed attempt must be released.
@@ -740,7 +823,6 @@ mod tests {
         let guard = pool.fetch_mut(0).unwrap();
         assert!(matches!(pool.fetch(0), Err(Error::PageBusy(0))));
         assert!(matches!(pool.fetch_mut(0), Err(Error::PageBusy(0))));
-        assert!(matches!(pool.reset_pinned(0), Err(Error::PageBusy(0))));
         drop(guard);
         // The failed attempts released their pins: the page is evictable
         // again and a plain fetch works.

@@ -1,9 +1,10 @@
 //! Heap files: unordered tuple storage over the buffer pool.
 //!
-//! A heap file owns an ordered list of data pages (the scan order) plus a
-//! free list of recycled pages. Every tuple has exactly one inline cell on
-//! a data page, addressed by [`TupleAddr`]; the first byte of the cell is
-//! a tag:
+//! A heap file owns an ordered list of data pages (the scan order), each
+//! linked to the next through the page header's `next_page` field, so the
+//! first page alone finds the heap again ([`HeapFile::open`]). Every tuple
+//! has exactly one inline cell on a data page, addressed by
+//! [`TupleAddr`]; the first byte of the cell is a tag:
 //!
 //! * `TAG_INLINE` — the remaining cell bytes are the tuple itself.
 //! * `TAG_OVERFLOW` — the cell holds the [`PageId`] of the head of an
@@ -13,9 +14,9 @@
 //!   oversized tuple, so page-count accounting stays honest.
 //!
 //! Inserts are append-only: a tuple goes on the last data page if it fits,
-//! otherwise on a recycled or freshly allocated page. [`HeapFile::clear`]
-//! recycles every page, which is how `relstore` rebuilds a table when
-//! re-clustering it.
+//! otherwise on a page from [`BufferPool::allocate_pinned`], linked behind
+//! the old tail. Pages a heap gives up (freed overflow chains,
+//! [`HeapFile::clear`]) go back to the pool's one free list.
 
 use crate::buffer::{BufferPool, PageLease, PageRef};
 use crate::error::{Error, Result};
@@ -38,13 +39,14 @@ pub struct TupleAddr {
     pub slot: u16,
 }
 
+/// The live tuples of one data page, each with its address.
+type PageTuples = Vec<(TupleAddr, Vec<u8>)>;
+
 /// An unordered collection of tuples stored on slotted pages.
 #[derive(Debug, Default)]
 pub struct HeapFile {
     /// Data pages in scan order. `TupleAddr::page_ord` indexes this list.
     pages: Vec<PageId>,
-    /// Recycled pages (cleared data pages, freed overflow pages).
-    free_pages: Vec<PageId>,
 }
 
 impl HeapFile {
@@ -52,7 +54,7 @@ impl HeapFile {
         HeapFile::default()
     }
 
-    /// Number of data pages (excludes overflow and free pages).
+    /// Number of data pages (excludes overflow pages).
     pub fn num_pages(&self) -> usize {
         self.pages.len()
     }
@@ -62,32 +64,53 @@ impl HeapFile {
         &self.pages
     }
 
-    /// Take a page off the free list, or allocate one. The returned page
-    /// is pinned, empty, and dirty; it is NOT yet a data page.
-    fn fresh_page(&mut self, pool: &BufferPool) -> Result<PageId> {
-        if let Some(id) = self.free_pages.pop() {
-            pool.reset_pinned(id)?;
-            Ok(id)
-        } else {
-            let (id, _) = pool.allocate_pinned()?;
-            Ok(id)
+    /// Find a heap again from its first data page: follow the links,
+    /// handing every live tuple to `visit` in scan order, one pass over
+    /// the chain. Every page of the heap, data and overflow, is added to
+    /// `reached`.
+    pub fn open<E: From<Error>>(
+        pool: &BufferPool,
+        root: PageId,
+        reached: &mut Vec<PageId>,
+        mut visit: impl FnMut(TupleAddr, &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<HeapFile, E> {
+        let mut heap = HeapFile::new();
+        let mut next = Some(root);
+        while let Some(id) = next {
+            if heap.pages.len() >= pool.num_pages() as usize {
+                return Err(
+                    Error::Invariant("heap page chain is longer than the page file").into(),
+                );
+            }
+            heap.pages.push(id);
+            reached.push(id);
+            let (tuples, link) = heap.read_page(pool, heap.pages.len() - 1, reached)?;
+            for (addr, bytes) in &tuples {
+                visit(*addr, bytes)?;
+            }
+            next = link;
         }
+        Ok(heap)
     }
 
     /// Store `bytes` and return the tuple's address.
     pub fn insert(&mut self, pool: &BufferPool, bytes: &[u8]) -> Result<TupleAddr> {
-        let cell = if bytes.len() <= INLINE_LIMIT {
-            let mut cell = Vec::with_capacity(bytes.len() + 1);
+        let cell = self.cell_for(pool, bytes)?;
+        self.place_cell(pool, &cell)
+    }
+
+    /// The tagged cell for a tuple: the bytes themselves, or a stub for
+    /// the overflow chain they are written to.
+    fn cell_for(&mut self, pool: &BufferPool, bytes: &[u8]) -> Result<Vec<u8>> {
+        let mut cell = Vec::with_capacity(bytes.len().min(INLINE_LIMIT) + 1);
+        if bytes.len() <= INLINE_LIMIT {
             cell.push(TAG_INLINE);
             cell.extend_from_slice(bytes);
-            cell
         } else {
-            let head = self.write_chain(pool, bytes)?;
-            let mut cell = vec![TAG_OVERFLOW];
-            cell.extend_from_slice(&head.to_le_bytes());
-            cell
-        };
-        self.place_cell(pool, &cell)
+            cell.push(TAG_OVERFLOW);
+            cell.extend_from_slice(&self.write_chain(pool, bytes)?.to_le_bytes());
+        }
+        Ok(cell)
     }
 
     /// Put a prepared cell on the last data page, or a new one.
@@ -101,12 +124,14 @@ impl HeapFile {
                 });
             }
         }
-        let id = self.fresh_page(pool)?;
-        let mut page = pool.fetch_mut(id)?;
+        let (id, mut page) = pool.allocate_pinned()?;
         let slot = page
             .insert(cell)
             .ok_or(Error::Invariant("fresh page must fit an inline cell"))?;
         drop(page);
+        if let Some(&tail) = self.pages.last() {
+            pool.fetch_mut(tail)?.set_next_page(Some(id));
+        }
         self.pages.push(id);
         Ok(TupleAddr {
             page_ord: (self.pages.len() - 1) as u32,
@@ -119,12 +144,10 @@ impl HeapFile {
         let mut head: Option<PageId> = None;
         let mut prev: Option<PageId> = None;
         for chunk in bytes.chunks(OVERFLOW_CHUNK) {
-            let id = self.fresh_page(pool)?;
-            {
-                let mut page = pool.fetch_mut(id)?;
-                page.insert(chunk)
-                    .ok_or(Error::Invariant("fresh page must fit a chunk"))?;
-            }
+            let (id, mut page) = pool.allocate_pinned()?;
+            page.insert(chunk)
+                .ok_or(Error::Invariant("fresh page must fit a chunk"))?;
+            drop(page);
             if let Some(prev_id) = prev {
                 pool.fetch_mut(prev_id)?.set_next_page(Some(id));
             } else {
@@ -164,10 +187,21 @@ impl HeapFile {
 
     /// The tuple bytes of the overflow chain starting at `head`.
     pub fn read_chain(&self, pool: &BufferPool, head: PageId) -> Result<Vec<u8>> {
+        self.read_chain_into(pool, head, &mut Vec::new())
+    }
+
+    /// [`read_chain`](Self::read_chain), adding the chain's pages to `pages`.
+    fn read_chain_into(
+        &self,
+        pool: &BufferPool,
+        head: PageId,
+        pages: &mut Vec<PageId>,
+    ) -> Result<Vec<u8>> {
         let mut bytes = Vec::new();
         let mut next = Some(head);
         while let Some(id) = next {
             let page = pool.fetch(id)?;
+            pages.push(id);
             let chunk = page
                 .get(0)
                 .ok_or_else(|| Error::BadAddress(format!("overflow page {id} has no chunk")))?;
@@ -198,17 +232,7 @@ impl HeapFile {
         if let Some(head) = old_head {
             self.free_chain(pool, head)?;
         }
-        let cell = if bytes.len() <= INLINE_LIMIT {
-            let mut cell = Vec::with_capacity(bytes.len() + 1);
-            cell.push(TAG_INLINE);
-            cell.extend_from_slice(bytes);
-            cell
-        } else {
-            let head = self.write_chain(pool, bytes)?;
-            let mut cell = vec![TAG_OVERFLOW];
-            cell.extend_from_slice(&head.to_le_bytes());
-            cell
-        };
+        let cell = self.cell_for(pool, bytes)?;
         {
             let mut page = pool.fetch_mut(page_id)?;
             if page.update(addr.slot, &cell)? {
@@ -237,28 +261,37 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Push every page of a chain onto the free list.
+    /// Give every page of a chain back to the pool.
     fn free_chain(&mut self, pool: &BufferPool, head: PageId) -> Result<()> {
         let mut next = Some(head);
         while let Some(id) = next {
             next = pool.fetch(id)?.next_page();
-            self.free_pages.push(id);
+            pool.free_page(id);
         }
         Ok(())
     }
 
     /// All live `(addr, tuple)` pairs on data page `page_ord`, resolving
     /// overflow chains. The unit of a sequential scan.
-    pub fn tuples_on_page(
+    pub fn tuples_on_page(&self, pool: &BufferPool, page_ord: usize) -> Result<PageTuples> {
+        Ok(self.read_page(pool, page_ord, &mut Vec::new())?.0)
+    }
+
+    /// [`tuples_on_page`](Self::tuples_on_page), plus the page's link to
+    /// the next data page; the overflow pages read go into `overflow`.
+    fn read_page(
         &self,
         pool: &BufferPool,
         page_ord: usize,
-    ) -> Result<Vec<(TupleAddr, Vec<u8>)>> {
+        overflow: &mut Vec<PageId>,
+    ) -> Result<(PageTuples, Option<PageId>)> {
         let page_id = self.page_id(page_ord)?;
         let mut out = Vec::new();
         let mut chains: Vec<(usize, PageId)> = Vec::new();
+        let link;
         {
             let page = pool.fetch(page_id)?;
+            link = page.next_page();
             for (slot, cell) in page.live_tuples() {
                 let addr = TupleAddr {
                     page_ord: page_ord as u32,
@@ -274,13 +307,14 @@ impl HeapFile {
             }
         }
         for (idx, head) in chains {
-            out[idx].1 = self.read_chain(pool, head)?;
+            out[idx].1 = self.read_chain_into(pool, head, overflow)?;
         }
-        Ok(out)
+        Ok((out, link))
     }
 
-    /// Recycle every page (data and overflow) onto the free list, leaving
-    /// an empty heap. Used when a table is rebuilt in a new physical order.
+    /// Give every page (data and overflow) back to the pool, leaving an
+    /// empty heap whose next insert starts a new chain. Used when a table
+    /// is dropped or rebuilt in a new physical order.
     pub fn clear(&mut self, pool: &BufferPool) -> Result<()> {
         let pages = std::mem::take(&mut self.pages);
         for id in pages {
@@ -298,7 +332,7 @@ impl HeapFile {
             for head in heads {
                 self.free_chain(pool, head)?;
             }
-            self.free_pages.push(id);
+            pool.free_page(id);
         }
         Ok(())
     }
@@ -811,6 +845,64 @@ mod tests {
         assert_ne!(a.page_ord, a2.page_ord);
         assert_eq!(heap.get(&pool, a2).unwrap(), &[3u8; 5000]);
         assert_eq!(heap.get(&pool, b).unwrap(), &[2u8; 4000]);
+    }
+
+    #[test]
+    fn open_finds_the_heap_again_from_its_first_page() {
+        let pool = BufferPool::in_memory(4);
+        let mut heap = HeapFile::new();
+        let big: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+        let mut addrs = Vec::new();
+        for i in 0..30u32 {
+            addrs.push(heap.insert(&pool, &i.to_le_bytes().repeat(200)).unwrap());
+        }
+        heap.insert(&pool, &big).unwrap();
+        heap.delete(&pool, addrs[3]).unwrap();
+        assert!(heap.num_pages() > 2);
+        let scanned: Vec<(TupleAddr, Vec<u8>)> = (0..heap.num_pages())
+            .flat_map(|ord| heap.tuples_on_page(&pool, ord).unwrap())
+            .collect();
+
+        let (mut seen, mut reached) = (Vec::new(), Vec::new());
+        let opened = HeapFile::open(&pool, heap.page_ids()[0], &mut reached, |addr, bytes| {
+            seen.push((addr, bytes.to_vec()));
+            Ok::<(), Error>(())
+        })
+        .unwrap();
+        assert_eq!(opened.page_ids(), heap.page_ids());
+        assert_eq!(seen, scanned);
+        // Data and overflow pages: every page the pool holds, each once.
+        let chain = big.len().div_ceil(OVERFLOW_CHUNK);
+        assert_eq!(reached.len(), opened.num_pages() + chain);
+        reached.sort_unstable();
+        assert_eq!(reached, (0..pool.num_pages()).collect::<Vec<_>>());
+
+        // A cleared heap starts a new chain; the old first page is free.
+        heap.clear(&pool).unwrap();
+        assert_eq!(pool.free_pages(), pool.num_pages() as usize);
+        heap.insert(&pool, b"again").unwrap();
+        let ignore = |_, _: &[u8]| Ok::<(), Error>(());
+        let opened = HeapFile::open(&pool, heap.page_ids()[0], &mut Vec::new(), ignore).unwrap();
+        assert_eq!(opened.page_ids(), heap.page_ids());
+    }
+
+    #[test]
+    fn open_reports_corrupt_links_as_errors() {
+        let pool = BufferPool::in_memory(4);
+        let mut heap = HeapFile::new();
+        for i in 0..30u32 {
+            heap.insert(&pool, &i.to_le_bytes().repeat(200)).unwrap();
+        }
+        let (first, last) = (heap.page_ids()[0], *heap.page_ids().last().unwrap());
+        let open = |pool: &BufferPool| {
+            HeapFile::open(pool, first, &mut Vec::new(), |_, _| Ok::<(), Error>(()))
+        };
+        pool.fetch_mut(last).unwrap().set_next_page(Some(first));
+        assert!(matches!(open(&pool), Err(Error::Invariant(_))));
+        pool.fetch_mut(heap.page_ids()[1])
+            .unwrap()
+            .set_next_page(Some(9_999));
+        assert!(matches!(open(&pool), Err(Error::PageOutOfBounds(9_999))));
     }
 
     #[test]

@@ -269,3 +269,70 @@ fn crash_during_recovery_reopen_then_crash_again() {
     }
     std::fs::remove_dir_all(&base).unwrap();
 }
+
+/// Raw images of every page of the store in `dir`, after recovery.
+fn recovered_images(dir: &Path) -> Vec<[u8; pagestore::PAGE_SIZE]> {
+    let (pool, _report) = BufferPool::open_durable(dir, CAP).unwrap();
+    (0..pool.num_pages())
+        .map(|id| *pool.fetch(id).unwrap().bytes())
+        .collect()
+}
+
+/// The free list under the matrix: commit 3 frees committed page 3 and
+/// reuses it (no new page is allocated, so the file cannot grow). A crash
+/// at any I/O of its checkpoint leaves page 3 byte-identical to what
+/// commit 2 wrote, or byte-identical to its new owner's image — together
+/// with the rest of commit 3, never apart from it.
+#[test]
+fn freed_then_reused_page_recovers_byte_identically() {
+    let reuse = |pool: &BufferPool| {
+        pool.free_page(3);
+        let (id, mut page) = pool.allocate_pinned().unwrap();
+        assert_eq!(id, 3, "the freed page is handed out again");
+        page.insert(b"c3-new-owner-of-p3").unwrap();
+        drop(page);
+        pool.fetch_mut(0).unwrap().insert(b"c3-p0").unwrap();
+    };
+    let base = unique_base("reuse");
+    let _ = std::fs::remove_dir_all(&base);
+    let (after_c2, after_c3, flush_ops) = {
+        let dir = base.join("reference");
+        let plan = FaultPlan::unarmed();
+        let pool = open_faulty(&dir, &plan);
+        committed_prefix(&pool);
+        drop(pool);
+        let after_c2 = recovered_images(&dir);
+        let pool = open_faulty(&dir, &plan);
+        reuse(&pool);
+        let at_flush = plan.ops();
+        pool.flush_all().unwrap();
+        let flush_ops = plan.ops() - at_flush;
+        drop(pool);
+        (after_c2, recovered_images(&dir), flush_ops)
+    };
+    assert_eq!(after_c2.len(), after_c3.len(), "reuse allocates nothing");
+    assert_ne!(after_c2[3], after_c3[3]);
+    let (mut kept, mut lost) = (0, 0);
+    for kind in [FaultKind::CrashStop, FaultKind::ShortWrite] {
+        for nth in 1..=flush_ops {
+            let dir = base.join(format!("{kind:?}-{nth}"));
+            let plan = FaultPlan::unarmed();
+            let pool = open_faulty(&dir, &plan);
+            committed_prefix(&pool);
+            reuse(&pool);
+            plan.arm(nth, kind);
+            pool.flush_all()
+                .expect_err("the armed fault must surface as an error");
+            drop(pool);
+            let got = recovered_images(&dir);
+            if got == after_c3 {
+                kept += 1;
+            } else {
+                assert!(got == after_c2, "{kind:?} at op {nth}: neither state");
+                lost += 1;
+            }
+        }
+    }
+    assert!(kept > 0 && lost > 0, "{kept} kept, {lost} lost");
+    std::fs::remove_dir_all(&base).unwrap();
+}

@@ -54,12 +54,12 @@
 //! typed [`Error::Storage`], never a panic — the property tests walk a
 //! cut through every prefix.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use pagestore::{BufferPool, HeapFile};
+use pagestore::{BufferPool, HeapFile, PageId};
 
 use crate::error::{Error, Result};
 use crate::table::{Row, RowId};
@@ -295,7 +295,9 @@ pub fn decode_row(bytes: &[u8]) -> Result<(RowId, Row)> {
             TAG_BOOL => Value::Bool(r.u8()? != 0),
             TAG_INT_ARRAY => {
                 let n = r.u32()? as usize;
-                let mut a = Vec::with_capacity(n);
+                // A damaged length must not size the allocation: the
+                // elements, if they are there, are the bytes that remain.
+                let mut a = Vec::with_capacity(n.min((bytes.len() - r.pos) / 8));
                 for _ in 0..n {
                     a.push(r.i64()?);
                 }
@@ -386,9 +388,11 @@ pub trait PageFormat: std::fmt::Debug {
     /// taken after the writes is always sufficient.
     fn decoder(&self) -> RowDecoder;
 
-    /// Bytes of side storage (dictionary pages) beyond the heap tuples.
-    fn aux_bytes(&self) -> usize {
-        0
+    /// The heap of the format's side storage (the Delta dictionary's
+    /// pages), whose owner is the table: it counts the pages, records the
+    /// first one in the table directory, and gives them back on drop.
+    fn side_heap(&self) -> Option<RefMut<'_, HeapFile>> {
+        None
     }
 }
 
@@ -547,29 +551,29 @@ impl DeltaFormat {
         self.dict.borrow().strings.len()
     }
 
-    /// Rebuild the in-memory dictionary from its persisted pages; test
-    /// hook proving the page images alone carry the code assignment.
-    pub fn reload_dict(&self) -> Result<()> {
-        let mut dict = self.dict.borrow_mut();
-        let Some(pages) = &dict.pages else {
-            return Ok(());
-        };
+    /// The format of a reopened table: the dictionary is read back from
+    /// the side heap starting at `root` (`None`: nothing was promoted
+    /// yet), whose pages are added to `reached`. Strings seen once before
+    /// the close are not remembered as seen; they stay decodable, and are
+    /// promoted one occurrence later than they would have been.
+    pub fn open(
+        pool: Rc<BufferPool>,
+        root: Option<PageId>,
+        reached: &mut Vec<PageId>,
+    ) -> Result<Self> {
         let mut entries: Vec<(u32, String)> = Vec::new();
-        let mut tuples = Vec::new();
-        for ord in 0..pages.heap.num_pages() {
-            tuples.extend(pages.heap.tuples_on_page(&pages.pool, ord)?);
-        }
-        for (_, bytes) in tuples {
-            let mut r = Reader {
-                bytes: &bytes,
-                pos: 0,
-            };
-            let code = u32::try_from(r.uvarint()?)
-                .map_err(|_| Error::Storage("dict code overflows u32".into()))?;
-            let len = r.uvarint()? as usize;
-            let s = std::str::from_utf8(r.take(len)?)
-                .map_err(|_| Error::Storage("dict entry is not UTF-8".into()))?;
-            entries.push((code, s.to_owned()));
+        let mut heap = HeapFile::new();
+        if let Some(root) = root {
+            heap = HeapFile::open(&pool, root, reached, |_, bytes| {
+                let mut r = Reader { bytes, pos: 0 };
+                let code = u32::try_from(r.uvarint()?)
+                    .map_err(|_| Error::Storage("dict code overflows u32".into()))?;
+                let len = r.uvarint()? as usize;
+                let s = std::str::from_utf8(r.take(len)?)
+                    .map_err(|_| Error::Storage("dict entry is not UTF-8".into()))?;
+                entries.push((code, s.to_owned()));
+                Ok::<(), Error>(())
+            })?;
         }
         entries.sort_by_key(|(c, _)| *c);
         let mut strings = Vec::with_capacity(entries.len());
@@ -584,9 +588,13 @@ impl DeltaFormat {
             map.insert(s.clone(), DictSlot::Code(code));
             strings.push(s);
         }
-        dict.strings = Arc::new(strings);
-        dict.map = map;
-        Ok(())
+        Ok(Self {
+            dict: RefCell::new(Dict {
+                map,
+                strings: Arc::new(strings),
+                pages: Some(DictPages { pool, heap }),
+            }),
+        })
     }
 }
 
@@ -651,11 +659,11 @@ impl PageFormat for DeltaFormat {
         }
     }
 
-    fn aux_bytes(&self) -> usize {
-        match &self.dict.borrow().pages {
-            Some(p) => p.heap.page_ids().len() * pagestore::PAGE_SIZE,
-            None => 0,
-        }
+    fn side_heap(&self) -> Option<RefMut<'_, HeapFile>> {
+        RefMut::filter_map(self.dict.borrow_mut(), |d| {
+            d.pages.as_mut().map(|p| &mut p.heap)
+        })
+        .ok()
     }
 }
 
@@ -898,9 +906,12 @@ mod tests {
             }
         }
         assert_eq!(fmt.dict_len(), 3);
-        assert!(fmt.aux_bytes() > 0);
-        // Blow away the in-memory state and rebuild from pages alone.
-        fmt.reload_dict().unwrap();
+        assert!(fmt.side_heap().unwrap().num_pages() > 0);
+        // A second instance built from the pages alone.
+        let mut reached = Vec::new();
+        let root = fmt.side_heap().unwrap().page_ids()[0];
+        let fmt = DeltaFormat::open(Rc::clone(&pool), Some(root), &mut reached).unwrap();
+        assert_eq!(reached.len(), fmt.side_heap().unwrap().num_pages());
         assert_eq!(fmt.dict_len(), 3);
         for (bytes, n) in coded.iter().zip(names) {
             assert_eq!(
@@ -908,7 +919,7 @@ mod tests {
                 vec![Value::Text(n.into())]
             );
         }
-        // Codes keep advancing past the reload without collisions.
+        // Codes keep advancing past the reopen without collisions.
         let row = vec![Value::Text("dave".into())];
         fmt.encode_row(20, &row).unwrap();
         let b = fmt.encode_row(21, &row).unwrap();

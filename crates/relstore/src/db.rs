@@ -1,11 +1,13 @@
 //! A named catalog of tables over one shared buffer pool.
 
 use crate::codec::PageFormatKind;
+use crate::directory::Directory;
 use crate::error::{Error, Result};
 use crate::schema::Schema;
 use crate::table::{Table, DEFAULT_POOL_PAGES};
 use obs::{Recorder, Registry};
 use pagestore::{BufferPool, IoStats, RecoveryReport};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::rc::Rc;
@@ -31,6 +33,10 @@ pub struct Database {
     /// seeds it, [`set_default_format`](Self::set_default_format)
     /// overrides it.
     default_format: PageFormatKind,
+    /// The table directory of a durable database, brought level with
+    /// `tables` at each [`checkpoint`](Self::checkpoint). An in-memory
+    /// database has none: nothing of it is ever reopened.
+    directory: Option<RefCell<Directory>>,
 }
 
 impl Default for Database {
@@ -46,11 +52,10 @@ impl Database {
 
     /// A database whose shared pool holds `pages` 8 KiB frames.
     pub fn with_pool_capacity(pages: usize) -> Self {
-        Database::from_pool(BufferPool::in_memory(pages))
+        Database::from_pool(BufferPool::in_memory(pages), Recorder::new())
     }
 
-    fn from_pool(pool: BufferPool) -> Self {
-        let recorder = Recorder::new();
+    fn from_pool(pool: BufferPool, recorder: Recorder) -> Self {
         pool.set_recorder(recorder.clone());
         Database {
             tables: BTreeMap::new(),
@@ -58,6 +63,7 @@ impl Database {
             recorder,
             metrics: Registry::new(),
             default_format: PageFormatKind::from_env(),
+            directory: None,
         }
     }
 
@@ -75,12 +81,24 @@ impl Database {
     /// Open (or create) a database whose shared pool is backed by a
     /// durable page file plus write-ahead log in `dir`. Crash recovery
     /// runs before the pool comes up; the returned report says what it
-    /// repaired. The catalog itself starts empty — callers rebuild it
-    /// (e.g. from their own metadata tables) on top of the recovered
-    /// pages.
+    /// repaired.
     pub fn open_durable(dir: impl AsRef<Path>, pages: usize) -> Result<(Self, RecoveryReport)> {
         let (pool, report) = BufferPool::open_durable(dir, pages)?;
-        Ok((Database::from_pool(pool), report))
+        Ok((Database::open_pool(pool, Recorder::new())?, report))
+    }
+
+    /// The durable database stored behind `pool`, which has a write-ahead
+    /// log attached and has been recovered (tests wrap its pager and log
+    /// in fault injectors). Every table the directory at page 0 describes
+    /// is opened by reading its pages — nothing is written, so a database
+    /// larger than the pool opens too. Spans land in `recorder`, under
+    /// whatever span the caller holds open there.
+    pub fn open_pool(pool: BufferPool, recorder: Recorder) -> Result<Self> {
+        let mut db = Database::from_pool(pool, recorder);
+        let (directory, tables) = Directory::load(&db.pool, &db.recorder)?;
+        db.directory = Some(RefCell::new(directory));
+        db.tables = tables;
+        Ok(db)
     }
 
     /// Whether the shared pool has a write-ahead log attached, i.e.
@@ -89,15 +107,17 @@ impl Database {
         self.pool.is_durable()
     }
 
-    /// Force every dirty page down to storage. On a durable database this
-    /// is a WAL-protected atomic checkpoint and returns `Ok(true)`; on an
+    /// The durability point. On a durable database: bring the table
+    /// directory level with the tables, then flush every dirty page in
+    /// one WAL-protected atomic batch, and return `Ok(true)`. On an
     /// in-memory database there is nothing to make durable and it returns
     /// `Ok(false)` without touching the pool (so I/O counters and
     /// eviction state are unperturbed).
     pub fn checkpoint(&self) -> Result<bool> {
-        if !self.pool.is_durable() {
+        let Some(directory) = &self.directory else {
             return Ok(false);
-        }
+        };
+        directory.borrow_mut().sync(&self.tables, &self.pool)?;
         self.pool.flush_all()?;
         Ok(true)
     }
@@ -133,10 +153,16 @@ impl Database {
         &self.metrics
     }
 
-    /// Publish the pool's cumulative I/O counters (and hit ratio) into
-    /// the scoped registry. Idempotent: counters are set, not added.
+    /// Publish the pool's cumulative I/O counters (and hit ratio), its
+    /// free-page count and the directory's table count into the scoped
+    /// registry. Idempotent: counters are set, not added.
     pub fn publish_metrics(&self) {
         self.pool.stats().publish(&self.metrics);
+        self.metrics
+            .gauge_set("pagestore.pool.free_pages", self.pool.free_pages() as f64);
+        let described = self.directory.as_ref().map_or(0, |d| d.borrow().len());
+        self.metrics
+            .gauge_set("relstore.directory.tables", described as f64);
     }
 
     pub fn create_table(&mut self, name: impl Into<String>, schema: Schema) -> Result<&mut Table> {
@@ -153,20 +179,12 @@ impl Database {
         Ok(self.tables.entry(name).or_insert(table))
     }
 
-    /// Register an already-built table (e.g. one that was bulk-loaded and
-    /// clustered before being attached to the catalog).
-    pub fn attach_table(&mut self, table: Table) -> Result<()> {
-        if self.tables.contains_key(table.name()) {
-            return Err(Error::TableExists(table.name().to_owned()));
-        }
-        self.tables.insert(table.name().to_owned(), table);
-        Ok(())
-    }
-
-    pub fn drop_table(&mut self, name: &str) -> Result<Table> {
+    /// Remove a table and give its pages back to the pool.
+    pub fn drop_table(&mut self, name: &str) -> Result<()> {
         self.tables
             .remove(name)
-            .ok_or_else(|| Error::TableNotFound(name.to_owned()))
+            .ok_or_else(|| Error::TableNotFound(name.to_owned()))?
+            .free()
     }
 
     pub fn table(&self, name: &str) -> Result<&Table> {
@@ -263,15 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn attach_prebuilt_table() {
-        let mut db = Database::new();
-        let mut t = Table::new("pre", schema());
-        t.insert(vec![Value::Int64(9)]).unwrap();
-        db.attach_table(t).unwrap();
-        assert_eq!(db.table("pre").unwrap().live_row_count(), 1);
-    }
-
-    #[test]
     fn checkpoint_is_a_noop_on_in_memory_databases() {
         let mut db = Database::with_pool_capacity(8);
         db.create_table("t", schema()).unwrap();
@@ -286,27 +295,202 @@ mod tests {
         assert!(db.recover().is_err(), "recover needs a WAL");
     }
 
-    #[test]
-    fn durable_database_checkpoints_and_reopens() {
-        let dir = std::env::temp_dir().join(format!("relstore-db-durable-{}", std::process::id()));
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("relstore-db-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn wide_schema() -> Schema {
+        Schema::new(vec![
+            Column::new("k", DataType::Int64),
+            Column::nullable("tag", DataType::Text),
+        ])
+    }
+
+    fn wide_row(i: i64) -> Vec<Value> {
+        vec![Value::Int64(i), Value::Text(format!("tag-{}", i % 3))]
+    }
+
+    fn rows_of(db: &Database, name: &str) -> Vec<(crate::RowId, Vec<Value>)> {
+        db.table(name).unwrap().rows().unwrap()
+    }
+
+    #[test]
+    fn durable_database_reopens_with_its_tables() {
+        let dir = scratch("durable");
+        let (expected, pages, file_len);
         {
             let (mut db, report) = Database::open_durable(&dir, 8).unwrap();
             assert!(!report.did_work(), "fresh directory has nothing to repair");
             assert!(db.is_durable());
+            db.set_default_format(PageFormatKind::Delta);
+            let t = db.create_table("t", wide_schema()).unwrap();
+            t.create_index("k_pk", "k", true, crate::IndexKind::BTree)
+                .unwrap();
+            for i in 0..300 {
+                t.insert(wide_row(i)).unwrap();
+            }
+            t.delete(7).unwrap();
+            t.update(9, wide_row(1_009)).unwrap();
+            db.create_table("empty", schema()).unwrap();
+            assert!(db.checkpoint().unwrap());
+            assert!(db.io_stats().checkpoints >= 1);
+            expected = rows_of(&db, "t");
+            // Made after the last checkpoint: must not survive.
+            db.create_table("volatile", schema()).unwrap();
+            db.table_mut("t").unwrap().insert(wide_row(5_000)).unwrap();
+            pages = db.pool().num_pages();
+            file_len = std::fs::metadata(dir.join("pages.db")).unwrap().len();
+        }
+        for _ in 0..2 {
+            let (db, _) = Database::open_durable(&dir, 8).unwrap();
+            assert_eq!(db.table_names(), ["empty", "t"]);
+            assert_eq!(rows_of(&db, "t"), expected);
+            let t = db.table("t").unwrap();
+            assert_eq!(t.format_kind(), PageFormatKind::Delta);
+            assert_eq!(t.live_row_count(), 299);
+            let mut tr = crate::cost::CostTracker::new();
+            assert_eq!(t.index_lookup("k_pk", 1_009, &mut tr).unwrap(), [9]);
+            assert!(t.index_lookup("k_pk", 7, &mut tr).unwrap().is_empty());
+            assert_eq!(db.table("empty").unwrap().live_row_count(), 0);
+            // Opening read; it wrote nothing and grew nothing.
+            assert_eq!(db.pool().num_pages(), pages);
+            assert_eq!(db.io_stats().pages_written(), 0);
+            db.checkpoint().unwrap();
+            assert_eq!(db.io_stats().flushed_writes, 0, "no frame was dirty");
+            drop(db);
+            let len = std::fs::metadata(dir.join("pages.db")).unwrap().len();
+            assert_eq!(len, file_len, "open, close, open: same file");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn altered_and_dropped_tables_reach_the_directory_at_the_checkpoint() {
+        let dir = scratch("alter");
+        {
+            let (mut db, _) = Database::open_durable(&dir, 64).unwrap();
+            for name in ["a", "gone"] {
+                let t = db.create_table(name, wide_schema()).unwrap();
+                for i in (0..2_000).rev() {
+                    t.insert(wide_row(i)).unwrap();
+                }
+            }
+            db.checkpoint().unwrap();
+            let a = db.table_mut("a").unwrap();
+            a.add_column(Column::nullable("extra", DataType::Int64), Value::Null)
+                .unwrap();
+            a.widen_column("k", DataType::Float64).unwrap();
+            a.cluster_on("k").unwrap();
+            a.create_index("extra_ix", "extra", false, crate::IndexKind::Hash)
+                .unwrap();
+            db.drop_table("gone").unwrap();
+            // Created and dropped between two checkpoints: the directory
+            // never hears of it.
+            db.create_table("brief", schema()).unwrap();
+            db.drop_table("brief").unwrap();
+            db.checkpoint().unwrap();
+            db.publish_metrics();
+            assert_eq!(db.metrics().gauge("relstore.directory.tables"), Some(1.0));
+        }
+        let (db, _) = Database::open_durable(&dir, 64).unwrap();
+        assert_eq!(db.table_names(), ["a"]);
+        let a = db.table("a").unwrap();
+        assert_eq!(a.schema().len(), 3);
+        assert_eq!(a.schema().column(0).unwrap().dtype, DataType::Float64);
+        assert_eq!(a.clustering(), crate::Clustering::On(0));
+        assert!(a.has_index("extra_ix"));
+        let keys: Vec<Value> = a
+            .rows()
+            .unwrap()
+            .into_iter()
+            .map(|(_, r)| r[0].clone())
+            .collect();
+        let sorted: Vec<Value> = (0..2_000).map(|i| Value::Float64(i as f64)).collect();
+        assert_eq!(keys, sorted, "clustered order survives");
+        // The dropped table's pages are free again, found by reachability.
+        db.publish_metrics();
+        assert!(db.metrics().gauge("pagestore.pool.free_pages").unwrap() >= 2.0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Regression: `drop_table` only forgot the table; its pages stayed
+    /// allocated and dirty, so memory and the page file grew per drop.
+    #[test]
+    fn dropped_tables_give_their_pages_back() {
+        let mut db = Database::with_pool_capacity(64);
+        let mut high_water = 0;
+        for round in 0..20 {
+            let t = db.create_table("staging", wide_schema()).unwrap();
+            for i in 0..1_000 {
+                t.insert(wide_row(i)).unwrap();
+            }
+            db.drop_table("staging").unwrap();
+            if round == 0 {
+                high_water = db.pool().num_pages();
+            }
+        }
+        assert_eq!(db.pool().num_pages(), high_water);
+        assert_eq!(db.pool().free_pages(), high_water as usize);
+        assert!(db.drop_table("staging").is_err());
+    }
+
+    #[test]
+    fn a_store_larger_than_its_pool_reopens() {
+        let dir = scratch("small-pool");
+        {
+            let (mut db, _) = Database::open_durable(&dir, 512).unwrap();
+            let t = db.create_table("big", wide_schema()).unwrap();
+            for i in 0..40_000 {
+                t.insert(wide_row(i)).unwrap();
+            }
+            assert!(t.num_heap_pages() > 64);
+            db.checkpoint().unwrap();
+        }
+        let (db, _) = Database::open_durable(&dir, 16).unwrap();
+        let big = db.table("big").unwrap();
+        assert_eq!(big.live_row_count(), 40_000);
+        assert_eq!(big.get(39_999).unwrap(), wide_row(39_999));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_page_file_without_a_directory_is_a_typed_error() {
+        let dir = scratch("foreign");
+        {
+            let (pool, _) = BufferPool::open_durable(&dir, 8).unwrap();
+            let mut t = Table::with_pool("raw", schema(), Rc::new(pool));
+            t.insert(vec![Value::Int64(1)]).unwrap();
+            t.pool().flush_all().unwrap();
+        }
+        assert!(matches!(
+            Database::open_durable(&dir, 8),
+            Err(Error::Storage(m)) if m.contains("table directory")
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store that crashed before its first checkpoint holds an empty
+    /// page 0 at most: it opens as a fresh one.
+    #[test]
+    fn a_store_that_never_checkpointed_opens_empty() {
+        let dir = scratch("unborn");
+        {
+            let (mut db, _) = Database::open_durable(&dir, 8).unwrap();
             db.create_table("t", schema()).unwrap();
             db.table_mut("t")
                 .unwrap()
-                .insert(vec![Value::Int64(7)])
+                .insert(vec![Value::Int64(1)])
                 .unwrap();
-            assert!(db.checkpoint().unwrap());
-            assert!(db.io_stats().checkpoints >= 1);
         }
-        {
-            // Reopen: the pages survive even though the catalog is empty.
-            let (db, _) = Database::open_durable(&dir, 8).unwrap();
-            assert!(db.pool().num_pages() > 0, "checkpointed pages persist");
-        }
+        let (mut db, _) = Database::open_durable(&dir, 8).unwrap();
+        assert!(db.table_names().is_empty());
+        db.create_table("t", schema()).unwrap();
+        db.checkpoint().unwrap();
+        drop(db);
+        let (db, _) = Database::open_durable(&dir, 8).unwrap();
+        assert_eq!(db.table_names(), ["t"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -339,7 +523,7 @@ mod tests {
         db.create_table("t", schema()).unwrap();
         db.table_mut("t")
             .unwrap()
-            .insert(vec![Value::Int64(1)])
+            .insert_many([vec![Value::Int64(1)], vec![Value::Int64(2)]])
             .unwrap();
         db.publish_metrics();
         let m = db.metrics();
@@ -394,6 +578,7 @@ mod tests {
             .unwrap()
             .insert(vec![Value::Int64(2)])
             .unwrap();
+        assert_eq!(db.table("b").unwrap().get(0), Some(vec![Value::Int64(2)]));
         assert!(std::rc::Rc::ptr_eq(
             db.table("a").unwrap().pool(),
             db.pool()

@@ -52,6 +52,7 @@
 pub mod codec;
 pub mod cost;
 pub mod db;
+mod directory;
 pub mod error;
 pub mod exec;
 pub mod explain;

@@ -15,7 +15,7 @@ use crate::error::{Error, Result};
 use crate::index::{Index, IndexKind};
 use crate::schema::{Column, Schema};
 use crate::value::{DataType, Value};
-use pagestore::{slot_tuple, BufferPool, HeapFile, IoStats, SlotTuple, TupleAddr};
+use pagestore::{slot_tuple, BufferPool, HeapFile, IoStats, PageId, SlotTuple, TupleAddr};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
@@ -35,6 +35,10 @@ pub const DEFAULT_POOL_PAGES: usize = 512;
 /// Per-row overhead charged by [`Table::storage_bytes`]
 /// (PostgreSQL's tuple header is 23 bytes).
 const ROW_HEADER: usize = 24;
+
+/// Largest row id [`Table::open`] accepts from a stored tuple: the row
+/// directory it sizes by that id lives in memory.
+const MAX_ROW_ID: RowId = 1 << 28;
 
 /// Physical row order of the heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,8 +135,17 @@ impl Table {
                 Box::new(codec::DeltaFormat::with_dict_pages(Rc::clone(&pool)))
             }
         };
+        Table::empty(name.into(), schema, pool, format)
+    }
+
+    fn empty(
+        name: String,
+        schema: Schema,
+        pool: Rc<BufferPool>,
+        format: Box<dyn PageFormat>,
+    ) -> Self {
         Table {
-            name: name.into(),
+            name,
             schema,
             pool,
             heap: HeapFile::new(),
@@ -142,6 +155,174 @@ impl Table {
             clustering: Clustering::None,
             indexes: HashMap::new(),
             format,
+        }
+    }
+
+    /// What the table directory records about this table, as a row: name,
+    /// page format, first heap page, first page of the Delta dictionary
+    /// heap, clustering column, column count; then name, type, nullable per
+    /// column; then name, column, unique, is-btree per index (sorted by
+    /// name, so equal tables describe themselves equally).
+    pub(crate) fn descriptor(&self) -> Row {
+        let first = |heap: &HeapFile| heap.page_ids().first().copied();
+        let page = |id: Option<PageId>| id.map_or(Value::Null, |p| Value::Int64(i64::from(p)));
+        let mut row = vec![
+            Value::Text(self.name.clone()),
+            Value::from(self.format.kind().as_str()),
+            page(first(&self.heap)),
+            page(self.format.side_heap().and_then(|h| first(&h))),
+            match self.clustering {
+                Clustering::None => Value::Null,
+                Clustering::On(col) => Value::Int64(col as i64),
+            },
+            Value::Int64(self.schema.len() as i64),
+        ];
+        for c in self.schema.columns() {
+            row.extend([
+                Value::Text(c.name.clone()),
+                Value::from(c.dtype.name()),
+                Value::Bool(c.nullable),
+            ]);
+        }
+        let mut indexes: Vec<_> = self.indexes.iter().collect();
+        indexes.sort_by_key(|(name, _)| name.as_str());
+        for (name, e) in indexes {
+            row.extend([
+                Value::Text(name.clone()),
+                Value::Int64(e.column as i64),
+                Value::Bool(e.unique),
+                Value::Bool(e.index.kind() == IndexKind::BTree),
+            ]);
+        }
+        row
+    }
+
+    /// Open the table a [`descriptor`](Self::descriptor) row describes by
+    /// reading its pages once: the row directory, the live-row accounting
+    /// and every index are rebuilt from the tuples, which carry their row
+    /// ids. Nothing is written. Every page the table uses is added to
+    /// `reached`. A row that is no descriptor is a typed error.
+    pub(crate) fn open(
+        desc: &[Value],
+        pool: Rc<BufferPool>,
+        reached: &mut Vec<PageId>,
+    ) -> Result<Table> {
+        let bad = || Error::Storage("malformed table descriptor".into());
+        let page = |v: &Value| match v {
+            Value::Null => Some(None),
+            v => v.as_i64().and_then(|x| PageId::try_from(x).ok()).map(Some),
+        };
+        let [Value::Text(name), Value::Text(format), root, dict_root, clustering, Value::Int64(ncols), rest @ ..] =
+            desc
+        else {
+            return Err(bad());
+        };
+        let ncols = usize::try_from(*ncols).ok().and_then(|n| n.checked_mul(3));
+        let (columns, indexes) = ncols
+            .and_then(|n| rest.split_at_checked(n))
+            .filter(|(_, indexes)| indexes.len() % 4 == 0)
+            .ok_or_else(bad)?;
+        let mut schema = Vec::new();
+        for column in columns.chunks(3) {
+            let [Value::Text(name), Value::Text(dtype), Value::Bool(nullable)] = column else {
+                return Err(bad());
+            };
+            schema.push(Column {
+                name: name.clone(),
+                dtype: DataType::from_name(dtype).ok_or_else(bad)?,
+                nullable: *nullable,
+            });
+        }
+        // A column number is only good if the schema has that column.
+        let width = schema.len();
+        let column = |v: &Value| {
+            let col = v.as_i64().and_then(|x| usize::try_from(x).ok());
+            col.filter(|&c| c < width).ok_or_else(bad)
+        };
+        let format: Box<dyn PageFormat> = match PageFormatKind::parse(format).ok_or_else(bad)? {
+            PageFormatKind::Flat => Box::new(codec::FlatFormat),
+            PageFormatKind::Delta => Box::new(codec::DeltaFormat::open(
+                Rc::clone(&pool),
+                page(dict_root).ok_or_else(bad)?,
+                reached,
+            )?),
+        };
+        let mut table = Table::empty(name.clone(), Schema::new(schema), Rc::clone(&pool), format);
+        if !clustering.is_null() {
+            table.clustering = Clustering::On(column(clustering)?);
+        }
+        for index in indexes.chunks(4) {
+            let [Value::Text(name), col, Value::Bool(unique), Value::Bool(btree)] = index else {
+                return Err(bad());
+            };
+            let kind = [IndexKind::Hash, IndexKind::BTree][usize::from(*btree)];
+            let entry = IndexEntry {
+                column: column(col)?,
+                unique: *unique,
+                index: Index::new(kind),
+            };
+            table.indexes.insert(name.clone(), entry);
+        }
+        if let Some(root) = page(root).ok_or_else(bad)? {
+            let adopt = |addr, bytes: &[u8]| table.adopt(addr, bytes);
+            table.heap = HeapFile::open(&pool, root, reached, adopt)?;
+        }
+        Ok(table)
+    }
+
+    /// Account for one stored tuple found by [`open`](Self::open): what
+    /// [`insert`](Self::insert) does for a new row, minus the write.
+    fn adopt(&mut self, addr: TupleAddr, bytes: &[u8]) -> Result<()> {
+        let (id, row) = self.format.decode_row(bytes)?;
+        self.schema.check_row(&row)?;
+        self.check_unique(&row)?;
+        let at = id as usize;
+        if id >= MAX_ROW_ID || self.directory.get(at).is_some_and(Option::is_some) {
+            return Err(Error::Storage(format!(
+                "{}: stored row id {id} is out of range or repeated",
+                self.name
+            )));
+        }
+        if at >= self.directory.len() {
+            self.directory.resize(at + 1, None);
+        }
+        self.directory[at] = Some(addr);
+        self.note_live(id, &row);
+        Ok(())
+    }
+
+    /// Fail if `row` repeats a key of a unique index.
+    fn check_unique(&self, row: &Row) -> Result<()> {
+        for entry in self.indexes.values().filter(|e| e.unique) {
+            if let Some(key) = row[entry.column].as_i64() {
+                if !entry.index.get(key).is_empty() {
+                    return Err(Error::DuplicateKey(format!(
+                        "{}: key {} in column {}",
+                        self.name, key, entry.column
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Enter live row `id` into every index and the byte accounting.
+    fn note_live(&mut self, id: RowId, row: &Row) {
+        for entry in self.indexes.values_mut() {
+            if let Some(key) = row[entry.column].as_i64() {
+                entry.index.insert(key, id);
+            }
+        }
+        self.bytes_live += Self::row_bytes(row);
+        self.live_count += 1;
+    }
+
+    /// Give every page of the table back to the pool (`drop_table`).
+    pub(crate) fn free(mut self) -> Result<()> {
+        self.heap.clear(&self.pool)?;
+        match self.format.side_heap() {
+            Some(mut side) => Ok(side.clear(&self.pool)?),
+            None => Ok(()),
         }
     }
 
@@ -212,7 +393,8 @@ impl Table {
                 total += bytes.len();
             }
         }
-        Ok(total + self.format.aux_bytes())
+        let side = self.format.side_heap().map_or(0, |h| h.num_pages());
+        Ok(total + side * pagestore::PAGE_SIZE)
     }
 
     fn row_bytes(row: &Row) -> usize {
@@ -241,30 +423,13 @@ impl Table {
     pub fn insert(&mut self, row: Row) -> Result<RowId> {
         self.schema.check_row(&row)?;
         // Enforce uniqueness before touching any index.
-        for entry in self.indexes.values() {
-            if entry.unique {
-                if let Some(key) = row[entry.column].as_i64() {
-                    if !entry.index.get(key).is_empty() {
-                        return Err(Error::DuplicateKey(format!(
-                            "{}: key {} in column {}",
-                            self.name, key, entry.column
-                        )));
-                    }
-                }
-            }
-        }
+        self.check_unique(&row)?;
         let id = self.directory.len() as RowId;
         let bytes = self.format.encode_row(id, &row)?;
         self.pool.note_tuple_encoded(bytes.len() as u64);
         let addr = self.heap.insert(&self.pool, &bytes)?;
-        for entry in self.indexes.values_mut() {
-            if let Some(key) = row[entry.column].as_i64() {
-                entry.index.insert(key, id);
-            }
-        }
-        self.bytes_live += Self::row_bytes(&row);
         self.directory.push(Some(addr));
-        self.live_count += 1;
+        self.note_live(id, &row);
         Ok(id)
     }
 

@@ -31,6 +31,15 @@ impl DataType {
         }
     }
 
+    /// The type [`name`](Self::name) names — how stored catalogs (table
+    /// descriptors, attribute tables) read a type back.
+    pub fn from_name(name: &str) -> Option<DataType> {
+        use DataType::*;
+        [Int64, Float64, Text, Bool, IntArray]
+            .into_iter()
+            .find(|t| t.name() == name)
+    }
+
     /// Whether a value of `self` can be widened to `other` without loss
     /// (used by schema evolution: integer → decimal → string, as in §4.3).
     pub fn widens_to(self, other: DataType) -> bool {

@@ -5,7 +5,9 @@
 //! fault there, reopen, recover, and compare raw page images against
 //! clean reference runs. Also pins rebuild determinism: replaying the
 //! same logical history into a fresh store yields identical page images,
-//! including dictionary page order under Delta.
+//! including dictionary page order under Delta. A second matrix runs the
+//! same history through a `Database`: after the crash the table is in
+//! the reopened catalog, rows and page images those of a committed state.
 
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -14,7 +16,7 @@ use pagestore::{
     FaultKind, FaultPager, FaultPlan, FaultWal, FilePager, FileWalStore, Wal, PAGE_SIZE,
 };
 use relstore::codec::PageFormatKind;
-use relstore::{BufferPool, Column, DataType, Schema, Table, Value};
+use relstore::{BufferPool, Column, DataType, Database, Schema, Table, Value};
 
 const CAP: usize = 8;
 
@@ -114,12 +116,11 @@ fn reference_run(
 /// Which committed state the recovered store matches, byte for byte.
 /// Panics if it matches neither — a torn checkpoint leaked through.
 fn matches_reference(
-    pool: &BufferPool,
+    got: &[[u8; PAGE_SIZE]],
     after_c2: &[[u8; PAGE_SIZE]],
     after_c3: &[[u8; PAGE_SIZE]],
     context: &str,
 ) -> bool {
-    let got = page_images(pool);
     for (want, label) in [(after_c2, "commit 2"), (after_c3, "commit 3")] {
         if got.len() < want.len() {
             continue;
@@ -171,7 +172,7 @@ fn crash_mid_checkpoint_replays_committed_bytes_in_both_formats() {
                 }
                 let (pool, _report) = BufferPool::open_durable(&dir, CAP).unwrap();
                 let context = format!("{kind:?} {fault:?} at checkpoint op {nth}");
-                if matches_reference(&pool, &after_c2, &after_c3, &context) {
+                if matches_reference(&page_images(&pool), &after_c2, &after_c3, &context) {
                     committed += 1;
                 } else {
                     rolled_back += 1;
@@ -186,6 +187,90 @@ fn crash_mid_checkpoint_replays_committed_bytes_in_both_formats() {
             committed > 0,
             "{kind:?}: some fault points must replay commit 3"
         );
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// The history of `committed_prefix` + `inflight_body` on table `t` of a
+/// database over a faulty pool; commit 3's checkpoint is left to the caller.
+fn database_history(dir: &Path, plan: &FaultPlan, kind: PageFormatKind) -> Database {
+    let pool = Rc::into_inner(open_faulty(dir, plan)).unwrap();
+    let mut db = Database::open_pool(pool, obs::Recorder::new()).unwrap();
+    db.set_default_format(kind);
+    let t = db.create_table("t", schema()).unwrap();
+    t.create_index("k_pk", "k", true, relstore::IndexKind::BTree)
+        .unwrap();
+    for i in 0..20 {
+        t.insert(row(i)).unwrap();
+    }
+    db.checkpoint().unwrap();
+    let t = db.table_mut("t").unwrap();
+    for i in 20..32 {
+        t.insert(row(i)).unwrap();
+    }
+    t.update(3, row(103)).unwrap();
+    db.checkpoint().unwrap();
+    inflight_body(db.table_mut("t").unwrap()).unwrap();
+    db
+}
+
+type Images = Vec<[u8; PAGE_SIZE]>;
+
+/// What a reopen of `dir` finds: table `t`'s rows and every page image.
+fn reopened(dir: &Path) -> (Vec<(u64, Vec<Value>)>, Images) {
+    let (db, _report) = Database::open_durable(dir, CAP).unwrap();
+    assert_eq!(db.table_names(), ["t"], "the table is in the catalog");
+    let t = db.table("t").unwrap();
+    assert!(t.has_index("k_pk"));
+    (t.rows().unwrap(), page_images(db.pool()))
+}
+
+/// Was "the catalog starts empty after a reopen": a crash at every I/O
+/// of a checkpoint that carries table pages *and* their directory page.
+/// The reopened database holds the table, with the rows and the page
+/// images of commit 2 or of commit 3 — byte for byte, in both formats.
+#[test]
+fn crash_mid_checkpoint_reopens_the_table_in_both_formats() {
+    let base = unique_base("database");
+    let _ = std::fs::remove_dir_all(&base);
+    for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
+        let (c2_dir, c3_dir) = (
+            base.join(format!("{kind:?}-c2")),
+            base.join(format!("{kind:?}-c3")),
+        );
+        drop(database_history(&c2_dir, &FaultPlan::unarmed(), kind));
+        let after_c2 = reopened(&c2_dir);
+        let plan = FaultPlan::unarmed();
+        let db = database_history(&c3_dir, &plan, kind);
+        let at_flush = plan.ops();
+        db.checkpoint().unwrap();
+        let flush_ops = plan.ops() - at_flush;
+        drop(db);
+        let after_c3 = reopened(&c3_dir);
+        assert_eq!(after_c3.0.len(), 40);
+        assert_ne!(after_c2.0, after_c3.0);
+        let (mut committed, mut rolled_back) = (0u32, 0u32);
+        for fault in [FaultKind::CrashStop, FaultKind::ShortWrite] {
+            for nth in 1..=flush_ops {
+                let dir = base.join(format!("{kind:?}-{fault:?}-{nth}"));
+                let plan = FaultPlan::unarmed();
+                let db = database_history(&dir, &plan, kind);
+                plan.arm(nth, fault);
+                db.checkpoint()
+                    .expect_err("the armed fault must surface as an error");
+                drop(db);
+                let (rows, images) = reopened(&dir);
+                let context = format!("{kind:?} {fault:?} at checkpoint op {nth}");
+                if matches_reference(&images, &after_c2.1, &after_c3.1, &context) {
+                    assert_eq!(rows, after_c3.0, "{context}");
+                    committed += 1;
+                } else {
+                    assert_eq!(rows, after_c2.0, "{context}");
+                    rolled_back += 1;
+                }
+            }
+        }
+        assert!(committed > 0 && rolled_back > 0, "{kind:?}");
     }
     std::fs::remove_dir_all(&base).unwrap();
 }

@@ -30,6 +30,13 @@ echo "==> fault-injection / crash-recovery suite (release)"
 # The crash-point matrix walks a fault through every I/O of a commit; run
 # it in release so the full matrix stays fast.
 cargo test -p pagestore --release -q --test crash_matrix --test pool_props
+# The same walk one and two layers up: every I/O of an `OrpheusDb::commit`
+# and of a two-commit server batch leaves the batch visible whole or not
+# at all (one store, one visibility point). Beside it, the reopen legs: a
+# CVD of 300+ pages under a 64-frame pool, histories that read back as
+# they were closed, write cycles that reuse their staging pages.
+cargo test -p orpheus-core --release -q --lib metadata::tests
+cargo test -p orpheus-server --release -q --lib a_batch_has_exactly_one_visibility_point
 
 echo "==> page-format codec round-trip + crash byte-identity suite (release)"
 # Property/fuzz round-trips for both tuple codecs (Flat and Delta):
@@ -180,6 +187,8 @@ EOF
 grep -q 'msg: after crash' "$srv_dir/final.log" || { echo "commit after recovery not durable"; exit 1; }
 kill "$srv_pid"
 wait "$srv_pid" 2>/dev/null || true
+# One store: everything above came back from pages.db and wal.log alone.
+[ ! -e "$srv_dir/catalog.orc" ] || { echo "a catalog.orc appeared in the data dir"; exit 1; }
 rm -rf "$srv_dir"
 echo "WAL recovered across two kill -9 reopens"
 
