@@ -251,6 +251,8 @@ fn main() {
             "counters/orpheus.server.sessions_total",
             "counters/orpheus.server.queries_total",
             "counters/orpheus.server.snapshot_reads_total",
+            "counters/orpheus.server.reply_bytes_total",
+            "counters/orpheus.server.reply_flushes_total",
             "counters/orpheus.server.commits_total",
             "counters/orpheus.server.group_commit.batches",
             "counters/orpheus.server.backpressure_rejections",
@@ -331,6 +333,10 @@ fn main() {
     assert!(
         read_names.iter().any(|n| n == "exec.pool.task"),
         "worker events did not re-attach to the read trace: {read_names:?}"
+    );
+    assert!(
+        read_names.iter().any(|n| n == "orpheus.server.reply"),
+        "the read trace has no reply span: {read_names:?}"
     );
     println!(
         "tracing: {} traces journaled; every commit trace carries its WAL-fsync attribution",

@@ -46,7 +46,6 @@ pub enum CommandOutput {
     Version(Vid),
     Table(QueryResult),
     Listing(Vec<String>),
-    Csv(String),
 }
 
 /// The OrpheusDB middleware.

@@ -87,28 +87,54 @@ impl Snapshot {
 
     /// [`run`](Self::run) for a query that is already parsed.
     pub fn execute(&self, query: &VQuery) -> Result<QueryResult> {
+        let (mut schema, mut rows) = (Schema::new(vec![]), Vec::new());
+        let on_schema = |s: &Schema| -> Result<()> {
+            schema = s.clone();
+            Ok(())
+        };
+        self.execute_with(query, on_schema, |row| {
+            rows.push(row);
+            Ok(())
+        })?;
+        Ok(QueryResult { schema, rows })
+    }
+
+    /// The one evaluation: lower `query`'s plan over this snapshot, hand
+    /// its result schema to `on_schema`, then each row to `on_row` as the
+    /// operator root yields it — nothing is collected here, so a consumer
+    /// that renders rows as they come holds one at a time. An error from
+    /// either callback stops the pull and is returned as is.
+    pub fn execute_with<E: From<Error>>(
+        &self,
+        query: &VQuery,
+        on_schema: impl FnOnce(&Schema) -> std::result::Result<(), E>,
+        mut on_row: impl FnMut(Row) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         if query.cvd() != self.name {
-            return Err(Error::CvdNotFound(format!(
-                "{} (this session pins {})",
-                query.cvd(),
-                self.name
-            )));
+            let (asked, pinned) = (query.cvd(), &self.name);
+            return Err(Error::CvdNotFound(format!("{asked} (this session pins {pinned})")).into());
         }
-        let plan = LogicalPlan::of(query);
-        Ok(plan::execute(&plan, self, &Plain, &mut ExecContext::new())?.0)
+        let (mut root, (), schema) = plan::lower(&LogicalPlan::of(query), self, &Plain, "")?;
+        on_schema(&schema)?;
+        let mut ctx = ExecContext::new();
+        while let Some(row) = root.next(&mut ctx).map_err(Error::from)? {
+            on_row(row)?;
+        }
+        Ok(())
     }
 }
 
-/// A [`Values`] leaf over pinned rows.
+/// A [`Values`] leaf that clones each of its `n` pinned rows as it is
+/// pulled, not before.
 fn values<'a, D: Decorator>(
     label: Arguments<'_>,
     schema: Schema,
-    rows: Vec<Row>,
+    n: usize,
+    rows: impl Iterator<Item = Row> + 'a,
     dec: &D,
 ) -> Op<'a, D> {
-    let n = rows.len() as f64;
     let values = Box::new(Values::new(schema, rows));
-    dec.wrap(values, vec![], label, |_| Estimate::new(n, 0.0))
+    dec.wrap(values, vec![], label, |_| Estimate::new(n as f64, 0.0))
 }
 
 /// The snapshot source: every leaf is a [`Values`] node over pinned rows,
@@ -127,17 +153,18 @@ impl Source for Snapshot {
     }
 
     fn fetch<'a, D: Decorator>(&'a self, rids: Vec<Rid>, side: &str, dec: &D) -> Result<Op<'a, D>> {
+        let n = rids.len();
         let rows = rids
-            .iter()
-            .filter_map(|r| self.rows.get(r.idx()).cloned())
-            .collect();
+            .into_iter()
+            .filter_map(|r| self.rows.get(r.idx()).cloned());
         let label = format_args!("Values star rows{side}");
-        Ok(values(label, self.star.clone(), rows, dec))
+        Ok(values(label, self.star.clone(), n, rows, dec))
     }
 
     fn scan_star<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>> {
         let label = format_args!("Values star");
-        Ok(values(label, self.star.clone(), self.rows.clone(), dec))
+        let rows = self.rows.iter().cloned();
+        Ok(values(label, self.star.clone(), self.rows.len(), rows, dec))
     }
 
     fn scan_rlists<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>> {
@@ -150,9 +177,9 @@ impl Source for Snapshot {
             .version_rids
             .iter()
             .enumerate()
-            .map(|(v, rids)| vec![Value::Int64(v as i64), rlist(rids)])
-            .collect();
-        Ok(values(format_args!("Values rlists"), schema, rows, dec))
+            .map(move |(v, rids)| vec![Value::Int64(v as i64), rlist(rids)]);
+        let n = self.version_rids.len();
+        Ok(values(format_args!("Values rlists"), schema, n, rows, dec))
     }
 }
 
@@ -187,6 +214,29 @@ mod tests {
             .run("SELECT * FROM VERSION 4 OF CVD T WHERE k = 300")
             .unwrap();
         assert_eq!(rows.rows.len(), 1);
+    }
+
+    /// Leaves yield on `next`: they used to clone the whole resolved
+    /// version into a `Vec` before the first row, so `LIMIT 5` cost the
+    /// version. Drained, the charges are what they were.
+    #[test]
+    fn a_limit_pulls_only_its_rows_from_the_pinned_leaf() {
+        let snap = corpus_db().snapshot("S").unwrap();
+        let emitted = |sql| {
+            let plan = LogicalPlan::of(&parse_query(sql).unwrap());
+            let (mut root, (), _) = plan::lower(&plan, &snap, &Plain, "").unwrap();
+            let mut ctx = ExecContext::new();
+            let rows = relstore::collect(root.as_mut(), &mut ctx).unwrap();
+            (rows.len(), ctx.tracker.tuples)
+        };
+        // The corpus's largest version: 50 records.
+        assert_eq!(emitted("SELECT * FROM VERSION 40 OF CVD S"), (50, 50));
+        assert_eq!(emitted("SELECT * FROM VERSION 40 OF CVD S LIMIT 5"), (5, 5));
+        let first = |sql: &str| snap.run(sql).unwrap().rows;
+        assert_eq!(
+            first("SELECT * FROM VERSION 40 OF CVD S LIMIT 5"),
+            first("SELECT * FROM VERSION 40 OF CVD S")[..5]
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! until `Ready`.
 
 use crate::protocol::{self, ClientMsg, ProtoError, ServerMsg};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Client-side failures: transport faults, or a server that refused us.
@@ -137,7 +138,9 @@ pub fn render_messages(messages: &[ServerMsg]) -> String {
 
 /// A connected, started session.
 pub struct Client {
-    stream: TcpStream,
+    /// Replies are read through a buffer (a frame costs a copy, not a
+    /// system call per piece); requests are written to the stream inside.
+    stream: BufReader<TcpStream>,
     session_id: u64,
 }
 
@@ -152,6 +155,7 @@ impl Client {
                 user: user.to_owned(),
             },
         )?;
+        let mut stream = BufReader::new(stream);
         match protocol::read_server(&mut stream)? {
             ServerMsg::StartupOk { session_id } => Ok(Client { stream, session_id }),
             ServerMsg::Error { code, message } => Err(ClientError::Rejected { code, message }),
@@ -179,7 +183,7 @@ impl Client {
 
     fn query_inner(&mut self, line: &str, trace: Option<u64>) -> Result<Reply, ClientError> {
         protocol::write_client(
-            &mut self.stream,
+            self.stream.get_mut(),
             &ClientMsg::Query {
                 line: line.to_owned(),
                 trace,
@@ -196,7 +200,7 @@ impl Client {
 
     /// Orderly goodbye.
     pub fn terminate(mut self) -> Result<(), ClientError> {
-        protocol::write_client(&mut self.stream, &ClientMsg::Terminate)?;
+        protocol::write_client(self.stream.get_mut(), &ClientMsg::Terminate)?;
         Ok(())
     }
 }

@@ -336,6 +336,8 @@ fn seed_metrics(registry: &Registry) {
         "orpheus.server.sessions_total",
         "orpheus.server.queries_total",
         "orpheus.server.snapshot_reads_total",
+        "orpheus.server.reply_bytes_total",
+        "orpheus.server.reply_flushes_total",
         "orpheus.server.commits_total",
         "orpheus.server.group_commit.batches",
         "orpheus.server.backpressure_rejections",

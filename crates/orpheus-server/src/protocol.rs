@@ -13,7 +13,12 @@
 //! A query's response is a sequence `[T D* ] C|E` followed by `Z`; the
 //! client reads until `Z` before sending the next query, exactly like
 //! the PostgreSQL simple-query flow.
+//!
+//! There is one encoder, [`FrameBuf`], and it does no I/O: frames are
+//! appended to a reusable byte buffer behind back-patched lengths, and
+//! whoever owns the buffer decides when its bytes reach a socket.
 
+use std::fmt::Display;
 use std::io::{ErrorKind, Read, Write};
 
 /// Upper bound on a single frame's payload; a length beyond this means a
@@ -22,6 +27,16 @@ pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 /// Field marker for SQL NULL in a `D` (data row) frame.
 const NULL_FIELD: u32 = u32::MAX;
+
+/// Size past which a reply under construction is handed to the socket: a
+/// reply costs one write per window, and a frame buffer that grew beyond
+/// it for one outsized frame gives the memory back.
+pub const WINDOW: usize = 64 * 1024;
+
+/// Read-timeout ticks a frame may sit unfinished once its first byte has
+/// arrived. Peers write frames whole, so a longer gap is a stalled or
+/// hostile peer, not a slow one; sockets without a read timeout never tick.
+pub const STALL_TICKS: u32 = 10;
 
 /// Errors of the wire layer.
 #[derive(Debug)]
@@ -35,6 +50,9 @@ pub enum ProtoError {
     Timeout,
     /// Structurally invalid frame or payload.
     Malformed(String),
+    /// An outgoing frame's payload would exceed [`MAX_FRAME`]; nothing of
+    /// it was encoded.
+    TooLarge(usize),
 }
 
 impl std::fmt::Display for ProtoError {
@@ -44,11 +62,15 @@ impl std::fmt::Display for ProtoError {
             ProtoError::Closed => write!(f, "connection closed"),
             ProtoError::Timeout => write!(f, "read timed out"),
             ProtoError::Malformed(m) => write!(f, "malformed frame: {m}"),
+            ProtoError::TooLarge(n) => write!(f, "frame of {n} bytes exceeds MAX_FRAME"),
         }
     }
 }
 
 impl std::error::Error for ProtoError {}
+
+/// What appending a frame comes to: done, or why not.
+pub type Framed = Result<(), ProtoError>;
 
 impl From<std::io::Error> for ProtoError {
     fn from(e: std::io::Error) -> Self {
@@ -105,6 +127,8 @@ pub mod code {
     pub const PERMISSION: &str = "42501";
     /// Message violated the wire protocol (e.g. query before startup).
     pub const PROTOCOL: &str = "08P01";
+    /// A reply frame would exceed `MAX_FRAME` (program limit exceeded).
+    pub const LIMIT: &str = "54000";
     /// Anything else.
     pub const INTERNAL: &str = "XX000";
 }
@@ -113,83 +137,180 @@ pub mod code {
 // Frame primitives
 // ---------------------------------------------------------------------------
 
-fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> Result<(), ProtoError> {
-    if payload.len() as u64 > MAX_FRAME as u64 {
-        return Err(ProtoError::Malformed(format!(
-            "outgoing frame of {} bytes exceeds MAX_FRAME",
-            payload.len()
-        )));
-    }
-    w.write_all(&[tag])?;
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
+/// Wire bytes under construction: the one frame encoder. Every `pub`
+/// method appends whole frames or nothing.
+#[derive(Debug, Default)]
+pub struct FrameBuf {
+    bytes: Vec<u8>,
 }
 
-/// Read exactly `buf.len()` bytes, retrying through timeouts: once a
-/// frame has started, its remaining bytes are in flight (clients write
-/// frames atomically), so a mid-frame timeout means "keep reading", not
-/// "poll for shutdown".
-fn read_exact_retrying(r: &mut impl Read, buf: &mut [u8]) -> Result<(), ProtoError> {
-    let mut filled = 0;
+impl FrameBuf {
+    /// The encoded frames, in order.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Empty the buffer for reuse. Capacity is kept up to two windows, so
+    /// one outsized frame leaves no high-water mark behind.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        if self.bytes.capacity() > 2 * WINDOW {
+            self.bytes.shrink_to(WINDOW);
+        }
+    }
+
+    /// Append one frame: the header, then whatever `payload` appends, then
+    /// the length patched in. A payload past [`MAX_FRAME`] rolls the buffer
+    /// back to where the frame began.
+    pub fn frame(&mut self, tag: u8, payload: impl FnOnce(&mut FrameBuf)) -> Framed {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(&[tag, 0, 0, 0, 0]);
+        payload(self);
+        let len = self.bytes.len() - start - 5;
+        if len as u64 > MAX_FRAME as u64 {
+            self.bytes.truncate(start);
+            return Err(ProtoError::TooLarge(len));
+        }
+        self.bytes[start + 1..start + 5].copy_from_slice(&(len as u32).to_be_bytes());
+        Ok(())
+    }
+
+    /// Append one length-prefixed field, rendered in place.
+    pub fn field(&mut self, value: &impl Display) {
+        let at = self.bytes.len();
+        self.bytes.extend_from_slice(&[0; 4]);
+        // Writing into a `Vec` cannot fail.
+        drop(write!(self.bytes, "{value}"));
+        let len = (self.bytes.len() - at - 4) as u32;
+        self.bytes[at..at + 4].copy_from_slice(&len.to_be_bytes());
+    }
+
+    /// A counted list of fields, `None` being SQL NULL: the payload of `T`
+    /// (column names, never NULL) and of `D` (one row).
+    pub fn fields<D: Display>(
+        &mut self,
+        tag: u8,
+        fields: impl ExactSizeIterator<Item = Option<D>>,
+    ) -> Framed {
+        self.frame(tag, |p| {
+            p.bytes
+                .extend_from_slice(&(fields.len() as u16).to_be_bytes());
+            for field in fields {
+                match field {
+                    None => p.bytes.extend_from_slice(&NULL_FIELD.to_be_bytes()),
+                    Some(v) => p.field(&v),
+                }
+            }
+        })
+    }
+
+    /// `C`: the completion tag, then the trace id when there is one.
+    pub fn command_complete(&mut self, tag: &impl Display, trace: Option<u64>) -> Framed {
+        self.frame(b'C', |p| {
+            p.field(tag);
+            p.bytes.extend(trace.iter().flat_map(|t| t.to_be_bytes()));
+        })
+    }
+
+    /// `E`: a SQLSTATE-style code and a message.
+    pub fn error(&mut self, code: &str, message: &str) -> Framed {
+        self.frame(b'E', |p| {
+            p.field(&code);
+            p.field(&message);
+        })
+    }
+
+    /// Append one server message.
+    pub fn server(&mut self, msg: &ServerMsg) -> Framed {
+        match msg {
+            ServerMsg::StartupOk { session_id } => self.frame(b'R', |p| {
+                p.bytes.extend_from_slice(&session_id.to_be_bytes())
+            }),
+            ServerMsg::RowDescription { columns } => self.fields(b'T', columns.iter().map(Some)),
+            ServerMsg::DataRow { fields } => self.fields(b'D', fields.iter().map(Option::as_ref)),
+            ServerMsg::CommandComplete { tag, trace } => self.command_complete(tag, *trace),
+            ServerMsg::Error { code, message } => self.error(code, message),
+            ServerMsg::Ready => self.frame(b'Z', |_| {}),
+        }
+    }
+
+    /// Append one client message.
+    pub fn client(&mut self, msg: &ClientMsg) -> Framed {
+        match msg {
+            ClientMsg::Startup { user } => self.frame(b'U', |p| p.field(user)),
+            ClientMsg::Query { line, trace } => self.frame(b'Q', |p| {
+                p.field(line);
+                p.bytes.extend(trace.iter().flat_map(|t| t.to_be_bytes()));
+            }),
+            ClientMsg::Terminate => self.frame(b'X', |_| {}),
+        }
+    }
+}
+
+thread_local! {
+    /// Scratch for the one-message writers; a reply has its session's buffer.
+    static SCRATCH: std::cell::RefCell<FrameBuf> = Default::default();
+}
+
+/// Encode one message into the thread's scratch buffer and hand it to `w`
+/// in one piece. Flushing, where `w` buffers, is the caller's.
+fn write_one(w: &mut impl Write, encode: impl FnOnce(&mut FrameBuf) -> Framed) -> Framed {
+    SCRATCH.with_borrow_mut(|buf| {
+        buf.clear();
+        encode(buf)?;
+        Ok(w.write_all(buf.bytes())?)
+    })
+}
+
+/// Fill `buf`, counting read timeouts. With `idle` (a frame's header), a
+/// timeout or a clean EOF before the first byte is the caller's
+/// [`ProtoError::Timeout`] / [`ProtoError::Closed`]; once a frame has begun
+/// it completes within [`STALL_TICKS`] timeouts or the read fails. Bytes
+/// already taken are never dropped by a timeout.
+fn read_full(r: &mut impl Read, buf: &mut [u8], idle: bool) -> Result<(), ProtoError> {
+    let (mut filled, mut ticks) = (0, 0);
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(ProtoError::Malformed(format!(
-                    "eof after {filled} of {} frame bytes",
-                    buf.len()
-                )))
-            }
+            Ok(0) if idle && filled == 0 => return Err(ProtoError::Closed),
+            Ok(0) => return Err(ProtoError::Malformed("eof mid-frame".into())),
             Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if idle && filled == 0 {
+                    return Err(ProtoError::Timeout);
+                }
+                ticks += 1;
+                if ticks >= STALL_TICKS {
+                    return Err(ProtoError::Malformed("stalled mid-frame".into()));
+                }
+            }
             Err(e) => return Err(ProtoError::Io(e)),
         }
     }
     Ok(())
 }
 
-/// Read one frame. A clean EOF before the tag is [`ProtoError::Closed`];
-/// a timeout before the tag is [`ProtoError::Timeout`] (the caller's
-/// chance to check its shutdown flag).
+/// Read one frame: the 5-byte header in one piece, then the payload. A
+/// clean EOF before the tag is [`ProtoError::Closed`]; a timeout before
+/// the tag is [`ProtoError::Timeout`] (the caller's chance to check its
+/// shutdown flag).
 fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), ProtoError> {
-    let mut tag = [0u8; 1];
-    loop {
-        match r.read(&mut tag) {
-            Ok(0) => return Err(ProtoError::Closed),
-            Ok(_) => break,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return Err(ProtoError::Timeout)
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
-    }
-    let mut len = [0u8; 4];
-    read_exact_retrying(r, &mut len)?;
-    let len = u32::from_be_bytes(len);
+    let mut header = [0u8; 5];
+    read_full(r, &mut header, true)?;
+    let len = u32::from_be_bytes([header[1], header[2], header[3], header[4]]);
     if len > MAX_FRAME {
         return Err(ProtoError::Malformed(format!(
             "frame of {len} bytes exceeds MAX_FRAME"
         )));
     }
     let mut payload = vec![0u8; len as usize];
-    read_exact_retrying(r, &mut payload)?;
-    Ok((tag[0], payload))
+    read_full(r, &mut payload, false)?;
+    Ok((header[0], payload))
 }
 
 // ---------------------------------------------------------------------------
-// Payload encoding helpers
+// Payload decoding
 // ---------------------------------------------------------------------------
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_be_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
 
 struct Cursor<'a> {
     buf: &'a [u8],
@@ -229,11 +350,34 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_be_bytes(a))
     }
 
+    /// One length-prefixed field; `None` is the NULL marker.
+    fn field(&mut self) -> Result<Option<String>, ProtoError> {
+        let len = self.u32()?;
+        if len == NULL_FIELD {
+            return Ok(None);
+        }
+        let text = String::from_utf8(self.take(len as usize)?.to_vec());
+        Ok(Some(text.map_err(|_| {
+            ProtoError::Malformed("non-utf8 field".into())
+        })?))
+    }
+
     fn str(&mut self) -> Result<String, ProtoError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ProtoError::Malformed("non-utf8 string".into()))
+        self.field()?
+            .ok_or_else(|| ProtoError::Malformed("null string".into()))
+    }
+
+    /// A counted list, each element read by `item`.
+    fn list<T>(
+        &mut self,
+        item: impl Fn(&mut Self) -> Result<T, ProtoError>,
+    ) -> Result<Vec<T>, ProtoError> {
+        let n = self.u16()? as usize;
+        let mut list = Vec::with_capacity(n);
+        for _ in 0..n {
+            list.push(item(self)?);
+        }
+        Ok(list)
     }
 
     /// Payload bytes not yet consumed — how optional trailing fields are
@@ -260,22 +404,7 @@ impl<'a> Cursor<'a> {
 
 /// Encode and send one client message.
 pub fn write_client(w: &mut impl Write, msg: &ClientMsg) -> Result<(), ProtoError> {
-    match msg {
-        ClientMsg::Startup { user } => {
-            let mut p = Vec::new();
-            put_str(&mut p, user);
-            write_frame(w, b'U', &p)
-        }
-        ClientMsg::Query { line, trace } => {
-            let mut p = Vec::new();
-            put_str(&mut p, line);
-            if let Some(t) = trace {
-                p.extend_from_slice(&t.to_be_bytes());
-            }
-            write_frame(w, b'Q', &p)
-        }
-        ClientMsg::Terminate => write_frame(w, b'X', &[]),
-    }
+    write_one(w, |buf| buf.client(msg))
 }
 
 /// Read one client message (server side).
@@ -310,43 +439,7 @@ pub fn read_client(r: &mut impl Read) -> Result<ClientMsg, ProtoError> {
 
 /// Encode and send one server message.
 pub fn write_server(w: &mut impl Write, msg: &ServerMsg) -> Result<(), ProtoError> {
-    match msg {
-        ServerMsg::StartupOk { session_id } => write_frame(w, b'R', &session_id.to_be_bytes()),
-        ServerMsg::RowDescription { columns } => {
-            let mut p = Vec::new();
-            p.extend_from_slice(&(columns.len() as u16).to_be_bytes());
-            for col in columns {
-                put_str(&mut p, col);
-            }
-            write_frame(w, b'T', &p)
-        }
-        ServerMsg::DataRow { fields } => {
-            let mut p = Vec::new();
-            p.extend_from_slice(&(fields.len() as u16).to_be_bytes());
-            for field in fields {
-                match field {
-                    None => p.extend_from_slice(&NULL_FIELD.to_be_bytes()),
-                    Some(s) => put_str(&mut p, s),
-                }
-            }
-            write_frame(w, b'D', &p)
-        }
-        ServerMsg::CommandComplete { tag, trace } => {
-            let mut p = Vec::new();
-            put_str(&mut p, tag);
-            if let Some(t) = trace {
-                p.extend_from_slice(&t.to_be_bytes());
-            }
-            write_frame(w, b'C', &p)
-        }
-        ServerMsg::Error { code, message } => {
-            let mut p = Vec::new();
-            put_str(&mut p, code);
-            put_str(&mut p, message);
-            write_frame(w, b'E', &p)
-        }
-        ServerMsg::Ready => write_frame(w, b'Z', &[]),
-    }
+    write_one(w, |buf| buf.server(msg))
 }
 
 /// Read one server message (client side).
@@ -357,31 +450,12 @@ pub fn read_server(r: &mut impl Read) -> Result<ServerMsg, ProtoError> {
         b'R' => ServerMsg::StartupOk {
             session_id: c.u64()?,
         },
-        b'T' => {
-            let n = c.u16()? as usize;
-            let mut columns = Vec::with_capacity(n);
-            for _ in 0..n {
-                columns.push(c.str()?);
-            }
-            ServerMsg::RowDescription { columns }
-        }
-        b'D' => {
-            let n = c.u16()? as usize;
-            let mut fields = Vec::with_capacity(n);
-            for _ in 0..n {
-                let len = c.u32()?;
-                if len == NULL_FIELD {
-                    fields.push(None);
-                } else {
-                    let bytes = c.take(len as usize)?;
-                    fields
-                        .push(Some(String::from_utf8(bytes.to_vec()).map_err(|_| {
-                            ProtoError::Malformed("non-utf8 field".into())
-                        })?));
-                }
-            }
-            ServerMsg::DataRow { fields }
-        }
+        b'T' => ServerMsg::RowDescription {
+            columns: c.list(Cursor::str)?,
+        },
+        b'D' => ServerMsg::DataRow {
+            fields: c.list(Cursor::field)?,
+        },
         b'C' => {
             let tag = c.str()?;
             let trace = if c.remaining() > 0 {
@@ -444,27 +518,24 @@ mod tests {
     fn traceless_query_frames_decode_as_before() {
         // An encoder that predates the trace field sends only the line;
         // the decoder must accept that, not demand 8 more bytes.
-        let mut p = Vec::new();
-        put_str(&mut p, "ls");
-        let mut buf = vec![b'Q'];
-        buf.extend_from_slice(&(p.len() as u32).to_be_bytes());
-        buf.extend_from_slice(&p);
+        let mut old = FrameBuf::default();
+        old.frame(b'Q', |p| p.field(&"ls")).unwrap();
         assert_eq!(
-            read_client(&mut buf.as_slice()).unwrap(),
+            read_client(&mut old.bytes()).unwrap(),
             ClientMsg::Query {
                 line: "ls".into(),
                 trace: None
             }
         );
         // A partial trace field (wrong width) is still malformed.
-        let mut p = Vec::new();
-        put_str(&mut p, "ls");
-        p.extend_from_slice(&[1, 2, 3]);
-        let mut buf = vec![b'Q'];
-        buf.extend_from_slice(&(p.len() as u32).to_be_bytes());
-        buf.extend_from_slice(&p);
+        let mut torn = FrameBuf::default();
+        let partial = |p: &mut FrameBuf| {
+            p.field(&"ls");
+            p.bytes.extend_from_slice(&[1, 2, 3]);
+        };
+        torn.frame(b'Q', partial).unwrap();
         assert!(matches!(
-            read_client(&mut buf.as_slice()),
+            read_client(&mut torn.bytes()),
             Err(ProtoError::Malformed(_))
         ));
     }
@@ -560,5 +631,187 @@ mod tests {
             read_client(&mut &empty[..]),
             Err(ProtoError::Closed)
         ));
+    }
+
+    /// A reply stream: every server tag, NULLs, multi-byte text, an empty row.
+    fn reply_stream() -> (Vec<ServerMsg>, Vec<u8>) {
+        let msgs = vec![
+            ServerMsg::StartupOk { session_id: 9 },
+            ServerMsg::RowDescription {
+                columns: vec!["rid".into(), "名前".into()],
+            },
+            ServerMsg::DataRow {
+                fields: vec![Some("1".into()), None],
+            },
+            ServerMsg::DataRow {
+                fields: vec![Some("".into()), Some("héllo, wörld".into())],
+            },
+            ServerMsg::DataRow { fields: vec![] },
+            ServerMsg::CommandComplete {
+                tag: "SELECT 3".into(),
+                trace: Some(77),
+            },
+            ServerMsg::Error {
+                code: code::NOT_FOUND.into(),
+                message: "no such version".into(),
+            },
+            ServerMsg::Ready,
+        ];
+        let mut buf = FrameBuf::default();
+        for msg in &msgs {
+            buf.server(msg).unwrap();
+        }
+        (msgs, buf.bytes().to_vec())
+    }
+
+    /// Hands out 1..=`most` bytes per `read`, and a `TimedOut` in place of
+    /// every `gap`-th read.
+    struct Dribble<'a> {
+        bytes: &'a [u8],
+        most: usize,
+        gap: usize,
+        reads: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            if self.reads.is_multiple_of(self.gap) {
+                return Err(ErrorKind::TimedOut.into());
+            }
+            let n = (1 + self.reads * 7 % self.most)
+                .min(buf.len())
+                .min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Decode until the stream ends, retrying the between-frames timeouts
+    /// the way a session's poll loop does.
+    fn decode_all(r: &mut impl Read) -> (Vec<ServerMsg>, ProtoError) {
+        let mut msgs = Vec::new();
+        loop {
+            match read_server(r) {
+                Ok(msg) => msgs.push(msg),
+                Err(ProtoError::Timeout) => {}
+                Err(e) => return (msgs, e),
+            }
+        }
+    }
+
+    #[test]
+    fn a_dribbling_peer_decodes_like_a_whole_buffer() {
+        let (msgs, bytes) = reply_stream();
+        for most in [1, 2, 3, 7, 64] {
+            // Sparse enough that no frame meets STALL_TICKS timeouts.
+            let gap = 40 / most + 3;
+            let dribble = |bytes| Dribble {
+                bytes,
+                most,
+                gap,
+                reads: 0,
+            };
+            let (got, end) = decode_all(&mut dribble(&bytes));
+            assert_eq!(got, msgs, "{most} bytes per read");
+            assert!(matches!(end, ProtoError::Closed), "{end}");
+            // The same through the buffer both ends read through: a timeout
+            // loses nothing the buffer already holds.
+            let mut buffered = std::io::BufReader::with_capacity(16, dribble(&bytes));
+            let (got, end) = decode_all(&mut buffered);
+            assert_eq!(got, msgs, "{most} bytes per read, buffered");
+            assert!(matches!(end, ProtoError::Closed), "{end}");
+        }
+    }
+
+    #[test]
+    fn every_strict_prefix_is_closed_or_malformed() {
+        let (msgs, bytes) = reply_stream();
+        let mut boundaries = vec![0];
+        let mut one = FrameBuf::default();
+        for msg in &msgs {
+            one.server(msg).unwrap();
+            boundaries.push(one.bytes().len());
+        }
+        for cut in 0..bytes.len() {
+            let (got, end) = decode_all(&mut &bytes[..cut]);
+            match boundaries.iter().position(|&b| b == cut) {
+                Some(frames) => {
+                    assert_eq!(got, msgs[..frames]);
+                    assert!(matches!(end, ProtoError::Closed), "cut {cut}: {end}");
+                }
+                None => assert!(matches!(end, ProtoError::Malformed(_)), "cut {cut}: {end}"),
+            }
+        }
+        // A hostile count or length inside a well-framed payload is a typed
+        // error too: 65 535 fields promised, 4 GiB of field promised.
+        for payload in [&[0xff, 0xff][..], &[0, 1, 0xff, 0xff, 0xff, 0xfe][..]] {
+            let mut frame = vec![b'D'];
+            frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            frame.extend_from_slice(payload);
+            let end = read_server(&mut frame.as_slice()).unwrap_err();
+            assert!(matches!(end, ProtoError::Malformed(_)), "{end}");
+        }
+    }
+
+    /// A peer that starts a frame and goes quiet: the read gives up after
+    /// `STALL_TICKS` timeouts instead of retrying for ever; a peer that is
+    /// merely idle between frames is only ever `Timeout`.
+    #[test]
+    fn a_stalled_half_frame_fails_after_the_tick_limit() {
+        struct Stall<'a>(&'a [u8], u32);
+        impl Read for Stall<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if self.0.is_empty() {
+                    self.1 += 1;
+                    return Err(ErrorKind::WouldBlock.into());
+                }
+                buf[0] = self.0[0];
+                self.0 = &self.0[1..];
+                Ok(1)
+            }
+        }
+        for started in [&b"Q"[..], b"Q\0\0", b"Q\0\0\0\x09ab"] {
+            let mut peer = Stall(started, 0);
+            match read_client(&mut peer) {
+                Err(ProtoError::Malformed(m)) => assert_eq!(m, "stalled mid-frame"),
+                other => panic!("expected a stall, got {other:?}"),
+            }
+            assert_eq!(peer.1, STALL_TICKS);
+        }
+        let mut idle = Stall(b"", 0);
+        assert!(matches!(read_client(&mut idle), Err(ProtoError::Timeout)));
+        assert_eq!(idle.1, 1);
+    }
+
+    #[test]
+    fn an_over_limit_frame_rolls_the_buffer_back() {
+        let mut buf = FrameBuf::default();
+        buf.error(code::PARSE, "kept").unwrap();
+        let kept = buf.bytes().to_vec();
+        let wide = "x".repeat(MAX_FRAME as usize - 3);
+        match buf.frame(b'D', |p| p.field(&wide)) {
+            Err(ProtoError::TooLarge(n)) => assert_eq!(n, MAX_FRAME as usize + 1),
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+        assert_eq!(buf.bytes(), kept);
+        // One byte less fits, and the outsized frame leaves no capacity
+        // behind once the buffer is reused.
+        buf.frame(b'D', |p| p.field(&&wide[1..])).unwrap();
+        assert_eq!(buf.bytes().len(), kept.len() + 5 + MAX_FRAME as usize);
+        buf.clear();
+        assert!(buf.bytes.capacity() <= 2 * WINDOW);
+        // The one-message writers report the limit the same way.
+        let msg = ServerMsg::CommandComplete {
+            tag: wide,
+            trace: Some(1),
+        };
+        let mut sink = Vec::new();
+        assert!(matches!(
+            write_server(&mut sink, &msg),
+            Err(ProtoError::TooLarge(_))
+        ));
+        assert!(sink.is_empty());
     }
 }

@@ -19,17 +19,22 @@
 //! blocking `accept()` with a loopback connect, then joins every thread
 //! (acceptor, workers, engine — in that order). A worker mid-session
 //! notices the flag at its next 200 ms read-timeout tick and closes the
-//! session; the engine runs one final checkpoint before exiting.
+//! session — at the latest `STALL_TICKS` ticks later when a peer left it
+//! mid-frame; the engine runs one final checkpoint before exiting.
 
 use crate::engine::{EngineConfig, EngineService};
-use crate::protocol::{self, code, ServerMsg};
+use crate::protocol::{code, FrameBuf};
 use crate::session::{serve_session, SessionCounters};
 use exec_pool::ServiceThread;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
+
+/// Longest a refused connection may hold the acceptor, per direction.
+const REFUSE_WAIT: Duration = Duration::from_millis(250);
 
 /// Anything that can go wrong starting or stopping a server.
 #[derive(Debug)]
@@ -227,20 +232,19 @@ fn acceptor_loop(
 }
 
 /// Refuse a connection with the typed backpressure error — the session
-/// equivalent of a full commit admission queue. The client's startup
-/// frame is consumed first: closing a socket with unread inbound data
-/// resets the connection, which would race the error frame away before
-/// the client can read it.
+/// equivalent of a full commit admission queue. What has arrived of the
+/// client's startup frame is taken first: closing a socket with unread
+/// inbound data resets the connection, which would race the error frame
+/// away before the client can read it. One bounded read, never a wait for
+/// a frame to complete: this runs on the acceptor thread, and a peer that
+/// sends half a frame must not stop the server accepting anyone.
 fn refuse(mut stream: TcpStream) {
-    drop(stream.set_read_timeout(Some(Duration::from_millis(250))));
-    drop(protocol::read_client(&mut stream));
-    drop(protocol::write_server(
-        &mut stream,
-        &ServerMsg::Error {
-            code: code::BACKPRESSURE.into(),
-            message: "too many sessions; retry later".into(),
-        },
-    ));
+    drop(stream.set_read_timeout(Some(REFUSE_WAIT)));
+    drop(stream.set_write_timeout(Some(REFUSE_WAIT)));
+    drop(stream.read(&mut [0u8; 512]));
+    let mut frame = FrameBuf::default();
+    drop(frame.error(code::BACKPRESSURE, "too many sessions; retry later"));
+    drop(stream.write_all(frame.bytes()));
 }
 
 fn worker_loop(

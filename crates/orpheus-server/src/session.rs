@@ -6,8 +6,10 @@
 //! 1. **Startup** — the first frame must be `Startup{user}`; the server
 //!    answers `StartupOk{session_id}` (or a `PROTOCOL` error and closes).
 //! 2. **Query loop** — each `Query` frame gets `[RowDescription DataRow*]
-//!    (CommandComplete | Error)` followed by `Ready`. Errors do not kill
-//!    the session.
+//!    (CommandComplete | Error)` followed by `Ready`, rendered as wire
+//!    bytes into the session's one frame buffer and written when the
+//!    reply ends or the buffer passes the window ([`Reply`]). Errors do
+//!    not kill the session.
 //! 3. **Terminate** — an `X` frame (or EOF) ends the session.
 //!
 //! Routing inside the query loop is what makes readers lock-free:
@@ -15,7 +17,8 @@
 //! * `pin <cvd>` asks the engine for an immutable [`Snapshot`] and caches
 //!   it in the session. From then on `run SELECT … OF CVD <cvd>` is
 //!   evaluated *on the session thread* against the snapshot — no engine
-//!   round-trip, no lock, and repeatable reads until `unpin`/re-`pin`.
+//!   round-trip, no lock, and repeatable reads until `unpin`/re-`pin` —
+//!   and its rows go from the operator root straight into the reply.
 //! * `commit …` — and `init`, `drop`, `create_user`, which change the
 //!   catalog tables just as durably — go through the engine's bounded
 //!   admission queue and the group-commit path, so the reply follows the
@@ -23,12 +26,12 @@
 //! * everything else is forwarded to the engine thread verbatim.
 
 use crate::engine::{map_err, EngineError, EngineHandle};
-use crate::protocol::{self, code, ClientMsg, ProtoError, ServerMsg};
-use orpheus_core::query::QueryResult;
+use crate::protocol::{self, code, ClientMsg, FrameBuf, Framed, ProtoError, ServerMsg};
 use orpheus_core::{CommandOutput, Snapshot};
-use relstore::Value;
+use relstore::{Schema, Value};
 use std::collections::HashMap;
-use std::io::Write;
+use std::fmt::Display;
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -36,83 +39,194 @@ use std::time::{Duration, Instant};
 /// How often a blocked session read wakes up to check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(200);
 
-/// Render one command output as its wire messages. Shared by the live
-/// server and by serial-replay harnesses that byte-compare transcripts.
-/// Trace-agnostic: the query loop stamps the request's trace id onto the
-/// final `CommandComplete` (see [`stamp_trace`]), so replay transcripts
-/// stay byte-identical.
-pub fn output_messages(out: &CommandOutput) -> Vec<ServerMsg> {
+/// Where a command's output goes, frame by frame: wire bytes in the
+/// session's buffer ([`Reply`], the live server) or messages
+/// (`Vec<ServerMsg>`, the transcript oracle). [`render`] and a pinned
+/// `run` are the only producers, so the two can never disagree.
+trait Sink {
+    fn columns<D: Display>(&mut self, names: impl ExactSizeIterator<Item = D>) -> Framed;
+
+    fn row<D: Display>(&mut self, fields: impl ExactSizeIterator<Item = Option<D>>) -> Framed;
+
+    fn complete(&mut self, tag: &impl Display) -> Framed;
+
+    fn table_head(&mut self, schema: &Schema) -> Framed {
+        self.columns(schema.columns().iter().map(|c| c.name.as_str()))
+    }
+
+    fn table_row(&mut self, row: &[Value]) -> Framed {
+        self.row(row.iter().map(|v| (!v.is_null()).then_some(v)))
+    }
+
+    fn table_end(&mut self, rows: usize) -> Framed {
+        self.complete(&format_args!("SELECT {rows}"))
+    }
+}
+
+/// The one walk over a command's output.
+fn render(out: &CommandOutput, sink: &mut impl Sink) -> Framed {
     match out {
-        CommandOutput::Table(t) => table_messages(t),
-        CommandOutput::Version(v) => vec![ServerMsg::CommandComplete {
-            tag: format!("COMMIT {v}"),
-            trace: None,
-        }],
-        CommandOutput::Message(m) => vec![ServerMsg::CommandComplete {
-            tag: m.clone(),
-            trace: None,
-        }],
-        CommandOutput::Listing(items) => {
-            let mut msgs = vec![ServerMsg::RowDescription {
-                columns: vec!["name".into()],
-            }];
-            for item in items {
-                msgs.push(ServerMsg::DataRow {
-                    fields: vec![Some(item.clone())],
-                });
+        CommandOutput::Table(t) => {
+            sink.table_head(&t.schema)?;
+            for row in &t.rows {
+                sink.table_row(row)?;
             }
-            msgs.push(ServerMsg::CommandComplete {
-                tag: format!("LIST {}", items.len()),
-                trace: None,
-            });
-            msgs
+            sink.table_end(t.rows.len())
         }
-        CommandOutput::Csv(text) => {
-            let mut msgs = vec![ServerMsg::RowDescription {
-                columns: vec!["csv".into()],
-            }];
-            msgs.push(ServerMsg::DataRow {
-                fields: vec![Some(text.clone())],
-            });
-            msgs.push(ServerMsg::CommandComplete {
-                tag: "CSV".into(),
-                trace: None,
-            });
-            msgs
+        CommandOutput::Version(v) => sink.complete(&format_args!("COMMIT {v}")),
+        CommandOutput::Message(m) => sink.complete(m),
+        CommandOutput::Listing(items) => {
+            sink.columns(["name"].into_iter())?;
+            for item in items {
+                sink.row([Some(item)].into_iter())?;
+            }
+            sink.complete(&format_args!("LIST {}", items.len()))
         }
     }
 }
 
-fn table_messages(t: &QueryResult) -> Vec<ServerMsg> {
-    let mut msgs = vec![ServerMsg::RowDescription {
-        columns: t.schema.columns().iter().map(|c| c.name.clone()).collect(),
-    }];
-    for row in &t.rows {
-        msgs.push(ServerMsg::DataRow {
-            fields: row.iter().map(render_value).collect(),
-        });
+/// Trace-agnostic: the live server writes the request's trace id where it
+/// encodes `CommandComplete`, so replay transcripts stay byte-identical.
+impl Sink for Vec<ServerMsg> {
+    fn columns<D: Display>(&mut self, names: impl ExactSizeIterator<Item = D>) -> Framed {
+        let columns = names.map(|c| c.to_string()).collect();
+        self.push(ServerMsg::RowDescription { columns });
+        Ok(())
     }
-    msgs.push(ServerMsg::CommandComplete {
-        tag: format!("SELECT {}", t.rows.len()),
-        trace: None,
-    });
+
+    fn row<D: Display>(&mut self, fields: impl ExactSizeIterator<Item = Option<D>>) -> Framed {
+        let fields = fields.map(|f| f.map(|v| v.to_string())).collect();
+        self.push(ServerMsg::DataRow { fields });
+        Ok(())
+    }
+
+    fn complete(&mut self, tag: &impl Display) -> Framed {
+        let (tag, trace) = (tag.to_string(), None);
+        self.push(ServerMsg::CommandComplete { tag, trace });
+        Ok(())
+    }
+}
+
+/// Render one command output as its wire messages: the message sink of the
+/// walk the live server renders into bytes. The transcript oracle of the
+/// serial-replay harnesses.
+pub fn output_messages(out: &CommandOutput) -> Vec<ServerMsg> {
+    let mut msgs = Vec::new();
+    // The message sink never fails.
+    drop(render(out, &mut msgs));
     msgs
 }
 
-/// Echo the request's trace id on every `CommandComplete` so the client
-/// can correlate its reply with a server-side `trace dump`.
-fn stamp_trace(msgs: &mut [ServerMsg], trace: u64) {
-    for msg in msgs.iter_mut() {
-        if let ServerMsg::CommandComplete { trace: t, .. } = msg {
-            *t = Some(trace);
+/// Why a reply stopped short: the command failed — the client gets an `E`
+/// frame and the session goes on — or the wire did, and the session ends.
+enum ReplyError {
+    Command(EngineError),
+    Wire(ProtoError),
+}
+
+impl From<EngineError> for ReplyError {
+    fn from(e: EngineError) -> Self {
+        ReplyError::Command(e)
+    }
+}
+
+impl From<orpheus_core::Error> for ReplyError {
+    fn from(e: orpheus_core::Error) -> Self {
+        ReplyError::Command(map_err(&e))
+    }
+}
+
+impl From<ProtoError> for ReplyError {
+    fn from(e: ProtoError) -> Self {
+        match e {
+            // The frame was rolled back before any of it left the buffer,
+            // so an over-limit result is a failed command, not a dead wire.
+            ProtoError::TooLarge(n) => ReplyError::Command(EngineError {
+                code: code::LIMIT,
+                message: format!("reply frame of {n} bytes exceeds MAX_FRAME"),
+            }),
+            e => ReplyError::Wire(e),
         }
     }
 }
 
-fn render_value(v: &Value) -> Option<String> {
-    match v {
-        Value::Null => None,
-        other => Some(other.to_string()),
+/// One query's reply: frames are rendered straight into the session's
+/// buffer and reach `out` in one write when the reply ends or whenever the
+/// buffer passes [`protocol::WINDOW`], so memory is bounded by the window
+/// plus one frame however large the result. The buffer is empty between
+/// replies.
+struct Reply<'a, W: Write> {
+    buf: &'a mut FrameBuf,
+    out: W,
+    /// Echoed on `CommandComplete` so the client can correlate its reply
+    /// with a server-side `trace dump`.
+    trace: u64,
+    /// Writes and bytes handed to `out` so far.
+    sent: (u64, u64),
+}
+
+impl<'a, W: Write> Reply<'a, W> {
+    fn new(buf: &'a mut FrameBuf, out: W, trace: u64) -> Self {
+        Reply {
+            buf,
+            out,
+            trace,
+            sent: (0, 0),
+        }
+    }
+
+    fn flush(&mut self) -> Framed {
+        self.out.write_all(self.buf.bytes())?;
+        self.sent = (self.sent.0 + 1, self.sent.1 + self.buf.bytes().len() as u64);
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Append a frame; past the window, hand over what is there.
+    fn frame(&mut self, encode: impl FnOnce(&mut FrameBuf) -> Framed) -> Framed {
+        encode(self.buf)?;
+        if self.buf.bytes().len() >= protocol::WINDOW {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// End the reply: on a failed command the `E` frame — alone, if nothing
+    /// was flushed yet (what was rendered is rolled back), after the rows
+    /// already sent otherwise — then `Z`, then the last write. Returns the
+    /// reply's `(writes, bytes)`.
+    fn finish(mut self, result: Result<(), ReplyError>) -> Result<(u64, u64), ProtoError> {
+        match result {
+            Ok(()) => {}
+            Err(ReplyError::Wire(e)) => return Err(e),
+            Err(ReplyError::Command(e)) => {
+                if self.sent.0 == 0 {
+                    self.buf.clear();
+                }
+                self.buf.error(e.code, &e.message).or_else(|_| {
+                    self.buf
+                        .error(code::LIMIT, "error message exceeds MAX_FRAME")
+                })?;
+            }
+        }
+        self.buf.server(&ServerMsg::Ready)?;
+        self.flush()?;
+        Ok(self.sent)
+    }
+}
+
+impl<W: Write> Sink for Reply<'_, W> {
+    fn columns<D: Display>(&mut self, names: impl ExactSizeIterator<Item = D>) -> Framed {
+        self.frame(|buf| buf.fields(b'T', names.map(Some)))
+    }
+
+    fn row<D: Display>(&mut self, fields: impl ExactSizeIterator<Item = Option<D>>) -> Framed {
+        self.frame(|buf| buf.fields(b'D', fields))
+    }
+
+    /// No window check: `Z` and the reply's last write follow at once.
+    fn complete(&mut self, tag: &impl Display) -> Framed {
+        self.buf.command_complete(tag, Some(self.trace))
     }
 }
 
@@ -125,7 +239,7 @@ pub(crate) struct SessionCounters {
 /// close (terminate, EOF, server shutdown) and `Err` only for transport
 /// faults worth logging.
 pub(crate) fn serve_session(
-    mut stream: TcpStream,
+    stream: TcpStream,
     session_id: u64,
     engine: &EngineHandle,
     counters: &SessionCounters,
@@ -133,21 +247,22 @@ pub(crate) fn serve_session(
 ) -> Result<(), ProtoError> {
     drop(stream.set_nodelay(true));
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
+    // A peer that stops reading stalls a reply no longer than one that
+    // stops writing stalls a request.
+    stream.set_write_timeout(Some(POLL_INTERVAL * protocol::STALL_TICKS))?;
     let registry = engine.registry().clone();
+    // Requests are read through a buffer: a frame costs a copy, not three
+    // system calls, and a timeout never loses bytes already taken.
+    let mut requests = BufReader::new(&stream);
 
     // Startup handshake.
     let user = loop {
-        match protocol::read_client(&mut stream) {
+        match protocol::read_client(&mut requests) {
             Ok(ClientMsg::Startup { user }) => break user,
             Ok(_) => {
-                protocol::write_server(
-                    &mut stream,
-                    &ServerMsg::Error {
-                        code: code::PROTOCOL.into(),
-                        message: "expected a startup frame".into(),
-                    },
-                )?;
-                return Ok(());
+                let mut frame = FrameBuf::default();
+                frame.error(code::PROTOCOL, "expected a startup frame")?;
+                return Ok((&stream).write_all(frame.bytes())?);
             }
             Err(ProtoError::Timeout) => {
                 if shutdown.load(Ordering::SeqCst) {
@@ -158,12 +273,12 @@ pub(crate) fn serve_session(
             Err(e) => return Err(e),
         }
     };
-    protocol::write_server(&mut stream, &ServerMsg::StartupOk { session_id })?;
+    protocol::write_server(&mut &stream, &ServerMsg::StartupOk { session_id })?;
     registry.counter_add("orpheus.server.sessions_total", 1);
     let active = counters.active.fetch_add(1, Ordering::SeqCst) + 1;
     registry.gauge_set("orpheus.server.active_sessions", active as f64);
 
-    let result = query_loop(&mut stream, session_id, &user, engine, shutdown);
+    let result = query_loop(&mut requests, &stream, session_id, &user, engine, shutdown);
 
     let active = counters.active.fetch_sub(1, Ordering::SeqCst) - 1;
     registry.gauge_set("orpheus.server.active_sessions", active as f64);
@@ -171,7 +286,8 @@ pub(crate) fn serve_session(
 }
 
 fn query_loop(
-    stream: &mut TcpStream,
+    requests: &mut impl Read,
+    stream: &TcpStream,
     session_id: u64,
     user: &str,
     engine: &EngineHandle,
@@ -179,21 +295,16 @@ fn query_loop(
 ) -> Result<(), ProtoError> {
     let registry = engine.registry().clone();
     let mut pinned: HashMap<String, Snapshot> = HashMap::new();
+    // The session's one frame buffer, reused by every reply.
+    let mut buf = FrameBuf::default();
     loop {
-        let (line, wire_trace) = match protocol::read_client(stream) {
+        let (line, wire_trace) = match protocol::read_client(requests) {
             Ok(ClientMsg::Query { line, trace }) => (line, trace),
             Ok(ClientMsg::Terminate) => return Ok(()),
             Ok(ClientMsg::Startup { .. }) => {
-                write_all(
-                    stream,
-                    &[
-                        ServerMsg::Error {
-                            code: code::PROTOCOL.into(),
-                            message: "session already started".into(),
-                        },
-                        ServerMsg::Ready,
-                    ],
-                )?;
+                let (code, message) = (code::PROTOCOL, "session already started".into());
+                let refused = Err(EngineError { code, message }.into());
+                Reply::new(&mut buf, stream, 0).finish(refused)?;
                 continue;
             }
             Err(ProtoError::Timeout) => {
@@ -212,52 +323,55 @@ fn query_loop(
             _ => obs::mint_trace_id(),
         };
         let start = Instant::now();
-        let msgs = match dispatch(&line, session_id, user, trace, engine, &mut pinned) {
-            Ok(mut msgs) => {
-                stamp_trace(&mut msgs, trace);
-                msgs
-            }
-            Err(e) => vec![ServerMsg::Error {
-                code: e.code.into(),
-                message: e.message,
-            }],
-        };
+        let mut reply = Reply::new(&mut buf, stream, trace);
+        let routed = dispatch(&line, session_id, user, engine, &mut pinned, &mut reply);
         registry.counter_add("orpheus.server.queries_total", 1);
+        // Rendering what the engine sent back whole, and the write that
+        // hands the reply to the socket.
+        let span = engine
+            .recorder()
+            .enter_with("orpheus.server.reply", obs::TraceCtx::from_wire(trace));
+        let rendered = routed.and_then(|out| match out {
+            Some(out) => Ok(render(&out, &mut reply)?),
+            None => Ok(()),
+        });
+        let (flushes, bytes) = reply.finish(rendered)?;
+        drop(span);
+        registry.counter_add("orpheus.server.reply_flushes_total", flushes);
+        registry.counter_add("orpheus.server.reply_bytes_total", bytes);
         registry.observe_duration("orpheus.server.query.latency_us", start.elapsed());
-        write_all(stream, &msgs)?;
-        protocol::write_server(stream, &ServerMsg::Ready)?;
     }
 }
 
-fn write_all(stream: &mut TcpStream, msgs: &[ServerMsg]) -> Result<(), ProtoError> {
-    for msg in msgs {
-        protocol::write_server(stream, msg)?;
+fn usage(text: &str) -> EngineError {
+    EngineError {
+        code: code::PARSE,
+        message: format!("usage: {text}"),
     }
-    stream.flush()?;
-    Ok(())
 }
 
 /// Route one query line: snapshot commands stay on this thread, durable
-/// writes take the admission queue, everything else goes to the engine. `trace`
-/// is the request's trace id (already adopted or minted, never 0); it
-/// rides along to the engine so remote spans re-attach to this request.
-fn dispatch(
+/// writes take the admission queue, everything else goes to the engine.
+/// The request's trace id (`reply.trace`, already adopted or minted, never
+/// 0) rides along to the engine so remote spans re-attach to this request.
+/// What the engine answers comes back whole (`Some`) for the caller to
+/// render; a pinned `run` streams its rows into `reply` from the operator
+/// root as they are produced and returns `None`.
+fn dispatch<W: Write>(
     line: &str,
     session_id: u64,
     user: &str,
-    trace: u64,
     engine: &EngineHandle,
     pinned: &mut HashMap<String, Snapshot>,
-) -> Result<Vec<ServerMsg>, EngineError> {
+    reply: &mut Reply<'_, W>,
+) -> Result<Option<CommandOutput>, ReplyError> {
+    let trace = reply.trace;
     let trimmed = line.trim();
     let mut words = trimmed.split_whitespace();
     let cmd = words.next().unwrap_or("");
-    match cmd {
+    let out = match cmd {
         "pin" => {
-            let cvd = words.next().ok_or_else(|| EngineError {
-                code: code::PARSE,
-                message: "usage: pin <cvd>".into(),
-            })?;
+            let cvd = words.next().ok_or_else(|| usage("pin <cvd>"))?;
             let snap = engine.snapshot(cvd)?;
             let tag = format!(
                 "PIN {cvd}@{} ({} versions)",
@@ -265,39 +379,28 @@ fn dispatch(
                 snap.num_versions()
             );
             pinned.insert(cvd.to_owned(), snap);
-            Ok(vec![ServerMsg::CommandComplete { tag, trace: None }])
+            CommandOutput::Message(tag)
         }
         "unpin" => {
-            let cvd = words.next().ok_or_else(|| EngineError {
-                code: code::PARSE,
-                message: "usage: unpin <cvd>".into(),
-            })?;
-            let tag = match pinned.remove(cvd) {
+            let cvd = words.next().ok_or_else(|| usage("unpin <cvd>"))?;
+            CommandOutput::Message(match pinned.remove(cvd) {
                 Some(_) => format!("UNPIN {cvd}"),
                 None => format!("UNPIN {cvd} (was not pinned)"),
-            };
-            Ok(vec![ServerMsg::CommandComplete { tag, trace: None }])
+            })
         }
         "sleep" => {
             // Test hook: stall the engine without holding this session.
             let millis = words
                 .next()
                 .and_then(|w| w.parse::<u64>().ok())
-                .ok_or_else(|| EngineError {
-                    code: code::PARSE,
-                    message: "usage: sleep <millis>".into(),
-                })?;
+                .ok_or_else(|| usage("sleep <millis>"))?;
             engine.sleep(millis);
-            Ok(vec![ServerMsg::CommandComplete {
-                tag: format!("SLEEP {millis}"),
-                trace: None,
-            }])
+            CommandOutput::Message(format!("SLEEP {millis}"))
         }
         // Acknowledged means durable: whatever changes the catalog tables
         // is answered only after its batch's checkpoint.
         "commit" | "init" | "drop" | "create_user" => {
-            let out = engine.submit_commit(session_id, user, trimmed, trace)?;
-            Ok(output_messages(&out))
+            engine.submit_commit(session_id, user, trimmed, trace)?
         }
         "run" => {
             let sql = trimmed.strip_prefix("run").unwrap_or("").trim();
@@ -306,32 +409,39 @@ fn dispatch(
             let local = orpheus_core::query::parse_query(sql)
                 .ok()
                 .and_then(|query| Some((pinned.get(query.cvd())?, query)));
-            if let Some((snap, query)) = local {
-                // Lock-free read on this session thread; journal it under
-                // the request trace so snapshot reads show up in dumps.
-                let _span = engine.recorder().enter_with(
-                    "orpheus.server.snapshot_read",
-                    obs::TraceCtx::from_wire(trace),
-                );
-                let table = snap.execute(&query).map_err(|e| map_err(&e))?;
-                engine
-                    .registry()
-                    .counter_add("orpheus.server.snapshot_reads_total", 1);
-                return Ok(table_messages(&table));
-            }
-            let out = engine.execute(session_id, user, trimmed, trace)?;
-            Ok(output_messages(&out))
+            let Some((snap, query)) = local else {
+                return Ok(Some(engine.execute(session_id, user, trimmed, trace)?));
+            };
+            // Lock-free read on this session thread; journal it under
+            // the request trace so snapshot reads show up in dumps.
+            let _span = engine.recorder().enter_with(
+                "orpheus.server.snapshot_read",
+                obs::TraceCtx::from_wire(trace),
+            );
+            let (reply, mut rows) = (std::cell::RefCell::new(reply), 0);
+            let on_schema = |s: &Schema| Ok(reply.borrow_mut().table_head(s)?);
+            snap.execute_with(&query, on_schema, |row| {
+                rows += 1;
+                Ok::<(), ReplyError>(reply.borrow_mut().table_row(&row)?)
+            })?;
+            engine
+                .registry()
+                .counter_add("orpheus.server.snapshot_reads_total", 1);
+            reply.into_inner().table_end(rows)?;
+            return Ok(None);
         }
-        _ => {
-            let out = engine.execute(session_id, user, trimmed, trace)?;
-            Ok(output_messages(&out))
-        }
-    }
+        _ => engine.execute(session_id, user, trimmed, trace)?,
+    };
+    Ok(Some(out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{read_server, write_server, MAX_FRAME, WINDOW};
+    use orpheus_core::query::QueryResult;
+    use proptest::prelude::*;
+    use relstore::{Column, DataType};
 
     #[test]
     fn output_messages_cover_every_variant() {
@@ -363,12 +473,9 @@ mod tests {
             }
         );
 
-        let msgs = output_messages(&CommandOutput::Csv("k,v\n1,2\n".into()));
-        assert_eq!(msgs.len(), 3);
-
-        let schema = relstore::Schema::new(vec![
-            relstore::Column::nullable("k", relstore::DataType::Int64),
-            relstore::Column::nullable("name", relstore::DataType::Text),
+        let schema = Schema::new(vec![
+            Column::nullable("k", DataType::Int64),
+            Column::nullable("name", DataType::Text),
         ]);
         let table = QueryResult {
             schema,
@@ -397,5 +504,192 @@ mod tests {
                 trace: None,
             }
         );
+    }
+
+    const TRACE: u64 = 0x7ace;
+
+    /// One reply as the live server builds it — `run` renders into the
+    /// session's `buf`, `finish` ends it — written to a `Vec`. Returns the
+    /// wire bytes and the `(writes, bytes)` the reply reports.
+    fn reply_on(
+        buf: &mut FrameBuf,
+        run: impl FnOnce(&mut Reply<'_, &mut Vec<u8>>) -> Result<(), ReplyError>,
+    ) -> (Vec<u8>, (u64, u64)) {
+        let mut wire = Vec::new();
+        let mut reply = Reply::new(buf, &mut wire, TRACE);
+        let result = run(&mut reply);
+        let sent = reply.finish(result).unwrap();
+        assert!(
+            buf.bytes().is_empty(),
+            "the buffer is empty between replies"
+        );
+        assert_eq!(sent.1, wire.len() as u64);
+        (wire, sent)
+    }
+
+    fn decode(mut wire: &[u8]) -> Vec<ServerMsg> {
+        let mut msgs = Vec::new();
+        while !wire.is_empty() {
+            msgs.push(read_server(&mut wire).unwrap());
+        }
+        msgs
+    }
+
+    /// The transcript oracle's messages as the wire carries them: the
+    /// request's trace id on the completion, `Ready` at the end.
+    fn on_the_wire(mut msgs: Vec<ServerMsg>) -> Vec<ServerMsg> {
+        for msg in &mut msgs {
+            if let ServerMsg::CommandComplete { trace, .. } = msg {
+                *trace = Some(TRACE);
+            }
+        }
+        msgs.push(ServerMsg::Ready);
+        msgs
+    }
+
+    fn error(code: &str, message: &str) -> ServerMsg {
+        let (code, message) = (code.into(), message.into());
+        ServerMsg::Error { code, message }
+    }
+
+    fn text() -> impl Strategy<Value = String> {
+        "[a-zA-Z0-9 |,'\"é-üα-ω一-龥]{0,12}"
+    }
+
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            any::<i64>().prop_map(Value::Int64),
+            (-1.0e12..1.0e12).prop_map(Value::Float64),
+            text().prop_map(Value::Text),
+            any::<bool>().prop_map(Value::Bool),
+            prop::collection::vec(any::<i64>(), 0..5).prop_map(Value::IntArray),
+            Just(Value::Null),
+        ]
+    }
+
+    /// Any command output: tables of 0..5 columns (zero columns and zero
+    /// rows included), listings, messages, versions.
+    fn output() -> impl Strategy<Value = CommandOutput> {
+        let table = (
+            prop::collection::vec(text(), 0..5),
+            prop::collection::vec(value(), 0..40),
+            0..4usize,
+        )
+            .prop_map(|(names, cells, empty_rows)| {
+                let width = names.len();
+                let columns = names
+                    .into_iter()
+                    .map(|n| Column::nullable(&n, DataType::Text));
+                let rows = match width {
+                    0 => vec![vec![]; empty_rows],
+                    _ => cells.chunks_exact(width).map(<[Value]>::to_vec).collect(),
+                };
+                CommandOutput::Table(QueryResult {
+                    schema: Schema::new(columns.collect()),
+                    rows,
+                })
+            });
+        prop_oneof![
+            table,
+            prop::collection::vec(text(), 0..6).prop_map(CommandOutput::Listing),
+            text().prop_map(CommandOutput::Message),
+            any::<u32>().prop_map(|v| CommandOutput::Version(partition::Vid(v))),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The wire is untouched: what the frame sink writes is, byte for
+        /// byte, `write_server` over the message sink's output, and decodes
+        /// back to it.
+        #[test]
+        fn the_frame_sink_writes_what_the_message_sink_says(out in output()) {
+            let want = on_the_wire(output_messages(&out));
+            let (wire, sent) = reply_on(&mut FrameBuf::default(), |r| Ok(render(&out, r)?));
+            let mut bytes = Vec::new();
+            for msg in &want {
+                write_server(&mut bytes, msg).unwrap();
+            }
+            prop_assert_eq!(&wire, &bytes);
+            prop_assert_eq!(decode(&wire), want);
+            prop_assert_eq!(sent.0, 1);
+        }
+    }
+
+    /// Satellite regression: an over-limit frame used to surface while
+    /// writing and kill the session, earlier frames already sent. Now the
+    /// frame never leaves the encoder, the reply is `E 54000` + `Z`, and
+    /// the session's buffer serves the next reply.
+    #[test]
+    fn an_over_limit_frame_is_an_error_reply_not_a_dead_session() {
+        let mut buf = FrameBuf::default();
+        let limit = |n: usize| {
+            let message = format!("reply frame of {n} bytes exceeds MAX_FRAME");
+            vec![error(code::LIMIT, &message), ServerMsg::Ready]
+        };
+        let huge = "x".repeat(MAX_FRAME as usize + 1);
+        let out = CommandOutput::Message(huge.clone());
+        let (wire, _) = reply_on(&mut buf, |r| Ok(render(&out, r)?));
+        assert_eq!(decode(&wire), limit(huge.len() + 4 + 8));
+
+        // One very wide row behind narrow ones: what was rendered is rolled
+        // back, the reply is the error alone.
+        let schema = Schema::new(vec![Column::nullable("t", DataType::Text)]);
+        let rows = vec![vec![Value::Text("narrow".into())], vec![Value::Text(huge)]];
+        let out = CommandOutput::Table(QueryResult { schema, rows });
+        let (wire, sent) = reply_on(&mut buf, |r| Ok(render(&out, r)?));
+        assert_eq!(decode(&wire), limit(2 + 4 + MAX_FRAME as usize + 1));
+        assert_eq!(sent.0, 1);
+
+        let out = CommandOutput::Message("still here".into());
+        let (wire, _) = reply_on(&mut buf, |r| Ok(render(&out, r)?));
+        assert_eq!(decode(&wire), on_the_wire(output_messages(&out)));
+    }
+
+    /// A row source that fails after `n` rows: before the first flush the
+    /// reply is exactly the error (`E Z`); after it, the rows already sent
+    /// stand and the reply ends `T D* E Z`. Either way the next reply on the
+    /// same buffer is whole.
+    #[test]
+    fn a_row_source_failing_on_either_side_of_the_first_flush() {
+        let schema = Schema::new(vec![Column::nullable("t", DataType::Text)]);
+        let row = vec![Value::Text("r".repeat(1013))];
+        let per_row = 5 + 2 + 4 + 1013;
+        let first_flush = WINDOW.div_ceil(per_row);
+        let failure = || EngineError {
+            code: code::INTERNAL,
+            message: "row source failed".into(),
+        };
+        let mut buf = FrameBuf::default();
+        let mut sides = [0, 0];
+        for n in [0, 1, first_flush - 1, first_flush, first_flush + 1, 200] {
+            let (wire, sent) = reply_on(&mut buf, |r| {
+                r.table_head(&schema)?;
+                for _ in 0..n {
+                    r.table_row(&row)?;
+                }
+                Err(failure().into())
+            });
+            let tail = [error(code::INTERNAL, "row source failed"), ServerMsg::Ready];
+            let got = decode(&wire);
+            if n < first_flush {
+                assert_eq!(got, tail, "{n} rows");
+                assert_eq!(sent.0, 1);
+            } else {
+                assert_eq!(got.len(), 1 + n + 2, "{n} rows");
+                assert!(matches!(got[0], ServerMsg::RowDescription { .. }));
+                assert!(got[1..=n]
+                    .iter()
+                    .all(|m| matches!(m, ServerMsg::DataRow { .. })));
+                assert_eq!(got[1 + n..], tail);
+                assert_eq!(sent.0, 1 + (n / first_flush) as u64);
+            }
+            sides[(n >= first_flush) as usize] += 1;
+            let out = CommandOutput::Message("next".into());
+            let (wire, _) = reply_on(&mut buf, |r| Ok(render(&out, r)?));
+            assert_eq!(decode(&wire), on_the_wire(output_messages(&out)));
+        }
+        assert_eq!(sides, [3, 3]);
     }
 }

@@ -121,30 +121,32 @@ impl Executor for SeqScan<'_> {
     }
 }
 
-/// A literal row set (e.g. an `rlist` unnested outside the engine).
-pub struct Values {
+/// A literal row set (e.g. an `rlist` unnested outside the engine). Rows
+/// are pulled from an iterator one `next` at a time, so a leaf over
+/// borrowed rows clones only what its consumer asks for.
+pub struct Values<'a> {
     schema: Schema,
-    rows: std::vec::IntoIter<Row>,
+    rows: Box<dyn Iterator<Item = Row> + 'a>,
 }
 
-impl Values {
-    pub fn new(schema: Schema, rows: Vec<Row>) -> Self {
+impl<'a> Values<'a> {
+    pub fn new(schema: Schema, rows: impl IntoIterator<Item = Row, IntoIter: 'a>) -> Self {
         Values {
             schema,
-            rows: rows.into_iter(),
+            rows: Box::new(rows.into_iter()),
         }
     }
 
     /// Single-int-column convenience used for id lists.
-    pub fn ints(name: &str, vals: impl IntoIterator<Item = i64>) -> Self {
+    pub fn ints(name: &str, vals: impl IntoIterator<Item = i64, IntoIter: 'a>) -> Self {
         Values::new(
             Schema::new(vec![Column::new(name, DataType::Int64)]),
-            vals.into_iter().map(|v| vec![Value::Int64(v)]).collect(),
+            vals.into_iter().map(|v| vec![Value::Int64(v)]),
         )
     }
 }
 
-impl Executor for Values {
+impl Executor for Values<'_> {
     fn schema(&self) -> &Schema {
         &self.schema
     }

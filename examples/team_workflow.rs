@@ -20,7 +20,6 @@ fn show(out: &CommandOutput) {
                 println!("      {}", cells.join(" | "));
             }
         }
-        CommandOutput::Csv(c) => println!("  → csv ({} lines)", c.lines().count()),
     }
 }
 

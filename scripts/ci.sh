@@ -26,6 +26,14 @@ cargo run --release -q -p lint
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> benchmarks/loadgen unit tests (unedited; the benchmark's link surface)"
+# loadgen is a workspace of its own, so nothing above compiles it. Its
+# tests are the only compile-time guard on the public signatures the
+# benchmark links (`Client`, `output_messages`, `protocol::{read_server,
+# write_server}`, `EngineHandle`, `Snapshot::run`, …) and they replay its
+# reply / reopen oracles against this tree.
+(cd benchmarks/loadgen && cargo test --release -q)
+
 echo "==> fault-injection / crash-recovery suite (release)"
 # The crash-point matrix walks a fault through every I/O of a commit; run
 # it in release so the full matrix stays fast.
@@ -230,6 +238,15 @@ echo "==> perf-regression gate (deterministic work counters)"
 # with per-key tolerances (crates/bench/src/gate.rs). Refresh after an
 # intentional perf change: ./scripts/perf_gate.sh --refresh
 ORPHEUS_RESULTS_DIR=results/ci cargo run --release -q -p bench --bin perf_gate
+
+echo "==> trajectory point for the newest issue (results/BENCH_<n>.json)"
+# A speed-up that is not in the trajectory did not happen (ROADMAP 7a):
+# the newest `ISSUE n` line in CHANGES.md must have its paired
+# parent/change runs checked in.
+newest=$(grep -oE 'ISSUE [0-9]+' CHANGES.md | awk '{ print $2 }' | sort -n | tail -1)
+[ -n "$newest" ] || { echo "no 'ISSUE n' line in CHANGES.md"; exit 1; }
+[ -s "results/BENCH_$newest.json" ] || { echo "ISSUE $newest has no results/BENCH_$newest.json"; exit 1; }
+echo "ISSUE $newest -> results/BENCH_$newest.json"
 
 echo "==> net non-test Rust lines per crate (scripts/loc.sh)"
 # Net LOC is a tracked metric (ROADMAP): printed on every run so a PR's

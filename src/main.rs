@@ -47,7 +47,6 @@ fn show(out: CommandOutput) {
             }
         }
         CommandOutput::Table(t) => print_table(&t),
-        CommandOutput::Csv(c) => print!("{c}"),
     }
 }
 
