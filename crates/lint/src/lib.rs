@@ -1,5 +1,6 @@
-//! `orpheus-lint`: a dependency-free static-analysis pass that enforces
-//! the engine's correctness invariants.
+//! `orpheus-lint`: a static-analysis pass that enforces the engine's
+//! correctness invariants. The analyzer links nothing; the binary links
+//! `obs` to render `--json`.
 //!
 //! The WAL/recovery protocol, the RAII span layer, the analytic cost
 //! model, and the multi-session server's lock discipline all rest on
@@ -18,7 +19,6 @@
 //! suppression — `scripts/ci.sh` runs it as a first-class gate.
 
 pub mod graph;
-pub mod json;
 pub mod lexer;
 pub mod model;
 pub mod rules;

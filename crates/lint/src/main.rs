@@ -2,6 +2,7 @@
 //! L001–L012 rule catalog. Exit codes: 0 clean, 1 findings, 2 usage or
 //! I/O error.
 
+use obs::Json;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -61,7 +62,7 @@ fn report(
     started: Instant,
 ) -> ExitCode {
     if json {
-        print!("{}", lint::json::render(&findings, files));
+        print!("{}", render_json(&findings, files));
     } else {
         for f in &findings {
             println!("{f}");
@@ -77,4 +78,29 @@ fn report(
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// The `--json` report, schema `orpheus-lint/1` (pinned by
+/// `tests/cli.rs`): `{"schema", "files_scanned", "findings": [{"path",
+/// "line", "rule", "msg"}]}` with keys in that order, strings escaped by
+/// `obs::json`. Findings arrive sorted, so the bytes are stable.
+fn render_json(findings: &[lint::FileFinding], files: usize) -> String {
+    let s = |v: &str| Json::Str(v.to_owned());
+    let items: Vec<String> = findings
+        .iter()
+        .map(|f| {
+            format!(
+                "{{\"path\":{},\"line\":{},\"rule\":{},\"msg\":{}}}",
+                s(&f.path),
+                f.finding.line,
+                s(f.finding.rule.id()),
+                s(&f.finding.msg)
+            )
+        })
+        .collect();
+    format!(
+        "{{\"schema\":{},\"files_scanned\":{files},\"findings\":[{}]}}\n",
+        s("orpheus-lint/1"),
+        items.join(",")
+    )
 }

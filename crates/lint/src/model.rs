@@ -1,6 +1,6 @@
 //! A lightweight code model on top of the lexer: the item parser.
 //!
-//! The token-level rules (L001–L008) treat a file as a flat token
+//! The token-level rules (L001–L007) treat a file as a flat token
 //! stream; the concurrency rules (L009–L012) need to know *which
 //! function* a token belongs to, what that function calls, and which
 //! guards it holds over which spans of code. This module parses the
@@ -478,7 +478,7 @@ fn extract_sites(
         let guard = match name {
             "lock" if is_method && no_args => Some(GuardKind::Lock),
             "borrow" | "borrow_mut" if is_method && no_args => Some(GuardKind::Borrow),
-            "lease" | "lease_page" => Some(GuardKind::Lease),
+            "lease" => Some(GuardKind::Lease),
             n if SPAN_CALLS.contains(&n) => Some(GuardKind::Span),
             _ => None,
         };

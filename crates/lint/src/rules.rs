@@ -18,11 +18,6 @@
 //!   `crates/exec-pool` (all engine parallelism goes through the worker
 //!   pool so joins and panics are accounted for; long-lived threads use
 //!   `exec_pool::ServiceThread`, the sanctioned escape hatch).
-//! - **L008** — no owned page copies (`PageSnapshot::Raw` construction or
-//!   `.snapshot_page(…)` calls) on the morsel dispatch path
-//!   (`crates/relstore/src/par*`): the parallel operators ship zero-copy
-//!   `PageLease`s, and an owned copy per page is exactly the coordinator
-//!   bottleneck that made 4-thread runs slower than sequential.
 //! - **L009** — no lock-order cycles across the engine's lock classes
 //!   (metrics registry, journal ring, buffer pool, session table,
 //!   group-commit queue, pool queue): a cycle in the held-across-call
@@ -60,9 +55,6 @@ pub const VENDORED_SHIMS: &[&str] = &["rand", "proptest", "criterion"];
 /// Modules whose cost arithmetic must stay deterministic (L003).
 const DETERMINISTIC_PREFIXES: &[&str] = &["crates/relstore/src/cost", "crates/relstore/src/plan"];
 
-/// The morsel dispatch path, which must stay zero-copy (L008).
-const PAR_PATH_PREFIXES: &[&str] = &["crates/relstore/src/par"];
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     L001,
@@ -72,7 +64,6 @@ pub enum Rule {
     L005,
     L006,
     L007,
-    L008,
     L009,
     L010,
     L011,
@@ -89,7 +80,6 @@ impl Rule {
             Rule::L005 => "L005",
             Rule::L006 => "L006",
             Rule::L007 => "L007",
-            Rule::L008 => "L008",
             Rule::L009 => "L009",
             Rule::L010 => "L010",
             Rule::L011 => "L011",
@@ -106,7 +96,6 @@ impl Rule {
             "L005" => Some(Rule::L005),
             "L006" => Some(Rule::L006),
             "L007" => Some(Rule::L007),
-            "L008" => Some(Rule::L008),
             "L009" => Some(Rule::L009),
             "L010" => Some(Rule::L010),
             "L011" => Some(Rule::L011),
@@ -133,9 +122,6 @@ pub struct FileClass {
     pub deterministic: bool,
     /// `crates/exec-pool/` — the one place allowed to create threads.
     pub pool_code: bool,
-    /// `crates/relstore/src/par*` — the morsel dispatch path, which must
-    /// ship zero-copy page leases, never owned snapshots (L008).
-    pub par_path: bool,
     /// Integration-test source (a `tests/` directory): compiled only into
     /// test harnesses, so the engine/thread rules don't apply — like
     /// `#[cfg(test)]` regions, but path-scoped (integration tests carry
@@ -154,12 +140,10 @@ pub fn classify(rel_path: &str) -> FileClass {
     };
     let deterministic = DETERMINISTIC_PREFIXES.iter().any(|p| rel.starts_with(p));
     let pool_code = rel.starts_with("crates/exec-pool/");
-    let par_path = PAR_PATH_PREFIXES.iter().any(|p| rel.starts_with(p));
     FileClass {
         engine_lib,
         deterministic,
         pool_code,
-        par_path,
         test_code,
     }
 }
@@ -175,7 +159,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
         .collect()
 }
 
-/// The token-level rules (L001–L008 plus L011's `.ok();` arm) for one
+/// The token-level rules (L001–L007 plus L011's `.ok();` arm) for one
 /// lexed file. The graph rules (L009/L010/L012 and L011's `let _ =`
 /// arm) are added by `graph::analyze`; suppressions are applied by
 /// [`finalize`] once both are in.
@@ -197,9 +181,6 @@ pub(crate) fn per_file_findings(rel_path: &str, lexed: &Lexed, in_test: &[bool])
     l006_allow_needs_reason(toks, &lexed.comments, &mut findings);
     if !class.pool_code && !class.test_code {
         l007_no_raw_threads(toks, in_test, &mut findings);
-    }
-    if class.par_path {
-        l008_no_owned_snapshots_on_par_path(toks, in_test, &mut findings);
     }
     findings
 }
@@ -561,51 +542,6 @@ fn l007_no_raw_threads(toks: &[Tok], in_test: &[bool], findings: &mut Vec<Findin
                      `exec_pool::WorkerPool` for scoped fan-out or \
                      `exec_pool::ServiceThread` for named long-lived services"
                 ),
-            });
-        }
-    }
-}
-
-/// L008: the morsel dispatch path must hand workers zero-copy
-/// `PageLease`s. Constructing `PageSnapshot::Raw` — or calling
-/// `.snapshot_page(…)`, which constructs it behind the scenes —
-/// re-introduces the coordinator's owned copy of every heap page, the
-/// exact bottleneck that made 4-thread runs slower than sequential.
-fn l008_no_owned_snapshots_on_par_path(
-    toks: &[Tok],
-    in_test: &[bool],
-    findings: &mut Vec<Finding>,
-) {
-    for i in 0..toks.len() {
-        if in_test[i] {
-            continue;
-        }
-        if toks[i].is_ident("PageSnapshot")
-            && matches!(toks.get(i + 1), Some(t) if t.is_punct(':'))
-            && matches!(toks.get(i + 2), Some(t) if t.is_punct(':'))
-            && matches!(toks.get(i + 3), Some(t) if t.is_ident("Raw"))
-        {
-            findings.push(Finding {
-                line: toks[i].line,
-                rule: Rule::L008,
-                msg: "`PageSnapshot::Raw` on the morsel dispatch path is an \
-                      owned page copy; ship zero-copy `PageLease` views \
-                      (`Table::lease_page`) instead"
-                    .to_owned(),
-            });
-        }
-        if toks[i].is_ident("snapshot_page")
-            && i > 0
-            && toks[i - 1].is_punct('.')
-            && matches!(toks.get(i + 1), Some(t) if t.is_punct('('))
-        {
-            findings.push(Finding {
-                line: toks[i].line,
-                rule: Rule::L008,
-                msg: "`.snapshot_page()` materialises an owned copy of every \
-                      page before dispatch; use `Table::lease_page` views \
-                      so clean pages ship to workers zero-copy"
-                    .to_owned(),
             });
         }
     }

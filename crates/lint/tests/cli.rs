@@ -40,7 +40,6 @@ fn each_firing_fixture_exits_one_with_its_rule_on_stdout() {
         ("l005_fire.rs", "L005"),
         ("l006_fire.rs", "L006"),
         ("l007_fire.rs", "L007"),
-        ("l008_fire.rs", "L008"),
         ("l009_fire.rs", "L009"),
         ("l010_fire.rs", "L010"),
         ("l011_fire.rs", "L011"),
@@ -64,7 +63,6 @@ fn clean_fixtures_exit_zero() {
         "l005_clean.rs",
         "l006_clean.rs",
         "l007_clean.rs",
-        "l008_clean.rs",
         "l009_clean.rs",
         "l010_clean.rs",
         "l011_clean.rs",

@@ -80,22 +80,6 @@ fn l004_fires_on_unjustified_unsafe() {
 }
 
 #[test]
-fn l008_fires_on_owned_page_copies_on_par_path() {
-    let rules = rules_of("l008_fire.rs");
-    assert_eq!(
-        rules.len(),
-        2,
-        "PageSnapshot::Raw construction and .snapshot_page() call"
-    );
-    assert!(rules.iter().all(|r| *r == Rule::L008));
-}
-
-#[test]
-fn l008_spares_lease_views_and_test_code() {
-    assert_clean("l008_clean.rs");
-}
-
-#[test]
 fn l004_spares_safety_commented_unsafe() {
     assert_clean("l004_clean.rs");
 }

@@ -4,18 +4,17 @@
 //!
 //! `OrpheusDb` plays the role of the middleware in Fig. 3.1: the query
 //! translator ([`crate::query`]), record/version managers
-//! ([`crate::cvd`]), partition optimizer ([`crate::partitioned`] +
-//! [`partition`]), provenance manager (the staging registry here), and the
-//! access controller (staging-table ownership checks).
+//! ([`crate::cvd`]), partition optimizer (`optimize`: a LyreSplit plan
+//! from [`partition`]), provenance manager (the staging registry here),
+//! and the access controller (staging-table ownership checks).
 
 use crate::cvd::{CommitResult, Cvd};
 use crate::error::{Error, Result};
 use crate::metadata;
 use crate::models::{load_cvd, SplitByRlist, VersioningModel};
-use crate::partitioned::PartitionedStore;
 use crate::plan::{self, Decorator, Instrumented, LogicalPlan, Plain, RidSet, Tables};
 use crate::query::{parse_query, QueryResult};
-use partition::{lyresplit_for_budget, Vid};
+use partition::{lyresplit_for_budget, LyreSplitResult, Vid};
 use relstore::{Column, DataType, Database, ExecContext, Row, Schema, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -25,7 +24,6 @@ use std::time::Instant;
 struct CvdHandle {
     cvd: Cvd,
     model: SplitByRlist,
-    partitioned: Option<PartitionedStore>,
 }
 
 /// Provenance metadata of an uncommitted checkout (staging table or file):
@@ -123,8 +121,7 @@ impl OrpheusDb {
     /// tables ([`crate::metadata`]) beside the data, and are made durable
     /// by the same WAL batch. Opening reads them back and writes nothing.
     /// Tables no CVD owns — staging tables a crash or shutdown left
-    /// behind, `optimize`'s partitions — are dropped: uncommitted work is
-    /// lost with its session, derived state is rebuilt on demand.
+    /// behind — are dropped: uncommitted work is lost with its session.
     pub fn open_durable(
         dir: impl AsRef<std::path::Path>,
         pool_pages: usize,
@@ -376,7 +373,6 @@ impl OrpheusDb {
     fn register(&mut self, cvd: Cvd) {
         let handle = CvdHandle {
             model: SplitByRlist::new(cvd.name()),
-            partitioned: None,
             cvd,
         };
         self.cvds.insert(handle.cvd.name().to_owned(), handle);
@@ -417,14 +413,10 @@ impl OrpheusDb {
 
     /// `drop`: remove a CVD and its physical tables.
     pub fn drop_cvd(&mut self, name: &str) -> Result<()> {
-        let handle = self
-            .cvds
+        self.cvds
             .remove(name)
             .ok_or_else(|| Error::CvdNotFound(name.to_owned()))?;
         metadata::drop_cvd(&mut self.db, name)?;
-        if let Some(p) = handle.partitioned {
-            p.drop_tables(&mut self.db);
-        }
         self.staging.retain(|_, info| info.cvd != name);
         self.durability_point()
     }
@@ -528,8 +520,7 @@ impl OrpheusDb {
 
     /// The part of a commit that does not depend on where the rows came
     /// from: the new version in the CVD, its records and rlist in the
-    /// model's tables (and the partitioned store, when one exists), and
-    /// its catalog rows.
+    /// model's tables, and its catalog rows.
     fn apply_commit(
         &mut self,
         info: &StagingInfo,
@@ -563,28 +554,6 @@ impl OrpheusDb {
             &new_rids,
             &mut self.tracker.borrow_mut(),
         )?;
-        if let Some(p) = handle.partitioned.as_mut() {
-            // Online maintenance: attach to the best parent's partition.
-            let best_parent = info
-                .parents
-                .iter()
-                .max_by_key(|&&pv| handle.cvd.graph().weight(pv, result.vid))
-                .copied();
-            // A version without parents starts a partition of its own.
-            let (pid, fresh) = match best_parent {
-                Some(parent) => (p.partitioning().partition_of(parent), false),
-                None => (p.partitioning().num_partitions(), true),
-            };
-            let mut tracker = self.tracker.borrow_mut();
-            p.append_version(
-                &mut self.db,
-                &handle.cvd,
-                result.vid,
-                pid,
-                fresh,
-                &mut tracker,
-            )?;
-        }
         metadata::sync(&mut self.db, &handle.cvd, self.clock)?;
         Ok(result)
     }
@@ -653,23 +622,20 @@ impl OrpheusDb {
     }
 
     /// `optimize`: run LyreSplit under a storage threshold
-    /// `γ = gamma_factor × |R|` and materialize the partitioned store.
-    pub fn optimize(&mut self, cvd_name: &str, gamma_factor: f64) -> Result<usize> {
-        let handle = self
-            .cvds
-            .get_mut(cvd_name)
-            .ok_or_else(|| Error::CvdNotFound(cvd_name.to_owned()))?;
-        let tree = handle.cvd.tree();
-        let gamma = (gamma_factor * handle.cvd.num_records() as f64) as u64;
-        let result = lyresplit_for_budget(&tree, gamma);
-        let _span = self.db.recorder().enter("orpheus.optimize");
-        if let Some(old) = handle.partitioned.take() {
-            old.drop_tables(&mut self.db);
+    /// `γ = gamma_factor × |R|` (`gamma_factor` finite and ≥ 1.0) and
+    /// report its plan — partitions, estimated storage and estimated
+    /// average checkout, in records. Nothing is materialized: the CVD
+    /// keeps its one split-by-rlist layout.
+    pub fn optimize(&self, cvd_name: &str, gamma_factor: f64) -> Result<LyreSplitResult> {
+        if !(gamma_factor.is_finite() && gamma_factor >= 1.0) {
+            return Err(Error::Parse(format!(
+                "bad gamma {gamma_factor}: must be a finite number ≥ 1.0 (multiple of |R|)"
+            )));
         }
-        let store = PartitionedStore::build(&mut self.db, &handle.cvd, result.partitioning)?;
-        let n = store.partitioning().num_partitions();
-        handle.partitioned = Some(store);
-        Ok(n)
+        let _span = self.db.recorder().enter("orpheus.optimize");
+        let cvd = self.cvd(cvd_name)?;
+        let gamma = (gamma_factor * cvd.num_records() as f64) as u64;
+        Ok(lyresplit_for_budget(&cvd.tree(), gamma))
     }
 
     /// `plan_storage`: solve the materialization-budget problem for a
@@ -721,18 +687,16 @@ impl OrpheusDb {
         Ok(out)
     }
 
-    /// Checkout served by the partitioned store when one exists.
-    pub fn checkout_rows_fast(&self, cvd_name: &str, vid: Vid) -> Result<(Vec<Row>, ExecContext)> {
+    /// One version's rows read from the split-by-rlist tables — its rlist
+    /// row, then a `RidFetch` of its records — with what that cost.
+    pub fn read_version(&self, cvd_name: &str, vid: Vid) -> Result<(Vec<Row>, ExecContext)> {
         let _span = self.db.recorder().enter("orpheus.checkout");
         let handle = self.handle(cvd_name)?;
         let mut ctx = ExecContext::new();
         let pool = self.worker_pool();
-        let rows = match &handle.partitioned {
-            Some(p) => p.checkout_with_pool(&self.db, vid, pool.as_ref(), &mut ctx)?,
-            None => handle
-                .model
-                .checkout_with_pool(&self.db, vid, pool.as_ref(), &mut ctx)?,
-        };
+        let rows = handle
+            .model
+            .checkout_with_pool(&self.db, vid, pool.as_ref(), &mut ctx)?;
         self.tracker.borrow_mut().absorb(&ctx.tracker);
         Ok((rows, ctx))
     }
@@ -894,7 +858,7 @@ impl OrpheusDb {
             }
             "checkout" => {
                 let cvd = arg_at(&args, 1)?.to_owned();
-                let versions = flag_values(&args, "-v")?
+                let versions = flag_values(&args, "-v", &["-v", "-t"])?
                     .iter()
                     .map(|s| s.parse::<u32>().map(Vid))
                     .collect::<std::result::Result<Vec<_>, _>>()
@@ -951,13 +915,13 @@ impl OrpheusDb {
             }
             "commit" => {
                 let table = flag_value(&args, "-t")?.to_owned();
-                let message = flag_values(&args, "-m")?.join(" ");
+                let message = flag_values(&args, "-m", &["-t", "-m"])?.join(" ");
                 let result = self.commit(&table, &message)?;
                 Ok(CommandOutput::Version(result.vid))
             }
             "diff" => {
                 let cvd = arg_at(&args, 1)?.to_owned();
-                let vs = flag_values(&args, "-v")?;
+                let vs = flag_values(&args, "-v", &["-v"])?;
                 if vs.len() != 2 {
                     return Err(Error::Parse("diff needs exactly two versions".into()));
                 }
@@ -968,13 +932,20 @@ impl OrpheusDb {
             }
             "optimize" => {
                 let cvd = arg_at(&args, 1)?.to_owned();
-                let gamma: f64 = flag_value(&args, "-g")
-                    .unwrap_or("2.0")
-                    .parse()
-                    .map_err(|_| Error::Parse("bad gamma".into()))?;
-                let parts = self.optimize(&cvd, gamma)?;
+                let gamma = match flag_value(&args, "-g") {
+                    Ok(s) => s
+                        .parse()
+                        .map_err(|_| Error::Parse(format!("bad gamma: {s}")))?,
+                    Err(_) => 2.0,
+                };
+                let plan = self.optimize(&cvd, gamma)?;
                 Ok(CommandOutput::Message(format!(
-                    "partitioned {cvd} into {parts} partition(s)"
+                    "LyreSplit plan for {cvd} at γ = {gamma} × |R|: {} partition(s), \
+                     est. storage {} records, est. avg checkout {:.1} records \
+                     (plan only; storage unchanged)",
+                    plan.partitioning.num_partitions(),
+                    plan.est_storage,
+                    plan.est_checkout_avg
                 )))
             }
             "plan_storage" => {
@@ -1111,14 +1082,16 @@ fn flag_value<'a>(args: &[&'a str], flag: &str) -> Result<&'a str> {
         .ok_or_else(|| Error::Parse(format!("missing {flag} <value>")))
 }
 
-fn flag_values<'a>(args: &[&'a str], flag: &str) -> Result<Vec<&'a str>> {
+/// The words after `flag`, up to the next of the command's own `flags`:
+/// a value may itself start with `-` (`commit -m revert -x`).
+fn flag_values<'a>(args: &[&'a str], flag: &str, flags: &[&str]) -> Result<Vec<&'a str>> {
     let start = args
         .iter()
         .position(|&a| a == flag)
         .ok_or_else(|| Error::Parse(format!("missing {flag}")))?;
     let vals: Vec<&str> = args[start + 1..]
         .iter()
-        .take_while(|a| !a.starts_with('-'))
+        .take_while(|a| !flags.contains(a))
         .copied()
         .collect();
     if vals.is_empty() {
@@ -1336,12 +1309,12 @@ mod tests {
         odb.checkout("Interaction", &[Vid(0)], "work").unwrap();
         {
             let t = odb.staging_table_mut("work").unwrap();
-            let id = t
-                .iter()
+            let (id, mut row) = t
+                .rows()
+                .unwrap()
+                .into_iter()
                 .find(|(_, r)| r[0] == Value::from("A"))
-                .map(|(id, _)| id)
                 .unwrap();
-            let mut row = t.get(id).unwrap().clone();
             row[2] = Value::Int64(11);
             t.update(id, row).unwrap();
         }
@@ -1432,7 +1405,7 @@ mod tests {
     }
 
     #[test]
-    fn optimize_builds_partitions_and_serves_checkouts() {
+    fn optimize_reports_a_lyresplit_plan() {
         let mut odb = setup();
         // A couple of divergent versions.
         for i in 0..4 {
@@ -1449,22 +1422,48 @@ mod tests {
             }
             odb.commit(&table, "grow").unwrap();
         }
-        let parts = odb.optimize("Interaction", 2.0).unwrap();
-        assert!(parts >= 1);
-        let (rows, _ctx) = odb.checkout_rows_fast("Interaction", Vid(4)).unwrap();
-        assert_eq!(
-            rows.len(),
-            odb.cvd("Interaction")
-                .unwrap()
-                .version_records(Vid(4))
-                .unwrap()
-                .len()
+        let tables = odb.db.table_names().len();
+        let plan = odb.optimize("Interaction", 2.0).unwrap();
+        let records = odb.cvd("Interaction").unwrap().num_records() as u64;
+        assert!(plan.partitioning.num_partitions() >= 1);
+        assert!(plan.est_storage <= 2 * records, "{plan:?}");
+        let out = odb.execute("optimize Interaction -g 2.0").unwrap();
+        let CommandOutput::Message(m) = out else {
+            panic!("expected message, got {out:?}");
+        };
+        assert!(
+            m.contains("partition(s)") && m.contains("est. storage"),
+            "{m}"
         );
-        // Committing after optimize appends to the partitioned store.
-        odb.checkout("Interaction", &[Vid(4)], "post").unwrap();
-        let res = odb.commit("post", "after optimize").unwrap();
-        let (rows, _) = odb.checkout_rows_fast("Interaction", res.vid).unwrap();
-        assert!(!rows.is_empty());
+        // A plan, not a second store.
+        assert_eq!(odb.db.table_names().len(), tables);
+    }
+
+    /// Regression: `-g NaN` and `-g -3` were taken silently.
+    #[test]
+    fn optimize_rejects_gamma_that_is_not_a_finite_factor_of_at_least_one() {
+        let mut odb = setup();
+        for bad in ["NaN", "-3", "inf", "0.5", "two"] {
+            match odb.execute(&format!("optimize Interaction -g {bad}")) {
+                Err(Error::Parse(m)) => assert!(m.contains(bad), "{bad}: {m}"),
+                other => panic!("-g {bad}: expected a parse error, got {other:?}"),
+            }
+        }
+        assert!(odb.execute("optimize Interaction -g 1").is_ok());
+    }
+
+    /// Regression: a `-m` message stopped at its first word starting with
+    /// `-`, so `-m revert -x and retry` committed the message `revert`.
+    #[test]
+    fn commit_message_runs_to_the_next_flag_of_the_command() {
+        let mut odb = setup();
+        odb.execute("checkout Interaction -v 0 -t w").unwrap();
+        odb.execute("commit -t w -m revert -x and retry").unwrap();
+        odb.execute("checkout Interaction -v 1 -t w2").unwrap();
+        odb.execute("commit -m -- dashed -t w2").unwrap();
+        let cvd = odb.cvd("Interaction").unwrap();
+        assert_eq!(cvd.meta(Vid(1)).unwrap().message, "revert -x and retry");
+        assert_eq!(cvd.meta(Vid(2)).unwrap().message, "-- dashed");
     }
 
     #[test]
@@ -1473,8 +1472,7 @@ mod tests {
         odb.checkout("Interaction", &[Vid(0)], "w").unwrap();
         {
             let t = odb.staging_table_mut("w").unwrap();
-            let id = t.iter().next().map(|(id, _)| id).unwrap();
-            let mut row = t.get(id).unwrap().clone();
+            let (id, mut row) = t.rows().unwrap().remove(0);
             row[2] = Value::Int64(1234);
             t.update(id, row).unwrap();
         }
@@ -1511,12 +1509,12 @@ mod tests {
         odb.checkout("Interaction", &[Vid(0)], "w").unwrap();
         {
             let t = odb.staging_table_mut("w").unwrap();
-            let id = t
-                .iter()
+            let (id, mut row) = t
+                .rows()
+                .unwrap()
+                .into_iter()
                 .find(|(_, r)| r[0] == Value::from("A"))
-                .map(|(id, _)| id)
                 .unwrap();
-            let mut row = t.get(id).unwrap().clone();
             row[2] = Value::Int64(11);
             t.update(id, row).unwrap();
         }
@@ -1734,11 +1732,6 @@ mod tests {
             after_query.measured.logical_reads > 0,
             "measured side absorbed"
         );
-        // Online partition maintenance also charges the tracker.
-        odb.optimize("Interaction", 2.0).unwrap();
-        odb.checkout("Interaction", &[Vid(1)], "w2").unwrap();
-        odb.commit("w2", "maintained").unwrap();
-        assert!(odb.cost_tracker().index_tuples > after_query.index_tuples);
     }
 
     #[test]
@@ -2068,9 +2061,10 @@ mod tests {
         {
             let t = odb.staging_table_mut("work").unwrap();
             let targets: Vec<_> = t
-                .iter()
+                .rows()
+                .unwrap()
+                .into_iter()
                 .filter(|(_, r)| r[0].as_i64().unwrap() % 5 == 0)
-                .map(|(id, r)| (id, r.clone()))
                 .collect();
             for (id, mut row) in targets {
                 row[2] = Value::Int64(row[2].as_i64().unwrap() + 1000);
@@ -2097,13 +2091,13 @@ mod tests {
             "SELECT * FROM VERSION 0 OF CVD Big JOIN VERSION 1 ON k",
         ];
         odb.set_threads(1);
-        let base_checkout = odb.checkout_rows_fast("Big", Vid(1)).unwrap().0;
+        let base_checkout = odb.read_version("Big", Vid(1)).unwrap().0;
         let base_diff = odb.diff("Big", Vid(0), Vid(1)).unwrap();
         let base_queries: Vec<_> = queries.iter().map(|q| odb.run(q).unwrap()).collect();
         for threads in [2, 4, 8] {
             odb.set_threads(threads);
             assert_eq!(
-                odb.checkout_rows_fast("Big", Vid(1)).unwrap().0,
+                odb.read_version("Big", Vid(1)).unwrap().0,
                 base_checkout,
                 "checkout diverged at {threads} threads"
             );
@@ -2119,19 +2113,6 @@ mod tests {
                     "query {q:?} diverged at {threads} threads"
                 );
             }
-        }
-        // The partitioned store's checkout path as well.
-        odb.set_threads(1);
-        odb.optimize("Big", 4.0).unwrap();
-        let base_part = odb.checkout_rows_fast("Big", Vid(1)).unwrap().0;
-        assert_eq!(base_part, base_checkout);
-        for threads in [2, 4, 8] {
-            odb.set_threads(threads);
-            assert_eq!(
-                odb.checkout_rows_fast("Big", Vid(1)).unwrap().0,
-                base_part,
-                "partitioned checkout diverged at {threads} threads"
-            );
         }
     }
 

@@ -20,7 +20,8 @@
 //!   (a-table-per-version, combined-table, split-by-vlist, split-by-rlist,
 //!   delta-based), all implementing [`models::VersioningModel`];
 //! * [`partitioned`] — the partition-optimized split-by-rlist storage that
-//!   Chapter 5 builds with LyreSplit;
+//!   Chapter 5 builds with LyreSplit, kept for the Chapter 5 figures like
+//!   the data models the engine does not run;
 //! * [`query`] — the versioned query surface: the parser and the parsed
 //!   [`query::VQuery`] for `SELECT … FROM VERSION i OF CVD c`, aggregates
 //!   `GROUP BY vid`, `v_diff`, `v_intersect` and cross-version `JOIN`
@@ -30,8 +31,8 @@
 //!   is the engine's tables ([`plan::Tables`]) or a pinned [`Snapshot`]
 //!   and the decorator is plain or `explain analyze`'s instrumenting one;
 //! * [`commands`] — the command-line surface: `init`, `checkout`, `commit`,
-//!   `diff`, `ls`, `drop`, `optimize`, plus user management and the
-//!   access-controlled staging area (§3.3.1).
+//!   `diff`, `ls`, `drop`, `optimize` (a LyreSplit plan), plus user
+//!   management and the access-controlled staging area (§3.3.1).
 
 pub mod commands;
 pub mod cvd;

@@ -351,7 +351,7 @@ mod tests {
             ));
             for v in cvd.graph().versions() {
                 seen.push(format!("{v} {:?}", cvd.checkout_rows(&[v]).unwrap()));
-                seen.push(format!("{:?}", odb.checkout_rows_fast(&name, v).unwrap().0));
+                seen.push(format!("{:?}", odb.read_version(&name, v).unwrap().0));
             }
         }
         seen
@@ -566,6 +566,42 @@ mod tests {
             assert_eq!(data.format_kind(), kind);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// `optimize` is a plan: after it, a durable instance's table names,
+    /// checkpointed page file, next commit and corpus answers are those of
+    /// a twin that never ran it. (At the parent it built `__part*` tables
+    /// and maintained them on every later commit.)
+    #[test]
+    fn optimize_leaves_the_store_as_it_found_it() {
+        let run = |tag: &str, optimize: bool| {
+            let dir = scratch(tag);
+            let mut odb = open(&dir, 2048);
+            odb.set_auto_checkpoint(false);
+            load_corpus(&mut odb);
+            if optimize {
+                for cvd in ["T", "E", "S"] {
+                    odb.execute(&format!("optimize {cvd} -g 2.0")).unwrap();
+                }
+            }
+            odb.checkout("S", &[Vid(40)], "w").unwrap();
+            odb.execute("insert w 99999,after").unwrap();
+            odb.commit("w", "after optimize").unwrap();
+            odb.checkpoint().unwrap();
+            let mut names: Vec<String> = odb
+                .database()
+                .table_names()
+                .into_iter()
+                .map(str::to_owned)
+                .collect();
+            names.sort();
+            let seen = (names, pages_len(&dir), odb.log("S").unwrap());
+            let answers = corpus_answers(&odb);
+            drop(odb);
+            std::fs::remove_dir_all(&dir).unwrap();
+            (seen, answers)
+        };
+        assert_eq!(run("optimized", true), run("untouched", false));
     }
 
     /// Was `corrupt_snapshots_fail_with_typed_errors`: flip every third

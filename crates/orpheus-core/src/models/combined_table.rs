@@ -143,7 +143,9 @@ mod tests {
         assert_eq!(t.live_row_count(), 5);
         // Record r1 ("C","D") is in all four versions.
         let vlists: Vec<Vec<i64>> = t
-            .iter()
+            .rows()
+            .unwrap()
+            .into_iter()
             .filter(|(_, r)| r[0] == Value::Int64(1))
             .map(|(_, r)| r[1].as_int_array().unwrap().to_vec())
             .collect();
@@ -174,7 +176,9 @@ mod tests {
         let (db, _) = loaded(ModelKind::CombinedTable, &cvd);
         let t = db.table(&format!("{}__combined", cvd.name())).unwrap();
         let in_v3 = t
-            .iter()
+            .rows()
+            .unwrap()
+            .into_iter()
             .filter(|(_, r)| r[1].as_int_array().unwrap().contains(&3))
             .count();
         assert_eq!(in_v3, cvd.version_records(partition::Vid(3)).unwrap().len());

@@ -139,9 +139,16 @@ impl VersioningModel for DeltaBased {
         let mut out = Vec::new();
         let mut cursor = Some(vid);
         while let Some(v) = cursor {
+            // A full scan of the delta table: estimated I/O for every heap
+            // slot, measured I/O for the pages pulled through the pool.
             let table = db.table(&self.table_name(v))?;
-            let rows = table.scan_all(&mut ctx.tracker, &ctx.model);
-            for mut row in rows {
+            ctx.tracker.seq_scan(table.heap_size() as u64, &ctx.model);
+            let before = table.io_stats();
+            let rows = table.rows()?;
+            ctx.tracker
+                .measured
+                .absorb(&table.io_stats().since(&before));
+            for (_, mut row) in rows {
                 let rid = row[0]
                     .as_i64()
                     .ok_or_else(|| Error::Internal("delta rid column is not an integer".into()))?;
@@ -171,6 +178,7 @@ mod tests {
     use super::super::testutil::*;
     use super::super::*;
     use super::DeltaBased;
+    use crate::error::Error;
 
     #[test]
     fn merge_version_bases_on_heaviest_parent() {
@@ -208,6 +216,35 @@ mod tests {
         for &v in &vids {
             assert_checkout_matches(ModelKind::DeltaBased, &db, model.as_ref(), &cvd, v);
         }
+    }
+
+    /// Regression: the chain replay read each delta table through a
+    /// lossy scan, so a page the pool could not supply made the checkout
+    /// *shorter* instead of failing.
+    #[test]
+    fn checkout_surfaces_storage_errors() {
+        use relstore::{Column, Schema};
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int64),
+            Column::new("pad", DataType::Text),
+        ]);
+        let rows: Vec<Row> = (0..40)
+            .map(|k| vec![Value::Int64(k), Value::Text("x".repeat(1_000))])
+            .collect();
+        let (cvd, v0) = crate::cvd::Cvd::init("wide", schema, vec!["k".into()], rows, "a").unwrap();
+        let mut db = Database::with_pool_capacity(2);
+        let mut model = DeltaBased::new(cvd.name());
+        load_cvd(&mut model, &mut db, &cvd).unwrap();
+        let pages = db.table("wide__delta_v0").unwrap().num_heap_pages();
+        assert!(pages > 4, "{pages}");
+        let mut ctx = ExecContext::new();
+        assert_eq!(model.checkout(&db, &cvd, v0, &mut ctx).unwrap().len(), 40);
+        // Both frames pinned: every other page is unreadable.
+        let pool = db.pool();
+        let _a = pool.fetch(0).unwrap();
+        let _b = pool.fetch(1).unwrap();
+        let starved = model.checkout(&db, &cvd, v0, &mut ExecContext::new());
+        assert!(matches!(starved, Err(Error::Storage(_))), "{starved:?}");
     }
 
     #[test]

@@ -141,7 +141,9 @@ mod tests {
         assert_eq!(vtab.live_row_count(), 4);
         // v3's rlist holds its 4 records.
         let row = vtab
-            .iter()
+            .rows()
+            .unwrap()
+            .into_iter()
             .find(|(_, r)| r[0] == Value::Int64(3))
             .unwrap()
             .1;

@@ -346,78 +346,29 @@ impl HeapFile {
         Ok(n)
     }
 
-    /// Owned snapshot of data page `page_ord`, safe to hand to worker
-    /// threads: no pin is held and nothing references the buffer pool.
-    /// The page fetch (and any overflow-chain reads) are charged to the
-    /// pool's `IoStats` exactly as a [`HeapFile::tuples_on_page`] scan.
-    pub fn snapshot_page(&self, pool: &BufferPool, page_ord: usize) -> Result<PageSnapshot> {
-        let page_id = self.page_id(page_ord)?;
-        let mut tuples: Vec<Vec<u8>> = Vec::new();
-        let mut chains: Vec<(usize, PageId)> = Vec::new();
-        {
-            let page = pool.fetch(page_id)?;
-            let mut has_overflow = false;
-            for (_, cell) in page.live_tuples() {
-                if matches!(cell_kind(cell)?, SlotTuple::Overflow(_)) {
-                    has_overflow = true;
-                    break;
-                }
-            }
-            if !has_overflow {
-                // One memcpy; the consumer parses slots with
-                // `page::live_cells`, so no per-tuple allocation here.
-                return Ok(PageSnapshot::Raw(Box::new(*page.bytes())));
-            }
-            for (_, cell) in page.live_tuples() {
-                match cell_kind(cell)? {
-                    SlotTuple::Inline(tuple) => tuples.push(tuple.to_vec()),
-                    SlotTuple::Overflow(head) => {
-                        tuples.push(Vec::new());
-                        chains.push((tuples.len() - 1, head));
-                    }
-                }
-            }
-        }
-        for (idx, head) in chains {
-            tuples[idx] = self.read_chain(pool, head)?;
-        }
-        Ok(PageSnapshot::Tuples(tuples))
-    }
-
-    /// A shareable view of data page `page_ord` for worker threads.
+    /// A shareable view of the tuples in `slots` (each live) of data page
+    /// `page_ord`, for worker threads; read it with [`PageView::tuples_at`].
     ///
-    /// The hot path is **zero-copy**: a clean all-inline page returns a
-    /// [`PageView::Leased`] wrapping the frame's shared `Arc` image — no
-    /// bytes move, and the lease count keeps the frame resident until
-    /// every worker is done. Two cases cannot be leased and fall back to
-    /// an owned, pre-resolved copy ([`PageView::Resolved`]) whose bytes
-    /// are counted in `IoStats::bytes_copied_to_workers`:
+    /// The hot path is **zero-copy**: a clean page whose wanted cells are
+    /// all inline returns a [`PageView::Leased`] wrapping the frame's
+    /// shared `Arc` image — no bytes move, and the lease count keeps the
+    /// frame resident until every worker is done. Overflow cells in
+    /// *other* slots do not matter. Two cases cannot be leased and fall
+    /// back to an owned, pre-resolved copy of the wanted tuples alone
+    /// ([`PageView::Resolved`]), counted in `IoStats::bytes_copied_to_workers`:
     ///
-    /// * a cell overflowed — workers cannot follow chains without the
-    ///   (single-threaded) pool;
+    /// * a wanted cell overflowed — workers cannot follow chains without
+    ///   the (single-threaded) pool;
     /// * the page is dirty — an uncheckpointed image cannot be frozen.
     ///
-    /// Either path charges the same pool traffic as
-    /// [`snapshot_page`](Self::snapshot_page): one logical read for the
-    /// data page plus one per overflow-chain page.
-    pub fn lease_page(&self, pool: &BufferPool, page_ord: usize) -> Result<PageView> {
-        self.lease(pool, page_ord, None)
-    }
-
-    /// [`lease_page`](Self::lease_page) for a reader that wants only
-    /// `slots` (each live): the view is read with
-    /// [`PageView::tuples_at`], overflow cells in *other* slots do not
-    /// force a copy, and the copy fallback holds the wanted tuples alone.
+    /// Either path charges one logical read for the data page plus one
+    /// per overflow-chain page read, as [`tuples_on_page`](Self::tuples_on_page) does.
     pub fn lease_slots(
         &self,
         pool: &BufferPool,
         page_ord: usize,
         slots: &[u16],
     ) -> Result<PageView> {
-        self.lease(pool, page_ord, Some(slots))
-    }
-
-    fn lease(&self, pool: &BufferPool, page_ord: usize, slots: Option<&[u16]>) -> Result<PageView> {
         let page_id = self.page_id(page_ord)?;
         let (mut tuples, chains) = if pool.is_dirty(page_id) {
             let page = pool.fetch(page_id)?;
@@ -425,8 +376,8 @@ impl HeapFile {
         } else {
             let lease = pool.lease(page_id)?;
             let mut has_overflow = false;
-            for cell in wanted_cells(&lease, slots) {
-                if matches!(cell?, SlotTuple::Overflow(_)) {
+            for &slot in slots {
+                if matches!(slot_tuple(&lease, slot)?, SlotTuple::Overflow(_)) {
                     has_overflow = true;
                     break;
                 }
@@ -451,26 +402,13 @@ impl HeapFile {
 /// as `(slot index into the buffers, chain head page)` pairs.
 type CopiedCells = (Vec<Vec<u8>>, Vec<(usize, PageId)>);
 
-/// The cells a reader wants from `page`: every live one in slot order,
-/// or exactly those in `slots`, where a dead slot is an error.
-fn wanted_cells<'p>(
-    page: &'p Page,
-    slots: Option<&'p [u16]>,
-) -> impl Iterator<Item = Result<SlotTuple<'p>>> + 'p {
-    let n = slots.map_or(page.slot_count() as usize, <[u16]>::len);
-    (0..n).filter_map(move |i| match slots {
-        None => page.get(i as u16).map(cell_kind),
-        Some(slots) => Some(slot_tuple(page, slots[i])),
-    })
-}
-
-/// Copy a page's wanted cells into owned tuple buffers, returning
-/// overflow chain heads to resolve (placeholder entries keep slot order).
-fn copy_cells(page: &Page, slots: Option<&[u16]>) -> Result<CopiedCells> {
+/// Copy a page's `slots` into owned tuple buffers, returning overflow
+/// chain heads to resolve (placeholder entries keep slot order).
+fn copy_cells(page: &Page, slots: &[u16]) -> Result<CopiedCells> {
     let mut tuples: Vec<Vec<u8>> = Vec::new();
     let mut chains: Vec<(usize, PageId)> = Vec::new();
-    for cell in wanted_cells(page, slots) {
-        match cell? {
+    for &slot in slots {
+        match slot_tuple(page, slot)? {
             SlotTuple::Inline(tuple) => tuples.push(tuple.to_vec()),
             SlotTuple::Overflow(head) => {
                 tuples.push(Vec::new());
@@ -481,9 +419,9 @@ fn copy_cells(page: &Page, slots: Option<&[u16]>) -> Result<CopiedCells> {
     Ok((tuples, chains))
 }
 
-/// A worker-visible view of one data page's live tuples — the zero-copy
-/// successor to [`PageSnapshot`] on the parallel scan path. `Send + Sync`
-/// either way; the coordinator keeps the single-threaded pool to itself.
+/// A worker-visible view of some live tuples of one data page, from
+/// [`HeapFile::lease_slots`]. `Send + Sync` either way; the coordinator
+/// keeps the single-threaded pool to itself.
 #[derive(Debug)]
 pub enum PageView {
     /// The common case: a lease on the frame's shared image. Nothing was
@@ -495,27 +433,6 @@ pub enum PageView {
 }
 
 impl PageView {
-    /// Live tuple payloads in slot order (tags stripped, chains resolved).
-    pub fn tuples(&self) -> Result<Vec<&[u8]>> {
-        match self {
-            PageView::Leased(lease) => {
-                let mut out = Vec::new();
-                for cell in crate::page::live_cells(lease.bytes()) {
-                    match cell_kind(cell)? {
-                        SlotTuple::Inline(tuple) => out.push(tuple),
-                        SlotTuple::Overflow(_) => {
-                            return Err(Error::Invariant(
-                                "leased page view contains an overflow cell",
-                            ))
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            PageView::Resolved(tuples) => Ok(tuples.iter().map(Vec::as_slice).collect()),
-        }
-    }
-
     /// The payloads of `slots`, in that order, from a view obtained with
     /// [`HeapFile::lease_slots`] for the same `slots` (the copy fallback
     /// holds exactly those tuples already).
@@ -531,42 +448,6 @@ impl PageView {
                 })
                 .collect(),
             PageView::Resolved(tuples) => Ok(tuples.iter().map(Vec::as_slice).collect()),
-        }
-    }
-}
-
-/// An owned copy of one data page's live tuples, detached from the buffer
-/// pool. The coordinator thread (which owns the single-threaded pool)
-/// takes snapshots under its own short-lived pins and hands them to
-/// workers, which parse and decode without ever touching the pool.
-#[derive(Debug, Clone)]
-pub enum PageSnapshot {
-    /// Every cell was inline: the raw 8 KiB image, parsed lazily.
-    Raw(Box<[u8; crate::page::PAGE_SIZE]>),
-    /// At least one cell overflowed: tuple bytes pre-resolved by the
-    /// coordinator (workers cannot follow chains without the pool).
-    Tuples(Vec<Vec<u8>>),
-}
-
-impl PageSnapshot {
-    /// Live tuple payloads in slot order (tags stripped, chains resolved).
-    pub fn tuples(&self) -> Result<Vec<&[u8]>> {
-        match self {
-            PageSnapshot::Raw(data) => {
-                let mut out = Vec::new();
-                for cell in crate::page::live_cells(data) {
-                    match cell_kind(cell)? {
-                        SlotTuple::Inline(tuple) => out.push(tuple),
-                        SlotTuple::Overflow(_) => {
-                            return Err(Error::Invariant(
-                                "raw page snapshot contains an overflow cell",
-                            ))
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            PageSnapshot::Tuples(tuples) => Ok(tuples.iter().map(Vec::as_slice).collect()),
         }
     }
 }
@@ -669,29 +550,14 @@ mod tests {
         assert_eq!(heap.get(&pool, a2).unwrap(), big);
     }
 
-    #[test]
-    fn snapshot_matches_tuples_on_page() {
-        let pool = BufferPool::in_memory(4);
-        let mut heap = HeapFile::new();
-        for i in 0..25u32 {
-            heap.insert(&pool, &i.to_le_bytes().repeat(50)).unwrap();
-        }
-        for ord in 0..heap.num_pages() {
-            let scanned: Vec<Vec<u8>> = heap
-                .tuples_on_page(&pool, ord)
-                .unwrap()
-                .into_iter()
-                .map(|(_, t)| t)
-                .collect();
-            let snap = heap.snapshot_page(&pool, ord).unwrap();
-            assert!(matches!(snap, PageSnapshot::Raw(_)), "all-inline page");
-            let tuples: Vec<Vec<u8>> = snap.tuples().unwrap().iter().map(|t| t.to_vec()).collect();
-            assert_eq!(tuples, scanned, "page {ord}");
-        }
+    /// Every live slot of data page `ord` with its tuple, as a scan sees it.
+    fn scanned(heap: &HeapFile, pool: &BufferPool, ord: usize) -> (Vec<u16>, Vec<Vec<u8>>) {
+        let tuples = heap.tuples_on_page(pool, ord).unwrap().into_iter();
+        tuples.map(|(addr, t)| (addr.slot, t)).unzip()
     }
 
     #[test]
-    fn lease_page_is_zero_copy_for_clean_inline_pages() {
+    fn lease_slots_is_zero_copy_for_clean_inline_pages() {
         let pool = BufferPool::in_memory(4);
         let mut heap = HeapFile::new();
         for i in 0..25u32 {
@@ -700,51 +566,31 @@ mod tests {
         pool.flush_all().unwrap();
         pool.reset_stats();
         for ord in 0..heap.num_pages() {
-            let scanned: Vec<Vec<u8>> = heap
-                .tuples_on_page(&pool, ord)
-                .unwrap()
-                .into_iter()
-                .map(|(_, t)| t)
-                .collect();
-            let view = heap.lease_page(&pool, ord).unwrap();
+            let (slots, tuples) = scanned(&heap, &pool, ord);
+            let view = heap.lease_slots(&pool, ord, &slots).unwrap();
             assert!(matches!(view, PageView::Leased(_)), "clean inline page");
-            let tuples: Vec<Vec<u8>> = view.tuples().unwrap().iter().map(|t| t.to_vec()).collect();
-            assert_eq!(tuples, scanned, "page {ord}");
+            assert_eq!(view.tuples_at(&slots).unwrap(), tuples, "page {ord}");
         }
         assert_eq!(pool.stats().bytes_copied_to_workers, 0);
         assert_eq!(pool.stats().morsel_allocs, 0);
     }
 
     #[test]
-    fn lease_page_falls_back_to_counted_copies_for_overflow_and_dirty() {
+    fn lease_slots_falls_back_to_counted_copies_for_dirty_pages() {
         let pool = BufferPool::in_memory(4);
         let mut heap = HeapFile::new();
-        let big: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
-        heap.insert(&pool, b"small").unwrap();
-        heap.insert(&pool, &big).unwrap();
-
-        // Dirty page: copy fallback even though it could otherwise lease.
-        let view = heap.lease_page(&pool, 0).unwrap();
+        let a = heap.insert(&pool, b"small").unwrap();
+        let b = heap.insert(&pool, b"tiny").unwrap();
+        let slots = [a.slot, b.slot];
+        let view = heap.lease_slots(&pool, 0, &slots).unwrap();
         assert!(matches!(view, PageView::Resolved(_)), "dirty page copies");
-        let copied_dirty = pool.stats().bytes_copied_to_workers;
-        assert_eq!(copied_dirty, (b"small".len() + big.len()) as u64);
+        assert_eq!(view.tuples_at(&slots).unwrap(), [&b"small"[..], b"tiny"]);
+        assert_eq!(pool.stats().bytes_copied_to_workers, 9);
         assert_eq!(pool.stats().morsel_allocs, 1);
-
-        // Clean but overflowing: still a copy, chains resolved.
         pool.flush_all().unwrap();
-        let view = heap.lease_page(&pool, 0).unwrap();
-        assert!(
-            matches!(view, PageView::Resolved(_)),
-            "overflow page copies"
-        );
-        let tuples = view.tuples().unwrap();
-        assert_eq!(tuples.len(), 2);
-        assert_eq!(tuples[0], b"small");
-        assert_eq!(tuples[1], big.as_slice());
-        assert_eq!(
-            pool.stats().bytes_copied_to_workers,
-            copied_dirty + (b"small".len() + big.len()) as u64
-        );
+        let view = heap.lease_slots(&pool, 0, &slots).unwrap();
+        assert!(matches!(view, PageView::Leased(_)), "clean again: leased");
+        assert_eq!(pool.stats().morsel_allocs, 1);
     }
 
     #[test]
@@ -786,52 +632,28 @@ mod tests {
         assert!(slot_tuple(&page, c.slot).is_err());
     }
 
+    /// A lease charges what a scan of the same page does: one read for
+    /// the data page plus one per overflow-chain page it resolves.
     #[test]
-    fn lease_page_charges_same_reads_as_snapshot_page() {
+    fn lease_slots_charges_the_reads_of_tuples_on_page() {
         let pool = BufferPool::in_memory(8);
         let mut heap = HeapFile::new();
         for i in 0..25u32 {
             heap.insert(&pool, &i.to_le_bytes().repeat(50)).unwrap();
         }
+        heap.insert(&pool, &[7u8; 20_000]).unwrap();
         pool.flush_all().unwrap();
-        let before = pool.stats();
         for ord in 0..heap.num_pages() {
-            heap.snapshot_page(&pool, ord).unwrap();
+            let (slots, _) = scanned(&heap, &pool, ord);
+            let before = pool.stats();
+            heap.tuples_on_page(&pool, ord).unwrap();
+            let scan_reads = pool.stats().since(&before).logical_reads;
+            let before = pool.stats();
+            heap.lease_slots(&pool, ord, &slots).unwrap();
+            let lease_reads = pool.stats().since(&before).logical_reads;
+            assert_eq!(lease_reads, scan_reads, "page {ord}");
         }
-        let snap_reads = pool.stats().since(&before).logical_reads;
-        let before = pool.stats();
-        for ord in 0..heap.num_pages() {
-            heap.lease_page(&pool, ord).unwrap();
-        }
-        let lease_reads = pool.stats().since(&before).logical_reads;
-        assert_eq!(lease_reads, snap_reads, "identical I/O accounting");
-    }
-
-    #[test]
-    fn snapshot_resolves_overflow_chains() {
-        let pool = BufferPool::in_memory(4);
-        let mut heap = HeapFile::new();
-        let big: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
-        heap.insert(&pool, b"small").unwrap();
-        heap.insert(&pool, &big).unwrap();
-        let snap = heap.snapshot_page(&pool, 0).unwrap();
-        assert!(matches!(snap, PageSnapshot::Tuples(_)), "overflow page");
-        let tuples = snap.tuples().unwrap();
-        assert_eq!(tuples.len(), 2);
-        assert_eq!(tuples[0], b"small");
-        assert_eq!(tuples[1], big.as_slice());
-    }
-
-    #[test]
-    fn snapshot_charges_pool_reads() {
-        let pool = BufferPool::in_memory(4);
-        let mut heap = HeapFile::new();
-        heap.insert(&pool, b"x").unwrap();
-        let before = pool.stats();
-        heap.snapshot_page(&pool, 0).unwrap();
-        let after = pool.stats();
-        assert_eq!(after.logical_reads, before.logical_reads + 1);
-        assert!(heap.snapshot_page(&pool, 9).is_err(), "out of range");
+        assert!(heap.lease_slots(&pool, 99, &[0]).is_err(), "out of range");
     }
 
     #[test]

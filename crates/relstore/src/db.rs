@@ -549,10 +549,7 @@ mod tests {
         }
         let flat = db.table("f").unwrap();
         let delta = db.table("d").unwrap();
-        assert_eq!(
-            flat.iter().map(|(_, r)| r).collect::<Vec<_>>(),
-            delta.iter().map(|(_, r)| r).collect::<Vec<_>>()
-        );
+        assert_eq!(flat.rows().unwrap(), delta.rows().unwrap());
         assert!(
             delta.encoded_bytes().unwrap() < flat.encoded_bytes().unwrap(),
             "delta {} B should undercut flat {} B",

@@ -75,7 +75,7 @@ pub use explain::{
 };
 pub use expr::{AggFunc, BinOp, Expr};
 pub use index::{Index, IndexKind};
-pub use par::{morsel_pages, ParSeqScan, RidFetch, MORSEL_PAGES};
+pub use par::RidFetch;
 pub use schema::{Column, Schema};
 pub use table::{Clustering, Row, RowId, Table, DEFAULT_POOL_PAGES};
 pub use value::{DataType, Value};

@@ -1,71 +1,52 @@
-//! Morsel-driven parallel operators.
+//! Morsel-driven parallel reads.
 //!
 //! The buffer pool is single-threaded (`Rc<BufferPool>`), so parallelism
 //! follows the morsel-driven split of HyPer: the **coordinator** thread
 //! does every page access — charging estimated and measured I/O exactly
-//! like the sequential operators — and hands out **zero-copy page
-//! leases** ([`PageView`](pagestore::PageView)), while the
+//! like the sequential path — and hands out **zero-copy page leases**
+//! ([`PageView`](pagestore::PageView)), while the
 //! [`WorkerPool`](exec_pool::WorkerPool) workers do the CPU-only work
-//! (slot parsing, tuple decoding, predicate evaluation, projection)
-//! against the shared frames with worker-local [`CostTracker`]s that are
-//! merged back afterwards.
+//! (slot parsing and tuple decoding) against the shared frames.
 //!
-//! Leases share the frame's `Arc<Page>` — the coordinator no longer
-//! materialises an owned snapshot of every page before dispatch, which
-//! is what made 4-thread runs *slower* than sequential ones. Only pages
-//! that cannot be leased (overflow chains, dirty frames) fall back to an
-//! owned copy, counted in `IoStats::bytes_copied_to_workers` so the perf
-//! gate can assert the hot path stays at zero. Because live leases pin
-//! their frames against eviction, dispatch proceeds in [`LeaseWaves`]
-//! bounded by the pool capacity, so a pool smaller than the heap still
-//! scans — zero-copy — wave by wave.
+//! Leases share the frame's `Arc<Page>` — the coordinator never
+//! materialises an owned copy of a page before dispatch, which is what
+//! once made 4-thread runs *slower* than sequential ones. Only pages that
+//! cannot be leased (a wanted tuple with an overflow chain, a dirty
+//! frame) fall back to an owned copy, counted in
+//! `IoStats::bytes_copied_to_workers` so the perf gate can assert the hot
+//! path stays at zero. Because live leases pin their frames against
+//! eviction, dispatch proceeds in [`LeaseWaves`] bounded by the pool
+//! capacity, so a pool smaller than the page list still reads it —
+//! zero-copy — wave by wave.
 //!
-//! Two operators share that machinery: [`ParSeqScan`] leases every heap
-//! page, [`RidFetch`] only the pages its keys live on (and, on one
-//! thread, skips the machinery altogether).
+//! [`RidFetch`] is the one operator on that machinery: it leases only the
+//! pages its keys live on (and, on one thread, skips the machinery
+//! altogether).
 //!
 //! Determinism: morsels are contiguous runs of the page list and results
 //! are reassembled in morsel order, so output row order is physical
 //! `(page, slot)` order — the sequential pipeline's — at every thread
 //! count.
-//!
-//! A pool with one thread runs every morsel inline on the coordinator
-//! without spawning, so `threads=1` is the sequential engine in both
-//! result bytes and thread behaviour.
 
 use crate::cost::CostTracker;
 use crate::error::Result;
 use crate::exec::{ExecContext, Executor};
-use crate::expr::Expr;
 use crate::schema::Schema;
 use crate::table::{Row, Table, TouchedPages};
 use exec_pool::WorkerPool;
 use pagestore::PageView;
-use std::cell::{Ref, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-/// Default pages per morsel. Sixteen 8 KiB pages ≈ 128 KiB of tuple data
-/// — small enough that a morsel's working set stays cache-resident on a
-/// worker, large enough to amortise the per-task queue round trip (~800
-/// rows at the default 50 rows/page). Measured on SCI_100K: 8 and 32
-/// land within a few percent; 16 is the flat middle of that plateau.
-pub const MORSEL_PAGES: usize = 16;
-
-/// Effective pages per morsel: the `ORPHEUS_MORSEL_PAGES` environment
-/// variable (read once) overrides the measured default [`MORSEL_PAGES`].
-/// Morsel size never affects output bytes — merge order is morsel order —
-/// only the task granularity.
-pub fn morsel_pages() -> usize {
-    static PAGES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *PAGES.get_or_init(|| {
-        std::env::var("ORPHEUS_MORSEL_PAGES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(MORSEL_PAGES)
-    })
-}
+/// Pages per morsel. Sixteen 8 KiB pages ≈ 128 KiB of tuple data — small
+/// enough that a morsel's working set stays cache-resident on a worker,
+/// large enough to amortise the per-task queue round trip (~800 rows at
+/// the default 50 rows/page). Measured on SCI_100K: 8 and 32 land within
+/// a few percent; 16 is the flat middle of that plateau. Morsel size
+/// never affects output bytes — merge order is morsel order — only the
+/// task granularity.
+const MORSEL_PAGES: usize = 16;
 
 /// Frames kept free of leases during a dispatch wave, so the coordinator
 /// can still pull overflow-chain and dirty pages through the pool while
@@ -76,51 +57,52 @@ const LEASE_RESERVE: usize = 2;
 /// view per page from there on.
 type Morsel = (usize, Vec<PageView>);
 
-/// Leases a list of `total` pages in coordinator-paced **waves**: each
+/// Leases a table's touched pages in coordinator-paced **waves**: each
 /// wave holds at most `pool.capacity() - LEASE_RESERVE` simultaneous
-/// leases, grouped into contiguous [`morsel_pages`]-sized morsels.
-/// `lease(i, tracker)` leases the list's `i`-th page. Leases refuse
-/// eviction, so leasing the whole list up front would wedge any pool
-/// smaller than it; waves bound the lease footprint while keeping every
-/// page on the zero-copy path. Wave boundaries never affect output bytes —
-/// merge order is morsel order and waves are dispatched in order.
-struct LeaseWaves<L> {
-    lease: L,
+/// leases, grouped into contiguous [`MORSEL_PAGES`]-sized morsels. Leases
+/// refuse eviction, so leasing the whole list up front would wedge any
+/// pool smaller than it; waves bound the lease footprint while keeping
+/// every page on the zero-copy path. Wave boundaries never affect output
+/// bytes — merge order is morsel order and waves are dispatched in order.
+struct LeaseWaves<'a> {
+    table: &'a Table,
+    touched: &'a TouchedPages,
     next: usize,
-    total: usize,
     budget: usize,
     pages_per_morsel: usize,
 }
 
-impl<L: Fn(usize, &mut CostTracker) -> Result<PageView>> LeaseWaves<L> {
-    fn new(table: &Table, total: usize, lease: L) -> Self {
+impl<'a> LeaseWaves<'a> {
+    fn new(table: &'a Table, touched: &'a TouchedPages) -> Self {
         let budget = table.pool().capacity().saturating_sub(LEASE_RESERVE).max(1);
         LeaseWaves {
-            lease,
+            table,
+            touched,
             next: 0,
-            total,
             budget,
-            pages_per_morsel: morsel_pages().min(budget),
+            pages_per_morsel: MORSEL_PAGES.min(budget),
         }
     }
 
-    /// Lease the next wave of morsels — zero-copy for clean all-inline
-    /// pages — charging the measured pool traffic to `tracker`. Returns
-    /// `None` once the list is exhausted.
+    /// Lease the next wave of morsels — zero-copy for clean pages whose
+    /// wanted tuples are inline — charging the measured pool traffic to
+    /// `tracker`. Returns `None` once the list is exhausted.
     fn next_wave(&mut self, tracker: &mut CostTracker) -> Result<Option<Vec<Morsel>>> {
-        if self.next >= self.total {
+        let total = self.touched.len();
+        if self.next >= total {
             return Ok(None);
         }
         let mut wave = Vec::new();
         let mut leased = 0;
-        while self.next < self.total && leased < self.budget {
+        while self.next < total && leased < self.budget {
             let take = self
                 .pages_per_morsel
                 .min(self.budget - leased)
-                .min(self.total - self.next);
+                .min(total - self.next);
             let mut views = Vec::with_capacity(take);
             for i in self.next..self.next + take {
-                views.push((self.lease)(i, tracker)?);
+                let (ord, slots) = self.touched.page(i);
+                views.push(self.table.lease_slots(ord, slots, tracker)?);
             }
             wave.push((self.next, views));
             self.next += take;
@@ -132,165 +114,6 @@ impl<L: Fn(usize, &mut CostTracker) -> Result<PageView>> LeaseWaves<L> {
 
 /// Per-worker emitted-row counts shared with an explain node.
 type WorkerRows = Rc<RefCell<Vec<u64>>>;
-
-/// Run `decode(i, view, rows, tracker)` over every page of `waves` on the
-/// workers (`i` is the page's position in the leased list) and append each
-/// morsel's rows to `out` in morsel order, merging the worker-local
-/// trackers into the coordinator's.
-fn drain_waves<L, F>(
-    table: &Table,
-    pool: &WorkerPool,
-    mut waves: LeaseWaves<L>,
-    decode: F,
-    out: &mut VecDeque<Row>,
-    worker_rows: &WorkerRows,
-    ctx: &mut ExecContext,
-) -> Result<()>
-where
-    L: Fn(usize, &mut CostTracker) -> Result<PageView>,
-    F: Fn(usize, &PageView, &mut Vec<Row>, &mut CostTracker) -> Result<()> + Sync,
-{
-    let decode = &decode;
-    while let Some(wave) = waves.next_wave(&mut ctx.tracker)? {
-        let tasks: Vec<_> = wave
-            .into_iter()
-            .map(|(first, views)| {
-                move |worker: usize| -> Result<(usize, Vec<Row>, CostTracker)> {
-                    let mut tracker = CostTracker::new();
-                    let mut rows = Vec::new();
-                    for (i, view) in views.iter().enumerate() {
-                        decode(first + i, view, &mut rows, &mut tracker)?;
-                    }
-                    Ok((worker, rows, tracker))
-                }
-            })
-            .collect();
-        let mut worker_rows = worker_rows.borrow_mut();
-        let mut wave_decoded = 0;
-        for result in pool.run(tasks)? {
-            let (worker, rows, tracker) = result?;
-            wave_decoded += tracker.measured.tuples_decoded;
-            worker_rows[worker] += rows.len() as u64;
-            out.extend(rows);
-            ctx.tracker.absorb(&tracker);
-        }
-        // Mirror the workers' decode tally into the pool counter
-        // outside any since-window (the morsel_allocs pattern), so
-        // pagestore.page.decoded_tuples stays thread-count-invariant.
-        table.pool().note_tuples_decoded(wave_decoded);
-    }
-    Ok(())
-}
-
-/// Parallel sequential scan with an optional fused filter and projection.
-///
-/// Produces exactly the rows (in exactly the order) of the sequential
-/// `Project(Filter(SeqScan))` pipeline it replaces, and charges the same
-/// estimated cost: one `seq_scan` for the heap, one predicate evaluation
-/// per scanned row, one expression evaluation per projected column of
-/// every surviving row.
-pub struct ParSeqScan<'a> {
-    table: &'a Table,
-    pool: WorkerPool,
-    predicate: Option<Expr>,
-    projection: Option<Vec<Expr>>,
-    schema: Schema,
-    out: VecDeque<Row>,
-    started: bool,
-    worker_rows: WorkerRows,
-}
-
-impl<'a> ParSeqScan<'a> {
-    pub fn new(table: &'a Table, pool: WorkerPool) -> Self {
-        let workers = pool.threads();
-        ParSeqScan {
-            table,
-            pool,
-            predicate: None,
-            projection: None,
-            schema: table.schema().clone(),
-            out: VecDeque::new(),
-            started: false,
-            worker_rows: Rc::new(RefCell::new(vec![0; workers])),
-        }
-    }
-
-    /// Fuse a filter into the scan (applied on the workers).
-    pub fn with_filter(mut self, predicate: Expr) -> Self {
-        self.predicate = Some(predicate);
-        self
-    }
-
-    /// Fuse a column projection into the scan (applied after the filter).
-    pub fn with_projection(mut self, indices: &[usize]) -> Self {
-        self.schema = self.table.schema().project(indices);
-        self.projection = Some(indices.iter().map(|&i| Expr::col(i)).collect());
-        self
-    }
-
-    /// Degree of parallelism this scan runs at.
-    pub fn parallelism(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Shared per-worker emitted-row counts, for
-    /// [`ExplainNode::set_worker_rows`](crate::explain::ExplainNode::set_worker_rows).
-    pub fn worker_rows(&self) -> Rc<RefCell<Vec<u64>>> {
-        Rc::clone(&self.worker_rows)
-    }
-
-    /// Cheap copy-on-read view of the per-worker row counts: borrows the
-    /// shared cell instead of cloning the vector on every report call.
-    pub fn worker_rows_view(&self) -> Ref<'_, [u64]> {
-        Ref::map(self.worker_rows.borrow(), Vec::as_slice)
-    }
-
-    fn run(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        let table = self.table;
-        ctx.tracker.seq_scan(table.heap_size() as u64, &ctx.model);
-        let predicate = self.predicate.as_ref();
-        let projection = self.projection.as_deref();
-        let decoder = table.decoder();
-        let waves = LeaseWaves::new(table, table.num_heap_pages(), |ord, tracker| {
-            table.lease_page(ord, tracker)
-        });
-        let decode = |_, view: &PageView, rows: &mut Vec<Row>, tracker: &mut CostTracker| {
-            for bytes in view.tuples()? {
-                let (_, row) = decoder.decode_row(bytes)?;
-                tracker.measured.tuples_decoded += 1;
-                if let Some(p) = predicate {
-                    if !p.matches(&row, tracker)? {
-                        continue;
-                    }
-                }
-                rows.push(match projection {
-                    Some(exprs) => exprs
-                        .iter()
-                        .map(|e| e.eval(&row, tracker))
-                        .collect::<Result<Vec<_>>>()?,
-                    None => row,
-                });
-            }
-            Ok(())
-        };
-        let (out, worker_rows) = (&mut self.out, &self.worker_rows);
-        drain_waves(table, &self.pool, waves, decode, out, worker_rows, ctx)
-    }
-}
-
-impl Executor for ParSeqScan<'_> {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
-        if !self.started {
-            self.started = true;
-            self.run(ctx)?;
-        }
-        Ok(self.out.pop_front())
-    }
-}
 
 /// Page-ordered fetch of the rows an index maps a key list to — the rid
 /// join of checkout and versioned queries (§5.5.5), which is *one rlist
@@ -389,22 +212,43 @@ impl<'a> RidFetch<'a> {
         }
     }
 
+    /// Lease the touched pages wave by wave and let the workers decode
+    /// each morsel's wanted slots, appending rows in morsel order.
     fn run_on_workers(&mut self, pool: &WorkerPool, ctx: &mut ExecContext) -> Result<()> {
         let (table, touched) = (self.table, &self.touched);
-        let decoder = table.decoder();
-        let waves = LeaseWaves::new(table, touched.len(), |i, tracker| {
-            let (ord, slots) = touched.page(i);
-            table.lease_slots(ord, slots, tracker)
-        });
-        let decode = |i, view: &PageView, rows: &mut Vec<Row>, tracker: &mut CostTracker| {
-            for bytes in view.tuples_at(touched.page(i).1)? {
-                rows.push(decoder.decode_row(bytes)?.1);
-                tracker.measured.tuples_decoded += 1;
+        let decoder = &table.decoder();
+        let mut waves = LeaseWaves::new(table, touched);
+        while let Some(wave) = waves.next_wave(&mut ctx.tracker)? {
+            let tasks: Vec<_> = wave
+                .into_iter()
+                .map(|(first, views)| {
+                    move |worker: usize| -> Result<(usize, Vec<Row>)> {
+                        let mut rows = Vec::new();
+                        for (i, view) in views.iter().enumerate() {
+                            for bytes in view.tuples_at(touched.page(first + i).1)? {
+                                rows.push(decoder.decode_row(bytes)?.1);
+                            }
+                        }
+                        Ok((worker, rows))
+                    }
+                })
+                .collect();
+            let mut worker_rows = self.worker_rows.borrow_mut();
+            let mut wave_decoded = 0;
+            for result in pool.run(tasks)? {
+                let (worker, rows) = result?;
+                wave_decoded += rows.len() as u64;
+                worker_rows[worker] += rows.len() as u64;
+                self.out.extend(rows);
             }
-            Ok(())
-        };
-        let (out, worker_rows) = (&mut self.out, &self.worker_rows);
-        drain_waves(table, pool, waves, decode, out, worker_rows, ctx)
+            // Every decoded tuple is a row out. Mirror the tally into the
+            // pool counter outside any since-window (the morsel_allocs
+            // pattern), so pagestore.page.decoded_tuples stays
+            // thread-count-invariant.
+            ctx.tracker.measured.tuples_decoded += wave_decoded;
+            table.pool().note_tuples_decoded(wave_decoded);
+        }
+        Ok(())
     }
 }
 
@@ -441,7 +285,7 @@ impl Executor for RidFetch<'_> {
 mod tests {
     use super::*;
     use crate::error::Error;
-    use crate::exec::{collect, Filter, HashJoin, Project, SeqScan, Values};
+    use crate::exec::{collect, HashJoin, Project, SeqScan, Values};
     use crate::index::IndexKind;
     use crate::schema::Column;
     use crate::value::{DataType, Value};
@@ -464,147 +308,6 @@ mod tests {
             .unwrap();
         }
         t
-    }
-
-    fn seq_scan_filter_project(t: &Table) -> (Vec<Row>, CostTracker) {
-        let mut ctx = ExecContext::new();
-        let scan = Box::new(SeqScan::new(t));
-        let filter = Box::new(Filter::new(
-            scan,
-            Expr::col(1).lt(Expr::lit(Value::Int64(50))),
-        ));
-        let mut project = Project::columns(filter, &[0, 2]);
-        let rows = collect(&mut project, &mut ctx).unwrap();
-        (rows, ctx.tracker)
-    }
-
-    fn par_scan_filter_project(t: &Table, threads: usize) -> (Vec<Row>, CostTracker, Vec<u64>) {
-        let mut ctx = ExecContext::new();
-        let mut scan = ParSeqScan::new(t, WorkerPool::new(threads))
-            .with_filter(Expr::col(1).lt(Expr::lit(Value::Int64(50))))
-            .with_projection(&[0, 2]);
-        let rows = collect(&mut scan, &mut ctx).unwrap();
-        // Take the borrow's slice once through the view — no clone of the
-        // shared cell on the report path.
-        let worker_rows = scan.worker_rows_view().to_vec();
-        (rows, ctx.tracker, worker_rows)
-    }
-
-    #[test]
-    fn par_scan_matches_sequential_pipeline_at_every_thread_count() {
-        let t = data_table(3_000);
-        let (seq_rows, seq_tracker) = seq_scan_filter_project(&t);
-        for threads in [1, 2, 4, 8] {
-            let (par_rows, par_tracker, _) = par_scan_filter_project(&t, threads);
-            assert_eq!(par_rows, seq_rows, "threads={threads}");
-            // Identical estimated charges: same pages, tuples, and
-            // operator evaluations, merged back from the workers.
-            assert_eq!(par_tracker.seq_pages, seq_tracker.seq_pages);
-            assert_eq!(par_tracker.tuples, seq_tracker.tuples);
-            assert_eq!(par_tracker.operator_evals, seq_tracker.operator_evals);
-            // Identical measured I/O: the coordinator pulled each heap
-            // page through the pool exactly once, like the sequential scan.
-            assert_eq!(
-                par_tracker.measured.logical_reads, seq_tracker.measured.logical_reads,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn par_scan_worker_rows_reconcile_with_sequential_count() {
-        let t = data_table(3_000);
-        let (seq_rows, _) = seq_scan_filter_project(&t);
-        let (_, _, worker_rows) = par_scan_filter_project(&t, 4);
-        assert_eq!(worker_rows.len(), 4);
-        assert_eq!(
-            worker_rows.iter().sum::<u64>(),
-            seq_rows.len() as u64,
-            "per-worker rows must sum to the sequential row count"
-        );
-    }
-
-    #[test]
-    fn par_scan_is_zero_copy_after_checkpoint() {
-        let t = data_table(3_000);
-        t.pool().flush_all().unwrap();
-        let before = t.io_stats();
-        let (rows, _, _) = par_scan_filter_project(&t, 4);
-        assert!(!rows.is_empty());
-        let delta = t.io_stats().since(&before);
-        assert_eq!(
-            delta.bytes_copied_to_workers, 0,
-            "clean inline pages must ship to workers as leases, not copies"
-        );
-        assert_eq!(delta.morsel_allocs, 0);
-    }
-
-    #[test]
-    fn par_scan_on_dirty_pages_falls_back_to_counted_copies() {
-        // No flush: every heap page is dirty, so each one must be copied
-        // (and counted) rather than leased — output stays identical.
-        let t = data_table(500);
-        let before = t.io_stats();
-        let (rows, _, _) = par_scan_filter_project(&t, 4);
-        let (seq_rows, _) = seq_scan_filter_project(&t);
-        assert_eq!(rows, seq_rows);
-        let delta = t.io_stats().since(&before);
-        assert!(delta.bytes_copied_to_workers > 0);
-        assert!(delta.morsel_allocs >= t.num_heap_pages() as u64);
-    }
-
-    #[test]
-    fn par_scan_pool_smaller_than_heap_stays_zero_copy_via_waves() {
-        // 4-frame pool, many-page heap: leases refuse eviction, so the
-        // scan must proceed in capacity-bounded waves instead of wedging.
-        let pool = Rc::new(pagestore::BufferPool::in_memory(4));
-        let mut t = Table::with_pool(
-            "w",
-            Schema::new(vec![
-                Column::new("rid", DataType::Int64),
-                Column::new("pad", DataType::Text),
-            ]),
-            pool,
-        );
-        for i in 0..400i64 {
-            t.insert(vec![Value::Int64(i), Value::Text("y".repeat(256))])
-                .unwrap();
-        }
-        assert!(t.num_heap_pages() > t.pool().capacity());
-        t.pool().flush_all().unwrap();
-        let before = t.io_stats();
-        let mut ctx = ExecContext::new();
-        let mut scan = ParSeqScan::new(&t, WorkerPool::new(4));
-        let rows = collect(&mut scan, &mut ctx).unwrap();
-        assert_eq!(rows.len(), 400);
-        let mut seq_ctx = ExecContext::new();
-        let seq = collect(&mut SeqScan::new(&t), &mut seq_ctx).unwrap();
-        assert_eq!(rows, seq);
-        let delta = t.io_stats().since(&before);
-        assert_eq!(delta.bytes_copied_to_workers, 0);
-    }
-
-    #[test]
-    fn par_scan_handles_zero_row_table() {
-        let t = data_table(0);
-        let mut ctx = ExecContext::new();
-        let mut scan = ParSeqScan::new(&t, WorkerPool::new(4));
-        let rows = collect(&mut scan, &mut ctx).unwrap();
-        assert!(rows.is_empty());
-    }
-
-    #[test]
-    fn par_scan_single_morsel_and_more_workers_than_morsels() {
-        // 60 rows fit on a handful of pages — far fewer morsels than the
-        // eight workers; idle workers must not deadlock or drop rows.
-        let t = data_table(60);
-        let mut ctx = ExecContext::new();
-        let mut scan = ParSeqScan::new(&t, WorkerPool::new(8));
-        let rows = collect(&mut scan, &mut ctx).unwrap();
-        assert_eq!(rows.len(), 60);
-        let mut seq_ctx = ExecContext::new();
-        let seq = collect(&mut SeqScan::new(&t), &mut seq_ctx).unwrap();
-        assert_eq!(rows, seq);
     }
 
     /// The oracle `RidFetch` replaces: `Project(HashJoin(Values, SeqScan))`.
@@ -707,11 +410,85 @@ mod tests {
         }
     }
 
+    /// Fetch every row of `t` through `rid_pk` at `threads`, returning the
+    /// rows and the pool's counters across the fetch.
+    fn fetch_all(t: &Table, threads: usize) -> (Vec<Row>, pagestore::IoStats) {
+        let workers = WorkerPool::new(threads);
+        let keys = 0..t.live_row_count() as i64;
+        let mut fetch = RidFetch::new(t, "rid_pk", keys, Some(&workers)).unwrap();
+        let before = t.io_stats();
+        let rows = collect(&mut fetch, &mut ExecContext::new()).unwrap();
+        (rows, t.io_stats().since(&before))
+    }
+
     #[test]
-    fn par_scan_decode_error_in_worker_surfaces_as_err() {
+    fn rid_fetch_on_dirty_pages_falls_back_to_counted_copies() {
+        // No flush: every heap page is dirty, so each one must be copied
+        // (and counted) rather than leased — output stays identical.
+        let mut t = data_table(500);
+        t.create_index("rid_pk", "rid", true, IndexKind::BTree)
+            .unwrap();
+        let (serial, _) = fetch_all(&t, 1);
+        let (rows, delta) = fetch_all(&t, 4);
+        assert_eq!(rows, serial);
+        assert!(delta.bytes_copied_to_workers > 0);
+        assert_eq!(delta.morsel_allocs, t.num_heap_pages() as u64);
+        // Checkpointed, the same fetch ships leases: nothing copied.
+        t.pool().flush_all().unwrap();
+        let (rows, delta) = fetch_all(&t, 4);
+        assert_eq!(rows, serial);
+        assert_eq!(delta.bytes_copied_to_workers, 0);
+        assert_eq!(delta.morsel_allocs, 0);
+    }
+
+    #[test]
+    fn rid_fetch_pool_smaller_than_its_pages_stays_zero_copy_via_waves() {
+        // 4-frame pool, many-page heap: leases refuse eviction, so the
+        // fetch must proceed in capacity-bounded waves instead of wedging.
+        let pool = Rc::new(pagestore::BufferPool::in_memory(4));
+        let mut t = Table::with_pool(
+            "w",
+            Schema::new(vec![
+                Column::new("rid", DataType::Int64),
+                Column::new("pad", DataType::Text),
+            ]),
+            pool,
+        );
+        t.create_index("rid_pk", "rid", true, IndexKind::BTree)
+            .unwrap();
+        for i in 0..400i64 {
+            t.insert(vec![Value::Int64(i), Value::Text("y".repeat(256))])
+                .unwrap();
+        }
+        assert!(t.num_heap_pages() > t.pool().capacity());
+        t.pool().flush_all().unwrap();
+        let (serial, _) = fetch_all(&t, 1);
+        assert_eq!(serial.len(), 400);
+        let (rows, delta) = fetch_all(&t, 4);
+        assert_eq!(rows, serial);
+        assert_eq!(delta.bytes_copied_to_workers, 0);
+    }
+
+    #[test]
+    fn rid_fetch_with_no_keys_or_fewer_morsels_than_workers() {
+        let mut t = data_table(60);
+        t.create_index("rid_pk", "rid", true, IndexKind::BTree)
+            .unwrap();
+        let workers = WorkerPool::new(4);
+        let mut empty = RidFetch::new(&t, "rid_pk", [], Some(&workers)).unwrap();
+        assert!(collect(&mut empty, &mut ExecContext::new())
+            .unwrap()
+            .is_empty());
+        // 60 rows fit on a handful of pages — far fewer morsels than the
+        // eight workers; idle workers must not deadlock or drop rows.
+        let (rows, _) = fetch_all(&t, 8);
+        assert_eq!(rows.len(), 60);
+        assert_eq!(rows, fetch_all(&t, 1).0);
+    }
+
+    #[test]
+    fn worker_panic_mid_morsel_surfaces_as_err() {
         // A panic inside a worker task must surface as Err, not deadlock.
-        // Simulate via the pool directly: ParSeqScan's workers only run
-        // fallible code, so drive a task that panics through the same pool.
         let pool = WorkerPool::new(2);
         let tasks: Vec<Box<dyn FnOnce(usize) -> u32 + Send>> = vec![
             Box::new(|_| 1),

@@ -519,7 +519,9 @@ impl Table {
     }
 
     /// [`rows`](Self::rows) for inspection: a table that cannot be read
-    /// iterates as empty, so never rebuild state from this.
+    /// iterates as empty, so never rebuild state from this. Nothing in
+    /// the workspace calls it; it stays because `benchmarks/loadgen`,
+    /// which links this crate and is not edited with it, does.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, Row)> {
         self.rows().unwrap_or_default().into_iter()
     }
@@ -545,39 +547,6 @@ impl Table {
         self.pool
             .note_decode_micros(started.elapsed().as_micros() as u64);
         Ok(out)
-    }
-
-    /// Owned snapshot of data page `page_ord` for parallel decoding off
-    /// the coordinator thread, attributing the measured page traffic to
-    /// `tracker`. The buffer pool is single-threaded, so worker threads
-    /// never touch it: the coordinator extracts snapshots (resolving
-    /// overflow chains up front) and hands them to the pool workers.
-    pub fn snapshot_page(
-        &self,
-        page_ord: usize,
-        tracker: &mut CostTracker,
-    ) -> Result<pagestore::PageSnapshot> {
-        let before = self.pool.stats();
-        let snap = self.heap.snapshot_page(&self.pool, page_ord)?;
-        tracker.measured.absorb(&self.pool.stats().since(&before));
-        Ok(snap)
-    }
-
-    /// Zero-copy view of data page `page_ord` for parallel decoding off
-    /// the coordinator thread, attributing the measured page traffic to
-    /// `tracker`. Clean all-inline pages hand out a shared page lease
-    /// (no bytes copied); overflow or dirty pages fall back to an owned
-    /// copy counted in `bytes_copied_to_workers`. Charges the same pool
-    /// traffic as [`snapshot_page`](Self::snapshot_page).
-    pub fn lease_page(
-        &self,
-        page_ord: usize,
-        tracker: &mut CostTracker,
-    ) -> Result<pagestore::PageView> {
-        let before = self.pool.stats();
-        let view = self.heap.lease_page(&self.pool, page_ord)?;
-        tracker.measured.absorb(&self.pool.stats().since(&before));
-        Ok(view)
     }
 
     /// Decode the rows in `slots` of data page `page_ord` in place under
@@ -620,8 +589,12 @@ impl Table {
         Ok(rows)
     }
 
-    /// [`lease_page`](Self::lease_page) for a worker that decodes only
-    /// `slots` (read the view with `PageView::tuples_at`).
+    /// A view of the rows in `slots` of data page `page_ord` for a morsel
+    /// worker to decode off the coordinator thread (read it with
+    /// `PageView::tuples_at`), attributing the measured page traffic to
+    /// `tracker`. Clean pages are leased zero-copy; a dirty page or a
+    /// wanted overflow tuple falls back to a copy counted in
+    /// `bytes_copied_to_workers`.
     pub(crate) fn lease_slots(
         &self,
         page_ord: usize,
@@ -632,16 +605,6 @@ impl Table {
         let view = self.heap.lease_slots(&self.pool, page_ord, slots)?;
         tracker.measured.absorb(&self.pool.stats().since(&before));
         Ok(view)
-    }
-
-    /// Full sequential scan: estimated I/O for every heap slot, measured
-    /// I/O for the pages actually pulled through the pool.
-    pub fn scan_all(&self, tracker: &mut CostTracker, model: &CostModel) -> Vec<Row> {
-        tracker.seq_scan(self.heap_size() as u64, model);
-        let before = self.pool.stats();
-        let rows = self.iter().map(|(_, r)| r).collect();
-        tracker.measured.absorb(&self.pool.stats().since(&before));
-        rows
     }
 
     /// Create an index on `column`. The column must be `Int64`.
@@ -968,7 +931,8 @@ mod tests {
         }
         t.delete(1).unwrap(); // remove rid=1
         t.cluster_on("rid").unwrap();
-        let rids: Vec<i64> = t.iter().map(|(_, r)| r[0].as_i64().unwrap()).collect();
+        let rows = t.rows().unwrap();
+        let rids: Vec<i64> = rows.iter().map(|(_, r)| r[0].as_i64().unwrap()).collect();
         assert_eq!(rids, vec![2, 3]);
         assert_eq!(t.clustering(), Clustering::On(0));
     }
@@ -1028,20 +992,20 @@ mod tests {
                 .unwrap();
         }
         assert!(t.num_heap_pages() > t.pool().capacity());
-        let mut tr = CostTracker::new();
-        let rows = t.scan_all(&mut tr, &CostModel::default());
-        assert_eq!(rows.len(), n as usize);
+        let before = t.io_stats();
+        assert_eq!(t.rows().unwrap().len(), n as usize);
         // The scan touched more distinct pages than fit in the pool, so it
         // must have gone to the pager for most of them.
-        assert!(tr.measured.logical_reads >= t.num_heap_pages() as u64);
-        assert!(tr.measured.physical_reads > t.pool().capacity() as u64);
-        assert!(t.io_stats().evictions > 0);
+        let scan = t.io_stats().since(&before);
+        assert!(scan.logical_reads >= t.num_heap_pages() as u64);
+        assert!(scan.physical_reads > t.pool().capacity() as u64);
+        assert!(scan.evictions > 0);
     }
 
     /// Regression: `fetch` went through `get` (`read_row(..).ok()`) and the
-    /// index build through `iter` (`unwrap_or_default()`), so a page the
-    /// pool could not supply came back as *fewer rows* — a short checkout,
-    /// a partial index, a `cluster_on` that dropped rows.
+    /// index build through a lossy `iter` (`unwrap_or_default()`), so a
+    /// page the pool could not supply came back as *fewer rows* — a short
+    /// checkout, a partial index, a `cluster_on` that dropped rows.
     #[test]
     fn storage_errors_surface_instead_of_shortening_results() {
         let mut t = Table::with_pool(
@@ -1071,6 +1035,7 @@ mod tests {
                 t.fetch(&ids, None, &mut tr, &model),
                 Err(Error::Storage(_))
             ));
+            assert!(t.rows().is_err());
             assert!(t.create_index("pk", "rid", true, IndexKind::BTree).is_err());
             assert!(!t.has_index("pk"));
             assert!(t.cluster_on("rid").is_err());

@@ -1,15 +1,14 @@
-//! Property-based tests for the morsel-driven parallel operators: for
-//! arbitrary tables — including tables bigger than their buffer pool, so
-//! the zero-copy lease waves are forced to run under eviction pressure —
-//! the parallel scan stays byte-identical to the sequential pipeline at
-//! every thread count, and the page-ordered `RidFetch` to the hash join
-//! over a full scan that it replaced.
+//! Property-based tests for the morsel-driven `RidFetch`: for arbitrary
+//! tables — including tables bigger than their buffer pool, so the
+//! zero-copy lease waves are forced to run under eviction pressure — the
+//! page-ordered fetch stays byte-identical, at every thread count, to the
+//! hash join over a full scan that it replaced.
 
 use proptest::prelude::*;
 use relstore::codec::PageFormatKind;
 use relstore::{
-    collect, BufferPool, Column, DataType, ExecContext, Expr, HashJoin, IndexKind, ParSeqScan,
-    Project, RidFetch, Schema, SeqScan, Table, Value, Values, WorkerPool,
+    collect, BufferPool, Column, DataType, ExecContext, HashJoin, IndexKind, Project, RidFetch,
+    Schema, SeqScan, Table, Value, Values, WorkerPool,
 };
 use std::rc::Rc;
 
@@ -21,58 +20,8 @@ fn schema() -> Schema {
     ])
 }
 
-/// A table over a deliberately tiny pool: with enough rows the heap
-/// outgrows the pool, so parallel leases must be granted in waves rather
-/// than all at once.
-fn tiny_pool_table(rows: &[(i64, u8)], pool_frames: usize, flush: bool) -> Table {
-    let pool = Rc::new(BufferPool::in_memory(pool_frames));
-    let mut t = Table::with_pool("p", schema(), pool);
-    for (i, &(k, pad)) in rows.iter().enumerate() {
-        t.insert(vec![
-            Value::Int64(i as i64),
-            Value::Int64(k),
-            Value::Text("x".repeat(pad as usize)),
-        ])
-        .unwrap();
-    }
-    if flush {
-        // Checkpoint so pages are clean and leasable (zero-copy path);
-        // the unflushed case exercises the counted-copy fallback instead.
-        t.pool().flush_all().unwrap();
-    }
-    t
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Parallel scan output is byte-identical to the sequential
-    /// `Filter(SeqScan)` pipeline at 1/2/4/8 threads, for clean and dirty
-    /// pages alike, under a pool of as few as 4 frames.
-    #[test]
-    fn par_scan_matches_serial_at_all_thread_counts(
-        rows in prop::collection::vec((0..50i64, 0..200u8), 1..120),
-        pool_frames in 4usize..12,
-        flush in any::<bool>(),
-    ) {
-        let t = tiny_pool_table(&rows, pool_frames, flush);
-        let predicate = || Expr::col(1).lt(Expr::lit(Value::Int64(25)));
-        let mut seq_ctx = ExecContext::new();
-        let mut seq = relstore::Filter::new(Box::new(SeqScan::new(&t)), predicate());
-        let seq_rows = collect(&mut seq, &mut seq_ctx).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let mut ctx = ExecContext::new();
-            let mut scan = ParSeqScan::new(&t, WorkerPool::new(threads))
-                .with_filter(predicate());
-            let par_rows = collect(&mut scan, &mut ctx).unwrap();
-            prop_assert_eq!(&par_rows, &seq_rows, "threads={}", threads);
-            prop_assert_eq!(
-                ctx.tracker.measured.logical_reads,
-                seq_ctx.tracker.measured.logical_reads,
-                "threads={}", threads
-            );
-        }
-    }
 
     /// `RidFetch` returns exactly the rows, in exactly the order, of the
     /// `Project(HashJoin(Values keys, SeqScan))` tree it replaced, at

@@ -141,12 +141,16 @@ proptest! {
             table.insert(vec![Value::Int64(*k), Value::Int64(*v % 100)]).unwrap();
         }
         let mut before: Vec<(i64, i64)> = table
-            .iter()
+            .rows()
+            .unwrap()
+            .into_iter()
             .map(|(_, r)| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
             .collect();
         table.cluster_on("k").unwrap();
         let after: Vec<(i64, i64)> = table
-            .iter()
+            .rows()
+            .unwrap()
+            .into_iter()
             .map(|(_, r)| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
             .collect();
         prop_assert!(after.windows(2).all(|w| w[0].0 <= w[1].0), "not sorted");

@@ -50,12 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Modify the staging table: fix a coexpression score (an update)
         // and add a newly observed interaction (an insert).
         let t = db.staging_table_mut("alice_work")?;
-        let target = t
-            .iter()
+        let (target, mut fixed) = t
+            .rows()?
+            .into_iter()
             .find(|(_, r)| r[0] == Value::from("ENSP273047") && r[1] == Value::from("ENSP261890"))
-            .map(|(id, _)| id)
             .expect("row exists");
-        let mut fixed = t.get(target).unwrap().clone();
         fixed[4] = Value::Int64(83);
         t.update(target, fixed)?;
         t.insert(row("ENSP309334", "ENSP346022", 0, 227, 975))?;
@@ -112,13 +111,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         only_bob.rows.len()
     );
 
-    // `optimize`: LyreSplit partitioning under γ = 2|R|, then a fast
-    // partition-served checkout.
-    let parts = db.optimize("Interaction", 2.0)?;
-    println!("\noptimize: partitioned into {parts} partition(s)");
-    let (rows, ctx) = db.checkout_rows_fast("Interaction", merged.vid)?;
+    // `optimize`: the LyreSplit plan under γ = 2|R| (a report; the
+    // storage layout stays as it is), then a one-version read.
+    let plan = db.optimize("Interaction", 2.0)?;
     println!(
-        "partitioned checkout of {}: {} rows, {:.2} simulated ms",
+        "\noptimize: {} partition(s), est. storage {} records",
+        plan.partitioning.num_partitions(),
+        plan.est_storage
+    );
+    let (rows, ctx) = db.read_version("Interaction", merged.vid)?;
+    println!(
+        "checkout of {}: {} rows, {:.2} simulated ms",
         merged.vid,
         rows.len(),
         ctx.tracker.simulated_millis(&ctx.model)

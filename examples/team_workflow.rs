@@ -1,7 +1,7 @@
 //! A full collaborative session driven through the command-line surface of
 //! §3.3.1 — the MIT Brain-Institution scenario from Chapter 1: several
 //! scientists sharing one dataset, CSV round-trips for Python/R users,
-//! access control, schema evolution, and the partition optimizer.
+//! access control, schema evolution, and the partition optimizer's plan.
 //!
 //! Run with: `cargo run --example team_workflow`
 
@@ -61,13 +61,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         {
             let t = db.staging_table_mut(&format!("work{round}"))?;
             // Each round normalizes a slice of expressions.
-            let ids: Vec<_> = t
-                .iter()
+            let rows: Vec<_> = t
+                .rows()?
+                .into_iter()
                 .filter(|(_, r)| r[2].as_i64().unwrap() % 10 == round as i64)
-                .map(|(id, _)| id)
                 .collect();
-            for id in ids {
-                let mut row = t.get(id).unwrap().clone();
+            for (id, mut row) in rows {
                 row[2] = Value::Int64(row[2].as_i64().unwrap() / 10);
                 t.update(id, row)?;
             }
@@ -129,14 +128,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         show(&db.execute(q)?);
     }
 
-    // Partition for faster checkouts, then keep committing.
+    // Ask LyreSplit how it would partition the history, then keep committing.
     println!("$ optimize Annotations -g 2.0");
     show(&db.execute("optimize Annotations -g 2.0")?);
     db.execute("checkout Annotations -v 4 -t post")?;
     show(&db.execute("commit -t post -m after optimize")?);
-    let (rows, ctx) = db.checkout_rows_fast("Annotations", res.vid)?;
+    let (rows, ctx) = db.read_version("Annotations", res.vid)?;
     println!(
-        "fast checkout of v{}: {} rows at {:.2} simulated ms",
+        "checkout of v{}: {} rows at {:.2} simulated ms",
         res.vid.0,
         rows.len(),
         ctx.tracker.simulated_millis(&ctx.model)

@@ -26,6 +26,14 @@ cargo run --release -q -p lint
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> examples (release; each must exit 0)"
+# The examples are the library surface end to end — mutation, merge, CSV,
+# provenance, and the only non-test callers of `optimize`. Compiling them
+# is not enough: a panic or an `Err` out of main fails the gate here.
+for example in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
+done
+
 echo "==> benchmarks/loadgen unit tests (unedited; the benchmark's link surface)"
 # loadgen is a workspace of its own, so nothing above compiles it. Its
 # tests are the only compile-time guard on the public signatures the

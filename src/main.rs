@@ -85,7 +85,7 @@ fn help() {
          commit -t <table> -m <message…>\n  \
          diff <cvd> -v <a> <b>\n  \
          run <SELECT … FROM VERSION i OF CVD c | SELECT vid, agg(col) FROM CVD c GROUP BY vid>\n  \
-         optimize <cvd> [-g <gamma>]\n  \
+         optimize <cvd> [-g <gamma>]   (LyreSplit plan under γ·|R|, γ ≥ 1.0; stores nothing)\n  \
          plan_storage <cvd> [-b <factor>]   (materialization plan under a storage budget)\n  \
          explain analyze [--json] <query>   (instrumented plan: estimated vs actual)\n  \
          stats [reset]   (buffer-pool I/O counters)\n  \
