@@ -26,7 +26,7 @@ fn dirty_batch(pool: &BufferPool) {
         if id < pool.num_pages() {
             pool.fetch_mut(id).unwrap().insert(&[0xAB; 64]).unwrap_or(0);
         } else {
-            pool.allocate_pinned()
+            pool.allocate_pinned(false)
                 .unwrap()
                 .1
                 .insert(&[0xAB; 64])

@@ -37,7 +37,7 @@ fn bench_buffer_pool(c: &mut Criterion) {
     let build = |frames: usize| {
         let pool = BufferPool::in_memory(frames);
         for _ in 0..n_pages {
-            let (_, mut page) = pool.allocate_pinned().unwrap();
+            let (_, mut page) = pool.allocate_pinned(false).unwrap();
             page.insert(&[1u8; 128]).unwrap_or(0);
         }
         pool

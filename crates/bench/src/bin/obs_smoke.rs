@@ -163,6 +163,7 @@ fn main() {
             "counters/relstore.tracker.tuples",
             "gauges/pagestore.pool.hit_ratio",
             "gauges/pagestore.pool.free_pages",
+            "gauges/pagestore.pool.unlogged_pages",
             "gauges/relstore.directory.tables",
             "histograms/orpheus.commit.latency_us/p50",
             "histograms/orpheus.commit.latency_us/p99",

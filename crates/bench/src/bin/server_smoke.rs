@@ -30,6 +30,7 @@ use orpheus_server::{
 };
 use std::io::Write as _;
 use std::net::SocketAddr;
+use std::sync::Barrier;
 use std::time::Duration;
 
 const WRITERS: usize = 8;
@@ -51,9 +52,11 @@ fn commit_trace(w: usize, i: usize) -> u64 {
 
 /// One scripted client: pin a snapshot, verify the read repeats, then
 /// run checkout → insert → commit cycles, each from this writer's
-/// previous version. Commits run under client-chosen trace ids, which
-/// the server must echo on the completion.
-fn scripted_client(addr: SocketAddr, w: usize) {
+/// previous version. Every writer stages its checkout, then writer 0
+/// stalls the engine and all commit together, so each wave of commits
+/// queues into one batch. Commits run under client-chosen trace ids,
+/// which the server must echo on the completion.
+fn scripted_client(addr: SocketAddr, w: usize, staged: &Barrier) {
     let mut c = Client::connect(addr, &format!("w{w}")).expect("connect");
     ok(&mut c, "pin t");
     let read = "run SELECT vid, count(*) FROM CVD t GROUP BY vid";
@@ -64,6 +67,11 @@ fn scripted_client(addr: SocketAddr, w: usize) {
         ok(&mut c, &format!("checkout t -v {parent} -t {table}"));
         let k = 1000 + w * 100 + i;
         ok(&mut c, &format!("insert {table} {k},{w},{i}"));
+        staged.wait();
+        if w == 0 {
+            ok(&mut c, "sleep 80");
+        }
+        staged.wait();
         let trace = commit_trace(w, i);
         let reply = c
             .query_traced(&format!("commit -t {table} -m w{w} c{i}"), trace)
@@ -168,10 +176,10 @@ fn main() {
 
     let server = Server::start(ServerConfig {
         port: 0,
-        workers: WRITERS,
+        // The writers and the admin session, all live at once.
+        workers: WRITERS + 1,
         engine: EngineConfig {
             data_dir: Some(dir.clone()),
-            linger: Duration::from_millis(20),
             // ≥2 morsel workers so the trace leg can assert that worker
             // task spans re-attach to the originating request.
             threads: 2,
@@ -187,12 +195,11 @@ fn main() {
         &mut admin,
         &format!("init t -f {} -s k:int,w:int,i:int -k k", csv.display()),
     );
-    // Stall the engine briefly so the first commit wave forms one batch.
-    ok(&mut admin, "sleep 80");
-
     let pool = exec_pool::WorkerPool::new(WRITERS);
+    let staged = Barrier::new(WRITERS);
+    let staged = &staged;
     let tasks: Vec<_> = (0..WRITERS)
-        .map(|w| move |_worker: usize| scripted_client(addr, w))
+        .map(|w| move |_worker: usize| scripted_client(addr, w, staged))
         .collect();
     pool.run(tasks).expect("scripted clients");
 
@@ -258,6 +265,7 @@ fn main() {
             "counters/orpheus.server.backpressure_rejections",
             "counters/pagestore.wal.fsyncs",
             "gauges/pagestore.pool.free_pages",
+            "gauges/pagestore.pool.unlogged_pages",
             "gauges/relstore.directory.tables",
             "gauges/orpheus.server.active_sessions",
             "gauges/orpheus.server.queued_commits",

@@ -120,8 +120,8 @@ impl OrpheusDb {
     /// every CVD — version graph, metadata, attributes, records — live in
     /// tables ([`crate::metadata`]) beside the data, and are made durable
     /// by the same WAL batch. Opening reads them back and writes nothing.
-    /// Tables no CVD owns — staging tables a crash or shutdown left
-    /// behind — are dropped: uncommitted work is lost with its session.
+    /// Staging tables are scratch tables the store never describes, so
+    /// none comes back: uncommitted work is lost with its session.
     pub fn open_durable(
         dir: impl AsRef<std::path::Path>,
         pool_pages: usize,
@@ -141,14 +141,8 @@ impl OrpheusDb {
         let (users, clock, cvds) = metadata::load(&db)?;
         let mut odb = OrpheusDb::over(db);
         (odb.users, odb.clock) = (users, clock);
-        let mut owned = vec![metadata::SYS.to_owned()];
         for cvd in cvds {
-            owned.extend(metadata::tables_of(cvd.name()));
             odb.register(cvd);
-        }
-        let tables = odb.db.table_names().into_iter().map(str::to_owned);
-        for table in tables.filter(|t| !owned.contains(t)).collect::<Vec<_>>() {
-            odb.db.drop_table(&table)?;
         }
         Ok(odb)
     }
@@ -233,8 +227,16 @@ impl OrpheusDb {
         Ok(())
     }
 
-    /// Replay the write-ahead log (`recover`), as after a crash.
+    /// Replay the write-ahead log (`recover`), as after a crash. Refused
+    /// while any table is checked out: recovery discards every dirty
+    /// frame, and a staging table's pages are never logged.
     pub fn recover(&self) -> Result<relstore::RecoveryReport> {
+        let mut checked_out: Vec<String> = self.staging.keys().cloned().collect();
+        checked_out.retain(|t| self.db.has_table(t));
+        if !checked_out.is_empty() {
+            checked_out.sort();
+            return Err(Error::CheckedOut(checked_out));
+        }
         Ok(self.db.recover()?)
     }
 
@@ -322,7 +324,8 @@ impl OrpheusDb {
              physical reads: {}\n\
              evictions     : {}\n\
              pages written : {} ({} eviction write-backs, {} flushed)\n\
-             free pages    : {} of {} allocated",
+             free pages    : {} of {} allocated\n\
+             unlogged pages: {} (checked-out tables)",
             self.db.pool().capacity(),
             relstore::PAGE_SIZE,
             s.logical_reads,
@@ -335,6 +338,7 @@ impl OrpheusDb {
             s.flushed_writes,
             self.db.pool().free_pages(),
             self.db.pool().num_pages(),
+            self.db.pool().unlogged_pages(),
         );
         if self.db.is_durable() {
             report.push_str(&format!(
@@ -357,6 +361,11 @@ impl OrpheusDb {
     ) -> Result<Vid> {
         if self.cvds.contains_key(name) {
             return Err(Error::CvdExists(name.to_owned()));
+        }
+        // All or nothing: a name taken half-way would leave tables behind.
+        let tables = metadata::tables_of(name);
+        if let Some(taken) = tables.into_iter().find(|t| self.db.has_table(t)) {
+            return Err(relstore::Error::TableExists(taken).into());
         }
         let author = self.whoami()?.to_owned();
         let (cvd, v0) = Cvd::init(name, schema, pk, rows, &author)?;
@@ -439,7 +448,8 @@ impl OrpheusDb {
     // -- checkout / commit ---------------------------------------------------
 
     /// `checkout [cvd] -v [vids] -t [table]`: materialize one or more
-    /// versions into a private staging table.
+    /// versions into a private staging table — a scratch table, which no
+    /// checkpoint logs and no reopen finds: it is committed or lost.
     pub fn checkout(&mut self, cvd_name: &str, versions: &[Vid], table: &str) -> Result<()> {
         let _span = self.db.recorder().enter("orpheus.checkout");
         let start = Instant::now();
@@ -448,12 +458,7 @@ impl OrpheusDb {
         let handle = self.handle(cvd_name)?;
         let rows = handle.cvd.checkout_rows(versions)?;
         let schema = handle.cvd.schema().clone();
-        if self.db.has_table(table) {
-            return Err(Error::Storage(relstore::Error::TableExists(
-                table.to_owned(),
-            )));
-        }
-        let t = self.db.create_table(table, schema)?;
+        let t = self.db.create_scratch_table(table, schema)?;
         for (_, row) in rows {
             t.insert(row)?;
         }
@@ -1648,6 +1653,52 @@ mod tests {
         let r = odb.commit("w2", "post-recovery").unwrap();
         assert_eq!(r.vid, Vid(2));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Regression: `recover` on a live instance discarded a checked-out
+    /// table's rows and said nothing, so the next commit stored a version
+    /// of the one row inserted after it. Now it refuses, naming the table.
+    #[test]
+    fn recover_refuses_while_tables_are_checked_out() {
+        let dir = std::env::temp_dir().join(format!("orpheus-recover-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut odb, _) = OrpheusDb::open_durable(&dir, 64).unwrap();
+        odb.create_user("alice").unwrap();
+        odb.login("alice").unwrap();
+        let csv = dir.join("d.csv");
+        std::fs::write(&csv, "k,x\n1,10\n2,20\n3,30\n").unwrap();
+        let init = format!("init d -f {} -s k:int,x:int -k k", csv.display());
+        for line in [&init, "checkout d -v 0 -t w", "insert w 4,40"] {
+            odb.execute(line).unwrap();
+        }
+        let err = odb.execute("recover").unwrap_err();
+        assert_eq!(err, Error::CheckedOut(vec!["w".into()]));
+        assert!(err.to_string().contains("checked-out tables: w"), "{err}");
+        odb.execute("insert w 5,50").unwrap();
+        odb.execute("commit -t w -m after").unwrap();
+        assert!(odb.log("d").unwrap().contains("records: 5  msg: after"));
+        assert!(odb.execute("recover").is_ok(), "nothing checked out now");
+        drop(odb);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Regression: `init e` with `e__meta` taken failed after creating
+    /// `e__sbr_data` and `e__sbr_vtab`, and every later `init e` failed on
+    /// those until a reopen. Now it checks every name before creating any.
+    #[test]
+    fn a_failed_init_leaves_no_tables_behind() {
+        let mut odb = setup();
+        odb.checkout("Interaction", &[Vid(0)], "e__meta").unwrap();
+        let tables = odb.db.table_names().len();
+        let schema = Schema::new(vec![Column::new("k", DataType::Int64)]);
+        let rows = vec![vec![Value::Int64(1)]];
+        let init = |odb: &mut OrpheusDb| odb.init_cvd("e", schema.clone(), vec![], rows.clone());
+        let err = init(&mut odb).unwrap_err();
+        assert_eq!(err.to_string(), "storage: table already exists: e__meta");
+        assert_eq!(odb.db.table_names().len(), tables, "nothing was created");
+        odb.commit("e__meta", "free the name").unwrap();
+        assert_eq!(init(&mut odb).unwrap(), Vid(0));
+        assert!(odb.list_cvds().contains(&"e".to_owned()));
     }
 
     #[test]

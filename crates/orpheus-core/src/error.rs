@@ -27,6 +27,9 @@ pub enum Error {
     Parse(String),
     /// Schema evolution produced an incompatible change.
     SchemaEvolution(String),
+    /// `recover` would discard these checked-out tables, whose pages no
+    /// log protects.
+    CheckedOut(Vec<String>),
     /// An internal invariant of the versioning layer was violated
     /// (e.g. an index pointing at a missing row). Raised instead of
     /// panicking: the CVD may hold the only copy of the data, so a
@@ -49,6 +52,11 @@ impl fmt::Display for Error {
             Error::UserError(m) => write!(f, "user error: {m}"),
             Error::Parse(m) => write!(f, "parse error: {m}"),
             Error::SchemaEvolution(m) => write!(f, "schema evolution: {m}"),
+            Error::CheckedOut(tables) => write!(
+                f,
+                "recovery would discard checked-out tables: {}; commit them first",
+                tables.join(", ")
+            ),
             Error::Internal(m) => write!(f, "internal invariant violated: {m}"),
         }
     }

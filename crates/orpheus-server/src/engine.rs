@@ -6,16 +6,20 @@
 //! the paper's middleware sitting on one PostgreSQL connection. Instead of
 //! wrapping it in a big lock, the server gives it a thread of its own
 //! ([`exec_pool::ServiceThread`], named `orpheus-engine`) and serializes
-//! *writes and commands* through an MPSC channel. *Reads* never come here
-//! at all: sessions pin immutable [`Snapshot`]s and evaluate queries
-//! locally (see [`crate::session`]), so readers are lock-free and the
-//! engine thread spends its time on writes.
+//! every command through an MPSC channel: writes, and the reads of a
+//! session that has not pinned its CVD. A pinned session evaluates its
+//! queries against an immutable [`Snapshot`] on its own thread (see
+//! [`crate::session`]) and comes here only to pin.
 //!
-//! **Group commit.** When a `commit` arrives, the engine keeps draining
-//! the channel for a short linger window (and up to `max_batch` commits),
-//! applies the whole batch, then issues *one* WAL-protected checkpoint
-//! for all of them — N concurrent commits cost one fsync instead of N
+//! **Group commit.** When a `commit` arrives, the engine drains the
+//! channel until it is empty (or holds `max_batch` commits), serving any
+//! other message as it comes, then applies the whole batch and issues
+//! *one* WAL-protected checkpoint for all of it. No timer: a lone commit
+//! is applied at once, while commits that queue behind a running batch
+//! form the next one — N concurrent commits cost one fsync instead of N
 //! (`pagestore.wal.fsyncs` < commits, asserted by the CI smoke gate).
+//! Nothing is served between a batch's first apply and its checkpoint,
+//! so no reply ever shows a commit that is not yet durable.
 //! Commits enter through a **bounded admission queue**: past
 //! `admission_capacity` queued commits, new ones are rejected immediately
 //! with a typed backpressure error ([`crate::protocol::code::BACKPRESSURE`])
@@ -26,7 +30,7 @@ use obs::{Recorder, Registry, TraceCtx};
 use orpheus_core::{CommandOutput, OrpheusDb, Snapshot};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,9 +48,6 @@ pub struct EngineConfig {
     pub admission_capacity: usize,
     /// Largest number of commits folded into one group-commit batch.
     pub max_batch: usize,
-    /// How long the engine lingers for more commits after the first one
-    /// of a batch arrives.
-    pub linger: Duration,
 }
 
 impl Default for EngineConfig {
@@ -57,7 +58,6 @@ impl Default for EngineConfig {
             threads: 1,
             admission_capacity: 64,
             max_batch: 32,
-            linger: Duration::from_millis(2),
         }
     }
 }
@@ -461,11 +461,12 @@ fn engine_loop(
     drop(db.checkpoint());
 }
 
-/// Drain concurrently arriving commits into one batch, apply them in
-/// arrival order, and end the batch with a single checkpoint (one WAL
-/// fsync). Non-commit messages received during the linger window are
-/// served immediately — a batch never delays a read or a snapshot pin.
-/// Returns `true` when a shutdown request arrived mid-drain.
+/// Drain the channel into one batch until it is empty, apply the batch's
+/// commits in arrival order, and end it with a single checkpoint (one WAL
+/// fsync). Non-commit messages drained on the way are served at once,
+/// before any apply — a batch never delays a read or a snapshot pin, and
+/// never shows one a commit that is not durable yet. Returns `true` when
+/// a shutdown request arrived mid-drain.
 fn group_commit(
     db: &mut OrpheusDb,
     first: CommitJob,
@@ -477,13 +478,8 @@ fn group_commit(
     let mut shutdown = false;
     let mut batch = vec![first];
     queued.fetch_sub(1, Ordering::SeqCst);
-    let deadline = Instant::now() + cfg.linger;
     while batch.len() < cfg.max_batch && !shutdown {
-        let timeout = deadline.saturating_duration_since(Instant::now());
-        if timeout.is_zero() {
-            break;
-        }
-        match rx.recv_timeout(timeout) {
+        match rx.try_recv() {
             Ok(EngineMsg::Commit {
                 session,
                 user,
@@ -515,11 +511,8 @@ fn group_commit(
             Ok(EngineMsg::Sleep { millis }) => {
                 std::thread::sleep(Duration::from_millis(millis));
             }
-            Ok(EngineMsg::Shutdown) => shutdown = true,
-            Err(RecvTimeoutError::Timeout) => break,
-            Err(RecvTimeoutError::Disconnected) => {
-                shutdown = true;
-            }
+            Ok(EngineMsg::Shutdown) | Err(TryRecvError::Disconnected) => shutdown = true,
+            Err(TryRecvError::Empty) => break,
         }
     }
     registry.gauge_set(
@@ -578,10 +571,9 @@ fn group_commit(
 mod tests {
     use super::*;
 
-    fn start_mem(capacity: usize, linger_ms: u64) -> EngineService {
+    fn start_mem(capacity: usize) -> EngineService {
         EngineService::start(EngineConfig {
             admission_capacity: capacity,
-            linger: Duration::from_millis(linger_ms),
             ..EngineConfig::default()
         })
         .unwrap()
@@ -589,7 +581,7 @@ mod tests {
 
     #[test]
     fn execute_roundtrips_through_the_engine_thread() {
-        let svc = start_mem(4, 1);
+        let svc = start_mem(4);
         let h = svc.handle();
         let out = h.execute(1, "alice", "whoami", 0).unwrap();
         assert_eq!(out, CommandOutput::Message("alice".into()));
@@ -603,7 +595,7 @@ mod tests {
 
     #[test]
     fn snapshot_pins_are_served() {
-        let svc = start_mem(4, 1);
+        let svc = start_mem(4);
         let h = svc.handle();
         h.execute(1, "alice", "create_user ignored_twice", 0)
             .unwrap();
@@ -614,7 +606,7 @@ mod tests {
 
     #[test]
     fn full_admission_queue_rejects_with_backpressure() {
-        let svc = start_mem(2, 1);
+        let svc = start_mem(2);
         let h = svc.handle();
         // Stall the engine so queued commits cannot drain.
         h.sleep(300);
@@ -649,6 +641,88 @@ mod tests {
             t.join().unwrap();
         }
         svc.shutdown().unwrap();
+    }
+
+    /// [commit a, `log d`, commit b] are queued before the engine looks:
+    /// the drain serves the `log` before the batch applies, so it shows
+    /// neither new version, and both commits share one checkpoint.
+    #[test]
+    fn a_read_drained_into_a_batch_sees_none_of_its_commits() {
+        let dir = std::env::temp_dir().join(format!("orpheus-drain-{}", std::process::id()));
+        drop(std::fs::remove_dir_all(&dir));
+        let mut db = OrpheusDb::open_durable(&dir, 256).unwrap().0;
+        db.set_auto_checkpoint(false);
+        let csv = dir.join("seed.csv");
+        std::fs::write(&csv, "k,x\n1,1\n2,2\n").unwrap();
+        let init = format!("init d -f {} -s k:int,x:int -k k", csv.display());
+        db.execute_as("a", &init).unwrap();
+        for (user, table, key) in [("a", "wa", 10), ("b", "wb", 20)] {
+            for line in [
+                format!("checkout d -v 0 -t {table}"),
+                format!("insert {table} {key},1"),
+            ] {
+                db.execute_as(user, &line).unwrap();
+            }
+        }
+        let job = |user: &str, line: &str| {
+            let (reply, got) = mpsc::channel();
+            let (user, line) = (user.to_owned(), line.to_owned());
+            let job = CommitJob {
+                session: 1,
+                user,
+                line,
+                trace: 0,
+                reply,
+            };
+            (job, got)
+        };
+        let (a, a_got) = job("a", "commit -t wa -m a");
+        let (log, log_got) = job("a", "log d");
+        let (b, b_got) = job("b", "commit -t wb -m b");
+        let (tx, rx) = mpsc::channel();
+        tx.send(EngineMsg::Execute {
+            session: log.session,
+            user: log.user,
+            line: log.line,
+            trace: log.trace,
+            reply: log.reply,
+        })
+        .unwrap();
+        tx.send(EngineMsg::Commit {
+            session: b.session,
+            user: b.user,
+            line: b.line,
+            trace: b.trace,
+            reply: b.reply,
+        })
+        .unwrap();
+        let before = db.io_stats().checkpoints;
+        let cfg = EngineConfig::default();
+        let queued = AtomicUsize::new(2);
+        assert!(!group_commit(
+            &mut db,
+            a,
+            &rx,
+            &cfg,
+            &queued,
+            &Registry::new()
+        ));
+        assert_eq!(db.io_stats().checkpoints - before, 1, "one checkpoint");
+        let Ok(CommandOutput::Message(shown)) = log_got.recv().unwrap() else {
+            panic!("log failed");
+        };
+        assert!(shown.contains("* v0"), "{shown}");
+        assert!(
+            !shown.contains("* v1") && !shown.contains("* v2"),
+            "{shown}"
+        );
+        for (got, vid) in [(a_got, 1), (b_got, 2)] {
+            let reply = got.recv().unwrap();
+            assert!(matches!(reply, Ok(CommandOutput::Version(v)) if v.0 == vid));
+        }
+        assert!(db.log("d").unwrap().contains("* v2"));
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A fault at every I/O of a two-commit batch — the sessions'
@@ -724,7 +798,6 @@ mod tests {
             })
             .unwrap();
             let cfg = EngineConfig {
-                linger: Duration::from_millis(20),
                 max_batch: 2,
                 ..EngineConfig::default()
             };

@@ -8,6 +8,7 @@ use orpheus_server::{
 };
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Barrier;
 use std::time::Duration;
 
 /// A unique scratch path under the system temp dir.
@@ -49,9 +50,27 @@ fn tag_of(c: &mut Client, line: &str) -> String {
     reply.tag().unwrap_or_default().to_owned()
 }
 
+/// Hold every writer at `barrier` once it has staged its checkout, stall
+/// the engine from writer 0, then release them all: their commits queue
+/// behind the stall, and the engine drains them into one batch.
+fn stall_then_release(c: &mut Client, w: usize, barrier: &Barrier) {
+    barrier.wait();
+    if w == 0 {
+        tag_of(c, "sleep 100");
+    }
+    barrier.wait();
+}
+
 /// One writer's workload: `commits` cycles of checkout → insert → commit,
-/// each from this writer's previous version. Returns the committed vids.
-fn writer_workload(addr: std::net::SocketAddr, w: usize, commits: usize) -> Vec<u32> {
+/// each from this writer's previous version, every commit held back
+/// until all writers have staged theirs when `stall` is given. Returns
+/// the committed vids.
+fn writer_workload(
+    addr: std::net::SocketAddr,
+    w: usize,
+    commits: usize,
+    stall: Option<&Barrier>,
+) -> Vec<u32> {
     let mut c = Client::connect(addr, &format!("w{w}")).unwrap();
     let mut parent = 0u32;
     let mut vids = Vec::new();
@@ -60,6 +79,9 @@ fn writer_workload(addr: std::net::SocketAddr, w: usize, commits: usize) -> Vec<
         tag_of(&mut c, &format!("checkout t -v {parent} -t {table}"));
         let k = 1000 + w * 100 + i;
         tag_of(&mut c, &format!("insert {table} {k},{w},{i}"));
+        if let Some(barrier) = stall {
+            stall_then_release(&mut c, w, barrier);
+        }
         let tag = tag_of(&mut c, &format!("commit -t {table} -m w{w} c{i}"));
         let vid: u32 = tag
             .strip_prefix("COMMIT v")
@@ -145,7 +167,7 @@ fn concurrent_sessions_match_serial_replay() {
 
     std::thread::scope(|s| {
         for w in 0..WRITERS {
-            s.spawn(move || writer_workload(addr, w, COMMITS));
+            s.spawn(move || writer_workload(addr, w, COMMITS, None));
         }
         for r in 0..READERS {
             s.spawn(move || {
@@ -233,10 +255,9 @@ fn group_commit_batches_fsyncs_below_commit_count() {
     std::fs::remove_dir_all(&dir).ok();
     let csv = seed_csv("fsync");
     let server = start_server(
-        WRITERS,
+        WRITERS + 1,
         EngineConfig {
             data_dir: Some(dir.clone()),
-            linger: Duration::from_millis(30),
             ..EngineConfig::default()
         },
     );
@@ -244,12 +265,13 @@ fn group_commit_batches_fsyncs_below_commit_count() {
 
     let mut admin = Client::connect(addr, "admin").unwrap();
     tag_of(&mut admin, &init_line(&csv));
-    // Stall the engine so the first wave of commits queues into one batch.
-    tag_of(&mut admin, "sleep 100");
 
+    // Each wave of commits queues behind a stalled engine.
+    let barrier = Barrier::new(WRITERS);
     std::thread::scope(|s| {
         for w in 0..WRITERS {
-            s.spawn(move || writer_workload(addr, w, COMMITS));
+            let barrier = &barrier;
+            s.spawn(move || writer_workload(addr, w, COMMITS, Some(barrier)));
         }
     });
 
@@ -426,7 +448,6 @@ fn traced_queries_export_complete_traces() {
         EngineConfig {
             data_dir: Some(dir.clone()),
             threads: 2,
-            linger: Duration::from_millis(20),
             ..EngineConfig::default()
         },
     );
@@ -442,16 +463,20 @@ fn traced_queries_export_complete_traces() {
         "no minted trace: {minted:?}"
     );
 
-    // One traced commit per writer, under caller-chosen trace ids.
+    // One traced commit per writer, under caller-chosen trace ids, all
+    // queued behind a stalled engine so they share a batch.
+    let barrier = Barrier::new(WRITERS);
     let commit_traces: Vec<u64> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..WRITERS)
             .map(|w| {
+                let barrier = &barrier;
                 s.spawn(move || {
                     let mut c = Client::connect(addr, &format!("w{w}")).unwrap();
                     let trace = 0x7e57_0000_0000_0100 + w as u64;
                     let table = format!("tw{w}");
                     tag_of(&mut c, &format!("checkout t -v 0 -t {table}"));
                     tag_of(&mut c, &format!("insert {table} {},{w},0", 2000 + w));
+                    stall_then_release(&mut c, w, barrier);
                     let reply = c
                         .query_traced(&format!("commit -t {table} -m t{w}"), trace)
                         .unwrap();

@@ -26,6 +26,16 @@
 //! cannot undo them), so a commit that dirties more pages than the pool
 //! holds fails with `PoolExhausted` instead of silently losing atomicity.
 //!
+//! **Unlogged pages** are the one exception. A page allocated with
+//! [`allocate_pinned(true)`](BufferPool::allocate_pinned) belongs to a
+//! scratch structure no durable structure references: a checkpoint
+//! neither logs nor writes it back, and eviction may write it to the
+//! data file with no log record. To keep "no durable structure references it" true, a page a
+//! *logged* structure frees is held back from unlogged allocations until
+//! the next checkpoint completes — the last durable state may still
+//! reach it. Whoever opens the store frees every unlogged page, since
+//! nothing reaches it.
+//!
 //! The pool is single-threaded (interior mutability via `RefCell`/`Cell`),
 //! matching the rest of the engine.
 
@@ -37,7 +47,7 @@ use crate::stats::IoStats;
 use crate::wal::{Wal, RECORD_HEADER};
 use obs::Recorder;
 use std::cell::{Cell, Ref, RefCell, RefMut};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -188,6 +198,13 @@ pub struct BufferPool {
     /// it, which whoever opens the store works out again
     /// ([`free_unreached`](BufferPool::free_unreached)).
     free: RefCell<Vec<PageId>>,
+    /// Pages a logged structure freed since the last completed checkpoint
+    /// of a durable pool: the durable state may still reach them, so only
+    /// a logged allocation may reuse one. They join `free` when the next
+    /// checkpoint completes.
+    held: RefCell<Vec<PageId>>,
+    /// Pages of unlogged structures, resident or spilled.
+    unlogged: RefCell<HashSet<PageId>>,
     wal: RefCell<Option<Wal>>,
     stats: RefCell<IoStats>,
     recorder: RefCell<Recorder>,
@@ -213,6 +230,8 @@ impl BufferPool {
             hand: Cell::new(0),
             pager: RefCell::new(pager),
             free: RefCell::new(Vec::new()),
+            held: RefCell::new(Vec::new()),
+            unlogged: RefCell::new(HashSet::new()),
             wal: RefCell::new(None),
             stats: RefCell::new(IoStats::new()),
             recorder: RefCell::new(Recorder::global().clone()),
@@ -255,20 +274,22 @@ impl BufferPool {
 
     /// Replay the attached WAL into the pager, as after a crash.
     ///
-    /// Requires a quiesced pool: no outstanding pins. Every frame is
-    /// invalidated first — resident *dirty* pages are discarded, exactly
-    /// as a real crash would discard them, and subsequent fetches reread
-    /// the recovered images.
+    /// Requires a quiesced pool: no outstanding pins or leases, and no
+    /// unlogged page (nothing could bring its contents back). Every frame
+    /// is invalidated first — resident *dirty* pages are discarded,
+    /// exactly as a real crash would discard them, and subsequent fetches
+    /// reread the recovered images.
     pub fn recover(&self) -> Result<RecoveryReport> {
         let _span = self.span("pagestore.wal.recover");
         let mut wal_ref = self.wal.borrow_mut();
         let wal = wal_ref.as_mut().ok_or(Error::NotDurable)?;
-        if let Some(f) = self
+        let busy = self
             .frames
             .iter()
             .find(|f| f.pin.get() > 0 || f.lease_count() > 0)
-        {
-            return Err(Error::PageBusy(f.page_id.get().unwrap_or(0)));
+            .map(|f| f.page_id.get().unwrap_or(0));
+        if let Some(id) = busy.or_else(|| self.unlogged.borrow().iter().next().copied()) {
+            return Err(Error::PageBusy(id));
         }
         self.map.borrow_mut().clear();
         for f in &self.frames {
@@ -290,14 +311,22 @@ impl BufferPool {
         self.pager.borrow().num_pages()
     }
 
-    /// Pages on the free list.
+    /// Pages nothing owns: the free list, plus the pages held back from
+    /// unlogged allocations until the next checkpoint.
     pub fn free_pages(&self) -> usize {
-        self.free.borrow().len()
+        self.free.borrow().len() + self.held.borrow().len()
+    }
+
+    /// Pages of unlogged structures, resident or spilled to the pager.
+    pub fn unlogged_pages(&self) -> usize {
+        self.unlogged.borrow().len()
     }
 
     /// Give page `id` back: its contents are dead, so a resident frame
     /// loses its dirty bit (a checkpoint must not log it) and, unless a
-    /// pin or lease still holds it, its mapping.
+    /// pin or lease still holds it, its mapping. A logged page of a
+    /// durable pool is held back from unlogged allocations until the
+    /// next checkpoint completes.
     pub fn free_page(&self, id: PageId) {
         let resident = self.map.borrow().get(&id).copied();
         if let Some(idx) = resident {
@@ -309,7 +338,12 @@ impl BufferPool {
                 self.map.borrow_mut().remove(&id);
             }
         }
-        self.free.borrow_mut().push(id);
+        let unlogged = self.unlogged.borrow_mut().remove(&id);
+        if unlogged || !self.is_durable() {
+            self.free.borrow_mut().push(id);
+        } else {
+            self.held.borrow_mut().push(id);
+        }
     }
 
     /// Make the free list every allocated page not in `reached` — the
@@ -324,6 +358,7 @@ impl BufferPool {
         }
         let ids = (0..used.len()).rev().filter(|&i| !used[i]);
         *self.free.borrow_mut() = ids.map(|i| i as PageId).collect();
+        self.held.borrow_mut().clear();
     }
 
     /// Whether `id` currently occupies a frame (no pin, no I/O charge).
@@ -467,16 +502,23 @@ impl BufferPool {
 
     /// Pin an empty page nothing else owns: one off the free list, or a
     /// fresh one from the pager. Installing it charges no read (there is
-    /// nothing to read).
+    /// nothing to read). An `unlogged` page is never logged or written
+    /// back by a checkpoint and may be evicted dirty (see the module
+    /// docs); it never reuses a held page. A logged page takes a held
+    /// one first — it stays in memory until a checkpoint logs it.
     ///
     /// The victim frame is reserved *before* the pager allocates: on an
     /// exhausted pool the allocation never happens, so no page id leaks
     /// into the backing file unreachable.
-    pub fn allocate_pinned(&self) -> Result<(PageId, PageMut<'_>)> {
-        let recycled = self.free.borrow_mut().pop();
+    pub fn allocate_pinned(&self, unlogged: bool) -> Result<(PageId, PageMut<'_>)> {
+        let held = !unlogged && !self.held.borrow().is_empty();
+        let list = if held { &self.held } else { &self.free };
+        let recycled = list.borrow_mut().pop();
         let installed = self.install(recycled);
-        if let (Err(_), Some(id)) = (&installed, recycled) {
-            self.free.borrow_mut().push(id);
+        match (&installed, recycled) {
+            (Err(_), Some(id)) => list.borrow_mut().push(id),
+            (Ok((id, _)), _) if unlogged => drop(self.unlogged.borrow_mut().insert(*id)),
+            _ => {}
         }
         installed
     }
@@ -513,25 +555,28 @@ impl BufferPool {
         ))
     }
 
-    /// Write every dirty frame back and sync the pager — the checkpoint.
+    /// Write every dirty logged frame back and sync the pager — the
+    /// checkpoint. Unlogged pages stay as they are.
     ///
     /// With a WAL attached this is atomic: the images of all dirty pages
     /// plus a commit record are appended and synced to the log first
     /// (the batch's durability point), then pages go to the data file,
     /// then the synced log is truncated. A crash anywhere in between
-    /// recovers to either all of the batch or none of it.
+    /// recovers to either all of the batch or none of it. Once it is
+    /// complete, the held pages are free for any allocation.
     ///
     /// Fails with [`Error::PageBusy`] if a mutable guard is outstanding.
     pub fn flush_all(&self) -> Result<()> {
         let _span = self.span("pagestore.checkpoint");
         let mut wal_ref = self.wal.borrow_mut();
         let mut pager = self.pager.borrow_mut();
+        let unlogged = self.unlogged.borrow();
         let dirty: Vec<(usize, PageId)> = self
             .frames
             .iter()
             .enumerate()
             .filter_map(|(i, f)| match f.page_id.get() {
-                Some(id) if f.dirty.get() => Some((i, id)),
+                Some(id) if f.dirty.get() && !unlogged.contains(&id) => Some((i, id)),
                 _ => None,
             })
             .collect();
@@ -582,6 +627,7 @@ impl BufferPool {
             self.stats.borrow_mut().wal_fsyncs += 1;
         }
         self.stats.borrow_mut().checkpoints += 1;
+        self.free.borrow_mut().append(&mut self.held.borrow_mut());
         Ok(())
     }
 
@@ -621,12 +667,14 @@ impl BufferPool {
     /// cannot be silently invalidated; with every frame pinned or leased
     /// the sweep fails with the typed [`Error::PoolExhausted`].
     ///
-    /// Under a WAL the pool is no-steal: dirty frames are skipped like
-    /// pinned ones, because writing uncommitted pages to the data file
-    /// would break checkpoint atomicity (a redo-only log cannot undo
+    /// Under a WAL the pool is no-steal: dirty logged frames are skipped
+    /// like pinned ones, because writing uncommitted pages to the data
+    /// file would break checkpoint atomicity (a redo-only log cannot undo
     /// them). They become evictable at the next [`flush_all`](Self::flush_all).
+    /// A dirty unlogged frame is evicted like any other.
     fn victim_frame(&self) -> Result<usize> {
         let no_steal = self.wal.borrow().is_some();
+        let logged = |id| !self.unlogged.borrow().contains(&id);
         let n = self.frames.len();
         for _ in 0..2 * n {
             let idx = self.hand.get();
@@ -635,7 +683,7 @@ impl BufferPool {
             if frame.pin.get() > 0 || frame.lease_count() > 0 {
                 continue;
             }
-            if no_steal && frame.dirty.get() && frame.page_id.get().is_some() {
+            if no_steal && frame.dirty.get() && frame.page_id.get().is_some_and(logged) {
                 continue;
             }
             if frame.referenced.get() {
@@ -667,7 +715,7 @@ mod tests {
     fn pool_with_pages(capacity: usize, pages: u32) -> BufferPool {
         let pool = BufferPool::in_memory(capacity);
         for i in 0..pages {
-            let (id, mut page) = pool.allocate_pinned().unwrap();
+            let (id, mut page) = pool.allocate_pinned(false).unwrap();
             assert_eq!(id, i);
             page.insert(format!("page-{i}").as_bytes()).unwrap();
         }
@@ -712,7 +760,7 @@ mod tests {
         let guard = pool.fetch(0).unwrap();
         // Cycle many other pages through the single remaining frame.
         for _ in 0..3 {
-            let (id, _) = pool.allocate_pinned().unwrap();
+            let (id, _) = pool.allocate_pinned(false).unwrap();
             drop(pool.fetch(id).unwrap());
         }
         assert!(pool.is_resident(0), "pinned page must stay resident");
@@ -725,7 +773,7 @@ mod tests {
         let pool = pool_with_pages(2, 2);
         let _a = pool.fetch(0).unwrap();
         let _b = pool.fetch(1).unwrap();
-        let err = pool.allocate_pinned().err().unwrap();
+        let err = pool.allocate_pinned(false).err().unwrap();
         assert!(matches!(err, Error::PoolExhausted { capacity: 2 }));
     }
 
@@ -734,12 +782,12 @@ mod tests {
         let pool = pool_with_pages(3, 3);
         // Bringing in a fourth page clears every reference bit on the
         // first sweep and evicts page 0 (hand order).
-        drop(pool.allocate_pinned().unwrap());
+        drop(pool.allocate_pinned(false).unwrap());
         assert!(!pool.is_resident(0));
         // Touch page 1: its reference bit grants a second chance.
         drop(pool.fetch(1).unwrap());
         // The next eviction skips re-referenced page 1, takes cold page 2.
-        drop(pool.allocate_pinned().unwrap());
+        drop(pool.allocate_pinned(false).unwrap());
         assert!(pool.is_resident(1));
         assert!(!pool.is_resident(2));
     }
@@ -754,7 +802,7 @@ mod tests {
         let _a = pool.fetch(0).unwrap();
         let _b = pool.fetch(1).unwrap();
         assert!(matches!(
-            pool.allocate_pinned(),
+            pool.allocate_pinned(false),
             Err(Error::PoolExhausted { .. })
         ));
         assert_eq!(
@@ -774,11 +822,15 @@ mod tests {
         assert_eq!(pool.free_pages(), 1);
         pool.flush_all().unwrap();
         assert_eq!(pool.stats().flushed_writes, 2, "the freed page is dead");
-        let (id, page) = pool.allocate_pinned().unwrap();
+        let (id, page) = pool.allocate_pinned(false).unwrap();
         assert_eq!((id, page.live_count()), (1, 0), "reused, and empty");
         drop(page);
         assert_eq!((pool.num_pages(), pool.free_pages()), (3, 0));
-        assert_eq!(pool.allocate_pinned().unwrap().0, 3, "then the pager grows");
+        assert_eq!(
+            pool.allocate_pinned(false).unwrap().0,
+            3,
+            "then the pager grows"
+        );
     }
 
     #[test]
@@ -786,10 +838,13 @@ mod tests {
         let pool = pool_with_pages(2, 1);
         let guard = pool.fetch(0).unwrap();
         pool.free_page(0);
-        assert!(matches!(pool.allocate_pinned(), Err(Error::PageBusy(0))));
+        assert!(matches!(
+            pool.allocate_pinned(false),
+            Err(Error::PageBusy(0))
+        ));
         assert_eq!(pool.free_pages(), 1, "and stays on the free list");
         drop(guard);
-        assert_eq!(pool.allocate_pinned().unwrap().0, 0);
+        assert_eq!(pool.allocate_pinned(false).unwrap().0, 0);
     }
 
     #[test]
@@ -799,7 +854,7 @@ mod tests {
         let lease = pool.lease(0).unwrap();
         pool.free_page(0);
         assert!(pool.is_resident(0), "a leased frame stays mapped");
-        let (id, mut page) = pool.allocate_pinned().unwrap();
+        let (id, mut page) = pool.allocate_pinned(false).unwrap();
         assert_eq!(id, 0);
         page.insert(b"next owner").unwrap();
         assert_eq!(lease.get(0).unwrap(), b"page-0");
@@ -810,7 +865,9 @@ mod tests {
         let pool = pool_with_pages(2, 5);
         pool.free_unreached([0, 3, 99]);
         assert_eq!(pool.free_pages(), 3);
-        let ids: Vec<PageId> = (0..3).map(|_| pool.allocate_pinned().unwrap().0).collect();
+        let ids: Vec<PageId> = (0..3)
+            .map(|_| pool.allocate_pinned(false).unwrap().0)
+            .collect();
         assert_eq!(ids, [1, 2, 4]);
     }
 
@@ -868,7 +925,7 @@ mod tests {
         // Cycle many pages through the single remaining frame: the leased
         // frame must be skipped exactly like a pinned one.
         for _ in 0..4 {
-            let (id, _) = pool.allocate_pinned().unwrap();
+            let (id, _) = pool.allocate_pinned(false).unwrap();
             drop(pool.fetch(id).unwrap());
         }
         assert!(pool.is_resident(0), "leased page must stay resident");
@@ -876,7 +933,7 @@ mod tests {
         drop(lease);
         // With the lease gone the frame is evictable again.
         for _ in 0..3 {
-            drop(pool.allocate_pinned().unwrap());
+            drop(pool.allocate_pinned(false).unwrap());
         }
         assert!(!pool.is_resident(0), "dropped lease releases the frame");
     }
@@ -911,7 +968,7 @@ mod tests {
         let _a = pool.lease(0).unwrap();
         let _b = pool.lease(1).unwrap();
         assert!(matches!(
-            pool.allocate_pinned(),
+            pool.allocate_pinned(false),
             Err(Error::PoolExhausted { capacity: 2 })
         ));
     }
@@ -925,13 +982,13 @@ mod tests {
         drop(a);
         // One clone still live: the frame is protected.
         for _ in 0..3 {
-            drop(pool.allocate_pinned().unwrap());
+            drop(pool.allocate_pinned(false).unwrap());
         }
         assert!(pool.is_resident(0));
         assert_eq!(b.get(0).unwrap(), b"page-0");
         drop(b);
         for _ in 0..3 {
-            drop(pool.allocate_pinned().unwrap());
+            drop(pool.allocate_pinned(false).unwrap());
         }
         assert!(!pool.is_resident(0));
     }
@@ -972,7 +1029,7 @@ mod tests {
         pool.flush_all().unwrap();
         // The failed attempts released their pins: page evictable again.
         for _ in 0..3 {
-            drop(pool.allocate_pinned().unwrap());
+            drop(pool.allocate_pinned(false).unwrap());
         }
         assert!(!pool.is_resident(0));
     }
@@ -982,7 +1039,7 @@ mod tests {
         use crate::wal::MemWalStore;
         let wal = Wal::new(Box::new(MemWalStore::new()));
         let pool = BufferPool::with_wal(Box::new(MemPager::new()), wal, 2);
-        let (id, mut page) = pool.allocate_pinned().unwrap();
+        let (id, mut page) = pool.allocate_pinned(false).unwrap();
         page.insert(b"leased").unwrap();
         drop(page);
         pool.flush_all().unwrap();
@@ -997,7 +1054,7 @@ mod tests {
         use crate::wal::MemWalStore;
         let wal = Wal::new(Box::new(MemWalStore::new()));
         let pool = BufferPool::with_wal(Box::new(MemPager::new()), wal, 4);
-        let (id, mut page) = pool.allocate_pinned().unwrap();
+        let (id, mut page) = pool.allocate_pinned(false).unwrap();
         page.insert(b"walled").unwrap();
         drop(page);
         pool.flush_all().unwrap();
@@ -1027,22 +1084,91 @@ mod tests {
         // Two dirty pages fill the pool; without a checkpoint they are
         // unevictable, so a third allocation must fail rather than write
         // uncommitted bytes to the data file.
-        let (a, mut pa) = pool.allocate_pinned().unwrap();
+        let (a, mut pa) = pool.allocate_pinned(false).unwrap();
         pa.insert(b"dirty-a").unwrap();
         drop(pa);
-        let (b, mut pb) = pool.allocate_pinned().unwrap();
+        let (b, mut pb) = pool.allocate_pinned(false).unwrap();
         pb.insert(b"dirty-b").unwrap();
         drop(pb);
         assert!(matches!(
-            pool.allocate_pinned(),
+            pool.allocate_pinned(false),
             Err(Error::PoolExhausted { .. })
         ));
         // After the checkpoint both frames are clean and evictable.
         pool.flush_all().unwrap();
-        let (_, pc) = pool.allocate_pinned().unwrap();
+        let (_, pc) = pool.allocate_pinned(false).unwrap();
         drop(pc);
         assert_eq!(pool.fetch(a).unwrap().get(0).unwrap(), b"dirty-a");
         assert_eq!(pool.fetch(b).unwrap().get(0).unwrap(), b"dirty-b");
+    }
+
+    fn durable_pool(capacity: usize) -> BufferPool {
+        use crate::wal::MemWalStore;
+        let wal = Wal::new(Box::new(MemWalStore::new()));
+        BufferPool::with_wal(Box::new(MemPager::new()), wal, capacity)
+    }
+
+    #[test]
+    fn unlogged_pages_skip_checkpoints_and_spill_under_no_steal() {
+        let pool = durable_pool(2);
+        let (a, mut page) = pool.allocate_pinned(false).unwrap();
+        page.insert(b"logged").unwrap();
+        drop(page);
+        let (s, mut page) = pool.allocate_pinned(true).unwrap();
+        page.insert(b"scratch").unwrap();
+        drop(page);
+        assert_eq!(pool.unlogged_pages(), 1);
+        pool.flush_all().unwrap();
+        let st = pool.stats();
+        assert_eq!(st.wal_bytes, (2 * RECORD_HEADER + PAGE_SIZE) as u64);
+        assert_eq!(st.flushed_writes, 1, "the logged page alone");
+        assert!(pool.is_dirty(s) && !pool.is_dirty(a));
+        // A dirty logged page pins its frame; the dirty unlogged one is
+        // written to the pager to make room.
+        pool.fetch_mut(a).unwrap().insert(b"again").unwrap();
+        drop(pool.allocate_pinned(true).unwrap());
+        assert_eq!(pool.stats().write_backs, 1);
+        assert!(!pool.is_resident(s) && pool.is_resident(a));
+        assert_eq!(pool.fetch(s).unwrap().get(0).unwrap(), b"scratch");
+    }
+
+    #[test]
+    fn logged_pages_freed_since_the_checkpoint_are_held_from_unlogged_allocations() {
+        let pool = durable_pool(4);
+        let a = pool.allocate_pinned(false).unwrap().0;
+        pool.flush_all().unwrap();
+        pool.free_page(a);
+        assert_eq!(pool.free_pages(), 1);
+        let s = pool.allocate_pinned(true).unwrap().0;
+        assert_ne!(s, a, "the last durable state still reaches {a}");
+        assert_eq!(
+            pool.allocate_pinned(false).unwrap().0,
+            a,
+            "a logged page may"
+        );
+        pool.free_page(a);
+        pool.free_page(s);
+        assert_eq!((pool.unlogged_pages(), pool.free_pages()), (0, 2));
+        assert_eq!(
+            pool.allocate_pinned(true).unwrap().0,
+            s,
+            "unlogged: free at once"
+        );
+        pool.flush_all().unwrap();
+        assert_eq!(
+            pool.allocate_pinned(true).unwrap().0,
+            a,
+            "released by the checkpoint"
+        );
+    }
+
+    #[test]
+    fn recover_refuses_while_unlogged_pages_live() {
+        let pool = durable_pool(2);
+        let s = pool.allocate_pinned(true).unwrap().0;
+        assert!(matches!(pool.recover(), Err(Error::PageBusy(p)) if p == s));
+        pool.free_page(s);
+        pool.recover().unwrap();
     }
 
     #[test]
@@ -1053,7 +1179,7 @@ mod tests {
         {
             let (pool, report) = BufferPool::open_durable(&dir, 4).unwrap();
             assert!(!report.did_work());
-            let (id, mut page) = pool.allocate_pinned().unwrap();
+            let (id, mut page) = pool.allocate_pinned(false).unwrap();
             assert_eq!(id, 0);
             page.insert(b"checkpointed").unwrap();
             drop(page);
@@ -1079,7 +1205,7 @@ mod tests {
         use crate::wal::MemWalStore;
         let wal = Wal::new(Box::new(MemWalStore::new()));
         let pool = BufferPool::with_wal(Box::new(MemPager::new()), wal, 2);
-        let (id, guard) = pool.allocate_pinned().unwrap();
+        let (id, guard) = pool.allocate_pinned(false).unwrap();
         assert!(matches!(pool.recover(), Err(Error::PageBusy(p)) if p == id));
         drop(guard);
         let report = pool.recover().unwrap();
@@ -1093,7 +1219,7 @@ mod tests {
         let pool = BufferPool::with_wal(Box::new(MemPager::new()), wal, 4);
         let rec = Recorder::new();
         pool.set_recorder(rec.clone());
-        let (_, mut page) = pool.allocate_pinned().unwrap();
+        let (_, mut page) = pool.allocate_pinned(false).unwrap();
         page.insert(b"fsynced").unwrap();
         drop(page);
         pool.flush_all().unwrap();
@@ -1138,7 +1264,7 @@ mod tests {
     #[test]
     fn mutations_survive_eviction() {
         let pool = BufferPool::in_memory(1);
-        let (a, mut page) = pool.allocate_pinned().unwrap();
+        let (a, mut page) = pool.allocate_pinned(false).unwrap();
         let slot = page.insert(b"v1").unwrap();
         drop(page);
         {
@@ -1146,7 +1272,7 @@ mod tests {
             page.update(slot, b"v2").unwrap();
         }
         // Force a out through the single frame.
-        let (b, _) = pool.allocate_pinned().unwrap();
+        let (b, _) = pool.allocate_pinned(false).unwrap();
         assert!(!pool.is_resident(a));
         assert!(pool.is_resident(b));
         let back = pool.fetch(a).unwrap();

@@ -14,9 +14,12 @@
 //!   oversized tuple, so page-count accounting stays honest.
 //!
 //! Inserts are append-only: a tuple goes on the last data page if it fits,
-//! otherwise on a page from [`BufferPool::allocate_pinned`], linked behind
-//! the old tail. Pages a heap gives up (freed overflow chains,
+//! otherwise on a page from [`BufferPool::allocate_pinned`], linked behind the
+//! old tail. Pages a heap gives up (freed overflow chains,
 //! [`HeapFile::clear`]) go back to the pool's one free list.
+//!
+//! An [`unlogged`](HeapFile::unlogged) heap takes every page it allocates,
+//! data and overflow alike, unlogged: scratch storage a checkpoint skips.
 
 use crate::buffer::{BufferPool, PageLease, PageRef};
 use crate::error::{Error, Result};
@@ -47,11 +50,26 @@ type PageTuples = Vec<(TupleAddr, Vec<u8>)>;
 pub struct HeapFile {
     /// Data pages in scan order. `TupleAddr::page_ord` indexes this list.
     pages: Vec<PageId>,
+    /// Whether every page this heap allocates is unlogged.
+    unlogged: bool,
 }
 
 impl HeapFile {
     pub fn new() -> Self {
         HeapFile::default()
+    }
+
+    /// An empty heap whose pages are all unlogged (see the module docs):
+    /// it must not be reachable from anything durable.
+    pub fn unlogged() -> Self {
+        HeapFile {
+            unlogged: true,
+            ..HeapFile::default()
+        }
+    }
+
+    pub fn is_unlogged(&self) -> bool {
+        self.unlogged
     }
 
     /// Number of data pages (excludes overflow pages).
@@ -124,7 +142,7 @@ impl HeapFile {
                 });
             }
         }
-        let (id, mut page) = pool.allocate_pinned()?;
+        let (id, mut page) = pool.allocate_pinned(self.unlogged)?;
         let slot = page
             .insert(cell)
             .ok_or(Error::Invariant("fresh page must fit an inline cell"))?;
@@ -144,7 +162,7 @@ impl HeapFile {
         let mut head: Option<PageId> = None;
         let mut prev: Option<PageId> = None;
         for chunk in bytes.chunks(OVERFLOW_CHUNK) {
-            let (id, mut page) = pool.allocate_pinned()?;
+            let (id, mut page) = pool.allocate_pinned(self.unlogged)?;
             page.insert(chunk)
                 .ok_or(Error::Invariant("fresh page must fit a chunk"))?;
             drop(page);

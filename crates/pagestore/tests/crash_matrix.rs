@@ -45,14 +45,14 @@ fn open_faulty(dir: &Path, plan: &FaultPlan) -> BufferPool {
 fn committed_prefix(pool: &BufferPool) {
     // Commit 1: pages 0, 1, 2.
     for i in 0..3u32 {
-        let (id, mut page) = pool.allocate_pinned().unwrap();
+        let (id, mut page) = pool.allocate_pinned(false).unwrap();
         assert_eq!(id, i);
         page.insert(format!("c1-p{id}").as_bytes()).unwrap();
     }
     pool.flush_all().unwrap();
     // Commit 2: update page 1, add page 3.
     pool.fetch_mut(1).unwrap().insert(b"c2-p1").unwrap();
-    let (id, mut page) = pool.allocate_pinned().unwrap();
+    let (id, mut page) = pool.allocate_pinned(false).unwrap();
     assert_eq!(id, 3);
     page.insert(b"c2-p3").unwrap();
     drop(page);
@@ -66,7 +66,7 @@ fn inflight_body(pool: &BufferPool) -> pagestore::Result<()> {
     pool.fetch_mut(2)?.insert(b"c3-p2").unwrap();
     // Usually page 4 — but after a crashed earlier attempt whose allocate
     // reached the file, the id can be higher. Verification scans for it.
-    let (_, mut page) = pool.allocate_pinned()?;
+    let (_, mut page) = pool.allocate_pinned(false)?;
     page.insert(b"c3-p4").unwrap();
     Ok(())
 }
@@ -287,7 +287,7 @@ fn recovered_images(dir: &Path) -> Vec<[u8; pagestore::PAGE_SIZE]> {
 fn freed_then_reused_page_recovers_byte_identically() {
     let reuse = |pool: &BufferPool| {
         pool.free_page(3);
-        let (id, mut page) = pool.allocate_pinned().unwrap();
+        let (id, mut page) = pool.allocate_pinned(false).unwrap();
         assert_eq!(id, 3, "the freed page is handed out again");
         page.insert(b"c3-new-owner-of-p3").unwrap();
         drop(page);

@@ -75,7 +75,7 @@ proptest! {
         // A pool smaller than the page set, so fetches miss and evict.
         let pool = BufferPool::in_memory(3);
         for _ in 0..8 {
-            drop(pool.allocate_pinned().unwrap());
+            drop(pool.allocate_pinned(false).unwrap());
         }
         pool.reset_stats();
         let mut prev = pool.stats();
@@ -94,7 +94,7 @@ proptest! {
                     drop(pool.fetch_mut(id).unwrap());
                 }
                 Op::Flush => pool.flush_all().unwrap(),
-                Op::Allocate => drop(pool.allocate_pinned().unwrap()),
+                Op::Allocate => drop(pool.allocate_pinned(false).unwrap()),
                 Op::ResetStats => {
                     stale_snapshot = pool.stats(); // pre-reset snapshot
                     pool.reset_stats();
@@ -130,7 +130,7 @@ proptest! {
             4,
         );
         for _ in 0..3 {
-            drop(pool.allocate_pinned().unwrap());
+            drop(pool.allocate_pinned(false).unwrap());
         }
         pool.flush_all().unwrap();
         pool.reset_stats();
@@ -142,7 +142,7 @@ proptest! {
                 Op::Flush => pool.flush_all(),
                 // Under no-steal the pool can legitimately run out of
                 // clean frames; that error is part of the contract.
-                Op::Allocate => pool.allocate_pinned().map(drop),
+                Op::Allocate => pool.allocate_pinned(false).map(drop),
                 Op::ResetStats => {
                     pool.reset_stats();
                     prev = pool.stats();

@@ -534,10 +534,9 @@ impl DeltaFormat {
         Self::default()
     }
 
-    /// Attach a dictionary page heap; promoted entries are appended to
-    /// it as `uvarint code + uvarint len + bytes` tuples.
-    pub fn with_dict_pages(pool: Rc<BufferPool>) -> Self {
-        let heap = HeapFile::new();
+    /// Attach the empty dictionary page heap `heap`; promoted entries are
+    /// appended to it as `uvarint code + uvarint len + bytes` tuples.
+    pub fn with_dict_pages(pool: Rc<BufferPool>, heap: HeapFile) -> Self {
         Self {
             dict: RefCell::new(Dict {
                 pages: Some(DictPages { pool, heap }),
@@ -892,7 +891,7 @@ mod tests {
     #[test]
     fn dict_pages_rebuild_the_dictionary() {
         let pool = Rc::new(BufferPool::in_memory(16));
-        let fmt = DeltaFormat::with_dict_pages(Rc::clone(&pool));
+        let fmt = DeltaFormat::with_dict_pages(Rc::clone(&pool), HeapFile::new());
         let names = ["alice", "bob", "carol"];
         let mut coded = Vec::new();
         for pass in 0..2 {

@@ -109,7 +109,8 @@ impl Database {
 
     /// The durability point. On a durable database: bring the table
     /// directory level with the tables, then flush every dirty page in
-    /// one WAL-protected atomic batch, and return `Ok(true)`. On an
+    /// one WAL-protected atomic batch — scratch tables' pages excepted —
+    /// and return `Ok(true)`. On an
     /// in-memory database there is nothing to make durable and it returns
     /// `Ok(false)` without touching the pool (so I/O counters and
     /// eviction state are unperturbed).
@@ -123,7 +124,8 @@ impl Database {
     }
 
     /// Replay the write-ahead log into the page file, as after a crash.
-    /// Fails on a non-durable database or while any page is pinned.
+    /// Fails on a non-durable database, while any page is pinned, or
+    /// while a scratch table holds pages (recovery would lose them).
     pub fn recover(&self) -> Result<RecoveryReport> {
         Ok(self.pool.recover()?)
     }
@@ -154,23 +156,46 @@ impl Database {
     }
 
     /// Publish the pool's cumulative I/O counters (and hit ratio), its
-    /// free-page count and the directory's table count into the scoped
-    /// registry. Idempotent: counters are set, not added.
+    /// free-page and unlogged-page counts and the directory's table count
+    /// into the scoped registry. Idempotent: counters are set, not added.
     pub fn publish_metrics(&self) {
         self.pool.stats().publish(&self.metrics);
         self.metrics
             .gauge_set("pagestore.pool.free_pages", self.pool.free_pages() as f64);
+        let unlogged = self.pool.unlogged_pages() as f64;
+        self.metrics
+            .gauge_set("pagestore.pool.unlogged_pages", unlogged);
         let described = self.directory.as_ref().map_or(0, |d| d.borrow().len());
         self.metrics
             .gauge_set("relstore.directory.tables", described as f64);
     }
 
     pub fn create_table(&mut self, name: impl Into<String>, schema: Schema) -> Result<&mut Table> {
-        let name = name.into();
+        self.add_table(name.into(), schema, Table::with_format)
+    }
+
+    /// [`create_table`](Self::create_table) for a scratch table, whose
+    /// every page is unlogged ([`pagestore::HeapFile::unlogged`]): it
+    /// lives in the catalog until dropped, but no checkpoint logs or
+    /// writes back its pages and no reopen finds it.
+    pub fn create_scratch_table(
+        &mut self,
+        name: impl Into<String>,
+        schema: Schema,
+    ) -> Result<&mut Table> {
+        self.add_table(name.into(), schema, Table::scratch)
+    }
+
+    fn add_table(
+        &mut self,
+        name: String,
+        schema: Schema,
+        make: fn(String, Schema, Rc<BufferPool>, PageFormatKind) -> Table,
+    ) -> Result<&mut Table> {
         if self.tables.contains_key(&name) {
             return Err(Error::TableExists(name));
         }
-        let table = Table::with_format(
+        let table = make(
             name.clone(),
             schema,
             Rc::clone(&self.pool),
@@ -434,6 +459,82 @@ mod tests {
         assert_eq!(db.pool().num_pages(), high_water);
         assert_eq!(db.pool().free_pages(), high_water as usize);
         assert!(db.drop_table("staging").is_err());
+    }
+
+    /// A live scratch table of 30+ dirty pages adds nothing to a
+    /// checkpoint: the same log bytes and page writes as without it.
+    #[test]
+    fn a_live_scratch_table_adds_no_checkpoint_io() {
+        let checkpoint_io = |tag: &str, with_scratch: bool| {
+            let dir = scratch(tag);
+            let (mut db, _) = Database::open_durable(&dir, 256).unwrap();
+            let t = db.create_table("t", wide_schema()).unwrap();
+            for i in 0..500 {
+                t.insert(wide_row(i)).unwrap();
+            }
+            db.checkpoint().unwrap();
+            if with_scratch {
+                let s = db.create_scratch_table("s", wide_schema()).unwrap();
+                for i in 0..15_000 {
+                    s.insert(wide_row(i)).unwrap();
+                }
+                assert!(s.num_heap_pages() >= 30, "{}", s.num_heap_pages());
+            }
+            let t = db.table_mut("t").unwrap();
+            for i in 500..700 {
+                t.insert(wide_row(i)).unwrap();
+            }
+            t.update(3, wide_row(3_000)).unwrap();
+            let before = db.io_stats();
+            db.checkpoint().unwrap();
+            let io = db.io_stats().since(&before);
+            if with_scratch {
+                assert_eq!(db.table("s").unwrap().live_row_count(), 15_000);
+                assert!(db.pool().unlogged_pages() >= 30);
+            }
+            drop(db);
+            std::fs::remove_dir_all(&dir).unwrap();
+            (
+                io.wal_appends,
+                io.wal_bytes,
+                io.flushed_writes,
+                io.write_backs,
+            )
+        };
+        let without = checkpoint_io("no-scratch", false);
+        assert!(without.2 > 0, "the checkpoint wrote t's pages");
+        assert_eq!(checkpoint_io("with-scratch", true), without);
+    }
+
+    /// A scratch table is never described: a reopen does not find it and
+    /// frees its pages, data and Delta dictionary alike. A logged table
+    /// dropped and re-created as scratch under its name leaves too.
+    #[test]
+    fn scratch_tables_do_not_survive_a_reopen() {
+        let dir = scratch("scratch-reopen");
+        let pages;
+        {
+            let (mut db, _) = Database::open_durable(&dir, 64).unwrap();
+            db.set_default_format(PageFormatKind::Delta);
+            let t = db.create_table("t", wide_schema()).unwrap();
+            t.insert(wide_row(1)).unwrap();
+            db.checkpoint().unwrap();
+            db.drop_table("t").unwrap();
+            for name in ["t", "s"] {
+                let s = db.create_scratch_table(name, wide_schema()).unwrap();
+                assert!(s.is_scratch());
+                for i in 0..5_000 {
+                    s.insert(wide_row(i)).unwrap();
+                }
+            }
+            db.checkpoint().unwrap();
+            pages = db.pool().num_pages() as usize;
+            assert!(db.pool().unlogged_pages() > 10);
+        }
+        let (db, _) = Database::open_durable(&dir, 64).unwrap();
+        assert!(db.table_names().is_empty());
+        assert_eq!(db.pool().free_pages(), pages - 1, "all but the directory");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! findable again after a reopen.
 //!
 //! Page 0 of the page file heads an ordinary heap. Its first tuple is a
-//! magic marker; every other tuple describes one table — name, schema,
+//! magic marker; every other tuple describes one table (scratch tables
+//! are never described: nothing of them outlives the process) — name, schema,
 //! page format (and the Delta dictionary heap's first page), clustering,
 //! index definitions, and the first page of the table's heap
 //! ([`Table::descriptor`]) — encoded as a Flat row, so a damaged
@@ -88,24 +89,21 @@ impl Directory {
     /// Bring the descriptor tuples level with `tables`: one per table
     /// created since the last call, a rewrite for one whose descriptor
     /// changed (schema, indexes, clustering, a new first page), none for
-    /// one dropped. A table created and dropped in between never shows.
+    /// one dropped. A table created and dropped in between never shows,
+    /// and a scratch table never does.
     pub(crate) fn sync(
         &mut self,
         tables: &BTreeMap<String, Table>,
         pool: &BufferPool,
     ) -> Result<()> {
-        let dropped: Vec<String> = self
-            .synced
-            .keys()
-            .filter(|name| !tables.contains_key(*name))
-            .cloned()
-            .collect();
+        let logged = |name: &String| tables.get(name).is_some_and(|t| !t.is_scratch());
+        let dropped: Vec<String> = self.synced.keys().filter(|n| !logged(n)).cloned().collect();
         for name in dropped {
             if let Some((addr, _)) = self.synced.remove(&name) {
                 self.heap.delete(pool, addr)?;
             }
         }
-        for (name, table) in tables {
+        for (name, table) in tables.iter().filter(|(_, t)| !t.is_scratch()) {
             let bytes = codec::encode_row(0, &table.descriptor());
             match self.synced.get_mut(name) {
                 Some((_, old)) if *old == bytes => {}

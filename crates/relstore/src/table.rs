@@ -129,13 +129,41 @@ impl Table {
         pool: Rc<BufferPool>,
         kind: PageFormatKind,
     ) -> Self {
+        Table::create(name.into(), schema, pool, kind, HeapFile::new)
+    }
+
+    /// A [`with_format`](Self::with_format) table whose every page — data,
+    /// overflow and Delta dictionary — is unlogged
+    /// ([`HeapFile::unlogged`]): a checkpoint neither logs nor writes it
+    /// back, the table directory never describes it, and a reopen frees
+    /// its pages. For tables that die with their session.
+    pub(crate) fn scratch(
+        name: impl Into<String>,
+        schema: Schema,
+        pool: Rc<BufferPool>,
+        kind: PageFormatKind,
+    ) -> Self {
+        Table::create(name.into(), schema, pool, kind, HeapFile::unlogged)
+    }
+
+    fn create(
+        name: String,
+        schema: Schema,
+        pool: Rc<BufferPool>,
+        kind: PageFormatKind,
+        heap: fn() -> HeapFile,
+    ) -> Self {
         let format: Box<dyn PageFormat> = match kind {
             PageFormatKind::Flat => Box::new(codec::FlatFormat),
-            PageFormatKind::Delta => {
-                Box::new(codec::DeltaFormat::with_dict_pages(Rc::clone(&pool)))
-            }
+            PageFormatKind::Delta => Box::new(codec::DeltaFormat::with_dict_pages(
+                Rc::clone(&pool),
+                heap(),
+            )),
         };
-        Table::empty(name.into(), schema, pool, format)
+        Table {
+            heap: heap(),
+            ..Table::empty(name, schema, pool, format)
+        }
     }
 
     fn empty(
@@ -324,6 +352,11 @@ impl Table {
             Some(mut side) => Ok(side.clear(&self.pool)?),
             None => Ok(()),
         }
+    }
+
+    /// Whether this is a [`scratch`](Self::scratch) table.
+    pub(crate) fn is_scratch(&self) -> bool {
+        self.heap.is_unlogged()
     }
 
     /// Which tuple codec this table's heap pages use.

@@ -275,6 +275,141 @@ fn crash_mid_checkpoint_reopens_the_table_in_both_formats() {
     std::fs::remove_dir_all(&base).unwrap();
 }
 
+/// The durable history of the scratch leg: logged tables `t`, `early`
+/// and `late`, then `early` dropped, so the last durability point has
+/// its pages free.
+fn durable_prefix(dir: &Path, plan: &FaultPlan, kind: PageFormatKind) -> Database {
+    let pool = Rc::into_inner(open_faulty(dir, plan)).unwrap();
+    let mut db = Database::open_pool(pool, obs::Recorder::new()).unwrap();
+    db.set_default_format(kind);
+    for name in ["t", "early", "late"] {
+        let table = db.create_table(name, schema()).unwrap();
+        for i in 0..400 {
+            table.insert(row(i)).unwrap();
+        }
+        db.checkpoint().unwrap();
+    }
+    db.drop_table("early").unwrap();
+    db.checkpoint().unwrap();
+    db
+}
+
+/// The scratch leg up to its in-flight checkpoint: after the durable
+/// prefix, `late` dropped (the durable state still reaches its pages), a
+/// scratch table filled past the pool so its dirty pages spill — onto
+/// `early`'s pages, never onto `late`'s — and `t` grown. Returns the
+/// scratch table's page count.
+fn scratch_history(dir: &Path, plan: &FaultPlan, kind: PageFormatKind) -> (Database, usize) {
+    let mut db = durable_prefix(dir, plan, kind);
+    let free = db.pool().free_pages();
+    db.drop_table("late").unwrap();
+    let held = db.pool().free_pages() - free;
+    let s = db.create_scratch_table("s", schema()).unwrap();
+    for i in 0..6_000 {
+        s.insert(row(i)).unwrap();
+    }
+    let pages = s.num_heap_pages();
+    assert!(
+        free > 0 && held > 0 && pages > CAP,
+        "{kind:?}: {free} {held} {pages}"
+    );
+    assert!(db.io_stats().write_backs > 0, "the scratch table spilled");
+    assert_eq!(
+        db.pool().free_pages(),
+        held,
+        "early's pages taken, late's not"
+    );
+    inflight_body(db.table_mut("t").unwrap()).unwrap();
+    (db, pages)
+}
+
+/// What a reopen of the scratch leg's store finds: its tables, `t`'s
+/// rows, the free pages, and the image of every page that is not free.
+#[derive(Debug, PartialEq)]
+struct Reopened {
+    tables: Vec<String>,
+    rows: Vec<(u64, Vec<Value>)>,
+    free: usize,
+    reached: Vec<(u32, [u8; PAGE_SIZE])>,
+}
+
+fn reopen_scratch(dir: &Path) -> Reopened {
+    let (db, _report) = Database::open_durable(dir, CAP).unwrap();
+    let images = page_images(db.pool());
+    // Unlogged allocations pop the free list and may spill: they name it.
+    let free: Vec<u32> = (0..db.pool().free_pages())
+        .map(|_| db.pool().allocate_pinned(true).unwrap().0)
+        .collect();
+    let reached = (0..images.len() as u32).filter(|id| !free.contains(id));
+    Reopened {
+        tables: db.table_names().into_iter().map(str::to_owned).collect(),
+        rows: db.table("t").unwrap().rows().unwrap(),
+        free: free.len(),
+        reached: reached.map(|id| (id, images[id as usize])).collect(),
+    }
+}
+
+/// A fault at every I/O of a checkpoint taken while a scratch table is
+/// live with pages spilled to disk. The reopened store is the durable
+/// prefix, as a store that never had a scratch table reopens it, or the
+/// new state — every page it reaches byte for byte, so no spill hit a
+/// page a durable state reaches — and the reopen frees every page of the
+/// scratch table. (Which scratch pages reached the disk differs with the
+/// crash point; nothing reaches them.)
+#[test]
+fn crash_mid_checkpoint_with_a_spilled_scratch_table() {
+    let base = unique_base("scratch");
+    let _ = std::fs::remove_dir_all(&base);
+    for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
+        let (c2_dir, c3_dir) = (
+            base.join(format!("{kind:?}-c2")),
+            base.join(format!("{kind:?}-c3")),
+        );
+        drop(durable_prefix(&c2_dir, &FaultPlan::unarmed(), kind));
+        let after_c2 = reopen_scratch(&c2_dir);
+        let plan = FaultPlan::unarmed();
+        let (db, pages) = scratch_history(&c3_dir, &plan, kind);
+        let at_flush = plan.ops();
+        db.checkpoint().unwrap();
+        let flush_ops = plan.ops() - at_flush;
+        drop(db);
+        let after_c3 = reopen_scratch(&c3_dir);
+        assert_eq!(after_c2.tables, ["late", "t"]);
+        assert_eq!(after_c3.tables, ["t"]);
+        assert!(after_c3.free >= pages, "{kind:?}: scratch pages freed");
+        let (mut committed, mut rolled_back) = (0u32, 0u32);
+        for fault in [FaultKind::CrashStop, FaultKind::ShortWrite] {
+            for nth in 1..=flush_ops {
+                let dir = base.join(format!("{kind:?}-{fault:?}-{nth}"));
+                let plan = FaultPlan::unarmed();
+                let (db, _) = scratch_history(&dir, &plan, kind);
+                plan.arm(nth, fault);
+                db.checkpoint()
+                    .expect_err("the armed fault must surface as an error");
+                drop(db);
+                let got = reopen_scratch(&dir);
+                let context = format!("{kind:?} {fault:?} at checkpoint op {nth}");
+                let want = if got.reached == after_c3.reached {
+                    committed += 1;
+                    &after_c3
+                } else {
+                    rolled_back += 1;
+                    &after_c2
+                };
+                assert!(got.reached == want.reached, "{context}: neither state");
+                assert_eq!(
+                    (&got.tables, &got.rows),
+                    (&want.tables, &want.rows),
+                    "{context}"
+                );
+                assert!(got.free >= pages, "{context}: scratch pages freed");
+            }
+        }
+        assert!(committed > 0 && rolled_back > 0, "{kind:?}");
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
 /// Rebuild determinism: the same logical history in a fresh store encodes
 /// to identical page images — for Delta this includes dictionary codes
 /// and dictionary page contents, which crash byte-identity depends on.

@@ -174,24 +174,37 @@ for w in 1 2 3 4; do
       printf 'checkout t -v 0 -t w%sc%s\ninsert w%sc%s %s,%s\ncommit -t w%sc%s -m load\n' \
         "$w" "$i" "$w" "$i" $((100 + w * 10 + i)) "$w" "$w" "$i"
     done | ./target/release/orpheusdb client --port "$srv_port" --user "w$w" || true
-  ) > /dev/null 2>&1 &
+  ) > "$srv_dir/w$w.out" 2>&1 &
   client_pids+=($!)
 done
+# A fifth client checks out and inserts, then holds its staging table
+# (unlogged scratch pages) open across the others' checkpoints, uncommitted.
+(
+  { printf 'checkout t -v 0 -t idle\ninsert idle 9000,9\n'; sleep 2; } |
+    ./target/release/orpheusdb client --port "$srv_port" --user w5 || true
+) > /dev/null 2>&1 &
+client_pids+=($!)
 sleep 0.4
 kill -9 "$srv_pid"
 wait "$srv_pid" 2>/dev/null || true
 for pid in "${client_pids[@]}"; do wait "$pid" 2>/dev/null || true; done
 # Reopen #1: dirty WAL. The log must still show v0 and every version the
-# pre-kill server acknowledged; then land one more commit on top.
+# pre-kill server acknowledged; the idle client's table must be gone
+# (its name free again); then land one more commit on top.
 start_server
 recovered=$("./target/release/orpheusdb" client --port "$srv_port" --user ci <<EOF
 log t
+checkout t -v 0 -t idle
 checkout t -v 0 -t rec
 insert rec 9999,9
 commit -t rec -m after crash
 EOF
 )
 echo "$recovered" | grep -q '\* v0 ' || { echo "WAL recovery lost v0"; exit 1; }
+for vid in $(cat "$srv_dir"/w?.out | sed -n 's/^-- COMMIT \(v[0-9]*\)$/\1/p'); do
+  echo "$recovered" | grep -qF "* $vid  ←" || { echo "acknowledged $vid lost"; exit 1; }
+done
+echo "$recovered" | grep -q 'into idle' || { echo "the uncommitted checkout survived"; exit 1; }
 echo "$recovered" | grep -q -- '-- COMMIT v' || { echo "post-recovery commit failed"; exit 1; }
 kill -9 "$srv_pid"
 wait "$srv_pid" 2>/dev/null || true
