@@ -620,8 +620,8 @@ impl OrpheusDb {
         let _span = self.db.recorder().enter("orpheus.diff");
         let tables = self.tables(cvd_name)?;
         let mut ctx = ExecContext::new();
-        let left = tables.run(&LogicalPlan::Fetch(RidSet::Diff(a, b)), &mut ctx)?;
-        let right = tables.run(&LogicalPlan::Fetch(RidSet::Diff(b, a)), &mut ctx)?;
+        let left = tables.run(&LogicalPlan::Fetch(RidSet::Diff(a, b), None), &mut ctx)?;
+        let right = tables.run(&LogicalPlan::Fetch(RidSet::Diff(b, a), None), &mut ctx)?;
         self.tracker.borrow_mut().absorb(&ctx.tracker);
         Ok((left, right))
     }

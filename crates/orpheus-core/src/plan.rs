@@ -22,9 +22,9 @@ use crate::models::{data_schema, SplitByRlist};
 use crate::query::{Predicate, QueryResult, VQuery};
 use partition::{Rid, Vid};
 use relstore::{
-    collect, AggFunc, BinOp, BoxExec, CostModel, Database, Estimate, ExecContext, Executor,
-    ExplainNode, Expr, Filter, HashAggregate, HashJoin, Limit, RidFetch, Schema, SeqScan, Table,
-    Unnest, WorkerPool,
+    collect, AggFunc, BoxExec, ColumnTest, CostModel, Database, Estimate, ExecContext, Executor,
+    ExplainNode, Filter, HashAggregate, HashJoin, Limit, RidFetch, Schema, SeqScan, Table, Unnest,
+    WorkerPool,
 };
 use std::cell::RefCell;
 use std::fmt::Arguments;
@@ -65,16 +65,13 @@ impl RidSet {
     }
 }
 
-/// The relational meaning of a versioned query. `Fetch` yields star rows
-/// `[rid, attrs…]` in data-table order; `Filter` and `Limit` keep their
-/// input's schema; `JoinOn` concatenates its inputs' schemas.
+/// The relational meaning of a versioned query. `Fetch` yields the star
+/// rows `[rid, attrs…]` of a record set that pass its predicate, in
+/// data-table order; `Limit` keeps its input's schema; `JoinOn`
+/// concatenates its inputs' schemas.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogicalPlan {
-    Fetch(RidSet),
-    Filter {
-        input: Box<LogicalPlan>,
-        predicate: Predicate,
-    },
+    Fetch(RidSet, Option<Predicate>),
     Limit {
         input: Box<LogicalPlan>,
         n: usize,
@@ -97,7 +94,7 @@ pub enum LogicalPlan {
 impl LogicalPlan {
     /// The one translation from query shape to plan.
     pub fn of(query: &VQuery) -> LogicalPlan {
-        let version = |v: &Vid| Box::new(LogicalPlan::Fetch(RidSet::Union(vec![*v])));
+        let version = |v: &Vid| Box::new(LogicalPlan::Fetch(RidSet::Union(vec![*v]), None));
         match query {
             VQuery::SelectVersions {
                 versions,
@@ -105,16 +102,14 @@ impl LogicalPlan {
                 limit,
                 ..
             } => {
-                let mut plan = LogicalPlan::Fetch(RidSet::Union(versions.clone()));
-                if let Some(predicate) = predicate.clone() {
-                    let input = Box::new(plan);
-                    plan = LogicalPlan::Filter { input, predicate };
+                let plan = LogicalPlan::Fetch(RidSet::Union(versions.clone()), predicate.clone());
+                match *limit {
+                    Some(n) => LogicalPlan::Limit {
+                        input: Box::new(plan),
+                        n,
+                    },
+                    None => plan,
                 }
-                if let Some(n) = *limit {
-                    let input = Box::new(plan);
-                    plan = LogicalPlan::Limit { input, n };
-                }
-                plan
             }
             VQuery::AggregateByVersion {
                 agg,
@@ -126,9 +121,9 @@ impl LogicalPlan {
                 col: agg_col.clone(),
                 predicate: predicate.clone(),
             },
-            VQuery::Diff { a, b, .. } => LogicalPlan::Fetch(RidSet::Diff(*a, *b)),
+            VQuery::Diff { a, b, .. } => LogicalPlan::Fetch(RidSet::Diff(*a, *b), None),
             VQuery::Intersect { versions, .. } => {
-                LogicalPlan::Fetch(RidSet::Intersect(versions.clone()))
+                LogicalPlan::Fetch(RidSet::Intersect(versions.clone()), None)
             }
             VQuery::JoinVersions {
                 left, right, on, ..
@@ -211,15 +206,10 @@ impl Decorator for Instrumented {
     }
 }
 
-/// PostgreSQL's default selectivity guesses (`eqsel` / inequality).
-const EQ_SEL: f64 = 0.005;
-const INEQ_SEL: f64 = 1.0 / 3.0;
-
-fn selectivity(pred: &Predicate) -> f64 {
-    match pred.1 {
-        BinOp::Eq => EQ_SEL,
-        _ => INEQ_SEL,
-    }
+/// `pred` resolved against the `[rid, attrs…]` star schema.
+fn column_test(star: &Schema, pred: Option<&Predicate>) -> Result<Option<ColumnTest>> {
+    let resolve = |(col, op, v): &Predicate| ColumnTest::new(star.index_of(col)?, *op, v.clone());
+    Ok(pred.map(resolve).transpose()?)
 }
 
 fn pages_of(rows: f64) -> f64 {
@@ -228,14 +218,19 @@ fn pages_of(rows: f64) -> f64 {
 
 /// Where a plan's leaves read from.
 pub(crate) trait Source {
-    /// The CVD's attribute schema (without `rid`).
-    fn attrs(&self) -> &Schema;
     /// The `[rid, attrs…]` star schema.
     fn star(&self) -> Schema;
     /// Every version's record ids, ascending; index = vid.
     fn versions(&self) -> &[Vec<Rid>];
-    /// Star rows of `rids` (ascending) in data-table order.
-    fn fetch<'a, D: Decorator>(&'a self, rids: Vec<Rid>, side: &str, dec: &D) -> Result<Op<'a, D>>;
+    /// Star rows of `rids` (ascending) that pass `test`, in data-table
+    /// order; a row that fails is never materialised.
+    fn fetch<'a, D: Decorator>(
+        &'a self,
+        rids: Vec<Rid>,
+        test: Option<ColumnTest>,
+        side: &str,
+        dec: &D,
+    ) -> Result<Op<'a, D>>;
     /// Every star row, in data-table order.
     fn scan_star<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>>;
     /// One `[vid, rlist]` row per version.
@@ -268,10 +263,6 @@ fn seq_scan<'t, D: Decorator>(table: &'t Table, side: &str, dec: &D) -> Op<'t, D
 }
 
 impl Source for Tables<'_> {
-    fn attrs(&self) -> &Schema {
-        self.cvd.schema()
-    }
-
     fn star(&self) -> Schema {
         data_schema(self.cvd)
     }
@@ -280,10 +271,16 @@ impl Source for Tables<'_> {
         self.cvd.version_records_raw()
     }
 
-    fn fetch<'a, D: Decorator>(&'a self, rids: Vec<Rid>, side: &str, dec: &D) -> Result<Op<'a, D>> {
+    fn fetch<'a, D: Decorator>(
+        &'a self,
+        rids: Vec<Rid>,
+        test: Option<ColumnTest>,
+        side: &str,
+        dec: &D,
+    ) -> Result<Op<'a, D>> {
         let data = self.db.table(&self.model.data_name())?;
         let rids = rids.iter().map(|r| r.0 as i64);
-        rid_join_plan(data, rids, self.pool.as_ref(), side, dec)
+        rid_join_plan(data, rids, test, self.pool.as_ref(), side, dec)
     }
 
     fn scan_star<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>> {
@@ -297,19 +294,22 @@ impl Source for Tables<'_> {
 
 /// The split-by-rlist retrieval step, `data ⨝ rids`: one [`RidFetch`]
 /// through the data table's `rid_pk` index, which reads only the pages
-/// holding the wanted records and emits their `[rid, attrs…]` star rows in
-/// data-table order at every thread count, so higher operators (filters,
-/// limits, joins) see one stream. Its estimate is exact: the directory
-/// names the rows and pages before anything is read.
+/// holding the wanted records, tests each on its encoded tuple, and emits
+/// the `[rid, attrs…]` star rows that pass in data-table order at every
+/// thread count, so higher operators (limits, joins) see one stream. Its
+/// estimate is exact but for the test's selectivity: the directory names
+/// the rows and pages before anything is read.
 pub(crate) fn rid_join_plan<'t, D: Decorator>(
     data: &'t Table,
     rids: impl IntoIterator<Item = i64>,
+    test: Option<ColumnTest>,
     pool: Option<&WorkerPool>,
     side: &str,
     dec: &D,
 ) -> Result<Op<'t, D>> {
-    let fetch = RidFetch::new(data, "rid_pk", rids, pool)?;
-    let est = Estimate::new(fetch.rows() as f64, fetch.touched_pages() as f64)
+    let share = test.as_ref().map_or(1.0, ColumnTest::selectivity);
+    let fetch = RidFetch::new(data, "rid_pk", rids, pool)?.with_test(test);
+    let est = Estimate::new(fetch.rows() as f64 * share, fetch.touched_pages() as f64)
         .with_parallelism(fetch.parallelism());
     let worker_rows = fetch.worker_rows();
     let label = format_args!("RidFetch {} via rid_pk{side}", data.name());
@@ -325,31 +325,8 @@ pub(crate) fn rid_join_rows(
     pool: Option<&WorkerPool>,
     ctx: &mut ExecContext,
 ) -> Result<Vec<relstore::Row>> {
-    let (mut plan, ()) = rid_join_plan(data, rids, pool, "", &Plain)?;
+    let (mut plan, ()) = rid_join_plan(data, rids, None, pool, "", &Plain)?;
     Ok(collect(plan.as_mut(), ctx)?)
-}
-
-/// `col op lit` over rows whose star columns start at `star_at`.
-fn predicate_expr(attrs: &Schema, pred: &Predicate, star_at: usize) -> Result<Expr> {
-    let (col, op, value) = pred;
-    let idx = star_at + 1 + attrs.index_of(col)?;
-    Ok(Expr::Bin(
-        *op,
-        Box::new(Expr::col(idx)),
-        Box::new(Expr::Const(value.clone())),
-    ))
-}
-
-fn filter<'a, D: Decorator>(
-    (input, node): Op<'a, D>,
-    pred: &Predicate,
-    expr: Expr,
-    dec: &D,
-) -> Op<'a, D> {
-    let filter = Box::new(Filter::new(input, expr));
-    dec.wrap(filter, vec![node], format_args!("Filter {}", pred.0), |c| {
-        Estimate::new(c[0].estimate.rows * selectivity(pred), c[0].estimate.pages)
-    })
 }
 
 /// A lowered plan: the operator tree, its decorator node, and the schema
@@ -360,7 +337,8 @@ pub(crate) type Lowered<'a, D> = (BoxExec<'a>, <D as Decorator>::Node, Schema);
 /// Lower `plan` to an operator tree over `src`, each operator passed
 /// through `dec`. The only function that builds operators from plan
 /// shapes. `side` tags the leaf labels of a join's inputs
-/// (`" (left)"` / `" (right)"`); it is empty at the root.
+/// (`" (left)"` / `" (right)"`); it is empty at the root. A fetch's
+/// label also names its pushed-down predicate (`… where k > 3`).
 pub(crate) fn lower<'a, S: Source, D: Decorator>(
     plan: &LogicalPlan,
     src: &'a S,
@@ -368,15 +346,15 @@ pub(crate) fn lower<'a, S: Source, D: Decorator>(
     side: &str,
 ) -> Result<Lowered<'a, D>> {
     match plan {
-        LogicalPlan::Fetch(set) => {
-            let (exec, node) = src.fetch(set.resolve(src.versions())?, side, dec)?;
-            Ok((exec, node, src.star()))
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            let expr = predicate_expr(src.attrs(), predicate, 0)?;
-            let (input, node, schema) = lower(input, src, dec, side)?;
-            let (exec, node) = filter((input, node), predicate, expr, dec);
-            Ok((exec, node, schema))
+        LogicalPlan::Fetch(set, predicate) => {
+            let star = src.star();
+            let test = column_test(&star, predicate.as_ref())?;
+            let tag = match &test {
+                Some(t) => format!(" where {}{side}", t.describe(&star)),
+                None => side.to_owned(),
+            };
+            let (exec, node) = src.fetch(set.resolve(src.versions())?, test, &tag, dec)?;
+            Ok((exec, node, star))
         }
         LogicalPlan::Limit { input, n } => {
             let (input, node, schema) = lower(input, src, dec, side)?;
@@ -388,7 +366,7 @@ pub(crate) fn lower<'a, S: Source, D: Decorator>(
         }
         LogicalPlan::JoinOn { left, right, on } => {
             // The join attribute must be Int64 (the engine's join-key type).
-            let col = 1 + src.attrs().index_of(on)?;
+            let col = src.star().index_of(on)?;
             let (left, lnode, lschema) = lower(left, src, dec, " (left)")?;
             let (right, rnode, rschema) = lower(right, src, dec, " (right)")?;
             let join = Box::new(HashJoin::new(left, right, col, col));
@@ -408,11 +386,9 @@ pub(crate) fn lower<'a, S: Source, D: Decorator>(
             // data on rid: `[vid, rid, rid, attrs…]`, so the star columns
             // start at 2.
             const STAR_AT: usize = 2;
-            let filtered = match predicate {
-                Some(p) => Some((p, predicate_expr(src.attrs(), p, STAR_AT)?)),
-                None => None,
-            };
-            let agg_idx = STAR_AT + src.star().index_of(col)?;
+            let star = src.star();
+            let test = column_test(&star, predicate.as_ref())?;
+            let agg_idx = STAR_AT + star.index_of(col)?;
             let versions = src.versions();
             let (rlists, node) = src.scan_rlists(dec)?;
             let unnest = Box::new(Unnest::new(rlists, 1)?);
@@ -429,8 +405,13 @@ pub(crate) fn lower<'a, S: Source, D: Decorator>(
                 let (l, r) = (c[0].estimate, c[1].estimate);
                 Estimate::new(l.rows, l.pages + r.pages)
             });
-            if let Some((pred, expr)) = filtered {
-                op = filter(op, pred, expr, dec);
+            if let Some(test) = test {
+                let filter = Box::new(Filter::new(op.0, test.expr(STAR_AT)));
+                let label = format_args!("Filter {}", test.describe(&star));
+                op = dec.wrap(filter, vec![op.1], label, |c| {
+                    let rows = c[0].estimate.rows * test.selectivity();
+                    Estimate::new(rows, c[0].estimate.pages)
+                });
             }
             let aggregate = Box::new(HashAggregate::new(op.0, vec![0], vec![(*agg, agg_idx)]));
             let schema = aggregate.schema().clone();
@@ -461,7 +442,8 @@ pub(crate) mod tests {
     use super::*;
     use crate::commands::{CommandOutput, OrpheusDb};
     use crate::query::parse_query;
-    use relstore::{Column, DataType, Row, Value, Values};
+    use relstore::codec::PageFormatKind;
+    use relstore::{BinOp, Column, DataType, Row, Value, Values};
 
     /// Three CVDs. `T`: three columns (int key, text, int), four versions —
     /// v1 and v2 branch from v0 with one new row each, v3 merges them.
@@ -472,6 +454,14 @@ pub(crate) mod tests {
     /// small share of a multi-page data table.
     pub(crate) fn corpus_db() -> OrpheusDb {
         let mut odb = OrpheusDb::new();
+        load_corpus(&mut odb);
+        odb
+    }
+
+    /// [`corpus_db`] with every table in page format `kind`.
+    fn corpus_db_in(kind: PageFormatKind) -> OrpheusDb {
+        let mut odb = OrpheusDb::new();
+        odb.database().set_default_format(kind);
         load_corpus(&mut odb);
         odb
     }
@@ -556,6 +546,27 @@ pub(crate) mod tests {
         "SELECT * FROM VERSION 1, 2, 3 OF CVD T LIMIT 7",
         "SELECT * FROM VERSION 0, 1 OF CVD T WHERE score > 4 LIMIT 2",
         "SELECT * FROM VERSION 2 OF CVD T WHERE name != 'other' LIMIT 30",
+        // Pushed-down predicates: every operator on an int column…
+        "SELECT * FROM VERSION 3 OF CVD T WHERE score = 7",
+        "SELECT * FROM VERSION 3 OF CVD T WHERE score <> 7",
+        "SELECT * FROM VERSION 3 OF CVD T WHERE score <= 3",
+        "SELECT * FROM VERSION 3 OF CVD T WHERE k < 4",
+        "SELECT * FROM VERSION 1, 2 OF CVD T WHERE k >= 19 LIMIT 2",
+        "SELECT * FROM VERSION 3 OF CVD T WHERE score <> 0 LIMIT 3",
+        // …on a text column…
+        "SELECT * FROM VERSION 3 OF CVD T WHERE name > 'r5'",
+        "SELECT * FROM VERSION 0 OF CVD T WHERE name <= 'r12'",
+        "SELECT * FROM VERSION 3 OF CVD T WHERE name <> 'r3' LIMIT 4",
+        "SELECT * FROM VERSION 1 OF CVD T WHERE name = 'extra' LIMIT 1",
+        // …an Int64 column against a float literal…
+        "SELECT * FROM VERSION 3 OF CVD T WHERE score > 4.5",
+        "SELECT * FROM VERSION 3 OF CVD T WHERE score = 7.0 LIMIT 1",
+        "SELECT * FROM VERSION 0 OF CVD T WHERE score < 6.5",
+        // …and `rid`, the column every reply carries.
+        "SELECT * FROM VERSION 3 OF CVD T WHERE rid = 1",
+        "SELECT * FROM VERSION 3 OF CVD T WHERE rid > 18 LIMIT 2",
+        "SELECT * FROM VERSION 40 OF CVD S WHERE rid >= 1010",
+        "SELECT vid, count(*) FROM CVD T WHERE rid <> 0 GROUP BY vid",
         // GROUP BY vid: all five aggregates, with and without WHERE.
         "SELECT vid, count(*) FROM CVD T GROUP BY vid",
         "SELECT vid, sum(score) FROM CVD T GROUP BY vid",
@@ -575,10 +586,17 @@ pub(crate) mod tests {
         // JOIN on int columns: a key and a many-to-many attribute.
         "SELECT * FROM VERSION 1 OF CVD T JOIN VERSION 2 ON k",
         "SELECT * FROM VERSION 0 OF CVD T JOIN VERSION 3 ON score",
+        "SELECT * FROM VERSION 1 OF CVD T JOIN VERSION 3 ON rid",
         // Schema-evolved CVD: v0's records are padded to the union schema.
         "SELECT * FROM VERSION 0 OF CVD E",
         "SELECT * FROM VERSION 0, 1 OF CVD E WHERE score > 10 LIMIT 5",
         "SELECT * FROM VERSION 1 OF CVD E WHERE bonus > 2",
+        // A NULL-padded column: NULL passes no comparison, not even `<>`.
+        "SELECT * FROM VERSION 0, 1 OF CVD E WHERE bonus <> 4",
+        "SELECT * FROM VERSION 0, 1 OF CVD E WHERE bonus >= 4",
+        "SELECT * FROM VERSION 0 OF CVD E WHERE bonus = 2",
+        "SELECT * FROM VERSION 1 OF CVD E WHERE bonus < 7 LIMIT 2",
+        "SELECT * FROM VERSION 0, 1 OF CVD E WHERE score != 10.0 LIMIT 5",
         "SELECT vid, count(bonus) FROM CVD E GROUP BY vid",
         "SELECT vid, max(bonus) FROM CVD E WHERE score > 0 GROUP BY vid",
         "SELECT * FROM V_DIFF(1, 0) OF CVD E",
@@ -597,13 +615,36 @@ pub(crate) mod tests {
         }
     }
 
-    /// The differential oracle over the corpus: the engine at one and at
-    /// four threads, a pinned snapshot, and the instrumented plan (root
-    /// `act rows`, root measured reads == pool delta, text and JSON
-    /// renderings) agree on every query.
+    /// The differential oracle over the corpus: on Flat and on Delta
+    /// pages, the engine at one and at four threads, a pinned snapshot,
+    /// and the instrumented plan (root `act rows`, root measured reads ==
+    /// pool delta, text and JSON renderings) agree on every query.
     #[test]
-    fn corpus_agrees_across_threads_snapshot_and_explain() {
-        let mut odb = corpus_db();
+    fn corpus_agrees_across_threads_formats_snapshot_and_explain() {
+        let flat: Vec<QueryResult> = corpus_agrees_in(PageFormatKind::Flat);
+        assert_eq!(corpus_agrees_in(PageFormatKind::Delta), flat);
+        // The pushed-down predicates select something and not everything.
+        let selected = |sql: &str| {
+            flat[QUERY_CORPUS.iter().position(|q| *q == sql).unwrap()]
+                .rows
+                .len()
+        };
+        assert_eq!(
+            selected("SELECT * FROM VERSION 3 OF CVD T WHERE rid = 1"),
+            1
+        );
+        assert_eq!(
+            selected("SELECT * FROM VERSION 0, 1 OF CVD E WHERE bonus <> 4"),
+            2
+        );
+        assert_eq!(
+            selected("SELECT * FROM VERSION 3 OF CVD T WHERE score = 7.0 LIMIT 1"),
+            1
+        );
+    }
+
+    fn corpus_agrees_in(kind: PageFormatKind) -> Vec<QueryResult> {
+        let mut odb = corpus_db_in(kind);
         // The padded-row case is really in the corpus: v0 of `E` predates
         // `bonus`, so its rows are widened with a trailing NULL.
         let narrow = odb.run("SELECT * FROM VERSION 0 OF CVD E").unwrap();
@@ -612,10 +653,12 @@ pub(crate) mod tests {
             .rows
             .iter()
             .all(|r| r[..] == [r[0].clone(), r[1].clone(), r[2].clone(), Value::Null]));
+        let mut results = Vec::new();
         for sql in QUERY_CORPUS {
             let query = parse_query(sql).unwrap();
             odb.set_threads(1);
             let base = odb.run(sql).unwrap();
+            results.push(base.clone());
             let pinned = odb.snapshot(query.cvd()).unwrap().run(sql).unwrap();
             assert_eq!(pinned.schema, base.schema, "snapshot schema: {sql}");
             assert_eq!(pinned.rows, base.rows, "snapshot rows: {sql}");
@@ -655,7 +698,86 @@ pub(crate) mod tests {
                     "{json}"
                 );
                 assert!(doc.get_path("pool_delta/logical_reads").is_some(), "{json}");
+                // A fetch decodes the rows it emits and no others.
+                if let VQuery::SelectVersions { limit: None, .. } = query {
+                    let decoded = report.pool_delta.tuples_decoded;
+                    assert_eq!(decoded, base.rows.len() as u64, "{threads} threads: {sql}");
+                }
             }
+        }
+        results
+    }
+
+    /// A selective WHERE costs the rows it returns: the filtered fetch
+    /// decodes exactly those, its label names the predicate, its estimate
+    /// applies the selectivity, and `explain analyze` still reconciles
+    /// with the pool — on the pages, the I/O of the unfiltered fetch.
+    #[test]
+    fn a_filtered_select_decodes_only_the_rows_it_returns() {
+        for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
+            let mut odb = corpus_db_in(kind);
+            for threads in [1, 4] {
+                odb.set_threads(threads);
+                let all = odb
+                    .explain_analyze("SELECT * FROM VERSION 40 OF CVD S")
+                    .unwrap();
+                let sql = "SELECT * FROM VERSION 40 OF CVD S WHERE k > 40020";
+                let before = odb.database().io_stats();
+                let rows = odb.run(sql).unwrap().rows;
+                assert_eq!(rows.len(), 4, "{kind:?}, {threads} threads");
+                let decoded = odb.database().io_stats().since(&before).tuples_decoded;
+                assert_eq!(decoded, 4, "{kind:?}, {threads} threads");
+                let report = odb.explain_analyze(sql).unwrap();
+                let fetch = &report.root;
+                assert_eq!(
+                    fetch.label,
+                    "RidFetch S__sbr_data via rid_pk where k > 40020"
+                );
+                assert!(fetch.children.is_empty());
+                assert_eq!(fetch.stats.rows, 4);
+                assert_eq!(fetch.estimate.rows, 50.0 * (1.0 / 3.0));
+                assert_eq!(report.pool_delta.tuples_decoded, 4);
+                let reads = fetch.stats.measured.logical_reads;
+                assert_eq!(reads, report.pool_delta.logical_reads);
+                assert_eq!(reads, all.pool_delta.logical_reads);
+            }
+        }
+    }
+
+    /// `WHERE rid …` resolves against the star schema every reply carries:
+    /// it used to fail with "column not found: rid", engine and pinned.
+    #[test]
+    fn rid_predicates_run_on_the_engine_and_pinned() {
+        let mut odb = corpus_db();
+        let snap = odb.snapshot("T").unwrap();
+        for threads in [1, 4] {
+            odb.set_threads(threads);
+            for (sql, want) in [
+                ("SELECT * FROM VERSION 3 OF CVD T WHERE rid = 20", vec![20]),
+                (
+                    "SELECT * FROM VERSION 1, 2 OF CVD T WHERE rid > 19",
+                    vec![20, 21],
+                ),
+                (
+                    "SELECT * FROM VERSION 3 OF CVD T WHERE rid <= 1 LIMIT 1",
+                    vec![0],
+                ),
+            ] {
+                for result in [odb.run(sql).unwrap(), snap.run(sql).unwrap()] {
+                    let rids: Vec<Value> = result.rows.iter().map(|r| r[0].clone()).collect();
+                    assert_eq!(
+                        rids,
+                        want.iter().map(|&r| Value::Int64(r)).collect::<Vec<_>>(),
+                        "{sql}"
+                    );
+                }
+            }
+            let sql = "SELECT vid, count(*) FROM CVD T WHERE rid >= 20 GROUP BY vid";
+            let counts = odb.run(sql).unwrap().rows;
+            assert_eq!(counts, snap.run(sql).unwrap().rows);
+            // v0 holds no such record, so it has no group.
+            let per_version: Vec<Value> = counts.iter().map(|r| r[1].clone()).collect();
+            assert_eq!(per_version, [1, 1, 2].map(Value::Int64));
         }
     }
 
@@ -775,20 +897,20 @@ pub(crate) mod tests {
         assert_eq!(
             plan("SELECT * FROM VERSION 1, 2 OF CVD T WHERE k > 3 LIMIT 5"),
             LogicalPlan::Limit {
-                input: Box::new(LogicalPlan::Filter {
-                    input: Box::new(LogicalPlan::Fetch(RidSet::Union(vec![Vid(1), Vid(2)]))),
-                    predicate: ("k".into(), BinOp::Gt, Value::Int64(3)),
-                }),
+                input: Box::new(LogicalPlan::Fetch(
+                    RidSet::Union(vec![Vid(1), Vid(2)]),
+                    Some(("k".into(), BinOp::Gt, Value::Int64(3))),
+                )),
                 n: 5,
             }
         );
         assert_eq!(
             plan("SELECT * FROM V_DIFF(2, 1) OF CVD T"),
-            LogicalPlan::Fetch(RidSet::Diff(Vid(2), Vid(1)))
+            LogicalPlan::Fetch(RidSet::Diff(Vid(2), Vid(1)), None)
         );
         assert_eq!(
             plan("SELECT * FROM V_INTERSECT(0, 1, 2) OF CVD T"),
-            LogicalPlan::Fetch(RidSet::Intersect(vec![Vid(0), Vid(1), Vid(2)]))
+            LogicalPlan::Fetch(RidSet::Intersect(vec![Vid(0), Vid(1), Vid(2)]), None)
         );
     }
 }

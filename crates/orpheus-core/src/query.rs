@@ -111,7 +111,7 @@ impl VQuery {
 
 /// Parse the SQL-ish syntax of §3.3.2. Case-insensitive keywords.
 pub fn parse_query(input: &str) -> Result<VQuery> {
-    let tokens = tokenize(input);
+    let tokens = tokenize(input)?;
     let mut p = Parser { tokens, pos: 0 };
     p.expect_kw("SELECT")?;
     if p.peek_is("VID") {
@@ -196,7 +196,7 @@ pub fn parse_query(input: &str) -> Result<VQuery> {
     }
 }
 
-fn tokenize(input: &str) -> Vec<String> {
+fn tokenize(input: &str) -> Result<Vec<String>> {
     let mut out = Vec::new();
     let mut cur = String::new();
     let mut chars = input.chars().peekable();
@@ -220,20 +220,24 @@ fn tokenize(input: &str) -> Vec<String> {
                     out.push(std::mem::take(&mut cur));
                 }
                 let mut op = c.to_string();
-                if chars.peek() == Some(&'=') {
-                    op.push('=');
-                    chars.next();
+                // An operator character and a following `=` are one
+                // token, and so is `<>`.
+                if let Some(c2) = chars.next_if(|&c2| c2 == '=' || (c, c2) == ('<', '>')) {
+                    op.push(c2);
                 }
                 out.push(op);
             }
             '\'' => {
-                // String literal.
+                // String literal, kept with its opening quote.
                 let mut s = String::from("'");
-                for c2 in chars.by_ref() {
-                    if c2 == '\'' {
-                        break;
+                loop {
+                    match chars.next() {
+                        Some('\'') => break,
+                        Some(c2) => s.push(c2),
+                        None => {
+                            return Err(Error::Parse(format!("unterminated string literal {s}")))
+                        }
                     }
-                    s.push(c2);
                 }
                 out.push(s);
             }
@@ -243,7 +247,7 @@ fn tokenize(input: &str) -> Vec<String> {
     if !cur.is_empty() {
         out.push(cur);
     }
-    out
+    Ok(out)
 }
 
 struct Parser {
@@ -497,5 +501,67 @@ mod tests {
             }
         }
         assert!(parse_query("SELECT * FROM VERSION 4294967295 OF CVD t").is_ok());
+    }
+
+    fn where_of(sql: &str) -> Result<Option<Predicate>> {
+        match parse_query(sql)? {
+            VQuery::SelectVersions { predicate, .. } => Ok(predicate),
+            other => panic!("{sql}: parsed as {other:?}"),
+        }
+    }
+
+    /// `<>` used to lex as `<` then `>`, so it never parsed ("unexpected
+    /// trailing token 20"); it is `!=`.
+    #[test]
+    fn angle_brackets_parse_as_not_equal() {
+        for sql in [
+            "SELECT * FROM VERSION 0 OF CVD x WHERE a <> 20",
+            "SELECT * FROM VERSION 0 OF CVD x WHERE a<>20",
+            "SELECT * FROM VERSION 0 OF CVD x WHERE a != 20",
+        ] {
+            let want = Some(("a".to_owned(), BinOp::Ne, Value::Int64(20)));
+            assert_eq!(where_of(sql).unwrap(), want, "{sql}");
+        }
+        for (op, want) in [
+            ("=", BinOp::Eq),
+            ("<", BinOp::Lt),
+            ("<=", BinOp::Le),
+            (">", BinOp::Gt),
+            (">=", BinOp::Ge),
+        ] {
+            let sql = format!("SELECT * FROM VERSION 0 OF CVD x WHERE a {op} 2.5 LIMIT 3");
+            let pred = Some(("a".to_owned(), want, Value::Float64(2.5)));
+            assert_eq!(where_of(&sql).unwrap(), pred, "{sql}");
+        }
+        assert!(where_of("SELECT * FROM VERSION 0 OF CVD x WHERE a >< 20").is_err());
+    }
+
+    /// An unterminated literal used to run as if it were closed at the end
+    /// of the line.
+    #[test]
+    fn unterminated_string_literal_is_a_parse_error() {
+        for (sql, literal) in [
+            ("SELECT * FROM VERSION 0 OF CVD x WHERE s = 'y y", "'y y"),
+            ("SELECT * FROM VERSION 0 OF CVD x WHERE s = '", "'"),
+            (
+                "SELECT vid, count(*) FROM CVD x WHERE s = 'a GROUP BY vid",
+                "'a GROUP BY vid",
+            ),
+        ] {
+            match parse_query(sql) {
+                Err(Error::Parse(m)) => {
+                    assert!(
+                        m.contains("unterminated") && m.contains(literal),
+                        "{sql}: {m}"
+                    )
+                }
+                other => panic!("{sql}: expected a parse error, got {other:?}"),
+            }
+        }
+        let closed = where_of("SELECT * FROM VERSION 0 OF CVD x WHERE s = 'y y'").unwrap();
+        assert_eq!(
+            closed,
+            Some(("s".into(), BinOp::Eq, Value::Text("y y".into())))
+        );
     }
 }

@@ -22,15 +22,13 @@ use crate::error::{Error, Result};
 use crate::plan::{self, Decorator, LogicalPlan, Op, Plain, Source};
 use crate::query::{parse_query, QueryResult, VQuery};
 use partition::{Rid, Vid};
-use relstore::{Column, DataType, Estimate, ExecContext, Row, Schema, Value, Values};
+use relstore::{Column, ColumnTest, DataType, Estimate, ExecContext, Row, Schema, Value, Values};
 use std::fmt::Arguments;
 
 /// An immutable, `Send + Sync` view of one CVD at pin time.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     name: String,
-    /// The CVD's attribute schema (without `rid`).
-    attrs: Schema,
     /// The `[rid, attrs…]` star schema of the physical data table.
     star: Schema,
     /// Star rows indexed by rid — the data table's insertion order.
@@ -56,7 +54,6 @@ impl Snapshot {
             .collect();
         Snapshot {
             name: cvd.name().to_owned(),
-            attrs: cvd.schema().clone(),
             star,
             rows,
             version_rids: cvd.version_records_raw().to_vec(),
@@ -140,10 +137,6 @@ fn values<'a, D: Decorator>(
 /// The snapshot source: every leaf is a [`Values`] node over pinned rows,
 /// fed in exactly the order the engine's data table would produce them.
 impl Source for Snapshot {
-    fn attrs(&self) -> &Schema {
-        &self.attrs
-    }
-
     fn star(&self) -> Schema {
         self.star.clone()
     }
@@ -152,11 +145,21 @@ impl Source for Snapshot {
         &self.version_rids
     }
 
-    fn fetch<'a, D: Decorator>(&'a self, rids: Vec<Rid>, side: &str, dec: &D) -> Result<Op<'a, D>> {
+    /// Each pinned row is tested before it is cloned.
+    fn fetch<'a, D: Decorator>(
+        &'a self,
+        rids: Vec<Rid>,
+        test: Option<ColumnTest>,
+        side: &str,
+        dec: &D,
+    ) -> Result<Op<'a, D>> {
         let n = rids.len();
+        let passes = move |row: &&Row| test.as_ref().is_none_or(|t| t.passes(row));
         let rows = rids
             .into_iter()
-            .filter_map(|r| self.rows.get(r.idx()).cloned());
+            .filter_map(|r| self.rows.get(r.idx()))
+            .filter(passes)
+            .cloned();
         let label = format_args!("Values star rows{side}");
         Ok(values(label, self.star.clone(), n, rows, dec))
     }

@@ -53,6 +53,11 @@
 //! Truncation anywhere inside a tuple of either format must surface as a
 //! typed [`Error::Storage`], never a panic — the property tests walk a
 //! cut through every prefix.
+//!
+//! Each format has one parser, a walker that materialises either every
+//! value (`decode_row`) or one column's ([`RowDecoder::probe`], what a
+//! pushed-down predicate reads) and checks the others without copying
+//! them, so a probe fails exactly when `decode_row` would.
 
 use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
@@ -62,6 +67,7 @@ use std::sync::Arc;
 use pagestore::{BufferPool, HeapFile, PageId};
 
 use crate::error::{Error, Result};
+use crate::expr::ColumnTest;
 use crate::table::{Row, RowId};
 use crate::value::Value;
 
@@ -171,6 +177,66 @@ impl<'a> Reader<'a> {
         }
         Err(Error::Storage("uvarint too long".into()))
     }
+
+    /// `len` bytes of UTF-8 text — checked either way, copied only if
+    /// `keep` (a skipped value reads as NULL).
+    fn text(&mut self, len: usize, keep: bool) -> Result<Value> {
+        let s = std::str::from_utf8(self.take(len)?)
+            .map_err(|_| Error::Storage("tuple text is not UTF-8".into()))?;
+        Ok(if keep {
+            Value::Text(s.to_owned())
+        } else {
+            Value::Null
+        })
+    }
+}
+
+/// What one walk over a tuple materialises, and where. Either way every
+/// value is checked — tag, length, UTF-8, dictionary code, bitpack width
+/// and payload, trailing bytes — so a walk fails exactly when decoding
+/// the whole row would.
+trait Walk {
+    /// Called once with the number of values the tuple claims.
+    fn start(&mut self, _count: usize) {}
+    /// Whether the walk materialises value `i`; one it does not is
+    /// checked but not copied.
+    fn wants(&self, i: usize) -> bool;
+    /// Value `i` (a placeholder if the walk does not want it).
+    fn put(&mut self, i: usize, v: Value);
+}
+
+/// Every value, onto the row: `decode_row`.
+impl Walk for Row {
+    fn start(&mut self, count: usize) {
+        self.reserve(count);
+    }
+
+    fn wants(&self, _: usize) -> bool {
+        true
+    }
+
+    fn put(&mut self, _: usize, v: Value) {
+        self.push(v);
+    }
+}
+
+/// The value of one column alone: the probe a pushed-down predicate
+/// reads.
+struct Probe {
+    column: usize,
+    value: Option<Value>,
+}
+
+impl Walk for Probe {
+    fn wants(&self, i: usize) -> bool {
+        i == self.column
+    }
+
+    fn put(&mut self, i: usize, v: Value) {
+        if i == self.column {
+            self.value = Some(v);
+        }
+    }
 }
 
 fn push_uvarint(out: &mut Vec<u8>, mut x: u64) {
@@ -230,25 +296,29 @@ fn push_bitpacked_deltas(out: &mut Vec<u8>, values: &[i64]) {
     }
 }
 
-fn read_bitpacked_deltas(r: &mut Reader<'_>, base: i64, n: usize) -> Result<Vec<i64>> {
+/// The `n`-element array whose first element is `base`; its packed deltas
+/// are checked and consumed either way, unpacked only if `keep` (a
+/// skipped array reads as empty).
+fn read_bitpacked_deltas(r: &mut Reader<'_>, base: i64, n: usize, keep: bool) -> Result<Vec<i64>> {
     if n > MAX_INT_ARRAY {
         return Err(Error::Storage(format!("int array length {n} too large")));
     }
-    if n == 1 {
-        return Ok(vec![base]);
-    }
-    let width = u32::from(r.u8()?);
+    // A single element is fully described by its base: no width byte.
+    let width = if n == 1 { 0 } else { u32::from(r.u8()?) };
     if width > 64 {
         return Err(Error::Storage(format!("bad bitpack width {width}")));
-    }
-    if width == 0 {
-        return Ok(vec![base; n]);
     }
     let payload = (n - 1)
         .checked_mul(width as usize)
         .map(|b| b.div_ceil(8))
         .ok_or_else(|| Error::Storage("int array too large".into()))?;
     let bytes = r.take(payload)?;
+    if !keep {
+        return Ok(Vec::new());
+    }
+    if width == 0 {
+        return Ok(vec![base; n]);
+    }
     let mut out = Vec::with_capacity(n);
     out.push(base);
     let mut acc: u128 = 0;
@@ -277,40 +347,47 @@ fn read_bitpacked_deltas(r: &mut Reader<'_>, base: i64, n: usize) -> Result<Vec<
 
 /// Deserialize a Flat heap tuple back into `(row_id, row)`.
 pub fn decode_row(bytes: &[u8]) -> Result<(RowId, Row)> {
+    walk_flat(bytes, Row::new())
+}
+
+/// The one Flat tuple parser: the row id, and `walk` holding what it wants.
+fn walk_flat<W: Walk>(bytes: &[u8], mut walk: W) -> Result<(RowId, W)> {
     let mut r = Reader { bytes, pos: 0 };
     let id = r.u64()?;
     let count = r.u16()? as usize;
-    let mut row = Vec::with_capacity(count);
-    for _ in 0..count {
+    walk.start(count.min(bytes.len()));
+    for i in 0..count {
         let v = match r.u8()? {
             TAG_NULL => Value::Null,
             TAG_INT64 => Value::Int64(r.i64()?),
             TAG_FLOAT64 => Value::Float64(f64::from_le_bytes(r.array()?)),
             TAG_TEXT => {
                 let len = r.u32()? as usize;
-                let s = std::str::from_utf8(r.take(len)?)
-                    .map_err(|_| Error::Storage("tuple text is not UTF-8".into()))?;
-                Value::Text(s.to_owned())
+                r.text(len, walk.wants(i))?
             }
             TAG_BOOL => Value::Bool(r.u8()? != 0),
             TAG_INT_ARRAY => {
+                // The elements must all be there before any is read, so a
+                // damaged length cannot size an allocation.
                 let n = r.u32()? as usize;
-                // A damaged length must not size the allocation: the
-                // elements, if they are there, are the bytes that remain.
-                let mut a = Vec::with_capacity(n.min((bytes.len() - r.pos) / 8));
-                for _ in 0..n {
-                    a.push(r.i64()?);
+                let mut elems = Reader {
+                    bytes: r.take(8 * n)?,
+                    pos: 0,
+                };
+                if walk.wants(i) {
+                    Value::IntArray((0..n).map(|_| elems.i64()).collect::<Result<_>>()?)
+                } else {
+                    Value::Null
                 }
-                Value::IntArray(a)
             }
             tag => return Err(Error::Storage(format!("unknown value tag {tag}"))),
         };
-        row.push(v);
+        walk.put(i, v);
     }
     if r.pos != bytes.len() {
         return Err(Error::Storage("trailing bytes after tuple".into()));
     }
-    Ok((id, row))
+    Ok((id, walk))
 }
 
 // ---------------------------------------------------------------------------
@@ -414,9 +491,38 @@ pub enum RowDecoder {
 
 impl RowDecoder {
     pub fn decode_row(&self, bytes: &[u8]) -> Result<(RowId, Row)> {
+        self.walk(bytes, Row::new())
+    }
+
+    /// The value of `column` in a tuple (`None` past its last value),
+    /// read by the walker [`decode_row`](Self::decode_row) uses: it fails
+    /// exactly when `decode_row` does.
+    pub fn probe(&self, bytes: &[u8], column: usize) -> Result<Option<Value>> {
+        let probe = Probe {
+            column,
+            value: None,
+        };
+        Ok(self.walk(bytes, probe)?.1.value)
+    }
+
+    /// The row of a tuple that passes `test` (every tuple passes none);
+    /// a tuple that fails is checked in full but never materialised.
+    pub(crate) fn decode_if(&self, bytes: &[u8], test: Option<&ColumnTest>) -> Result<Option<Row>> {
+        if let Some(test) = test {
+            let value = self.probe(bytes, test.column)?.ok_or_else(|| {
+                Error::TypeError(format!("column index {} out of bounds", test.column))
+            })?;
+            if !test.holds(&value) {
+                return Ok(None);
+            }
+        }
+        Ok(Some(self.decode_row(bytes)?.1))
+    }
+
+    fn walk<W: Walk>(&self, bytes: &[u8], walk: W) -> Result<(RowId, W)> {
         match self {
-            RowDecoder::Flat => decode_row(bytes),
-            RowDecoder::Delta { dict } => decode_delta_row(bytes, dict),
+            RowDecoder::Flat => walk_flat(bytes, walk),
+            RowDecoder::Delta { dict } => walk_delta(bytes, dict, walk),
         }
     }
 }
@@ -649,7 +755,7 @@ impl PageFormat for DeltaFormat {
     }
 
     fn decode_row(&self, bytes: &[u8]) -> Result<(RowId, Row)> {
-        decode_delta_row(bytes, &self.dict.borrow().strings)
+        walk_delta(bytes, &self.dict.borrow().strings, Row::new())
     }
 
     fn decoder(&self) -> RowDecoder {
@@ -666,21 +772,20 @@ impl PageFormat for DeltaFormat {
     }
 }
 
-fn decode_delta_row(bytes: &[u8], dict: &[String]) -> Result<(RowId, Row)> {
+/// The one Delta tuple parser: the row id, and `walk` holding what it wants.
+fn walk_delta<W: Walk>(bytes: &[u8], dict: &[String], mut walk: W) -> Result<(RowId, W)> {
     let mut r = Reader { bytes, pos: 0 };
     let id = r.uvarint()?;
     let count = r.uvarint()? as usize;
-    let mut row = Vec::with_capacity(count.min(bytes.len()));
-    for _ in 0..count {
+    walk.start(count.min(bytes.len()));
+    for i in 0..count {
         let v = match r.u8()? {
             TAG_NULL => Value::Null,
             TAG_INT64 => Value::Int64(unzigzag(r.uvarint()?)),
             TAG_FLOAT64 => Value::Float64(f64::from_le_bytes(r.array()?)),
             TAG_TEXT => {
                 let len = r.uvarint()? as usize;
-                let s = std::str::from_utf8(r.take(len)?)
-                    .map_err(|_| Error::Storage("tuple text is not UTF-8".into()))?;
-                Value::Text(s.to_owned())
+                r.text(len, walk.wants(i))?
             }
             TAG_TEXT_DICT => {
                 let code = r.uvarint()? as usize;
@@ -690,7 +795,11 @@ fn decode_delta_row(bytes: &[u8], dict: &[String]) -> Result<(RowId, Row)> {
                         dict.len()
                     ))
                 })?;
-                Value::Text(s.clone())
+                if walk.wants(i) {
+                    Value::Text(s.clone())
+                } else {
+                    Value::Null
+                }
             }
             TAG_BOOL => Value::Bool(r.u8()? != 0),
             TAG_INT_ARRAY => {
@@ -699,17 +808,17 @@ fn decode_delta_row(bytes: &[u8], dict: &[String]) -> Result<(RowId, Row)> {
                     Value::IntArray(Vec::new())
                 } else {
                     let base = unzigzag(r.uvarint()?);
-                    Value::IntArray(read_bitpacked_deltas(&mut r, base, n)?)
+                    Value::IntArray(read_bitpacked_deltas(&mut r, base, n, walk.wants(i))?)
                 }
             }
             tag => return Err(Error::Storage(format!("unknown value tag {tag}"))),
         };
-        row.push(v);
+        walk.put(i, v);
     }
     if r.pos != bytes.len() {
         return Err(Error::Storage("trailing bytes after tuple".into()));
     }
-    Ok((id, row))
+    Ok((id, walk))
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use crate::cost::CostTracker;
 use crate::error::{Error, Result};
+use crate::schema::Schema;
 use crate::value::Value;
 use std::cmp::Ordering;
 
@@ -173,29 +174,105 @@ impl Expr {
     }
 }
 
+/// `column op literal`: a WHERE term a leaf judges on one value of each
+/// row before it materialises the row. Its verdict is
+/// [`Expr::matches`] of `Bin(op, Col(column), Const(literal))`, by the
+/// same comparison, so NULL and Int-vs-Float semantics are the filter's.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnTest {
+    pub(crate) column: usize,
+    /// Always a comparison.
+    op: BinOp,
+    literal: Value,
+}
+
+/// PostgreSQL's default selectivity guesses (`eqsel` / inequality).
+const EQ_SEL: f64 = 0.005;
+const INEQ_SEL: f64 = 1.0 / 3.0;
+
+impl ColumnTest {
+    /// Operator evaluations the equivalent [`Expr`] charges per row.
+    pub const OPS: u64 = 3;
+
+    /// A test of `column` by the comparison `op`; any other operator is a
+    /// type error.
+    pub fn new(column: usize, op: BinOp, literal: Value) -> Result<Self> {
+        comparison(op)?;
+        Ok(ColumnTest {
+            column,
+            op,
+            literal,
+        })
+    }
+
+    /// Whether `row` passes (a NULL, incomparable or missing value does
+    /// not).
+    pub fn passes(&self, row: &[Value]) -> bool {
+        row.get(self.column).is_some_and(|v| self.holds(v))
+    }
+
+    /// Whether the tested column's value `v` satisfies the comparison.
+    pub(crate) fn holds(&self, v: &Value) -> bool {
+        matches!(compare(self.op, v, &self.literal), Ok(Some(true)))
+    }
+
+    /// The planner's guess at the share of rows that pass.
+    pub fn selectivity(&self) -> f64 {
+        match self.op {
+            BinOp::Eq => EQ_SEL,
+            _ => INEQ_SEL,
+        }
+    }
+
+    /// `name op literal`, the column named as `schema` names it.
+    pub fn describe(&self, schema: &Schema) -> String {
+        let name = schema.column(self.column).map_or("?", |c| c.name.as_str());
+        let op = comparison(self.op).map_or("?", |c| c.0);
+        match &self.literal {
+            Value::Text(s) => format!("{name} {op} '{s}'"),
+            lit => format!("{name} {op} {lit}"),
+        }
+    }
+
+    /// The test as an expression over rows whose tested columns start at
+    /// `offset`.
+    pub fn expr(&self, offset: usize) -> Expr {
+        let column = Box::new(Expr::col(offset + self.column));
+        Expr::Bin(self.op, column, Box::new(Expr::Const(self.literal.clone())))
+    }
+}
+
+/// A comparison operator's symbol and the orderings it holds for.
+type Comparison = (&'static str, fn(Ordering) -> bool);
+
+/// `op` as a [`Comparison`]; any other operator is a type error.
+fn comparison(op: BinOp) -> Result<Comparison> {
+    use BinOp::*;
+    Ok(match op {
+        Eq => ("=", Ordering::is_eq),
+        Ne => ("!=", Ordering::is_ne),
+        Lt => ("<", Ordering::is_lt),
+        Le => ("<=", Ordering::is_le),
+        Gt => (">", Ordering::is_gt),
+        Ge => (">=", Ordering::is_ge),
+        Add | Sub | Mul => {
+            return Err(Error::TypeError(format!(
+                "{op:?} is not a comparison operator"
+            )))
+        }
+    })
+}
+
+/// `l op r` under three-valued logic: `None` when either side is NULL or
+/// the two are incomparable.
+fn compare(op: BinOp, l: &Value, r: &Value) -> Result<Option<bool>> {
+    Ok(l.compare(r).map(comparison(op)?.1))
+}
+
 fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     use BinOp::*;
     match op {
-        Eq | Ne | Lt | Le | Gt | Ge => {
-            let ord = match l.compare(r) {
-                Some(o) => o,
-                None => return Ok(Value::Null),
-            };
-            let b = match op {
-                Eq => ord == Ordering::Equal,
-                Ne => ord != Ordering::Equal,
-                Lt => ord == Ordering::Less,
-                Le => ord != Ordering::Greater,
-                Gt => ord == Ordering::Greater,
-                Ge => ord != Ordering::Less,
-                _ => {
-                    return Err(Error::TypeError(format!(
-                        "{op:?} is not a comparison operator"
-                    )))
-                }
-            };
-            Ok(Value::Bool(b))
-        }
+        Eq | Ne | Lt | Le | Gt | Ge => Ok(compare(op, l, r)?.map_or(Value::Null, Value::Bool)),
         Add | Sub | Mul => {
             if l.is_null() || r.is_null() {
                 return Ok(Value::Null);

@@ -73,7 +73,7 @@ pub use exec::{
 pub use explain::{
     wrap, Estimate, ExplainNode, ExplainReport, ExplainSnapshot, Instrumented, OpStats,
 };
-pub use expr::{AggFunc, BinOp, Expr};
+pub use expr::{AggFunc, BinOp, ColumnTest, Expr};
 pub use index::{Index, IndexKind};
 pub use par::RidFetch;
 pub use schema::{Column, Schema};

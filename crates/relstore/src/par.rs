@@ -31,6 +31,7 @@
 use crate::cost::CostTracker;
 use crate::error::Result;
 use crate::exec::{ExecContext, Executor};
+use crate::expr::ColumnTest;
 use crate::schema::Schema;
 use crate::table::{Row, Table, TouchedPages};
 use exec_pool::WorkerPool;
@@ -134,14 +135,20 @@ type WorkerRows = Rc<RefCell<Vec<u64>>>;
 /// wanted slots; output order is morsel order, so every thread count is
 /// byte-identical.
 ///
-/// Estimated cost: one index probe per key, one tuple per located row,
-/// and per touched page a sequential read when it directly follows the
-/// previous touched page, a random read otherwise — charged on the
-/// coordinator before the first row, the same at every thread count.
+/// A fetch may carry a [`ColumnTest`] (a pushed-down `WHERE`): every
+/// located tuple is tested on its encoded bytes, on the coordinator and on
+/// the workers alike, and only the rows that pass are decoded and emitted.
+///
+/// Estimated cost: one index probe per key, one tuple per located row
+/// (plus, under a test, the operator evaluations of testing it), and per
+/// touched page a sequential read when it directly follows the previous
+/// touched page, a random read otherwise — charged on the coordinator
+/// before the first row, the same at every thread count.
 pub struct RidFetch<'a> {
     table: &'a Table,
     touched: TouchedPages,
     probes: u64,
+    test: Option<ColumnTest>,
     /// Morsel workers; `None` reads in place on the coordinator.
     workers: Option<WorkerPool>,
     /// Next touched page the coordinator reads in place.
@@ -167,6 +174,7 @@ impl<'a> RidFetch<'a> {
             table,
             touched,
             probes,
+            test: None,
             workers,
             next_page: 0,
             out: VecDeque::new(),
@@ -175,7 +183,13 @@ impl<'a> RidFetch<'a> {
         })
     }
 
-    /// Rows the keys resolved to — exactly what the fetch emits.
+    /// Emit only the rows that pass `test`.
+    pub fn with_test(self, test: Option<ColumnTest>) -> Self {
+        RidFetch { test, ..self }
+    }
+
+    /// Rows the keys resolved to — what the fetch emits, unless a test
+    /// discards some.
     pub fn rows(&self) -> usize {
         self.touched.rows()
     }
@@ -200,6 +214,9 @@ impl<'a> RidFetch<'a> {
     fn charge(&self, tracker: &mut CostTracker) {
         tracker.index_probes(self.probes);
         tracker.tuples += self.touched.rows() as u64;
+        if self.test.is_some() {
+            tracker.ops(ColumnTest::OPS * self.touched.rows() as u64);
+        }
         let mut last = None;
         for i in 0..self.touched.len() {
             let ord = self.touched.page(i).0;
@@ -212,10 +229,10 @@ impl<'a> RidFetch<'a> {
         }
     }
 
-    /// Lease the touched pages wave by wave and let the workers decode
-    /// each morsel's wanted slots, appending rows in morsel order.
+    /// Lease the touched pages wave by wave and let the workers test and
+    /// decode each morsel's wanted slots, appending rows in morsel order.
     fn run_on_workers(&mut self, pool: &WorkerPool, ctx: &mut ExecContext) -> Result<()> {
-        let (table, touched) = (self.table, &self.touched);
+        let (table, touched, test) = (self.table, &self.touched, self.test.as_ref());
         let decoder = &table.decoder();
         let mut waves = LeaseWaves::new(table, touched);
         while let Some(wave) = waves.next_wave(&mut ctx.tracker)? {
@@ -226,7 +243,7 @@ impl<'a> RidFetch<'a> {
                         let mut rows = Vec::new();
                         for (i, view) in views.iter().enumerate() {
                             for bytes in view.tuples_at(touched.page(first + i).1)? {
-                                rows.push(decoder.decode_row(bytes)?.1);
+                                rows.extend(decoder.decode_if(bytes, test)?);
                             }
                         }
                         Ok((worker, rows))
@@ -275,7 +292,8 @@ impl Executor for RidFetch<'_> {
             }
             let (ord, slots) = self.touched.page(self.next_page);
             self.next_page += 1;
-            let rows = self.table.read_slot_rows(ord, slots, &mut ctx.tracker)?;
+            let test = self.test.as_ref();
+            let rows = Table::read_slot_rows(self.table, ord, slots, test, &mut ctx.tracker)?;
             self.out.extend(rows);
         }
     }
@@ -285,7 +303,7 @@ impl Executor for RidFetch<'_> {
 mod tests {
     use super::*;
     use crate::error::Error;
-    use crate::exec::{collect, HashJoin, Project, SeqScan, Values};
+    use crate::exec::{collect, Filter, HashJoin, Project, SeqScan, Values};
     use crate::index::IndexKind;
     use crate::schema::Column;
     use crate::value::{DataType, Value};
@@ -355,6 +373,67 @@ mod tests {
             assert_eq!(*serial.get_or_insert(charged), charged, "threads={threads}");
             assert_eq!(charged.index_tuples, keys.len() as u64);
             assert_eq!(charged.estimated_pages(), fetch.touched_pages() as u64);
+        }
+    }
+
+    /// A test on the fetch emits exactly what a `Filter` over the
+    /// unfiltered fetch emits, at every thread count and in both formats,
+    /// and decodes only those rows — overflow tuples too, which are tested
+    /// once their chain is read. Estimated charges do not depend on the
+    /// thread count.
+    #[test]
+    fn rid_fetch_test_matches_a_filter_above_the_fetch() {
+        use crate::codec::PageFormatKind;
+        use crate::expr::{BinOp, ColumnTest};
+        for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
+            let pool = Rc::new(pagestore::BufferPool::in_memory(64));
+            let mut t = Table::with_format("w", data_table(0).schema().clone(), pool, kind);
+            t.create_index("rid_pk", "rid", true, IndexKind::BTree)
+                .unwrap();
+            for i in 0..300i64 {
+                let tag = match i % 25 {
+                    0 => "z".repeat(3 * pagestore::PAGE_SIZE),
+                    r => format!("t{}", r % 4),
+                };
+                t.insert(vec![
+                    Value::Int64(i),
+                    Value::Int64(i * 7 % 100),
+                    Value::Text(tag),
+                ])
+                .unwrap();
+            }
+            t.pool().flush_all().unwrap();
+            let fetch = |threads, test| {
+                let workers = WorkerPool::new(threads);
+                RidFetch::new(&t, "rid_pk", 0..300, Some(&workers))
+                    .unwrap()
+                    .with_test(test)
+            };
+            for (column, op, literal) in [
+                (1, BinOp::Gt, Value::Int64(90)),
+                (1, BinOp::Eq, Value::Float64(49.0)),
+                (1, BinOp::Ne, Value::Int64(0)),
+                (2, BinOp::Ge, Value::from("z")),
+                (2, BinOp::Le, Value::from("t1")),
+            ] {
+                let test = ColumnTest::new(column, op, literal).unwrap();
+                let filter = Filter::new(Box::new(fetch(1, None)), test.expr(0));
+                let want = collect(&mut { filter }, &mut ExecContext::new()).unwrap();
+                assert!(!want.is_empty() && want.len() < 300, "{test:?}");
+                let mut charged = None;
+                for threads in [1, 2, 4] {
+                    let before = t.io_stats();
+                    let mut ctx = ExecContext::new();
+                    let rows = collect(&mut fetch(threads, Some(test.clone())), &mut ctx).unwrap();
+                    assert_eq!(rows, want, "{kind:?}, {threads} threads, {test:?}");
+                    let decoded = t.io_stats().since(&before).tuples_decoded;
+                    assert_eq!(decoded, want.len() as u64, "{kind:?}, {threads} threads");
+                    let mut tracker = ctx.tracker;
+                    tracker.measured = Default::default();
+                    assert_eq!(*charged.get_or_insert(tracker), tracker);
+                    assert_eq!(tracker.operator_evals, 300 * ColumnTest::OPS);
+                }
+            }
         }
     }
 

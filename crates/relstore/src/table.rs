@@ -12,6 +12,7 @@
 use crate::codec::{self, PageFormat, PageFormatKind, RowDecoder};
 use crate::cost::{CostModel, CostTracker};
 use crate::error::{Error, Result};
+use crate::expr::ColumnTest;
 use crate::index::{Index, IndexKind};
 use crate::schema::{Column, Schema};
 use crate::value::{DataType, Value};
@@ -582,17 +583,21 @@ impl Table {
         Ok(out)
     }
 
-    /// Decode the rows in `slots` of data page `page_ord` in place under
-    /// one pin — no tuple bytes are copied unless a tuple overflowed —
+    /// Decode the rows in `slots` of data page `page_ord` that pass
+    /// `test`, in place under one pin — no tuple bytes are copied unless a
+    /// tuple overflowed, and a tuple that fails is never decoded —
     /// attributing the measured page traffic to `tracker`. The unit of a
     /// page-ordered fetch.
     pub(crate) fn read_slot_rows(
         &self,
         page_ord: usize,
         slots: &[u16],
+        test: Option<&ColumnTest>,
         tracker: &mut CostTracker,
     ) -> Result<Vec<Row>> {
         let before = self.pool.stats();
+        let decoder = self.decoder();
+        // In slot order; an overflow tuple's entry is filled in below.
         let mut rows = Vec::with_capacity(slots.len());
         let mut chains = Vec::new();
         let started;
@@ -601,10 +606,10 @@ impl Table {
             started = Instant::now();
             for &slot in slots {
                 match slot_tuple(&page, slot)? {
-                    SlotTuple::Inline(bytes) => rows.push(self.format.decode_row(bytes)?.1),
+                    SlotTuple::Inline(bytes) => rows.push(decoder.decode_if(bytes, test)?),
                     SlotTuple::Overflow(head) => {
                         chains.push((rows.len(), head));
-                        rows.push(Row::new());
+                        rows.push(None);
                     }
                 }
             }
@@ -614,8 +619,9 @@ impl Table {
         // does: a small pool needs the frame.
         for (i, head) in chains {
             let bytes = self.heap.read_chain(&self.pool, head)?;
-            rows[i] = self.format.decode_row(&bytes)?.1;
+            rows[i] = decoder.decode_if(&bytes, test)?;
         }
+        let rows: Vec<Row> = rows.into_iter().flatten().collect();
         tracker.measured.absorb(&self.pool.stats().since(&before));
         self.pool.note_tuples_decoded(rows.len() as u64);
         self.pool.note_decode_micros(decode_micros);

@@ -9,7 +9,7 @@
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use relstore::codec::{self, DeltaFormat, PageFormat, PageFormatKind};
+use relstore::codec::{self, DeltaFormat, PageFormat, PageFormatKind, RowDecoder};
 use relstore::{BufferPool, Column, DataType, Schema, Table, Value, PAGE_SIZE};
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -98,6 +98,70 @@ proptest! {
             }
         }
     }
+
+    /// The column probe a pushed-down predicate reads is `decode_row`'s
+    /// walker, not a second parser: on every tuple, every prefix cut and
+    /// every single-byte flip of it, in both formats, the probe of column
+    /// `c` fails exactly when `decode_row` fails, and otherwise equals the
+    /// decoded row's `c`-th value (`None` past its end).
+    #[test]
+    fn column_probe_fails_exactly_when_decode_row_does(
+        rows in prop::collection::vec(prop::collection::vec(probe_value(), 1..6), 1..8),
+        mask in 1u8..=255,
+    ) {
+        // Each row twice, so the Delta dictionary promotes its strings and
+        // the second copies carry dictionary codes.
+        let fmt = DeltaFormat::new();
+        let twice: Vec<_> = rows.iter().chain(&rows).enumerate().collect();
+        let delta: Vec<_> = twice
+            .iter()
+            .map(|(i, r)| fmt.encode_row(*i as u64, r).unwrap())
+            .collect();
+        let tuples = twice
+            .iter()
+            .map(|(i, r)| (RowDecoder::Flat, codec::encode_row(*i as u64, r)))
+            .chain(delta.into_iter().map(|bytes| (fmt.decoder(), bytes)));
+        for (dec, bytes) in tuples {
+            let flips = (0..bytes.len()).map(|at| {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= mask;
+                flipped
+            });
+            let cuts = (0..bytes.len()).map(|cut| bytes[..cut].to_vec());
+            for mutant in std::iter::once(bytes.clone()).chain(cuts).chain(flips) {
+                let decoded = dec.decode_row(&mutant);
+                for c in 0..7 {
+                    match (dec.probe(&mutant, c), &decoded) {
+                        (Ok(probed), Ok((_, row))) => prop_assert!(
+                            match (&probed, row.get(c)) {
+                                (Some(p), Some(v)) => values_eq(p, v),
+                                (p, v) => p.is_none() && v.is_none(),
+                            },
+                            "column {} of {:?}: probe {:?}, row {:?}", c, mutant, probed, row
+                        ),
+                        (Err(_), Err(_)) => {}
+                        (probed, decoded) => prop_assert!(
+                            false,
+                            "column {} of {:?}: probe {:?}, decode {:?}", c, mutant, probed, decoded
+                        ),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Text from a small alphabet (so strings repeat and promote to Delta
+/// dictionary codes, and a flipped byte can break UTF-8), short int
+/// arrays, ints and NULLs.
+fn probe_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (-1_000..1_000i64).prop_map(Value::Int64),
+        "[aé]{0,3}".prop_map(Value::Text),
+        prop::collection::vec(-300..300i64, 0..6).prop_map(Value::IntArray),
+        any::<bool>().prop_map(Value::Bool),
+    ]
 }
 
 /// Tuples far larger than a page travel through overflow chains; both

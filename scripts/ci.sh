@@ -77,17 +77,27 @@ echo "==> parallel determinism (CLI probe, threads 1 vs 4)"
 # workers and require byte-identical stdout. `--threads 1` must reproduce
 # the sequential engine bit-for-bit; parallel plans must not leak into
 # ordinary command output. The script issues all five plan shapes
-# (SELECT, GROUP BY vid, V_DIFF, V_INTERSECT, JOIN).
-awk 'BEGIN { print "k,a1,a2"; for (i = 0; i < 500; i++) print i "," i % 7 "," i * 3 % 101 }' \
+# (SELECT, GROUP BY vid, V_DIFF, V_INTERSECT, JOIN), and SELECTs whose
+# WHERE is tested in the fetch: every operator, a text column (whose
+# repeated values Delta stores as dictionary codes) and `rid`.
+awk 'BEGIN { print "k,a1,a2,s"; for (i = 0; i < 500; i++) print i "," i % 7 "," i * 3 % 101 ",x" i % 9 }' \
   > /tmp/orpheus_ci_probe.csv
 probe_cmds() {
   cat <<'EOF'
 create_user ci
 config ci
-init t -f /tmp/orpheus_ci_probe.csv -s k:int,a1:int,a2:int -k k
+init t -f /tmp/orpheus_ci_probe.csv -s k:int,a1:int,a2:int,s:text -k k
 checkout t -v 0 -t w
 commit -t w -m probe
 run SELECT * FROM VERSION 0, 1 OF CVD t WHERE a1 > 3 LIMIT 400
+run SELECT * FROM VERSION 0 OF CVD t WHERE a2 = 50
+run SELECT * FROM VERSION 0, 1 OF CVD t WHERE a2 <> 50 LIMIT 30
+run SELECT * FROM VERSION 1 OF CVD t WHERE a1 != 6 LIMIT 12
+run SELECT * FROM VERSION 0 OF CVD t WHERE a2 < 4
+run SELECT * FROM VERSION 1 OF CVD t WHERE a2 <= 2
+run SELECT * FROM VERSION 0 OF CVD t WHERE k >= 493
+run SELECT * FROM VERSION 0 OF CVD t WHERE s = 'x4' LIMIT 40
+run SELECT * FROM VERSION 0, 1 OF CVD t WHERE rid < 9
 run SELECT vid, count(k) FROM CVD t GROUP BY vid
 run SELECT * FROM V_DIFF(1, 0) OF CVD t
 run SELECT * FROM V_INTERSECT(0, 1) OF CVD t
