@@ -8,14 +8,14 @@
 //! from [`partition`]), provenance manager (the staging registry here),
 //! and the access controller (staging-table ownership checks).
 
-use crate::cvd::{CommitResult, Cvd};
+use crate::cvd::{Changes, CommitResult, Cvd};
 use crate::error::{Error, Result};
 use crate::metadata;
 use crate::models::{load_cvd, SplitByRlist, VersioningModel};
 use crate::plan::{self, Decorator, Instrumented, LogicalPlan, Plain, RidSet, Tables};
 use crate::query::{parse_query, QueryResult};
-use partition::{lyresplit_for_budget, LyreSplitResult, Vid};
-use relstore::{Column, DataType, Database, ExecContext, Row, Schema, Value};
+use partition::{lyresplit_for_budget, LyreSplitResult, Rid, Vid};
+use relstore::{Column, DataType, Database, ExecContext, Row, RowId, Schema, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -35,6 +35,10 @@ pub struct StagingInfo {
     pub parents: Vec<Vid>,
     pub owner: String,
     pub created_at: u64,
+    /// The parent rid of each staged row, indexed by its `RowId`: kept by
+    /// a single-parent checkout of a CVD with a primary key, the only
+    /// kind a commit by rid applies to (see [`changes_of`]).
+    origins: Option<Vec<Rid>>,
 }
 
 /// Output of [`OrpheusDb::execute`].
@@ -440,11 +444,6 @@ impl OrpheusDb {
         Ok(&self.handle(name)?.cvd)
     }
 
-    /// Staging provenance info of a checked-out table.
-    pub fn staging_info(&self, table: &str) -> Option<&StagingInfo> {
-        self.staging.get(table)
-    }
-
     // -- checkout / commit ---------------------------------------------------
 
     /// `checkout [cvd] -v [vids] -t [table]`: materialize one or more
@@ -458,9 +457,12 @@ impl OrpheusDb {
         let handle = self.handle(cvd_name)?;
         let rows = handle.cvd.checkout_rows(versions)?;
         let schema = handle.cvd.schema().clone();
+        let keyed = versions.len() == 1 && !handle.cvd.pk_names().is_empty();
         let t = self.db.create_scratch_table(table, schema)?;
-        for (_, row) in rows {
+        let mut origins = Vec::with_capacity(rows.len());
+        for (rid, row) in rows {
             t.insert(row)?;
+            origins.push(rid);
         }
         self.staging.insert(
             table.to_owned(),
@@ -469,6 +471,7 @@ impl OrpheusDb {
                 parents: versions.to_vec(),
                 owner,
                 created_at,
+                origins: keyed.then_some(origins),
             },
         );
         self.db
@@ -515,8 +518,11 @@ impl OrpheusDb {
         let info = self.authorize(table)?.clone();
         let staged = self.db.table(table)?;
         let schema = staged.schema().clone();
-        let rows: Vec<Row> = staged.rows()?.into_iter().map(|(_, r)| r).collect();
-        let result = self.apply_commit(&info, &schema, rows, message)?;
+        // Rows staged under an older schema are all compared: the commit
+        // widens them as it evolves the CVD's.
+        let own_schema = *self.cvd(&info.cvd)?.schema() == schema;
+        let changes = changes_of(staged, info.origins.as_deref().filter(|_| own_schema))?;
+        let result = self.apply_commit(&info, &schema, changes, message)?;
         // Cleanup: remove the staging table (§3.3.1).
         self.db.drop_table(table)?;
         self.end_commit(table, start)?;
@@ -530,7 +536,7 @@ impl OrpheusDb {
         &mut self,
         info: &StagingInfo,
         schema: &Schema,
-        rows: Vec<Row>,
+        changes: Changes,
         message: &str,
     ) -> Result<CommitResult> {
         let author = self.whoami()?.to_owned();
@@ -538,20 +544,24 @@ impl OrpheusDb {
             .cvds
             .get_mut(&info.cvd)
             .ok_or_else(|| Error::CvdNotFound(info.cvd.clone()))?;
+        let compared = changes.rows.len() as u64;
         let result = if schema == handle.cvd.schema() {
-            handle.cvd.commit(&info.parents, rows, message, &author)?
+            handle
+                .cvd
+                .commit_changes(&info.parents, changes, message, &author)?
         } else {
             handle
                 .cvd
-                .commit_with_schema(&info.parents, schema, rows, message, &author)?
+                .commit_with_schema(&info.parents, schema, changes.rows, message, &author)?
         };
+        self.db
+            .metrics()
+            .counter_add("orpheus.commit.rows_compared", compared);
         // Physical apply: new rids are those the commit introduced.
-        let new_rids: Vec<partition::Rid> = {
-            let total = handle.cvd.num_records();
-            ((total - result.new_records)..total)
-                .map(|i| partition::Rid(i as u64))
-                .collect()
-        };
+        let total = handle.cvd.num_records() as u64;
+        let new_rids: Vec<Rid> = (total - result.new_records as u64..total)
+            .map(Rid)
+            .collect();
         handle.model.apply_commit(
             &mut self.db,
             &handle.cvd,
@@ -591,6 +601,7 @@ impl OrpheusDb {
                 parents: versions.to_vec(),
                 owner,
                 created_at,
+                origins: None,
             },
         );
         Ok(csv)
@@ -610,7 +621,7 @@ impl OrpheusDb {
         let info = self.authorize(file)?.clone();
         let schema = parse_schema_spec(schema_spec)?;
         let rows = from_csv(&schema, csv)?;
-        let result = self.apply_commit(&info, &schema, rows, message)?;
+        let result = self.apply_commit(&info, &schema, Changes::all(rows), message)?;
         self.end_commit(file, start)?;
         Ok(result)
     }
@@ -1074,6 +1085,38 @@ impl OrpheusDb {
     }
 }
 
+/// What a commit of the staging table `staged` compares with its parent.
+///
+/// Given each checked-out row's parent rid (`origins`, by `RowId`), a row
+/// that no write reached since keeps its rid unread. Only the rows updated
+/// or inserted are compared, and only with the records of the rows
+/// updated or deleted. Under a primary key that is exact: a parent record
+/// equal to a changed row has that row's key, so its own row was edited
+/// too, or the commit fails the key check. Without `origins`, or once the
+/// table's ids were rewritten, every row is compared ([`Changes::all`]).
+fn changes_of(staged: &relstore::Table, origins: Option<&[Rid]>) -> Result<Changes> {
+    let (Some(origins), Some(changed)) = (origins, staged.changed_ids()) else {
+        let rows = staged.rows()?.into_iter().map(|(_, r)| r).collect();
+        return Ok(Changes::all(rows));
+    };
+    let checked_out = origins.len() as RowId;
+    let (mut kept, mut candidates) = (Vec::with_capacity(origins.len()), Vec::new());
+    for (id, &rid) in (0..).zip(origins) {
+        if changed.contains(&id) {
+            candidates.push(rid);
+        } else {
+            kept.push(rid);
+        }
+    }
+    let inserted = checked_out..staged.heap_size() as RowId;
+    let ids = changed.range(..checked_out).copied().chain(inserted);
+    Ok(Changes {
+        kept,
+        candidates: Some(candidates),
+        rows: staged.rows_of(ids)?.into_iter().map(|(_, r)| r).collect(),
+    })
+}
+
 fn arg_at<'a>(args: &[&'a str], i: usize) -> Result<&'a str> {
     args.get(i)
         .copied()
@@ -1246,6 +1289,19 @@ mod tests {
 
         pub(crate) fn users(&self) -> &[String] {
             &self.users
+        }
+
+        /// [`commit`](Self::commit) in the all-changed form: the checkout's
+        /// rids are forgotten, so every staged row is compared.
+        pub(crate) fn commit_all_changed(
+            &mut self,
+            table: &str,
+            message: &str,
+        ) -> Result<CommitResult> {
+            if let Some(info) = self.staging.get_mut(table) {
+                info.origins = None;
+            }
+            self.commit(table, message)
         }
     }
 
@@ -2193,5 +2249,110 @@ mod tests {
         let seq_text = seq.to_text();
         assert!(!seq_text.contains("workers="), "{seq_text}");
         assert!(seq_text.contains("RidFetch Big__sbr_data"), "{seq_text}");
+    }
+
+    /// A commit by rid compares the rows inserted, not the parent's: ten
+    /// inserts over 1 260 checked-out rows compare 10, the all-changed
+    /// form 1 270 — for the same new version.
+    #[test]
+    fn a_commit_compares_only_the_rows_it_touched() {
+        let mut odb = OrpheusDb::new();
+        odb.create_user("alice").unwrap();
+        odb.login("alice").unwrap();
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int64),
+            Column::new("a", DataType::Int64),
+        ]);
+        let row = |k: i64| vec![Value::Int64(k), Value::Int64(k % 7)];
+        odb.init_cvd("c", schema, vec!["k".into()], (0..1_260).map(row).collect())
+            .unwrap();
+        let compared = |odb: &OrpheusDb| odb.metrics().counter("orpheus.commit.rows_compared");
+        let mut results = Vec::new();
+        for all_changed in [false, true] {
+            let before = compared(&odb);
+            odb.checkout("c", &[Vid(0)], "w").unwrap();
+            let t = odb.staging_table_mut("w").unwrap();
+            for k in 5_000..5_010 {
+                t.insert(row(k)).unwrap();
+            }
+            let result = if all_changed {
+                odb.commit_all_changed("w", "ten more").unwrap()
+            } else {
+                odb.commit("w", "ten more").unwrap()
+            };
+            let expected = if all_changed { 1_270 } else { 10 };
+            assert_eq!(compared(&odb) - before, expected);
+            let out = odb.execute("metrics").unwrap();
+            let CommandOutput::Message(text) = out else {
+                panic!("expected the metrics text, got {out:?}");
+            };
+            assert!(text.contains("orpheus.commit.rows_compared"), "{text}");
+            results.push((result.new_records, result.reused_records));
+        }
+        assert_eq!(results, [(10, 1_260), (10, 1_260)]);
+    }
+
+    /// A checkout taken before another commit evolved the schema stages
+    /// its rows in the old one, so its commit compares every row: by rid
+    /// it would compare the edited row alone and drop the others.
+    #[test]
+    fn a_checkout_older_than_the_schema_is_committed_whole() {
+        let mut odb = setup();
+        odb.checkout("Interaction", &[Vid(0)], "old").unwrap();
+        odb.checkout("Interaction", &[Vid(0)], "new").unwrap();
+        let note = Column::nullable("note", DataType::Text);
+        let t = odb.staging_table_mut("new").unwrap();
+        t.add_column(note, Value::Null).unwrap();
+        odb.commit("new", "add a column").unwrap();
+        let t = odb.staging_table_mut("old").unwrap();
+        let (id, mut row) = t.rows().unwrap().remove(0);
+        row[2] = Value::Int64(11);
+        t.update(id, row).unwrap();
+        let res = odb.commit("old", "bump").unwrap();
+        assert_eq!((res.new_records, res.reused_records), (1, 2));
+    }
+
+    /// Regression: a schema-evolving commit widened and padded the CVD's
+    /// schema, attributes and records before it could still fail, so a
+    /// failed commit left version 0 reading differently through the engine
+    /// and a pin, and the next checkout staged the failed schema.
+    #[test]
+    fn a_failed_schema_evolving_commit_changes_nothing() {
+        let mut odb = OrpheusDb::new();
+        odb.create_user("alice").unwrap();
+        odb.login("alice").unwrap();
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int64),
+            Column::new("x", DataType::Int64),
+        ]);
+        let rows = vec![vec![Value::Int64(1), Value::Int64(2)]];
+        odb.init_cvd("d", schema, vec!["k".into()], rows).unwrap();
+        let sql = "SELECT * FROM VERSION 0 OF CVD d";
+        let seen = |odb: &OrpheusDb| {
+            let cvd = odb.cvd("d").unwrap();
+            let pinned = odb.snapshot("d").unwrap().run(sql).unwrap();
+            (
+                cvd.schema().clone(),
+                cvd.attributes().to_vec(),
+                cvd.record(Rid(0)).clone(),
+                cvd.metas().to_vec(),
+                odb.run(sql).unwrap(),
+                (pinned.schema, pinned.rows),
+            )
+        };
+        let before = seen(&odb);
+        for (csv, spec, error) in [
+            ("k,y\n1,5\n", "k:int,y:int", "null in non-nullable column x"),
+            ("k,x\n1,1.5\n1,2.5\n", "k:int,x:float", "duplicate key"),
+        ] {
+            odb.checkout_csv("d", &[Vid(0)], "f.csv").unwrap();
+            let err = odb.commit_csv("f.csv", csv, spec, "evolve").unwrap_err();
+            assert!(err.to_string().contains(error), "{err}");
+            assert_eq!(seen(&odb), before, "after {spec}");
+        }
+        odb.checkout("d", &[Vid(0)], "w").unwrap();
+        let staged = odb.staging_table("w").unwrap().schema();
+        assert_eq!(staged, odb.cvd("d").unwrap().schema());
+        assert_eq!(staged.len(), 2);
     }
 }

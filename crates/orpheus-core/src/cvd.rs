@@ -11,7 +11,7 @@
 use crate::error::{Error, Result};
 use partition::{Bipartite, Rid, VersionGraph, VersionTree, Vid};
 use relstore::{DataType, Row, Schema, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Identifier of an entry in the attribute table (§4.3).
 pub type AttrId = u32;
@@ -50,12 +50,43 @@ pub struct CommitResult {
     pub reused_records: usize,
 }
 
+/// What a commit compares with its parent versions. The committed table
+/// is `kept` plus `rows`: each row that equals a `candidates` record reuses
+/// its rid, every other row becomes a new record (§3.3.1).
+#[derive(Debug)]
+pub(crate) struct Changes {
+    /// Parent records the table holds untouched: reused, never compared.
+    pub(crate) kept: Vec<Rid>,
+    /// Parent records a row may reuse, later ones winning on equal
+    /// content; `None` for every record of every parent.
+    pub(crate) candidates: Option<Vec<Rid>>,
+    /// The rows compared, in the order new records are numbered.
+    pub(crate) rows: Vec<Row>,
+}
+
+impl Changes {
+    /// The all-changed form: no row is known to be untouched.
+    pub(crate) fn all(rows: Vec<Row>) -> Changes {
+        Changes {
+            kept: Vec::new(),
+            candidates: None,
+            rows,
+        }
+    }
+}
+
 /// Canonical byte encoding of a row, used to detect identical records
 /// during commit (the no-cross-version-diff rule compares the committed
 /// table against its parent versions only, §3.3.1).
 fn encode_row(row: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(row.len() * 9);
-    for v in row {
+    encode_values(row, &mut out);
+    out
+}
+
+/// Append the [`encode_row`] encoding of `values` to `out`.
+fn encode_values<'a>(values: impl IntoIterator<Item = &'a Value>, out: &mut Vec<u8>) {
+    for v in values {
         match v {
             Value::Int64(x) => {
                 out.push(1);
@@ -84,6 +115,15 @@ fn encode_row(row: &[Value]) -> Vec<u8> {
             Value::Null => out.push(0),
         }
     }
+}
+
+/// The encoding of `row`'s primary-key columns `cols`, written over `out`.
+fn encode_key<'o>(row: &[Value], cols: &[usize], out: &'o mut Vec<u8>) -> &'o [u8] {
+    out.clear();
+    encode_values(
+        cols.iter().map(|&c| row.get(c).unwrap_or(&Value::Null)),
+        out,
+    );
     out
 }
 
@@ -139,7 +179,7 @@ impl Cvd {
             clock: 0,
         };
         let attr_ids: Vec<AttrId> = cvd.attributes.iter().map(|a| a.id).collect();
-        cvd.check_pk(&rows)?;
+        cvd.check_pk(&[], &rows)?;
         let mut rids = Vec::with_capacity(rows.len());
         for row in rows {
             cvd.schema.check_row(&row)?;
@@ -328,10 +368,12 @@ impl Cvd {
         }
     }
 
-    /// Enforce the per-version primary-key constraint (§3.1): within one
-    /// version, no two records share pk values. Across versions duplicates
-    /// are fine.
-    fn check_pk(&self, rows: &[Row]) -> Result<()> {
+    /// Enforce the per-version primary-key constraint (§3.1) on a version
+    /// made of the `kept` records and `rows`: no two rows share pk values,
+    /// and no row has a kept record's. The kept records are one version's,
+    /// so their keys are distinct already. Across versions duplicates are
+    /// fine.
+    fn check_pk(&self, kept: &[Rid], rows: &[Row]) -> Result<()> {
         if self.pk_names.is_empty() {
             return Ok(());
         }
@@ -340,20 +382,20 @@ impl Cvd {
             .iter()
             .filter_map(|n| self.schema.index_of(n).ok())
             .collect();
-        let mut seen = std::collections::HashSet::with_capacity(rows.len());
-        for row in rows {
-            let key: Vec<u8> = encode_row(
-                &cols
-                    .iter()
-                    .map(|&c| row.get(c).cloned().unwrap_or(Value::Null))
-                    .collect::<Vec<_>>(),
-            );
-            if !seen.insert(key) {
-                return Err(Error::PrimaryKeyViolation(format!(
-                    "duplicate key in committed version of {}",
-                    self.name
-                )));
-            }
+        let mut buf = Vec::new();
+        let mut seen = HashSet::with_capacity(rows.len());
+        let repeated = rows
+            .iter()
+            .any(|row| !seen.insert(encode_key(row, &cols, &mut buf).to_vec()));
+        let taken = !seen.is_empty()
+            && kept
+                .iter()
+                .any(|r| seen.contains(encode_key(&self.records[r.idx()], &cols, &mut buf)));
+        if repeated || taken {
+            return Err(Error::PrimaryKeyViolation(format!(
+                "duplicate key in committed version of {}",
+                self.name
+            )));
         }
         Ok(())
     }
@@ -368,16 +410,16 @@ impl Cvd {
         }
         let pk_cols = self.pk_cols()?;
         let mut out: Vec<(Rid, Row)> = Vec::new();
-        let mut seen_pk = std::collections::HashSet::new();
+        let mut seen_pk = HashSet::new();
+        let mut buf = Vec::new();
         for &v in versions {
             for &rid in &self.version_records[v.idx()] {
                 let row = &self.records[rid.idx()];
-                if pk_cols.is_empty() {
-                    out.push((rid, row.clone()));
-                    continue;
-                }
-                let key = encode_row(&pk_cols.iter().map(|&c| row[c].clone()).collect::<Vec<_>>());
-                if seen_pk.insert(key) {
+                // One version's keys are distinct; only a merge repeats one.
+                if versions.len() == 1
+                    || pk_cols.is_empty()
+                    || seen_pk.insert(encode_key(row, &pk_cols, &mut buf).to_vec())
+                {
                     out.push((rid, row.clone()));
                 }
             }
@@ -391,7 +433,7 @@ impl Cvd {
     /// the no-cross-version-diff rule, each row is compared against the
     /// parent versions only: identical rows reuse the parent's rid, all
     /// others get fresh rids (even if equal to some distant ancestor's
-    /// record).
+    /// record). This is the all-changed form: every row is compared.
     pub fn commit(
         &mut self,
         parents: &[Vid],
@@ -399,21 +441,61 @@ impl Cvd {
         message: &str,
         author: &str,
     ) -> Result<CommitResult> {
+        self.commit_changes(parents, Changes::all(rows), message, author)
+    }
+
+    /// [`commit`](Self::commit) of a table given as [`Changes`]: only
+    /// `changes.rows` are checked against the schema and compared with the
+    /// parents, so the work grows with the rows touched.
+    pub(crate) fn commit_changes(
+        &mut self,
+        parents: &[Vid],
+        changes: Changes,
+        message: &str,
+        author: &str,
+    ) -> Result<CommitResult> {
+        self.check_commit(parents, &self.schema, &changes)?;
+        Ok(self.apply_changes(parents, changes, message, author))
+    }
+
+    /// Everything that can fail a commit, checked before anything changes:
+    /// the parents exist, keys are unique, every row fits `schema`.
+    fn check_commit(&self, parents: &[Vid], schema: &Schema, changes: &Changes) -> Result<()> {
         for &p in parents {
             self.check_version(p)?;
         }
-        self.check_pk(&rows)?;
-        // Parent lookup: encoded row -> rid.
-        let mut parent_index: HashMap<Vec<u8>, Rid> = HashMap::new();
-        for &p in parents {
-            for &rid in &self.version_records[p.idx()] {
-                parent_index.insert(encode_row(&self.records[rid.idx()]), rid);
-            }
+        self.check_pk(&changes.kept, &changes.rows)?;
+        for row in &changes.rows {
+            schema.check_row(row)?;
         }
-        let mut rids = Vec::with_capacity(rows.len());
+        Ok(())
+    }
+
+    /// The new version of a [`check_commit`](Self::check_commit)ed commit.
+    fn apply_changes(
+        &mut self,
+        parents: &[Vid],
+        changes: Changes,
+        message: &str,
+        author: &str,
+    ) -> CommitResult {
+        // Parent lookup: encoded row -> rid.
+        let lists: Vec<&[Rid]> = match &changes.candidates {
+            Some(rids) => vec![rids],
+            None => parents
+                .iter()
+                .map(|p| &self.version_records[p.idx()][..])
+                .collect(),
+        };
+        let mut parent_index: HashMap<Vec<u8>, Rid> = HashMap::new();
+        for &rid in lists.into_iter().flatten() {
+            parent_index.insert(encode_row(&self.records[rid.idx()]), rid);
+        }
+        // The version keeps this list: no spare capacity.
+        let mut rids = changes.kept;
+        rids.reserve_exact(changes.rows.len());
         let mut new_records = 0usize;
-        for row in rows {
-            self.schema.check_row(&row)?;
+        for row in changes.rows {
             match parent_index.get(&encode_row(&row)) {
                 Some(&rid) => rids.push(rid),
                 None => {
@@ -446,11 +528,11 @@ impl Cvd {
             author: author.into(),
             attributes: attrs,
         });
-        Ok(CommitResult {
+        CommitResult {
             vid,
             new_records,
             reused_records: reused,
-        })
+        }
     }
 
     /// Commit rows whose schema differs from the CVD's: new attributes are
@@ -466,65 +548,53 @@ impl Cvd {
         message: &str,
         author: &str,
     ) -> Result<CommitResult> {
-        // Evolve the union schema and build the column mapping.
+        // Evolve copies of the union schema and the attribute table, and
+        // map each committed column to its union index and type: a commit
+        // that fails changes nothing.
+        let mut union = self.schema.clone();
+        let mut attributes = self.attributes.clone();
         let mut mapping = Vec::with_capacity(schema.len());
+        let mut widened = Vec::new();
         let mut version_attrs: Vec<AttrId> = Vec::with_capacity(schema.len());
         for col in schema.columns() {
-            let target = match self.schema.index_of(&col.name) {
+            let target = match union.index_of(&col.name) {
                 Ok(idx) => {
-                    let existing = self
-                        .schema
+                    let existing = union
                         .column(idx)
                         .ok_or_else(|| Error::Internal(format!("schema column #{idx} missing")))?
                         .dtype;
-                    if existing != col.dtype {
-                        let general = existing.generalize(col.dtype).ok_or_else(|| {
-                            Error::SchemaEvolution(format!(
-                                "attribute {}: cannot reconcile {} with {}",
-                                col.name, existing, col.dtype
-                            ))
-                        })?;
-                        if general != existing {
-                            // Widen the stored records in place.
-                            self.schema
-                                .widen_column(&col.name, general)
-                                .map_err(Error::Storage)?;
-                            for row in &mut self.records {
-                                if let Some(w) = row[idx].widen(general) {
-                                    row[idx] = w;
-                                }
-                            }
-                        }
+                    let general = existing.generalize(col.dtype).ok_or_else(|| {
+                        Error::SchemaEvolution(format!(
+                            "attribute {}: cannot reconcile {} with {}",
+                            col.name, existing, col.dtype
+                        ))
+                    })?;
+                    if general != existing {
+                        union
+                            .widen_column(&col.name, general)
+                            .map_err(Error::Storage)?;
+                        widened.push((idx, general));
                     }
                     idx
                 }
-                Err(_) => {
-                    // Brand-new attribute: extend schema, pad old records.
-                    let idx = self
-                        .schema
-                        .add_column(relstore::Column::nullable(col.name.clone(), col.dtype))
-                        .map_err(Error::Storage)?;
-                    for row in &mut self.records {
-                        row.push(Value::Null);
-                    }
-                    idx
-                }
+                // Brand-new attribute: old records will read NULL.
+                Err(_) => union
+                    .add_column(relstore::Column::nullable(col.name.clone(), col.dtype))
+                    .map_err(Error::Storage)?,
             };
             // Attribute-table entry for (name, current dtype).
-            let dtype = self
-                .schema
+            let dtype = union
                 .column(target)
                 .ok_or_else(|| Error::Internal(format!("schema column #{target} missing")))?
                 .dtype;
-            let attr_id = match self
-                .attributes
+            let attr_id = match attributes
                 .iter()
                 .find(|a| a.name == col.name && a.dtype == dtype)
             {
                 Some(a) => a.id,
                 None => {
-                    let id = self.attributes.len() as AttrId;
-                    self.attributes.push(Attribute {
+                    let id = attributes.len() as AttrId;
+                    attributes.push(Attribute {
                         id,
                         name: col.name.clone(),
                         dtype,
@@ -533,37 +603,37 @@ impl Cvd {
                 }
             };
             version_attrs.push(attr_id);
-            mapping.push(target);
+            mapping.push((target, dtype));
         }
 
         // Re-project rows into the union layout, widening values as needed.
-        // The target dtypes are resolved once up front: per-row schema
-        // lookups are wasted work, and a missing column is a typed error.
-        let dst_dtypes: Vec<_> = mapping
-            .iter()
-            .map(|&dst| {
-                self.schema
-                    .column(dst)
-                    .map(|c| c.dtype)
-                    .ok_or_else(|| Error::Internal(format!("schema column #{dst} missing")))
-            })
-            .collect::<Result<_>>()?;
-        let width = self.schema.len();
+        let width = union.len();
         let projected: Vec<Row> = rows
             .into_iter()
             .map(|row| {
                 let mut out = vec![Value::Null; width];
-                for (src, &dst) in mapping.iter().enumerate() {
-                    out[dst] = row[src].widen(dst_dtypes[src]).unwrap_or(Value::Null);
+                for (src, &(dst, dtype)) in mapping.iter().enumerate() {
+                    out[dst] = row[src].widen(dtype).unwrap_or(Value::Null);
                 }
                 out
             })
             .collect();
+        let changes = Changes::all(projected);
+        self.check_commit(parents, &union, &changes)?;
 
-        let mut result = self.commit(parents, projected, message, author)?;
-        // Overwrite the version's attribute list with the committed schema.
+        // Nothing can fail from here: widen and pad the stored records.
+        for row in &mut self.records {
+            for &(idx, dtype) in &widened {
+                if let Some(w) = row[idx].widen(dtype) {
+                    row[idx] = w;
+                }
+            }
+            row.resize(width, Value::Null);
+        }
+        (self.schema, self.attributes) = (union, attributes);
+        let result = self.apply_changes(parents, changes, message, author);
+        // The version's attribute list is the committed schema's.
         self.metas[result.vid.idx()].attributes = version_attrs;
-        result.vid = self.metas[result.vid.idx()].vid;
         Ok(result)
     }
 

@@ -549,6 +549,217 @@ mod tests {
         QUERY_CORPUS.iter().map(|q| odb.run(q).unwrap()).collect()
     }
 
+    /// One write to a checkout of the corpus CVD `T` (`k`, `name`,
+    /// `score`, then any columns added since); rows are picked by their
+    /// position in the staging table's physical order.
+    #[derive(Debug, Clone)]
+    enum Write {
+        /// Set a row's score; with `back`, restore the row afterwards.
+        Score {
+            at: usize,
+            score: i64,
+            back: bool,
+        },
+        /// Update a row to the content it has.
+        Same(usize),
+        /// Grow the names of two rows until the second tuple relocates.
+        Grow(usize),
+        Delete(usize),
+        /// Delete a row, then insert it again verbatim.
+        Reinsert(usize),
+        /// Delete row `from` and give row `to` its key; with `swap`, insert
+        /// `from`'s content again under `to`'s old key.
+        TakeKey {
+            from: usize,
+            to: usize,
+            swap: bool,
+        },
+        /// Insert a row under a new key, or under an existing row's.
+        Insert {
+            key: i64,
+            dup: Option<usize>,
+        },
+        Cluster,
+        AddColumn,
+    }
+
+    /// Writes a commit by rid must get right, weighted over the ones that
+    /// make it fail (a duplicate key) or fall back (`Cluster`, `AddColumn`).
+    fn write() -> impl Strategy<Value = Write> {
+        let n = || any::<usize>();
+        let score = || {
+            (n(), 0..20i64, any::<bool>()).prop_map(|(at, score, back)| Write::Score {
+                at,
+                score,
+                back,
+            })
+        };
+        let take_key = || {
+            (n(), n(), any::<bool>()).prop_map(|(from, to, swap)| Write::TakeKey { from, to, swap })
+        };
+        let insert = || (0..50i64).prop_map(|key| Write::Insert { key, dup: None });
+        prop_oneof![
+            score(),
+            score(),
+            score(),
+            n().prop_map(Write::Same),
+            n().prop_map(Write::Grow),
+            n().prop_map(Write::Grow),
+            n().prop_map(Write::Delete),
+            n().prop_map(Write::Delete),
+            n().prop_map(Write::Reinsert),
+            take_key(),
+            take_key(),
+            insert(),
+            insert(),
+            insert(),
+            n().prop_map(|at| Write::Insert {
+                key: 0,
+                dup: Some(at)
+            }),
+            Just(Write::Cluster),
+            Just(Write::AddColumn),
+        ]
+    }
+
+    /// Apply `w` to the staging table `t`; `serial` keeps new keys and
+    /// column names apart across commits.
+    fn apply_write(t: &mut relstore::Table, w: &Write, serial: i64) -> relstore::Result<()> {
+        let rows = t.rows()?;
+        let pick = |i: usize| rows.get(i % rows.len().max(1)).cloned();
+        match *w {
+            Write::Score { at, score, back } => {
+                if let Some((id, row)) = pick(at) {
+                    let mut scored = row.clone();
+                    scored[2] = Value::Int64(score);
+                    t.update(id, scored)?;
+                    if back {
+                        t.update(id, row)?;
+                    }
+                }
+            }
+            Write::Same(at) => {
+                if let Some((id, row)) = pick(at) {
+                    t.update(id, row)?;
+                }
+            }
+            Write::Grow(at) => {
+                // The later row grows in place, the earlier one moves past
+                // it: new records follow the heap's order, not the ids'.
+                for (id, mut row) in [pick(at + 1), pick(at)].into_iter().flatten() {
+                    row[1] = Value::Text(format!("{serial}{}", "g".repeat(4_500)));
+                    t.update(id, row)?;
+                }
+            }
+            Write::Delete(at) => {
+                if let Some((id, _)) = pick(at) {
+                    t.delete(id)?;
+                }
+            }
+            Write::Reinsert(at) => {
+                if let Some((id, row)) = pick(at) {
+                    t.delete(id)?;
+                    t.insert(row)?;
+                }
+            }
+            Write::TakeKey { from, to, swap } => {
+                if let (Some((a, row_a)), Some((b, mut row_b))) = (pick(from), pick(to)) {
+                    if a != b {
+                        t.delete(a)?;
+                        let key_b = std::mem::replace(&mut row_b[0], row_a[0].clone());
+                        t.update(b, row_b)?;
+                        if swap {
+                            let mut moved = row_a;
+                            moved[0] = key_b;
+                            t.insert(moved)?;
+                        }
+                    }
+                }
+            }
+            Write::Insert { key, dup } => {
+                let mut row = vec![Value::Null; t.schema().len()];
+                row[0] = match dup.and_then(pick) {
+                    Some((_, taken)) => taken[0].clone(),
+                    None => Value::Int64(100_000 + serial * 100 + key),
+                };
+                row[1] = Value::from("new");
+                row[2] = Value::Int64(key);
+                t.insert(row)?;
+            }
+            Write::Cluster => t.cluster_on("score")?,
+            Write::AddColumn => {
+                let column = Column::nullable(format!("c{serial}"), DataType::Int64);
+                t.add_column(column, Value::Null)?;
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// The differential oracle for commit by rid: twin stores take the
+        /// same checkouts and writes, one commits them by rid, the other in
+        /// the all-changed form. Every write, commit result and error, the
+        /// visible state (rlists and records, rids included) and the corpus
+        /// answers agree, on Flat and Delta pages, live and after a reopen.
+        #[test]
+        fn a_commit_by_rid_is_the_all_changed_commit(
+            commits in prop::collection::vec(
+                (any::<usize>(), prop::collection::vec(write(), 0..5)),
+                1..7,
+            ),
+        ) {
+            for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
+                let dirs = [scratch("by-rid"), scratch("all-changed")];
+                let mut twins = dirs.clone().map(|dir| {
+                    let mut odb = open(&dir, 2048);
+                    odb.database().set_default_format(kind);
+                    odb.set_auto_checkpoint(false);
+                    load_corpus(&mut odb);
+                    odb
+                });
+                for (serial, (parent, writes)) in commits.iter().enumerate() {
+                    let table = format!("w{serial}");
+                    let mut outcomes = Vec::new();
+                    for (twin, odb) in twins.iter_mut().enumerate() {
+                        let versions = odb.cvd("T").unwrap().num_versions();
+                        let parent = Vid((parent % versions) as u32);
+                        odb.checkout("T", &[parent], &table).unwrap();
+                        let t = odb.staging_table_mut(&table).unwrap();
+                        let mut outcome: Vec<String> = writes
+                            .iter()
+                            .map(|w| format!("{:?}", apply_write(t, w, serial as i64)))
+                            .collect();
+                        let committed = if twin == 0 {
+                            odb.commit(&table, "by rid")
+                        } else {
+                            odb.commit_all_changed(&table, "by rid")
+                        };
+                        outcome.push(format!("{:?}", committed.map_err(|e| e.to_string())));
+                        outcomes.push(outcome);
+                    }
+                    prop_assert_eq!(&outcomes[0], &outcomes[1], "{:?} commit {}", kind, serial);
+                }
+                let live: Vec<_> = twins
+                    .iter()
+                    .map(|odb| (visible(odb), corpus_answers(odb)))
+                    .collect();
+                prop_assert_eq!(&live[0], &live[1], "{:?}", kind);
+                for odb in &twins {
+                    odb.checkpoint().unwrap();
+                }
+                drop(twins);
+                for dir in &dirs {
+                    let reopened = open(dir, 2048);
+                    prop_assert_eq!(&(visible(&reopened), corpus_answers(&reopened)), &live[0]);
+                    drop(reopened);
+                    std::fs::remove_dir_all(dir).unwrap();
+                }
+            }
+        }
+    }
+
     #[test]
     fn query_corpus_answers_survive_a_reopen_in_both_formats() {
         for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {

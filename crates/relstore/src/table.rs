@@ -17,7 +17,7 @@ use crate::index::{Index, IndexKind};
 use crate::schema::{Column, Schema};
 use crate::value::{DataType, Value};
 use pagestore::{slot_tuple, BufferPool, HeapFile, IoStats, PageId, SlotTuple, TupleAddr};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::rc::Rc;
 use std::time::Instant;
@@ -103,6 +103,10 @@ pub struct Table {
     indexes: HashMap<String, IndexEntry>,
     /// Tuple codec for this table's heap pages (Flat or Delta).
     format: Box<dyn PageFormat>,
+    /// The change log: every id an `update` or `delete` has reached since
+    /// the table was created or opened, or `None` once ids or the schema
+    /// were rewritten wholesale (see [`changed_ids`](Self::changed_ids)).
+    changed: Option<BTreeSet<RowId>>,
 }
 
 impl Table {
@@ -184,6 +188,7 @@ impl Table {
             clustering: Clustering::None,
             indexes: HashMap::new(),
             format,
+            changed: Some(BTreeSet::new()),
         }
     }
 
@@ -400,9 +405,28 @@ impl Table {
         self.live_count
     }
 
-    /// Total heap slots including tombstones.
+    /// Total heap slots including tombstones. Ids are not reused until
+    /// [`cluster_on`](Self::cluster_on) renumbers the rows, so every id at
+    /// or past an earlier `heap_size` was inserted since.
     pub fn heap_size(&self) -> usize {
         self.directory.len()
+    }
+
+    /// Every id an `update` or `delete` has reached since the table was
+    /// created or opened, ascending; a row whose id is not here holds what
+    /// was inserted. An id is logged before the write that could change
+    /// it, so a failed write can only over-report. `None` once
+    /// [`cluster_on`](Self::cluster_on), [`add_column`](Self::add_column)
+    /// or [`widen_column`](Self::widen_column) rewrote the ids or the schema.
+    pub fn changed_ids(&self) -> Option<&BTreeSet<RowId>> {
+        self.changed.as_ref()
+    }
+
+    /// Log `id` as changed ([`changed_ids`](Self::changed_ids)).
+    fn mark_changed(&mut self, id: RowId) {
+        if let Some(changed) = &mut self.changed {
+            changed.insert(id);
+        }
     }
 
     /// Data pages currently in the heap file.
@@ -480,6 +504,7 @@ impl Table {
     /// the page).
     pub fn delete(&mut self, id: RowId) -> Result<()> {
         let addr = self.addr_of(id)?;
+        self.mark_changed(id);
         let row = self.read_row(id)?;
         for entry in self.indexes.values_mut() {
             if let Some(key) = row[entry.column].as_i64() {
@@ -498,6 +523,7 @@ impl Table {
     /// leaves the table untouched.
     pub fn update(&mut self, id: RowId, row: Row) -> Result<()> {
         let addr = self.addr_of(id)?;
+        self.mark_changed(id);
         self.schema.check_row(&row)?;
         let old = self.read_row(id)?;
         for entry in self.indexes.values() {
@@ -550,6 +576,19 @@ impl Table {
         }
         self.pool.note_tuples_decoded(rows.len() as u64);
         Ok(rows)
+    }
+
+    /// The live rows among `ids`, in the order [`rows`](Self::rows)
+    /// returns them (page, then slot); ids of deleted rows are skipped.
+    pub fn rows_of(&self, ids: impl IntoIterator<Item = RowId>) -> Result<Vec<(RowId, Row)>> {
+        let mut live: Vec<(TupleAddr, RowId)> = ids
+            .into_iter()
+            .filter_map(|id| Some((self.addr_of(id).ok()?, id)))
+            .collect();
+        live.sort_unstable_by_key(|&(addr, _)| (addr.page_ord, addr.slot));
+        live.into_iter()
+            .map(|(_, id)| Ok((id, self.read_row(id)?)))
+            .collect()
     }
 
     /// [`rows`](Self::rows) for inspection: a table that cannot be read
@@ -814,6 +853,7 @@ impl Table {
     /// page, and rebuilds indexes.
     pub fn cluster_on(&mut self, column: &str) -> Result<()> {
         let col = self.schema.index_of(column)?;
+        self.changed = None;
         let mut live_rows: Vec<Row> = self.rows()?.into_iter().map(|(_, r)| r).collect();
         live_rows.sort_by(|a, b| a[col].total_cmp(&b[col]));
         let specs: Vec<(String, usize, bool, IndexKind)> = self
@@ -846,6 +886,7 @@ impl Table {
     /// and byte accounting consistent. Index keys must not change.
     fn rewrite_row(&mut self, id: RowId, f: impl FnOnce(&mut Row)) -> Result<()> {
         let addr = self.addr_of(id)?;
+        self.mark_changed(id);
         let mut row = self.read_row(id)?;
         self.bytes_live -= Self::row_bytes(&row);
         f(&mut row);
@@ -873,6 +914,7 @@ impl Table {
                 col.name
             )));
         }
+        self.changed = None;
         self.schema.add_column(col)?;
         for id in self.live_ids() {
             let fill = fill.clone();
@@ -884,6 +926,7 @@ impl Table {
     /// Widen a column's type, converting stored values (§4.3 single-pool).
     pub fn widen_column(&mut self, name: &str, to: DataType) -> Result<()> {
         let col = self.schema.index_of(name)?;
+        self.changed = None;
         self.schema.widen_column(name, to)?;
         for id in self.live_ids() {
             self.rewrite_row(id, |row| {
@@ -1081,6 +1124,64 @@ mod tests {
         }
         assert_eq!(t.live_row_count(), 39);
         assert_eq!(t.fetch(&ids, None, &mut tr, &model).unwrap().len(), 39);
+    }
+
+    #[test]
+    fn the_change_log_names_every_row_a_write_reached() {
+        let mut t = tbl();
+        for v in 0..4i64 {
+            t.insert(vec![Value::Int64(v), Value::Int64(v)]).unwrap();
+        }
+        assert!(
+            t.changed_ids().unwrap().is_empty(),
+            "inserts are not changes"
+        );
+        t.update(1, vec![Value::Int64(1), Value::Int64(9)]).unwrap();
+        t.delete(2).unwrap();
+        // A write that fails has still been logged: the log over-reports.
+        t.create_index("pk", "rid", true, IndexKind::BTree).unwrap();
+        assert!(t.update(3, vec![Value::Int64(0), Value::Int64(3)]).is_err());
+        assert!(t.delete(9).is_err(), "no such row: nothing to log");
+        t.insert(vec![Value::Int64(7), Value::Int64(7)]).unwrap();
+        let logged: Vec<RowId> = t.changed_ids().unwrap().iter().copied().collect();
+        assert_eq!(logged, [1, 2, 3]);
+        let rewrites: [fn(&mut Table) -> Result<()>; 3] = [
+            |t| t.cluster_on("x"),
+            |t| t.add_column(Column::nullable("y", DataType::Int64), Value::Null),
+            |t| t.widen_column("x", DataType::Float64),
+        ];
+        for rewrite in rewrites {
+            let mut t = tbl();
+            t.insert(vec![Value::Int64(1), Value::Int64(2)]).unwrap();
+            rewrite(&mut t).unwrap();
+            assert!(t.changed_ids().is_none(), "ids or schema were rewritten");
+        }
+    }
+
+    /// An update that outgrows its page moves the row; `rows_of` still
+    /// returns rows in the order `rows` does, not in id order.
+    #[test]
+    fn rows_of_follows_the_heap_order() {
+        let mut t = Table::new(
+            "wide",
+            Schema::new(vec![
+                Column::new("rid", DataType::Int64),
+                Column::new("payload", DataType::Text),
+            ]),
+        );
+        for v in 0..30i64 {
+            t.insert(vec![Value::Int64(v), Value::Text("x".repeat(500))])
+                .unwrap();
+        }
+        t.update(2, vec![Value::Int64(2), Value::Text("y".repeat(3_000))])
+            .unwrap();
+        t.delete(5).unwrap();
+        let rows = t.rows().unwrap();
+        assert_ne!(rows[2].0, 2, "row 2 relocated");
+        assert_eq!(t.rows_of(0..30).unwrap(), rows);
+        let some: Vec<_> = rows.iter().filter(|(id, _)| id % 2 == 0).cloned().collect();
+        let ids = [4, 2, 0, 5, 99].into_iter().chain((6..30).step_by(2));
+        assert_eq!(t.rows_of(ids).unwrap(), some);
     }
 
     #[test]

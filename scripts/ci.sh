@@ -72,14 +72,20 @@ echo "==> parallel determinism (ORPHEUS_THREADS=4 test pass)"
 # orpheus-core's parallel_outputs_identical_across_thread_counts.
 ORPHEUS_THREADS=4 cargo test -q -p orpheus-core -p relstore
 
-echo "==> parallel determinism (CLI probe, threads 1 vs 4)"
+echo "==> CLI probe: golden transcript, threads 1 vs 4"
 # Drive the interactive shell with an identical command script at 1 and 4
-# workers and require byte-identical stdout. `--threads 1` must reproduce
-# the sequential engine bit-for-bit; parallel plans must not leak into
-# ordinary command output. The script issues all five plan shapes
-# (SELECT, GROUP BY vid, V_DIFF, V_INTERSECT, JOIN), and SELECTs whose
-# WHERE is tested in the fetch: every operator, a text column (whose
-# repeated values Delta stores as dictionary codes) and `rid`.
+# workers and require its output — stdout and the `error:` lines on
+# stderr — to equal results/ci/cli_probe.golden byte for byte. That file
+# was written by the binary before commit by rid, so a change that alters
+# every run alike still fails here. `--threads 1` must reproduce the
+# sequential engine bit-for-bit; parallel plans must not leak into
+# ordinary command output. The script commits inserted rows, fails a
+# commit on a duplicate key (twice: the staging table survives a failed
+# commit), commits a fresh checkout after that, and issues all five plan
+# shapes (SELECT, GROUP BY vid, V_DIFF, V_INTERSECT, JOIN), SELECTs whose
+# WHERE is tested in the fetch (every operator, a text column whose
+# repeated values Delta stores as dictionary codes, and `rid`) and `log`.
+# The slow-query threshold is lifted so no timing line reaches stderr.
 awk 'BEGIN { print "k,a1,a2,s"; for (i = 0; i < 500; i++) print i "," i % 7 "," i * 3 % 101 ",x" i % 9 }' \
   > /tmp/orpheus_ci_probe.csv
 probe_cmds() {
@@ -88,7 +94,16 @@ create_user ci
 config ci
 init t -f /tmp/orpheus_ci_probe.csv -s k:int,a1:int,a2:int,s:text -k k
 checkout t -v 0 -t w
+insert w 500,3,7,x3
+insert w 501,4,50,new
 commit -t w -m probe
+checkout t -v 1 -t d
+insert d 7,1,1,dup
+commit -t d -m duplicate key
+commit -t d -m again
+checkout t -v 1 -t r
+insert r 502,5,9,retry
+commit -t r -m retry
 run SELECT * FROM VERSION 0, 1 OF CVD t WHERE a1 > 3 LIMIT 400
 run SELECT * FROM VERSION 0 OF CVD t WHERE a2 = 50
 run SELECT * FROM VERSION 0, 1 OF CVD t WHERE a2 <> 50 LIMIT 30
@@ -103,23 +118,25 @@ run SELECT * FROM V_DIFF(1, 0) OF CVD t
 run SELECT * FROM V_INTERSECT(0, 1) OF CVD t
 run SELECT * FROM VERSION 0 OF CVD t JOIN VERSION 1 ON a1
 diff t -v 0 1
+log t
 quit
 EOF
 }
-probe_cmds | ./target/release/orpheusdb --threads 1 > /tmp/orpheus_probe_t1.out
-probe_cmds | ./target/release/orpheusdb --threads 4 > /tmp/orpheus_probe_t4.out
-cmp /tmp/orpheus_probe_t1.out /tmp/orpheus_probe_t4.out
-echo "CLI output byte-identical across thread counts"
+probe() { # <orpheusdb flags…>: the probe's transcript on stdout
+  probe_cmds | ORPHEUS_SLOW_MS=1000000000 ./target/release/orpheusdb "$@" 2>&1
+}
+golden=results/ci/cli_probe.golden
+probe --threads 1 | cmp - "$golden"
+probe --threads 4 | cmp - "$golden"
+echo "CLI output equals $golden at 1 and 4 threads"
 
 echo "==> page-format determinism (CLI probe, flat vs delta)"
-# The same command script under --page-format delta must produce stdout
-# byte-identical to the flat run: the tuple codec is a physical layer,
-# never visible in logical command output — at either thread count.
-probe_cmds | ./target/release/orpheusdb --threads 1 --page-format delta > /tmp/orpheus_probe_delta.out
-cmp /tmp/orpheus_probe_t1.out /tmp/orpheus_probe_delta.out
-probe_cmds | ./target/release/orpheusdb --threads 4 --page-format delta > /tmp/orpheus_probe_delta_t4.out
-cmp /tmp/orpheus_probe_t1.out /tmp/orpheus_probe_delta_t4.out
-echo "CLI output byte-identical across page formats"
+# The same command script under --page-format delta must produce the same
+# golden transcript: the tuple codec is a physical layer, never visible
+# in logical command output — at either thread count.
+probe --threads 1 --page-format delta | cmp - "$golden"
+probe --threads 4 --page-format delta | cmp - "$golden"
+echo "CLI output equals $golden across page formats"
 
 echo "==> observability smoke (explain analyze + metrics --json + trace dump)"
 # End-to-end check of the obs pipeline: a durable commit/checkout workload
