@@ -1,6 +1,7 @@
 //! The OrpheusDB command surface (§3.3): git-style version control
 //! commands, the access-controlled staging area, user management, CSV
-//! import/export, and the `run` command for versioned SQL.
+//! import/export, and the `run` command for versioned SQL. A command line
+//! is parsed by [`Command::parse`] and run here.
 //!
 //! `OrpheusDb` plays the role of the middleware in Fig. 3.1: the query
 //! translator ([`crate::query`]), record/version managers
@@ -8,12 +9,13 @@
 //! from [`partition`]), provenance manager (the staging registry here),
 //! and the access controller (staging-table ownership checks).
 
+use crate::command::{Command, View};
 use crate::cvd::{Changes, CommitResult, Cvd};
 use crate::error::{Error, Result};
 use crate::metadata;
 use crate::models::{load_cvd, SplitByRlist, VersioningModel};
 use crate::plan::{self, Decorator, Instrumented, LogicalPlan, Plain, RidSet, Tables};
-use crate::query::{parse_query, QueryResult};
+use crate::query::{parse_query, QueryResult, VQuery};
 use partition::{lyresplit_for_budget, LyreSplitResult, Rid, Vid};
 use relstore::{Column, DataType, Database, ExecContext, Row, RowId, Schema, Value};
 use std::cell::RefCell;
@@ -729,16 +731,15 @@ impl OrpheusDb {
         })
     }
 
-    /// Parse `sql`, plan it, lower it over the engine's tables with `dec`
-    /// and drain it — the whole query path; the decorator is the only
-    /// thing `run` and `explain analyze` disagree on.
-    fn query<D: Decorator>(&self, sql: &str, dec: &D) -> Result<(QueryResult, D::Node)> {
+    /// Plan `query`, lower it over the engine's tables with `dec` and
+    /// drain it — the whole query path; the decorator is the only thing
+    /// `run` and `explain analyze` disagree on.
+    fn query<D: Decorator>(&self, query: &VQuery, dec: &D) -> Result<(QueryResult, D::Node)> {
         let _span = self.db.recorder().enter("orpheus.query");
         let start = Instant::now();
-        let query = parse_query(sql)?;
         let tables = self.tables(query.cvd())?;
         let mut ctx = ExecContext::new();
-        let result = plan::execute(&LogicalPlan::of(&query), &tables, dec, &mut ctx);
+        let result = plan::execute(&LogicalPlan::of(query), &tables, dec, &mut ctx);
         self.tracker.borrow_mut().absorb(&ctx.tracker);
         self.db
             .metrics()
@@ -748,7 +749,7 @@ impl OrpheusDb {
 
     /// `run`: execute a versioned SQL string (§3.3.2).
     pub fn run(&self, sql: &str) -> Result<QueryResult> {
-        Ok(self.query(sql, &Plain)?.0)
+        Ok(self.query(&parse_query(sql)?, &Plain)?.0)
     }
 
     /// `explain analyze <query>`: run the query through the instrumenting
@@ -757,9 +758,13 @@ impl OrpheusDb {
     /// root operator's inclusive measured page reads reconcile with that
     /// delta.
     pub fn explain_analyze(&self, sql: &str) -> Result<relstore::ExplainReport> {
+        self.explain(&parse_query(sql)?)
+    }
+
+    fn explain(&self, query: &VQuery) -> Result<relstore::ExplainReport> {
         let start = Instant::now();
         let pool_before = self.db.io_stats();
-        let (_, node) = self.query(sql, &Instrumented)?;
+        let (_, node) = self.query(query, &Instrumented)?;
         Ok(relstore::ExplainReport {
             root: node.snapshot(),
             pool_delta: self.db.io_stats().since(&pool_before),
@@ -774,44 +779,58 @@ impl OrpheusDb {
         Ok(crate::snapshot::Snapshot::of(self.cvd(cvd)?))
     }
 
-    /// Execute `line` on behalf of `user`, auto-registering unknown users
-    /// — the multi-session entry point. The instance-wide `config` login
-    /// is saved and restored around the command, so interleaved sessions
-    /// never observe each other's identity (the engine serializes
-    /// `execute_as` calls; this makes each call self-contained).
+    /// Execute `line` on behalf of `user`: [`Command::parse`], then
+    /// [`execute_command_as`](Self::execute_command_as).
     pub fn execute_as(&mut self, user: &str, line: &str) -> Result<CommandOutput> {
+        let command = Command::parse(line)?;
+        self.execute_command_as(user, &command, line)
+    }
+
+    /// Run a parsed command on behalf of `user`, auto-registering unknown
+    /// users — the multi-session entry point; `line` is its text, for the
+    /// slow-query log. The instance-wide `config` login is saved and
+    /// restored around the command, so interleaved sessions never observe
+    /// each other's identity (the engine serializes these calls; this
+    /// makes each call self-contained).
+    pub fn execute_command_as(
+        &mut self,
+        user: &str,
+        command: &Command,
+        line: &str,
+    ) -> Result<CommandOutput> {
         if !self.users.iter().any(|u| u == user) {
             // Nobody was told this user exists: its row waits for the
             // next durability point rather than forcing one.
             self.add_user(user)?;
         }
         let prev = self.current_user.replace(user.to_owned());
-        let out = self.execute(line);
+        let out = self.execute_command(command, line);
         self.current_user = prev;
         out
     }
 
-    /// Execute a command-line style command string; the textual surface of
-    /// §3.3.1 (e.g. `checkout Interaction -v 1 -t my_table`).
-    ///
-    /// Every non-introspection command runs under an `orpheus.request`
+    /// Execute a command line; the textual surface of §3.3.1 (e.g.
+    /// `checkout Interaction -v 1 -t my_table`).
+    pub fn execute(&mut self, line: &str) -> Result<CommandOutput> {
+        let command = Command::parse(line)?;
+        self.execute_command(&command, line)
+    }
+
+    /// Every command but introspection runs under an `orpheus.request`
     /// span: a fresh trace id is minted here (CLI/shell), or the open
     /// server-session trace is inherited, so morsel-worker and WAL spans
     /// downstream re-attach to this request. Commands at or over the
     /// slow-query threshold additionally log one structured line to
     /// stderr (stdout stays byte-identical across thread counts).
-    pub fn execute(&mut self, line: &str) -> Result<CommandOutput> {
-        let cmd = line.split_whitespace().next().unwrap_or("");
-        // Introspection commands read the observability state; tracing
-        // them would perturb the very tree/journal they render.
-        if matches!(cmd, "spans" | "metrics" | "stats" | "trace" | "threads") {
-            return self.dispatch(line);
+    fn execute_command(&mut self, command: &Command, line: &str) -> Result<CommandOutput> {
+        if command.is_introspection() {
+            return self.apply(command);
         }
         let started = std::time::Instant::now();
         let (trace_id, result) = {
             let span = self.db.recorder().enter_request("orpheus.request");
             let trace_id = span.trace_id();
-            (trace_id, self.dispatch(line))
+            (trace_id, self.apply(command))
         };
         let elapsed = started.elapsed();
         if elapsed.as_millis() as u64 >= self.slow_ms {
@@ -845,243 +864,115 @@ impl OrpheusDb {
         );
     }
 
-    fn dispatch(&mut self, line: &str) -> Result<CommandOutput> {
-        let args: Vec<&str> = line.split_whitespace().collect();
-        let Some(&cmd) = args.first() else {
-            return Err(Error::Parse("empty command".into()));
-        };
-        match cmd {
-            "create_user" => {
-                let name = arg_at(&args, 1)?;
+    /// Run one parsed command: the one `match` over the command surface.
+    fn apply(&mut self, command: &Command) -> Result<CommandOutput> {
+        use CommandOutput::{Listing, Message, Table, Version};
+        Ok(match command {
+            Command::CreateUser(name) => {
                 self.create_user(name)?;
-                Ok(CommandOutput::Message(format!("created user {name}")))
+                Message(format!("created user {name}"))
             }
-            "config" => {
-                let name = arg_at(&args, 1)?;
+            Command::Config(name) => {
                 self.login(name)?;
-                Ok(CommandOutput::Message(format!("logged in as {name}")))
+                Message(format!("logged in as {name}"))
             }
-            "whoami" => Ok(CommandOutput::Message(self.whoami()?.to_owned())),
-            "ls" => Ok(CommandOutput::Listing(self.list_cvds())),
-            "log" => {
-                let name = arg_at(&args, 1)?;
-                Ok(CommandOutput::Message(self.log(name)?))
-            }
-            "drop" => {
-                let name = arg_at(&args, 1)?;
+            Command::Whoami => Message(self.whoami()?.to_owned()),
+            Command::Ls => Listing(self.list_cvds()),
+            Command::Log(name) => Message(self.log(name)?),
+            Command::Drop(name) => {
                 self.drop_cvd(name)?;
-                Ok(CommandOutput::Message(format!("dropped {name}")))
+                Message(format!("dropped {name}"))
             }
-            "checkout" => {
-                let cvd = arg_at(&args, 1)?.to_owned();
-                let versions = flag_values(&args, "-v", &["-v", "-t"])?
-                    .iter()
-                    .map(|s| s.parse::<u32>().map(Vid))
-                    .collect::<std::result::Result<Vec<_>, _>>()
-                    .map_err(|e| Error::Parse(format!("bad version id: {e}")))?;
-                let table = flag_value(&args, "-t")?.to_owned();
-                self.checkout(&cvd, &versions, &table)?;
-                Ok(CommandOutput::Message(format!(
-                    "checked out {} version(s) of {cvd} into {table}",
-                    versions.len()
-                )))
+            Command::Checkout(cvd, versions, table) => {
+                self.checkout(cvd, versions, table)?;
+                let n = versions.len();
+                Message(format!("checked out {n} version(s) of {cvd} into {table}"))
             }
-            "insert" => {
-                // `insert <table> <csv values…>`: append one row to a
-                // checked-out staging table — how network sessions (which
-                // cannot reach `staging_table_mut` across the wire) modify
-                // a checkout before committing it.
-                let table = arg_at(&args, 1)?.to_owned();
-                let rest = line
-                    .trim_start()
-                    .strip_prefix(cmd)
-                    .map(str::trim_start)
-                    .and_then(|r| r.strip_prefix(&table))
-                    .map(str::trim)
-                    .unwrap_or("");
-                if rest.is_empty() {
-                    return Err(Error::Parse("usage: insert <table> <csv values>".into()));
-                }
-                let t = self.staging_table_mut(&table)?;
-                let schema = t.schema().clone();
-                let row = parse_csv_row(&schema, rest)?;
+            Command::Insert(table, values) => {
+                let t = self.staging_table_mut(table)?;
+                let row = parse_csv_row(t.schema(), values)?;
                 t.insert(row)?;
-                Ok(CommandOutput::Message(format!(
-                    "inserted 1 row into {table}"
-                )))
+                Message(format!("inserted 1 row into {table}"))
             }
-            "init" => {
-                // `init <cvd> -f <csv path> -s <schema> [-k pk,…]`: bulk
-                // load from a server-side CSV file (the CLI shell has its
-                // own client-side variant of this command).
-                let name = arg_at(&args, 1)?.to_owned();
-                let path = flag_value(&args, "-f")?;
-                let spec = flag_value(&args, "-s")?;
-                let pk: Vec<String> = flag_value(&args, "-k")
-                    .map(|s| s.split(',').map(str::to_owned).collect())
-                    .unwrap_or_default();
-                let schema = parse_schema_spec(spec)?;
+            Command::Init(cvd, path, schema, pk) => {
                 let csv = std::fs::read_to_string(path)
                     .map_err(|e| Error::Parse(format!("cannot read {path}: {e}")))?;
-                let rows = from_csv(&schema, &csv)?;
-                let v0 = self.init_cvd(&name, schema, pk, rows)?;
-                Ok(CommandOutput::Message(format!(
-                    "initialized {name} at {v0}"
-                )))
+                let rows = from_csv(schema, &csv)?;
+                let v0 = self.init_cvd(cvd, schema.clone(), pk.clone(), rows)?;
+                Message(format!("initialized {cvd} at {v0} ({path})"))
             }
-            "commit" => {
-                let table = flag_value(&args, "-t")?.to_owned();
-                let message = flag_values(&args, "-m", &["-t", "-m"])?.join(" ");
-                let result = self.commit(&table, &message)?;
-                Ok(CommandOutput::Version(result.vid))
-            }
-            "diff" => {
-                let cvd = arg_at(&args, 1)?.to_owned();
-                let vs = flag_values(&args, "-v", &["-v"])?;
-                if vs.len() != 2 {
-                    return Err(Error::Parse("diff needs exactly two versions".into()));
-                }
-                let a = Vid(vs[0].parse().map_err(|_| Error::Parse("bad vid".into()))?);
-                let b = Vid(vs[1].parse().map_err(|_| Error::Parse("bad vid".into()))?);
-                let (left, _right) = self.diff(&cvd, a, b)?;
-                Ok(CommandOutput::Table(left))
-            }
-            "optimize" => {
-                let cvd = arg_at(&args, 1)?.to_owned();
-                let gamma = match flag_value(&args, "-g") {
-                    Ok(s) => s
-                        .parse()
-                        .map_err(|_| Error::Parse(format!("bad gamma: {s}")))?,
-                    Err(_) => 2.0,
-                };
-                let plan = self.optimize(&cvd, gamma)?;
-                Ok(CommandOutput::Message(format!(
+            Command::Commit(table, message) => Version(self.commit(table, message)?.vid),
+            Command::Diff(cvd, a, b) => Table(self.diff(cvd, *a, *b)?.0),
+            Command::Optimize(cvd, gamma) => {
+                let plan = self.optimize(cvd, *gamma)?;
+                Message(format!(
                     "LyreSplit plan for {cvd} at γ = {gamma} × |R|: {} partition(s), \
                      est. storage {} records, est. avg checkout {:.1} records \
                      (plan only; storage unchanged)",
                     plan.partitioning.num_partitions(),
                     plan.est_storage,
                     plan.est_checkout_avg
-                )))
+                ))
             }
-            "plan_storage" => {
-                let cvd = arg_at(&args, 1)?.to_owned();
-                let factor = match flag_value(&args, "-b") {
-                    Ok(s) => deltastore::budget::parse_mat_budget(s)
-                        .map_err(|m| Error::Parse(format!("bad budget factor: {m}")))?,
-                    Err(_) => deltastore::budget::env_budget()
-                        .unwrap_or(deltastore::budget::DEFAULT_FACTOR),
-                };
-                Ok(CommandOutput::Listing(self.plan_storage(&cvd, factor)?))
-            }
-            "run" => {
-                let sql = line[cmd.len()..].trim();
-                Ok(CommandOutput::Table(self.run(sql)?))
-            }
-            "explain" => {
-                let usage = || Error::Parse("usage: explain analyze [--json] <query>".into());
-                let rest = line[cmd.len()..].trim_start();
-                let rest = rest.strip_prefix("analyze").ok_or_else(usage)?.trim_start();
-                let (json, sql) = match rest.strip_prefix("--json") {
-                    Some(r) => (true, r.trim_start()),
-                    None => (false, rest),
-                };
-                if sql.is_empty() {
-                    return Err(usage());
-                }
-                let report = self.explain_analyze(sql)?;
-                Ok(CommandOutput::Message(if json {
+            Command::PlanStorage(cvd, factor) => Listing(self.plan_storage(cvd, *factor)?),
+            Command::Run(query) => Table(self.query(query, &Plain)?.0),
+            Command::Explain(query, json) => {
+                let report = self.explain(query)?;
+                Message(if *json {
                     report.to_json().to_string_pretty()
                 } else {
                     report.to_text()
-                }))
+                })
             }
-            "metrics" => match args.get(1) {
-                Some(&"reset") => {
-                    self.db.metrics().reset();
-                    Ok(CommandOutput::Message("metrics reset".into()))
-                }
-                Some(&"--json") => {
-                    self.publish_metrics();
-                    Ok(CommandOutput::Message(
-                        self.db.metrics().to_json().to_string_pretty(),
-                    ))
-                }
-                None => {
-                    self.publish_metrics();
-                    Ok(CommandOutput::Message(self.db.metrics().render_text()))
-                }
-                Some(other) => Err(Error::Parse(format!("unknown metrics option: {other}"))),
-            },
-            "trace" => match (args.get(1), args.get(2)) {
-                (Some(&"dump"), Some(&"--json")) => Ok(CommandOutput::Message(
-                    self.db.recorder().journal().to_chrome_jsonl(),
-                )),
-                (Some(&"dump"), None) => Ok(CommandOutput::Message(
-                    self.db.recorder().journal().summary_text(),
-                )),
-                (Some(&"reset"), None) => {
-                    self.db.recorder().journal().clear();
-                    Ok(CommandOutput::Message("trace journal reset".into()))
-                }
-                _ => Err(Error::Parse(
-                    "usage: trace dump [--json] | trace reset".into(),
-                )),
-            },
-            "spans" => match args.get(1) {
-                Some(&"reset") => {
-                    self.db.recorder().reset();
-                    Ok(CommandOutput::Message("span tree reset".into()))
-                }
-                Some(&"--json") => Ok(CommandOutput::Message(
-                    self.db.recorder().report().to_json().to_string_pretty(),
-                )),
-                None => Ok(CommandOutput::Message(
-                    self.db.recorder().report().to_text(),
-                )),
-                Some(other) => Err(Error::Parse(format!("unknown spans option: {other}"))),
-            },
-            "stats" => {
-                if args.get(1) == Some(&"reset") {
-                    self.reset_io_stats();
-                    Ok(CommandOutput::Message("buffer-pool counters reset".into()))
-                } else {
-                    Ok(CommandOutput::Message(self.stats_report()))
-                }
+            Command::Metrics(View::Reset) => {
+                self.db.metrics().reset();
+                Message("metrics reset".into())
             }
-            "threads" => match args.get(1) {
-                Some(n) => {
-                    let n: usize = n
-                        .parse()
-                        .map_err(|_| Error::Parse(format!("invalid thread count: {n}")))?;
-                    self.set_threads(n);
-                    Ok(CommandOutput::Message(format!(
-                        "morsel workers set to {}",
-                        self.threads()
-                    )))
-                }
-                None => Ok(CommandOutput::Message(format!(
-                    "morsel workers: {}",
-                    self.threads()
-                ))),
-            },
-            "checkpoint" => {
-                if self.checkpoint()? {
-                    Ok(CommandOutput::Message("checkpoint complete".into()))
-                } else {
-                    Ok(CommandOutput::Message(
-                        "in-memory instance: nothing to checkpoint (open with a data \
-                         directory for durability)"
-                            .into(),
-                    ))
-                }
+            Command::Metrics(view) => {
+                self.publish_metrics();
+                Message(match view {
+                    View::Json => self.db.metrics().to_json().to_string_pretty(),
+                    _ => self.db.metrics().render_text(),
+                })
             }
-            "recover" => {
-                let report = self.recover()?;
-                Ok(CommandOutput::Message(format!("recovery: {report}")))
+            Command::Trace(View::Reset) => {
+                self.db.recorder().journal().clear();
+                Message("trace journal reset".into())
             }
-            other => Err(Error::Parse(format!("unknown command: {other}"))),
-        }
+            Command::Trace(view) => Message(match view {
+                View::Json => self.db.recorder().journal().to_chrome_jsonl(),
+                _ => self.db.recorder().journal().summary_text(),
+            }),
+            Command::Spans(View::Reset) => {
+                self.db.recorder().reset();
+                Message("span tree reset".into())
+            }
+            Command::Spans(view) => {
+                let report = self.db.recorder().report();
+                Message(match view {
+                    View::Json => report.to_json().to_string_pretty(),
+                    _ => report.to_text(),
+                })
+            }
+            Command::Stats(View::Reset) => {
+                self.reset_io_stats();
+                Message("buffer-pool counters reset".into())
+            }
+            Command::Stats(_) => Message(self.stats_report()),
+            Command::Threads(Some(n)) => {
+                self.set_threads(*n);
+                Message(format!("morsel workers set to {}", self.threads()))
+            }
+            Command::Threads(None) => Message(format!("morsel workers: {}", self.threads())),
+            Command::Checkpoint => Message(if self.checkpoint()? {
+                "checkpoint complete".into()
+            } else {
+                "in-memory instance: nothing to checkpoint (open with a data \
+                 directory for durability)"
+                    .into()
+            }),
+            Command::Recover => Message(format!("recovery: {}", self.recover()?)),
+        })
     }
 }
 
@@ -1115,37 +1006,6 @@ fn changes_of(staged: &relstore::Table, origins: Option<&[Rid]>) -> Result<Chang
         candidates: Some(candidates),
         rows: staged.rows_of(ids)?.into_iter().map(|(_, r)| r).collect(),
     })
-}
-
-fn arg_at<'a>(args: &[&'a str], i: usize) -> Result<&'a str> {
-    args.get(i)
-        .copied()
-        .ok_or_else(|| Error::Parse("missing argument".into()))
-}
-
-fn flag_value<'a>(args: &[&'a str], flag: &str) -> Result<&'a str> {
-    args.iter()
-        .position(|&a| a == flag)
-        .and_then(|i| args.get(i + 1).copied())
-        .ok_or_else(|| Error::Parse(format!("missing {flag} <value>")))
-}
-
-/// The words after `flag`, up to the next of the command's own `flags`:
-/// a value may itself start with `-` (`commit -m revert -x`).
-fn flag_values<'a>(args: &[&'a str], flag: &str, flags: &[&str]) -> Result<Vec<&'a str>> {
-    let start = args
-        .iter()
-        .position(|&a| a == flag)
-        .ok_or_else(|| Error::Parse(format!("missing {flag}")))?;
-    let vals: Vec<&str> = args[start + 1..]
-        .iter()
-        .take_while(|a| !flags.contains(a))
-        .copied()
-        .collect();
-    if vals.is_empty() {
-        return Err(Error::Parse(format!("missing values for {flag}")));
-    }
-    Ok(vals)
 }
 
 // ---------------------------------------------------------------------------
@@ -1511,6 +1371,66 @@ mod tests {
             }
         }
         assert!(odb.execute("optimize Interaction -g 1").is_ok());
+    }
+
+    /// Regression: `run` and `explain` sliced the untrimmed line at the
+    /// verb's byte length, so two no-break spaces before `run` panicked
+    /// and two plain spaces parsed `un SELECT …`.
+    #[test]
+    fn whitespace_before_the_verb_is_only_whitespace() {
+        let mut odb = setup();
+        let sql = "SELECT * FROM VERSION 0 OF CVD Interaction WHERE coexpression > 40";
+        for pad in ["  ", "\u{a0}\u{a0}", "\t\u{3000}"] {
+            match odb.execute(&format!("{pad}run {sql}")) {
+                Ok(CommandOutput::Table(t)) => assert_eq!(t.rows.len(), 2, "{pad:?}"),
+                other => panic!("{pad:?} run: {other:?}"),
+            }
+            match odb.execute(&format!("{pad}explain analyze {sql}")) {
+                Ok(CommandOutput::Message(m)) => assert!(m.contains("act rows=2"), "{m}"),
+                other => panic!("{pad:?} explain: {other:?}"),
+            }
+        }
+    }
+
+    fn missing_value(flag: &str) -> Error {
+        Error::Parse(format!("missing {flag} <value>"))
+    }
+
+    /// Regression: `init … -k` with nothing after `-k` created the CVD
+    /// with no primary key.
+    #[test]
+    fn init_refuses_a_bare_k_flag() {
+        let dir = std::env::temp_dir().join(format!("orpheus-bare-k-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv = dir.join("d.csv");
+        std::fs::write(&csv, "k\n1\n2\n").unwrap();
+        let mut odb = setup();
+        let init = format!("init d -f {} -s k:int -k", csv.display());
+        assert_eq!(odb.execute(&init), Err(missing_value("-k")));
+        assert!(odb.cvd("d").is_err(), "nothing was created");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Regression: `optimize … -g` with nothing after `-g` planned at the
+    /// default γ 2.0.
+    #[test]
+    fn optimize_refuses_a_bare_g_flag() {
+        let mut odb = setup();
+        assert_eq!(
+            odb.execute("optimize Interaction -g"),
+            Err(missing_value("-g"))
+        );
+    }
+
+    /// Regression: `plan_storage … -b` with nothing after `-b` fell back
+    /// to `ORPHEUS_MAT_BUDGET` or 2.0.
+    #[test]
+    fn plan_storage_refuses_a_bare_b_flag() {
+        let mut odb = setup();
+        assert_eq!(
+            odb.execute("plan_storage Interaction -b"),
+            Err(missing_value("-b"))
+        );
     }
 
     /// Regression: a `-m` message stopped at its first word starting with

@@ -30,10 +30,13 @@
 //!   [`plan::LogicalPlan`] → `lower(source, decorator)`, where the source
 //!   is the engine's tables ([`plan::Tables`]) or a pinned [`Snapshot`]
 //!   and the decorator is plain or `explain analyze`'s instrumenting one;
-//! * [`commands`] — the command-line surface: `init`, `checkout`, `commit`,
-//!   `diff`, `ls`, `drop`, `optimize` (a LyreSplit plan), plus user
-//!   management and the access-controlled staging area (§3.3.1).
+//! * [`command`] — the command grammar: each line parsed once into a typed
+//!   [`Command`], shared by the shell, the server session and the engine;
+//! * [`commands`] — the command surface it runs on: `init`, `checkout`,
+//!   `commit`, `diff`, `ls`, `drop`, `optimize` (a LyreSplit plan), plus
+//!   user management and the access-controlled staging area (§3.3.1).
 
+pub mod command;
 pub mod commands;
 pub mod cvd;
 pub mod error;
@@ -44,6 +47,7 @@ pub mod plan;
 pub mod query;
 pub mod snapshot;
 
+pub use command::{Command, View};
 pub use commands::{CommandOutput, OrpheusDb};
 pub use cvd::{CommitResult, Cvd, VersionMeta};
 pub use error::{Error, Result};

@@ -11,23 +11,30 @@
 //! queries against an immutable [`Snapshot`] on its own thread (see
 //! [`crate::session`]) and comes here only to pin.
 //!
-//! **Group commit.** When a `commit` arrives, the engine drains the
-//! channel until it is empty (or holds `max_batch` commits), serving any
-//! other message as it comes, then applies the whole batch and issues
-//! *one* WAL-protected checkpoint for all of it. No timer: a lone commit
-//! is applied at once, while commits that queue behind a running batch
-//! form the next one — N concurrent commits cost one fsync instead of N
-//! (`pagestore.wal.fsyncs` < commits, asserted by the CI smoke gate).
-//! Nothing is served between a batch's first apply and its checkpoint,
-//! so no reply ever shows a commit that is not yet durable.
-//! Commits enter through a **bounded admission queue**: past
-//! `admission_capacity` queued commits, new ones are rejected immediately
-//! with a typed backpressure error ([`crate::protocol::code::BACKPRESSURE`])
-//! instead of queueing unboundedly.
+//! A command arrives parsed: one job type carries the [`Command`], the
+//! line it came from (for the slow-query log), the user, the request's
+//! trace id and the reply channel. The command alone decides its route.
+//!
+//! **Group commit.** When a command that ends in a durability point
+//! arrives ([`Command::is_durable`]: `commit`, `init`, `drop`,
+//! `create_user`), the engine drains the channel until it is empty (or
+//! holds `max_batch` such jobs), serving any other message as it comes,
+//! then applies the whole batch and issues *one* WAL-protected checkpoint
+//! for all of it. No timer: a lone commit is applied at once, while
+//! commits that queue behind a running batch form the next one — N
+//! concurrent commits cost one fsync instead of N (`pagestore.wal.fsyncs`
+//! < commits, asserted by the CI smoke gate). Nothing is served between a
+//! batch's first apply and its checkpoint, so no reply ever shows a
+//! commit that is not yet durable. Such commands enter through a
+//! **bounded admission queue**: past `admission_capacity` queued jobs,
+//! new ones are rejected immediately with a typed backpressure error
+//! ([`crate::protocol::code::BACKPRESSURE`]) instead of queueing
+//! unboundedly.
 
 use crate::protocol::code;
 use obs::{Recorder, Registry, TraceCtx};
-use orpheus_core::{CommandOutput, OrpheusDb, Snapshot};
+use orpheus_core::{Command, CommandOutput, OrpheusDb, Snapshot};
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
@@ -100,26 +107,28 @@ pub(crate) fn map_err(e: &orpheus_core::Error) -> EngineError {
     }
 }
 
+/// Parse a command line, its error mapped to its wire code.
+fn parse(line: &str) -> Result<Command, EngineError> {
+    Command::parse(line).map_err(|e| map_err(&e))
+}
+
 type Reply = Sender<Result<CommandOutput, EngineError>>;
 
+/// One command for the engine thread: the parsed command, the line it was
+/// parsed from (for the slow-query log), and whom and where to answer.
+struct Job {
+    session: u64,
+    user: String,
+    line: String,
+    command: Command,
+    trace: u64,
+    reply: Reply,
+}
+
 enum EngineMsg {
-    /// Any non-commit command; executed immediately, serialized.
-    Execute {
-        session: u64,
-        user: String,
-        line: String,
-        trace: u64,
-        reply: Reply,
-    },
-    /// A commit, or another durable write (`init`, `drop`,
-    /// `create_user`); drained into a group-commit batch.
-    Commit {
-        session: u64,
-        user: String,
-        line: String,
-        trace: u64,
-        reply: Reply,
-    },
+    /// A command: run at once, or drained into a group-commit batch when
+    /// it ends in a durability point ([`Command::is_durable`]).
+    Job(Job),
     /// Pin an immutable snapshot of a CVD for lock-free session reads.
     Snapshot {
         cvd: String,
@@ -161,9 +170,7 @@ impl EngineHandle {
         self.queued.load(Ordering::SeqCst)
     }
 
-    /// Run a non-commit command on the engine thread and wait for it.
-    /// `trace` is the originating request's trace id (`0` = untraced);
-    /// engine-side spans re-attach to it.
+    /// Parse `line` and [`send`](Self::send) it.
     // lint:allow(L012): traced engine-side in run_one via enter_with (the work crosses an mpsc channel the lint call graph cannot follow)
     pub fn execute(
         &self,
@@ -172,27 +179,11 @@ impl EngineHandle {
         line: &str,
         trace: u64,
     ) -> Result<CommandOutput, EngineError> {
-        let (tx, rx) = mpsc::channel();
-        if self
-            .tx
-            .send(EngineMsg::Execute {
-                session,
-                user: user.to_owned(),
-                line: line.to_owned(),
-                trace,
-                reply: tx,
-            })
-            .is_err()
-        {
-            return Err(engine_down());
-        }
-        rx.recv().unwrap_or_else(|_| Err(engine_down()))
+        self.send(session, user, line, parse(line)?, trace)
     }
 
-    /// Submit a commit — or any other command whose reply must follow a
-    /// durability point — through the bounded admission queue. Rejected with
-    /// [`code::BACKPRESSURE`] — without blocking and without queueing —
-    /// when `admission_capacity` commits are already waiting.
+    /// The same as [`execute`](Self::execute): the command decides its
+    /// route.
     // lint:allow(L012): traced engine-side in run_one via enter_with, re-attached to `trace` across the group-commit channel
     pub fn submit_commit(
         &self,
@@ -201,40 +192,62 @@ impl EngineHandle {
         line: &str,
         trace: u64,
     ) -> Result<CommandOutput, EngineError> {
-        let admitted = self
-            .queued
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < self.capacity).then_some(n + 1)
-            })
-            .is_ok();
-        if !admitted {
-            self.registry
-                .counter_add("orpheus.server.backpressure_rejections", 1);
-            return Err(EngineError {
-                code: code::BACKPRESSURE,
-                message: format!(
-                    "commit admission queue full ({} commits queued, capacity {}); retry later",
-                    self.capacity, self.capacity
-                ),
-            });
+        self.send(session, user, line, parse(line)?, trace)
+    }
+
+    /// Run `command`, parsed from `line`, on the engine thread and wait
+    /// for its reply. `trace` is the originating request's trace id (`0` =
+    /// untraced); engine-side spans re-attach to it. A command that ends
+    /// in a durability point enters through the bounded admission queue,
+    /// and is rejected with [`code::BACKPRESSURE`] — without blocking and
+    /// without queueing — when `admission_capacity` such commands are
+    /// already waiting.
+    // lint:allow(L012): traced engine-side in run_one via enter_with (the work crosses an mpsc channel the lint call graph cannot follow)
+    pub(crate) fn send(
+        &self,
+        session: u64,
+        user: &str,
+        line: &str,
+        command: Command,
+        trace: u64,
+    ) -> Result<CommandOutput, EngineError> {
+        let durable = command.is_durable();
+        if durable {
+            let admitted = self
+                .queued
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                    (n < self.capacity).then_some(n + 1)
+                })
+                .is_ok();
+            if !admitted {
+                self.registry
+                    .counter_add("orpheus.server.backpressure_rejections", 1);
+                return Err(EngineError {
+                    code: code::BACKPRESSURE,
+                    message: format!(
+                        "commit admission queue full ({} commits queued, capacity {}); retry later",
+                        self.capacity, self.capacity
+                    ),
+                });
+            }
+            self.registry.gauge_set(
+                "orpheus.server.queued_commits",
+                self.queued.load(Ordering::SeqCst) as f64,
+            );
         }
-        self.registry.gauge_set(
-            "orpheus.server.queued_commits",
-            self.queued.load(Ordering::SeqCst) as f64,
-        );
-        let (tx, rx) = mpsc::channel();
-        if self
-            .tx
-            .send(EngineMsg::Commit {
-                session,
-                user: user.to_owned(),
-                line: line.to_owned(),
-                trace,
-                reply: tx,
-            })
-            .is_err()
-        {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
+        let (reply, rx) = mpsc::channel();
+        let job = Job {
+            session,
+            user: user.to_owned(),
+            line: line.to_owned(),
+            command,
+            trace,
+            reply,
+        };
+        if self.tx.send(EngineMsg::Job(job)).is_err() {
+            if durable {
+                self.queued.fetch_sub(1, Ordering::SeqCst);
+            }
             return Err(engine_down());
         }
         rx.recv().unwrap_or_else(|_| Err(engine_down()))
@@ -368,32 +381,34 @@ fn open_db(cfg: &EngineConfig) -> Result<OrpheusDb, String> {
     Ok(db)
 }
 
-/// Run one command under the session's span so `spans` shows a
-/// per-session tree with the engine's own spans (`orpheus.commit`, …)
-/// nested inside. The session span re-attaches to the originating
-/// request's trace (`trace != 0`), so engine-side work — including the
-/// morsel workers it fans out to — journals under the caller's trace id
-/// even though it runs on the engine thread.
-fn run_one(
-    db: &mut OrpheusDb,
-    session: u64,
-    user: &str,
-    line: &str,
-    trace: u64,
-) -> Result<CommandOutput, EngineError> {
+/// Run one job under the session's span so `spans` shows a per-session
+/// tree with the engine's own spans (`orpheus.commit`, …) nested inside.
+/// The session span re-attaches to the originating request's trace
+/// (`trace != 0`), so engine-side work — including the morsel workers it
+/// fans out to — journals under the caller's trace id even though it runs
+/// on the engine thread.
+fn run_one(db: &mut OrpheusDb, job: &Job) -> Result<CommandOutput, EngineError> {
     let _span = db.recorder().enter_with(
-        &format!("orpheus.server.session{session}"),
-        TraceCtx::from_wire(trace),
+        &format!("orpheus.server.session{}", job.session),
+        TraceCtx::from_wire(job.trace),
     );
-    db.execute_as(user, line).map_err(|e| map_err(&e))
+    db.execute_command_as(&job.user, &job.command, &job.line)
+        .map_err(|e| map_err(&e))
 }
 
-struct CommitJob {
-    session: u64,
-    user: String,
-    line: String,
-    trace: u64,
-    reply: Reply,
+/// Serve one message at once, unless it is a job that joins a
+/// group-commit batch (`Continue(Some(job))`) or a shutdown (`Break`).
+fn serve(db: &mut OrpheusDb, msg: EngineMsg) -> ControlFlow<(), Option<Job>> {
+    match msg {
+        EngineMsg::Job(job) if job.command.is_durable() => return ControlFlow::Continue(Some(job)),
+        EngineMsg::Job(job) => drop(job.reply.send(run_one(db, &job))),
+        EngineMsg::Snapshot { cvd, reply } => {
+            drop(reply.send(db.snapshot(&cvd).map_err(|e| map_err(&e))));
+        }
+        EngineMsg::Sleep { millis } => std::thread::sleep(Duration::from_millis(millis)),
+        EngineMsg::Shutdown => return ControlFlow::Break(()),
+    }
+    ControlFlow::Continue(None)
 }
 
 fn engine_loop(
@@ -420,41 +435,15 @@ fn engine_loop(
     {
         return;
     }
-    loop {
-        let Ok(msg) = rx.recv() else { break };
-        match msg {
-            EngineMsg::Shutdown => break,
-            EngineMsg::Sleep { millis } => std::thread::sleep(Duration::from_millis(millis)),
-            EngineMsg::Snapshot { cvd, reply } => {
-                drop(reply.send(db.snapshot(&cvd).map_err(|e| map_err(&e))));
-            }
-            EngineMsg::Execute {
-                session,
-                user,
-                line,
-                trace,
-                reply,
-            } => {
-                drop(reply.send(run_one(&mut db, session, &user, &line, trace)));
-            }
-            EngineMsg::Commit {
-                session,
-                user,
-                line,
-                trace,
-                reply,
-            } => {
-                let first = CommitJob {
-                    session,
-                    user,
-                    line,
-                    trace,
-                    reply,
-                };
+    while let Ok(msg) = rx.recv() {
+        match serve(&mut db, msg) {
+            ControlFlow::Continue(None) => {}
+            ControlFlow::Continue(Some(first)) => {
                 if group_commit(&mut db, first, &rx, &cfg, &queued, &registry) {
                     break;
                 }
             }
+            ControlFlow::Break(()) => break,
         }
     }
     // Clean shutdown: one final durability point.
@@ -462,14 +451,14 @@ fn engine_loop(
 }
 
 /// Drain the channel into one batch until it is empty, apply the batch's
-/// commits in arrival order, and end it with a single checkpoint (one WAL
-/// fsync). Non-commit messages drained on the way are served at once,
-/// before any apply — a batch never delays a read or a snapshot pin, and
-/// never shows one a commit that is not durable yet. Returns `true` when
-/// a shutdown request arrived mid-drain.
+/// jobs in arrival order, and end it with a single checkpoint (one WAL
+/// fsync). Other messages drained on the way are served at once, before
+/// any apply — a batch never delays a read or a snapshot pin, and never
+/// shows one a commit that is not durable yet. Returns `true` when a
+/// shutdown request arrived mid-drain.
 fn group_commit(
     db: &mut OrpheusDb,
-    first: CommitJob,
+    first: Job,
     rx: &Receiver<EngineMsg>,
     cfg: &EngineConfig,
     queued: &AtomicUsize,
@@ -479,39 +468,13 @@ fn group_commit(
     let mut batch = vec![first];
     queued.fetch_sub(1, Ordering::SeqCst);
     while batch.len() < cfg.max_batch && !shutdown {
-        match rx.try_recv() {
-            Ok(EngineMsg::Commit {
-                session,
-                user,
-                line,
-                trace,
-                reply,
-            }) => {
+        match rx.try_recv().map(|msg| serve(db, msg)) {
+            Ok(ControlFlow::Continue(None)) => {}
+            Ok(ControlFlow::Continue(Some(job))) => {
                 queued.fetch_sub(1, Ordering::SeqCst);
-                batch.push(CommitJob {
-                    session,
-                    user,
-                    line,
-                    trace,
-                    reply,
-                });
+                batch.push(job);
             }
-            Ok(EngineMsg::Execute {
-                session,
-                user,
-                line,
-                trace,
-                reply,
-            }) => {
-                drop(reply.send(run_one(db, session, &user, &line, trace)));
-            }
-            Ok(EngineMsg::Snapshot { cvd, reply }) => {
-                drop(reply.send(db.snapshot(&cvd).map_err(|e| map_err(&e))));
-            }
-            Ok(EngineMsg::Sleep { millis }) => {
-                std::thread::sleep(Duration::from_millis(millis));
-            }
-            Ok(EngineMsg::Shutdown) | Err(TryRecvError::Disconnected) => shutdown = true,
+            Ok(ControlFlow::Break(())) | Err(TryRecvError::Disconnected) => shutdown = true,
             Err(TryRecvError::Empty) => break,
         }
     }
@@ -523,7 +486,7 @@ fn group_commit(
     // WAL-logged but NOT individually checkpointed (auto_checkpoint off).
     let mut results = Vec::with_capacity(batch.len());
     for job in &batch {
-        results.push(run_one(db, job.session, &job.user, &job.line, job.trace));
+        results.push(run_one(db, job));
     }
     // One durability point for the whole batch, attributed to the batch
     // leader's trace: the real `pagestore.wal.fsync` span nests under the
@@ -547,7 +510,9 @@ fn group_commit(
             .attribute(job.trace, "pagestore.wal.fsync.shared", ckpt_elapsed);
     }
     let n = batch.len() as u64;
-    let commits = batch.iter().filter(|job| job.line.starts_with("commit"));
+    let commits = batch
+        .iter()
+        .filter(|job| matches!(job.command, Command::Commit(..)));
     let commits = commits.count() as u64;
     for (job, result) in batch.into_iter().zip(results) {
         let result = match (&ckpt, result) {
@@ -570,6 +535,20 @@ fn group_commit(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A job for `line`, and where its reply arrives.
+    fn job(user: &str, line: &str) -> (Job, Receiver<Result<CommandOutput, EngineError>>) {
+        let (reply, got) = mpsc::channel();
+        let job = Job {
+            session: 1,
+            user: user.into(),
+            line: line.into(),
+            command: Command::parse(line).unwrap(),
+            trace: 0,
+            reply,
+        };
+        (job, got)
+    }
 
     fn start_mem(capacity: usize) -> EngineService {
         EngineService::start(EngineConfig {
@@ -664,38 +643,12 @@ mod tests {
                 db.execute_as(user, &line).unwrap();
             }
         }
-        let job = |user: &str, line: &str| {
-            let (reply, got) = mpsc::channel();
-            let (user, line) = (user.to_owned(), line.to_owned());
-            let job = CommitJob {
-                session: 1,
-                user,
-                line,
-                trace: 0,
-                reply,
-            };
-            (job, got)
-        };
         let (a, a_got) = job("a", "commit -t wa -m a");
         let (log, log_got) = job("a", "log d");
         let (b, b_got) = job("b", "commit -t wb -m b");
         let (tx, rx) = mpsc::channel();
-        tx.send(EngineMsg::Execute {
-            session: log.session,
-            user: log.user,
-            line: log.line,
-            trace: log.trace,
-            reply: log.reply,
-        })
-        .unwrap();
-        tx.send(EngineMsg::Commit {
-            session: b.session,
-            user: b.user,
-            line: b.line,
-            trace: b.trace,
-            reply: b.reply,
-        })
-        .unwrap();
+        tx.send(EngineMsg::Job(log)).unwrap();
+        tx.send(EngineMsg::Job(b)).unwrap();
         let before = db.io_stats().checkpoints;
         let cfg = EngineConfig::default();
         let queued = AtomicUsize::new(2);
@@ -773,43 +726,15 @@ mod tests {
                 }
             }
             let (tx, rx) = mpsc::channel();
-            let (first_tx, first_rx) = mpsc::channel();
-            let (second_tx, second_rx) = mpsc::channel();
-            let job = |user: &str, table: &str, reply| CommitJob {
-                session: 1,
-                user: user.into(),
-                line: format!("commit -t {table} -m batch"),
-                trace: 0,
-                reply,
-            };
-            let CommitJob {
-                session,
-                user,
-                line,
-                trace,
-                reply,
-            } = job("b", "wb", second_tx);
-            tx.send(EngineMsg::Commit {
-                session,
-                user,
-                line,
-                trace,
-                reply,
-            })
-            .unwrap();
+            let (first, first_rx) = job("a", "commit -t wa -m batch");
+            let (second, second_rx) = job("b", "commit -t wb -m batch");
+            tx.send(EngineMsg::Job(second)).unwrap();
             let cfg = EngineConfig {
                 max_batch: 2,
                 ..EngineConfig::default()
             };
             let queued = AtomicUsize::new(2);
-            group_commit(
-                db,
-                job("a", "wa", first_tx),
-                &rx,
-                &cfg,
-                &queued,
-                &Registry::new(),
-            );
+            group_commit(db, first, &rx, &cfg, &queued, &Registry::new());
             vec![first_rx.recv().unwrap(), second_rx.recv().unwrap()]
         }
         fn visible(db: &OrpheusDb) -> String {

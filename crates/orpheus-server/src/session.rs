@@ -12,22 +12,29 @@
 //!    not kill the session.
 //! 3. **Terminate** — an `X` frame (or EOF) ends the session.
 //!
-//! Routing inside the query loop is what makes readers lock-free:
+//! Routing inside the query loop is what makes readers lock-free. The
+//! session answers its own three verbs; every other line is parsed once,
+//! here, into a [`Command`]:
 //!
 //! * `pin <cvd>` asks the engine for an immutable [`Snapshot`] and caches
 //!   it in the session. From then on `run SELECT … OF CVD <cvd>` is
-//!   evaluated *on the session thread* against the snapshot — no engine
-//!   round-trip, no lock, and repeatable reads until `unpin`/re-`pin` —
-//!   and its rows go from the operator root straight into the reply.
-//! * `commit …` — and `init`, `drop`, `create_user`, which change the
-//!   catalog tables just as durably — go through the engine's bounded
-//!   admission queue and the group-commit path, so the reply follows the
-//!   batch's durability point.
-//! * everything else is forwarded to the engine thread verbatim.
+//!   evaluated *on the session thread* against the snapshot, from the
+//!   query already parsed — no engine round-trip, no lock, and repeatable
+//!   reads until `unpin`/re-`pin` — and its rows go from the operator
+//!   root straight into the reply. `sleep <millis>` (≤ 10 s) is a test
+//!   hook that stalls the engine.
+//! * a line that does not parse is answered here, without an engine
+//!   round trip.
+//! * every other command goes to the engine parsed, with its line beside
+//!   it for the slow-query log. The engine decides from the command
+//!   ([`Command::is_durable`]) which ones — `commit`, `init`, `drop`,
+//!   `create_user` — take the bounded admission queue and the
+//!   group-commit path, so their reply follows the batch's durability
+//!   point.
 
 use crate::engine::{map_err, EngineError, EngineHandle};
 use crate::protocol::{self, code, ClientMsg, FrameBuf, Framed, ProtoError, ServerMsg};
-use orpheus_core::{CommandOutput, Snapshot};
+use orpheus_core::{Command, CommandOutput, Snapshot};
 use relstore::{Schema, Value};
 use std::collections::HashMap;
 use std::fmt::Display;
@@ -350,13 +357,18 @@ fn usage(text: &str) -> EngineError {
     }
 }
 
-/// Route one query line: snapshot commands stay on this thread, durable
-/// writes take the admission queue, everything else goes to the engine.
-/// The request's trace id (`reply.trace`, already adopted or minted, never
-/// 0) rides along to the engine so remote spans re-attach to this request.
-/// What the engine answers comes back whole (`Some`) for the caller to
-/// render; a pinned `run` streams its rows into `reply` from the operator
-/// root as they are produced and returns `None`.
+/// The longest `sleep` a session may ask of the engine: every other
+/// session waits it out.
+const MAX_SLEEP_MS: u64 = 10_000;
+
+/// Route one query line: the session's own verbs and a `run` against a
+/// pinned snapshot stay on this thread; every other command goes to the
+/// engine parsed, with its line beside it. The request's trace id
+/// (`reply.trace`, already adopted or minted, never 0) rides along to the
+/// engine so remote spans re-attach to this request. What the engine
+/// answers comes back whole (`Some`) for the caller to render; a pinned
+/// `run` streams its rows into `reply` from the operator root as they are
+/// produced and returns `None`.
 fn dispatch<W: Write>(
     line: &str,
     session_id: u64,
@@ -366,11 +378,10 @@ fn dispatch<W: Write>(
     reply: &mut Reply<'_, W>,
 ) -> Result<Option<CommandOutput>, ReplyError> {
     let trace = reply.trace;
-    let trimmed = line.trim();
-    let mut words = trimmed.split_whitespace();
-    let cmd = words.next().unwrap_or("");
-    let out = match cmd {
-        "pin" => {
+    let line = line.trim();
+    let mut words = line.split_whitespace();
+    let out = match words.next() {
+        Some("pin") => {
             let cvd = words.next().ok_or_else(|| usage("pin <cvd>"))?;
             let snap = engine.snapshot(cvd)?;
             let tag = format!(
@@ -381,56 +392,50 @@ fn dispatch<W: Write>(
             pinned.insert(cvd.to_owned(), snap);
             CommandOutput::Message(tag)
         }
-        "unpin" => {
+        Some("unpin") => {
             let cvd = words.next().ok_or_else(|| usage("unpin <cvd>"))?;
             CommandOutput::Message(match pinned.remove(cvd) {
                 Some(_) => format!("UNPIN {cvd}"),
                 None => format!("UNPIN {cvd} (was not pinned)"),
             })
         }
-        "sleep" => {
+        Some("sleep") => {
             // Test hook: stall the engine without holding this session.
             let millis = words
                 .next()
                 .and_then(|w| w.parse::<u64>().ok())
+                .filter(|&ms| ms <= MAX_SLEEP_MS)
                 .ok_or_else(|| usage("sleep <millis>"))?;
             engine.sleep(millis);
             CommandOutput::Message(format!("SLEEP {millis}"))
         }
-        // Acknowledged means durable: whatever changes the catalog tables
-        // is answered only after its batch's checkpoint.
-        "commit" | "init" | "drop" | "create_user" => {
-            engine.submit_commit(session_id, user, trimmed, trace)?
+        _ => {
+            let command = Command::parse(line)?;
+            // A pinned snapshot of the query's CVD answers it here.
+            if let Command::Run(query) = &command {
+                if let Some(snap) = pinned.get(query.cvd()) {
+                    // Lock-free read on this session thread; journal it
+                    // under the request trace so snapshot reads show up
+                    // in dumps.
+                    let _span = engine.recorder().enter_with(
+                        "orpheus.server.snapshot_read",
+                        obs::TraceCtx::from_wire(trace),
+                    );
+                    let (reply, mut rows) = (std::cell::RefCell::new(reply), 0);
+                    let on_schema = |s: &Schema| Ok(reply.borrow_mut().table_head(s)?);
+                    snap.execute_with(query, on_schema, |row| {
+                        rows += 1;
+                        Ok::<(), ReplyError>(reply.borrow_mut().table_row(&row)?)
+                    })?;
+                    engine
+                        .registry()
+                        .counter_add("orpheus.server.snapshot_reads_total", 1);
+                    reply.into_inner().table_end(rows)?;
+                    return Ok(None);
+                }
+            }
+            engine.send(session_id, user, line, command, trace)?
         }
-        "run" => {
-            let sql = trimmed.strip_prefix("run").unwrap_or("").trim();
-            // A pinned snapshot of the query's CVD answers it here. A parse
-            // failure, or no such pin, falls through to the engine.
-            let local = orpheus_core::query::parse_query(sql)
-                .ok()
-                .and_then(|query| Some((pinned.get(query.cvd())?, query)));
-            let Some((snap, query)) = local else {
-                return Ok(Some(engine.execute(session_id, user, trimmed, trace)?));
-            };
-            // Lock-free read on this session thread; journal it under
-            // the request trace so snapshot reads show up in dumps.
-            let _span = engine.recorder().enter_with(
-                "orpheus.server.snapshot_read",
-                obs::TraceCtx::from_wire(trace),
-            );
-            let (reply, mut rows) = (std::cell::RefCell::new(reply), 0);
-            let on_schema = |s: &Schema| Ok(reply.borrow_mut().table_head(s)?);
-            snap.execute_with(&query, on_schema, |row| {
-                rows += 1;
-                Ok::<(), ReplyError>(reply.borrow_mut().table_row(&row)?)
-            })?;
-            engine
-                .registry()
-                .counter_add("orpheus.server.snapshot_reads_total", 1);
-            reply.into_inner().table_end(rows)?;
-            return Ok(None);
-        }
-        _ => engine.execute(session_id, user, trimmed, trace)?,
     };
     Ok(Some(out))
 }

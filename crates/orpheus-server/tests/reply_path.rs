@@ -109,6 +109,53 @@ fn a_half_frame_on_a_refused_connection_does_not_stop_the_acceptor() {
     });
 }
 
+/// `sleep 18446744073709551615` parsed, and the engine thread slept for
+/// ever: every later commit, unpinned query and pin of every session
+/// waited behind it, and `Server::shutdown` never joined. A stall past
+/// 10 s is now a parse error, and the engine answers the next line at once.
+#[test]
+fn a_sleep_past_ten_seconds_is_refused_and_the_engine_stays_free() {
+    within(8, "the engine behind a refused sleep", || {
+        let server = start_server(2);
+        let mut c = Client::connect(server.local_addr(), "napper").unwrap();
+        for line in ["sleep 18446744073709551615", "sleep 10001"] {
+            let reply = c.query(line).unwrap();
+            let want = ("42601", "usage: sleep <millis>");
+            assert_eq!(reply.error(), Some(want), "{line}");
+        }
+        let started = Instant::now();
+        let log = c.query("log nope").unwrap();
+        assert_eq!(log.error().map(|(code, _)| code), Some("42P01"));
+        assert!(started.elapsed() < Duration::from_secs(2));
+        c.terminate().unwrap();
+        server.shutdown().unwrap();
+    });
+}
+
+/// A line that does not parse is answered by the session, before the
+/// engine sees it, so it no longer registers its user as any line the
+/// engine runs does.
+#[test]
+fn a_line_that_does_not_parse_registers_nobody() {
+    let server = start_server(2);
+    let addr = server.local_addr();
+    let mut admin = Client::connect(addr, "admin").unwrap();
+    let mut ghost = Client::connect(addr, "ghost").unwrap();
+    let reply = ghost.query("bogus_cmd").unwrap();
+    let want = ("42601", "parse error: unknown command: bogus_cmd");
+    assert_eq!(reply.error(), Some(want));
+    let config = admin.query("config ghost").unwrap();
+    assert_eq!(
+        config.error().map(|(_, msg)| msg),
+        Some("user error: no such user: ghost")
+    );
+    ok(&mut ghost, "whoami");
+    ok(&mut admin, "config ghost");
+    ghost.terminate().unwrap();
+    admin.terminate().unwrap();
+    server.shutdown().unwrap();
+}
+
 /// A result several windows long, pinned (streamed from the operator
 /// root, flushed per window) and unpinned (rendered from the engine's
 /// whole answer): the same frames, and the frames the library's own

@@ -138,6 +138,40 @@ probe --threads 1 --page-format delta | cmp - "$golden"
 probe --threads 4 --page-format delta | cmp - "$golden"
 echo "CLI output equals $golden across page formats"
 
+echo "==> server probe: golden wire transcript, threads 1 vs 4"
+# The same script through `serve --port 0` and `client --user ci`: the
+# server's replies, every row of them, must equal
+# results/ci/server_probe.golden byte for byte. That file was recorded
+# by the binary before the typed command surface (one grammar shared by
+# the shell, the session and the engine). The one line that differs from
+# that recording is `init`'s tag, which gained the shell's ` (<path>)`
+# suffix when the shell's own `init` was folded into the library's.
+server_probe() { # <serve flags…>: compare the wire transcript with the golden
+  local dir port pid status=0
+  dir=$(mktemp -d /tmp/orpheus_ci_probe_srv.XXXXXX)
+  ORPHEUS_SLOW_MS=1000000000 ./target/release/orpheusdb serve --port 0 "$@" > "$dir/serve.log" 2>&1 &
+  pid=$!
+  port=
+  for _ in $(seq 100); do
+    port=$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$dir/serve.log")
+    [ -n "$port" ] && break
+    sleep 0.1
+  done
+  if [ -n "$port" ]; then
+    probe_cmds | ./target/release/orpheusdb client --port "$port" --user ci > "$dir/out" 2>&1 || status=$?
+  else
+    cat "$dir/serve.log"; status=1
+  fi
+  kill "$pid"
+  wait "$pid" 2>/dev/null || true
+  [ "$status" -eq 0 ] && cmp "$dir/out" results/ci/server_probe.golden || status=1
+  rm -rf "$dir"
+  return "$status"
+}
+server_probe --threads 1
+server_probe --threads 4
+echo "server replies equal results/ci/server_probe.golden at 1 and 4 threads"
+
 echo "==> observability smoke (explain analyze + metrics --json + trace dump)"
 # End-to-end check of the obs pipeline: a durable commit/checkout workload
 # followed by `explain analyze`, `metrics --json` (including the
@@ -285,6 +319,9 @@ echo "==> perf-regression gate (deterministic work counters)"
 # Compares the smoke run's counters against results/baseline_smoke.json
 # with per-key tolerances (crates/bench/src/gate.rs). Refresh after an
 # intentional perf change: ./scripts/perf_gate.sh --refresh
+# The gate also reads the scaling run's document, which nothing above writes.
+ORPHEUS_RESULTS_DIR=results/ci ORPHEUS_SCALING_REPS=1 \
+  cargo run --release -q -p bench --bin parallel_scaling > /dev/null
 ORPHEUS_RESULTS_DIR=results/ci cargo run --release -q -p bench --bin perf_gate
 
 echo "==> trajectory point for the newest issue (results/BENCH_<n>.json)"

@@ -20,7 +20,7 @@
 //! orpheusdb client --port 7077 --user alice         # N of these
 //! ```
 
-use orpheusdb::orpheus::{commands, CommandOutput, OrpheusDb};
+use orpheusdb::orpheus::{CommandOutput, OrpheusDb};
 use orpheusdb::orpheus_server::{self, EngineConfig, ServerConfig};
 use std::io::{BufRead, Write};
 
@@ -48,32 +48,6 @@ fn show(out: CommandOutput) {
         }
         CommandOutput::Table(t) => print_table(&t),
     }
-}
-
-/// `init <cvd> -f <path.csv> -s <schema-spec> -k <pk[,pk…]>` — the one
-/// command that touches the filesystem, handled in the CLI rather than the
-/// library.
-fn handle_init(db: &mut OrpheusDb, line: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<&str> = line.split_whitespace().collect();
-    let name = args
-        .get(1)
-        .ok_or("usage: init <cvd> -f <csv> -s <schema> -k <pk>")?;
-    let flag = |f: &str| -> Option<&str> {
-        args.iter()
-            .position(|&a| a == f)
-            .and_then(|i| args.get(i + 1).copied())
-    };
-    let path = flag("-f").ok_or("init needs -f <csv path>")?;
-    let spec = flag("-s").ok_or("init needs -s <schema spec>")?;
-    let pk: Vec<String> = flag("-k")
-        .map(|s| s.split(',').map(str::to_owned).collect())
-        .unwrap_or_default();
-    let schema = commands::parse_schema_spec(spec)?;
-    let csv = std::fs::read_to_string(path)?;
-    let rows = commands::from_csv(&schema, &csv)?;
-    let v0 = db.init_cvd(name, schema, pk, rows)?;
-    println!("initialized {name} at {v0} ({path})");
-    Ok(())
 }
 
 fn help() {
@@ -298,11 +272,6 @@ fn shell(args: &[String]) {
         match line.split_whitespace().next() {
             Some("quit") | Some("exit") => break,
             Some("help") => help(),
-            Some("init") => {
-                if let Err(e) = handle_init(&mut db, line) {
-                    eprintln!("error: {e}");
-                }
-            }
             _ => match db.execute(line) {
                 Ok(out) => show(out),
                 Err(e) => eprintln!("error: {e}"),
