@@ -7,10 +7,10 @@
 //! * `explain analyze [--json]` on a hash-join-over-versions query must
 //!   produce a plan tree with estimated and actual row counts, and its
 //!   JSON form must carry the documented schema;
-//! * `metrics --json` must parse and contain the WAL fsync counter, the
-//!   buffer-pool hit ratio, free-page and directory-table gauges,
-//!   commit/checkout/query latency histogram percentiles, and the
-//!   `obs.journal.*` counters;
+//! * `metrics --json` must parse and contain the WAL fsync, write-back
+//!   and page-file sync counters, the buffer-pool hit ratio, free-page
+//!   and directory-table gauges, commit/checkout/query latency histogram
+//!   percentiles, and the `obs.journal.*` counters;
 //! * `trace dump --json` must export Chrome-trace-event JSONL where
 //!   every line carries the documented keys, with the request, commit,
 //!   and WAL-fsync spans present under non-zero trace ids (a summary is
@@ -159,6 +159,8 @@ fn main() {
         &metrics,
         &[
             "counters/pagestore.wal.fsyncs",
+            "counters/pagestore.wal.drains",
+            "counters/pagestore.pager.syncs",
             "counters/pagestore.pool.logical_reads",
             "counters/relstore.tracker.tuples",
             "gauges/pagestore.pool.hit_ratio",

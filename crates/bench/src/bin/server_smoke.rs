@@ -21,7 +21,8 @@
 //! * **Backpressure** — a full commit admission queue answers `53300`
 //!   immediately instead of queueing without bound;
 //! * **Clean shutdown** — every service thread joins (no leaked threads,
-//!   verified against `/proc/self/status`).
+//!   verified against `/proc/self/status`), and `wal.log` is left empty:
+//!   the engine writes the log back to `pages.db` on its way out.
 //!
 //! Any violation panics, so a broken server fails `scripts/ci.sh`.
 
@@ -264,6 +265,8 @@ fn main() {
             "counters/orpheus.server.group_commit.batches",
             "counters/orpheus.server.backpressure_rejections",
             "counters/pagestore.wal.fsyncs",
+            "counters/pagestore.wal.drains",
+            "counters/pagestore.pager.syncs",
             "gauges/pagestore.pool.free_pages",
             "gauges/pagestore.pool.unlogged_pages",
             "gauges/relstore.directory.tables",
@@ -357,7 +360,18 @@ fn main() {
     }
 
     admin.terminate().expect("terminate admin");
+    let log_len = || {
+        std::fs::metadata(dir.join("wal.log"))
+            .expect("wal.log")
+            .len()
+    };
+    assert!(
+        log_len() > 0,
+        "the live log holds the batches since a write-back"
+    );
     server.shutdown().expect("clean shutdown");
+    assert_eq!(log_len(), 0, "a clean shutdown writes the log back");
+    println!("clean shutdown: wal.log is empty");
 
     // --- backpressure leg ----------------------------------------------
     let small = Server::start(ServerConfig {

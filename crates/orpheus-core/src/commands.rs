@@ -224,6 +224,13 @@ impl OrpheusDb {
         Ok(self.db.checkpoint()?)
     }
 
+    /// Clean shutdown: a last durability point, then every committed page
+    /// written to the page file and the log emptied. Uncommitted staging
+    /// tables are lost, as on any exit.
+    pub fn close(self) -> Result<()> {
+        Ok(self.db.close()?)
+    }
+
     /// The durability point a catalog-changing command ends with, unless
     /// the caller owns durability ([`set_auto_checkpoint`](Self::set_auto_checkpoint)).
     fn durability_point(&self) -> Result<()> {
@@ -348,8 +355,14 @@ impl OrpheusDb {
         );
         if self.db.is_durable() {
             report.push_str(&format!(
-                "\nwal           : {} records / {} B, {} fsync(s), {} checkpoint(s)",
-                s.wal_appends, s.wal_bytes, s.wal_fsyncs, s.checkpoints
+                "\nwal           : {} records / {} B, {} fsync(s), {} checkpoint(s), \
+                 {} write-back(s) ({} page-file sync(s))",
+                s.wal_appends,
+                s.wal_bytes,
+                s.wal_fsyncs,
+                s.checkpoints,
+                s.wal_drains,
+                s.pager_syncs
             ));
         }
         report

@@ -527,7 +527,7 @@ mod tests {
             prop_assert_eq!(visible(&reopened), visible(&live));
             prop_assert_eq!(reopened.database().io_stats().pages_written(), 0);
             reopened.checkpoint().unwrap();
-            prop_assert_eq!(reopened.database().io_stats().flushed_writes, 0);
+            prop_assert_eq!(reopened.database().io_stats().wal_appends, 0);
             apply(&mut live, &next, steps.len());
             apply(&mut reopened, &next, steps.len());
             prop_assert_eq!(visible(&reopened), visible(&live));
@@ -840,7 +840,9 @@ mod tests {
                 .unwrap();
             targets.push(relstore::codec::encode_row(id, &row));
         }
-        drop(odb);
+        // Closed, not dropped: a durability point leaves pages in the log,
+        // and the flips are made in the page file.
+        odb.close().unwrap();
         let file = std::fs::read(dir.join("pages.db")).unwrap();
         let damaged = scratch("flips-damaged");
         copy_dir(&dir, &damaged);
@@ -1006,10 +1008,10 @@ mod tests {
         odb.commit("a", "batch").unwrap();
         odb.commit("b", "batch").unwrap();
         odb.checkpoint().unwrap();
-        let flushed = odb.database().io_stats().since(&before).flushed_writes;
+        let logged = odb.database().io_stats().since(&before).wal_appends;
         assert!(
-            flushed < 2 * 12,
-            "{flushed} pages flushed by a 2-commit batch"
+            logged < 2 * 12,
+            "{logged} records logged by a 2-commit batch"
         );
 
         // The live free list is exactly what reachability finds at open.
@@ -1060,7 +1062,9 @@ mod tests {
         let ops = plan.ops() - start;
         let after = visible(&odb);
         drop(odb);
-        assert!(ops >= 10, "a commit is more than {ops} I/Os");
+        // Its staging page, its page images, a commit record and the one
+        // log fsync: nothing reaches the page file.
+        assert!(ops >= 5, "a commit is more than {ops} I/Os");
         let (mut kept, mut lost) = (0, 0);
         for kind in [FaultKind::CrashStop, FaultKind::ShortWrite] {
             for nth in 1..=ops {

@@ -275,12 +275,18 @@ impl EngineHandle {
     }
 }
 
+/// What the engine thread hands back once its database is open.
+type Opened = (Registry, Recorder, Option<relstore::RecoveryReport>);
+
 /// The engine thread plus its handle. Created by [`EngineService::start`],
 /// torn down by [`EngineService::shutdown`] (which joins the thread after
-/// a final checkpoint).
+/// a clean close: a last checkpoint, and the log written back).
 pub struct EngineService {
     handle: EngineHandle,
     thread: Option<exec_pool::ServiceThread>,
+    /// What crash recovery did when the engine opened its data
+    /// directory; `None` for an in-memory engine.
+    pub(crate) recovery: Option<relstore::RecoveryReport>,
 }
 
 impl EngineService {
@@ -295,8 +301,8 @@ impl EngineService {
             engine_loop(loop_cfg, rx, init_tx, q)
         })
         .map_err(crate::ServerError::Pool)?;
-        let (registry, recorder) = match init_rx.recv() {
-            Ok(Ok(pair)) => pair,
+        let (registry, recorder, recovery) = match init_rx.recv() {
+            Ok(Ok(opened)) => opened,
             Ok(Err(msg)) => {
                 drop(thread.join());
                 return Err(crate::ServerError::Engine(msg));
@@ -318,6 +324,7 @@ impl EngineService {
                 recorder,
             },
             thread: Some(thread),
+            recovery,
         })
     }
 
@@ -331,7 +338,8 @@ impl EngineService {
         &self.handle.registry
     }
 
-    /// Stop the engine: a final checkpoint runs, then the thread joins.
+    /// Stop the engine: it closes the database (a final checkpoint, then
+    /// the log written back to the page file), then the thread joins.
     pub fn shutdown(mut self) -> Result<(), crate::ServerError> {
         drop(self.handle.tx.send(EngineMsg::Shutdown));
         match self.thread.take() {
@@ -365,20 +373,20 @@ fn seed_metrics(registry: &Registry) {
     registry.observe("orpheus.server.group_commit.batch_size", 0);
 }
 
-fn open_db(cfg: &EngineConfig) -> Result<OrpheusDb, String> {
-    let mut db = match &cfg.data_dir {
+fn open_db(cfg: &EngineConfig) -> Result<(OrpheusDb, Option<relstore::RecoveryReport>), String> {
+    let (mut db, report) = match &cfg.data_dir {
         Some(dir) => {
-            let (db, _report) = OrpheusDb::open_durable(dir, cfg.pool_pages)
+            let (db, report) = OrpheusDb::open_durable(dir, cfg.pool_pages)
                 .map_err(|e| format!("cannot open data dir {}: {e}", dir.display()))?;
-            db
+            (db, Some(report))
         }
-        None => OrpheusDb::new(),
+        None => (OrpheusDb::new(), None),
     };
     db.set_threads(cfg.threads);
     // The server owns durability points: one checkpoint per commit batch
     // (group commit) instead of one per commit.
     db.set_auto_checkpoint(false);
-    Ok(db)
+    Ok((db, report))
 }
 
 /// Run one job under the session's span so `spans` shows a per-session
@@ -414,11 +422,11 @@ fn serve(db: &mut OrpheusDb, msg: EngineMsg) -> ControlFlow<(), Option<Job>> {
 fn engine_loop(
     cfg: EngineConfig,
     rx: Receiver<EngineMsg>,
-    init_tx: Sender<Result<(Registry, Recorder), String>>,
+    init_tx: Sender<Result<Opened, String>>,
     queued: Arc<AtomicUsize>,
 ) {
-    let mut db = match open_db(&cfg) {
-        Ok(db) => db,
+    let (mut db, recovery) = match open_db(&cfg) {
+        Ok(opened) => opened,
         Err(msg) => {
             drop(init_tx.send(Err(msg)));
             return;
@@ -430,7 +438,7 @@ fn engine_loop(
     // `metrics --json` carries `obs.journal.*` from startup.
     db.recorder().journal().publish(&registry);
     if init_tx
-        .send(Ok((registry.clone(), db.recorder().clone())))
+        .send(Ok((registry.clone(), db.recorder().clone(), recovery)))
         .is_err()
     {
         return;
@@ -446,8 +454,9 @@ fn engine_loop(
             ControlFlow::Break(()) => break,
         }
     }
-    // Clean shutdown: one final durability point.
-    drop(db.checkpoint());
+    // Clean shutdown: one final durability point, and the log written
+    // back, so the data directory holds no log bytes.
+    drop(db.close());
 }
 
 /// Drain the channel into one batch until it is empty, apply the batch's

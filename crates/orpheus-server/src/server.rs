@@ -20,7 +20,8 @@
 //! (acceptor, workers, engine — in that order). A worker mid-session
 //! notices the flag at its next 200 ms read-timeout tick and closes the
 //! session — at the latest `STALL_TICKS` ticks later when a peer left it
-//! mid-frame; the engine runs one final checkpoint before exiting.
+//! mid-frame; the engine closes its database (a final checkpoint, and the
+//! log written back) before exiting.
 
 use crate::engine::{EngineConfig, EngineService};
 use crate::protocol::{code, FrameBuf};
@@ -153,13 +154,20 @@ impl Server {
         self.local_addr
     }
 
+    /// What crash recovery did when the engine opened its data
+    /// directory; `None` for an in-memory server.
+    pub fn recovery_report(&self) -> Option<relstore::RecoveryReport> {
+        self.engine.as_ref().and_then(|engine| engine.recovery)
+    }
+
     /// The engine's metrics registry (live counters, shared).
     pub fn registry(&self) -> &obs::Registry {
         &self.registry
     }
 
     /// Cooperative shutdown: close the accept loop, drain the workers,
-    /// stop the engine (final checkpoint included), join everything.
+    /// stop the engine (final checkpoint and write-back included), join
+    /// everything.
     /// An `Ok(())` here is the "no leaked threads" proof the CI smoke
     /// gate relies on: every service thread joined without panicking.
     pub fn shutdown(mut self) -> Result<(), ServerError> {

@@ -5,7 +5,7 @@
 //! receive RAII guards; a page stays resident at least as long as any
 //! guard to it is alive. Mutable guards mark their frame dirty; dirty
 //! frames are written back when evicted or at an explicit
-//! [`flush_all`](BufferPool::flush_all).
+//! [`checkpoint`](BufferPool::checkpoint).
 //!
 //! Eviction is the classic clock: a hand sweeps the frame array, skipping
 //! pinned frames, granting one second chance to frames whose reference bit
@@ -17,14 +17,23 @@
 //!
 //! A pool may carry a write-ahead log ([`with_wal`](BufferPool::with_wal),
 //! [`open_durable`](BufferPool::open_durable)). With a WAL attached,
-//! [`flush_all`](BufferPool::flush_all) becomes an atomic checkpoint:
-//! page images + a commit record are appended and synced to the log
-//! *before* any page reaches the data file, and the log is truncated only
-//! after the data file is synced. The pool then runs **no-steal**: dirty
-//! frames are never evicted between checkpoints (an eviction write-back
-//! would put uncommitted bytes in the data file where a redo-only log
-//! cannot undo them), so a commit that dirties more pages than the pool
-//! holds fails with `PoolExhausted` instead of silently losing atomicity.
+//! [`checkpoint`](BufferPool::checkpoint) becomes the atomic durability
+//! point: page images + a commit record are appended to the log and the
+//! log is synced — one fsync, and no write to the data file. A frame so
+//! logged is clean but **unwritten**: its committed image is in the log
+//! and newer than the data file. Unwritten frames reach the data file in
+//! a **write-back** — every one of them is written, the data file is
+//! synced, and only then is the log truncated and synced — which runs
+//! when the log passes a fixed bound, and at
+//! [`flush_all`](BufferPool::flush_all), the clean shutdown. Eviction
+//! also writes an unwritten frame back, with no sync: the log still
+//! holds its image.
+//!
+//! The pool runs **no-steal**: dirty frames are never evicted between
+//! checkpoints (an eviction write-back would put uncommitted bytes in the
+//! data file where a redo-only log cannot undo them), so a commit that
+//! dirties more pages than the pool holds fails with `PoolExhausted`
+//! instead of silently losing atomicity.
 //!
 //! **Unlogged pages** are the one exception. A page allocated with
 //! [`allocate_pinned(true)`](BufferPool::allocate_pinned) belongs to a
@@ -32,9 +41,9 @@
 //! neither logs nor writes it back, and eviction may write it to the
 //! data file with no log record. To keep "no durable structure references it" true, a page a
 //! *logged* structure frees is held back from unlogged allocations until
-//! the next checkpoint completes — the last durable state may still
-//! reach it. Whoever opens the store frees every unlogged page, since
-//! nothing reaches it.
+//! the next durability point — the last durable state may still reach
+//! it; once the batch that unlinked it is in the log, none does. Whoever
+//! opens the store frees every unlogged page, since nothing reaches it.
 //!
 //! The pool is single-threaded (interior mutability via `RefCell`/`Cell`),
 //! matching the rest of the engine.
@@ -53,6 +62,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+/// Log length past which a durability point also runs the write-back and
+/// empties the log. It bounds both the log's disk footprint and the pages
+/// a reopen replays; between write-backs every commit costs one fsync.
+const LOG_BOUND: u64 = 1 << 20;
+
 struct Frame {
     page_id: Cell<Option<PageId>>,
     /// The page image, shared with outstanding [`PageLease`]s. The frame
@@ -66,7 +80,12 @@ struct Frame {
     /// eviction. Shared with the leases themselves.
     leases: Arc<AtomicU32>,
     referenced: Cell<bool>,
+    /// Changed since the last durability point.
     dirty: Cell<bool>,
+    /// Logged, not yet written: the committed image is in the log and
+    /// newer than the data file's copy. Clean for leases; eviction and
+    /// the write-back write it.
+    unwritten: Cell<bool>,
 }
 
 impl Frame {
@@ -78,7 +97,15 @@ impl Frame {
             leases: Arc::new(AtomicU32::new(0)),
             referenced: Cell::new(false),
             dirty: Cell::new(false),
+            unwritten: Cell::new(false),
         }
+    }
+
+    /// Nothing to write: the frame matches the data file, or holds
+    /// nothing worth keeping.
+    fn clear(&self) {
+        self.dirty.set(false);
+        self.unwritten.set(false);
     }
 
     fn lease_count(&self) -> u32 {
@@ -243,8 +270,8 @@ impl BufferPool {
         BufferPool::new(Box::new(MemPager::new()), capacity)
     }
 
-    /// A pool whose [`flush_all`](Self::flush_all) is a WAL-protected
-    /// atomic checkpoint. The caller is responsible for having run
+    /// A pool whose [`checkpoint`](Self::checkpoint) is a WAL-protected
+    /// atomic durability point. The caller is responsible for having run
     /// recovery on `(pager, wal)` first — or use
     /// [`open_durable`](Self::open_durable), which does.
     pub fn with_wal(pager: Box<dyn Pager>, wal: Wal, capacity: usize) -> Self {
@@ -294,7 +321,7 @@ impl BufferPool {
         self.map.borrow_mut().clear();
         for f in &self.frames {
             f.page_id.set(None);
-            f.dirty.set(false);
+            f.clear();
             f.referenced.set(false);
         }
         let mut pager = self.pager.borrow_mut();
@@ -323,15 +350,15 @@ impl BufferPool {
     }
 
     /// Give page `id` back: its contents are dead, so a resident frame
-    /// loses its dirty bit (a checkpoint must not log it) and, unless a
-    /// pin or lease still holds it, its mapping. A logged page of a
-    /// durable pool is held back from unlogged allocations until the
-    /// next checkpoint completes.
+    /// loses its dirty and unwritten bits (a checkpoint must not log it,
+    /// nor a write-back write it) and, unless a pin or lease still holds
+    /// it, its mapping. A logged page of a durable pool is held back from
+    /// unlogged allocations until the next durability point.
     pub fn free_page(&self, id: PageId) {
         let resident = self.map.borrow().get(&id).copied();
         if let Some(idx) = resident {
             let frame = &self.frames[idx];
-            frame.dirty.set(false);
+            frame.clear();
             if frame.pin.get() == 0 && frame.lease_count() == 0 {
                 frame.page_id.set(None);
                 frame.referenced.set(false);
@@ -414,8 +441,8 @@ impl BufferPool {
     /// owns its view: no pin is held, but the frame's lease count keeps
     /// it unevictable until every lease is dropped.
     ///
-    /// Fails with [`Error::PageDirty`] on an uncheckpointed page (its
-    /// image is not stable) and [`Error::PageBusy`] while a mutable guard
+    /// Fails with [`Error::PageDirty`] on a page changed since the last
+    /// durability point (its image is not stable) and [`Error::PageBusy`] while a mutable guard
     /// is live; both release the residency pin taken for the attempt.
     pub fn lease(&self, id: PageId) -> Result<PageLease> {
         let idx = self.pin_frame(id)?;
@@ -442,7 +469,7 @@ impl BufferPool {
     }
 
     /// Whether `id` is resident *and* dirty. A non-resident page is never
-    /// dirty (eviction writes back), so callers can use this to route a
+    /// dirty (no-steal keeps dirty pages resident), so callers can use this to route a
     /// page to the copy fallback without charging a read for a doomed
     /// lease attempt.
     pub fn is_dirty(&self, id: PageId) -> bool {
@@ -544,6 +571,7 @@ impl BufferPool {
         frame.page_id.set(Some(id));
         frame.pin.set(frame.pin.get() + 1);
         frame.referenced.set(true);
+        frame.unwritten.set(false);
         frame.dirty.set(true);
         self.map.borrow_mut().insert(id, idx);
         Ok((
@@ -555,79 +583,120 @@ impl BufferPool {
         ))
     }
 
-    /// Write every dirty logged frame back and sync the pager — the
-    /// checkpoint. Unlogged pages stay as they are.
-    ///
-    /// With a WAL attached this is atomic: the images of all dirty pages
-    /// plus a commit record are appended and synced to the log first
-    /// (the batch's durability point), then pages go to the data file,
-    /// then the synced log is truncated. A crash anywhere in between
-    /// recovers to either all of the batch or none of it. Once it is
-    /// complete, the held pages are free for any allocation.
+    /// The durability point. With a WAL attached: append the image of
+    /// every dirty logged frame plus a commit record and sync the log —
+    /// one fsync, the batch's commit; a crash anywhere before it recovers
+    /// to none of the batch, after it to all of it. The frames become
+    /// clean and unwritten, and the held pages are free for any
+    /// allocation. Past the log bound the write-back follows. Without a
+    /// WAL, dirty logged frames are written to the pager, which is synced.
+    /// Unlogged pages stay as they are.
     ///
     /// Fails with [`Error::PageBusy`] if a mutable guard is outstanding.
+    pub fn checkpoint(&self) -> Result<()> {
+        self.checkpoint_then(false)
+    }
+
+    /// [`checkpoint`](Self::checkpoint), then the write-back whatever the
+    /// log's length: every committed page reaches the data file and the
+    /// log is left empty. A clean shutdown's last call.
     pub fn flush_all(&self) -> Result<()> {
+        self.checkpoint_then(true)
+    }
+
+    fn checkpoint_then(&self, write_back: bool) -> Result<()> {
         let _span = self.span("pagestore.checkpoint");
         let mut wal_ref = self.wal.borrow_mut();
-        let mut pager = self.pager.borrow_mut();
+        let dirty = self.frames_where(|f| f.dirty.get());
+        match wal_ref.as_mut() {
+            Some(wal) => self.log_batch(wal, &dirty)?,
+            None => self.write_frames(&dirty)?,
+        }
+        self.stats.borrow_mut().checkpoints += 1;
+        self.free.borrow_mut().append(&mut self.held.borrow_mut());
+        match wal_ref.as_mut() {
+            Some(wal) if wal.len() > LOG_BOUND || (write_back && !wal.is_empty()) => {
+                self.write_back(wal)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Resident logged frames that satisfy `pick`, as (frame, page) pairs.
+    fn frames_where(&self, pick: impl Fn(&Frame) -> bool) -> Vec<(usize, PageId)> {
         let unlogged = self.unlogged.borrow();
-        let dirty: Vec<(usize, PageId)> = self
-            .frames
-            .iter()
-            .enumerate()
+        let frames = self.frames.iter().enumerate();
+        frames
             .filter_map(|(i, f)| match f.page_id.get() {
-                Some(id) if f.dirty.get() && !unlogged.contains(&id) => Some((i, id)),
+                Some(id) if pick(f) && !unlogged.contains(&id) => Some((i, id)),
                 _ => None,
             })
-            .collect();
-        if let Some(wal) = wal_ref.as_mut() {
-            if !dirty.is_empty() {
-                {
-                    let _span = self.span("pagestore.wal.append");
-                    for &(i, id) in &dirty {
-                        let data = self.frames[i]
-                            .data
-                            .try_borrow()
-                            .map_err(|_| Error::PageBusy(id))?;
-                        wal.append_page(id, data.bytes())?;
-                        let mut stats = self.stats.borrow_mut();
-                        stats.wal_appends += 1;
-                        stats.wal_bytes += (RECORD_HEADER + PAGE_SIZE) as u64;
-                    }
-                    wal.append_commit()?;
-                    let mut stats = self.stats.borrow_mut();
-                    stats.wal_appends += 1;
-                    stats.wal_bytes += RECORD_HEADER as u64;
-                }
-                // Durability point: the batch commits here.
-                let _span = self.span("pagestore.wal.fsync");
-                wal.sync()?;
-                self.stats.borrow_mut().wal_fsyncs += 1;
-            }
+            .collect()
+    }
+
+    /// Append `dirty`'s images and a commit record, and sync the log.
+    /// Whatever a failed batch left after the last synced commit record
+    /// goes first.
+    fn log_batch(&self, wal: &mut Wal, dirty: &[(usize, PageId)]) -> Result<()> {
+        if dirty.is_empty() {
+            return Ok(());
         }
         {
-            let _span = self.span("pagestore.pool.write_back");
-            for &(i, id) in &dirty {
+            let _span = self.span("pagestore.wal.append");
+            wal.rewind()?;
+            for &(i, id) in dirty {
                 let data = self.frames[i]
                     .data
                     .try_borrow()
                     .map_err(|_| Error::PageBusy(id))?;
-                pager.write(id, &data)?;
-                self.frames[i].dirty.set(false);
-                self.stats.borrow_mut().flushed_writes += 1;
+                wal.append_page(id, data.bytes())?;
+                let mut stats = self.stats.borrow_mut();
+                stats.wal_appends += 1;
+                stats.wal_bytes += (RECORD_HEADER + PAGE_SIZE) as u64;
             }
-            pager.sync()?;
+            wal.append_commit()?;
+            let mut stats = self.stats.borrow_mut();
+            stats.wal_appends += 1;
+            stats.wal_bytes += RECORD_HEADER as u64;
         }
-        if let Some(wal) = wal_ref.as_mut() {
-            // Checkpoint complete: the log's contents are in the data
-            // file, so start the next batch from an empty log.
-            let _span = self.span("pagestore.wal.fsync");
-            wal.reset()?;
-            wal.sync()?;
-            self.stats.borrow_mut().wal_fsyncs += 1;
+        // Durability point: the batch commits here.
+        let _span = self.span("pagestore.wal.fsync");
+        wal.sync()?;
+        self.stats.borrow_mut().wal_fsyncs += 1;
+        for &(i, _) in dirty {
+            self.frames[i].dirty.set(false);
+            self.frames[i].unwritten.set(true);
         }
-        self.stats.borrow_mut().checkpoints += 1;
-        self.free.borrow_mut().append(&mut self.held.borrow_mut());
+        Ok(())
+    }
+
+    /// The write-back: every unwritten frame to the data file, sync it,
+    /// then empty the log and sync that. The log is truncated only once
+    /// the data file holds every image it carries.
+    fn write_back(&self, wal: &mut Wal) -> Result<()> {
+        self.write_frames(&self.frames_where(|f| f.unwritten.get()))?;
+        let _span = self.span("pagestore.wal.fsync");
+        wal.reset()?;
+        wal.sync()?;
+        let mut stats = self.stats.borrow_mut();
+        stats.wal_fsyncs += 1;
+        stats.wal_drains += 1;
+        Ok(())
+    }
+
+    /// Write `frames` to the pager and sync it.
+    fn write_frames(&self, frames: &[(usize, PageId)]) -> Result<()> {
+        let _span = self.span("pagestore.pool.write_back");
+        let mut pager = self.pager.borrow_mut();
+        for &(i, id) in frames {
+            let frame = &self.frames[i];
+            let data = frame.data.try_borrow().map_err(|_| Error::PageBusy(id))?;
+            pager.write(id, &data)?;
+            frame.clear();
+            self.stats.borrow_mut().flushed_writes += 1;
+        }
+        pager.sync()?;
+        self.stats.borrow_mut().pager_syncs += 1;
         Ok(())
     }
 
@@ -653,13 +722,13 @@ impl BufferPool {
         frame.page_id.set(Some(id));
         frame.pin.set(1);
         frame.referenced.set(true);
-        frame.dirty.set(false);
+        frame.clear();
         self.map.borrow_mut().insert(id, idx);
         Ok(idx)
     }
 
     /// Clock sweep: return an unpinned, unleased frame, evicting its
-    /// current page (with write-back if dirty). Two full sweeps guarantee
+    /// current page (written back if dirty or unwritten, with no sync). Two full sweeps guarantee
     /// an eviction if any frame is evictable.
     ///
     /// A frame with live [`PageLease`]s is never evicted — the lease
@@ -670,8 +739,10 @@ impl BufferPool {
     /// Under a WAL the pool is no-steal: dirty logged frames are skipped
     /// like pinned ones, because writing uncommitted pages to the data
     /// file would break checkpoint atomicity (a redo-only log cannot undo
-    /// them). They become evictable at the next [`flush_all`](Self::flush_all).
-    /// A dirty unlogged frame is evicted like any other.
+    /// them). They become evictable at the next [`checkpoint`](Self::checkpoint).
+    /// A dirty unlogged frame is evicted like any other, and so is an
+    /// unwritten one: the log keeps its image until a write-back has
+    /// synced the data file.
     fn victim_frame(&self) -> Result<usize> {
         let no_steal = self.wal.borrow().is_some();
         let logged = |id| !self.unlogged.borrow().contains(&id);
@@ -693,7 +764,7 @@ impl BufferPool {
             if let Some(old) = frame.page_id.get() {
                 let _span = self.span("pagestore.pool.evict");
                 let mut stats = self.stats.borrow_mut();
-                if frame.dirty.get() {
+                if frame.dirty.get() || frame.unwritten.get() {
                     self.pager.borrow_mut().write(old, &frame.data.borrow())?;
                     stats.write_backs += 1;
                 }
@@ -701,7 +772,7 @@ impl BufferPool {
                 self.map.borrow_mut().remove(&old);
             }
             frame.page_id.set(None);
-            frame.dirty.set(false);
+            frame.clear();
             return Ok(idx);
         }
         Err(Error::PoolExhausted { capacity: n })
@@ -1154,12 +1225,98 @@ mod tests {
             s,
             "unlogged: free at once"
         );
-        pool.flush_all().unwrap();
+        pool.checkpoint().unwrap();
         assert_eq!(
             pool.allocate_pinned(true).unwrap().0,
             a,
-            "released by the checkpoint"
+            "released by the durability point"
         );
+    }
+
+    #[test]
+    fn a_durability_point_syncs_the_log_once_and_writes_no_page() {
+        let pool = durable_pool(4);
+        let (id, mut page) = pool.allocate_pinned(false).unwrap();
+        page.insert(b"logged").unwrap();
+        drop(page);
+        pool.checkpoint().unwrap();
+        let s = pool.stats();
+        assert_eq!((s.wal_fsyncs, s.pager_syncs, s.flushed_writes), (1, 0, 0));
+        assert_eq!((s.checkpoints, s.wal_drains), (1, 0));
+        assert!(!pool.wal.borrow().as_ref().unwrap().is_empty());
+        // Logged, not yet written: clean for a lease.
+        assert!(!pool.is_dirty(id));
+        assert_eq!(pool.lease(id).unwrap().get(0).unwrap(), b"logged");
+        // The clean shutdown writes it back and empties the log.
+        pool.flush_all().unwrap();
+        let s = pool.stats();
+        assert_eq!((s.wal_fsyncs, s.pager_syncs, s.flushed_writes), (2, 1, 1));
+        assert_eq!((s.checkpoints, s.wal_drains), (2, 1));
+        assert!(pool.wal.borrow().as_ref().unwrap().is_empty());
+        // Nothing is left to write: a second one syncs nothing.
+        pool.flush_all().unwrap();
+        assert_eq!(pool.stats().pager_syncs, 1);
+    }
+
+    #[test]
+    fn eviction_writes_an_unwritten_page_back() {
+        let pool = durable_pool(2);
+        let (a, mut page) = pool.allocate_pinned(false).unwrap();
+        page.insert(b"committed").unwrap();
+        drop(page);
+        pool.checkpoint().unwrap();
+        // The first scratch page takes the empty frame, the second a's.
+        for _ in 0..2 {
+            drop(pool.allocate_pinned(true).unwrap());
+        }
+        assert!(!pool.is_resident(a));
+        assert_eq!(pool.stats().write_backs, 1, "a went to the pager");
+        assert_eq!(pool.fetch(a).unwrap().get(0).unwrap(), b"committed");
+    }
+
+    #[test]
+    fn the_log_bound_runs_the_write_back() {
+        let pool = durable_pool(8);
+        let ids: Vec<PageId> = (0..4)
+            .map(|_| pool.allocate_pinned(false).unwrap().0)
+            .collect();
+        let batch = (4 * (RECORD_HEADER + PAGE_SIZE) + RECORD_HEADER) as u64;
+        let mut longest = 0;
+        for round in 0u32.. {
+            for &id in &ids {
+                pool.fetch_mut(id)
+                    .unwrap()
+                    .insert(&round.to_le_bytes())
+                    .unwrap();
+            }
+            pool.checkpoint().unwrap();
+            let len = pool.wal.borrow().as_ref().unwrap().len();
+            longest = longest.max(len);
+            if pool.stats().wal_drains == 1 {
+                assert_eq!(len, 0, "the write-back empties the log");
+                break;
+            }
+        }
+        assert!(longest > LOG_BOUND - batch && longest <= LOG_BOUND);
+        let s = pool.stats();
+        assert_eq!((s.flushed_writes, s.pager_syncs), (4, 1), "each page once");
+    }
+
+    #[test]
+    fn recover_replays_every_batch_since_the_write_back() {
+        let pool = durable_pool(4);
+        let (id, page) = pool.allocate_pinned(false).unwrap();
+        drop(page);
+        for round in 0..3u8 {
+            pool.fetch_mut(id).unwrap().insert(&[round]).unwrap();
+            pool.checkpoint().unwrap();
+        }
+        pool.fetch_mut(id).unwrap().insert(b"lost").unwrap();
+        let report = pool.recover().unwrap();
+        assert_eq!((report.batches_applied, report.pages_replayed), (3, 3));
+        let page = pool.fetch(id).unwrap();
+        assert_eq!(page.live_count(), 3);
+        assert_eq!(page.get(2).unwrap(), [2]);
     }
 
     #[test]

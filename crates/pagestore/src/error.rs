@@ -6,7 +6,8 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 #[derive(Debug)]
 pub enum Error {
-    /// A page id beyond the pager's allocated range.
+    /// A page id beyond the pager's allocated range, or one no page file
+    /// can hold (a log record naming `u32::MAX`).
     PageOutOfBounds(u32),
     /// Every buffer-pool frame is pinned; nothing can be evicted.
     PoolExhausted { capacity: usize },

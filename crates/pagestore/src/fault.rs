@@ -205,6 +205,16 @@ impl Pager for FaultPager {
             }
         }
     }
+
+    fn ensure_pages(&mut self, n: u32) -> Result<()> {
+        match self.plan.on_io() {
+            Outcome::Proceed => self.inner.ensure_pages(n),
+            // Like `allocate`: nothing partial to model.
+            Outcome::Fail | Outcome::Partial | Outcome::CrashNow => {
+                Err(FaultPlan::injected("pager ensure_pages"))
+            }
+        }
+    }
 }
 
 /// A [`WalStore`] that injects faults per a shared [`FaultPlan`].

@@ -14,8 +14,8 @@
 //!   WAL traffic, snapshot-and-diff style.
 //! * [`Wal`] — redo-only write-ahead log of checksummed page images;
 //!   [`recover`] replays committed batches and truncates torn tails, so a
-//!   WAL-attached pool's [`flush_all`](BufferPool::flush_all) is an
-//!   atomic, crash-safe checkpoint.
+//!   WAL-attached pool's [`checkpoint`](BufferPool::checkpoint) is an
+//!   atomic, crash-safe durability point that costs one log fsync.
 //! * [`FaultPager`] / [`FaultWal`] — fault-injection wrappers that fail
 //!   the Nth I/O (error, short write, crash-stop) for crash-point tests.
 
@@ -37,4 +37,6 @@ pub use page::{live_cells, Page, PageId, MAX_INLINE_TUPLE, PAGE_SIZE};
 pub use pager::{FilePager, MemPager, Pager};
 pub use recovery::{recover, RecoveryReport};
 pub use stats::IoStats;
-pub use wal::{crc32, FileWalStore, Lsn, MemWalStore, Wal, WalRecord, WalStore, RECORD_HEADER};
+pub use wal::{
+    crc32, crc32_update, FileWalStore, Lsn, MemWalStore, Wal, WalRecord, WalStore, RECORD_HEADER,
+};

@@ -27,15 +27,11 @@ pub trait Pager {
     /// Durably flush previous writes (no-op for memory backends).
     fn sync(&mut self) -> Result<()>;
 
-    /// Grow the address space to at least `n` pages. WAL replay needs
-    /// this: a committed batch may reference pages whose in-place
-    /// allocation never reached the data file before the crash.
-    fn ensure_pages(&mut self, n: u32) -> Result<()> {
-        while self.num_pages() < n {
-            self.allocate()?;
-        }
-        Ok(())
-    }
+    /// Grow the address space to at least `n` pages, in one step. The new
+    /// pages hold no tuple (a file reads them back as zeroes).
+    /// WAL replay needs this: a committed batch may reference pages whose
+    /// in-place allocation never reached the data file before the crash.
+    fn ensure_pages(&mut self, n: u32) -> Result<()>;
 }
 
 /// Heap-allocated page store: the backend for in-memory databases and
@@ -82,6 +78,13 @@ impl Pager for MemPager {
     }
 
     fn sync(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    fn ensure_pages(&mut self, n: u32) -> Result<()> {
+        if self.pages.len() < n as usize {
+            self.pages.resize_with(n as usize, || Box::new(Page::new()));
+        }
         Ok(())
     }
 }
@@ -174,6 +177,15 @@ impl Pager for FilePager {
 
     fn sync(&mut self) -> Result<()> {
         self.file.sync_data()?;
+        Ok(())
+    }
+
+    /// One `set_len`: the new pages read as zeroes, and none is written.
+    fn ensure_pages(&mut self, n: u32) -> Result<()> {
+        if self.num_pages < n {
+            self.file.set_len(n as u64 * PAGE_SIZE as u64)?;
+            self.num_pages = n;
+        }
         Ok(())
     }
 }
@@ -276,5 +288,29 @@ mod tests {
         assert_eq!(pager.num_pages(), 3);
         pager.ensure_pages(2).unwrap();
         assert_eq!(pager.num_pages(), 3, "never shrinks");
+    }
+
+    #[test]
+    fn file_ensure_pages_extends_with_zeroed_pages() {
+        let path =
+            std::env::temp_dir().join(format!("pagestore-ensure-test-{}.db", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut pager = FilePager::open(&path).unwrap();
+        pager.allocate().unwrap();
+        pager.ensure_pages(5).unwrap();
+        pager.ensure_pages(2).unwrap();
+        assert_eq!(pager.num_pages(), 5, "never shrinks");
+        let mut page = Page::new();
+        page.insert(b"stale").unwrap();
+        pager.read(4, &mut page).unwrap();
+        assert!(page.bytes().iter().all(|&b| b == 0));
+        assert_eq!(page.live_count(), 0);
+        assert_eq!(pager.allocate().unwrap(), 5);
+        drop(pager);
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            6 * PAGE_SIZE as u64
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -9,12 +9,13 @@
 //! checkpoint that wrote it never reached its durability point, so the
 //! store must not observe any of it (all-or-nothing).
 //!
-//! Replay is idempotent: records are full page images, so recovering
-//! twice — or recovering a log whose checkpoint *did* finish writing
-//! pages but crashed before truncating the log — converges to the same
-//! state.
+//! The log holds every batch since the last write-back, and they replay
+//! in order, so each page ends at its latest committed image. Replay is
+//! idempotent: records are full page images, so recovering twice — or
+//! recovering a log whose write-back *did* finish writing pages but
+//! crashed before truncating the log — converges to the same state.
 
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::pager::Pager;
 use crate::wal::{Wal, WalRecord};
 use std::fmt;
@@ -80,7 +81,8 @@ pub fn recover(pager: &mut dyn Pager, wal: &mut Wal) -> Result<RecoveryReport> {
                     }
                     WalRecord::Commit { .. } => {
                         for (page_id, image) in pending.drain(..) {
-                            pager.ensure_pages(page_id + 1)?;
+                            let end = page_id.checked_add(1);
+                            pager.ensure_pages(end.ok_or(Error::PageOutOfBounds(page_id))?)?;
                             let mut page = crate::page::Page::new();
                             page.bytes_mut().copy_from_slice(&image);
                             pager.write(page_id, &page)?;
@@ -197,5 +199,47 @@ mod tests {
         // Second pass over the (now empty) log does nothing.
         let report = recover(&mut pager, &mut wal).unwrap();
         assert!(!report.did_work());
+    }
+
+    /// Regression: a record for page 200 000 made recovery of an empty
+    /// store write 200 001 zero pages, one at a time. The file now grows
+    /// in one step: three I/Os in all.
+    #[test]
+    fn a_far_page_id_extends_the_file_in_one_step() {
+        use crate::fault::{FaultPager, FaultPlan};
+        use crate::pager::FilePager;
+        let path =
+            std::env::temp_dir().join(format!("pagestore-far-page-{}.db", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let plan = FaultPlan::unarmed();
+        let mut pager = FaultPager::new(Box::new(FilePager::open(&path).unwrap()), plan.clone());
+        let mut wal = Wal::new(Box::new(MemWalStore::new()));
+        wal.append_page(200_000, page_with(b"far").bytes()).unwrap();
+        wal.append_commit().unwrap();
+        let report = recover(&mut pager, &mut wal).unwrap();
+        assert_eq!(report.pages_replayed, 1);
+        assert_eq!(plan.ops(), 3, "extend, write, sync");
+        assert_eq!(pager.num_pages(), 200_001);
+        let mut back = Page::new();
+        pager.read(200_000, &mut back).unwrap();
+        assert_eq!(back.get(0).unwrap(), b"far");
+        drop(pager);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Regression: a record for page `u32::MAX` overflowed `page_id + 1`
+    /// (a panic under debug assertions). It is a typed error now.
+    #[test]
+    fn the_last_page_id_is_out_of_bounds_not_an_overflow() {
+        let mut pager = MemPager::new();
+        let mut wal = Wal::new(Box::new(MemWalStore::new()));
+        wal.append_page(u32::MAX, page_with(b"nowhere").bytes())
+            .unwrap();
+        wal.append_commit().unwrap();
+        assert!(matches!(
+            recover(&mut pager, &mut wal),
+            Err(Error::PageOutOfBounds(u32::MAX))
+        ));
+        assert_eq!(pager.num_pages(), 0);
     }
 }

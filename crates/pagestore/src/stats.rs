@@ -26,8 +26,14 @@ pub struct IoStats {
     pub wal_bytes: u64,
     /// fsync calls issued against the write-ahead log.
     pub wal_fsyncs: u64,
-    /// Completed checkpoints ([`flush_all`](crate::BufferPool::flush_all)).
+    /// Sync calls issued against the pager (the data file's fsyncs).
+    pub pager_syncs: u64,
+    /// Completed durability points
+    /// ([`checkpoint`](crate::BufferPool::checkpoint)).
     pub checkpoints: u64,
+    /// Completed write-backs: the log's pages written to the data file,
+    /// the file synced, the log emptied.
+    pub wal_drains: u64,
     /// Tuple bytes the coordinator *copied* to hand to morsel workers
     /// (overflow-chain resolution or dirty-page fallbacks). The zero-copy
     /// lease path never increments this; the perf gate asserts it stays
@@ -93,7 +99,9 @@ impl IoStats {
             wal_appends: self.wal_appends.saturating_sub(earlier.wal_appends),
             wal_bytes: self.wal_bytes.saturating_sub(earlier.wal_bytes),
             wal_fsyncs: self.wal_fsyncs.saturating_sub(earlier.wal_fsyncs),
+            pager_syncs: self.pager_syncs.saturating_sub(earlier.pager_syncs),
             checkpoints: self.checkpoints.saturating_sub(earlier.checkpoints),
+            wal_drains: self.wal_drains.saturating_sub(earlier.wal_drains),
             bytes_copied_to_workers: self
                 .bytes_copied_to_workers
                 .saturating_sub(earlier.bytes_copied_to_workers),
@@ -116,7 +124,9 @@ impl IoStats {
         self.wal_appends += other.wal_appends;
         self.wal_bytes += other.wal_bytes;
         self.wal_fsyncs += other.wal_fsyncs;
+        self.pager_syncs += other.pager_syncs;
         self.checkpoints += other.checkpoints;
+        self.wal_drains += other.wal_drains;
         self.bytes_copied_to_workers += other.bytes_copied_to_workers;
         self.morsel_allocs += other.morsel_allocs;
         self.tuple_bytes_encoded += other.tuple_bytes_encoded;
@@ -125,7 +135,8 @@ impl IoStats {
     }
 
     /// Publish every counter into a metrics registry under
-    /// `pagestore.pool.*` / `pagestore.wal.*`, plus the hit ratio as a
+    /// `pagestore.pool.*` / `pagestore.wal.*` / `pagestore.pager.*`, plus
+    /// the hit ratio as a
     /// gauge. Counters are *set* (not added), so republishing the same
     /// cumulative snapshot is idempotent.
     pub fn publish(&self, registry: &obs::Registry) {
@@ -148,6 +159,8 @@ impl IoStats {
         registry.counter_set("pagestore.wal.appends", self.wal_appends);
         registry.counter_set("pagestore.wal.bytes", self.wal_bytes);
         registry.counter_set("pagestore.wal.fsyncs", self.wal_fsyncs);
+        registry.counter_set("pagestore.wal.drains", self.wal_drains);
+        registry.counter_set("pagestore.pager.syncs", self.pager_syncs);
         registry.gauge_set("pagestore.pool.hit_ratio", self.hit_rate());
     }
 }
@@ -237,13 +250,21 @@ mod tests {
     fn since_and_absorb_cover_wal_fsyncs() {
         let mut s = IoStats::new();
         s.wal_fsyncs = 5;
+        s.pager_syncs = 1;
+        s.wal_drains = 1;
         let snap = s;
         s.wal_fsyncs = 9;
+        s.pager_syncs = 3;
+        s.wal_drains = 2;
         let d = s.since(&snap);
-        assert_eq!(d.wal_fsyncs, 4);
+        assert_eq!((d.wal_fsyncs, d.pager_syncs, d.wal_drains), (4, 2, 1));
         let mut acc = IoStats::new();
         acc.absorb(&d);
-        assert_eq!(acc.wal_fsyncs, 4);
+        assert_eq!((acc.wal_fsyncs, acc.pager_syncs, acc.wal_drains), (4, 2, 1));
+        let reg = obs::Registry::new();
+        s.publish(&reg);
+        assert_eq!(reg.counter("pagestore.pager.syncs"), 3);
+        assert_eq!(reg.counter("pagestore.wal.drains"), 2);
     }
 
     /// Regression: the Display impl printed "wal 0 rec / 0 B" even for

@@ -2,12 +2,13 @@
 //!
 //! OrpheusDB inherits durability from PostgreSQL's WAL; this embedded
 //! engine supplies its own. The log is deliberately simple — it exists to
-//! make one promise: **a checkpoint is atomic**. [`BufferPool::flush_all`]
-//! appends the image of every dirty page, then a commit record, then
-//! syncs the log — only after that do the pages go to the data file. A
-//! crash at any point either replays the whole batch (the commit record
-//! made it to disk) or none of it (recovery discards an unterminated
-//! batch and truncates torn tails detected by checksum).
+//! make one promise: **a checkpoint is atomic**.
+//! [`BufferPool::checkpoint`] appends the image of every dirty page, then
+//! a commit record, then syncs the log: that one fsync is the batch's
+//! durability point, and nothing reaches the data file then. A crash at
+//! any point either replays the whole batch (the commit record made it to
+//! disk) or none of it (recovery discards an unterminated batch and
+//! truncates torn tails detected by checksum).
 //!
 //! ## Record format (little-endian)
 //!
@@ -20,9 +21,13 @@
 //! 21..    payload      the page image
 //! ```
 //!
-//! The log grows by appends only and is truncated to empty after each
-//! successful checkpoint, so its steady-state length is one batch.
+//! The log grows by one batch per durability point. It is truncated to
+//! empty only by a write-back, once every page it holds is in the data
+//! file and that file is synced: when the log passes a fixed bound, and
+//! on a clean shutdown ([`BufferPool::flush_all`]). So it holds the
+//! batches since the last write-back, in order.
 //!
+//! [`BufferPool::checkpoint`]: crate::BufferPool::checkpoint
 //! [`BufferPool::flush_all`]: crate::BufferPool::flush_all
 
 use crate::error::{Error, Result};
@@ -40,18 +45,56 @@ pub const RECORD_HEADER: usize = 21;
 const KIND_PAGE_IMAGE: u8 = 1;
 const KIND_COMMIT: u8 = 2;
 
-/// IEEE CRC-32 (the polynomial used by zip/PNG), bitwise — fast enough
-/// for 8 KiB page images at checkpoint frequency, and dependency-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slicing-by-8 tables for the reflected IEEE polynomial: `CRC_TABLES[0]`
+/// is the classic byte table, and `CRC_TABLES[k][b]` is byte `b` followed
+/// by `k` zero bytes, so eight table lookups fold eight input bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][i] = c;
+        i += 1;
     }
-    !crc
+    // Row k extends row k - 1 by one zero byte.
+    let mut i = 256;
+    while i < 8 * 256 {
+        let prev = t[i / 256 - 1][i % 256];
+        t[i / 256][i % 256] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+        i += 1;
+    }
+    t
+}
+
+/// IEEE CRC-32 (the polynomial used by zip/PNG) of `bytes`.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Extend `crc`, the CRC-32 of some bytes `a`, to the CRC-32 of `a ++
+/// bytes` — so a record's checksum runs over its header and then its
+/// payload where each lies, with no copy into one buffer.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = !crc;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(w);
+        let x = u64::from_le_bytes(word) ^ c as u64;
+        c = (0..8).fold(0, |acc, k| acc ^ t[7 - k][(x >> (8 * k)) as usize & 0xFF]);
+    }
+    for &b in words.remainder() {
+        c = (c >> 8) ^ t[0][((c ^ b as u32) & 0xFF) as usize];
+    }
+    !c
 }
 
 /// Byte-level backend for the log: an append-only blob that can be
@@ -185,12 +228,21 @@ pub enum WalRecord {
 pub struct Wal {
     store: Box<dyn WalStore>,
     next_lsn: Lsn,
+    /// Length at the last [`sync`](Self::sync) — the end of the last
+    /// durable commit record. Bytes past it belong to a batch whose
+    /// append or sync failed; [`rewind`](Self::rewind) drops them.
+    synced_len: u64,
 }
 
 impl Wal {
     /// A log over an arbitrary backend (fault wrappers, memory stores).
     pub fn new(store: Box<dyn WalStore>) -> Self {
-        Wal { store, next_lsn: 1 }
+        let synced_len = store.len();
+        Wal {
+            store,
+            next_lsn: 1,
+            synced_len,
+        }
     }
 
     /// A log backed by the file at `path`.
@@ -213,9 +265,8 @@ impl Wal {
         rec.push(kind);
         rec.extend_from_slice(&page_id.to_le_bytes());
         rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let mut crc_input = rec.clone();
-        crc_input.extend_from_slice(payload);
-        rec.extend_from_slice(&crc32(&crc_input).to_le_bytes());
+        let crc = crc32_update(crc32(&rec), payload);
+        rec.extend_from_slice(&crc.to_le_bytes());
         rec.extend_from_slice(payload);
         rec
     }
@@ -240,17 +291,33 @@ impl Wal {
 
     /// Durably flush all appended records.
     pub fn sync(&mut self) -> Result<()> {
-        self.store.sync()
+        self.store.sync()?;
+        self.synced_len = self.store.len();
+        Ok(())
     }
 
-    /// Reset the log to empty (after a completed checkpoint or recovery).
+    /// Drop whatever follows the last synced commit record: the remains
+    /// of a batch whose append or sync failed. Run before a batch's first
+    /// append, so a torn record of a failed batch cannot sit in front of
+    /// a later, acknowledged one (recovery stops at the first torn
+    /// record). No I/O when the log ends where it was last synced.
+    pub fn rewind(&mut self) -> Result<()> {
+        if self.store.len() != self.synced_len {
+            self.store.truncate(self.synced_len)?;
+        }
+        Ok(())
+    }
+
+    /// Reset the log to empty (after a completed write-back or recovery).
     pub fn reset(&mut self) -> Result<()> {
-        self.store.truncate(0)
+        self.truncate_to(0)
     }
 
     /// Truncate a torn tail, keeping the first `len` bytes.
     pub fn truncate_to(&mut self, len: u64) -> Result<()> {
-        self.store.truncate(len)
+        self.store.truncate(len)?;
+        self.synced_len = self.synced_len.min(len);
+        Ok(())
     }
 
     /// Raw log bytes for a recovery scan.
@@ -280,9 +347,7 @@ impl Wal {
             return None;
         }
         let payload = &rest[RECORD_HEADER..RECORD_HEADER + payload_len];
-        let mut crc_input = rest[0..17].to_vec();
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != stored_crc {
+        if crc32_update(crc32(&rest[0..17]), payload) != stored_crc {
             return None;
         }
         let record = match kind {
@@ -312,12 +377,101 @@ fn le_array<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
 mod tests {
     use super::*;
     use crate::page::Page;
+    use proptest::prelude::*;
+
+    /// The bitwise CRC the table replaced: the oracle it must agree with.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
 
     #[test]
     fn crc32_known_vectors() {
         // Standard IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn table_crc_equals_the_bitwise_oracle_over_any_split(
+            bytes in prop::collection::vec(any::<u8>(), 0..20_000),
+            cuts in prop::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let whole = crc32(&bytes);
+            prop_assert_eq!(whole, crc32_bitwise(&bytes));
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+            cuts.sort_unstable();
+            let (mut crc, mut from) = (0, 0);
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                crc = crc32_update(crc, &bytes[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(crc, whole);
+        }
+    }
+
+    /// The bytes of one image record and one commit record as the log
+    /// wrote them before the table CRC: a log a crash left behind under
+    /// that build still decodes under this one. The image's header pins
+    /// its payload too, through the checksum.
+    #[test]
+    fn records_keep_their_bytes() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let mut wal = Wal::new(Box::new(MemWalStore::new()));
+        let mut page = Page::new();
+        page.insert(b"pinned image").unwrap();
+        wal.append_page(7, page.bytes()).unwrap();
+        wal.append_commit().unwrap();
+        let bytes = wal.read_all().unwrap();
+        assert_eq!(bytes.len(), 2 * RECORD_HEADER + PAGE_SIZE);
+        assert_eq!(
+            hex(&bytes[..RECORD_HEADER]),
+            "01000000000000000107000000002000005d75104b"
+        );
+        assert_eq!(
+            &bytes[RECORD_HEADER..RECORD_HEADER + PAGE_SIZE],
+            page.bytes()
+        );
+        assert_eq!(
+            hex(&bytes[RECORD_HEADER + PAGE_SIZE..]),
+            "0200000000000000020000000000000000fc492533"
+        );
+        assert!(Wal::decode_at(&bytes, 0).is_some());
+    }
+
+    #[test]
+    fn rewind_drops_a_failed_batch_and_nothing_else() {
+        let mut wal = Wal::new(Box::new(MemWalStore::new()));
+        wal.append_commit().unwrap();
+        wal.sync().unwrap();
+        wal.rewind().unwrap();
+        assert_eq!(
+            wal.len(),
+            RECORD_HEADER as u64,
+            "a synced log keeps its batch"
+        );
+        wal.append_page(3, Page::new().bytes()).unwrap();
+        wal.rewind().unwrap();
+        assert_eq!(
+            wal.len(),
+            RECORD_HEADER as u64,
+            "the unsynced image is gone"
+        );
+        wal.reset().unwrap();
+        wal.append_commit().unwrap();
+        wal.rewind().unwrap();
+        assert!(wal.is_empty(), "a reset log rewinds to empty");
     }
 
     #[test]

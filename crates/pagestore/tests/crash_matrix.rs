@@ -1,7 +1,8 @@
 //! The crash-point matrix: for **every** I/O operation in a commit
-//! (WAL appends, WAL sync, page write-backs, data sync, log truncate),
-//! inject a fault at exactly that operation, "crash" the process, reopen
-//! the store from its files, run recovery, and verify:
+//! followed by a write-back (`flush_all`: WAL appends, WAL sync, page
+//! writes, data sync, log truncate), inject a fault at exactly that
+//! operation, "crash" the process, reopen the store from its files, run
+//! recovery, and verify:
 //!
 //! * every previously committed checkpoint reads back byte-identical, and
 //! * the in-flight commit is atomic — all of its effects or none.
@@ -13,8 +14,11 @@
 
 use pagestore::{
     BufferPool, Error, FaultKind, FaultPager, FaultPlan, FaultWal, FilePager, FileWalStore, Wal,
+    WalStore,
 };
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 
 const CAP: usize = 8;
 
@@ -268,6 +272,84 @@ fn crash_during_recovery_reopen_then_crash_again() {
         verify_after_recovery(&dir, &context);
     }
     std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// A log store whose armed append writes half its bytes, fails, and
+/// leaves the process alive — an ENOSPC-like fault. (`FaultKind::
+/// ShortWrite` tears the same way but kills the store.)
+struct TearOnce {
+    inner: FileWalStore,
+    armed: Rc<Cell<bool>>,
+}
+
+impl WalStore for TearOnce {
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn read_all(&mut self) -> pagestore::Result<Vec<u8>> {
+        self.inner.read_all()
+    }
+    fn append(&mut self, bytes: &[u8]) -> pagestore::Result<()> {
+        if !self.armed.replace(false) {
+            return self.inner.append(bytes);
+        }
+        self.inner.append(&bytes[..bytes.len() / 2])?;
+        Err(Wal::io_error("no space left on device"))
+    }
+    fn sync(&mut self) -> pagestore::Result<()> {
+        self.inner.sync()
+    }
+    fn truncate(&mut self, len: u64) -> pagestore::Result<()> {
+        self.inner.truncate(len)
+    }
+}
+
+/// A durability point whose append fails part-way, a retried one that
+/// succeeds, more batches, then a crash before any write-back: recovery
+/// finds every acknowledged batch. Without the rewind the retried batch
+/// would follow the torn record, and recovery stops at a torn record.
+#[test]
+fn a_failed_append_never_strands_a_later_batch() {
+    let dir = unique_base("torn-append");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let armed = Rc::new(Cell::new(false));
+    let store = TearOnce {
+        inner: FileWalStore::open(dir.join("wal.log")).unwrap(),
+        armed: Rc::clone(&armed),
+    };
+    let pager = FilePager::open_recoverable(dir.join("pages.db")).unwrap();
+    let pool = BufferPool::with_wal(Box::new(pager), Wal::new(Box::new(store)), CAP);
+    let mut acknowledged = Vec::new();
+    for batch in 0..5u32 {
+        let text = format!("batch {batch}");
+        if batch == 0 {
+            drop(pool.allocate_pinned(false).unwrap());
+        }
+        pool.fetch_mut(0).unwrap().insert(text.as_bytes()).unwrap();
+        if batch == 1 {
+            armed.set(true);
+            pool.checkpoint()
+                .expect_err("the torn append surfaces as an error");
+        }
+        pool.checkpoint().unwrap();
+        acknowledged.push(text);
+    }
+    assert_eq!(pool.stats().wal_drains, 0, "no write-back ran");
+    drop(pool);
+    let (pool, report) = BufferPool::open_durable(&dir, CAP).unwrap();
+    assert_eq!(
+        (report.batches_applied, report.torn_bytes_truncated),
+        (5, 0)
+    );
+    let page = pool.fetch(0).unwrap();
+    let got: Vec<&[u8]> = (0..page.live_count() as u16)
+        .map(|slot| page.get(slot).unwrap())
+        .collect();
+    let want: Vec<&[u8]> = acknowledged.iter().map(|t| t.as_bytes()).collect();
+    assert_eq!(got, want);
+    drop(page);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Raw images of every page of the store in `dir`, after recovery.

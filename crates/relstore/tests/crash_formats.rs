@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use pagestore::{
-    FaultKind, FaultPager, FaultPlan, FaultWal, FilePager, FileWalStore, Wal, PAGE_SIZE,
+    FaultKind, FaultPager, FaultPlan, FaultWal, FilePager, FileWalStore, IoStats, Wal, PAGE_SIZE,
 };
 use relstore::codec::PageFormatKind;
 use relstore::{BufferPool, Column, DataType, Database, Schema, Table, Value};
@@ -315,6 +315,11 @@ fn scratch_history(dir: &Path, plan: &FaultPlan, kind: PageFormatKind) -> (Datab
     );
     assert!(db.io_stats().write_backs > 0, "the scratch table spilled");
     assert_eq!(
+        db.io_stats().wal_drains,
+        0,
+        "the log still holds early's pages"
+    );
+    assert_eq!(
         db.pool().free_pages(),
         held,
         "early's pages taken, late's not"
@@ -350,12 +355,14 @@ fn reopen_scratch(dir: &Path) -> Reopened {
 }
 
 /// A fault at every I/O of a checkpoint taken while a scratch table is
-/// live with pages spilled to disk. The reopened store is the durable
-/// prefix, as a store that never had a scratch table reopens it, or the
-/// new state — every page it reaches byte for byte, so no spill hit a
-/// page a durable state reaches — and the reopen frees every page of the
-/// scratch table. (Which scratch pages reached the disk differs with the
-/// crash point; nothing reaches them.)
+/// live with pages spilled to disk — onto pages freed at an earlier
+/// durability point whose images the log still holds, since no
+/// write-back has run — and a crash before that checkpoint. The reopened
+/// store is the durable prefix, as a store that never had a scratch table
+/// reopens it, or the new state — every page it reaches byte for byte,
+/// so no spill hit a page a durable state reaches — and the reopen frees
+/// every page of the scratch table. (Which scratch pages reached the disk
+/// differs with the crash point; nothing reaches them.)
 #[test]
 fn crash_mid_checkpoint_with_a_spilled_scratch_table() {
     let base = unique_base("scratch");
@@ -377,6 +384,14 @@ fn crash_mid_checkpoint_with_a_spilled_scratch_table() {
         assert_eq!(after_c2.tables, ["late", "t"]);
         assert_eq!(after_c3.tables, ["t"]);
         assert!(after_c3.free >= pages, "{kind:?}: scratch pages freed");
+        let spilled = base.join(format!("{kind:?}-spilled"));
+        drop(scratch_history(&spilled, &FaultPlan::unarmed(), kind));
+        let got = reopen_scratch(&spilled);
+        assert_eq!(
+            got.reached, after_c2.reached,
+            "{kind:?}: crash after the spill"
+        );
+        assert_eq!((&got.tables, &got.rows), (&after_c2.tables, &after_c2.rows));
         let (mut committed, mut rolled_back) = (0u32, 0u32);
         for fault in [FaultKind::CrashStop, FaultKind::ShortWrite] {
             for nth in 1..=flush_ops {
@@ -406,6 +421,183 @@ fn crash_mid_checkpoint_with_a_spilled_scratch_table() {
             }
         }
         assert!(committed > 0 && rolled_back > 0, "{kind:?}");
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// Frames for the durability-point legs: room for one round's dirty
+/// pages, not for the pages the rounds accumulate, so committed pages
+/// that are not yet in the page file get evicted.
+const ROUND_CAP: usize = 32;
+
+/// Rows per round: about a dozen pages in either format.
+const ROUND_ROWS: i64 = 500;
+
+/// A row whose text no format compresses much.
+fn fat_row(i: i64) -> Vec<Value> {
+    Vec::from([
+        Value::Int64(i),
+        Value::Text(format!("{i:0>180}")),
+        Value::IntArray(vec![i, i + 1]),
+    ])
+}
+
+/// Round `r` of a history of durability points: a dozen pages of
+/// inserts and one update of an earlier row. The durability point is the
+/// caller's.
+fn round(table: &mut Table, r: i64) -> relstore::Result<()> {
+    for i in 0..ROUND_ROWS {
+        table.insert(fat_row(r * ROUND_ROWS + i))?;
+    }
+    table.update(r as u64, fat_row(-r))?;
+    Ok(())
+}
+
+/// A fresh store in `dir` over a `ROUND_CAP` pool and `t` in `kind`.
+fn open_rounds(dir: &Path, plan: &FaultPlan, kind: PageFormatKind) -> (Rc<BufferPool>, Table) {
+    std::fs::create_dir_all(dir).unwrap();
+    let pager = FaultPager::new(
+        Box::new(FilePager::open_recoverable(dir.join("pages.db")).unwrap()),
+        plan.clone(),
+    );
+    let store = FaultWal::new(
+        Box::new(FileWalStore::open(dir.join("wal.log")).unwrap()),
+        plan.clone(),
+    );
+    let pool = Rc::new(BufferPool::with_wal(
+        Box::new(pager),
+        Wal::new(Box::new(store)),
+        ROUND_CAP,
+    ));
+    let table = Table::with_format("t", schema(), Rc::clone(&pool), kind);
+    (pool, table)
+}
+
+/// The page images a reopen of `dir` recovers.
+fn recovered(dir: &Path) -> Images {
+    page_images(&BufferPool::open_durable(dir, ROUND_CAP).unwrap().0)
+}
+
+/// Run rounds `0..n` in `dir` without faults, each ending in its
+/// durability point — or stop after the first whose durability point
+/// passes the log bound and so runs the write-back — then crash. Returns
+/// the rounds run, the I/Os of the last round's body and of its
+/// durability point, and its counters.
+fn clean_rounds(dir: &Path, kind: PageFormatKind, n: i64) -> (i64, u64, u64, IoStats) {
+    let plan = FaultPlan::unarmed();
+    let (pool, mut table) = open_rounds(dir, &plan, kind);
+    let mut last = (0, 0, 0, IoStats::new());
+    for r in 0..n {
+        let (start, io) = (plan.ops(), pool.stats());
+        round(&mut table, r).unwrap();
+        let body = plan.ops();
+        pool.checkpoint().unwrap();
+        let io = pool.stats().since(&io);
+        last = (r + 1, body - start, plan.ops() - body, io);
+        if io.wal_drains > 0 {
+            break;
+        }
+    }
+    last
+}
+
+/// Several durability points, then a crash at every I/O of the write-back
+/// the log bound triggers: the page writes, the page-file sync, the log
+/// truncation and its sync. The batch that triggered it was durable
+/// before any of them, so every crash recovers to it, byte for byte.
+#[test]
+fn crash_mid_write_back_recovers_the_last_durability_point() {
+    let base = unique_base("write-back");
+    let _ = std::fs::remove_dir_all(&base);
+    for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
+        let probe = base.join(format!("{kind:?}-probe"));
+        let (rounds, _, ops, io) = clean_rounds(&probe, kind, i64::MAX);
+        assert!(
+            rounds > 3 && io.wal_drains == 1,
+            "{kind:?}: {rounds} rounds"
+        );
+        let after = recovered(&probe);
+        let prefix = base.join(format!("{kind:?}-prefix"));
+        assert_eq!(clean_rounds(&prefix, kind, rounds - 1).3.wal_drains, 0);
+        let before = recovered(&prefix);
+        // Images, a commit record and the log fsync come first.
+        let dp_ops = io.wal_appends + 1;
+        assert!(ops > dp_ops + 3, "{kind:?}: writes, sync, truncate, sync");
+        for fault in [FaultKind::CrashStop, FaultKind::ShortWrite] {
+            for nth in dp_ops + 1..=ops {
+                let dir = base.join(format!("{kind:?}-{fault:?}-{nth}"));
+                let plan = FaultPlan::unarmed();
+                {
+                    let (pool, mut table) = open_rounds(&dir, &plan, kind);
+                    for r in 0..rounds {
+                        round(&mut table, r).unwrap();
+                        if r == rounds - 1 {
+                            plan.arm(nth, fault);
+                        }
+                        let done = pool.checkpoint();
+                        assert_eq!(done.is_err(), r == rounds - 1, "{kind:?} round {r}");
+                    }
+                }
+                let context = format!("{kind:?} {fault:?} at write-back op {nth}");
+                assert!(
+                    matches_reference(&recovered(&dir), &before, &after, &context),
+                    "{context}: the durable batch was lost"
+                );
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// Committed pages that are only in the log get evicted: the eviction
+/// writes them to the page file, with no sync. A crash at every I/O of a
+/// round that evicts such pages — its allocations and eviction writes,
+/// then its durability point — recovers to the round before or the round
+/// itself, byte for byte.
+#[test]
+fn crash_after_evicting_logged_pages_recovers_a_committed_state() {
+    let base = unique_base("evict");
+    let _ = std::fs::remove_dir_all(&base);
+    let rounds = 4;
+    for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
+        let prefix = base.join(format!("{kind:?}-prefix"));
+        clean_rounds(&prefix, kind, rounds - 1);
+        let before = recovered(&prefix);
+        let all = base.join(format!("{kind:?}-all"));
+        let (_, body_ops, dp_ops, io) = clean_rounds(&all, kind, rounds);
+        assert!(
+            io.write_backs > 0,
+            "{kind:?}: the round evicted logged pages"
+        );
+        assert_eq!(io.wal_drains, 0, "{kind:?}");
+        let after = recovered(&all);
+        let (mut kept, mut lost) = (0, 0);
+        for fault in [FaultKind::CrashStop, FaultKind::ShortWrite] {
+            for nth in 1..=body_ops + dp_ops {
+                let dir = base.join(format!("{kind:?}-{fault:?}-{nth}"));
+                let plan = FaultPlan::unarmed();
+                {
+                    let (pool, mut table) = open_rounds(&dir, &plan, kind);
+                    for r in 0..rounds - 1 {
+                        round(&mut table, r).unwrap();
+                        pool.checkpoint().unwrap();
+                    }
+                    plan.arm(nth, fault);
+                    round(&mut table, rounds - 1)
+                        .and_then(|()| Ok(pool.checkpoint()?))
+                        .expect_err("the armed fault must surface as an error");
+                }
+                let context = format!("{kind:?} {fault:?} at op {nth} of the evicting round");
+                if matches_reference(&recovered(&dir), &before, &after, &context) {
+                    kept += 1;
+                } else {
+                    lost += 1;
+                }
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+        assert!(kept > 0 && lost > 0, "{kind:?}: {kept} kept, {lost} lost");
     }
     std::fs::remove_dir_all(&base).unwrap();
 }

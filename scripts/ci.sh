@@ -212,8 +212,8 @@ echo "==> server crash recovery (kill -9 mid-load, WAL replay)"
 # must bring the store back on reopen — twice, once dirty and once clean.
 srv_dir=$(mktemp -d /tmp/orpheus_ci_srv.XXXXXX)
 awk 'BEGIN { print "k,a"; for (i = 0; i < 20; i++) print i "," i }' > "$srv_dir/seed.csv"
-start_server() {
-  ./target/release/orpheusdb serve --port 0 --data-dir "$srv_dir" > "$srv_dir/serve.log" &
+start_server() { # stderr carries the one-line recovery report of the open
+  ./target/release/orpheusdb serve --port 0 --data-dir "$srv_dir" > "$srv_dir/serve.log" 2> "$srv_dir/serve.err" &
   srv_pid=$!
   srv_port=
   for _ in $(seq 100); do
@@ -249,10 +249,16 @@ sleep 0.4
 kill -9 "$srv_pid"
 wait "$srv_pid" 2>/dev/null || true
 for pid in "${client_pids[@]}"; do wait "$pid" 2>/dev/null || true; done
-# Reopen #1: dirty WAL. The log must still show v0 and every version the
-# pre-kill server acknowledged; the idle client's table must be gone
-# (its name free again); then land one more commit on top.
+# Reopen #1: dirty WAL. A commit's durability point only appends to the
+# log, and pages reach pages.db when the log passes its bound, so the log
+# the kill left holds several batches and recovery replays them all. The
+# log must still show v0 and every version the pre-kill server
+# acknowledged; the idle client's table must be gone (its name free
+# again); then land one more commit on top.
 start_server
+replayed=$(sed -n 's/^recovery: .* in \([0-9]*\) batch(es).*/\1/p' "$srv_dir/serve.err")
+[ "${replayed:-0}" -ge 2 ] || { cat "$srv_dir/serve.err"; echo "reopen #1 replayed ${replayed:-no} batches, expected >= 2"; exit 1; }
+echo "reopen #1 replayed $replayed batches from the log"
 recovered=$("./target/release/orpheusdb" client --port "$srv_port" --user ci <<EOF
 log t
 checkout t -v 0 -t idle

@@ -67,7 +67,7 @@ fn help() {
          spans [--json|reset]     (aggregated trace-span tree)\n  \
          trace dump [--json]      (per-request event journal; --json = Chrome trace JSONL)\n  \
          trace reset              (clear the event journal)\n  \
-         checkpoint      (flush dirty pages; atomic when --data-dir is set)\n  \
+         checkpoint      (durability point: log dirty pages, one fsync; with --data-dir)\n  \
          recover         (replay the write-ahead log, as after a crash)\n  \
          threads [n]     (show or set morsel workers; 1 = sequential plans)\n  \
          log <cvd> | ls | drop <cvd> | help | quit\n\
@@ -194,6 +194,9 @@ fn serve(args: &[String]) {
             std::process::exit(1);
         }
     };
+    if let Some(report) = server.recovery_report() {
+        eprintln!("recovery: {report}");
+    }
     println!("listening on {}", server.local_addr());
     std::io::stdout().flush().ok();
     // Serve until the process is killed; the WAL makes a hard kill safe.
@@ -277,6 +280,10 @@ fn shell(args: &[String]) {
                 Err(e) => eprintln!("error: {e}"),
             },
         }
+    }
+    // `quit` and end of input alike: write the log back to the page file.
+    if let Err(e) = db.close() {
+        eprintln!("error: {e}");
     }
 }
 
