@@ -17,7 +17,7 @@ fn bench_models(c: &mut Criterion) {
         .checkout_rows(&[latest])
         .unwrap()
         .into_iter()
-        .map(|(_, r)| r)
+        .map(|(_, r)| r.clone())
         .collect();
     let res = cvd.commit(&[latest], rows, "bench", "b").unwrap();
     let new_rids: Vec<Rid> = {

@@ -163,6 +163,7 @@ fn main() {
             "counters/pagestore.pager.syncs",
             "counters/pagestore.pool.logical_reads",
             "counters/relstore.tracker.tuples",
+            "counters/orpheus.checkout.rows_copied",
             "gauges/pagestore.pool.hit_ratio",
             "gauges/pagestore.pool.free_pages",
             "gauges/pagestore.pool.unlogged_pages",

@@ -264,6 +264,7 @@ fn main() {
             "counters/orpheus.server.commits_total",
             "counters/orpheus.server.group_commit.batches",
             "counters/orpheus.server.backpressure_rejections",
+            "counters/orpheus.checkout.rows_copied",
             "counters/pagestore.wal.fsyncs",
             "counters/pagestore.wal.drains",
             "counters/pagestore.pager.syncs",

@@ -445,7 +445,18 @@ impl OrpheusDb {
             .remove(name)
             .ok_or_else(|| Error::CvdNotFound(name.to_owned()))?;
         metadata::drop_cvd(&mut self.db, name)?;
-        self.staging.retain(|_, info| info.cvd != name);
+        // Its checkouts go with it; a CSV checkout has no table to drop.
+        let mut gone: Vec<String> = (self.staging.iter())
+            .filter(|(_, info)| info.cvd == name)
+            .map(|(staged, _)| staged.clone())
+            .collect();
+        gone.sort();
+        for staged in gone {
+            self.staging.remove(&staged);
+            if self.db.has_table(&staged) {
+                self.db.drop_table(&staged)?;
+            }
+        }
         self.durability_point()
     }
 
@@ -469,16 +480,23 @@ impl OrpheusDb {
         let start = Instant::now();
         let owner = self.whoami()?.to_owned();
         let created_at = self.tick();
-        let handle = self.handle(cvd_name)?;
-        let rows = handle.cvd.checkout_rows(versions)?;
-        let schema = handle.cvd.schema().clone();
-        let keyed = versions.len() == 1 && !handle.cvd.pk_names().is_empty();
-        let t = self.db.create_scratch_table(table, schema)?;
-        let mut origins = Vec::with_capacity(rows.len());
-        for (rid, row) in rows {
-            t.insert(row)?;
-            origins.push(rid);
+        self.check_unclaimed(table)?;
+        let cvd = &self
+            .cvds
+            .get(cvd_name)
+            .ok_or_else(|| Error::CvdNotFound(cvd_name.to_owned()))?
+            .cvd;
+        let rows = cvd.checkout_rows(versions)?;
+        let keyed = versions.len() == 1 && !cvd.pk_names().is_empty();
+        let t = self.db.create_scratch_table(table, cvd.schema().clone())?;
+        // All or nothing: a copy that fails part-way takes its table along.
+        if let Err(e) = t.insert_many(rows.iter().map(|&(_, row)| row)) {
+            self.db.drop_table(table)?;
+            return Err(e.into());
         }
+        let metrics = self.db.metrics();
+        metrics.counter_add("orpheus.checkout.rows_copied", rows.len() as u64);
+        let origins = keyed.then(|| rows.iter().map(|&(rid, _)| rid).collect());
         self.staging.insert(
             table.to_owned(),
             StagingInfo {
@@ -486,12 +504,19 @@ impl OrpheusDb {
                 parents: versions.to_vec(),
                 owner,
                 created_at,
-                origins: keyed.then_some(origins),
+                origins,
             },
         );
-        self.db
-            .metrics()
-            .observe_duration("orpheus.checkout.latency_us", start.elapsed());
+        metrics.observe_duration("orpheus.checkout.latency_us", start.elapsed());
+        Ok(())
+    }
+
+    /// A checkout's name must be free: no table, and no other checkout
+    /// (a CSV checkout has no table), may hold it.
+    fn check_unclaimed(&self, name: &str) -> Result<()> {
+        if self.staging.contains_key(name) || self.db.has_table(name) {
+            return Err(relstore::Error::TableExists(name.to_owned()).into());
+        }
         Ok(())
     }
 
@@ -606,6 +631,7 @@ impl OrpheusDb {
     pub fn checkout_csv(&mut self, cvd_name: &str, versions: &[Vid], file: &str) -> Result<String> {
         let owner = self.whoami()?.to_owned();
         let created_at = self.tick();
+        self.check_unclaimed(file)?;
         let handle = self.handle(cvd_name)?;
         let rows = handle.cvd.checkout_rows(versions)?;
         let csv = to_csv(handle.cvd.schema(), rows.iter().map(|(_, r)| r.as_slice()));
@@ -1690,6 +1716,61 @@ mod tests {
         assert!(odb.list_cvds().contains(&"e".to_owned()));
     }
 
+    /// `setup`'s CVD plus `d` and `e`, one row each.
+    fn two_cvds() -> OrpheusDb {
+        let mut odb = setup();
+        for (name, k) in [("d", 1), ("e", 2)] {
+            let schema = Schema::new(vec![Column::new("k", DataType::Int64)]);
+            let rows = vec![vec![Value::Int64(k)]];
+            odb.init_cvd(name, schema, vec!["k".into()], rows).unwrap();
+        }
+        odb
+    }
+
+    /// Regression: a CSV checkout named after a live staging table took
+    /// its entry over, and `commit -t w` then made `e` v1 out of `d`'s
+    /// row; a table checkout could take a CSV checkout's name the same
+    /// way. Both now refuse a name in use.
+    #[test]
+    fn a_checkout_refuses_a_name_another_checkout_holds() {
+        let mut odb = two_cvds();
+        odb.checkout("d", &[Vid(0)], "w").unwrap();
+        let taken = Error::Storage(relstore::Error::TableExists("w".into()));
+        assert_eq!(odb.checkout_csv("e", &[Vid(0)], "w").unwrap_err(), taken);
+        odb.checkout_csv("e", &[Vid(0)], "e.csv").unwrap();
+        let err = odb.checkout("d", &[Vid(0)], "e.csv").unwrap_err();
+        assert_eq!(
+            err,
+            Error::Storage(relstore::Error::TableExists("e.csv".into()))
+        );
+        assert!(!odb.database().has_table("e.csv"));
+        odb.commit("w", "still d's").unwrap();
+        assert_eq!(odb.cvd("d").unwrap().latest_version(), Vid(1));
+        assert_eq!(odb.cvd("e").unwrap().latest_version(), Vid(0));
+        let csv = odb.commit_csv("e.csv", "k\n2\n3\n", "k:int", "still e's");
+        assert_eq!(csv.unwrap().vid, Vid(1));
+        assert_eq!(odb.cvd("d").unwrap().latest_version(), Vid(1));
+    }
+
+    /// Regression: `drop d` forgot its checkouts but left their scratch
+    /// tables, so the name stayed taken and the pages allocated.
+    #[test]
+    fn drop_takes_the_cvds_checked_out_tables_along() {
+        let mut odb = two_cvds();
+        odb.checkout("d", &[Vid(0)], "w").unwrap();
+        odb.checkout_csv("d", &[Vid(0)], "d.csv").unwrap();
+        odb.checkout("e", &[Vid(0)], "x").unwrap();
+        odb.drop_cvd("d").unwrap();
+        assert!(!odb.database().has_table("w"));
+        assert!(odb.staging_table("w").is_err() && odb.staging_table("x").is_ok());
+        odb.commit("x", "e lives on").unwrap();
+        assert_eq!(odb.database().pool().unlogged_pages(), 0);
+        odb.checkout("e", &[Vid(0)], "w").unwrap();
+        odb.checkout_csv("e", &[Vid(0)], "d.csv").unwrap();
+        odb.commit("w", "in w again").unwrap();
+        assert_eq!(odb.cvd("e").unwrap().latest_version(), Vid(2));
+    }
+
     #[test]
     fn checkpoint_command_is_informative_in_memory() {
         let mut odb = setup();
@@ -2274,12 +2355,24 @@ mod tests {
             )
         };
         let before = seen(&odb);
-        for (csv, spec, error) in [
-            ("k,y\n1,5\n", "k:int,y:int", "null in non-nullable column x"),
-            ("k,x\n1,1.5\n1,2.5\n", "k:int,x:float", "duplicate key"),
+        // A failed commit keeps its checkout, so each attempt takes a name
+        // of its own.
+        for (file, csv, spec, error) in [
+            (
+                "f.csv",
+                "k,y\n1,5\n",
+                "k:int,y:int",
+                "null in non-nullable column x",
+            ),
+            (
+                "g.csv",
+                "k,x\n1,1.5\n1,2.5\n",
+                "k:int,x:float",
+                "duplicate key",
+            ),
         ] {
-            odb.checkout_csv("d", &[Vid(0)], "f.csv").unwrap();
-            let err = odb.commit_csv("f.csv", csv, spec, "evolve").unwrap_err();
+            odb.checkout_csv("d", &[Vid(0)], file).unwrap();
+            let err = odb.commit_csv(file, csv, spec, "evolve").unwrap_err();
             assert!(err.to_string().contains(error), "{err}");
             assert_eq!(seen(&odb), before, "after {spec}");
         }

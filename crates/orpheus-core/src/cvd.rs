@@ -403,13 +403,14 @@ impl Cvd {
     /// Materialize the records of one or more versions, applying the
     /// precedence-based merge of §3.3.1: records are added in the order the
     /// versions are listed; a record whose primary key was already added is
-    /// omitted.
-    pub fn checkout_rows(&self, versions: &[Vid]) -> Result<Vec<(Rid, Row)>> {
+    /// omitted. The rows are borrowed: a checkout copies each one once,
+    /// into its staging table.
+    pub fn checkout_rows(&self, versions: &[Vid]) -> Result<Vec<(Rid, &Row)>> {
         for &v in versions {
             self.check_version(v)?;
         }
         let pk_cols = self.pk_cols()?;
-        let mut out: Vec<(Rid, Row)> = Vec::new();
+        let mut out: Vec<(Rid, &Row)> = Vec::new();
         let mut seen_pk = HashSet::new();
         let mut buf = Vec::new();
         for &v in versions {
@@ -420,7 +421,7 @@ impl Cvd {
                     || pk_cols.is_empty()
                     || seen_pk.insert(encode_key(row, &pk_cols, &mut buf).to_vec())
                 {
-                    out.push((rid, row.clone()));
+                    out.push((rid, row));
                 }
             }
         }
@@ -766,7 +767,7 @@ mod tests {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r)
+            .map(|(_, r)| r.clone())
             .collect();
         // Modify one record's coexpression (an update), keep the rest.
         rows[0][4] = Value::Int64(83);
@@ -787,7 +788,7 @@ mod tests {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r)
+            .map(|(_, r)| r.clone())
             .collect();
         let res = cvd.commit(&[v0], rows, "no-op", "bob").unwrap();
         assert_eq!(res.new_records, 0);
@@ -806,7 +807,7 @@ mod tests {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r)
+            .map(|(_, r)| r.clone())
             .collect();
         let deleted = rows[2].clone();
         let v1 = cvd
@@ -840,7 +841,7 @@ mod tests {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r)
+            .map(|(_, r)| r.clone())
             .collect();
         let mut changed = rows.clone();
         changed[0][4] = Value::Int64(999);
@@ -869,7 +870,7 @@ mod tests {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r)
+            .map(|(_, r)| r.clone())
             .collect();
         let mut a = rows.clone();
         a[0][2] = Value::Int64(1);
@@ -881,7 +882,7 @@ mod tests {
             .checkout_rows(&[v1, v2])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r)
+            .map(|(_, r)| r.clone())
             .collect();
         let v3 = cvd
             .commit(&[v1, v2], merged_rows, "merge", "carol")
@@ -900,7 +901,7 @@ mod tests {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r)
+            .map(|(_, r)| r.clone())
             .collect();
         let mut changed = rows.clone();
         changed[0][4] = Value::Int64(83);
@@ -972,7 +973,7 @@ mod tests {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r)
+            .map(|(_, r)| r.clone())
             .collect();
         let mut c = rows.clone();
         c[0][4] = Value::Int64(83);

@@ -1026,13 +1026,18 @@ mod tests {
 
     /// A store whose pager and log fail on the schedule of `plan`.
     fn open_faulty(dir: &Path, plan: &FaultPlan) -> OrpheusDb {
+        open_faulty_with(dir, plan, 256)
+    }
+
+    /// [`open_faulty`] over a pool of `frames` frames.
+    fn open_faulty_with(dir: &Path, plan: &FaultPlan, frames: usize) -> OrpheusDb {
         std::fs::create_dir_all(dir).unwrap();
         let pager = FilePager::open_recoverable(dir.join("pages.db")).unwrap();
         let log = FileWalStore::open(dir.join("wal.log")).unwrap();
         let pool = BufferPool::with_wal(
             Box::new(FaultPager::new(Box::new(pager), plan.clone())),
             Wal::new(Box::new(FaultWal::new(Box::new(log), plan.clone()))),
-            256,
+            frames,
         );
         OrpheusDb::open_pool(pool).unwrap()
     }
@@ -1094,5 +1099,54 @@ mod tests {
         }
         assert!(kept > 0 && lost > 0, "{kept} kept, {lost} lost");
         std::fs::remove_dir_all(&probe).unwrap();
+    }
+
+    /// Regression: a checkout that failed part-way left its scratch table
+    /// behind, the name taken and no checkout holding it. A version larger
+    /// than the pool makes the copy spill; a crash-stop at any I/O up to
+    /// and including the first spill write fails the checkout, which
+    /// takes its table and every one of its pages along.
+    #[test]
+    fn a_checkout_that_fails_part_way_leaves_nothing_behind() {
+        let src = scratch("spill-src");
+        {
+            let mut odb = open(&src, 4096);
+            odb.create_user("alice").unwrap();
+            odb.login("alice").unwrap();
+            let wide = |k: i64| {
+                vec![
+                    Value::Int64(k),
+                    Value::Int64(k),
+                    Value::Text("p".repeat(400)),
+                ]
+            };
+            let rows = (0..1_200).map(wide).collect();
+            odb.init_cvd("big", base_schema(), vec!["k".into()], rows)
+                .unwrap();
+            // Written back: the faulty open below replays no log.
+            odb.close().unwrap();
+        }
+        let dir = scratch("spill");
+        for nth in 1.. {
+            copy_dir(&src, &dir);
+            let plan = FaultPlan::unarmed();
+            let mut odb = open_faulty_with(&dir, &plan, 32);
+            odb.login("alice").unwrap();
+            plan.arm(nth, FaultKind::CrashStop);
+            let err = odb.checkout("big", &[Vid(0)], "w").unwrap_err();
+            assert!(plan.fired(), "I/O {nth}: the checkout failed before it");
+            assert!(!odb.database().has_table("w"), "I/O {nth}: {err}");
+            assert_eq!(odb.database().pool().unlogged_pages(), 0, "I/O {nth}");
+            assert!(matches!(
+                odb.staging_table("w"),
+                Err(Error::NotCheckedOut(_))
+            ));
+            if err.to_string().contains("pager write") {
+                break;
+            }
+            assert!(nth < 200, "no spill write in {nth} I/Os: {err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&src).unwrap();
     }
 }

@@ -265,7 +265,7 @@ mod tests {
                 .checkout_rows(&[tip])
                 .unwrap()
                 .into_iter()
-                .map(|(_, r)| r)
+                .map(|(_, r)| r.clone())
                 .collect();
             rows[(step % 50) as usize][1] = Value::Int64(step);
             tip = cvd.commit(&[tip], rows, "step", "a").unwrap().vid;

@@ -226,7 +226,7 @@ pub(crate) mod testutil {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, x)| x)
+            .map(|(_, x)| x.clone())
             .collect();
         let mut m1 = rows.clone();
         m1[0][2] = Value::Int64(83); // update (A, B)
@@ -238,7 +238,7 @@ pub(crate) mod testutil {
             .checkout_rows(&[v1, v2])
             .unwrap()
             .into_iter()
-            .map(|(_, x)| x)
+            .map(|(_, x)| x.clone())
             .collect();
         let v3 = cvd.commit(&[v1, v2], merged, "merge", "dave").unwrap().vid;
         (cvd, vec![v0, v1, v2, v3])
@@ -323,7 +323,7 @@ mod tests {
             .checkout_rows(&[vids[3]])
             .unwrap()
             .into_iter()
-            .map(|(_, x)| x)
+            .map(|(_, x)| x.clone())
             .collect();
         let mut modified = rows.clone();
         modified[0][2] = Value::Int64(1);

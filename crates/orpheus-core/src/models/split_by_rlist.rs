@@ -95,9 +95,7 @@ impl VersioningModel for SplitByRlist {
             let data = db.table_mut(&self.data_name())?;
             sync_table_schema(data, cvd, 1)?;
             tracker.seq_scan(new_rids.len() as u64, &relstore::CostModel::default());
-            for &rid in new_rids {
-                data.insert(data_row(cvd, rid))?;
-            }
+            data.insert_many(new_rids.iter().map(|&rid| data_row(cvd, rid)))?;
         }
         // INSERT INTO vtab VALUES (vid, ARRAY[rids…]) — a single tuple.
         let vtab = db.table_mut(&self.vtab_name())?;
@@ -164,7 +162,7 @@ mod tests {
             .checkout_rows(&[vids[3]])
             .unwrap()
             .into_iter()
-            .map(|(_, x)| x)
+            .map(|(_, x)| x.clone())
             .collect();
         let res = cvd.commit(&[vids[3]], rows, "noop", "eve").unwrap();
         model

@@ -32,7 +32,7 @@ fn setup() -> (Database, Cvd, SplitByRlist) {
         .checkout_rows(&[v0])
         .unwrap()
         .into_iter()
-        .map(|(_, r)| r)
+        .map(|(_, r)| r.clone())
         .collect();
     let mut m1 = base.clone();
     m1[0][2] = Value::Int64(95);
@@ -45,7 +45,7 @@ fn setup() -> (Database, Cvd, SplitByRlist) {
         .checkout_rows(&[v1, v2])
         .unwrap()
         .into_iter()
-        .map(|(_, r)| r)
+        .map(|(_, r)| r.clone())
         .collect();
     cvd.commit(&[v1, v2], merged, "merge", "dave").unwrap();
 

@@ -117,6 +117,29 @@ impl HeapFile {
         self.place_cell(pool, &cell)
     }
 
+    /// Empty `buf` and start an inline cell in it: append the tuple bytes
+    /// behind, then hand it to [`insert_cell`](Self::insert_cell). A
+    /// writer that encodes straight into a reused cell copies each tuple
+    /// once, onto the page.
+    pub fn begin_cell(buf: &mut Vec<u8>) {
+        buf.clear();
+        buf.push(TAG_INLINE);
+    }
+
+    /// [`insert`](Self::insert) of a cell built with
+    /// [`begin_cell`](Self::begin_cell); a tuple too long to stay inline
+    /// still goes to an overflow chain.
+    pub fn insert_cell(&mut self, pool: &BufferPool, cell: &[u8]) -> Result<TupleAddr> {
+        match cell.split_first() {
+            Some((&TAG_INLINE, tuple)) if tuple.len() > INLINE_LIMIT => {
+                let stub = self.cell_for(pool, tuple)?;
+                self.place_cell(pool, &stub)
+            }
+            Some((&TAG_INLINE, _)) => self.place_cell(pool, cell),
+            _ => Err(Error::Invariant("a cell to insert starts with begin_cell")),
+        }
+    }
+
     /// The tagged cell for a tuple: the bytes themselves, or a stub for
     /// the overflow chain they are written to.
     fn cell_for(&mut self, pool: &BufferPool, bytes: &[u8]) -> Result<Vec<u8>> {

@@ -167,35 +167,27 @@ impl Page {
         (PAGE_SIZE - self.free_end() as usize) - live
     }
 
-    /// Whether `insert` of a tuple of `len` bytes would succeed.
-    pub fn fits(&self, len: usize) -> bool {
-        if len > MAX_INLINE_TUPLE {
-            return false;
-        }
-        let slot_cost = if self.first_dead_slot().is_some() {
-            0
-        } else {
-            SLOT
-        };
-        self.gap() + self.dead_cell_bytes() >= len + slot_cost
-    }
-
     fn first_dead_slot(&self) -> Option<u16> {
         (0..self.slot_count()).find(|&i| matches!(self.slot(i), Some((0, _))))
     }
 
     /// Insert a tuple, compacting if fragmented. Returns its slot id, or
-    /// `None` if the page cannot hold it.
+    /// `None` if the page cannot hold it. One walk over the slot array
+    /// finds a dead slot to reuse; a second, summing the dead cells, runs
+    /// only when the contiguous gap is too small.
     pub fn insert(&mut self, bytes: &[u8]) -> Option<u16> {
-        if !self.fits(bytes.len()) {
+        if bytes.len() > MAX_INLINE_TUPLE {
             return None;
         }
         let reuse = self.first_dead_slot();
-        let slot_cost = if reuse.is_some() { 0 } else { SLOT };
-        if self.gap() < bytes.len() + slot_cost {
+        let need = bytes.len() + if reuse.is_some() { 0 } else { SLOT };
+        if self.gap() < need {
+            if self.gap() + self.dead_cell_bytes() < need {
+                return None;
+            }
             self.compact();
         }
-        debug_assert!(self.gap() >= bytes.len() + slot_cost);
+        debug_assert!(self.gap() >= need);
         let cell_off = self.free_end() - bytes.len() as u16;
         self.data[cell_off as usize..cell_off as usize + bytes.len()].copy_from_slice(bytes);
         self.set_free_end(cell_off);
@@ -305,6 +297,90 @@ pub fn live_cells(data: &[u8; PAGE_SIZE]) -> impl Iterator<Item = &[u8]> + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `insert` as it was before the one-walk fast path: ask `fits`
+    /// (a dead-slot search and a dead-cell sum), then search for the dead
+    /// slot again. The oracle the fast path must match byte for byte.
+    fn oracle_insert(p: &mut Page, bytes: &[u8]) -> Option<u16> {
+        let fits = |p: &Page, len: usize| {
+            let slot_cost = if p.first_dead_slot().is_some() {
+                0
+            } else {
+                SLOT
+            };
+            len <= MAX_INLINE_TUPLE && p.gap() + p.dead_cell_bytes() >= len + slot_cost
+        };
+        if !fits(p, bytes.len()) {
+            return None;
+        }
+        let reuse = p.first_dead_slot();
+        let slot_cost = if reuse.is_some() { 0 } else { SLOT };
+        if p.gap() < bytes.len() + slot_cost {
+            p.compact();
+        }
+        let cell_off = p.free_end() - bytes.len() as u16;
+        p.data[cell_off as usize..cell_off as usize + bytes.len()].copy_from_slice(bytes);
+        p.set_free_end(cell_off);
+        let slot = reuse.unwrap_or_else(|| {
+            let s = p.slot_count();
+            p.set_slot_count(s + 1);
+            s
+        });
+        p.set_slot(slot, cell_off, bytes.len() as u16);
+        Some(slot)
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(usize),
+        Delete(usize),
+        Update(usize, usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0..900usize).prop_map(Op::Insert),
+            (0..900usize).prop_map(Op::Insert),
+            (6000..8200usize).prop_map(Op::Insert),
+            any::<usize>().prop_map(Op::Delete),
+            (any::<usize>(), 0..1500usize).prop_map(|(i, len)| Op::Update(i, len)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random inserts, deletes and updates (in-place, growing,
+        /// compacting, refused) on two pages: `insert` picks the slot the
+        /// oracle picks and leaves the same page bytes.
+        #[test]
+        fn insert_matches_the_fits_then_insert_oracle(ops in prop::collection::vec(op(), 1..300)) {
+            let (mut fast, mut oracle) = (Page::new(), Page::new());
+            for (n, op) in ops.iter().enumerate() {
+                let live: Vec<u16> = fast.live_tuples().map(|(s, _)| s).collect();
+                let bytes = |len: usize| vec![(n % 251) as u8; len];
+                match *op {
+                    Op::Insert(len) => {
+                        let tuple = bytes(len);
+                        prop_assert_eq!(fast.insert(&tuple), oracle_insert(&mut oracle, &tuple));
+                    }
+                    Op::Delete(i) if !live.is_empty() => {
+                        let slot = live[i % live.len()];
+                        fast.delete(slot).unwrap();
+                        oracle.delete(slot).unwrap();
+                    }
+                    Op::Update(i, len) if !live.is_empty() => {
+                        let slot = live[i % live.len()];
+                        let tuple = bytes(len);
+                        prop_assert_eq!(fast.update(slot, &tuple).unwrap(), oracle.update(slot, &tuple).unwrap());
+                    }
+                    _ => {}
+                }
+                prop_assert!(fast.bytes() == oracle.bytes(), "page bytes differ after op {} {:?}", n, op);
+            }
+        }
+    }
 
     #[test]
     fn insert_get_roundtrip() {

@@ -81,20 +81,21 @@ const TAG_TEXT_DICT: u8 = 6;
 
 /// Serialize a row for heap storage in the Flat format.
 pub fn encode_row(id: RowId, row: &Row) -> Vec<u8> {
-    let mut out = Vec::with_capacity(10 + row.len() * 9);
+    let mut out = Vec::new();
+    encode_flat(id, row, &mut out);
+    out
+}
+
+/// Append the Flat encoding of a row to `out`.
+fn encode_flat(id: RowId, row: &Row, out: &mut Vec<u8>) {
+    out.reserve(10 + row.len() * 9);
     out.extend_from_slice(&id.to_le_bytes());
     out.extend_from_slice(&(row.len() as u16).to_le_bytes());
     for v in row {
         match v {
             Value::Null => out.push(TAG_NULL),
-            Value::Int64(x) => {
-                out.push(TAG_INT64);
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            Value::Float64(x) => {
-                out.push(TAG_FLOAT64);
-                out.extend_from_slice(&x.to_le_bytes());
-            }
+            Value::Int64(x) => push_tagged_word(out, TAG_INT64, x.to_le_bytes()),
+            Value::Float64(x) => push_tagged_word(out, TAG_FLOAT64, x.to_le_bytes()),
             Value::Text(s) => {
                 out.push(TAG_TEXT);
                 out.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -113,7 +114,13 @@ pub fn encode_row(id: RowId, row: &Row) -> Vec<u8> {
             }
         }
     }
-    out
+}
+
+/// A tag and an 8-byte value, appended in one copy.
+fn push_tagged_word(out: &mut Vec<u8>, tag: u8, word: [u8; 8]) {
+    let mut value = [tag; 9];
+    value[1..].copy_from_slice(&word);
+    out.extend_from_slice(&value);
 }
 
 struct Reader<'a> {
@@ -452,9 +459,18 @@ pub fn check_env() -> std::result::Result<(), String> {
 pub trait PageFormat: std::fmt::Debug {
     fn kind(&self) -> PageFormatKind;
 
-    /// Serialize one row. Fallible because stateful formats may persist
-    /// side data (dictionary pages) while encoding.
-    fn encode_row(&self, id: RowId, row: &Row) -> Result<Vec<u8>>;
+    /// Serialize one row, appending it to `out` and leaving the bytes
+    /// already there alone, so a writer can reuse one buffer for every
+    /// row. Fallible because stateful formats may persist side data
+    /// (dictionary pages) while encoding.
+    fn encode_into(&self, id: RowId, row: &Row, out: &mut Vec<u8>) -> Result<()>;
+
+    /// [`encode_into`](Self::encode_into) a fresh buffer.
+    fn encode_row(&self, id: RowId, row: &Row) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.encode_into(id, row, &mut out)?;
+        Ok(out)
+    }
 
     /// Deserialize one tuple.
     fn decode_row(&self, bytes: &[u8]) -> Result<(RowId, Row)>;
@@ -536,8 +552,9 @@ impl PageFormat for FlatFormat {
         PageFormatKind::Flat
     }
 
-    fn encode_row(&self, id: RowId, row: &Row) -> Result<Vec<u8>> {
-        Ok(encode_row(id, row))
+    fn encode_into(&self, id: RowId, row: &Row, out: &mut Vec<u8>) -> Result<()> {
+        encode_flat(id, row, out);
+        Ok(())
     }
 
     fn decode_row(&self, bytes: &[u8]) -> Result<(RowId, Row)> {
@@ -708,17 +725,17 @@ impl PageFormat for DeltaFormat {
         PageFormatKind::Delta
     }
 
-    fn encode_row(&self, id: RowId, row: &Row) -> Result<Vec<u8>> {
+    fn encode_into(&self, id: RowId, row: &Row, out: &mut Vec<u8>) -> Result<()> {
         let mut dict = self.dict.borrow_mut();
-        let mut out = Vec::with_capacity(4 + row.len() * 3);
-        push_uvarint(&mut out, id);
-        push_uvarint(&mut out, row.len() as u64);
+        out.reserve(4 + row.len() * 3);
+        push_uvarint(out, id);
+        push_uvarint(out, row.len() as u64);
         for v in row {
             match v {
                 Value::Null => out.push(TAG_NULL),
                 Value::Int64(x) => {
                     out.push(TAG_INT64);
-                    push_uvarint(&mut out, zigzag(*x));
+                    push_uvarint(out, zigzag(*x));
                 }
                 Value::Float64(x) => {
                     out.push(TAG_FLOAT64);
@@ -727,11 +744,11 @@ impl PageFormat for DeltaFormat {
                 Value::Text(s) => match dict.intern(s)? {
                     Some(code) => {
                         out.push(TAG_TEXT_DICT);
-                        push_uvarint(&mut out, u64::from(code));
+                        push_uvarint(out, u64::from(code));
                     }
                     None => {
                         out.push(TAG_TEXT);
-                        push_uvarint(&mut out, s.len() as u64);
+                        push_uvarint(out, s.len() as u64);
                         out.extend_from_slice(s.as_bytes());
                     }
                 },
@@ -741,17 +758,17 @@ impl PageFormat for DeltaFormat {
                 }
                 Value::IntArray(a) => {
                     out.push(TAG_INT_ARRAY);
-                    push_uvarint(&mut out, a.len() as u64);
+                    push_uvarint(out, a.len() as u64);
                     if !a.is_empty() {
-                        push_uvarint(&mut out, zigzag(a[0]));
+                        push_uvarint(out, zigzag(a[0]));
                         if a.len() >= 2 {
-                            push_bitpacked_deltas(&mut out, a);
+                            push_bitpacked_deltas(out, a);
                         }
                     }
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn decode_row(&self, bytes: &[u8]) -> Result<(RowId, Row)> {

@@ -149,6 +149,31 @@ proptest! {
             }
         }
     }
+
+    /// `encode_into` appends: into one buffer that already holds bytes and
+    /// is never cleared, each row adds exactly the bytes an empty buffer
+    /// receives, and what was there stays. Both formats, each row twice so
+    /// Delta's repeats are dictionary codes.
+    #[test]
+    fn encode_into_a_reused_buffer_appends_what_an_empty_one_gets(
+        rows in prop::collection::vec(prop::collection::vec(probe_value(), 1..6), 1..8),
+        prefix in prop::collection::vec(any::<u8>(), 1..40),
+    ) {
+        for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
+            let (reused_fmt, fresh_fmt) = (codec::format_for(kind), codec::format_for(kind));
+            let mut reused = prefix.clone();
+            for (i, row) in rows.iter().chain(&rows).enumerate() {
+                let before = reused.len();
+                reused_fmt.encode_into(i as u64, row, &mut reused).unwrap();
+                let mut fresh = Vec::new();
+                fresh_fmt.encode_into(i as u64, row, &mut fresh).unwrap();
+                prop_assert_eq!(&reused[before..], &fresh[..], "{:?} row {}", kind, i);
+                let (id, back) = fresh_fmt.decoder().decode_row(&fresh).unwrap();
+                prop_assert!(id == i as u64 && rows_eq(row, &back), "{:?} row {}", kind, i);
+            }
+            prop_assert_eq!(&reused[..prefix.len()], &prefix[..]);
+        }
+    }
 }
 
 /// Text from a small alphabet (so strings repeat and promote to Delta

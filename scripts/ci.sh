@@ -339,9 +339,40 @@ newest=$(grep -oE 'ISSUE [0-9]+' CHANGES.md | awk '{ print $2 }' | sort -n | tai
 [ -s "results/BENCH_$newest.json" ] || { echo "ISSUE $newest has no results/BENCH_$newest.json"; exit 1; }
 echo "ISSUE $newest -> results/BENCH_$newest.json"
 
-echo "==> net non-test Rust lines per crate (scripts/loc.sh)"
+echo "==> net non-test Rust lines per crate (scripts/loc.sh), gated"
 # Net LOC is a tracked metric (ROADMAP): printed on every run so a PR's
-# before/after figures come from the same counter.
-scripts/loc.sh
+# before/after figures come from the same counter. A crate more than 5 %
+# above its `loc_by_crate.parent` in the newest results/BENCH_<n>.json
+# fails the gate unless CHANGES.md's newest line names it (and says why).
+loc=$(scripts/loc.sh)
+echo "$loc"
+bench=$(ls results/BENCH_*.json | sed 's/.*BENCH_\([0-9]*\)\.json$/\1/' | sort -n | tail -1)
+bench="results/BENCH_$bench.json"
+grown=$(awk -F'"' -v now="$loc" '
+  /"loc_by_crate"/ { in_loc = 1 }
+  in_loc && /"parent"/ { in_parent = 1; next }
+  in_parent && /}/ { exit }
+  in_parent && NF >= 3 { n = $3; gsub(/[^0-9]/, "", n); parent[$2] = n; crates++ }
+  END {
+    if (!crates) { print "?"; exit }
+    lines = split(now, line, "\n")
+    for (i = 1; i <= lines; i++) {
+      name = line[i]; sub(/[ \t]+[0-9]+[ \t]*$/, "", name)
+      count = line[i]; sub(/.*[ \t]/, "", count)
+      if (name != "total" && (name in parent) && count + 0 > parent[name] * 1.05) print name
+    }
+  }' "$bench")
+[ "$grown" != "?" ] || { echo "$bench has no loc_by_crate.parent"; exit 1; }
+newest_change=$(grep -m1 '^- ' CHANGES.md)
+unnamed=0
+while IFS= read -r crate; do
+  [ -n "$crate" ] || continue
+  if ! printf '%s' "$newest_change" | grep -qF -- "$crate"; then
+    echo "$crate grew > 5 % over its parent in $bench and CHANGES.md's newest line does not name it"
+    unnamed=1
+  fi
+done <<< "$grown"
+[ "$unnamed" -eq 0 ] || exit 1
+echo "no crate grew > 5 % over $bench's parent unnamed"
 
 echo "CI OK"
