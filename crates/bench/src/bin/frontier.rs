@@ -5,7 +5,7 @@
 //! page format (Flat, Delta) — and measures the physical bytes each
 //! format puts on pages, the wall cost of recreating (checking out)
 //! sampled versions, and the storage/recreation frontier swept by the
-//! `ORPHEUS_MAT_BUDGET` factor through `deltastore::plan_with_budget`.
+//! budget factor (`plan_storage -b`) through `deltastore::plan_with_budget`.
 //! A branch-and-bound oracle leg validates the budget planner on
 //! exhaustively solvable instances.
 //!

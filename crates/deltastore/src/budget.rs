@@ -1,11 +1,11 @@
 //! Materialization budget: which versions stay fully materialized.
 //!
 //! The delta page format trades storage for recreation cost; the budget
-//! knob `ORPHEUS_MAT_BUDGET` sets how much storage the engine may spend
-//! as a *multiple of the minimum* (the MST storage `C_min` of Problem
-//! 7.1). A factor of 1.0 is the all-delta extreme (minimum storage,
-//! worst recreation); larger factors buy back recreation cost by keeping
-//! more versions materialized. Planning dispatches to the LMG heuristic
+//! factor (`plan_storage <cvd> -b <factor>`) sets how much storage the
+//! engine may spend as a *multiple of the minimum* (the MST storage
+//! `C_min` of Problem 7.1). A factor of 1.0 is the all-delta extreme
+//! (minimum storage, worst recreation); larger factors buy back
+//! recreation cost by keeping more versions materialized. Planning dispatches to the LMG heuristic
 //! for Problem 7.3 (minimize `ΣRᵢ` s.t. `C ≤ β`), which the
 //! branch-and-bound in [`crate::exact`] validates on small instances.
 
@@ -13,11 +13,7 @@ use crate::problems::{p1_min_storage, p3_min_sum_recreation};
 use crate::solution::StorageSolution;
 use crate::StorageGraph;
 
-/// Environment knob: materialization budget as a multiple of the
-/// minimum storage (finite, ≥ 1.0).
-pub const ENV: &str = "ORPHEUS_MAT_BUDGET";
-
-/// Default budget factor when the knob is unset: storage may grow to
+/// Default budget factor when `-b` is not given: storage may grow to
 /// twice the MST minimum.
 pub const DEFAULT_FACTOR: f64 = 2.0;
 
@@ -28,26 +24,9 @@ pub fn parse_mat_budget(s: &str) -> Result<f64, String> {
     match s.trim().parse::<f64>() {
         Ok(f) if f.is_finite() && f >= 1.0 => Ok(f),
         _ => Err(format!(
-            "{ENV} must be a finite number ≥ 1.0 (multiple of minimum storage), got {s:?}"
+            "expected a finite number ≥ 1.0 (multiple of minimum storage), got {s:?}"
         )),
     }
-}
-
-/// Validate `ORPHEUS_MAT_BUDGET` for front ends that must not silently
-/// ignore a typo'd knob.
-pub fn check_env() -> Result<(), String> {
-    match std::env::var(ENV) {
-        Err(_) => Ok(()),
-        Ok(s) => parse_mat_budget(&s).map(|_| ()),
-    }
-}
-
-/// Silent-fallback accessor for library use; the CLI validates loudly
-/// via [`check_env`] first.
-pub fn env_budget() -> Option<f64> {
-    std::env::var(ENV)
-        .ok()
-        .and_then(|s| parse_mat_budget(&s).ok())
 }
 
 /// A budgeted storage plan: which versions to materialize, which to

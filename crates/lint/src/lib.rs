@@ -12,7 +12,7 @@
 //! external parser), builds a lightweight code model (`model`: fn/impl
 //! boundaries, call sites, guard held-regions) and a workspace call +
 //! lock-acquisition graph (`graph`), and enforces the numbered rule
-//! catalog L001–L012; see `README.md` for the catalog.
+//! catalog L001–L013; see `README.md` for the catalog.
 //!
 //! Findings print as `file:line: Lxxx message` (or as JSON with
 //! `--json`) and the binary exits non-zero when any survive

@@ -1,5 +1,5 @@
 //! `orpheus-lint` — lint the workspace (or single files) against the
-//! L001–L012 rule catalog. Exit codes: 0 clean, 1 findings, 2 usage or
+//! L001–L013 rule catalog. Exit codes: 0 clean, 1 findings, 2 usage or
 //! I/O error.
 
 use obs::Json;
@@ -93,7 +93,7 @@ fn render_json(findings: &[lint::FileFinding], files: usize) -> String {
                 "{{\"path\":{},\"line\":{},\"rule\":{},\"msg\":{}}}",
                 s(&f.path),
                 f.finding.line,
-                s(f.finding.rule.id()),
+                s(&f.finding.rule.id()),
                 s(&f.finding.msg)
             )
         })

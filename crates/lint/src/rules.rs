@@ -9,7 +9,7 @@
 //!   engine library code (an RAII span guard bound to `_` drops
 //!   immediately and silently records zero time).
 //! - **L003** — no `Instant::now` / `SystemTime` in `relstore::cost` /
-//!   `relstore::plan` (cost estimates must be deterministic).
+//!   `orpheus_core::plan` (cost estimates must be deterministic).
 //! - **L004** — every `unsafe` carries a `// SAFETY:` comment.
 //! - **L005** — no `#[ignore]` anywhere in the workspace.
 //! - **L006** — every `#[allow(…)]` and every `// lint:allow(Lxxx)`
@@ -29,6 +29,9 @@
 //! - **L012** — every `pub fn` command entry point (returning
 //!   `CommandOutput` in orpheus-core/orpheus-server) must create an obs
 //!   span, directly or transitively, or carry a reasoned suppression.
+//! - **L013** — no `std::env::{var, var_os, vars, set_var, remove_var}`
+//!   in the library code of the engine crates or `deltastore`: settings
+//!   are parsed once by the binary and passed down.
 //!
 //! Suppression: a non-doc comment `// lint:allow(L001): reason` on the
 //! finding's line or the line directly above silences that rule there.
@@ -53,7 +56,10 @@ pub const ENGINE_CRATES: &[&str] = &[
 pub const VENDORED_SHIMS: &[&str] = &["rand", "proptest", "criterion"];
 
 /// Modules whose cost arithmetic must stay deterministic (L003).
-const DETERMINISTIC_PREFIXES: &[&str] = &["crates/relstore/src/cost", "crates/relstore/src/plan"];
+const DETERMINISTIC_PREFIXES: &[&str] = &[
+    "crates/relstore/src/cost",
+    "crates/orpheus-core/src/plan.rs",
+];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
@@ -68,40 +74,24 @@ pub enum Rule {
     L010,
     L011,
     L012,
+    L013,
 }
 
 impl Rule {
-    pub fn id(self) -> &'static str {
-        match self {
-            Rule::L001 => "L001",
-            Rule::L002 => "L002",
-            Rule::L003 => "L003",
-            Rule::L004 => "L004",
-            Rule::L005 => "L005",
-            Rule::L006 => "L006",
-            Rule::L007 => "L007",
-            Rule::L009 => "L009",
-            Rule::L010 => "L010",
-            Rule::L011 => "L011",
-            Rule::L012 => "L012",
-        }
+    const ALL: [Rule; 12] = {
+        use Rule::*;
+        [
+            L001, L002, L003, L004, L005, L006, L007, L009, L010, L011, L012, L013,
+        ]
+    };
+
+    /// The stable id, `Lxxx`: the variant's name.
+    pub fn id(self) -> String {
+        format!("{self:?}")
     }
 
     pub fn parse(s: &str) -> Option<Rule> {
-        match s.trim() {
-            "L001" => Some(Rule::L001),
-            "L002" => Some(Rule::L002),
-            "L003" => Some(Rule::L003),
-            "L004" => Some(Rule::L004),
-            "L005" => Some(Rule::L005),
-            "L006" => Some(Rule::L006),
-            "L007" => Some(Rule::L007),
-            "L009" => Some(Rule::L009),
-            "L010" => Some(Rule::L010),
-            "L011" => Some(Rule::L011),
-            "L012" => Some(Rule::L012),
-            _ => None,
-        }
+        Rule::ALL.into_iter().find(|r| r.id() == s.trim())
     }
 }
 
@@ -118,7 +108,10 @@ pub struct Finding {
 pub struct FileClass {
     /// Library code (`src/`) of one of [`ENGINE_CRATES`].
     pub engine_lib: bool,
-    /// `crates/relstore/src/{cost,plan}*`.
+    /// Library code of an engine crate or `deltastore`: no environment
+    /// reads (L013).
+    pub env_free: bool,
+    /// `crates/relstore/src/cost*`, `crates/orpheus-core/src/plan.rs`.
     pub deterministic: bool,
     /// `crates/exec-pool/` — the one place allowed to create threads.
     pub pool_code: bool,
@@ -133,15 +126,19 @@ pub struct FileClass {
 pub fn classify(rel_path: &str) -> FileClass {
     let rel = rel_path.trim_start_matches("./").replace('\\', "/");
     let mut segs = rel.split('/');
-    let (engine_lib, test_code) = match (segs.next(), segs.next(), segs.next()) {
-        (Some("crates"), Some(krate), Some("src")) => (ENGINE_CRATES.contains(&krate), false),
-        (Some("crates"), Some(_), Some("tests")) | (Some("tests"), _, _) => (false, true),
-        _ => (false, false),
+    let (engine_lib, env_free, test_code) = match (segs.next(), segs.next(), segs.next()) {
+        (Some("crates"), Some(krate), Some("src")) => {
+            let engine = ENGINE_CRATES.contains(&krate);
+            (engine, engine || krate == "deltastore", false)
+        }
+        (Some("crates"), Some(_), Some("tests")) | (Some("tests"), _, _) => (false, false, true),
+        _ => (false, false, false),
     };
     let deterministic = DETERMINISTIC_PREFIXES.iter().any(|p| rel.starts_with(p));
     let pool_code = rel.starts_with("crates/exec-pool/");
     FileClass {
         engine_lib,
+        env_free,
         deterministic,
         pool_code,
         test_code,
@@ -159,7 +156,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
         .collect()
 }
 
-/// The token-level rules (L001–L007 plus L011's `.ok();` arm) for one
+/// The token-level rules (L001–L007, L013, and L011's `.ok();` arm) for one
 /// lexed file. The graph rules (L009/L010/L012 and L011's `let _ =`
 /// arm) are added by `graph::analyze`; suppressions are applied by
 /// [`finalize`] once both are in.
@@ -175,6 +172,9 @@ pub(crate) fn per_file_findings(rel_path: &str, lexed: &Lexed, in_test: &[bool])
     }
     if class.deterministic {
         l003_deterministic_cost(toks, in_test, &mut findings);
+    }
+    if class.env_free {
+        l013_no_environment(toks, in_test, &mut findings);
     }
     l004_safety_comments(toks, &lexed.comments, &mut findings);
     l005_no_ignored_tests(toks, &mut findings);
@@ -489,11 +489,7 @@ fn l003_deterministic_cost(toks: &[Tok], in_test: &[bool], findings: &mut Vec<Fi
         if in_test[i] {
             continue;
         }
-        if toks[i].is_ident("Instant")
-            && matches!(toks.get(i + 1), Some(t) if t.is_punct(':'))
-            && matches!(toks.get(i + 2), Some(t) if t.is_punct(':'))
-            && matches!(toks.get(i + 3), Some(t) if t.is_ident("now"))
-        {
+        if path_tail(toks, i, "Instant", &["now"]).is_some() {
             findings.push(Finding {
                 line: toks[i].line,
                 rule: Rule::L003,
@@ -514,6 +510,39 @@ fn l003_deterministic_cost(toks: &[Tok], in_test: &[bool], findings: &mut Vec<Fi
     }
 }
 
+/// The `std::env` functions that read or change the process environment.
+const ENV_ACCESS: &[&str] = &["var", "var_os", "vars", "vars_os", "set_var", "remove_var"];
+
+fn l013_no_environment(toks: &[Tok], in_test: &[bool], findings: &mut Vec<Finding>) {
+    for i in 0..toks.len() {
+        if in_test[i] {
+            continue;
+        }
+        if let Some(name) = path_tail(toks, i, "env", ENV_ACCESS) {
+            findings.push(Finding {
+                line: toks[i].line,
+                rule: Rule::L013,
+                msg: format!(
+                    "`env::{name}` in library code: settings are parsed once by \
+                     the binary and passed down as typed values"
+                ),
+            });
+        }
+    }
+}
+
+/// The name after `head::` at token `i`, if it is one of `names`.
+fn path_tail<'t>(toks: &'t [Tok], i: usize, head: &str, names: &[&str]) -> Option<&'t str> {
+    let sep = |k: usize| matches!(toks.get(k), Some(t) if t.is_punct(':'));
+    if !toks[i].is_ident(head) || !sep(i + 1) || !sep(i + 2) {
+        return None;
+    }
+    match &toks.get(i + 3)?.kind {
+        TokKind::Ident(name) if names.contains(&name.as_str()) => Some(name),
+        _ => None,
+    }
+}
+
 /// Thread-creating names under `std::thread` that bypass the pool.
 const RAW_THREAD_ENTRIES: &[&str] = &["spawn", "scope", "Builder"];
 
@@ -522,17 +551,7 @@ fn l007_no_raw_threads(toks: &[Tok], in_test: &[bool], findings: &mut Vec<Findin
         if in_test[i] {
             continue;
         }
-        if toks[i].is_ident("thread")
-            && matches!(toks.get(i + 1), Some(t) if t.is_punct(':'))
-            && matches!(toks.get(i + 2), Some(t) if t.is_punct(':'))
-            && matches!(toks.get(i + 3),
-                Some(Tok { kind: TokKind::Ident(name), .. })
-                    if RAW_THREAD_ENTRIES.contains(&name.as_str()))
-        {
-            let name = match &toks[i + 3].kind {
-                TokKind::Ident(n) => n.as_str(),
-                _ => "spawn",
-            };
+        if let Some(name) = path_tail(toks, i, "thread", RAW_THREAD_ENTRIES) {
             findings.push(Finding {
                 line: toks[i].line,
                 rule: Rule::L007,

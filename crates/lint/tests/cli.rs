@@ -44,6 +44,7 @@ fn each_firing_fixture_exits_one_with_its_rule_on_stdout() {
         ("l010_fire.rs", "L010"),
         ("l011_fire.rs", "L011"),
         ("l012_fire.rs", "L012"),
+        ("l013_fire.rs", "L013"),
         ("suppress_bad.rs", "L006"),
     ] {
         let out = bin().args(["--file", &fixture(name)]).output().unwrap();
@@ -67,6 +68,7 @@ fn clean_fixtures_exit_zero() {
         "l010_clean.rs",
         "l011_clean.rs",
         "l012_clean.rs",
+        "l013_clean.rs",
         "suppress_ok.rs",
     ] {
         let out = bin().args(["--file", &fixture(name)]).output().unwrap();

@@ -75,6 +75,13 @@ fn l003_spares_counter_arithmetic_and_test_timing() {
 }
 
 #[test]
+fn l003_covers_orpheus_core_plan_estimates() {
+    assert_eq!(rules_of("l003_plan_fire.rs"), vec![Rule::L003]);
+    assert!(lint::classify("crates/orpheus-core/src/plan.rs").deterministic);
+    assert!(!lint::classify("crates/orpheus-core/src/commands.rs").deterministic);
+}
+
+#[test]
 fn l004_fires_on_unjustified_unsafe() {
     assert_eq!(rules_of("l004_fire.rs"), vec![Rule::L004]);
 }
@@ -234,6 +241,26 @@ fn l012_fires_on_untraced_command_entry_points() {
 #[test]
 fn l012_spares_direct_and_transitive_spans() {
     assert_clean("l012_clean.rs");
+}
+
+#[test]
+fn l013_fires_on_environment_access_in_library_code() {
+    assert_eq!(
+        rules_of("l013_fire.rs"),
+        vec![Rule::L013; 5],
+        "var, var_os, vars, set_var, remove_var"
+    );
+}
+
+#[test]
+fn l013_spares_parameters_scratch_paths_tests_and_reasoned_reads() {
+    assert_clean("l013_clean.rs");
+    use lint::classify;
+    assert!(classify("crates/deltastore/src/budget.rs").env_free);
+    assert!(classify("crates/obs/src/journal.rs").env_free);
+    assert!(!classify("crates/bench/src/lib.rs").env_free);
+    assert!(!classify("src/main.rs").env_free);
+    assert!(!classify("crates/orpheus-core/tests/props.rs").env_free);
 }
 
 #[test]

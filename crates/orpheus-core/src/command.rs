@@ -58,8 +58,7 @@ pub enum Command {
     Diff(String, Vid, Vid),
     /// `optimize <cvd> [-g <γ>]`, γ 2.0 by default.
     Optimize(String, f64),
-    /// `plan_storage <cvd> [-b <factor>]`; without `-b`,
-    /// `ORPHEUS_MAT_BUDGET`, or 2.0 when that is unset.
+    /// `plan_storage <cvd> [-b <factor>]`, the factor 2.0 by default.
     PlanStorage(String, f64),
     /// `run <query>`
     Run(VQuery),
@@ -147,8 +146,7 @@ impl Command {
                     budget::parse_mat_budget(s)
                         .map_err(|m| parse_error(format!("bad budget factor: {m}")))
                 });
-                let factor = factor.transpose()?.or_else(budget::env_budget);
-                Self::PlanStorage(cvd, factor.unwrap_or(budget::DEFAULT_FACTOR))
+                Self::PlanStorage(cvd, factor.transpose()?.unwrap_or(budget::DEFAULT_FACTOR))
             }
             "run" => Self::Run(parse_query(rest.trim())?),
             "explain" => {
@@ -372,6 +370,15 @@ mod tests {
         assert_eq!(
             parsed("diff t -v 0 1"),
             Command::Diff("t".into(), Vid(0), Vid(1))
+        );
+        // `-b` is the budget's one spelling; without it, the default.
+        assert_eq!(
+            parsed("plan_storage t"),
+            Command::PlanStorage("t".into(), budget::DEFAULT_FACTOR)
+        );
+        assert_eq!(
+            parsed("plan_storage t -b 1.5"),
+            Command::PlanStorage("t".into(), 1.5)
         );
     }
 

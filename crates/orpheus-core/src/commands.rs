@@ -74,16 +74,18 @@ pub struct OrpheusDb {
     /// issues one checkpoint per *batch* of such commands instead, so N
     /// concurrent commits cost one WAL fsync rather than N.
     auto_checkpoint: bool,
-    /// Slow-query threshold in milliseconds (`ORPHEUS_SLOW_MS`, default
-    /// 100): any command taking at least this long logs one structured
-    /// line to stderr with its trace id and top self-time spans. `0`
-    /// logs every command. Always on — independent of journal sampling.
+    /// Slow-query threshold in milliseconds (default
+    /// [`obs::journal::DEFAULT_SLOW_MS`]): any command taking at least
+    /// this long logs one structured line to stderr with its trace id and
+    /// top self-time spans. `0` logs every command. Always on —
+    /// independent of journal sampling.
     slow_ms: u64,
 }
 
 /// Worker count an instance starts with: `ORPHEUS_THREADS` when set to a
 /// positive integer, otherwise 1 (sequential).
 fn default_threads() -> usize {
+    // lint:allow(L013): `scripts/ci.sh` re-runs the library suites at 4 workers through this variable; the binary sets its threads explicitly
     std::env::var("ORPHEUS_THREADS")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
@@ -113,7 +115,7 @@ impl OrpheusDb {
             tracker: RefCell::new(relstore::CostTracker::new()),
             threads: default_threads(),
             auto_checkpoint: true,
-            slow_ms: obs::journal::env_slow_ms(),
+            slow_ms: obs::journal::DEFAULT_SLOW_MS,
         }
     }
 
@@ -205,10 +207,15 @@ impl OrpheusDb {
         self.slow_ms
     }
 
-    /// Override the slow-query threshold (`ORPHEUS_SLOW_MS` sets the
-    /// initial value); `0` logs every command.
+    /// Set the slow-query threshold; `0` logs every command.
     pub fn set_slow_ms(&mut self, ms: u64) {
         self.slow_ms = ms;
+    }
+
+    /// Set the page format of the tables created from here on (Flat by
+    /// default); existing tables keep theirs.
+    pub fn set_page_format(&mut self, kind: relstore::codec::PageFormatKind) {
+        self.db.set_default_format(kind);
     }
 
     /// Whether the storage layer has a write-ahead log attached.
@@ -1462,7 +1469,7 @@ mod tests {
     }
 
     /// Regression: `plan_storage … -b` with nothing after `-b` fell back
-    /// to `ORPHEUS_MAT_BUDGET` or 2.0.
+    /// to the default factor.
     #[test]
     fn plan_storage_refuses_a_bare_b_flag() {
         let mut odb = setup();

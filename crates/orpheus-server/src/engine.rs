@@ -18,7 +18,7 @@
 //! **Group commit.** When a command that ends in a durability point
 //! arrives ([`Command::is_durable`]: `commit`, `init`, `drop`,
 //! `create_user`), the engine drains the channel until it is empty (or
-//! holds `max_batch` such jobs), serving any other message as it comes,
+//! holds `MAX_BATCH` such jobs), serving any other message as it comes,
 //! then applies the whole batch and issues *one* WAL-protected checkpoint
 //! for all of it. No timer: a lone commit is applied at once, while
 //! commits that queue behind a running batch form the next one — N
@@ -34,6 +34,7 @@
 use crate::protocol::code;
 use obs::{Recorder, Registry, TraceCtx};
 use orpheus_core::{Command, CommandOutput, OrpheusDb, Snapshot};
+use relstore::codec::PageFormatKind;
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,8 +54,10 @@ pub struct EngineConfig {
     /// Bounded admission queue: commits queued beyond this are rejected
     /// with a typed backpressure error.
     pub admission_capacity: usize,
-    /// Largest number of commits folded into one group-commit batch.
-    pub max_batch: usize,
+    /// Tuple codec of the tables the engine creates.
+    pub page_format: PageFormatKind,
+    /// Slow-query threshold in milliseconds; `0` logs every command.
+    pub slow_ms: u64,
 }
 
 impl Default for EngineConfig {
@@ -64,10 +67,14 @@ impl Default for EngineConfig {
             pool_pages: 512,
             threads: 1,
             admission_capacity: 64,
-            max_batch: 32,
+            page_format: PageFormatKind::Flat,
+            slow_ms: obs::journal::DEFAULT_SLOW_MS,
         }
     }
 }
+
+/// Largest number of commits folded into one group-commit batch.
+const MAX_BATCH: usize = 32;
 
 /// A typed engine-level error: a SQLSTATE-style code plus a message,
 /// carried to the client as an `E` frame.
@@ -383,6 +390,8 @@ fn open_db(cfg: &EngineConfig) -> Result<(OrpheusDb, Option<relstore::RecoveryRe
         None => (OrpheusDb::new(), None),
     };
     db.set_threads(cfg.threads);
+    db.set_page_format(cfg.page_format);
+    db.set_slow_ms(cfg.slow_ms);
     // The server owns durability points: one checkpoint per commit batch
     // (group commit) instead of one per commit.
     db.set_auto_checkpoint(false);
@@ -447,7 +456,7 @@ fn engine_loop(
         match serve(&mut db, msg) {
             ControlFlow::Continue(None) => {}
             ControlFlow::Continue(Some(first)) => {
-                if group_commit(&mut db, first, &rx, &cfg, &queued, &registry) {
+                if group_commit(&mut db, first, &rx, MAX_BATCH, &queued, &registry) {
                     break;
                 }
             }
@@ -459,24 +468,24 @@ fn engine_loop(
     drop(db.close());
 }
 
-/// Drain the channel into one batch until it is empty, apply the batch's
-/// jobs in arrival order, and end it with a single checkpoint (one WAL
-/// fsync). Other messages drained on the way are served at once, before
-/// any apply — a batch never delays a read or a snapshot pin, and never
-/// shows one a commit that is not durable yet. Returns `true` when a
-/// shutdown request arrived mid-drain.
+/// Drain the channel into one batch until it is empty or holds
+/// `max_batch` jobs, apply the batch's jobs in arrival order, and end it
+/// with a single checkpoint (one WAL fsync). Other messages drained on
+/// the way are served at once, before any apply — a batch never delays a
+/// read or a snapshot pin, and never shows one a commit that is not
+/// durable yet. Returns `true` when a shutdown request arrived mid-drain.
 fn group_commit(
     db: &mut OrpheusDb,
     first: Job,
     rx: &Receiver<EngineMsg>,
-    cfg: &EngineConfig,
+    max_batch: usize,
     queued: &AtomicUsize,
     registry: &Registry,
 ) -> bool {
     let mut shutdown = false;
     let mut batch = vec![first];
     queued.fetch_sub(1, Ordering::SeqCst);
-    while batch.len() < cfg.max_batch && !shutdown {
+    while batch.len() < max_batch && !shutdown {
         match rx.try_recv().map(|msg| serve(db, msg)) {
             Ok(ControlFlow::Continue(None)) => {}
             Ok(ControlFlow::Continue(Some(job))) => {
@@ -659,13 +668,12 @@ mod tests {
         tx.send(EngineMsg::Job(log)).unwrap();
         tx.send(EngineMsg::Job(b)).unwrap();
         let before = db.io_stats().checkpoints;
-        let cfg = EngineConfig::default();
         let queued = AtomicUsize::new(2);
         assert!(!group_commit(
             &mut db,
             a,
             &rx,
-            &cfg,
+            MAX_BATCH,
             &queued,
             &Registry::new()
         ));
@@ -738,12 +746,8 @@ mod tests {
             let (first, first_rx) = job("a", "commit -t wa -m batch");
             let (second, second_rx) = job("b", "commit -t wb -m batch");
             tx.send(EngineMsg::Job(second)).unwrap();
-            let cfg = EngineConfig {
-                max_batch: 2,
-                ..EngineConfig::default()
-            };
             let queued = AtomicUsize::new(2);
-            group_commit(db, first, &rx, &cfg, &queued, &Registry::new());
+            group_commit(db, first, &rx, 2, &queued, &Registry::new());
             vec![first_rx.recv().unwrap(), second_rx.recv().unwrap()]
         }
         fn visible(db: &OrpheusDb) -> String {

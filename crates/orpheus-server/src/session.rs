@@ -34,6 +34,7 @@
 
 use crate::engine::{map_err, EngineError, EngineHandle};
 use crate::protocol::{self, code, ClientMsg, FrameBuf, Framed, ProtoError, ServerMsg};
+use obs::Registry;
 use orpheus_core::{Command, CommandOutput, Snapshot};
 use relstore::{Schema, Value};
 use std::collections::HashMap;
@@ -165,26 +166,36 @@ impl From<ProtoError> for ReplyError {
 struct Reply<'a, W: Write> {
     buf: &'a mut FrameBuf,
     out: W,
+    /// Counts each write (`orpheus.server.reply_flushes_total`) and its
+    /// bytes (`…reply_bytes_total`) before making it, so a client that
+    /// has read its reply finds the reply counted.
+    registry: &'a Registry,
     /// Echoed on `CommandComplete` so the client can correlate its reply
     /// with a server-side `trace dump`.
     trace: u64,
-    /// Writes and bytes handed to `out` so far.
-    sent: (u64, u64),
+    /// Whether part of the reply has been handed to `out`.
+    flushed: bool,
 }
 
 impl<'a, W: Write> Reply<'a, W> {
-    fn new(buf: &'a mut FrameBuf, out: W, trace: u64) -> Self {
+    fn new(buf: &'a mut FrameBuf, out: W, registry: &'a Registry, trace: u64) -> Self {
         Reply {
             buf,
             out,
+            registry,
             trace,
-            sent: (0, 0),
+            flushed: false,
         }
     }
 
     fn flush(&mut self) -> Framed {
-        self.out.write_all(self.buf.bytes())?;
-        self.sent = (self.sent.0 + 1, self.sent.1 + self.buf.bytes().len() as u64);
+        let bytes = self.buf.bytes();
+        self.registry
+            .counter_add("orpheus.server.reply_flushes_total", 1);
+        self.registry
+            .counter_add("orpheus.server.reply_bytes_total", bytes.len() as u64);
+        self.flushed = true;
+        self.out.write_all(bytes)?;
         self.buf.clear();
         Ok(())
     }
@@ -200,14 +211,13 @@ impl<'a, W: Write> Reply<'a, W> {
 
     /// End the reply: on a failed command the `E` frame — alone, if nothing
     /// was flushed yet (what was rendered is rolled back), after the rows
-    /// already sent otherwise — then `Z`, then the last write. Returns the
-    /// reply's `(writes, bytes)`.
-    fn finish(mut self, result: Result<(), ReplyError>) -> Result<(u64, u64), ProtoError> {
+    /// already sent otherwise — then `Z`, then the last write.
+    fn finish(mut self, result: Result<(), ReplyError>) -> Result<(), ProtoError> {
         match result {
             Ok(()) => {}
             Err(ReplyError::Wire(e)) => return Err(e),
             Err(ReplyError::Command(e)) => {
-                if self.sent.0 == 0 {
+                if !self.flushed {
                     self.buf.clear();
                 }
                 self.buf.error(e.code, &e.message).or_else(|_| {
@@ -217,8 +227,7 @@ impl<'a, W: Write> Reply<'a, W> {
             }
         }
         self.buf.server(&ServerMsg::Ready)?;
-        self.flush()?;
-        Ok(self.sent)
+        self.flush()
     }
 }
 
@@ -311,7 +320,7 @@ fn query_loop(
             Ok(ClientMsg::Startup { .. }) => {
                 let (code, message) = (code::PROTOCOL, "session already started".into());
                 let refused = Err(EngineError { code, message }.into());
-                Reply::new(&mut buf, stream, 0).finish(refused)?;
+                Reply::new(&mut buf, stream, &registry, 0).finish(refused)?;
                 continue;
             }
             Err(ProtoError::Timeout) => {
@@ -330,7 +339,7 @@ fn query_loop(
             _ => obs::mint_trace_id(),
         };
         let start = Instant::now();
-        let mut reply = Reply::new(&mut buf, stream, trace);
+        let mut reply = Reply::new(&mut buf, stream, &registry, trace);
         let routed = dispatch(&line, session_id, user, engine, &mut pinned, &mut reply);
         registry.counter_add("orpheus.server.queries_total", 1);
         // Rendering what the engine sent back whole, and the write that
@@ -342,10 +351,8 @@ fn query_loop(
             Some(out) => Ok(render(&out, &mut reply)?),
             None => Ok(()),
         });
-        let (flushes, bytes) = reply.finish(rendered)?;
+        reply.finish(rendered)?;
         drop(span);
-        registry.counter_add("orpheus.server.reply_flushes_total", flushes);
-        registry.counter_add("orpheus.server.reply_bytes_total", bytes);
         registry.observe_duration("orpheus.server.query.latency_us", start.elapsed());
     }
 }
@@ -515,21 +522,72 @@ mod tests {
 
     /// One reply as the live server builds it — `run` renders into the
     /// session's `buf`, `finish` ends it — written to a `Vec`. Returns the
-    /// wire bytes and the `(writes, bytes)` the reply reports.
+    /// wire bytes and the `(writes, bytes)` the registry counted.
     fn reply_on(
         buf: &mut FrameBuf,
         run: impl FnOnce(&mut Reply<'_, &mut Vec<u8>>) -> Result<(), ReplyError>,
     ) -> (Vec<u8>, (u64, u64)) {
-        let mut wire = Vec::new();
-        let mut reply = Reply::new(buf, &mut wire, TRACE);
+        let (mut wire, registry) = (Vec::new(), Registry::new());
+        let mut reply = Reply::new(buf, &mut wire, &registry, TRACE);
         let result = run(&mut reply);
-        let sent = reply.finish(result).unwrap();
+        reply.finish(result).unwrap();
         assert!(
             buf.bytes().is_empty(),
             "the buffer is empty between replies"
         );
+        let counted = |name: &str| registry.counter(&format!("orpheus.server.{name}"));
+        let sent = (counted("reply_flushes_total"), counted("reply_bytes_total"));
         assert_eq!(sent.1, wire.len() as u64);
         (wire, sent)
+    }
+
+    /// A socket that, as each write arrives, checks the registry already
+    /// counts it: a client that has read a whole reply must find it
+    /// counted. Counting after the write let a client see the reply
+    /// before its count.
+    struct Witness<'r> {
+        registry: &'r Registry,
+        wire: Vec<u8>,
+        writes: u64,
+    }
+
+    impl Write for Witness<'_> {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.write_all(bytes)?;
+            Ok(bytes.len())
+        }
+
+        fn write_all(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            self.writes += 1;
+            self.wire.extend_from_slice(bytes);
+            let counted = |name: &str| self.registry.counter(&format!("orpheus.server.{name}"));
+            assert_eq!(counted("reply_flushes_total"), self.writes);
+            assert_eq!(counted("reply_bytes_total"), self.wire.len() as u64);
+            Ok(())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_reply_write_is_counted_before_it_is_made() {
+        let schema = Schema::new(vec![Column::nullable("t", DataType::Text)]);
+        let rows = vec![vec![Value::Text("w".repeat(1000))]; 3 * WINDOW / 1000];
+        let out = CommandOutput::Table(QueryResult { schema, rows });
+        let registry = Registry::new();
+        let mut socket = Witness {
+            registry: &registry,
+            wire: Vec::new(),
+            writes: 0,
+        };
+        let mut buf = FrameBuf::default();
+        let mut reply = Reply::new(&mut buf, &mut socket, &registry, TRACE);
+        let rendered = render(&out, &mut reply).map_err(ReplyError::from);
+        reply.finish(rendered).unwrap();
+        assert!(socket.writes > 3, "{} writes", socket.writes);
+        assert_eq!(decode(&socket.wire), on_the_wire(output_messages(&out)));
     }
 
     fn decode(mut wire: &[u8]) -> Vec<ServerMsg> {

@@ -410,9 +410,6 @@ pub enum PageFormatKind {
     Delta,
 }
 
-/// Environment knob selecting the default page format for new tables.
-pub const PAGE_FORMAT_ENV: &str = "ORPHEUS_PAGE_FORMAT";
-
 impl PageFormatKind {
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
@@ -427,29 +424,6 @@ impl PageFormatKind {
             Self::Flat => "flat",
             Self::Delta => "delta",
         }
-    }
-
-    /// Silent-fallback accessor for library use; the CLI front end
-    /// validates the variable loudly via [`check_env`] first.
-    pub fn from_env() -> Self {
-        std::env::var(PAGE_FORMAT_ENV)
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or(Self::Flat)
-    }
-}
-
-/// Validate `ORPHEUS_PAGE_FORMAT` for front ends that must not silently
-/// ignore a typo'd knob. Returns the message for an exit-2 failure.
-pub fn check_env() -> std::result::Result<(), String> {
-    match std::env::var(PAGE_FORMAT_ENV) {
-        Err(_) => Ok(()),
-        Ok(s) => match PageFormatKind::parse(&s) {
-            Some(_) => Ok(()),
-            None => Err(format!(
-                "{PAGE_FORMAT_ENV} must be \"flat\" or \"delta\", got {s:?}"
-            )),
-        },
     }
 }
 

@@ -29,9 +29,8 @@ pub struct Database {
     /// Scoped metrics registry ([`publish_metrics`](Self::publish_metrics)).
     metrics: Registry,
     /// Page format given to tables created through the catalog
-    /// ([`create_table`](Self::create_table)); `ORPHEUS_PAGE_FORMAT`
-    /// seeds it, [`set_default_format`](Self::set_default_format)
-    /// overrides it.
+    /// ([`create_table`](Self::create_table)): Flat until
+    /// [`set_default_format`](Self::set_default_format) says otherwise.
     default_format: PageFormatKind,
     /// The table directory of a durable database, brought level with
     /// `tables` at each [`checkpoint`](Self::checkpoint). An in-memory
@@ -62,7 +61,7 @@ impl Database {
             pool: Rc::new(pool),
             recorder,
             metrics: Registry::new(),
-            default_format: PageFormatKind::from_env(),
+            default_format: PageFormatKind::Flat,
             directory: None,
         }
     }

@@ -13,7 +13,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> orpheus-lint (L001-L012 invariant catalog)"
+echo "==> orpheus-lint (L001-L013 invariant catalog)"
 # Project static analysis: no panicking paths in the storage engine, span
 # guards actually held, deterministic cost estimation, SAFETY-commented
 # unsafe, no #[ignore]d tests, every suppression justified, no raw
@@ -172,6 +172,14 @@ server_probe --threads 1
 server_probe --threads 4
 echo "server replies equal results/ci/server_probe.golden at 1 and 4 threads"
 
+echo "==> page-format determinism (server probe, flat vs delta)"
+# `serve` hands its settings to the engine in `EngineConfig` (it exports
+# no variable), so the Delta leg runs through the server as well: the
+# same wire transcript at either thread count.
+server_probe --threads 1 --page-format delta
+server_probe --threads 4 --page-format delta
+echo "server replies equal results/ci/server_probe.golden across page formats"
+
 echo "==> observability smoke (explain analyze + metrics --json + trace dump)"
 # End-to-end check of the obs pipeline: a durable commit/checkout workload
 # followed by `explain analyze`, `metrics --json` (including the
@@ -198,7 +206,7 @@ ORPHEUS_RESULTS_DIR=results/ci cargo run --release -q -p bench --bin server_smok
 echo "==> page-format frontier smoke (storage bytes vs recreation cost)"
 # Loads small SCI/CUR datasets under Flat and Delta, asserts Delta
 # strictly reduces stored bytes past the recorded floor, sweeps the
-# ORPHEUS_MAT_BUDGET frontier (every point within its β, more budget
+# materialization-budget frontier (every point within its β, more budget
 # never worsens ΣR), and validates the LMG budget planner against the
 # branch-and-bound oracle. Writes results/ci/frontier_smoke.json against
 # a pinned schema; the 1M-record tier is recorded as skipped with a

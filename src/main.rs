@@ -20,8 +20,11 @@
 //! orpheusdb client --port 7077 --user alice         # N of these
 //! ```
 
+mod settings;
+
 use orpheusdb::orpheus::{CommandOutput, OrpheusDb};
 use orpheusdb::orpheus_server::{self, EngineConfig, ServerConfig};
+use settings::Settings;
 use std::io::{BufRead, Write};
 
 fn print_table(t: &orpheusdb::orpheus::query::QueryResult) {
@@ -73,16 +76,14 @@ fn help() {
          log <cvd> | ls | drop <cvd> | help | quit\n\
          modes:\n  \
          orpheusdb                      interactive single-session shell\n  \
-         orpheusdb serve --port <p> [--data-dir <d>] [--threads <n>] [--workers <n>] [--admission <n>]\n  \
+         orpheusdb serve --port <p> [--data-dir <d>] [--workers <n>] [--admission <n>]\n  \
          orpheusdb client --port <p> [--user <name>]   (extra: pin/unpin <cvd> for snapshot reads)\n\
-         storage flags (any mode):\n  \
-         --page-format <flat|delta>  tuple codec for new tables (delta: varint + bitpacked arrays + dict)\n  \
-         --mat-budget <factor>       materialization budget as a multiple of minimum storage (≥ 1.0)\n\
-         env:\n  \
-         ORPHEUS_TRACE_SAMPLE=<n>   journal 1-in-n requests (default 1; 0 disables the journal)\n  \
-         ORPHEUS_SLOW_MS=<n>        slow-query log threshold in ms (default 100; 0 logs every command)\n  \
-         ORPHEUS_PAGE_FORMAT=<f>    flat | delta — same as --page-format\n  \
-         ORPHEUS_MAT_BUDGET=<f>     same as --mat-budget (default 2.0)"
+         settings (every mode; a flag beats its variable; a bad value exits 2):\n  \
+         flag                 variable               default\n  \
+         --threads <n>        ORPHEUS_THREADS        cores   morsel workers (≥ 1; 1 = sequential plans)\n  \
+         --page-format <f>    ORPHEUS_PAGE_FORMAT    flat    codec of new tables: flat | delta (varint + bitpacked arrays + dict)\n  \
+         -                    ORPHEUS_SLOW_MS        100     slow-query log threshold in ms (0 logs every command)\n  \
+         -                    ORPHEUS_TRACE_SAMPLE   1       journal 1-in-n requests (0 disables the journal)"
     );
 }
 
@@ -93,47 +94,35 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The value of `flag`, if present. A flag with a missing value (end of
-/// argv, or another `--flag` where the value should be) is a hard error —
-/// `--threads --data-dir x` must not silently ignore `--threads`.
+/// The value of `flag`, if present; a flag without its value exits 2.
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    let i = args.iter().position(|a| a == flag)?;
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Some(v),
-        _ => fail(&format!("{flag} needs a value")),
-    }
+    settings::flag_value(args, flag).unwrap_or_else(|msg| fail(&msg))
 }
 
-/// Parse `flag` as a count with a minimum (e.g. `--threads`, min 1).
-fn count_flag(args: &[String], flag: &str, min: usize) -> Option<usize> {
+/// Parse `flag`'s value, if given; one that does not parse or that `ok`
+/// refuses exits 2.
+fn parsed_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    ok: fn(&T) -> bool,
+    expected: &str,
+) -> Option<T> {
     let raw = flag_value(args, flag)?;
-    match raw.parse::<usize>() {
-        Ok(n) if n >= min => Some(n),
-        _ => fail(&format!(
-            "invalid {flag} value: {raw} (expected an integer ≥ {min})"
-        )),
+    match raw.parse().ok().filter(ok) {
+        Some(value) => Some(value),
+        None => fail(&settings::invalid(flag, raw, expected)),
     }
 }
 
-/// Parse `--port`. `allow_zero` is for `serve`, where 0 means "pick a
-/// free port and print it".
-fn port_flag(args: &[String], allow_zero: bool) -> Option<u16> {
-    let raw = flag_value(args, "--port")?;
-    match raw.parse::<u16>() {
-        Ok(0) if !allow_zero => fail("invalid --port value: 0 (expected 1..=65535)"),
-        Ok(p) => Some(p),
-        Err(_) => fail(&format!(
-            "invalid --port value: {raw} (expected an integer in 0..=65535)"
-        )),
-    }
+/// A count of at least 1 (`--workers`, `--admission`).
+fn count_flag(args: &[String], flag: &str) -> Option<usize> {
+    parsed_flag(args, flag, |&n| n >= 1, "an integer ≥ 1")
 }
 
 /// `--data-dir <dir>`: open a durable instance (page file + write-ahead
-/// log in `dir`) instead of the default in-memory one.
-/// `--threads <n>`: morsel workers for checkout and version queries.
-/// Defaults to the machine's available cores; `--threads 1` reproduces the
-/// sequential engine's plans bit-for-bit.
-fn open_db(args: &[String]) -> OrpheusDb {
+/// log in `dir`) instead of the default in-memory one, with `settings`
+/// applied.
+fn open_db(args: &[String], settings: &Settings) -> OrpheusDb {
     let mut db = match flag_value(args, "--data-dir") {
         Some(dir) => match OrpheusDb::open_durable(dir, 512) {
             Ok((db, report)) => {
@@ -150,39 +139,29 @@ fn open_db(args: &[String]) -> OrpheusDb {
         },
         None => OrpheusDb::new(),
     };
-    match count_flag(args, "--threads", 1) {
-        Some(n) => db.set_threads(n),
-        // No flag and no ORPHEUS_THREADS override: use every core.
-        None if std::env::var_os("ORPHEUS_THREADS").is_none() => {
-            db.set_threads(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            );
-        }
-        None => {}
-    }
+    db.set_threads(settings.threads);
+    db.set_page_format(settings.page_format);
+    db.set_slow_ms(settings.slow_ms);
     db
 }
 
-/// `serve --port <p> [--data-dir <d>] [--threads <n>] [--workers <n>]
-/// [--admission <n>]`: the multi-session front end. Prints the bound
-/// address, then serves until killed.
-fn serve(args: &[String]) {
-    let Some(port) = port_flag(args, true) else {
+/// `serve --port <p> [--data-dir <d>] [--workers <n>] [--admission <n>]`:
+/// the multi-session front end, with `settings` applied to its engine.
+/// Prints the bound address, then serves until killed.
+fn serve(args: &[String], settings: &Settings) {
+    // Port 0 picks a free port and prints it.
+    let Some(port) = parsed_flag(args, "--port", |_| true, "an integer in 0..=65535") else {
         fail("serve needs --port <p> (0 picks a free port)");
     };
     let engine = EngineConfig {
         data_dir: flag_value(args, "--data-dir").map(Into::into),
-        threads: count_flag(args, "--threads", 1).unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }),
-        admission_capacity: count_flag(args, "--admission", 1).unwrap_or(64),
+        threads: settings.threads,
+        admission_capacity: count_flag(args, "--admission").unwrap_or(64),
+        page_format: settings.page_format,
+        slow_ms: settings.slow_ms,
         ..EngineConfig::default()
     };
-    let workers = count_flag(args, "--workers", 1).unwrap_or(8);
+    let workers = count_flag(args, "--workers").unwrap_or(8);
     let server = match orpheus_server::Server::start(ServerConfig {
         port,
         workers,
@@ -205,10 +184,31 @@ fn serve(args: &[String]) {
     }
 }
 
+/// The non-blank lines of stdin, trimmed, each read after showing
+/// `prompt`. Ends at end of input or on a read error.
+fn input(prompt: &'static str) -> impl Iterator<Item = String> {
+    let stdin = std::io::stdin();
+    std::iter::from_fn(move || loop {
+        print!("{prompt}");
+        std::io::stdout().flush().ok();
+        let mut line = String::new();
+        match stdin.lock().read_line(&mut line) {
+            Ok(0) => return None,
+            Ok(_) if line.trim().is_empty() => {}
+            Ok(_) => return Some(line.trim().to_owned()),
+            Err(e) => {
+                eprintln!("input error: {e}");
+                return None;
+            }
+        }
+    })
+}
+
 /// `client --port <p> [--user <name>]`: a line-oriented client. Reads
 /// query lines from stdin, prints each reply's canonical rendering.
 fn client(args: &[String]) {
-    let Some(port) = port_flag(args, false) else {
+    let Some(port) = parsed_flag(args, "--port", |&p: &u16| p != 0, "an integer in 1..=65535")
+    else {
         fail("client needs --port <p>");
     };
     let user = flag_value(args, "--user").unwrap_or("cli");
@@ -219,25 +219,11 @@ fn client(args: &[String]) {
             std::process::exit(1);
         }
     };
-    let stdin = std::io::stdin();
-    loop {
-        let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) => {
-                eprintln!("input error: {e}");
-                break;
-            }
-        }
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
+    for line in input("") {
         if line == "quit" || line == "exit" {
             break;
         }
-        match c.query(line) {
+        match c.query(&line) {
             Ok(reply) => print!("{}", reply.render()),
             Err(e) => {
                 eprintln!("connection lost: {e}");
@@ -252,30 +238,14 @@ fn client(args: &[String]) {
     }
 }
 
-fn shell(args: &[String]) {
-    let mut db = open_db(args);
+fn shell(args: &[String], settings: &Settings) {
+    let mut db = open_db(args, settings);
     println!("OrpheusDB shell — type 'help' for commands, 'quit' to exit.");
-    let stdin = std::io::stdin();
-    loop {
-        print!("orpheus> ");
-        std::io::stdout().flush().ok();
-        let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) => {
-                eprintln!("input error: {e}");
-                break;
-            }
-        }
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
+    for line in input("orpheus> ") {
         match line.split_whitespace().next() {
             Some("quit") | Some("exit") => break,
             Some("help") => help(),
-            _ => match db.execute(line) {
+            _ => match db.execute(&line) {
                 Ok(out) => show(out),
                 Err(e) => eprintln!("error: {e}"),
             },
@@ -288,44 +258,18 @@ fn shell(args: &[String]) {
 }
 
 fn main() {
-    // Validate the env knobs up front, in every mode: a typo'd
-    // ORPHEUS_TRACE_SAMPLE, ORPHEUS_SLOW_MS, ORPHEUS_PAGE_FORMAT, or
-    // ORPHEUS_MAT_BUDGET must fail loudly (exit 2, like a bad --flag)
-    // instead of silently falling back to defaults.
-    if let Err(msg) = obs::journal::check_env() {
-        fail(&msg);
-    }
-    if let Err(msg) = relstore::codec::check_env() {
-        fail(&msg);
-    }
-    if let Err(msg) = deltastore::budget::check_env() {
-        fail(&msg);
-    }
     let args: Vec<String> = std::env::args().collect();
-    // The flags are spellings of the env knobs (validated the same way);
-    // they must take effect before any database is constructed, so export
-    // them for the engine to pick up wherever it opens.
-    if let Some(fmt) = flag_value(&args, "--page-format") {
-        match relstore::codec::PageFormatKind::parse(fmt) {
-            Some(_) => std::env::set_var(relstore::codec::PAGE_FORMAT_ENV, fmt),
-            None => fail(&format!(
-                "invalid --page-format value: {fmt} (expected flat | delta)"
-            )),
-        }
-    }
-    if let Some(b) = flag_value(&args, "--mat-budget") {
-        match deltastore::budget::parse_mat_budget(b) {
-            Ok(_) => std::env::set_var(deltastore::budget::ENV, b),
-            Err(m) => fail(&format!("invalid --mat-budget value: {m}")),
-        }
-    }
+    // Every setting, parsed once and validated in every mode before a
+    // database or a socket opens.
+    let settings =
+        Settings::resolve(&args, &settings::environment()).unwrap_or_else(|msg| fail(&msg));
     match args.get(1).map(String::as_str) {
-        Some("serve") => serve(&args[1..]),
+        Some("serve") => serve(&args[1..], &settings),
         Some("client") => client(&args[1..]),
         Some("help") | Some("--help") => help(),
         Some(mode) if !mode.starts_with("--") => {
             fail(&format!("unknown mode: {mode} (expected serve | client)"))
         }
-        _ => shell(&args),
+        _ => shell(&args, &settings),
     }
 }
