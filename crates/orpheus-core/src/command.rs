@@ -43,11 +43,12 @@ pub enum Command {
     Log(String),
     /// `drop <cvd>`
     Drop(String),
-    /// `checkout <cvd> -v <vid…> -t <table>`
+    /// `checkout <cvd> -v <vid…> -t <table>`, each vid once
     Checkout(String, Vec<Vid>, String),
     /// `insert <table> <csv values>`: append one row to a checked-out
     /// table — how a network session, which cannot reach
     /// `staging_table_mut`, modifies a checkout before committing it.
+    /// Unlike that call, it never copies the checked-out rows in.
     Insert(String, String),
     /// `init <cvd> -f <csv path> -s <schema> [-k pk,…]`: bulk load from a
     /// CSV file the engine's process reads.
@@ -102,6 +103,7 @@ impl Command {
                     .map(|s| s.parse::<u32>().map(Vid))
                     .collect::<std::result::Result<Vec<_>, _>>()
                     .map_err(|e| parse_error(format!("bad version id: {e}")))?;
+                check_distinct(&versions)?;
                 Self::Checkout(cvd, versions, args.required("-t")?.to_owned())
             }
             "insert" => {
@@ -201,6 +203,15 @@ impl Command {
             self,
             Spans(_) | Metrics(_) | Stats(_) | Trace(_) | Threads(_)
         )
+    }
+}
+
+/// A checkout lists each version once: a repeat would commit a repeated
+/// parent edge, and check an unkeyed version's rows out twice.
+pub(crate) fn check_distinct(versions: &[Vid]) -> Result<()> {
+    match (1..versions.len()).find(|&i| versions[..i].contains(&versions[i])) {
+        Some(i) => Err(parse_error(format!("version {} listed twice", versions[i]))),
+        None => Ok(()),
     }
 }
 
@@ -380,6 +391,18 @@ mod tests {
             parsed("plan_storage t -b 1.5"),
             Command::PlanStorage("t".into(), 1.5)
         );
+    }
+
+    /// Regression: `checkout t -v 0 0` parsed, and its commit recorded
+    /// `v0` as a parent twice.
+    #[test]
+    fn a_checkout_listing_a_version_twice_does_not_parse() {
+        for line in ["checkout t -v 0 0 -t w", "checkout t -v 1 0 1 -t w"] {
+            match Command::parse(line) {
+                Err(Error::Parse(m)) => assert!(m.contains("listed twice"), "{line}: {m}"),
+                other => panic!("{line}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     /// Which verbs end in a durability point and which run untraced: the

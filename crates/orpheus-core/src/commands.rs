@@ -37,10 +37,15 @@ pub struct StagingInfo {
     pub parents: Vec<Vid>,
     pub owner: String,
     pub created_at: u64,
-    /// The parent rid of each staged row, indexed by its `RowId`: kept by
-    /// a single-parent checkout of a CVD with a primary key, the only
+    /// The rid of each checked-out row, indexed by its `RowId`.
+    rids: Vec<Rid>,
+    /// Whether the rows of `rids` are in the staging table. Until the
+    /// first read they are not: the table holds the inserted rows alone,
+    /// numbered from `rids.len()` (see [`OrpheusDb::checkout`]).
+    copied: bool,
+    /// A single-parent checkout of a CVD with a primary key: the only
     /// kind a commit by rid applies to (see [`changes_of`]).
-    origins: Option<Vec<Rid>>,
+    keyed: bool,
 }
 
 /// Output of [`OrpheusDb::execute`].
@@ -105,6 +110,14 @@ impl OrpheusDb {
     }
 
     fn over(db: Database) -> Self {
+        // A checkout is copied only when read, so most runs never add to
+        // these: `metrics --json` carries them from the start, at zero.
+        for counter in [
+            "orpheus.checkout.rows_copied",
+            "orpheus.checkout.materialized",
+        ] {
+            db.metrics().counter_add(counter, 0);
+        }
         OrpheusDb {
             db,
             cvds: HashMap::new(),
@@ -345,7 +358,7 @@ impl OrpheusDb {
              evictions     : {}\n\
              pages written : {} ({} eviction write-backs, {} flushed)\n\
              free pages    : {} of {} allocated\n\
-             unlogged pages: {} (checked-out tables)",
+             unlogged pages: {} (checked-out tables: rows inserted, and copies made on first read)",
             self.db.pool().capacity(),
             relstore::PAGE_SIZE,
             s.logical_reads,
@@ -479,31 +492,31 @@ impl OrpheusDb {
 
     // -- checkout / commit ---------------------------------------------------
 
-    /// `checkout [cvd] -v [vids] -t [table]`: materialize one or more
-    /// versions into a private staging table — a scratch table, which no
+    /// `checkout [cvd] -v [vids] -t [table]`: check one or more versions
+    /// out into a private staging table — a scratch table, which no
     /// checkpoint logs and no reopen finds: it is committed or lost.
+    ///
+    /// Nothing is copied yet. The checkout keeps its rid list and an empty
+    /// table whose ids start at the number of rows checked out, so `insert`
+    /// appends beside rows it never reads, and a commit by rid finds them
+    /// unchanged. The first [`staging_table`](Self::staging_table) or
+    /// [`staging_table_mut`](Self::staging_table_mut) copies the rows in;
+    /// before it, the table itself shows only the inserted rows.
     pub fn checkout(&mut self, cvd_name: &str, versions: &[Vid], table: &str) -> Result<()> {
         let _span = self.db.recorder().enter("orpheus.checkout");
         let start = Instant::now();
         let owner = self.whoami()?.to_owned();
+        crate::command::check_distinct(versions)?;
         let created_at = self.tick();
         self.check_unclaimed(table)?;
-        let cvd = &self
-            .cvds
-            .get(cvd_name)
-            .ok_or_else(|| Error::CvdNotFound(cvd_name.to_owned()))?
-            .cvd;
-        let rows = cvd.checkout_rows(versions)?;
+        let cvd = &self.handle(cvd_name)?.cvd;
+        let rids: Vec<Rid> = (cvd.checkout_rows(versions)?.into_iter())
+            .map(|(rid, _)| rid)
+            .collect();
         let keyed = versions.len() == 1 && !cvd.pk_names().is_empty();
-        let t = self.db.create_scratch_table(table, cvd.schema().clone())?;
-        // All or nothing: a copy that fails part-way takes its table along.
-        if let Err(e) = t.insert_many(rows.iter().map(|&(_, row)| row)) {
-            self.db.drop_table(table)?;
-            return Err(e.into());
-        }
-        let metrics = self.db.metrics();
-        metrics.counter_add("orpheus.checkout.rows_copied", rows.len() as u64);
-        let origins = keyed.then(|| rows.iter().map(|&(rid, _)| rid).collect());
+        let schema = cvd.schema().clone();
+        let t = self.db.create_scratch_table(table, schema)?;
+        t.reserve_ids(rids.len() as RowId);
         self.staging.insert(
             table.to_owned(),
             StagingInfo {
@@ -511,11 +524,59 @@ impl OrpheusDb {
                 parents: versions.to_vec(),
                 owner,
                 created_at,
-                origins,
+                rids,
+                copied: false,
+                keyed,
             },
         );
-        metrics.observe_duration("orpheus.checkout.latency_us", start.elapsed());
+        self.db
+            .metrics()
+            .observe_duration("orpheus.checkout.latency_us", start.elapsed());
         Ok(())
+    }
+
+    /// Copy checkout `table`'s rows into its staging table, unless they
+    /// are there. The table is built again as a checkout that copied at
+    /// once would have built it: the version's rows first, then the rows
+    /// inserted since, each with the id and bytes it would have had. A
+    /// copy that fails takes the checkout along.
+    fn copy_checkout(&mut self, table: &str) -> Result<()> {
+        let Some(info) = self.staging.get(table).filter(|info| !info.copied) else {
+            return Ok(());
+        };
+        let _span = self.db.recorder().enter("orpheus.checkout.copy");
+        let handle = self.cvds.get(&info.cvd);
+        let cvd = &handle
+            .ok_or_else(|| Error::CvdNotFound(info.cvd.clone()))?
+            .cvd;
+        let copied = info.rids.len() as u64;
+        let rows = info.rids.iter().map(|&rid| cvd.record(rid));
+        if let Err(e) = rebuild(&mut self.db, table, rows) {
+            self.staging.remove(table);
+            if self.db.has_table(table) {
+                self.db.drop_table(table)?;
+            }
+            return Err(e);
+        }
+        let metrics = self.db.metrics();
+        metrics.counter_add("orpheus.checkout.rows_copied", copied);
+        metrics.counter_add("orpheus.checkout.materialized", 1);
+        if let Some(info) = self.staging.get_mut(table) {
+            info.copied = true;
+        }
+        Ok(())
+    }
+
+    /// Copy every checkout of `cvd` not copied yet: what a schema-evolving
+    /// commit does first, since it widens and pads the records the rid
+    /// lists name, and a later copy would stage them under the wrong schema.
+    fn copy_checkouts_of(&mut self, cvd: &str) -> Result<()> {
+        let mut open: Vec<String> = (self.staging.iter())
+            .filter(|(_, info)| info.cvd == cvd && !info.copied)
+            .map(|(table, _)| table.clone())
+            .collect();
+        open.sort();
+        open.iter().try_for_each(|table| self.copy_checkout(table))
     }
 
     /// A checkout's name must be free: no table, and no other checkout
@@ -545,15 +606,27 @@ impl OrpheusDb {
     }
 
     /// Mutable access to a staging table for the current user (to run
-    /// modifications before committing).
+    /// modifications before committing). The first access copies the
+    /// checked-out rows in ([`checkout`](Self::checkout)).
     pub fn staging_table_mut(&mut self, table: &str) -> Result<&mut relstore::Table> {
         self.authorize(table)?;
+        self.copy_checkout(table)?;
         self.db.table_mut(table).map_err(Error::Storage)
     }
 
-    pub fn staging_table(&self, table: &str) -> Result<&relstore::Table> {
+    /// A staging table for the current user to read, its rows copied in
+    /// as by [`staging_table_mut`](Self::staging_table_mut).
+    pub fn staging_table(&mut self, table: &str) -> Result<&relstore::Table> {
+        Ok(self.staging_table_mut(table)?)
+    }
+
+    /// `insert`: append a row to a staging table without copying the
+    /// checked-out rows in.
+    fn insert(&mut self, table: &str, values: &str) -> Result<()> {
         self.authorize(table)?;
-        self.db.table(table).map_err(Error::Storage)
+        let t = self.db.table_mut(table)?;
+        t.insert(parse_csv_row(t.schema(), values)?)?;
+        Ok(())
     }
 
     /// `commit -t [table] -m [message]`: add the (possibly modified)
@@ -562,13 +635,19 @@ impl OrpheusDb {
     pub fn commit(&mut self, table: &str, message: &str) -> Result<CommitResult> {
         let _span = self.db.recorder().enter("orpheus.commit");
         let start = Instant::now();
+        let info = self.authorize(table)?;
+        // Rows staged under an older schema are all compared: the commit
+        // widens them as it evolves the CVD's. So are those of a checkout
+        // a commit by rid does not apply to, which must be copied in.
+        let own_schema = self.cvd(&info.cvd)?.schema() == self.db.table(table)?.schema();
+        let by_rid = info.keyed && own_schema;
+        if !by_rid {
+            self.copy_checkout(table)?;
+        }
         let info = self.authorize(table)?.clone();
         let staged = self.db.table(table)?;
         let schema = staged.schema().clone();
-        // Rows staged under an older schema are all compared: the commit
-        // widens them as it evolves the CVD's.
-        let own_schema = *self.cvd(&info.cvd)?.schema() == schema;
-        let changes = changes_of(staged, info.origins.as_deref().filter(|_| own_schema))?;
+        let changes = changes_of(staged, by_rid.then_some(&info.rids[..]))?;
         let result = self.apply_commit(&info, &schema, changes, message)?;
         // Cleanup: remove the staging table (§3.3.1).
         self.db.drop_table(table)?;
@@ -587,12 +666,16 @@ impl OrpheusDb {
         message: &str,
     ) -> Result<CommitResult> {
         let author = self.whoami()?.to_owned();
+        let evolves = schema != self.cvd(&info.cvd)?.schema();
+        if evolves {
+            self.copy_checkouts_of(&info.cvd)?;
+        }
         let handle = self
             .cvds
             .get_mut(&info.cvd)
             .ok_or_else(|| Error::CvdNotFound(info.cvd.clone()))?;
         let compared = changes.rows.len() as u64;
-        let result = if schema == handle.cvd.schema() {
+        let result = if !evolves {
             handle
                 .cvd
                 .commit_changes(&info.parents, changes, message, &author)?
@@ -637,6 +720,7 @@ impl OrpheusDb {
     /// table (for analysis in Python/R, §3.3.1).
     pub fn checkout_csv(&mut self, cvd_name: &str, versions: &[Vid], file: &str) -> Result<String> {
         let owner = self.whoami()?.to_owned();
+        crate::command::check_distinct(versions)?;
         let created_at = self.tick();
         self.check_unclaimed(file)?;
         let handle = self.handle(cvd_name)?;
@@ -649,7 +733,9 @@ impl OrpheusDb {
                 parents: versions.to_vec(),
                 owner,
                 created_at,
-                origins: None,
+                rids: Vec::new(),
+                copied: true,
+                keyed: false,
             },
         );
         Ok(csv)
@@ -935,9 +1021,7 @@ impl OrpheusDb {
                 Message(format!("checked out {n} version(s) of {cvd} into {table}"))
             }
             Command::Insert(table, values) => {
-                let t = self.staging_table_mut(table)?;
-                let row = parse_csv_row(t.schema(), values)?;
-                t.insert(row)?;
+                self.insert(table, values)?;
                 Message(format!("inserted 1 row into {table}"))
             }
             Command::Init(cvd, path, schema, pk) => {
@@ -1052,6 +1136,19 @@ fn changes_of(staged: &relstore::Table, origins: Option<&[Rid]>) -> Result<Chang
         candidates: Some(candidates),
         rows: staged.rows_of(ids)?.into_iter().map(|(_, r)| r).collect(),
     })
+}
+
+/// Build staging table `table` again from `rows`, then the rows inserted
+/// into it, in id order.
+fn rebuild<'a>(db: &mut Database, table: &str, rows: impl Iterator<Item = &'a Row>) -> Result<()> {
+    let staged = db.table(table)?;
+    let (schema, mut inserted) = (staged.schema().clone(), staged.rows()?);
+    inserted.sort_unstable_by_key(|&(id, _)| id);
+    db.drop_table(table)?;
+    let t = db.create_scratch_table(table, schema)?;
+    t.insert_many(rows)?;
+    t.insert_many(inserted.iter().map(|(_, row)| row))?;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1205,7 +1302,7 @@ mod tests {
             message: &str,
         ) -> Result<CommitResult> {
             if let Some(info) = self.staging.get_mut(table) {
-                info.origins = None;
+                info.keyed = false;
             }
             self.commit(table, message)
         }
@@ -2384,8 +2481,291 @@ mod tests {
             assert_eq!(seen(&odb), before, "after {spec}");
         }
         odb.checkout("d", &[Vid(0)], "w").unwrap();
-        let staged = odb.staging_table("w").unwrap().schema();
-        assert_eq!(staged, odb.cvd("d").unwrap().schema());
+        let staged = odb.staging_table("w").unwrap().schema().clone();
+        assert_eq!(&staged, odb.cvd("d").unwrap().schema());
         assert_eq!(staged.len(), 2);
+    }
+
+    /// Regression: `checkout Interaction -v 0 0` was taken, and its
+    /// commit made `v1 ← v0, v0`. The library refuses it as the parser
+    /// does, before any table or checkout exists.
+    #[test]
+    fn a_checkout_refuses_a_version_listed_twice() {
+        let mut odb = setup();
+        let twice = [Vid(0), Vid(0)];
+        let err = odb.checkout("Interaction", &twice, "w").unwrap_err();
+        assert!(
+            matches!(&err, Error::Parse(m) if m.contains("listed twice")),
+            "{err}"
+        );
+        let err = odb
+            .checkout_csv("Interaction", &twice, "w.csv")
+            .unwrap_err();
+        assert!(matches!(err, Error::Parse(_)), "{err}");
+        assert!(!odb.database().has_table("w"));
+        assert!(odb.staging_table("w").is_err() && odb.staging_table("w.csv").is_err());
+        odb.checkout("Interaction", &[Vid(0)], "w").unwrap();
+        odb.commit("w", "once").unwrap();
+        let meta = odb.cvd("Interaction").unwrap().meta(Vid(1)).unwrap();
+        assert_eq!(meta.parents, [Vid(0)]);
+    }
+
+    /// A checkout that is only inserted into is never copied: before a
+    /// read its table holds the inserted rows alone, numbered after the
+    /// version's, and its commit is the commit by rid an eager checkout
+    /// makes. The first read copies the version in, once.
+    #[test]
+    fn an_insert_only_checkout_copies_nothing() {
+        let mut odb = setup();
+        let counter = |odb: &OrpheusDb, name: &str| odb.metrics().counter(name);
+        odb.execute("checkout Interaction -v 0 -t w").unwrap();
+        odb.execute("insert w G,H,7").unwrap();
+        odb.execute("insert w I,J,8").unwrap();
+        let staged = odb.database().table("w").unwrap();
+        let ids: Vec<RowId> = staged.rows().unwrap().iter().map(|&(id, _)| id).collect();
+        assert_eq!(
+            ids,
+            [3, 4],
+            "the inserted rows alone, after the version's 3"
+        );
+        let res = odb.commit("w", "two more").unwrap();
+        assert_eq!((res.new_records, res.reused_records), (2, 3));
+        assert_eq!(counter(&odb, "orpheus.commit.rows_compared"), 2);
+        assert_eq!(counter(&odb, "orpheus.checkout.rows_copied"), 0);
+        assert_eq!(counter(&odb, "orpheus.checkout.materialized"), 0);
+        odb.execute("checkout Interaction -v 1 -t r").unwrap();
+        odb.execute("insert r K,L,9").unwrap();
+        assert_eq!(odb.staging_table("r").unwrap().live_row_count(), 6);
+        assert_eq!(odb.staging_table("r").unwrap().live_row_count(), 6);
+        assert_eq!(counter(&odb, "orpheus.checkout.rows_copied"), 5);
+        assert_eq!(counter(&odb, "orpheus.checkout.materialized"), 1);
+        let doc = match odb.execute("metrics --json").unwrap() {
+            CommandOutput::Message(m) => obs::parse(&m).unwrap(),
+            other => panic!("expected the metrics, got {other:?}"),
+        };
+        let copies = doc.get_path("counters/orpheus.checkout.materialized");
+        assert_eq!(copies.and_then(obs::Json::as_f64), Some(1.0));
+    }
+
+    /// Differential: a checkout copied at its first read commits exactly
+    /// what a checkout copied at once commits. Random histories of keyed,
+    /// unkeyed and merge checkouts run on two instances, one of which
+    /// reads every staging table as soon as it is checked out; every
+    /// read, commit outcome and CVD must agree, on both page formats.
+    mod copy_on_first_read {
+        use super::*;
+        use proptest::prelude::*;
+        use relstore::codec::PageFormatKind;
+
+        /// One checkout, edited and committed.
+        #[derive(Debug, Clone)]
+        struct Cycle {
+            /// Of the keyed CVD `h`, or else of the unkeyed `u`.
+            keyed: bool,
+            /// Parents, modulo the version count; two distinct ones merge.
+            parents: (usize, usize, bool),
+            /// Rows inserted before the first read, and after it.
+            before: usize,
+            after: usize,
+            /// Read the table (copying it), insert `after` rows, update
+            /// one row and delete another.
+            read: bool,
+            /// Insert one key twice, fail the commit twice, then delete
+            /// the second copy and retry (keyed only).
+            clash: bool,
+            /// Another user commits a new column before this commit.
+            evolve: bool,
+        }
+
+        fn cycle() -> impl Strategy<Value = Cycle> {
+            (
+                (any::<bool>(), any::<usize>(), any::<usize>(), any::<bool>()),
+                (0..4usize, 0..4usize),
+                (any::<bool>(), any::<bool>(), any::<bool>()),
+            )
+                .prop_map(
+                    |((keyed, p, q, merge), (before, after), (read, clash, evolve))| Cycle {
+                        keyed,
+                        parents: (p, q, merge),
+                        before,
+                        after,
+                        read,
+                        clash,
+                        evolve,
+                    },
+                )
+        }
+
+        fn instance(format: PageFormatKind) -> OrpheusDb {
+            let mut odb = OrpheusDb::new();
+            odb.set_page_format(format);
+            for user in ["alice", "bob"] {
+                odb.create_user(user).unwrap();
+            }
+            odb.login("alice").unwrap();
+            let schema = Schema::new(vec![
+                Column::new("k", DataType::Int64),
+                Column::nullable("x", DataType::Int64),
+                Column::nullable("s", DataType::Text),
+            ]);
+            let rows = |n: i64| -> Vec<Row> {
+                let row = |k: i64| {
+                    vec![
+                        Value::Int64(k),
+                        Value::Int64(k * 3),
+                        format!("s{}", k % 4).into(),
+                    ]
+                };
+                (0..n).map(row).collect()
+            };
+            odb.init_cvd("h", schema.clone(), vec!["k".into()], rows(40))
+                .unwrap();
+            odb.init_cvd("u", schema, vec![], rows(30)).unwrap();
+            odb
+        }
+
+        /// `width` values for key `k`: the checkout's own columns, then
+        /// nulls for the columns added since.
+        fn row(k: i64, width: usize) -> Row {
+            let mut row = vec![
+                Value::Int64(k),
+                Value::Int64(k % 7),
+                format!("n{}", k % 3).into(),
+            ];
+            row.resize(width, Value::Null);
+            row
+        }
+
+        fn insert_line(k: i64, width: usize) -> String {
+            let fields: Vec<String> = row(k, width)
+                .iter()
+                .map(|v| {
+                    if v.is_null() {
+                        String::new()
+                    } else {
+                        v.to_string()
+                    }
+                })
+                .collect();
+            format!("insert w {}", fields.join(","))
+        }
+
+        /// Another user commits `cvd`'s latest version with one more column.
+        fn evolve(odb: &mut OrpheusDb, cvd: &str, serial: usize) {
+            odb.login("bob").unwrap();
+            let latest = odb.cvd(cvd).unwrap().latest_version();
+            let csv = odb.checkout_csv(cvd, &[latest], "e.csv").unwrap();
+            let mut spec: Vec<String> = (odb.cvd(cvd).unwrap().schema().columns().iter())
+                .map(|c| {
+                    format!(
+                        "{}:{}",
+                        c.name,
+                        ["int", "text"][(c.dtype == DataType::Text) as usize]
+                    )
+                })
+                .collect();
+            spec.push(format!("c{serial}:int"));
+            let mut lines = csv.lines().map(str::to_owned);
+            let header = format!("{},c{serial}", lines.next().unwrap());
+            let body = lines.map(|l| format!("{l},{serial}\n"));
+            let csv = std::iter::once(header + "\n")
+                .chain(body)
+                .collect::<String>();
+            odb.commit_csv("e.csv", &csv, &spec.join(","), "evolve")
+                .unwrap();
+            odb.login("alice").unwrap();
+        }
+
+        /// Run `c` on `odb`, reading the staging table at once if `eager`;
+        /// returns what it saw.
+        fn run(odb: &mut OrpheusDb, eager: bool, c: &Cycle, serial: usize) -> Vec<String> {
+            let cvd = if c.keyed { "h" } else { "u" };
+            let versions = odb.cvd(cvd).unwrap().num_versions();
+            let (p, q, merge) = c.parents;
+            let mut parents = vec![Vid((p % versions) as u32)];
+            if merge && !parents.contains(&Vid((q % versions) as u32)) {
+                parents.push(Vid((q % versions) as u32));
+            }
+            odb.checkout(cvd, &parents, "w").unwrap();
+            if eager {
+                odb.staging_table("w").unwrap();
+            }
+            let width = odb.cvd(cvd).unwrap().schema().len();
+            let key = |i: usize| 1_000 + (serial * 10 + i) as i64;
+            let mut seen = Vec::new();
+            for i in 0..c.before {
+                odb.execute(&insert_line(key(i), width)).unwrap();
+            }
+            if c.evolve {
+                evolve(odb, cvd, serial);
+            }
+            if c.read {
+                let t = odb.staging_table_mut("w").unwrap();
+                let pages = (t.num_heap_pages(), t.encoded_bytes().unwrap());
+                seen.push(format!("{:?} {pages:?}", t.rows().unwrap()));
+                for i in c.before..c.before + c.after {
+                    t.insert(row(key(i), width)).unwrap();
+                }
+                let rows = t.rows().unwrap();
+                let (id, mut edited) = rows[serial % rows.len()].clone();
+                edited[1] = Value::Int64(-(serial as i64));
+                t.update(id, edited).unwrap();
+                t.delete(rows[(serial * 7 + 3) % rows.len()].0).unwrap();
+            }
+            if c.clash && c.keyed {
+                let line = insert_line(900 + serial as i64, width);
+                odb.execute(&line).unwrap();
+                odb.execute(&line).unwrap();
+                for _ in 0..2 {
+                    seen.push(format!("{:?}", odb.commit("w", "clash")));
+                }
+                let t = odb.staging_table_mut("w").unwrap();
+                t.delete(t.heap_size() as RowId - 1).unwrap();
+            }
+            seen.push(format!("{:?}", odb.commit("w", &format!("cycle {serial}"))));
+            seen
+        }
+
+        /// Each CVD's records, rid lists and versions, and every row of
+        /// its tables — records and rlists.
+        fn state(odb: &mut OrpheusDb) -> Vec<String> {
+            let mut seen = Vec::new();
+            for name in ["h", "u"] {
+                let cvd = odb.cvd(name).unwrap();
+                let records: Vec<&Row> = (0..cvd.num_records() as u64)
+                    .map(|r| cvd.record(Rid(r)))
+                    .collect();
+                let rids = cvd.version_records_raw();
+                seen.push(format!(
+                    "{} {records:?} {rids:?} {:?}",
+                    cvd.num_records(),
+                    cvd.metas()
+                ));
+                let db = odb.database();
+                for table in db.tables_with_prefix(&format!("{name}__")) {
+                    seen.push(format!(
+                        "{table} {:?}",
+                        db.table(table).unwrap().rows().unwrap()
+                    ));
+                }
+            }
+            seen
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            #[test]
+            fn commits_what_an_eager_copy_commits(cycles in prop::collection::vec(cycle(), 1..7)) {
+                for format in [PageFormatKind::Flat, PageFormatKind::Delta] {
+                    let (mut lazy, mut eager) = (instance(format), instance(format));
+                    for (serial, c) in cycles.iter().enumerate() {
+                        let seen = run(&mut lazy, false, c, serial);
+                        prop_assert_eq!(seen, run(&mut eager, true, c, serial), "{:?} {:?}", format, c);
+                        prop_assert_eq!(state(&mut lazy), state(&mut eager), "{:?} {:?}", format, c);
+                    }
+                }
+            }
+        }
     }
 }

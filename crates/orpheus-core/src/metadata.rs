@@ -456,7 +456,10 @@ mod tests {
                 odb.commit("w", &format!("edit {serial}")).unwrap();
             }
             Step::Merge(a, b) => {
-                odb.checkout("h", &[pick(a), pick(b)], "m").unwrap();
+                // A version is listed once: `a == b` checks it out alone.
+                let mut parents = vec![pick(a), pick(b)];
+                parents.dedup();
+                odb.checkout("h", &parents, "m").unwrap();
                 odb.commit("m", &format!("merge {serial}")).unwrap();
             }
             Step::Evolve { parent, widen } => {
@@ -1103,9 +1106,10 @@ mod tests {
 
     /// Regression: a checkout that failed part-way left its scratch table
     /// behind, the name taken and no checkout holding it. A version larger
-    /// than the pool makes the copy spill; a crash-stop at any I/O up to
-    /// and including the first spill write fails the checkout, which
-    /// takes its table and every one of its pages along.
+    /// than the pool makes the copy at its first read spill; a crash-stop
+    /// at any I/O up to and including the first spill write fails the
+    /// copy, which takes the checkout, its table and every one of its
+    /// pages along.
     #[test]
     fn a_checkout_that_fails_part_way_leaves_nothing_behind() {
         let src = scratch("spill-src");
@@ -1132,9 +1136,11 @@ mod tests {
             let plan = FaultPlan::unarmed();
             let mut odb = open_faulty_with(&dir, &plan, 32);
             odb.login("alice").unwrap();
+            // A checkout copies nothing until its first read.
+            odb.checkout("big", &[Vid(0)], "w").unwrap();
             plan.arm(nth, FaultKind::CrashStop);
-            let err = odb.checkout("big", &[Vid(0)], "w").unwrap_err();
-            assert!(plan.fired(), "I/O {nth}: the checkout failed before it");
+            let err = odb.staging_table_mut("w").unwrap_err();
+            assert!(plan.fired(), "I/O {nth}: the copy failed before it");
             assert!(!odb.database().has_table("w"), "I/O {nth}: {err}");
             assert_eq!(odb.database().pool().unlogged_pages(), 0, "I/O {nth}");
             assert!(matches!(

@@ -113,6 +113,43 @@ impl Frame {
     }
 }
 
+/// The frames that may have one bit set — dirty, or unwritten — each
+/// listed once. Every frame whose bit is set is listed, so a checkpoint
+/// reads the list instead of every frame.
+struct FrameList {
+    listed: Vec<Cell<bool>>,
+    ids: RefCell<Vec<usize>>,
+}
+
+impl FrameList {
+    fn new(capacity: usize) -> Self {
+        FrameList {
+            listed: (0..capacity).map(|_| Cell::new(false)).collect(),
+            ids: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// List frame `i`, whose bit was just set.
+    fn note(&self, i: usize) {
+        if !self.listed[i].replace(true) {
+            self.ids.borrow_mut().push(i);
+        }
+    }
+
+    /// Unlist the frames for which `set` is false, and return the rest,
+    /// ascending.
+    fn retain(&self, set: impl Fn(usize) -> bool) -> Vec<usize> {
+        let mut ids = self.ids.borrow_mut();
+        ids.retain(|&i| {
+            let keep = set(i);
+            self.listed[i].set(keep);
+            keep
+        });
+        ids.sort_unstable();
+        ids.clone()
+    }
+}
+
 /// A shared (read) pin on a buffered page. Unpins on drop.
 pub struct PageRef<'a> {
     data: Ref<'a, Arc<Page>>,
@@ -232,6 +269,9 @@ pub struct BufferPool {
     held: RefCell<Vec<PageId>>,
     /// Pages of unlogged structures, resident or spilled.
     unlogged: RefCell<HashSet<PageId>>,
+    /// The frames a checkpoint logs, and those a write-back writes.
+    dirty: FrameList,
+    unwritten: FrameList,
     wal: RefCell<Option<Wal>>,
     stats: RefCell<IoStats>,
     recorder: RefCell<Recorder>,
@@ -259,6 +299,8 @@ impl BufferPool {
             free: RefCell::new(Vec::new()),
             held: RefCell::new(Vec::new()),
             unlogged: RefCell::new(HashSet::new()),
+            dirty: FrameList::new(capacity),
+            unwritten: FrameList::new(capacity),
             wal: RefCell::new(None),
             stats: RefCell::new(IoStats::new()),
             recorder: RefCell::new(Recorder::global().clone()),
@@ -515,6 +557,7 @@ impl BufferPool {
         match frame.data.try_borrow_mut() {
             Ok(data) => {
                 frame.dirty.set(true);
+                self.dirty.note(idx);
                 Ok(PageMut {
                     data,
                     pin: &frame.pin,
@@ -573,6 +616,7 @@ impl BufferPool {
         frame.referenced.set(true);
         frame.unwritten.set(false);
         frame.dirty.set(true);
+        self.dirty.note(idx);
         self.map.borrow_mut().insert(id, idx);
         Ok((
             id,
@@ -607,7 +651,7 @@ impl BufferPool {
     fn checkpoint_then(&self, write_back: bool) -> Result<()> {
         let _span = self.span("pagestore.checkpoint");
         let mut wal_ref = self.wal.borrow_mut();
-        let dirty = self.frames_where(|f| f.dirty.get());
+        let dirty = self.frames_where(&self.dirty, |f| f.dirty.get());
         match wal_ref.as_mut() {
             Some(wal) => self.log_batch(wal, &dirty)?,
             None => self.write_frames(&dirty)?,
@@ -622,13 +666,14 @@ impl BufferPool {
         }
     }
 
-    /// Resident logged frames that satisfy `pick`, as (frame, page) pairs.
-    fn frames_where(&self, pick: impl Fn(&Frame) -> bool) -> Vec<(usize, PageId)> {
+    /// Resident logged frames of `list` whose bit `set` reads, as (frame,
+    /// page) pairs in frame order.
+    fn frames_where(&self, list: &FrameList, set: impl Fn(&Frame) -> bool) -> Vec<(usize, PageId)> {
         let unlogged = self.unlogged.borrow();
-        let frames = self.frames.iter().enumerate();
+        let frames = list.retain(|i| set(&self.frames[i])).into_iter();
         frames
-            .filter_map(|(i, f)| match f.page_id.get() {
-                Some(id) if pick(f) && !unlogged.contains(&id) => Some((i, id)),
+            .filter_map(|i| match self.frames[i].page_id.get() {
+                Some(id) if !unlogged.contains(&id) => Some((i, id)),
                 _ => None,
             })
             .collect()
@@ -666,6 +711,7 @@ impl BufferPool {
         for &(i, _) in dirty {
             self.frames[i].dirty.set(false);
             self.frames[i].unwritten.set(true);
+            self.unwritten.note(i);
         }
         Ok(())
     }
@@ -674,7 +720,7 @@ impl BufferPool {
     /// then empty the log and sync that. The log is truncated only once
     /// the data file holds every image it carries.
     fn write_back(&self, wal: &mut Wal) -> Result<()> {
-        self.write_frames(&self.frames_where(|f| f.unwritten.get()))?;
+        self.write_frames(&self.frames_where(&self.unwritten, |f| f.unwritten.get()))?;
         let _span = self.span("pagestore.wal.fsync");
         wal.reset()?;
         wal.sync()?;

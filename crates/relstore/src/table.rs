@@ -482,6 +482,14 @@ impl Table {
         Ok(row)
     }
 
+    /// Number the next inserted row `first` or later: the ids below it are
+    /// left unused, as if their rows had been inserted and deleted.
+    pub fn reserve_ids(&mut self, first: RowId) {
+        if (self.directory.len() as RowId) < first {
+            self.directory.resize(first as usize, None);
+        }
+    }
+
     /// Insert a row, maintaining all indexes. Returns the new row's id.
     pub fn insert(&mut self, row: Row) -> Result<RowId> {
         Ok(self.insert_many([row])?.start)

@@ -52,6 +52,9 @@ cargo test -p pagestore --release -q --test crash_matrix --test pool_props
 # CVD of 300+ pages under a 64-frame pool, histories that read back as
 # they were closed, write cycles that reuse their staging pages.
 cargo test -p orpheus-core --release -q --lib metadata::tests
+# A checkout copied at its first read commits what one copied at once
+# commits: random keyed, unkeyed and merge histories, on Flat and Delta.
+cargo test -p orpheus-core --release -q --lib commands::tests::copy_on_first_read
 cargo test -p orpheus-server --release -q --lib a_batch_has_exactly_one_visibility_point
 
 echo "==> page-format codec round-trip + crash byte-identity suite (release)"

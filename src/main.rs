@@ -58,7 +58,8 @@ fn help() {
         "commands:\n  \
          create_user <name> | config <name> | whoami\n  \
          init <cvd> -f <csv> -s <name:type,…> [-k pk,…]\n  \
-         checkout <cvd> -v <vid…> -t <table>\n  \
+         checkout <cvd> -v <vid…> -t <table>   (each vid once; rows are copied in on first read)\n  \
+         insert <table> <csv values>   (append a row to a checkout without copying it)\n  \
          commit -t <table> -m <message…>\n  \
          diff <cvd> -v <a> <b>\n  \
          run <SELECT … FROM VERSION i OF CVD c | SELECT vid, agg(col) FROM CVD c GROUP BY vid>\n  \
