@@ -4,7 +4,7 @@
 use bench::dataset_to_cvd;
 use benchgen::{generate, DatasetSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
-use orpheus_core::partitioned::PartitionedStore;
+use models::PartitionedStore;
 use partition::{
     agglo_partition, kmeans_partition, lyresplit, lyresplit_for_budget, AggloParams, KmeansParams,
     Vid,

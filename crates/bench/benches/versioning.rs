@@ -4,7 +4,7 @@
 use bench::{dataset_to_cvd, load_model};
 use benchgen::{generate, DatasetSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
-use orpheus_core::models::ModelKind;
+use models::ModelKind;
 use partition::Rid;
 use relstore::ExecContext;
 use std::hint::black_box;

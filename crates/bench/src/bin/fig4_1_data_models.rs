@@ -11,7 +11,7 @@
 
 use bench::{dataset_to_cvd, load_model, ms, time};
 use benchgen::{generate, DatasetSpec};
-use orpheus_core::models::ModelKind;
+use models::ModelKind;
 use partition::Rid;
 use relstore::ExecContext;
 

@@ -8,8 +8,7 @@
 
 use bench::{dataset_to_cvd, sample_versions, time};
 use benchgen::{generate, DatasetSpec};
-use orpheus_core::models::ModelKind;
-use orpheus_core::partitioned::PartitionedStore;
+use models::{ModelKind, PartitionedStore};
 use partition::lyresplit_for_budget;
 use relstore::ExecContext;
 

@@ -9,7 +9,7 @@
 
 use bench::{dataset_to_cvd, ms, sample_versions, time};
 use benchgen::{generate, DatasetSpec};
-use orpheus_core::partitioned::PartitionedStore;
+use models::PartitionedStore;
 use partition::{
     agglo_partition, kmeans_partition, lyresplit, AggloParams, KmeansParams, Partitioning,
 };

@@ -30,8 +30,9 @@
 //! *skipped* with the recorded reason — for `perf_gate` to assert.
 
 use benchgen::{generate, DatasetSpec};
+use models::{load_cvd, SplitByRlist};
 use obs::Json;
-use orpheus_core::models::{load_cvd, SplitByRlist};
+use orpheus_core::metadata::data_name;
 use partition::Vid;
 use relstore::{Database, ExecContext, RidFetch, Row, WorkerPool};
 use std::fmt::Write as _;
@@ -89,7 +90,7 @@ fn main() {
         .versions()
         .max_by_key(|&v| cvd.version_records(v).map(|r| r.len()).unwrap_or(0))
         .unwrap_or(Vid(0));
-    let data = db.table(&model.data_name()).expect("data table");
+    let data = db.table(&data_name(cvd.name())).expect("data table");
     let data_rows = data.live_row_count();
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())

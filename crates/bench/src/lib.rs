@@ -7,8 +7,8 @@
 pub mod gate;
 
 use benchgen::VersionedDataset;
+use models::{load_cvd, ModelKind, VersioningModel};
 use orpheus_core::cvd::Cvd;
-use orpheus_core::models::{load_cvd, ModelKind, VersioningModel};
 use partition::Vid;
 use relstore::{Column, DataType, Database, Schema, Value};
 use std::time::{Duration, Instant};

@@ -46,6 +46,7 @@ pub const ENGINE_CRATES: &[&str] = &[
     "pagestore",
     "relstore",
     "orpheus-core",
+    "models",
     "obs",
     "exec-pool",
     "orpheus-server",

@@ -1,9 +1,9 @@
 //! Approach 4.5: one table per version. Minimal checkout time, maximal
 //! storage (every shared record is duplicated per version).
 
-use super::{align_row_to_schema, data_row, data_schema, ModelKind, VersioningModel};
-use crate::cvd::Cvd;
-use crate::error::Result;
+use super::{align_row_to_schema, ModelKind, VersioningModel};
+use orpheus_core::metadata::{data_row, data_schema};
+use orpheus_core::{Cvd, Result};
 use partition::{Rid, Vid};
 use relstore::{Database, ExecContext, Executor, Row, SeqScan};
 

@@ -5,9 +5,9 @@
 //! `vlist` appended (an array copy per record). Checkout requires a full
 //! scan with the `ARRAY[vid] <@ vlist` containment check (Table 4.1).
 
-use super::{data_row, data_schema, sync_table_schema, ModelKind, VersioningModel};
-use crate::cvd::Cvd;
-use crate::error::{Error, Result};
+use super::{ModelKind, VersioningModel};
+use orpheus_core::metadata::{data_row, data_schema, sync_table_schema};
+use orpheus_core::{Cvd, Error, Result};
 use partition::{Rid, Vid};
 use relstore::{
     Column, DataType, Database, ExecContext, Executor, Expr, Filter, IndexKind, Project, Row,

@@ -7,9 +7,9 @@
 //! records were already decided — cheap commits, expensive checkouts, and
 //! no way to run advanced queries without recreating versions (§4.1).
 
-use super::{align_row_to_schema, data_row, data_schema, ModelKind, VersioningModel};
-use crate::cvd::Cvd;
-use crate::error::{Error, Result};
+use super::{align_row_to_schema, ModelKind, VersioningModel};
+use orpheus_core::metadata::{data_row, data_schema};
+use orpheus_core::{Cvd, Error, Result};
 use partition::{Rid, Vid};
 use relstore::{Column, DataType, Database, ExecContext, Row, Value};
 use std::collections::HashMap;
@@ -178,7 +178,8 @@ mod tests {
     use super::super::testutil::*;
     use super::super::*;
     use super::DeltaBased;
-    use crate::error::Error;
+    use orpheus_core::Error;
+    use relstore::DataType;
 
     #[test]
     fn merge_version_bases_on_heaviest_parent() {
@@ -231,7 +232,7 @@ mod tests {
         let rows: Vec<Row> = (0..40)
             .map(|k| vec![Value::Int64(k), Value::Text("x".repeat(1_000))])
             .collect();
-        let (cvd, v0) = crate::cvd::Cvd::init("wide", schema, vec!["k".into()], rows, "a").unwrap();
+        let (cvd, v0) = Cvd::init("wide", schema, vec!["k".into()], rows, "a").unwrap();
         let mut db = Database::with_pool_capacity(2);
         let mut model = DeltaBased::new(cvd.name());
         load_cvd(&mut model, &mut db, &cvd).unwrap();
@@ -258,8 +259,7 @@ mod tests {
         let rows: Vec<Row> = (0..50)
             .map(|i| vec![Value::Int64(i), Value::Int64(0)])
             .collect();
-        let (mut cvd, mut tip) =
-            crate::cvd::Cvd::init("chain", schema, vec!["k".into()], rows, "a").unwrap();
+        let (mut cvd, mut tip) = Cvd::init("chain", schema, vec!["k".into()], rows, "a").unwrap();
         for step in 1..10i64 {
             let mut rows: Vec<Row> = cvd
                 .checkout_rows(&[tip])

@@ -1,4 +1,10 @@
-//! The physical data models for CVDs compared in Chapter 4.
+//! # models — the Chapter 4 comparison and the Chapter 5 partitioned store
+//!
+//! The physical data models for CVDs that Chapter 4 compares. OrpheusDB
+//! adopts one of them, split-by-rlist, and its engine (`orpheus-core`)
+//! writes that layout directly through `orpheus_core::metadata`; the
+//! models here are experiment code: the figures and tests load a [`Cvd`]
+//! into each to compare them, and nothing the engine runs reads them.
 //!
 //! Each model implements [`VersioningModel`]: it maintains a physical
 //! representation of a CVD inside a [`relstore::Database`] and supports the
@@ -12,23 +18,28 @@
 //! | [`SplitByVlist`] | 4.2 | data table + (rid → vlist) | append vid per reused record | scan versioning table + hash join |
 //! | [`SplitByRlist`] | 4.3 | data table + (vid → rlist) | insert **one** versioning tuple | index rlist + hash join |
 //! | [`DeltaBased`] | 4.4 | per-version delta from a base | store delta vs closest parent | replay chain to the root |
+//!
+//! [`PartitionedStore`] is Chapter 5's partition-optimized split-by-rlist
+//! storage, which the Chapter 5 figures build from a LyreSplit
+//! partitioning; the engine's `optimize` only reports such a plan.
 
 mod a_table_per_version;
 mod combined_table;
 mod delta_based;
+mod partitioned;
 mod split_by_rlist;
 mod split_by_vlist;
 
 pub use a_table_per_version::ATablePerVersion;
 pub use combined_table::CombinedTable;
 pub use delta_based::DeltaBased;
+pub use partitioned::PartitionedStore;
 pub use split_by_rlist::SplitByRlist;
 pub use split_by_vlist::SplitByVlist;
 
-use crate::cvd::Cvd;
-use crate::error::Result;
+use orpheus_core::{Cvd, Result};
 use partition::{Rid, Vid};
-use relstore::{Column, DataType, Database, ExecContext, Row, Schema, Value};
+use relstore::{Database, ExecContext, Executor, RidFetch, Row, Table, Value, WorkerPool};
 
 /// Which physical model a store uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,29 +136,12 @@ pub fn load_cvd(model: &mut dyn VersioningModel, db: &mut Database, cvd: &Cvd) -
     Ok(())
 }
 
-/// The `[rid, data attributes…]` schema of a CVD's data tables.
-pub(crate) fn data_schema(cvd: &Cvd) -> Schema {
-    let mut cols = vec![Column::new("rid", DataType::Int64)];
-    for c in cvd.schema().columns() {
-        cols.push(Column::nullable(c.name.clone(), c.dtype));
-    }
-    Schema::new(cols)
-}
-
-/// Build the `[rid, attrs…]` row for a record.
-pub(crate) fn data_row(cvd: &Cvd, rid: Rid) -> Row {
-    let mut row = Vec::with_capacity(cvd.schema().len() + 1);
-    row.push(Value::Int64(rid.0 as i64));
-    row.extend(cvd.record(rid).iter().cloned());
-    row
-}
-
 /// Align a `[rid, attrs…]` row read from a per-version physical table to
 /// the CVD's *current* union schema: pad attributes added since the table
 /// was written and widen values whose column type evolved (§4.3). Needed by
 /// the models that freeze a schema per version (a-table-per-version,
 /// delta-based); the shared-table models evolve in place instead.
-pub(crate) fn align_row_to_schema(cvd: &Cvd, mut row: Row) -> Row {
+fn align_row_to_schema(cvd: &Cvd, mut row: Row) -> Row {
     let want = cvd.schema().columns();
     while row.len() < want.len() + 1 {
         row.push(Value::Null);
@@ -163,45 +157,22 @@ pub(crate) fn align_row_to_schema(cvd: &Cvd, mut row: Row) -> Row {
     row
 }
 
-/// Grow `table` to match the CVD's evolved schema (ALTER TABLE ADD COLUMN
-/// with NULL backfill; §4.3 single-pool).
-pub(crate) fn sync_table_schema(
-    table: &mut relstore::Table,
-    cvd: &Cvd,
-    extra_leading: usize,
-) -> Result<()> {
-    // The table has `extra_leading` bookkeeping columns (e.g. rid) followed
-    // by the data attributes.
-    let want = cvd.schema().columns();
-    while table.schema().len() - extra_leading < want.len() {
-        let next = &want[table.schema().len() - extra_leading];
-        table
-            .add_column(Column::nullable(next.name.clone(), next.dtype), Value::Null)
-            .map_err(crate::error::Error::Storage)?;
-    }
-    // Widen any columns whose type evolved.
-    for (i, col) in want.iter().enumerate() {
-        let idx = i + extra_leading;
-        let have = table
-            .schema()
-            .column(idx)
-            .ok_or_else(|| {
-                crate::error::Error::Internal(format!("evolved schema column #{idx} missing"))
-            })?
-            .dtype;
-        if have != col.dtype {
-            table
-                .widen_column(&col.name.clone(), col.dtype)
-                .map_err(crate::error::Error::Storage)?;
-        }
-    }
-    Ok(())
+/// `data ⨝ rids` through the data table's `rid_pk` index, drained: the
+/// rid fetch a split-by-rlist checkout ends with.
+fn fetch_rids(
+    data: &Table,
+    rids: Vec<i64>,
+    pool: Option<&WorkerPool>,
+    ctx: &mut ExecContext,
+) -> Result<Vec<Row>> {
+    Ok(RidFetch::new(data, "rid_pk", rids, pool)?.collect(ctx)?)
 }
 
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
-    use relstore::Column;
+    use orpheus_core::metadata::data_row;
+    use relstore::{Column, DataType, Schema};
 
     /// Build the Fig. 3.2 protein-interaction CVD: four versions
     /// v0={r0,r1,r2}, v1 updates r0, v2 branches from v0, v3 merges v1+v2.

@@ -1,5 +1,5 @@
 //! Partition-optimized split-by-rlist storage (Chapter 5) — experiment
-//! code, like the four data models the engine does not run.
+//! code, like the data models.
 //!
 //! The data table is broken into per-partition tables so a checkout only
 //! reads the partition containing its version. Each version lives in
@@ -9,9 +9,9 @@
 //! Chapter 5 figures (`fig5_8`, `fig5_14`). The engine keeps one physical
 //! layout: its `optimize` command only reports a LyreSplit plan.
 
-use crate::cvd::Cvd;
-use crate::error::{Error, Result};
-use crate::models::{data_row, data_schema};
+use super::fetch_rids;
+use orpheus_core::metadata::{data_row, data_schema};
+use orpheus_core::{Cvd, Error, Result};
 use partition::{Partitioning, Vid};
 use relstore::{Column, DataType, Database, ExecContext, IndexKind, Row, Schema, Value};
 
@@ -104,7 +104,7 @@ impl PartitionedStore {
         let rlist: Vec<i64> = row[2].as_int_array().unwrap_or(&[]).to_vec();
         ctx.tracker.ops(rlist.len() as u64);
         let data = db.table(&self.partition_table(pid))?;
-        crate::plan::rid_join_rows(data, rlist, None, ctx)
+        fetch_rids(data, rlist, None, ctx)
     }
 
     /// Records stored across all partitions (the storage cost `S`).
@@ -123,7 +123,7 @@ impl PartitionedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::testutil::fig32_cvd;
+    use crate::testutil::fig32_cvd;
 
     #[test]
     fn build_and_checkout_all_versions() {

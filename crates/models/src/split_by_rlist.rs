@@ -5,15 +5,14 @@
 //! commit inserts exactly **one** versioning tuple (no array appends), and
 //! a checkout reads one versioning tuple through the primary-key index,
 //! unnests it, and fetches the rids' records from the data table through
-//! its `rid_pk` index, page by page.
+//! its `rid_pk` index, page by page. The tables are the engine's own:
+//! `init` and `apply_commit` write them through `orpheus_core::metadata`.
 
-use super::{data_row, data_schema, sync_table_schema, ModelKind, VersioningModel};
-use crate::cvd::Cvd;
-use crate::error::Result;
+use super::{fetch_rids, ModelKind, VersioningModel};
+use orpheus_core::metadata::{self, append_rlist, data_name, vtab_name};
+use orpheus_core::{Cvd, Error, Result};
 use partition::{Rid, Vid};
-use relstore::{
-    Column, DataType, Database, ExecContext, IndexKind, Row, Schema, Value, WorkerPool,
-};
+use relstore::{Database, ExecContext, Row, WorkerPool};
 
 /// `{cvd}__sbr_data` `[rid, attrs…]` + `{cvd}__sbr_vtab` `[vid, rlist]`.
 #[derive(Debug, Clone)]
@@ -28,14 +27,6 @@ impl SplitByRlist {
         }
     }
 
-    pub fn data_name(&self) -> String {
-        format!("{}__sbr_data", self.cvd_name)
-    }
-
-    pub fn vtab_name(&self) -> String {
-        format!("{}__sbr_vtab", self.cvd_name)
-    }
-
     /// [`VersioningModel::checkout`] with an optional morsel worker pool:
     /// a multi-threaded pool decodes the fetched pages morsel-parallel,
     /// any other value reads them on the calling thread. Rows are identical.
@@ -46,17 +37,15 @@ impl SplitByRlist {
         pool: Option<&WorkerPool>,
         ctx: &mut ExecContext,
     ) -> Result<Vec<Row>> {
-        let vtab = db.table(&self.vtab_name())?;
-        let data = db.table(&self.data_name())?;
+        let vtab = db.table(&vtab_name(&self.cvd_name))?;
+        let data = db.table(&data_name(&self.cvd_name))?;
         // Retrieve the single versioning tuple via the vid primary key.
         let ids = vtab.index_lookup("vid_pk", vid.0 as i64, &mut ctx.tracker)?;
         let rows = vtab.fetch(ids, Some(0), &mut ctx.tracker, &ctx.model)?;
-        let row = rows
-            .first()
-            .ok_or(crate::error::Error::VersionNotFound(vid.0))?;
+        let row = rows.first().ok_or(Error::VersionNotFound(vid.0))?;
         let rlist: Vec<i64> = row[1].as_int_array().unwrap_or(&[]).to_vec();
         ctx.tracker.ops(rlist.len() as u64); // unnest(rlist)
-        crate::plan::rid_join_rows(data, rlist, pool, ctx)
+        fetch_rids(data, rlist, pool, ctx)
     }
 }
 
@@ -70,17 +59,7 @@ impl VersioningModel for SplitByRlist {
     }
 
     fn init(&mut self, db: &mut Database, cvd: &Cvd) -> Result<()> {
-        let data = db.create_table(self.data_name(), data_schema(cvd))?;
-        data.create_index("rid_pk", "rid", true, IndexKind::BTree)?;
-        let vtab = db.create_table(
-            self.vtab_name(),
-            Schema::new(vec![
-                Column::new("vid", DataType::Int64),
-                Column::new("rlist", DataType::IntArray),
-            ]),
-        )?;
-        vtab.create_index("vid_pk", "vid", true, IndexKind::BTree)?;
-        Ok(())
+        metadata::create(db, cvd)
     }
 
     fn apply_commit(
@@ -91,24 +70,7 @@ impl VersioningModel for SplitByRlist {
         new_rids: &[Rid],
         tracker: &mut relstore::CostTracker,
     ) -> Result<()> {
-        {
-            let data = db.table_mut(&self.data_name())?;
-            sync_table_schema(data, cvd, 1)?;
-            tracker.seq_scan(new_rids.len() as u64, &relstore::CostModel::default());
-            data.insert_many(new_rids.iter().map(|&rid| data_row(cvd, rid)))?;
-        }
-        // INSERT INTO vtab VALUES (vid, ARRAY[rids…]) — a single tuple.
-        let vtab = db.table_mut(&self.vtab_name())?;
-        let rlist: Vec<i64> = cvd
-            .version_records(vid)?
-            .iter()
-            .map(|r| r.0 as i64)
-            .collect();
-        // One versioning tuple: a single page write.
-        tracker.random_pages += 1;
-        tracker.tuples += 1;
-        vtab.insert(vec![Value::Int64(vid.0 as i64), Value::IntArray(rlist)])?;
-        Ok(())
+        append_rlist(db, cvd, vid, new_rids, tracker)
     }
 
     fn checkout(

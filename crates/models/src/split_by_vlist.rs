@@ -6,9 +6,9 @@
 //! versioning table); checkout scans the versioning table for containment,
 //! then hash-joins the matching rids with the data table.
 
-use super::{data_row, data_schema, sync_table_schema, ModelKind, VersioningModel};
-use crate::cvd::Cvd;
-use crate::error::{Error, Result};
+use super::{ModelKind, VersioningModel};
+use orpheus_core::metadata::{data_row, data_schema, sync_table_schema};
+use orpheus_core::{Cvd, Error, Result};
 use partition::{Rid, Vid};
 use relstore::{
     Column, DataType, Database, ExecContext, Executor, Expr, Filter, HashJoin, IndexKind, Project,

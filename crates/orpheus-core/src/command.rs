@@ -103,7 +103,7 @@ impl Command {
                     .map(|s| s.parse::<u32>().map(Vid))
                     .collect::<std::result::Result<Vec<_>, _>>()
                     .map_err(|e| parse_error(format!("bad version id: {e}")))?;
-                check_distinct(&versions)?;
+                check_versions(&versions)?;
                 Self::Checkout(cvd, versions, args.required("-t")?.to_owned())
             }
             "insert" => {
@@ -206,9 +206,13 @@ impl Command {
     }
 }
 
-/// A checkout lists each version once: a repeat would commit a repeated
-/// parent edge, and check an unkeyed version's rows out twice.
-pub(crate) fn check_distinct(versions: &[Vid]) -> Result<()> {
+/// A checkout lists at least one version, and each once: no version
+/// would commit a second root, and a repeat a repeated parent edge (and
+/// check an unkeyed version's rows out twice).
+pub(crate) fn check_versions(versions: &[Vid]) -> Result<()> {
+    if versions.is_empty() {
+        return Err(parse_error("no version listed"));
+    }
     match (1..versions.len()).find(|&i| versions[..i].contains(&versions[i])) {
         Some(i) => Err(parse_error(format!("version {} listed twice", versions[i]))),
         None => Ok(()),

@@ -13,7 +13,6 @@ use crate::command::{Command, View};
 use crate::cvd::{Changes, CommitResult, Cvd};
 use crate::error::{Error, Result};
 use crate::metadata;
-use crate::models::{load_cvd, SplitByRlist, VersioningModel};
 use crate::plan::{self, Decorator, Instrumented, LogicalPlan, Plain, RidSet, Tables};
 use crate::query::{parse_query, QueryResult, VQuery};
 use partition::{lyresplit_for_budget, LyreSplitResult, Rid, Vid};
@@ -21,12 +20,6 @@ use relstore::{Column, DataType, Database, ExecContext, Row, RowId, Schema, Valu
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// A CVD registered in the system, with its physical representation.
-struct CvdHandle {
-    cvd: Cvd,
-    model: SplitByRlist,
-}
 
 /// Provenance metadata of an uncommitted checkout (staging table or file):
 /// which CVD and parent versions it derives from, who owns it, and when it
@@ -60,7 +53,7 @@ pub enum CommandOutput {
 /// The OrpheusDB middleware.
 pub struct OrpheusDb {
     db: Database,
-    cvds: HashMap<String, CvdHandle>,
+    cvds: HashMap<String, Cvd>,
     users: Vec<String>,
     current_user: Option<String>,
     staging: HashMap<String, StagingInfo>,
@@ -408,10 +401,11 @@ impl OrpheusDb {
         }
         let author = self.whoami()?.to_owned();
         let (cvd, v0) = Cvd::init(name, schema, pk, rows, &author)?;
-        let mut model = SplitByRlist::new(name);
-        load_cvd(&mut model, &mut self.db, &cvd)?;
-        metadata::create(&mut self.db, name)?;
-        metadata::sync(&mut self.db, &cvd, self.clock)?;
+        metadata::create(&mut self.db, &cvd)?;
+        // `init` is not charged to the lifetime tracker.
+        let mut tracker = relstore::CostTracker::new();
+        let records = cvd.num_records();
+        metadata::append(&mut self.db, &cvd, v0, records, &mut tracker, self.clock)?;
         self.register(cvd);
         self.durability_point()?;
         Ok(v0)
@@ -419,11 +413,7 @@ impl OrpheusDb {
 
     /// Take `cvd`, whose tables exist, into the instance.
     fn register(&mut self, cvd: Cvd) {
-        let handle = CvdHandle {
-            model: SplitByRlist::new(cvd.name()),
-            cvd,
-        };
-        self.cvds.insert(handle.cvd.name().to_owned(), handle);
+        self.cvds.insert(cvd.name().to_owned(), cvd);
     }
 
     /// `log`: render a CVD's version graph as text — the command-line
@@ -480,14 +470,10 @@ impl OrpheusDb {
         self.durability_point()
     }
 
-    fn handle(&self, name: &str) -> Result<&CvdHandle> {
+    pub fn cvd(&self, name: &str) -> Result<&Cvd> {
         self.cvds
             .get(name)
             .ok_or_else(|| Error::CvdNotFound(name.to_owned()))
-    }
-
-    pub fn cvd(&self, name: &str) -> Result<&Cvd> {
-        Ok(&self.handle(name)?.cvd)
     }
 
     // -- checkout / commit ---------------------------------------------------
@@ -506,10 +492,10 @@ impl OrpheusDb {
         let _span = self.db.recorder().enter("orpheus.checkout");
         let start = Instant::now();
         let owner = self.whoami()?.to_owned();
-        crate::command::check_distinct(versions)?;
+        crate::command::check_versions(versions)?;
         let created_at = self.tick();
         self.check_unclaimed(table)?;
-        let cvd = &self.handle(cvd_name)?.cvd;
+        let cvd = self.cvd(cvd_name)?;
         let rids: Vec<Rid> = (cvd.checkout_rows(versions)?.into_iter())
             .map(|(rid, _)| rid)
             .collect();
@@ -545,10 +531,7 @@ impl OrpheusDb {
             return Ok(());
         };
         let _span = self.db.recorder().enter("orpheus.checkout.copy");
-        let handle = self.cvds.get(&info.cvd);
-        let cvd = &handle
-            .ok_or_else(|| Error::CvdNotFound(info.cvd.clone()))?
-            .cvd;
+        let cvd = (self.cvds.get(&info.cvd)).ok_or_else(|| Error::CvdNotFound(info.cvd.clone()))?;
         let copied = info.rids.len() as u64;
         let rows = info.rids.iter().map(|&rid| cvd.record(rid));
         if let Err(e) = rebuild(&mut self.db, table, rows) {
@@ -670,36 +653,16 @@ impl OrpheusDb {
         if evolves {
             self.copy_checkouts_of(&info.cvd)?;
         }
-        let handle = self
-            .cvds
-            .get_mut(&info.cvd)
-            .ok_or_else(|| Error::CvdNotFound(info.cvd.clone()))?;
+        let cvd =
+            (self.cvds.get_mut(&info.cvd)).ok_or_else(|| Error::CvdNotFound(info.cvd.clone()))?;
         let compared = changes.rows.len() as u64;
-        let result = if !evolves {
-            handle
-                .cvd
-                .commit_changes(&info.parents, changes, message, &author)?
-        } else {
-            handle
-                .cvd
-                .commit_with_schema(&info.parents, schema, changes.rows, message, &author)?
-        };
+        let result = cvd.commit_changes(&info.parents, schema, changes, message, &author)?;
         self.db
             .metrics()
             .counter_add("orpheus.commit.rows_compared", compared);
-        // Physical apply: new rids are those the commit introduced.
-        let total = handle.cvd.num_records() as u64;
-        let new_rids: Vec<Rid> = (total - result.new_records as u64..total)
-            .map(Rid)
-            .collect();
-        handle.model.apply_commit(
-            &mut self.db,
-            &handle.cvd,
-            result.vid,
-            &new_rids,
-            &mut self.tracker.borrow_mut(),
-        )?;
-        metadata::sync(&mut self.db, &handle.cvd, self.clock)?;
+        let mut tracker = self.tracker.borrow_mut();
+        let (vid, new) = (result.vid, result.new_records);
+        metadata::append(&mut self.db, cvd, vid, new, &mut tracker, self.clock)?;
         Ok(result)
     }
 
@@ -720,12 +683,12 @@ impl OrpheusDb {
     /// table (for analysis in Python/R, §3.3.1).
     pub fn checkout_csv(&mut self, cvd_name: &str, versions: &[Vid], file: &str) -> Result<String> {
         let owner = self.whoami()?.to_owned();
-        crate::command::check_distinct(versions)?;
+        crate::command::check_versions(versions)?;
         let created_at = self.tick();
         self.check_unclaimed(file)?;
-        let handle = self.handle(cvd_name)?;
-        let rows = handle.cvd.checkout_rows(versions)?;
-        let csv = to_csv(handle.cvd.schema(), rows.iter().map(|(_, r)| r.as_slice()));
+        let cvd = self.cvd(cvd_name)?;
+        let rows = cvd.checkout_rows(versions)?;
+        let csv = to_csv(cvd.schema(), rows.iter().map(|(_, r)| r.as_slice()));
         self.staging.insert(
             file.to_owned(),
             StagingInfo {
@@ -797,8 +760,7 @@ impl OrpheusDb {
     /// a parent→child delta weighs the symmetric record difference.
     pub fn plan_storage(&self, cvd_name: &str, factor: f64) -> Result<Vec<String>> {
         let _span = self.db.recorder().enter("orpheus.plan_storage");
-        let handle = self.handle(cvd_name)?;
-        let cvd = &handle.cvd;
+        let cvd = self.cvd(cvd_name)?;
         let n = cvd.num_versions();
         let mut graph = deltastore::StorageGraph::new(n, false);
         for (i, meta) in cvd.metas().iter().enumerate() {
@@ -837,16 +799,14 @@ impl OrpheusDb {
         Ok(out)
     }
 
-    /// One version's rows read from the split-by-rlist tables — its rlist
-    /// row, then a `RidFetch` of its records — with what that cost.
+    /// One version's `[rid, attrs…]` rows — a `RidFetch` of its records
+    /// from the data table, lowered like every other read — with what
+    /// that cost.
     pub fn read_version(&self, cvd_name: &str, vid: Vid) -> Result<(Vec<Row>, ExecContext)> {
         let _span = self.db.recorder().enter("orpheus.checkout");
-        let handle = self.handle(cvd_name)?;
         let mut ctx = ExecContext::new();
-        let pool = self.worker_pool();
-        let rows = handle
-            .model
-            .checkout_with_pool(&self.db, vid, pool.as_ref(), &mut ctx)?;
+        let fetch = LogicalPlan::Fetch(RidSet::Union(vec![vid]), None);
+        let rows = self.tables(cvd_name)?.run(&fetch, &mut ctx)?.rows;
         self.tracker.borrow_mut().absorb(&ctx.tracker);
         Ok((rows, ctx))
     }
@@ -854,11 +814,9 @@ impl OrpheusDb {
     /// The engine-side plan source for a CVD: its split-by-rlist tables
     /// read through this instance's worker pool.
     pub(crate) fn tables(&self, cvd_name: &str) -> Result<Tables<'_>> {
-        let handle = self.handle(cvd_name)?;
         Ok(Tables {
             db: &self.db,
-            cvd: &handle.cvd,
-            model: &handle.model,
+            cvd: self.cvd(cvd_name)?,
             pool: self.worker_pool(),
         })
     }
@@ -2508,6 +2466,30 @@ mod tests {
         odb.commit("w", "once").unwrap();
         let meta = odb.cvd("Interaction").unwrap().meta(Vid(1)).unwrap();
         assert_eq!(meta.parents, [Vid(0)]);
+    }
+
+    /// Regression: a library checkout of no versions was taken, and its
+    /// commit made `v1 ← (root)`, a second root beside v0. The library
+    /// refuses it as the parser does (`missing values for -v`).
+    #[test]
+    fn a_checkout_refuses_an_empty_version_list() {
+        let mut odb = setup();
+        let err = odb.checkout("Interaction", &[], "w").unwrap_err();
+        assert!(matches!(&err, Error::Parse(_)), "{err}");
+        let err = odb.checkout_csv("Interaction", &[], "w.csv").unwrap_err();
+        assert!(matches!(&err, Error::Parse(_)), "{err}");
+        assert!(!odb.database().has_table("w"));
+        assert!(odb.staging_table("w").is_err() && odb.staging_table("w.csv").is_err());
+        let parse = Command::parse("checkout Interaction -v -t w").unwrap_err();
+        assert!(matches!(parse, Error::Parse(_)), "{parse}");
+        assert_eq!(odb.cvd("Interaction").unwrap().num_versions(), 1);
+        assert_eq!(
+            odb.optimize("Interaction", 2.0)
+                .unwrap()
+                .partitioning
+                .num_partitions(),
+            1
+        );
     }
 
     /// A checkout that is only inserted into is never copied: before a

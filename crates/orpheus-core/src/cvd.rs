@@ -5,8 +5,9 @@
 //! of it. Records are immutable: any modification yields a new record with
 //! a fresh `rid`. Versions form a DAG (the version graph); each version is
 //! a set of `rid`s plus metadata (Fig. 4.2). The `Cvd` struct here is the
-//! *logical* source of truth; the physical representations of Chapter 4
-//! ([`crate::models`]) are materialized from it.
+//! *logical* source of truth: the engine appends each version it makes to
+//! the CVD's tables ([`crate::metadata`]), and reopening rebuilds it from
+//! them.
 
 use crate::error::{Error, Result};
 use partition::{Bipartite, Rid, VersionGraph, VersionTree, Vid};
@@ -146,7 +147,7 @@ pub struct Cvd {
 
 impl Cvd {
     /// Initialize a CVD from an initial table of records (the `init`
-    /// command). Creates version `v0`.
+    /// command): version `v0`, committed with no parents.
     pub fn init(
         name: impl Into<String>,
         schema: Schema,
@@ -169,7 +170,7 @@ impl Cvd {
             .collect();
         let mut cvd = Cvd {
             name: name.into(),
-            schema,
+            schema: schema.clone(),
             pk_names,
             records: Vec::new(),
             version_records: Vec::new(),
@@ -178,26 +179,8 @@ impl Cvd {
             attributes,
             clock: 0,
         };
-        let attr_ids: Vec<AttrId> = cvd.attributes.iter().map(|a| a.id).collect();
-        cvd.check_pk(&[], &rows)?;
-        let mut rids = Vec::with_capacity(rows.len());
-        for row in rows {
-            cvd.schema.check_row(&row)?;
-            rids.push(cvd.push_record(row));
-        }
-        rids.sort_unstable();
-        let vid = cvd.graph.add_version(rids.len() as u64, &[]);
-        cvd.version_records.push(rids);
-        let t = cvd.tick();
-        cvd.metas.push(VersionMeta {
-            vid,
-            parents: Vec::new(),
-            checkout_t: t,
-            commit_t: t,
-            message: "init".into(),
-            author: author.into(),
-            attributes: attr_ids,
-        });
+        let changes = Changes::all(rows);
+        let vid = (cvd.commit_changes(&[], &schema, changes, "init", author)?).vid;
         Ok((cvd, vid))
     }
 
@@ -442,113 +425,33 @@ impl Cvd {
         message: &str,
         author: &str,
     ) -> Result<CommitResult> {
-        self.commit_changes(parents, Changes::all(rows), message, author)
+        let schema = self.schema.clone();
+        self.commit_changes(parents, &schema, Changes::all(rows), message, author)
     }
 
-    /// [`commit`](Self::commit) of a table given as [`Changes`]: only
-    /// `changes.rows` are checked against the schema and compared with the
-    /// parents, so the work grows with the rows touched.
+    /// Commit a table of `schema`, given as [`Changes`], as a new version
+    /// derived from `parents` — every commit, `init`'s included, is made
+    /// here. Only `changes.rows` are checked against the schema and
+    /// compared with the parents, so the work grows with the rows touched.
+    ///
+    /// A `schema` that differs from the CVD's evolves it first: new
+    /// attributes are appended to the single-pool schema (older records
+    /// padded with NULL), type changes are widened (integer → decimal →
+    /// string, §4.3), and attributes missing from `schema` are simply
+    /// absent from the new version's attribute list. A commit that fails
+    /// changes nothing.
     pub(crate) fn commit_changes(
         &mut self,
         parents: &[Vid],
-        changes: Changes,
-        message: &str,
-        author: &str,
-    ) -> Result<CommitResult> {
-        self.check_commit(parents, &self.schema, &changes)?;
-        Ok(self.apply_changes(parents, changes, message, author))
-    }
-
-    /// Everything that can fail a commit, checked before anything changes:
-    /// the parents exist, keys are unique, every row fits `schema`.
-    fn check_commit(&self, parents: &[Vid], schema: &Schema, changes: &Changes) -> Result<()> {
-        for &p in parents {
-            self.check_version(p)?;
-        }
-        self.check_pk(&changes.kept, &changes.rows)?;
-        for row in &changes.rows {
-            schema.check_row(row)?;
-        }
-        Ok(())
-    }
-
-    /// The new version of a [`check_commit`](Self::check_commit)ed commit.
-    fn apply_changes(
-        &mut self,
-        parents: &[Vid],
-        changes: Changes,
-        message: &str,
-        author: &str,
-    ) -> CommitResult {
-        // Parent lookup: encoded row -> rid.
-        let lists: Vec<&[Rid]> = match &changes.candidates {
-            Some(rids) => vec![rids],
-            None => parents
-                .iter()
-                .map(|p| &self.version_records[p.idx()][..])
-                .collect(),
-        };
-        let mut parent_index: HashMap<Vec<u8>, Rid> = HashMap::new();
-        for &rid in lists.into_iter().flatten() {
-            parent_index.insert(encode_row(&self.records[rid.idx()]), rid);
-        }
-        // The version keeps this list: no spare capacity.
-        let mut rids = changes.kept;
-        rids.reserve_exact(changes.rows.len());
-        let mut new_records = 0usize;
-        for row in changes.rows {
-            match parent_index.get(&encode_row(&row)) {
-                Some(&rid) => rids.push(rid),
-                None => {
-                    rids.push(self.push_record(row));
-                    new_records += 1;
-                }
-            }
-        }
-        let reused = rids.len() - new_records;
-        rids.sort_unstable();
-        rids.dedup();
-
-        let edges: Vec<(Vid, u64)> = parents
-            .iter()
-            .map(|&p| {
-                let w = partition::graph::intersect_count(&self.version_records[p.idx()], &rids);
-                (p, w)
-            })
-            .collect();
-        let vid = self.graph.add_version(rids.len() as u64, &edges);
-        self.version_records.push(rids);
-        let t = self.tick();
-        let attrs = self.attributes.iter().map(|a| a.id).collect();
-        self.metas.push(VersionMeta {
-            vid,
-            parents: parents.to_vec(),
-            checkout_t: t.saturating_sub(1),
-            commit_t: t,
-            message: message.into(),
-            author: author.into(),
-            attributes: attrs,
-        });
-        CommitResult {
-            vid,
-            new_records,
-            reused_records: reused,
-        }
-    }
-
-    /// Commit rows whose schema differs from the CVD's: new attributes are
-    /// appended to the single-pool schema (older records padded with NULL),
-    /// type changes are widened (integer → decimal → string, §4.3), and
-    /// attributes missing from `schema` are simply absent from the new
-    /// version's attribute list.
-    pub fn commit_with_schema(
-        &mut self,
-        parents: &[Vid],
         schema: &Schema,
-        rows: Vec<Row>,
+        changes: Changes,
         message: &str,
         author: &str,
     ) -> Result<CommitResult> {
+        if *schema == self.schema {
+            self.check_commit(parents, schema, &changes)?;
+            return Ok(self.apply_changes(parents, changes, message, author));
+        }
         // Evolve copies of the union schema and the attribute table, and
         // map each committed column to its union index and type: a commit
         // that fails changes nothing.
@@ -609,8 +512,7 @@ impl Cvd {
 
         // Re-project rows into the union layout, widening values as needed.
         let width = union.len();
-        let projected: Vec<Row> = rows
-            .into_iter()
+        let projected: Vec<Row> = (changes.rows.into_iter())
             .map(|row| {
                 let mut out = vec![Value::Null; width];
                 for (src, &(dst, dtype)) in mapping.iter().enumerate() {
@@ -619,7 +521,10 @@ impl Cvd {
                 out
             })
             .collect();
-        let changes = Changes::all(projected);
+        let changes = Changes {
+            rows: projected,
+            ..changes
+        };
         self.check_commit(parents, &union, &changes)?;
 
         // Nothing can fail from here: widen and pad the stored records.
@@ -636,6 +541,88 @@ impl Cvd {
         // The version's attribute list is the committed schema's.
         self.metas[result.vid.idx()].attributes = version_attrs;
         Ok(result)
+    }
+
+    /// Everything that can fail a commit, checked before anything changes:
+    /// the parents exist, keys are unique, every row fits `schema`.
+    fn check_commit(&self, parents: &[Vid], schema: &Schema, changes: &Changes) -> Result<()> {
+        for &p in parents {
+            self.check_version(p)?;
+        }
+        self.check_pk(&changes.kept, &changes.rows)?;
+        for row in &changes.rows {
+            schema.check_row(row)?;
+        }
+        Ok(())
+    }
+
+    /// The new version of a [`check_commit`](Self::check_commit)ed commit.
+    fn apply_changes(
+        &mut self,
+        parents: &[Vid],
+        changes: Changes,
+        message: &str,
+        author: &str,
+    ) -> CommitResult {
+        // Parent lookup: encoded row -> rid.
+        let lists: Vec<&[Rid]> = match &changes.candidates {
+            Some(rids) => vec![rids],
+            None => parents
+                .iter()
+                .map(|p| &self.version_records[p.idx()][..])
+                .collect(),
+        };
+        let mut parent_index: HashMap<Vec<u8>, Rid> = HashMap::new();
+        for &rid in lists.into_iter().flatten() {
+            parent_index.insert(encode_row(&self.records[rid.idx()]), rid);
+        }
+        // The version keeps this list: no spare capacity.
+        let mut rids = changes.kept;
+        rids.reserve_exact(changes.rows.len());
+        let mut new_records = 0usize;
+        for row in changes.rows {
+            // With nothing to reuse (`init`, an insert-only commit by rid)
+            // no row is encoded.
+            let known = (!parent_index.is_empty()).then(|| parent_index.get(&encode_row(&row)));
+            match known.flatten() {
+                Some(&rid) => rids.push(rid),
+                None => {
+                    rids.push(self.push_record(row));
+                    new_records += 1;
+                }
+            }
+        }
+        let reused = rids.len() - new_records;
+        rids.sort_unstable();
+        rids.dedup();
+
+        let edges: Vec<(Vid, u64)> = parents
+            .iter()
+            .map(|&p| {
+                let w = partition::graph::intersect_count(&self.version_records[p.idx()], &rids);
+                (p, w)
+            })
+            .collect();
+        let vid = self.graph.add_version(rids.len() as u64, &edges);
+        self.version_records.push(rids);
+        let t = self.tick();
+        let attrs = self.attributes.iter().map(|a| a.id).collect();
+        // A root (`init`'s v0) was never checked out.
+        let checkout_t = if parents.is_empty() { t } else { t - 1 };
+        self.metas.push(VersionMeta {
+            vid,
+            parents: parents.to_vec(),
+            checkout_t,
+            commit_t: t,
+            message: message.into(),
+            author: author.into(),
+            attributes: attrs,
+        });
+        CommitResult {
+            vid,
+            new_records,
+            reused_records: reused,
+        }
     }
 
     /// `diff`: rids in `a` but not in `b`, and vice versa (§3.3.1(a)).
@@ -758,6 +745,38 @@ mod tests {
         assert_eq!(cvd.num_versions(), 1);
         assert_eq!(cvd.num_records(), 3);
         assert_eq!(cvd.version_records(v0).unwrap().len(), 3);
+    }
+
+    /// `init` commits v0 through the commit path: every row a record in
+    /// row order (an unkeyed repeat too), every attribute listed, the
+    /// schema's nullability kept, checked out when committed, and a
+    /// repeated key refused with the commit's error.
+    #[test]
+    fn init_commits_v0_as_a_root() {
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int64),
+            Column::nullable("x", DataType::Text),
+        ]);
+        let rows = vec![
+            vec![Value::Int64(2), Value::Null],
+            vec![Value::Int64(1), Value::from("a")],
+            vec![Value::Int64(2), Value::Null],
+        ];
+        let (cvd, v0) = Cvd::init("u", schema.clone(), vec![], rows.clone(), "a").unwrap();
+        let rids: Vec<Rid> = (0..3).map(Rid).collect();
+        assert_eq!(cvd.version_records(v0).unwrap(), rids);
+        assert!(rids.iter().zip(&rows).all(|(&r, row)| cvd.record(r) == row));
+        assert_eq!(cvd.schema(), &schema);
+        let meta = cvd.meta(v0).unwrap();
+        assert_eq!(
+            (meta.attributes.as_slice(), meta.parents.len()),
+            (&[0, 1][..], 0)
+        );
+        assert_eq!((meta.checkout_t, meta.commit_t, cvd.clock()), (1, 1, 1));
+        assert_eq!(meta.message, "init");
+        assert_eq!(cvd.graph().parents(v0), &[]);
+        let keyed = Cvd::init("k", schema, vec!["k".into()], rows, "a");
+        assert!(matches!(keyed, Err(Error::PrimaryKeyViolation(m)) if m.ends_with("of k")));
     }
 
     #[test]
@@ -935,7 +954,7 @@ mod tests {
             Value::from("lab"),
         ]];
         let res = cvd
-            .commit_with_schema(&[v0], &new_schema, rows, "evolve", "bob")
+            .commit_changes(&[v0], &new_schema, Changes::all(rows), "evolve", "bob")
             .unwrap();
         // The union schema widened cooccurrence and gained `source`.
         let idx = cvd.schema().index_of("cooccurrence").unwrap();

@@ -13,15 +13,13 @@
 //! * [`cvd`] — the CVD itself: the record manager (rid assignment under the
 //!   no-cross-version-diff rule), the version manager (metadata table,
 //!   version graph), and schema evolution (attribute table, §4.3);
-//! * `metadata` — the catalog as tables beside the data: the metadata and
-//!   attribute tables of each CVD and one small system table, which is
-//!   all a durable instance reads back at open;
-//! * [`models`] — the five physical data models compared in Chapter 4
-//!   (a-table-per-version, combined-table, split-by-vlist, split-by-rlist,
-//!   delta-based), all implementing [`models::VersioningModel`];
-//! * [`partitioned`] — the partition-optimized split-by-rlist storage that
-//!   Chapter 5 builds with LyreSplit, kept for the Chapter 5 figures like
-//!   the data models the engine does not run;
+//! * [`metadata`] — a CVD's tables, the one module that knows them: the
+//!   split-by-rlist data and versioning tables (§4.3) the engine reads and
+//!   appends to, and the catalog beside them — the metadata and attribute
+//!   tables of each CVD and one small system table, which is all a
+//!   durable instance reads back at open. (The other four data models of
+//!   Chapter 4, and Chapter 5's partitioned store, are the `models`
+//!   crate's: experiment code the engine never runs.)
 //! * [`query`] — the versioned query surface: the parser and the parsed
 //!   [`query::VQuery`] for `SELECT … FROM VERSION i OF CVD c`, aggregates
 //!   `GROUP BY vid`, `v_diff`, `v_intersect` and cross-version `JOIN`
@@ -40,9 +38,7 @@ pub mod command;
 pub mod commands;
 pub mod cvd;
 pub mod error;
-mod metadata;
-pub mod models;
-pub mod partitioned;
+pub mod metadata;
 pub mod plan;
 pub mod query;
 pub mod snapshot;
@@ -51,10 +47,5 @@ pub use command::{Command, View};
 pub use commands::{CommandOutput, OrpheusDb};
 pub use cvd::{CommitResult, Cvd, VersionMeta};
 pub use error::{Error, Result};
-pub use models::{
-    ATablePerVersion, CombinedTable, DeltaBased, ModelKind, SplitByRlist, SplitByVlist,
-    VersioningModel,
-};
 pub use partition::{Rid, Vid};
-pub use partitioned::PartitionedStore;
 pub use snapshot::Snapshot;

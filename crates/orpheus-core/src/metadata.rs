@@ -1,29 +1,38 @@
-//! The catalog as tables: what a durable instance reads back at open.
+//! A CVD's tables: the one module that knows how a CVD is stored.
 //!
 //! OrpheusDB is "bolt-on" because everything it knows about a CVD sits in
-//! ordinary tables of the same database as the data. Beside a CVD's
-//! `{cvd}__sbr_data` `[rid, attrs…]` (its records) and `{cvd}__sbr_vtab`
-//! `[vid, rlist]` (its versions' record lists), which
-//! [`SplitByRlist`] maintains, this module keeps:
+//! ordinary tables of the same database as the data. The engine keeps one
+//! layout, split-by-rlist (§4.3, Fig. 3.2(c.ii)):
+//!
+//! * `{cvd}__sbr_data` `[rid, attrs…]` — the records, behind a `rid_pk`
+//!   index; every attribute is nullable, so the table can grow with the
+//!   CVD's schema;
+//! * `{cvd}__sbr_vtab` `[vid, rlist]` — one row per version, naming its
+//!   records, behind a `vid_pk` index;
+//!
+//! and beside them the catalog:
 //!
 //! * `{cvd}__meta` — the metadata table of Fig. 4.2a, one row per version;
 //! * `{cvd}__attr` — the attribute table of §4.3, one row per
 //!   (name, type) pair;
 //! * `__orpheus_sys` `[kind, name, clock, pk, nullable]` — one row per
 //!   user, one for the instance clock, and one per CVD with its clock,
-//!   primary-key columns and nullable columns (the data table keeps every
-//!   attribute nullable).
+//!   primary-key columns and nullable columns.
 //!
-//! `init`, `commit` and `drop` write their rows here where they write
-//! their data rows, so one checkpoint makes all of it durable together,
-//! and [`load`] rebuilds every [`Cvd`] by reading. An in-memory instance
-//! keeps the same tables; nothing ever reads them back.
+//! [`create`] makes a CVD's data and versioning tables, [`append`] writes
+//! a version — its new records and rlist row ([`append_rlist`]), then its
+//! catalog rows — so one checkpoint makes all of it durable together, and
+//! [`load`] rebuilds every [`Cvd`] by reading. An in-memory instance keeps
+//! the same tables; nothing ever reads them back. The Chapter 4 models
+//! crate writes its split-by-rlist model through [`create`] and
+//! [`append_rlist`] too, so the layout is written in one place.
 
 use crate::cvd::{Attribute, Cvd, VersionMeta};
 use crate::error::{Error, Result};
-use crate::models::SplitByRlist;
 use partition::{Rid, Vid};
-use relstore::{Column, DataType, Database, Row, RowId, Schema, Table, Value};
+use relstore::{
+    Column, CostModel, CostTracker, DataType, Database, IndexKind, Row, RowId, Schema, Table, Value,
+};
 
 pub(crate) const SYS: &str = "__orpheus_sys";
 
@@ -39,16 +48,114 @@ fn attr_name(cvd: &str) -> String {
     format!("{cvd}__attr")
 }
 
+/// `{cvd}__sbr_data`: the CVD's records.
+pub fn data_name(cvd: &str) -> String {
+    format!("{cvd}__sbr_data")
+}
+
+/// `{cvd}__sbr_vtab`: each version's record list.
+pub fn vtab_name(cvd: &str) -> String {
+    format!("{cvd}__sbr_vtab")
+}
+
 /// The tables that make up CVD `cvd`; every other table but [`SYS`] is
 /// staging or derived state.
 pub(crate) fn tables_of(cvd: &str) -> [String; 4] {
-    let model = SplitByRlist::new(cvd);
     [
-        model.data_name(),
-        model.vtab_name(),
+        data_name(cvd),
+        vtab_name(cvd),
         meta_name(cvd),
         attr_name(cvd),
     ]
+}
+
+/// The `[rid, data attributes…]` star schema of a CVD's data table.
+pub fn data_schema(cvd: &Cvd) -> Schema {
+    let mut cols = vec![Column::new("rid", DataType::Int64)];
+    for c in cvd.schema().columns() {
+        cols.push(Column::nullable(c.name.clone(), c.dtype));
+    }
+    Schema::new(cols)
+}
+
+/// The `[rid, attrs…]` row of a record.
+pub fn data_row(cvd: &Cvd, rid: Rid) -> Row {
+    let mut row = Vec::with_capacity(cvd.schema().len() + 1);
+    row.push(Value::Int64(rid.0 as i64));
+    row.extend(cvd.record(rid).iter().cloned());
+    row
+}
+
+/// Grow `table` — `extra_leading` bookkeeping columns (e.g. rid), then
+/// the data attributes — to the CVD's evolved schema: new attributes are
+/// added with a NULL backfill, evolved types widened (§4.3 single-pool).
+pub fn sync_table_schema(table: &mut Table, cvd: &Cvd, extra_leading: usize) -> Result<()> {
+    let want = cvd.schema().columns();
+    while table.schema().len() - extra_leading < want.len() {
+        let next = &want[table.schema().len() - extra_leading];
+        table.add_column(Column::nullable(next.name.clone(), next.dtype), Value::Null)?;
+    }
+    for (i, col) in want.iter().enumerate() {
+        let idx = i + extra_leading;
+        let have = (table.schema().column(idx))
+            .ok_or_else(|| Error::Internal(format!("evolved schema column #{idx} missing")))?
+            .dtype;
+        if have != col.dtype {
+            table.widen_column(&col.name, col.dtype)?;
+        }
+    }
+    Ok(())
+}
+
+/// Create `cvd`'s data table with its `rid_pk` index and its versioning
+/// table with its `vid_pk` index, both empty.
+pub fn create(db: &mut Database, cvd: &Cvd) -> Result<()> {
+    let data = db.create_table(data_name(cvd.name()), data_schema(cvd))?;
+    data.create_index("rid_pk", "rid", true, IndexKind::BTree)?;
+    let vtab = schema(&[("vid", DataType::Int64), ("rlist", DataType::IntArray)]);
+    let vtab = db.create_table(vtab_name(cvd.name()), vtab)?;
+    vtab.create_index("vid_pk", "vid", true, IndexKind::BTree)?;
+    Ok(())
+}
+
+/// The layout's half of appending version `vid` (already in `cvd`): the
+/// records it introduced, `new_rids`, join the data table, grown to the
+/// CVD's schema first, and one `[vid, rlist]` row joins the versioning
+/// table. The writes are charged to `tracker`: a sequential write of the
+/// new records and one page for the versioning tuple.
+pub fn append_rlist(
+    db: &mut Database,
+    cvd: &Cvd,
+    vid: Vid,
+    new_rids: &[Rid],
+    tracker: &mut CostTracker,
+) -> Result<()> {
+    let data = db.table_mut(&data_name(cvd.name()))?;
+    sync_table_schema(data, cvd, 1)?;
+    tracker.seq_scan(new_rids.len() as u64, &CostModel::default());
+    data.insert_many(new_rids.iter().map(|&rid| data_row(cvd, rid)))?;
+    let rlist = ints(cvd.version_records(vid)?, |r| r.0 as i64);
+    tracker.random_pages += 1;
+    tracker.tuples += 1;
+    let vtab = db.table_mut(&vtab_name(cvd.name()))?;
+    vtab.insert(vec![Value::Int64(i64::from(vid.0)), rlist])?;
+    Ok(())
+}
+
+/// Append version `vid` of `cvd`, whose last `new_records` records it
+/// introduced: [`append_rlist`], then the catalog rows ([`sync`]).
+pub(crate) fn append(
+    db: &mut Database,
+    cvd: &Cvd,
+    vid: Vid,
+    new_records: usize,
+    tracker: &mut CostTracker,
+    clock: u64,
+) -> Result<()> {
+    let total = cvd.num_records() as u64;
+    let new_rids: Vec<Rid> = (total - new_records as u64..total).map(Rid).collect();
+    append_rlist(db, cvd, vid, &new_rids, tracker)?;
+    sync(db, cvd, clock)
 }
 
 fn ints<T>(items: impl IntoIterator<Item = T>, f: impl Fn(T) -> i64) -> Value {
@@ -107,7 +214,7 @@ pub(crate) fn put_user(db: &mut Database, name: &str) -> Result<()> {
 }
 
 /// Create the metadata and attribute tables of a new CVD.
-pub(crate) fn create(db: &mut Database, cvd: &str) -> Result<()> {
+fn create_catalog(db: &mut Database, cvd: &str) -> Result<()> {
     use DataType::{Int64, IntArray, Text};
     let meta = [
         ("vid", Int64),
@@ -127,8 +234,12 @@ pub(crate) fn create(db: &mut Database, cvd: &str) -> Result<()> {
 /// Bring `cvd`'s catalog rows level with it after `init` or a commit:
 /// versions and attributes only ever grow, so the rows past what each
 /// table holds are appended; the CVD's system row and the instance
-/// `clock` are rewritten.
-pub(crate) fn sync(db: &mut Database, cvd: &Cvd, clock: u64) -> Result<()> {
+/// `clock` are rewritten. The metadata and attribute tables are created
+/// on first use.
+fn sync(db: &mut Database, cvd: &Cvd, clock: u64) -> Result<()> {
+    if !db.has_table(&meta_name(cvd.name())) {
+        create_catalog(db, cvd.name())?;
+    }
     let metas = db.table_mut(&meta_name(cvd.name()))?;
     for m in cvd.metas().iter().skip(metas.live_row_count()) {
         metas.insert(vec![
@@ -187,7 +298,7 @@ pub(crate) fn load(db: &Database) -> Result<Catalog> {
             [Text(kind), Text(name), ..] if kind == USER => users.push(name.clone()),
             [Text(kind), _, Int64(t), ..] if kind == CLOCK => clock = nat(*t)?,
             [Text(kind), Text(name), Int64(t), IntArray(pk), IntArray(nullable)] if kind == CVD => {
-                cvds.push(load_cvd(db, name, nat(*t)?, &nats(pk)?, &nats(nullable)?)?)
+                cvds.push(read_cvd(db, name, nat(*t)?, &nats(pk)?, &nats(nullable)?)?)
             }
             _ => return Err(corrupt("system row")),
         }
@@ -222,7 +333,7 @@ fn numbered(table: &Table, what: &str) -> Result<Vec<Row>> {
     }
 }
 
-fn load_cvd(
+fn read_cvd(
     db: &Database,
     name: &str,
     clock: u64,

@@ -18,7 +18,7 @@
 
 use crate::cvd::{common, only_in, Cvd};
 use crate::error::{Error, Result};
-use crate::models::{data_schema, SplitByRlist};
+use crate::metadata::{data_name, data_schema, vtab_name};
 use crate::query::{Predicate, QueryResult, VQuery};
 use partition::{Rid, Vid};
 use relstore::{
@@ -243,7 +243,6 @@ pub(crate) trait Source {
 pub struct Tables<'a> {
     pub db: &'a Database,
     pub cvd: &'a Cvd,
-    pub model: &'a SplitByRlist,
     pub pool: Option<WorkerPool>,
 }
 
@@ -278,17 +277,19 @@ impl Source for Tables<'_> {
         side: &str,
         dec: &D,
     ) -> Result<Op<'a, D>> {
-        let data = self.db.table(&self.model.data_name())?;
+        let data = self.db.table(&data_name(self.cvd.name()))?;
         let rids = rids.iter().map(|r| r.0 as i64);
         rid_join_plan(data, rids, test, self.pool.as_ref(), side, dec)
     }
 
     fn scan_star<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>> {
-        Ok(seq_scan(self.db.table(&self.model.data_name())?, "", dec))
+        let data = self.db.table(&data_name(self.cvd.name()))?;
+        Ok(seq_scan(data, "", dec))
     }
 
     fn scan_rlists<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>> {
-        Ok(seq_scan(self.db.table(&self.model.vtab_name())?, "", dec))
+        let vtab = self.db.table(&vtab_name(self.cvd.name()))?;
+        Ok(seq_scan(vtab, "", dec))
     }
 }
 
@@ -316,17 +317,6 @@ pub(crate) fn rid_join_plan<'t, D: Decorator>(
     let (fetch, mut node) = dec.wrap(Box::new(fetch), vec![], label, |_| est);
     D::set_worker_rows(&mut node, worker_rows);
     Ok((fetch, node))
-}
-
-/// [`rid_join_plan`] drained to completion — the checkout path.
-pub(crate) fn rid_join_rows(
-    data: &Table,
-    rids: Vec<i64>,
-    pool: Option<&WorkerPool>,
-    ctx: &mut ExecContext,
-) -> Result<Vec<relstore::Row>> {
-    let (mut plan, ()) = rid_join_plan(data, rids, None, pool, "", &Plain)?;
-    Ok(collect(plan.as_mut(), ctx)?)
 }
 
 /// A lowered plan: the operator tree, its decorator node, and the schema
@@ -790,7 +780,7 @@ pub(crate) mod tests {
         let mut odb = corpus_db();
         let heap_pages = {
             let tables = odb.tables("S").unwrap();
-            let data = tables.db.table(&tables.model.data_name()).unwrap();
+            let data = tables.db.table(&data_name(tables.cvd.name())).unwrap();
             data.num_heap_pages() as u64
         };
         assert!(heap_pages >= 40, "{heap_pages}");

@@ -40,11 +40,11 @@ pub struct Snapshot {
 impl Snapshot {
     /// Pin `cvd` as of now.
     pub(crate) fn of(cvd: &Cvd) -> Snapshot {
-        let star = crate::models::data_schema(cvd);
+        let star = crate::metadata::data_schema(cvd);
         let width = star.len();
         let rows = (0..cvd.num_records())
             .map(|rid| {
-                let mut row = crate::models::data_row(cvd, Rid(rid as u64));
+                let mut row = crate::metadata::data_row(cvd, Rid(rid as u64));
                 // Records committed before a schema evolution may be
                 // narrower than the union schema; pad like the engine's
                 // migrated tables do.

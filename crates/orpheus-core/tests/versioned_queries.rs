@@ -2,71 +2,54 @@
 //! multi-version protein-interaction CVD, exercising the query paths the
 //! command surface builds on.
 
-use orpheus_core::cvd::Cvd;
-use orpheus_core::models::{load_cvd, SplitByRlist};
-use orpheus_core::plan::{LogicalPlan, Tables};
-use orpheus_core::query::{parse_query, versions_where_aggregate, QueryResult};
-use orpheus_core::Vid;
-use relstore::{BinOp, Column, DataType, Database, ExecContext, Schema, Value};
+use orpheus_core::query::{versions_where_aggregate, QueryResult};
+use orpheus_core::{OrpheusDb, Vid};
+use relstore::{BinOp, Column, DataType, Schema, Value};
 
 fn row(p1: &str, p2: &str, coex: i64) -> Vec<Value> {
     vec![Value::from(p1), Value::from(p2), Value::Int64(coex)]
 }
 
 /// Four versions: v0 base; v1 bumps one score; v2 adds records; v3 merges.
-fn setup() -> (Database, Cvd, SplitByRlist) {
+fn setup() -> OrpheusDb {
     let schema = Schema::new(vec![
         Column::new("protein1", DataType::Text),
         Column::new("protein2", DataType::Text),
         Column::new("coexpression", DataType::Int64),
     ]);
-    let (mut cvd, v0) = Cvd::init(
-        "Interaction",
-        schema,
-        vec!["protein1".into(), "protein2".into()],
-        vec![row("A", "B", 10), row("C", "D", 90), row("E", "F", 50)],
-        "alice",
-    )
-    .unwrap();
-    let base: Vec<Vec<Value>> = cvd
-        .checkout_rows(&[v0])
-        .unwrap()
-        .into_iter()
-        .map(|(_, r)| r.clone())
-        .collect();
-    let mut m1 = base.clone();
-    m1[0][2] = Value::Int64(95);
-    let v1 = cvd.commit(&[v0], m1, "bump AB", "bob").unwrap().vid;
-    let mut m2 = base.clone();
-    m2.push(row("G", "H", 99));
-    m2.push(row("I", "J", 5));
-    let v2 = cvd.commit(&[v0], m2, "add GH IJ", "carol").unwrap().vid;
-    let merged: Vec<Vec<Value>> = cvd
-        .checkout_rows(&[v1, v2])
-        .unwrap()
-        .into_iter()
-        .map(|(_, r)| r.clone())
-        .collect();
-    cvd.commit(&[v1, v2], merged, "merge", "dave").unwrap();
-
-    let mut db = Database::new();
-    let mut model = SplitByRlist::new(cvd.name());
-    load_cvd(&mut model, &mut db, &cvd).unwrap();
-    (db, cvd, model)
+    let mut odb = OrpheusDb::new();
+    for user in ["alice", "bob", "carol", "dave"] {
+        odb.create_user(user).unwrap();
+    }
+    odb.login("alice").unwrap();
+    let rows = vec![row("A", "B", 10), row("C", "D", 90), row("E", "F", 50)];
+    let pk = vec!["protein1".into(), "protein2".into()];
+    odb.init_cvd("Interaction", schema, pk, rows).unwrap();
+    odb.login("bob").unwrap();
+    odb.checkout("Interaction", &[Vid(0)], "w").unwrap();
+    let t = odb.staging_table_mut("w").unwrap();
+    let (id, mut ab) = t.rows().unwrap().swap_remove(0);
+    ab[2] = Value::Int64(95);
+    t.update(id, ab).unwrap();
+    odb.commit("w", "bump AB").unwrap();
+    odb.login("carol").unwrap();
+    for line in [
+        "checkout Interaction -v 0 -t w",
+        "insert w G,H,99",
+        "insert w I,J,5",
+        "commit -t w -m add GH IJ",
+    ] {
+        odb.execute(line).unwrap();
+    }
+    odb.login("dave").unwrap();
+    odb.checkout("Interaction", &[Vid(1), Vid(2)], "w").unwrap();
+    odb.commit("w", "merge").unwrap();
+    odb
 }
 
-/// Parse, plan, lower and drain `sql` over the loaded tables — what
-/// `OrpheusDb::run` does, minus the command surface.
+/// Parse, plan, lower and drain `sql` over the engine's tables.
 fn run(sql: &str) -> QueryResult {
-    let (db, cvd, model) = setup();
-    let tables = Tables {
-        db: &db,
-        cvd: &cvd,
-        model: &model,
-        pool: None,
-    };
-    let plan = LogicalPlan::of(&parse_query(sql).unwrap());
-    tables.run(&plan, &mut ExecContext::new()).unwrap()
+    setup().run(sql).unwrap()
 }
 
 #[test]
@@ -130,7 +113,8 @@ fn v_diff_and_v_intersect_materialize() {
 
 #[test]
 fn graph_primitives_on_the_merge() {
-    let (_, cvd, _) = setup();
+    let odb = setup();
+    let cvd = odb.cvd("Interaction").unwrap();
     // ancestor(v3) = {v0, v1, v2}; descendant(v0) = {v1, v2, v3};
     // parent(v3) = {v1, v2}.
     let mut anc = cvd.graph().ancestors(Vid(3));
@@ -145,13 +129,10 @@ fn graph_primitives_on_the_merge() {
 
 #[test]
 fn checkout_costs_reflect_version_sizes() {
-    let (db, cvd, model) = setup();
-    use orpheus_core::models::VersioningModel;
-    let mut small = ExecContext::new();
-    model.checkout(&db, &cvd, Vid(0), &mut small).unwrap();
-    let mut large = ExecContext::new();
-    model.checkout(&db, &cvd, Vid(3), &mut large).unwrap();
-    // Both scan the same shared data table, so page costs match, but the
-    // larger version emits more tuples.
-    assert!(large.tracker.tuples >= small.tracker.tuples);
+    let odb = setup();
+    let (_, small) = odb.read_version("Interaction", Vid(0)).unwrap();
+    let (_, large) = odb.read_version("Interaction", Vid(3)).unwrap();
+    // Both read the same shared data table, but the larger version emits
+    // more tuples.
+    assert!(large.tracker.tuples > small.tracker.tuples);
 }

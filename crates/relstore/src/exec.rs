@@ -246,52 +246,6 @@ impl Executor for Project<'_> {
     }
 }
 
-/// Sorts its input by the given columns (ascending, total order).
-pub struct Sort<'a> {
-    child: BoxExec<'a>,
-    keys: Vec<usize>,
-    sorted: Option<std::vec::IntoIter<Row>>,
-}
-
-impl<'a> Sort<'a> {
-    pub fn new(child: BoxExec<'a>, keys: Vec<usize>) -> Self {
-        Sort {
-            child,
-            keys,
-            sorted: None,
-        }
-    }
-}
-
-impl Executor for Sort<'_> {
-    fn schema(&self) -> &Schema {
-        self.child.schema()
-    }
-
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
-        if self.sorted.is_none() {
-            let mut rows = collect(self.child.as_mut(), ctx)?;
-            let n = rows.len().max(1) as u64;
-            // n log n comparison charges.
-            ctx.tracker.ops(n * (64 - n.leading_zeros() as u64).max(1));
-            let keys = self.keys.clone();
-            rows.sort_by(|a, b| {
-                keys.iter()
-                    .map(|&k| a[k].total_cmp(&b[k]))
-                    .find(|o| *o != std::cmp::Ordering::Equal)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            self.sorted = Some(rows.into_iter());
-        }
-        match self.sorted.as_mut() {
-            Some(it) => Ok(it.next()),
-            None => Err(Error::InvalidOperation(
-                "sort output was not materialized".into(),
-            )),
-        }
-    }
-}
-
 /// Emits at most `n` rows.
 pub struct Limit<'a> {
     child: BoxExec<'a>,
@@ -1017,13 +971,12 @@ mod tests {
     }
 
     #[test]
-    fn sort_and_limit() {
+    fn limit_stops_after_n_rows() {
         let child = Box::new(Values::ints("x", vec![3, 1, 2]));
-        let sort = Box::new(Sort::new(child, vec![0]));
-        let mut lim = Limit::new(sort, 2);
+        let mut lim = Limit::new(child, 2);
         let mut ctx = ExecContext::new();
         let out = lim.collect(&mut ctx).unwrap();
-        assert_eq!(out, vec![vec![Value::Int64(1)], vec![Value::Int64(2)]]);
+        assert_eq!(out, vec![vec![Value::Int64(3)], vec![Value::Int64(1)]]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   against tables clustered on the relation primary key),
 //! * hash and btree **indexes** (primary-key and secondary),
 //! * an **executor** with sequential scans, filters, projections, hash
-//!   joins, merge joins, index-nested-loop joins, sorts, and hash
+//!   joins, merge joins, index-nested-loop joins, limits, and hash
 //!   aggregation,
 //! * first-class **integer-array columns** with the containment (`<@`),
 //!   append, and `unnest` operations that OrpheusDB's `vlist`/`rlist`
@@ -68,7 +68,7 @@ pub use db::Database;
 pub use error::{Error, Result};
 pub use exec::{
     collect, BoxExec, ExecContext, Executor, Filter, HashAggregate, HashJoin, IndexNestedLoopJoin,
-    Limit, MergeJoin, Project, SeqScan, Sort, Unnest, Values,
+    Limit, MergeJoin, Project, SeqScan, Unnest, Values,
 };
 pub use explain::{
     wrap, Estimate, ExplainNode, ExplainReport, ExplainSnapshot, Instrumented, OpStats,

@@ -177,20 +177,6 @@ impl Schema {
         }
         out
     }
-
-    /// Fixed per-row byte width for rows of this schema, assuming scalar
-    /// columns (arrays are accounted per-value by callers).
-    pub fn fixed_row_width(&self) -> usize {
-        self.columns
-            .iter()
-            .map(|c| match c.dtype {
-                DataType::Int64 | DataType::Float64 => 8,
-                DataType::Bool => 1,
-                DataType::Text => 16,
-                DataType::IntArray => 16,
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]

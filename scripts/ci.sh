@@ -353,8 +353,9 @@ echo "ISSUE $newest -> results/BENCH_$newest.json"
 echo "==> net non-test Rust lines per crate (scripts/loc.sh), gated"
 # Net LOC is a tracked metric (ROADMAP): printed on every run so a PR's
 # before/after figures come from the same counter. A crate more than 5 %
-# above its `loc_by_crate.parent` in the newest results/BENCH_<n>.json
-# fails the gate unless CHANGES.md's newest line names it (and says why).
+# above its `loc_by_crate.parent` in the newest results/BENCH_<n>.json,
+# or missing from it (a new crate), fails the gate unless CHANGES.md's
+# newest line names it (and says why).
 loc=$(scripts/loc.sh)
 echo "$loc"
 bench=$(ls results/BENCH_*.json | sed 's/.*BENCH_\([0-9]*\)\.json$/\1/' | sort -n | tail -1)
@@ -370,20 +371,23 @@ grown=$(awk -F'"' -v now="$loc" '
     for (i = 1; i <= lines; i++) {
       name = line[i]; sub(/[ \t]+[0-9]+[ \t]*$/, "", name)
       count = line[i]; sub(/.*[ \t]/, "", count)
-      if (name != "total" && (name in parent) && count + 0 > parent[name] * 1.05) print name
+      if (name == "total") continue
+      if (!(name in parent)) print name "\tis new since"
+      else if (count + 0 > parent[name] * 1.05) print name "\tgrew > 5 % over"
     }
   }' "$bench")
 [ "$grown" != "?" ] || { echo "$bench has no loc_by_crate.parent"; exit 1; }
 newest_change=$(grep -m1 '^- ' CHANGES.md)
 unnamed=0
-while IFS= read -r crate; do
+while IFS=$'\t' read -r crate why; do
   [ -n "$crate" ] || continue
+  echo "$crate $why its parent in $bench"
   if ! printf '%s' "$newest_change" | grep -qF -- "$crate"; then
-    echo "$crate grew > 5 % over its parent in $bench and CHANGES.md's newest line does not name it"
+    echo "  and CHANGES.md's newest line does not name it"
     unnamed=1
   fi
 done <<< "$grown"
 [ "$unnamed" -eq 0 ] || exit 1
-echo "no crate grew > 5 % over $bench's parent unnamed"
+echo "no crate is new or grew > 5 % over $bench's parent unnamed"
 
 echo "CI OK"

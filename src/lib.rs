@@ -7,7 +7,10 @@
 //!
 //! * [`relstore`] — the embedded relational storage engine substrate,
 //! * [`benchgen`] — the SCI/CUR versioning benchmark generators,
-//! * [`orpheus`] ([`orpheus_core`]) — CVDs, data models, checkout/commit,
+//! * [`orpheus`] ([`orpheus_core`]) — CVDs, their tables, checkout/commit
+//!   and versioned queries,
+//! * [`models`] — the five physical data models of Chapter 4 and the
+//!   partitioned store of Chapter 5, which the figures compare,
 //! * [`partition`] — the LyreSplit partition optimizer and baselines,
 //! * [`vquel`] — the generalized versioning query language,
 //! * [`deltastore`] — the compact delta-based storage engine (Chapter 7),
@@ -19,6 +22,7 @@
 
 pub use benchgen;
 pub use deltastore;
+pub use models;
 pub use obs;
 pub use orpheus_core as orpheus;
 pub use orpheus_core;

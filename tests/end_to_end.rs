@@ -4,9 +4,8 @@
 
 use orpheusdb::benchgen::{generate, DatasetSpec};
 use orpheusdb::deltastore;
+use orpheusdb::models::{load_cvd, ModelKind, PartitionedStore};
 use orpheusdb::orpheus::cvd::Cvd;
-use orpheusdb::orpheus::models::{load_cvd, ModelKind};
-use orpheusdb::orpheus::partitioned::PartitionedStore;
 use orpheusdb::partition::{lyresplit_for_budget, Vid};
 use orpheusdb::provenance;
 use orpheusdb::relstore::{Column, DataType, Database, ExecContext, Schema, Value};

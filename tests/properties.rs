@@ -3,9 +3,9 @@
 //! bounds, storage-solution validity, delta roundtrips, and CSV I/O.
 
 use orpheusdb::deltastore::{self, GenConfig, GraphShape};
+use orpheusdb::models::{load_cvd, ModelKind};
 use orpheusdb::orpheus::commands::{from_csv, to_csv};
 use orpheusdb::orpheus::cvd::Cvd;
-use orpheusdb::orpheus::models::{load_cvd, ModelKind};
 use orpheusdb::partition::{lyresplit, Partitioning, VersionTree, Vid};
 use orpheusdb::relstore::{Column, DataType, Database, ExecContext, Schema, Value};
 use proptest::prelude::*;
