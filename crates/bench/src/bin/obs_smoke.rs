@@ -8,7 +8,8 @@
 //!   produce a plan tree with estimated and actual row counts, and its
 //!   JSON form must carry the documented schema;
 //! * `metrics --json` must parse and contain the WAL fsync, write-back
-//!   and page-file sync counters, the buffer-pool hit ratio, free-page
+//!   and page-file sync counters (and no durability point may have grown
+//!   the pre-written log file), the buffer-pool hit ratio, free-page
 //!   and directory-table gauges, commit/checkout/query latency histogram
 //!   percentiles, and the `obs.journal.*` counters;
 //! * `trace dump --json` must export Chrome-trace-event JSONL where
@@ -159,6 +160,7 @@ fn main() {
         &metrics,
         &[
             "counters/pagestore.wal.fsyncs",
+            "counters/pagestore.wal.file_grows",
             "counters/pagestore.wal.drains",
             "counters/pagestore.pager.syncs",
             "counters/pagestore.pool.logical_reads",
@@ -182,6 +184,12 @@ fn main() {
     assert!(
         num(&doc, "counters/pagestore.wal.fsyncs") > 0.0,
         "durable workload recorded no WAL fsyncs"
+    );
+    // The open pre-wrote the log: no durability point grew the file.
+    assert_eq!(
+        num(&doc, "counters/pagestore.wal.file_grows"),
+        0.0,
+        "a durability point grew wal.log"
     );
     assert!(
         num(&doc, "histograms/orpheus.commit.latency_us/p50")

@@ -5,11 +5,14 @@
 //! policy: a callee name that resolves inside its own file resolves
 //! *only* there (so the four `locked()` helpers in obs/exec-pool never
 //! cross-contaminate); otherwise every workspace function with that
-//! name is a candidate. Method calls whose names are ubiquitous std
-//! vocabulary (`push`, `get`, `clone`, …) never resolve across files —
-//! resolving `.push(…)` to `Journal::push` would hallucinate an edge
-//! into the journal ring from every vector append. Calls named `drop`
-//! resolve to nothing: `std::mem::drop` is almost always what is meant.
+//! name outside integration tests is a candidate — a `tests/` helper is
+//! reachable from its own file only, so a test's `fn load()` that syncs
+//! cannot make a library's `x.load()` look blocking. Method calls whose
+//! names are ubiquitous std vocabulary (`push`, `get`, `clone`, …) never
+//! resolve across files — resolving `.push(…)` to `Journal::push` would
+//! hallucinate an edge into the journal ring from every vector append.
+//! Calls named `drop` resolve to nothing: `std::mem::drop` is almost
+//! always what is meant.
 //!
 //! **Lock-acquisition graph.** Nodes are lock *classes* (one per
 //! engine resource: `metrics-registry`, `journal-ring`, `buffer-pool`,
@@ -26,7 +29,7 @@
 //! **Fixpoints.** Four properties propagate over the call graph until
 //! stable: the set of classes a function may acquire; whether it can
 //! block (`fsync`/`sync_all`/`sync_data`, channel `recv`/
-//! `recv_timeout`, no-arg `join`, or the WAL append path) for L010;
+//! `recv_timeout`, no-arg `join`, or the WAL write path) for L010;
 //! whether it creates an obs span for L012; and whether it *returns* a
 //! guard (the `fn locked(…) -> MutexGuard` idiom), in which case a
 //! `let`-bound call to it is an acquisition at the call site.
@@ -129,9 +132,9 @@ const COMMON_METHOD_NAMES: &[&str] = &[
 const BLOCKING_ANY_ARGS: &[&str] = &["sync_all", "sync_data", "fsync", "recv_timeout"];
 
 /// Functions that are blocking by *definition site*: `(path fragment,
-/// fn name)`. The WAL append/sync path is a blocking boundary even
+/// fn name)`. The WAL write/sync path is a blocking boundary even
 /// before the fsync — a group-commit leader stalls every follower.
-const BLOCKING_DEFS: &[(&str, &str)] = &[("/wal.rs", "append"), ("/wal.rs", "sync")];
+const BLOCKING_DEFS: &[(&str, &str)] = &[("/wal.rs", "write_at"), ("/wal.rs", "sync")];
 
 /// Return-type identifiers that mark a fn as handing its caller a live
 /// guard (`fn locked(…) -> MutexGuard<…>` and friends).
@@ -239,7 +242,11 @@ impl<'a> Workspace<'a> {
         if COMMON_METHOD_NAMES.contains(&c.name.as_str()) {
             return Vec::new();
         }
-        candidates.clone()
+        candidates
+            .iter()
+            .copied()
+            .filter(|&(fi, _)| !classify(&self.files[fi].path).test_code)
+            .collect()
     }
 
     fn fn_of(&self, id: FnId) -> &'a crate::model::FnModel {

@@ -23,7 +23,7 @@
 //!   group-commit queue, pool queue): a cycle in the held-across-call
 //!   graph is a potential deadlock (`graph.rs`).
 //! - **L010** — no Mutex/RwLock guard held across a blocking boundary
-//!   (`fsync`, the WAL append path, channel `recv`, thread `join`).
+//!   (`fsync`, the WAL write path, channel `recv`, thread `join`).
 //! - **L011** — no silently discarded `Result` in engine library code
 //!   (statement-level `.ok();`, `let _ =` on a Result-returning call).
 //! - **L012** — every `pub fn` command entry point (returning

@@ -216,6 +216,33 @@ fn l010_spares_scoped_and_dropped_guards() {
 }
 
 #[test]
+fn l010_never_resolves_a_library_call_to_a_test_helper() {
+    // A library's `seen.load(…)` under a guard, and a `tests/` helper
+    // `fn load` that syncs: linted together, they stay clean.
+    let library = fixture("l010_x_library.rs");
+    let helper = fixture("l010_x_tests_helper.rs");
+    let joint = lint::lint_files(&[library.as_path(), helper.as_path()]).unwrap();
+    assert!(
+        joint.is_empty(),
+        "a test helper became a call target:\n{}",
+        joint
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    // The same helper as library code is a call target, and the guard
+    // is then held across its sync: the fixture pair does exercise it.
+    let src = |path: &Path| std::fs::read_to_string(path).unwrap();
+    let as_library = lint::lint_sources(&[
+        ("crates/pagestore/src/sampler.rs".into(), src(&library)),
+        ("crates/pagestore/src/helpers.rs".into(), src(&helper)),
+    ]);
+    let rules: Vec<Rule> = as_library.iter().map(|f| f.finding.rule).collect();
+    assert!(rules.contains(&Rule::L010), "{rules:?}");
+}
+
+#[test]
 fn l011_fires_on_silently_discarded_results() {
     let rules = rules_of("l011_fire.rs");
     assert_eq!(

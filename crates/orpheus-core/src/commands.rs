@@ -369,13 +369,14 @@ impl OrpheusDb {
         if self.db.is_durable() {
             report.push_str(&format!(
                 "\nwal           : {} records / {} B, {} fsync(s), {} checkpoint(s), \
-                 {} write-back(s) ({} page-file sync(s))",
+                 {} write-back(s) ({} page-file sync(s)), {} file grow(s)",
                 s.wal_appends,
                 s.wal_bytes,
                 s.wal_fsyncs,
                 s.checkpoints,
                 s.wal_drains,
-                s.pager_syncs
+                s.pager_syncs,
+                s.wal_file_grows
             ));
         }
         report
@@ -2182,6 +2183,8 @@ mod tests {
             // The durable stats line reports fsyncs alongside records.
             let stats = odb.stats_report();
             assert!(stats.contains("fsync(s)"), "{stats}");
+            // The open pre-wrote the log, so no commit grew its file.
+            assert!(stats.contains(", 0 file grow(s)"), "{stats}");
             // And metrics --json carries the WAL fsync counter.
             let out = odb.execute("metrics --json").unwrap();
             let m = match out {

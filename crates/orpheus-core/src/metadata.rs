@@ -1181,9 +1181,9 @@ mod tests {
         let ops = plan.ops() - start;
         let after = visible(&odb);
         drop(odb);
-        // Its staging page, its page images, a commit record and the one
-        // log fsync: nothing reaches the page file.
-        assert!(ops >= 5, "a commit is more than {ops} I/Os");
+        // One log write carrying its page images and commit record, and
+        // the one log fsync: nothing reaches the page file.
+        assert_eq!(ops, 2, "a commit is one write and one fsync");
         let (mut kept, mut lost) = (0, 0);
         for kind in [FaultKind::CrashStop, FaultKind::ShortWrite] {
             for nth in 1..=ops {

@@ -18,16 +18,17 @@
 //! A pool may carry a write-ahead log ([`with_wal`](BufferPool::with_wal),
 //! [`open_durable`](BufferPool::open_durable)). With a WAL attached,
 //! [`checkpoint`](BufferPool::checkpoint) becomes the atomic durability
-//! point: page images + a commit record are appended to the log and the
-//! log is synced — one fsync, and no write to the data file. A frame so
-//! logged is clean but **unwritten**: its committed image is in the log
-//! and newer than the data file. Unwritten frames reach the data file in
-//! a **write-back** — every one of them is written, the data file is
-//! synced, and only then is the log truncated and synced — which runs
-//! when the log passes a fixed bound, and at
-//! [`flush_all`](BufferPool::flush_all), the clean shutdown. Eviction
-//! also writes an unwritten frame back, with no sync: the log still
-//! holds its image.
+//! point: page images + a commit record are written to the log in one
+//! positioned write and the log is synced — one fsync, and no write to
+//! the data file. A frame so logged is clean but **unwritten**: its
+//! committed image is in the log and newer than the data file. Unwritten
+//! frames reach the data file in a **write-back** — every one of them is
+//! written and the data file is synced; only then does the log start a
+//! new generation, which empties it in place — which runs when the log
+//! passes a fixed bound, and at [`flush_all`](BufferPool::flush_all).
+//! [`close`](BufferPool::close), the clean shutdown, writes back and cuts
+//! the log file to zero. Eviction also writes an unwritten frame back,
+//! with no sync: the log still holds its image.
 //!
 //! The pool runs **no-steal**: dirty frames are never evicted between
 //! checkpoints (an eviction write-back would put uncommitted bytes in the
@@ -53,7 +54,7 @@ use crate::page::{Page, PageId, PAGE_SIZE};
 use crate::pager::{FilePager, MemPager, Pager};
 use crate::recovery::{self, RecoveryReport};
 use crate::stats::IoStats;
-use crate::wal::{Wal, RECORD_HEADER};
+use crate::wal::{Wal, LOG_BOUND, RECORD_HEADER};
 use obs::Recorder;
 use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::collections::{HashMap, HashSet};
@@ -61,11 +62,6 @@ use std::ops::{Deref, DerefMut};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-
-/// Log length past which a durability point also runs the write-back and
-/// empties the log. It bounds both the log's disk footprint and the pages
-/// a reopen replays; between write-backs every commit costs one fsync.
-const LOG_BOUND: u64 = 1 << 20;
 
 struct Frame {
     page_id: Cell<Option<PageId>>,
@@ -643,9 +639,28 @@ impl BufferPool {
 
     /// [`checkpoint`](Self::checkpoint), then the write-back whatever the
     /// log's length: every committed page reaches the data file and the
-    /// log is left empty. A clean shutdown's last call.
+    /// log is left empty.
     pub fn flush_all(&self) -> Result<()> {
         self.checkpoint_then(true)
+    }
+
+    /// Clean shutdown: [`flush_all`](Self::flush_all), then the log file
+    /// cut to zero and synced, so a reopen replays nothing. A durability
+    /// point after it formats the log file again.
+    pub fn close(&self) -> Result<()> {
+        self.flush_all()?;
+        if let Some(wal) = self.wal.borrow_mut().as_mut() {
+            let _span = self.span("pagestore.wal.fsync");
+            wal.close()?;
+            self.stats.borrow_mut().wal_fsyncs += 1;
+        }
+        Ok(())
+    }
+
+    /// Bytes of records in the log (0 without one): the batches since
+    /// the last write-back.
+    pub fn log_len(&self) -> u64 {
+        self.wal.borrow().as_ref().map_or(0, Wal::len)
     }
 
     fn checkpoint_then(&self, write_back: bool) -> Result<()> {
@@ -679,16 +694,17 @@ impl BufferPool {
             .collect()
     }
 
-    /// Append `dirty`'s images and a commit record, and sync the log.
-    /// Whatever a failed batch left after the last synced commit record
-    /// goes first.
+    /// Write `dirty`'s images and a commit record to the log, and sync
+    /// it. The batch goes to the log's end, over whatever a failed batch
+    /// left there.
     fn log_batch(&self, wal: &mut Wal, dirty: &[(usize, PageId)]) -> Result<()> {
         if dirty.is_empty() {
             return Ok(());
         }
+        let file_len = wal.file_len();
         {
             let _span = self.span("pagestore.wal.append");
-            wal.rewind()?;
+            wal.rewind();
             for &(i, id) in dirty {
                 let data = self.frames[i]
                     .data
@@ -707,7 +723,9 @@ impl BufferPool {
         // Durability point: the batch commits here.
         let _span = self.span("pagestore.wal.fsync");
         wal.sync()?;
-        self.stats.borrow_mut().wal_fsyncs += 1;
+        let mut stats = self.stats.borrow_mut();
+        stats.wal_fsyncs += 1;
+        stats.wal_file_grows += u64::from(wal.file_len() > file_len);
         for &(i, _) in dirty {
             self.frames[i].dirty.set(false);
             self.frames[i].unwritten.set(true);
@@ -717,13 +735,13 @@ impl BufferPool {
     }
 
     /// The write-back: every unwritten frame to the data file, sync it,
-    /// then empty the log and sync that. The log is truncated only once
-    /// the data file holds every image it carries.
+    /// then empty the log — start its next generation — and sync that.
+    /// The log is emptied only once the data file holds every image it
+    /// carries.
     fn write_back(&self, wal: &mut Wal) -> Result<()> {
         self.write_frames(&self.frames_where(&self.unwritten, |f| f.unwritten.get()))?;
         let _span = self.span("pagestore.wal.fsync");
-        wal.reset()?;
-        wal.sync()?;
+        wal.restart()?;
         let mut stats = self.stats.borrow_mut();
         stats.wal_fsyncs += 1;
         stats.wal_drains += 1;

@@ -24,6 +24,10 @@ pub enum Error {
     Io(std::io::Error),
     /// A persisted file whose size is not a whole number of pages.
     CorruptFile { len: u64 },
+    /// A non-empty write-ahead log without a header this build wrote:
+    /// one from an older build, or not a log. Refused rather than read as
+    /// empty, which would drop whatever it commits.
+    UnreadableLog(std::path::PathBuf),
     /// A durability operation (recover/checkpoint accounting) on a pool
     /// with no write-ahead log attached.
     NotDurable,
@@ -52,6 +56,7 @@ impl fmt::Display for Error {
             Error::CorruptFile { len } => {
                 write!(f, "file length {len} is not a multiple of the page size")
             }
+            Error::UnreadableLog(p) => write!(f, "{}: unreadable write-ahead log", p.display()),
             Error::NotDurable => {
                 write!(f, "no write-ahead log is attached to this pool")
             }

@@ -1,7 +1,7 @@
 //! Fault injection for crash-safety testing.
 //!
 //! A [`FaultPlan`] is a shared counter over every durability-relevant
-//! I/O operation (pager writes/allocates/syncs, WAL appends/syncs/
+//! I/O operation (pager writes/allocates/syncs, WAL writes/syncs/
 //! truncates). Arming the plan makes the Nth such operation fail in one
 //! of three ways:
 //!
@@ -219,16 +219,22 @@ impl Pager for FaultPager {
 
 /// A [`WalStore`] that injects faults per a shared [`FaultPlan`].
 ///
-/// Tracks how much of the log has been synced; a [`FaultKind::CrashStop`]
-/// additionally discards the *unsynced* tail, modelling the OS page cache
-/// dying with the process. A [`FaultKind::ShortWrite`] keeps the partial
-/// bytes instead — the other extreme, where a torn append did reach disk.
-/// Between the two kinds, the crash matrix covers both fates of
-/// un-fsynced log data.
+/// Keeps what every write since the last sync overwrote. A
+/// [`FaultKind::CrashStop`] puts those bytes back and cuts the store to
+/// its synced length, modelling the OS page cache dying with the
+/// process: the unsynced writes are gone, and whatever they overwrote —
+/// zeros, stale records — is what the disk holds. A
+/// [`FaultKind::ShortWrite`] keeps the unsynced writes and a prefix of
+/// the torn one over whatever it was overwriting — the other extreme,
+/// where a torn write did reach disk. Between the two kinds, the crash
+/// matrix covers both fates of un-fsynced log data. A truncate counts as
+/// durable at once.
 pub struct FaultWal {
     inner: Box<dyn WalStore>,
     plan: FaultPlan,
     synced_len: u64,
+    /// `(offset, bytes overwritten)` of each write since the last sync.
+    overwritten: Vec<(u64, Vec<u8>)>,
 }
 
 impl FaultWal {
@@ -238,6 +244,7 @@ impl FaultWal {
             inner,
             plan,
             synced_len,
+            overwritten: Vec::new(),
         }
     }
 
@@ -246,10 +253,15 @@ impl FaultWal {
         self.inner
     }
 
-    fn drop_unsynced_tail(&mut self) {
+    fn lose_unsynced_writes(&mut self) {
         // Best-effort by design: this models the disk losing unsynced
-        // bytes in a crash, so a failing truncate is part of the fault.
-        drop(self.inner.truncate(self.synced_len));
+        // writes in a crash, so a failing restore is part of the fault.
+        for (offset, old) in self.overwritten.drain(..).rev() {
+            drop(self.inner.write_at(offset, &old));
+        }
+        if self.inner.len() > self.synced_len {
+            drop(self.inner.truncate(self.synced_len));
+        }
     }
 }
 
@@ -258,23 +270,28 @@ impl WalStore for FaultWal {
         self.inner.len()
     }
 
-    fn read_all(&mut self) -> Result<Vec<u8>> {
+    fn read_at(&mut self, offset: u64, len: usize) -> Result<Vec<u8>> {
         self.plan.check_alive("wal read")?;
-        self.inner.read_all()
+        self.inner.read_at(offset, len)
     }
 
-    fn append(&mut self, bytes: &[u8]) -> Result<()> {
+    fn write_at(&mut self, offset: u64, bytes: &[u8]) -> Result<()> {
         match self.plan.on_io() {
-            Outcome::Proceed => self.inner.append(bytes),
-            Outcome::Fail => Err(FaultPlan::injected("wal append")),
+            Outcome::Proceed => {
+                let old = self.inner.read_at(offset, bytes.len())?;
+                self.inner.write_at(offset, bytes)?;
+                self.overwritten.push((offset, old));
+                Ok(())
+            }
+            Outcome::Fail => Err(FaultPlan::injected("wal write")),
             Outcome::Partial => {
-                // Torn append: half the record reaches the log, then death.
-                self.inner.append(&bytes[..bytes.len() / 2])?;
-                Err(FaultPlan::injected("wal short append"))
+                // Torn write: half the bytes reach the log, then death.
+                self.inner.write_at(offset, &bytes[..bytes.len() / 2])?;
+                Err(FaultPlan::injected("wal short write"))
             }
             Outcome::CrashNow => {
-                self.drop_unsynced_tail();
-                Err(FaultPlan::injected("wal append"))
+                self.lose_unsynced_writes();
+                Err(FaultPlan::injected("wal write"))
             }
         }
     }
@@ -284,11 +301,12 @@ impl WalStore for FaultWal {
             Outcome::Proceed => {
                 self.inner.sync()?;
                 self.synced_len = self.inner.len();
+                self.overwritten.clear();
                 Ok(())
             }
             Outcome::Fail | Outcome::Partial => Err(FaultPlan::injected("wal sync")),
             Outcome::CrashNow => {
-                self.drop_unsynced_tail();
+                self.lose_unsynced_writes();
                 Err(FaultPlan::injected("wal sync"))
             }
         }
@@ -298,12 +316,13 @@ impl WalStore for FaultWal {
         match self.plan.on_io() {
             Outcome::Proceed => {
                 self.inner.truncate(len)?;
-                self.synced_len = self.synced_len.min(len);
+                self.synced_len = len;
+                self.overwritten.clear();
                 Ok(())
             }
             Outcome::Fail | Outcome::Partial => Err(FaultPlan::injected("wal truncate")),
             Outcome::CrashNow => {
-                self.drop_unsynced_tail();
+                self.lose_unsynced_writes();
                 Err(FaultPlan::injected("wal truncate"))
             }
         }
@@ -355,29 +374,34 @@ mod tests {
     }
 
     #[test]
-    fn short_append_leaves_a_prefix_then_crashes() {
+    fn short_write_leaves_a_new_prefix_over_stale_bytes() {
         let plan = FaultPlan::unarmed();
         let mut store = FaultWal::new(Box::new(MemWalStore::new()), plan.clone());
-        store.append(b"complete").unwrap();
+        store.write_at(0, b"stale-record").unwrap();
+        store.sync().unwrap();
         plan.arm(1, FaultKind::ShortWrite);
-        assert!(store.append(b"torn-record").is_err());
+        assert!(store.write_at(0, b"NEWNEW").is_err());
         assert!(plan.crashed());
-        // 8 bytes of the first append + half of the 11-byte second.
-        assert_eq!(store.len(), 8 + 5);
+        // Half of the six new bytes, then what they were overwriting.
+        assert_eq!(store.into_inner().read_at(0, 64).unwrap(), b"NEWle-record");
     }
 
     #[test]
-    fn crash_stop_drops_the_unsynced_wal_tail() {
+    fn crash_stop_puts_back_what_unsynced_writes_overwrote() {
         let plan = FaultPlan::unarmed();
         let mut store = FaultWal::new(Box::new(MemWalStore::new()), plan.clone());
-        store.append(b"synced").unwrap();
+        store.write_at(0, b"synced-stale").unwrap();
         store.sync().unwrap();
-        store.append(b"unsynced").unwrap();
+        store.write_at(7, b"unsynced").unwrap();
+        store.write_at(0, b"UN").unwrap();
         plan.arm(1, FaultKind::CrashStop);
         assert!(store.sync().is_err());
         assert!(plan.crashed());
-        // The synced prefix survives; the page cache died with the process.
-        assert_eq!(store.into_inner().len(), "synced".len() as u64);
+        // The synced bytes, as they were: the page cache died with the
+        // process, the overwrites and the growth with it.
+        let mut inner = store.into_inner();
+        assert_eq!(inner.len(), 12);
+        assert_eq!(inner.read_at(0, 64).unwrap(), b"synced-stale");
     }
 
     #[test]

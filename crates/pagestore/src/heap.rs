@@ -212,6 +212,15 @@ impl HeapFile {
         pool.fetch(self.page_id(page_ord)?)
     }
 
+    /// The head of the overflow chain of the tuple at `addr`, if it has one.
+    fn overflow_head(&self, pool: &BufferPool, addr: TupleAddr) -> Result<Option<PageId>> {
+        let page = pool.fetch(self.page_id(addr.page_ord as usize)?)?;
+        match slot_tuple(&page, addr.slot)? {
+            SlotTuple::Inline(_) => Ok(None),
+            SlotTuple::Overflow(head) => Ok(Some(head)),
+        }
+    }
+
     /// Read the tuple at `addr`.
     pub fn get(&self, pool: &BufferPool, addr: TupleAddr) -> Result<Vec<u8>> {
         let page_id = self.page_id(addr.page_ord as usize)?;
@@ -263,14 +272,7 @@ impl HeapFile {
     ) -> Result<TupleAddr> {
         let page_id = self.page_id(addr.page_ord as usize)?;
         // Free an old overflow chain before writing the replacement.
-        let old_head = {
-            let page = pool.fetch(page_id)?;
-            match slot_tuple(&page, addr.slot)? {
-                SlotTuple::Inline(_) => None,
-                SlotTuple::Overflow(head) => Some(head),
-            }
-        };
-        if let Some(head) = old_head {
+        if let Some(head) = self.overflow_head(pool, addr)? {
             self.free_chain(pool, head)?;
         }
         let cell = self.cell_for(pool, bytes)?;
@@ -287,17 +289,10 @@ impl HeapFile {
 
     /// Remove the tuple at `addr`, recycling any overflow chain.
     pub fn delete(&mut self, pool: &BufferPool, addr: TupleAddr) -> Result<()> {
-        let page_id = self.page_id(addr.page_ord as usize)?;
-        let head = {
-            let page = pool.fetch(page_id)?;
-            match slot_tuple(&page, addr.slot)? {
-                SlotTuple::Inline(_) => None,
-                SlotTuple::Overflow(head) => Some(head),
-            }
-        };
-        if let Some(head) = head {
+        if let Some(head) = self.overflow_head(pool, addr)? {
             self.free_chain(pool, head)?;
         }
+        let page_id = self.page_id(addr.page_ord as usize)?;
         pool.fetch_mut(page_id)?.delete(addr.slot)?;
         Ok(())
     }

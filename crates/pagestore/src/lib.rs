@@ -12,10 +12,12 @@
 //!   chains for oversized tuples.
 //! * [`IoStats`] — logical/physical reads, evictions, write-backs, and
 //!   WAL traffic, snapshot-and-diff style.
-//! * [`Wal`] — redo-only write-ahead log of checksummed page images;
-//!   [`recover`] replays committed batches and truncates torn tails, so a
+//! * [`Wal`] — redo-only write-ahead log of checksummed page images in
+//!   a pre-written file that each write-back recycles; [`recover`]
+//!   replays committed batches and discards torn and stale ones, so a
 //!   WAL-attached pool's [`checkpoint`](BufferPool::checkpoint) is an
-//!   atomic, crash-safe durability point that costs one log fsync.
+//!   atomic, crash-safe durability point that costs one write and one
+//!   log fsync.
 //! * [`FaultPager`] / [`FaultWal`] — fault-injection wrappers that fail
 //!   the Nth I/O (error, short write, crash-stop) for crash-point tests.
 
@@ -38,5 +40,6 @@ pub use pager::{FilePager, MemPager, Pager};
 pub use recovery::{recover, RecoveryReport};
 pub use stats::IoStats;
 pub use wal::{
-    crc32, crc32_update, FileWalStore, Lsn, MemWalStore, Wal, WalRecord, WalStore, RECORD_HEADER,
+    crc32, crc32_update, Entry, FileWalStore, Lsn, MemWalStore, Wal, WalRecord, WalStore,
+    FILE_HEADER, RECORD_HEADER,
 };

@@ -7,7 +7,7 @@
 use crate::error::{Error, Result};
 use crate::page::{Page, PageId, PAGE_SIZE};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 /// A page-granular storage backend.
@@ -99,13 +99,7 @@ pub struct FilePager {
 impl FilePager {
     /// Open (or create) the page file at `path`.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let len = file.metadata()?.len();
+        let (file, len) = open_rw(path)?;
         if len % PAGE_SIZE as u64 != 0 {
             return Err(Error::CorruptFile { len });
         }
@@ -122,13 +116,7 @@ impl FilePager {
     /// loses nothing durable: if its contents were committed they live in
     /// the WAL and replay re-extends the file.
     pub fn open_recoverable(path: impl AsRef<Path>) -> Result<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let len = file.metadata()?.len();
+        let (file, len) = open_rw(path)?;
         let whole = len - len % PAGE_SIZE as u64;
         if whole != len {
             file.set_len(whole)?;
@@ -139,14 +127,26 @@ impl FilePager {
         })
     }
 
-    fn seek_to(&mut self, id: PageId) -> Result<()> {
-        if id >= self.num_pages {
-            return Err(Error::PageOutOfBounds(id));
+    /// Where page `id` starts in the file.
+    fn offset(&self, id: PageId) -> Result<u64> {
+        match id < self.num_pages {
+            true => Ok(id as u64 * PAGE_SIZE as u64),
+            false => Err(Error::PageOutOfBounds(id)),
         }
-        self.file
-            .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-        Ok(())
     }
+}
+
+/// Open (or create) `path` for reading and writing, keeping what it
+/// holds; returns the file and its length.
+pub(crate) fn open_rw(path: impl AsRef<Path>) -> Result<(File, u64)> {
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)?;
+    let len = file.metadata()?.len();
+    Ok((file, len))
 }
 
 impl Pager for FilePager {
@@ -157,22 +157,17 @@ impl Pager for FilePager {
     fn allocate(&mut self) -> Result<PageId> {
         let id = self.num_pages;
         self.file
-            .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-        self.file.write_all(Page::new().bytes())?;
+            .write_all_at(Page::new().bytes(), id as u64 * PAGE_SIZE as u64)?;
         self.num_pages += 1;
         Ok(id)
     }
 
     fn read(&mut self, id: PageId, buf: &mut Page) -> Result<()> {
-        self.seek_to(id)?;
-        self.file.read_exact(buf.bytes_mut())?;
-        Ok(())
+        Ok(self.file.read_exact_at(buf.bytes_mut(), self.offset(id)?)?)
     }
 
     fn write(&mut self, id: PageId, page: &Page) -> Result<()> {
-        self.seek_to(id)?;
-        self.file.write_all(page.bytes())?;
-        Ok(())
+        Ok(self.file.write_all_at(page.bytes(), self.offset(id)?)?)
     }
 
     fn sync(&mut self) -> Result<()> {

@@ -26,6 +26,10 @@ pub struct IoStats {
     pub wal_bytes: u64,
     /// fsync calls issued against the write-ahead log.
     pub wal_fsyncs: u64,
+    /// Durability points whose write extended the log file: those that
+    /// found it cut to zero by a close, or ran past its pre-written
+    /// length. Their fsync also commits the file's new size.
+    pub wal_file_grows: u64,
     /// Sync calls issued against the pager (the data file's fsyncs).
     pub pager_syncs: u64,
     /// Completed durability points
@@ -90,48 +94,36 @@ impl IoStats {
     /// snapshot taken before a counter reset is "from the future" and
     /// must diff to nothing, not panic or wrap.
     pub fn since(&self, earlier: &IoStats) -> IoStats {
-        IoStats {
-            logical_reads: self.logical_reads.saturating_sub(earlier.logical_reads),
-            physical_reads: self.physical_reads.saturating_sub(earlier.physical_reads),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            write_backs: self.write_backs.saturating_sub(earlier.write_backs),
-            flushed_writes: self.flushed_writes.saturating_sub(earlier.flushed_writes),
-            wal_appends: self.wal_appends.saturating_sub(earlier.wal_appends),
-            wal_bytes: self.wal_bytes.saturating_sub(earlier.wal_bytes),
-            wal_fsyncs: self.wal_fsyncs.saturating_sub(earlier.wal_fsyncs),
-            pager_syncs: self.pager_syncs.saturating_sub(earlier.pager_syncs),
-            checkpoints: self.checkpoints.saturating_sub(earlier.checkpoints),
-            wal_drains: self.wal_drains.saturating_sub(earlier.wal_drains),
-            bytes_copied_to_workers: self
-                .bytes_copied_to_workers
-                .saturating_sub(earlier.bytes_copied_to_workers),
-            morsel_allocs: self.morsel_allocs.saturating_sub(earlier.morsel_allocs),
-            tuple_bytes_encoded: self
-                .tuple_bytes_encoded
-                .saturating_sub(earlier.tuple_bytes_encoded),
-            tuples_decoded: self.tuples_decoded.saturating_sub(earlier.tuples_decoded),
-            decode_micros: self.decode_micros.saturating_sub(earlier.decode_micros),
-        }
+        self.zip(earlier, u64::saturating_sub)
     }
 
     /// Merge another snapshot's counters into this one.
     pub fn absorb(&mut self, other: &IoStats) {
-        self.logical_reads += other.logical_reads;
-        self.physical_reads += other.physical_reads;
-        self.evictions += other.evictions;
-        self.write_backs += other.write_backs;
-        self.flushed_writes += other.flushed_writes;
-        self.wal_appends += other.wal_appends;
-        self.wal_bytes += other.wal_bytes;
-        self.wal_fsyncs += other.wal_fsyncs;
-        self.pager_syncs += other.pager_syncs;
-        self.checkpoints += other.checkpoints;
-        self.wal_drains += other.wal_drains;
-        self.bytes_copied_to_workers += other.bytes_copied_to_workers;
-        self.morsel_allocs += other.morsel_allocs;
-        self.tuple_bytes_encoded += other.tuple_bytes_encoded;
-        self.tuples_decoded += other.tuples_decoded;
-        self.decode_micros += other.decode_micros;
+        *self = self.zip(other, |a, b| a + b);
+    }
+
+    /// Every counter of `self` combined with the same one of `other`.
+    fn zip(&self, other: &IoStats, f: impl Fn(u64, u64) -> u64) -> IoStats {
+        let (a, b) = (self, other);
+        IoStats {
+            logical_reads: f(a.logical_reads, b.logical_reads),
+            physical_reads: f(a.physical_reads, b.physical_reads),
+            evictions: f(a.evictions, b.evictions),
+            write_backs: f(a.write_backs, b.write_backs),
+            flushed_writes: f(a.flushed_writes, b.flushed_writes),
+            wal_appends: f(a.wal_appends, b.wal_appends),
+            wal_bytes: f(a.wal_bytes, b.wal_bytes),
+            wal_fsyncs: f(a.wal_fsyncs, b.wal_fsyncs),
+            wal_file_grows: f(a.wal_file_grows, b.wal_file_grows),
+            pager_syncs: f(a.pager_syncs, b.pager_syncs),
+            checkpoints: f(a.checkpoints, b.checkpoints),
+            wal_drains: f(a.wal_drains, b.wal_drains),
+            bytes_copied_to_workers: f(a.bytes_copied_to_workers, b.bytes_copied_to_workers),
+            morsel_allocs: f(a.morsel_allocs, b.morsel_allocs),
+            tuple_bytes_encoded: f(a.tuple_bytes_encoded, b.tuple_bytes_encoded),
+            tuples_decoded: f(a.tuples_decoded, b.tuples_decoded),
+            decode_micros: f(a.decode_micros, b.decode_micros),
+        }
     }
 
     /// Publish every counter into a metrics registry under
@@ -159,6 +151,7 @@ impl IoStats {
         registry.counter_set("pagestore.wal.appends", self.wal_appends);
         registry.counter_set("pagestore.wal.bytes", self.wal_bytes);
         registry.counter_set("pagestore.wal.fsyncs", self.wal_fsyncs);
+        registry.counter_set("pagestore.wal.file_grows", self.wal_file_grows);
         registry.counter_set("pagestore.wal.drains", self.wal_drains);
         registry.counter_set("pagestore.pager.syncs", self.pager_syncs);
         registry.gauge_set("pagestore.pool.hit_ratio", self.hit_rate());
@@ -252,19 +245,23 @@ mod tests {
         s.wal_fsyncs = 5;
         s.pager_syncs = 1;
         s.wal_drains = 1;
+        s.wal_file_grows = 1;
         let snap = s;
         s.wal_fsyncs = 9;
         s.pager_syncs = 3;
         s.wal_drains = 2;
+        s.wal_file_grows = 4;
         let d = s.since(&snap);
-        assert_eq!((d.wal_fsyncs, d.pager_syncs, d.wal_drains), (4, 2, 1));
+        let counts = |s: &IoStats| (s.wal_fsyncs, s.pager_syncs, s.wal_drains, s.wal_file_grows);
+        assert_eq!(counts(&d), (4, 2, 1, 3));
         let mut acc = IoStats::new();
         acc.absorb(&d);
-        assert_eq!((acc.wal_fsyncs, acc.pager_syncs, acc.wal_drains), (4, 2, 1));
+        assert_eq!(counts(&acc), (4, 2, 1, 3));
         let reg = obs::Registry::new();
         s.publish(&reg);
         assert_eq!(reg.counter("pagestore.pager.syncs"), 3);
         assert_eq!(reg.counter("pagestore.wal.drains"), 2);
+        assert_eq!(reg.counter("pagestore.wal.file_grows"), 4);
     }
 
     /// Regression: the Display impl printed "wal 0 rec / 0 B" even for

@@ -1,6 +1,6 @@
 //! The crash-point matrix: for **every** I/O operation in a commit
-//! followed by a write-back (`flush_all`: WAL appends, WAL sync, page
-//! writes, data sync, log truncate), inject a fault at exactly that
+//! followed by a write-back (`flush_all`: WAL write, WAL sync, page
+//! writes, data sync, the next generation's header), inject a fault at exactly that
 //! operation, "crash" the process, reopen the store from its files, run
 //! recovery, and verify:
 //!
@@ -177,7 +177,7 @@ fn crash_matrix_every_fault_point_recovers_consistently() {
     assert!(body_ops >= 1, "commit 3 allocates a page");
     assert!(
         flush_ops >= 8,
-        "checkpoint = 4 WAL appends + WAL sync + 3 page writes + data sync + truncate + sync"
+        "checkpoint = WAL write + WAL sync + 3 page writes + data sync + header write + sync"
     );
     let base = unique_base("matrix");
     let _ = std::fs::remove_dir_all(&base);
@@ -274,7 +274,7 @@ fn crash_during_recovery_reopen_then_crash_again() {
     std::fs::remove_dir_all(&base).unwrap();
 }
 
-/// A log store whose armed append writes half its bytes, fails, and
+/// A log store whose armed write puts down half its bytes, fails, and
 /// leaves the process alive — an ENOSPC-like fault. (`FaultKind::
 /// ShortWrite` tears the same way but kills the store.)
 struct TearOnce {
@@ -286,14 +286,14 @@ impl WalStore for TearOnce {
     fn len(&self) -> u64 {
         self.inner.len()
     }
-    fn read_all(&mut self) -> pagestore::Result<Vec<u8>> {
-        self.inner.read_all()
+    fn read_at(&mut self, offset: u64, len: usize) -> pagestore::Result<Vec<u8>> {
+        self.inner.read_at(offset, len)
     }
-    fn append(&mut self, bytes: &[u8]) -> pagestore::Result<()> {
+    fn write_at(&mut self, offset: u64, bytes: &[u8]) -> pagestore::Result<()> {
         if !self.armed.replace(false) {
-            return self.inner.append(bytes);
+            return self.inner.write_at(offset, bytes);
         }
-        self.inner.append(&bytes[..bytes.len() / 2])?;
+        self.inner.write_at(offset, &bytes[..bytes.len() / 2])?;
         Err(Wal::io_error("no space left on device"))
     }
     fn sync(&mut self) -> pagestore::Result<()> {
@@ -304,13 +304,13 @@ impl WalStore for TearOnce {
     }
 }
 
-/// A durability point whose append fails part-way, a retried one that
+/// A durability point whose write fails part-way, a retried one that
 /// succeeds, more batches, then a crash before any write-back: recovery
-/// finds every acknowledged batch. Without the rewind the retried batch
-/// would follow the torn record, and recovery stops at a torn record.
+/// finds every acknowledged batch. The retried batch goes where the torn
+/// one went, over it: after it, recovery would stop at the torn record.
 #[test]
-fn a_failed_append_never_strands_a_later_batch() {
-    let dir = unique_base("torn-append");
+fn a_failed_write_never_strands_a_later_batch() {
+    let dir = unique_base("torn-write");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let armed = Rc::new(Cell::new(false));
@@ -330,7 +330,7 @@ fn a_failed_append_never_strands_a_later_batch() {
         if batch == 1 {
             armed.set(true);
             pool.checkpoint()
-                .expect_err("the torn append surfaces as an error");
+                .expect_err("the torn write surfaces as an error");
         }
         pool.checkpoint().unwrap();
         acknowledged.push(text);
@@ -384,7 +384,9 @@ fn freed_then_reused_page_recovers_byte_identically() {
         committed_prefix(&pool);
         drop(pool);
         let after_c2 = recovered_images(&dir);
+        let dir = base.join("reference-c3");
         let pool = open_faulty(&dir, &plan);
+        committed_prefix(&pool);
         reuse(&pool);
         let at_flush = plan.ops();
         pool.flush_all().unwrap();
@@ -416,5 +418,150 @@ fn freed_then_reused_page_recovers_byte_identically() {
         }
     }
     assert!(kept > 0 && lost > 0, "{kept} kept, {lost} lost");
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// Page 0's tuples after recovery of `dir`, as text.
+fn page0_tuples(dir: &Path) -> Vec<String> {
+    let (pool, _report) = BufferPool::open_durable(dir, CAP).unwrap();
+    let page = pool.fetch(0).unwrap();
+    (0..page.live_count() as u16)
+        .map(|slot| String::from_utf8(page.get(slot).unwrap().to_vec()).unwrap())
+        .collect()
+}
+
+/// One durability point: tuple `r{round}` onto page 0, then the
+/// checkpoint. Each batch is one page image and a commit record.
+fn one_page_round(pool: &BufferPool, round: u32) -> pagestore::Result<()> {
+    pool.fetch_mut(0)?
+        .insert(format!("r{round}").as_bytes())
+        .unwrap();
+    pool.checkpoint()
+}
+
+/// A store whose log has just started generation 2 behind `rounds`
+/// one-page rounds: generation 1 is over a megabyte of batches that all
+/// have the shape, and the LSNs, of generation 2's first ones.
+fn past_a_write_back(dir: &Path, plan: &FaultPlan) -> (BufferPool, u32) {
+    let pool = open_faulty(dir, plan);
+    drop(pool.allocate_pinned(false).unwrap());
+    let mut rounds = 0;
+    while pool.stats().wal_drains == 0 {
+        one_page_round(&pool, rounds).unwrap();
+        rounds += 1;
+    }
+    assert!(rounds > 100, "{rounds} rounds filled the log");
+    (pool, rounds)
+}
+
+/// A fault at every I/O of the first two batches after a write-back,
+/// with generation 1's longer history behind them in the file. Recovery
+/// must replay exactly the acknowledged rounds, plus — all or nothing —
+/// the one in flight. Replaying generation 1's stale batches behind
+/// generation 2's would put page 0 back to its image before them.
+#[test]
+fn the_first_batches_of_a_recycled_log_recover_exactly() {
+    let base = unique_base("recycled");
+    let _ = std::fs::remove_dir_all(&base);
+    let (ops, rounds) = {
+        let plan = FaultPlan::unarmed();
+        let (pool, rounds) = past_a_write_back(&base.join("probe"), &plan);
+        let start = plan.ops();
+        one_page_round(&pool, rounds).unwrap();
+        one_page_round(&pool, rounds + 1).unwrap();
+        assert_eq!(pool.stats().wal_file_grows, 1, "only the first format");
+        (plan.ops() - start, rounds)
+    };
+    assert_eq!(ops, 4, "two batches: a write and a sync each");
+    let want = |n: u32| (0..n).map(|r| format!("r{r}")).collect::<Vec<_>>();
+    let (mut kept, mut lost) = (0, 0);
+    for kind in [FaultKind::CrashStop, FaultKind::ShortWrite] {
+        for nth in 1..=ops {
+            let dir = base.join(format!("{kind:?}-{nth}"));
+            let plan = FaultPlan::unarmed();
+            let (pool, _) = past_a_write_back(&dir, &plan);
+            plan.arm(nth, kind);
+            let mut acked = rounds;
+            while one_page_round(&pool, acked).is_ok() {
+                acked += 1;
+            }
+            drop(pool);
+            let got = page0_tuples(&dir);
+            let context = format!("{kind:?} at I/O {nth}, {acked} rounds acknowledged");
+            if got == want(acked + 1) {
+                kept += 1;
+            } else {
+                assert_eq!(got, want(acked), "{context}");
+                lost += 1;
+            }
+        }
+    }
+    assert!(kept > 0 && lost > 0, "{kept} kept, {lost} lost");
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// Pages 0, 1 and 2 committed, then a batch of all three whose
+/// durability point fails: a transient error at its sync (every byte
+/// written), or a torn write that kills the store. The next batch is
+/// shorter — page 2 freed, or the store reopened and one page written —
+/// and is acknowledged; then a crash. Recovery replays exactly the
+/// acknowledged batches: none of the failed batch's leftovers behind the
+/// shorter one.
+#[test]
+fn a_failed_batch_then_a_shorter_one_recovers_exactly() {
+    let base = unique_base("shorter");
+    let _ = std::fs::remove_dir_all(&base);
+    for kind in [FaultKind::Error, FaultKind::ShortWrite] {
+        let dir = base.join(format!("{kind:?}"));
+        let plan = FaultPlan::unarmed();
+        let pool = open_faulty(&dir, &plan);
+        for id in 0..3u32 {
+            let (got, mut page) = pool.allocate_pinned(false).unwrap();
+            assert_eq!(got, id);
+            page.insert(format!("p{id}-v1").as_bytes()).unwrap();
+        }
+        pool.checkpoint().unwrap();
+        for id in 0..3u32 {
+            let mut page = pool.fetch_mut(id).unwrap();
+            page.insert(format!("p{id}-failed").as_bytes()).unwrap();
+        }
+        let failing_io = if kind == FaultKind::Error { 2 } else { 1 };
+        plan.arm(failing_io, kind);
+        pool.checkpoint().expect_err("the batch fails");
+        let pool = if kind == FaultKind::Error {
+            pool.free_page(2);
+            pool
+        } else {
+            drop(pool);
+            BufferPool::open_durable(&dir, CAP).unwrap().0
+        };
+        let mut page = pool.fetch_mut(0).unwrap();
+        page.insert(b"p0-acked").unwrap();
+        drop(page);
+        pool.checkpoint().unwrap();
+        drop(pool);
+        let (pool, report) = BufferPool::open_durable(&dir, CAP).unwrap();
+        let tuples = |id: u32| {
+            let page = pool.fetch(id).unwrap();
+            (0..page.live_count() as u16)
+                .map(|slot| String::from_utf8(page.get(slot).unwrap().to_vec()).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let failed = kind == FaultKind::Error;
+        let p0 = if failed {
+            vec!["p0-v1", "p0-failed", "p0-acked"]
+        } else {
+            vec!["p0-v1", "p0-acked"]
+        };
+        assert_eq!(tuples(0), p0, "{kind:?}: {report}");
+        let p1 = if failed {
+            vec!["p1-v1", "p1-failed"]
+        } else {
+            vec!["p1-v1"]
+        };
+        assert_eq!(tuples(1), p1, "{kind:?}: {report}");
+        assert_eq!(tuples(2), ["p2-v1"], "{kind:?}: {report}");
+        assert_eq!(report.torn_bytes_truncated, 0, "{kind:?}: {report}");
+    }
     std::fs::remove_dir_all(&base).unwrap();
 }

@@ -152,7 +152,7 @@ fn crash_mid_checkpoint_replays_committed_bytes_in_both_formats() {
         let (after_c2, after_c3, flush_ops) = reference_run(&ref_dir, kind);
         assert!(
             flush_ops >= 6,
-            "{kind:?}: checkpoint = WAL appends + sync + page writes + sync + truncate"
+            "{kind:?}: checkpoint = WAL write + sync + page writes + sync + header + sync"
         );
         let mut committed = 0u32;
         let mut rolled_back = 0u32;
@@ -502,8 +502,8 @@ fn clean_rounds(dir: &Path, kind: PageFormatKind, n: i64) -> (i64, u64, u64, IoS
 }
 
 /// Several durability points, then a crash at every I/O of the write-back
-/// the log bound triggers: the page writes, the page-file sync, the log
-/// truncation and its sync. The batch that triggered it was durable
+/// the log bound triggers: the page writes, the page-file sync, the next
+/// generation's header write and its sync. The batch that triggered it was durable
 /// before any of them, so every crash recovers to it, byte for byte.
 #[test]
 fn crash_mid_write_back_recovers_the_last_durability_point() {
@@ -520,9 +520,12 @@ fn crash_mid_write_back_recovers_the_last_durability_point() {
         let prefix = base.join(format!("{kind:?}-prefix"));
         assert_eq!(clean_rounds(&prefix, kind, rounds - 1).3.wal_drains, 0);
         let before = recovered(&prefix);
-        // Images, a commit record and the log fsync come first.
-        let dp_ops = io.wal_appends + 1;
-        assert!(ops > dp_ops + 3, "{kind:?}: writes, sync, truncate, sync");
+        // The batch's one log write and the log fsync come first.
+        let dp_ops = 2;
+        assert!(
+            ops > dp_ops + 3,
+            "{kind:?}: page writes, sync, header write, sync"
+        );
         for fault in [FaultKind::CrashStop, FaultKind::ShortWrite] {
             for nth in dp_ops + 1..=ops {
                 let dir = base.join(format!("{kind:?}-{fault:?}-{nth}"));
@@ -631,4 +634,151 @@ fn same_history_rebuilds_identical_page_images() {
         }
     }
     std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// A fault at every I/O of the first round after a write-back — its
+/// allocations, then its durability point, the first batch of the log's
+/// second generation — with the first generation's longer history still
+/// in the file behind it. Recovery lands on the round before or the
+/// round itself, byte for byte: none of the stale batches is replayed.
+#[test]
+fn crash_in_the_first_round_after_a_write_back_recovers_a_committed_state() {
+    let base = unique_base("recycled");
+    let _ = std::fs::remove_dir_all(&base);
+    for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
+        let prefix = base.join(format!("{kind:?}-prefix"));
+        let (rounds, ..) = clean_rounds(&prefix, kind, i64::MAX);
+        let before = recovered(&prefix);
+        // Generation 1's rounds, each acknowledged; the last one's
+        // durability point runs the write-back.
+        let history = |dir: &Path, plan: &FaultPlan| {
+            let (pool, mut table) = open_rounds(dir, plan, kind);
+            for r in 0..rounds {
+                round(&mut table, r).unwrap();
+                pool.checkpoint().unwrap();
+            }
+            assert_eq!(pool.stats().wal_drains, 1, "{kind:?}");
+            (pool, table)
+        };
+        let all = base.join(format!("{kind:?}-all"));
+        let plan = FaultPlan::unarmed();
+        let ops = {
+            let (pool, mut table) = history(&all, &plan);
+            let start = plan.ops();
+            round(&mut table, rounds).unwrap();
+            pool.checkpoint().unwrap();
+            let io = pool.stats();
+            assert_eq!((io.wal_drains, io.wal_file_grows), (1, 1), "{kind:?}");
+            plan.ops() - start
+        };
+        let after = recovered(&all);
+        let (mut kept, mut lost) = (0, 0);
+        for fault in [FaultKind::CrashStop, FaultKind::ShortWrite] {
+            for nth in 1..=ops {
+                let dir = base.join(format!("{kind:?}-{fault:?}-{nth}"));
+                let plan = FaultPlan::unarmed();
+                {
+                    let (pool, mut table) = history(&dir, &plan);
+                    plan.arm(nth, fault);
+                    round(&mut table, rounds)
+                        .and_then(|()| Ok(pool.checkpoint()?))
+                        .expect_err("the armed fault must surface as an error");
+                }
+                let context =
+                    format!("{kind:?} {fault:?} at op {nth} of generation 2's first round");
+                if matches_reference(&recovered(&dir), &before, &after, &context) {
+                    kept += 1;
+                } else {
+                    lost += 1;
+                }
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+        assert!(kept > 0 && lost > 0, "{kind:?}: {kept} kept, {lost} lost");
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// Tables `t` (20 rows) and `u` (300 rows) committed, then rows into
+/// both and a durability point that fails: a transient error at its
+/// sync, every byte of the batch written; or a torn write that kills the
+/// store. The next batch is shorter — `u` dropped, or the store reopened
+/// and only `t` grown — and is acknowledged; then a crash. The reopen
+/// finds exactly the acknowledged state, none of the failed batch's
+/// leftovers behind the shorter one.
+#[test]
+fn a_failed_batch_then_a_shorter_one_reopens_the_acknowledged_state() {
+    let base = unique_base("shorter");
+    let _ = std::fs::remove_dir_all(&base);
+    let start = |dir: &Path, plan: &FaultPlan, kind: PageFormatKind| {
+        let pool = Rc::into_inner(open_faulty(dir, plan)).unwrap();
+        let mut db = Database::open_pool(pool, obs::Recorder::new()).unwrap();
+        db.set_default_format(kind);
+        for (name, rows) in [("t", 0..20), ("u", 1_000..1_300)] {
+            let table = db.create_table(name, schema()).unwrap();
+            for i in rows {
+                table.insert(row(i)).unwrap();
+            }
+        }
+        db.checkpoint().unwrap();
+        db
+    };
+    for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
+        for fault in [FaultKind::Error, FaultKind::ShortWrite] {
+            let failed = fault == FaultKind::Error;
+            // The acknowledged history, with no fault.
+            let reference = base.join(format!("{kind:?}-{fault:?}-ref"));
+            let mut db = start(&reference, &FaultPlan::unarmed(), kind);
+            for i in 20..25 {
+                db.table_mut("t").unwrap().insert(row(i)).unwrap();
+            }
+            if failed {
+                db.drop_table("u").unwrap();
+            }
+            db.checkpoint().unwrap();
+            drop(db);
+            let want = reopened_tables(&reference);
+            // The same, with a failed batch first.
+            let dir = base.join(format!("{kind:?}-{fault:?}"));
+            let plan = FaultPlan::unarmed();
+            let mut db = start(&dir, &plan, kind);
+            for i in 20..25 {
+                db.table_mut("t").unwrap().insert(row(i)).unwrap();
+            }
+            for i in 1_300..1_600 {
+                db.table_mut("u").unwrap().insert(row(i)).unwrap();
+            }
+            let before = plan.ops();
+            plan.arm(if failed { 2 } else { 1 }, fault);
+            db.checkpoint().expect_err("the batch fails");
+            assert!(plan.ops() - before <= 2, "{kind:?}: one write, one sync");
+            let db = if failed {
+                db.drop_table("u").unwrap();
+                db
+            } else {
+                drop(db);
+                let mut db = Database::open_durable(&dir, CAP).unwrap().0;
+                for i in 20..25 {
+                    db.table_mut("t").unwrap().insert(row(i)).unwrap();
+                }
+                db
+            };
+            db.checkpoint().unwrap();
+            drop(db);
+            assert_eq!(reopened_tables(&dir), want, "{kind:?} {fault:?}");
+        }
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// A table's rows, by rid.
+type Rows = Vec<(u64, Vec<Value>)>;
+
+/// Every table a reopen of `dir` finds, with its rows.
+fn reopened_tables(dir: &Path) -> Vec<(String, Rows)> {
+    let (db, _report) = Database::open_durable(dir, CAP).unwrap();
+    db.table_names()
+        .into_iter()
+        .map(|name| (name.to_owned(), db.table(name).unwrap().rows().unwrap()))
+        .collect()
 }
