@@ -10,7 +10,7 @@
 //! exhaustively solvable instances.
 //!
 //! Two tiers: the default smoke tier (small, seconds — the CI gate) and
-//! `ORPHEUS_FRONTIER_TIER=full` (SCI/CUR at 1M+ records, thousands of
+//! `--tier full` (SCI/CUR at 1M+ records, thousands of
 //! versions — run locally; numbers live in EXPERIMENTS.md). The tier
 //! that did NOT run is recorded in the results document with a skip
 //! reason — never silently dropped. Output JSON is self-checked against
@@ -259,9 +259,7 @@ fn budget_oracle() -> Json {
 }
 
 fn main() -> ExitCode {
-    let full = std::env::var("ORPHEUS_FRONTIER_TIER")
-        .map(|t| t == "full")
-        .unwrap_or(false);
+    let full = bench::Args::from_env().full_tier;
     bench::banner(
         "frontier: storage bytes vs recreation cost across page formats",
         "delta-compressed pages + materialization budget (Problems 7.1/7.3)",
@@ -287,7 +285,7 @@ fn main() -> ExitCode {
             (
                 "skip_reason",
                 Json::Str(
-                    "ORPHEUS_FRONTIER_TIER != full — the 1M-record tier runs locally; \
+                    "run without --tier full — the 1M-record tier runs locally; \
                      its numbers are recorded in EXPERIMENTS.md"
                         .into(),
                 ),

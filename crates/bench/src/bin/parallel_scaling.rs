@@ -3,15 +3,15 @@
 //! Runs the split-by-rlist checkout of one version (a sparse fetch) and a
 //! fetch of every record (a dense one) over the SCI_100K dataset at
 //! 1/2/4/8 morsel workers and reports wall-clock speedup over one thread.
-//! Both are a `RidFetch` through the data table's `rid_pk` index: at one
-//! thread the coordinator reads the touched pages in place; with more, it
+//! Both are a `RidFetch` of rids, which are the data table's row ids: at
+//! one thread the coordinator reads the touched pages in place; with more, it
 //! hands the workers **zero-copy page leases** of those pages and the
 //! workers decode the wanted tuples.
 //!
 //! Alongside raw wall clock (which only scales when the machine has the
 //! cores — the CI container may have one), the binary *measures* the
 //! serial fraction — a one-thread dense fetch minus the time it spent
-//! decoding (`IoStats::decode_micros`), i.e. the page reads that stay on
+//! decoding (`IoStats::decode_nanos`), i.e. the page reads that stay on
 //! the coordinator — and reports the projected speedup
 //! `T₁ / (T_io + (T₁ − T_io)/N)` that the measured split supports —
 //! projected against **effective cores**
@@ -47,14 +47,10 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const WALL_LEG_THREADS: usize = 4;
 const WALL_LEG_MIN_SPEEDUP: f64 = 2.0;
 
-/// Repetitions per timing (best-of). `ORPHEUS_SCALING_REPS` overrides,
-/// e.g. CI runs with 1 to keep the gate fast.
+/// Repetitions per timing (best-of). `--reps` overrides, e.g. CI runs
+/// with 1 to keep the gate fast.
 fn reps() -> usize {
-    std::env::var("ORPHEUS_SCALING_REPS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3)
+    bench::Args::from_env().reps.unwrap_or(3)
 }
 
 /// Best-of-N wall time for a closure that returns the produced rows.
@@ -107,8 +103,7 @@ fn main() {
     // end of Fig. 5.7, where the fetch is one ordered pass over the heap
     // and there is enough decoding for workers to matter.
     let dense = |pool: Option<&WorkerPool>| {
-        let mut fetch =
-            RidFetch::new(data, "rid_pk", 0..data_rows as i64, pool).expect("rid fetch");
+        let mut fetch = RidFetch::new(data, 0..data_rows as i64, pool);
         relstore::collect(&mut fetch, &mut ExecContext::new()).expect("dense fetch")
     };
     // The serial fraction: what a one-thread dense fetch spends outside
@@ -118,15 +113,13 @@ fn main() {
         .map(|_| {
             let before = db.io_stats();
             let (_, t) = bench::time(|| dense(None));
-            let decode = db.io_stats().since(&before).decode_micros;
-            t.saturating_sub(Duration::from_micros(decode))
+            let decode = db.io_stats().since(&before).decode_nanos;
+            t.saturating_sub(Duration::from_nanos(decode))
         })
         .min()
         .unwrap_or_default();
     let rids = cvd.version_records(target).expect("target records");
-    let touched = RidFetch::new(data, "rid_pk", rids.iter().map(|r| r.0 as i64), None)
-        .expect("rid fetch")
-        .touched_pages();
+    let touched = RidFetch::new(data, rids.iter().map(|r| r.0 as i64), None).touched_pages();
     let t_io_checkout = t_io.mul_f64(touched as f64 / data.num_heap_pages().max(1) as f64);
     println!(
         "target lives on {touched} of {} data pages\n",

@@ -1,20 +1,20 @@
 //! CI perf-regression gate over the `obs_smoke` metrics snapshot and the
 //! `parallel_scaling` results.
 //!
-//! Compares the current run's snapshot (`$ORPHEUS_RESULTS_DIR/metrics_smoke.json`,
+//! Compares the current run's snapshot (`<--results-dir>/metrics_smoke.json`,
 //! produced by `scripts/perf_gate.sh` into the git-ignored `results/ci/`)
 //! against the checked-in baseline `results/baseline_smoke.json`, using the
 //! per-key tolerances in `bench::gate`. Deterministic work counters are the
 //! gated quantities; wall-clock latencies never are.
 //!
 //! Additionally asserts the baseline-free invariants of
-//! `$ORPHEUS_RESULTS_DIR/parallel_scaling.json`: the parallel scan path
+//! `<--results-dir>/parallel_scaling.json`: the parallel scan path
 //! copied **zero** bytes from coordinator to workers (pages ship as
 //! leases), morsel allocations stayed within budget, and the ≥2× @ 4
 //! threads wall-clock leg either ran (hosts with ≥4 cores) and met its
 //! floor, or recorded its skip reason.
 //!
-//! And of `$ORPHEUS_RESULTS_DIR/frontier_smoke.json` (the page-format
+//! And of `<--results-dir>/frontier_smoke.json` (the page-format
 //! storage/recreation gate): Delta strictly undercuts Flat's stored
 //! bytes past the recorded floor, every budget-frontier point respects
 //! its β, the LMG/exact oracle ratio holds, and the full (1M) tier ran
@@ -38,9 +38,10 @@ fn load(path: &std::path::Path) -> Result<obs::Json, String> {
 }
 
 fn main() -> ExitCode {
-    let refresh = std::env::args().any(|a| a == "--refresh");
+    let args = bench::Args::from_env();
+    let refresh = args.rest.iter().any(|a| a == "--refresh");
     let baseline_path = std::path::PathBuf::from(BASELINE);
-    let current_path = bench::results_dir().join("metrics_smoke.json");
+    let current_path = args.results_dir.join("metrics_smoke.json");
 
     if refresh {
         match std::fs::copy(&current_path, &baseline_path) {
@@ -78,7 +79,7 @@ fn main() -> ExitCode {
 
     // Scaling results: absolute (baseline-free) zero-copy and wall-clock
     // assertions over the parallel_scaling run.
-    let scaling_path = bench::results_dir().join("parallel_scaling.json");
+    let scaling_path = args.results_dir.join("parallel_scaling.json");
     match load(&scaling_path) {
         Ok(scaling) => {
             let s = bench::gate::check_scaling(&scaling);
@@ -103,7 +104,7 @@ fn main() -> ExitCode {
 
     // Frontier results: absolute page-format storage/recreation
     // assertions over the frontier smoke run.
-    let frontier_path = bench::results_dir().join("frontier_smoke.json");
+    let frontier_path = args.results_dir.join("frontier_smoke.json");
     match load(&frontier_path) {
         Ok(frontier) => {
             let f = bench::gate::check_frontier(&frontier);

@@ -11,6 +11,7 @@ use models::{load_cvd, ModelKind, VersioningModel};
 use orpheus_core::cvd::Cvd;
 use partition::Vid;
 use relstore::{Column, DataType, Database, Schema, Value};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Time a closure.
@@ -90,22 +91,74 @@ pub fn banner(title: &str, paper_ref: &str) {
     println!("reproduces: {paper_ref}\n");
 }
 
-/// Directory experiment outputs land in: `$ORPHEUS_RESULTS_DIR` when set,
-/// `results/` otherwise. CI points this at the git-ignored `results/ci/`
-/// so gate runs never dirty the checked-in result files.
-pub fn results_dir() -> std::path::PathBuf {
-    std::env::var_os("ORPHEUS_RESULTS_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("results"))
+/// The options the experiment binaries share, from their command line.
+/// Each binary reads the ones it uses; an argument that is none of them
+/// is left in `rest` for the binary (`perf_gate --refresh`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Args {
+    /// `--results-dir DIR`: where outputs land (default `results/`). CI
+    /// points it at the git-ignored `results/ci/` so gate runs never dirty
+    /// the checked-in result files.
+    pub results_dir: PathBuf,
+    /// `--tier full`: `frontier` runs its 1M-record tier (`--tier smoke`,
+    /// the default, does not).
+    pub full_tier: bool,
+    /// `--reps N`: `parallel_scaling`'s best-of count per timing.
+    pub reps: Option<usize>,
+    /// Every other argument, in order.
+    pub rest: Vec<String>,
+}
+
+impl Args {
+    /// Parse `args` (without the program name).
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut parsed = Args {
+            results_dir: PathBuf::from("results"),
+            full_tier: false,
+            reps: None,
+            rest: Vec::new(),
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let mut value = || args.next().ok_or(format!("{arg} needs a value"));
+            match arg.as_str() {
+                "--results-dir" => parsed.results_dir = PathBuf::from(value()?),
+                "--tier" => {
+                    parsed.full_tier = match value()?.as_str() {
+                        "full" => true,
+                        "smoke" => false,
+                        other => return Err(format!("--tier is full or smoke, not {other:?}")),
+                    }
+                }
+                "--reps" => {
+                    let n = value()?;
+                    let n = n.parse().ok().filter(|&n| n > 0);
+                    parsed.reps = Some(n.ok_or("--reps needs a positive count")?);
+                }
+                _ => parsed.rest.push(arg),
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// This process's options; a malformed one ends it with exit status 2.
+    pub fn from_env() -> Args {
+        Args::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+}
+
+/// Directory experiment outputs land in: `--results-dir`, or `results/`.
+pub fn results_dir() -> PathBuf {
+    Args::from_env().results_dir
 }
 
 /// Write a metrics registry snapshot to `metrics_<name>.json` under
 /// [`results_dir`] so every experiment run leaves a machine-readable
 /// record next to its text output. Returns the path written.
-pub fn write_metrics_snapshot(
-    name: &str,
-    registry: &obs::Registry,
-) -> std::io::Result<std::path::PathBuf> {
+pub fn write_metrics_snapshot(name: &str, registry: &obs::Registry) -> std::io::Result<PathBuf> {
     let dir = results_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("metrics_{name}.json"));
@@ -114,7 +167,7 @@ pub fn write_metrics_snapshot(
 }
 
 /// Write an experiment's text table to `<name>.txt` under [`results_dir`].
-pub fn write_text_result(name: &str, content: &str) -> std::io::Result<std::path::PathBuf> {
+pub fn write_text_result(name: &str, content: &str) -> std::io::Result<PathBuf> {
     let dir = results_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.txt"));
@@ -141,6 +194,37 @@ mod tests {
                 d.version_records(v).len(),
                 "version {v} size mismatch"
             );
+        }
+    }
+
+    #[test]
+    fn the_three_options_parse_and_leave_the_rest() {
+        let parse = |args: &[&str]| Args::parse(args.iter().map(|a| a.to_string()));
+        let none = parse(&[]).unwrap();
+        assert_eq!(none.results_dir, PathBuf::from("results"));
+        assert!(!none.full_tier && none.reps.is_none() && none.rest.is_empty());
+        let all = parse(&[
+            "--results-dir",
+            "results/ci",
+            "--refresh",
+            "--tier",
+            "full",
+            "--reps",
+            "1",
+        ])
+        .unwrap();
+        assert_eq!(all.results_dir, PathBuf::from("results/ci"));
+        assert!(all.full_tier);
+        assert_eq!(all.reps, Some(1));
+        assert_eq!(all.rest, ["--refresh"]);
+        assert!(!parse(&["--tier", "smoke"]).unwrap().full_tier);
+        for bad in [
+            &["--reps", "0"][..],
+            &["--reps", "x"],
+            &["--tier", "big"],
+            &["--results-dir"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
         }
     }
 

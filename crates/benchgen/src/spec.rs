@@ -101,7 +101,7 @@ impl DatasetSpec {
     /// The full-scale tier: 1M+ records across thousands of versions
     /// (|R| ≈ |V| × I), used by the storage/recreation frontier bench.
     /// Too large for the CI smoke gate — `frontier` runs these only when
-    /// `ORPHEUS_FRONTIER_TIER=full` (see EXPERIMENTS.md).
+    /// run with `--tier full` (see EXPERIMENTS.md).
     pub fn scale_presets() -> Vec<DatasetSpec> {
         vec![
             DatasetSpec::sci("SCI_1M", 4000, 400, 270),

@@ -157,15 +157,16 @@ fn align_row_to_schema(cvd: &Cvd, mut row: Row) -> Row {
     row
 }
 
-/// `data ⨝ rids` through the data table's `rid_pk` index, drained: the
-/// rid fetch a split-by-rlist checkout ends with.
+/// `data ⨝ ids`, drained: the rid fetch a split-by-rlist checkout ends
+/// with. `ids` are row ids of `data` — in the engine's data table, the
+/// rids themselves.
 fn fetch_rids(
     data: &Table,
-    rids: Vec<i64>,
+    ids: Vec<i64>,
     pool: Option<&WorkerPool>,
     ctx: &mut ExecContext,
 ) -> Result<Vec<Row>> {
-    Ok(RidFetch::new(data, "rid_pk", rids, pool)?.collect(ctx)?)
+    Ok(RidFetch::new(data, ids, pool).collect(ctx)?)
 }
 
 #[cfg(test)]

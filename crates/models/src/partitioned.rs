@@ -13,7 +13,9 @@ use super::fetch_rids;
 use orpheus_core::metadata::{data_row, data_schema};
 use orpheus_core::{Cvd, Error, Result};
 use partition::{Partitioning, Vid};
-use relstore::{Column, DataType, Database, ExecContext, IndexKind, Row, Schema, Value};
+use relstore::{
+    Column, CostTracker, DataType, Database, ExecContext, IndexKind, Row, Schema, Value,
+};
 
 /// A partitioned physical representation of a CVD.
 #[derive(Debug, Clone)]
@@ -101,10 +103,19 @@ impl PartitionedStore {
             .as_i64()
             .ok_or_else(|| Error::Internal("partition id column is not an integer".into()))?
             as usize;
-        let rlist: Vec<i64> = row[2].as_int_array().unwrap_or(&[]).to_vec();
+        let rlist = row[2].as_int_array().unwrap_or(&[]);
         ctx.tracker.ops(rlist.len() as u64);
         let data = db.table(&self.partition_table(pid))?;
-        fetch_rids(data, rlist, None, ctx)
+        // A partition holds a subset of the records, so its row ids are
+        // not rids: translate through its `rid_pk`. The fetch charges the
+        // probe, so the translation is not charged again.
+        let mut uncharged = CostTracker::new();
+        let mut ids = Vec::with_capacity(rlist.len());
+        for &rid in rlist {
+            let id = data.index_lookup("rid_pk", rid, &mut uncharged)?.first();
+            ids.push(id.map_or(-1, |&id| id as i64));
+        }
+        fetch_rids(data, ids, None, ctx)
     }
 
     /// Records stored across all partitions (the storage cost `S`).

@@ -4,8 +4,9 @@
 //! The versioning table maps each `vid` to the array of its records, so a
 //! commit inserts exactly **one** versioning tuple (no array appends), and
 //! a checkout reads one versioning tuple through the primary-key index,
-//! unnests it, and fetches the rids' records from the data table through
-//! its `rid_pk` index, page by page. The tables are the engine's own:
+//! unnests it, and fetches the rids' records from the data table page by
+//! page — a record's rid is its row id there, so the row directory is the
+//! rid index. The tables are the engine's own:
 //! `init` and `apply_commit` write them through `orpheus_core::metadata`.
 
 use super::{fetch_rids, ModelKind, VersioningModel};

@@ -1880,7 +1880,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("RidFetch Interaction__sbr_data via rid_pk (left)"),
+            text.contains("RidFetch Interaction__sbr_data (left)"),
             "{text}"
         );
         assert!(text.contains("est rows="), "{text}");

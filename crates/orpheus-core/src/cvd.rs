@@ -284,7 +284,7 @@ impl Cvd {
     ) -> Result<Cvd> {
         if metas.len() != version_records.len() {
             return Err(Error::Internal(format!(
-                "catalog tables: {} version metas for {} rid lists",
+                "catalog tables of {name}: {} version metas for {} rid lists",
                 metas.len(),
                 version_records.len()
             )));
@@ -294,7 +294,7 @@ impl Cvd {
             let rids = &version_records[idx];
             if meta.vid.idx() != idx {
                 return Err(Error::Internal(format!(
-                    "catalog tables: meta #{idx} carries vid {}",
+                    "catalog tables of {name}: meta #{idx} carries vid {}",
                     meta.vid
                 )));
             }
@@ -308,7 +308,7 @@ impl Cvd {
                 .all(|&a| (a as usize) < attributes.len());
             if !(ascending && rids_exist && attrs_exist) {
                 return Err(Error::Internal(format!(
-                    "catalog tables: version {} lists a record or attribute that does not exist",
+                    "catalog tables of {name}: version {} lists a record or attribute that does not exist",
                     meta.vid
                 )));
             }
@@ -322,7 +322,7 @@ impl Cvd {
                         .map(|prs| (p, partition::graph::intersect_count(prs, rids)))
                         .ok_or_else(|| {
                             Error::Internal(format!(
-                                "catalog tables: version {} lists missing parent {p}",
+                                "catalog tables of {name}: version {} lists missing parent {p}",
                                 meta.vid
                             ))
                         })

@@ -4,9 +4,11 @@
 //! ordinary tables of the same database as the data. The engine keeps one
 //! layout, split-by-rlist (§4.3, Fig. 3.2(c.ii)):
 //!
-//! * `{cvd}__sbr_data` `[rid, attrs…]` — the records, behind a `rid_pk`
-//!   index; every attribute is nullable, so the table can grow with the
-//!   CVD's schema;
+//! * `{cvd}__sbr_data` `[rid, attrs…]` — the records; a record's rid is
+//!   its row id, so the table's row directory is its rid index and the
+//!   table has no `rid_pk` (a store written with one still opens; the
+//!   index is rebuilt at open and never read). Every attribute is
+//!   nullable, so the table can grow with the CVD's schema;
 //! * `{cvd}__sbr_vtab` `[vid, rlist]` — one row per version, naming its
 //!   records, behind a `vid_pk` index;
 //!
@@ -107,11 +109,10 @@ pub fn sync_table_schema(table: &mut Table, cvd: &Cvd, extra_leading: usize) -> 
     Ok(())
 }
 
-/// Create `cvd`'s data table with its `rid_pk` index and its versioning
-/// table with its `vid_pk` index, both empty.
+/// Create `cvd`'s data table and its versioning table with its `vid_pk`
+/// index, both empty.
 pub fn create(db: &mut Database, cvd: &Cvd) -> Result<()> {
-    let data = db.create_table(data_name(cvd.name()), data_schema(cvd))?;
-    data.create_index("rid_pk", "rid", true, IndexKind::BTree)?;
+    db.create_table(data_name(cvd.name()), data_schema(cvd))?;
     let vtab = schema(&[("vid", DataType::Int64), ("rlist", DataType::IntArray)]);
     let vtab = db.create_table(vtab_name(cvd.name()), vtab)?;
     vtab.create_index("vid_pk", "vid", true, IndexKind::BTree)?;
@@ -122,7 +123,9 @@ pub fn create(db: &mut Database, cvd: &Cvd) -> Result<()> {
 /// records it introduced, `new_rids`, join the data table, grown to the
 /// CVD's schema first, and one `[vid, rlist]` row joins the versioning
 /// table. The writes are charged to `tracker`: a sequential write of the
-/// new records and one page for the versioning tuple.
+/// new records and one page for the versioning tuple. Each record must
+/// land on the row id equal to its rid; a data table that numbers them
+/// otherwise is an error, never a wrong answer later.
 pub fn append_rlist(
     db: &mut Database,
     cvd: &Cvd,
@@ -133,7 +136,14 @@ pub fn append_rlist(
     let data = db.table_mut(&data_name(cvd.name()))?;
     sync_table_schema(data, cvd, 1)?;
     tracker.seq_scan(new_rids.len() as u64, &CostModel::default());
-    data.insert_many(new_rids.iter().map(|&rid| data_row(cvd, rid)))?;
+    let ids = data.insert_many(new_rids.iter().map(|&rid| data_row(cvd, rid)))?;
+    if !new_rids.iter().map(|r| r.0).eq(ids.clone()) {
+        let first = new_rids.first().map_or(0, |r| r.0);
+        return Err(Error::Internal(format!(
+            "{}: records from rid {first} stored as row ids {ids:?}",
+            data.name()
+        )));
+    }
     let rlist = ints(cvd.version_records(vid)?, |r| r.0 as i64);
     tracker.random_pages += 1;
     tracker.tuples += 1;
@@ -333,6 +343,29 @@ fn numbered(table: &Table, what: &str) -> Result<Vec<Row>> {
     }
 }
 
+/// The records of CVD `cvd`, by rid, from its data table `data`: the
+/// rows must be numbered by rid — each row's id its rid, the directory
+/// `0..n` with no gap — or a rid fetch by row id would answer wrongly.
+fn records(data: &Table, cvd: &str) -> Result<Vec<Row>> {
+    let mut rows = data.rows()?;
+    rows.sort_unstable_by_key(|&(id, _)| id);
+    let rid = |row: &Row| row.first().and_then(Value::as_i64);
+    let mut numbered = rows.iter().enumerate();
+    let by_rid = numbered.all(|(i, (id, row))| *id == i as RowId && rid(row) == Some(i as i64));
+    if !by_rid || data.heap_size() != rows.len() {
+        return Err(Error::Internal(format!(
+            "cvd {cvd}: {} holds {} records under {} row ids, not numbered by rid",
+            data.name(),
+            rows.len(),
+            data.heap_size()
+        )));
+    }
+    Ok(rows
+        .into_iter()
+        .map(|(_, row)| row.into_iter().skip(1).collect())
+        .collect())
+}
+
 fn read_cvd(
     db: &Database,
     name: &str,
@@ -355,11 +388,7 @@ fn read_cvd(
         .map(|&c| columns.get(c).map(|col| col.name.clone()))
         .collect::<Option<Vec<String>>>()
         .ok_or_else(|| corrupt("primary key"))?;
-    // `numbered` saw a first column — the rid — in every row.
-    let records = numbered(data, "record")?.into_iter().map(|mut row| {
-        row.remove(0);
-        row
-    });
+    let records = records(data, name)?;
     let mut version_records = Vec::new();
     for row in numbered(db.table(&vtab)?, "rlist")? {
         let [_, IntArray(rlist)] = row.as_slice() else {
@@ -399,7 +428,7 @@ fn read_cvd(
         name.to_owned(),
         Schema::new(columns),
         pk_names,
-        records.collect(),
+        records,
         version_records,
         metas,
         attributes,
@@ -466,6 +495,18 @@ mod tests {
             }
         }
         seen
+    }
+
+    /// Whether every CVD's data table numbers its rows by rid: the row
+    /// directory holds exactly the records, each under its own rid.
+    fn rids_are_row_ids(odb: &mut OrpheusDb) -> bool {
+        odb.list_cvds().iter().all(|name| {
+            let records = odb.cvd(name).unwrap().num_records();
+            let data = odb.database().table(&data_name(name)).unwrap();
+            let rows = data.rows().unwrap();
+            let numbered = |(id, row): &(RowId, Row)| row[0] == Value::Int64(*id as i64);
+            data.heap_size() == records && rows.len() == records && rows.iter().all(numbered)
+        })
     }
 
     /// One action of a generated history on CVD `h` (and its sibling `side`).
@@ -633,17 +674,21 @@ mod tests {
             live.init_cvd("side", base_schema(), vec![], base_rows(4)).unwrap();
             for (serial, step) in steps.iter().enumerate() {
                 apply(&mut live, step, serial);
+                prop_assert!(rids_are_row_ids(&mut live), "after {:?}", step);
             }
+            // A copy of a live instance's files is what a crash leaves.
             let copy = scratch("history-copy");
             copy_dir(&dir, &copy);
             let len = pages_len(&copy);
             let mut reopened = open(&copy, 1024);
+            prop_assert!(rids_are_row_ids(&mut reopened));
             prop_assert_eq!(visible(&reopened), visible(&live));
             prop_assert_eq!(reopened.database().io_stats().pages_written(), 0);
             reopened.checkpoint().unwrap();
             prop_assert_eq!(reopened.database().io_stats().wal_appends, 0);
             apply(&mut live, &next, steps.len());
             apply(&mut reopened, &next, steps.len());
+            prop_assert!(rids_are_row_ids(&mut reopened));
             prop_assert_eq!(visible(&reopened), visible(&live));
             // Open, close, open: the page file keeps its length.
             drop(reopened);
@@ -889,6 +934,91 @@ mod tests {
             assert_eq!(corpus_answers(&odb), before, "{kind:?}");
             let data = odb.database().table("T__sbr_data").unwrap();
             assert_eq!(data.format_kind(), kind);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A store written when the data table carried a `rid_pk` index opens
+    /// and answers the corpus as one that never had it: the index is
+    /// rebuilt at open and maintained, but no read goes through it.
+    #[test]
+    fn a_store_with_the_old_rid_pk_index_opens_and_answers_alike() {
+        for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
+            let dirs = [scratch("no-rid-pk"), scratch("rid-pk")];
+            for (with_index, dir) in dirs.iter().enumerate() {
+                let mut odb = open(dir, 2048);
+                odb.database().set_default_format(kind);
+                odb.set_auto_checkpoint(false);
+                load_corpus(&mut odb);
+                if with_index == 1 {
+                    for cvd in odb.list_cvds() {
+                        let data = odb.database().table_mut(&data_name(&cvd)).unwrap();
+                        data.create_index("rid_pk", "rid", true, IndexKind::BTree)
+                            .unwrap();
+                    }
+                }
+                odb.close().unwrap();
+            }
+            let [mut plain, mut legacy] = dirs.clone().map(|dir| open(&dir, 2048));
+            assert!(legacy
+                .database()
+                .table("T__sbr_data")
+                .unwrap()
+                .has_index("rid_pk"));
+            assert!(!plain
+                .database()
+                .table("T__sbr_data")
+                .unwrap()
+                .has_index("rid_pk"));
+            assert_eq!(corpus_answers(&legacy), corpus_answers(&plain), "{kind:?}");
+            // It goes on committing, the leftover index kept in step.
+            for odb in [&mut plain, &mut legacy] {
+                apply_corpus_edit(odb);
+            }
+            assert_eq!(visible(&legacy), visible(&plain), "{kind:?}");
+            assert_eq!(corpus_answers(&legacy), corpus_answers(&plain), "{kind:?}");
+            drop((plain, legacy));
+            for dir in &dirs {
+                std::fs::remove_dir_all(dir).unwrap();
+            }
+        }
+    }
+
+    /// Check the corpus CVD `S`'s latest version out, add a row, commit.
+    fn apply_corpus_edit(odb: &mut OrpheusDb) {
+        let latest = odb.cvd("S").unwrap().latest_version();
+        odb.checkout("S", &[latest], "w").unwrap();
+        odb.execute("insert w 99999,after").unwrap();
+        odb.commit("w", "after").unwrap();
+    }
+
+    /// A data table that no longer numbers the CVD's records by rid — a
+    /// row missing at its end or in its middle — is refused at open with a
+    /// typed error that names the CVD, never read as a shorter CVD. Flat
+    /// and Delta pages.
+    #[test]
+    fn a_data_table_short_of_the_catalog_is_refused_at_open() {
+        let kinds = [PageFormatKind::Flat, PageFormatKind::Delta];
+        for (kind, missing) in kinds.into_iter().flat_map(|k| [(k, "last"), (k, "middle")]) {
+            let dir = scratch("short-data");
+            let mut odb = open(&dir, 256);
+            odb.database().set_default_format(kind);
+            odb.create_user("alice").unwrap();
+            odb.login("alice").unwrap();
+            odb.init_cvd("hostile", base_schema(), vec!["k".into()], base_rows(6))
+                .unwrap();
+            apply_edit(&mut odb, "hostile");
+            let data = odb.database().table_mut("hostile__sbr_data").unwrap();
+            let records = data.heap_size() as RowId;
+            data.delete(if missing == "last" { records - 1 } else { 2 })
+                .unwrap();
+            odb.close().unwrap();
+            match OrpheusDb::open_durable(&dir, 256) {
+                Err(Error::Internal(m)) => {
+                    assert!(m.contains("hostile"), "{kind:?} {missing}: {m}")
+                }
+                other => panic!("{kind:?} {missing}: {:?}", other.map(|_| ())),
+            }
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

@@ -279,7 +279,14 @@ impl Source for Tables<'_> {
     ) -> Result<Op<'a, D>> {
         let data = self.db.table(&data_name(self.cvd.name()))?;
         let rids = rids.iter().map(|r| r.0 as i64);
-        rid_join_plan(data, rids, test, self.pool.as_ref(), side, dec)
+        Ok(rid_join_plan(
+            data,
+            rids,
+            test,
+            self.pool.as_ref(),
+            side,
+            dec,
+        ))
     }
 
     fn scan_star<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>> {
@@ -294,10 +301,11 @@ impl Source for Tables<'_> {
 }
 
 /// The split-by-rlist retrieval step, `data ⨝ rids`: one [`RidFetch`]
-/// through the data table's `rid_pk` index, which reads only the pages
-/// holding the wanted records, tests each on its encoded tuple, and emits
-/// the `[rid, attrs…]` star rows that pass in data-table order at every
-/// thread count, so higher operators (limits, joins) see one stream. Its
+/// of the rids as row ids (a record's rid is its row id in the data
+/// table), which reads only the pages holding the wanted records, tests
+/// each on its encoded tuple, and emits the `[rid, attrs…]` star rows
+/// that pass in data-table order at every thread count, so higher
+/// operators (limits, joins) see one stream. Its
 /// estimate is exact but for the test's selectivity: the directory names
 /// the rows and pages before anything is read.
 pub(crate) fn rid_join_plan<'t, D: Decorator>(
@@ -307,16 +315,16 @@ pub(crate) fn rid_join_plan<'t, D: Decorator>(
     pool: Option<&WorkerPool>,
     side: &str,
     dec: &D,
-) -> Result<Op<'t, D>> {
+) -> Op<'t, D> {
     let share = test.as_ref().map_or(1.0, ColumnTest::selectivity);
-    let fetch = RidFetch::new(data, "rid_pk", rids, pool)?.with_test(test);
+    let fetch = RidFetch::new(data, rids, pool).with_test(test);
     let est = Estimate::new(fetch.rows() as f64 * share, fetch.touched_pages() as f64)
         .with_parallelism(fetch.parallelism());
     let worker_rows = fetch.worker_rows();
-    let label = format_args!("RidFetch {} via rid_pk{side}", data.name());
+    let label = format_args!("RidFetch {}{side}", data.name());
     let (fetch, mut node) = dec.wrap(Box::new(fetch), vec![], label, |_| est);
     D::set_worker_rows(&mut node, worker_rows);
-    Ok((fetch, node))
+    (fetch, node)
 }
 
 /// A lowered plan: the operator tree, its decorator node, and the schema
@@ -719,10 +727,7 @@ pub(crate) mod tests {
                 assert_eq!(decoded, 4, "{kind:?}, {threads} threads");
                 let report = odb.explain_analyze(sql).unwrap();
                 let fetch = &report.root;
-                assert_eq!(
-                    fetch.label,
-                    "RidFetch S__sbr_data via rid_pk where k > 40020"
-                );
+                assert_eq!(fetch.label, "RidFetch S__sbr_data where k > 40020");
                 assert!(fetch.children.is_empty());
                 assert_eq!(fetch.stats.rows, 4);
                 assert_eq!(fetch.estimate.rows, 50.0 * (1.0 / 3.0));
@@ -790,7 +795,7 @@ pub(crate) mod tests {
                 .explain_analyze("SELECT * FROM VERSION 40 OF CVD S")
                 .unwrap();
             let fetch = &report.root;
-            assert_eq!(fetch.label, "RidFetch S__sbr_data via rid_pk");
+            assert_eq!(fetch.label, "RidFetch S__sbr_data");
             assert!(fetch.children.is_empty());
             assert_eq!(fetch.stats.rows, 50);
             assert_eq!(fetch.estimate.rows, 50.0);
@@ -858,8 +863,8 @@ pub(crate) mod tests {
             assert_eq!(
                 explained,
                 "HashJoin left.k=right.k\n\
-                 \x20 RidFetch T__sbr_data via rid_pk (left)\n\
-                 \x20 RidFetch T__sbr_data via rid_pk (right)\n"
+                 \x20 RidFetch T__sbr_data (left)\n\
+                 \x20 RidFetch T__sbr_data (right)\n"
             );
             // The labelled tree is the plain one: draining it is `run`.
             let rows = collect(run.0.as_mut(), &mut ExecContext::new()).unwrap();

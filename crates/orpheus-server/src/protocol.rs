@@ -18,6 +18,7 @@
 //! appended to a reusable byte buffer behind back-patched lengths, and
 //! whoever owns the buffer decides when its bytes reach a socket.
 
+use relstore::Value;
 use std::fmt::Display;
 use std::io::{ErrorKind, Read, Write};
 
@@ -204,6 +205,28 @@ impl FrameBuf {
         })
     }
 
+    /// `D` for a row of values: the bytes [`fields`](Self::fields) writes
+    /// for it, but an `Int64` field's digits and a NULL are written
+    /// directly, so the common integer column costs no `fmt` call.
+    pub fn value_row(&mut self, row: &[Value]) -> Framed {
+        self.frame(b'D', |p| {
+            p.bytes.extend_from_slice(&(row.len() as u16).to_be_bytes());
+            for value in row {
+                match value {
+                    Value::Null => p.bytes.extend_from_slice(&NULL_FIELD.to_be_bytes()),
+                    Value::Int64(x) => {
+                        let mut digits = [0; 20];
+                        let digits = i64_digits(*x, &mut digits);
+                        p.bytes
+                            .extend_from_slice(&(digits.len() as u32).to_be_bytes());
+                        p.bytes.extend_from_slice(digits);
+                    }
+                    value => p.field(value),
+                }
+            }
+        })
+    }
+
     /// `C`: the completion tag, then the trace id when there is one.
     pub fn command_complete(&mut self, tag: &impl Display, trace: Option<u64>) -> Framed {
         self.frame(b'C', |p| {
@@ -245,6 +268,26 @@ impl FrameBuf {
             ClientMsg::Terminate => self.frame(b'X', |_| {}),
         }
     }
+}
+
+/// `x` in decimal, the text `i64`'s `Display` writes, in the tail of
+/// `buf` (20 bytes hold `i64::MIN`).
+fn i64_digits(x: i64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut n = x.unsigned_abs();
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if x < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    &buf[at..]
 }
 
 thread_local! {
@@ -489,6 +532,21 @@ mod tests {
         write_client(&mut buf, &msg).unwrap();
         let decoded = read_client(&mut buf.as_slice()).unwrap();
         assert_eq!(decoded, msg);
+    }
+
+    #[test]
+    fn i64_digits_match_display() {
+        let mut cases = vec![i64::MIN, i64::MIN + 1, i64::MAX, 0, -1, 1];
+        let mut power = 1i64;
+        while let Some(next) = power.checked_mul(10) {
+            cases.extend([power, power - 1, -power, 1 - power, next - 1]);
+            power = next;
+        }
+        cases.extend([power, -power]);
+        for x in cases {
+            let mut buf = [0; 20];
+            assert_eq!(i64_digits(x, &mut buf), x.to_string().as_bytes(), "{x}");
+        }
     }
 
     fn roundtrip_server(msg: ServerMsg) {

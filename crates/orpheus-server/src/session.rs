@@ -50,7 +50,9 @@ const POLL_INTERVAL: Duration = Duration::from_millis(200);
 /// Where a command's output goes, frame by frame: wire bytes in the
 /// session's buffer ([`Reply`], the live server) or messages
 /// (`Vec<ServerMsg>`, the transcript oracle). [`render`] and a pinned
-/// `run` are the only producers, so the two can never disagree.
+/// `run` are the only producers, so the two can never disagree; `Reply`
+/// writes a table row's integers without `fmt`, and a test pins its bytes
+/// to `write_server` over the oracle's messages.
 trait Sink {
     fn columns<D: Display>(&mut self, names: impl ExactSizeIterator<Item = D>) -> Framed;
 
@@ -238,6 +240,11 @@ impl<W: Write> Sink for Reply<'_, W> {
 
     fn row<D: Display>(&mut self, fields: impl ExactSizeIterator<Item = Option<D>>) -> Framed {
         self.frame(|buf| buf.fields(b'D', fields))
+    }
+
+    /// Integers and NULLs skip `fmt`; the bytes are `row`'s.
+    fn table_row(&mut self, row: &[Value]) -> Framed {
+        self.frame(|buf| buf.value_row(row))
     }
 
     /// No window check: `Z` and the reply's last write follow at once.
@@ -678,6 +685,44 @@ mod tests {
             prop_assert_eq!(decode(&wire), want);
             prop_assert_eq!(sent.0, 1);
         }
+    }
+
+    /// The frame sink writes an integer's digits and a NULL without `fmt`:
+    /// rows holding every `Value` kind, the integers at their extremes,
+    /// reach the wire as `write_server` writes the message sink's output.
+    #[test]
+    fn directly_written_integers_and_nulls_are_the_message_sinks_bytes() {
+        let kinds = [
+            Value::Int64(i64::MIN),
+            Value::Null,
+            Value::Float64(-0.5),
+            Value::Text("é|,".into()),
+            Value::Bool(true),
+            Value::IntArray(vec![i64::MIN, -1, 0, i64::MAX]),
+            Value::Int64(i64::MAX),
+        ];
+        let columns = (0..kinds.len()).map(|i| Column::nullable(format!("c{i}"), DataType::Text));
+        let rows = [0, -1, 9, 10, -100_000, 1 << 40]
+            .into_iter()
+            .map(|k| {
+                let mut row = kinds.to_vec();
+                row.push(Value::Int64(k));
+                row.rotate_left(k.rem_euclid(kinds.len() as i64) as usize);
+                row
+            })
+            .collect();
+        let schema = Schema::new(
+            columns
+                .chain([Column::nullable("k", DataType::Int64)])
+                .collect(),
+        );
+        let out = CommandOutput::Table(QueryResult { schema, rows });
+        let (wire, _) = reply_on(&mut FrameBuf::default(), |r| Ok(render(&out, r)?));
+        let mut bytes = Vec::new();
+        for msg in on_the_wire(output_messages(&out)) {
+            write_server(&mut bytes, &msg).unwrap();
+        }
+        assert_eq!(wire, bytes);
     }
 
     /// Satellite regression: an over-limit frame used to surface while

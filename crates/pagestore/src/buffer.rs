@@ -62,6 +62,7 @@ use std::ops::{Deref, DerefMut};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 struct Frame {
     page_id: Cell<Option<PageId>>,
@@ -538,9 +539,9 @@ impl BufferPool {
         self.stats.borrow_mut().tuples_decoded += n;
     }
 
-    /// Count wall-clock microseconds spent decoding on the scan path.
-    pub fn note_decode_micros(&self, us: u64) {
-        self.stats.borrow_mut().decode_micros += us;
+    /// Count the wall-clock time spent decoding on the scan path.
+    pub fn note_decode_time(&self, spent: Duration) {
+        self.stats.borrow_mut().decode_nanos += spent.as_nanos() as u64;
     }
 
     /// Pin `id` for writing; the frame is marked dirty once the exclusive
@@ -871,6 +872,21 @@ mod tests {
         // Page 0 was still resident from allocate_pinned: both reads hit.
         assert_eq!(s.physical_reads, 0);
         assert_eq!(s.hits(), 2);
+    }
+
+    /// Regression: each page's decode window was truncated to whole
+    /// microseconds before it was added, so pages decoded in under 1 µs
+    /// counted nothing at all.
+    #[test]
+    fn sub_microsecond_decode_windows_add_up() {
+        let pool = BufferPool::in_memory(1);
+        for _ in 0..1_000 {
+            pool.note_decode_time(Duration::from_nanos(400));
+        }
+        assert_eq!(pool.stats().decode_nanos, 400_000);
+        let registry = obs::Registry::new();
+        pool.stats().publish(&registry);
+        assert_eq!(registry.gauge("pagestore.page.decode_us"), Some(400.0));
     }
 
     #[test]

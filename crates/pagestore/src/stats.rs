@@ -54,10 +54,11 @@ pub struct IoStats {
     /// Tuples decoded from page bytes back into rows (scan + fetch paths,
     /// sequential and morsel workers alike — thread-count independent).
     pub tuples_decoded: u64,
-    /// Wall-clock microseconds spent decoding page tuples on the
-    /// page-scan path. Published as a gauge, never gated: latency is
-    /// host-dependent (see crates/bench/src/gate.rs).
-    pub decode_micros: u64,
+    /// Wall-clock nanoseconds spent decoding page tuples on the
+    /// page-scan path, kept in nanoseconds so that pages decoded in under
+    /// a microsecond still add up. Published in microseconds as a gauge,
+    /// never gated: latency is host-dependent (see crates/bench/src/gate.rs).
+    pub decode_nanos: u64,
 }
 
 impl IoStats {
@@ -122,7 +123,7 @@ impl IoStats {
             morsel_allocs: f(a.morsel_allocs, b.morsel_allocs),
             tuple_bytes_encoded: f(a.tuple_bytes_encoded, b.tuple_bytes_encoded),
             tuples_decoded: f(a.tuples_decoded, b.tuples_decoded),
-            decode_micros: f(a.decode_micros, b.decode_micros),
+            decode_nanos: f(a.decode_nanos, b.decode_nanos),
         }
     }
 
@@ -147,7 +148,8 @@ impl IoStats {
         registry.counter_set("pagestore.page.decoded_tuples", self.tuples_decoded);
         // Wall-clock: a gauge, not a counter — the perf gate never pins
         // latency, only deterministic work counters.
-        registry.gauge_set("pagestore.page.decode_us", self.decode_micros as f64);
+        let decode_us = self.decode_nanos as f64 / 1_000.0;
+        registry.gauge_set("pagestore.page.decode_us", decode_us);
         registry.counter_set("pagestore.wal.appends", self.wal_appends);
         registry.counter_set("pagestore.wal.bytes", self.wal_bytes);
         registry.counter_set("pagestore.wal.fsyncs", self.wal_fsyncs);
@@ -308,15 +310,15 @@ mod tests {
         let mut s = IoStats::new();
         s.tuple_bytes_encoded = 1000;
         s.tuples_decoded = 10;
-        s.decode_micros = 50;
+        s.decode_nanos = 50_000;
         let snap = s;
         s.tuple_bytes_encoded = 1600;
         s.tuples_decoded = 25;
-        s.decode_micros = 80;
+        s.decode_nanos = 80_500;
         let d = s.since(&snap);
         assert_eq!(d.tuple_bytes_encoded, 600);
         assert_eq!(d.tuples_decoded, 15);
-        assert_eq!(d.decode_micros, 30);
+        assert_eq!(d.decode_nanos, 30_500);
         let mut acc = IoStats::new();
         acc.absorb(&d);
         acc.absorb(&d);
@@ -325,7 +327,7 @@ mod tests {
         s.publish(&reg);
         assert_eq!(reg.counter("pagestore.page.encoded_bytes"), 1600);
         assert_eq!(reg.counter("pagestore.page.decoded_tuples"), 25);
-        assert_eq!(reg.gauge("pagestore.page.decode_us"), Some(80.0));
+        assert_eq!(reg.gauge("pagestore.page.decode_us"), Some(80.5));
     }
 
     #[test]

@@ -151,22 +151,6 @@ impl<'a> Reader<'a> {
             .map_err(|_| Error::Storage("truncated tuple field".into()))
     }
 
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.array()?))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.array()?))
-    }
-
     /// LEB128 unsigned varint; rejects encodings longer than 10 bytes
     /// (a u64 never needs more) so corrupt input cannot loop or shift
     /// past the word.
@@ -208,7 +192,8 @@ trait Walk {
     /// Whether the walk materialises value `i`; one it does not is
     /// checked but not copied.
     fn wants(&self, i: usize) -> bool;
-    /// Value `i` (a placeholder if the walk does not want it).
+    /// Value `i`. The Flat walker puts only the values wanted; the Delta
+    /// walker puts a placeholder for the others.
     fn put(&mut self, i: usize, v: Value);
 }
 
@@ -358,43 +343,76 @@ pub fn decode_row(bytes: &[u8]) -> Result<(RowId, Row)> {
 }
 
 /// The one Flat tuple parser: the row id, and `walk` holding what it wants.
+/// Each value costs one tag dispatch and one bounds check on its payload;
+/// only the values `walk` wants are materialised, and every value is
+/// checked either way.
 fn walk_flat<W: Walk>(bytes: &[u8], mut walk: W) -> Result<(RowId, W)> {
-    let mut r = Reader { bytes, pos: 0 };
-    let id = r.u64()?;
-    let count = r.u16()? as usize;
+    let truncated = || Error::Storage("truncated tuple".into());
+    let (&head, mut rest) = bytes.split_first_chunk::<10>().ok_or_else(truncated)?;
+    let [id @ .., c0, c1] = head;
+    let count = usize::from(u16::from_le_bytes([c0, c1]));
     walk.start(count.min(bytes.len()));
     for i in 0..count {
-        let v = match r.u8()? {
-            TAG_NULL => Value::Null,
-            TAG_INT64 => Value::Int64(r.i64()?),
-            TAG_FLOAT64 => Value::Float64(f64::from_le_bytes(r.array()?)),
-            TAG_TEXT => {
-                let len = r.u32()? as usize;
-                r.text(len, walk.wants(i))?
-            }
-            TAG_BOOL => Value::Bool(r.u8()? != 0),
-            TAG_INT_ARRAY => {
-                // The elements must all be there before any is read, so a
-                // damaged length cannot size an allocation.
-                let n = r.u32()? as usize;
-                let mut elems = Reader {
-                    bytes: r.take(8 * n)?,
-                    pos: 0,
-                };
-                if walk.wants(i) {
-                    Value::IntArray((0..n).map(|_| elems.i64()).collect::<Result<_>>()?)
-                } else {
-                    Value::Null
+        let (&tag, payload) = rest.split_first().ok_or_else(truncated)?;
+        let want = walk.wants(i);
+        rest = match tag {
+            TAG_NULL => {
+                if want {
+                    walk.put(i, Value::Null);
                 }
+                payload
+            }
+            TAG_INT64 => {
+                let (&word, after) = payload.split_first_chunk::<8>().ok_or_else(truncated)?;
+                if want {
+                    walk.put(i, Value::Int64(i64::from_le_bytes(word)));
+                }
+                after
+            }
+            TAG_FLOAT64 => {
+                let (&word, after) = payload.split_first_chunk::<8>().ok_or_else(truncated)?;
+                if want {
+                    walk.put(i, Value::Float64(f64::from_le_bytes(word)));
+                }
+                after
+            }
+            TAG_BOOL => {
+                let (&b, after) = payload.split_first().ok_or_else(truncated)?;
+                if want {
+                    walk.put(i, Value::Bool(b != 0));
+                }
+                after
+            }
+            TAG_TEXT | TAG_INT_ARRAY => {
+                let (&n, after) = payload.split_first_chunk::<4>().ok_or_else(truncated)?;
+                let n = u32::from_le_bytes(n) as usize;
+                // The whole extent must be there before any of it is read,
+                // so a damaged length cannot size an allocation.
+                let len = if tag == TAG_TEXT { n } else { 8 * n };
+                let (body, after) = after.split_at_checked(len).ok_or_else(truncated)?;
+                if tag == TAG_TEXT {
+                    let s = std::str::from_utf8(body)
+                        .map_err(|_| Error::Storage("tuple text is not UTF-8".into()))?;
+                    if want {
+                        walk.put(i, Value::Text(s.to_owned()));
+                    }
+                } else if want {
+                    let elems = body.chunks_exact(8).map(|w| {
+                        let mut word = [0; 8];
+                        word.copy_from_slice(w);
+                        i64::from_le_bytes(word)
+                    });
+                    walk.put(i, Value::IntArray(elems.collect()));
+                }
+                after
             }
             tag => return Err(Error::Storage(format!("unknown value tag {tag}"))),
         };
-        walk.put(i, v);
     }
-    if r.pos != bytes.len() {
+    if !rest.is_empty() {
         return Err(Error::Storage("trailing bytes after tuple".into()));
     }
-    Ok((id, walk))
+    Ok((u64::from_le_bytes(id), walk))
 }
 
 // ---------------------------------------------------------------------------

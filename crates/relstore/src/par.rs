@@ -116,17 +116,19 @@ impl<'a> LeaseWaves<'a> {
 /// Per-worker emitted-row counts shared with an explain node.
 type WorkerRows = Rc<RefCell<Vec<u64>>>;
 
-/// Page-ordered fetch of the rows an index maps a key list to — the rid
-/// join of checkout and versioned queries (§5.5.5), which is *one rlist
-/// plus the records it names*, not a scan.
+/// Page-ordered fetch of the rows a row-id list names — the rid join of
+/// checkout and versioned queries (§5.5.5), which is *one rlist plus the
+/// records it names*, not a scan. A CVD's data table numbers its rows by
+/// rid, so its row directory is the rid index.
 ///
-/// Construction resolves every key through the index and the row
-/// directory to a tuple address (keys with no row are skipped, as an inner
-/// join would) and sorts the addresses by `(page, slot)`. Execution pins
-/// each touched page **once** and decodes only the wanted slots, so rows
-/// come out in physical order: exactly the rows and order of
-/// `Project(HashJoin(Values keys, SeqScan table))`, without reading the
-/// pages or decoding the tuples that join discards.
+/// Construction resolves every id through the row directory to a tuple
+/// address (ids with no live row are skipped, as an inner join would) and
+/// sorts the addresses by `(page, slot)`. Execution pins each touched
+/// page **once** and decodes only the wanted slots, so rows come out in
+/// physical order: exactly the rows and order of
+/// `Project(HashJoin(Values ids, SeqScan table))` on a table whose first
+/// column is its row id, without reading the pages or decoding the tuples
+/// that join discards.
 ///
 /// With no pool, or a one-thread pool, pages are read in place on the
 /// coordinator as rows are pulled — no leases, no copies, and a `Limit`
@@ -139,9 +141,10 @@ type WorkerRows = Rc<RefCell<Vec<u64>>>;
 /// located tuple is tested on its encoded bytes, on the coordinator and on
 /// the workers alike, and only the rows that pass are decoded and emitted.
 ///
-/// Estimated cost: one index probe per key, one tuple per located row
-/// (plus, under a test, the operator evaluations of testing it), and per
-/// touched page a sequential read when it directly follows the previous
+/// Estimated cost: one index probe per id (the estimate models the
+/// paper's PostgreSQL plan, which probes an index on `rid`), one tuple
+/// per located row (plus, under a test, the operator evaluations of
+/// testing it), and per touched page a sequential read when it directly follows the previous
 /// touched page, a random read otherwise — charged on the coordinator
 /// before the first row, the same at every thread count.
 pub struct RidFetch<'a> {
@@ -159,18 +162,17 @@ pub struct RidFetch<'a> {
 }
 
 impl<'a> RidFetch<'a> {
-    /// Fetch the rows `index` (by name) maps `keys` to.
+    /// Fetch the rows of `table` whose row ids are `ids`.
     pub fn new(
         table: &'a Table,
-        index: &str,
-        keys: impl IntoIterator<Item = i64>,
+        ids: impl IntoIterator<Item = i64>,
         pool: Option<&WorkerPool>,
-    ) -> Result<Self> {
+    ) -> Self {
         let mut probes = 0;
-        let touched = table.locate(index, keys.into_iter().inspect(|_| probes += 1))?;
+        let touched = table.locate(ids.into_iter().inspect(|_| probes += 1));
         let workers = pool.filter(|p| p.threads() > 1).cloned();
         let parallelism = workers.as_ref().map_or(1, WorkerPool::threads);
-        Ok(RidFetch {
+        RidFetch {
             table,
             touched,
             probes,
@@ -180,7 +182,7 @@ impl<'a> RidFetch<'a> {
             out: VecDeque::new(),
             started: false,
             worker_rows: Rc::new(RefCell::new(vec![0; parallelism])),
-        })
+        }
     }
 
     /// Emit only the rows that pass `test`.
@@ -304,7 +306,6 @@ mod tests {
     use super::*;
     use crate::error::Error;
     use crate::exec::{collect, Filter, HashJoin, Project, SeqScan, Values};
-    use crate::index::IndexKind;
     use crate::schema::Column;
     use crate::value::{DataType, Value};
 
@@ -339,9 +340,7 @@ mod tests {
 
     #[test]
     fn rid_fetch_matches_hash_join_oracle_at_every_thread_count() {
-        let mut t = data_table(2_000);
-        t.create_index("rid_pk", "rid", true, IndexKind::BTree)
-            .unwrap();
+        let t = data_table(2_000);
         t.pool().flush_all().unwrap();
         // Sparse, with a duplicate and two absent keys.
         let mut keys: Vec<i64> = (0..700).step_by(37).collect();
@@ -353,7 +352,7 @@ mod tests {
             let pool = WorkerPool::new(threads);
             let before = t.io_stats();
             let mut ctx = ExecContext::new();
-            let mut fetch = RidFetch::new(&t, "rid_pk", keys.iter().copied(), Some(&pool)).unwrap();
+            let mut fetch = RidFetch::new(&t, keys.iter().copied(), Some(&pool));
             assert_eq!(fetch.rows(), want.len());
             let rows = collect(&mut fetch, &mut ctx).unwrap();
             assert_eq!(rows, want, "threads={threads}");
@@ -388,8 +387,6 @@ mod tests {
         for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
             let pool = Rc::new(pagestore::BufferPool::in_memory(64));
             let mut t = Table::with_format("w", data_table(0).schema().clone(), pool, kind);
-            t.create_index("rid_pk", "rid", true, IndexKind::BTree)
-                .unwrap();
             for i in 0..300i64 {
                 let tag = match i % 25 {
                     0 => "z".repeat(3 * pagestore::PAGE_SIZE),
@@ -405,9 +402,7 @@ mod tests {
             t.pool().flush_all().unwrap();
             let fetch = |threads, test| {
                 let workers = WorkerPool::new(threads);
-                RidFetch::new(&t, "rid_pk", 0..300, Some(&workers))
-                    .unwrap()
-                    .with_test(test)
+                RidFetch::new(&t, 0..300, Some(&workers)).with_test(test)
             };
             for (column, op, literal) in [
                 (1, BinOp::Gt, Value::Int64(90)),
@@ -439,20 +434,30 @@ mod tests {
 
     #[test]
     fn rid_fetch_serial_limit_stops_reading_pages() {
-        let mut t = data_table(2_000);
-        t.create_index("rid_pk", "rid", true, IndexKind::BTree)
-            .unwrap();
-        let fetch = RidFetch::new(&t, "rid_pk", 0..2_000, None).unwrap();
+        let t = data_table(2_000);
+        let fetch = RidFetch::new(&t, 0..2_000, None);
         let touched = fetch.touched_pages() as u64;
         let mut ctx = ExecContext::new();
         let mut limit = crate::exec::Limit::new(Box::new(fetch), 3);
         assert_eq!(collect(&mut limit, &mut ctx).unwrap().len(), 3);
         assert_eq!(ctx.tracker.measured.logical_reads, 1);
         assert!(touched > 1);
-        assert!(matches!(
-            RidFetch::new(&t, "no_such_index", [1], None),
-            Err(Error::IndexNotFound(_))
-        ));
+    }
+
+    /// An id names a row through the directory alone: a deleted row, a
+    /// negative id and one past the directory locate nothing, but each is
+    /// still charged its probe.
+    #[test]
+    fn rid_fetch_skips_ids_with_no_live_row() {
+        let mut t = data_table(50);
+        t.delete(7).unwrap();
+        let ids = [3, 7, -1, i64::MIN, 50, i64::MAX, 9];
+        let fetch = RidFetch::new(&t, ids, None);
+        assert_eq!(fetch.rows(), 2);
+        let mut ctx = ExecContext::new();
+        let rows = collect(&mut { fetch }, &mut ctx).unwrap();
+        assert_eq!(rows, rid_join_oracle(&t, &ids));
+        assert_eq!(ctx.tracker.index_tuples, ids.len() as u64);
     }
 
     /// A page the pool cannot supply is an error, never a shorter result
@@ -469,8 +474,6 @@ mod tests {
             ]),
             Rc::clone(&pool),
         );
-        t.create_index("rid_pk", "rid", true, IndexKind::BTree)
-            .unwrap();
         for i in 0..40i64 {
             t.insert(vec![Value::Int64(i), Value::Text("y".repeat(1_000))])
                 .unwrap();
@@ -478,7 +481,7 @@ mod tests {
         pool.flush_all().unwrap();
         for threads in [1, 4] {
             let workers = WorkerPool::new(threads);
-            let fetch = || RidFetch::new(&t, "rid_pk", 0..40, Some(&workers)).unwrap();
+            let fetch = || RidFetch::new(&t, 0..40, Some(&workers));
             let rows = collect(&mut fetch(), &mut ExecContext::new()).unwrap();
             assert_eq!(rows.len(), 40);
             // Both frames pinned: every other page is unreadable.
@@ -489,12 +492,12 @@ mod tests {
         }
     }
 
-    /// Fetch every row of `t` through `rid_pk` at `threads`, returning the
+    /// Fetch every row of `t` by row id at `threads`, returning the
     /// rows and the pool's counters across the fetch.
     fn fetch_all(t: &Table, threads: usize) -> (Vec<Row>, pagestore::IoStats) {
         let workers = WorkerPool::new(threads);
         let keys = 0..t.live_row_count() as i64;
-        let mut fetch = RidFetch::new(t, "rid_pk", keys, Some(&workers)).unwrap();
+        let mut fetch = RidFetch::new(t, keys, Some(&workers));
         let before = t.io_stats();
         let rows = collect(&mut fetch, &mut ExecContext::new()).unwrap();
         (rows, t.io_stats().since(&before))
@@ -504,9 +507,7 @@ mod tests {
     fn rid_fetch_on_dirty_pages_falls_back_to_counted_copies() {
         // No flush: every heap page is dirty, so each one must be copied
         // (and counted) rather than leased — output stays identical.
-        let mut t = data_table(500);
-        t.create_index("rid_pk", "rid", true, IndexKind::BTree)
-            .unwrap();
+        let t = data_table(500);
         let (serial, _) = fetch_all(&t, 1);
         let (rows, delta) = fetch_all(&t, 4);
         assert_eq!(rows, serial);
@@ -533,8 +534,6 @@ mod tests {
             ]),
             pool,
         );
-        t.create_index("rid_pk", "rid", true, IndexKind::BTree)
-            .unwrap();
         for i in 0..400i64 {
             t.insert(vec![Value::Int64(i), Value::Text("y".repeat(256))])
                 .unwrap();
@@ -550,11 +549,9 @@ mod tests {
 
     #[test]
     fn rid_fetch_with_no_keys_or_fewer_morsels_than_workers() {
-        let mut t = data_table(60);
-        t.create_index("rid_pk", "rid", true, IndexKind::BTree)
-            .unwrap();
+        let t = data_table(60);
         let workers = WorkerPool::new(4);
-        let mut empty = RidFetch::new(&t, "rid_pk", [], Some(&workers)).unwrap();
+        let mut empty = RidFetch::new(&t, [], Some(&workers));
         assert!(collect(&mut empty, &mut ExecContext::new())
             .unwrap()
             .is_empty());

@@ -61,8 +61,8 @@ struct IndexEntry {
 }
 
 /// The heap pages a set of rows lives on, ascending, each with the
-/// ascending slots wanted from it — what [`Table::locate`] resolves index
-/// keys to, and the order a page-ordered fetch emits rows in.
+/// ascending slots wanted from it — what [`Table::locate`] resolves row
+/// ids to, and the order a page-ordered fetch emits rows in.
 #[derive(Debug, Default)]
 pub(crate) struct TouchedPages {
     /// `(page ordinal, its range of `slots`)`.
@@ -637,14 +637,13 @@ impl Table {
         tracker.measured.absorb(&self.pool.stats().since(&before));
         // Decode outside the measured window: decoding reads the already
         // materialized bytes, never the pool.
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let mut out = Vec::with_capacity(tuples.len());
         for (_, bytes) in tuples {
             out.push(self.format.decode_row(&bytes)?);
         }
         self.pool.note_tuples_decoded(out.len() as u64);
-        self.pool
-            .note_decode_micros(started.elapsed().as_micros() as u64);
+        self.pool.note_decode_time(started.elapsed());
         Ok(out)
     }
 
@@ -679,7 +678,7 @@ impl Table {
                 }
             }
         }
-        let decode_micros = started.elapsed().as_micros() as u64;
+        let decode_time = started.elapsed();
         // Chains are read with the data page unpinned, as `HeapFile::get`
         // does: a small pool needs the frame.
         for (i, head) in chains {
@@ -689,7 +688,7 @@ impl Table {
         let rows: Vec<Row> = rows.into_iter().flatten().collect();
         tracker.measured.absorb(&self.pool.stats().since(&before));
         self.pool.note_tuples_decoded(rows.len() as u64);
-        self.pool.note_decode_micros(decode_micros);
+        self.pool.note_decode_time(decode_time);
         Ok(rows)
     }
 
@@ -768,23 +767,17 @@ impl Table {
         Ok(entry.index.get(key))
     }
 
-    /// Resolve `keys` through `index` and the row directory to the pages
-    /// and slots holding their rows. Keys with no row are skipped; no
-    /// page is touched.
-    pub(crate) fn locate(
-        &self,
-        index: &str,
-        keys: impl IntoIterator<Item = i64>,
-    ) -> Result<TouchedPages> {
-        let entry = self
-            .indexes
-            .get(index)
-            .ok_or_else(|| Error::IndexNotFound(index.to_owned()))?;
-        let mut addrs: Vec<TupleAddr> = Vec::new();
-        for key in keys {
-            let ids = entry.index.get(key).iter();
-            addrs.extend(ids.filter_map(|&id| self.directory.get(id as usize).copied().flatten()));
-        }
+    /// Resolve row `ids` through the row directory to the pages and slots
+    /// holding their rows. An id with no live row — deleted, negative or
+    /// past the directory — is skipped; no page is touched.
+    pub(crate) fn locate(&self, ids: impl IntoIterator<Item = i64>) -> TouchedPages {
+        let addr = |id: i64| {
+            self.directory
+                .get(usize::try_from(id).ok()?)
+                .copied()
+                .flatten()
+        };
+        let mut addrs: Vec<TupleAddr> = ids.into_iter().filter_map(addr).collect();
         addrs.sort_unstable_by_key(|a| (a.page_ord, a.slot));
         let mut touched = TouchedPages::default();
         for addr in addrs {
@@ -796,7 +789,7 @@ impl Table {
                 _ => touched.pages.push((ord, at..at + 1)),
             }
         }
-        Ok(touched)
+        touched
     }
 
     /// Column an index is built over.

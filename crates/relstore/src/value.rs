@@ -220,7 +220,7 @@ impl Value {
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Int64(v) => write!(f, "{v}"),
+            Value::Int64(v) => fmt::Display::fmt(v, f),
             Value::Float64(v) => write!(f, "{v}"),
             Value::Text(s) => write!(f, "{s}"),
             Value::Bool(b) => write!(f, "{b}"),

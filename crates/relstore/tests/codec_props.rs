@@ -176,6 +176,205 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The Flat walker against the one it replaced, kept below as
+    /// [`reference`]: on every tuple, every prefix cut and every
+    /// single-byte flip, `decode_row` and the probe of each column give
+    /// the reference's values, and fail exactly when it fails, with its
+    /// error text.
+    #[test]
+    fn flat_walker_agrees_with_the_reference_walker(
+        rows in prop::collection::vec(
+            prop::collection::vec(prop_oneof![value_strategy(), probe_value()], 0..6),
+            1..8,
+        ),
+        mask in 1u8..=255,
+    ) {
+        let text = |e: relstore::Error| e.to_string();
+        for (i, row) in rows.iter().enumerate() {
+            let bytes = codec::encode_row(i as u64, row);
+            let flips = (0..bytes.len()).map(|at| {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= mask;
+                flipped
+            });
+            let cuts = (0..bytes.len()).map(|cut| bytes[..cut].to_vec());
+            for mutant in std::iter::once(bytes.clone()).chain(cuts).chain(flips) {
+                let got = codec::decode_row(&mutant).map_err(text);
+                let want = reference::decode_row(&mutant).map_err(text);
+                let same = match (&got, &want) {
+                    (Ok((a, x)), Ok((b, y))) => a == b && rows_eq(x, y),
+                    (got, want) => got == want,
+                };
+                prop_assert!(same, "{:?}: decode {:?}, reference {:?}", mutant, got, want);
+                for c in 0..7 {
+                    let got = RowDecoder::Flat.probe(&mutant, c).map_err(text);
+                    let want = reference::probe(&mutant, c).map_err(text);
+                    let same = match (&got, &want) {
+                        (Ok(Some(x)), Ok(Some(y))) => values_eq(x, y),
+                        (got, want) => got == want,
+                    };
+                    prop_assert!(same, "column {} of {:?}: probe {:?}, reference {:?}", c, mutant, got, want);
+                }
+            }
+        }
+    }
+}
+
+/// The Flat walker as it was before it was rewritten to cost one tag
+/// dispatch and one bounds check per value: a test-only oracle.
+mod reference {
+    use relstore::{Error, Result, Value};
+
+    const TAG_NULL: u8 = 0;
+    const TAG_INT64: u8 = 1;
+    const TAG_FLOAT64: u8 = 2;
+    const TAG_TEXT: u8 = 3;
+    const TAG_BOOL: u8 = 4;
+    const TAG_INT_ARRAY: u8 = 5;
+
+    struct Reader<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> Reader<'a> {
+        fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+            let end = self.pos + n;
+            if end > self.bytes.len() {
+                return Err(Error::Storage("truncated tuple".into()));
+            }
+            let s = &self.bytes[self.pos..end];
+            self.pos = end;
+            Ok(s)
+        }
+
+        fn u8(&mut self) -> Result<u8> {
+            Ok(self.take(1)?[0])
+        }
+
+        fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+            self.take(N)?
+                .try_into()
+                .map_err(|_| Error::Storage("truncated tuple field".into()))
+        }
+
+        fn u16(&mut self) -> Result<u16> {
+            Ok(u16::from_le_bytes(self.array()?))
+        }
+
+        fn u32(&mut self) -> Result<u32> {
+            Ok(u32::from_le_bytes(self.array()?))
+        }
+
+        fn u64(&mut self) -> Result<u64> {
+            Ok(u64::from_le_bytes(self.array()?))
+        }
+
+        fn i64(&mut self) -> Result<i64> {
+            Ok(i64::from_le_bytes(self.array()?))
+        }
+
+        fn text(&mut self, len: usize, keep: bool) -> Result<Value> {
+            let s = std::str::from_utf8(self.take(len)?)
+                .map_err(|_| Error::Storage("tuple text is not UTF-8".into()))?;
+            Ok(if keep {
+                Value::Text(s.to_owned())
+            } else {
+                Value::Null
+            })
+        }
+    }
+
+    trait Walk {
+        fn start(&mut self, _count: usize) {}
+        fn wants(&self, i: usize) -> bool;
+        fn put(&mut self, i: usize, v: Value);
+    }
+
+    impl Walk for Vec<Value> {
+        fn start(&mut self, count: usize) {
+            self.reserve(count);
+        }
+
+        fn wants(&self, _: usize) -> bool {
+            true
+        }
+
+        fn put(&mut self, _: usize, v: Value) {
+            self.push(v);
+        }
+    }
+
+    struct Probe {
+        column: usize,
+        value: Option<Value>,
+    }
+
+    impl Walk for Probe {
+        fn wants(&self, i: usize) -> bool {
+            i == self.column
+        }
+
+        fn put(&mut self, i: usize, v: Value) {
+            if i == self.column {
+                self.value = Some(v);
+            }
+        }
+    }
+
+    pub fn decode_row(bytes: &[u8]) -> Result<(u64, Vec<Value>)> {
+        walk_flat(bytes, Vec::new())
+    }
+
+    pub fn probe(bytes: &[u8], column: usize) -> Result<Option<Value>> {
+        let probe = Probe {
+            column,
+            value: None,
+        };
+        Ok(walk_flat(bytes, probe)?.1.value)
+    }
+
+    fn walk_flat<W: Walk>(bytes: &[u8], mut walk: W) -> Result<(u64, W)> {
+        let mut r = Reader { bytes, pos: 0 };
+        let id = r.u64()?;
+        let count = r.u16()? as usize;
+        walk.start(count.min(bytes.len()));
+        for i in 0..count {
+            let v = match r.u8()? {
+                TAG_NULL => Value::Null,
+                TAG_INT64 => Value::Int64(r.i64()?),
+                TAG_FLOAT64 => Value::Float64(f64::from_le_bytes(r.array()?)),
+                TAG_TEXT => {
+                    let len = r.u32()? as usize;
+                    r.text(len, walk.wants(i))?
+                }
+                TAG_BOOL => Value::Bool(r.u8()? != 0),
+                TAG_INT_ARRAY => {
+                    let n = r.u32()? as usize;
+                    let mut elems = Reader {
+                        bytes: r.take(8 * n)?,
+                        pos: 0,
+                    };
+                    if walk.wants(i) {
+                        Value::IntArray((0..n).map(|_| elems.i64()).collect::<Result<_>>()?)
+                    } else {
+                        Value::Null
+                    }
+                }
+                tag => return Err(Error::Storage(format!("unknown value tag {tag}"))),
+            };
+            walk.put(i, v);
+        }
+        if r.pos != bytes.len() {
+            return Err(Error::Storage("trailing bytes after tuple".into()));
+        }
+        Ok((id, walk))
+    }
+}
+
 /// Text from a small alphabet (so strings repeat and promote to Delta
 /// dictionary codes, and a flipped byte can break UTF-8), short int
 /// arrays, ints and NULLs.

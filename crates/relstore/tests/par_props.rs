@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use relstore::codec::PageFormatKind;
 use relstore::{
-    collect, BufferPool, Column, DataType, ExecContext, HashJoin, IndexKind, Project, RidFetch,
-    Schema, SeqScan, Table, Value, Values, WorkerPool,
+    collect, BufferPool, Column, DataType, ExecContext, HashJoin, Project, RidFetch, Schema,
+    SeqScan, Table, Value, Values, WorkerPool,
 };
 use std::rc::Rc;
 
@@ -46,7 +46,6 @@ proptest! {
         let pool = Rc::new(BufferPool::in_memory(if small_pool { 4 } else { 256 }));
         let kind = if delta { PageFormatKind::Delta } else { PageFormatKind::Flat };
         let mut t = Table::with_format("p", schema(), pool, kind);
-        t.create_index("rid_pk", "rid", true, IndexKind::BTree).unwrap();
         let row = |rid: usize, edit: usize, pad: usize| vec![
             Value::Int64(rid as i64),
             Value::Int64(rid as i64 % 7),
@@ -103,8 +102,7 @@ proptest! {
 
         for threads in [1usize, 2, 4, 8] {
             let workers = WorkerPool::new(threads);
-            let mut fetch =
-                RidFetch::new(&t, "rid_pk", keys.iter().copied(), Some(&workers)).unwrap();
+            let mut fetch = RidFetch::new(&t, keys.iter().copied(), Some(&workers));
             let before = t.io_stats();
             let mut ctx = ExecContext::new();
             let got = collect(&mut fetch, &mut ctx).unwrap();

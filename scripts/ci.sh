@@ -192,7 +192,7 @@ echo "==> observability smoke (explain analyze + metrics --json + trace dump)"
 # (sample 0) must record zero further allocations. Writes a trace summary
 # (trace_smoke.json) next to the metrics snapshot, into the git-ignored
 # results/ci/ so a CI run never dirties the checked-in result files.
-ORPHEUS_RESULTS_DIR=results/ci cargo run --release -q -p bench --bin obs_smoke
+cargo run --release -q -p bench --bin obs_smoke -- --results-dir results/ci
 
 echo "==> server smoke (concurrent sessions, group commit, backpressure)"
 # In-process gate over the multi-session front end: 8 concurrent scripted
@@ -204,7 +204,7 @@ echo "==> server smoke (concurrent sessions, group commit, backpressure)"
 # span plus its WAL-fsync attribution (real fsync on the batch leader,
 # shared event on followers) and morsel worker events re-attached to the
 # traced read. See crates/bench/src/bin/server_smoke.rs.
-ORPHEUS_RESULTS_DIR=results/ci cargo run --release -q -p bench --bin server_smoke
+cargo run --release -q -p bench --bin server_smoke -- --results-dir results/ci
 
 echo "==> page-format frontier smoke (storage bytes vs recreation cost)"
 # Loads small SCI/CUR datasets under Flat and Delta, asserts Delta
@@ -213,9 +213,9 @@ echo "==> page-format frontier smoke (storage bytes vs recreation cost)"
 # never worsens ΣR), and validates the LMG budget planner against the
 # branch-and-bound oracle. Writes results/ci/frontier_smoke.json against
 # a pinned schema; the 1M-record tier is recorded as skipped with a
-# reason (it runs locally via ORPHEUS_FRONTIER_TIER=full — numbers in
+# reason (it runs locally via `frontier --tier full` — numbers in
 # EXPERIMENTS.md). perf_gate re-checks the document.
-ORPHEUS_RESULTS_DIR=results/ci cargo run --release -q -p bench --bin frontier
+cargo run --release -q -p bench --bin frontier -- --results-dir results/ci
 
 echo "==> server crash recovery (kill -9 mid-load, WAL replay)"
 # The external leg: the real `serve` binary on a loopback port, concurrent
@@ -337,9 +337,9 @@ echo "==> perf-regression gate (deterministic work counters)"
 # with per-key tolerances (crates/bench/src/gate.rs). Refresh after an
 # intentional perf change: ./scripts/perf_gate.sh --refresh
 # The gate also reads the scaling run's document, which nothing above writes.
-ORPHEUS_RESULTS_DIR=results/ci ORPHEUS_SCALING_REPS=1 \
-  cargo run --release -q -p bench --bin parallel_scaling > /dev/null
-ORPHEUS_RESULTS_DIR=results/ci cargo run --release -q -p bench --bin perf_gate
+cargo run --release -q -p bench --bin parallel_scaling -- --results-dir results/ci --reps 1 \
+  > /dev/null
+cargo run --release -q -p bench --bin perf_gate -- --results-dir results/ci
 
 echo "==> trajectory point for the newest issue (results/BENCH_<n>.json)"
 # A speed-up that is not in the trajectory did not happen (ROADMAP 7a):

@@ -13,14 +13,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-export ORPHEUS_RESULTS_DIR=results/ci
-mkdir -p "$ORPHEUS_RESULTS_DIR"
+out=results/ci
+mkdir -p "$out"
 
-cargo run --release -q -p bench --bin obs_smoke >/dev/null
+cargo run --release -q -p bench --bin obs_smoke -- --results-dir "$out" >/dev/null
 # One rep per timing: the gate needs the deterministic counters and the
 # leg bookkeeping, not publication-grade wall numbers.
-ORPHEUS_SCALING_REPS=1 cargo run --release -q -p bench --bin parallel_scaling >/dev/null
+cargo run --release -q -p bench --bin parallel_scaling -- --results-dir "$out" --reps 1 >/dev/null
 # Page-format storage/recreation gate (smoke tier; the 1M tier runs
-# locally via ORPHEUS_FRONTIER_TIER=full — see EXPERIMENTS.md).
-cargo run --release -q -p bench --bin frontier >/dev/null
-cargo run --release -q -p bench --bin perf_gate -- "$@"
+# locally via `frontier --tier full` — see EXPERIMENTS.md).
+cargo run --release -q -p bench --bin frontier -- --results-dir "$out" >/dev/null
+cargo run --release -q -p bench --bin perf_gate -- --results-dir "$out" "$@"
