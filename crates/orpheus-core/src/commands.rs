@@ -10,7 +10,7 @@
 //! and the access controller (staging-table ownership checks).
 
 use crate::command::{Command, View};
-use crate::cvd::{Changes, CommitResult, Cvd};
+use crate::cvd::{only_in, Changes, CommitResult, Cvd};
 use crate::error::{Error, Result};
 use crate::metadata;
 use crate::plan::{self, Decorator, Instrumented, LogicalPlan, Plain, RidSet, Tables};
@@ -770,8 +770,8 @@ impl OrpheusDb {
             let recs = cvd.version_records(vid)?;
             graph.add_materialization(node, recs.len() as u64, recs.len() as u64);
             for &p in &meta.parents {
-                let (only_a, only_b) = cvd.diff(p, vid)?;
-                let d = (only_a.len() + only_b.len()).max(1) as u64;
+                let parent = cvd.version_records(p)?;
+                let d = (only_in(parent, recs).len() + only_in(recs, parent).len()).max(1) as u64;
                 graph.add_delta(p.0 as usize + 1, node, d, d);
             }
         }

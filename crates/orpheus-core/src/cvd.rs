@@ -11,6 +11,7 @@
 
 use crate::error::{Error, Result};
 use partition::{Bipartite, Rid, VersionGraph, VersionTree, Vid};
+use relstore::codec::encode_values;
 use relstore::{DataType, Row, Schema, Value};
 use std::collections::{HashMap, HashSet};
 
@@ -83,39 +84,6 @@ fn encode_row(row: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(row.len() * 9);
     encode_values(row, &mut out);
     out
-}
-
-/// Append the [`encode_row`] encoding of `values` to `out`.
-fn encode_values<'a>(values: impl IntoIterator<Item = &'a Value>, out: &mut Vec<u8>) {
-    for v in values {
-        match v {
-            Value::Int64(x) => {
-                out.push(1);
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            Value::Float64(x) => {
-                out.push(2);
-                out.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
-            Value::Text(s) => {
-                out.push(3);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-            Value::Bool(b) => {
-                out.push(4);
-                out.push(*b as u8);
-            }
-            Value::IntArray(a) => {
-                out.push(5);
-                out.extend_from_slice(&(a.len() as u32).to_le_bytes());
-                for x in a {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            Value::Null => out.push(0),
-        }
-    }
 }
 
 /// The encoding of `row`'s primary-key columns `cols`, written over `out`.
@@ -625,21 +593,6 @@ impl Cvd {
         }
     }
 
-    /// `diff`: rids in `a` but not in `b`, and vice versa (§3.3.1(a)).
-    pub fn diff(&self, a: Vid, b: Vid) -> Result<(Vec<Rid>, Vec<Rid>)> {
-        let (ra, rb) = (self.version_records(a)?, self.version_records(b)?);
-        Ok((only_in(ra, rb), only_in(rb, ra)))
-    }
-
-    /// `v_intersect`: records present in all given versions (§3.3.2(c)).
-    pub fn v_intersect(&self, versions: &[Vid]) -> Result<Vec<Rid>> {
-        let lists: Vec<&[Rid]> = versions
-            .iter()
-            .map(|&v| self.version_records(v))
-            .collect::<Result<_>>()?;
-        Ok(common(lists))
-    }
-
     /// The bipartite version–record graph of this CVD.
     pub fn bipartite(&self) -> Bipartite {
         let mut b = Bipartite::new(self.records.len() as u64);
@@ -653,30 +606,6 @@ impl Cvd {
     pub fn tree(&self) -> VersionTree {
         let b = self.bipartite();
         self.graph.to_tree(Some(&b))
-    }
-
-    /// Rows of a version projected onto the attributes that version
-    /// actually has (per its metadata attribute list).
-    pub fn checkout_projected(&self, v: Vid) -> Result<(Schema, Vec<Row>)> {
-        self.check_version(v)?;
-        let meta = &self.metas[v.idx()];
-        let cols: Vec<usize> = meta
-            .attributes
-            .iter()
-            .map(|&a| {
-                let attr = &self.attributes[a as usize];
-                self.schema.index_of(&attr.name).map_err(Error::Storage)
-            })
-            .collect::<Result<_>>()?;
-        let schema = self.schema.project(&cols);
-        let rows = self.version_records[v.idx()]
-            .iter()
-            .map(|&rid| {
-                let row = &self.records[rid.idx()];
-                cols.iter().map(|&c| row[c].clone()).collect()
-            })
-            .collect();
-        Ok((schema, rows))
     }
 }
 
@@ -701,6 +630,7 @@ pub(crate) fn common<'a>(lists: impl IntoIterator<Item = &'a [Rid]>) -> Vec<Rid>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::RidSet;
     use relstore::Column;
 
     fn protein_schema() -> Schema {
@@ -925,11 +855,10 @@ mod tests {
         let mut changed = rows.clone();
         changed[0][4] = Value::Int64(83);
         let v1 = cvd.commit(&[v0], changed, "x", "bob").unwrap().vid;
-        let (only_a, only_b) = cvd.diff(v0, v1).unwrap();
-        assert_eq!(only_a.len(), 1);
-        assert_eq!(only_b.len(), 1);
-        let common = cvd.v_intersect(&[v0, v1]).unwrap();
-        assert_eq!(common.len(), 2);
+        let resolve = |set: RidSet| set.resolve(cvd.version_records_raw()).unwrap();
+        assert_eq!(resolve(RidSet::Diff(v0, v1)), [Rid(0)]);
+        assert_eq!(resolve(RidSet::Diff(v1, v0)), [Rid(3)]);
+        assert_eq!(resolve(RidSet::Intersect(vec![v0, v1])), [Rid(1), Rid(2)]);
     }
 
     #[test]
@@ -966,13 +895,8 @@ mod tests {
         assert_eq!(old[5], Value::Null);
         // Attribute table gained two entries: decimal cooccurrence + source.
         assert_eq!(cvd.attributes().len(), 7);
-        // v0's projection still shows five original attributes as integers…
-        let (s0, _) = cvd.checkout_projected(v0).unwrap();
-        assert_eq!(s0.len(), 5);
-        // …while the new version projects six.
-        let (s1, r1) = cvd.checkout_projected(res.vid).unwrap();
-        assert_eq!(s1.len(), 6);
-        assert_eq!(r1[0][5], Value::from("lab"));
+        let new = cvd.version_records(res.vid).unwrap();
+        assert_eq!(cvd.record(new[0])[5], Value::from("lab"));
     }
 
     #[test]

@@ -18,15 +18,15 @@
 
 use crate::cvd::{common, only_in, Cvd};
 use crate::error::{Error, Result};
-use crate::metadata::{data_name, data_schema, vtab_name};
+use crate::metadata::{data_name, data_schema};
 use crate::query::{Predicate, QueryResult, VQuery};
 use partition::{Rid, Vid};
 use relstore::{
-    collect, AggFunc, BoxExec, ColumnTest, CostModel, Database, Estimate, ExecContext, Executor,
-    ExplainNode, Filter, HashAggregate, HashJoin, Limit, RidFetch, Schema, SeqScan, Table, Unnest,
-    WorkerPool,
+    collect, AggFunc, BoxExec, Column, ColumnTest, DataType, Database, Estimate, ExecContext,
+    Executor, ExplainNode, HashJoin, Limit, RidFetch, Row, Schema, Value, WorkerPool,
 };
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::fmt::Arguments;
 use std::rc::Rc;
 
@@ -44,7 +44,7 @@ pub enum RidSet {
 impl RidSet {
     /// The set's record ids, ascending — data-table order — given every
     /// version's ascending record list (index = vid).
-    fn resolve(&self, versions: &[Vec<Rid>]) -> Result<Vec<Rid>> {
+    pub(crate) fn resolve(&self, versions: &[Vec<Rid>]) -> Result<Vec<Rid>> {
         let rids = |v: &Vid| {
             let list = versions.get(v.idx()).ok_or(Error::VersionNotFound(v.0))?;
             Ok(list.as_slice())
@@ -83,7 +83,9 @@ pub enum LogicalPlan {
         on: String,
     },
     /// `agg(col)` per version over every (version, record) membership of
-    /// the CVD, the predicate applied to the record before aggregating.
+    /// the CVD, the predicate applied to the record before aggregating;
+    /// `[vid, agg]` rows in ascending vid order, for each version holding
+    /// a record that passes.
     AggregateByVid {
         agg: AggFunc,
         col: String,
@@ -206,14 +208,22 @@ impl Decorator for Instrumented {
     }
 }
 
-/// `pred` resolved against the `[rid, attrs…]` star schema.
-fn column_test(star: &Schema, pred: Option<&Predicate>) -> Result<Option<ColumnTest>> {
+/// The `[rid, attrs…]` star schema of `src`, `pred` resolved against it,
+/// and the tag of a fetch leaf: the predicate (`… where k > 3`), then
+/// `side`.
+fn pushed_down<S: Source>(
+    src: &S,
+    pred: Option<&Predicate>,
+    side: &str,
+) -> Result<(Schema, Option<ColumnTest>, String)> {
+    let star = src.star();
     let resolve = |(col, op, v): &Predicate| ColumnTest::new(star.index_of(col)?, *op, v.clone());
-    Ok(pred.map(resolve).transpose()?)
-}
-
-fn pages_of(rows: f64) -> f64 {
-    (rows / CostModel::default().rows_per_page as f64).ceil()
+    let test = pred.map(resolve).transpose()?;
+    let tag = match &test {
+        Some(t) => format!(" where {}{side}", t.describe(&star)),
+        None => side.to_owned(),
+    };
+    Ok((star, test, tag))
 }
 
 /// Where a plan's leaves read from.
@@ -231,10 +241,6 @@ pub(crate) trait Source {
         side: &str,
         dec: &D,
     ) -> Result<Op<'a, D>>;
-    /// Every star row, in data-table order.
-    fn scan_star<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>>;
-    /// One `[vid, rlist]` row per version.
-    fn scan_rlists<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>>;
 }
 
 /// The engine source: a CVD's split-by-rlist tables, optionally read
@@ -253,14 +259,6 @@ impl Tables<'_> {
     }
 }
 
-fn seq_scan<'t, D: Decorator>(table: &'t Table, side: &str, dec: &D) -> Op<'t, D> {
-    let rows = table.live_row_count() as f64;
-    let label = format_args!("SeqScan {}{side}", table.name());
-    dec.wrap(Box::new(SeqScan::new(table)), vec![], label, |_| {
-        Estimate::new(rows, pages_of(rows))
-    })
-}
-
 impl Source for Tables<'_> {
     fn star(&self) -> Schema {
         data_schema(self.cvd)
@@ -270,6 +268,14 @@ impl Source for Tables<'_> {
         self.cvd.version_records_raw()
     }
 
+    /// The split-by-rlist retrieval step, `data ⨝ rids`: one [`RidFetch`]
+    /// of the rids as row ids (a record's rid is its row id in the data
+    /// table), which reads only the pages holding the wanted records, tests
+    /// each on its encoded tuple, and emits the `[rid, attrs…]` star rows
+    /// that pass in data-table order at every thread count, so higher
+    /// operators (limits, joins, the version aggregate) see one stream. Its
+    /// estimate is exact but for the test's selectivity: the directory names
+    /// the rows and pages before anything is read.
     fn fetch<'a, D: Decorator>(
         &'a self,
         rids: Vec<Rid>,
@@ -279,57 +285,20 @@ impl Source for Tables<'_> {
     ) -> Result<Op<'a, D>> {
         let data = self.db.table(&data_name(self.cvd.name()))?;
         let rids = rids.iter().map(|r| r.0 as i64);
-        Ok(rid_join_plan(
-            data,
-            rids,
-            test,
-            self.pool.as_ref(),
-            side,
-            dec,
-        ))
+        let share = test.as_ref().map_or(1.0, ColumnTest::selectivity);
+        let fetch = RidFetch::new(data, rids, self.pool.as_ref()).with_test(test);
+        let est = Estimate::new(fetch.rows() as f64 * share, fetch.touched_pages() as f64)
+            .with_parallelism(fetch.parallelism());
+        let worker_rows = fetch.worker_rows();
+        let label = format_args!("RidFetch {}{side}", data.name());
+        let (fetch, mut node) = dec.wrap(Box::new(fetch), vec![], label, |_| est);
+        D::set_worker_rows(&mut node, worker_rows);
+        Ok((fetch, node))
     }
-
-    fn scan_star<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>> {
-        let data = self.db.table(&data_name(self.cvd.name()))?;
-        Ok(seq_scan(data, "", dec))
-    }
-
-    fn scan_rlists<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>> {
-        let vtab = self.db.table(&vtab_name(self.cvd.name()))?;
-        Ok(seq_scan(vtab, "", dec))
-    }
-}
-
-/// The split-by-rlist retrieval step, `data ⨝ rids`: one [`RidFetch`]
-/// of the rids as row ids (a record's rid is its row id in the data
-/// table), which reads only the pages holding the wanted records, tests
-/// each on its encoded tuple, and emits the `[rid, attrs…]` star rows
-/// that pass in data-table order at every thread count, so higher
-/// operators (limits, joins) see one stream. Its
-/// estimate is exact but for the test's selectivity: the directory names
-/// the rows and pages before anything is read.
-pub(crate) fn rid_join_plan<'t, D: Decorator>(
-    data: &'t Table,
-    rids: impl IntoIterator<Item = i64>,
-    test: Option<ColumnTest>,
-    pool: Option<&WorkerPool>,
-    side: &str,
-    dec: &D,
-) -> Op<'t, D> {
-    let share = test.as_ref().map_or(1.0, ColumnTest::selectivity);
-    let fetch = RidFetch::new(data, rids, pool).with_test(test);
-    let est = Estimate::new(fetch.rows() as f64 * share, fetch.touched_pages() as f64)
-        .with_parallelism(fetch.parallelism());
-    let worker_rows = fetch.worker_rows();
-    let label = format_args!("RidFetch {}{side}", data.name());
-    let (fetch, mut node) = dec.wrap(Box::new(fetch), vec![], label, |_| est);
-    D::set_worker_rows(&mut node, worker_rows);
-    (fetch, node)
 }
 
 /// A lowered plan: the operator tree, its decorator node, and the schema
-/// results are reported under. (The operators' own schemas carry the
-/// `rhs_` renames of the rid join; the logical schema does not.)
+/// results are reported under.
 pub(crate) type Lowered<'a, D> = (BoxExec<'a>, <D as Decorator>::Node, Schema);
 
 /// Lower `plan` to an operator tree over `src`, each operator passed
@@ -345,12 +314,7 @@ pub(crate) fn lower<'a, S: Source, D: Decorator>(
 ) -> Result<Lowered<'a, D>> {
     match plan {
         LogicalPlan::Fetch(set, predicate) => {
-            let star = src.star();
-            let test = column_test(&star, predicate.as_ref())?;
-            let tag = match &test {
-                Some(t) => format!(" where {}{side}", t.describe(&star)),
-                None => side.to_owned(),
-            };
+            let (star, test, tag) = pushed_down(src, predicate.as_ref(), side)?;
             let (exec, node) = src.fetch(set.resolve(src.versions())?, test, &tag, dec)?;
             Ok((exec, node, star))
         }
@@ -380,45 +344,175 @@ pub(crate) fn lower<'a, S: Source, D: Decorator>(
             col,
             predicate,
         } => {
-            // (vid, rid) pairs via unnest of every rlist, joined with the
-            // data on rid: `[vid, rid, rid, attrs…]`, so the star columns
-            // start at 2.
-            const STAR_AT: usize = 2;
-            let star = src.star();
-            let test = column_test(&star, predicate.as_ref())?;
-            let agg_idx = STAR_AT + star.index_of(col)?;
+            let (star, test, tag) = pushed_down(src, predicate.as_ref(), side)?;
+            let column = star.index_of(col)?;
             let versions = src.versions();
-            let (rlists, node) = src.scan_rlists(dec)?;
-            let unnest = Box::new(Unnest::new(rlists, 1)?);
-            let (unnest, unnest_node) =
-                dec.wrap(unnest, vec![node], format_args!("Unnest rlist"), |c| {
-                    // Fan-out: total rlist entries across every version.
-                    let entries: usize = versions.iter().map(Vec::len).sum();
-                    Estimate::new(entries as f64, c[0].estimate.pages)
-                });
-            let (probe, probe_node) = src.scan_star(dec)?;
-            let join = Box::new(HashJoin::new(unnest, probe, 1, 0));
-            let label = format_args!("HashJoin rid=rid");
-            let mut op = dec.wrap(join, vec![unnest_node, probe_node], label, |c| {
-                let (l, r) = (c[0].estimate, c[1].estimate);
-                Estimate::new(l.rows, l.pages + r.pages)
-            });
-            if let Some(test) = test {
-                let filter = Box::new(Filter::new(op.0, test.expr(STAR_AT)));
-                let label = format_args!("Filter {}", test.describe(&star));
-                op = dec.wrap(filter, vec![op.1], label, |c| {
-                    let rows = c[0].estimate.rows * test.selectivity();
-                    Estimate::new(rows, c[0].estimate.pages)
-                });
-            }
-            let aggregate = Box::new(HashAggregate::new(op.0, vec![0], vec![(*agg, agg_idx)]));
-            let schema = aggregate.schema().clone();
-            let label = format_args!("HashAggregate {col} by vid");
-            let (exec, node) = dec.wrap(aggregate, vec![op.1], label, |c| {
+            let holders = holders(versions);
+            let rids = holders
+                .iter()
+                .enumerate()
+                .filter(|(_, vids)| !vids.is_empty())
+                .map(|(r, _)| Rid(r as u64))
+                .collect();
+            let (input, node) = src.fetch(rids, test, &tag, dec)?;
+            let Column { name, dtype, .. } = star.columns()[column].clone();
+            let dtype = match agg {
+                AggFunc::Count => DataType::Int64,
+                AggFunc::Avg => DataType::Float64,
+                _ => dtype,
+            };
+            let schema = Schema::new(vec![
+                Column::new("vid", DataType::Int64),
+                Column::nullable(format!("{}_{name}", agg_name(*agg)), dtype),
+            ]);
+            let aggregate = VersionAggregate {
+                input,
+                holders,
+                versions: versions.len(),
+                agg: *agg,
+                column,
+                name,
+                schema: schema.clone(),
+                out: None,
+            };
+            let label = format_args!("VersionAggregate {}({col}) by vid", agg_name(*agg));
+            let (exec, node) = dec.wrap(Box::new(aggregate), vec![node], label, |c| {
                 Estimate::new(versions.len() as f64, c[0].estimate.pages)
             });
             Ok((exec, node, schema))
         }
+    }
+}
+
+/// Every version's records inverted: for each rid (the index), the
+/// versions holding it, ascending. One walk over the memberships.
+fn holders(versions: &[Vec<Rid>]) -> Vec<Vec<Vid>> {
+    let records = versions.iter().filter_map(|rids| rids.last());
+    let mut holders = vec![Vec::new(); records.map(|r| r.idx() + 1).max().unwrap_or(0)];
+    for (v, rids) in versions.iter().enumerate() {
+        for r in rids {
+            holders[r.idx()].push(Vid(v as u32));
+        }
+    }
+    holders
+}
+
+fn agg_name(agg: AggFunc) -> &'static str {
+    match agg {
+        AggFunc::Count => "count",
+        AggFunc::Sum => "sum",
+        AggFunc::Avg => "avg",
+        AggFunc::Min => "min",
+        AggFunc::Max => "max",
+    }
+}
+
+/// `GROUP BY vid` over one fetch of every record some version holds:
+/// each star row fetched updates the accumulator of every version that
+/// holds its rid, so a record is tested and decoded once however many
+/// versions share it. A version folds its rows in the fetch's
+/// data-table order. Emits `[vid, agg]` in ascending vid order, for each
+/// version that received a row.
+struct VersionAggregate<'a> {
+    input: BoxExec<'a>,
+    /// The versions holding each rid (index = rid).
+    holders: Vec<Vec<Vid>>,
+    versions: usize,
+    agg: AggFunc,
+    /// The aggregated star column, and its name.
+    column: usize,
+    name: String,
+    schema: Schema,
+    out: Option<std::vec::IntoIter<Row>>,
+}
+
+impl VersionAggregate<'_> {
+    /// Drain the fetch into one accumulator per version, then finish them.
+    fn fold(&mut self, ctx: &mut ExecContext) -> relstore::Result<Vec<Row>> {
+        let mut accs: Vec<Option<Acc>> = vec![None; self.versions];
+        while let Some(row) = self.input.next(ctx)? {
+            let rid = row[0].as_i64().and_then(|r| usize::try_from(r).ok());
+            let Some(vids) = rid.and_then(|r| self.holders.get(r)) else {
+                let msg = format!("fetched row {} is no version's record", row[0]);
+                return Err(relstore::Error::InvalidOperation(msg));
+            };
+            ctx.tracker.ops(vids.len() as u64);
+            for v in vids {
+                let acc = accs[v.idx()].get_or_insert_with(Acc::default);
+                acc.add(self.agg, &row[self.column]);
+            }
+        }
+        let mut rows = Vec::new();
+        for (v, acc) in accs.into_iter().enumerate() {
+            if let Some(acc) = acc {
+                let value = acc.finish(self.agg, &self.name)?;
+                rows.push(vec![Value::Int64(v as i64), value]);
+            }
+        }
+        ctx.tracker.emit(rows.len() as u64);
+        Ok(rows)
+    }
+}
+
+impl Executor for VersionAggregate<'_> {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next(&mut self, ctx: &mut ExecContext) -> relstore::Result<Option<Row>> {
+        if self.out.is_none() {
+            self.out = Some(self.fold(ctx)?.into_iter());
+        }
+        Ok(self.out.as_mut().and_then(Iterator::next))
+    }
+}
+
+/// One version's running aggregate. Int64 values add exactly in `i128`,
+/// Float64 values in `f64` in the order they arrive; NULL is skipped.
+#[derive(Debug, Clone, Default)]
+struct Acc {
+    count: u64,
+    int: i128,
+    float: Option<f64>,
+    /// The least (`min`) or greatest (`max`) value so far.
+    best: Option<Value>,
+}
+
+impl Acc {
+    fn add(&mut self, agg: AggFunc, v: &Value) {
+        if v.is_null() {
+            return;
+        }
+        self.count += 1;
+        let beats = |want: Ordering| self.best.as_ref().is_none_or(|b| v.total_cmp(b) == want);
+        match (agg, v) {
+            (AggFunc::Sum | AggFunc::Avg, Value::Int64(x)) => self.int += i128::from(*x),
+            (AggFunc::Sum | AggFunc::Avg, Value::Float64(x)) => {
+                *self.float.get_or_insert(0.0) += x;
+            }
+            (AggFunc::Min, _) if beats(Ordering::Less) => self.best = Some(v.clone()),
+            (AggFunc::Max, _) if beats(Ordering::Greater) => self.best = Some(v.clone()),
+            _ => {}
+        }
+    }
+
+    /// The aggregate's value. A `sum` of Int64 `column` outside Int64 is
+    /// an error, as in PostgreSQL; `avg` divides the exact total.
+    fn finish(self, agg: AggFunc, column: &str) -> relstore::Result<Value> {
+        Ok(match agg {
+            AggFunc::Count => Value::Int64(self.count as i64),
+            _ if self.count == 0 => Value::Null,
+            AggFunc::Sum => match self.float {
+                Some(x) => Value::Float64(x),
+                None => Value::Int64(i64::try_from(self.int).map_err(|_| {
+                    relstore::Error::TypeError(format!("bigint out of range: sum({column})"))
+                })?),
+            },
+            AggFunc::Avg => {
+                Value::Float64(self.float.unwrap_or(self.int as f64) / self.count as f64)
+            }
+            AggFunc::Min | AggFunc::Max => self.best.unwrap_or(Value::Null),
+        })
     }
 }
 
@@ -450,6 +544,8 @@ pub(crate) mod tests {
     /// `S`: a sparse history — 40 versions fork from a one-page root, each
     /// adding a page of records of its own, so any one version lives on a
     /// small share of a multi-page data table.
+    /// `F`: a Float64 column whose sums depend on the order they are taken
+    /// in (`1e16 + 1.0` is `1e16`); three versions fork from the root.
     pub(crate) fn corpus_db() -> OrpheusDb {
         let mut odb = OrpheusDb::new();
         load_corpus(&mut odb);
@@ -532,6 +628,24 @@ pub(crate) mod tests {
             odb.commit_csv(&file, &csv, "k:int,pad:text", "fork")
                 .unwrap();
         }
+
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int64),
+            Column::new("x", DataType::Float64),
+        ]);
+        let xs = [0.1, 0.2, 0.3, 1e16, 1.0, -1e16, 0.7];
+        let rows: Vec<Row> = (0..)
+            .zip(xs)
+            .map(|(k, x)| vec![Value::Int64(k), Value::Float64(x)])
+            .collect();
+        odb.init_cvd("F", schema, vec!["k".into()], rows).unwrap();
+        for (child, x) in [(1, "0.1"), (2, "1.0"), (3, "-0.3")] {
+            odb.execute(&format!("checkout F -v 0 -t f{child}"))
+                .unwrap();
+            odb.execute(&format!("insert f{child} {},{x}", 100 + child))
+                .unwrap();
+            odb.execute(&format!("commit -t f{child} -m fork")).unwrap();
+        }
     }
 
     /// Every query form the parser accepts, over both corpus CVDs.
@@ -573,6 +687,13 @@ pub(crate) mod tests {
         "SELECT vid, max(score) FROM CVD T WHERE k > 4 GROUP BY vid",
         "SELECT vid, sum(score) FROM CVD T WHERE score > 4 GROUP BY vid",
         "SELECT vid, count(k) FROM CVD T WHERE name = 'extra' GROUP BY vid",
+        // …a root shared by 41 versions, a WHERE most versions fail…
+        "SELECT vid, count(*) FROM CVD S GROUP BY vid",
+        "SELECT vid, max(k) FROM CVD S WHERE k > 17000 GROUP BY vid",
+        // …and Float64 sums whose bits depend on row order.
+        "SELECT vid, sum(x) FROM CVD F GROUP BY vid",
+        "SELECT vid, avg(x) FROM CVD F GROUP BY vid",
+        "SELECT vid, sum(x) FROM CVD F WHERE k < 3 GROUP BY vid",
         // V_DIFF both ways, V_INTERSECT binary and n-ary.
         "SELECT * FROM V_DIFF(1, 2) OF CVD T",
         "SELECT * FROM V_DIFF(2, 1) OF CVD T",
@@ -807,6 +928,218 @@ pub(crate) mod tests {
                 "{reads} of {heap_pages}"
             );
         }
+    }
+
+    /// The reference leg: every GROUP BY of the corpus, folded here from
+    /// each version's own `SELECT *` rows (Int64 sums in `i128`, Float64
+    /// sums in row order), is the version aggregate's answer, schema
+    /// included, on the engine and pinned, at 1 and 4 threads, on Flat
+    /// and Delta pages.
+    #[test]
+    fn group_by_vid_is_each_versions_select_folded() {
+        for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
+            let mut odb = corpus_db_in(kind);
+            let mut groups = 0;
+            for sql in QUERY_CORPUS {
+                let query = parse_query(sql).unwrap();
+                let VQuery::AggregateByVersion { agg, agg_col, .. } = &query else {
+                    continue;
+                };
+                let want = folded(&odb, sql, query.cvd(), *agg, agg_col);
+                groups += want.rows.len();
+                let pinned = odb.snapshot(query.cvd()).unwrap();
+                assert_eq!(pinned.run(sql).unwrap(), want, "{kind:?} pinned: {sql}");
+                for threads in [1, 4] {
+                    odb.set_threads(threads);
+                    let got = odb.run(sql).unwrap();
+                    assert_eq!(got, want, "{kind:?}, {threads} threads: {sql}");
+                }
+            }
+            assert_eq!(groups, 111, "{kind:?}");
+        }
+    }
+
+    /// `sql`, a `GROUP BY vid` over `cvd`, answered by folding `agg(col)`
+    /// over each version's `SELECT * … [WHERE …]`.
+    fn folded(odb: &OrpheusDb, sql: &str, cvd: &str, agg: AggFunc, col: &str) -> QueryResult {
+        let filter = match sql.split_once(" WHERE ") {
+            Some((_, test)) => format!(" WHERE {}", test.trim_end_matches(" GROUP BY vid")),
+            None => String::new(),
+        };
+        let star = data_schema(odb.cvd(cvd).unwrap());
+        let column = star.column(star.index_of(col).unwrap()).unwrap().dtype;
+        let dtype = match agg {
+            AggFunc::Count => DataType::Int64,
+            AggFunc::Avg => DataType::Float64,
+            _ => column,
+        };
+        let schema = Schema::new(vec![
+            Column::new("vid", DataType::Int64),
+            Column::nullable(format!("{}_{col}", agg_name(agg)), dtype),
+        ]);
+        let mut rows = Vec::new();
+        for v in 0..odb.cvd(cvd).unwrap().num_versions() {
+            let select = format!("SELECT * FROM VERSION {v} OF CVD {cvd}{filter}");
+            let version = odb.run(&select).unwrap();
+            if version.rows.is_empty() {
+                continue;
+            }
+            let c = version.schema.index_of(col).unwrap();
+            let values: Vec<&Value> = version
+                .rows
+                .iter()
+                .map(|r| &r[c])
+                .filter(|v| !v.is_null())
+                .collect();
+            let n = values.len();
+            let ints = || {
+                values
+                    .iter()
+                    .map(|v| i128::from(v.as_i64().unwrap()))
+                    .sum::<i128>()
+            };
+            let floats = || values.iter().fold(0.0, |sum, v| sum + v.as_f64().unwrap());
+            let float = column == DataType::Float64;
+            let by = |a: &&Value, b: &&Value| a.total_cmp(b);
+            let value = match agg {
+                AggFunc::Count => Value::Int64(n as i64),
+                _ if n == 0 => Value::Null,
+                AggFunc::Sum if float => Value::Float64(floats()),
+                AggFunc::Sum => Value::Int64(i64::try_from(ints()).unwrap()),
+                AggFunc::Avg if float => Value::Float64(floats() / n as f64),
+                AggFunc::Avg => Value::Float64(ints() as f64 / n as f64),
+                AggFunc::Min => values.iter().copied().min_by(by).cloned().unwrap(),
+                AggFunc::Max => values.iter().copied().max_by(by).cloned().unwrap(),
+            };
+            rows.push(vec![Value::Int64(v as i64), value]);
+        }
+        QueryResult { schema, rows }
+    }
+
+    /// GROUP BY vid costs its records, not its memberships: one aggregate
+    /// over one fetch leaf, which decodes each record that passes once
+    /// however many of the 41 versions hold it, and reconciles with the
+    /// pool. The aggregate charges an op per version a fetched row
+    /// reaches and a tuple per group.
+    #[test]
+    fn group_by_vid_decodes_each_passing_record_once() {
+        let shapes = [
+            (
+                "SELECT vid, count(*) FROM CVD S GROUP BY vid",
+                "VersionAggregate count(rid) by vid",
+                "RidFetch S__sbr_data",
+                1025,
+            ),
+            (
+                "SELECT vid, max(k) FROM CVD S WHERE k > 17000 GROUP BY vid",
+                "VersionAggregate max(k) by vid",
+                "RidFetch S__sbr_data where k > 17000",
+                24 + 23 * 25,
+            ),
+        ];
+        for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
+            let mut odb = corpus_db_in(kind);
+            for threads in [1, 4] {
+                odb.set_threads(threads);
+                for (sql, root_label, leaf, decoded) in shapes {
+                    let report = odb.explain_analyze(sql).unwrap();
+                    let root = &report.root;
+                    assert_eq!(root.label, root_label);
+                    assert_eq!(root.estimate.rows, 41.0);
+                    let [fetch] = &root.children[..] else {
+                        panic!("{sql}: {:?}", root.children.len())
+                    };
+                    assert_eq!(fetch.label, leaf);
+                    assert!(fetch.children.is_empty());
+                    assert_eq!(report.pool_delta.tuples_decoded, decoded, "{sql}");
+                    assert_eq!(fetch.stats.rows, decoded, "{sql}");
+                    let reads = root.stats.measured.logical_reads;
+                    assert_eq!(reads, report.pool_delta.logical_reads, "{sql}");
+                }
+            }
+        }
+        let snap = corpus_db().snapshot("S").unwrap();
+        let plan = LogicalPlan::of(&parse_query(shapes[0].0).unwrap());
+        let mut pinned = String::new();
+        label_tree(
+            &lower(&plan, &snap, &Instrumented, "").unwrap().1,
+            0,
+            &mut pinned,
+        );
+        assert_eq!(
+            pinned,
+            "VersionAggregate count(rid) by vid\n\x20 Values star rows\n"
+        );
+        let (mut root, (), _) = lower(&plan, &snap, &Plain, "").unwrap();
+        let mut ctx = ExecContext::new();
+        assert_eq!(collect(root.as_mut(), &mut ctx).unwrap().len(), 41);
+        // 25 root records in 41 versions, 40 × 25 in one each.
+        assert_eq!(ctx.tracker.operator_evals, 25 * 41 + 40 * 25);
+        // The leaf's rows and the aggregate's groups.
+        assert_eq!(ctx.tracker.tuples, 1025 + 41);
+    }
+
+    /// Int64 sums are exact: two `i64::MAX` rows used to answer
+    /// `sum = -2` and `avg = -1.0`. A sum outside Int64 is an error naming
+    /// the column, engine and pinned alike; `avg` divides the exact total,
+    /// and a sum that passes outside Int64 and comes back is exact.
+    #[test]
+    fn int64_sums_neither_wrap_nor_lose_the_average() {
+        let mut odb = OrpheusDb::new();
+        odb.create_user("alice").unwrap();
+        odb.login("alice").unwrap();
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int64),
+            Column::new("n", DataType::Int64),
+        ]);
+        let rows = [i64::MAX, i64::MAX, -i64::MAX]
+            .into_iter()
+            .zip(0..)
+            .map(|(n, id)| vec![Value::Int64(id), Value::Int64(n)])
+            .collect();
+        odb.init_cvd("B", schema, vec!["id".into()], rows).unwrap();
+        let snap = odb.snapshot("B").unwrap();
+        let sum = "SELECT vid, sum(n) FROM CVD B WHERE id < 2 GROUP BY vid";
+        let engine = odb.run(sum).unwrap_err().to_string();
+        assert_eq!(engine, "storage: type error: bigint out of range: sum(n)");
+        assert_eq!(snap.run(sum).unwrap_err().to_string(), engine);
+        let avg = "SELECT vid, avg(n) FROM CVD B WHERE id < 2 GROUP BY vid";
+        let sum_all = "SELECT vid, sum(n) FROM CVD B GROUP BY vid";
+        for (sql, want) in [
+            (avg, Value::Float64(i64::MAX as f64)),
+            (sum_all, Value::Int64(i64::MAX)),
+        ] {
+            for result in [odb.run(sql).unwrap(), snap.run(sql).unwrap()] {
+                assert_eq!(result.rows, [[Value::Int64(0), want.clone()]], "{sql}");
+            }
+        }
+    }
+
+    /// The aggregate's column is named after the star column it reads: an
+    /// attribute named `vid` gives `sum_vid` (the rlist join named it
+    /// `sum_rhs_vid`).
+    #[test]
+    fn an_attribute_named_vid_aggregates_under_its_own_name() {
+        let mut odb = OrpheusDb::new();
+        odb.create_user("alice").unwrap();
+        odb.login("alice").unwrap();
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int64),
+            Column::new("vid", DataType::Int64),
+        ]);
+        let rows = vec![vec![Value::Int64(1), Value::Int64(40)]];
+        odb.init_cvd("V", schema, vec!["k".into()], rows).unwrap();
+        let result = odb
+            .run("SELECT vid, sum(vid) FROM CVD V GROUP BY vid")
+            .unwrap();
+        let names: Vec<&str> = result
+            .schema
+            .columns()
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect();
+        assert_eq!(names, ["vid", "sum_vid"]);
+        assert_eq!(result.rows, [[Value::Int64(0), Value::Int64(40)]]);
     }
 
     /// A decorator that keeps the label tree but hands back the *plain*

@@ -320,8 +320,8 @@ impl Parser {
     }
 
     fn parse_agg(&mut self) -> Result<(AggFunc, String)> {
-        let name = self.ident()?;
-        let agg = match name.to_ascii_lowercase().as_str() {
+        let name = self.ident()?.to_ascii_lowercase();
+        let agg = match name.as_str() {
             "count" => AggFunc::Count,
             "sum" => AggFunc::Sum,
             "avg" => AggFunc::Avg,
@@ -331,7 +331,11 @@ impl Parser {
         };
         self.expect_tok("(")?;
         let col = match self.next() {
-            Some(t) if t == "*" => "rid".to_owned(),
+            // `count(*)` counts records; no other aggregate takes `*`.
+            Some(t) if t == "*" && agg == AggFunc::Count => "rid".to_owned(),
+            Some(t) if t == "*" => {
+                return Err(Error::Parse(format!("{name}(*): only count takes *")))
+            }
             Some(t) => t,
             None => return Err(Error::Parse("expected column".into())),
         };
@@ -501,6 +505,20 @@ mod tests {
             }
         }
         assert!(parse_query("SELECT * FROM VERSION 4294967295 OF CVD t").is_ok());
+        // Only `count` takes `*`: `sum(*)` used to sum record ids.
+        for agg in ["sum", "avg", "min", "MAX"] {
+            let sql = format!("SELECT vid, {agg}(*) FROM CVD t GROUP BY vid");
+            match parse_query(&sql) {
+                Err(Error::Parse(m)) => {
+                    assert!(
+                        m.contains(&format!("{}(*)", agg.to_lowercase())),
+                        "{sql}: {m}"
+                    )
+                }
+                other => panic!("{sql}: expected a parse error, got {other:?}"),
+            }
+        }
+        assert!(parse_query("SELECT vid, COUNT(*) FROM CVD t GROUP BY vid").is_ok());
     }
 
     fn where_of(sql: &str) -> Result<Option<Predicate>> {

@@ -22,8 +22,7 @@ use crate::error::{Error, Result};
 use crate::plan::{self, Decorator, LogicalPlan, Op, Plain, Source};
 use crate::query::{parse_query, QueryResult, VQuery};
 use partition::{Rid, Vid};
-use relstore::{Column, ColumnTest, DataType, Estimate, ExecContext, Row, Schema, Value, Values};
-use std::fmt::Arguments;
+use relstore::{ColumnTest, Estimate, ExecContext, Row, Schema, Value, Values};
 
 /// An immutable, `Send + Sync` view of one CVD at pin time.
 #[derive(Debug, Clone)]
@@ -121,19 +120,6 @@ impl Snapshot {
     }
 }
 
-/// A [`Values`] leaf that clones each of its `n` pinned rows as it is
-/// pulled, not before.
-fn values<'a, D: Decorator>(
-    label: Arguments<'_>,
-    schema: Schema,
-    n: usize,
-    rows: impl Iterator<Item = Row> + 'a,
-    dec: &D,
-) -> Op<'a, D> {
-    let values = Box::new(Values::new(schema, rows));
-    dec.wrap(values, vec![], label, |_| Estimate::new(n as f64, 0.0))
-}
-
 /// The snapshot source: every leaf is a [`Values`] node over pinned rows,
 /// fed in exactly the order the engine's data table would produce them.
 impl Source for Snapshot {
@@ -145,7 +131,8 @@ impl Source for Snapshot {
         &self.version_rids
     }
 
-    /// Each pinned row is tested before it is cloned.
+    /// A [`Values`] leaf: each pinned row is tested, and cloned only when
+    /// it passes and is pulled.
     fn fetch<'a, D: Decorator>(
         &'a self,
         rids: Vec<Rid>,
@@ -160,29 +147,9 @@ impl Source for Snapshot {
             .filter_map(|r| self.rows.get(r.idx()))
             .filter(passes)
             .cloned();
+        let values = Box::new(Values::new(self.star.clone(), rows));
         let label = format_args!("Values star rows{side}");
-        Ok(values(label, self.star.clone(), n, rows, dec))
-    }
-
-    fn scan_star<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>> {
-        let label = format_args!("Values star");
-        let rows = self.rows.iter().cloned();
-        Ok(values(label, self.star.clone(), self.rows.len(), rows, dec))
-    }
-
-    fn scan_rlists<'a, D: Decorator>(&'a self, dec: &D) -> Result<Op<'a, D>> {
-        let schema = Schema::new(vec![
-            Column::new("vid", DataType::Int64),
-            Column::new("rlist", DataType::IntArray),
-        ]);
-        let rlist = |rids: &Vec<Rid>| Value::IntArray(rids.iter().map(|r| r.0 as i64).collect());
-        let rows = self
-            .version_rids
-            .iter()
-            .enumerate()
-            .map(move |(v, rids)| vec![Value::Int64(v as i64), rlist(rids)]);
-        let n = self.version_rids.len();
-        Ok(values(format_args!("Values rlists"), schema, n, rows, dec))
+        Ok(dec.wrap(values, vec![], label, |_| Estimate::new(n as f64, 0.0)))
     }
 }
 

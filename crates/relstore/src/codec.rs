@@ -91,7 +91,15 @@ fn encode_flat(id: RowId, row: &Row, out: &mut Vec<u8>) {
     out.reserve(10 + row.len() * 9);
     out.extend_from_slice(&id.to_le_bytes());
     out.extend_from_slice(&(row.len() as u16).to_le_bytes());
-    for v in row {
+    encode_values(row, out);
+}
+
+/// Append the Flat encoding of `values` to `out`: for each value a tag
+/// (0–5), then its little-endian payload, text and arrays behind a `u32`
+/// length. Equal values encode to equal bytes, so the encoding of a row,
+/// or of its key columns, also serves as a hash key.
+pub fn encode_values<'a>(values: impl IntoIterator<Item = &'a Value>, out: &mut Vec<u8>) {
+    for v in values {
         match v {
             Value::Null => out.push(TAG_NULL),
             Value::Int64(x) => push_tagged_word(out, TAG_INT64, x.to_le_bytes()),

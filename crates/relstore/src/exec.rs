@@ -16,7 +16,7 @@
 
 use crate::cost::{CostModel, CostTracker};
 use crate::error::{Error, Result};
-use crate::expr::{AggFunc, Expr};
+use crate::expr::Expr;
 use crate::schema::{Column, Schema};
 use crate::table::{Row, Table};
 use crate::value::{DataType, Value};
@@ -280,68 +280,6 @@ impl Executor for Limit<'_> {
     }
 }
 
-/// Expands an int-array column into one row per element (PostgreSQL
-/// `unnest`) — how split-by-rlist turns a version's `rlist` into join keys.
-pub struct Unnest<'a> {
-    child: BoxExec<'a>,
-    array_col: usize,
-    schema: Schema,
-    pending: Vec<Row>,
-}
-
-impl<'a> Unnest<'a> {
-    pub fn new(child: BoxExec<'a>, array_col: usize) -> Result<Self> {
-        let in_schema = child.schema();
-        let col = in_schema
-            .column(array_col)
-            .ok_or_else(|| Error::ColumnNotFound(format!("ordinal {array_col}")))?;
-        if col.dtype != DataType::IntArray {
-            return Err(Error::TypeError(format!(
-                "unnest expects an int[] column, got {}",
-                col.dtype
-            )));
-        }
-        let mut cols: Vec<Column> = in_schema.columns().to_vec();
-        cols[array_col] = Column::new(col.name.clone(), DataType::Int64);
-        Ok(Unnest {
-            child,
-            array_col,
-            schema: Schema::new(cols),
-            pending: Vec::new(),
-        })
-    }
-}
-
-impl Executor for Unnest<'_> {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.pending.pop() {
-                ctx.tracker.emit(1);
-                return Ok(Some(row));
-            }
-            match self.child.next(ctx)? {
-                None => return Ok(None),
-                Some(row) => {
-                    let elems = row[self.array_col]
-                        .as_int_array()
-                        .ok_or_else(|| Error::TypeError("unnest on non-array".into()))?
-                        .to_vec();
-                    ctx.tracker.ops(elems.len() as u64);
-                    for e in elems.into_iter().rev() {
-                        let mut out = row.clone();
-                        out[self.array_col] = Value::Int64(e);
-                        self.pending.push(out);
-                    }
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Joins
 // ---------------------------------------------------------------------------
@@ -587,195 +525,6 @@ impl Executor for IndexNestedLoopJoin<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Aggregation
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct AggState {
-    count: u64,
-    sum_i: i64,
-    sum_f: f64,
-    is_float: bool,
-    min: Option<Value>,
-    max: Option<Value>,
-}
-
-impl AggState {
-    fn new() -> Self {
-        AggState {
-            count: 0,
-            sum_i: 0,
-            sum_f: 0.0,
-            is_float: false,
-            min: None,
-            max: None,
-        }
-    }
-
-    fn update(&mut self, v: &Value) {
-        if v.is_null() {
-            return;
-        }
-        self.count += 1;
-        match v {
-            Value::Int64(x) => self.sum_i = self.sum_i.wrapping_add(*x),
-            Value::Float64(x) => {
-                self.is_float = true;
-                self.sum_f += x;
-            }
-            _ => {}
-        }
-        let replace_min = self
-            .min
-            .as_ref()
-            .map(|m| v.total_cmp(m) == std::cmp::Ordering::Less)
-            .unwrap_or(true);
-        if replace_min {
-            self.min = Some(v.clone());
-        }
-        let replace_max = self
-            .max
-            .as_ref()
-            .map(|m| v.total_cmp(m) == std::cmp::Ordering::Greater)
-            .unwrap_or(true);
-        if replace_max {
-            self.max = Some(v.clone());
-        }
-    }
-
-    fn finish(&self, f: AggFunc) -> Value {
-        match f {
-            AggFunc::Count => Value::Int64(self.count as i64),
-            AggFunc::Sum => {
-                if self.count == 0 {
-                    Value::Null
-                } else if self.is_float {
-                    Value::Float64(self.sum_f + self.sum_i as f64)
-                } else {
-                    Value::Int64(self.sum_i)
-                }
-            }
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64((self.sum_f + self.sum_i as f64) / self.count as f64)
-                }
-            }
-            AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
-            AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
-        }
-    }
-}
-
-/// Hash aggregation with grouping. Output rows are
-/// `group columns… , aggregate results…`, grouped rows in arbitrary order.
-pub struct HashAggregate<'a> {
-    child: BoxExec<'a>,
-    group_cols: Vec<usize>,
-    aggs: Vec<(AggFunc, usize)>,
-    schema: Schema,
-    results: Option<std::vec::IntoIter<Row>>,
-}
-
-impl<'a> HashAggregate<'a> {
-    pub fn new(child: BoxExec<'a>, group_cols: Vec<usize>, aggs: Vec<(AggFunc, usize)>) -> Self {
-        let in_schema = child.schema();
-        let mut cols: Vec<Column> = group_cols
-            .iter()
-            .filter_map(|&i| in_schema.column(i).cloned())
-            .collect();
-        for (f, c) in &aggs {
-            let name = format!(
-                "{}_{}",
-                match f {
-                    AggFunc::Count => "count",
-                    AggFunc::Sum => "sum",
-                    AggFunc::Avg => "avg",
-                    AggFunc::Min => "min",
-                    AggFunc::Max => "max",
-                },
-                in_schema.column(*c).map(|c| c.name.as_str()).unwrap_or("?")
-            );
-            let dtype = match f {
-                AggFunc::Count => DataType::Int64,
-                AggFunc::Avg => DataType::Float64,
-                _ => in_schema
-                    .column(*c)
-                    .map(|c| c.dtype)
-                    .unwrap_or(DataType::Int64),
-            };
-            cols.push(Column::nullable(name, dtype));
-        }
-        HashAggregate {
-            child,
-            group_cols,
-            aggs,
-            schema: Schema::new(cols),
-            results: None,
-        }
-    }
-}
-
-impl Executor for HashAggregate<'_> {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
-        if self.results.is_none() {
-            // Group keys are rendered to a string key: values of the engine
-            // are not hashable (floats), and group cardinalities here are
-            // modest (versions, not records).
-            let mut groups: HashMap<String, (Row, Vec<AggState>)> = HashMap::new();
-            while let Some(row) = self.child.next(ctx)? {
-                ctx.tracker.ops(1);
-                let key: String = self
-                    .group_cols
-                    .iter()
-                    .map(|&c| row[c].to_string())
-                    .collect::<Vec<_>>()
-                    .join("\u{1f}");
-                let entry = groups.entry(key).or_insert_with(|| {
-                    (
-                        self.group_cols.iter().map(|&c| row[c].clone()).collect(),
-                        vec![AggState::new(); self.aggs.len()],
-                    )
-                });
-                for (state, (_, col)) in entry.1.iter_mut().zip(&self.aggs) {
-                    state.update(&row[*col]);
-                }
-            }
-            let mut out: Vec<Row> = groups
-                .into_values()
-                .map(|(mut keys, states)| {
-                    for (state, (f, _)) in states.iter().zip(&self.aggs) {
-                        keys.push(state.finish(*f));
-                    }
-                    keys
-                })
-                .collect();
-            // Deterministic output order for tests and experiments.
-            out.sort_by(|a, b| {
-                a.iter()
-                    .zip(b.iter())
-                    .map(|(x, y)| x.total_cmp(y))
-                    .find(|o| *o != std::cmp::Ordering::Equal)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            ctx.tracker.emit(out.len() as u64);
-            self.results = Some(out.into_iter());
-        }
-        match self.results.as_mut() {
-            Some(it) => Ok(it.next()),
-            None => Err(Error::InvalidOperation(
-                "aggregate output was not materialized".into(),
-            )),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -901,73 +650,6 @@ mod tests {
 
         let m = CostModel::default();
         assert!(clustered_ctx.tracker.total(&m) < random_ctx.tracker.total(&m));
-    }
-
-    #[test]
-    fn unnest_expands_arrays() {
-        let schema = Schema::new(vec![
-            Column::new("vid", DataType::Int64),
-            Column::new("rlist", DataType::IntArray),
-        ]);
-        let rows = vec![
-            vec![Value::Int64(1), Value::IntArray(vec![10, 11])],
-            vec![Value::Int64(2), Value::IntArray(vec![20])],
-        ];
-        let child = Box::new(Values::new(schema, rows));
-        let mut u = Unnest::new(child, 1).unwrap();
-        let mut ctx = ExecContext::new();
-        let out = u.collect(&mut ctx).unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0], vec![Value::Int64(1), Value::Int64(10)]);
-        assert_eq!(out[1], vec![Value::Int64(1), Value::Int64(11)]);
-        assert_eq!(u.schema().column(1).unwrap().dtype, DataType::Int64);
-    }
-
-    #[test]
-    fn unnest_rejects_scalar_column() {
-        let child = Box::new(Values::ints("x", vec![1]));
-        assert!(Unnest::new(child, 0).is_err());
-    }
-
-    #[test]
-    fn aggregate_group_by() {
-        let schema = Schema::new(vec![
-            Column::new("g", DataType::Int64),
-            Column::new("x", DataType::Int64),
-        ]);
-        let rows = vec![
-            vec![Value::Int64(1), Value::Int64(10)],
-            vec![Value::Int64(1), Value::Int64(20)],
-            vec![Value::Int64(2), Value::Int64(5)],
-        ];
-        let child = Box::new(Values::new(schema, rows));
-        let mut agg = HashAggregate::new(
-            child,
-            vec![0],
-            vec![(AggFunc::Count, 1), (AggFunc::Sum, 1), (AggFunc::Avg, 1)],
-        );
-        let mut ctx = ExecContext::new();
-        let out = agg.collect(&mut ctx).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(
-            out[0],
-            vec![
-                Value::Int64(1),
-                Value::Int64(2),
-                Value::Int64(30),
-                Value::Float64(15.0)
-            ]
-        );
-        assert_eq!(out[1][0], Value::Int64(2));
-    }
-
-    #[test]
-    fn global_aggregate_no_groups() {
-        let child = Box::new(Values::ints("x", vec![3, 1, 2]));
-        let mut agg = HashAggregate::new(child, vec![], vec![(AggFunc::Min, 0), (AggFunc::Max, 0)]);
-        let mut ctx = ExecContext::new();
-        let out = agg.collect(&mut ctx).unwrap();
-        assert_eq!(out, vec![vec![Value::Int64(1), Value::Int64(3)]]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub enum BinOp {
     Mul,
 }
 
-/// Aggregate functions supported by [`crate::exec::HashAggregate`].
+/// The aggregate functions of a versioned `GROUP BY vid` query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
     Count,

@@ -10,10 +10,9 @@
 //!   against tables clustered on the relation primary key),
 //! * hash and btree **indexes** (primary-key and secondary),
 //! * an **executor** with sequential scans, filters, projections, hash
-//!   joins, merge joins, index-nested-loop joins, limits, and hash
-//!   aggregation,
-//! * first-class **integer-array columns** with the containment (`<@`),
-//!   append, and `unnest` operations that OrpheusDB's `vlist`/`rlist`
+//!   joins, merge joins, index-nested-loop joins, and limits,
+//! * first-class **integer-array columns** with the containment (`<@`)
+//!   and append operations that OrpheusDB's `vlist`/`rlist`
 //!   representations rely on, and
 //! * a PostgreSQL-style **cost model** (`seq_page_cost`, `random_page_cost`,
 //!   `cpu_tuple_cost`, …) tracked per operation, so experiments can report
@@ -67,8 +66,8 @@ pub use cost::{CostModel, CostTracker, RC_PER_COST_UNIT};
 pub use db::Database;
 pub use error::{Error, Result};
 pub use exec::{
-    collect, BoxExec, ExecContext, Executor, Filter, HashAggregate, HashJoin, IndexNestedLoopJoin,
-    Limit, MergeJoin, Project, SeqScan, Unnest, Values,
+    collect, BoxExec, ExecContext, Executor, Filter, HashJoin, IndexNestedLoopJoin, Limit,
+    MergeJoin, Project, SeqScan, Values,
 };
 pub use explain::{
     wrap, Estimate, ExplainNode, ExplainReport, ExplainSnapshot, Instrumented, OpStats,

@@ -88,6 +88,10 @@ echo "==> CLI probe: golden transcript, threads 1 vs 4"
 # shapes (SELECT, GROUP BY vid, V_DIFF, V_INTERSECT, JOIN), SELECTs whose
 # WHERE is tested in the fetch (every operator, a text column whose
 # repeated values Delta stores as dictionary codes, and `rid`) and `log`.
+# The shell alone then runs `group_by_cmds`, every aggregate of GROUP BY
+# vid: its lines were recorded by the binary that still answered GROUP BY
+# with unnest, hash join and hash aggregate, so the one-pass version
+# aggregate is checked against that chain.
 # The slow-query threshold is lifted so no timing line reaches stderr.
 awk 'BEGIN { print "k,a1,a2,s"; for (i = 0; i < 500; i++) print i "," i % 7 "," i * 3 % 101 ",x" i % 9 }' \
   > /tmp/orpheus_ci_probe.csv
@@ -122,11 +126,20 @@ run SELECT * FROM V_INTERSECT(0, 1) OF CVD t
 run SELECT * FROM VERSION 0 OF CVD t JOIN VERSION 1 ON a1
 diff t -v 0 1
 log t
-quit
+EOF
+}
+group_by_cmds() {
+  cat <<'EOF'
+run SELECT vid, count(*) FROM CVD t GROUP BY vid
+run SELECT vid, sum(a2) FROM CVD t GROUP BY vid
+run SELECT vid, avg(a2) FROM CVD t WHERE a1 > 3 GROUP BY vid
+run SELECT vid, min(s) FROM CVD t GROUP BY vid
+run SELECT vid, max(k) FROM CVD t WHERE k >= 500 GROUP BY vid
 EOF
 }
 probe() { # <orpheusdb flags…>: the probe's transcript on stdout
-  probe_cmds | ORPHEUS_SLOW_MS=1000000000 ./target/release/orpheusdb "$@" 2>&1
+  { probe_cmds; group_by_cmds; echo quit; } |
+    ORPHEUS_SLOW_MS=1000000000 ./target/release/orpheusdb "$@" 2>&1
 }
 golden=results/ci/cli_probe.golden
 probe --threads 1 | cmp - "$golden"
@@ -161,7 +174,8 @@ server_probe() { # <serve flags…>: compare the wire transcript with the golden
     sleep 0.1
   done
   if [ -n "$port" ]; then
-    probe_cmds | ./target/release/orpheusdb client --port "$port" --user ci > "$dir/out" 2>&1 || status=$?
+    { probe_cmds; echo quit; } |
+      ./target/release/orpheusdb client --port "$port" --user ci > "$dir/out" 2>&1 || status=$?
   else
     cat "$dir/serve.log"; status=1
   fi
