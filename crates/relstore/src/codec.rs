@@ -57,7 +57,12 @@
 //! Each format has one parser, a walker that materialises either every
 //! value (`decode_row`) or one column's ([`RowDecoder::probe`], what a
 //! pushed-down predicate reads) and checks the others without copying
-//! them, so a probe fails exactly when `decode_row` would.
+//! them, so a probe fails exactly when `decode_row` would. A Flat *word
+//! tuple* — exactly `10 + 9·count` bytes, every tag `Int64` or `Float64`
+//! — is admitted by one strided pass over its tags and then read by
+//! offset (value `c` at byte `10 + 9·c`): such a tuple always decodes,
+//! so it needs no walk. Every other Flat tuple goes to `walk_flat`, the
+//! one parser of those tuples and the only source of decode errors.
 
 use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
@@ -347,7 +352,33 @@ fn read_bitpacked_deltas(r: &mut Reader<'_>, base: i64, n: usize, keep: bool) ->
 
 /// Deserialize a Flat heap tuple back into `(row_id, row)`.
 pub fn decode_row(bytes: &[u8]) -> Result<(RowId, Row)> {
-    walk_flat(bytes, Row::new())
+    match flat_words(bytes) {
+        Some((id, cells)) => Ok((id, cells.iter().map(word_value).collect())),
+        None => walk_flat(bytes, Row::new()),
+    }
+}
+
+/// The row id and 9-byte value cells of a Flat word tuple, `None` for any
+/// other tuple: its length is exactly `10 + 9·count`, and one strided pass
+/// finds every tag `Int64` or `Float64`. Such a tuple always decodes.
+fn flat_words(bytes: &[u8]) -> Option<(RowId, &[[u8; 9]])> {
+    let (&head, rest) = bytes.split_first_chunk::<10>()?;
+    let [id @ .., c0, c1] = head;
+    let (cells, tail) = rest.as_chunks::<9>();
+    let count = usize::from(u16::from_le_bytes([c0, c1]));
+    // Less 1, tag 1 or 2 is 0 or 1 and any other tag sets a higher bit:
+    // one branch-free pass ORs them over the cells.
+    let tags = |or: u8, &[tag, ..]: &[u8; 9]| or | tag.wrapping_sub(TAG_INT64);
+    let words = tail.is_empty() && cells.len() == count && cells.iter().fold(0, tags) & !1 == 0;
+    words.then_some((u64::from_le_bytes(id), cells))
+}
+
+/// The value in one cell of a word tuple.
+fn word_value(&[tag, word @ ..]: &[u8; 9]) -> Value {
+    match tag {
+        TAG_INT64 => Value::Int64(i64::from_le_bytes(word)),
+        _ => Value::Float64(f64::from_le_bytes(word)),
+    }
 }
 
 /// The one Flat tuple parser: the row id, and `walk` holding what it wants.
@@ -507,13 +538,20 @@ pub enum RowDecoder {
 
 impl RowDecoder {
     pub fn decode_row(&self, bytes: &[u8]) -> Result<(RowId, Row)> {
-        self.walk(bytes, Row::new())
+        match self {
+            RowDecoder::Flat => decode_row(bytes),
+            RowDecoder::Delta { dict } => walk_delta(bytes, dict, Row::new()),
+        }
     }
 
     /// The value of `column` in a tuple (`None` past its last value),
-    /// read by the walker [`decode_row`](Self::decode_row) uses: it fails
-    /// exactly when `decode_row` does.
+    /// read by offset in a Flat word tuple and otherwise by the walker
+    /// [`decode_row`](Self::decode_row) uses: it fails exactly when
+    /// `decode_row` does.
     pub fn probe(&self, bytes: &[u8], column: usize) -> Result<Option<Value>> {
+        if let Some(cells) = self.words(bytes) {
+            return Ok(cells.get(column).map(word_value));
+        }
         let probe = Probe {
             column,
             value: None,
@@ -522,17 +560,34 @@ impl RowDecoder {
     }
 
     /// The row of a tuple that passes `test` (every tuple passes none);
-    /// a tuple that fails is checked in full but never materialised.
+    /// a tuple that fails is checked in full but never materialised. A
+    /// Flat word tuple's shape is checked once, for the test and the row.
     pub(crate) fn decode_if(&self, bytes: &[u8], test: Option<&ColumnTest>) -> Result<Option<Row>> {
+        let words = self.words(bytes);
         if let Some(test) = test {
-            let value = self.probe(bytes, test.column)?.ok_or_else(|| {
+            let value = match words {
+                Some(cells) => cells.get(test.column).map(word_value),
+                None => self.probe(bytes, test.column)?,
+            };
+            let value = value.ok_or_else(|| {
                 Error::TypeError(format!("column index {} out of bounds", test.column))
             })?;
             if !test.holds(&value) {
                 return Ok(None);
             }
         }
-        Ok(Some(self.decode_row(bytes)?.1))
+        Ok(Some(match words {
+            Some(cells) => cells.iter().map(word_value).collect(),
+            None => self.walk(bytes, Row::new())?.1,
+        }))
+    }
+
+    /// The cells of a Flat word tuple; `None` for any other tuple.
+    fn words<'a>(&self, bytes: &'a [u8]) -> Option<&'a [[u8; 9]]> {
+        match self {
+            RowDecoder::Flat => flat_words(bytes).map(|(_, cells)| cells),
+            RowDecoder::Delta { .. } => None,
+        }
     }
 
     fn walk<W: Walk>(&self, bytes: &[u8], walk: W) -> Result<(RowId, W)> {

@@ -39,6 +39,7 @@ use pagestore::PageView;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 /// Pages per morsel. Sixteen 8 KiB pages ≈ 128 KiB of tuple data — small
 /// enough that a morsel's working set stays cache-resident on a worker,
@@ -241,21 +242,22 @@ impl<'a> RidFetch<'a> {
             let tasks: Vec<_> = wave
                 .into_iter()
                 .map(|(first, views)| {
-                    move |worker: usize| -> Result<(usize, Vec<Row>)> {
-                        let mut rows = Vec::new();
+                    move |worker: usize| -> Result<(usize, Vec<Row>, Duration)> {
+                        let (mut rows, started) = (Vec::new(), Instant::now());
                         for (i, view) in views.iter().enumerate() {
                             for bytes in view.tuples_at(touched.page(first + i).1)? {
                                 rows.extend(decoder.decode_if(bytes, test)?);
                             }
                         }
-                        Ok((worker, rows))
+                        Ok((worker, rows, started.elapsed()))
                     }
                 })
                 .collect();
             let mut worker_rows = self.worker_rows.borrow_mut();
             let mut wave_decoded = 0;
             for result in pool.run(tasks)? {
-                let (worker, rows) = result?;
+                let (worker, rows, walk_time) = result?;
+                table.pool().note_decode_time(walk_time);
                 wave_decoded += rows.len() as u64;
                 worker_rows[worker] += rows.len() as u64;
                 self.out.extend(rows);
@@ -501,6 +503,29 @@ mod tests {
         let before = t.io_stats();
         let rows = collect(&mut fetch, &mut ExecContext::new()).unwrap();
         (rows, t.io_stats().since(&before))
+    }
+
+    /// The workers report the time their tasks spent walking tuples, so
+    /// `pagestore.page.decode_us` is not 0 at 4 threads while
+    /// `decoded_tuples` counts the same rows as at 1; `Table::rows` times
+    /// its decoding too.
+    #[test]
+    fn decode_time_is_counted_wherever_tuples_are_decoded() {
+        let t = data_table(2_000);
+        t.pool().flush_all().unwrap();
+        let decode_us = |delta: pagestore::IoStats| {
+            let registry = obs::Registry::new();
+            delta.publish(&registry);
+            registry.gauge("pagestore.page.decode_us").unwrap_or(0.0)
+        };
+        let (rows, delta) = fetch_all(&t, 4);
+        assert_eq!(delta.tuples_decoded, rows.len() as u64);
+        assert!(decode_us(delta) > 0.0, "4-thread fetch: {delta:?}");
+        let before = t.io_stats();
+        assert_eq!(t.rows().unwrap().len(), 2_000);
+        let delta = t.io_stats().since(&before);
+        assert_eq!(delta.tuples_decoded, 2_000);
+        assert!(decode_us(delta) > 0.0, "Table::rows: {delta:?}");
     }
 
     #[test]

@@ -592,15 +592,14 @@ impl Table {
         self.read_row(id).ok()
     }
 
-    /// Every live row in physical (page) order.
+    /// Every live row in physical (page) order, read page by page as
+    /// [`read_page_rows`](Self::read_page_rows) reads them.
     pub fn rows(&self) -> Result<Vec<(RowId, Row)>> {
         let mut rows = Vec::with_capacity(self.live_count);
+        let mut tracker = CostTracker::default();
         for ord in 0..self.heap.num_pages() {
-            for (_, bytes) in self.heap.tuples_on_page(&self.pool, ord)? {
-                rows.push(self.format.decode_row(&bytes)?);
-            }
+            rows.extend(self.read_page_rows(ord, &mut tracker)?);
         }
-        self.pool.note_tuples_decoded(rows.len() as u64);
         Ok(rows)
     }
 
@@ -678,12 +677,14 @@ impl Table {
                 }
             }
         }
-        let decode_time = started.elapsed();
+        let mut decode_time = started.elapsed();
         // Chains are read with the data page unpinned, as `HeapFile::get`
-        // does: a small pool needs the frame.
+        // does: a small pool needs the frame. Only their decoding is timed.
         for (i, head) in chains {
             let bytes = self.heap.read_chain(&self.pool, head)?;
+            let started = Instant::now();
             rows[i] = decoder.decode_if(&bytes, test)?;
+            decode_time += started.elapsed();
         }
         let rows: Vec<Row> = rows.into_iter().flatten().collect();
         tracker.measured.absorb(&self.pool.stats().since(&before));

@@ -100,15 +100,20 @@ proptest! {
     }
 
     /// The column probe a pushed-down predicate reads is `decode_row`'s
-    /// walker, not a second parser: on every tuple, every prefix cut and
-    /// every single-byte flip of it, in both formats, the probe of column
-    /// `c` fails exactly when `decode_row` fails, and otherwise equals the
-    /// decoded row's `c`-th value (`None` past its end).
+    /// walker, not a second parser: on every tuple, every prefix cut, every
+    /// single-byte flip and a one-byte extension of it, in both formats,
+    /// the probe of column `c` fails exactly when `decode_row` fails, and
+    /// otherwise equals the decoded row's `c`-th value (`None` past its
+    /// end). The word rows put Flat tuples on either side of the word
+    /// path's accept boundary.
     #[test]
     fn column_probe_fails_exactly_when_decode_row_does(
         rows in prop::collection::vec(prop::collection::vec(probe_value(), 1..6), 1..8),
-        mask in 1u8..=255,
+        words in word_row(),
+        swap in (non_word_value(), any::<usize>()),
+        mask in flip_mask(),
     ) {
+        let rows: Vec<_> = rows.into_iter().chain(with_word_rows(words, swap)).collect();
         // Each row twice, so the Delta dictionary promotes its strings and
         // the second copies carry dictionary codes.
         let fmt = DeltaFormat::new();
@@ -122,15 +127,9 @@ proptest! {
             .map(|(i, r)| (RowDecoder::Flat, codec::encode_row(*i as u64, r)))
             .chain(delta.into_iter().map(|bytes| (fmt.decoder(), bytes)));
         for (dec, bytes) in tuples {
-            let flips = (0..bytes.len()).map(|at| {
-                let mut flipped = bytes.clone();
-                flipped[at] ^= mask;
-                flipped
-            });
-            let cuts = (0..bytes.len()).map(|cut| bytes[..cut].to_vec());
-            for mutant in std::iter::once(bytes.clone()).chain(cuts).chain(flips) {
+            for mutant in mutants(&bytes, mask) {
                 let decoded = dec.decode_row(&mutant);
-                for c in 0..7 {
+                for c in PROBED_COLUMNS {
                     match (dec.probe(&mutant, c), &decoded) {
                         (Ok(probed), Ok((_, row))) => prop_assert!(
                             match (&probed, row.get(c)) {
@@ -179,29 +178,26 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The Flat walker against the one it replaced, kept below as
-    /// [`reference`]: on every tuple, every prefix cut and every
-    /// single-byte flip, `decode_row` and the probe of each column give
-    /// the reference's values, and fail exactly when it fails, with its
-    /// error text.
+    /// The Flat decoder, word path and walker alike, against the walker
+    /// it replaced, kept below as [`reference`]: on every tuple, every
+    /// prefix cut, every single-byte flip and a one-byte extension,
+    /// `decode_row` and the probe of each column give the reference's
+    /// values, and fail exactly when it fails, with its error text.
     #[test]
     fn flat_walker_agrees_with_the_reference_walker(
         rows in prop::collection::vec(
             prop::collection::vec(prop_oneof![value_strategy(), probe_value()], 0..6),
             1..8,
         ),
-        mask in 1u8..=255,
+        words in word_row(),
+        swap in (non_word_value(), any::<usize>()),
+        mask in flip_mask(),
     ) {
         let text = |e: relstore::Error| e.to_string();
-        for (i, row) in rows.iter().enumerate() {
-            let bytes = codec::encode_row(i as u64, row);
-            let flips = (0..bytes.len()).map(|at| {
-                let mut flipped = bytes.clone();
-                flipped[at] ^= mask;
-                flipped
-            });
-            let cuts = (0..bytes.len()).map(|cut| bytes[..cut].to_vec());
-            for mutant in std::iter::once(bytes.clone()).chain(cuts).chain(flips) {
+        let rows = rows.into_iter().chain(with_word_rows(words, swap));
+        for (i, row) in rows.enumerate() {
+            let bytes = codec::encode_row(i as u64, &row);
+            for mutant in mutants(&bytes, mask) {
                 let got = codec::decode_row(&mutant).map_err(text);
                 let want = reference::decode_row(&mutant).map_err(text);
                 let same = match (&got, &want) {
@@ -209,7 +205,7 @@ proptest! {
                     (got, want) => got == want,
                 };
                 prop_assert!(same, "{:?}: decode {:?}, reference {:?}", mutant, got, want);
-                for c in 0..7 {
+                for c in PROBED_COLUMNS {
                     let got = RowDecoder::Flat.probe(&mutant, c).map_err(text);
                     let want = reference::probe(&mutant, c).map_err(text);
                     let same = match (&got, &want) {
@@ -221,6 +217,63 @@ proptest! {
             }
         }
     }
+}
+
+/// The columns both probe legs read: the first few, and the last of the
+/// longest word rows and past them.
+const PROBED_COLUMNS: [usize; 10] = [0, 1, 2, 3, 4, 5, 6, 23, 24, 25];
+
+/// A tuple, each of its proper prefixes, each single-byte XOR with `mask`,
+/// and the tuple with `mask` appended.
+fn mutants(bytes: &[u8], mask: u8) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let flips = (0..bytes.len()).map(move |at| {
+        let mut flipped = bytes.to_vec();
+        flipped[at] ^= mask;
+        flipped
+    });
+    let cuts = (0..bytes.len()).map(|cut| bytes[..cut].to_vec());
+    let longer = [bytes, &[mask]].concat();
+    [bytes.to_vec(), longer]
+        .into_iter()
+        .chain(cuts)
+        .chain(flips)
+}
+
+/// Half the time a mask below 8, which turns an `Int64` or `Float64` tag
+/// into 0 or 3–7, the tags next to the word path's two.
+fn flip_mask() -> impl Strategy<Value = u8> {
+    prop_oneof![1u8..=7, 1u8..=255]
+}
+
+/// 0–24 values of 8 bytes, every bit pattern (NaN and −0.0 drawn on
+/// purpose): the shape the Flat word path reads by offset.
+fn word_row() -> impl Strategy<Value = Vec<Value>> {
+    let word = prop_oneof![
+        any::<i64>().prop_map(Value::Int64),
+        any::<u64>().prop_map(|b| Value::Float64(f64::from_bits(b))),
+        prop_oneof![Just(f64::NAN), Just(-0.0)].prop_map(Value::Float64),
+    ];
+    prop::collection::vec(word, 0..25)
+}
+
+/// A value that keeps a tuple off the word path: NULL, Bool, or Text
+/// (whose 4-byte strings take exactly a word's 9 bytes).
+fn non_word_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        "[aé]{0,3}".prop_map(Value::Text),
+    ]
+}
+
+/// The word row, and a copy with `swap`'s value in at its position.
+fn with_word_rows(words: Vec<Value>, (value, at): (Value, usize)) -> [Vec<Value>; 2] {
+    let mut swapped = words.clone();
+    match swapped.len() {
+        0 => swapped.push(value),
+        n => swapped[at % n] = value,
+    }
+    [words, swapped]
 }
 
 /// The Flat walker as it was before it was rewritten to cost one tag

@@ -92,9 +92,21 @@ echo "==> CLI probe: golden transcript, threads 1 vs 4"
 # vid: its lines were recorded by the binary that still answered GROUP BY
 # with unnest, hash join and hash aggregate, so the one-pass version
 # aggregate is checked against that chain.
+# Every tuple of `t` carries the text column `s`, so none of them takes the
+# Flat codec's word path (a tuple of Int64 and Float64 values only, read
+# by offset). The shell alone therefore also runs `number_cmds` on a
+# second CVD `n` of ints and floats: every 7th row's `a2` is NULL (those
+# tuples take the walker) and one `x` is NaN. Its selects, diff,
+# intersection and GROUP BYs were recorded by the binary before the word
+# path.
 # The slow-query threshold is lifted so no timing line reaches stderr.
 awk 'BEGIN { print "k,a1,a2,s"; for (i = 0; i < 500; i++) print i "," i % 7 "," i * 3 % 101 ",x" i % 9 }' \
   > /tmp/orpheus_ci_probe.csv
+awk 'BEGIN {
+  print "k,a1,a2,x"
+  for (i = 0; i < 150; i++)
+    print i "," i % 11 "," (i % 7 == 6 ? "" : i * 5 % 37) "," (i == 123 ? "NaN" : i * 0.25 - 30)
+}' > /tmp/orpheus_ci_numbers.csv
 probe_cmds() {
   cat <<'EOF'
 create_user ci
@@ -137,8 +149,29 @@ run SELECT vid, min(s) FROM CVD t GROUP BY vid
 run SELECT vid, max(k) FROM CVD t WHERE k >= 500 GROUP BY vid
 EOF
 }
+number_cmds() {
+  cat <<'EOF'
+init n -f /tmp/orpheus_ci_numbers.csv -s k:int,a1:int,a2:int,x:float -k k
+checkout n -v 0 -t nw
+insert nw 150,12,9,1.5
+insert nw 151,13,,-0.0
+insert nw 152,3,36,NaN
+commit -t nw -m numbers
+checkout n -v 1 -t nm
+insert nm 153,14,7,2.25
+commit -t nm -m more
+run SELECT * FROM VERSION 0, 1 OF CVD n WHERE a1 > 9 LIMIT 50
+run SELECT * FROM VERSION 2 OF CVD n WHERE x >= 5.5
+run SELECT * FROM VERSION 1 OF CVD n WHERE a2 = 9
+run SELECT * FROM V_DIFF(2, 0) OF CVD n
+run SELECT * FROM V_INTERSECT(0, 2) OF CVD n
+run SELECT vid, sum(x) FROM CVD n WHERE x < 1000 GROUP BY vid
+run SELECT vid, sum(x) FROM CVD n GROUP BY vid
+run SELECT vid, avg(a1) FROM CVD n GROUP BY vid
+EOF
+}
 probe() { # <orpheusdb flags…>: the probe's transcript on stdout
-  { probe_cmds; group_by_cmds; echo quit; } |
+  { probe_cmds; group_by_cmds; number_cmds; echo quit; } |
     ORPHEUS_SLOW_MS=1000000000 ./target/release/orpheusdb "$@" 2>&1
 }
 golden=results/ci/cli_probe.golden
