@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pagestore::{BufferPool, HeapFile, Page};
-use relstore::codec::{self, DeltaFormat, PageFormat, RowDecoder};
+use relstore::codec;
 use relstore::Value;
 use std::hint::black_box;
 
@@ -104,9 +104,8 @@ fn bench_heap(c: &mut Criterion) {
 /// table's rows (a rid and 20 Int64 values), each timed case reading all
 /// of them once (divide by 2 000 for a tuple): `probe` is the column a
 /// pushed-down WHERE tests, `decode_row` the row that passes. `flat_words`
-/// is the Flat word path (every value 8 bytes, read by offset),
-/// `flat_walker` the same tuples with one NULL each (the walker), `delta`
-/// the Delta encoding of the first set.
+/// is the word path (every value 8 bytes, read by offset), `flat_walker`
+/// the same tuples with one NULL each (the walker).
 fn bench_codec(c: &mut Criterion) {
     const TUPLES: i64 = 2_000;
     let rows: Vec<Vec<Value>> = (0..TUPLES)
@@ -120,11 +119,9 @@ fn bench_codec(c: &mut Criterion) {
         row[1 + i % 20] = Value::Null;
         row
     });
-    let delta = DeltaFormat::new();
     let cases = [
         (
             "flat_words",
-            RowDecoder::Flat,
             rows.iter()
                 .enumerate()
                 .map(|(i, r)| codec::encode_row(i as u64, r))
@@ -132,27 +129,18 @@ fn bench_codec(c: &mut Criterion) {
         ),
         (
             "flat_walker",
-            RowDecoder::Flat,
             with_null
                 .enumerate()
                 .map(|(i, r)| codec::encode_row(i as u64, &r))
                 .collect(),
         ),
-        (
-            "delta",
-            delta.decoder(),
-            rows.iter()
-                .enumerate()
-                .map(|(i, r)| delta.encode_row(i as u64, r).unwrap())
-                .collect(),
-        ),
     ];
     let mut group = c.benchmark_group("codec");
     group.sample_size(30);
-    for (name, decoder, tuples) in &cases {
+    for (name, tuples) in &cases {
         group.bench_function(format!("{name}/probe_x2000"), |b| {
             b.iter(|| {
-                let probed = tuples.iter().filter_map(|t| decoder.probe(t, 11).unwrap());
+                let probed = tuples.iter().filter_map(|t| codec::probe(t, 11).unwrap());
                 black_box(probed.count())
             })
         });
@@ -160,7 +148,7 @@ fn bench_codec(c: &mut Criterion) {
             b.iter(|| {
                 let values: usize = tuples
                     .iter()
-                    .map(|t| decoder.decode_row(t).unwrap().1.len())
+                    .map(|t| codec::decode_row(t).unwrap().1.len())
                     .sum();
                 black_box(values)
             })

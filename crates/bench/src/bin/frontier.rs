@@ -1,11 +1,10 @@
-//! frontier — storage bytes vs recreation cost across page formats and
-//! materialization budgets.
+//! frontier — storage bytes vs recreation cost across materialization
+//! budgets.
 //!
-//! Loads SCI/CUR datasets in the split-by-rlist layout twice — once per
-//! page format (Flat, Delta) — and measures the physical bytes each
-//! format puts on pages, the wall cost of recreating (checking out)
-//! sampled versions, and the storage/recreation frontier swept by the
-//! budget factor (`plan_storage -b`) through `deltastore::plan_with_budget`.
+//! Loads SCI/CUR datasets once in the split-by-rlist layout and measures
+//! the physical bytes their tuples take on pages, the wall cost of
+//! recreating (checking out) sampled versions, and the
+//! storage/recreation frontier swept by the budget factor (`plan_storage -b`) through `deltastore::plan_with_budget`.
 //! A branch-and-bound oracle leg validates the budget planner on
 //! exhaustively solvable instances.
 //!
@@ -21,7 +20,6 @@ use benchgen::{generate, DatasetSpec, VersionedDataset};
 use deltastore::exact::{solve_exact, ExactProblem};
 use deltastore::{plan_with_budget, GenConfig, GraphShape, StorageGraph};
 use obs::Json;
-use relstore::codec::PageFormatKind;
 use relstore::{Column, DataType, Database, Schema, Value};
 use std::process::ExitCode;
 
@@ -41,23 +39,11 @@ const SCHEMA: [&str; 8] = [
     "full_tier/skip_reason",
 ];
 
-/// Delta must undercut Flat by at least this much, per tier. The smoke
-/// datasets are small (dictionary/bitpack wins are diluted by page
-/// slack); the full tier carries the paper-scale ≥30% acceptance bar.
-fn min_reduction_pct(full: bool) -> f64 {
-    if full {
-        30.0
-    } else {
-        10.0
-    }
-}
-
-/// Load a dataset into a fresh catalog under one page format, in the
-/// split-by-rlist layout: `{name}__sbr_data` holds every record,
-/// `{name}__sbr_vtab` maps each version to its sorted rlist.
-fn load(d: &VersionedDataset, kind: PageFormatKind) -> Database {
+/// Load a dataset into a fresh catalog in the split-by-rlist layout:
+/// `{name}__sbr_data` holds every record, `{name}__sbr_vtab` maps each
+/// version to its sorted rlist.
+fn load(d: &VersionedDataset) -> Database {
     let mut db = Database::with_pool_capacity(4096);
-    db.set_default_format(kind);
     let mut cols = vec![Column::new("k", DataType::Int64)];
     for i in 1..d.spec.num_attrs {
         cols.push(Column::new(format!("a{i}"), DataType::Int64));
@@ -92,8 +78,8 @@ fn load(d: &VersionedDataset, kind: PageFormatKind) -> Database {
 }
 
 /// Recreate (check out) the sampled versions through the vtab: read the
-/// version's rlist, then fetch every record — the decode-heavy path the
-/// page format pays for. Returns (ms per checkout, tuples decoded).
+/// version's rlist, then fetch every record — the decode-heavy path.
+/// Returns (ms per checkout, tuples decoded).
 fn checkout_sample(db: &Database, name: &str, samples: &[partition::Vid]) -> (f64, u64) {
     let data = db.table(&format!("{name}__sbr_data")).unwrap();
     let vtab = db.table(&format!("{name}__sbr_vtab")).unwrap();
@@ -146,23 +132,12 @@ fn run_dataset(spec: &DatasetSpec, full: bool) -> Json {
     let samples = bench::sample_versions(d.num_versions(), n_samples);
     let prefix = format!("{}__sbr", spec.name);
 
-    let mut bytes = [0usize; 2];
-    let mut ms = [0f64; 2];
-    let mut decoded = [0u64; 2];
-    for (i, kind) in [PageFormatKind::Flat, PageFormatKind::Delta]
-        .into_iter()
-        .enumerate()
-    {
-        let db = load(&d, kind);
-        bytes[i] = db.encoded_bytes_with_prefix(&prefix).unwrap();
-        let (per_checkout, n) = checkout_sample(&db, &spec.name, &samples);
-        ms[i] = per_checkout;
-        decoded[i] = n;
-    }
-    let reduction = 100.0 * (1.0 - bytes[1] as f64 / bytes[0] as f64);
+    let db = load(&d);
+    let bytes = db.encoded_bytes_with_prefix(&prefix).unwrap();
+    let (ms, decoded) = checkout_sample(&db, &spec.name, &samples);
     println!(
-        "storage: flat {} B, delta {} B ({reduction:.1}% smaller); checkout {:.2} ms (flat) vs {:.2} ms (delta) over {} versions",
-        bytes[0], bytes[1], ms[0], ms[1], samples.len()
+        "storage: {bytes} B; checkout {ms:.2} ms over {} versions",
+        samples.len()
     );
 
     // The storage/recreation frontier: sweep the budget factor.
@@ -198,20 +173,14 @@ fn run_dataset(spec: &DatasetSpec, full: bool) -> Json {
         ("records", Json::Num(stats.records as f64)),
         (
             "storage",
-            Json::object(vec![
-                ("flat_bytes", Json::Num(bytes[0] as f64)),
-                ("delta_bytes", Json::Num(bytes[1] as f64)),
-                ("reduction_pct", Json::Num(reduction)),
-                ("min_reduction_pct", Json::Num(min_reduction_pct(full))),
-            ]),
+            Json::object(vec![("bytes", Json::Num(bytes as f64))]),
         ),
         (
             "recreation",
             Json::object(vec![
                 ("sampled_versions", Json::Num(samples.len() as f64)),
-                ("flat_ms_per_checkout", Json::Num(ms[0])),
-                ("delta_ms_per_checkout", Json::Num(ms[1])),
-                ("delta_decoded_tuples", Json::Num(decoded[1] as f64)),
+                ("ms_per_checkout", Json::Num(ms)),
+                ("decoded_tuples", Json::Num(decoded as f64)),
             ]),
         ),
         ("frontier", Json::Arr(frontier)),
@@ -261,8 +230,8 @@ fn budget_oracle() -> Json {
 fn main() -> ExitCode {
     let full = bench::Args::from_env().full_tier;
     bench::banner(
-        "frontier: storage bytes vs recreation cost across page formats",
-        "delta-compressed pages + materialization budget (Problems 7.1/7.3)",
+        "frontier: storage bytes vs recreation cost",
+        "materialization budget (Problems 7.1/7.3)",
     );
     let specs = if full {
         DatasetSpec::scale_presets()

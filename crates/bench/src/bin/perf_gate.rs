@@ -14,10 +14,9 @@
 //! threads wall-clock leg either ran (hosts with ≥4 cores) and met its
 //! floor, or recorded its skip reason.
 //!
-//! And of `<--results-dir>/frontier_smoke.json` (the page-format
-//! storage/recreation gate): Delta strictly undercuts Flat's stored
-//! bytes past the recorded floor, every budget-frontier point respects
-//! its β, the LMG/exact oracle ratio holds, and the full (1M) tier ran
+//! And of `<--results-dir>/frontier_smoke.json` (the storage/recreation
+//! gate): each dataset stores no more bytes than its recorded bound,
+//! every budget-frontier point respects its β, the LMG/exact oracle ratio holds, and the full (1M) tier ran
 //! or recorded why it did not.
 //!
 //! Exit status 1 on any regression. When an intentional engine change moves
@@ -102,8 +101,8 @@ fn main() -> ExitCode {
         }
     }
 
-    // Frontier results: absolute page-format storage/recreation
-    // assertions over the frontier smoke run.
+    // Frontier results: absolute storage/recreation assertions over the
+    // frontier smoke run.
     let frontier_path = args.results_dir.join("frontier_smoke.json");
     match load(&frontier_path) {
         Ok(frontier) => {
@@ -123,7 +122,7 @@ fn main() -> ExitCode {
             eprintln!("perf gate: {err}");
             report
                 .regressions
-                .push("frontier_smoke.json: missing — page-format gate did not run".into());
+                .push("frontier_smoke.json: missing — frontier gate did not run".into());
         }
     }
 

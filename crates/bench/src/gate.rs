@@ -197,12 +197,22 @@ pub fn check_scaling(doc: &Json) -> GateReport {
     report
 }
 
+/// The most bytes each frontier dataset may store: what the Flat codec
+/// stored for it when Flat became the one page format. A dataset with
+/// no bound here fails [`check_frontier`].
+const FRONTIER_MAX_BYTES: [(&str, f64); 4] = [
+    ("SCI_SMOKE", 493_864.0),
+    ("CUR_SMOKE", 907_168.0),
+    ("SCI_1M", 318_833_534.0),
+    ("CUR_1M", 903_977_946.0),
+];
+
 /// Absolute assertions over the `frontier_smoke.json` results document
-/// (the page-format storage/recreation gate).
+/// (the storage/recreation gate).
 ///
-/// Baseline-free, like [`check_scaling`]: for every dataset the Delta
-/// format must *strictly* undercut Flat's stored bytes and clear the
-/// recorded `min_reduction_pct`; every frontier point must respect its
+/// Baseline-free, like [`check_scaling`]: every dataset's stored bytes
+/// must stay within its recorded bound ([`FRONTIER_MAX_BYTES`]), so a
+/// change that bloats the pages fails; every frontier point must respect its
 /// budget (`storage_records ≤ beta`) and more budget must never worsen
 /// the objective (ΣR at the loosest factor ≤ ΣR at the tightest); the
 /// budget-oracle leg must stay within its recorded LMG/exact ratio bound
@@ -228,30 +238,18 @@ pub fn check_frontier(doc: &Json) -> GateReport {
             .unwrap_or("?")
             .to_owned();
         report.checked += 1;
-        match (
-            num(ds, "storage/flat_bytes"),
-            num(ds, "storage/delta_bytes"),
-        ) {
-            (Some(flat), Some(delta)) if delta < flat => {}
-            (Some(flat), Some(delta)) => report.regressions.push(format!(
-                "datasets[{i}] {name}: delta_bytes {delta} must be strictly below flat_bytes {flat}"
+        let bound = FRONTIER_MAX_BYTES.iter().find(|(n, _)| *n == name);
+        match (num(ds, "storage/bytes"), bound) {
+            (Some(bytes), Some(&(_, max))) if bytes <= max => {}
+            (Some(bytes), Some(&(_, max))) => report.regressions.push(format!(
+                "datasets[{i}] {name}: stored bytes {bytes} above the recorded {max}"
             )),
-            _ => report.regressions.push(format!(
-                "datasets[{i}] {name}: storage/flat_bytes or delta_bytes missing"
-            )),
-        }
-        report.checked += 1;
-        match (
-            num(ds, "storage/reduction_pct"),
-            num(ds, "storage/min_reduction_pct"),
-        ) {
-            (Some(got), Some(floor)) if got + f64::EPSILON >= floor => {}
-            (Some(got), Some(floor)) => report.regressions.push(format!(
-                "datasets[{i}] {name}: reduction {got:.1}% below the {floor:.0}% floor"
-            )),
-            _ => report.regressions.push(format!(
-                "datasets[{i}] {name}: storage/reduction_pct(+min) missing"
-            )),
+            (None, _) => report
+                .regressions
+                .push(format!("datasets[{i}] {name}: storage/bytes missing")),
+            (Some(_), None) => report
+                .regressions
+                .push(format!("datasets[{i}] {name}: no recorded byte bound")),
         }
         report.checked += 1;
         match ds.get("frontier") {
@@ -504,9 +502,7 @@ mod tests {
     // the knob it perturbs, a params struct would just duplicate the JSON.
     #[allow(clippy::too_many_arguments)]
     fn frontier_doc(
-        flat: f64,
-        delta: f64,
-        reduction: f64,
+        bytes: f64,
         storage: f64,
         beta: f64,
         sum_tight: f64,
@@ -523,17 +519,11 @@ mod tests {
                   "name": "SCI_SMOKE",
                   "versions": 60,
                   "records": 2400,
-                  "storage": {{
-                    "flat_bytes": {flat},
-                    "delta_bytes": {delta},
-                    "reduction_pct": {reduction},
-                    "min_reduction_pct": 10.0
-                  }},
+                  "storage": {{ "bytes": {bytes} }},
                   "recreation": {{
                     "sampled_versions": 12,
-                    "flat_ms_per_checkout": 1.0,
-                    "delta_ms_per_checkout": 1.2,
-                    "delta_decoded_tuples": 9000
+                    "ms_per_checkout": 1.0,
+                    "decoded_tuples": 9000
                   }},
                   "frontier": [
                     {{"factor": 1.0, "beta": {beta}, "min_storage": {beta},
@@ -558,9 +548,7 @@ mod tests {
 
     fn good_frontier() -> Json {
         frontier_doc(
-            100_000.0,
-            40_000.0,
-            60.0,
+            493_864.0,
             5000.0,
             5000.0,
             9000.0,
@@ -575,40 +563,38 @@ mod tests {
     fn frontier_good_doc_passes() {
         let r = check_frontier(&good_frontier());
         assert!(r.passed(), "{:?}", r.regressions);
-        // 3 per dataset + oracle + full-tier contract.
-        assert_eq!(r.checked, 5);
+        // 2 per dataset + oracle + full-tier contract.
+        assert_eq!(r.checked, 4);
     }
 
     #[test]
-    fn frontier_delta_not_smaller_fails() {
+    fn frontier_bytes_above_the_recorded_bound_fail() {
         let doc = frontier_doc(
-            100_000.0, 100_000.0, 0.0, 5000.0, 5000.0, 9000.0, 4000.0, 1.1, false, "local",
+            493_865.0, 5000.0, 5000.0, 9000.0, 4000.0, 1.1, false, "local",
         );
         let r = check_frontier(&doc);
         assert!(!r.passed());
         assert!(r
             .regressions
             .iter()
-            .any(|m| m.contains("strictly below flat_bytes")));
+            .any(|m| m.contains("stored bytes 493865 above the recorded 493864")));
     }
 
     #[test]
-    fn frontier_reduction_floor_enforced() {
-        let doc = frontier_doc(
-            100_000.0, 98_000.0, 2.0, 5000.0, 5000.0, 9000.0, 4000.0, 1.1, false, "local",
-        );
+    fn frontier_dataset_without_a_bound_fails() {
+        let doc = good_frontier().to_string_pretty();
+        let doc = obs::parse(&doc.replace("SCI_SMOKE", "SCI_NEW")).unwrap();
         let r = check_frontier(&doc);
-        assert!(!r.passed());
         assert!(r
             .regressions
             .iter()
-            .any(|m| m.contains("below the 10% floor")));
+            .any(|m| m.contains("SCI_NEW: no recorded byte bound")));
     }
 
     #[test]
     fn frontier_budget_overrun_fails() {
         let doc = frontier_doc(
-            100_000.0, 40_000.0, 60.0, 6000.0, 5000.0, 9000.0, 4000.0, 1.1, false, "local",
+            493_864.0, 6000.0, 5000.0, 9000.0, 4000.0, 1.1, false, "local",
         );
         let r = check_frontier(&doc);
         assert!(!r.passed());
@@ -618,7 +604,7 @@ mod tests {
     #[test]
     fn frontier_recreation_must_not_worsen_with_budget() {
         let doc = frontier_doc(
-            100_000.0, 40_000.0, 60.0, 5000.0, 5000.0, 4000.0, 9000.0, 1.1, false, "local",
+            493_864.0, 5000.0, 5000.0, 4000.0, 9000.0, 1.1, false, "local",
         );
         let r = check_frontier(&doc);
         assert!(!r.passed());
@@ -631,7 +617,7 @@ mod tests {
     #[test]
     fn frontier_oracle_ratio_bound_enforced() {
         let doc = frontier_doc(
-            100_000.0, 40_000.0, 60.0, 5000.0, 5000.0, 9000.0, 4000.0, 2.7, false, "local",
+            493_864.0, 5000.0, 5000.0, 9000.0, 4000.0, 2.7, false, "local",
         );
         let r = check_frontier(&doc);
         assert!(!r.passed());
@@ -643,9 +629,7 @@ mod tests {
 
     #[test]
     fn frontier_silent_full_tier_skip_fails() {
-        let doc = frontier_doc(
-            100_000.0, 40_000.0, 60.0, 5000.0, 5000.0, 9000.0, 4000.0, 1.1, false, "",
-        );
+        let doc = frontier_doc(493_864.0, 5000.0, 5000.0, 9000.0, 4000.0, 1.1, false, "");
         let r = check_frontier(&doc);
         assert!(!r.passed());
         assert!(r

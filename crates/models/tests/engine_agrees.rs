@@ -1,8 +1,8 @@
 //! The engine against the models: histories built through `OrpheusDb`
 //! — keyed and unkeyed checkouts, merges, inserts before and after the
 //! first read of a staging table, updates, deletes and one schema-evolving
-//! CSV commit — read back three ways for every version, on Flat and on
-//! Delta pages: `read_version`, `run SELECT * FROM VERSION v OF CVD …`, and
+//! CSV commit — read back three ways for every version:
+//! `read_version`, `run SELECT * FROM VERSION v OF CVD …`, and
 //! each of the five Chapter 4 models — loaded from the engine's `Cvd` once
 //! the history is over, and applied commit by commit as the engine made
 //! it. All must return the version's records and nothing else.
@@ -12,7 +12,6 @@ use orpheus_core::metadata::data_row;
 use orpheus_core::{CommitResult, Cvd, OrpheusDb, Vid};
 use partition::Rid;
 use proptest::prelude::*;
-use relstore::codec::PageFormatKind;
 use relstore::{Column, DataType, Database, ExecContext, Row, Schema, Value};
 
 /// One checkout of CVD `h` (keyed) or `u` (unkeyed), edited and committed.
@@ -43,9 +42,8 @@ fn cycle() -> impl Strategy<Value = Cycle> {
         })
 }
 
-fn instance(format: PageFormatKind) -> OrpheusDb {
+fn instance() -> OrpheusDb {
     let mut odb = OrpheusDb::new();
-    odb.set_page_format(format);
     odb.create_user("alice").unwrap();
     odb.login("alice").unwrap();
     let schema = Schema::new(vec![
@@ -199,24 +197,22 @@ proptest! {
         evolve_at in any::<usize>(),
         evolve_keyed in any::<bool>(),
     ) {
-        for format in [PageFormatKind::Flat, PageFormatKind::Delta] {
-            let mut odb = instance(format);
-            // Indexed by `keyed`: the unkeyed CVD, then the keyed one.
-            let names = ["u", "h"];
-            let mut followed = names.map(|name| load_models(odb.cvd(name).unwrap()));
-            for (serial, c) in cycles.iter().enumerate() {
-                if serial == evolve_at % cycles.len() {
-                    let (keyed, name) = (evolve_keyed as usize, names[evolve_keyed as usize]);
-                    let res = evolve(&mut odb, name);
-                    follow(&mut followed[keyed], odb.cvd(name).unwrap(), &res);
-                }
-                let res = run_cycle(&mut odb, c, serial);
-                let keyed = c.keyed as usize;
-                follow(&mut followed[keyed], odb.cvd(names[keyed]).unwrap(), &res);
+        let mut odb = instance();
+        // Indexed by `keyed`: the unkeyed CVD, then the keyed one.
+        let names = ["u", "h"];
+        let mut followed = names.map(|name| load_models(odb.cvd(name).unwrap()));
+        for (serial, c) in cycles.iter().enumerate() {
+            if serial == evolve_at % cycles.len() {
+                let (keyed, name) = (evolve_keyed as usize, names[evolve_keyed as usize]);
+                let res = evolve(&mut odb, name);
+                follow(&mut followed[keyed], odb.cvd(name).unwrap(), &res);
             }
-            for (name, stores) in names.into_iter().zip(&followed) {
-                assert_sources_agree(&odb, name, stores)?;
-            }
+            let res = run_cycle(&mut odb, c, serial);
+            let keyed = c.keyed as usize;
+            follow(&mut followed[keyed], odb.cvd(names[keyed]).unwrap(), &res);
+        }
+        for (name, stores) in names.into_iter().zip(&followed) {
+            assert_sources_agree(&odb, name, stores)?;
         }
     }
 }

@@ -218,12 +218,6 @@ impl OrpheusDb {
         self.slow_ms = ms;
     }
 
-    /// Set the page format of the tables created from here on (Flat by
-    /// default); existing tables keep theirs.
-    pub fn set_page_format(&mut self, kind: relstore::codec::PageFormatKind) {
-        self.db.set_default_format(kind);
-    }
-
     /// Whether the storage layer has a write-ahead log attached.
     pub fn is_durable(&self) -> bool {
         self.db.is_durable()
@@ -1222,7 +1216,7 @@ fn split_csv_line(line: &str) -> Vec<String> {
 
 /// Parse a schema spec string: `name:int,name:text,name:float,name:bool`.
 pub fn parse_schema_spec(spec: &str) -> Result<Schema> {
-    let mut cols = Vec::new();
+    let mut schema = Schema::empty();
     for part in spec.split(',') {
         let (name, ty) = part
             .split_once(':')
@@ -1234,9 +1228,11 @@ pub fn parse_schema_spec(spec: &str) -> Result<Schema> {
             "bool" | "boolean" => DataType::Bool,
             other => return Err(Error::Parse(format!("unknown type: {other}"))),
         };
-        cols.push(Column::nullable(name.trim().to_owned(), dtype));
+        let column = Column::nullable(name.trim(), dtype);
+        let twice = format!("column {} named twice in the schema", column.name);
+        schema.add_column(column).map_err(|_| Error::Parse(twice))?;
     }
-    Ok(Schema::new(cols))
+    Ok(schema)
 }
 
 #[cfg(test)]
@@ -1644,6 +1640,12 @@ mod tests {
         assert_eq!(s.column(2).unwrap().dtype, DataType::Float64);
         assert!(parse_schema_spec("nope").is_err());
         assert!(parse_schema_spec("x:blob").is_err());
+        // `Schema::new` would keep the second `k`, and a WHERE on `k`
+        // would test it.
+        assert_eq!(
+            parse_schema_spec("k:int, a:text,k :int").unwrap_err(),
+            Error::Parse("column k named twice in the schema".into())
+        );
     }
 
     #[test]
@@ -2536,11 +2538,10 @@ mod tests {
     /// what a checkout copied at once commits. Random histories of keyed,
     /// unkeyed and merge checkouts run on two instances, one of which
     /// reads every staging table as soon as it is checked out; every
-    /// read, commit outcome and CVD must agree, on both page formats.
+    /// read, commit outcome and CVD must agree.
     mod copy_on_first_read {
         use super::*;
         use proptest::prelude::*;
-        use relstore::codec::PageFormatKind;
 
         /// One checkout, edited and committed.
         #[derive(Debug, Clone)]
@@ -2581,9 +2582,8 @@ mod tests {
                 )
         }
 
-        fn instance(format: PageFormatKind) -> OrpheusDb {
+        fn instance() -> OrpheusDb {
             let mut odb = OrpheusDb::new();
-            odb.set_page_format(format);
             for user in ["alice", "bob"] {
                 odb.create_user(user).unwrap();
             }
@@ -2742,13 +2742,11 @@ mod tests {
 
             #[test]
             fn commits_what_an_eager_copy_commits(cycles in prop::collection::vec(cycle(), 1..7)) {
-                for format in [PageFormatKind::Flat, PageFormatKind::Delta] {
-                    let (mut lazy, mut eager) = (instance(format), instance(format));
-                    for (serial, c) in cycles.iter().enumerate() {
-                        let seen = run(&mut lazy, false, c, serial);
-                        prop_assert_eq!(seen, run(&mut eager, true, c, serial), "{:?} {:?}", format, c);
-                        prop_assert_eq!(state(&mut lazy), state(&mut eager), "{:?} {:?}", format, c);
-                    }
+                let (mut lazy, mut eager) = (instance(), instance());
+                for (serial, c) in cycles.iter().enumerate() {
+                    let seen = run(&mut lazy, false, c, serial);
+                    prop_assert_eq!(seen, run(&mut eager, true, c, serial), "{:?}", c);
+                    prop_assert_eq!(state(&mut lazy), state(&mut eager), "{:?}", c);
                 }
             }
         }

@@ -420,6 +420,10 @@ impl Cvd {
             self.check_commit(parents, schema, &changes)?;
             return Ok(self.apply_changes(parents, changes, message, author));
         }
+        // The evolved star row — the rid, then every attribute — must fit
+        // a tuple.
+        let added = (schema.columns().iter()).filter(|c| !self.schema.contains(&c.name));
+        relstore::codec::check_width(1 + self.schema.len() + added.count())?;
         // Evolve copies of the union schema and the attribute table, and
         // map each committed column to its union index and type: a commit
         // that fails changes nothing.
@@ -479,10 +483,9 @@ impl Cvd {
         }
 
         // Re-project rows into the union layout, widening values as needed.
-        let width = union.len();
         let projected: Vec<Row> = (changes.rows.into_iter())
             .map(|row| {
-                let mut out = vec![Value::Null; width];
+                let mut out = vec![Value::Null; union.len()];
                 for (src, &(dst, dtype)) in mapping.iter().enumerate() {
                     out[dst] = row[src].widen(dtype).unwrap_or(Value::Null);
                 }
@@ -502,7 +505,7 @@ impl Cvd {
                     row[idx] = w;
                 }
             }
-            row.resize(width, Value::Null);
+            row.resize(union.len(), Value::Null);
         }
         (self.schema, self.attributes) = (union, attributes);
         let result = self.apply_changes(parents, changes, message, author);

@@ -444,7 +444,6 @@ mod tests {
     use crate::query::QueryResult;
     use pagestore::{FaultKind, FaultPager, FaultPlan, FaultWal, FilePager, FileWalStore, Wal};
     use proptest::prelude::*;
-    use relstore::codec::PageFormatKind;
     use relstore::BufferPool;
     use std::path::{Path, PathBuf};
 
@@ -661,13 +660,9 @@ mod tests {
         fn a_reopened_instance_is_the_instance_that_was_closed(
             steps in prop::collection::vec(step(), 1..9),
             next in step(),
-            delta in any::<bool>(),
         ) {
             let dir = scratch("history");
             let mut live = open(&dir, 1024);
-            if delta {
-                live.database().set_default_format(PageFormatKind::Delta);
-            }
             live.create_user("alice").unwrap();
             live.login("alice").unwrap();
             live.init_cvd("h", base_schema(), vec!["k".into()], base_rows(12)).unwrap();
@@ -861,7 +856,7 @@ mod tests {
         /// same checkouts and writes, one commits them by rid, the other in
         /// the all-changed form. Every write, commit result and error, the
         /// visible state (rlists and records, rids included) and the corpus
-        /// answers agree, on Flat and Delta pages, live and after a reopen.
+        /// answers agree, live and after a reopen.
         #[test]
         fn a_commit_by_rid_is_the_all_changed_commit(
             commits in prop::collection::vec(
@@ -869,73 +864,65 @@ mod tests {
                 1..7,
             ),
         ) {
-            for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
-                let dirs = [scratch("by-rid"), scratch("all-changed")];
-                let mut twins = dirs.clone().map(|dir| {
-                    let mut odb = open(&dir, 2048);
-                    odb.database().set_default_format(kind);
-                    odb.set_auto_checkpoint(false);
-                    load_corpus(&mut odb);
-                    odb
-                });
-                for (serial, (parent, writes)) in commits.iter().enumerate() {
-                    let table = format!("w{serial}");
-                    let mut outcomes = Vec::new();
-                    for (twin, odb) in twins.iter_mut().enumerate() {
-                        let versions = odb.cvd("T").unwrap().num_versions();
-                        let parent = Vid((parent % versions) as u32);
-                        odb.checkout("T", &[parent], &table).unwrap();
-                        let t = odb.staging_table_mut(&table).unwrap();
-                        let mut outcome: Vec<String> = writes
-                            .iter()
-                            .map(|w| format!("{:?}", apply_write(t, w, serial as i64)))
-                            .collect();
-                        let committed = if twin == 0 {
-                            odb.commit(&table, "by rid")
-                        } else {
-                            odb.commit_all_changed(&table, "by rid")
-                        };
-                        outcome.push(format!("{:?}", committed.map_err(|e| e.to_string())));
-                        outcomes.push(outcome);
-                    }
-                    prop_assert_eq!(&outcomes[0], &outcomes[1], "{:?} commit {}", kind, serial);
+            let dirs = [scratch("by-rid"), scratch("all-changed")];
+            let mut twins = dirs.clone().map(|dir| {
+                let mut odb = open(&dir, 2048);
+                odb.set_auto_checkpoint(false);
+                load_corpus(&mut odb);
+                odb
+            });
+            for (serial, (parent, writes)) in commits.iter().enumerate() {
+                let table = format!("w{serial}");
+                let mut outcomes = Vec::new();
+                for (twin, odb) in twins.iter_mut().enumerate() {
+                    let versions = odb.cvd("T").unwrap().num_versions();
+                    let parent = Vid((parent % versions) as u32);
+                    odb.checkout("T", &[parent], &table).unwrap();
+                    let t = odb.staging_table_mut(&table).unwrap();
+                    let mut outcome: Vec<String> = writes
+                        .iter()
+                        .map(|w| format!("{:?}", apply_write(t, w, serial as i64)))
+                        .collect();
+                    let committed = if twin == 0 {
+                        odb.commit(&table, "by rid")
+                    } else {
+                        odb.commit_all_changed(&table, "by rid")
+                    };
+                    outcome.push(format!("{:?}", committed.map_err(|e| e.to_string())));
+                    outcomes.push(outcome);
                 }
-                let live: Vec<_> = twins
-                    .iter()
-                    .map(|odb| (visible(odb), corpus_answers(odb)))
-                    .collect();
-                prop_assert_eq!(&live[0], &live[1], "{:?}", kind);
-                for odb in &twins {
-                    odb.checkpoint().unwrap();
-                }
-                drop(twins);
-                for dir in &dirs {
-                    let reopened = open(dir, 2048);
-                    prop_assert_eq!(&(visible(&reopened), corpus_answers(&reopened)), &live[0]);
-                    drop(reopened);
-                    std::fs::remove_dir_all(dir).unwrap();
-                }
+                prop_assert_eq!(&outcomes[0], &outcomes[1], "commit {}", serial);
+            }
+            let live: Vec<_> = twins
+                .iter()
+                .map(|odb| (visible(odb), corpus_answers(odb)))
+                .collect();
+            prop_assert_eq!(&live[0], &live[1]);
+            for odb in &twins {
+                odb.checkpoint().unwrap();
+            }
+            drop(twins);
+            for dir in &dirs {
+                let reopened = open(dir, 2048);
+                prop_assert_eq!(&(visible(&reopened), corpus_answers(&reopened)), &live[0]);
+                drop(reopened);
+                std::fs::remove_dir_all(dir).unwrap();
             }
         }
     }
 
     #[test]
-    fn query_corpus_answers_survive_a_reopen_in_both_formats() {
-        for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
-            let dir = scratch("corpus");
-            let mut odb = open(&dir, 2048);
-            odb.database().set_default_format(kind);
-            odb.set_auto_checkpoint(false);
-            load_corpus(&mut odb);
-            odb.checkpoint().unwrap();
-            let before = corpus_answers(&odb);
-            drop(odb);
-            let mut odb = open(&dir, 2048);
-            assert_eq!(corpus_answers(&odb), before, "{kind:?}");
-            let data = odb.database().table("T__sbr_data").unwrap();
-            assert_eq!(data.format_kind(), kind);
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
+    fn query_corpus_answers_survive_a_reopen() {
+        let dir = scratch("corpus");
+        let mut odb = open(&dir, 2048);
+        odb.set_auto_checkpoint(false);
+        load_corpus(&mut odb);
+        odb.checkpoint().unwrap();
+        let before = corpus_answers(&odb);
+        drop(odb);
+        let odb = open(&dir, 2048);
+        assert_eq!(corpus_answers(&odb), before);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A store written when the data table carried a `rid_pk` index opens
@@ -943,44 +930,41 @@ mod tests {
     /// rebuilt at open and maintained, but no read goes through it.
     #[test]
     fn a_store_with_the_old_rid_pk_index_opens_and_answers_alike() {
-        for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
-            let dirs = [scratch("no-rid-pk"), scratch("rid-pk")];
-            for (with_index, dir) in dirs.iter().enumerate() {
-                let mut odb = open(dir, 2048);
-                odb.database().set_default_format(kind);
-                odb.set_auto_checkpoint(false);
-                load_corpus(&mut odb);
-                if with_index == 1 {
-                    for cvd in odb.list_cvds() {
-                        let data = odb.database().table_mut(&data_name(&cvd)).unwrap();
-                        data.create_index("rid_pk", "rid", true, IndexKind::BTree)
-                            .unwrap();
-                    }
+        let dirs = [scratch("no-rid-pk"), scratch("rid-pk")];
+        for (with_index, dir) in dirs.iter().enumerate() {
+            let mut odb = open(dir, 2048);
+            odb.set_auto_checkpoint(false);
+            load_corpus(&mut odb);
+            if with_index == 1 {
+                for cvd in odb.list_cvds() {
+                    let data = odb.database().table_mut(&data_name(&cvd)).unwrap();
+                    data.create_index("rid_pk", "rid", true, IndexKind::BTree)
+                        .unwrap();
                 }
-                odb.close().unwrap();
             }
-            let [mut plain, mut legacy] = dirs.clone().map(|dir| open(&dir, 2048));
-            assert!(legacy
-                .database()
-                .table("T__sbr_data")
-                .unwrap()
-                .has_index("rid_pk"));
-            assert!(!plain
-                .database()
-                .table("T__sbr_data")
-                .unwrap()
-                .has_index("rid_pk"));
-            assert_eq!(corpus_answers(&legacy), corpus_answers(&plain), "{kind:?}");
-            // It goes on committing, the leftover index kept in step.
-            for odb in [&mut plain, &mut legacy] {
-                apply_corpus_edit(odb);
-            }
-            assert_eq!(visible(&legacy), visible(&plain), "{kind:?}");
-            assert_eq!(corpus_answers(&legacy), corpus_answers(&plain), "{kind:?}");
-            drop((plain, legacy));
-            for dir in &dirs {
-                std::fs::remove_dir_all(dir).unwrap();
-            }
+            odb.close().unwrap();
+        }
+        let [mut plain, mut legacy] = dirs.clone().map(|dir| open(&dir, 2048));
+        assert!(legacy
+            .database()
+            .table("T__sbr_data")
+            .unwrap()
+            .has_index("rid_pk"));
+        assert!(!plain
+            .database()
+            .table("T__sbr_data")
+            .unwrap()
+            .has_index("rid_pk"));
+        assert_eq!(corpus_answers(&legacy), corpus_answers(&plain));
+        // It goes on committing, the leftover index kept in step.
+        for odb in [&mut plain, &mut legacy] {
+            apply_corpus_edit(odb);
+        }
+        assert_eq!(visible(&legacy), visible(&plain));
+        assert_eq!(corpus_answers(&legacy), corpus_answers(&plain));
+        drop((plain, legacy));
+        for dir in &dirs {
+            std::fs::remove_dir_all(dir).unwrap();
         }
     }
 
@@ -994,15 +978,12 @@ mod tests {
 
     /// A data table that no longer numbers the CVD's records by rid — a
     /// row missing at its end or in its middle — is refused at open with a
-    /// typed error that names the CVD, never read as a shorter CVD. Flat
-    /// and Delta pages.
+    /// typed error that names the CVD, never read as a shorter CVD.
     #[test]
     fn a_data_table_short_of_the_catalog_is_refused_at_open() {
-        let kinds = [PageFormatKind::Flat, PageFormatKind::Delta];
-        for (kind, missing) in kinds.into_iter().flat_map(|k| [(k, "last"), (k, "middle")]) {
+        for missing in ["last", "middle"] {
             let dir = scratch("short-data");
             let mut odb = open(&dir, 256);
-            odb.database().set_default_format(kind);
             odb.create_user("alice").unwrap();
             odb.login("alice").unwrap();
             odb.init_cvd("hostile", base_schema(), vec!["k".into()], base_rows(6))
@@ -1015,9 +996,9 @@ mod tests {
             odb.close().unwrap();
             match OrpheusDb::open_durable(&dir, 256) {
                 Err(Error::Internal(m)) => {
-                    assert!(m.contains("hostile"), "{kind:?} {missing}: {m}")
+                    assert!(m.contains("hostile"), "{missing}: {m}")
                 }
-                other => panic!("{kind:?} {missing}: {:?}", other.map(|_| ())),
+                other => panic!("{missing}: {:?}", other.map(|_| ())),
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
@@ -1198,10 +1179,10 @@ mod tests {
     fn write_cycles_reuse_their_staging_pages() {
         let dir = scratch("cycles");
         let mut odb = open(&dir, 2048);
-        // Delta packs an rlist into a thirtieth of its staging table, so
-        // 200 commits' own growth is a few staging tables' worth of pages
-        // and a leaked staging table per cycle stands out.
-        odb.database().set_default_format(PageFormatKind::Delta);
+        // A staging table of 600-byte rows is some 75 pages, and a
+        // commit's own growth, its rlist, about one: 200 commits grow the
+        // file by a few staging tables' worth, so a leaked staging table
+        // per cycle stands out.
         odb.create_user("alice").unwrap();
         odb.login("alice").unwrap();
         let rows = (0..1_000)
@@ -1209,7 +1190,7 @@ mod tests {
                 vec![
                     Value::Int64(k),
                     Value::Null,
-                    Value::Text(format!("{k:060}")),
+                    Value::Text(format!("{k:0600}")),
                 ]
             })
             .collect();
@@ -1221,7 +1202,7 @@ mod tests {
             odb.commit("probe", "probe").unwrap();
             pages as u32
         };
-        assert!(staging_pages >= 6);
+        assert!(staging_pages >= 60, "{staging_pages}");
         let cycle = |odb: &mut OrpheusDb, table: &str, serial: i64| {
             odb.checkout("c", &[Vid(0)], table).unwrap();
             let t = odb.staging_table_mut(table).unwrap();

@@ -534,7 +534,6 @@ pub(crate) mod tests {
     use super::*;
     use crate::commands::{CommandOutput, OrpheusDb};
     use crate::query::parse_query;
-    use relstore::codec::PageFormatKind;
     use relstore::{BinOp, Column, DataType, Row, Value, Values};
 
     /// Three CVDs. `T`: three columns (int key, text, int), four versions —
@@ -548,14 +547,6 @@ pub(crate) mod tests {
     /// in (`1e16 + 1.0` is `1e16`); three versions fork from the root.
     pub(crate) fn corpus_db() -> OrpheusDb {
         let mut odb = OrpheusDb::new();
-        load_corpus(&mut odb);
-        odb
-    }
-
-    /// [`corpus_db`] with every table in page format `kind`.
-    fn corpus_db_in(kind: PageFormatKind) -> OrpheusDb {
-        let mut odb = OrpheusDb::new();
-        odb.database().set_default_format(kind);
         load_corpus(&mut odb);
         odb
     }
@@ -734,17 +725,16 @@ pub(crate) mod tests {
         }
     }
 
-    /// The differential oracle over the corpus: on Flat and on Delta
-    /// pages, the engine at one and at four threads, a pinned snapshot,
+    /// The differential oracle over the corpus: the engine at one and at
+    /// four threads, a pinned snapshot,
     /// and the instrumented plan (root `act rows`, root measured reads ==
     /// pool delta, text and JSON renderings) agree on every query.
     #[test]
-    fn corpus_agrees_across_threads_formats_snapshot_and_explain() {
-        let flat: Vec<QueryResult> = corpus_agrees_in(PageFormatKind::Flat);
-        assert_eq!(corpus_agrees_in(PageFormatKind::Delta), flat);
+    fn corpus_agrees_across_threads_snapshot_and_explain() {
+        let answers: Vec<QueryResult> = corpus_agrees();
         // The pushed-down predicates select something and not everything.
         let selected = |sql: &str| {
-            flat[QUERY_CORPUS.iter().position(|q| *q == sql).unwrap()]
+            answers[QUERY_CORPUS.iter().position(|q| *q == sql).unwrap()]
                 .rows
                 .len()
         };
@@ -762,8 +752,8 @@ pub(crate) mod tests {
         );
     }
 
-    fn corpus_agrees_in(kind: PageFormatKind) -> Vec<QueryResult> {
-        let mut odb = corpus_db_in(kind);
+    fn corpus_agrees() -> Vec<QueryResult> {
+        let mut odb = corpus_db();
         // The padded-row case is really in the corpus: v0 of `E` predates
         // `bonus`, so its rows are widened with a trailing NULL.
         let narrow = odb.run("SELECT * FROM VERSION 0 OF CVD E").unwrap();
@@ -833,30 +823,28 @@ pub(crate) mod tests {
     /// with the pool — on the pages, the I/O of the unfiltered fetch.
     #[test]
     fn a_filtered_select_decodes_only_the_rows_it_returns() {
-        for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
-            let mut odb = corpus_db_in(kind);
-            for threads in [1, 4] {
-                odb.set_threads(threads);
-                let all = odb
-                    .explain_analyze("SELECT * FROM VERSION 40 OF CVD S")
-                    .unwrap();
-                let sql = "SELECT * FROM VERSION 40 OF CVD S WHERE k > 40020";
-                let before = odb.database().io_stats();
-                let rows = odb.run(sql).unwrap().rows;
-                assert_eq!(rows.len(), 4, "{kind:?}, {threads} threads");
-                let decoded = odb.database().io_stats().since(&before).tuples_decoded;
-                assert_eq!(decoded, 4, "{kind:?}, {threads} threads");
-                let report = odb.explain_analyze(sql).unwrap();
-                let fetch = &report.root;
-                assert_eq!(fetch.label, "RidFetch S__sbr_data where k > 40020");
-                assert!(fetch.children.is_empty());
-                assert_eq!(fetch.stats.rows, 4);
-                assert_eq!(fetch.estimate.rows, 50.0 * (1.0 / 3.0));
-                assert_eq!(report.pool_delta.tuples_decoded, 4);
-                let reads = fetch.stats.measured.logical_reads;
-                assert_eq!(reads, report.pool_delta.logical_reads);
-                assert_eq!(reads, all.pool_delta.logical_reads);
-            }
+        let mut odb = corpus_db();
+        for threads in [1, 4] {
+            odb.set_threads(threads);
+            let all = odb
+                .explain_analyze("SELECT * FROM VERSION 40 OF CVD S")
+                .unwrap();
+            let sql = "SELECT * FROM VERSION 40 OF CVD S WHERE k > 40020";
+            let before = odb.database().io_stats();
+            let rows = odb.run(sql).unwrap().rows;
+            assert_eq!(rows.len(), 4, "{threads} threads");
+            let decoded = odb.database().io_stats().since(&before).tuples_decoded;
+            assert_eq!(decoded, 4, "{threads} threads");
+            let report = odb.explain_analyze(sql).unwrap();
+            let fetch = &report.root;
+            assert_eq!(fetch.label, "RidFetch S__sbr_data where k > 40020");
+            assert!(fetch.children.is_empty());
+            assert_eq!(fetch.stats.rows, 4);
+            assert_eq!(fetch.estimate.rows, 50.0 * (1.0 / 3.0));
+            assert_eq!(report.pool_delta.tuples_decoded, 4);
+            let reads = fetch.stats.measured.logical_reads;
+            assert_eq!(reads, report.pool_delta.logical_reads);
+            assert_eq!(reads, all.pool_delta.logical_reads);
         }
     }
 
@@ -933,30 +921,27 @@ pub(crate) mod tests {
     /// The reference leg: every GROUP BY of the corpus, folded here from
     /// each version's own `SELECT *` rows (Int64 sums in `i128`, Float64
     /// sums in row order), is the version aggregate's answer, schema
-    /// included, on the engine and pinned, at 1 and 4 threads, on Flat
-    /// and Delta pages.
+    /// included, on the engine and pinned, at 1 and 4 threads.
     #[test]
     fn group_by_vid_is_each_versions_select_folded() {
-        for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
-            let mut odb = corpus_db_in(kind);
-            let mut groups = 0;
-            for sql in QUERY_CORPUS {
-                let query = parse_query(sql).unwrap();
-                let VQuery::AggregateByVersion { agg, agg_col, .. } = &query else {
-                    continue;
-                };
-                let want = folded(&odb, sql, query.cvd(), *agg, agg_col);
-                groups += want.rows.len();
-                let pinned = odb.snapshot(query.cvd()).unwrap();
-                assert_eq!(pinned.run(sql).unwrap(), want, "{kind:?} pinned: {sql}");
-                for threads in [1, 4] {
-                    odb.set_threads(threads);
-                    let got = odb.run(sql).unwrap();
-                    assert_eq!(got, want, "{kind:?}, {threads} threads: {sql}");
-                }
+        let mut odb = corpus_db();
+        let mut groups = 0;
+        for sql in QUERY_CORPUS {
+            let query = parse_query(sql).unwrap();
+            let VQuery::AggregateByVersion { agg, agg_col, .. } = &query else {
+                continue;
+            };
+            let want = folded(&odb, sql, query.cvd(), *agg, agg_col);
+            groups += want.rows.len();
+            let pinned = odb.snapshot(query.cvd()).unwrap();
+            assert_eq!(pinned.run(sql).unwrap(), want, "pinned: {sql}");
+            for threads in [1, 4] {
+                odb.set_threads(threads);
+                let got = odb.run(sql).unwrap();
+                assert_eq!(got, want, "{threads} threads: {sql}");
             }
-            assert_eq!(groups, 111, "{kind:?}");
         }
+        assert_eq!(groups, 111);
     }
 
     /// `sql`, a `GROUP BY vid` over `cvd`, answered by folding `agg(col)`
@@ -1037,25 +1022,23 @@ pub(crate) mod tests {
                 24 + 23 * 25,
             ),
         ];
-        for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
-            let mut odb = corpus_db_in(kind);
-            for threads in [1, 4] {
-                odb.set_threads(threads);
-                for (sql, root_label, leaf, decoded) in shapes {
-                    let report = odb.explain_analyze(sql).unwrap();
-                    let root = &report.root;
-                    assert_eq!(root.label, root_label);
-                    assert_eq!(root.estimate.rows, 41.0);
-                    let [fetch] = &root.children[..] else {
-                        panic!("{sql}: {:?}", root.children.len())
-                    };
-                    assert_eq!(fetch.label, leaf);
-                    assert!(fetch.children.is_empty());
-                    assert_eq!(report.pool_delta.tuples_decoded, decoded, "{sql}");
-                    assert_eq!(fetch.stats.rows, decoded, "{sql}");
-                    let reads = root.stats.measured.logical_reads;
-                    assert_eq!(reads, report.pool_delta.logical_reads, "{sql}");
-                }
+        let mut odb = corpus_db();
+        for threads in [1, 4] {
+            odb.set_threads(threads);
+            for (sql, root_label, leaf, decoded) in shapes {
+                let report = odb.explain_analyze(sql).unwrap();
+                let root = &report.root;
+                assert_eq!(root.label, root_label);
+                assert_eq!(root.estimate.rows, 41.0);
+                let [fetch] = &root.children[..] else {
+                    panic!("{sql}: {:?}", root.children.len())
+                };
+                assert_eq!(fetch.label, leaf);
+                assert!(fetch.children.is_empty());
+                assert_eq!(report.pool_delta.tuples_decoded, decoded, "{sql}");
+                assert_eq!(fetch.stats.rows, decoded, "{sql}");
+                let reads = root.stats.measured.logical_reads;
+                assert_eq!(reads, report.pool_delta.logical_reads, "{sql}");
             }
         }
         let snap = corpus_db().snapshot("S").unwrap();

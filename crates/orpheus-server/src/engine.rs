@@ -34,7 +34,6 @@
 use crate::protocol::code;
 use obs::{Recorder, Registry, TraceCtx};
 use orpheus_core::{Command, CommandOutput, OrpheusDb, Snapshot};
-use relstore::codec::PageFormatKind;
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,8 +53,6 @@ pub struct EngineConfig {
     /// Bounded admission queue: commits queued beyond this are rejected
     /// with a typed backpressure error.
     pub admission_capacity: usize,
-    /// Tuple codec of the tables the engine creates.
-    pub page_format: PageFormatKind,
     /// Slow-query threshold in milliseconds; `0` logs every command.
     pub slow_ms: u64,
 }
@@ -67,7 +64,6 @@ impl Default for EngineConfig {
             pool_pages: 512,
             threads: 1,
             admission_capacity: 64,
-            page_format: PageFormatKind::Flat,
             slow_ms: obs::journal::DEFAULT_SLOW_MS,
         }
     }
@@ -390,7 +386,6 @@ fn open_db(cfg: &EngineConfig) -> Result<(OrpheusDb, Option<relstore::RecoveryRe
         None => (OrpheusDb::new(), None),
     };
     db.set_threads(cfg.threads);
-    db.set_page_format(cfg.page_format);
     db.set_slow_ms(cfg.slow_ms);
     // The server owns durability points: one checkpoint per commit batch
     // (group commit) instead of one per commit.

@@ -1,6 +1,6 @@
 //! A named catalog of tables over one shared buffer pool.
 
-use crate::codec::PageFormatKind;
+use crate::codec;
 use crate::directory::Directory;
 use crate::error::{Error, Result};
 use crate::schema::Schema;
@@ -28,10 +28,6 @@ pub struct Database {
     recorder: Recorder,
     /// Scoped metrics registry ([`publish_metrics`](Self::publish_metrics)).
     metrics: Registry,
-    /// Page format given to tables created through the catalog
-    /// ([`create_table`](Self::create_table)): Flat until
-    /// [`set_default_format`](Self::set_default_format) says otherwise.
-    default_format: PageFormatKind,
     /// The table directory of a durable database, brought level with
     /// `tables` at each [`checkpoint`](Self::checkpoint). An in-memory
     /// database has none: nothing of it is ever reopened.
@@ -61,20 +57,15 @@ impl Database {
             pool: Rc::new(pool),
             recorder,
             metrics: Registry::new(),
-            default_format: PageFormatKind::Flat,
             directory: None,
         }
     }
 
-    /// Page format tables created through this catalog will use.
-    pub fn default_format(&self) -> PageFormatKind {
-        self.default_format
-    }
-
-    /// Override the page format for tables created from here on; existing
-    /// tables keep the format they were created with.
-    pub fn set_default_format(&mut self, kind: PageFormatKind) {
-        self.default_format = kind;
+    /// The tuple codec, as a value: a forward kept for
+    /// `benchmarks/loadgen/src/layers.rs`, its one caller (see
+    /// [`codec::Flat`]); delete it with that caller.
+    pub fn default_format(&self) -> codec::Flat {
+        codec::Flat
     }
 
     /// Open (or create) a database whose shared pool is backed by a
@@ -183,7 +174,9 @@ impl Database {
     }
 
     pub fn create_table(&mut self, name: impl Into<String>, schema: Schema) -> Result<&mut Table> {
-        self.add_table(name.into(), schema, Table::with_format)
+        self.add_table(name.into(), schema, |name, schema, pool| {
+            Table::with_pool(name, schema, pool)
+        })
     }
 
     /// [`create_table`](Self::create_table) for a scratch table, whose
@@ -202,17 +195,13 @@ impl Database {
         &mut self,
         name: String,
         schema: Schema,
-        make: fn(String, Schema, Rc<BufferPool>, PageFormatKind) -> Table,
+        make: fn(String, Schema, Rc<BufferPool>) -> Table,
     ) -> Result<&mut Table> {
         if self.tables.contains_key(&name) {
             return Err(Error::TableExists(name));
         }
-        let table = make(
-            name.clone(),
-            schema,
-            Rc::clone(&self.pool),
-            self.default_format,
-        );
+        codec::check_width(schema.len())?;
+        let table = make(name.clone(), schema, Rc::clone(&self.pool));
         Ok(self.tables.entry(name).or_insert(table))
     }
 
@@ -268,8 +257,7 @@ impl Database {
             .sum()
     }
 
-    /// Physical on-page bytes (per the page format, including dictionary
-    /// pages) of tables matching a prefix. Scans the heaps; see
+    /// Physical on-page bytes of tables matching a prefix. Scans the heaps; see
     /// [`Table::encoded_bytes`].
     pub fn encoded_bytes_with_prefix(&self, prefix: &str) -> Result<usize> {
         let mut total = 0;
@@ -361,7 +349,6 @@ mod tests {
             let (mut db, report) = Database::open_durable(&dir, 8).unwrap();
             assert!(!report.did_work(), "fresh directory has nothing to repair");
             assert!(db.is_durable());
-            db.set_default_format(PageFormatKind::Delta);
             let t = db.create_table("t", wide_schema()).unwrap();
             t.create_index("k_pk", "k", true, crate::IndexKind::BTree)
                 .unwrap();
@@ -385,7 +372,6 @@ mod tests {
             assert_eq!(db.table_names(), ["empty", "t"]);
             assert_eq!(rows_of(&db, "t"), expected);
             let t = db.table("t").unwrap();
-            assert_eq!(t.format_kind(), PageFormatKind::Delta);
             assert_eq!(t.live_row_count(), 299);
             let mut tr = crate::cost::CostTracker::new();
             assert_eq!(t.index_lookup("k_pk", 1_009, &mut tr).unwrap(), [9]);
@@ -544,7 +530,7 @@ mod tests {
     }
 
     /// A scratch table is never described: a reopen does not find it and
-    /// frees its pages, data and Delta dictionary alike. A logged table
+    /// frees its pages. A logged table
     /// dropped and re-created as scratch under its name leaves too.
     #[test]
     fn scratch_tables_do_not_survive_a_reopen() {
@@ -552,7 +538,6 @@ mod tests {
         let pages;
         {
             let (mut db, _) = Database::open_durable(&dir, 64).unwrap();
-            db.set_default_format(PageFormatKind::Delta);
             let t = db.create_table("t", wide_schema()).unwrap();
             t.insert(wide_row(1)).unwrap();
             db.checkpoint().unwrap();
@@ -670,34 +655,44 @@ mod tests {
     }
 
     #[test]
-    fn default_format_flows_into_created_tables() {
+    fn encoded_bytes_count_the_stored_tuples() {
         let mut db = Database::with_pool_capacity(8);
-        assert_eq!(db.default_format(), PageFormatKind::Flat);
-        db.create_table("f", schema()).unwrap();
-        assert_eq!(db.table("f").unwrap().format_kind(), PageFormatKind::Flat);
-        db.set_default_format(PageFormatKind::Delta);
-        db.create_table("d", schema()).unwrap();
-        assert_eq!(db.table("d").unwrap().format_kind(), PageFormatKind::Delta);
-        // Same logical rows, identical reads back, smaller pages.
-        for t in ["f", "d"] {
-            let table = db.table_mut(t).unwrap();
-            for i in 0..200 {
-                table.insert(vec![Value::Int64(i)]).unwrap();
-            }
+        let table = db.create_table("f", schema()).unwrap();
+        for i in 0..200 {
+            table.insert(vec![Value::Int64(i)]).unwrap();
         }
-        let flat = db.table("f").unwrap();
-        let delta = db.table("d").unwrap();
-        assert_eq!(flat.rows().unwrap(), delta.rows().unwrap());
-        assert!(
-            delta.encoded_bytes().unwrap() < flat.encoded_bytes().unwrap(),
-            "delta {} B should undercut flat {} B",
-            delta.encoded_bytes().unwrap(),
-            flat.encoded_bytes().unwrap()
-        );
+        // A row id, a count and one tagged word: 8 + 2 + 9 bytes.
+        let stored = db.table("f").unwrap().encoded_bytes().unwrap();
+        assert_eq!(stored, 200 * 19);
+        assert_eq!(db.encoded_bytes_with_prefix("f").unwrap(), stored);
+    }
+
+    /// A row is one tuple, whose value count is a `u16`: a table wider
+    /// than that is refused when it is created or widened, with a typed
+    /// error naming the width and the limit, and nothing is created.
+    #[test]
+    fn a_table_wider_than_a_tuple_is_refused() {
+        let wide = |n: usize| {
+            let columns = (0..n).map(|i| Column::nullable(format!("c{i}"), DataType::Int64));
+            Schema::new(columns.collect())
+        };
+        let mut db = Database::with_pool_capacity(8);
+        let refused = Error::TooManyColumns {
+            columns: 65_536,
+            limit: 65_535,
+        };
+        assert_eq!(db.create_table("w", wide(65_536)).unwrap_err(), refused);
+        assert!(!db.has_table("w"));
         assert_eq!(
-            db.encoded_bytes_with_prefix("f").unwrap(),
-            flat.encoded_bytes().unwrap()
+            refused.to_string(),
+            "too many columns: 65536 (a row holds at most 65535)"
         );
+        let t = db.create_table("w", wide(65_535)).unwrap();
+        let id = t.insert(vec![Value::Int64(7); 65_535]).unwrap();
+        let extra = Column::nullable("extra", DataType::Int64);
+        assert_eq!(t.add_column(extra, Value::Null).unwrap_err(), refused);
+        assert_eq!(t.schema().len(), 65_535);
+        assert_eq!(t.get(id).unwrap(), vec![Value::Int64(7); 65_535]);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Page 0 of the page file heads an ordinary heap. Its first tuple is a
 //! magic marker; every other tuple describes one table (scratch tables
 //! are never described: nothing of them outlives the process) — name, schema,
-//! page format (and the Delta dictionary heap's first page), clustering,
-//! index definitions, and the first page of the table's heap
+//! page format (always `flat`), clustering, index definitions, and the
+//! first page of the table's heap
 //! ([`Table::descriptor`]) — encoded as a Flat row, so a damaged
 //! descriptor fails to decode with the codec's typed errors.
 //! [`Directory::sync`] brings the tuples level with the live tables right
@@ -124,23 +124,17 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::PageFormatKind;
     use crate::index::IndexKind;
     use crate::schema::{Column, Schema};
     use crate::value::{DataType, Value};
 
-    /// A clustered Delta table with two indexes and a dictionary.
+    /// A clustered table with two indexes.
     fn described(pool: &Rc<BufferPool>) -> Table {
         let schema = Schema::new(vec![
             Column::new("rid", DataType::Int64),
             Column::nullable("note", DataType::Text),
         ]);
-        let mut t = Table::with_format(
-            "t__sbr_data",
-            schema,
-            Rc::clone(pool),
-            PageFormatKind::Delta,
-        );
+        let mut t = Table::with_pool("t__sbr_data", schema, Rc::clone(pool));
         for i in 0..6 {
             t.insert(vec![Value::Int64(i), Value::from("twice")])
                 .unwrap();
@@ -158,10 +152,22 @@ mod tests {
         let pool = Rc::new(BufferPool::in_memory(16));
         let t = described(&pool);
         let desc = t.descriptor();
-        assert!(
-            !desc[2].is_null() && !desc[3].is_null(),
-            "both heaps have pages"
-        );
+        // The layout of every store written so far, a Flat table's from
+        // when a Delta format existed included (its fourth value, the
+        // dictionary's first page, NULL): those stores open alike.
+        let text = |s: &str| Value::from(s);
+        let (yes, no) = (Value::Bool(true), Value::Bool(false));
+        #[rustfmt::skip]
+        let layout = [
+            text("t__sbr_data"), text("flat"), desc[2].clone(), Value::Null,
+            Value::Int64(0), Value::Int64(2),
+            text("rid"), text("integer"), no.clone(),
+            text("note"), text("string"), yes.clone(),
+            text("note_ix"), Value::Int64(0), no.clone(), no,
+            text("rid_pk"), Value::Int64(0), yes.clone(), yes,
+        ];
+        assert_eq!(desc, layout);
+        assert!(!desc[2].is_null(), "the heap has pages");
         let mut reached = Vec::new();
         let opened = Table::open(&desc, Rc::clone(&pool), &mut reached).unwrap();
         assert_eq!(opened.descriptor(), desc);
@@ -198,5 +204,31 @@ mod tests {
             }
         }
         assert!(rejected > bytes.len(), "most flips break the structure");
+    }
+
+    /// A directory tuple naming another page format — `delta`, as stores
+    /// written when there was one could — is refused at open with an
+    /// error naming the table and the format, before any of the table's
+    /// pages is read.
+    #[test]
+    fn a_descriptor_naming_another_format_is_refused() {
+        let pool = Rc::new(BufferPool::in_memory(16));
+        let recorder = Recorder::new();
+        let (mut directory, _) = Directory::load(&pool, &recorder).unwrap();
+        let t = described(&pool);
+        let mut desc = t.descriptor();
+        desc[1] = Value::from("delta");
+        // Where the dictionary heap's first page went.
+        desc[3] = Value::Int64(i64::from(pool.num_pages()));
+        let bytes = codec::encode_row(0, &desc);
+        directory.heap.insert(&pool, &bytes).unwrap();
+        let before = pool.stats().logical_reads;
+        let Err(Error::Storage(message)) = Directory::load(&pool, &recorder) else {
+            panic!("a delta descriptor opened");
+        };
+        assert!(message.contains("t__sbr_data"), "{message}");
+        assert!(message.contains("delta"), "{message}");
+        // Page 0, the directory, is all the load read.
+        assert_eq!(pool.stats().logical_reads - before, 1);
     }
 }

@@ -16,6 +16,8 @@ pub enum Error {
     ColumnNotFound(String),
     /// A row's arity or value types do not match the table schema.
     SchemaMismatch(String),
+    /// A schema of `columns` columns is wider than a row may be.
+    TooManyColumns { columns: usize, limit: usize },
     /// A uniqueness constraint (primary key) was violated.
     DuplicateKey(String),
     /// An expression was evaluated against an incompatible value.
@@ -40,6 +42,12 @@ impl fmt::Display for Error {
             Error::TableNotFound(n) => write!(f, "table not found: {n}"),
             Error::ColumnNotFound(n) => write!(f, "column not found: {n}"),
             Error::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
+            Error::TooManyColumns { columns, limit } => {
+                write!(
+                    f,
+                    "too many columns: {columns} (a row holds at most {limit})"
+                )
+            }
             Error::DuplicateKey(m) => write!(f, "duplicate key: {m}"),
             Error::TypeError(m) => write!(f, "type error: {m}"),
             Error::IndexNotFound(n) => write!(f, "index not found: {n}"),

@@ -28,6 +28,7 @@
 //! `(page, slot)` order — the sequential pipeline's — at every thread
 //! count.
 
+use crate::codec;
 use crate::cost::CostTracker;
 use crate::error::Result;
 use crate::exec::{ExecContext, Executor};
@@ -236,7 +237,6 @@ impl<'a> RidFetch<'a> {
     /// decode each morsel's wanted slots, appending rows in morsel order.
     fn run_on_workers(&mut self, pool: &WorkerPool, ctx: &mut ExecContext) -> Result<()> {
         let (table, touched, test) = (self.table, &self.touched, self.test.as_ref());
-        let decoder = &table.decoder();
         let mut waves = LeaseWaves::new(table, touched);
         while let Some(wave) = waves.next_wave(&mut ctx.tracker)? {
             let tasks: Vec<_> = wave
@@ -246,7 +246,7 @@ impl<'a> RidFetch<'a> {
                         let (mut rows, started) = (Vec::new(), Instant::now());
                         for (i, view) in views.iter().enumerate() {
                             for bytes in view.tuples_at(touched.page(first + i).1)? {
-                                rows.extend(decoder.decode_if(bytes, test)?);
+                                rows.extend(codec::decode_if(bytes, test)?);
                             }
                         }
                         Ok((worker, rows, started.elapsed()))
@@ -378,58 +378,54 @@ mod tests {
     }
 
     /// A test on the fetch emits exactly what a `Filter` over the
-    /// unfiltered fetch emits, at every thread count and in both formats,
-    /// and decodes only those rows — overflow tuples too, which are tested
-    /// once their chain is read. Estimated charges do not depend on the
-    /// thread count.
+    /// unfiltered fetch emits, at every thread count, and decodes only
+    /// those rows — overflow tuples too, which are tested once their chain
+    /// is read. Estimated charges do not depend on the thread count.
     #[test]
     fn rid_fetch_test_matches_a_filter_above_the_fetch() {
-        use crate::codec::PageFormatKind;
         use crate::expr::{BinOp, ColumnTest};
-        for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
-            let pool = Rc::new(pagestore::BufferPool::in_memory(64));
-            let mut t = Table::with_format("w", data_table(0).schema().clone(), pool, kind);
-            for i in 0..300i64 {
-                let tag = match i % 25 {
-                    0 => "z".repeat(3 * pagestore::PAGE_SIZE),
-                    r => format!("t{}", r % 4),
-                };
-                t.insert(vec![
-                    Value::Int64(i),
-                    Value::Int64(i * 7 % 100),
-                    Value::Text(tag),
-                ])
-                .unwrap();
-            }
-            t.pool().flush_all().unwrap();
-            let fetch = |threads, test| {
-                let workers = WorkerPool::new(threads);
-                RidFetch::new(&t, 0..300, Some(&workers)).with_test(test)
+        let pool = Rc::new(pagestore::BufferPool::in_memory(64));
+        let mut t = Table::with_pool("w", data_table(0).schema().clone(), pool);
+        for i in 0..300i64 {
+            let tag = match i % 25 {
+                0 => "z".repeat(3 * pagestore::PAGE_SIZE),
+                r => format!("t{}", r % 4),
             };
-            for (column, op, literal) in [
-                (1, BinOp::Gt, Value::Int64(90)),
-                (1, BinOp::Eq, Value::Float64(49.0)),
-                (1, BinOp::Ne, Value::Int64(0)),
-                (2, BinOp::Ge, Value::from("z")),
-                (2, BinOp::Le, Value::from("t1")),
-            ] {
-                let test = ColumnTest::new(column, op, literal).unwrap();
-                let filter = Filter::new(Box::new(fetch(1, None)), test.expr(0));
-                let want = collect(&mut { filter }, &mut ExecContext::new()).unwrap();
-                assert!(!want.is_empty() && want.len() < 300, "{test:?}");
-                let mut charged = None;
-                for threads in [1, 2, 4] {
-                    let before = t.io_stats();
-                    let mut ctx = ExecContext::new();
-                    let rows = collect(&mut fetch(threads, Some(test.clone())), &mut ctx).unwrap();
-                    assert_eq!(rows, want, "{kind:?}, {threads} threads, {test:?}");
-                    let decoded = t.io_stats().since(&before).tuples_decoded;
-                    assert_eq!(decoded, want.len() as u64, "{kind:?}, {threads} threads");
-                    let mut tracker = ctx.tracker;
-                    tracker.measured = Default::default();
-                    assert_eq!(*charged.get_or_insert(tracker), tracker);
-                    assert_eq!(tracker.operator_evals, 300 * ColumnTest::OPS);
-                }
+            t.insert(vec![
+                Value::Int64(i),
+                Value::Int64(i * 7 % 100),
+                Value::Text(tag),
+            ])
+            .unwrap();
+        }
+        t.pool().flush_all().unwrap();
+        let fetch = |threads, test| {
+            let workers = WorkerPool::new(threads);
+            RidFetch::new(&t, 0..300, Some(&workers)).with_test(test)
+        };
+        for (column, op, literal) in [
+            (1, BinOp::Gt, Value::Int64(90)),
+            (1, BinOp::Eq, Value::Float64(49.0)),
+            (1, BinOp::Ne, Value::Int64(0)),
+            (2, BinOp::Ge, Value::from("z")),
+            (2, BinOp::Le, Value::from("t1")),
+        ] {
+            let test = ColumnTest::new(column, op, literal).unwrap();
+            let filter = Filter::new(Box::new(fetch(1, None)), test.expr(0));
+            let want = collect(&mut { filter }, &mut ExecContext::new()).unwrap();
+            assert!(!want.is_empty() && want.len() < 300, "{test:?}");
+            let mut charged = None;
+            for threads in [1, 2, 4] {
+                let before = t.io_stats();
+                let mut ctx = ExecContext::new();
+                let rows = collect(&mut fetch(threads, Some(test.clone())), &mut ctx).unwrap();
+                assert_eq!(rows, want, "{threads} threads, {test:?}");
+                let decoded = t.io_stats().since(&before).tuples_decoded;
+                assert_eq!(decoded, want.len() as u64, "{threads} threads");
+                let mut tracker = ctx.tracker;
+                tracker.measured = Default::default();
+                assert_eq!(*charged.get_or_insert(tracker), tracker);
+                assert_eq!(tracker.operator_evals, 300 * ColumnTest::OPS);
             }
         }
     }

@@ -9,7 +9,7 @@
 //! [`TupleAddr`]; indexes likewise stay in memory, but the heap fetch an
 //! index probe triggers is charged to the pool like any other.
 
-use crate::codec::{self, PageFormat, PageFormatKind, RowDecoder};
+use crate::codec;
 use crate::cost::{CostModel, CostTracker};
 use crate::error::{Error, Result};
 use crate::expr::ColumnTest;
@@ -41,6 +41,10 @@ const ROW_HEADER: usize = 24;
 /// Largest row id [`Table::open`] accepts from a stored tuple: the row
 /// directory it sizes by that id lives in memory.
 const MAX_ROW_ID: RowId = 1 << 28;
+
+/// The page format a [`descriptor`](Table::descriptor) names: the Flat
+/// tuple codec ([`codec`]), the one format there is.
+const TUPLE_FORMAT: &str = "flat";
 
 /// Physical row order of the heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,8 +106,6 @@ pub struct Table {
     bytes_live: usize,
     clustering: Clustering,
     indexes: HashMap<String, IndexEntry>,
-    /// Tuple codec for this table's heap pages (Flat or Delta).
-    format: Box<dyn PageFormat>,
     /// The change log: every id an `update` or `delete` has reached since
     /// the table was created or opened, or `None` once ids or the schema
     /// were rewritten wholesale (see [`changed_ids`](Self::changed_ids)).
@@ -125,64 +127,10 @@ impl Table {
     }
 
     /// A table whose pages live in `pool` (shared with other tables of the
-    /// same database), in the Flat (seed) tuple format.
+    /// same database).
     pub fn with_pool(name: impl Into<String>, schema: Schema, pool: Rc<BufferPool>) -> Self {
-        Table::with_format(name, schema, pool, PageFormatKind::Flat)
-    }
-
-    /// A table using an explicit page format. Delta tables get a string
-    /// dictionary backed by dictionary pages in the same pool.
-    pub fn with_format(
-        name: impl Into<String>,
-        schema: Schema,
-        pool: Rc<BufferPool>,
-        kind: PageFormatKind,
-    ) -> Self {
-        Table::create(name.into(), schema, pool, kind, HeapFile::new)
-    }
-
-    /// A [`with_format`](Self::with_format) table whose every page — data,
-    /// overflow and Delta dictionary — is unlogged
-    /// ([`HeapFile::unlogged`]): a checkpoint neither logs nor writes it
-    /// back, the table directory never describes it, and a reopen frees
-    /// its pages. For tables that die with their session.
-    pub(crate) fn scratch(
-        name: impl Into<String>,
-        schema: Schema,
-        pool: Rc<BufferPool>,
-        kind: PageFormatKind,
-    ) -> Self {
-        Table::create(name.into(), schema, pool, kind, HeapFile::unlogged)
-    }
-
-    fn create(
-        name: String,
-        schema: Schema,
-        pool: Rc<BufferPool>,
-        kind: PageFormatKind,
-        heap: fn() -> HeapFile,
-    ) -> Self {
-        let format: Box<dyn PageFormat> = match kind {
-            PageFormatKind::Flat => Box::new(codec::FlatFormat),
-            PageFormatKind::Delta => Box::new(codec::DeltaFormat::with_dict_pages(
-                Rc::clone(&pool),
-                heap(),
-            )),
-        };
         Table {
-            heap: heap(),
-            ..Table::empty(name, schema, pool, format)
-        }
-    }
-
-    fn empty(
-        name: String,
-        schema: Schema,
-        pool: Rc<BufferPool>,
-        format: Box<dyn PageFormat>,
-    ) -> Self {
-        Table {
-            name,
+            name: name.into(),
             schema,
             pool,
             heap: HeapFile::new(),
@@ -191,25 +139,36 @@ impl Table {
             bytes_live: 0,
             clustering: Clustering::None,
             indexes: HashMap::new(),
-            format,
             changed: Some(BTreeSet::new()),
             cell: Vec::new(),
         }
     }
 
+    /// A [`with_pool`](Self::with_pool) table whose every page — data and
+    /// overflow — is unlogged ([`HeapFile::unlogged`]): a checkpoint
+    /// neither logs nor writes it back, the table directory never
+    /// describes it, and a reopen frees its pages. For tables that die
+    /// with their session.
+    pub(crate) fn scratch(name: impl Into<String>, schema: Schema, pool: Rc<BufferPool>) -> Self {
+        Table {
+            heap: HeapFile::unlogged(),
+            ..Table::with_pool(name, schema, pool)
+        }
+    }
+
     /// What the table directory records about this table, as a row: name,
-    /// page format, first heap page, first page of the Delta dictionary
-    /// heap, clustering column, column count; then name, type, nullable per
-    /// column; then name, column, unique, is-btree per index (sorted by
-    /// name, so equal tables describe themselves equally).
+    /// page format (always [`TUPLE_FORMAT`]), first heap page, a NULL where
+    /// stores written before Flat became the one format kept a dictionary
+    /// page, clustering column, column count; then name, type, nullable
+    /// per column; then name, column, unique, is-btree per index (sorted
+    /// by name, so equal tables describe themselves equally).
     pub(crate) fn descriptor(&self) -> Row {
-        let first = |heap: &HeapFile| heap.page_ids().first().copied();
-        let page = |id: Option<PageId>| id.map_or(Value::Null, |p| Value::Int64(i64::from(p)));
+        let first = self.heap.page_ids().first();
         let mut row = vec![
             Value::Text(self.name.clone()),
-            Value::from(self.format.kind().as_str()),
-            page(first(&self.heap)),
-            page(self.format.side_heap().and_then(|h| first(&h))),
+            Value::from(TUPLE_FORMAT),
+            first.map_or(Value::Null, |&p| Value::Int64(i64::from(p))),
+            Value::Null,
             match self.clustering {
                 Clustering::None => Value::Null,
                 Clustering::On(col) => Value::Int64(col as i64),
@@ -240,7 +199,8 @@ impl Table {
     /// reading its pages once: the row directory, the live-row accounting
     /// and every index are rebuilt from the tuples, which carry their row
     /// ids. Nothing is written. Every page the table uses is added to
-    /// `reached`. A row that is no descriptor is a typed error.
+    /// `reached`. A row that is no descriptor is a typed error, and so is
+    /// one naming another page format, before any page is read.
     pub(crate) fn open(
         desc: &[Value],
         pool: Rc<BufferPool>,
@@ -256,6 +216,14 @@ impl Table {
         else {
             return Err(bad());
         };
+        if format != TUPLE_FORMAT {
+            return Err(Error::Storage(format!(
+                "table {name}: page format {format} is not supported (only {TUPLE_FORMAT})"
+            )));
+        }
+        if !dict_root.is_null() {
+            return Err(bad());
+        }
         let ncols = usize::try_from(*ncols).ok().and_then(|n| n.checked_mul(3));
         let (columns, indexes) = ncols
             .and_then(|n| rest.split_at_checked(n))
@@ -278,15 +246,7 @@ impl Table {
             let col = v.as_i64().and_then(|x| usize::try_from(x).ok());
             col.filter(|&c| c < width).ok_or_else(bad)
         };
-        let format: Box<dyn PageFormat> = match PageFormatKind::parse(format).ok_or_else(bad)? {
-            PageFormatKind::Flat => Box::new(codec::FlatFormat),
-            PageFormatKind::Delta => Box::new(codec::DeltaFormat::open(
-                Rc::clone(&pool),
-                page(dict_root).ok_or_else(bad)?,
-                reached,
-            )?),
-        };
-        let mut table = Table::empty(name.clone(), Schema::new(schema), Rc::clone(&pool), format);
+        let mut table = Table::with_pool(name.clone(), Schema::new(schema), Rc::clone(&pool));
         if !clustering.is_null() {
             table.clustering = Clustering::On(column(clustering)?);
         }
@@ -312,7 +272,7 @@ impl Table {
     /// Account for one stored tuple found by [`open`](Self::open): what
     /// [`insert`](Self::insert) does for a new row, minus the write.
     fn adopt(&mut self, addr: TupleAddr, bytes: &[u8]) -> Result<()> {
-        let (id, row) = self.format.decode_row(bytes)?;
+        let (id, row) = codec::decode_row(bytes)?;
         self.schema.check_row(&row)?;
         self.check_unique(&row)?;
         let at = id as usize;
@@ -358,27 +318,12 @@ impl Table {
 
     /// Give every page of the table back to the pool (`drop_table`).
     pub(crate) fn free(mut self) -> Result<()> {
-        self.heap.clear(&self.pool)?;
-        match self.format.side_heap() {
-            Some(mut side) => Ok(side.clear(&self.pool)?),
-            None => Ok(()),
-        }
+        Ok(self.heap.clear(&self.pool)?)
     }
 
     /// Whether this is a [`scratch`](Self::scratch) table.
     pub(crate) fn is_scratch(&self) -> bool {
         self.heap.is_unlogged()
-    }
-
-    /// Which tuple codec this table's heap pages use.
-    pub fn format_kind(&self) -> PageFormatKind {
-        self.format.kind()
-    }
-
-    /// A `Send + Sync` decoder snapshot for morsel workers; covers every
-    /// tuple written before this call.
-    pub fn decoder(&self) -> RowDecoder {
-        self.format.decoder()
     }
 
     pub fn name(&self) -> &str {
@@ -444,11 +389,8 @@ impl Table {
         self.bytes_live
     }
 
-    /// Physical bytes this table's live tuples occupy on heap pages under
-    /// its page format, plus format side storage (dictionary pages).
-    /// Computed by scanning the heap rather than kept incrementally: a
-    /// Delta table's dictionary evolves, so re-encoding an old row would
-    /// not reproduce its stored length.
+    /// Physical bytes this table's live tuples occupy on heap pages,
+    /// computed by scanning the heap.
     pub fn encoded_bytes(&self) -> Result<usize> {
         let mut total = 0;
         for ord in 0..self.heap.num_pages() {
@@ -456,8 +398,7 @@ impl Table {
                 total += bytes.len();
             }
         }
-        let side = self.format.side_heap().map_or(0, |h| h.num_pages());
-        Ok(total + side * pagestore::PAGE_SIZE)
+        Ok(total)
     }
 
     fn row_bytes(row: &Row) -> usize {
@@ -476,7 +417,7 @@ impl Table {
     fn read_row(&self, id: RowId) -> Result<Row> {
         let addr = self.addr_of(id)?;
         let bytes = self.heap.get(&self.pool, addr)?;
-        let (stored_id, row) = self.format.decode_row(&bytes)?;
+        let (stored_id, row) = codec::decode_row(&bytes)?;
         self.pool.note_tuples_decoded(1);
         debug_assert_eq!(stored_id, id);
         Ok(row)
@@ -516,7 +457,7 @@ impl Table {
             let id = self.directory.len() as RowId;
             HeapFile::begin_cell(&mut self.cell);
             let header = self.cell.len();
-            self.format.encode_into(id, row, &mut self.cell)?;
+            codec::encode_into(id, row, &mut self.cell);
             self.pool
                 .note_tuple_encoded((self.cell.len() - header) as u64);
             let addr = self.heap.insert_cell(&self.pool, &self.cell)?;
@@ -578,7 +519,7 @@ impl Table {
                 }
             }
         }
-        let bytes = self.format.encode_row(id, &row)?;
+        let bytes = codec::encode_row(id, &row);
         self.pool.note_tuple_encoded(bytes.len() as u64);
         let new_addr = self.heap.update(&self.pool, addr, &bytes)?;
         self.directory[id as usize] = Some(new_addr);
@@ -639,7 +580,7 @@ impl Table {
         let started = Instant::now();
         let mut out = Vec::with_capacity(tuples.len());
         for (_, bytes) in tuples {
-            out.push(self.format.decode_row(&bytes)?);
+            out.push(codec::decode_row(&bytes)?);
         }
         self.pool.note_tuples_decoded(out.len() as u64);
         self.pool.note_decode_time(started.elapsed());
@@ -659,7 +600,6 @@ impl Table {
         tracker: &mut CostTracker,
     ) -> Result<Vec<Row>> {
         let before = self.pool.stats();
-        let decoder = self.decoder();
         // In slot order; an overflow tuple's entry is filled in below.
         let mut rows = Vec::with_capacity(slots.len());
         let mut chains = Vec::new();
@@ -669,7 +609,7 @@ impl Table {
             started = Instant::now();
             for &slot in slots {
                 match slot_tuple(&page, slot)? {
-                    SlotTuple::Inline(bytes) => rows.push(decoder.decode_if(bytes, test)?),
+                    SlotTuple::Inline(bytes) => rows.push(codec::decode_if(bytes, test)?),
                     SlotTuple::Overflow(head) => {
                         chains.push((rows.len(), head));
                         rows.push(None);
@@ -683,7 +623,7 @@ impl Table {
         for (i, head) in chains {
             let bytes = self.heap.read_chain(&self.pool, head)?;
             let started = Instant::now();
-            rows[i] = decoder.decode_if(&bytes, test)?;
+            rows[i] = codec::decode_if(&bytes, test)?;
             decode_time += started.elapsed();
         }
         let rows: Vec<Row> = rows.into_iter().flatten().collect();
@@ -911,7 +851,7 @@ impl Table {
         self.bytes_live -= Self::row_bytes(&row);
         f(&mut row);
         self.bytes_live += Self::row_bytes(&row);
-        let bytes = self.format.encode_row(id, &row)?;
+        let bytes = codec::encode_row(id, &row);
         self.pool.note_tuple_encoded(bytes.len() as u64);
         let new_addr = self.heap.update(&self.pool, addr, &bytes)?;
         self.directory[id as usize] = Some(new_addr);
@@ -934,6 +874,7 @@ impl Table {
                 col.name
             )));
         }
+        codec::check_width(self.schema.len() + 1)?;
         self.changed = None;
         self.schema.add_column(col)?;
         for id in self.live_ids() {

@@ -1,15 +1,13 @@
-//! Property round-trip suite for the tuple codecs — the CI codec gate.
+//! Property round-trip suite for the tuple codec — the CI codec gate.
 //!
-//! Flat and Delta must survive arbitrary rows, page-overflow chains, and
+//! Flat tuples must survive arbitrary rows, page-overflow chains, and
 //! torn-tail truncations: every decode of a complete tuple reproduces the
-//! row exactly, every decode of a torn prefix returns a typed error, and
-//! Delta encoding is history-deterministic (same logical sequence, same
-//! bytes — the crash byte-identity gates depend on it).
+//! row exactly, and every decode of a torn prefix returns a typed error.
 
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use relstore::codec::{self, DeltaFormat, PageFormat, PageFormatKind, RowDecoder};
+use relstore::codec;
 use relstore::{BufferPool, Column, DataType, Schema, Table, Value, PAGE_SIZE};
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -20,7 +18,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         "[a-z]{0,12}".prop_map(Value::Text),
         any::<bool>().prop_map(Value::Bool),
         prop::collection::vec(any::<i64>(), 0..20).prop_map(Value::IntArray),
-        // Sorted rlists are the common case the Delta format bitpacks.
+        // Sorted rlists, the common case.
         prop::collection::vec(0..1_000_000i64, 0..50).prop_map(|mut v| {
             v.sort_unstable();
             Value::IntArray(v)
@@ -57,55 +55,25 @@ proptest! {
         }
     }
 
-    #[test]
-    fn delta_roundtrips_arbitrary_rows_and_is_deterministic(rows in rows_strategy()) {
-        let fmt = DeltaFormat::new();
-        let encoded: Vec<Vec<u8>> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, r)| fmt.encode_row(i as u64, r).unwrap())
-            .collect();
-        // Decode through a post-write decoder snapshot (the worker path).
-        let dec = fmt.decoder();
-        for (i, (row, bytes)) in rows.iter().zip(&encoded).enumerate() {
-            let (id, back) = dec.decode_row(bytes).unwrap();
-            prop_assert_eq!(id, i as u64);
-            prop_assert!(rows_eq(row, &back), "row {} mismatch", i);
-        }
-        // Replaying the same logical sequence through a fresh format yields
-        // identical bytes: dictionary promotion depends only on history.
-        let replay = DeltaFormat::new();
-        for (i, row) in rows.iter().enumerate() {
-            prop_assert_eq!(&replay.encode_row(i as u64, row).unwrap(), &encoded[i]);
-        }
-    }
-
     /// Torn tails: every proper prefix of an encoded tuple is a typed
-    /// decode error in both formats — never a panic, never a silent
-    /// partial row.
+    /// decode error — never a panic, never a silent partial row.
     #[test]
     fn truncation_yields_typed_errors(rows in rows_strategy()) {
-        let fmt = DeltaFormat::new();
         for (i, row) in rows.iter().enumerate() {
             let flat = codec::encode_row(i as u64, row);
             for cut in 0..flat.len() {
-                prop_assert!(codec::decode_row(&flat[..cut]).is_err(), "flat cut {}", cut);
-            }
-            let delta = fmt.encode_row(i as u64, row).unwrap();
-            let dec = fmt.decoder();
-            for cut in 0..delta.len() {
-                prop_assert!(dec.decode_row(&delta[..cut]).is_err(), "delta cut {}", cut);
+                prop_assert!(codec::decode_row(&flat[..cut]).is_err(), "cut {}", cut);
             }
         }
     }
 
     /// The column probe a pushed-down predicate reads is `decode_row`'s
     /// walker, not a second parser: on every tuple, every prefix cut, every
-    /// single-byte flip and a one-byte extension of it, in both formats,
-    /// the probe of column `c` fails exactly when `decode_row` fails, and
-    /// otherwise equals the decoded row's `c`-th value (`None` past its
-    /// end). The word rows put Flat tuples on either side of the word
-    /// path's accept boundary.
+    /// single-byte flip and a one-byte extension of it, the probe of
+    /// column `c` fails exactly when `decode_row` fails, and otherwise
+    /// equals the decoded row's `c`-th value (`None` past its end). The
+    /// word rows put tuples on either side of the word path's accept
+    /// boundary.
     #[test]
     fn column_probe_fails_exactly_when_decode_row_does(
         rows in prop::collection::vec(prop::collection::vec(probe_value(), 1..6), 1..8),
@@ -113,24 +81,13 @@ proptest! {
         swap in (non_word_value(), any::<usize>()),
         mask in flip_mask(),
     ) {
-        let rows: Vec<_> = rows.into_iter().chain(with_word_rows(words, swap)).collect();
-        // Each row twice, so the Delta dictionary promotes its strings and
-        // the second copies carry dictionary codes.
-        let fmt = DeltaFormat::new();
-        let twice: Vec<_> = rows.iter().chain(&rows).enumerate().collect();
-        let delta: Vec<_> = twice
-            .iter()
-            .map(|(i, r)| fmt.encode_row(*i as u64, r).unwrap())
-            .collect();
-        let tuples = twice
-            .iter()
-            .map(|(i, r)| (RowDecoder::Flat, codec::encode_row(*i as u64, r)))
-            .chain(delta.into_iter().map(|bytes| (fmt.decoder(), bytes)));
-        for (dec, bytes) in tuples {
+        let rows = rows.into_iter().chain(with_word_rows(words, swap));
+        for (i, row) in rows.enumerate() {
+            let bytes = codec::encode_row(i as u64, &row);
             for mutant in mutants(&bytes, mask) {
-                let decoded = dec.decode_row(&mutant);
+                let decoded = codec::decode_row(&mutant);
                 for c in PROBED_COLUMNS {
-                    match (dec.probe(&mutant, c), &decoded) {
+                    match (codec::probe(&mutant, c), &decoded) {
                         (Ok(probed), Ok((_, row))) => prop_assert!(
                             match (&probed, row.get(c)) {
                                 (Some(p), Some(v)) => values_eq(p, v),
@@ -151,27 +108,22 @@ proptest! {
 
     /// `encode_into` appends: into one buffer that already holds bytes and
     /// is never cleared, each row adds exactly the bytes an empty buffer
-    /// receives, and what was there stays. Both formats, each row twice so
-    /// Delta's repeats are dictionary codes.
+    /// receives, and what was there stays.
     #[test]
     fn encode_into_a_reused_buffer_appends_what_an_empty_one_gets(
         rows in prop::collection::vec(prop::collection::vec(probe_value(), 1..6), 1..8),
         prefix in prop::collection::vec(any::<u8>(), 1..40),
     ) {
-        for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
-            let (reused_fmt, fresh_fmt) = (codec::format_for(kind), codec::format_for(kind));
-            let mut reused = prefix.clone();
-            for (i, row) in rows.iter().chain(&rows).enumerate() {
-                let before = reused.len();
-                reused_fmt.encode_into(i as u64, row, &mut reused).unwrap();
-                let mut fresh = Vec::new();
-                fresh_fmt.encode_into(i as u64, row, &mut fresh).unwrap();
-                prop_assert_eq!(&reused[before..], &fresh[..], "{:?} row {}", kind, i);
-                let (id, back) = fresh_fmt.decoder().decode_row(&fresh).unwrap();
-                prop_assert!(id == i as u64 && rows_eq(row, &back), "{:?} row {}", kind, i);
-            }
-            prop_assert_eq!(&reused[..prefix.len()], &prefix[..]);
+        let mut reused = prefix.clone();
+        for (i, row) in rows.iter().enumerate() {
+            let before = reused.len();
+            codec::encode_into(i as u64, row, &mut reused);
+            let fresh = codec::encode_row(i as u64, row);
+            prop_assert_eq!(&reused[before..], &fresh[..], "row {}", i);
+            let (id, back) = codec::decode_row(&fresh).unwrap();
+            prop_assert!(id == i as u64 && rows_eq(row, &back), "row {}", i);
         }
+        prop_assert_eq!(&reused[..prefix.len()], &prefix[..]);
     }
 }
 
@@ -206,7 +158,7 @@ proptest! {
                 };
                 prop_assert!(same, "{:?}: decode {:?}, reference {:?}", mutant, got, want);
                 for c in PROBED_COLUMNS {
-                    let got = RowDecoder::Flat.probe(&mutant, c).map_err(text);
+                    let got = codec::probe(&mutant, c).map_err(text);
                     let want = reference::probe(&mutant, c).map_err(text);
                     let same = match (&got, &want) {
                         (Ok(Some(x)), Ok(Some(y))) => values_eq(x, y),
@@ -428,9 +380,8 @@ mod reference {
     }
 }
 
-/// Text from a small alphabet (so strings repeat and promote to Delta
-/// dictionary codes, and a flipped byte can break UTF-8), short int
-/// arrays, ints and NULLs.
+/// Text from a small alphabet (so a flipped byte can break UTF-8), short
+/// int arrays, ints and NULLs.
 fn probe_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         Just(Value::Null),
@@ -441,38 +392,33 @@ fn probe_value() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// Tuples far larger than a page travel through overflow chains; both
-/// formats must reassemble them bit-exactly, including dictionary-coded
-/// repeats under Delta.
+/// Tuples far larger than a page travel through overflow chains and are
+/// reassembled bit-exactly, a repeated one too.
 #[test]
-fn overflow_chain_tuples_roundtrip_in_both_formats() {
-    for kind in [PageFormatKind::Flat, PageFormatKind::Delta] {
-        let pool = Rc::new(BufferPool::in_memory(64));
-        let schema = Schema::new(vec![
-            Column::new("k", DataType::Int64),
-            Column::new("payload", DataType::Text),
-        ]);
-        let mut table = Table::with_format("big", schema, pool, kind);
-        let mut payloads: Vec<String> = (0..5)
-            .map(|i| {
-                let unit = format!("chunk-{i}-");
-                unit.repeat(3 * PAGE_SIZE / unit.len() + 1)
-            })
-            .collect();
-        // A repeated giant string exercises dictionary promotion on a
-        // value that previously needed an overflow chain.
-        payloads.push(payloads[0].clone());
-        payloads.push(payloads[0].clone());
-        for (i, p) in payloads.iter().enumerate() {
-            table
-                .insert(vec![Value::Int64(i as i64), Value::Text(p.clone())])
-                .unwrap();
-        }
-        for (i, p) in payloads.iter().enumerate() {
-            let row = table.get(i as u64).unwrap();
-            assert_eq!(row[0], Value::Int64(i as i64), "{kind:?} row {i}");
-            assert_eq!(row[1], Value::Text(p.clone()), "{kind:?} row {i}");
-        }
-        assert_eq!(table.rows().unwrap().len(), payloads.len(), "{kind:?}");
+fn overflow_chain_tuples_roundtrip() {
+    let pool = Rc::new(BufferPool::in_memory(64));
+    let schema = Schema::new(vec![
+        Column::new("k", DataType::Int64),
+        Column::new("payload", DataType::Text),
+    ]);
+    let mut table = Table::with_pool("big", schema, pool);
+    let mut payloads: Vec<String> = (0..5)
+        .map(|i| {
+            let unit = format!("chunk-{i}-");
+            unit.repeat(3 * PAGE_SIZE / unit.len() + 1)
+        })
+        .collect();
+    payloads.push(payloads[0].clone());
+    payloads.push(payloads[0].clone());
+    for (i, p) in payloads.iter().enumerate() {
+        table
+            .insert(vec![Value::Int64(i as i64), Value::Text(p.clone())])
+            .unwrap();
     }
+    for (i, p) in payloads.iter().enumerate() {
+        let row = table.get(i as u64).unwrap();
+        assert_eq!(row[0], Value::Int64(i as i64), "row {i}");
+        assert_eq!(row[1], Value::Text(p.clone()), "row {i}");
+    }
+    assert_eq!(table.rows().unwrap().len(), payloads.len());
 }

@@ -5,7 +5,6 @@
 //! hash join over a full scan that it replaced.
 
 use proptest::prelude::*;
-use relstore::codec::PageFormatKind;
 use relstore::{
     collect, BufferPool, Column, DataType, ExecContext, HashJoin, Project, RidFetch, Schema,
     SeqScan, Table, Value, Values, WorkerPool,
@@ -26,7 +25,7 @@ proptest! {
     /// `RidFetch` returns exactly the rows, in exactly the order, of the
     /// `Project(HashJoin(Values keys, SeqScan))` tree it replaced, at
     /// 1/2/4/8 threads — over tables with tombstones, relocated tuples and
-    /// overflow-chain tuples, Flat and Delta, clean and dirty, a 4-frame
+    /// overflow-chain tuples, clean and dirty, a 4-frame
     /// pool and a roomy one — and reads each touched page exactly once
     /// (plus the chain pages of the overflow tuples it returns).
     #[test]
@@ -39,17 +38,14 @@ proptest! {
         // 0: no keys; 1: every key, absent ones included; else `subset`.
         key_mode in 0..5u8,
         small_pool in any::<bool>(),
-        delta in any::<bool>(),
         flush in any::<bool>(),
     ) {
-        const BIG: usize = 9_000; // two overflow-chain pages, either format
+        const BIG: usize = 9_000; // two overflow-chain pages
         let pool = Rc::new(BufferPool::in_memory(if small_pool { 4 } else { 256 }));
-        let kind = if delta { PageFormatKind::Delta } else { PageFormatKind::Flat };
-        let mut t = Table::with_format("p", schema(), pool, kind);
+        let mut t = Table::with_pool("p", schema(), pool);
         let row = |rid: usize, edit: usize, pad: usize| vec![
             Value::Int64(rid as i64),
             Value::Int64(rid as i64 % 7),
-            // Never written twice, so Delta keeps it inline too.
             Value::Text(format!("{rid}.{edit}:{}", "x".repeat(pad))),
         ];
         // rid -> is it live, and is it an overflow tuple.

@@ -53,19 +53,18 @@ cargo test -p pagestore --release -q --test crash_matrix --test pool_props
 # they were closed, write cycles that reuse their staging pages.
 cargo test -p orpheus-core --release -q --lib metadata::tests
 # A checkout copied at its first read commits what one copied at once
-# commits: random keyed, unkeyed and merge histories, on Flat and Delta.
+# commits: random keyed, unkeyed and merge histories.
 cargo test -p orpheus-core --release -q --lib commands::tests::copy_on_first_read
 cargo test -p orpheus-server --release -q --lib a_batch_has_exactly_one_visibility_point
 
-echo "==> page-format codec round-trip + crash byte-identity suite (release)"
-# Property/fuzz round-trips for both tuple codecs (Flat and Delta):
-# randomized rows, page-overflow chains, and torn-tail truncations must
-# decode exactly or fail with a typed error — plus the per-format crash
-# matrix: a fault at every I/O of a checkpoint must replay committed
-# pages byte-identically under Delta exactly as under Flat, and the same
-# logical history must rebuild identical page images (dictionary order
-# included). See crates/relstore/tests/{codec_props,crash_formats}.rs.
-cargo test -p relstore --release -q --test codec_props --test crash_formats
+echo "==> tuple codec round-trip + table crash byte-identity suite (release)"
+# Property/fuzz round-trips for the tuple codec: randomized rows,
+# page-overflow chains, and torn-tail truncations must decode exactly or
+# fail with a typed error — plus the table crash matrix: a fault at every
+# I/O of a checkpoint must replay committed pages byte-identically, and
+# the same logical history must rebuild identical page images. See
+# crates/relstore/tests/{codec_props,crash_tables}.rs.
+cargo test -p relstore --release -q --test codec_props --test crash_tables
 
 echo "==> parallel determinism (ORPHEUS_THREADS=4 test pass)"
 # The default test run above executes with sequential plans; this pass
@@ -86,8 +85,8 @@ echo "==> CLI probe: golden transcript, threads 1 vs 4"
 # commit on a duplicate key (twice: the staging table survives a failed
 # commit), commits a fresh checkout after that, and issues all five plan
 # shapes (SELECT, GROUP BY vid, V_DIFF, V_INTERSECT, JOIN), SELECTs whose
-# WHERE is tested in the fetch (every operator, a text column whose
-# repeated values Delta stores as dictionary codes, and `rid`) and `log`.
+# WHERE is tested in the fetch (every operator, a text column, and `rid`)
+# and `log`.
 # The shell alone then runs `group_by_cmds`, every aggregate of GROUP BY
 # vid: its lines were recorded by the binary that still answered GROUP BY
 # with unnest, hash join and hash aggregate, so the one-pass version
@@ -179,14 +178,6 @@ probe --threads 1 | cmp - "$golden"
 probe --threads 4 | cmp - "$golden"
 echo "CLI output equals $golden at 1 and 4 threads"
 
-echo "==> page-format determinism (CLI probe, flat vs delta)"
-# The same command script under --page-format delta must produce the same
-# golden transcript: the tuple codec is a physical layer, never visible
-# in logical command output — at either thread count.
-probe --threads 1 --page-format delta | cmp - "$golden"
-probe --threads 4 --page-format delta | cmp - "$golden"
-echo "CLI output equals $golden across page formats"
-
 echo "==> server probe: golden wire transcript, threads 1 vs 4"
 # The same script through `serve --port 0` and `client --user ci`: the
 # server's replies, every row of them, must equal
@@ -222,14 +213,6 @@ server_probe --threads 1
 server_probe --threads 4
 echo "server replies equal results/ci/server_probe.golden at 1 and 4 threads"
 
-echo "==> page-format determinism (server probe, flat vs delta)"
-# `serve` hands its settings to the engine in `EngineConfig` (it exports
-# no variable), so the Delta leg runs through the server as well: the
-# same wire transcript at either thread count.
-server_probe --threads 1 --page-format delta
-server_probe --threads 4 --page-format delta
-echo "server replies equal results/ci/server_probe.golden across page formats"
-
 echo "==> observability smoke (explain analyze + metrics --json + trace dump)"
 # End-to-end check of the obs pipeline: a durable commit/checkout workload
 # followed by `explain analyze`, `metrics --json` (including the
@@ -253,10 +236,10 @@ echo "==> server smoke (concurrent sessions, group commit, backpressure)"
 # traced read. See crates/bench/src/bin/server_smoke.rs.
 cargo run --release -q -p bench --bin server_smoke -- --results-dir results/ci
 
-echo "==> page-format frontier smoke (storage bytes vs recreation cost)"
-# Loads small SCI/CUR datasets under Flat and Delta, asserts Delta
-# strictly reduces stored bytes past the recorded floor, sweeps the
-# materialization-budget frontier (every point within its β, more budget
+echo "==> frontier smoke (storage bytes vs recreation cost)"
+# Loads small SCI/CUR datasets, asserts each stores no more bytes than
+# its recorded bound (bench::gate), sweeps the materialization-budget
+# frontier (every point within its β, more budget
 # never worsens ΣR), and validates the LMG budget planner against the
 # branch-and-bound oracle. Writes results/ci/frontier_smoke.json against
 # a pinned schema; the 1M-record tier is recorded as skipped with a

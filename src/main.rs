@@ -82,7 +82,6 @@ fn help() {
          settings (every mode; a flag beats its variable; a bad value exits 2):\n  \
          flag                 variable               default\n  \
          --threads <n>        ORPHEUS_THREADS        cores   morsel workers (≥ 1; 1 = sequential plans)\n  \
-         --page-format <f>    ORPHEUS_PAGE_FORMAT    flat    codec of new tables: flat | delta (varint + bitpacked arrays + dict)\n  \
          -                    ORPHEUS_SLOW_MS        100     slow-query log threshold in ms (0 logs every command)\n  \
          -                    ORPHEUS_TRACE_SAMPLE   1       journal 1-in-n requests (0 disables the journal)"
     );
@@ -141,7 +140,6 @@ fn open_db(args: &[String], settings: &Settings) -> OrpheusDb {
         None => OrpheusDb::new(),
     };
     db.set_threads(settings.threads);
-    db.set_page_format(settings.page_format);
     db.set_slow_ms(settings.slow_ms);
     db
 }
@@ -158,7 +156,6 @@ fn serve(args: &[String], settings: &Settings) {
         data_dir: flag_value(args, "--data-dir").map(Into::into),
         threads: settings.threads,
         admission_capacity: count_flag(args, "--admission").unwrap_or(64),
-        page_format: settings.page_format,
         slow_ms: settings.slow_ms,
         ..EngineConfig::default()
     };

@@ -3,19 +3,17 @@
 //! values that `main` passes down — to `OrpheusDb`'s setters in the shell
 //! and to `EngineConfig`'s fields in `serve`.
 //!
-//! | setting              | flag            | environment            | default         |
-//! |----------------------|-----------------|------------------------|-----------------|
-//! | threads              | `--threads`     | `ORPHEUS_THREADS`      | available cores |
-//! | page format          | `--page-format` | `ORPHEUS_PAGE_FORMAT`  | `flat`          |
-//! | slow-query threshold | —               | `ORPHEUS_SLOW_MS`      | 100             |
-//! | trace sample         | —               | `ORPHEUS_TRACE_SAMPLE` | 1               |
+//! | setting              | flag        | environment            | default         |
+//! |----------------------|-------------|------------------------|-----------------|
+//! | threads              | `--threads` | `ORPHEUS_THREADS`      | available cores |
+//! | slow-query threshold | —           | `ORPHEUS_SLOW_MS`      | 100             |
+//! | trace sample         | —           | `ORPHEUS_TRACE_SAMPLE` | 1               |
 //!
 //! A flag beats its variable. Every value given is validated, the one a
 //! flag overrides included; an invalid one is an error that names the
 //! spelling it came from. The trace sample is validated only: the journal
 //! reads the variable itself (see `obs::journal::Journal::from_env`).
 
-use relstore::codec::PageFormatKind;
 use std::collections::HashMap;
 
 /// A snapshot of the process environment, taken once by `main`.
@@ -35,8 +33,6 @@ pub fn environment() -> Env {
 pub struct Settings {
     /// Morsel workers for checkout and version queries.
     pub threads: usize,
-    /// Tuple codec of the tables created from here on.
-    pub page_format: PageFormatKind,
     /// Slow-query threshold in milliseconds; `0` logs every command.
     pub slow_ms: u64,
 }
@@ -57,14 +53,6 @@ const THREADS: Knob<usize> = Knob {
     parse: |s| s.parse().ok().filter(|&n| n >= 1),
     expected: "an integer ≥ 1",
     default: available_cores,
-};
-
-const PAGE_FORMAT: Knob<PageFormatKind> = Knob {
-    flag: Some("--page-format"),
-    env: "ORPHEUS_PAGE_FORMAT",
-    parse: PageFormatKind::parse,
-    expected: "flat | delta",
-    default: || PageFormatKind::Flat,
 };
 
 const SLOW_MS: Knob<u64> = Knob {
@@ -104,7 +92,6 @@ impl Settings {
     pub fn resolve(args: &[String], env: &Env) -> Result<Settings, String> {
         let settings = Settings {
             threads: THREADS.resolve(args, env)?,
-            page_format: PAGE_FORMAT.resolve(args, env)?,
             slow_ms: SLOW_MS.resolve(args, env)?,
         };
         TRACE_SAMPLE.resolve(args, env)?;
@@ -164,7 +151,6 @@ mod tests {
     fn nothing_given_is_the_defaults() {
         let want = Settings {
             threads: available_cores(),
-            page_format: PageFormatKind::Flat,
             slow_ms: obs::journal::DEFAULT_SLOW_MS,
         };
         assert_eq!(resolve(&[], &[]), Ok(want));
@@ -182,32 +168,6 @@ mod tests {
             refused(&[], &[("ORPHEUS_THREADS", bad)], "ORPHEUS_THREADS");
             refused(&["--threads", bad], &[], "--threads");
         }
-    }
-
-    #[test]
-    fn page_format() {
-        let format =
-            |flags: &[&str], vars: &[(&str, &str)]| resolve(flags, vars).unwrap().page_format;
-        assert_eq!(
-            format(&[], &[("ORPHEUS_PAGE_FORMAT", "delta")]),
-            PageFormatKind::Delta
-        );
-        assert_eq!(
-            format(&["--page-format", "DELTA"], &[]),
-            PageFormatKind::Delta
-        );
-        let both = format(
-            &["--page-format", "flat"],
-            &[("ORPHEUS_PAGE_FORMAT", "delta")],
-        );
-        assert_eq!(both, PageFormatKind::Flat);
-        for bad in ["zip", "flat,delta", ""] {
-            refused(&[], &[("ORPHEUS_PAGE_FORMAT", bad)], "ORPHEUS_PAGE_FORMAT");
-            refused(&["--page-format", bad], &[], "--page-format");
-        }
-        // A flag overrides a variable; it does not excuse a bad one.
-        let bad_env = [("ORPHEUS_PAGE_FORMAT", "zip")];
-        refused(&["--page-format", "flat"], &bad_env, "ORPHEUS_PAGE_FORMAT");
     }
 
     #[test]
@@ -246,7 +206,7 @@ mod tests {
 
     #[test]
     fn a_flag_without_its_value_is_an_error() {
-        for flags in [&["--threads"][..], &["--page-format", "--threads", "2"]] {
+        for flags in [&["--threads"][..], &["--threads", "--data-dir", "d"]] {
             let err = resolve(flags, &[]).unwrap_err();
             assert!(err.ends_with("needs a value"), "{err}");
         }

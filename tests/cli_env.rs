@@ -1,6 +1,5 @@
 //! The CLI's settings table end to end: an invalid `ORPHEUS_THREADS`,
-//! `ORPHEUS_PAGE_FORMAT`, `ORPHEUS_SLOW_MS` or `ORPHEUS_TRACE_SAMPLE` (or
-//! flag) must exit 2 with a clear message naming the spelling, in every
+//! `ORPHEUS_SLOW_MS` or `ORPHEUS_TRACE_SAMPLE` (or flag) must exit 2 with a clear message naming the spelling, in every
 //! mode — before any database or socket is opened. A valid value
 //! (boundaries like `0` included) must be seen to take effect, in the
 //! shell and over `serve`.
@@ -82,19 +81,6 @@ fn invalid_slow_ms_exits_2_with_a_clear_message() {
     }
 }
 
-#[test]
-fn invalid_page_format_exits_2_with_a_clear_message() {
-    for bad in ["zip", "DELTA2", "flat,delta", ""] {
-        let (code, stderr) = run_with("ORPHEUS_PAGE_FORMAT", bad, &[]);
-        assert_eq!(code, 2, "value {bad:?} must exit 2; stderr: {stderr}");
-        assert!(
-            stderr.contains("ORPHEUS_PAGE_FORMAT"),
-            "stderr must name the variable for {bad:?}: {stderr}"
-        );
-        assert!(stderr.starts_with("error: "), "{stderr}");
-    }
-}
-
 /// `ORPHEUS_THREADS=abc` and `=0` used to start the shell on one worker
 /// without a word, while `--threads abc` exited 2.
 #[test]
@@ -115,7 +101,7 @@ fn invalid_threads_exit_2_naming_the_variable() {
 
 #[test]
 fn invalid_storage_flags_exit_2() {
-    for (flag, bad) in [("--page-format", "zip"), ("--threads", "abc")] {
+    for (flag, bad) in [("--threads", "abc"), ("--threads", "0")] {
         let out = orpheusdb()
             .args([flag, bad])
             .stdin(Stdio::null())
@@ -127,28 +113,27 @@ fn invalid_storage_flags_exit_2() {
     }
 }
 
-/// The page format is seen taking effect: the same table takes fewer
-/// pages under Delta, whether the flag or the variable asks for it, and
-/// the flag beats the variable.
+/// The storage knob, `--data-dir`, is seen taking effect: the same
+/// `init` is logged to a write-ahead log there (a `wal` line in `stats`,
+/// one page more for the table directory) and not without it.
 #[test]
 fn valid_storage_knobs_reach_the_shell() {
     let data = csv("pages", 2000);
+    let dir = std::env::temp_dir().join(format!("orpheus-cli-env-store-{}", std::process::id()));
     let script = format!(
         "create_user u\nconfig u\ninit t -f {} -s k:int,a:int,s:text -k k\nstats\n",
         data.display()
     );
-    let allocated = |args: &[&str], vars: &[(&str, &str)]| -> String {
-        let out = shell(args, vars, &script);
-        let line = out.lines().find(|l| l.contains("allocated"));
-        line.unwrap_or_else(|| panic!("no allocation line:\n{out}"))
-            .to_owned()
+    let stats = |args: &[&str]| {
+        let out = shell(args, &[], &script);
+        let line = |tag: &str| out.lines().find(|l| l.starts_with(tag)).map(str::to_owned);
+        (line("free pages"), line("wal"))
     };
-    let delta_env = [("ORPHEUS_PAGE_FORMAT", "delta")];
-    let flat = allocated(&[], &[]);
-    let delta = allocated(&["--page-format", "delta"], &[]);
-    assert_ne!(delta, flat);
-    assert_eq!(allocated(&[], &delta_env), delta);
-    assert_eq!(allocated(&["--page-format", "flat"], &delta_env), flat);
+    let (memory, no_log) = stats(&[]);
+    let (durable, log) = stats(&["--data-dir", dir.to_str().unwrap()]);
+    assert!(no_log.is_none() && log.is_some(), "{log:?}");
+    assert_ne!(memory, durable);
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(&data).ok();
 }
 
@@ -268,8 +253,6 @@ fn help_documents_the_tracing_surface() {
         "ORPHEUS_TRACE_SAMPLE",
         "ORPHEUS_SLOW_MS",
         "plan_storage",
-        "--page-format",
-        "ORPHEUS_PAGE_FORMAT",
         "--threads",
         "ORPHEUS_THREADS",
     ] {
