@@ -168,6 +168,7 @@ fn main() {
             "counters/orpheus.checkout.rows_copied",
             "gauges/pagestore.pool.hit_ratio",
             "gauges/pagestore.pool.free_pages",
+            "gauges/pagestore.pool.images",
             "gauges/pagestore.pool.unlogged_pages",
             "gauges/relstore.directory.tables",
             "histograms/orpheus.commit.latency_us/p50",

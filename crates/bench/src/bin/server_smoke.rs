@@ -269,6 +269,7 @@ fn main() {
             "counters/pagestore.wal.drains",
             "counters/pagestore.pager.syncs",
             "gauges/pagestore.pool.free_pages",
+            "gauges/pagestore.pool.images",
             "gauges/pagestore.pool.unlogged_pages",
             "gauges/relstore.directory.tables",
             "gauges/orpheus.server.active_sessions",

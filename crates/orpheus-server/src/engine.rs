@@ -120,7 +120,6 @@ type Reply = Sender<Result<CommandOutput, EngineError>>;
 /// One command for the engine thread: the parsed command, the line it was
 /// parsed from (for the slow-query log), and whom and where to answer.
 struct Job {
-    session: u64,
     user: String,
     line: String,
     command: Command,
@@ -173,16 +172,17 @@ impl EngineHandle {
         self.queued.load(Ordering::SeqCst)
     }
 
-    /// Parse `line` and [`send`](Self::send) it.
+    /// Parse `line` and [`send`](Self::send) it. `_session`, the caller's
+    /// session id, is not used: the engine keys nothing by session.
     // lint:allow(L012): traced engine-side in run_one via enter_with (the work crosses an mpsc channel the lint call graph cannot follow)
     pub fn execute(
         &self,
-        session: u64,
+        _session: u64,
         user: &str,
         line: &str,
         trace: u64,
     ) -> Result<CommandOutput, EngineError> {
-        self.send(session, user, line, parse(line)?, trace)
+        self.send(user, line, parse(line)?, trace)
     }
 
     /// The same as [`execute`](Self::execute): the command decides its
@@ -190,12 +190,12 @@ impl EngineHandle {
     // lint:allow(L012): traced engine-side in run_one via enter_with, re-attached to `trace` across the group-commit channel
     pub fn submit_commit(
         &self,
-        session: u64,
+        _session: u64,
         user: &str,
         line: &str,
         trace: u64,
     ) -> Result<CommandOutput, EngineError> {
-        self.send(session, user, line, parse(line)?, trace)
+        self.send(user, line, parse(line)?, trace)
     }
 
     /// Run `command`, parsed from `line`, on the engine thread and wait
@@ -208,7 +208,6 @@ impl EngineHandle {
     // lint:allow(L012): traced engine-side in run_one via enter_with (the work crosses an mpsc channel the lint call graph cannot follow)
     pub(crate) fn send(
         &self,
-        session: u64,
         user: &str,
         line: &str,
         command: Command,
@@ -240,7 +239,6 @@ impl EngineHandle {
         }
         let (reply, rx) = mpsc::channel();
         let job = Job {
-            session,
             user: user.to_owned(),
             line: line.to_owned(),
             command,
@@ -393,17 +391,17 @@ fn open_db(cfg: &EngineConfig) -> Result<(OrpheusDb, Option<relstore::RecoveryRe
     Ok((db, report))
 }
 
-/// Run one job under the session's span so `spans` shows a per-session
-/// tree with the engine's own spans (`orpheus.commit`, …) nested inside.
-/// The session span re-attaches to the originating request's trace
-/// (`trace != 0`), so engine-side work — including the morsel workers it
-/// fans out to — journals under the caller's trace id even though it runs
-/// on the engine thread.
+/// Run one job under one `orpheus.server.session` span, so `spans` shows
+/// the engine's own spans (`orpheus.commit`, …) nested inside it — one
+/// subtree however many sessions the server has served. The span
+/// re-attaches to the originating request's trace (`trace != 0`), so
+/// engine-side work — including the morsel workers it fans out to —
+/// journals under the caller's trace id even though it runs on the
+/// engine thread; the trace, not the span's name, tells requests apart.
 fn run_one(db: &mut OrpheusDb, job: &Job) -> Result<CommandOutput, EngineError> {
-    let _span = db.recorder().enter_with(
-        &format!("orpheus.server.session{}", job.session),
-        TraceCtx::from_wire(job.trace),
-    );
+    let _span = db
+        .recorder()
+        .enter_with("orpheus.server.session", TraceCtx::from_wire(job.trace));
     db.execute_command_as(&job.user, &job.command, &job.line)
         .map_err(|e| map_err(&e))
 }
@@ -553,7 +551,6 @@ mod tests {
     fn job(user: &str, line: &str) -> (Job, Receiver<Result<CommandOutput, EngineError>>) {
         let (reply, got) = mpsc::channel();
         let job = Job {
-            session: 1,
             user: user.into(),
             line: line.into(),
             command: Command::parse(line).unwrap(),
@@ -582,6 +579,22 @@ mod tests {
         assert_eq!(err.code, code::PARSE);
         let err = h.execute(1, "alice", "log nope", 0).unwrap_err();
         assert_eq!(err.code, code::NOT_FOUND);
+        svc.shutdown().unwrap();
+    }
+
+    /// Every job runs under one session span name, so the span tree does
+    /// not grow with the sessions the server has served.
+    #[test]
+    fn sessions_share_one_span_subtree() {
+        let svc = start_mem(4);
+        let h = svc.handle();
+        h.execute(1, "alice", "whoami", 0).unwrap();
+        let nodes = || h.recorder().report().to_text().lines().count();
+        let after_one = nodes();
+        for session in 2..=1_001 {
+            h.execute(session, "alice", "whoami", 0).unwrap();
+        }
+        assert_eq!(nodes(), after_one);
         svc.shutdown().unwrap();
     }
 

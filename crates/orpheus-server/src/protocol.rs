@@ -99,7 +99,7 @@ pub enum ClientMsg {
 /// Messages the server sends.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServerMsg {
-    /// Session accepted; `session_id` names the per-session span tree.
+    /// Session accepted; `session_id` numbers the connection.
     StartupOk { session_id: u64 },
     /// Column names of the rows that follow.
     RowDescription { columns: Vec<String> },

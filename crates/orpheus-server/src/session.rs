@@ -301,7 +301,7 @@ pub(crate) fn serve_session(
     let active = counters.active.fetch_add(1, Ordering::SeqCst) + 1;
     registry.gauge_set("orpheus.server.active_sessions", active as f64);
 
-    let result = query_loop(&mut requests, &stream, session_id, &user, engine, shutdown);
+    let result = query_loop(&mut requests, &stream, &user, engine, shutdown);
 
     let active = counters.active.fetch_sub(1, Ordering::SeqCst) - 1;
     registry.gauge_set("orpheus.server.active_sessions", active as f64);
@@ -311,7 +311,6 @@ pub(crate) fn serve_session(
 fn query_loop(
     requests: &mut impl Read,
     stream: &TcpStream,
-    session_id: u64,
     user: &str,
     engine: &EngineHandle,
     shutdown: &AtomicBool,
@@ -347,7 +346,7 @@ fn query_loop(
         };
         let start = Instant::now();
         let mut reply = Reply::new(&mut buf, stream, &registry, trace);
-        let routed = dispatch(&line, session_id, user, engine, &mut pinned, &mut reply);
+        let routed = dispatch(&line, user, engine, &mut pinned, &mut reply);
         registry.counter_add("orpheus.server.queries_total", 1);
         // Rendering what the engine sent back whole, and the write that
         // hands the reply to the socket.
@@ -385,7 +384,6 @@ const MAX_SLEEP_MS: u64 = 10_000;
 /// produced and returns `None`.
 fn dispatch<W: Write>(
     line: &str,
-    session_id: u64,
     user: &str,
     engine: &EngineHandle,
     pinned: &mut HashMap<String, Snapshot>,
@@ -448,7 +446,7 @@ fn dispatch<W: Write>(
                     return Ok(None);
                 }
             }
-            engine.send(session_id, user, line, command, trace)?
+            engine.send(user, line, command, trace)?
         }
     };
     Ok(Some(out))

@@ -1,6 +1,9 @@
 //! A buffer pool with clock (second-chance) eviction.
 //!
-//! The pool owns a fixed number of 8 KiB frames in front of a [`Pager`].
+//! The pool owns a fixed number of frames in front of a [`Pager`]. A
+//! frame takes its 8 KiB page image when a page first lands in it; until
+//! then it shares one process-wide empty image, so capacity is a bound,
+//! not an allocation.
 //! Callers pin pages through [`BufferPool::fetch`] / [`fetch_mut`] and
 //! receive RAII guards; a page stays resident at least as long as any
 //! guard to it is alive. Mutable guards mark their frame dirty; dirty
@@ -61,13 +64,15 @@ use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 struct Frame {
     page_id: Cell<Option<PageId>>,
-    /// The page image, shared with outstanding [`PageLease`]s. The frame
-    /// normally holds the only reference, so mutation through
+    /// The page image, shared with outstanding [`PageLease`]s. Until a
+    /// page first lands in the frame it is the process-wide
+    /// [`empty_image`], so an unused frame costs no 8 KiB. After that the
+    /// frame normally holds the only reference, so mutation through
     /// [`Arc::make_mut`] is in-place; while a lease is live a mutable
     /// guard copies-on-write and the lease keeps the frozen image.
     data: RefCell<Arc<Page>>,
@@ -85,11 +90,18 @@ struct Frame {
     unwritten: Cell<bool>,
 }
 
+/// The one empty page image every frame starts with. It is never
+/// written: the static's own reference keeps it shared.
+fn empty_image() -> &'static Arc<Page> {
+    static EMPTY: OnceLock<Arc<Page>> = OnceLock::new();
+    EMPTY.get_or_init(|| Arc::new(Page::new()))
+}
+
 impl Frame {
     fn empty() -> Self {
         Frame {
             page_id: Cell::new(None),
-            data: RefCell::new(Arc::new(Page::new())),
+            data: RefCell::new(Arc::clone(empty_image())),
             pin: Cell::new(0),
             leases: Arc::new(AtomicU32::new(0)),
             referenced: Cell::new(false),
@@ -269,6 +281,11 @@ pub struct BufferPool {
     /// The frames a checkpoint logs, and those a write-back writes.
     dirty: FrameList,
     unwritten: FrameList,
+    /// Frames holding an image of their own: those a page ever landed in.
+    images: Cell<usize>,
+    /// Frames a freed page left, image kept: taken before the clock
+    /// sweep, so an empty frame gets an image only when none is vacant.
+    vacant: RefCell<Vec<usize>>,
     wal: RefCell<Option<Wal>>,
     stats: RefCell<IoStats>,
     recorder: RefCell<Recorder>,
@@ -298,6 +315,8 @@ impl BufferPool {
             unlogged: RefCell::new(HashSet::new()),
             dirty: FrameList::new(capacity),
             unwritten: FrameList::new(capacity),
+            images: Cell::new(0),
+            vacant: RefCell::new(Vec::new()),
             wal: RefCell::new(None),
             stats: RefCell::new(IoStats::new()),
             recorder: RefCell::new(Recorder::global().clone()),
@@ -363,13 +382,32 @@ impl BufferPool {
             f.clear();
             f.referenced.set(false);
         }
+        let own = |&i: &usize| !Arc::ptr_eq(&self.frames[i].data.borrow(), empty_image());
+        *self.vacant.borrow_mut() = (0..self.frames.len()).filter(own).collect();
         let mut pager = self.pager.borrow_mut();
         recovery::recover(pager.as_mut(), wal)
     }
 
-    /// Number of frames.
+    /// Number of frames: a bound, since a frame takes its 8 KiB only
+    /// when a page first lands in it.
     pub fn capacity(&self) -> usize {
         self.frames.len()
+    }
+
+    /// Frames holding a page image of their own (at most the capacity).
+    pub fn images(&self) -> usize {
+        self.images.get()
+    }
+
+    /// Give a frame still holding the shared empty image an empty page of
+    /// its own; whether it had to.
+    fn own_image(&self, data: &mut Arc<Page>) -> bool {
+        let shared = Arc::ptr_eq(data, empty_image());
+        if shared {
+            *data = Arc::new(Page::new());
+            self.images.set(self.images.get() + 1);
+        }
+        shared
     }
 
     /// Pages allocated in the underlying pager.
@@ -402,6 +440,7 @@ impl BufferPool {
                 frame.page_id.set(None);
                 frame.referenced.set(false);
                 self.map.borrow_mut().remove(&id);
+                self.vacant.borrow_mut().push(idx);
             }
         }
         let unlogged = self.unlogged.borrow_mut().remove(&id);
@@ -607,7 +646,9 @@ impl BufferPool {
         let Ok(mut data) = frame.data.try_borrow_mut() else {
             return Err(Error::PageBusy(id));
         };
-        Arc::make_mut(&mut data).reset();
+        if !self.own_image(&mut data) {
+            Arc::make_mut(&mut data).reset();
+        }
         frame.page_id.set(Some(id));
         frame.pin.set(frame.pin.get() + 1);
         frame.referenced.set(true);
@@ -780,10 +821,11 @@ impl BufferPool {
         let idx = self.victim_frame()?;
         let frame = &self.frames[idx];
         // A victim frame has no leases, so its Arc is unique and
-        // `make_mut` reads into the existing buffer without copying.
-        self.pager
-            .borrow_mut()
-            .read(id, Arc::make_mut(&mut frame.data.borrow_mut()))?;
+        // `make_mut` reads into the existing buffer without copying — once
+        // the frame's first load has replaced the shared empty image.
+        let mut data = frame.data.borrow_mut();
+        self.own_image(&mut data);
+        self.pager.borrow_mut().read(id, Arc::make_mut(&mut data))?;
         frame.page_id.set(Some(id));
         frame.pin.set(1);
         frame.referenced.set(true);
@@ -792,7 +834,9 @@ impl BufferPool {
         Ok(idx)
     }
 
-    /// Clock sweep: return an unpinned, unleased frame, evicting its
+    /// A frame a freed page left, if there is one — it holds an image
+    /// already, and taking it evicts nothing. Otherwise the clock sweep:
+    /// return an unpinned, unleased frame, evicting its
     /// current page (written back if dirty or unwritten, with no sync). Two full sweeps guarantee
     /// an eviction if any frame is evictable.
     ///
@@ -809,6 +853,11 @@ impl BufferPool {
     /// unwritten one: the log keeps its image until a write-back has
     /// synced the data file.
     fn victim_frame(&self) -> Result<usize> {
+        while let Some(idx) = self.vacant.borrow_mut().pop() {
+            if self.frames[idx].page_id.get().is_none() {
+                return Ok(idx);
+            }
+        }
         let no_steal = self.wal.borrow().is_some();
         let logged = |id| !self.unlogged.borrow().contains(&id);
         let n = self.frames.len();
@@ -1496,6 +1545,59 @@ mod tests {
             .children
             .iter()
             .any(|c| c.name == "pagestore.pool.evict"));
+    }
+
+    #[test]
+    fn frames_that_never_held_a_page_share_one_image() {
+        let pool = pool_with_pages(4, 1);
+        let image = |i: usize| Arc::clone(&pool.frames[i].data.borrow());
+        assert!(
+            !Arc::ptr_eq(&image(0), empty_image()),
+            "page 0 landed in frame 0"
+        );
+        assert!(Arc::ptr_eq(&image(1), &image(2)));
+        assert!(Arc::ptr_eq(&image(1), &image(3)));
+        assert!(Arc::ptr_eq(&image(1), empty_image()));
+        // Loading frames never writes the shared image.
+        for _ in 0..6 {
+            drop(pool.allocate_pinned(false).unwrap());
+        }
+        assert_eq!(empty_image().bytes(), Page::new().bytes());
+    }
+
+    #[test]
+    fn images_counts_the_frames_a_page_landed_in() {
+        let mut pager = MemPager::new();
+        for _ in 0..10 {
+            pager.allocate().unwrap();
+        }
+        let pool = BufferPool::new(Box::new(pager), 65_536);
+        assert_eq!(pool.images(), 0);
+        for id in 0..7 {
+            drop(pool.fetch(id).unwrap());
+            drop(pool.fetch(id).unwrap());
+        }
+        assert_eq!(pool.images(), 7, "one image per distinct page read");
+
+        let pool = pool_with_pages(4, 20);
+        for round in 0..5u32 {
+            for id in (0..20).map(|i| (i * 7 + round) % 20) {
+                drop(pool.fetch_mut(id).unwrap());
+                assert!(pool.images() <= pool.capacity());
+            }
+        }
+        assert_eq!(pool.images(), 4);
+    }
+
+    #[test]
+    fn a_freed_page_leaves_its_frame_to_the_next_page() {
+        let pool = pool_with_pages(64, 3);
+        for _ in 0..100 {
+            pool.free_page(1);
+            let (id, page) = pool.allocate_pinned(false).unwrap();
+            assert_eq!((id, page.live_count()), (1, 0));
+        }
+        assert_eq!(pool.images(), 3, "no empty frame took an image");
     }
 
     #[test]

@@ -9,9 +9,15 @@
 //! * `since` against any earlier snapshot never panics, including
 //!   snapshots taken *before* a counter reset (the saturating-sub
 //!   regression), and its deltas are themselves consistent.
+//!
+//! A third leg checks contents, not counters: in a pool with more frames
+//! than its store has pages when it starts (so frames stay empty until
+//! the store outgrows them), every live page reads back what was last
+//! written to it.
 
-use pagestore::{BufferPool, IoStats};
+use pagestore::{BufferPool, IoStats, PageLease, PageRef};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -35,6 +41,38 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Allocate),
         Just(Op::ResetStats),
     ]
+}
+
+#[derive(Debug, Clone, Copy)]
+enum ModelOp {
+    Fetch(u32),
+    Mutate(u32),
+    Lease(u32),
+    Free(u32),
+    Flush,
+    Allocate,
+}
+
+fn model_op_strategy() -> impl Strategy<Value = ModelOp> {
+    prop_oneof![
+        (0..16u32).prop_map(ModelOp::Fetch),
+        (0..16u32).prop_map(ModelOp::Fetch),
+        (0..16u32).prop_map(ModelOp::Mutate),
+        (0..16u32).prop_map(ModelOp::Mutate),
+        (0..16u32).prop_map(ModelOp::Lease),
+        (0..16u32).prop_map(ModelOp::Free),
+        Just(ModelOp::Flush),
+        Just(ModelOp::Allocate),
+    ]
+}
+
+/// The one tuple every page of the model leg holds.
+fn tuple(page: &PageRef<'_>) -> Vec<u8> {
+    page.get(0).expect("slot 0").to_vec()
+}
+
+fn leased(lease: &PageLease) -> Vec<u8> {
+    lease.get(0).expect("slot 0").to_vec()
 }
 
 fn assert_invariants(s: &IoStats) {
@@ -161,6 +199,80 @@ proptest! {
             // WAL-specific: appends only grow at checkpoints, and a
             // checkpointed batch is image records + one commit record.
             prev = now;
+        }
+    }
+
+    /// Every live page reads back its last write — through fetches,
+    /// mutations, leases (whose image stays frozen while the page changes),
+    /// frees, flushes and allocations, and, once allocations outgrow the 6
+    /// frames, evictions. Until then some frames never hold a page: a
+    /// freed page's frame is taken before an empty one.
+    #[test]
+    fn pages_read_back_their_last_write_while_frames_stay_empty(
+        ops in prop::collection::vec(model_op_strategy(), 1..200),
+    ) {
+        const CAPACITY: usize = 6;
+        let pool = BufferPool::in_memory(CAPACITY);
+        let mut model: HashMap<u32, Vec<u8>> = HashMap::new();
+        let allocate = |model: &mut HashMap<u32, Vec<u8>>| {
+            let (id, mut page) = pool.allocate_pinned(false).unwrap();
+            let value = format!("page {id} write 0").into_bytes();
+            assert_eq!(page.live_count(), 0, "an allocated page starts empty");
+            page.insert(&value).unwrap();
+            model.insert(id, value);
+        };
+        for _ in 0..2 {
+            allocate(&mut model);
+        }
+        let mut lease: Option<(PageLease, Vec<u8>)> = None;
+        for (n, op) in ops.into_iter().enumerate() {
+            let mut live: Vec<u32> = model.keys().copied().collect();
+            live.sort_unstable();
+            let pick = |i: u32| live[i as usize % live.len()];
+            match op {
+                ModelOp::Fetch(i) => {
+                    let id = pick(i);
+                    assert_eq!(tuple(&pool.fetch(id).unwrap()), model[&id], "page {id}");
+                }
+                ModelOp::Mutate(i) => {
+                    let id = pick(i);
+                    let value = format!("page {id} write {}", n + 1).into_bytes();
+                    assert!(pool.fetch_mut(id).unwrap().update(0, &value).unwrap());
+                    model.insert(id, value);
+                }
+                ModelOp::Lease(i) => {
+                    let id = pick(i);
+                    // A dirty page refuses; the held lease stays.
+                    if let Ok(l) = pool.lease(id) {
+                        assert_eq!(leased(&l), model[&id], "lease of page {id}");
+                        let frozen = model[&id].clone();
+                        lease = Some((l, frozen));
+                    }
+                }
+                ModelOp::Free(i) if live.len() > 1 => {
+                    let id = pick(i);
+                    pool.free_page(id);
+                    model.remove(&id);
+                }
+                ModelOp::Free(_) => {}
+                ModelOp::Flush => pool.flush_all().unwrap(),
+                // Pages 0..12: the store outgrows the pool mid-run.
+                ModelOp::Allocate if pool.num_pages() < 12 || pool.free_pages() > 0 => {
+                    allocate(&mut model)
+                }
+                ModelOp::Allocate => {}
+            }
+            if let Some((l, frozen)) = &lease {
+                assert_eq!(&leased(l), frozen, "a lease's image is frozen");
+            }
+            assert!(pool.images() <= CAPACITY);
+            if pool.stats().evictions == 0 {
+                assert!(pool.images() <= pool.num_pages() as usize);
+            }
+        }
+        drop(lease);
+        for (id, value) in &model {
+            assert_eq!(&tuple(&pool.fetch(*id).unwrap()), value, "page {id} at the end");
         }
     }
 }

@@ -159,12 +159,15 @@ impl Database {
     }
 
     /// Publish the pool's cumulative I/O counters (and hit ratio), its
-    /// free-page and unlogged-page counts and the directory's table count
-    /// into the scoped registry. Idempotent: counters are set, not added.
+    /// free-page, unlogged-page and page-image counts and the directory's
+    /// table count into the scoped registry. Idempotent: counters are
+    /// set, not added.
     pub fn publish_metrics(&self) {
         self.pool.stats().publish(&self.metrics);
         self.metrics
             .gauge_set("pagestore.pool.free_pages", self.pool.free_pages() as f64);
+        self.metrics
+            .gauge_set("pagestore.pool.images", self.pool.images() as f64);
         let unlogged = self.pool.unlogged_pages() as f64;
         self.metrics
             .gauge_set("pagestore.pool.unlogged_pages", unlogged);
@@ -652,6 +655,9 @@ mod tests {
         let m = db.metrics();
         assert!(m.counter("pagestore.pool.logical_reads") > 0);
         assert!(m.gauge("pagestore.pool.hit_ratio").is_some());
+        let images = db.pool().images() as f64;
+        assert!(images > 0.0 && images <= 8.0, "{images}");
+        assert_eq!(m.gauge("pagestore.pool.images"), Some(images));
     }
 
     #[test]
