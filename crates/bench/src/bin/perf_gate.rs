@@ -1,5 +1,5 @@
 //! CI perf-regression gate over the `obs_smoke` metrics snapshot and the
-//! `parallel_scaling` results.
+//! `frontier` results.
 //!
 //! Compares the current run's snapshot (`<--results-dir>/metrics_smoke.json`,
 //! produced by `scripts/perf_gate.sh` into the git-ignored `results/ci/`)
@@ -8,13 +8,7 @@
 //! gated quantities; wall-clock latencies never are.
 //!
 //! Additionally asserts the baseline-free invariants of
-//! `<--results-dir>/parallel_scaling.json`: the parallel scan path
-//! copied **zero** bytes from coordinator to workers (pages ship as
-//! leases), morsel allocations stayed within budget, and the ≥2× @ 4
-//! threads wall-clock leg either ran (hosts with ≥4 cores) and met its
-//! floor, or recorded its skip reason.
-//!
-//! And of `<--results-dir>/frontier_smoke.json` (the storage/recreation
+//! `<--results-dir>/frontier_smoke.json` (the storage/recreation
 //! gate): each dataset stores no more bytes than its recorded bound,
 //! every budget-frontier point respects its β, the LMG/exact oracle ratio holds, and the full (1M) tier ran
 //! or recorded why it did not.
@@ -75,31 +69,6 @@ fn main() -> ExitCode {
         report.checked,
         baseline_path.display()
     );
-
-    // Scaling results: absolute (baseline-free) zero-copy and wall-clock
-    // assertions over the parallel_scaling run.
-    let scaling_path = args.results_dir.join("parallel_scaling.json");
-    match load(&scaling_path) {
-        Ok(scaling) => {
-            let s = bench::gate::check_scaling(&scaling);
-            if let Some(reason) = scaling
-                .get_path("wall_clock_leg/skip_reason")
-                .and_then(obs::Json::as_str)
-                .filter(|r| !r.is_empty())
-            {
-                println!("  scaling wall-clock leg skipped: {reason}");
-            }
-            println!("perf gate: {} scaling assertion(s) checked", s.checked);
-            report.checked += s.checked;
-            report.regressions.extend(s.regressions);
-        }
-        Err(err) => {
-            eprintln!("perf gate: {err}");
-            report
-                .regressions
-                .push("parallel_scaling.json: missing — scaling gate did not run".into());
-        }
-    }
 
     // Frontier results: absolute storage/recreation assertions over the
     // frontier smoke run.

@@ -16,8 +16,8 @@
 //! * **End-to-end tracing** — every scripted commit runs under a
 //!   client-chosen trace id; `trace dump --json` must show, per commit
 //!   trace, the request span and a WAL-fsync event (real or shared
-//!   group-commit attribution), and morsel worker task events must
-//!   carry the trace of the query that fanned out;
+//!   group-commit attribution), and a traced read must carry its
+//!   engine-side query span and its reply span;
 //! * **Backpressure** — a full commit admission queue answers `53300`
 //!   immediately instead of queueing without bound;
 //! * **Clean shutdown** — every service thread joins (no leaked threads,
@@ -181,9 +181,6 @@ fn main() {
         workers: WRITERS + 1,
         engine: EngineConfig {
             data_dir: Some(dir.clone()),
-            // ≥2 morsel workers so the trace leg can assert that worker
-            // task spans re-attach to the originating request.
-            threads: 2,
             ..EngineConfig::default()
         },
     })
@@ -296,7 +293,8 @@ fn main() {
     println!("group commit: {commits} commits → {batches} batches, {fsyncs} WAL fsyncs");
 
     // --- end-to-end tracing --------------------------------------------
-    // A traced parallel read: morsel worker spans must re-attach to it.
+    // A traced read: the engine's query span and the session's reply span
+    // must re-attach to it.
     let read_trace = 0x5347_0000_0000_ff00u64;
     let reply = admin
         .query_traced("run SELECT * FROM VERSION 0 OF CVD t", read_trace)
@@ -343,14 +341,12 @@ fn main() {
     let read_names = by_trace
         .get(&read_trace)
         .unwrap_or_else(|| panic!("no journal events for read trace {read_trace:#x}"));
-    assert!(
-        read_names.iter().any(|n| n == "exec.pool.task"),
-        "worker events did not re-attach to the read trace: {read_names:?}"
-    );
-    assert!(
-        read_names.iter().any(|n| n == "orpheus.server.reply"),
-        "the read trace has no reply span: {read_names:?}"
-    );
+    for span in ["orpheus.query", "orpheus.server.reply"] {
+        assert!(
+            read_names.iter().any(|n| n == span),
+            "{span} did not re-attach to the read trace: {read_names:?}"
+        );
+    }
     println!(
         "tracing: {} traces journaled; every commit trace carries its WAL-fsync attribution",
         by_trace.len()

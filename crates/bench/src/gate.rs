@@ -123,80 +123,6 @@ pub fn compare(baseline: &Json, current: &Json) -> GateReport {
     report
 }
 
-/// Absolute assertions over the `parallel_scaling.json` results document.
-///
-/// Unlike [`compare`], these need no baseline: the zero-copy counters are
-/// machine-independent and gated exactly —
-///
-/// * `bytes_copied_to_workers` must be **zero**: every page shipped to a
-///   morsel worker on the scan path went as a lease, not a copy;
-/// * `morsel_allocs` must stay within the budget the benchmark recorded
-///   (zero since the rid fetch needs no per-worker scratch row) — the hot
-///   loop must not allocate per morsel or per row;
-///
-/// — and the wall-clock leg is honest about cores: when it `ran` (host
-/// had the cores), the measured whole-table query speedup must meet the recorded
-/// `min_speedup`; when it did not, a non-empty `skip_reason` must be
-/// recorded — a *silently* skipped leg is itself a regression.
-pub fn check_scaling(doc: &Json) -> GateReport {
-    let mut report = GateReport::default();
-    let num = |path: &str| doc.get_path(path).and_then(Json::as_f64);
-
-    report.checked += 1;
-    match num("zero_copy/bytes_copied_to_workers") {
-        Some(0.0) => {}
-        Some(b) => report.regressions.push(format!(
-            "zero_copy/bytes_copied_to_workers: {b} (must be 0 — scan-path pages must ship as leases)"
-        )),
-        None => report
-            .regressions
-            .push("zero_copy/bytes_copied_to_workers: missing from results".into()),
-    }
-
-    report.checked += 1;
-    match (
-        num("zero_copy/morsel_allocs"),
-        num("zero_copy/morsel_allocs_budget"),
-    ) {
-        (Some(allocs), Some(budget)) if allocs <= budget => {}
-        (Some(allocs), Some(budget)) => report.regressions.push(format!(
-            "zero_copy/morsel_allocs: {allocs} exceeds budget {budget} (per-morsel allocation crept back into the hot loop)"
-        )),
-        _ => report
-            .regressions
-            .push("zero_copy/morsel_allocs(+_budget): missing from results".into()),
-    }
-
-    report.checked += 1;
-    match doc.get_path("wall_clock_leg/ran") {
-        Some(Json::Bool(true)) => {
-            let speedup = num("wall_clock_leg/query_speedup").unwrap_or(0.0);
-            let floor = num("wall_clock_leg/min_speedup").unwrap_or(0.0);
-            if speedup + f64::EPSILON < floor {
-                report.regressions.push(format!(
-                    "wall_clock_leg/query_speedup: {speedup:.2}x below the {floor:.1}x floor"
-                ));
-            }
-        }
-        Some(Json::Bool(false)) => {
-            let reason = doc
-                .get_path("wall_clock_leg/skip_reason")
-                .and_then(Json::as_str)
-                .unwrap_or("");
-            if reason.is_empty() {
-                report
-                    .regressions
-                    .push("wall_clock_leg: skipped without a recorded skip_reason".into());
-            }
-        }
-        _ => report
-            .regressions
-            .push("wall_clock_leg/ran: missing from results".into()),
-    }
-
-    report
-}
-
 /// The most bytes each frontier dataset may store: what the Flat codec
 /// stored for it when Flat became the one page format. A dataset with
 /// no bound here fails [`check_frontier`].
@@ -210,7 +136,7 @@ const FRONTIER_MAX_BYTES: [(&str, f64); 4] = [
 /// Absolute assertions over the `frontier_smoke.json` results document
 /// (the storage/recreation gate).
 ///
-/// Baseline-free, like [`check_scaling`]: every dataset's stored bytes
+/// Needs no baseline, unlike [`compare`]: every dataset's stored bytes
 /// must stay within its recorded bound ([`FRONTIER_MAX_BYTES`]), so a
 /// change that bloats the pages fails; every frontier point must respect its
 /// budget (`storage_records ≤ beta`) and more budget must never worsen
@@ -418,84 +344,6 @@ mod tests {
         let r = compare(&b, &c);
         assert!(!r.passed());
         assert!(r.regressions.iter().any(|m| m.contains("missing")));
-    }
-
-    fn scaling_doc(
-        copied: f64,
-        allocs: f64,
-        budget: f64,
-        ran: bool,
-        reason: &str,
-        speedup: f64,
-    ) -> Json {
-        obs::parse(&format!(
-            r#"{{
-              "cores": 1,
-              "zero_copy": {{
-                "bytes_copied_to_workers": {copied},
-                "morsel_allocs": {allocs},
-                "morsel_allocs_budget": {budget}
-              }},
-              "wall_clock_leg": {{
-                "ran": {ran},
-                "skip_reason": "{reason}",
-                "threads": 4,
-                "min_speedup": 2.0,
-                "checkout_speedup": {speedup},
-                "query_speedup": {speedup}
-              }}
-            }}"#
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn scaling_zero_copy_and_recorded_skip_passes() {
-        let doc = scaling_doc(0.0, 28.0, 28.0, false, "host has 1 core(s)", 1.3);
-        let r = check_scaling(&doc);
-        assert!(r.passed(), "{:?}", r.regressions);
-        assert_eq!(r.checked, 3);
-    }
-
-    #[test]
-    fn scaling_coordinator_copies_fail() {
-        let doc = scaling_doc(81920.0, 28.0, 28.0, false, "1 core", 1.3);
-        let r = check_scaling(&doc);
-        assert!(!r.passed());
-        assert!(r.regressions[0].contains("bytes_copied_to_workers"));
-    }
-
-    #[test]
-    fn scaling_alloc_budget_overrun_fails() {
-        let doc = scaling_doc(0.0, 5000.0, 28.0, false, "1 core", 1.3);
-        let r = check_scaling(&doc);
-        assert!(!r.passed());
-        assert!(r.regressions[0].contains("morsel_allocs"));
-    }
-
-    #[test]
-    fn scaling_wall_leg_enforced_when_it_ran() {
-        let fast = scaling_doc(0.0, 28.0, 28.0, true, "", 2.4);
-        assert!(check_scaling(&fast).passed());
-        let slow = scaling_doc(0.0, 28.0, 28.0, true, "", 1.1);
-        let r = check_scaling(&slow);
-        assert!(!r.passed());
-        assert!(r.regressions[0].contains("below the 2.0x floor"));
-    }
-
-    #[test]
-    fn scaling_silent_skip_fails() {
-        let doc = scaling_doc(0.0, 28.0, 28.0, false, "", 0.9);
-        let r = check_scaling(&doc);
-        assert!(!r.passed());
-        assert!(r.regressions[0].contains("without a recorded skip_reason"));
-    }
-
-    #[test]
-    fn scaling_missing_counters_fail() {
-        let doc = obs::parse(r#"{"cores": 1}"#).unwrap();
-        let r = check_scaling(&doc);
-        assert_eq!(r.regressions.len(), 3, "{:?}", r.regressions);
     }
 
     // lint:allow too_many_arguments — fixture builder: each test names only

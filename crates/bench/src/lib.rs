@@ -103,8 +103,6 @@ pub struct Args {
     /// `--tier full`: `frontier` runs its 1M-record tier (`--tier smoke`,
     /// the default, does not).
     pub full_tier: bool,
-    /// `--reps N`: `parallel_scaling`'s best-of count per timing.
-    pub reps: Option<usize>,
     /// Every other argument, in order.
     pub rest: Vec<String>,
 }
@@ -115,7 +113,6 @@ impl Args {
         let mut parsed = Args {
             results_dir: PathBuf::from("results"),
             full_tier: false,
-            reps: None,
             rest: Vec::new(),
         };
         let mut args = args.into_iter();
@@ -129,11 +126,6 @@ impl Args {
                         "smoke" => false,
                         other => return Err(format!("--tier is full or smoke, not {other:?}")),
                     }
-                }
-                "--reps" => {
-                    let n = value()?;
-                    let n = n.parse().ok().filter(|&n| n > 0);
-                    parsed.reps = Some(n.ok_or("--reps needs a positive count")?);
                 }
                 _ => parsed.rest.push(arg),
             }
@@ -198,32 +190,17 @@ mod tests {
     }
 
     #[test]
-    fn the_three_options_parse_and_leave_the_rest() {
+    fn the_two_options_parse_and_leave_the_rest() {
         let parse = |args: &[&str]| Args::parse(args.iter().map(|a| a.to_string()));
         let none = parse(&[]).unwrap();
         assert_eq!(none.results_dir, PathBuf::from("results"));
-        assert!(!none.full_tier && none.reps.is_none() && none.rest.is_empty());
-        let all = parse(&[
-            "--results-dir",
-            "results/ci",
-            "--refresh",
-            "--tier",
-            "full",
-            "--reps",
-            "1",
-        ])
-        .unwrap();
+        assert!(!none.full_tier && none.rest.is_empty());
+        let all = parse(&["--results-dir", "results/ci", "--refresh", "--tier", "full"]).unwrap();
         assert_eq!(all.results_dir, PathBuf::from("results/ci"));
         assert!(all.full_tier);
-        assert_eq!(all.reps, Some(1));
         assert_eq!(all.rest, ["--refresh"]);
         assert!(!parse(&["--tier", "smoke"]).unwrap().full_tier);
-        for bad in [
-            &["--reps", "0"][..],
-            &["--reps", "x"],
-            &["--tier", "big"],
-            &["--results-dir"],
-        ] {
+        for bad in [&["--tier", "big"][..], &["--results-dir"]] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }
     }

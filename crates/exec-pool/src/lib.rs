@@ -1,74 +1,27 @@
-//! # exec-pool — morsel-driven work-stealing worker pool
+//! # exec-pool — the workspace's scoped and service threads
 //!
-//! The parallel executor splits work into *morsels* (page ranges, row
-//! chunks, partitions) and runs them on a fixed-degree worker pool. This
-//! crate is the only place in the workspace allowed to create threads
-//! (enforced by `orpheus-lint` rule L007): routing every spawn through
-//! the pool means joins, panics, and per-worker accounting can never be
-//! forgotten at a call site.
+//! This crate is the only place in the workspace allowed to create
+//! threads (enforced by `orpheus-lint` rule L007): routing every spawn
+//! through it means joins and panics can never be forgotten at a call
+//! site. The engine itself runs each query on one thread; the threads
+//! made here are client fan-outs (load generators, smoke tests) and
+//! resident service loops.
 //!
-//! Design:
-//!
-//! * **Fixed degree.** A [`WorkerPool`] is configured with a thread
-//!   count once; every [`WorkerPool::run`] call uses at most that many
-//!   workers (fewer when there are fewer tasks than threads).
-//! * **Scoped workers.** Threads are spawned inside
-//!   [`std::thread::scope`] per `run` call, so tasks may borrow from the
-//!   caller's stack — the coordinator hands workers references to
-//!   build-side hash tables and predicates without `Arc`ing the world.
-//!   Spawn cost (~tens of µs) is negligible against the
-//!   multi-millisecond scans the pool exists for.
-//! * **Owned `Send` payloads.** A task closure may also *own* `Send`
-//!   data moved into it — the parallel operators move zero-copy page
-//!   leases (`Arc`-backed frame references) into their morsel tasks.
-//!   `run` consumes each task exactly once, on exactly one worker, and
-//!   drops it there, so a payload's drop side effects (a lease releasing
-//!   its frame pin) happen before `run` returns.
-//! * **Chunked queues + stealing.** Task indices are dealt to per-worker
-//!   queues in contiguous chunks (morsel locality); a worker that drains
-//!   its own queue steals from the *back* of a victim's queue, so the
-//!   steal takes the work farthest from what the victim touches next.
-//! * **Panic-safe joins.** Each task runs under
-//!   [`std::panic::catch_unwind`]; the first panic stops the pool and
-//!   surfaces as [`PoolError::WorkerPanic`] — the pool never deadlocks
-//!   and never aborts the process on a worker panic.
-//! * **Deterministic results.** Results are reassembled in task order,
-//!   so for pure tasks the output is identical at every thread count —
-//!   the property the CI determinism gate checks end to end.
-//!
-//! Per-run metrics land in an optional [`obs::Registry`] under
-//! `exec.pool.*`: total tasks, steals, runs, panics, per-worker task
-//! counts (`exec.pool.worker{w}.tasks`), and a task-latency histogram
-//! (`exec.pool.task.latency_us`, accumulated per worker off the registry
-//! lock and folded in with [`obs::Histogram::merge`]).
-//!
-//! With an [`obs::Recorder`] attached ([`WorkerPool::with_observability`]),
-//! every task also runs under an `exec.pool.task` span re-attached — via
-//! the [`obs::TraceCtx`] captured on the submitting thread — to the
-//! *submitting request's* trace and tree position, so morsel work done on
-//! worker threads shows up under the query's span instead of as a
-//! detached root, and journaled task events carry the request's trace id.
-//!
-//! Besides the scoped [`WorkerPool`], the crate provides
-//! [`ServiceThread`]: a *named, long-lived, joined-on-shutdown* thread for
-//! subsystems that genuinely need one resident thread (a TCP acceptor, a
-//! storage-engine loop). It is the sanctioned L007 escape hatch — the
-//! thread still gets a name, a panic-capturing join, and an owner that
-//! cannot forget to join it.
+//! * [`WorkerPool::run`] runs a list of tasks on at most `threads`
+//!   scoped threads, each taking the next task index from one shared
+//!   counter. Tasks may borrow from the caller's stack or own `Send`
+//!   payloads; each is consumed exactly once and dropped before `run`
+//!   returns. Results come back in task order, and a panicking task
+//!   surfaces as [`PoolError::WorkerPanic`] — `run` never deadlocks and
+//!   never aborts the process.
+//! * [`ServiceThread`] is a *named, long-lived, joined-on-shutdown*
+//!   thread for subsystems that genuinely need one resident thread (a
+//!   TCP acceptor, a storage-engine loop): the thread still gets a name,
+//!   a panic-capturing join, and an owner that cannot forget to join it.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
-
-use obs::TraceCtx;
-
-/// Histogram name for per-task wall-clock latency in microseconds.
-const TASK_LATENCY: &str = "exec.pool.task.latency_us";
-
-/// Span name tasks run under when a recorder is attached.
-const TASK_SPAN: &str = "exec.pool.task";
 
 /// Errors surfaced by [`WorkerPool::run`] and [`ServiceThread`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,13 +53,11 @@ fn locked<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A fixed-degree worker pool. Cheap to construct; holds no threads
-/// between [`run`](WorkerPool::run) calls.
-#[derive(Debug, Clone, Default)]
+/// A fixed-degree pool of scoped threads. Cheap to construct; holds no
+/// threads between [`run`](WorkerPool::run) calls.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerPool {
     threads: usize,
-    registry: Option<obs::Registry>,
-    recorder: Option<obs::Recorder>,
 }
 
 impl WorkerPool {
@@ -114,243 +65,76 @@ impl WorkerPool {
     pub fn new(threads: usize) -> Self {
         WorkerPool {
             threads: threads.max(1),
-            registry: None,
-            recorder: None,
         }
     }
 
-    /// Like [`new`](WorkerPool::new), with `exec.pool.*` metrics
-    /// recorded into `registry` on every run.
-    pub fn with_registry(threads: usize, registry: obs::Registry) -> Self {
-        WorkerPool {
-            threads: threads.max(1),
-            registry: Some(registry),
-            recorder: None,
-        }
-    }
-
-    /// Like [`with_registry`](WorkerPool::with_registry), additionally
-    /// running every task under an `exec.pool.task` span on `recorder`,
-    /// attached to the trace context of the thread that calls
-    /// [`run`](WorkerPool::run) — worker subtrees and journal events
-    /// re-attach to the submitting request.
-    pub fn with_observability(
-        threads: usize,
-        registry: obs::Registry,
-        recorder: obs::Recorder,
-    ) -> Self {
-        WorkerPool {
-            threads: threads.max(1),
-            registry: Some(registry),
-            recorder: Some(recorder),
-        }
-    }
-
-    /// Configured parallelism degree.
+    /// Configured degree.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Degree a run over `tasks` morsels would actually use.
-    pub fn degree_for(&self, tasks: usize) -> usize {
-        self.threads.min(tasks).max(1)
-    }
-
     /// Run every task, returning results in task order.
     ///
-    /// Each task receives the id (0-based) of the worker that ran it.
-    /// With one worker (or one task) everything runs inline on the
-    /// calling thread — no threads are spawned, so `--threads 1`
-    /// executes exactly the code a sequential engine would.
+    /// `min(threads, tasks)` workers take task indices from one shared
+    /// counter; each task receives the id (0-based) of the worker that ran
+    /// it. One worker runs on the calling thread and spawns nothing.
     pub fn run<T, F>(&self, tasks: Vec<F>) -> Result<Vec<T>, PoolError>
     where
         F: FnOnce(usize) -> T + Send,
         T: Send,
     {
         let n = tasks.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let workers = self.degree_for(n);
-        if workers == 1 {
-            return self.run_inline(tasks);
-        }
-        // Capture the submitting thread's trace context once, before any
-        // worker exists; each task re-opens it as its span parent. The
-        // untraced fallback keeps the span-tree shape identical across
-        // thread counts (inline and scoped paths wrap tasks the same way).
-        let ctx = self
-            .recorder
-            .as_ref()
-            .map(|r| r.current_ctx().unwrap_or_else(|| TraceCtx::from_wire(0)));
-
-        // Task slots: taken exactly once, under the slot's own lock, so a
-        // stolen index can never run twice.
+        let workers = self.threads.min(n);
+        // Task slots: taken exactly once, under the slot's own lock.
         let slots: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        // Deal contiguous chunks: worker w owns [w*n/W, (w+1)*n/W).
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w * n / workers..(w + 1) * n / workers).collect()))
-            .collect();
+        // Both atomics are `Relaxed`: `fetch_add` alone makes each index
+        // claimed once, `stop` only cuts the remaining work short, and the
+        // tasks and results they lead to are published through the slot
+        // locks and the scope's join.
+        let next = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let panic_msg: Mutex<Option<String>> = Mutex::new(None);
-        let worker_tasks: Vec<Mutex<u64>> = (0..workers).map(|_| Mutex::new(0)).collect();
-        let steals: Mutex<u64> = Mutex::new(0);
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let slots = &slots;
-                let results = &results;
-                let queues = &queues;
-                let stop = &stop;
-                let panic_msg = &panic_msg;
-                let worker_tasks = &worker_tasks;
-                let steals = &steals;
-                let recorder = &self.recorder;
-                let registry = &self.registry;
-                scope.spawn(move || {
-                    let mut ran = 0u64;
-                    let mut stolen = 0u64;
-                    // Task latencies accumulate into a worker-local
-                    // histogram, folded into the registry once per run —
-                    // no shared lock on the per-task path.
-                    let mut latency = obs::Histogram::new();
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Own queue first (front: preserves chunk order),
-                        // then steal from the back of the other queues.
-                        let mut idx = locked(&queues[w]).pop_front();
-                        if idx.is_none() {
-                            for v in 1..workers {
-                                let victim = (w + v) % workers;
-                                if let Some(i) = locked(&queues[victim]).pop_back() {
-                                    idx = Some(i);
-                                    stolen += 1;
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(idx) = idx else { break };
-                        let Some(task) = locked(&slots[idx]).take() else {
-                            continue;
-                        };
-                        let started = Instant::now();
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            // The guard closes (and journals its End
-                            // event) even when `task` panics: it drops
-                            // during the unwind caught just below.
-                            let _span = match (recorder, ctx) {
-                                (Some(r), Some(c)) => Some(r.enter_with(TASK_SPAN, c)),
-                                _ => None,
-                            };
-                            task(w)
-                        })) {
-                            Ok(value) => {
-                                latency.observe(
-                                    started.elapsed().as_micros().min(u64::MAX as u128) as u64,
-                                );
-                                *locked(&results[idx]) = Some(value);
-                                ran += 1;
-                            }
-                            Err(payload) => {
-                                let mut msg = locked(panic_msg);
-                                if msg.is_none() {
-                                    *msg = Some(panic_message(payload.as_ref()));
-                                }
-                                stop.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
+        let work = |w: usize| {
+            while !stop.load(Ordering::Relaxed) {
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(idx) else { break };
+                let Some(task) = locked(slot).take() else {
+                    continue;
+                };
+                match catch_unwind(AssertUnwindSafe(|| task(w))) {
+                    Ok(value) => *locked(&results[idx]) = Some(value),
+                    Err(payload) => {
+                        locked(&panic_msg).get_or_insert_with(|| panic_message(payload.as_ref()));
+                        stop.store(true, Ordering::Relaxed);
                     }
-                    *locked(&worker_tasks[w]) += ran;
-                    *locked(steals) += stolen;
-                    if let Some(reg) = registry {
-                        if latency.count() > 0 {
-                            reg.merge_histogram(TASK_LATENCY, &latency);
-                        }
-                    }
-                });
+                }
             }
-        });
-
+        };
+        if workers <= 1 {
+            work(0);
+        } else {
+            std::thread::scope(|scope| {
+                for w in 0..workers {
+                    let work = &work;
+                    scope.spawn(move || work(w));
+                }
+            });
+        }
+        // Tasks a panic left unrun still own their payloads: drop them here.
+        drop(slots);
         if let Some(msg) = locked(&panic_msg).take() {
-            self.record(workers, &worker_tasks, *locked(&steals), true);
             return Err(PoolError::WorkerPanic(msg));
         }
-        self.record(workers, &worker_tasks, *locked(&steals), false);
-        let mut out = Vec::with_capacity(n);
-        for (i, slot) in results.iter().enumerate() {
-            match locked(slot).take() {
-                Some(v) => out.push(v),
-                None => {
-                    return Err(PoolError::Internal(format!("task {i} produced no result")));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Sequential path: run every task on the calling thread, worker 0.
-    fn run_inline<T, F>(&self, tasks: Vec<F>) -> Result<Vec<T>, PoolError>
-    where
-        F: FnOnce(usize) -> T,
-    {
-        let ctx = self
-            .recorder
-            .as_ref()
-            .map(|r| r.current_ctx().unwrap_or_else(|| TraceCtx::from_wire(0)));
-        let n = tasks.len() as u64;
-        let mut out = Vec::with_capacity(tasks.len());
-        let mut latency = obs::Histogram::new();
-        for task in tasks {
-            let started = Instant::now();
-            match catch_unwind(AssertUnwindSafe(|| {
-                let _span = match (&self.recorder, ctx) {
-                    (Some(r), Some(c)) => Some(r.enter_with(TASK_SPAN, c)),
-                    _ => None,
-                };
-                task(0)
-            })) {
-                Ok(v) => {
-                    latency.observe(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                    out.push(v);
-                }
-                Err(payload) => {
-                    if let Some(reg) = &self.registry {
-                        reg.counter_add("exec.pool.panics", 1);
-                        reg.counter_add("exec.pool.runs", 1);
-                    }
-                    return Err(PoolError::WorkerPanic(panic_message(payload.as_ref())));
-                }
-            }
-        }
-        if let Some(reg) = &self.registry {
-            reg.counter_add("exec.pool.runs", 1);
-            reg.counter_add("exec.pool.tasks", n);
-            reg.counter_add("exec.pool.worker0.tasks", n);
-            if latency.count() > 0 {
-                reg.merge_histogram(TASK_LATENCY, &latency);
-            }
-        }
-        Ok(out)
-    }
-
-    fn record(&self, workers: usize, worker_tasks: &[Mutex<u64>], steals: u64, panicked: bool) {
-        let Some(reg) = &self.registry else { return };
-        reg.counter_add("exec.pool.runs", 1);
-        reg.counter_add("exec.pool.steals", steals);
-        if panicked {
-            reg.counter_add("exec.pool.panics", 1);
-        }
-        let mut total = 0u64;
-        for (w, t) in worker_tasks.iter().enumerate().take(workers) {
-            let t = *locked(t);
-            total += t;
-            reg.counter_add(&format!("exec.pool.worker{w}.tasks"), t);
-        }
-        reg.counter_add("exec.pool.tasks", total);
+        results
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                slot.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .ok_or_else(|| PoolError::Internal(format!("task {i} produced no result")))
+            })
+            .collect()
     }
 }
 
@@ -473,15 +257,35 @@ mod tests {
         let par = WorkerPool::new(8);
         let make = || (0..57).map(|i| move |_w: usize| i * i).collect::<Vec<_>>();
         assert_eq!(seq.run(make()).unwrap(), par.run(make()).unwrap());
+        let caller = std::thread::current().id();
+        let on_caller = seq.run(vec![move |_w: usize| std::thread::current().id() == caller]);
+        assert_eq!(on_caller.unwrap(), vec![true]);
     }
 
     #[test]
     fn more_workers_than_tasks() {
         let pool = WorkerPool::new(16);
-        let out = pool
-            .run(vec![|w: usize| w < 16, |w: usize| w < 16])
-            .unwrap();
+        let out = pool.run(vec![|w: usize| w < 2, |w: usize| w < 2]).unwrap();
         assert_eq!(out, vec![true, true]);
+    }
+
+    /// Two tasks that wait for each other finish only if each ran on a
+    /// worker of its own: loadgen's clients rely on that.
+    #[test]
+    fn every_task_gets_a_worker_when_threads_cover_them() {
+        let barrier = std::sync::Barrier::new(2);
+        let tasks: Vec<_> = (0..2)
+            .map(|i| {
+                let barrier = &barrier;
+                move |w: usize| {
+                    barrier.wait();
+                    (i, w)
+                }
+            })
+            .collect();
+        let out = WorkerPool::new(2).run(tasks).unwrap();
+        assert_eq!(out.len(), 2);
+        assert_ne!(out[0].1, out[1].1);
     }
 
     #[test]
@@ -500,187 +304,63 @@ mod tests {
         assert_eq!(out.iter().sum::<u64>(), data.iter().sum::<u64>());
     }
 
-    #[test]
-    fn owned_send_payloads_are_consumed_and_dropped_by_run() {
-        // Models the lease lifetime contract: each task owns a payload
-        // whose Drop releases a shared count (like a PageLease unpinning
-        // its frame). After `run` returns, every payload must be dropped
-        // exactly once — no payload may outlive the run.
-        use std::sync::atomic::AtomicU32;
-        use std::sync::Arc;
+    /// A payload whose Drop releases a shared count.
+    struct Payload {
+        live: std::sync::Arc<std::sync::atomic::AtomicU32>,
+    }
 
-        struct Payload {
-            live: Arc<AtomicU32>,
+    impl Drop for Payload {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, Ordering::SeqCst);
         }
-        impl Drop for Payload {
-            fn drop(&mut self) {
-                self.live.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
+    }
 
-        let live = Arc::new(AtomicU32::new(0));
-        let tasks: Vec<_> = (0..48u32)
+    /// `n` tasks, each owning a [`Payload`]; task `panics_at` panics.
+    fn payload_tasks(
+        n: u32,
+        panics_at: Option<u32>,
+        live: &std::sync::Arc<std::sync::atomic::AtomicU32>,
+    ) -> Vec<Box<dyn FnOnce(usize) -> u32 + Send>> {
+        (0..n)
             .map(|i| {
                 live.fetch_add(1, Ordering::SeqCst);
                 let payload = Payload {
-                    live: Arc::clone(&live),
+                    live: std::sync::Arc::clone(live),
                 };
-                move |_w: usize| {
-                    // The payload is alive while the task runs...
+                Box::new(move |_w: usize| {
+                    // The payload is alive while the task runs.
                     assert!(payload.live.load(Ordering::SeqCst) > 0);
+                    if Some(i) == panics_at {
+                        panic!("task {i} exploded");
+                    }
                     i
-                }
+                }) as Box<dyn FnOnce(usize) -> u32 + Send>
             })
-            .collect();
-        let pool = WorkerPool::new(4);
-        let out = pool.run(tasks).unwrap();
+            .collect()
+    }
+
+    #[test]
+    fn owned_send_payloads_are_consumed_and_dropped_by_run() {
+        // After `run` returns, every payload must be dropped exactly
+        // once — no payload may outlive the run.
+        let live = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let out = WorkerPool::new(4)
+            .run(payload_tasks(48, None, &live))
+            .unwrap();
         assert_eq!(out, (0..48).collect::<Vec<_>>());
-        // ...and dropped (exactly once each) by the time run returns.
         assert_eq!(live.load(Ordering::SeqCst), 0);
     }
 
     #[test]
     fn worker_panic_surfaces_as_err_without_deadlock() {
-        let pool = WorkerPool::new(4);
-        let tasks: Vec<Box<dyn FnOnce(usize) -> u32 + Send>> = (0..32u32)
-            .map(|i| {
-                Box::new(move |_w: usize| {
-                    if i == 17 {
-                        panic!("morsel {i} exploded");
-                    }
-                    i
-                }) as Box<dyn FnOnce(usize) -> u32 + Send>
-            })
-            .collect();
-        match pool.run(tasks) {
-            Err(PoolError::WorkerPanic(msg)) => assert!(msg.contains("exploded"), "{msg}"),
-            other => panic!("expected WorkerPanic, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn inline_panic_also_surfaces_as_err() {
-        let pool = WorkerPool::new(1);
-        let tasks: Vec<Box<dyn FnOnce(usize) -> u32 + Send>> =
-            vec![Box::new(|_| panic!("inline boom"))];
-        match pool.run(tasks) {
-            Err(PoolError::WorkerPanic(msg)) => assert!(msg.contains("inline boom")),
-            other => panic!("expected WorkerPanic, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn metrics_account_for_every_task() {
-        let reg = obs::Registry::new();
-        let pool = WorkerPool::with_registry(4, reg.clone());
-        let tasks: Vec<_> = (0..64).map(|i| move |_w: usize| i).collect();
-        pool.run(tasks).unwrap();
-        assert_eq!(reg.counter("exec.pool.tasks"), 64);
-        assert_eq!(reg.counter("exec.pool.runs"), 1);
-        let per_worker: u64 = (0..4)
-            .map(|w| reg.counter(&format!("exec.pool.worker{w}.tasks")))
-            .sum();
-        assert_eq!(per_worker, 64, "per-worker task counts must reconcile");
-    }
-
-    #[test]
-    fn task_latency_histogram_accounts_for_every_task() {
         for threads in [1, 4] {
-            let reg = obs::Registry::new();
-            let pool = WorkerPool::with_registry(threads, reg.clone());
-            let tasks: Vec<_> = (0..32).map(|i| move |_w: usize| i).collect();
-            pool.run(tasks).unwrap();
-            let h = reg.histogram(TASK_LATENCY).unwrap();
-            assert_eq!(h.count(), 32, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn worker_spans_reattach_to_the_submitting_request_exactly_once() {
-        for threads in [1, 4] {
-            let reg = obs::Registry::new();
-            let rec = obs::Recorder::with_journal(4096, 1);
-            let pool = WorkerPool::with_observability(threads, reg, rec.clone());
-            let trace = {
-                let req = rec.enter_request("request");
-                let tasks: Vec<_> = (0..16).map(|i| move |_w: usize| i * 3).collect();
-                let out = pool.run(tasks).unwrap();
-                assert_eq!(out.len(), 16);
-                req.trace_id()
-            };
-            let report = rec.report();
-            let request = report.find("request").unwrap();
-            // Exactly one worker subtree under the request, holding all
-            // 16 task closes — and no detached exec.pool.task root.
-            assert_eq!(request.children.len(), 1, "threads={threads}");
-            assert_eq!(request.children[0].name, TASK_SPAN);
-            assert_eq!(request.children[0].count, 16);
-            assert!(report.roots.iter().all(|r| r.name != TASK_SPAN));
-            // Every journaled task event carries the request's trace id.
-            let ends: Vec<_> = rec
-                .journal()
-                .trace_events(trace)
-                .into_iter()
-                .filter(|e| e.phase == obs::Phase::End && e.name.as_ref() == TASK_SPAN)
-                .collect();
-            assert_eq!(ends.len(), 16, "threads={threads}");
-            // And no cursor entry survives the run (leak regression).
-            assert_eq!(rec.open_cursors(), 0);
-        }
-    }
-
-    #[test]
-    fn untraced_runs_produce_no_journal_events() {
-        let reg = obs::Registry::new();
-        let rec = obs::Recorder::with_journal(4096, 1);
-        let pool = WorkerPool::with_observability(4, reg, rec.clone());
-        // No request span open on the submitting thread: tasks aggregate
-        // but are untraced, so nothing reaches the journal.
-        let tasks: Vec<_> = (0..8).map(|i| move |_w: usize| i).collect();
-        pool.run(tasks).unwrap();
-        assert_eq!(rec.report().find(TASK_SPAN).unwrap().count, 8);
-        assert!(rec.journal().is_empty());
-        assert_eq!(rec.journal().allocs(), 0);
-    }
-
-    #[test]
-    fn panicking_worker_closes_its_span_and_journals_the_end_event() {
-        for threads in [1, 4] {
-            let reg = obs::Registry::new();
-            let rec = obs::Recorder::with_journal(4096, 1);
-            let pool = WorkerPool::with_observability(threads, reg, rec.clone());
-            let trace = {
-                let req = rec.enter_request("request");
-                let tasks: Vec<Box<dyn FnOnce(usize) -> u32 + Send>> = (0..8u32)
-                    .map(|i| {
-                        Box::new(move |_w: usize| {
-                            if i == 3 {
-                                panic!("morsel {i} exploded");
-                            }
-                            i
-                        }) as Box<dyn FnOnce(usize) -> u32 + Send>
-                    })
-                    .collect();
-                match pool.run(tasks) {
-                    Err(PoolError::WorkerPanic(msg)) => assert!(msg.contains("exploded")),
-                    other => panic!("expected WorkerPanic, got {other:?}"),
-                }
-                req.trace_id()
-            };
-            // The panicking task's guard closed during unwind: its close
-            // is in the aggregate tree and its End event in the journal.
-            let report = rec.report();
-            let task_node = report.find(TASK_SPAN).unwrap();
-            assert!(task_node.count >= 1, "threads={threads}");
-            let events = rec.journal().trace_events(trace);
-            let (begins, ends): (Vec<_>, Vec<_>) = events
-                .iter()
-                .filter(|e| e.name.as_ref() == TASK_SPAN)
-                .partition(|e| e.phase == obs::Phase::Begin);
-            assert!(!ends.is_empty(), "threads={threads}");
-            // Unwound guards still close: every opened task span ended.
-            assert_eq!(begins.len(), ends.len(), "threads={threads}");
-            assert_eq!(rec.open_cursors(), 0);
+            let live = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+            match WorkerPool::new(threads).run(payload_tasks(32, Some(17), &live)) {
+                Err(PoolError::WorkerPanic(msg)) => assert!(msg.contains("exploded"), "{msg}"),
+                other => panic!("expected WorkerPanic, got {other:?}"),
+            }
+            // Tasks left unrun by the panic drop their payloads too.
+            assert_eq!(live.load(Ordering::SeqCst), 0, "threads={threads}");
         }
     }
 
@@ -689,14 +369,6 @@ mod tests {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.threads(), 1);
         assert_eq!(pool.run(vec![|w: usize| w]).unwrap(), vec![0]);
-    }
-
-    #[test]
-    fn degree_for_caps_at_task_count() {
-        let pool = WorkerPool::new(8);
-        assert_eq!(pool.degree_for(3), 3);
-        assert_eq!(pool.degree_for(100), 8);
-        assert_eq!(pool.degree_for(0), 1);
     }
 
     #[test]

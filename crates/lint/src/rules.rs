@@ -15,9 +15,10 @@
 //! - **L006** — every `#[allow(…)]` and every `// lint:allow(Lxxx)`
 //!   suppression carries a written reason.
 //! - **L007** — no raw `std::thread::{spawn, scope, Builder}` outside
-//!   `crates/exec-pool` (all engine parallelism goes through the worker
-//!   pool so joins and panics are accounted for; long-lived threads use
-//!   `exec_pool::ServiceThread`, the sanctioned escape hatch).
+//!   `crates/exec-pool` (a scoped fan-out goes through
+//!   `exec_pool::WorkerPool::run` so joins and panics are accounted for;
+//!   long-lived threads use `exec_pool::ServiceThread`, the sanctioned
+//!   escape hatch).
 //! - **L009** — no lock-order cycles across the engine's lock classes
 //!   (metrics registry, journal ring, buffer pool, session table,
 //!   group-commit queue, pool queue): a cycle in the held-across-call
@@ -558,7 +559,7 @@ fn l007_no_raw_threads(toks: &[Tok], in_test: &[bool], findings: &mut Vec<Findin
                 rule: Rule::L007,
                 msg: format!(
                     "raw `thread::{name}` bypasses exec-pool \
-                     (joins and worker panics go unaccounted); use \
+                     (joins and task panics go unaccounted); use \
                      `exec_pool::WorkerPool` for scoped fan-out or \
                      `exec_pool::ServiceThread` for named long-lived services"
                 ),

@@ -151,11 +151,11 @@ fn l007_spares_integration_test_directories() {
 fn l007_spares_the_exec_pool_crate_itself() {
     use lint::classify;
     assert!(classify("crates/exec-pool/src/lib.rs").pool_code);
-    assert!(!classify("crates/relstore/src/par.rs").pool_code);
+    assert!(!classify("crates/relstore/src/fetch.rs").pool_code);
     // The pool's own `thread::scope` must not fire.
     let src = "pub fn go() { std::thread::scope(|_s| {}); }";
     assert!(lint::lint_source("crates/exec-pool/src/lib.rs", src).is_empty());
-    assert!(!lint::lint_source("crates/relstore/src/par.rs", src).is_empty());
+    assert!(!lint::lint_source("crates/relstore/src/fetch.rs", src).is_empty());
 }
 
 #[test]

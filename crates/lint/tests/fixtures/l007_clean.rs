@@ -1,9 +1,9 @@
-//@path crates/relstore/src/par_demo.rs
-//! L007 negative: parallelism through the worker pool; raw threads
+//@path crates/relstore/src/fan_out_demo.rs
+//! L007 negative: a fan-out through the worker pool; raw threads
 //! confined to `#[cfg(test)]`.
 
-pub fn fan_out(pool: &exec_pool::WorkerPool, morsels: Vec<Vec<u64>>) -> Vec<u64> {
-    let tasks: Vec<_> = morsels
+pub fn fan_out(pool: &exec_pool::WorkerPool, chunks: Vec<Vec<u64>>) -> Vec<u64> {
+    let tasks: Vec<_> = chunks
         .into_iter()
         .map(|m| move |_worker: usize| m.iter().sum::<u64>())
         .collect();

@@ -1,4 +1,4 @@
-//@path crates/relstore/src/par_demo.rs
+//@path crates/relstore/src/fan_out_demo.rs
 //! L007 positive: raw thread creation outside `crates/exec-pool`.
 
 use std::thread;

@@ -39,7 +39,7 @@ pub use split_by_vlist::SplitByVlist;
 
 use orpheus_core::{Cvd, Result};
 use partition::{Rid, Vid};
-use relstore::{Database, ExecContext, Executor, RidFetch, Row, Table, Value, WorkerPool};
+use relstore::{Database, ExecContext, Executor, RidFetch, Row, Table, Value};
 
 /// Which physical model a store uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,13 +160,8 @@ fn align_row_to_schema(cvd: &Cvd, mut row: Row) -> Row {
 /// `data ⨝ ids`, drained: the rid fetch a split-by-rlist checkout ends
 /// with. `ids` are row ids of `data` — in the engine's data table, the
 /// rids themselves.
-fn fetch_rids(
-    data: &Table,
-    ids: Vec<i64>,
-    pool: Option<&WorkerPool>,
-    ctx: &mut ExecContext,
-) -> Result<Vec<Row>> {
-    Ok(RidFetch::new(data, ids, pool).collect(ctx)?)
+fn fetch_rids(data: &Table, ids: Vec<i64>, ctx: &mut ExecContext) -> Result<Vec<Row>> {
+    Ok(RidFetch::new(data, ids).collect(ctx)?)
 }
 
 #[cfg(test)]

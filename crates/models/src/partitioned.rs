@@ -115,7 +115,7 @@ impl PartitionedStore {
             let id = data.index_lookup("rid_pk", rid, &mut uncharged)?.first();
             ids.push(id.map_or(-1, |&id| id as i64));
         }
-        fetch_rids(data, ids, None, ctx)
+        fetch_rids(data, ids, ctx)
     }
 
     /// Records stored across all partitions (the storage cost `S`).

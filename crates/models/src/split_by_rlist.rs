@@ -13,7 +13,7 @@ use super::{fetch_rids, ModelKind, VersioningModel};
 use orpheus_core::metadata::{self, append_rlist, data_name, vtab_name};
 use orpheus_core::{Cvd, Error, Result};
 use partition::{Rid, Vid};
-use relstore::{Database, ExecContext, Row, WorkerPool};
+use relstore::{Database, ExecContext, Row};
 
 /// `{cvd}__sbr_data` `[rid, attrs…]` + `{cvd}__sbr_vtab` `[vid, rlist]`.
 #[derive(Debug, Clone)]
@@ -26,27 +26,6 @@ impl SplitByRlist {
         SplitByRlist {
             cvd_name: cvd_name.into(),
         }
-    }
-
-    /// [`VersioningModel::checkout`] with an optional morsel worker pool:
-    /// a multi-threaded pool decodes the fetched pages morsel-parallel,
-    /// any other value reads them on the calling thread. Rows are identical.
-    pub fn checkout_with_pool(
-        &self,
-        db: &Database,
-        vid: Vid,
-        pool: Option<&WorkerPool>,
-        ctx: &mut ExecContext,
-    ) -> Result<Vec<Row>> {
-        let vtab = db.table(&vtab_name(&self.cvd_name))?;
-        let data = db.table(&data_name(&self.cvd_name))?;
-        // Retrieve the single versioning tuple via the vid primary key.
-        let ids = vtab.index_lookup("vid_pk", vid.0 as i64, &mut ctx.tracker)?;
-        let rows = vtab.fetch(ids, Some(0), &mut ctx.tracker, &ctx.model)?;
-        let row = rows.first().ok_or(Error::VersionNotFound(vid.0))?;
-        let rlist: Vec<i64> = row[1].as_int_array().unwrap_or(&[]).to_vec();
-        ctx.tracker.ops(rlist.len() as u64); // unnest(rlist)
-        fetch_rids(data, rlist, pool, ctx)
     }
 }
 
@@ -81,7 +60,15 @@ impl VersioningModel for SplitByRlist {
         vid: Vid,
         ctx: &mut ExecContext,
     ) -> Result<Vec<Row>> {
-        self.checkout_with_pool(db, vid, None, ctx)
+        let vtab = db.table(&vtab_name(&self.cvd_name))?;
+        let data = db.table(&data_name(&self.cvd_name))?;
+        // Retrieve the single versioning tuple via the vid primary key.
+        let ids = vtab.index_lookup("vid_pk", vid.0 as i64, &mut ctx.tracker)?;
+        let rows = vtab.fetch(ids, Some(0), &mut ctx.tracker, &ctx.model)?;
+        let row = rows.first().ok_or(Error::VersionNotFound(vid.0))?;
+        let rlist: Vec<i64> = row[1].as_int_array().unwrap_or(&[]).to_vec();
+        ctx.tracker.ops(rlist.len() as u64); // unnest(rlist)
+        fetch_rids(data, rlist, ctx)
     }
 
     fn storage_bytes(&self, db: &Database) -> usize {

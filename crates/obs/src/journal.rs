@@ -14,7 +14,7 @@
 //! **Head sampling.** Whether a trace is journaled is decided once, from
 //! its trace id (`trace_id % sample == 0`), so a trace is always recorded
 //! completely or not at all — spans of the same request on other threads
-//! (morsel workers, the group-commit leader) make the same decision
+//! (the engine thread, the group-commit leader) make the same decision
 //! independently. `sample == 1` records every trace, `sample == 0`
 //! disables the journal entirely; on the disabled path no event is
 //! allocated (asserted via the `obs.journal.allocs` counter). The default

@@ -130,7 +130,7 @@ impl Histogram {
     }
 
     /// Fold another histogram into this one, bucket-wise. Merging
-    /// per-worker histograms then taking quantiles is equivalent (within
+    /// partial histograms then taking quantiles is equivalent (within
     /// one log₂ bucket) to observing every value into one histogram —
     /// buckets, counts, sums, and min/max are all additive or order-free.
     pub fn merge(&mut self, other: &Histogram) {
@@ -232,18 +232,6 @@ impl Registry {
     /// Record a duration in microseconds into a named histogram.
     pub fn observe_duration(&self, name: &str, d: Duration) {
         self.observe(name, d.as_micros().min(u64::MAX as u128) as u64);
-    }
-
-    /// Fold a locally accumulated histogram into the named registry
-    /// entry — the aggregation step for per-worker histograms built off
-    /// the registry lock.
-    pub fn merge_histogram(&self, name: &str, other: &Histogram) {
-        let mut inner = self.locked();
-        inner
-            .histograms
-            .entry(name.to_owned())
-            .or_default()
-            .merge(other);
     }
 
     /// Snapshot a histogram by name.
@@ -539,19 +527,6 @@ mod tests {
         assert_eq!(empty.min(), 42);
         assert_eq!(empty.max(), 42);
         assert_eq!(empty.count(), 1);
-    }
-
-    #[test]
-    fn registry_merge_histogram_accumulates() {
-        let reg = Registry::new();
-        let mut local = Histogram::new();
-        local.observe(10);
-        local.observe(20);
-        reg.merge_histogram("pool.task_us", &local);
-        reg.merge_histogram("pool.task_us", &local);
-        let h = reg.histogram("pool.task_us").unwrap();
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 60);
     }
 
     mod merge_props {

@@ -23,7 +23,7 @@
 //! the ids of the innermost open span on the thread; [`Recorder::enter_request`]
 //! starts a fresh trace (unless one is already open, e.g. the server's
 //! session span); [`Recorder::enter_with`] re-attaches work on *another*
-//! thread — a morsel worker, the group-commit leader — to the submitting
+//! thread — the engine thread, the group-commit leader — to the submitting
 //! request's trace and tree position. Sampled spans additionally emit
 //! begin/end events into the recorder's [`Journal`], which is what makes
 //! individual requests (rather than aggregates) reconstructible.
@@ -231,8 +231,8 @@ impl Recorder {
     }
 
     /// Open a span as a child of `ctx` — captured on another thread —
-    /// instead of this thread's innermost span. This is how morsel
-    /// workers and the group-commit leader re-attach their work to the
+    /// instead of this thread's innermost span. This is how the engine
+    /// thread and the group-commit leader re-attach their work to the
     /// originating request's trace and tree position.
     pub fn enter_with(&self, name: &str, ctx: TraceCtx) -> SpanGuard {
         self.enter_impl(name, Some(ctx), false)

@@ -73,8 +73,6 @@ pub enum Command {
     Trace(View),
     /// `stats [reset]`
     Stats(View),
-    /// `threads [n]`
-    Threads(Option<usize>),
     /// `checkpoint`
     Checkpoint,
     /// `recover`
@@ -174,10 +172,6 @@ impl Command {
             }),
             "stats" if args.get(0) == Some("reset") => Self::Stats(View::Reset),
             "stats" => Self::Stats(View::Text),
-            "threads" => {
-                let n = args.get(0).map(|n| parsed(n, "invalid thread count"));
-                Self::Threads(n.transpose()?)
-            }
             "checkpoint" => Self::Checkpoint,
             "recover" => Self::Recover,
             other => return Err(parse_error(format!("unknown command: {other}"))),
@@ -198,11 +192,8 @@ impl Command {
     /// runs untraced: tracing it would perturb the very tree, journal and
     /// counters it renders.
     pub(crate) fn is_introspection(&self) -> bool {
-        use Command::{Metrics, Spans, Stats, Threads, Trace};
-        matches!(
-            self,
-            Spans(_) | Metrics(_) | Stats(_) | Trace(_) | Threads(_)
-        )
+        use Command::{Metrics, Spans, Stats, Trace};
+        matches!(self, Spans(_) | Metrics(_) | Stats(_) | Trace(_))
     }
 }
 
@@ -419,13 +410,7 @@ mod tests {
             "drop t",
             "create_user u",
         ];
-        let introspection = [
-            "spans",
-            "metrics --json",
-            "stats reset",
-            "trace dump",
-            "threads 2",
-        ];
+        let introspection = ["spans", "metrics --json", "stats reset", "trace dump"];
         let other = [
             "whoami",
             "ls",
@@ -494,7 +479,6 @@ mod tests {
         for line in [
             "checkout t -v 4294967296 -t w",
             "diff t -v 0 4294967296",
-            "threads 99999999999999999999",
             "run SELECT * FROM VERSION 0 OF CVD t LIMIT 18446744073709551616",
             "run SELECT * FROM VERSION 4294967297 OF CVD t",
             "run SELECT * FROM VERSION 0 OF CVD t WHERE s = 'x1",
@@ -532,7 +516,6 @@ mod tests {
         "trace",
         "dump",
         "stats",
-        "threads",
         "checkpoint",
         "recover",
         "reset",
@@ -613,8 +596,8 @@ mod tests {
 
         #[test]
         fn a_soup_of_the_grammar_parses_or_errs(line in soup()) {
-            // `threads` with a 10-digit count would size the next query's
-            // worker pool by it: each soup gets an instance of its own.
+            // Each soup gets an instance of its own, so no soup's state
+            // shapes the next one's.
             survives(&mut instance(), &line);
         }
     }

@@ -62,10 +62,6 @@ pub struct OrpheusDb {
     /// Commands absorb their per-query trackers here instead of dropping
     /// them, so `metrics` reports lifetime estimated I/O.
     tracker: RefCell<relstore::CostTracker>,
-    /// Morsel workers for checkout and version queries. `1` (the default)
-    /// keeps every plan sequential, bit-for-bit identical to the
-    /// single-threaded engine.
-    threads: usize,
     /// Whether every command that changes the catalog tables (`commit`,
     /// `init`, `drop`, `create_user`) ends with its own durability point
     /// (the default). The server's group-commit path turns this off and
@@ -78,17 +74,6 @@ pub struct OrpheusDb {
     /// top self-time spans. `0` logs every command. Always on —
     /// independent of journal sampling.
     slow_ms: u64,
-}
-
-/// Worker count an instance starts with: `ORPHEUS_THREADS` when set to a
-/// positive integer, otherwise 1 (sequential).
-fn default_threads() -> usize {
-    // lint:allow(L013): `scripts/ci.sh` re-runs the library suites at 4 workers through this variable; the binary sets its threads explicitly
-    std::env::var("ORPHEUS_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 impl Default for OrpheusDb {
@@ -119,7 +104,6 @@ impl OrpheusDb {
             staging: HashMap::new(),
             clock: 0,
             tracker: RefCell::new(relstore::CostTracker::new()),
-            threads: default_threads(),
             auto_checkpoint: true,
             slow_ms: obs::journal::DEFAULT_SLOW_MS,
         }
@@ -175,38 +159,9 @@ impl OrpheusDb {
         self.auto_checkpoint = on;
     }
 
-    /// Morsel workers used by checkout and version queries.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Set the morsel worker count. `1` runs every plan sequentially;
-    /// zero clamps to 1.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The worker pool queries run on, or `None` at one thread (the
-    /// sequential operators are used unmodified).
-    ///
-    /// Parallel checkout and query plans ship zero-copy page leases to
-    /// the workers, which requires clean pages. On a durable database the
-    /// per-commit [`checkpoint`](Self::checkpoint) (on by default)
-    /// guarantees that; uncheckpointed pages — including everything on an
-    /// in-memory database, where checkpoint is a no-op — fall back to
-    /// per-page copies counted in `pagestore.pool.bytes_copied_to_workers`
-    /// — same bytes out, just not free.
-    fn worker_pool(&self) -> Option<relstore::WorkerPool> {
-        if self.threads > 1 {
-            Some(relstore::WorkerPool::with_observability(
-                self.threads,
-                self.db.metrics().clone(),
-                self.db.recorder().clone(),
-            ))
-        } else {
-            None
-        }
-    }
+    /// Does nothing: the engine has one execution path, and no code reads
+    /// a thread count. It stays only because `benchmarks/loadgen` calls it.
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Slow-query threshold in milliseconds.
     pub fn slow_ms(&self) -> u64 {
@@ -806,13 +761,11 @@ impl OrpheusDb {
         Ok((rows, ctx))
     }
 
-    /// The engine-side plan source for a CVD: its split-by-rlist tables
-    /// read through this instance's worker pool.
+    /// The engine-side plan source for a CVD: its split-by-rlist tables.
     pub(crate) fn tables(&self, cvd_name: &str) -> Result<Tables<'_>> {
         Ok(Tables {
             db: &self.db,
             cvd: self.cvd(cvd_name)?,
-            pool: self.worker_pool(),
         })
     }
 
@@ -903,10 +856,10 @@ impl OrpheusDb {
 
     /// Every command but introspection runs under an `orpheus.request`
     /// span: a fresh trace id is minted here (CLI/shell), or the open
-    /// server-session trace is inherited, so morsel-worker and WAL spans
-    /// downstream re-attach to this request. Commands at or over the
-    /// slow-query threshold additionally log one structured line to
-    /// stderr (stdout stays byte-identical across thread counts).
+    /// server-session trace is inherited, so the WAL spans downstream
+    /// re-attach to this request. Commands at or over the slow-query
+    /// threshold additionally log one structured line to stderr (stdout
+    /// stays byte-identical whatever the timing).
     fn execute_command(&mut self, command: &Command, line: &str) -> Result<CommandOutput> {
         if command.is_introspection() {
             return self.apply(command);
@@ -1042,11 +995,6 @@ impl OrpheusDb {
                 Message("buffer-pool counters reset".into())
             }
             Command::Stats(_) => Message(self.stats_report()),
-            Command::Threads(Some(n)) => {
-                self.set_threads(*n);
-                Message(format!("morsel workers set to {}", self.threads()))
-            }
-            Command::Threads(None) => Message(format!("morsel workers: {}", self.threads())),
             Command::Checkpoint => Message(if self.checkpoint()? {
                 "checkpoint complete".into()
             } else {
@@ -2052,32 +2000,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_query_task_events_carry_the_request_trace() {
-        let mut odb = setup();
-        odb.set_threads(2);
-        odb.execute("checkout Interaction -v 0 -t w").unwrap();
-        odb.execute("run SELECT * FROM VERSION 0 OF CVD Interaction")
-            .unwrap();
-        let events = odb.recorder().journal().snapshot();
-        let task = events
-            .iter()
-            .find(|e| e.phase == obs::Phase::End && e.name.as_ref() == "exec.pool.task")
-            .unwrap_or_else(|| panic!("no pool task event journaled: {events:?}"));
-        assert_ne!(task.trace_id, 0);
-        let same_trace: Vec<&str> = events
-            .iter()
-            .filter(|e| e.trace_id == task.trace_id)
-            .map(|e| e.name.as_ref())
-            .collect();
-        assert!(same_trace.contains(&"orpheus.request"), "{same_trace:?}");
-        // The worker latency histogram was merged into the registry.
-        assert!(odb
-            .metrics()
-            .histogram("exec.pool.task.latency_us")
-            .is_some());
-    }
-
-    #[test]
     fn trace_dump_and_reset_commands_export_the_journal() {
         let mut odb = setup();
         odb.execute("checkout Interaction -v 0 -t w").unwrap();
@@ -2224,8 +2146,8 @@ mod tests {
         assert_eq!(odb.io_stats(), relstore::IoStats::default());
     }
 
-    /// A CVD big enough to span several morsels (16 pages ≈ 800 rows per
-    /// morsel), with a second version whose diff against v0 is non-trivial.
+    /// A CVD of many pages (2 500 rows), with a second version whose diff
+    /// against v0 is non-trivial.
     fn setup_large() -> OrpheusDb {
         let mut odb = OrpheusDb::new();
         odb.create_user("alice").unwrap();
@@ -2263,13 +2185,12 @@ mod tests {
         odb
     }
 
-    /// The tentpole determinism guarantee: every checkout, diff, and
-    /// versioned-query output is byte-identical at every thread count —
-    /// `threads 1` runs the unmodified sequential operators, higher counts
-    /// run the morsel-parallel ones.
+    /// Every checkout, diff and versioned query over a many-page CVD
+    /// answers the same on the engine, on a pinned snapshot and through
+    /// the instrumented plan `explain analyze` runs.
     #[test]
-    fn parallel_outputs_identical_across_thread_counts() {
-        let mut odb = setup_large();
+    fn outputs_agree_across_engine_snapshot_and_explain() {
+        let odb = setup_large();
         let queries = [
             "SELECT * FROM VERSION 0, 1 OF CVD Big WHERE score > 500 LIMIT 900",
             "SELECT * FROM VERSION 1 OF CVD Big",
@@ -2278,58 +2199,28 @@ mod tests {
             "SELECT * FROM V_INTERSECT(0, 1) OF CVD Big",
             "SELECT * FROM VERSION 0 OF CVD Big JOIN VERSION 1 ON k",
         ];
-        odb.set_threads(1);
-        let base_checkout = odb.read_version("Big", Vid(1)).unwrap().0;
-        let base_diff = odb.diff("Big", Vid(0), Vid(1)).unwrap();
-        let base_queries: Vec<_> = queries.iter().map(|q| odb.run(q).unwrap()).collect();
-        for threads in [2, 4, 8] {
-            odb.set_threads(threads);
-            assert_eq!(
-                odb.read_version("Big", Vid(1)).unwrap().0,
-                base_checkout,
-                "checkout diverged at {threads} threads"
-            );
-            assert_eq!(
-                odb.diff("Big", Vid(0), Vid(1)).unwrap(),
-                base_diff,
-                "diff diverged at {threads} threads"
-            );
-            for (q, base) in queries.iter().zip(&base_queries) {
-                assert_eq!(
-                    &odb.run(q).unwrap(),
-                    base,
-                    "query {q:?} diverged at {threads} threads"
-                );
-            }
+        let snap = odb.snapshot("Big").unwrap();
+        let pinned = |sql: &str| snap.run(sql).unwrap();
+        let checkout = odb.read_version("Big", Vid(1)).unwrap().0;
+        assert_eq!(checkout, pinned("SELECT * FROM VERSION 1 OF CVD Big").rows);
+        let (left, right) = odb.diff("Big", Vid(0), Vid(1)).unwrap();
+        assert_eq!(left, pinned("SELECT * FROM V_DIFF(0, 1) OF CVD Big"));
+        assert_eq!(right, pinned("SELECT * FROM V_DIFF(1, 0) OF CVD Big"));
+        for q in queries {
+            let base = odb.run(q).unwrap();
+            assert!(!base.rows.is_empty(), "{q}");
+            assert_eq!(pinned(q), base, "pinned: {q}");
+            let report = odb.explain_analyze(q).unwrap();
+            assert_eq!(report.root.stats.rows, base.rows.len() as u64, "{q}");
         }
-    }
-
-    #[test]
-    fn explain_analyze_parallel_plan_reports_workers() {
-        let mut odb = setup_large();
-        odb.set_threads(4);
-        let rows = odb.run("SELECT * FROM VERSION 1 OF CVD Big").unwrap().rows;
         let report = odb
             .explain_analyze("SELECT * FROM VERSION 1 OF CVD Big")
             .unwrap();
         let text = report.to_text();
-        assert!(text.contains("RidFetch Big__sbr_data"), "{text}");
-        assert!(text.contains("workers=4"), "{text}");
-        assert!(text.contains("rows/worker="), "{text}");
-        // Per-worker row counts reconcile with the query's output.
-        assert_eq!(report.root.worker_rows.len(), 4);
-        assert_eq!(
-            report.root.worker_rows.iter().sum::<u64>(),
-            rows.len() as u64
+        assert!(
+            text.starts_with("RidFetch Big__sbr_data  (est rows="),
+            "{text}"
         );
-        // At one thread the plan (and its rendering) is the sequential one.
-        odb.set_threads(1);
-        let seq = odb
-            .explain_analyze("SELECT * FROM VERSION 1 OF CVD Big")
-            .unwrap();
-        let seq_text = seq.to_text();
-        assert!(!seq_text.contains("workers="), "{seq_text}");
-        assert!(seq_text.contains("RidFetch Big__sbr_data"), "{seq_text}");
     }
 
     /// A commit by rid compares the rows inserted, not the parent's: ten

@@ -23,12 +23,10 @@ use crate::query::{Predicate, QueryResult, VQuery};
 use partition::{Rid, Vid};
 use relstore::{
     collect, AggFunc, BoxExec, Column, ColumnTest, DataType, Database, Estimate, ExecContext,
-    Executor, ExplainNode, HashJoin, Limit, RidFetch, Row, Schema, Value, WorkerPool,
+    Executor, ExplainNode, HashJoin, Limit, RidFetch, Row, Schema, Value,
 };
-use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::fmt::Arguments;
-use std::rc::Rc;
 
 /// A set of records named by version algebra.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,9 +151,6 @@ pub(crate) trait Decorator {
         label: Arguments<'_>,
         estimate: impl FnOnce(&[ExplainNode]) -> Estimate,
     ) -> Op<'a, Self>;
-
-    /// Attach a parallel operator's per-worker row counts to its node.
-    fn set_worker_rows(node: &mut Self::Node, cell: Rc<RefCell<Vec<u64>>>);
 }
 
 /// An operator and its decorator node.
@@ -177,8 +172,6 @@ impl Decorator for Plain {
     ) -> Op<'a, Self> {
         (exec, ())
     }
-
-    fn set_worker_rows(_node: &mut (), _cell: Rc<RefCell<Vec<u64>>>) {}
 }
 
 /// Threads every operator through [`relstore::wrap`], so it records
@@ -201,10 +194,6 @@ impl Decorator for Instrumented {
     ) -> Op<'a, Self> {
         let estimate = estimate(&inputs);
         relstore::wrap(exec, label.to_string(), estimate, inputs)
-    }
-
-    fn set_worker_rows(node: &mut ExplainNode, cell: Rc<RefCell<Vec<u64>>>) {
-        node.set_worker_rows(cell);
     }
 }
 
@@ -243,13 +232,10 @@ pub(crate) trait Source {
     ) -> Result<Op<'a, D>>;
 }
 
-/// The engine source: a CVD's split-by-rlist tables, optionally read
-/// through a morsel worker pool (`None`, or a single-thread pool, reads
-/// on the calling thread).
+/// The engine source: a CVD's split-by-rlist tables.
 pub struct Tables<'a> {
     pub db: &'a Database,
     pub cvd: &'a Cvd,
-    pub pool: Option<WorkerPool>,
 }
 
 impl Tables<'_> {
@@ -272,7 +258,7 @@ impl Source for Tables<'_> {
     /// of the rids as row ids (a record's rid is its row id in the data
     /// table), which reads only the pages holding the wanted records, tests
     /// each on its encoded tuple, and emits the `[rid, attrs…]` star rows
-    /// that pass in data-table order at every thread count, so higher
+    /// that pass in data-table order, so higher
     /// operators (limits, joins, the version aggregate) see one stream. Its
     /// estimate is exact but for the test's selectivity: the directory names
     /// the rows and pages before anything is read.
@@ -286,14 +272,10 @@ impl Source for Tables<'_> {
         let data = self.db.table(&data_name(self.cvd.name()))?;
         let rids = rids.iter().map(|r| r.0 as i64);
         let share = test.as_ref().map_or(1.0, ColumnTest::selectivity);
-        let fetch = RidFetch::new(data, rids, self.pool.as_ref()).with_test(test);
-        let est = Estimate::new(fetch.rows() as f64 * share, fetch.touched_pages() as f64)
-            .with_parallelism(fetch.parallelism());
-        let worker_rows = fetch.worker_rows();
+        let fetch = RidFetch::new(data, rids).with_test(test);
+        let est = Estimate::new(fetch.rows() as f64 * share, fetch.touched_pages() as f64);
         let label = format_args!("RidFetch {}{side}", data.name());
-        let (fetch, mut node) = dec.wrap(Box::new(fetch), vec![], label, |_| est);
-        D::set_worker_rows(&mut node, worker_rows);
-        Ok((fetch, node))
+        Ok(dec.wrap(Box::new(fetch), vec![], label, |_| est))
     }
 }
 
@@ -725,12 +707,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// The differential oracle over the corpus: the engine at one and at
-    /// four threads, a pinned snapshot,
-    /// and the instrumented plan (root `act rows`, root measured reads ==
+    /// The differential oracle over the corpus: the engine, a pinned
+    /// snapshot, and the instrumented plan (root `act rows`, root measured reads ==
     /// pool delta, text and JSON renderings) agree on every query.
     #[test]
-    fn corpus_agrees_across_threads_snapshot_and_explain() {
+    fn corpus_agrees_across_snapshot_and_explain() {
         let answers: Vec<QueryResult> = corpus_agrees();
         // The pushed-down predicates select something and not everything.
         let selected = |sql: &str| {
@@ -765,53 +746,48 @@ pub(crate) mod tests {
         let mut results = Vec::new();
         for sql in QUERY_CORPUS {
             let query = parse_query(sql).unwrap();
-            odb.set_threads(1);
             let base = odb.run(sql).unwrap();
             results.push(base.clone());
             let pinned = odb.snapshot(query.cvd()).unwrap().run(sql).unwrap();
             assert_eq!(pinned.schema, base.schema, "snapshot schema: {sql}");
             assert_eq!(pinned.rows, base.rows, "snapshot rows: {sql}");
-            for threads in [1, 4] {
-                odb.set_threads(threads);
-                assert_eq!(odb.run(sql).unwrap(), base, "{threads} threads: {sql}");
-                // The instrumented lowering yields the same result…
-                let tables = odb.tables(query.cvd()).unwrap();
-                let mut ctx = ExecContext::new();
-                let (explained, _) =
-                    execute(&LogicalPlan::of(&query), &tables, &Instrumented, &mut ctx).unwrap();
-                assert_eq!(explained, base, "instrumented, {threads} threads: {sql}");
-                // …and its report reconciles with the buffer pool.
-                let report = odb.explain_analyze(sql).unwrap();
-                let root = &report.root.stats;
-                assert_eq!(root.rows, base.rows.len() as u64, "{sql}");
-                assert_eq!(
-                    root.measured.logical_reads, report.pool_delta.logical_reads,
-                    "{sql}"
-                );
-                assert_eq!(
-                    root.measured.physical_reads, report.pool_delta.physical_reads,
-                    "{sql}"
-                );
-                // The shell command renders the same report, as text…
-                let text = message(odb.execute(&format!("explain analyze {sql}")).unwrap());
-                assert!(text.contains("act rows="), "{text}");
-                // …and as JSON carrying the plan tree.
-                let json = message(
-                    odb.execute(&format!("explain analyze --json {sql}"))
-                        .unwrap(),
-                );
-                let doc = obs::parse(&json).unwrap();
-                assert_eq!(
-                    doc.get_path("plan/act_rows").and_then(|v| v.as_f64()),
-                    Some(base.rows.len() as f64),
-                    "{json}"
-                );
-                assert!(doc.get_path("pool_delta/logical_reads").is_some(), "{json}");
-                // A fetch decodes the rows it emits and no others.
-                if let VQuery::SelectVersions { limit: None, .. } = query {
-                    let decoded = report.pool_delta.tuples_decoded;
-                    assert_eq!(decoded, base.rows.len() as u64, "{threads} threads: {sql}");
-                }
+            // The instrumented lowering yields the same result…
+            let tables = odb.tables(query.cvd()).unwrap();
+            let mut ctx = ExecContext::new();
+            let (explained, _) =
+                execute(&LogicalPlan::of(&query), &tables, &Instrumented, &mut ctx).unwrap();
+            assert_eq!(explained, base, "instrumented: {sql}");
+            // …and its report reconciles with the buffer pool.
+            let report = odb.explain_analyze(sql).unwrap();
+            let root = &report.root.stats;
+            assert_eq!(root.rows, base.rows.len() as u64, "{sql}");
+            assert_eq!(
+                root.measured.logical_reads, report.pool_delta.logical_reads,
+                "{sql}"
+            );
+            assert_eq!(
+                root.measured.physical_reads, report.pool_delta.physical_reads,
+                "{sql}"
+            );
+            // The shell command renders the same report, as text…
+            let text = message(odb.execute(&format!("explain analyze {sql}")).unwrap());
+            assert!(text.contains("act rows="), "{text}");
+            // …and as JSON carrying the plan tree.
+            let json = message(
+                odb.execute(&format!("explain analyze --json {sql}"))
+                    .unwrap(),
+            );
+            let doc = obs::parse(&json).unwrap();
+            assert_eq!(
+                doc.get_path("plan/act_rows").and_then(|v| v.as_f64()),
+                Some(base.rows.len() as f64),
+                "{json}"
+            );
+            assert!(doc.get_path("pool_delta/logical_reads").is_some(), "{json}");
+            // A fetch decodes the rows it emits and no others.
+            if let VQuery::SelectVersions { limit: None, .. } = query {
+                let decoded = report.pool_delta.tuples_decoded;
+                assert_eq!(decoded, base.rows.len() as u64, "{sql}");
             }
         }
         results
@@ -824,107 +800,98 @@ pub(crate) mod tests {
     #[test]
     fn a_filtered_select_decodes_only_the_rows_it_returns() {
         let mut odb = corpus_db();
-        for threads in [1, 4] {
-            odb.set_threads(threads);
-            let all = odb
-                .explain_analyze("SELECT * FROM VERSION 40 OF CVD S")
-                .unwrap();
-            let sql = "SELECT * FROM VERSION 40 OF CVD S WHERE k > 40020";
-            let before = odb.database().io_stats();
-            let rows = odb.run(sql).unwrap().rows;
-            assert_eq!(rows.len(), 4, "{threads} threads");
-            let decoded = odb.database().io_stats().since(&before).tuples_decoded;
-            assert_eq!(decoded, 4, "{threads} threads");
-            let report = odb.explain_analyze(sql).unwrap();
-            let fetch = &report.root;
-            assert_eq!(fetch.label, "RidFetch S__sbr_data where k > 40020");
-            assert!(fetch.children.is_empty());
-            assert_eq!(fetch.stats.rows, 4);
-            assert_eq!(fetch.estimate.rows, 50.0 * (1.0 / 3.0));
-            assert_eq!(report.pool_delta.tuples_decoded, 4);
-            let reads = fetch.stats.measured.logical_reads;
-            assert_eq!(reads, report.pool_delta.logical_reads);
-            assert_eq!(reads, all.pool_delta.logical_reads);
-        }
+        let all = odb
+            .explain_analyze("SELECT * FROM VERSION 40 OF CVD S")
+            .unwrap();
+        let sql = "SELECT * FROM VERSION 40 OF CVD S WHERE k > 40020";
+        let before = odb.database().io_stats();
+        let rows = odb.run(sql).unwrap().rows;
+        assert_eq!(rows.len(), 4);
+        let decoded = odb.database().io_stats().since(&before).tuples_decoded;
+        assert_eq!(decoded, 4);
+        let report = odb.explain_analyze(sql).unwrap();
+        let fetch = &report.root;
+        assert_eq!(fetch.label, "RidFetch S__sbr_data where k > 40020");
+        assert!(fetch.children.is_empty());
+        assert_eq!(fetch.stats.rows, 4);
+        assert_eq!(fetch.estimate.rows, 50.0 * (1.0 / 3.0));
+        assert_eq!(report.pool_delta.tuples_decoded, 4);
+        let reads = fetch.stats.measured.logical_reads;
+        assert_eq!(reads, report.pool_delta.logical_reads);
+        assert_eq!(reads, all.pool_delta.logical_reads);
     }
 
     /// `WHERE rid …` resolves against the star schema every reply carries:
     /// it used to fail with "column not found: rid", engine and pinned.
     #[test]
     fn rid_predicates_run_on_the_engine_and_pinned() {
-        let mut odb = corpus_db();
+        let odb = corpus_db();
         let snap = odb.snapshot("T").unwrap();
-        for threads in [1, 4] {
-            odb.set_threads(threads);
-            for (sql, want) in [
-                ("SELECT * FROM VERSION 3 OF CVD T WHERE rid = 20", vec![20]),
-                (
-                    "SELECT * FROM VERSION 1, 2 OF CVD T WHERE rid > 19",
-                    vec![20, 21],
-                ),
-                (
-                    "SELECT * FROM VERSION 3 OF CVD T WHERE rid <= 1 LIMIT 1",
-                    vec![0],
-                ),
-            ] {
-                for result in [odb.run(sql).unwrap(), snap.run(sql).unwrap()] {
-                    let rids: Vec<Value> = result.rows.iter().map(|r| r[0].clone()).collect();
-                    assert_eq!(
-                        rids,
-                        want.iter().map(|&r| Value::Int64(r)).collect::<Vec<_>>(),
-                        "{sql}"
-                    );
-                }
+        for (sql, want) in [
+            ("SELECT * FROM VERSION 3 OF CVD T WHERE rid = 20", vec![20]),
+            (
+                "SELECT * FROM VERSION 1, 2 OF CVD T WHERE rid > 19",
+                vec![20, 21],
+            ),
+            (
+                "SELECT * FROM VERSION 3 OF CVD T WHERE rid <= 1 LIMIT 1",
+                vec![0],
+            ),
+        ] {
+            for result in [odb.run(sql).unwrap(), snap.run(sql).unwrap()] {
+                let rids: Vec<Value> = result.rows.iter().map(|r| r[0].clone()).collect();
+                assert_eq!(
+                    rids,
+                    want.iter().map(|&r| Value::Int64(r)).collect::<Vec<_>>(),
+                    "{sql}"
+                );
             }
-            let sql = "SELECT vid, count(*) FROM CVD T WHERE rid >= 20 GROUP BY vid";
-            let counts = odb.run(sql).unwrap().rows;
-            assert_eq!(counts, snap.run(sql).unwrap().rows);
-            // v0 holds no such record, so it has no group.
-            let per_version: Vec<Value> = counts.iter().map(|r| r[1].clone()).collect();
-            assert_eq!(per_version, [1, 1, 2].map(Value::Int64));
         }
+        let sql = "SELECT vid, count(*) FROM CVD T WHERE rid >= 20 GROUP BY vid";
+        let counts = odb.run(sql).unwrap().rows;
+        assert_eq!(counts, snap.run(sql).unwrap().rows);
+        // v0 holds no such record, so it has no group.
+        let per_version: Vec<Value> = counts.iter().map(|r| r[1].clone()).collect();
+        assert_eq!(per_version, [1, 1, 2].map(Value::Int64));
     }
 
     /// A version of a sparse history is read through the pages that hold
     /// it, not through the table: the leaf select's one `RidFetch` node
     /// reads exactly the pages its estimate names — a small share of the
-    /// heap — at either thread count.
+    /// heap.
     #[test]
     fn sparse_history_select_reads_only_the_pages_holding_the_version() {
-        let mut odb = corpus_db();
+        let odb = corpus_db();
         let heap_pages = {
             let tables = odb.tables("S").unwrap();
             let data = tables.db.table(&data_name(tables.cvd.name())).unwrap();
             data.num_heap_pages() as u64
         };
         assert!(heap_pages >= 40, "{heap_pages}");
-        for threads in [1, 4] {
-            odb.set_threads(threads);
-            let report = odb
-                .explain_analyze("SELECT * FROM VERSION 40 OF CVD S")
-                .unwrap();
-            let fetch = &report.root;
-            assert_eq!(fetch.label, "RidFetch S__sbr_data");
-            assert!(fetch.children.is_empty());
-            assert_eq!(fetch.stats.rows, 50);
-            assert_eq!(fetch.estimate.rows, 50.0);
-            let reads = fetch.stats.measured.logical_reads;
-            assert_eq!(fetch.estimate.pages as u64, reads, "{threads} threads");
-            assert_eq!(report.pool_delta.logical_reads, reads);
-            assert!(
-                reads >= 2 && reads * 4 < heap_pages,
-                "{reads} of {heap_pages}"
-            );
-        }
+        let report = odb
+            .explain_analyze("SELECT * FROM VERSION 40 OF CVD S")
+            .unwrap();
+        let fetch = &report.root;
+        assert_eq!(fetch.label, "RidFetch S__sbr_data");
+        assert!(fetch.children.is_empty());
+        assert_eq!(fetch.stats.rows, 50);
+        assert_eq!(fetch.estimate.rows, 50.0);
+        let reads = fetch.stats.measured.logical_reads;
+        assert_eq!(fetch.estimate.pages as u64, reads);
+        assert_eq!(report.pool_delta.logical_reads, reads);
+        assert!(
+            reads >= 2 && reads * 4 < heap_pages,
+            "{reads} of {heap_pages}"
+        );
     }
 
     /// The reference leg: every GROUP BY of the corpus, folded here from
     /// each version's own `SELECT *` rows (Int64 sums in `i128`, Float64
     /// sums in row order), is the version aggregate's answer, schema
-    /// included, on the engine and pinned, at 1 and 4 threads.
+    /// included, on the engine and pinned.
     #[test]
     fn group_by_vid_is_each_versions_select_folded() {
-        let mut odb = corpus_db();
+        let odb = corpus_db();
         let mut groups = 0;
         for sql in QUERY_CORPUS {
             let query = parse_query(sql).unwrap();
@@ -935,11 +902,8 @@ pub(crate) mod tests {
             groups += want.rows.len();
             let pinned = odb.snapshot(query.cvd()).unwrap();
             assert_eq!(pinned.run(sql).unwrap(), want, "pinned: {sql}");
-            for threads in [1, 4] {
-                odb.set_threads(threads);
-                let got = odb.run(sql).unwrap();
-                assert_eq!(got, want, "{threads} threads: {sql}");
-            }
+            let got = odb.run(sql).unwrap();
+            assert_eq!(got, want, "{sql}");
         }
         assert_eq!(groups, 111);
     }
@@ -1022,24 +986,21 @@ pub(crate) mod tests {
                 24 + 23 * 25,
             ),
         ];
-        let mut odb = corpus_db();
-        for threads in [1, 4] {
-            odb.set_threads(threads);
-            for (sql, root_label, leaf, decoded) in shapes {
-                let report = odb.explain_analyze(sql).unwrap();
-                let root = &report.root;
-                assert_eq!(root.label, root_label);
-                assert_eq!(root.estimate.rows, 41.0);
-                let [fetch] = &root.children[..] else {
-                    panic!("{sql}: {:?}", root.children.len())
-                };
-                assert_eq!(fetch.label, leaf);
-                assert!(fetch.children.is_empty());
-                assert_eq!(report.pool_delta.tuples_decoded, decoded, "{sql}");
-                assert_eq!(fetch.stats.rows, decoded, "{sql}");
-                let reads = root.stats.measured.logical_reads;
-                assert_eq!(reads, report.pool_delta.logical_reads, "{sql}");
-            }
+        let odb = corpus_db();
+        for (sql, root_label, leaf, decoded) in shapes {
+            let report = odb.explain_analyze(sql).unwrap();
+            let root = &report.root;
+            assert_eq!(root.label, root_label);
+            assert_eq!(root.estimate.rows, 41.0);
+            let [fetch] = &root.children[..] else {
+                panic!("{sql}: {:?}", root.children.len())
+            };
+            assert_eq!(fetch.label, leaf);
+            assert!(fetch.children.is_empty());
+            assert_eq!(report.pool_delta.tuples_decoded, decoded, "{sql}");
+            assert_eq!(fetch.stats.rows, decoded, "{sql}");
+            let reads = root.stats.measured.logical_reads;
+            assert_eq!(reads, report.pool_delta.logical_reads, "{sql}");
         }
         let snap = corpus_db().snapshot("S").unwrap();
         let plan = LogicalPlan::of(&parse_query(shapes[0].0).unwrap());
@@ -1142,8 +1103,6 @@ pub(crate) mod tests {
             let unit = Box::new(Values::ints("unit", []));
             (exec, Instrumented.wrap(unit, inputs, label, estimate).1)
         }
-
-        fn set_worker_rows(_node: &mut ExplainNode, _cell: Rc<RefCell<Vec<u64>>>) {}
     }
 
     fn label_tree(node: &ExplainNode, depth: usize, out: &mut String) {
@@ -1159,33 +1118,30 @@ pub(crate) mod tests {
     /// `LogicalPlan`; the decorator cannot change the tree.
     #[test]
     fn explain_labels_are_the_tree_run_executes() {
-        let mut odb = corpus_db();
+        let odb = corpus_db();
         let sql = "SELECT * FROM VERSION 1 OF CVD T JOIN VERSION 2 ON k";
         let plan = LogicalPlan::of(&parse_query(sql).unwrap());
-        for threads in [1, 4] {
-            odb.set_threads(threads);
-            let tables = odb.tables("T").unwrap();
-            let mut explained = String::new();
-            label_tree(
-                &lower(&plan, &tables, &Instrumented, "").unwrap().1,
-                0,
-                &mut explained,
-            );
-            let mut executed = String::new();
-            let mut run = lower(&plan, &tables, &Labelled, "").unwrap();
-            label_tree(&run.1, 0, &mut executed);
-            assert_eq!(explained, executed, "{threads} threads");
-            // One tree at every thread count: a fetch per join input.
-            assert_eq!(
-                explained,
-                "HashJoin left.k=right.k\n\
-                 \x20 RidFetch T__sbr_data (left)\n\
-                 \x20 RidFetch T__sbr_data (right)\n"
-            );
-            // The labelled tree is the plain one: draining it is `run`.
-            let rows = collect(run.0.as_mut(), &mut ExecContext::new()).unwrap();
-            assert_eq!(rows, odb.run(sql).unwrap().rows);
-        }
+        let tables = odb.tables("T").unwrap();
+        let mut explained = String::new();
+        label_tree(
+            &lower(&plan, &tables, &Instrumented, "").unwrap().1,
+            0,
+            &mut explained,
+        );
+        let mut executed = String::new();
+        let mut run = lower(&plan, &tables, &Labelled, "").unwrap();
+        label_tree(&run.1, 0, &mut executed);
+        assert_eq!(explained, executed);
+        // A fetch per join input.
+        assert_eq!(
+            explained,
+            "HashJoin left.k=right.k\n\
+             \x20 RidFetch T__sbr_data (left)\n\
+             \x20 RidFetch T__sbr_data (right)\n"
+        );
+        // The labelled tree is the plain one: draining it is `run`.
+        let rows = collect(run.0.as_mut(), &mut ExecContext::new()).unwrap();
+        assert_eq!(rows, odb.run(sql).unwrap().rows);
         // The same plan over a pinned snapshot differs only at the leaves.
         let snap = odb.snapshot("T").unwrap();
         let mut pinned = String::new();

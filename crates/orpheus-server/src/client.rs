@@ -175,8 +175,8 @@ impl Client {
     }
 
     /// Run one query line under a caller-chosen trace id, propagated to
-    /// the server so its spans (engine, morsel workers, WAL fsync) attach
-    /// to the caller's trace. `trace` must be non-zero to be adopted.
+    /// the server so its spans (engine, WAL fsync) attach to the caller's
+    /// trace. `trace` must be non-zero to be adopted.
     pub fn query_traced(&mut self, line: &str, trace: u64) -> Result<Reply, ClientError> {
         self.query_inner(line, Some(trace))
     }

@@ -48,7 +48,8 @@ pub struct EngineConfig {
     pub data_dir: Option<PathBuf>,
     /// Buffer-pool capacity in 8 KiB pages.
     pub pool_pages: usize,
-    /// Morsel workers for engine-side checkout/query plans.
+    /// Selects nothing and is read by nothing: the engine has one
+    /// execution path. It stays only because `benchmarks/loadgen` sets it.
     pub threads: usize,
     /// Bounded admission queue: commits queued beyond this are rejected
     /// with a typed backpressure error.
@@ -383,7 +384,6 @@ fn open_db(cfg: &EngineConfig) -> Result<(OrpheusDb, Option<relstore::RecoveryRe
         }
         None => (OrpheusDb::new(), None),
     };
-    db.set_threads(cfg.threads);
     db.set_slow_ms(cfg.slow_ms);
     // The server owns durability points: one checkpoint per commit batch
     // (group commit) instead of one per commit.
@@ -395,9 +395,9 @@ fn open_db(cfg: &EngineConfig) -> Result<(OrpheusDb, Option<relstore::RecoveryRe
 /// the engine's own spans (`orpheus.commit`, …) nested inside it — one
 /// subtree however many sessions the server has served. The span
 /// re-attaches to the originating request's trace (`trace != 0`), so
-/// engine-side work — including the morsel workers it fans out to —
-/// journals under the caller's trace id even though it runs on the
-/// engine thread; the trace, not the span's name, tells requests apart.
+/// engine-side work journals under the caller's trace id even though it
+/// runs on the engine thread; the trace, not the span's name, tells
+/// requests apart.
 fn run_one(db: &mut OrpheusDb, job: &Job) -> Result<CommandOutput, EngineError> {
     let _span = db
         .recorder()

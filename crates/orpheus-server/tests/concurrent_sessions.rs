@@ -434,8 +434,8 @@ fn session_overflow_is_refused_with_typed_error() {
 /// End-to-end tracing: 8 concurrent clients issue traced commits; the
 /// server's journal export must show, for every committed query's trace
 /// id, the request span plus a WAL-fsync event (the real span on the
-/// batch leader, the shared-attribution event on followers), and morsel
-/// worker task events must carry the trace of the query that fanned out.
+/// batch leader, the shared-attribution event on followers), and a traced
+/// read must carry its engine-side query span and its reply span.
 #[test]
 fn traced_queries_export_complete_traces() {
     const WRITERS: usize = 8;
@@ -447,7 +447,6 @@ fn traced_queries_export_complete_traces() {
         WRITERS + 1,
         EngineConfig {
             data_dir: Some(dir.clone()),
-            threads: 2,
             ..EngineConfig::default()
         },
     );
@@ -490,7 +489,8 @@ fn traced_queries_export_complete_traces() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    // A traced parallel read: morsel worker spans re-attach to it.
+    // A traced read: the engine's query span and the session's reply
+    // span re-attach to it.
     let read_trace = 0x7e57_0000_0000_1000u64;
     let reply = admin
         .query_traced("run SELECT * FROM VERSION 0 OF CVD t", read_trace)
@@ -535,15 +535,36 @@ fn traced_queries_export_complete_traces() {
     let read_names = by_trace
         .get(&read_trace)
         .unwrap_or_else(|| panic!("no journal events for read trace {read_trace:#x}"));
-    assert!(
-        read_names.iter().any(|n| n == "exec.pool.task"),
-        "worker events did not re-attach to the read trace: {read_names:?}"
-    );
+    for span in ["orpheus.query", "orpheus.server.reply"] {
+        assert!(
+            read_names.iter().any(|n| n == span),
+            "{span} did not re-attach to the read trace: {read_names:?}"
+        );
+    }
 
     admin.terminate().unwrap();
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(&csv).ok();
+}
+
+/// No session can change a server-wide setting: `threads` is not a
+/// command, so it is answered with a parse error frame and the session
+/// goes on. (It used to set the engine's worker count for every session.)
+#[test]
+fn a_session_cannot_set_a_server_wide_knob() {
+    let server = start_server(2, EngineConfig::default());
+    let mut c = Client::connect(server.local_addr(), "a").unwrap();
+    for line in ["threads 4", "threads"] {
+        let reply = c.query(line).unwrap();
+        let (code, msg) = reply.error().unwrap_or_else(|| panic!("{line}: {reply:?}"));
+        assert_eq!(code, "42601", "{line}: {msg}");
+        assert!(msg.contains("unknown command: threads"), "{line}: {msg}");
+    }
+    let whoami = c.query("whoami").unwrap();
+    assert!(whoami.error().is_none(), "{:?}", whoami.error());
+    c.terminate().unwrap();
+    server.shutdown().unwrap();
 }
 
 /// Pinned snapshots are immutable: a writer's commit is invisible until

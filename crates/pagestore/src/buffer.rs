@@ -78,7 +78,7 @@ struct Frame {
     data: RefCell<Arc<Page>>,
     pin: Cell<u32>,
     /// Live [`PageLease`]s on this frame's current page. Atomic because
-    /// leases drop on worker threads; treated exactly like a pin by
+    /// leases may drop on other threads; treated exactly like a pin by
     /// eviction. Shared with the leases themselves.
     leases: Arc<AtomicU32>,
     referenced: Cell<bool>,
@@ -194,7 +194,7 @@ impl Deref for PageMut<'_> {
 
 impl DerefMut for PageMut<'_> {
     fn deref_mut(&mut self) -> &mut Page {
-        // Copy-on-write belt: if a worker still holds a lease on the old
+        // Copy-on-write belt: if a lease is still held on the old
         // image this clones the page so the lease's view stays frozen;
         // with no leases outstanding the Arc is unique and this is free.
         Arc::make_mut(&mut self.data)
@@ -207,8 +207,8 @@ impl Drop for PageMut<'_> {
     }
 }
 
-/// An immutable, owned lease on one page image, safe to ship to worker
-/// threads (`Send + Sync`; the pool itself stays single-threaded).
+/// An immutable, owned lease on one page image, safe to ship to another
+/// thread (`Send + Sync`; the pool itself stays single-threaded).
 ///
 /// A lease is handed out by [`BufferPool::lease`] and shares the frame's
 /// `Arc<Page>` — **zero bytes are copied**. While any lease on a frame is
@@ -547,25 +547,13 @@ impl BufferPool {
     }
 
     /// Whether `id` is resident *and* dirty. A non-resident page is never
-    /// dirty (no-steal keeps dirty pages resident), so callers can use this to route a
-    /// page to the copy fallback without charging a read for a doomed
-    /// lease attempt.
+    /// dirty (no-steal keeps dirty pages resident), so this charges no
+    /// read: it tells whether a [`lease`](Self::lease) would be refused.
     pub fn is_dirty(&self, id: PageId) -> bool {
         self.map
             .borrow()
             .get(&id)
             .is_some_and(|&idx| self.frames[idx].dirty.get())
-    }
-
-    /// Count `bytes` of tuple data the coordinator copied to hand to
-    /// worker threads (overflow resolution or dirty-page fallbacks).
-    pub fn note_worker_copy(&self, bytes: u64) {
-        self.stats.borrow_mut().bytes_copied_to_workers += bytes;
-    }
-
-    /// Count `n` transient buffer allocations on the morsel hot path.
-    pub fn note_morsel_allocs(&self, n: u64) {
-        self.stats.borrow_mut().morsel_allocs += n;
     }
 
     /// Count `bytes` of tuple payload written through the page codec.
@@ -841,7 +829,7 @@ impl BufferPool {
     /// an eviction if any frame is evictable.
     ///
     /// A frame with live [`PageLease`]s is never evicted — the lease
-    /// count is checked exactly like the pin count, so a worker's view
+    /// count is checked exactly like the pin count, so a leased view
     /// cannot be silently invalidated; with every frame pinned or leased
     /// the sweep fails with the typed [`Error::PoolExhausted`].
     ///
@@ -1158,7 +1146,6 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.logical_reads, 1);
         assert_eq!(s.physical_reads, 0, "page was resident");
-        assert_eq!(s.bytes_copied_to_workers, 0, "leases copy nothing");
     }
 
     #[test]

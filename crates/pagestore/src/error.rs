@@ -17,7 +17,7 @@ pub enum Error {
     /// page while a mutable guard to it is live).
     PageBusy(u32),
     /// A read lease was requested on a dirty page. Leases freeze a page
-    /// image for worker threads; an uncheckpointed page has no stable
+    /// image for other threads; an uncheckpointed page has no stable
     /// image to freeze, so the caller must copy (or checkpoint) instead.
     PageDirty(u32),
     /// Underlying file I/O failure (file-backed pager only).

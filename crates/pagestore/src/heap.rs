@@ -21,7 +21,7 @@
 //! An [`unlogged`](HeapFile::unlogged) heap takes every page it allocates,
 //! data and overflow alike, unlogged: scratch storage a checkpoint skips.
 
-use crate::buffer::{BufferPool, PageLease, PageRef};
+use crate::buffer::{BufferPool, PageRef};
 use crate::error::{Error, Result};
 use crate::page::{Page, PageId, MAX_INLINE_TUPLE};
 
@@ -381,111 +381,6 @@ impl HeapFile {
         }
         Ok(n)
     }
-
-    /// A shareable view of the tuples in `slots` (each live) of data page
-    /// `page_ord`, for worker threads; read it with [`PageView::tuples_at`].
-    ///
-    /// The hot path is **zero-copy**: a clean page whose wanted cells are
-    /// all inline returns a [`PageView::Leased`] wrapping the frame's
-    /// shared `Arc` image — no bytes move, and the lease count keeps the
-    /// frame resident until every worker is done. Overflow cells in
-    /// *other* slots do not matter. Two cases cannot be leased and fall
-    /// back to an owned, pre-resolved copy of the wanted tuples alone
-    /// ([`PageView::Resolved`]), counted in `IoStats::bytes_copied_to_workers`:
-    ///
-    /// * a wanted cell overflowed — workers cannot follow chains without
-    ///   the (single-threaded) pool;
-    /// * the page is dirty — an uncheckpointed image cannot be frozen.
-    ///
-    /// Either path charges one logical read for the data page plus one
-    /// per overflow-chain page read, as [`tuples_on_page`](Self::tuples_on_page) does.
-    pub fn lease_slots(
-        &self,
-        pool: &BufferPool,
-        page_ord: usize,
-        slots: &[u16],
-    ) -> Result<PageView> {
-        let page_id = self.page_id(page_ord)?;
-        let (mut tuples, chains) = if pool.is_dirty(page_id) {
-            let page = pool.fetch(page_id)?;
-            copy_cells(&page, slots)?
-        } else {
-            let lease = pool.lease(page_id)?;
-            let mut has_overflow = false;
-            for &slot in slots {
-                if matches!(slot_tuple(&lease, slot)?, SlotTuple::Overflow(_)) {
-                    has_overflow = true;
-                    break;
-                }
-            }
-            if !has_overflow {
-                return Ok(PageView::Leased(lease));
-            }
-            // The lease drops at the end of this block, before the chain
-            // reads below need eviction headroom.
-            copy_cells(&lease, slots)?
-        };
-        for (idx, head) in chains {
-            tuples[idx] = self.read_chain(pool, head)?;
-        }
-        pool.note_worker_copy(tuples.iter().map(|t| t.len() as u64).sum());
-        pool.note_morsel_allocs(1);
-        Ok(PageView::Resolved(tuples))
-    }
-}
-
-/// Owned tuple buffers plus the overflow chain heads left to resolve,
-/// as `(slot index into the buffers, chain head page)` pairs.
-type CopiedCells = (Vec<Vec<u8>>, Vec<(usize, PageId)>);
-
-/// Copy a page's `slots` into owned tuple buffers, returning overflow
-/// chain heads to resolve (placeholder entries keep slot order).
-fn copy_cells(page: &Page, slots: &[u16]) -> Result<CopiedCells> {
-    let mut tuples: Vec<Vec<u8>> = Vec::new();
-    let mut chains: Vec<(usize, PageId)> = Vec::new();
-    for &slot in slots {
-        match slot_tuple(page, slot)? {
-            SlotTuple::Inline(tuple) => tuples.push(tuple.to_vec()),
-            SlotTuple::Overflow(head) => {
-                tuples.push(Vec::new());
-                chains.push((tuples.len() - 1, head));
-            }
-        }
-    }
-    Ok((tuples, chains))
-}
-
-/// A worker-visible view of some live tuples of one data page, from
-/// [`HeapFile::lease_slots`]. `Send + Sync` either way; the coordinator
-/// keeps the single-threaded pool to itself.
-#[derive(Debug)]
-pub enum PageView {
-    /// The common case: a lease on the frame's shared image. Nothing was
-    /// copied; slots are parsed lazily on the worker.
-    Leased(PageLease),
-    /// Copy fallback (overflow chains, dirty page): tuple bytes resolved
-    /// by the coordinator and counted as `bytes_copied_to_workers`.
-    Resolved(Vec<Vec<u8>>),
-}
-
-impl PageView {
-    /// The payloads of `slots`, in that order, from a view obtained with
-    /// [`HeapFile::lease_slots`] for the same `slots` (the copy fallback
-    /// holds exactly those tuples already).
-    pub fn tuples_at(&self, slots: &[u16]) -> Result<Vec<&[u8]>> {
-        match self {
-            PageView::Leased(lease) => slots
-                .iter()
-                .map(|&slot| match slot_tuple(lease, slot)? {
-                    SlotTuple::Inline(tuple) => Ok(tuple),
-                    SlotTuple::Overflow(_) => Err(Error::Invariant(
-                        "leased page view contains an overflow cell",
-                    )),
-                })
-                .collect(),
-            PageView::Resolved(tuples) => Ok(tuples.iter().map(Vec::as_slice).collect()),
-        }
-    }
 }
 
 /// What a slot's cell holds (see the module docs).
@@ -586,110 +481,21 @@ mod tests {
         assert_eq!(heap.get(&pool, a2).unwrap(), big);
     }
 
-    /// Every live slot of data page `ord` with its tuple, as a scan sees it.
-    fn scanned(heap: &HeapFile, pool: &BufferPool, ord: usize) -> (Vec<u16>, Vec<Vec<u8>>) {
-        let tuples = heap.tuples_on_page(pool, ord).unwrap().into_iter();
-        tuples.map(|(addr, t)| (addr.slot, t)).unzip()
-    }
-
+    /// A slot's cell reads in place; a dead slot is an error, not an
+    /// empty tuple.
     #[test]
-    fn lease_slots_is_zero_copy_for_clean_inline_pages() {
-        let pool = BufferPool::in_memory(4);
-        let mut heap = HeapFile::new();
-        for i in 0..25u32 {
-            heap.insert(&pool, &i.to_le_bytes().repeat(50)).unwrap();
-        }
-        pool.flush_all().unwrap();
-        pool.reset_stats();
-        for ord in 0..heap.num_pages() {
-            let (slots, tuples) = scanned(&heap, &pool, ord);
-            let view = heap.lease_slots(&pool, ord, &slots).unwrap();
-            assert!(matches!(view, PageView::Leased(_)), "clean inline page");
-            assert_eq!(view.tuples_at(&slots).unwrap(), tuples, "page {ord}");
-        }
-        assert_eq!(pool.stats().bytes_copied_to_workers, 0);
-        assert_eq!(pool.stats().morsel_allocs, 0);
-    }
-
-    #[test]
-    fn lease_slots_falls_back_to_counted_copies_for_dirty_pages() {
+    fn slot_tuple_refuses_a_dead_slot() {
         let pool = BufferPool::in_memory(4);
         let mut heap = HeapFile::new();
         let a = heap.insert(&pool, b"small").unwrap();
-        let b = heap.insert(&pool, b"tiny").unwrap();
-        let slots = [a.slot, b.slot];
-        let view = heap.lease_slots(&pool, 0, &slots).unwrap();
-        assert!(matches!(view, PageView::Resolved(_)), "dirty page copies");
-        assert_eq!(view.tuples_at(&slots).unwrap(), [&b"small"[..], b"tiny"]);
-        assert_eq!(pool.stats().bytes_copied_to_workers, 9);
-        assert_eq!(pool.stats().morsel_allocs, 1);
-        pool.flush_all().unwrap();
-        let view = heap.lease_slots(&pool, 0, &slots).unwrap();
-        assert!(matches!(view, PageView::Leased(_)), "clean again: leased");
-        assert_eq!(pool.stats().morsel_allocs, 1);
-    }
-
-    #[test]
-    fn lease_slots_copies_only_when_a_wanted_slot_overflows() {
-        let pool = BufferPool::in_memory(4);
-        let mut heap = HeapFile::new();
-        let big: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
-        let a = heap.insert(&pool, b"small").unwrap();
-        let b = heap.insert(&pool, &big).unwrap();
         let c = heap.insert(&pool, b"tiny").unwrap();
-        pool.flush_all().unwrap();
-        pool.reset_stats();
-
-        // The overflow cell is not wanted: still a zero-copy lease.
-        let slots = [a.slot, c.slot];
-        let view = heap.lease_slots(&pool, 0, &slots).unwrap();
-        assert!(matches!(view, PageView::Leased(_)));
-        assert_eq!(view.tuples_at(&slots).unwrap(), [&b"small"[..], b"tiny"]);
-        assert_eq!(pool.stats().bytes_copied_to_workers, 0);
-
-        // Wanted: the copy holds the wanted tuples alone, chain resolved.
-        let slots = [b.slot, c.slot];
-        let view = heap.lease_slots(&pool, 0, &slots).unwrap();
-        assert!(matches!(view, PageView::Resolved(_)));
-        assert_eq!(view.tuples_at(&slots).unwrap(), [&big[..], b"tiny"]);
-        assert_eq!(
-            pool.stats().bytes_copied_to_workers,
-            (big.len() + b"tiny".len()) as u64
-        );
-
-        // A dead slot is an error, not a shorter view.
         heap.delete(&pool, c).unwrap();
-        assert!(heap.lease_slots(&pool, 0, &[c.slot]).is_err());
         let page = heap.pin_page(&pool, 0).unwrap();
         assert!(matches!(
             slot_tuple(&page, a.slot),
             Ok(SlotTuple::Inline(b"small"))
         ));
         assert!(slot_tuple(&page, c.slot).is_err());
-    }
-
-    /// A lease charges what a scan of the same page does: one read for
-    /// the data page plus one per overflow-chain page it resolves.
-    #[test]
-    fn lease_slots_charges_the_reads_of_tuples_on_page() {
-        let pool = BufferPool::in_memory(8);
-        let mut heap = HeapFile::new();
-        for i in 0..25u32 {
-            heap.insert(&pool, &i.to_le_bytes().repeat(50)).unwrap();
-        }
-        heap.insert(&pool, &[7u8; 20_000]).unwrap();
-        pool.flush_all().unwrap();
-        for ord in 0..heap.num_pages() {
-            let (slots, _) = scanned(&heap, &pool, ord);
-            let before = pool.stats();
-            heap.tuples_on_page(&pool, ord).unwrap();
-            let scan_reads = pool.stats().since(&before).logical_reads;
-            let before = pool.stats();
-            heap.lease_slots(&pool, ord, &slots).unwrap();
-            let lease_reads = pool.stats().since(&before).logical_reads;
-            assert_eq!(lease_reads, scan_reads, "page {ord}");
-        }
-        assert!(heap.lease_slots(&pool, 99, &[0]).is_err(), "out of range");
     }
 
     #[test]

@@ -34,7 +34,7 @@ mod wal;
 pub use buffer::{BufferPool, PageLease, PageMut, PageRef};
 pub use error::{Error, Result};
 pub use fault::{FaultKind, FaultPager, FaultPlan, FaultWal};
-pub use heap::{slot_tuple, HeapFile, PageView, SlotTuple, TupleAddr, INLINE_LIMIT};
+pub use heap::{slot_tuple, HeapFile, SlotTuple, TupleAddr, INLINE_LIMIT};
 pub use page::{live_cells, Page, PageId, MAX_INLINE_TUPLE, PAGE_SIZE};
 pub use pager::{FilePager, MemPager, Pager};
 pub use recovery::{recover, RecoveryReport};

@@ -35,7 +35,7 @@ pub const MAX_INLINE_TUPLE: usize = PAGE_SIZE - HEADER - SLOT;
 /// One 8 KiB slotted page.
 ///
 /// `Clone` supports the buffer pool's copy-on-write mutation path: frames
-/// hold `Arc<Page>` so immutable leases can be handed to worker threads,
+/// hold `Arc<Page>` so immutable leases can be handed to other threads,
 /// and a mutable guard clones the image only if a lease still references
 /// the old one ([`Arc::make_mut`](std::sync::Arc::make_mut)).
 #[derive(Clone)]
@@ -276,9 +276,8 @@ impl Page {
 }
 
 /// Live cells of a raw page image, in slot order. For consumers that hold
-/// an owned copy of a page's bytes rather than a buffer-pool pin — worker
-/// threads parse page snapshots with this while the pool stays
-/// single-threaded. Matches [`Page::live_tuples`] on well-formed pages;
+/// an owned copy of a page's bytes rather than a buffer-pool pin — a
+/// thread other than the pool's can parse a page snapshot with this. Matches [`Page::live_tuples`] on well-formed pages;
 /// out-of-range slot entries are skipped rather than panicking.
 pub fn live_cells(data: &[u8; PAGE_SIZE]) -> impl Iterator<Item = &[u8]> + '_ {
     let slot_count = u16::from_le_bytes([data[0], data[1]]) as usize;

@@ -38,21 +38,12 @@ pub struct IoStats {
     /// Completed write-backs: the log's pages written to the data file,
     /// the file synced, the log emptied.
     pub wal_drains: u64,
-    /// Tuple bytes the coordinator *copied* to hand to morsel workers
-    /// (overflow-chain resolution or dirty-page fallbacks). The zero-copy
-    /// lease path never increments this; the perf gate asserts it stays
-    /// ≈ 0 on the parallel scan path.
-    pub bytes_copied_to_workers: u64,
-    /// Transient buffers allocated in the morsel hot loop (page copies,
-    /// per-row scratch) — the allocations the lease rework moved out of
-    /// the per-row path. Should stay O(workers), not O(rows).
-    pub morsel_allocs: u64,
     /// Bytes of tuple payload written through the page codec (Flat or
     /// Delta). The frontier bench divides this by logical row bytes to
     /// report the compression ratio; the perf gate pins it.
     pub tuple_bytes_encoded: u64,
-    /// Tuples decoded from page bytes back into rows (scan + fetch paths,
-    /// sequential and morsel workers alike — thread-count independent).
+    /// Tuples decoded from page bytes back into rows (scan and fetch
+    /// paths).
     pub tuples_decoded: u64,
     /// Wall-clock nanoseconds spent decoding page tuples on the
     /// page-scan path, kept in nanoseconds so that pages decoded in under
@@ -119,8 +110,6 @@ impl IoStats {
             pager_syncs: f(a.pager_syncs, b.pager_syncs),
             checkpoints: f(a.checkpoints, b.checkpoints),
             wal_drains: f(a.wal_drains, b.wal_drains),
-            bytes_copied_to_workers: f(a.bytes_copied_to_workers, b.bytes_copied_to_workers),
-            morsel_allocs: f(a.morsel_allocs, b.morsel_allocs),
             tuple_bytes_encoded: f(a.tuple_bytes_encoded, b.tuple_bytes_encoded),
             tuples_decoded: f(a.tuples_decoded, b.tuples_decoded),
             decode_nanos: f(a.decode_nanos, b.decode_nanos),
@@ -139,11 +128,6 @@ impl IoStats {
         registry.counter_set("pagestore.pool.write_backs", self.write_backs);
         registry.counter_set("pagestore.pool.flushed_writes", self.flushed_writes);
         registry.counter_set("pagestore.pool.checkpoints", self.checkpoints);
-        registry.counter_set(
-            "pagestore.pool.bytes_copied_to_workers",
-            self.bytes_copied_to_workers,
-        );
-        registry.counter_set("pagestore.pool.morsel_allocs", self.morsel_allocs);
         registry.counter_set("pagestore.page.encoded_bytes", self.tuple_bytes_encoded);
         registry.counter_set("pagestore.page.decoded_tuples", self.tuples_decoded);
         // Wall-clock: a gauge, not a counter — the perf gate never pins
@@ -178,15 +162,6 @@ impl fmt::Display for IoStats {
                 f,
                 " | wal {} rec / {} B / {} fsync",
                 self.wal_appends, self.wal_bytes, self.wal_fsyncs,
-            )?;
-        }
-        // The zero-copy lease path keeps both at zero; only print the
-        // segment when a copy fallback actually fired.
-        if self.bytes_copied_to_workers > 0 || self.morsel_allocs > 0 {
-            write!(
-                f,
-                " | par {} B copied / {} morsel allocs",
-                self.bytes_copied_to_workers, self.morsel_allocs,
             )?;
         }
         Ok(())
@@ -279,30 +254,6 @@ mod tests {
         s.wal_fsyncs = 1;
         let text = format!("{s}");
         assert!(text.contains("wal 2 rec / 100 B / 1 fsync"), "{text}");
-    }
-
-    #[test]
-    fn worker_copy_counters_flow_through_since_absorb_and_publish() {
-        let mut s = IoStats::new();
-        s.bytes_copied_to_workers = 8192;
-        s.morsel_allocs = 4;
-        let snap = s;
-        s.bytes_copied_to_workers = 10240;
-        s.morsel_allocs = 7;
-        let d = s.since(&snap);
-        assert_eq!(d.bytes_copied_to_workers, 2048);
-        assert_eq!(d.morsel_allocs, 3);
-        let mut acc = IoStats::new();
-        acc.absorb(&d);
-        assert_eq!(acc.bytes_copied_to_workers, 2048);
-        assert_eq!(acc.morsel_allocs, 3);
-        let reg = obs::Registry::new();
-        s.publish(&reg);
-        assert_eq!(reg.counter("pagestore.pool.bytes_copied_to_workers"), 10240);
-        assert_eq!(reg.counter("pagestore.pool.morsel_allocs"), 7);
-        // Display stays silent while the zero-copy path holds.
-        assert!(!format!("{}", IoStats::new()).contains("copied"));
-        assert!(format!("{s}").contains("10240 B copied / 7 morsel allocs"));
     }
 
     #[test]

@@ -122,20 +122,6 @@ impl CostTracker {
             + self.operator_evals as f64 * model.cpu_operator
     }
 
-    /// Total cost assuming the CPU-side work is spread over `workers`
-    /// morsel workers while the page I/O stays serial on the coordinator
-    /// (the buffer pool is single-threaded). This is the Amdahl-style
-    /// term the planner uses to cost a parallel scan: I/O terms are
-    /// unchanged, CPU terms divide by the worker count.
-    pub fn total_parallel(&self, model: &CostModel, workers: usize) -> f64 {
-        let io =
-            self.seq_pages as f64 * model.seq_page + self.random_pages as f64 * model.random_page;
-        let cpu = self.tuples as f64 * model.cpu_tuple
-            + self.index_tuples as f64 * model.cpu_index_tuple
-            + self.operator_evals as f64 * model.cpu_operator;
-        io + cpu / workers.max(1) as f64
-    }
-
     /// Deterministic pseudo-milliseconds for this cost.
     pub fn simulated_millis(&self, model: &CostModel) -> f64 {
         self.total(model) * RC_PER_COST_UNIT
@@ -217,22 +203,6 @@ mod tests {
         let mut rand = CostTracker::new();
         rand.random_fetches(500);
         assert!(clustered.total(&m) < rand.total(&m) / 5.0);
-    }
-
-    #[test]
-    fn parallel_total_divides_cpu_but_not_io() {
-        let m = CostModel::default();
-        let mut t = CostTracker::new();
-        t.seq_scan(1000, &m); // 20 seq pages + 1000 tuples
-        t.ops(4000);
-        let serial = t.total(&m);
-        let par4 = t.total_parallel(&m, 4);
-        assert_eq!(t.total_parallel(&m, 1), serial);
-        assert_eq!(t.total_parallel(&m, 0), serial, "workers clamp to one");
-        assert!(par4 < serial);
-        // The I/O floor survives any worker count.
-        let io = t.seq_pages as f64 * m.seq_page;
-        assert!(t.total_parallel(&m, 1_000_000) >= io);
     }
 
     #[test]

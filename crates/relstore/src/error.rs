@@ -31,8 +31,6 @@ pub enum Error {
     InvalidOperation(String),
     /// The paged storage layer failed (bad address, pool exhausted, I/O).
     Storage(String),
-    /// The parallel executor failed (worker panic, pool fault).
-    Parallel(String),
 }
 
 impl fmt::Display for Error {
@@ -54,7 +52,6 @@ impl fmt::Display for Error {
             Error::RowNotFound(id) => write!(f, "row not found: {id}"),
             Error::InvalidOperation(m) => write!(f, "invalid operation: {m}"),
             Error::Storage(m) => write!(f, "storage error: {m}"),
-            Error::Parallel(m) => write!(f, "parallel execution error: {m}"),
         }
     }
 }
@@ -64,11 +61,5 @@ impl std::error::Error for Error {}
 impl From<pagestore::Error> for Error {
     fn from(e: pagestore::Error) -> Self {
         Error::Storage(e.to_string())
-    }
-}
-
-impl From<exec_pool::PoolError> for Error {
-    fn from(e: exec_pool::PoolError) -> Self {
-        Error::Parallel(e.to_string())
     }
 }

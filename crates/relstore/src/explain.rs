@@ -49,26 +49,11 @@ pub struct Estimate {
     pub rows: f64,
     /// Heap pages the operator is expected to read.
     pub pages: f64,
-    /// Planned degree of parallelism (morsel workers). `0` or `1` both
-    /// mean a sequential operator; only values above one are rendered,
-    /// so sequential plans print byte-identically to the pre-parallel
-    /// engine.
-    pub parallelism: usize,
 }
 
 impl Estimate {
     pub fn new(rows: f64, pages: f64) -> Self {
-        Estimate {
-            rows,
-            pages,
-            parallelism: 1,
-        }
-    }
-
-    /// Mark the operator as planned for `workers` morsel workers.
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers;
-        self
+        Estimate { rows, pages }
     }
 }
 
@@ -106,9 +91,6 @@ pub struct ExplainNode {
     pub label: String,
     pub estimate: Estimate,
     stats: Rc<RefCell<OpStats>>,
-    /// Per-worker emitted-row counts, shared with a parallel operator
-    /// (see `exec::par`). `None` for sequential operators.
-    worker_rows: Option<Rc<RefCell<Vec<u64>>>>,
     pub children: Vec<ExplainNode>,
 }
 
@@ -126,7 +108,6 @@ pub fn wrap<'a>(
         label: label.into(),
         estimate,
         stats: Rc::clone(&stats),
-        worker_rows: None,
         children,
     };
     (Box::new(Instrumented { child: exec, stats }), node)
@@ -136,12 +117,6 @@ impl ExplainNode {
     /// The operator's runtime stats as recorded so far.
     pub fn stats(&self) -> OpStats {
         *self.stats.borrow()
-    }
-
-    /// Attach the shared per-worker row-count cell of a parallel operator
-    /// so snapshots can report actual rows per worker.
-    pub fn set_worker_rows(&mut self, cell: Rc<RefCell<Vec<u64>>>) {
-        self.worker_rows = Some(cell);
     }
 
     /// Freeze the subtree into an immutable snapshot.
@@ -154,11 +129,6 @@ impl ExplainNode {
             estimate: self.estimate,
             stats,
             self_wall: stats.wall.saturating_sub(child_wall),
-            worker_rows: self
-                .worker_rows
-                .as_ref()
-                .map(|c| c.borrow().clone())
-                .unwrap_or_default(),
             children,
         }
     }
@@ -173,8 +143,6 @@ pub struct ExplainSnapshot {
     pub stats: OpStats,
     /// Wall time not attributed to any child operator.
     pub self_wall: Duration,
-    /// Rows produced per morsel worker (empty for sequential operators).
-    pub worker_rows: Vec<u64>,
     pub children: Vec<ExplainSnapshot>,
 }
 
@@ -223,14 +191,6 @@ impl ExplainReport {
                 fmt_dur(n.self_wall),
                 s.next_calls,
             ));
-            if n.estimate.parallelism > 1 {
-                let per: Vec<String> = n.worker_rows.iter().map(u64::to_string).collect();
-                out.push_str(&format!(
-                    " (workers={} rows/worker=[{}])",
-                    n.estimate.parallelism,
-                    per.join(","),
-                ));
-            }
             out.push('\n');
             for c in &n.children {
                 render(out, c, depth + 1);
@@ -251,7 +211,7 @@ impl ExplainReport {
     pub fn to_json(&self) -> Json {
         fn node_json(n: &ExplainSnapshot) -> Json {
             let s = &n.stats;
-            let mut fields = vec![
+            Json::object(vec![
                 ("label", Json::Str(n.label.clone())),
                 ("est_rows", Json::Num(n.estimate.rows)),
                 ("est_pages", Json::Num(n.estimate.pages)),
@@ -264,19 +224,11 @@ impl ExplainReport {
                 ),
                 ("time_us", Json::Num(s.wall.as_micros() as f64)),
                 ("self_us", Json::Num(n.self_wall.as_micros() as f64)),
-            ];
-            if n.estimate.parallelism > 1 {
-                fields.push(("parallelism", Json::Num(n.estimate.parallelism as f64)));
-                fields.push((
-                    "worker_rows",
-                    Json::Arr(n.worker_rows.iter().map(|&r| Json::Num(r as f64)).collect()),
-                ));
-            }
-            fields.push((
-                "children",
-                Json::Arr(n.children.iter().map(node_json).collect()),
-            ));
-            Json::object(fields)
+                (
+                    "children",
+                    Json::Arr(n.children.iter().map(node_json).collect()),
+                ),
+            ])
         }
         Json::object(vec![
             ("plan", node_json(&self.root)),

@@ -56,8 +56,8 @@ pub mod error;
 pub mod exec;
 pub mod explain;
 pub mod expr;
+pub mod fetch;
 pub mod index;
-pub mod par;
 pub mod schema;
 pub mod table;
 pub mod value;
@@ -73,8 +73,8 @@ pub use explain::{
     wrap, Estimate, ExplainNode, ExplainReport, ExplainSnapshot, Instrumented, OpStats,
 };
 pub use expr::{AggFunc, BinOp, ColumnTest, Expr};
+pub use fetch::RidFetch;
 pub use index::{Index, IndexKind};
-pub use par::RidFetch;
 pub use schema::{Column, Schema};
 pub use table::{Clustering, Row, RowId, Table, DEFAULT_POOL_PAGES};
 pub use value::{DataType, Value};
@@ -82,7 +82,3 @@ pub use value::{DataType, Value};
 // The paged storage layer underneath heap tables, re-exported so callers
 // can size pools and read I/O counters without a direct pagestore dep.
 pub use pagestore::{BufferPool, IoStats, RecoveryReport, PAGE_SIZE};
-
-// The morsel worker pool driving the parallel operators, re-exported so
-// callers can size pools without a direct exec-pool dep.
-pub use exec_pool::{PoolError, WorkerPool};

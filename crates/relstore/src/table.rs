@@ -633,24 +633,6 @@ impl Table {
         Ok(rows)
     }
 
-    /// A view of the rows in `slots` of data page `page_ord` for a morsel
-    /// worker to decode off the coordinator thread (read it with
-    /// `PageView::tuples_at`), attributing the measured page traffic to
-    /// `tracker`. Clean pages are leased zero-copy; a dirty page or a
-    /// wanted overflow tuple falls back to a copy counted in
-    /// `bytes_copied_to_workers`.
-    pub(crate) fn lease_slots(
-        &self,
-        page_ord: usize,
-        slots: &[u16],
-        tracker: &mut CostTracker,
-    ) -> Result<pagestore::PageView> {
-        let before = self.pool.stats();
-        let view = self.heap.lease_slots(&self.pool, page_ord, slots)?;
-        tracker.measured.absorb(&self.pool.stats().since(&before));
-        Ok(view)
-    }
-
     /// Create an index on `column`. The column must be `Int64`.
     pub fn create_index(
         &mut self,

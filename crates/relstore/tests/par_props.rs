@@ -1,13 +1,12 @@
-//! Property-based tests for the morsel-driven `RidFetch`: for arbitrary
-//! tables — including tables bigger than their buffer pool, so the
-//! zero-copy lease waves are forced to run under eviction pressure — the
-//! page-ordered fetch stays byte-identical, at every thread count, to the
-//! hash join over a full scan that it replaced.
+//! Property-based tests for the page-ordered `RidFetch`: for arbitrary
+//! tables — including tables bigger than their buffer pool, so the fetch
+//! runs under eviction pressure — it stays byte-identical to the hash
+//! join over a full scan that it replaced.
 
 use proptest::prelude::*;
 use relstore::{
     collect, BufferPool, Column, DataType, ExecContext, HashJoin, Project, RidFetch, Schema,
-    SeqScan, Table, Value, Values, WorkerPool,
+    SeqScan, Table, Value, Values,
 };
 use std::rc::Rc;
 
@@ -23,8 +22,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// `RidFetch` returns exactly the rows, in exactly the order, of the
-    /// `Project(HashJoin(Values keys, SeqScan))` tree it replaced, at
-    /// 1/2/4/8 threads — over tables with tombstones, relocated tuples and
+    /// `Project(HashJoin(Values keys, SeqScan))` tree it replaced — over
+    /// tables with tombstones, relocated tuples and
     /// overflow-chain tuples, clean and dirty, a 4-frame
     /// pool and a roomy one — and reads each touched page exactly once
     /// (plus the chain pages of the overflow tuples it returns).
@@ -96,21 +95,15 @@ proptest! {
         let want = collect(&mut oracle, &mut ExecContext::new()).unwrap();
         prop_assert_eq!(want.len(), wanted(false) + wanted(true));
 
-        for threads in [1usize, 2, 4, 8] {
-            let workers = WorkerPool::new(threads);
-            let mut fetch = RidFetch::new(&t, keys.iter().copied(), Some(&workers));
-            let before = t.io_stats();
-            let mut ctx = ExecContext::new();
-            let got = collect(&mut fetch, &mut ctx).unwrap();
-            let delta = t.io_stats().since(&before);
-            prop_assert_eq!(&got, &want, "rows, threads={}", threads);
-            let reads = (fetch.touched_pages() + 2 * wanted(true)) as u64;
-            prop_assert_eq!(delta.logical_reads, reads, "pool reads, threads={}", threads);
-            prop_assert_eq!(ctx.tracker.measured.logical_reads, reads, "measured reads, threads={}", threads);
-            prop_assert_eq!(
-                ctx.tracker.measured.physical_reads, delta.physical_reads,
-                "threads={}", threads
-            );
-        }
+        let mut fetch = RidFetch::new(&t, keys.iter().copied());
+        let before = t.io_stats();
+        let mut ctx = ExecContext::new();
+        let got = collect(&mut fetch, &mut ctx).unwrap();
+        let delta = t.io_stats().since(&before);
+        prop_assert_eq!(&got, &want, "rows");
+        let reads = (fetch.touched_pages() + 2 * wanted(true)) as u64;
+        prop_assert_eq!(delta.logical_reads, reads, "pool reads");
+        prop_assert_eq!(ctx.tracker.measured.logical_reads, reads, "measured reads");
+        prop_assert_eq!(ctx.tracker.measured.physical_reads, delta.physical_reads);
     }
 }

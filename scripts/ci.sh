@@ -66,22 +66,12 @@ echo "==> tuple codec round-trip + table crash byte-identity suite (release)"
 # crates/relstore/tests/{codec_props,crash_tables}.rs.
 cargo test -p relstore --release -q --test codec_props --test crash_tables
 
-echo "==> parallel determinism (ORPHEUS_THREADS=4 test pass)"
-# The default test run above executes with sequential plans; this pass
-# re-runs the engine-facing suites with 4 morsel workers so every
-# checkout/query/diff/explain assertion also holds on the parallel
-# operators. Row-level identity across thread counts is pinned by
-# orpheus-core's parallel_outputs_identical_across_thread_counts.
-ORPHEUS_THREADS=4 cargo test -q -p orpheus-core -p relstore
-
-echo "==> CLI probe: golden transcript, threads 1 vs 4"
-# Drive the interactive shell with an identical command script at 1 and 4
-# workers and require its output — stdout and the `error:` lines on
-# stderr — to equal results/ci/cli_probe.golden byte for byte. That file
-# was written by the binary before commit by rid, so a change that alters
-# every run alike still fails here. `--threads 1` must reproduce the
-# sequential engine bit-for-bit; parallel plans must not leak into
-# ordinary command output. The script commits inserted rows, fails a
+echo "==> CLI probe: golden transcript"
+# Drive the interactive shell with a fixed command script and require its
+# output — stdout and the `error:` lines on stderr — to equal
+# results/ci/cli_probe.golden byte for byte. That file was written by the
+# binary before commit by rid, so a change that alters every run alike
+# still fails here. The script commits inserted rows, fails a
 # commit on a duplicate key (twice: the staging table survives a failed
 # commit), commits a fresh checkout after that, and issues all five plan
 # shapes (SELECT, GROUP BY vid, V_DIFF, V_INTERSECT, JOIN), SELECTs whose
@@ -169,16 +159,12 @@ run SELECT vid, sum(x) FROM CVD n GROUP BY vid
 run SELECT vid, avg(a1) FROM CVD n GROUP BY vid
 EOF
 }
-probe() { # <orpheusdb flags…>: the probe's transcript on stdout
-  { probe_cmds; group_by_cmds; number_cmds; echo quit; } |
-    ORPHEUS_SLOW_MS=1000000000 ./target/release/orpheusdb "$@" 2>&1
-}
 golden=results/ci/cli_probe.golden
-probe --threads 1 | cmp - "$golden"
-probe --threads 4 | cmp - "$golden"
-echo "CLI output equals $golden at 1 and 4 threads"
+{ probe_cmds; group_by_cmds; number_cmds; echo quit; } |
+  ORPHEUS_SLOW_MS=1000000000 ./target/release/orpheusdb 2>&1 | cmp - "$golden"
+echo "CLI output equals $golden"
 
-echo "==> server probe: golden wire transcript, threads 1 vs 4"
+echo "==> server probe: golden wire transcript"
 # The same script through `serve --port 0` and `client --user ci`: the
 # server's replies, every row of them, must equal
 # results/ci/server_probe.golden byte for byte. That file was recorded
@@ -186,10 +172,10 @@ echo "==> server probe: golden wire transcript, threads 1 vs 4"
 # the shell, the session and the engine). The one line that differs from
 # that recording is `init`'s tag, which gained the shell's ` (<path>)`
 # suffix when the shell's own `init` was folded into the library's.
-server_probe() { # <serve flags…>: compare the wire transcript with the golden
+server_probe() { # compare the wire transcript with the golden
   local dir port pid status=0
   dir=$(mktemp -d /tmp/orpheus_ci_probe_srv.XXXXXX)
-  ORPHEUS_SLOW_MS=1000000000 ./target/release/orpheusdb serve --port 0 "$@" > "$dir/serve.log" 2>&1 &
+  ORPHEUS_SLOW_MS=1000000000 ./target/release/orpheusdb serve --port 0 > "$dir/serve.log" 2>&1 &
   pid=$!
   port=
   for _ in $(seq 100); do
@@ -209,9 +195,8 @@ server_probe() { # <serve flags…>: compare the wire transcript with the golden
   rm -rf "$dir"
   return "$status"
 }
-server_probe --threads 1
-server_probe --threads 4
-echo "server replies equal results/ci/server_probe.golden at 1 and 4 threads"
+server_probe
+echo "server replies equal results/ci/server_probe.golden"
 
 echo "==> observability smoke (explain analyze + metrics --json + trace dump)"
 # End-to-end check of the obs pipeline: a durable commit/checkout workload
@@ -232,8 +217,8 @@ echo "==> server smoke (concurrent sessions, group commit, backpressure)"
 # clean shutdown. Every scripted commit runs under a client-chosen trace
 # id; the gate requires `trace dump --json` to show each commit's request
 # span plus its WAL-fsync attribution (real fsync on the batch leader,
-# shared event on followers) and morsel worker events re-attached to the
-# traced read. See crates/bench/src/bin/server_smoke.rs.
+# shared event on followers), and a traced read must carry its engine-side
+# query span and its reply span. See crates/bench/src/bin/server_smoke.rs.
 cargo run --release -q -p bench --bin server_smoke -- --results-dir results/ci
 
 echo "==> frontier smoke (storage bytes vs recreation cost)"
@@ -364,11 +349,9 @@ fi
 
 echo "==> perf-regression gate (deterministic work counters)"
 # Compares the smoke run's counters against results/baseline_smoke.json
-# with per-key tolerances (crates/bench/src/gate.rs). Refresh after an
-# intentional perf change: ./scripts/perf_gate.sh --refresh
-# The gate also reads the scaling run's document, which nothing above writes.
-cargo run --release -q -p bench --bin parallel_scaling -- --results-dir results/ci --reps 1 \
-  > /dev/null
+# with per-key tolerances (crates/bench/src/gate.rs), and re-checks the
+# frontier smoke's document. Refresh after an intentional perf change:
+# ./scripts/perf_gate.sh --refresh
 cargo run --release -q -p bench --bin perf_gate -- --results-dir results/ci
 
 echo "==> trajectory point for the newest issue (results/BENCH_<n>.json)"

@@ -24,7 +24,7 @@ mod settings;
 
 use orpheusdb::orpheus::{CommandOutput, OrpheusDb};
 use orpheusdb::orpheus_server::{self, EngineConfig, ServerConfig};
-use settings::Settings;
+use settings::{Flags, Settings};
 use std::io::{BufRead, Write};
 
 fn print_table(t: &orpheusdb::orpheus::query::QueryResult) {
@@ -73,17 +73,16 @@ fn help() {
          trace reset              (clear the event journal)\n  \
          checkpoint      (durability point: log dirty pages, one fsync; with --data-dir)\n  \
          recover         (replay the write-ahead log, as after a crash)\n  \
-         threads [n]     (show or set morsel workers; 1 = sequential plans)\n  \
          log <cvd> | ls | drop <cvd> | help | quit\n\
          modes:\n  \
-         orpheusdb                      interactive single-session shell\n  \
+         orpheusdb [--data-dir <d>]     interactive single-session shell\n  \
          orpheusdb serve --port <p> [--data-dir <d>] [--workers <n>] [--admission <n>]\n  \
-         orpheusdb client --port <p> [--user <name>]   (extra: pin/unpin <cvd> for snapshot reads)\n\
-         settings (every mode; a flag beats its variable; a bad value exits 2):\n  \
-         flag                 variable               default\n  \
-         --threads <n>        ORPHEUS_THREADS        cores   morsel workers (≥ 1; 1 = sequential plans)\n  \
-         -                    ORPHEUS_SLOW_MS        100     slow-query log threshold in ms (0 logs every command)\n  \
-         -                    ORPHEUS_TRACE_SAMPLE   1       journal 1-in-n requests (0 disables the journal)"
+         orpheusdb client --port <p> [--user <name>]   (extra: pin/unpin <cvd> for snapshot reads)\n  \
+         each mode takes only the flags shown, each with its value; any other exits 2\n\
+         settings (every mode; a bad value exits 2):\n  \
+         variable               default\n  \
+         ORPHEUS_SLOW_MS        100     slow-query log threshold in ms (0 logs every command)\n  \
+         ORPHEUS_TRACE_SAMPLE   1       journal 1-in-n requests (0 disables the journal)"
     );
 }
 
@@ -94,20 +93,26 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The value of `flag`, if present; a flag without its value exits 2.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    settings::flag_value(args, flag).unwrap_or_else(|msg| fail(&msg))
+/// The flags each mode reads; any other argument exits 2.
+const SHELL_FLAGS: &[&str] = &["--data-dir"];
+const SERVE_FLAGS: &[&str] = &["--port", "--data-dir", "--workers", "--admission"];
+const CLIENT_FLAGS: &[&str] = &["--port", "--user"];
+
+/// `args` parsed against the flags `known` to a mode; an unknown flag or
+/// a flag without its value exits 2.
+fn flags<'a>(args: &'a [String], known: &[&str]) -> Flags<'a> {
+    Flags::parse(args, known).unwrap_or_else(|msg| fail(&msg))
 }
 
 /// Parse `flag`'s value, if given; one that does not parse or that `ok`
 /// refuses exits 2.
 fn parsed_flag<T: std::str::FromStr>(
-    args: &[String],
+    args: &Flags,
     flag: &str,
     ok: fn(&T) -> bool,
     expected: &str,
 ) -> Option<T> {
-    let raw = flag_value(args, flag)?;
+    let raw = args.get(flag)?;
     match raw.parse().ok().filter(ok) {
         Some(value) => Some(value),
         None => fail(&settings::invalid(flag, raw, expected)),
@@ -115,15 +120,15 @@ fn parsed_flag<T: std::str::FromStr>(
 }
 
 /// A count of at least 1 (`--workers`, `--admission`).
-fn count_flag(args: &[String], flag: &str) -> Option<usize> {
+fn count_flag(args: &Flags, flag: &str) -> Option<usize> {
     parsed_flag(args, flag, |&n| n >= 1, "an integer ≥ 1")
 }
 
 /// `--data-dir <dir>`: open a durable instance (page file + write-ahead
 /// log in `dir`) instead of the default in-memory one, with `settings`
 /// applied.
-fn open_db(args: &[String], settings: &Settings) -> OrpheusDb {
-    let mut db = match flag_value(args, "--data-dir") {
+fn open_db(args: &Flags, settings: &Settings) -> OrpheusDb {
+    let mut db = match args.get("--data-dir") {
         Some(dir) => match OrpheusDb::open_durable(dir, 512) {
             Ok((db, report)) => {
                 if report.did_work() {
@@ -139,7 +144,6 @@ fn open_db(args: &[String], settings: &Settings) -> OrpheusDb {
         },
         None => OrpheusDb::new(),
     };
-    db.set_threads(settings.threads);
     db.set_slow_ms(settings.slow_ms);
     db
 }
@@ -147,14 +151,13 @@ fn open_db(args: &[String], settings: &Settings) -> OrpheusDb {
 /// `serve --port <p> [--data-dir <d>] [--workers <n>] [--admission <n>]`:
 /// the multi-session front end, with `settings` applied to its engine.
 /// Prints the bound address, then serves until killed.
-fn serve(args: &[String], settings: &Settings) {
+fn serve(args: &Flags, settings: &Settings) {
     // Port 0 picks a free port and prints it.
     let Some(port) = parsed_flag(args, "--port", |_| true, "an integer in 0..=65535") else {
         fail("serve needs --port <p> (0 picks a free port)");
     };
     let engine = EngineConfig {
-        data_dir: flag_value(args, "--data-dir").map(Into::into),
-        threads: settings.threads,
+        data_dir: args.get("--data-dir").map(Into::into),
         admission_capacity: count_flag(args, "--admission").unwrap_or(64),
         slow_ms: settings.slow_ms,
         ..EngineConfig::default()
@@ -204,12 +207,12 @@ fn input(prompt: &'static str) -> impl Iterator<Item = String> {
 
 /// `client --port <p> [--user <name>]`: a line-oriented client. Reads
 /// query lines from stdin, prints each reply's canonical rendering.
-fn client(args: &[String]) {
+fn client(args: &Flags) {
     let Some(port) = parsed_flag(args, "--port", |&p: &u16| p != 0, "an integer in 1..=65535")
     else {
         fail("client needs --port <p>");
     };
-    let user = flag_value(args, "--user").unwrap_or("cli");
+    let user = args.get("--user").unwrap_or("cli");
     let mut c = match orpheus_server::Client::connect(("127.0.0.1", port), user) {
         Ok(c) => c,
         Err(e) => {
@@ -236,7 +239,7 @@ fn client(args: &[String]) {
     }
 }
 
-fn shell(args: &[String], settings: &Settings) {
+fn shell(args: &Flags, settings: &Settings) {
     let mut db = open_db(args, settings);
     println!("OrpheusDB shell — type 'help' for commands, 'quit' to exit.");
     for line in input("orpheus> ") {
@@ -259,15 +262,14 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     // Every setting, parsed once and validated in every mode before a
     // database or a socket opens.
-    let settings =
-        Settings::resolve(&args, &settings::environment()).unwrap_or_else(|msg| fail(&msg));
+    let settings = Settings::resolve(&settings::environment()).unwrap_or_else(|msg| fail(&msg));
     match args.get(1).map(String::as_str) {
-        Some("serve") => serve(&args[1..], &settings),
-        Some("client") => client(&args[1..]),
+        Some("serve") => serve(&flags(&args[2..], SERVE_FLAGS), &settings),
+        Some("client") => client(&flags(&args[2..], CLIENT_FLAGS)),
         Some("help") | Some("--help") => help(),
         Some(mode) if !mode.starts_with("--") => {
             fail(&format!("unknown mode: {mode} (expected serve | client)"))
         }
-        _ => shell(&args, &settings),
+        _ => shell(&flags(&args[1..], SHELL_FLAGS), &settings),
     }
 }

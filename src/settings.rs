@@ -1,18 +1,16 @@
 //! The binary's settings table: every runtime knob is parsed once, from
-//! the command line and one snapshot of the environment, into typed
-//! values that `main` passes down — to `OrpheusDb`'s setters in the shell
-//! and to `EngineConfig`'s fields in `serve`.
+//! one snapshot of the environment, into typed values that `main` passes
+//! down — to `OrpheusDb`'s setters in the shell and to `EngineConfig`'s
+//! fields in `serve` — plus the parser of each mode's flags.
 //!
-//! | setting              | flag        | environment            | default         |
-//! |----------------------|-------------|------------------------|-----------------|
-//! | threads              | `--threads` | `ORPHEUS_THREADS`      | available cores |
-//! | slow-query threshold | —           | `ORPHEUS_SLOW_MS`      | 100             |
-//! | trace sample         | —           | `ORPHEUS_TRACE_SAMPLE` | 1               |
+//! | setting              | environment            | default |
+//! |----------------------|------------------------|---------|
+//! | slow-query threshold | `ORPHEUS_SLOW_MS`      | 100     |
+//! | trace sample         | `ORPHEUS_TRACE_SAMPLE` | 1       |
 //!
-//! A flag beats its variable. Every value given is validated, the one a
-//! flag overrides included; an invalid one is an error that names the
-//! spelling it came from. The trace sample is validated only: the journal
-//! reads the variable itself (see `obs::journal::Journal::from_env`).
+//! Every value given is validated; an invalid one is an error that names
+//! the variable it came from. The trace sample is validated only: the
+//! journal reads the variable itself (see `obs::journal::Journal::from_env`).
 
 use std::collections::HashMap;
 
@@ -31,32 +29,20 @@ pub fn environment() -> Env {
 /// Every runtime setting, resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Settings {
-    /// Morsel workers for checkout and version queries.
-    pub threads: usize,
     /// Slow-query threshold in milliseconds; `0` logs every command.
     pub slow_ms: u64,
 }
 
-/// One row of the table: a setting's spellings, its parser, what the
+/// One row of the table: a setting's variable, its parser, what the
 /// parser accepts (for the error message), and its default.
 struct Knob<T> {
-    flag: Option<&'static str>,
     env: &'static str,
     parse: fn(&str) -> Option<T>,
     expected: &'static str,
     default: fn() -> T,
 }
 
-const THREADS: Knob<usize> = Knob {
-    flag: Some("--threads"),
-    env: "ORPHEUS_THREADS",
-    parse: |s| s.parse().ok().filter(|&n| n >= 1),
-    expected: "an integer ≥ 1",
-    default: available_cores,
-};
-
 const SLOW_MS: Knob<u64> = Knob {
-    flag: None,
     env: "ORPHEUS_SLOW_MS",
     parse: |s| s.trim().parse().ok(),
     expected: "a threshold in milliseconds ≥ 0; 0 logs every command",
@@ -64,7 +50,6 @@ const SLOW_MS: Knob<u64> = Knob {
 };
 
 const TRACE_SAMPLE: Knob<u64> = Knob {
-    flag: None,
     env: obs::journal::SAMPLE_ENV,
     parse: obs::journal::parse_sample,
     expected: "an integer ≥ 0; 0 disables the journal",
@@ -72,29 +57,23 @@ const TRACE_SAMPLE: Knob<u64> = Knob {
 };
 
 impl<T> Knob<T> {
-    /// The flag's value, else the variable's, else the default.
-    fn resolve(&self, args: &[String], env: &Env) -> Result<T, String> {
-        let parse =
-            |spelling, raw| (self.parse)(raw).ok_or_else(|| invalid(spelling, raw, self.expected));
-        let from_env = env.get(self.env).map(|raw| parse(self.env, raw));
-        let from_flag = match self.flag {
-            Some(flag) => flag_value(args, flag)?.map(|raw| parse(flag, raw)),
-            None => None,
-        };
-        let (from_env, from_flag) = (from_env.transpose()?, from_flag.transpose()?);
-        Ok(from_flag.or(from_env).unwrap_or_else(self.default))
+    /// The variable's value, else the default.
+    fn resolve(&self, env: &Env) -> Result<T, String> {
+        match env.get(self.env) {
+            Some(raw) => (self.parse)(raw).ok_or_else(|| invalid(self.env, raw, self.expected)),
+            None => Ok((self.default)()),
+        }
     }
 }
 
 impl Settings {
-    /// Resolve every row of the table from `args` (the whole argv) and
-    /// `env`. The error is the message for an exit-2 failure.
-    pub fn resolve(args: &[String], env: &Env) -> Result<Settings, String> {
+    /// Resolve every row of the table from `env`. The error is the
+    /// message for an exit-2 failure.
+    pub fn resolve(env: &Env) -> Result<Settings, String> {
         let settings = Settings {
-            threads: THREADS.resolve(args, env)?,
-            slow_ms: SLOW_MS.resolve(args, env)?,
+            slow_ms: SLOW_MS.resolve(env)?,
         };
-        TRACE_SAMPLE.resolve(args, env)?;
+        TRACE_SAMPLE.resolve(env)?;
         Ok(settings)
     }
 }
@@ -105,20 +84,39 @@ pub fn invalid(spelling: &str, raw: &str, expected: &str) -> String {
     format!("invalid {spelling} value: {raw} (expected {expected})")
 }
 
-fn available_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
+/// One mode's `--flag value` arguments.
+#[derive(Debug)]
+pub struct Flags<'a>(Vec<(&'a str, &'a str)>);
 
-/// The value of `flag`, if present. A flag with a missing value (end of
-/// argv, or another `--flag` where the value should be) is an error —
-/// `--threads --data-dir x` must not silently ignore `--threads`.
-pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Ok(Some(v)),
-        _ => Err(format!("{flag} needs a value")),
+impl<'a> Flags<'a> {
+    /// Parse `args` (after the mode word), accepting only the flags in
+    /// `known`, each followed by its value. An unknown flag, or one whose
+    /// value is missing (end of argv, or another `--flag` where the value
+    /// should be), is an error: `--data-dri d` must not start an
+    /// in-memory shell.
+    pub fn parse(args: &'a [String], known: &[&str]) -> Result<Self, String> {
+        let mut pairs = Vec::new();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            if !known.contains(&flag.as_str()) {
+                return Err(format!("unknown flag {flag}"));
+            }
+            match args.next() {
+                Some(value) if !value.starts_with("--") => {
+                    pairs.push((flag.as_str(), value.as_str()))
+                }
+                _ => return Err(format!("{flag} needs a value")),
+            }
+        }
+        Ok(Flags(pairs))
+    }
+
+    /// The value of `flag`, if given.
+    pub fn get(&self, flag: &str) -> Option<&'a str> {
+        self.0
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|&(_, value)| value)
     }
 }
 
@@ -126,89 +124,92 @@ pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>,
 mod tests {
     use super::*;
 
-    fn resolve(flags: &[&str], vars: &[(&str, &str)]) -> Result<Settings, String> {
-        let args: Vec<String> = ["orpheusdb"]
-            .iter()
-            .chain(flags)
-            .map(|s| s.to_string())
-            .collect();
+    fn resolve(vars: &[(&str, &str)]) -> Result<Settings, String> {
         let env = vars.iter().map(|(k, v)| (k.to_string(), v.to_string()));
-        Settings::resolve(&args, &env.collect())
+        Settings::resolve(&env.collect())
     }
 
     /// `resolve` fails, and its message names `spelling`.
-    fn refused(flags: &[&str], vars: &[(&str, &str)], spelling: &str) {
-        match resolve(flags, vars) {
+    fn refused(vars: &[(&str, &str)], spelling: &str) {
+        match resolve(vars) {
             Err(msg) => assert!(
                 msg.starts_with(&format!("invalid {spelling} value: ")),
                 "{msg}"
             ),
-            Ok(s) => panic!("{flags:?} {vars:?} resolved to {s:?}"),
+            Ok(s) => panic!("{vars:?} resolved to {s:?}"),
         }
+    }
+
+    fn flags<'a>(args: &'a [String], known: &[&str]) -> Result<Flags<'a>, String> {
+        Flags::parse(args, known)
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
     fn nothing_given_is_the_defaults() {
         let want = Settings {
-            threads: available_cores(),
             slow_ms: obs::journal::DEFAULT_SLOW_MS,
         };
-        assert_eq!(resolve(&[], &[]), Ok(want));
+        assert_eq!(resolve(&[]), Ok(want));
         // Variables outside the table are not ours to judge.
-        assert_eq!(resolve(&[], &[("ORPHEUS_MAT_BUDGET", "nope")]), Ok(want));
-    }
-
-    #[test]
-    fn threads() {
-        let threads = |flags: &[&str], vars: &[(&str, &str)]| resolve(flags, vars).unwrap().threads;
-        assert_eq!(threads(&[], &[("ORPHEUS_THREADS", "3")]), 3);
-        assert_eq!(threads(&["--threads", "2"], &[]), 2);
-        assert_eq!(threads(&["--threads", "2"], &[("ORPHEUS_THREADS", "3")]), 2);
-        for bad in ["abc", "0", "-1", "1.5", ""] {
-            refused(&[], &[("ORPHEUS_THREADS", bad)], "ORPHEUS_THREADS");
-            refused(&["--threads", bad], &[], "--threads");
-        }
+        assert_eq!(resolve(&[("ORPHEUS_MAT_BUDGET", "nope")]), Ok(want));
+        let none = argv(&[]);
+        assert_eq!(
+            flags(&none, &["--data-dir"]).unwrap().get("--data-dir"),
+            None
+        );
     }
 
     #[test]
     fn slow_ms() {
+        assert_eq!(resolve(&[("ORPHEUS_SLOW_MS", "0")]).unwrap().slow_ms, 0);
         assert_eq!(
-            resolve(&[], &[("ORPHEUS_SLOW_MS", "0")]).unwrap().slow_ms,
-            0
-        );
-        assert_eq!(
-            resolve(&[], &[("ORPHEUS_SLOW_MS", " 250 ")])
-                .unwrap()
-                .slow_ms,
+            resolve(&[("ORPHEUS_SLOW_MS", " 250 ")]).unwrap().slow_ms,
             250
         );
         for bad in ["fast", "-5", "10ms", ""] {
-            refused(&[], &[("ORPHEUS_SLOW_MS", bad)], "ORPHEUS_SLOW_MS");
+            refused(&[("ORPHEUS_SLOW_MS", bad)], "ORPHEUS_SLOW_MS");
         }
     }
 
     #[test]
     fn trace_sample() {
         for good in ["0", "1", "16"] {
-            assert!(
-                resolve(&[], &[("ORPHEUS_TRACE_SAMPLE", good)]).is_ok(),
-                "{good}"
-            );
+            assert!(resolve(&[("ORPHEUS_TRACE_SAMPLE", good)]).is_ok(), "{good}");
         }
         for bad in ["nope", "-1", "1.5", ""] {
-            refused(
-                &[],
-                &[("ORPHEUS_TRACE_SAMPLE", bad)],
-                "ORPHEUS_TRACE_SAMPLE",
-            );
+            refused(&[("ORPHEUS_TRACE_SAMPLE", bad)], "ORPHEUS_TRACE_SAMPLE");
         }
     }
 
     #[test]
     fn a_flag_without_its_value_is_an_error() {
-        for flags in [&["--threads"][..], &["--threads", "--data-dir", "d"]] {
-            let err = resolve(flags, &[]).unwrap_err();
-            assert!(err.ends_with("needs a value"), "{err}");
+        let known = ["--data-dir", "--port"];
+        for args in [&["--data-dir"][..], &["--data-dir", "--port", "1"]] {
+            let err = flags(&argv(args), &known).unwrap_err();
+            assert_eq!(err, "--data-dir needs a value");
+        }
+    }
+
+    #[test]
+    fn only_the_flags_a_mode_reads_are_accepted() {
+        let known = ["--port", "--data-dir"];
+        let args = argv(&["--port", "0", "--data-dir", "d"]);
+        let given = flags(&args, &known).unwrap();
+        assert_eq!(
+            (given.get("--port"), given.get("--data-dir")),
+            (Some("0"), Some("d"))
+        );
+        for (args, unknown) in [
+            (&["--data-dri", "d"][..], "--data-dri"),
+            (&["--port", "0", "--prot", "1"], "--prot"),
+            (&["d"], "d"),
+        ] {
+            let err = flags(&argv(args), &known).unwrap_err();
+            assert_eq!(err, format!("unknown flag {unknown}"));
         }
     }
 }

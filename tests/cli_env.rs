@@ -1,8 +1,9 @@
-//! The CLI's settings table end to end: an invalid `ORPHEUS_THREADS`,
-//! `ORPHEUS_SLOW_MS` or `ORPHEUS_TRACE_SAMPLE` (or flag) must exit 2 with a clear message naming the spelling, in every
-//! mode — before any database or socket is opened. A valid value
-//! (boundaries like `0` included) must be seen to take effect, in the
-//! shell and over `serve`.
+//! The CLI's settings table and flags end to end: an invalid
+//! `ORPHEUS_SLOW_MS` or `ORPHEUS_TRACE_SAMPLE` must exit 2 with a clear
+//! message naming the variable, in every mode — before any database or
+//! socket is opened — and so must a flag the mode does not read, or a
+//! flag without its value. A valid value (boundaries like `0` included)
+//! must be seen to take effect, in the shell and over `serve`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Child, Command, Stdio};
@@ -81,36 +82,56 @@ fn invalid_slow_ms_exits_2_with_a_clear_message() {
     }
 }
 
-/// `ORPHEUS_THREADS=abc` and `=0` used to start the shell on one worker
-/// without a word, while `--threads abc` exited 2.
+/// Run the binary with `args` and empty stdin; return (exit code,
+/// stderr).
+fn run(args: &[&str]) -> (i32, String) {
+    let out = orpheusdb()
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn orpheusdb");
+    (
+        out.status.code().unwrap_or(-1),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A flag with a missing or refused value exits 2 naming the flag.
 #[test]
-fn invalid_threads_exit_2_naming_the_variable() {
-    for (bad, mode) in [
-        ("abc", &[][..]),
-        ("0", &[]),
-        ("0", &["serve", "--port", "0"]),
+fn invalid_storage_flags_exit_2() {
+    for (args, flag) in [
+        (&["--data-dir"][..], "--data-dir"),
+        (&["serve", "--port", "0", "--data-dir"], "--data-dir"),
+        (&["serve", "--port", "abc"], "--port"),
+        (&["serve", "--port", "0", "--workers", "0"], "--workers"),
     ] {
-        let (code, stderr) = run_with("ORPHEUS_THREADS", bad, mode);
-        assert_eq!(code, 2, "value {bad:?} must exit 2; stderr: {stderr}");
+        let (code, stderr) = run(args);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
         assert!(
-            stderr.starts_with("error: invalid ORPHEUS_THREADS value: "),
+            stderr.starts_with("error: ") && stderr.contains(flag),
             "{stderr}"
         );
     }
 }
 
+/// Each mode accepts only the flags it reads. A misspelt `--data-dir`
+/// used to start an in-memory shell and exit 0, creating nothing; a
+/// misspelt `serve` flag and the retired `--threads` were ignored alike.
 #[test]
-fn invalid_storage_flags_exit_2() {
-    for (flag, bad) in [("--threads", "abc"), ("--threads", "0")] {
-        let out = orpheusdb()
-            .args([flag, bad])
-            .stdin(Stdio::null())
-            .output()
-            .expect("spawn orpheusdb");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flag} {bad}: {stderr}");
-        assert!(stderr.contains(flag), "{stderr}");
+fn unknown_flags_exit_2_naming_the_flag() {
+    let dir = std::env::temp_dir().join(format!("orpheus-cli-env-typo-{}", std::process::id()));
+    let typo = dir.to_str().unwrap();
+    for (args, flag) in [
+        (&["--data-dri", typo][..], "--data-dri"),
+        (&["serve", "--port", "0", "--prot", "1"], "--prot"),
+        (&["--threads", "4"], "--threads"),
+        (&["client", "--port", "1", "--threads", "4"], "--threads"),
+    ] {
+        let (code, stderr) = run(args);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert_eq!(stderr, format!("error: unknown flag {flag}\n"), "{args:?}");
     }
+    assert!(!dir.exists(), "{typo} was created");
 }
 
 /// The storage knob, `--data-dir`, is seen taking effect: the same
@@ -163,14 +184,15 @@ impl Drop for Served {
     }
 }
 
-/// `ORPHEUS_THREADS` reaches the shell and, through `EngineConfig`, the
-/// server (which used to run on the core count instead); `ORPHEUS_SLOW_MS`
-/// reaches the server's slow-query log.
+/// `ORPHEUS_SLOW_MS` reaches the server's slow-query log through
+/// `EngineConfig`. `ORPHEUS_THREADS`, which once sized the engine's
+/// worker pool, is ignored whatever it holds, and `threads` is no longer
+/// a command.
 #[test]
-fn threads_from_the_environment_reach_the_shell_and_serve() {
-    let vars = [("ORPHEUS_THREADS", "3"), ("ORPHEUS_SLOW_MS", "0")];
-    let out = shell(&[], &vars, "threads\n");
-    assert!(out.contains("morsel workers: 3"), "{out}");
+fn slow_ms_from_the_environment_reaches_serve() {
+    let vars = [("ORPHEUS_THREADS", "abc"), ("ORPHEUS_SLOW_MS", "0")];
+    let out = shell(&[], &vars, "whoami\n");
+    assert!(out.contains("OrpheusDB shell"), "{out}");
 
     let mut served = Served(
         orpheusdb()
@@ -200,7 +222,8 @@ fn threads_from_the_environment_reach_the_shell_and_serve() {
     drop(stdin);
     let out = client.wait_with_output().unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("morsel workers: 3"), "{stdout}");
+    assert!(stdout.contains("unknown command: threads"), "{stdout}");
+    assert!(!stdout.contains("morsel workers"), "{stdout}");
 
     served.0.kill().unwrap();
     let mut stderr = String::new();
@@ -253,14 +276,14 @@ fn help_documents_the_tracing_surface() {
         "ORPHEUS_TRACE_SAMPLE",
         "ORPHEUS_SLOW_MS",
         "plan_storage",
-        "--threads",
-        "ORPHEUS_THREADS",
+        "--data-dir",
     ] {
         assert!(
             stdout.contains(needle),
             "help is missing {needle:?}:\n{stdout}"
         );
     }
-    assert!(!stdout.contains("MAT_BUDGET"), "{stdout}");
-    assert!(!stdout.contains("--mat-budget"), "{stdout}");
+    for gone in ["MAT_BUDGET", "--mat-budget", "--threads", "ORPHEUS_THREADS"] {
+        assert!(!stdout.contains(gone), "{gone}: {stdout}");
+    }
 }
