@@ -74,7 +74,7 @@ fn bench_models(c: &mut Criterion) {
         .checkout_rows(&[latest])
         .unwrap()
         .into_iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r.to_vec())
         .collect();
     let res = cvd.commit(&[latest], rows, "bench", "b").unwrap();
     let new_rids: Vec<Rid> = {

@@ -48,7 +48,7 @@ fn main() {
             .checkout_rows(&[latest])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r.clone())
+            .map(|(_, r)| r.to_vec())
             .collect();
         if let Some(first) = rows.first_mut() {
             first[1] = relstore::Value::Int64(-1);

@@ -271,6 +271,7 @@ fn main() {
             "gauges/relstore.directory.tables",
             "gauges/orpheus.server.active_sessions",
             "gauges/orpheus.server.queued_commits",
+            "gauges/orpheus.server.pinned_bytes",
             "histograms/orpheus.server.query.latency_us/p50",
             "histograms/orpheus.server.query.latency_us/p95",
             "histograms/orpheus.server.query.latency_us/p99",

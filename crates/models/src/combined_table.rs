@@ -66,7 +66,7 @@ impl VersioningModel for CombinedTable {
         tracker: &mut relstore::CostTracker,
     ) -> Result<()> {
         let table = db.table_mut(&self.table_name())?;
-        sync_table_schema(table, cvd, 2)?;
+        sync_table_schema(table, cvd.schema(), 2)?;
         let vlist_col = 1;
         let new_set: std::collections::HashSet<Rid> = new_rids.iter().copied().collect();
         // UPDATE combined SET vlist = vlist + vid WHERE rid IN (reused):

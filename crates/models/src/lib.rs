@@ -193,7 +193,7 @@ pub(crate) mod testutil {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, x)| x.clone())
+            .map(|(_, x)| x.to_vec())
             .collect();
         let mut m1 = rows.clone();
         m1[0][2] = Value::Int64(83); // update (A, B)
@@ -205,7 +205,7 @@ pub(crate) mod testutil {
             .checkout_rows(&[v1, v2])
             .unwrap()
             .into_iter()
-            .map(|(_, x)| x.clone())
+            .map(|(_, x)| x.to_vec())
             .collect();
         let v3 = cvd.commit(&[v1, v2], merged, "merge", "dave").unwrap().vid;
         (cvd, vec![v0, v1, v2, v3])
@@ -290,7 +290,7 @@ mod tests {
             .checkout_rows(&[vids[3]])
             .unwrap()
             .into_iter()
-            .map(|(_, x)| x.clone())
+            .map(|(_, x)| x.to_vec())
             .collect();
         let mut modified = rows.clone();
         modified[0][2] = Value::Int64(1);

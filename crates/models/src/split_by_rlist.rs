@@ -112,7 +112,7 @@ mod tests {
             .checkout_rows(&[vids[3]])
             .unwrap()
             .into_iter()
-            .map(|(_, x)| x.clone())
+            .map(|(_, x)| x.to_vec())
             .collect();
         let res = cvd.commit(&[vids[3]], rows, "noop", "eve").unwrap();
         model

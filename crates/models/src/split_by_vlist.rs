@@ -70,7 +70,7 @@ impl VersioningModel for SplitByVlist {
     ) -> Result<()> {
         {
             let data = db.table_mut(&self.data_name())?;
-            sync_table_schema(data, cvd, 1)?;
+            sync_table_schema(data, cvd.schema(), 1)?;
             tracker.seq_scan(new_rids.len() as u64, &relstore::CostModel::default());
             for &rid in new_rids {
                 data.insert(data_row(cvd, rid))?;

@@ -129,23 +129,6 @@ impl Histogram {
         self.max as f64
     }
 
-    /// Fold another histogram into this one, bucket-wise. Merging
-    /// partial histograms then taking quantiles is equivalent (within
-    /// one log₂ bucket) to observing every value into one histogram —
-    /// buckets, counts, sums, and min/max are all additive or order-free.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     pub fn p50(&self) -> f64 {
         self.quantile(0.50)
     }
@@ -495,81 +478,6 @@ mod tests {
         assert_eq!(reg.gauge("g"), None);
         assert!(reg.histogram("h").is_none());
         assert_eq!(reg.render_text(), "(no metrics recorded)\n");
-    }
-
-    #[test]
-    fn merge_combines_counts_sums_and_extrema() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for v in [1u64, 10, 100] {
-            a.observe(v);
-        }
-        for v in [5u64, 50, 5000] {
-            b.observe(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 6);
-        assert_eq!(a.sum(), 1 + 10 + 100 + 5 + 50 + 5000);
-        assert_eq!(a.min(), 1);
-        assert_eq!(a.max(), 5000);
-    }
-
-    #[test]
-    fn merging_an_empty_histogram_changes_nothing() {
-        let mut a = Histogram::new();
-        a.observe(42);
-        let before = a.clone();
-        a.merge(&Histogram::new());
-        assert_eq!(a, before);
-        // And merging into an empty one adopts the other's extrema.
-        let mut empty = Histogram::new();
-        empty.merge(&before);
-        assert_eq!(empty.min(), 42);
-        assert_eq!(empty.max(), 42);
-        assert_eq!(empty.count(), 1);
-    }
-
-    mod merge_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            // Property: splitting a stream of observations across shards
-            // and merging is equivalent to observing everything into one
-            // histogram — p50/p95/p99 agree within one log₂ bucket (they
-            // are in fact identical: merged state is field-wise equal).
-            #[test]
-            fn merge_then_quantile_matches_observe_all(
-                values in prop::collection::vec(0u64..1_000_000, 1..200),
-                shards in 1usize..8,
-            ) {
-                let mut whole = Histogram::new();
-                let mut parts: Vec<Histogram> =
-                    (0..shards).map(|_| Histogram::new()).collect();
-                for (i, &v) in values.iter().enumerate() {
-                    whole.observe(v);
-                    parts[i % shards].observe(v);
-                }
-                let mut merged = Histogram::new();
-                for p in &parts {
-                    merged.merge(p);
-                }
-                prop_assert_eq!(merged.count(), whole.count());
-                prop_assert_eq!(merged.sum(), whole.sum());
-                prop_assert_eq!(merged.min(), whole.min());
-                prop_assert_eq!(merged.max(), whole.max());
-                for q in [0.50, 0.95, 0.99] {
-                    let (m, w) = (merged.quantile(q), whole.quantile(q));
-                    // "Within one log₂ bucket": estimates may differ by
-                    // at most a factor of two (plus one, for bucket 0).
-                    let (lo, hi) = (m.min(w), m.max(w));
-                    prop_assert!(
-                        hi <= lo * 2.0 + 1.0,
-                        "q={} merged={} whole={}", q, m, w
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -53,8 +53,11 @@ pub enum Command {
     /// `init <cvd> -f <csv path> -s <schema> [-k pk,…]`: bulk load from a
     /// CSV file the engine's process reads.
     Init(String, String, Schema, Vec<String>),
-    /// `commit -t <table> -m <message…>`
-    Commit(String, String),
+    /// `commit -t <table> [-s <schema>] -m <message…>`: with `-s`, the
+    /// table first grows to `schema` — its own columns in order, each of
+    /// its type or a wider one, then any new ones, NULL in every row — so
+    /// the commit evolves the CVD's schema (§4.3).
+    Commit(String, String, Option<Schema>),
     /// `diff <cvd> -v <a> <b>`
     Diff(String, Vid, Vid),
     /// `optimize <cvd> [-g <γ>]`, γ 2.0 by default.
@@ -125,7 +128,9 @@ impl Command {
             }
             "commit" => {
                 let table = args.required("-t")?.to_owned();
-                Self::Commit(table, args.values("-m", &["-t", "-m"])?.join(" "))
+                let schema = args.flag("-s")?.map(parse_schema_spec).transpose()?;
+                let message = args.values("-m", &["-t", "-m", "-s"])?.join(" ");
+                Self::Commit(table, message, schema)
             }
             "diff" => {
                 let cvd = args.at(0)?.to_owned();
@@ -367,7 +372,15 @@ mod tests {
         );
         assert_eq!(
             parsed("commit -t d -m duplicate   key"),
-            Command::Commit("d".into(), "duplicate key".into())
+            Command::Commit("d".into(), "duplicate key".into(), None)
+        );
+        assert_eq!(
+            parsed("commit -t d -s k:int,x:float -m widen x"),
+            Command::Commit(
+                "d".into(),
+                "widen x".into(),
+                Some(parse_schema_spec("k:int,x:float").unwrap())
+            )
         );
         assert_eq!(
             parsed("insert w 500,3,7,x3"),

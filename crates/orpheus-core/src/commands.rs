@@ -17,7 +17,7 @@ use crate::plan::{self, Decorator, Instrumented, LogicalPlan, Plain, RidSet, Tab
 use crate::query::{parse_query, QueryResult, VQuery};
 use partition::{lyresplit_for_budget, LyreSplitResult, Rid, Vid};
 use relstore::{Column, DataType, Database, ExecContext, Row, RowId, Schema, Value};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -74,6 +74,11 @@ pub struct OrpheusDb {
     /// top self-time spans. `0` logs every command. Always on —
     /// independent of journal sampling.
     slow_ms: u64,
+    /// The first durability point that failed, once one has. The instance
+    /// then holds changes the store may lack, so it serves nothing more
+    /// and writes nothing back: a reopen recovers the last durability
+    /// point that held.
+    poisoned: OnceCell<String>,
 }
 
 impl Default for OrpheusDb {
@@ -106,6 +111,7 @@ impl OrpheusDb {
             tracker: RefCell::new(relstore::CostTracker::new()),
             auto_checkpoint: true,
             slow_ms: obs::journal::DEFAULT_SLOW_MS,
+            poisoned: OnceCell::new(),
         }
     }
 
@@ -181,15 +187,26 @@ impl OrpheusDb {
     /// Force a durability point (`checkpoint`): one WAL-protected batch
     /// carrying every dirty page — data, catalog tables and the table
     /// directory alike. Returns `false` (doing nothing) on an in-memory
-    /// instance.
+    /// instance. One that fails poisons the instance.
     pub fn checkpoint(&self) -> Result<bool> {
-        Ok(self.db.checkpoint()?)
+        self.alive()?;
+        let done = self.db.checkpoint().map_err(Error::from);
+        if let Err(e) = &done {
+            self.poisoned.get_or_init(|| e.to_string());
+        }
+        done
+    }
+
+    /// [`Error::Poisoned`] once a durability point has failed.
+    fn alive(&self) -> Result<()> {
+        (self.poisoned.get()).map_or(Ok(()), |first| Err(Error::Poisoned(first.clone())))
     }
 
     /// Clean shutdown: a last durability point, then every committed page
     /// written to the page file and the log emptied. Uncommitted staging
-    /// tables are lost, as on any exit.
+    /// tables are lost, as on any exit. A poisoned instance writes nothing.
     pub fn close(self) -> Result<()> {
+        self.alive()?;
         Ok(self.db.close()?)
     }
 
@@ -638,7 +655,7 @@ impl OrpheusDb {
         self.check_unclaimed(file)?;
         let cvd = self.cvd(cvd_name)?;
         let rows = cvd.checkout_rows(versions)?;
-        let csv = to_csv(cvd.schema(), rows.iter().map(|(_, r)| r.as_slice()));
+        let csv = to_csv(cvd.schema(), rows.iter().map(|&(_, r)| r));
         self.staging.insert(
             file.to_owned(),
             StagingInfo {
@@ -773,6 +790,7 @@ impl OrpheusDb {
     /// drain it — the whole query path; the decorator is the only thing
     /// `run` and `explain analyze` disagree on.
     fn query<D: Decorator>(&self, query: &VQuery, dec: &D) -> Result<(QueryResult, D::Node)> {
+        self.alive()?;
         let _span = self.db.recorder().enter("orpheus.query");
         let start = Instant::now();
         let tables = self.tables(query.cvd())?;
@@ -814,6 +832,7 @@ impl OrpheusDb {
     /// Server sessions pin one of these and evaluate versioned SQL against
     /// it on their own thread, without ever entering the engine thread.
     pub fn snapshot(&self, cvd: &str) -> Result<crate::snapshot::Snapshot> {
+        self.alive()?;
         Ok(crate::snapshot::Snapshot::of(self.cvd(cvd)?))
     }
 
@@ -861,6 +880,7 @@ impl OrpheusDb {
     /// threshold additionally log one structured line to stderr (stdout
     /// stays byte-identical whatever the timing).
     fn execute_command(&mut self, command: &Command, line: &str) -> Result<CommandOutput> {
+        self.alive()?;
         if command.is_introspection() {
             return self.apply(command);
         }
@@ -937,7 +957,14 @@ impl OrpheusDb {
                 let v0 = self.init_cvd(cvd, schema.clone(), pk.clone(), rows)?;
                 Message(format!("initialized {cvd} at {v0} ({path})"))
             }
-            Command::Commit(table, message) => Version(self.commit(table, message)?.vid),
+            Command::Commit(table, message, schema) => {
+                if let Some(schema) = schema {
+                    self.authorize(table)?;
+                    self.copy_checkout(table)?;
+                    metadata::sync_table_schema(self.db.table_mut(table)?, schema, 0)?;
+                }
+                Version(self.commit(table, message)?.vid)
+            }
             Command::Diff(cvd, a, b) => Table(self.diff(cvd, *a, *b)?.0),
             Command::Optimize(cvd, gamma) => {
                 let plan = self.optimize(cvd, *gamma)?;
@@ -1041,7 +1068,11 @@ fn changes_of(staged: &relstore::Table, origins: Option<&[Rid]>) -> Result<Chang
 
 /// Build staging table `table` again from `rows`, then the rows inserted
 /// into it, in id order.
-fn rebuild<'a>(db: &mut Database, table: &str, rows: impl Iterator<Item = &'a Row>) -> Result<()> {
+fn rebuild<'a>(
+    db: &mut Database,
+    table: &str,
+    rows: impl Iterator<Item = &'a [Value]>,
+) -> Result<()> {
     let staged = db.table(table)?;
     let (schema, mut inserted) = (staged.schema().clone(), staged.rows()?);
     inserted.sort_unstable_by_key(|&(id, _)| id);
@@ -2306,7 +2337,7 @@ mod tests {
             (
                 cvd.schema().clone(),
                 cvd.attributes().to_vec(),
-                cvd.record(Rid(0)).clone(),
+                cvd.record(Rid(0)).to_vec(),
                 cvd.metas().to_vec(),
                 odb.run(sql).unwrap(),
                 (pinned.schema, pinned.rows),
@@ -2608,7 +2639,7 @@ mod tests {
             let mut seen = Vec::new();
             for name in ["h", "u"] {
                 let cvd = odb.cvd(name).unwrap();
-                let records: Vec<&Row> = (0..cvd.num_records() as u64)
+                let records: Vec<&[Value]> = (0..cvd.num_records() as u64)
                     .map(|r| cvd.record(Rid(r)))
                     .collect();
                 let rids = cvd.version_records_raw();

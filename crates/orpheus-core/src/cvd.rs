@@ -14,6 +14,7 @@ use partition::{Bipartite, Rid, VersionGraph, VersionTree, Vid};
 use relstore::codec::encode_values;
 use relstore::{DataType, Row, Schema, Value};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Identifier of an entry in the attribute table (§4.3).
 pub type AttrId = u32;
@@ -105,8 +106,11 @@ pub struct Cvd {
     /// Primary-key column names (stable across schema evolution).
     pk_names: Vec<String>,
     /// Record payloads by rid, padded to the current union schema width.
-    records: Vec<Row>,
-    version_records: Vec<Vec<Rid>>,
+    /// Each is shared with the pins that hold it ([`crate::Snapshot`]),
+    /// so a record is replaced, never changed.
+    records: Vec<Arc<[Value]>>,
+    /// Every version's record ids, ascending, shared the same way.
+    version_records: Vec<Arc<[Rid]>>,
     graph: VersionGraph,
     metas: Vec<VersionMeta>,
     attributes: Vec<Attribute>,
@@ -159,7 +163,7 @@ impl Cvd {
 
     fn push_record(&mut self, row: Row) -> Rid {
         let rid = Rid(self.records.len() as u64);
-        self.records.push(row);
+        self.records.push(row.into());
         rid
     }
 
@@ -211,21 +215,26 @@ impl Cvd {
         &self.attributes
     }
 
-    pub fn record(&self, r: Rid) -> &Row {
+    pub fn record(&self, r: Rid) -> &[Value] {
         &self.records[r.idx()]
     }
 
     pub fn version_records(&self, v: Vid) -> Result<&[Rid]> {
         self.version_records
             .get(v.idx())
-            .map(|r| r.as_slice())
+            .map(|r| &r[..])
             .ok_or(Error::VersionNotFound(v.0))
     }
 
     /// All per-version rid lists in vid order, each ascending — what query
     /// plans resolve rid sets from.
-    pub(crate) fn version_records_raw(&self) -> &[Vec<Rid>] {
+    pub(crate) fn version_records_raw(&self) -> &[Arc<[Rid]>] {
         &self.version_records
+    }
+
+    /// Every record, by rid.
+    pub(crate) fn records(&self) -> &[Arc<[Value]>] {
+        &self.records
     }
 
     /// The CVD's logical clock (the last commit timestamp handed out).
@@ -244,8 +253,8 @@ impl Cvd {
         name: String,
         schema: Schema,
         pk_names: Vec<String>,
-        records: Vec<Row>,
-        version_records: Vec<Vec<Rid>>,
+        records: Vec<Arc<[Value]>>,
+        version_records: Vec<Arc<[Rid]>>,
         metas: Vec<VersionMeta>,
         attributes: Vec<Attribute>,
         clock: u64,
@@ -356,17 +365,17 @@ impl Cvd {
     /// versions are listed; a record whose primary key was already added is
     /// omitted. The rows are borrowed: a checkout copies each one once,
     /// into its staging table.
-    pub fn checkout_rows(&self, versions: &[Vid]) -> Result<Vec<(Rid, &Row)>> {
+    pub fn checkout_rows(&self, versions: &[Vid]) -> Result<Vec<(Rid, &[Value])>> {
         for &v in versions {
             self.check_version(v)?;
         }
         let pk_cols = self.pk_cols()?;
-        let mut out: Vec<(Rid, &Row)> = Vec::new();
+        let mut out: Vec<(Rid, &[Value])> = Vec::new();
         let mut seen_pk = HashSet::new();
         let mut buf = Vec::new();
         for &v in versions {
-            for &rid in &self.version_records[v.idx()] {
-                let row = &self.records[rid.idx()];
+            for &rid in self.version_records[v.idx()].iter() {
+                let row = &self.records[rid.idx()][..];
                 // One version's keys are distinct; only a merge repeats one.
                 if versions.len() == 1
                     || pk_cols.is_empty()
@@ -498,14 +507,17 @@ impl Cvd {
         };
         self.check_commit(parents, &union, &changes)?;
 
-        // Nothing can fail from here: widen and pad the stored records.
-        for row in &mut self.records {
+        // Nothing can fail from here: widen and pad the stored records,
+        // each into a new one, so that a pin sharing the old keeps it.
+        for record in &mut self.records {
+            let mut row = record.to_vec();
             for &(idx, dtype) in &widened {
                 if let Some(w) = row[idx].widen(dtype) {
                     row[idx] = w;
                 }
             }
             row.resize(union.len(), Value::Null);
+            *record = row.into();
         }
         (self.schema, self.attributes) = (union, attributes);
         let result = self.apply_changes(parents, changes, message, author);
@@ -575,7 +587,7 @@ impl Cvd {
             })
             .collect();
         let vid = self.graph.add_version(rids.len() as u64, &edges);
-        self.version_records.push(rids);
+        self.version_records.push(rids.into());
         let t = self.tick();
         let attrs = self.attributes.iter().map(|a| a.id).collect();
         // A root (`init`'s v0) was never checked out.
@@ -600,7 +612,7 @@ impl Cvd {
     pub fn bipartite(&self) -> Bipartite {
         let mut b = Bipartite::new(self.records.len() as u64);
         for records in &self.version_records {
-            b.push_version(records.clone());
+            b.push_version(records.to_vec());
         }
         b
     }
@@ -719,7 +731,7 @@ mod tests {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r.clone())
+            .map(|(_, r)| r.to_vec())
             .collect();
         // Modify one record's coexpression (an update), keep the rest.
         rows[0][4] = Value::Int64(83);
@@ -740,7 +752,7 @@ mod tests {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r.clone())
+            .map(|(_, r)| r.to_vec())
             .collect();
         let res = cvd.commit(&[v0], rows, "no-op", "bob").unwrap();
         assert_eq!(res.new_records, 0);
@@ -759,7 +771,7 @@ mod tests {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r.clone())
+            .map(|(_, r)| r.to_vec())
             .collect();
         let deleted = rows[2].clone();
         let v1 = cvd
@@ -793,7 +805,7 @@ mod tests {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r.clone())
+            .map(|(_, r)| r.to_vec())
             .collect();
         let mut changed = rows.clone();
         changed[0][4] = Value::Int64(999);
@@ -822,7 +834,7 @@ mod tests {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r.clone())
+            .map(|(_, r)| r.to_vec())
             .collect();
         let mut a = rows.clone();
         a[0][2] = Value::Int64(1);
@@ -834,7 +846,7 @@ mod tests {
             .checkout_rows(&[v1, v2])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r.clone())
+            .map(|(_, r)| r.to_vec())
             .collect();
         let v3 = cvd
             .commit(&[v1, v2], merged_rows, "merge", "carol")
@@ -853,7 +865,7 @@ mod tests {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r.clone())
+            .map(|(_, r)| r.to_vec())
             .collect();
         let mut changed = rows.clone();
         changed[0][4] = Value::Int64(83);
@@ -919,7 +931,7 @@ mod tests {
             .checkout_rows(&[v0])
             .unwrap()
             .into_iter()
-            .map(|(_, r)| r.clone())
+            .map(|(_, r)| r.to_vec())
             .collect();
         let mut c = rows.clone();
         c[0][4] = Value::Int64(83);

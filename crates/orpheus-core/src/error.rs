@@ -35,6 +35,9 @@ pub enum Error {
     /// panicking: the CVD may hold the only copy of the data, so a
     /// broken invariant must surface as an error, never as an abort.
     Internal(String),
+    /// A durability point failed (the first failure is named), so the
+    /// instance serves nothing more; reopening recovers the last one.
+    Poisoned(String),
 }
 
 impl fmt::Display for Error {
@@ -58,6 +61,7 @@ impl fmt::Display for Error {
                 tables.join(", ")
             ),
             Error::Internal(m) => write!(f, "internal invariant violated: {m}"),
+            Error::Poisoned(m) => write!(f, "failed durability point, reopen to recover: {m}"),
         }
     }
 }

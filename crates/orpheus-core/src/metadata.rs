@@ -35,6 +35,7 @@ use partition::{Rid, Vid};
 use relstore::{
     Column, CostModel, CostTracker, DataType, Database, IndexKind, Row, RowId, Schema, Table, Value,
 };
+use std::sync::Arc;
 
 pub(crate) const SYS: &str = "__orpheus_sys";
 
@@ -89,10 +90,11 @@ pub fn data_row(cvd: &Cvd, rid: Rid) -> Row {
 }
 
 /// Grow `table` — `extra_leading` bookkeeping columns (e.g. rid), then
-/// the data attributes — to the CVD's evolved schema: new attributes are
-/// added with a NULL backfill, evolved types widened (§4.3 single-pool).
-pub fn sync_table_schema(table: &mut Table, cvd: &Cvd, extra_leading: usize) -> Result<()> {
-    let want = cvd.schema().columns();
+/// the data attributes — to `schema`, a CVD's evolved one: new attributes
+/// are added with a NULL backfill, evolved types widened (§4.3
+/// single-pool).
+pub fn sync_table_schema(table: &mut Table, schema: &Schema, extra_leading: usize) -> Result<()> {
+    let want = schema.columns();
     while table.schema().len() - extra_leading < want.len() {
         let next = &want[table.schema().len() - extra_leading];
         table.add_column(Column::nullable(next.name.clone(), next.dtype), Value::Null)?;
@@ -134,7 +136,7 @@ pub fn append_rlist(
     tracker: &mut CostTracker,
 ) -> Result<()> {
     let data = db.table_mut(&data_name(cvd.name()))?;
-    sync_table_schema(data, cvd, 1)?;
+    sync_table_schema(data, cvd.schema(), 1)?;
     tracker.seq_scan(new_rids.len() as u64, &CostModel::default());
     let ids = data.insert_many(new_rids.iter().map(|&rid| data_row(cvd, rid)))?;
     if !new_rids.iter().map(|r| r.0).eq(ids.clone()) {
@@ -346,7 +348,7 @@ fn numbered(table: &Table, what: &str) -> Result<Vec<Row>> {
 /// The records of CVD `cvd`, by rid, from its data table `data`: the
 /// rows must be numbered by rid — each row's id its rid, the directory
 /// `0..n` with no gap — or a rid fetch by row id would answer wrongly.
-fn records(data: &Table, cvd: &str) -> Result<Vec<Row>> {
+fn records(data: &Table, cvd: &str) -> Result<Vec<Arc<[Value]>>> {
     let mut rows = data.rows()?;
     rows.sort_unstable_by_key(|&(id, _)| id);
     let rid = |row: &Row| row.first().and_then(Value::as_i64);
@@ -1324,6 +1326,37 @@ mod tests {
         }
         assert!(kept > 0 && lost > 0, "{kept} kept, {lost} lost");
         std::fs::remove_dir_all(&probe).unwrap();
+    }
+
+    /// A transient error at either I/O of a commit on the shell's path —
+    /// the commit's own durability point — fails the commit and poisons
+    /// the instance: a command, a pin, a checkpoint and the close each get
+    /// the typed error naming the failure, and the store reopens as it was
+    /// before the commit. (The next checkpoint used to make the refused
+    /// commit durable.)
+    #[test]
+    fn a_failed_durability_point_poisons_the_instance() {
+        for nth in 1..=2 {
+            let dir = scratch("poison");
+            let plan = FaultPlan::unarmed();
+            let mut odb = open_faulty(&dir, &plan);
+            committed_prefix(&mut odb);
+            let before = visible(&odb);
+            odb.execute("checkout d -v 1 -t w").unwrap();
+            odb.execute("insert w 9000,1,late").unwrap();
+            plan.arm(nth, FaultKind::Error);
+            assert!(odb.execute("commit -t w -m refused").is_err(), "I/O {nth}");
+            assert!(plan.fired(), "I/O {nth}: never reached");
+            let poisoned = |e: Error| matches!(e, Error::Poisoned(m) if m.contains("injected"));
+            let run = "run SELECT * FROM VERSION 0 OF CVD d";
+            assert!(odb.execute(run).is_err_and(poisoned), "I/O {nth}");
+            assert!(odb.execute("log d").is_err_and(poisoned), "I/O {nth}");
+            assert!(odb.snapshot("d").is_err_and(poisoned), "I/O {nth}");
+            assert!(odb.checkpoint().is_err_and(poisoned), "I/O {nth}");
+            assert!(odb.close().is_err_and(poisoned), "I/O {nth}");
+            assert_eq!(visible(&open(&dir, 256)), before, "I/O {nth}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     /// Regression: a checkout that failed part-way left its scratch table

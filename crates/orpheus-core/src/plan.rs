@@ -27,6 +27,7 @@ use relstore::{
 };
 use std::cmp::Ordering;
 use std::fmt::Arguments;
+use std::sync::Arc;
 
 /// A set of records named by version algebra.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,10 +43,10 @@ pub enum RidSet {
 impl RidSet {
     /// The set's record ids, ascending — data-table order — given every
     /// version's ascending record list (index = vid).
-    pub(crate) fn resolve(&self, versions: &[Vec<Rid>]) -> Result<Vec<Rid>> {
+    pub(crate) fn resolve(&self, versions: &[Arc<[Rid]>]) -> Result<Vec<Rid>> {
         let rids = |v: &Vid| {
             let list = versions.get(v.idx()).ok_or(Error::VersionNotFound(v.0))?;
-            Ok(list.as_slice())
+            Ok(&list[..])
         };
         Ok(match self {
             RidSet::Union(vs) => {
@@ -220,7 +221,7 @@ pub(crate) trait Source {
     /// The `[rid, attrs…]` star schema.
     fn star(&self) -> Schema;
     /// Every version's record ids, ascending; index = vid.
-    fn versions(&self) -> &[Vec<Rid>];
+    fn versions(&self) -> &[Arc<[Rid]>];
     /// Star rows of `rids` (ascending) that pass `test`, in data-table
     /// order; a row that fails is never materialised.
     fn fetch<'a, D: Decorator>(
@@ -250,7 +251,7 @@ impl Source for Tables<'_> {
         data_schema(self.cvd)
     }
 
-    fn versions(&self) -> &[Vec<Rid>] {
+    fn versions(&self) -> &[Arc<[Rid]>] {
         self.cvd.version_records_raw()
     }
 
@@ -368,11 +369,11 @@ pub(crate) fn lower<'a, S: Source, D: Decorator>(
 
 /// Every version's records inverted: for each rid (the index), the
 /// versions holding it, ascending. One walk over the memberships.
-fn holders(versions: &[Vec<Rid>]) -> Vec<Vec<Vid>> {
+fn holders(versions: &[Arc<[Rid]>]) -> Vec<Vec<Vid>> {
     let records = versions.iter().filter_map(|rids| rids.last());
     let mut holders = vec![Vec::new(); records.map(|r| r.idx() + 1).max().unwrap_or(0)];
     for (v, rids) in versions.iter().enumerate() {
-        for r in rids {
+        for r in rids.iter() {
             holders[r.idx()].push(Vid(v as u32));
         }
     }

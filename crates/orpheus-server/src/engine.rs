@@ -369,6 +369,7 @@ fn seed_metrics(registry: &Registry) {
     }
     registry.gauge_set("orpheus.server.active_sessions", 0.0);
     registry.gauge_set("orpheus.server.queued_commits", 0.0);
+    registry.gauge_set("orpheus.server.pinned_bytes", 0.0);
     // Histograms materialize on first observe; seed them with a zero
     // sample so the latency/batch-size keys exist from startup.
     registry.observe("orpheus.server.query.latency_us", 0);
@@ -706,7 +707,10 @@ mod tests {
     /// A fault at every I/O of a two-commit batch — the sessions'
     /// checkouts and inserts, both applies, the one checkpoint. After the
     /// crash the batch is visible whole or not at all, and a commit that
-    /// was acknowledged is never among the lost.
+    /// was acknowledged is never among the lost. A transient error in the
+    /// applies or the checkpoint fails every commit of the batch and
+    /// poisons the instance: a later pin or query gets the typed error,
+    /// and the store reopens as it was before the batch.
     #[test]
     fn a_batch_has_exactly_one_visibility_point() {
         use pagestore::{FaultKind, FaultPager, FaultPlan, FaultWal, FilePager, FileWalStore, Wal};
@@ -742,6 +746,10 @@ mod tests {
         // Two sessions stage their work, then their commits meet in one
         // batch. Returns the two replies.
         fn batch(db: &mut OrpheusDb) -> Vec<Result<CommandOutput, EngineError>> {
+            stage(db);
+            group(db)
+        }
+        fn stage(db: &mut OrpheusDb) {
             for (user, table, key) in [("a", "wa", 1_000), ("b", "wb", 2_000)] {
                 for line in [
                     format!("checkout d -v 0 -t {table}"),
@@ -750,6 +758,8 @@ mod tests {
                     drop(db.execute_as(user, &line));
                 }
             }
+        }
+        fn group(db: &mut OrpheusDb) -> Vec<Result<CommandOutput, EngineError>> {
             let (tx, rx) = mpsc::channel();
             let (first, first_rx) = job("a", "commit -t wa -m batch");
             let (second, second_rx) = job("b", "commit -t wb -m batch");
@@ -777,8 +787,10 @@ mod tests {
         prefix(&mut db, &probe);
         let before = visible(&db);
         let start = plan.ops();
-        assert!(batch(&mut db).iter().all(Result::is_ok));
-        let ops = plan.ops() - start;
+        stage(&mut db);
+        let staged = plan.ops();
+        assert!(group(&mut db).iter().all(Result::is_ok));
+        let (ops, group_ops) = (plan.ops() - start, plan.ops() - staged);
         let after = visible(&db);
         drop(db);
         assert_eq!(reopened(&probe), after);
@@ -809,6 +821,24 @@ mod tests {
             }
         }
         assert!(kept > 0 && lost > 0, "{kept} kept, {lost} lost");
+        for nth in 1..=group_ops {
+            let dir = scratch("error");
+            let plan = FaultPlan::unarmed();
+            let mut db = open_faulty(&dir, &plan);
+            prefix(&mut db, &dir);
+            stage(&mut db);
+            plan.arm(nth, FaultKind::Error);
+            let replies = group(&mut db);
+            assert!(plan.fired(), "error {nth}: never reached");
+            assert!(replies.iter().all(Result::is_err), "error at I/O {nth}");
+            let poisoned = |e: orpheus_core::Error| matches!(e, orpheus_core::Error::Poisoned(_));
+            assert!(db.snapshot("d").is_err_and(poisoned), "pin after {nth}");
+            let query = db.execute_as("a", "run SELECT * FROM VERSION 0 OF CVD d");
+            assert!(query.is_err_and(poisoned), "query after {nth}");
+            drop(db);
+            assert_eq!(reopened(&dir), before, "error at I/O {nth}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
         std::fs::remove_dir_all(&probe).unwrap();
     }
 }

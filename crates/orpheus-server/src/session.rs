@@ -253,9 +253,48 @@ impl<W: Write> Sink for Reply<'_, W> {
     }
 }
 
-/// Shared per-server session bookkeeping (active-session gauge).
+/// Shared per-server session bookkeeping (active-session gauge, and the
+/// bytes live pins hold).
 pub(crate) struct SessionCounters {
     pub active: AtomicUsize,
+    pub pinned_bytes: AtomicUsize,
+}
+
+/// A session's pinned snapshots, by CVD. What they hold of their own
+/// ([`Snapshot::pinned_bytes`]) is counted server-wide in gauge
+/// `orpheus.server.pinned_bytes` while they live: a pin adds it; an unpin,
+/// the snapshot a re-pin replaces and the session's end take it away.
+struct Pins<'a> {
+    by_cvd: HashMap<String, Snapshot>,
+    bytes: &'a AtomicUsize,
+    registry: &'a Registry,
+}
+
+impl Pins<'_> {
+    /// Pin `snap` for `cvd`, or unpin `cvd` (`None`). Whether a snapshot
+    /// of `cvd` was pinned before.
+    fn set(&mut self, cvd: &str, snap: Option<Snapshot>) -> bool {
+        let size = |s: &Option<Snapshot>| s.as_ref().map_or(0, Snapshot::pinned_bytes);
+        let added = size(&snap);
+        let old = match snap {
+            Some(snap) => self.by_cvd.insert(cvd.to_owned(), snap),
+            None => self.by_cvd.remove(cvd),
+        };
+        let now = self.bytes.fetch_add(added, Ordering::SeqCst) + added - size(&old);
+        self.bytes.fetch_sub(size(&old), Ordering::SeqCst);
+        let gauge = "orpheus.server.pinned_bytes";
+        self.registry.gauge_set(gauge, now as f64);
+        old.is_some()
+    }
+}
+
+impl Drop for Pins<'_> {
+    fn drop(&mut self) {
+        let cvds: Vec<String> = self.by_cvd.keys().cloned().collect();
+        for cvd in cvds {
+            self.set(&cvd, None);
+        }
+    }
 }
 
 /// Serve one connection to completion. Returns `Ok` for every orderly
@@ -301,7 +340,12 @@ pub(crate) fn serve_session(
     let active = counters.active.fetch_add(1, Ordering::SeqCst) + 1;
     registry.gauge_set("orpheus.server.active_sessions", active as f64);
 
-    let result = query_loop(&mut requests, &stream, &user, engine, shutdown);
+    let pins = Pins {
+        by_cvd: HashMap::new(),
+        bytes: &counters.pinned_bytes,
+        registry: &registry,
+    };
+    let result = query_loop(&mut requests, &stream, &user, engine, pins, shutdown);
 
     let active = counters.active.fetch_sub(1, Ordering::SeqCst) - 1;
     registry.gauge_set("orpheus.server.active_sessions", active as f64);
@@ -313,10 +357,10 @@ fn query_loop(
     stream: &TcpStream,
     user: &str,
     engine: &EngineHandle,
+    mut pins: Pins<'_>,
     shutdown: &AtomicBool,
 ) -> Result<(), ProtoError> {
     let registry = engine.registry().clone();
-    let mut pinned: HashMap<String, Snapshot> = HashMap::new();
     // The session's one frame buffer, reused by every reply.
     let mut buf = FrameBuf::default();
     loop {
@@ -346,7 +390,7 @@ fn query_loop(
         };
         let start = Instant::now();
         let mut reply = Reply::new(&mut buf, stream, &registry, trace);
-        let routed = dispatch(&line, user, engine, &mut pinned, &mut reply);
+        let routed = dispatch(&line, user, engine, &mut pins, &mut reply);
         registry.counter_add("orpheus.server.queries_total", 1);
         // Rendering what the engine sent back whole, and the write that
         // hands the reply to the socket.
@@ -386,7 +430,7 @@ fn dispatch<W: Write>(
     line: &str,
     user: &str,
     engine: &EngineHandle,
-    pinned: &mut HashMap<String, Snapshot>,
+    pins: &mut Pins<'_>,
     reply: &mut Reply<'_, W>,
 ) -> Result<Option<CommandOutput>, ReplyError> {
     let trace = reply.trace;
@@ -401,14 +445,15 @@ fn dispatch<W: Write>(
                 snap.latest_version(),
                 snap.num_versions()
             );
-            pinned.insert(cvd.to_owned(), snap);
+            pins.set(cvd, Some(snap));
             CommandOutput::Message(tag)
         }
         Some("unpin") => {
             let cvd = words.next().ok_or_else(|| usage("unpin <cvd>"))?;
-            CommandOutput::Message(match pinned.remove(cvd) {
-                Some(_) => format!("UNPIN {cvd}"),
-                None => format!("UNPIN {cvd} (was not pinned)"),
+            CommandOutput::Message(if pins.set(cvd, None) {
+                format!("UNPIN {cvd}")
+            } else {
+                format!("UNPIN {cvd} (was not pinned)")
             })
         }
         Some("sleep") => {
@@ -425,7 +470,7 @@ fn dispatch<W: Write>(
             let command = Command::parse(line)?;
             // A pinned snapshot of the query's CVD answers it here.
             if let Command::Run(query) = &command {
-                if let Some(snap) = pinned.get(query.cvd()) {
+                if let Some(snap) = pins.by_cvd.get(query.cvd()) {
                     // Lock-free read on this session thread; journal it
                     // under the request trace so snapshot reads show up
                     // in dumps.

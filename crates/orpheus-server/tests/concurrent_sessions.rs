@@ -149,8 +149,22 @@ fn dump_queries(max_vid: u32) -> Vec<String> {
     qs
 }
 
+/// The last commit of the replay test evolves the schema: `w` widens
+/// from int to float, and `note` is new.
+const EVOLVED: &str = "k:int,w:float,i:int,note:text";
+
+/// What a reader reads of its pin: every version's count, and v0 whole.
+fn pinned_reads(c: &mut Client) -> [String; 2] {
+    [
+        "run SELECT vid, count(*) FROM CVD t GROUP BY vid",
+        "run SELECT * FROM VERSION 0 OF CVD t",
+    ]
+    .map(|q| c.query(q).unwrap().render())
+}
+
 /// N concurrent writers and M concurrent snapshot readers against one
-/// server; afterwards the server's final state must be byte-identical to
+/// server, then one schema-evolving commit while the readers are still
+/// pinned; afterwards the server's final state must be byte-identical to
 /// a serial replay of the same commit log in a fresh single-session db.
 #[test]
 fn concurrent_sessions_match_serial_replay() {
@@ -165,45 +179,67 @@ fn concurrent_sessions_match_serial_replay() {
     let mut admin = Client::connect(addr, "admin").unwrap();
     tag_of(&mut admin, &init_line(&csv));
 
+    let evolved = Barrier::new(READERS + 1);
     std::thread::scope(|s| {
-        for w in 0..WRITERS {
-            s.spawn(move || writer_workload(addr, w, COMMITS, None));
-        }
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| s.spawn(move || writer_workload(addr, w, COMMITS, None)))
+            .collect();
         for r in 0..READERS {
+            let evolved = &evolved;
             s.spawn(move || {
                 let mut c = Client::connect(addr, &format!("r{r}")).unwrap();
                 let pin_tag = tag_of(&mut c, "pin t");
                 assert!(pin_tag.starts_with("PIN t@v"), "{pin_tag}");
-                // Snapshot reads are repeatable while writers commit.
-                let baseline = c
-                    .query("run SELECT vid, count(*) FROM CVD t GROUP BY vid")
-                    .unwrap()
-                    .render();
-                for _ in 0..10 {
-                    let again = c
-                        .query("run SELECT vid, count(*) FROM CVD t GROUP BY vid")
-                        .unwrap()
-                        .render();
-                    assert_eq!(again, baseline, "pinned read changed under writers");
+                // Snapshot reads are repeatable while writers commit…
+                let baseline = pinned_reads(&mut c);
+                let steady = (0..10).all(|_| {
                     std::thread::sleep(Duration::from_millis(5));
-                }
+                    pinned_reads(&mut c) == baseline
+                });
+                // (checked past the barrier, which a panic would leave
+                // the others waiting at)…
+                evolved.wait();
+                assert!(steady, "pinned read changed under writers");
+                // …and after a commit widened and padded the records the
+                // pin shares.
+                let again = pinned_reads(&mut c);
+                assert_eq!(again, baseline, "pinned read changed by an evolution");
                 // Re-pinning advances to a fresh snapshot.
                 tag_of(&mut c, "unpin t");
                 tag_of(&mut c, "pin t");
+                assert_ne!(pinned_reads(&mut c), baseline);
                 c.terminate().unwrap();
             });
         }
+        for w in writers {
+            w.join().unwrap();
+        }
+        tag_of(&mut admin, "checkout t -v 0 -t evolve");
+        tag_of(
+            &mut admin,
+            &format!("commit -t evolve -s {EVOLVED} -m evolve"),
+        );
+        evolved.wait();
     });
 
     // Every version committed exactly once.
     let log_text = tag_of(&mut admin, "log t");
     let entries = parse_log(&log_text);
-    assert_eq!(entries.len(), 1 + WRITERS * COMMITS);
+    assert_eq!(entries.len(), 2 + WRITERS * COMMITS);
 
     // Serial replay: same commit log, fresh in-memory single-session db.
     let mut replay = orpheus_core::OrpheusDb::new();
     replay.execute_as("admin", &init_line(&csv)).unwrap();
     for e in entries.iter().filter(|e| e.vid > 0) {
+        if e.msg == "evolve" {
+            for line in [
+                format!("checkout t -v {} -t evolve", e.parent),
+                format!("commit -t evolve -s {EVOLVED} -m evolve"),
+            ] {
+                replay.execute_as(&e.author, &line).unwrap();
+            }
+            continue;
+        }
         // Message "w{w} c{i}" determines the row the commit inserted.
         let (w_part, c_part) = e.msg.split_once(' ').unwrap();
         let w: usize = w_part.trim_start_matches('w').parse().unwrap();
@@ -611,6 +647,50 @@ fn snapshot_isolation_across_sessions() {
 
     reader.terminate().unwrap();
     writer.terminate().unwrap();
+    admin.terminate().unwrap();
+    server.shutdown().unwrap();
+    std::fs::remove_file(&csv).ok();
+}
+
+/// Gauge `orpheus.server.pinned_bytes`, read over the wire, counts what
+/// live pins hold of their own: it grows with a pin, a re-pin replaces
+/// the old snapshot's share, and it is 0 again after an unpin and after a
+/// pinned session disconnects.
+#[test]
+fn pinned_bytes_follow_the_live_pins() {
+    let csv = seed_csv("pinned-bytes");
+    let server = start_server(4, EngineConfig::default());
+    let addr = server.local_addr();
+    let mut admin = Client::connect(addr, "admin").unwrap();
+    tag_of(&mut admin, &init_line(&csv));
+    let mut gauge = || {
+        let json = obs::json::parse(&tag_of(&mut admin, "metrics --json")).unwrap();
+        let bytes = json.get_path("gauges/orpheus.server.pinned_bytes");
+        bytes.and_then(obs::json::Json::as_f64).unwrap()
+    };
+    assert_eq!(gauge(), 0.0);
+
+    let mut reader = Client::connect(addr, "reader").unwrap();
+    tag_of(&mut reader, "pin t");
+    let one = gauge();
+    assert!(one > 0.0, "{one}");
+    tag_of(&mut reader, "pin t");
+    assert_eq!(gauge(), one, "a re-pin replaces the pin");
+    tag_of(&mut reader, "unpin t");
+    assert_eq!(gauge(), 0.0);
+    tag_of(&mut reader, "pin t");
+    assert_eq!(gauge(), one);
+    reader.terminate().unwrap();
+    // The server notices the disconnect on the session's own thread.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while gauge() != 0.0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a closed session's pin"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
     admin.terminate().unwrap();
     server.shutdown().unwrap();
     std::fs::remove_file(&csv).ok();

@@ -698,7 +698,12 @@ impl BufferPool {
         let mut wal_ref = self.wal.borrow_mut();
         let dirty = self.frames_where(&self.dirty, |f| f.dirty.get());
         match wal_ref.as_mut() {
-            Some(wal) => self.log_batch(wal, &dirty)?,
+            // A batch that failed is taken back from the file, so that a
+            // restart does not replay a durability point that was refused.
+            // Best effort: the batch's own error is the one reported.
+            Some(wal) => self
+                .log_batch(wal, &dirty)
+                .inspect_err(|_| drop(wal.take_back()))?,
             None => self.write_frames(&dirty)?,
         }
         self.stats.borrow_mut().checkpoints += 1;

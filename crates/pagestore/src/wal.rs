@@ -397,6 +397,16 @@ impl Wal {
         self.store.sync()
     }
 
+    /// Take back a batch that failed: zero what it wrote past the log's
+    /// end, and sync, so a restart recovers the last durability point
+    /// whatever of the batch reached the file.
+    pub fn take_back(&mut self) -> Result<()> {
+        let zeros = vec![0; self.cursor.saturating_sub(self.end) as usize];
+        self.rewind();
+        self.store.write_at(self.end, &zeros)?;
+        self.store.sync()
+    }
+
     /// Start a batch at the log's end, dropping whatever a failed batch
     /// left unwritten. Its written bytes stay behind the end, where the
     /// next batch overwrites them. No I/O.

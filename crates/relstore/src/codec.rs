@@ -74,7 +74,7 @@ pub fn encode_row(id: RowId, row: &Row) -> Vec<u8> {
 
 /// Append the Flat encoding of a row to `out`, leaving the bytes already
 /// there alone, so a writer can reuse one buffer for every row.
-pub fn encode_into(id: RowId, row: &Row, out: &mut Vec<u8>) {
+pub fn encode_into(id: RowId, row: &[Value], out: &mut Vec<u8>) {
     debug_assert!(row.len() <= MAX_COLUMNS, "a table refuses a wider schema");
     out.reserve(10 + row.len() * 9);
     out.extend_from_slice(&id.to_le_bytes());

@@ -17,7 +17,6 @@ use crate::index::{Index, IndexKind};
 use crate::schema::{Column, Schema};
 use crate::value::{DataType, Value};
 use pagestore::{slot_tuple, BufferPool, HeapFile, IoStats, PageId, SlotTuple, TupleAddr};
-use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::rc::Rc;
@@ -291,7 +290,7 @@ impl Table {
     }
 
     /// Fail if `row` repeats a key of a unique index.
-    fn check_unique(&self, row: &Row) -> Result<()> {
+    fn check_unique(&self, row: &[Value]) -> Result<()> {
         for entry in self.indexes.values().filter(|e| e.unique) {
             if let Some(key) = row[entry.column].as_i64() {
                 if !entry.index.get(key).is_empty() {
@@ -306,7 +305,7 @@ impl Table {
     }
 
     /// Enter live row `id` into every index and the byte accounting.
-    fn note_live(&mut self, id: RowId, row: &Row) {
+    fn note_live(&mut self, id: RowId, row: &[Value]) {
         for entry in self.indexes.values_mut() {
             if let Some(key) = row[entry.column].as_i64() {
                 entry.index.insert(key, id);
@@ -401,7 +400,7 @@ impl Table {
         Ok(total)
     }
 
-    fn row_bytes(row: &Row) -> usize {
+    fn row_bytes(row: &[Value]) -> usize {
         ROW_HEADER + row.iter().map(Value::byte_size).sum::<usize>()
     }
 
@@ -444,13 +443,13 @@ impl Table {
     /// keeping the rows before it.
     pub fn insert_many(
         &mut self,
-        rows: impl IntoIterator<Item = impl Borrow<Row>>,
+        rows: impl IntoIterator<Item = impl AsRef<[Value]>>,
     ) -> Result<Range<RowId>> {
         let first = self.directory.len() as RowId;
         let rows = rows.into_iter();
         self.directory.reserve(rows.size_hint().0);
         for row in rows {
-            let row = row.borrow();
+            let row = row.as_ref();
             self.schema.check_row(row)?;
             // Enforce uniqueness before touching any index.
             self.check_unique(row)?;

@@ -60,7 +60,7 @@ fn help() {
          init <cvd> -f <csv> -s <name:type,…> [-k pk,…]\n  \
          checkout <cvd> -v <vid…> -t <table>   (each vid once; rows are copied in on first read)\n  \
          insert <table> <csv values>   (append a row to a checkout without copying it)\n  \
-         commit -t <table> -m <message…>\n  \
+         commit -t <table> [-s <name:type,…>] -m <message…>   (-s widens or adds columns first)\n  \
          diff <cvd> -v <a> <b>\n  \
          run <SELECT … FROM VERSION i OF CVD c | SELECT vid, agg(col) FROM CVD c GROUP BY vid>\n  \
          optimize <cvd> [-g <gamma>]   (LyreSplit plan under γ·|R|, γ ≥ 1.0; stores nothing)\n  \

@@ -100,7 +100,7 @@ proptest! {
                 .checkout_rows(&[Vid(i as u32)])
                 .unwrap()
                 .into_iter()
-                .map(|(_, r)| r.clone())
+                .map(|(_, r)| r.to_vec())
                 .collect();
             prop_assert_eq!(normalize(got), normalize(rows.clone()));
         }
