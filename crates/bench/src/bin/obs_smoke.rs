@@ -169,6 +169,7 @@ fn main() {
             "gauges/pagestore.pool.hit_ratio",
             "gauges/pagestore.pool.free_pages",
             "gauges/pagestore.pool.images",
+            "gauges/orpheus.cvd.record_bytes",
             "gauges/pagestore.pool.unlogged_pages",
             "gauges/relstore.directory.tables",
             "histograms/orpheus.commit.latency_us/p50",

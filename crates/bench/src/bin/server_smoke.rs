@@ -267,6 +267,7 @@ fn main() {
             "counters/pagestore.pager.syncs",
             "gauges/pagestore.pool.free_pages",
             "gauges/pagestore.pool.images",
+            "gauges/orpheus.cvd.record_bytes",
             "gauges/pagestore.pool.unlogged_pages",
             "gauges/relstore.directory.tables",
             "gauges/orpheus.server.active_sessions",

@@ -51,7 +51,7 @@ impl VersioningModel for ATablePerVersion {
         // Bulk insert of the whole version: sequential page writes.
         tracker.seq_scan(rids.len() as u64, &relstore::CostModel::default());
         for &rid in rids {
-            table.insert(data_row(cvd, rid))?;
+            table.insert(data_row(cvd, rid)?)?;
         }
         Ok(())
     }

@@ -96,7 +96,7 @@ impl VersioningModel for CombinedTable {
         }
         tracker.seq_scan(new_rids.len() as u64, &relstore::CostModel::default());
         for &rid in new_rids {
-            let mut row = data_row(cvd, rid);
+            let mut row = data_row(cvd, rid)?;
             row.insert(1, Value::IntArray(vec![vid.0 as i64]));
             table.insert(row)?;
         }

@@ -90,7 +90,7 @@ impl VersioningModel for DeltaBased {
             None => {
                 // Root: everything is an insert.
                 for &rid in rids {
-                    let mut row = data_row(cvd, rid);
+                    let mut row = data_row(cvd, rid)?;
                     row.insert(1, Value::Bool(false));
                     table.insert(row)?;
                 }
@@ -100,7 +100,7 @@ impl VersioningModel for DeltaBased {
                 // Inserts: in vid but not in base.
                 for &rid in rids {
                     if base_rids.binary_search(&rid).is_err() {
-                        let mut row = data_row(cvd, rid);
+                        let mut row = data_row(cvd, rid)?;
                         row.insert(1, Value::Bool(false));
                         table.insert(row)?;
                     }
@@ -108,7 +108,7 @@ impl VersioningModel for DeltaBased {
                 // Deletes: in base but not in vid → tombstones.
                 for &rid in base_rids {
                     if rids.binary_search(&rid).is_err() {
-                        let mut row = data_row(cvd, rid);
+                        let mut row = data_row(cvd, rid)?;
                         row.insert(1, Value::Bool(true));
                         table.insert(row)?;
                     }

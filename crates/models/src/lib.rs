@@ -234,7 +234,7 @@ pub(crate) mod testutil {
             .version_records(v)
             .unwrap()
             .iter()
-            .map(|&rid| data_row(cvd, rid))
+            .map(|&rid| data_row(cvd, rid).unwrap())
             .collect();
         let key = |r: &Row| r[0].as_i64().unwrap();
         got.sort_by_key(key);

@@ -54,7 +54,7 @@ impl PartitionedStore {
         for (pid, group) in store.partitioning.groups().iter().enumerate() {
             let table = db.create_table(store.partition_table(pid), data_schema(cvd))?;
             for rid in bipartite.union(group) {
-                table.insert(data_row(cvd, rid))?;
+                table.insert(data_row(cvd, rid)?)?;
             }
             table.cluster_on("rid")?;
             table.create_index("rid_pk", "rid", true, IndexKind::BTree)?;

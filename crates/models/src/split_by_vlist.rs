@@ -73,7 +73,7 @@ impl VersioningModel for SplitByVlist {
             sync_table_schema(data, cvd.schema(), 1)?;
             tracker.seq_scan(new_rids.len() as u64, &relstore::CostModel::default());
             for &rid in new_rids {
-                data.insert(data_row(cvd, rid))?;
+                data.insert(data_row(cvd, rid)?)?;
             }
         }
         let vmap = db.table_mut(&self.vmap_name())?;

@@ -173,7 +173,7 @@ fn assert_sources_agree(
     let loaded = load_models(cvd);
     for v in cvd.graph().versions() {
         let records: Vec<Row> = (cvd.version_records(v).unwrap().iter())
-            .map(|&rid| data_row(cvd, rid))
+            .map(|&rid| data_row(cvd, rid).unwrap())
             .collect();
         let (read, _) = odb.read_version(name, v).unwrap();
         prop_assert_eq!(&read, &records, "read_version {} of {}", v, name);

@@ -297,11 +297,16 @@ impl OrpheusDb {
     }
 
     /// Refresh the registry's counters from the pool's cumulative
-    /// `IoStats` and the lifetime cost tracker. Idempotent (counters are
-    /// set, not added); histograms are untouched — they accumulate as
-    /// commands run.
+    /// `IoStats` and the lifetime cost tracker, and gauge
+    /// `orpheus.cvd.record_bytes` from the CVDs ([`Cvd::record_bytes`]).
+    /// Idempotent (counters are set, not added); histograms are untouched
+    /// — they accumulate as commands run.
     pub fn publish_metrics(&self) {
         self.db.publish_metrics();
+        let records: usize = self.cvds.values().map(Cvd::record_bytes).sum();
+        self.db
+            .metrics()
+            .gauge_set("orpheus.cvd.record_bytes", records as f64);
         self.tracker.borrow().publish(self.db.metrics());
         self.db.recorder().journal().publish(self.db.metrics());
     }
@@ -463,9 +468,7 @@ impl OrpheusDb {
         let created_at = self.tick();
         self.check_unclaimed(table)?;
         let cvd = self.cvd(cvd_name)?;
-        let rids: Vec<Rid> = (cvd.checkout_rows(versions)?.into_iter())
-            .map(|(rid, _)| rid)
-            .collect();
+        let rids = cvd.checkout_rids(versions)?;
         let keyed = versions.len() == 1 && !cvd.pk_names().is_empty();
         let schema = cvd.schema().clone();
         let t = self.db.create_scratch_table(table, schema)?;
@@ -491,8 +494,9 @@ impl OrpheusDb {
     /// Copy checkout `table`'s rows into its staging table, unless they
     /// are there. The table is built again as a checkout that copied at
     /// once would have built it: the version's rows first, then the rows
-    /// inserted since, each with the id and bytes it would have had. A
-    /// copy that fails takes the checkout along.
+    /// inserted since, each with the id and bytes it would have had. Each
+    /// record's tuple is copied raw, less its rid, never decoded. A copy
+    /// that fails takes the checkout along.
     fn copy_checkout(&mut self, table: &str) -> Result<()> {
         let Some(info) = self.staging.get(table).filter(|info| !info.copied) else {
             return Ok(());
@@ -500,7 +504,7 @@ impl OrpheusDb {
         let _span = self.db.recorder().enter("orpheus.checkout.copy");
         let cvd = (self.cvds.get(&info.cvd)).ok_or_else(|| Error::CvdNotFound(info.cvd.clone()))?;
         let copied = info.rids.len() as u64;
-        let rows = info.rids.iter().map(|&rid| cvd.record(rid));
+        let rows = info.rids.iter().map(|&rid| cvd.values(rid));
         if let Err(e) = rebuild(&mut self.db, table, rows) {
             self.staging.remove(table);
             if self.db.has_table(table) {
@@ -655,7 +659,7 @@ impl OrpheusDb {
         self.check_unclaimed(file)?;
         let cvd = self.cvd(cvd_name)?;
         let rows = cvd.checkout_rows(versions)?;
-        let csv = to_csv(cvd.schema(), rows.iter().map(|&(_, r)| r));
+        let csv = to_csv(cvd.schema(), rows.iter().map(|(_, r)| &r[..]));
         self.staging.insert(
             file.to_owned(),
             StagingInfo {
@@ -1066,19 +1070,15 @@ fn changes_of(staged: &relstore::Table, origins: Option<&[Rid]>) -> Result<Chang
     })
 }
 
-/// Build staging table `table` again from `rows`, then the rows inserted
-/// into it, in id order.
-fn rebuild<'a>(
-    db: &mut Database,
-    table: &str,
-    rows: impl Iterator<Item = &'a [Value]>,
-) -> Result<()> {
+/// Build staging table `table` again from `rows`, each its encoded values,
+/// then the rows inserted into it, in id order.
+fn rebuild<'a>(db: &mut Database, table: &str, rows: impl Iterator<Item = &'a [u8]>) -> Result<()> {
     let staged = db.table(table)?;
     let (schema, mut inserted) = (staged.schema().clone(), staged.rows()?);
     inserted.sort_unstable_by_key(|&(id, _)| id);
     db.drop_table(table)?;
     let t = db.create_scratch_table(table, schema)?;
-    t.insert_many(rows)?;
+    t.insert_encoded(rows)?;
     t.insert_many(inserted.iter().map(|(_, row)| row))?;
     Ok(())
 }
@@ -2295,6 +2295,35 @@ mod tests {
         assert_eq!(results, [(10, 1_260), (10, 1_260)]);
     }
 
+    /// Gauge `orpheus.cvd.record_bytes` is what the CVDs hold in RAM: each
+    /// record's tuple and 8 bytes per rid listed. A commit adds exactly its
+    /// new tuples and its rlist.
+    #[test]
+    fn the_record_bytes_gauge_counts_tuples_and_rlists() {
+        let mut odb = setup();
+        let gauge = |odb: &OrpheusDb| {
+            odb.publish_metrics();
+            odb.metrics().gauge("orpheus.cvd.record_bytes").unwrap()
+        };
+        let held = |odb: &OrpheusDb| {
+            let cvd = odb.cvd("Interaction").unwrap();
+            let records = (0..cvd.num_records() as u64).map(|r| cvd.tuple(Rid(r)).len());
+            let versions = cvd.graph().versions();
+            let rids = versions.map(|v| cvd.version_records(v).unwrap().len());
+            (records.sum::<usize>() + 8 * rids.sum::<usize>()) as f64
+        };
+        let before = gauge(&odb);
+        assert_eq!(before, held(&odb));
+        odb.execute("checkout Interaction -v 0 -t w").unwrap();
+        odb.execute("insert w G,H,7").unwrap();
+        odb.commit("w", "one more").unwrap();
+        // A 40-byte tuple — header 10, rid 9, two 1-byte texts 6 each, an
+        // integer 9 — and an rlist of 4 rids.
+        assert_eq!(odb.cvd("Interaction").unwrap().tuple(Rid(3)).len(), 40);
+        assert_eq!(gauge(&odb), before + 40.0 + 32.0);
+        assert_eq!(gauge(&odb), held(&odb));
+    }
+
     /// A checkout taken before another commit evolved the schema stages
     /// its rows in the old one, so its commit compares every row: by rid
     /// it would compare the edited row alone and drop the others.
@@ -2337,7 +2366,7 @@ mod tests {
             (
                 cvd.schema().clone(),
                 cvd.attributes().to_vec(),
-                cvd.record(Rid(0)).to_vec(),
+                cvd.record(Rid(0)).unwrap(),
                 cvd.metas().to_vec(),
                 odb.run(sql).unwrap(),
                 (pinned.schema, pinned.rows),
@@ -2639,8 +2668,8 @@ mod tests {
             let mut seen = Vec::new();
             for name in ["h", "u"] {
                 let cvd = odb.cvd(name).unwrap();
-                let records: Vec<&[Value]> = (0..cvd.num_records() as u64)
-                    .map(|r| cvd.record(Rid(r)))
+                let records: Vec<Row> = (0..cvd.num_records() as u64)
+                    .map(|r| cvd.record(Rid(r)).unwrap())
                     .collect();
                 let rids = cvd.version_records_raw();
                 seen.push(format!(

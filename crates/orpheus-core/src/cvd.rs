@@ -8,10 +8,17 @@
 //! *logical* source of truth: the engine appends each version it makes to
 //! the CVD's tables ([`crate::metadata`]), and reopening rebuilds it from
 //! them.
+//!
+//! A record is kept as the exact bytes of its data-table tuple: row id =
+//! rid, then the `[rid, attrs…]` values in the Flat codec
+//! ([`relstore::codec`]). A commit encodes each new row once and the data
+//! table stores those bytes; a commit compares rows with parent records,
+//! and checks keys, on the encoded cells; a checkout copies the bytes. No
+//! record is held decoded.
 
 use crate::error::{Error, Result};
 use partition::{Bipartite, Rid, VersionGraph, VersionTree, Vid};
-use relstore::codec::encode_values;
+use relstore::codec::{self, encode_values};
 use relstore::{DataType, Row, Schema, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -78,14 +85,15 @@ impl Changes {
     }
 }
 
-/// Canonical byte encoding of a row, used to detect identical records
-/// during commit (the no-cross-version-diff rule compares the committed
-/// table against its parent versions only, §3.3.1).
-fn encode_row(row: &[Value]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(row.len() * 9);
-    encode_values(row, &mut out);
-    out
-}
+/// The bytes of a tuple's header: its row id and value count.
+const HEADER: usize = 10;
+
+/// The bytes of a record tuple before its attribute cells: its header
+/// and its rid's `Int64` cell. What follows is the encoding of the row, so
+/// two records hold equal rows exactly when those bytes are equal (the
+/// no-cross-version-diff rule compares the committed table against its
+/// parent versions only, §3.3.1).
+const ATTRS: usize = HEADER + 9;
 
 /// The encoding of `row`'s primary-key columns `cols`, written over `out`.
 fn encode_key<'o>(row: &[Value], cols: &[usize], out: &'o mut Vec<u8>) -> &'o [u8] {
@@ -97,6 +105,23 @@ fn encode_key<'o>(row: &[Value], cols: &[usize], out: &'o mut Vec<u8>) -> &'o [u
     out
 }
 
+/// The same bytes for the record tuple `tuple`, copied from its cells (or
+/// read up to the key's): `tuple_cols` are the key columns, each one past
+/// its column.
+fn tuple_key<'o>(tuple: &[u8], tuple_cols: &[usize], out: &'o mut Vec<u8>) -> Result<&'o [u8]> {
+    out.clear();
+    for &c in tuple_cols {
+        match codec::word_cell(tuple, c) {
+            Some(cell) => out.extend_from_slice(cell),
+            None => encode_values(
+                [&codec::probe_prefix(tuple, c)?.unwrap_or(Value::Null)],
+                out,
+            ),
+        }
+    }
+    Ok(out)
+}
+
 /// A collaborative versioned dataset.
 #[derive(Debug, Clone)]
 pub struct Cvd {
@@ -105,10 +130,10 @@ pub struct Cvd {
     schema: Schema,
     /// Primary-key column names (stable across schema evolution).
     pk_names: Vec<String>,
-    /// Record payloads by rid, padded to the current union schema width.
-    /// Each is shared with the pins that hold it ([`crate::Snapshot`]),
-    /// so a record is replaced, never changed.
-    records: Vec<Arc<[Value]>>,
+    /// Each record's data-table tuple, by rid, padded to the current
+    /// union schema width. Each is shared with the pins that hold it
+    /// ([`crate::Snapshot`]), so a record is replaced, never changed.
+    records: Vec<Arc<[u8]>>,
     /// Every version's record ids, ascending, shared the same way.
     version_records: Vec<Arc<[Rid]>>,
     graph: VersionGraph,
@@ -130,6 +155,8 @@ impl Cvd {
         for pk in &pk_names {
             schema.index_of(pk)?;
         }
+        // Each record is a tuple of the rid and every attribute.
+        codec::check_width(1 + schema.len())?;
         let attributes: Vec<Attribute> = schema
             .columns()
             .iter()
@@ -159,12 +186,6 @@ impl Cvd {
     fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock
-    }
-
-    fn push_record(&mut self, row: Row) -> Rid {
-        let rid = Rid(self.records.len() as u64);
-        self.records.push(row.into());
-        rid
     }
 
     pub fn name(&self) -> &str {
@@ -215,8 +236,26 @@ impl Cvd {
         &self.attributes
     }
 
-    pub fn record(&self, r: Rid) -> &[Value] {
+    /// Record `r`, decoded: its values without the rid.
+    pub fn record(&self, r: Rid) -> Result<Row> {
+        Ok(codec::decode_row(&self.records[r.idx()])?.1.split_off(1))
+    }
+
+    /// Record `r`'s data-table tuple.
+    pub fn tuple(&self, r: Rid) -> &[u8] {
         &self.records[r.idx()]
+    }
+
+    /// Record `r`'s star row `[rid, attrs…]`, encoded: its tuple less the
+    /// header, what a data-table row's values are.
+    pub(crate) fn star_values(&self, r: Rid) -> &[u8] {
+        &self.records[r.idx()][HEADER..]
+    }
+
+    /// Record `r`'s row, encoded: its tuple less the header and the rid,
+    /// what a staging-table row's values are.
+    pub(crate) fn values(&self, r: Rid) -> &[u8] {
+        &self.records[r.idx()][ATTRS..]
     }
 
     pub fn version_records(&self, v: Vid) -> Result<&[Rid]> {
@@ -232,9 +271,17 @@ impl Cvd {
         &self.version_records
     }
 
-    /// Every record, by rid.
-    pub(crate) fn records(&self) -> &[Arc<[Value]>] {
+    /// Every record's tuple, by rid.
+    pub(crate) fn tuples(&self) -> &[Arc<[u8]>] {
         &self.records
+    }
+
+    /// Bytes the records and rid lists take: every tuple, and 8 per rid
+    /// listed.
+    pub fn record_bytes(&self) -> usize {
+        let tuples: usize = self.records.iter().map(|t| t.len()).sum();
+        let rids: usize = self.version_records.iter().map(|r| r.len()).sum();
+        tuples + rids * size_of::<Rid>()
     }
 
     /// The CVD's logical clock (the last commit timestamp handed out).
@@ -253,7 +300,7 @@ impl Cvd {
         name: String,
         schema: Schema,
         pk_names: Vec<String>,
-        records: Vec<Arc<[Value]>>,
+        records: Vec<Arc<[u8]>>,
         version_records: Vec<Arc<[Rid]>>,
         metas: Vec<VersionMeta>,
         attributes: Vec<Attribute>,
@@ -337,20 +384,20 @@ impl Cvd {
         if self.pk_names.is_empty() {
             return Ok(());
         }
-        let cols: Vec<usize> = self
-            .pk_names
-            .iter()
-            .filter_map(|n| self.schema.index_of(n).ok())
-            .collect();
+        let cols = self.pk_cols()?;
         let mut buf = Vec::new();
         let mut seen = HashSet::with_capacity(rows.len());
         let repeated = rows
             .iter()
             .any(|row| !seen.insert(encode_key(row, &cols, &mut buf).to_vec()));
-        let taken = !seen.is_empty()
-            && kept
-                .iter()
-                .any(|r| seen.contains(encode_key(&self.records[r.idx()], &cols, &mut buf)));
+        let mut taken = false;
+        if !seen.is_empty() {
+            // A record tuple's key cells are one past its columns'.
+            let tuple_cols: Vec<usize> = cols.iter().map(|c| c + 1).collect();
+            for r in kept {
+                taken |= seen.contains(tuple_key(&self.records[r.idx()], &tuple_cols, &mut buf)?);
+            }
+        }
         if repeated || taken {
             return Err(Error::PrimaryKeyViolation(format!(
                 "duplicate key in committed version of {}",
@@ -360,32 +407,35 @@ impl Cvd {
         Ok(())
     }
 
-    /// Materialize the records of one or more versions, applying the
-    /// precedence-based merge of §3.3.1: records are added in the order the
-    /// versions are listed; a record whose primary key was already added is
-    /// omitted. The rows are borrowed: a checkout copies each one once,
-    /// into its staging table.
-    pub fn checkout_rows(&self, versions: &[Vid]) -> Result<Vec<(Rid, &[Value])>> {
+    /// The records of one or more versions, applying the precedence-based
+    /// merge of §3.3.1: records are added in the order the versions are
+    /// listed; a record whose primary key was already added is omitted.
+    /// No record is decoded: a merge compares the key cells.
+    pub fn checkout_rids(&self, versions: &[Vid]) -> Result<Vec<Rid>> {
         for &v in versions {
             self.check_version(v)?;
         }
-        let pk_cols = self.pk_cols()?;
-        let mut out: Vec<(Rid, &[Value])> = Vec::new();
-        let mut seen_pk = HashSet::new();
-        let mut buf = Vec::new();
-        for &v in versions {
-            for &rid in self.version_records[v.idx()].iter() {
-                let row = &self.records[rid.idx()][..];
-                // One version's keys are distinct; only a merge repeats one.
-                if versions.len() == 1
-                    || pk_cols.is_empty()
-                    || seen_pk.insert(encode_key(row, &pk_cols, &mut buf).to_vec())
-                {
-                    out.push((rid, row));
-                }
+        let lists = versions.iter().map(|v| &self.version_records[v.idx()][..]);
+        // One version's keys are distinct; only a merge repeats one.
+        if versions.len() == 1 || self.pk_names.is_empty() {
+            return Ok(lists.flatten().copied().collect());
+        }
+        let tuple_cols: Vec<usize> = self.pk_cols()?.iter().map(|c| c + 1).collect();
+        let (mut out, mut seen_pk, mut buf) = (Vec::new(), HashSet::new(), Vec::new());
+        for &rid in lists.flatten() {
+            if seen_pk.insert(tuple_key(&self.records[rid.idx()], &tuple_cols, &mut buf)?.to_vec())
+            {
+                out.push(rid);
             }
         }
         Ok(out)
+    }
+
+    /// [`checkout_rids`](Self::checkout_rids), each with its record
+    /// decoded.
+    pub fn checkout_rows(&self, versions: &[Vid]) -> Result<Vec<(Rid, Row)>> {
+        let rids = self.checkout_rids(versions)?;
+        rids.into_iter().map(|r| Ok((r, self.record(r)?))).collect()
     }
 
     /// Commit a modified table as a new version derived from `parents`.
@@ -507,19 +557,22 @@ impl Cvd {
         };
         self.check_commit(parents, &union, &changes)?;
 
-        // Nothing can fail from here: widen and pad the stored records,
-        // each into a new one, so that a pin sharing the old keeps it.
-        for record in &mut self.records {
-            let mut row = record.to_vec();
-            for &(idx, dtype) in &widened {
-                if let Some(w) = row[idx].widen(dtype) {
-                    row[idx] = w;
+        // Widen and pad the stored records, each re-encoded into a new
+        // tuple, so that a pin sharing the old keeps it.
+        let evolved = (self.records.iter())
+            .map(|record| {
+                let (rid, mut row) = codec::decode_row(record)?;
+                for &(idx, dtype) in &widened {
+                    if let Some(w) = row[1 + idx].widen(dtype) {
+                        row[1 + idx] = w;
+                    }
                 }
-            }
-            row.resize(union.len(), Value::Null);
-            *record = row.into();
-        }
-        (self.schema, self.attributes) = (union, attributes);
+                row.resize(1 + union.len(), Value::Null);
+                Ok(codec::encode_row(rid, &row).into())
+            })
+            .collect::<Result<_>>()?;
+        // Nothing can fail from here.
+        (self.records, self.schema, self.attributes) = (evolved, union, attributes);
         let result = self.apply_changes(parents, changes, message, author);
         // The version's attribute list is the committed schema's.
         self.metas[result.vid.idx()].attributes = version_attrs;
@@ -555,26 +608,32 @@ impl Cvd {
                 .map(|p| &self.version_records[p.idx()][..])
                 .collect(),
         };
-        let mut parent_index: HashMap<Vec<u8>, Rid> = HashMap::new();
+        // Parent records by their attribute cells, borrowed.
+        let mut parent_index: HashMap<&[u8], Rid> = HashMap::new();
         for &rid in lists.into_iter().flatten() {
-            parent_index.insert(encode_row(&self.records[rid.idx()]), rid);
+            parent_index.insert(&self.records[rid.idx()][ATTRS..], rid);
         }
         // The version keeps this list: no spare capacity.
         let mut rids = changes.kept;
         rids.reserve_exact(changes.rows.len());
-        let mut new_records = 0usize;
-        for row in changes.rows {
-            // With nothing to reuse (`init`, an insert-only commit by rid)
-            // no row is encoded.
-            let known = (!parent_index.is_empty()).then(|| parent_index.get(&encode_row(&row)));
-            match known.flatten() {
-                Some(&rid) => rids.push(rid),
+        let mut fresh: Vec<Vec<u8>> = Vec::new();
+        for row in &changes.rows {
+            // Each row is encoded once: its tuple, if it is a new record.
+            let rid = Rid((self.records.len() + fresh.len()) as u64);
+            let mut tuple = Vec::new();
+            codec::encode_header(rid.0, 1 + row.len(), &mut tuple);
+            let rid_value = Value::Int64(rid.0 as i64);
+            encode_values(std::iter::once(&rid_value).chain(row), &mut tuple);
+            match parent_index.get(&tuple[ATTRS..]) {
+                Some(&known) => rids.push(known),
                 None => {
-                    rids.push(self.push_record(row));
-                    new_records += 1;
+                    rids.push(rid);
+                    fresh.push(tuple);
                 }
             }
         }
+        let new_records = fresh.len();
+        self.records.extend(fresh.into_iter().map(Arc::from));
         let reused = rids.len() - new_records;
         rids.sort_unstable();
         rids.dedup();
@@ -710,7 +769,10 @@ mod tests {
         let (cvd, v0) = Cvd::init("u", schema.clone(), vec![], rows.clone(), "a").unwrap();
         let rids: Vec<Rid> = (0..3).map(Rid).collect();
         assert_eq!(cvd.version_records(v0).unwrap(), rids);
-        assert!(rids.iter().zip(&rows).all(|(&r, row)| cvd.record(r) == row));
+        assert!(rids
+            .iter()
+            .zip(&rows)
+            .all(|(&r, row)| &cvd.record(r).unwrap() == row));
         assert_eq!(cvd.schema(), &schema);
         let meta = cvd.meta(v0).unwrap();
         assert_eq!(
@@ -905,13 +967,13 @@ mod tests {
         assert_eq!(cvd.schema().column(idx).unwrap().dtype, DataType::Float64);
         assert!(cvd.schema().contains("source"));
         // Old records were widened and padded.
-        let old = cvd.record(Rid(0));
+        let old = cvd.record(Rid(0)).unwrap();
         assert_eq!(old[3], Value::Float64(53.0));
         assert_eq!(old[5], Value::Null);
         // Attribute table gained two entries: decimal cooccurrence + source.
         assert_eq!(cvd.attributes().len(), 7);
         let new = cvd.version_records(res.vid).unwrap();
-        assert_eq!(cvd.record(new[0])[5], Value::from("lab"));
+        assert_eq!(cvd.record(new[0]).unwrap()[5], Value::from("lab"));
     }
 
     #[test]

@@ -81,12 +81,9 @@ pub fn data_schema(cvd: &Cvd) -> Schema {
     Schema::new(cols)
 }
 
-/// The `[rid, attrs…]` row of a record.
-pub fn data_row(cvd: &Cvd, rid: Rid) -> Row {
-    let mut row = Vec::with_capacity(cvd.schema().len() + 1);
-    row.push(Value::Int64(rid.0 as i64));
-    row.extend(cvd.record(rid).iter().cloned());
-    row
+/// The `[rid, attrs…]` row of a record, decoded from its tuple.
+pub fn data_row(cvd: &Cvd, rid: Rid) -> Result<Row> {
+    Ok(relstore::codec::decode_row(cvd.tuple(rid))?.1)
 }
 
 /// Grow `table` — `extra_leading` bookkeeping columns (e.g. rid), then
@@ -123,11 +120,12 @@ pub fn create(db: &mut Database, cvd: &Cvd) -> Result<()> {
 
 /// The layout's half of appending version `vid` (already in `cvd`): the
 /// records it introduced, `new_rids`, join the data table, grown to the
-/// CVD's schema first, and one `[vid, rlist]` row joins the versioning
-/// table. The writes are charged to `tracker`: a sequential write of the
-/// new records and one page for the versioning tuple. Each record must
-/// land on the row id equal to its rid; a data table that numbers them
-/// otherwise is an error, never a wrong answer later.
+/// CVD's schema first, as the bytes the CVD holds, and one `[vid, rlist]`
+/// row joins the versioning table. The writes are charged to `tracker`:
+/// a sequential write of the new records and one page for the versioning
+/// tuple. Each record must land on the row id equal to its rid; a data
+/// table that numbers them otherwise is an error, never a wrong answer
+/// later.
 pub fn append_rlist(
     db: &mut Database,
     cvd: &Cvd,
@@ -138,7 +136,7 @@ pub fn append_rlist(
     let data = db.table_mut(&data_name(cvd.name()))?;
     sync_table_schema(data, cvd.schema(), 1)?;
     tracker.seq_scan(new_rids.len() as u64, &CostModel::default());
-    let ids = data.insert_many(new_rids.iter().map(|&rid| data_row(cvd, rid)))?;
+    let ids = data.insert_encoded(new_rids.iter().map(|&rid| cvd.star_values(rid)))?;
     if !new_rids.iter().map(|r| r.0).eq(ids.clone()) {
         let first = new_rids.first().map_or(0, |r| r.0);
         return Err(Error::Internal(format!(
@@ -345,27 +343,34 @@ fn numbered(table: &Table, what: &str) -> Result<Vec<Row>> {
     }
 }
 
-/// The records of CVD `cvd`, by rid, from its data table `data`: the
-/// rows must be numbered by rid — each row's id its rid, the directory
-/// `0..n` with no gap — or a rid fetch by row id would answer wrongly.
-fn records(data: &Table, cvd: &str) -> Result<Vec<Arc<[Value]>>> {
-    let mut rows = data.rows()?;
-    rows.sort_unstable_by_key(|&(id, _)| id);
-    let rid = |row: &Row| row.first().and_then(Value::as_i64);
-    let mut numbered = rows.iter().enumerate();
-    let by_rid = numbered.all(|(i, (id, row))| *id == i as RowId && rid(row) == Some(i as i64));
-    if !by_rid || data.heap_size() != rows.len() {
+/// The records of CVD `cvd`, by rid, from its data table `data`, each
+/// tuple's bytes copied as they are stored, page by page. Every tuple must
+/// decode, and the rows must be numbered by rid — each tuple's rid its row
+/// id, the directory `0..n` with no gap — or a rid fetch by row id would
+/// answer wrongly.
+fn records(data: &Table, cvd: &str) -> Result<Vec<Arc<[u8]>>> {
+    let mut records = Vec::with_capacity(data.heap_size());
+    for page in 0..data.num_heap_pages() {
+        records.extend(data.read_page_tuples(page)?);
+    }
+    // A tuple starts with its row id.
+    let row_id = |tuple: &[u8]| tuple.first_chunk().copied().map(RowId::from_le_bytes);
+    records.sort_unstable_by_key(|tuple| row_id(tuple));
+    let mut by_rid = data.heap_size() == records.len();
+    for (i, tuple) in records.iter().enumerate() {
+        // The whole tuple is checked as decoding it would check it.
+        let rid = relstore::codec::probe(tuple, 0)?;
+        by_rid &= row_id(tuple) == Some(i as RowId) && rid == Some(Value::Int64(i as i64));
+    }
+    if !by_rid {
         return Err(Error::Internal(format!(
             "cvd {cvd}: {} holds {} records under {} row ids, not numbered by rid",
             data.name(),
-            rows.len(),
+            records.len(),
             data.heap_size()
         )));
     }
-    Ok(rows
-        .into_iter()
-        .map(|(_, row)| row.into_iter().skip(1).collect())
-        .collect())
+    Ok(records.into_iter().map(Arc::from).collect())
 }
 
 fn read_cvd(
@@ -968,6 +973,74 @@ mod tests {
         for dir in &dirs {
             std::fs::remove_dir_all(dir).unwrap();
         }
+    }
+
+    /// Every tuple of `cvd`'s data table as stored, by row id.
+    fn stored_tuples(odb: &mut OrpheusDb, cvd: &str) -> Vec<Vec<u8>> {
+        let data = odb.database().table(&data_name(cvd)).unwrap();
+        let pages = 0..data.num_heap_pages();
+        let mut tuples: Vec<Vec<u8>> = pages
+            .flat_map(|page| data.read_page_tuples(page).unwrap())
+            .collect();
+        tuples.sort_by_key(|tuple| RowId::from_le_bytes(tuple[..8].try_into().unwrap()));
+        tuples
+    }
+
+    /// Whether each CVD's records are its data table's tuples, byte for
+    /// byte, each at the row id of its rid.
+    fn records_are_the_data_table(odb: &mut OrpheusDb) -> bool {
+        odb.list_cvds().iter().all(|name| {
+            let stored = stored_tuples(odb, name);
+            let cvd = odb.cvd(name).unwrap();
+            let held = (0..cvd.num_records() as u64).map(|r| cvd.tuple(Rid(r)));
+            held.eq(stored.iter().map(Vec::as_slice))
+        })
+    }
+
+    /// The RAM copy is the data table: after keyed commits, an unkeyed
+    /// one, a merge and a schema-evolving commit (a new column, and `x`
+    /// widened from Int64 to Float64), and again after a reopen, every
+    /// record is the stored tuple at its row id.
+    #[test]
+    fn the_records_in_ram_are_the_data_table_byte_for_byte() {
+        let dir = scratch("ram-is-data");
+        let mut odb = open(&dir, 1024);
+        odb.create_user("alice").unwrap();
+        odb.login("alice").unwrap();
+        odb.init_cvd("h", base_schema(), vec!["k".into()], base_rows(12))
+            .unwrap();
+        odb.init_cvd("u", base_schema(), vec![], base_rows(4))
+            .unwrap();
+        let v1 = apply_edit(&mut odb, "h");
+        odb.checkout("h", &[Vid(0)], "w").unwrap();
+        let t = odb.staging_table_mut("w").unwrap();
+        let (id, mut row) = t.rows().unwrap().remove(3);
+        row[2] = Value::Null;
+        t.update(id, row).unwrap();
+        let v2 = odb.commit("w", "a NULL note").unwrap().vid;
+        odb.execute("checkout u -v 0 -t w").unwrap();
+        odb.execute("insert w 0,0,seed").unwrap();
+        odb.execute("commit -t w -m repeated").unwrap();
+        odb.checkout("h", &[v2, v1], "m").unwrap();
+        odb.commit("m", "merge").unwrap();
+        assert!(records_are_the_data_table(&mut odb));
+        odb.execute("checkout h -v 3 -t w").unwrap();
+        odb.execute("commit -t w -s k:int,x:float,note:text,extra:int -m evolve")
+            .unwrap();
+        odb.execute("checkout h -v 4 -t w").unwrap();
+        odb.execute("insert w 77,1.5,,7").unwrap();
+        odb.execute("commit -t w -m after").unwrap();
+        let x = odb.cvd("h").unwrap().schema().column(1).unwrap().dtype;
+        assert_eq!(
+            (x, odb.cvd("h").unwrap().schema().len()),
+            (DataType::Float64, 4)
+        );
+        assert!(records_are_the_data_table(&mut odb));
+        odb.close().unwrap();
+        let mut reopened = open(&dir, 1024);
+        assert!(records_are_the_data_table(&mut reopened));
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Check the corpus CVD `S`'s latest version out, add a row, commit.

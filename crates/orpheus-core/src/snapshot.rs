@@ -4,9 +4,11 @@
 //! *snapshot* — a watermark over a CVD's records and per-version record
 //! lists, with the star schema of its time — stays valid forever: later
 //! commits add versions the snapshot simply does not know about. A pin
-//! copies pointers, not values: each record and record list is the
-//! CVD's own, shared, and a schema-evolving commit replaces a record a
-//! pin shares instead of widening it (copy-on-write). A server session
+//! copies pointers, not values: each record — its data-table tuple — and
+//! each record list is the CVD's own, shared, and a schema-evolving
+//! commit re-encodes every record into a new tuple instead of changing
+//! the one a pin shares (copy-on-write), so a pin keeps its records under
+//! its own star schema. A server session
 //! pins a [`Snapshot`] once and evaluates versioned SQL against it on its
 //! own thread, entirely outside the engine thread: readers are lock-free
 //! and never block (or are blocked by) writers.
@@ -14,9 +16,12 @@
 //! A snapshot is a [`Source`] for the one plan lowering in
 //! [`crate::plan`]: the engine's tables and a snapshot run the *same*
 //! operator tree above the leaves, and the snapshot's leaves are
-//! in-memory [`relstore::Values`] nodes over the shared records, fed in
-//! exactly the order the engine's physical data table would produce
-//! (ascending rid = data-table insertion order). Output is therefore
+//! in-memory [`relstore::Values`] nodes over the shared tuples, each
+//! tested and decoded by the codec as the engine's `RidFetch` tests and
+//! decodes one on a page (the test reading only the values up to its
+//! column: a record was checked when it was made), in exactly the order
+//! the engine's physical data table would
+//! produce (ascending rid = data-table insertion order). Output is therefore
 //! byte-identical to [`OrpheusDb::run`](crate::OrpheusDb::run) on the
 //! same version set — pinned by the query-corpus test in `plan.rs`.
 
@@ -25,7 +30,7 @@ use crate::error::{Error, Result};
 use crate::plan::{self, Decorator, LogicalPlan, Op, Plain, Source};
 use crate::query::{parse_query, QueryResult, VQuery};
 use partition::{Rid, Vid};
-use relstore::{Column, ColumnTest, Estimate, ExecContext, Row, Schema, Value, Values};
+use relstore::{codec, Column, ColumnTest, Estimate, ExecContext, Row, Schema, Values};
 use std::mem::size_of;
 use std::sync::Arc;
 
@@ -36,8 +41,8 @@ pub struct Snapshot {
     /// The `[rid, attrs…]` star schema of the physical data table.
     star: Schema,
     /// The CVD's records by rid — the data table's insertion order — each
-    /// `star` less the rid.
-    records: Vec<Arc<[Value]>>,
+    /// its data-table tuple, of `star`'s values.
+    records: Vec<Arc<[u8]>>,
     /// Per-version record ids, ascending.
     versions: Vec<Arc<[Rid]>>,
 }
@@ -49,7 +54,7 @@ impl Snapshot {
         Snapshot {
             name: cvd.name().to_owned(),
             star: crate::metadata::data_schema(cvd),
-            records: cvd.records().to_vec(),
+            records: cvd.tuples().to_vec(),
             versions: cvd.version_records_raw().to_vec(),
         }
     }
@@ -60,7 +65,7 @@ impl Snapshot {
     pub fn pinned_bytes(&self) -> usize {
         let columns = self.star.columns().iter();
         let names: usize = columns.map(|c| size_of::<Column>() + c.name.len()).sum();
-        let records = self.records.len() * size_of::<Arc<[Value]>>();
+        let records = self.records.len() * size_of::<Arc<[u8]>>();
         let versions = self.versions.len() * size_of::<Arc<[Rid]>>();
         size_of::<Snapshot>() + self.name.len() + names + records + versions
     }
@@ -134,9 +139,9 @@ impl Source for Snapshot {
         &self.versions
     }
 
-    /// A [`Values`] leaf: each shared record is tested as the star row
-    /// `[rid, attrs…]` it would make, and that row is built only when it
-    /// passes and is pulled.
+    /// A [`Values`] leaf: each shared tuple is tested on the values up to
+    /// the tested column, and decoded into its star row `[rid, attrs…]`
+    /// only when it passes and is pulled.
     fn fetch<'a, D: Decorator>(
         &'a self,
         rids: Vec<Rid>,
@@ -145,11 +150,11 @@ impl Source for Snapshot {
         dec: &D,
     ) -> Result<Op<'a, D>> {
         let n = rids.len();
-        let rows = rids.into_iter().filter_map(move |rid| {
-            let (rid, record) = (Value::Int64(rid.0 as i64), self.records.get(rid.idx())?);
-            let passes = test.as_ref().is_none_or(|t| t.passes_split(&rid, record));
-            passes.then(|| [rid].into_iter().chain(record.iter().cloned()).collect())
-        });
+        let tuples = rids
+            .into_iter()
+            .filter_map(|rid| self.records.get(rid.idx()));
+        let rows =
+            tuples.filter_map(move |t| codec::decode_prefix_if(t, test.as_ref()).transpose());
         let values = Box::new(Values::new(self.star.clone(), rows));
         let label = format_args!("Values star rows{side}");
         Ok(dec.wrap(values, vec![], label, |_| Estimate::new(n as f64, 0.0)))
@@ -254,7 +259,7 @@ mod tests {
         let odb = corpus_db();
         let pins: Vec<Snapshot> = (0..64).map(|_| odb.snapshot("S").unwrap()).collect();
         let cvd = odb.cvd("S").unwrap();
-        for (rid, record) in cvd.records().iter().enumerate() {
+        for (rid, record) in cvd.tuples().iter().enumerate() {
             assert_eq!(Arc::strong_count(record), 65, "record {rid}");
             assert!(pins.iter().all(|p| Arc::ptr_eq(&p.records[rid], record)));
         }

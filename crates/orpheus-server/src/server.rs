@@ -120,7 +120,7 @@ impl Server {
         let conn_rx = Arc::new(Mutex::new(conn_rx));
         let counters = Arc::new(SessionCounters {
             active: AtomicUsize::new(0),
-            pinned_bytes: AtomicUsize::new(0),
+            pinned_bytes: Mutex::new(0),
         });
 
         let mut worker_threads = Vec::with_capacity(workers);

@@ -42,6 +42,7 @@ use std::fmt::Display;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How often a blocked session read wakes up to check the shutdown flag.
@@ -257,7 +258,9 @@ impl<W: Write> Sink for Reply<'_, W> {
 /// bytes live pins hold).
 pub(crate) struct SessionCounters {
     pub active: AtomicUsize,
-    pub pinned_bytes: AtomicUsize,
+    /// Changed only together with its gauge, under this lock, so the
+    /// gauge always shows the last total.
+    pub pinned_bytes: Mutex<usize>,
 }
 
 /// A session's pinned snapshots, by CVD. What they hold of their own
@@ -266,7 +269,7 @@ pub(crate) struct SessionCounters {
 /// the snapshot a re-pin replaces and the session's end take it away.
 struct Pins<'a> {
     by_cvd: HashMap<String, Snapshot>,
-    bytes: &'a AtomicUsize,
+    bytes: &'a Mutex<usize>,
     registry: &'a Registry,
 }
 
@@ -280,10 +283,10 @@ impl Pins<'_> {
             Some(snap) => self.by_cvd.insert(cvd.to_owned(), snap),
             None => self.by_cvd.remove(cvd),
         };
-        let now = self.bytes.fetch_add(added, Ordering::SeqCst) + added - size(&old);
-        self.bytes.fetch_sub(size(&old), Ordering::SeqCst);
+        let mut total = self.bytes.lock().unwrap_or_else(PoisonError::into_inner);
+        *total = *total + added - size(&old);
         let gauge = "orpheus.server.pinned_bytes";
-        self.registry.gauge_set(gauge, now as f64);
+        self.registry.gauge_set(gauge, *total as f64);
         old.is_some()
     }
 }
@@ -504,6 +507,47 @@ mod tests {
     use orpheus_core::query::QueryResult;
     use proptest::prelude::*;
     use relstore::{Column, DataType};
+
+    /// Regression: `Pins::set` added, computed the total and subtracted
+    /// in three steps and then set the gauge, so two sessions unpinning
+    /// at once could each set the other's share: the gauge ended above
+    /// zero with nothing pinned.
+    #[test]
+    fn the_pinned_bytes_gauge_ends_at_zero_after_concurrent_pins() {
+        let mut odb = orpheus_core::OrpheusDb::new();
+        odb.create_user("a").unwrap();
+        odb.login("a").unwrap();
+        let schema = Schema::new(vec![Column::new("k", DataType::Int64)]);
+        let rows = (0..50).map(|k| vec![Value::Int64(k)]).collect();
+        odb.init_cvd("t", schema, vec![], rows).unwrap();
+        let snap = odb.snapshot("t").unwrap();
+        let registry = Registry::new();
+        let counters = SessionCounters {
+            active: AtomicUsize::new(0),
+            pinned_bytes: Mutex::new(0),
+        };
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    let mut pins = Pins {
+                        by_cvd: HashMap::new(),
+                        bytes: &counters.pinned_bytes,
+                        registry: &registry,
+                    };
+                    for _ in 0..1_000 {
+                        pins.set("t", Some(snap.clone()));
+                        pins.set("t", Some(snap.clone()));
+                        pins.set("t", None);
+                    }
+                    // Dropped pinned: the session's end unpins.
+                    pins.set("t", Some(snap.clone()));
+                });
+            }
+        });
+        let total = *counters.pinned_bytes.lock().unwrap();
+        let gauge = registry.gauge("orpheus.server.pinned_bytes");
+        assert_eq!((total, gauge), (0, Some(0.0)));
+    }
 
     #[test]
     fn output_messages_cover_every_variant() {

@@ -38,11 +38,16 @@
 //! It materialises either every value ([`decode_row`]) or one column's
 //! ([`probe`], what a pushed-down predicate reads) and checks the others
 //! without copying them, so a probe fails exactly when `decode_row` would.
+//! A table takes a row's encoded values as they are
+//! ([`Table::insert_encoded`](crate::Table::insert_encoded)) once
+//! `admit_values` has checked them against its schema: a row of words by
+//! one pass over its tags, any other by decoding it.
 
 use crate::error::{Error, Result};
 use crate::expr::ColumnTest;
+use crate::schema::{Column, Schema};
 use crate::table::{Row, RowId};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 
 const TAG_NULL: u8 = 0;
 const TAG_INT64: u8 = 1;
@@ -75,11 +80,17 @@ pub fn encode_row(id: RowId, row: &Row) -> Vec<u8> {
 /// Append the Flat encoding of a row to `out`, leaving the bytes already
 /// there alone, so a writer can reuse one buffer for every row.
 pub fn encode_into(id: RowId, row: &[Value], out: &mut Vec<u8>) {
-    debug_assert!(row.len() <= MAX_COLUMNS, "a table refuses a wider schema");
-    out.reserve(10 + row.len() * 9);
-    out.extend_from_slice(&id.to_le_bytes());
-    out.extend_from_slice(&(row.len() as u16).to_le_bytes());
+    encode_header(id, row.len(), out);
     encode_values(row, out);
+}
+
+/// Append a tuple's header — row id, then the count of the `count`
+/// values that must follow — to `out`.
+pub fn encode_header(id: RowId, count: usize, out: &mut Vec<u8>) {
+    debug_assert!(count <= MAX_COLUMNS, "a table refuses a wider schema");
+    out.reserve(10 + count * 9);
+    out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(&(count as u16).to_le_bytes());
 }
 
 /// Append the Flat encoding of `values` to `out`: for each value a tag
@@ -202,11 +213,40 @@ fn word_value(&[tag, word @ ..]: &[u8; 9]) -> Value {
 /// only the values `walk` wants are materialised, and every value is
 /// checked either way.
 fn walk_flat<W: Walk>(bytes: &[u8], mut walk: W) -> Result<(RowId, W)> {
-    let truncated = || Error::Storage("truncated tuple".into());
-    let (&head, mut rest) = bytes.split_first_chunk::<10>().ok_or_else(truncated)?;
-    let [id @ .., c0, c1] = head;
-    let count = usize::from(u16::from_le_bytes([c0, c1]));
+    let (id, count, values) = split_tuple(bytes)?;
     walk.start(count.min(bytes.len()));
+    Ok((id, walk_values(values, count, walk)?))
+}
+
+fn truncated() -> Error {
+    Error::Storage("truncated tuple".into())
+}
+
+/// A tuple's row id, the count of values its header claims, and the
+/// bytes after the header.
+fn split_tuple(bytes: &[u8]) -> Result<(RowId, usize, &[u8])> {
+    let (&head, values) = bytes.split_first_chunk::<10>().ok_or_else(truncated)?;
+    let [id @ .., c0, c1] = head;
+    Ok((
+        RowId::from_le_bytes(id),
+        usize::from(u16::from_le_bytes([c0, c1])),
+        values,
+    ))
+}
+
+/// The values part of [`walk_flat`]: exactly `count` of them, filling
+/// `values` to its end.
+fn walk_values<W: Walk>(values: &[u8], count: usize, walk: W) -> Result<W> {
+    let (walk, rest) = walk_prefix(values, count, walk)?;
+    if !rest.is_empty() {
+        return Err(Error::Storage("trailing bytes after tuple".into()));
+    }
+    Ok(walk)
+}
+
+/// The first `count` values of `values`, and the bytes after them.
+fn walk_prefix<W: Walk>(values: &[u8], count: usize, mut walk: W) -> Result<(W, &[u8])> {
+    let mut rest = values;
     for i in 0..count {
         let (&tag, payload) = rest.split_first().ok_or_else(truncated)?;
         let want = walk.wants(i);
@@ -264,10 +304,36 @@ fn walk_flat<W: Walk>(bytes: &[u8], mut walk: W) -> Result<(RowId, W)> {
             tag => return Err(Error::Storage(format!("unknown value tag {tag}"))),
         };
     }
-    if !rest.is_empty() {
-        return Err(Error::Storage("trailing bytes after tuple".into()));
+    Ok((walk, rest))
+}
+
+/// Check `values`, a row's encoded values ([`encode_values`]), against
+/// `schema`: it fails exactly when the decoded row would not decode or
+/// would fail [`Schema::check_row`]. Unless `decode` asks for the row, a
+/// row of 8-byte words of the schema's types is checked by one pass over
+/// its tags and not decoded; any other row is decoded and returned.
+/// Either way, the row's [`Value::byte_size`] total comes with it.
+pub(crate) fn admit_values(
+    values: &[u8],
+    schema: &Schema,
+    decode: bool,
+) -> Result<(usize, Option<Row>)> {
+    let columns = schema.columns();
+    let (words, tail) = values.as_chunks::<9>();
+    let word = |(&[tag, ..], c): (&[u8; 9], &Column)| {
+        (tag, c.dtype) == (TAG_INT64, DataType::Int64)
+            || (tag, c.dtype) == (TAG_FLOAT64, DataType::Float64)
+    };
+    if !decode
+        && tail.is_empty()
+        && words.len() == columns.len()
+        && words.iter().zip(columns).all(word)
+    {
+        return Ok((8 * words.len(), None));
     }
-    Ok((u64::from_le_bytes(id), walk))
+    let row = walk_values(values, columns.len(), Row::with_capacity(columns.len()))?;
+    schema.check_row(&row)?;
+    Ok((row.iter().map(Value::byte_size).sum(), Some(row)))
 }
 
 /// The value of `column` in a tuple (`None` past its last value), read by
@@ -282,6 +348,54 @@ pub fn probe(bytes: &[u8], column: usize) -> Result<Option<Value>> {
         value: None,
     };
     Ok(walk_flat(bytes, probe)?.1.value)
+}
+
+/// [`probe`] that reads and checks only the values up to `column`: for
+/// tuples checked when they were made, such as a CVD's records, it reads
+/// one value at the cost of the ones before it — by offset when those are
+/// all 8-byte words ([`word_cell`]).
+pub fn probe_prefix(bytes: &[u8], column: usize) -> Result<Option<Value>> {
+    let (_, count, values) = split_tuple(bytes)?;
+    if column >= count {
+        return Ok(None);
+    }
+    if let Some(cell) = word_cell(bytes, column) {
+        return Ok(Some(word_value(cell)));
+    }
+    let probe = Probe {
+        column,
+        value: None,
+    };
+    Ok(walk_prefix(values, column + 1, probe)?.0.value)
+}
+
+/// Value `column`'s cell — its tag and 8 bytes, what [`encode_values`]
+/// writes for it — when it and every value before it are 8-byte words:
+/// read by offset, checking only those tags. `None` otherwise.
+pub fn word_cell(bytes: &[u8], column: usize) -> Option<&[u8; 9]> {
+    let (_, count, values) = split_tuple(bytes).ok()?;
+    let words = values.as_chunks::<9>().0.get(..=column)?;
+    let all_words = words
+        .iter()
+        .all(|&[tag, ..]| tag.wrapping_sub(TAG_INT64) < 2);
+    (column < count && all_words).then(|| &words[column])
+}
+
+/// `decode_if`, a page fetch's step, for tuples checked when they were
+/// made, such as a CVD's
+/// records: the test reads only the values up to its column
+/// ([`probe_prefix`]), and a tuple that passes is decoded, and checked, in
+/// full.
+pub fn decode_prefix_if(bytes: &[u8], test: Option<&ColumnTest>) -> Result<Option<Row>> {
+    if let Some(test) = test {
+        let value = probe_prefix(bytes, test.column)?.ok_or_else(|| {
+            Error::TypeError(format!("column index {} out of bounds", test.column))
+        })?;
+        if !test.holds(&value) {
+            return Ok(None);
+        }
+    }
+    Ok(Some(decode_row(bytes)?.1))
 }
 
 /// The row of a tuple that passes `test` (every tuple passes none); a

@@ -123,14 +123,15 @@ impl Executor for SeqScan<'_> {
 
 /// A literal row set (e.g. an `rlist` unnested outside the engine). Rows
 /// are pulled from an iterator one `next` at a time, so a leaf over
-/// borrowed rows clones only what its consumer asks for.
+/// borrowed rows clones only what its consumer asks for, and a row made
+/// as it is pulled may fail to be: the error is the pull's.
 pub struct Values<'a> {
     schema: Schema,
-    rows: Box<dyn Iterator<Item = Row> + 'a>,
+    rows: Box<dyn Iterator<Item = Result<Row>> + 'a>,
 }
 
 impl<'a> Values<'a> {
-    pub fn new(schema: Schema, rows: impl IntoIterator<Item = Row, IntoIter: 'a>) -> Self {
+    pub fn new(schema: Schema, rows: impl IntoIterator<Item = Result<Row>, IntoIter: 'a>) -> Self {
         Values {
             schema,
             rows: Box::new(rows.into_iter()),
@@ -141,7 +142,7 @@ impl<'a> Values<'a> {
     pub fn ints(name: &str, vals: impl IntoIterator<Item = i64, IntoIter: 'a>) -> Self {
         Values::new(
             Schema::new(vec![Column::new(name, DataType::Int64)]),
-            vals.into_iter().map(|v| vec![Value::Int64(v)]),
+            vals.into_iter().map(|v| Ok(vec![Value::Int64(v)])),
         )
     }
 }
@@ -155,7 +156,7 @@ impl Executor for Values<'_> {
         match self.rows.next() {
             Some(r) => {
                 ctx.tracker.emit(1);
-                Ok(Some(r))
+                r.map(Some)
             }
             None => Ok(None),
         }
@@ -666,11 +667,11 @@ mod tests {
         let schema = Schema::new(vec![Column::nullable("k", DataType::Int64)]);
         let left = Box::new(Values::new(
             schema.clone(),
-            vec![vec![Value::Null], vec![Value::Int64(1)]],
+            vec![Ok(vec![Value::Null]), Ok(vec![Value::Int64(1)])],
         ));
         let right = Box::new(Values::new(
             schema,
-            vec![vec![Value::Null], vec![Value::Int64(1)]],
+            vec![Ok(vec![Value::Null]), Ok(vec![Value::Int64(1)])],
         ));
         let mut join = HashJoin::new(left, right, 0, 0);
         let mut ctx = ExecContext::new();

@@ -205,23 +205,8 @@ impl ColumnTest {
         })
     }
 
-    /// Whether `row` passes (a NULL, incomparable or missing value does
-    /// not).
-    pub fn passes(&self, row: &[Value]) -> bool {
-        row.get(self.column).is_some_and(|v| self.holds(v))
-    }
-
-    /// [`passes`](Self::passes) for the row `[head, tail…]`, given in its
-    /// two parts: a row tested before it is built.
-    pub fn passes_split(&self, head: &Value, tail: &[Value]) -> bool {
-        let value = self
-            .column
-            .checked_sub(1)
-            .map_or(Some(head), |c| tail.get(c));
-        value.is_some_and(|v| self.holds(v))
-    }
-
-    /// Whether the tested column's value `v` satisfies the comparison.
+    /// Whether the tested column's value `v` satisfies the comparison (a
+    /// NULL or incomparable value does not).
     pub(crate) fn holds(&self, v: &Value) -> bool {
         matches!(compare(self.op, v, &self.literal), Ok(Some(true)))
     }

@@ -285,7 +285,7 @@ impl Table {
             self.directory.resize(at + 1, None);
         }
         self.directory[at] = Some(addr);
-        self.note_live(id, &row);
+        self.note_live(id, Self::row_bytes(&row), Some(&row));
         Ok(())
     }
 
@@ -304,14 +304,16 @@ impl Table {
         Ok(())
     }
 
-    /// Enter live row `id` into every index and the byte accounting.
-    fn note_live(&mut self, id: RowId, row: &[Value]) {
+    /// Enter live row `id`, of `bytes` ([`row_bytes`](Self::row_bytes)),
+    /// into every index, whose keys are read from `row` (given whenever
+    /// the table has an index), and into the byte accounting.
+    fn note_live(&mut self, id: RowId, bytes: usize, row: Option<&[Value]>) {
         for entry in self.indexes.values_mut() {
-            if let Some(key) = row[entry.column].as_i64() {
+            if let Some(key) = row.and_then(|row| row[entry.column].as_i64()) {
                 entry.index.insert(key, id);
             }
         }
-        self.bytes_live += Self::row_bytes(row);
+        self.bytes_live += bytes;
         self.live_count += 1;
     }
 
@@ -455,15 +457,49 @@ impl Table {
             self.check_unique(row)?;
             let id = self.directory.len() as RowId;
             HeapFile::begin_cell(&mut self.cell);
-            let header = self.cell.len();
             codec::encode_into(id, row, &mut self.cell);
-            self.pool
-                .note_tuple_encoded((self.cell.len() - header) as u64);
-            let addr = self.heap.insert_cell(&self.pool, &self.cell)?;
-            self.directory.push(Some(addr));
-            self.note_live(id, row);
+            self.push_cell(id, Self::row_bytes(row), Some(row))?;
         }
         Ok(first..self.directory.len() as RowId)
+    }
+
+    /// [`insert_many`](Self::insert_many) of rows given as their encoded
+    /// values, the bytes [`codec::encode_values`] writes for a row: each
+    /// is checked against the schema — a row of words by one pass over its
+    /// tags, without decoding it — and copied once, behind its row id and
+    /// count, onto its page. It refuses exactly the rows `insert_many`
+    /// would refuse decoded, with a typed error, and stops there, keeping
+    /// the rows before it.
+    pub fn insert_encoded<'v>(
+        &mut self,
+        rows: impl IntoIterator<Item = &'v [u8]>,
+    ) -> Result<Range<RowId>> {
+        let first = self.directory.len() as RowId;
+        for values in rows {
+            // An index needs the row's keys.
+            let decode = !self.indexes.is_empty();
+            let (size, row) = codec::admit_values(values, &self.schema, decode)?;
+            if let Some(row) = &row {
+                self.check_unique(row)?;
+            }
+            let id = self.directory.len() as RowId;
+            HeapFile::begin_cell(&mut self.cell);
+            codec::encode_header(id, self.schema.len(), &mut self.cell);
+            self.cell.extend_from_slice(values);
+            self.push_cell(id, ROW_HEADER + size, row.as_deref())?;
+        }
+        Ok(first..self.directory.len() as RowId)
+    }
+
+    /// Store the tuple in `self.cell` as row `id`, the next one, and note
+    /// it live ([`note_live`](Self::note_live)).
+    fn push_cell(&mut self, id: RowId, bytes: usize, row: Option<&[Value]>) -> Result<()> {
+        // The cell's tag byte is not the tuple's.
+        self.pool.note_tuple_encoded(self.cell.len() as u64 - 1);
+        let addr = self.heap.insert_cell(&self.pool, &self.cell)?;
+        self.directory.push(Some(addr));
+        self.note_live(id, bytes, row);
+        Ok(())
     }
 
     /// Delete a row by id (tombstone in the directory, slot reclaimed on
@@ -562,6 +598,13 @@ impl Table {
     /// which links this crate and is not edited with it, does.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, Row)> {
         self.rows().unwrap_or_default().into_iter()
+    }
+
+    /// The stored tuples of data page `page_ord`, byte for byte, in slot
+    /// order: what [`read_page_rows`](Self::read_page_rows) decodes.
+    pub fn read_page_tuples(&self, page_ord: usize) -> Result<Vec<Vec<u8>>> {
+        let tuples = self.heap.tuples_on_page(&self.pool, page_ord)?;
+        Ok(tuples.into_iter().map(|(_, bytes)| bytes).collect())
     }
 
     /// Decode every live row on data page `page_ord`, attributing the

@@ -171,6 +171,40 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On well-formed tuples — word rows, word rows with one other value
+    /// placed in them, and rows of every type — the probe that reads only
+    /// up to its column answers what `probe` answers, and `word_cell`,
+    /// where it answers, is that value's encoding.
+    #[test]
+    fn a_prefix_probe_reads_what_the_probe_reads(
+        rows in prop::collection::vec(prop::collection::vec(probe_value(), 1..6), 1..8),
+        words in word_row(),
+        swap in (non_word_value(), any::<usize>()),
+    ) {
+        let rows = rows.into_iter().chain(with_word_rows(words, swap));
+        for (i, row) in rows.enumerate() {
+            let bytes = codec::encode_row(i as u64, &row);
+            for c in PROBED_COLUMNS {
+                let want = codec::probe(&bytes, c).unwrap();
+                let got = codec::probe_prefix(&bytes, c).unwrap();
+                let same = match (&got, &want) {
+                    (Some(x), Some(y)) => values_eq(x, y),
+                    (got, want) => got == want,
+                };
+                prop_assert!(same, "column {} of {:?}: {:?} vs {:?}", c, row, got, want);
+                if let Some(cell) = codec::word_cell(&bytes, c) {
+                    let mut encoded = Vec::new();
+                    codec::encode_values(want.iter(), &mut encoded);
+                    prop_assert_eq!(&cell[..], &encoded[..]);
+                }
+            }
+        }
+    }
+}
+
 /// The columns both probe legs read: the first few, and the last of the
 /// longest word rows and past them.
 const PROBED_COLUMNS: [usize; 10] = [0, 1, 2, 3, 4, 5, 6, 23, 24, 25];
@@ -421,4 +455,126 @@ fn overflow_chain_tuples_roundtrip() {
         assert_eq!(row[1], Value::Text(p.clone()), "row {i}");
     }
     assert_eq!(table.rows().unwrap().len(), payloads.len());
+}
+
+/// The column types of the raw-copy tests, picked by `code`.
+const COPY_TYPES: [DataType; 3] = [DataType::Int64, DataType::Float64, DataType::Text];
+
+/// A value of type `dtype` made from `bits`.
+fn copy_value(dtype: DataType, bits: i64) -> Value {
+    match dtype {
+        DataType::Int64 => Value::Int64(bits),
+        DataType::Float64 => Value::Float64(f64::from_bits(bits as u64)),
+        _ => Value::Text(format!("{bits:x}")[..(bits as usize % 9)].to_owned()),
+    }
+}
+
+/// A schema of nullable columns and records of it: rows with NULLs,
+/// rows without (word rows when every column is a number), and rows
+/// padded with NULLs past their first `keep` columns, as a schema
+/// evolution leaves older records.
+fn copy_records() -> impl Strategy<Value = (Vec<DataType>, Vec<Vec<Value>>)> {
+    let types = prop::collection::vec(0..3usize, 1..6);
+    let cells = prop::collection::vec((any::<i64>(), 0..4u8), 6..7);
+    let rows = prop::collection::vec((cells, any::<bool>(), 0..8usize), 1..12);
+    (types, rows).prop_map(|(codes, rows)| {
+        let types: Vec<DataType> = codes.iter().map(|&c| COPY_TYPES[c]).collect();
+        let rows = rows.into_iter().map(|(cells, nulls, keep)| {
+            let cell = |(i, (&t, &(bits, null))): (usize, (&DataType, &(i64, u8)))| {
+                let absent = (nulls && null == 0) || (keep > 0 && i >= keep);
+                if absent {
+                    Value::Null
+                } else {
+                    copy_value(t, bits)
+                }
+            };
+            types.iter().zip(&cells).enumerate().map(cell).collect()
+        });
+        (types.clone(), rows.collect())
+    })
+}
+
+fn nullable_schema(types: &[DataType]) -> Schema {
+    let column = |(i, &t): (usize, &DataType)| Column::nullable(format!("c{i}"), t);
+    Schema::new(types.iter().enumerate().map(column).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A raw copy — a record tuple `[rid, attrs…]` less its header and rid
+    /// cell, given to `Table::insert_encoded` — is stored as the tuple that
+    /// inserting the decoded record would store, and decodes to the record
+    /// less its rid under the table's new row id: word tuples, tuples with
+    /// Text and NULL cells, and NULL-padded (evolved) records alike.
+    #[test]
+    fn a_raw_copied_tuple_decodes_to_its_record_less_the_rid(
+        (types, rows) in copy_records(),
+        first in 0..1_000u64,
+    ) {
+        let pool = Rc::new(BufferPool::in_memory(64));
+        let schema = nullable_schema(&types);
+        let mut raw = Table::with_pool("raw", schema.clone(), Rc::clone(&pool));
+        let mut decoded = Table::with_pool("decoded", schema, pool);
+        raw.reserve_ids(first);
+        decoded.reserve_ids(first);
+        for (i, row) in rows.iter().enumerate() {
+            let rid = 7_000 + i as u64;
+            let star: Vec<Value> = [Value::Int64(rid as i64)].into_iter().chain(row.clone()).collect();
+            let tuple = codec::encode_row(rid, &star);
+            let ids = raw.insert_encoded([&tuple[19..]]).unwrap();
+            prop_assert_eq!(ids.clone(), decoded.insert(row.clone()).unwrap()..ids.end);
+            prop_assert_eq!(ids.start, first + i as u64);
+        }
+        for page in 0..raw.num_heap_pages() {
+            let stored = raw.read_page_tuples(page).unwrap();
+            prop_assert_eq!(&stored, &decoded.read_page_tuples(page).unwrap());
+            for tuple in stored {
+                let (id, back) = codec::decode_row(&tuple).unwrap();
+                prop_assert!(rows_eq(&back, &rows[(id - first) as usize]), "row id {}", id);
+            }
+        }
+        prop_assert_eq!(raw.storage_bytes(), decoded.storage_bytes());
+    }
+
+    /// `insert_encoded` refuses exactly the rows `insert` refuses decoded —
+    /// a column of another type, a NULL in a column that takes none, one
+    /// value too many or too few — with a typed error, and a refused row
+    /// inserts nothing.
+    #[test]
+    fn a_raw_copy_that_does_not_fit_the_schema_is_refused(
+        (types, rows) in copy_records(),
+        (at, change) in (any::<usize>(), 0..4u8),
+    ) {
+        let at = at % types.len();
+        let mut columns = nullable_schema(&types).columns().to_vec();
+        match change {
+            0 => columns[at].nullable = false,
+            1 => {
+                let other = [DataType::Int64, DataType::Float64, DataType::Text];
+                let pick = other.iter().position(|&t| t == columns[at].dtype).unwrap();
+                columns[at].dtype = other[(pick + 1) % 3];
+            }
+            2 => drop(columns.pop()),
+            _ => columns.push(Column::nullable("extra", DataType::Int64)),
+        }
+        let pool = Rc::new(BufferPool::in_memory(64));
+        let schema = Schema::new(columns);
+        let mut raw = Table::with_pool("raw", schema.clone(), Rc::clone(&pool));
+        let mut decoded = Table::with_pool("decoded", schema, pool);
+        for row in &rows {
+            let star: Vec<Value> = [Value::Int64(0)].into_iter().chain(row.clone()).collect();
+            let tuple = codec::encode_row(0, &star);
+            let before = (raw.heap_size(), raw.live_row_count(), raw.storage_bytes());
+            let got = raw.insert_encoded([&tuple[19..]]);
+            let want = decoded.insert(row.clone());
+            prop_assert_eq!(got.is_ok(), want.is_ok(), "{:?}: {:?} vs {:?}", row, got, want);
+            if let Err(e) = got {
+                let typed = matches!(e, relstore::Error::SchemaMismatch(_) | relstore::Error::Storage(_));
+                prop_assert!(typed, "{:?}", e);
+                prop_assert_eq!(before, (raw.heap_size(), raw.live_row_count(), raw.storage_bytes()));
+            }
+        }
+        prop_assert_eq!(raw.rows().unwrap(), decoded.rows().unwrap());
+    }
 }

@@ -50,7 +50,9 @@ cargo test -p pagestore --release -q --test crash_matrix --test pool_props
 # and of a two-commit server batch leaves the batch visible whole or not
 # at all (one store, one visibility point). Beside it, the reopen legs: a
 # CVD of 300+ pages under a 64-frame pool, histories that read back as
-# they were closed, write cycles that reuse their staging pages.
+# they were closed, write cycles that reuse their staging pages — and
+# each CVD's records in RAM are its data table's tuples, byte for byte,
+# after keyed, unkeyed, merge and schema-evolving commits and a reopen.
 cargo test -p orpheus-core --release -q --lib metadata::tests
 # A checkout copied at its first read commits what one copied at once
 # commits: random keyed, unkeyed and merge histories.

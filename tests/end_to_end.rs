@@ -220,7 +220,7 @@ fn provenance_recovers_generated_lineage_direction() {
             .unwrap()
             .iter()
             .map(|&rid| {
-                let r = cvd.record(rid);
+                let r = cvd.record(rid).unwrap();
                 vec![r[0].as_i64().unwrap(), r[1].as_i64().unwrap()]
             })
             .collect();
