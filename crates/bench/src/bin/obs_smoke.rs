@@ -16,8 +16,8 @@
 //!   every line carries the documented keys, with the request, commit,
 //!   and WAL-fsync spans present under non-zero trace ids (a summary is
 //!   written to `results/trace_smoke.json`);
-//! * disabling the journal (`sample 0`) must record zero further
-//!   journal allocations.
+//! * the journal must allocate nothing per event, sampled (`sample 1`)
+//!   or disabled (`sample 0`), and hold at most its 1 MiB of slots.
 //!
 //! Any violation panics, so a broken pipeline fails `scripts/ci.sh`.
 
@@ -180,6 +180,7 @@ fn main() {
             "counters/obs.journal.dropped",
             "counters/obs.journal.allocs",
             "gauges/obs.journal.events",
+            "gauges/obs.journal.bytes",
         ],
     );
     let doc = obs::parse(&metrics).unwrap();
@@ -268,6 +269,11 @@ fn main() {
         Err(e) => eprintln!("warning: could not write trace summary: {e}"),
     }
     println!("trace dump: {lines} events across {} traces", traces.len());
+
+    // Sampled journal = zero allocations: the workload above journaled
+    // every request, into a ring and a name table allocated up front.
+    assert_eq!(journal.allocs(), 0, "a sampled journal must not allocate");
+    assert!(num(&doc, "gauges/obs.journal.bytes") <= obs::journal::BUDGET_BYTES as f64);
 
     // Disabled journal = zero further allocations, even under load.
     journal.set_sample(0);

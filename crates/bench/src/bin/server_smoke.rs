@@ -12,7 +12,8 @@
 //!   commit count (one durability point per batch, not per commit);
 //! * **Metrics schema** — `metrics --json` carries every documented
 //!   `orpheus.server.*` and `obs.journal.*` key (counters, gauges,
-//!   latency percentiles); a missing key fails the gate;
+//!   latency percentiles); a missing key fails the gate, and the
+//!   journal, sampling every request, has allocated nothing;
 //! * **End-to-end tracing** — every scripted commit runs under a
 //!   client-chosen trace id; `trace dump --json` must show, per commit
 //!   trace, the request span and a WAL-fsync event (real or shared
@@ -281,9 +282,12 @@ fn main() {
             "counters/obs.journal.dropped",
             "counters/obs.journal.allocs",
             "gauges/obs.journal.events",
+            "gauges/obs.journal.bytes",
         ],
     );
     let registry = server.registry().clone();
+    // Every client's spans were journaled, and none of them allocated.
+    assert_eq!(registry.counter("obs.journal.allocs"), 0, "journal allocs");
     let commits = registry.counter("orpheus.server.commits_total");
     let fsyncs = registry.counter("pagestore.wal.fsyncs");
     let batches = registry.counter("orpheus.server.group_commit.batches");

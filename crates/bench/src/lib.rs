@@ -158,15 +158,6 @@ pub fn write_metrics_snapshot(name: &str, registry: &obs::Registry) -> std::io::
     Ok(path)
 }
 
-/// Write an experiment's text table to `<name>.txt` under [`results_dir`].
-pub fn write_text_result(name: &str, content: &str) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.txt"));
-    std::fs::write(&path, content)?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

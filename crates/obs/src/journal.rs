@@ -1,4 +1,4 @@
-//! Bounded per-span event journal with head sampling.
+//! Fixed-footprint per-span event journal with head sampling.
 //!
 //! The aggregate span tree ([`crate::Recorder`]) answers "where does the
 //! time go overall?" but cannot answer "where did *this* request's time
@@ -6,19 +6,28 @@
 //! journal keeps the individual events: one [`SpanEvent`] when a sampled
 //! span opens and one when it closes, each carrying the request's trace
 //! id, its own span id, its parent span id, the span name, a timestamp,
-//! and (on close) the duration. Events live in a bounded ring: when the
-//! ring is full the oldest event is dropped and counted in
-//! `obs.journal.dropped`, so a runaway workload can never grow the
-//! journal without bound.
+//! and (on close) the duration.
+//!
+//! **Footprint.** Events live in one ring of packed 40-byte slots,
+//! allocated once when the journal is made and written in place: a push
+//! neither allocates nor compares strings. A span name is a
+//! `&'static str`; the slot keeps a one-byte index into the journal's
+//! table of names, found by pointer compare (one entry per call site).
+//! Durations are kept in `u32` microseconds and thread ordinals in `u16`;
+//! both saturate rather than wrap. The default ring holds
+//! [`BUDGET_BYTES`] (1 MiB) of slots, [`DEFAULT_CAPACITY`] events; its
+//! pages are touched only as events land in them. When the ring is full
+//! the oldest event is overwritten and counted in `obs.journal.dropped`;
+//! `obs.journal.bytes` is the ring bytes in use and
+//! `obs.journal.allocs` counts the pushes that had to allocate (none).
 //!
 //! **Head sampling.** Whether a trace is journaled is decided once, from
 //! its trace id (`trace_id % sample == 0`), so a trace is always recorded
 //! completely or not at all — spans of the same request on other threads
 //! (the engine thread, the group-commit leader) make the same decision
 //! independently. `sample == 1` records every trace, `sample == 0`
-//! disables the journal entirely; on the disabled path no event is
-//! allocated (asserted via the `obs.journal.allocs` counter). The default
-//! comes from `ORPHEUS_TRACE_SAMPLE`.
+//! disables the journal entirely. The default comes from
+//! `ORPHEUS_TRACE_SAMPLE`.
 //!
 //! The export format of [`Journal::to_chrome_jsonl`] is Chrome's trace
 //! event format (one JSON object per line, phases `B`/`E`, microsecond
@@ -26,7 +35,7 @@
 //! request timeline across threads.
 
 use crate::json::Json;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -41,8 +50,17 @@ pub const DEFAULT_SAMPLE: u64 = 1;
 /// Default slow-query threshold in milliseconds.
 pub const DEFAULT_SLOW_MS: u64 = 100;
 
-/// Default ring capacity in events.
-pub const DEFAULT_CAPACITY: usize = 65_536;
+/// Bytes of slots a default journal holds.
+pub const BUDGET_BYTES: usize = 1 << 20;
+
+/// Default ring capacity in events: as many slots as fit the budget.
+pub const DEFAULT_CAPACITY: usize = BUDGET_BYTES / std::mem::size_of::<Slot>();
+
+/// Names a journal tells apart; every later name reads back as [`OTHER`].
+const NAMES: usize = u8::MAX as usize;
+
+/// The name of an event whose name found the table full.
+const OTHER: &str = "obs.journal.other";
 
 /// Which edge of a span an event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,20 +70,37 @@ pub enum Phase {
 }
 
 /// One journaled span edge.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
     pub phase: Phase,
     pub trace_id: u64,
     pub span_id: u64,
     pub parent_span_id: u64,
-    pub name: Box<str>,
+    pub name: &'static str,
     /// Microseconds since the process's trace origin.
     pub ts_us: u64,
-    /// Span duration in microseconds; zero for `Begin` events.
+    /// Span duration in microseconds (at most `u32::MAX`); zero for
+    /// `Begin` events.
     pub dur_us: u64,
-    /// Small per-process thread ordinal (not the OS tid).
+    /// Small per-process thread ordinal (not the OS tid; at most
+    /// `u16::MAX`).
     pub thread: u64,
 }
+
+/// A [`SpanEvent`] as the ring stores it.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    trace_id: u64,
+    span_id: u64,
+    parent_span_id: u64,
+    ts_us: u64,
+    dur_us: u32,
+    thread: u16,
+    name: u8,
+    phase: Phase,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() <= 40);
 
 /// Monotonic process origin every journal timestamp is relative to.
 fn origin() -> Instant {
@@ -88,9 +123,46 @@ pub fn thread_ordinal() -> u64 {
     ORD.with(|o| *o)
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Ring {
-    buf: VecDeque<SpanEvent>,
+    /// Filled front to back until full, then overwritten from `head`.
+    slots: Vec<Slot>,
+    /// Once full, the oldest slot, which the next push overwrites.
+    head: usize,
+    /// Each distinct name pointer seen, at the index its slots carry.
+    names: Vec<&'static str>,
+}
+
+impl Ring {
+    /// The index of `name`, adding it to the table while it has room
+    /// (`NAMES` itself, once full).
+    fn intern(&mut self, name: &'static str) -> u8 {
+        let same = |n: &&str| std::ptr::addr_eq(*n, name) && n.len() == name.len();
+        let i = self.names.iter().position(same).unwrap_or(self.names.len());
+        if i == self.names.len() && i < NAMES {
+            self.names.push(name);
+        }
+        i as u8
+    }
+
+    fn event(&self, s: &Slot) -> SpanEvent {
+        SpanEvent {
+            phase: s.phase,
+            trace_id: s.trace_id,
+            span_id: s.span_id,
+            parent_span_id: s.parent_span_id,
+            name: self.names.get(s.name as usize).copied().unwrap_or(OTHER),
+            ts_us: s.ts_us,
+            dur_us: u64::from(s.dur_us),
+            thread: u64::from(s.thread),
+        }
+    }
+
+    /// The buffered events, oldest first.
+    fn events(&self) -> impl Iterator<Item = SpanEvent> + '_ {
+        let (newer, older) = self.slots.split_at(self.head);
+        older.iter().chain(newer).map(|s| self.event(s))
+    }
 }
 
 /// Bounded, sampled ring of span events. Shared by cloning the owning
@@ -107,10 +179,16 @@ pub struct Journal {
 
 impl Journal {
     /// A journal holding at most `capacity` events, sampling one trace in
-    /// `sample` (`0` disables recording entirely).
+    /// `sample` (`0` disables recording entirely). The ring is allocated
+    /// here, once.
     pub fn new(capacity: usize, sample: u64) -> Journal {
+        let ring = Ring {
+            slots: Vec::with_capacity(capacity.max(1)),
+            head: 0,
+            names: Vec::with_capacity(NAMES),
+        };
         Journal {
-            ring: Mutex::new(Ring::default()),
+            ring: Mutex::new(ring),
             capacity: capacity.max(1),
             sample: AtomicU64::new(sample),
             recorded: AtomicU64::new(0),
@@ -157,27 +235,43 @@ impl Journal {
         self.capacity
     }
 
-    fn push(&self, event: SpanEvent) {
-        // One name allocation per recorded event; the disabled path never
-        // reaches here, which `obs.journal.allocs == 0` asserts end to end.
-        self.allocs.fetch_add(1, Ordering::Relaxed);
+    /// Write one event into the ring, narrowing `dur_us` and `thread`
+    /// with saturation.
+    fn push(&self, e: SpanEvent) {
         let mut ring = self.locked();
-        if ring.buf.len() >= self.capacity {
-            drop(ring.buf.pop_front());
+        let capacities = (ring.slots.capacity(), ring.names.capacity());
+        let slot = Slot {
+            trace_id: e.trace_id,
+            span_id: e.span_id,
+            parent_span_id: e.parent_span_id,
+            ts_us: e.ts_us,
+            dur_us: u32::try_from(e.dur_us).unwrap_or(u32::MAX),
+            thread: u16::try_from(e.thread).unwrap_or(u16::MAX),
+            name: ring.intern(e.name),
+            phase: e.phase,
+        };
+        if ring.slots.len() < self.capacity {
+            ring.slots.push(slot);
+        } else {
+            let head = ring.head;
+            ring.slots[head] = slot;
+            ring.head = (head + 1) % self.capacity;
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.buf.push_back(event);
+        if (ring.slots.capacity(), ring.names.capacity()) != capacities {
+            self.allocs.fetch_add(1, Ordering::Relaxed);
+        }
         self.recorded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a span-open edge (no duration yet).
-    pub fn begin(&self, trace_id: u64, span_id: u64, parent_span_id: u64, name: &str) {
+    pub fn begin(&self, trace_id: u64, span_id: u64, parent: u64, name: &'static str) {
         self.push(SpanEvent {
             phase: Phase::Begin,
             trace_id,
             span_id,
-            parent_span_id,
-            name: name.into(),
+            parent_span_id: parent,
+            name,
             ts_us: now_us(),
             dur_us: 0,
             thread: thread_ordinal(),
@@ -185,13 +279,13 @@ impl Journal {
     }
 
     /// Record a span-close edge with its measured duration.
-    pub fn end(&self, trace_id: u64, span_id: u64, parent_span_id: u64, name: &str, dur: Duration) {
+    pub fn end(&self, trace_id: u64, span_id: u64, parent: u64, name: &'static str, dur: Duration) {
         self.push(SpanEvent {
             phase: Phase::End,
             trace_id,
             span_id,
-            parent_span_id,
-            name: name.into(),
+            parent_span_id: parent,
+            name,
             ts_us: now_us(),
             dur_us: dur.as_micros().min(u64::MAX as u128) as u64,
             thread: thread_ordinal(),
@@ -202,7 +296,7 @@ impl Journal {
     /// group-commit batch) to `trace_id` without touching the aggregate
     /// tree — an `End`-only event under a distinct name, so aggregate
     /// totals are never double counted.
-    pub fn attribute(&self, trace_id: u64, name: &str, dur: Duration) {
+    pub fn attribute(&self, trace_id: u64, name: &'static str, dur: Duration) {
         if !self.sampled(trace_id) {
             return;
         }
@@ -211,26 +305,29 @@ impl Journal {
 
     /// Events currently in the ring, oldest first.
     pub fn snapshot(&self) -> Vec<SpanEvent> {
-        self.locked().buf.iter().cloned().collect()
+        self.locked().events().collect()
     }
 
     /// Events of one trace, oldest first.
     pub fn trace_events(&self, trace_id: u64) -> Vec<SpanEvent> {
         self.locked()
-            .buf
-            .iter()
+            .events()
             .filter(|e| e.trace_id == trace_id)
-            .cloned()
             .collect()
     }
 
     /// Events currently buffered.
     pub fn len(&self) -> usize {
-        self.locked().buf.len()
+        self.locked().slots.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Ring bytes holding buffered events (never above the capacity's).
+    pub fn bytes(&self) -> usize {
+        self.len() * std::mem::size_of::<Slot>()
     }
 
     /// Total events recorded since creation (including later-dropped ones).
@@ -238,19 +335,23 @@ impl Journal {
         self.recorded.load(Ordering::Relaxed)
     }
 
-    /// Events evicted because the ring was full.
+    /// Events overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Event allocations performed (0 while the journal is disabled).
+    /// Pushes that allocated (the ring and its name table are allocated
+    /// up front, so this stays 0).
     pub fn allocs(&self) -> u64 {
         self.allocs.load(Ordering::Relaxed)
     }
 
-    /// Drop every buffered event and zero the counters.
+    /// Drop every buffered event and zero the counters; the ring keeps
+    /// its allocation and its name table.
     pub fn clear(&self) {
-        self.locked().buf.clear();
+        let mut ring = self.locked();
+        ring.slots.clear();
+        ring.head = 0;
         self.recorded.store(0, Ordering::Relaxed);
         self.dropped.store(0, Ordering::Relaxed);
         self.allocs.store(0, Ordering::Relaxed);
@@ -263,6 +364,7 @@ impl Journal {
         registry.counter_set("obs.journal.dropped", self.dropped());
         registry.counter_set("obs.journal.allocs", self.allocs());
         registry.gauge_set("obs.journal.events", self.len() as f64);
+        registry.gauge_set("obs.journal.bytes", self.bytes() as f64);
     }
 
     /// Chrome-trace-event JSONL: one complete JSON object per line, with
@@ -271,9 +373,9 @@ impl Journal {
     pub fn to_chrome_jsonl(&self) -> String {
         let pid = std::process::id();
         let mut out = String::new();
-        for e in self.locked().buf.iter() {
+        for e in self.locked().events() {
             let mut fields = vec![
-                ("name", Json::Str(e.name.as_ref().to_owned())),
+                ("name", Json::Str(e.name.to_owned())),
                 ("cat", Json::Str("orpheus".to_owned())),
                 (
                     "ph",
@@ -341,26 +443,23 @@ impl Default for Journal {
 /// Per-name self time (duration minus direct children) summed over the
 /// `End` events given, largest first. Feed it one trace's events to get
 /// the slow-query log's "top spans" line.
-pub fn self_times(events: &[SpanEvent]) -> Vec<(String, u64)> {
+pub fn self_times(events: &[SpanEvent]) -> Vec<(&'static str, u64)> {
     let mut child_dur: HashMap<u64, u64> = HashMap::new();
     for e in events {
         if e.phase == Phase::End && e.parent_span_id != 0 {
             *child_dur.entry(e.parent_span_id).or_insert(0) += e.dur_us;
         }
     }
-    let mut per_name: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut per_name: BTreeMap<&'static str, u64> = BTreeMap::new();
     for e in events {
         if e.phase != Phase::End {
             continue;
         }
         let children = child_dur.get(&e.span_id).copied().unwrap_or(0);
-        *per_name.entry(e.name.as_ref()).or_insert(0) += e.dur_us.saturating_sub(children);
+        *per_name.entry(e.name).or_insert(0) += e.dur_us.saturating_sub(children);
     }
-    let mut out: Vec<(String, u64)> = per_name
-        .into_iter()
-        .map(|(k, v)| (k.to_owned(), v))
-        .collect();
-    out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let mut out: Vec<(&'static str, u64)> = per_name.into_iter().collect();
+    out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
     out
 }
 
@@ -386,6 +485,114 @@ mod tests {
         // Oldest evicted: the survivors are the last four span ids.
         let ids: Vec<u64> = j.snapshot().iter().map(|e| e.span_id).collect();
         assert_eq!(ids, vec![7, 8, 9, 10]);
+    }
+
+    #[test]
+    fn four_threads_overfill_the_ring_without_allocating() {
+        const CAP: usize = 64;
+        const PER_THREAD: u64 = (10 * CAP / 4) as u64;
+        const NAMES: [&str; 4] = ["t.zero", "t.one", "t.two", "t.three"];
+        let j = std::sync::Arc::new(Journal::new(CAP, 1));
+        // Every field is a function of (thread, i), so each survivor can
+        // be checked whole.
+        let event = |t: u64, i: u64| SpanEvent {
+            phase: if i.is_multiple_of(2) {
+                Phase::Begin
+            } else {
+                Phase::End
+            },
+            trace_id: t + 1,
+            span_id: (t << 32) | i,
+            parent_span_id: i * 3,
+            name: NAMES[t as usize],
+            ts_us: 1_000 * t + i,
+            dur_us: i * 7,
+            thread: 100 + t,
+        };
+        let handles: Vec<_> = (0..4u64)
+            .map(|t| {
+                let j = j.clone();
+                std::thread::spawn(move || (0..PER_THREAD).for_each(|i| j.push(event(t, i))))
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(j.len(), CAP);
+        assert_eq!(j.recorded(), 4 * PER_THREAD);
+        assert_eq!(j.dropped(), j.recorded() - CAP as u64);
+        assert_eq!(j.allocs(), 0);
+        assert_eq!(j.bytes(), CAP * 40);
+        let mut survivors: [Vec<u64>; 4] = Default::default();
+        for e in j.snapshot() {
+            let (t, i) = (e.trace_id - 1, e.span_id & 0xffff_ffff);
+            assert_eq!(e, event(t, i));
+            survivors[t as usize].push(i);
+        }
+        // The ring keeps a suffix of the push order, so each thread's
+        // survivors are its newest events, oldest first.
+        for ids in survivors {
+            let first = PER_THREAD - ids.len() as u64;
+            assert_eq!(ids, (first..PER_THREAD).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn narrowed_fields_saturate() {
+        let j = Journal::new(4, 1);
+        j.end(1, 1, 0, "long", Duration::from_secs(5_000));
+        j.push(SpanEvent {
+            phase: Phase::Begin,
+            trace_id: 1,
+            span_id: 2,
+            parent_span_id: 0,
+            name: "late",
+            ts_us: 9,
+            dur_us: u64::MAX,
+            thread: u64::from(u16::MAX) + 5,
+        });
+        let events = j.snapshot();
+        assert_eq!(events[0].dur_us, u64::from(u32::MAX));
+        assert_eq!(events[1].dur_us, u64::from(u32::MAX));
+        assert_eq!(events[1].thread, u64::from(u16::MAX));
+    }
+
+    #[test]
+    fn names_past_the_table_read_back_as_other() {
+        let j = Journal::new(2 * NAMES, 1);
+        let names: Vec<&'static str> = (0..=NAMES)
+            .map(|i| &*Box::leak(format!("n{i}").into_boxed_str()))
+            .collect();
+        for (i, name) in names.iter().enumerate() {
+            j.begin(1, i as u64 + 1, 0, name);
+        }
+        j.begin(1, 0, 0, names[3]);
+        let events = j.snapshot();
+        assert_eq!(events[NAMES - 1].name, names[NAMES - 1]);
+        assert_eq!(events[NAMES].name, OTHER);
+        assert_eq!(events[NAMES + 1].name, "n3");
+        assert_eq!(j.allocs(), 0);
+    }
+
+    #[test]
+    fn a_wrapped_ring_dumps_capacity_lines_oldest_first() {
+        let j = Journal::new(8, 1);
+        for i in 1..=20u64 {
+            j.begin(1, i, 0, "op");
+        }
+        let dump = j.to_chrome_jsonl();
+        let spans: Vec<String> = dump
+            .lines()
+            .map(|l| {
+                let line = crate::parse(l).unwrap();
+                line.get_path("args/span")
+                    .and_then(Json::as_str)
+                    .unwrap()
+                    .to_owned()
+            })
+            .collect();
+        let expected: Vec<String> = (13..=20u64).map(|i| format!("{i:#x}")).collect();
+        assert_eq!(spans, expected);
     }
 
     #[test]
@@ -453,12 +660,12 @@ mod tests {
     #[test]
     fn self_times_subtract_direct_children() {
         // parent (100us) -> child (60us) -> grandchild (10us); sibling (5us).
-        let mk = |span, parent, name: &str, dur| SpanEvent {
+        let mk = |span, parent, name: &'static str, dur| SpanEvent {
             phase: Phase::End,
             trace_id: 1,
             span_id: span,
             parent_span_id: parent,
-            name: name.into(),
+            name,
             ts_us: 0,
             dur_us: dur,
             thread: 1,
@@ -470,10 +677,15 @@ mod tests {
             mk(4, 1, "sibling", 5),
         ];
         let top = self_times(&events);
-        assert_eq!(top[0], ("child".to_owned(), 50));
-        assert_eq!(top[1], ("parent".to_owned(), 35));
-        assert_eq!(top[2], ("grandchild".to_owned(), 10));
-        assert_eq!(top[3], ("sibling".to_owned(), 5));
+        assert_eq!(
+            top,
+            [
+                ("child", 50),
+                ("parent", 35),
+                ("grandchild", 10),
+                ("sibling", 5)
+            ]
+        );
     }
 
     #[test]
@@ -486,8 +698,9 @@ mod tests {
         j.publish(&reg);
         assert_eq!(reg.counter("obs.journal.recorded"), 3);
         assert_eq!(reg.counter("obs.journal.dropped"), 1);
-        assert_eq!(reg.counter("obs.journal.allocs"), 3);
+        assert_eq!(reg.counter("obs.journal.allocs"), 0);
         assert_eq!(reg.gauge("obs.journal.events"), Some(2.0));
+        assert_eq!(reg.gauge("obs.journal.bytes"), Some(80.0));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! metrics registry, and a dependency-free JSON value type.
 //!
 //! Everything here is vendored in the same offline style as the
-//! rand/proptest shims — no external crates. Three modules:
+//! rand/proptest shims — no external crates. Four modules:
 //!
 //! - [`span`]: RAII span guards aggregating into a thread-safe call tree
 //!   ([`Recorder`]), for attributing wall-clock time to subsystems
@@ -11,15 +11,18 @@
 //!   with p50/p95/p99 ([`Registry`]); names follow `subsystem.object.verb`.
 //! - [`json`]: minimal JSON writer + parser so snapshots can be exported
 //!   (`metrics --json`) and validated in tests/CI without serde.
-//! - [`journal`]: a bounded, head-sampled ring of per-span begin/end
-//!   events ([`Journal`]) keyed by [`TraceCtx`] trace ids, exportable as
+//! - [`journal`]: a head-sampled ring of per-span begin/end events
+//!   ([`Journal`]) keyed by [`TraceCtx`] trace ids, exportable as
 //!   Chrome-trace-event JSONL (`trace dump --json`) — the per-request
-//!   complement to the aggregate-only [`Recorder`] tree.
+//!   complement to the aggregate-only [`Recorder`] tree. The ring is one
+//!   fixed 1 MiB array of 40-byte slots, written without allocating.
+//!
+//! Span names are `&'static str`: every span is named by a literal at its
+//! call site, so neither the tree nor the journal copies a name.
 //!
 //! Both `Recorder` and `Registry` are cheap cloneable handles to shared
-//! state. Prefer a *scoped* instance owned by a `Database`/test so
-//! parallel tests stay hermetic; `::global()` exists for code with no
-//! scope at hand.
+//! state, scoped: a `Database` or a test owns one, so parallel tests
+//! stay hermetic. There is no process-wide recorder.
 
 pub mod journal;
 pub mod json;
@@ -29,4 +32,4 @@ pub mod span;
 pub use journal::{Journal, Phase, SpanEvent};
 pub use json::{missing_keys, parse, Json, ParseError};
 pub use metrics::{Histogram, Registry};
-pub use span::{mint_trace_id, span, Recorder, SpanGuard, SpanReport, SpanStats, TraceCtx};
+pub use span::{mint_trace_id, Recorder, SpanGuard, SpanReport, SpanStats, TraceCtx};

@@ -31,7 +31,7 @@
 use crate::journal::Journal;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
@@ -66,10 +66,11 @@ pub(crate) fn next_span_id() -> u64 {
 /// to the originating request.
 ///
 /// A `TraceCtx` is `Copy` and carries no lifetime: capture it on the
-/// submitting thread ([`Recorder::current_ctx`] or [`SpanGuard::ctx`]),
-/// move it into a worker closure, and open the worker's span with
-/// [`Recorder::enter_with`]. A trace id of `0` means "untraced": spans
-/// still aggregate into the tree but never reach the journal.
+/// submitting thread ([`SpanGuard::ctx`]) or rebuild it from the wire
+/// ([`TraceCtx::from_wire`]), move it to the worker, and open the
+/// worker's span with [`Recorder::enter_with`]. A trace id of `0` means
+/// "untraced": spans still aggregate into the tree but never reach the
+/// journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCtx {
     trace_id: u64,
@@ -88,11 +89,6 @@ impl TraceCtx {
         self.trace_id
     }
 
-    /// The id of the span that created this context (0 = none).
-    pub fn span_id(&self) -> u64 {
-        self.span_id
-    }
-
     /// Rebuild a context from a trace id received over the wire. The
     /// tree position is unknown on this side, so spans opened with it
     /// start at top level, carrying the caller's trace id.
@@ -107,7 +103,7 @@ impl TraceCtx {
 
 #[derive(Debug)]
 struct Node {
-    name: String,
+    name: &'static str,
     children: Vec<usize>,
     count: u64,
     total: Duration,
@@ -131,7 +127,7 @@ impl Inner {
     fn fresh() -> Self {
         Inner {
             nodes: vec![Node {
-                name: String::new(),
+                name: "",
                 children: Vec::new(),
                 count: 0,
                 total: Duration::ZERO,
@@ -140,7 +136,7 @@ impl Inner {
         }
     }
 
-    fn child_named(&mut self, parent: usize, name: &str) -> usize {
+    fn child_named(&mut self, parent: usize, name: &'static str) -> usize {
         if let Some(&c) = self.nodes[parent]
             .children
             .iter()
@@ -150,7 +146,7 @@ impl Inner {
         }
         let idx = self.nodes.len();
         self.nodes.push(Node {
-            name: name.to_owned(),
+            name,
             children: Vec::new(),
             count: 0,
             total: Duration::ZERO,
@@ -196,12 +192,6 @@ impl Recorder {
         }
     }
 
-    /// The process-wide recorder, for code without a scoped one at hand.
-    pub fn global() -> &'static Recorder {
-        static GLOBAL: OnceLock<Recorder> = OnceLock::new();
-        GLOBAL.get_or_init(Recorder::new)
-    }
-
     /// The event journal sampled spans record into.
     pub fn journal(&self) -> &Journal {
         &self.journal
@@ -219,14 +209,14 @@ impl Recorder {
     /// thread (or at top level), inheriting that span's trace identity.
     /// Closes — records count and elapsed wall time — when the returned
     /// guard drops, panic included.
-    pub fn enter(&self, name: &str) -> SpanGuard {
+    pub fn enter(&self, name: &'static str) -> SpanGuard {
         self.enter_impl(name, None, false)
     }
 
     /// Open a span that begins a new request: if no traced span is open
     /// on this thread a fresh trace id is minted; an already-open trace
     /// (e.g. the server session span) is inherited instead.
-    pub fn enter_request(&self, name: &str) -> SpanGuard {
+    pub fn enter_request(&self, name: &'static str) -> SpanGuard {
         self.enter_impl(name, None, true)
     }
 
@@ -234,11 +224,11 @@ impl Recorder {
     /// instead of this thread's innermost span. This is how the engine
     /// thread and the group-commit leader re-attach their work to the
     /// originating request's trace and tree position.
-    pub fn enter_with(&self, name: &str, ctx: TraceCtx) -> SpanGuard {
+    pub fn enter_with(&self, name: &'static str, ctx: TraceCtx) -> SpanGuard {
         self.enter_impl(name, Some(ctx), false)
     }
 
-    fn enter_impl(&self, name: &str, ctx: Option<TraceCtx>, mint: bool) -> SpanGuard {
+    fn enter_impl(&self, name: &'static str, ctx: Option<TraceCtx>, mint: bool) -> SpanGuard {
         let thread = std::thread::current().id();
         let mut inner = self.locked();
         let (parent_node, mut trace_id, parent_span_id) = match ctx {
@@ -286,21 +276,6 @@ impl Recorder {
         }
     }
 
-    /// The trace context of this thread's innermost open span, if any.
-    /// Capture it before handing work to a pool; the workers pass it to
-    /// [`Recorder::enter_with`].
-    pub fn current_ctx(&self) -> Option<TraceCtx> {
-        let inner = self.locked();
-        inner
-            .current
-            .get(&std::thread::current().id())
-            .map(|cur| TraceCtx {
-                trace_id: cur.trace_id,
-                span_id: cur.span_id,
-                node: cur.node,
-            })
-    }
-
     /// Number of threads with an open span cursor. Cursors are removed
     /// when a thread's outermost span closes, so this returns to zero
     /// once all guards have dropped — the regression hook for the old
@@ -325,7 +300,7 @@ impl Recorder {
             let children: Vec<SpanStats> = n.children.iter().map(|&c| build(inner, c)).collect();
             let child_total: Duration = children.iter().map(|c| c.total).sum();
             SpanStats {
-                name: n.name.clone(),
+                name: n.name.to_owned(),
                 count: n.count,
                 total: n.total,
                 self_time: n.total.saturating_sub(child_total),
@@ -348,11 +323,7 @@ impl Recorder {
             let node = &mut inner.nodes[guard.node];
             node.count += 1;
             node.total += elapsed;
-            if self.journal.sampled(guard.trace_id) {
-                Some(node.name.clone())
-            } else {
-                None
-            }
+            self.journal.sampled(guard.trace_id).then_some(node.name)
         } else {
             None
         };
@@ -373,7 +344,7 @@ impl Recorder {
                 guard.trace_id,
                 guard.span_id,
                 guard.parent_span_id,
-                &name,
+                name,
                 elapsed,
             );
         }
@@ -414,11 +385,6 @@ impl Drop for SpanGuard {
         let elapsed = self.start.elapsed();
         self.recorder.close(self, elapsed);
     }
-}
-
-/// Open a span on the process-wide recorder.
-pub fn span(name: &str) -> SpanGuard {
-    Recorder::global().enter(name)
 }
 
 /// Aggregated statistics of one span path.
@@ -689,8 +655,8 @@ mod tests {
     fn enter_with_reattaches_to_the_captured_context() {
         let rec = Recorder::with_journal(1024, 1);
         let ctx = {
-            let _req = rec.enter_request("request");
-            rec.current_ctx().unwrap()
+            let req = rec.enter_request("request");
+            req.ctx()
         };
         let r2 = rec.clone();
         let worker_trace = std::thread::spawn(move || {
@@ -727,17 +693,17 @@ mod tests {
         let events = rec.journal().trace_events(trace);
         assert_eq!(events.len(), 4, "{events:?}");
         assert_eq!(events[0].phase, Phase::Begin);
-        assert_eq!(events[0].name.as_ref(), "request");
+        assert_eq!(events[0].name, "request");
         // The step's parent span id is the request's span id.
         let req_span = events[0].span_id;
         let step_begin = events
             .iter()
-            .find(|e| e.phase == Phase::Begin && e.name.as_ref() == "step")
+            .find(|e| e.phase == Phase::Begin && e.name == "step")
             .unwrap();
         assert_eq!(step_begin.parent_span_id, req_span);
         // End events carry durations and close in LIFO order.
         assert_eq!(events[3].phase, Phase::End);
-        assert_eq!(events[3].name.as_ref(), "request");
+        assert_eq!(events[3].name, "request");
     }
 
     #[test]
@@ -771,7 +737,7 @@ mod tests {
             let agg = report.find(name).unwrap();
             let journal_us: u64 = events
                 .iter()
-                .filter(|e| e.phase == Phase::End && e.name.as_ref() == name)
+                .filter(|e| e.phase == Phase::End && e.name == name)
                 .map(|e| e.dur_us)
                 .sum();
             let agg_us = agg.total.as_micros() as u64;

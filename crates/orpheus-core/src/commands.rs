@@ -2009,20 +2009,20 @@ mod tests {
             let fsync = events
                 .iter()
                 .rev()
-                .find(|e| e.phase == obs::Phase::End && e.name.as_ref() == "pagestore.wal.fsync")
+                .find(|e| e.phase == obs::Phase::End && e.name == "pagestore.wal.fsync")
                 .unwrap_or_else(|| panic!("no fsync event journaled: {events:?}"));
             assert_ne!(fsync.trace_id, 0);
             let same_trace: Vec<&str> = events
                 .iter()
                 .filter(|e| e.trace_id == fsync.trace_id && e.phase == obs::Phase::End)
-                .map(|e| e.name.as_ref())
+                .map(|e| e.name)
                 .collect();
             assert!(same_trace.contains(&"orpheus.request"), "{same_trace:?}");
             assert!(same_trace.contains(&"orpheus.commit"), "{same_trace:?}");
             // Each executed command minted its own trace.
             let request_traces: std::collections::HashSet<u64> = events
                 .iter()
-                .filter(|e| e.name.as_ref() == "orpheus.request")
+                .filter(|e| e.name == "orpheus.request")
                 .map(|e| e.trace_id)
                 .collect();
             assert!(request_traces.len() >= 5, "{request_traces:?}");

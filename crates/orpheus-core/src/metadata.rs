@@ -370,7 +370,7 @@ fn records(data: &Table, cvd: &str) -> Result<Vec<Arc<[u8]>>> {
             data.heap_size()
         )));
     }
-    Ok(records.into_iter().map(Arc::from).collect())
+    Ok(records)
 }
 
 fn read_cvd(
@@ -976,10 +976,10 @@ mod tests {
     }
 
     /// Every tuple of `cvd`'s data table as stored, by row id.
-    fn stored_tuples(odb: &mut OrpheusDb, cvd: &str) -> Vec<Vec<u8>> {
+    fn stored_tuples(odb: &mut OrpheusDb, cvd: &str) -> Vec<Arc<[u8]>> {
         let data = odb.database().table(&data_name(cvd)).unwrap();
         let pages = 0..data.num_heap_pages();
-        let mut tuples: Vec<Vec<u8>> = pages
+        let mut tuples: Vec<Arc<[u8]>> = pages
             .flat_map(|page| data.read_page_tuples(page).unwrap())
             .collect();
         tuples.sort_by_key(|tuple| RowId::from_le_bytes(tuple[..8].try_into().unwrap()));
@@ -993,7 +993,7 @@ mod tests {
             let stored = stored_tuples(odb, name);
             let cvd = odb.cvd(name).unwrap();
             let held = (0..cvd.num_records() as u64).map(|r| cvd.tuple(Rid(r)));
-            held.eq(stored.iter().map(Vec::as_slice))
+            held.eq(stored.iter().map(|tuple| &tuple[..]))
         })
     }
 

@@ -319,7 +319,10 @@ impl BufferPool {
             vacant: RefCell::new(Vec::new()),
             wal: RefCell::new(None),
             stats: RefCell::new(IoStats::new()),
-            recorder: RefCell::new(Recorder::global().clone()),
+            // Until a `Database` routes them into its own recorder, the
+            // pool's spans aggregate here; none carries a trace, so the
+            // journal is off and one slot long.
+            recorder: RefCell::new(Recorder::with_journal(1, 0)),
         }
     }
 
@@ -481,7 +484,7 @@ impl BufferPool {
     }
 
     /// Route this pool's spans (checkpoint, miss, evict, recover) into
-    /// `recorder` instead of the process-wide default. A `Database` sets
+    /// `recorder` instead of the pool's own. A `Database` sets
     /// its scoped recorder here so parallel tests stay hermetic.
     pub fn set_recorder(&self, recorder: Recorder) {
         *self.recorder.borrow_mut() = recorder;
@@ -492,7 +495,7 @@ impl BufferPool {
         self.recorder.borrow().clone()
     }
 
-    fn span(&self, name: &str) -> obs::SpanGuard {
+    fn span(&self, name: &'static str) -> obs::SpanGuard {
         self.recorder.borrow().enter(name)
     }
 

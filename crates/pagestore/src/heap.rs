@@ -42,8 +42,9 @@ pub struct TupleAddr {
     pub slot: u16,
 }
 
-/// The live tuples of one data page, each with its address.
-type PageTuples = Vec<(TupleAddr, Vec<u8>)>;
+/// The live tuples of one data page, each with its address. An inline
+/// tuple is copied once, off the page.
+type PageTuples = Vec<(TupleAddr, std::sync::Arc<[u8]>)>;
 
 /// An unordered collection of tuples stored on slotted pages.
 #[derive(Debug, Default)]
@@ -334,16 +335,16 @@ impl HeapFile {
                     slot,
                 };
                 match cell_kind(cell)? {
-                    SlotTuple::Inline(tuple) => out.push((addr, tuple.to_vec())),
+                    SlotTuple::Inline(tuple) => out.push((addr, tuple.into())),
                     SlotTuple::Overflow(head) => {
-                        out.push((addr, Vec::new()));
+                        out.push((addr, Default::default()));
                         chains.push((out.len() - 1, head));
                     }
                 }
             }
         }
         for (idx, head) in chains {
-            out[idx].1 = self.read_chain_into(pool, head, overflow)?;
+            out[idx].1 = self.read_chain_into(pool, head, overflow)?.into();
         }
         Ok((out, link))
     }
@@ -414,6 +415,7 @@ fn cell_kind(cell: &[u8]) -> Result<SlotTuple<'_>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn insert_get_update_delete() {
@@ -470,8 +472,8 @@ mod tests {
         assert_eq!(heap.num_pages(), 1);
         let rows = heap.tuples_on_page(&pool, 0).unwrap();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].1, big);
-        assert_eq!(rows[1].1, small);
+        assert_eq!(*rows[0].1, big[..]);
+        assert_eq!(*rows[1].1, small[..]);
         // Deleting the big tuple recycles its chain: the next big insert
         // allocates no new pages.
         let before = pool.num_pages();
@@ -523,13 +525,13 @@ mod tests {
         heap.insert(&pool, &big).unwrap();
         heap.delete(&pool, addrs[3]).unwrap();
         assert!(heap.num_pages() > 2);
-        let scanned: Vec<(TupleAddr, Vec<u8>)> = (0..heap.num_pages())
+        let scanned: Vec<(TupleAddr, Arc<[u8]>)> = (0..heap.num_pages())
             .flat_map(|ord| heap.tuples_on_page(&pool, ord).unwrap())
             .collect();
 
         let (mut seen, mut reached) = (Vec::new(), Vec::new());
         let opened = HeapFile::open(&pool, heap.page_ids()[0], &mut reached, |addr, bytes| {
-            seen.push((addr, bytes.to_vec()));
+            seen.push((addr, Arc::from(bytes)));
             Ok::<(), Error>(())
         })
         .unwrap();

@@ -601,8 +601,9 @@ impl Table {
     }
 
     /// The stored tuples of data page `page_ord`, byte for byte, in slot
-    /// order: what [`read_page_rows`](Self::read_page_rows) decodes.
-    pub fn read_page_tuples(&self, page_ord: usize) -> Result<Vec<Vec<u8>>> {
+    /// order: what [`read_page_rows`](Self::read_page_rows) decodes. An
+    /// inline tuple is copied once, off the page.
+    pub fn read_page_tuples(&self, page_ord: usize) -> Result<Vec<std::sync::Arc<[u8]>>> {
         let tuples = self.heap.tuples_on_page(&self.pool, page_ord)?;
         Ok(tuples.into_iter().map(|(_, bytes)| bytes).collect())
     }

@@ -316,8 +316,9 @@ wait "$srv_pid" 2>/dev/null || true
 rm -rf "$srv_dir"
 echo "WAL recovered across two kill -9 reopens"
 
-echo "==> ThreadSanitizer (exec-pool + orpheus-server concurrency tests)"
-# Data-race gate over the two crates that own threads. TSan needs a
+echo "==> ThreadSanitizer (exec-pool + obs + orpheus-server concurrency tests)"
+# Data-race gate over the two crates that own threads, and over obs,
+# whose journal ring session and engine threads write at once. TSan needs a
 # nightly toolchain (-Zsanitizer=thread) plus rust-src (-Zbuild-std, so
 # std itself is instrumented). When the host toolchain cannot run the
 # leg it is SKIPPED WITH A RECORDED REASON — results/ci/tsan_skip.txt —
@@ -336,7 +337,7 @@ elif ! rustup component list --toolchain nightly 2> /dev/null | grep -q 'rust-sr
 fi
 if [ -z "$tsan_skip" ] && ! RUSTFLAGS="-Zsanitizer=thread" \
     cargo +nightly build -Zbuild-std --target "$tsan_host" \
-      -p exec-pool -p orpheus-server --tests -q > results/ci/tsan_build.log 2>&1; then
+      -p exec-pool -p obs -p orpheus-server --tests -q > results/ci/tsan_build.log 2>&1; then
   tsan_skip="nightly cannot build -Zsanitizer=thread for $tsan_host (see results/ci/tsan_build.log)"
 fi
 if [ -n "$tsan_skip" ]; then
@@ -345,8 +346,8 @@ else
   rm -f results/ci/tsan_skip.txt
   RUSTFLAGS="-Zsanitizer=thread" \
     cargo +nightly test -Zbuild-std --target "$tsan_host" \
-      -q -p exec-pool -p orpheus-server
-  echo "TSan: exec-pool + orpheus-server race-free" | tee results/ci/tsan_ok.txt
+      -q -p exec-pool -p obs -p orpheus-server
+  echo "TSan: exec-pool + obs + orpheus-server race-free" | tee results/ci/tsan_ok.txt
 fi
 
 echo "==> perf-regression gate (deterministic work counters)"
