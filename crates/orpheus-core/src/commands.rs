@@ -137,12 +137,13 @@ impl OrpheusDb {
 
     /// [`open_durable`](Self::open_durable) over a write-ahead-logged,
     /// already recovered pool — how crash tests put fault injectors under
-    /// a whole instance.
+    /// a whole instance. The catalog is read as a bulk read: once its
+    /// records are in RAM, the pool keeps a ring of pages, not the store.
     pub fn open_pool(pool: relstore::BufferPool) -> Result<Self> {
         let recorder = obs::Recorder::new();
         let _span = recorder.enter("orpheus.open");
         let db = Database::open_pool(pool, recorder.clone())?;
-        let (users, clock, cvds) = metadata::load(&db)?;
+        let (users, clock, cvds) = db.pool().bulk_read(|| metadata::load(&db))?;
         let mut odb = OrpheusDb::over(db);
         (odb.users, odb.clock) = (users, clock);
         for cvd in cvds {

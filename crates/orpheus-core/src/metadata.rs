@@ -1183,46 +1183,54 @@ mod tests {
         odb.commit("w", "edit").unwrap().vid
     }
 
+    /// A record of CVD `big`: some 420 bytes, so 19 fill a page.
+    fn wide(k: i64) -> Row {
+        vec![
+            Value::Int64(k),
+            Value::Int64(k % 97),
+            Value::Text(format!("{k}-{}", "p".repeat(400))),
+        ]
+    }
+
+    /// CVD `big`: 40 records, then 40 versions forked from them that add
+    /// 160 each; 300 and more data pages, made durable.
+    fn fill_big(odb: &mut OrpheusDb) {
+        odb.set_auto_checkpoint(false);
+        odb.init_cvd(
+            "big",
+            base_schema(),
+            vec!["k".into()],
+            (0..40).map(wide).collect(),
+        )
+        .unwrap();
+        for child in 1..=40i64 {
+            odb.checkout("big", &[Vid(0)], "w").unwrap();
+            let t = odb.staging_table_mut("w").unwrap();
+            for k in child * 1_000..child * 1_000 + 160 {
+                t.insert(wide(k)).unwrap();
+            }
+            odb.commit("w", "fork").unwrap();
+        }
+        odb.checkpoint().unwrap();
+        let pages = odb
+            .database()
+            .table("big__sbr_data")
+            .unwrap()
+            .num_heap_pages();
+        assert!(pages >= 300, "data table has {pages} pages");
+    }
+
     /// The roadmap's reopen leg: at the parent this failed with "all 64
     /// buffer frames are pinned", because opening re-inserted every record
     /// into dirty pages a WAL-attached pool may not evict.
     #[test]
     fn a_cvd_larger_than_the_pool_reopens_and_answers() {
         let dir = scratch("small-pool");
-        let wide = |k: i64| {
-            vec![
-                Value::Int64(k),
-                Value::Int64(k % 97),
-                Value::Text(format!("{k}-{}", "p".repeat(400))),
-            ]
-        };
         {
             let mut odb = open(&dir, 4096);
             odb.create_user("alice").unwrap();
             odb.login("alice").unwrap();
-            odb.set_auto_checkpoint(false);
-            odb.init_cvd(
-                "big",
-                base_schema(),
-                vec!["k".into()],
-                (0..40).map(wide).collect(),
-            )
-            .unwrap();
-            for child in 1..=40i64 {
-                odb.checkout("big", &[Vid(0)], "w").unwrap();
-                let t = odb.staging_table_mut("w").unwrap();
-                for k in child * 1_000..child * 1_000 + 160 {
-                    t.insert(wide(k)).unwrap();
-                }
-                odb.commit("w", "fork").unwrap();
-            }
-            odb.checkpoint().unwrap();
-            let pages = odb
-                .database()
-                .table("big__sbr_data")
-                .unwrap()
-                .num_heap_pages();
-            assert!(pages >= 300, "data table has {pages} pages");
+            fill_big(&mut odb);
         }
         let mut odb = open(&dir, 64);
         let select = odb
@@ -1244,6 +1252,38 @@ mod tests {
         let t = odb.staging_table_mut("w").unwrap();
         t.insert(wide(99_999)).unwrap();
         assert_eq!(odb.commit("w", "after").unwrap().vid, Vid(41));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Opening reads the store as a bulk read: reopened under a pool that
+    /// would hold all of it, a store with a CVD of 300 and more pages
+    /// keeps at most a ring of page images, and answers as the instance
+    /// that was closed — also after a commit and another reopen.
+    #[test]
+    fn an_opened_store_keeps_a_ring_of_its_pages() {
+        let dir = scratch("open-ring");
+        let mut odb = open(&dir, 8192);
+        odb.set_auto_checkpoint(false);
+        load_corpus(&mut odb);
+        fill_big(&mut odb);
+        let before = corpus_answers(&odb);
+        odb.close().unwrap();
+        let mut odb = open(&dir, 8192);
+        let images = odb.database().pool().images();
+        assert!(
+            images <= pagestore::RING_PAGES,
+            "{images} page images after open"
+        );
+        assert!(records_are_the_data_table(&mut odb));
+        assert_eq!(corpus_answers(&odb), before);
+        apply_corpus_edit(&mut odb);
+        let after = corpus_answers(&odb);
+        assert_ne!(after, before);
+        drop(odb);
+        let mut odb = open(&dir, 8192);
+        assert!(records_are_the_data_table(&mut odb));
+        assert_eq!(corpus_answers(&odb), after);
+        drop(odb);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,10 +2,12 @@
 //! server, equivalence with a serial replay, group-commit fsync
 //! batching, wire-level backpressure, and snapshot isolation.
 
+use orpheus_core::CommandOutput;
 use orpheus_server::{
     client::render_messages, output_messages, Client, ClientError, EngineConfig, Server,
     ServerConfig,
 };
+use relstore::DataType;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Barrier;
@@ -16,13 +18,17 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("orpheus-server-{tag}-{}", std::process::id()))
 }
 
+/// The seed's `w` values start here: 2^53 + 1, so no `w` of the seed is
+/// a Float64 — a seed row widened from Int64 to Float64 reads otherwise.
+const SEED_W: i64 = (1 << 53) + 1;
+
 /// Write the 20-row seed CSV and return its path.
 fn seed_csv(tag: &str) -> PathBuf {
     let path = scratch(&format!("{tag}-seed.csv"));
     let mut f = std::fs::File::create(&path).unwrap();
     writeln!(f, "k,w,i").unwrap();
     for k in 0..20 {
-        writeln!(f, "{k},-1,-1").unwrap();
+        writeln!(f, "{k},{},-1", SEED_W + 2 * k).unwrap();
     }
     f.flush().unwrap();
     path
@@ -155,11 +161,19 @@ const EVOLVED: &str = "k:int,w:float,i:int,note:text";
 
 /// What a reader reads of its pin: every version's count, and v0 whole.
 fn pinned_reads(c: &mut Client) -> [String; 2] {
-    [
-        "run SELECT vid, count(*) FROM CVD t GROUP BY vid",
-        "run SELECT * FROM VERSION 0 OF CVD t",
-    ]
-    .map(|q| c.query(q).unwrap().render())
+    ["run SELECT vid, count(*) FROM CVD t GROUP BY vid", READ_V0]
+        .map(|q| c.query(q).unwrap().render())
+}
+
+const READ_V0: &str = "run SELECT * FROM VERSION 0 OF CVD t";
+
+/// A reply, typed: its column types, then its transcript.
+fn typed(out: &CommandOutput) -> (Vec<DataType>, String) {
+    let types = match out {
+        CommandOutput::Table(table) => table.schema.columns().iter().map(|c| c.dtype).collect(),
+        _ => Vec::new(),
+    };
+    (types, render_messages(&output_messages(out)))
 }
 
 /// N concurrent writers and M concurrent snapshot readers against one
@@ -178,6 +192,13 @@ fn concurrent_sessions_match_serial_replay() {
 
     let mut admin = Client::connect(addr, "admin").unwrap();
     tag_of(&mut admin, &init_line(&csv));
+    // What every pin reads of v0, whenever it was taken: the seed, typed
+    // as it was loaded, read from an instance that only loaded it.
+    let mut seeded = orpheus_core::OrpheusDb::new();
+    seeded.execute_as("admin", &init_line(&csv)).unwrap();
+    let (types, v0) = typed(&seeded.execute_as("admin", READ_V0).unwrap());
+    assert_eq!(types, [DataType::Int64; 4], "rid, k, w, i");
+    let v0 = &v0;
 
     let evolved = Barrier::new(READERS + 1);
     std::thread::scope(|s| {
@@ -199,6 +220,7 @@ fn concurrent_sessions_match_serial_replay() {
                 // (checked past the barrier, which a panic would leave
                 // the others waiting at)…
                 evolved.wait();
+                assert_eq!(&baseline[1], v0, "a pin reads the seed as typed");
                 assert!(steady, "pinned read changed under writers");
                 // …and after a commit widened and padded the records the
                 // pin shares.
@@ -257,13 +279,14 @@ fn concurrent_sessions_match_serial_replay() {
             .unwrap();
         assert_eq!(
             out,
-            orpheus_core::CommandOutput::Version(partition::Vid(e.vid)),
+            CommandOutput::Version(partition::Vid(e.vid)),
             "replay assigned a different vid for {}",
             e.msg
         );
     }
 
-    // Byte-compare the full state dump, live server vs serial replay.
+    // Byte-compare the full state dump, live server vs serial replay; the
+    // replay's reads after the evolution are typed as it declared.
     let max_vid = entries.last().unwrap().vid;
     for q in dump_queries(max_vid) {
         let live = {
@@ -271,7 +294,11 @@ fn concurrent_sessions_match_serial_replay() {
             assert!(reply.error().is_none(), "`{q}` failed on the server");
             reply.render()
         };
-        let replayed = render_messages(&output_messages(&replay.execute_as("admin", &q).unwrap()));
+        let (types, replayed) = typed(&replay.execute_as("admin", &q).unwrap());
+        if q.contains("SELECT *") {
+            let evolved = [DataType::Float64, DataType::Int64, DataType::Text];
+            assert_eq!(types[2..], evolved, "`{q}`: rid, k, then w, i, note");
+        }
         assert_eq!(live, replayed, "state diverged on `{q}`");
     }
 

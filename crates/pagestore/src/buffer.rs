@@ -13,6 +13,12 @@
 //! Eviction is the classic clock: a hand sweeps the frame array, skipping
 //! pinned frames, granting one second chance to frames whose reference bit
 //! is set, and evicting the first unreferenced unpinned frame it finds.
+//!
+//! A one-time pass over more pages than it should keep — opening a store,
+//! which reads every page once — runs as a [`bulk_read`](BufferPool::bulk_read):
+//! its misses cycle through a ring of at most [`RING_PAGES`] frames, as
+//! PostgreSQL's bulk-read strategy does, so the pass leaves at most that
+//! many page images behind however large the pool.
 //! All traffic is counted in an [`IoStats`] snapshot — the measured
 //! counterpart of `relstore`'s estimated cost model.
 //!
@@ -60,12 +66,16 @@ use crate::stats::IoStats;
 use crate::wal::{Wal, LOG_BOUND, RECORD_HEADER};
 use obs::Recorder;
 use std::cell::{Cell, Ref, RefCell, RefMut};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+
+/// Frames a [`bulk_read`](BufferPool::bulk_read) cycles its misses
+/// through (256 KiB of images).
+pub const RING_PAGES: usize = 32;
 
 struct Frame {
     page_id: Cell<Option<PageId>>,
@@ -286,6 +296,11 @@ pub struct BufferPool {
     /// Frames a freed page left, image kept: taken before the clock
     /// sweep, so an empty frame gets an image only when none is vacant.
     vacant: RefCell<Vec<usize>>,
+    /// The frames bulk reads cycle through, least recently taken first.
+    /// Kept between bulk reads, so they all share one ring.
+    ring: RefCell<VecDeque<usize>>,
+    /// Whether a bulk read is running.
+    bulk: Cell<bool>,
     wal: RefCell<Option<Wal>>,
     stats: RefCell<IoStats>,
     recorder: RefCell<Recorder>,
@@ -317,6 +332,8 @@ impl BufferPool {
             unwritten: FrameList::new(capacity),
             images: Cell::new(0),
             vacant: RefCell::new(Vec::new()),
+            ring: RefCell::new(VecDeque::with_capacity(RING_PAGES)),
+            bulk: Cell::new(false),
             wal: RefCell::new(None),
             stats: RefCell::new(IoStats::new()),
             // Until a `Database` routes them into its own recorder, the
@@ -497,6 +514,24 @@ impl BufferPool {
 
     fn span(&self, name: &'static str) -> obs::SpanGuard {
         self.recorder.borrow().enter(name)
+    }
+
+    /// Run `f` as a bulk read: while it runs, a miss reuses one of at most
+    /// [`RING_PAGES`] frames. Once the ring is full a miss takes its
+    /// oldest frame that is not pinned, leased, dirty or unwritten,
+    /// evicting the page there; if none is, the miss takes a frame as any
+    /// miss does, and that frame joins the ring. A hit reads the resident
+    /// page in place. A bulk read inside `f` joins the running one.
+    pub fn bulk_read<T>(&self, f: impl FnOnce() -> T) -> T {
+        /// Puts back whether a bulk read was running, also on a panic.
+        struct Restore<'a>(&'a Cell<bool>, bool);
+        impl Drop for Restore<'_> {
+            fn drop(&mut self) {
+                self.0.set(self.1);
+            }
+        }
+        let _restore = Restore(&self.bulk, self.bulk.replace(true));
+        f()
     }
 
     /// Pin `id` for reading. Fails with [`Error::PageBusy`] (instead of
@@ -814,7 +849,11 @@ impl BufferPool {
         }
         self.stats.borrow_mut().physical_reads += 1;
         let _span = self.span("pagestore.pool.miss");
-        let idx = self.victim_frame()?;
+        let idx = if self.bulk.get() {
+            self.ring_frame()?
+        } else {
+            self.victim_frame()?
+        };
         let frame = &self.frames[idx];
         // A victim frame has no leases, so its Arc is unique and
         // `make_mut` reads into the existing buffer without copying — once
@@ -827,6 +866,32 @@ impl BufferPool {
         frame.referenced.set(true);
         frame.clear();
         self.map.borrow_mut().insert(id, idx);
+        Ok(idx)
+    }
+
+    /// The frame a miss in a bulk read takes: once the ring is full, its
+    /// oldest frame nothing holds and nothing unsaved is in, emptied;
+    /// otherwise a victim frame, which joins the ring.
+    fn ring_frame(&self) -> Result<usize> {
+        let mut ring = self.ring.borrow_mut();
+        let idle = |&i: &usize| {
+            let f = &self.frames[i];
+            f.pin.get() == 0 && f.lease_count() == 0 && !f.dirty.get() && !f.unwritten.get()
+        };
+        let full = ring.len() >= RING_PAGES;
+        let oldest_idle = ring.iter().position(idle).filter(|_| full);
+        let idx = match oldest_idle.and_then(|at| ring.remove(at)) {
+            Some(idx) => {
+                self.evict(idx)?;
+                idx
+            }
+            None => {
+                let idx = self.victim_frame()?;
+                ring.retain(|&i| i != idx);
+                idx
+            }
+        };
+        ring.push_back(idx);
         Ok(idx)
     }
 
@@ -871,21 +936,29 @@ impl BufferPool {
                 frame.referenced.set(false);
                 continue;
             }
-            if let Some(old) = frame.page_id.get() {
-                let _span = self.span("pagestore.pool.evict");
-                let mut stats = self.stats.borrow_mut();
-                if frame.dirty.get() || frame.unwritten.get() {
-                    self.pager.borrow_mut().write(old, &frame.data.borrow())?;
-                    stats.write_backs += 1;
-                }
-                stats.evictions += 1;
-                self.map.borrow_mut().remove(&old);
-            }
-            frame.page_id.set(None);
-            frame.clear();
+            self.evict(idx)?;
             return Ok(idx);
         }
         Err(Error::PoolExhausted { capacity: n })
+    }
+
+    /// Empty frame `idx`, which nothing holds: its page, if any, leaves
+    /// the pool, written back first if dirty or unwritten (no sync).
+    fn evict(&self, idx: usize) -> Result<()> {
+        let frame = &self.frames[idx];
+        if let Some(old) = frame.page_id.get() {
+            let _span = self.span("pagestore.pool.evict");
+            let mut stats = self.stats.borrow_mut();
+            if frame.dirty.get() || frame.unwritten.get() {
+                self.pager.borrow_mut().write(old, &frame.data.borrow())?;
+                stats.write_backs += 1;
+            }
+            stats.evictions += 1;
+            self.map.borrow_mut().remove(&old);
+        }
+        frame.page_id.set(None);
+        frame.clear();
+        Ok(())
     }
 }
 
@@ -1582,6 +1655,76 @@ mod tests {
             }
         }
         assert_eq!(pool.images(), 4);
+    }
+
+    /// A pager of `pages` pages, page `i` holding `page-i`.
+    fn stored_pages(pages: u32) -> Box<MemPager> {
+        let mut pager = MemPager::new();
+        for i in 0..pages {
+            let mut page = Page::new();
+            page.insert(format!("page-{i}").as_bytes()).unwrap();
+            let id = pager.allocate().unwrap();
+            pager.write(id, &page).unwrap();
+        }
+        Box::new(pager)
+    }
+
+    #[test]
+    fn a_bulk_read_cycles_its_misses_through_the_ring() {
+        let pool = BufferPool::new(stored_pages(100), 1024);
+        drop(pool.fetch(99).unwrap());
+        let held = pool.bulk_read(|| {
+            let held = pool.fetch(0).unwrap();
+            for id in 1..99 {
+                drop(pool.fetch(id).unwrap());
+            }
+            // A nested bulk read joins the ring, and a hit stays put.
+            pool.bulk_read(|| (0..100).for_each(|id| drop(pool.fetch(id).unwrap())));
+            held
+        });
+        assert_eq!(pool.images(), RING_PAGES + 1, "the ring, and page 99");
+        assert!(pool.is_resident(99), "read outside, kept");
+        assert_eq!(
+            held.get(0).unwrap(),
+            b"page-0",
+            "a pinned ring frame is skipped"
+        );
+        drop(held);
+        let s = pool.stats();
+        assert_eq!(s.evictions, s.physical_reads - RING_PAGES as u64 - 1);
+        // Outside a bulk read a miss takes a frame of its own again, and
+        // the next bulk read reuses the same ring.
+        drop(pool.fetch(50).unwrap());
+        assert_eq!(pool.images(), RING_PAGES + 2);
+        pool.bulk_read(|| (0..100).for_each(|id| drop(pool.fetch(id).unwrap())));
+        assert_eq!(pool.images(), RING_PAGES + 2);
+        for id in 0..100 {
+            assert_eq!(
+                pool.fetch(id).unwrap().get(0).unwrap(),
+                format!("page-{id}").as_bytes()
+            );
+        }
+    }
+
+    #[test]
+    fn a_bulk_read_recycles_no_frame_with_unsaved_bytes() {
+        use crate::wal::MemWalStore;
+        let wal = Wal::new(Box::new(MemWalStore::new()));
+        let pool = BufferPool::with_wal(stored_pages(80), wal, 256);
+        pool.bulk_read(|| {
+            pool.fetch_mut(0).unwrap().insert(b"unwritten").unwrap();
+            pool.checkpoint().unwrap();
+            pool.fetch_mut(1).unwrap().insert(b"dirty").unwrap();
+            for id in 2..80 {
+                drop(pool.fetch(id).unwrap());
+            }
+        });
+        assert!(pool.is_resident(0) && pool.is_resident(1));
+        assert!(pool.is_dirty(1), "no-steal: still in its frame");
+        let s = pool.stats();
+        assert_eq!(s.write_backs, 0, "nothing unsaved was evicted");
+        assert_eq!(s.evictions, 80 - RING_PAGES as u64);
+        assert_eq!(pool.images(), RING_PAGES);
     }
 
     #[test]

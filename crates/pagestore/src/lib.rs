@@ -7,7 +7,8 @@
 //! * [`Page`] — fixed 8 KiB slotted pages for variable-width tuples.
 //! * [`Pager`] — page-granular backends: [`MemPager`], [`FilePager`].
 //! * [`BufferPool`] — fixed-capacity cache with clock (second-chance)
-//!   eviction, RAII pin guards, dirty tracking, and explicit checkpoint.
+//!   eviction, RAII pin guards, dirty tracking, explicit checkpoint, and
+//!   a small ring that one-time bulk reads cycle through.
 //! * [`HeapFile`] — unordered tuple storage with TOAST-style overflow
 //!   chains for oversized tuples.
 //! * [`IoStats`] — logical/physical reads, evictions, write-backs, and
@@ -31,7 +32,7 @@ mod recovery;
 mod stats;
 mod wal;
 
-pub use buffer::{BufferPool, PageLease, PageMut, PageRef};
+pub use buffer::{BufferPool, PageLease, PageMut, PageRef, RING_PAGES};
 pub use error::{Error, Result};
 pub use fault::{FaultKind, FaultPager, FaultPlan, FaultWal};
 pub use heap::{slot_tuple, HeapFile, SlotTuple, TupleAddr, INLINE_LIMIT};

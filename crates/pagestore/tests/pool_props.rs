@@ -14,10 +14,18 @@
 //! than its store has pages when it starts (so frames stay empty until
 //! the store outgrows them), every live page reads back what was last
 //! written to it.
+//!
+//! The last leg runs the same kind of traffic, held pins included, in
+//! and out of bulk reads on a write-ahead-logged pool, at capacities below
+//! and above the bulk-read ring: no held guard or lease ever loses its
+//! page, every page reads back its last write, and the bulk reads leave
+//! at most a ring of page images behind.
 
-use pagestore::{BufferPool, IoStats, PageLease, PageRef};
+use pagestore::{
+    BufferPool, Error, IoStats, MemPager, Page, PageLease, PageRef, Pager, RING_PAGES,
+};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -273,6 +281,254 @@ proptest! {
         drop(lease);
         for (id, value) in &model {
             assert_eq!(&tuple(&pool.fetch(*id).unwrap()), value, "page {id} at the end");
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum RingOp {
+    Fetch(u32),
+    Mutate(u32),
+    /// Fetch a page and keep the guard (at most three are kept).
+    Hold(u32),
+    Release,
+    Lease(u32),
+    Free(u32),
+    /// A durability point: dirty pages become unwritten.
+    Checkpoint,
+    /// A durability point and the write-back: every page clean.
+    Flush,
+    Allocate,
+}
+
+fn ring_op_strategy() -> impl Strategy<Value = RingOp> {
+    let page = || 0..128u32;
+    prop_oneof![
+        page().prop_map(RingOp::Fetch),
+        page().prop_map(RingOp::Fetch),
+        page().prop_map(RingOp::Fetch),
+        page().prop_map(RingOp::Fetch),
+        page().prop_map(RingOp::Fetch),
+        page().prop_map(RingOp::Fetch),
+        page().prop_map(RingOp::Mutate),
+        page().prop_map(RingOp::Mutate),
+        page().prop_map(RingOp::Hold),
+        Just(RingOp::Release),
+        page().prop_map(RingOp::Lease),
+        page().prop_map(RingOp::Free),
+        Just(RingOp::Checkpoint),
+        Just(RingOp::Flush),
+        Just(RingOp::Allocate),
+    ]
+}
+
+/// A pool and what each of its pages, guards and lease should read.
+struct RingModel<'p> {
+    pool: &'p BufferPool,
+    pages: HashMap<u32, Vec<u8>>,
+    /// The pages as of the last durability point: what a crash comes
+    /// back to.
+    durable: HashMap<u32, Vec<u8>>,
+    /// Pages written since then: no-steal keeps each resident and dirty.
+    dirty: HashSet<u32>,
+    held: Vec<(u32, PageRef<'p>, Vec<u8>)>,
+    lease: Option<(PageLease, Vec<u8>)>,
+    serial: usize,
+    /// Images that operations outside a bulk read added.
+    gained_outside: usize,
+    /// Allocations inside a bulk read: they take frames as outside one.
+    allocated_inside: usize,
+    /// Pages mutated or allocated since the last flush: a bound on the
+    /// dirty and unwritten frames.
+    writes: usize,
+    /// The most frames held, dirty or unwritten at once: the ring grows
+    /// past [`RING_PAGES`] frames only while every one of them is busy.
+    busy_max: usize,
+}
+
+impl<'p> RingModel<'p> {
+    fn busy(&self) -> usize {
+        self.held.len() + usize::from(self.lease.is_some()) + self.writes
+    }
+
+    /// A failure the pool may answer `op` with: running out of frames,
+    /// when every frame could be held or dirty.
+    fn exhausted(&self, e: Error) {
+        assert!(matches!(e, Error::PoolExhausted { .. }), "{e}");
+        assert!(
+            self.busy() >= self.pool.capacity(),
+            "exhausted with {} busy",
+            self.busy()
+        );
+    }
+
+    fn apply(&mut self, op: RingOp, inside: bool) {
+        let pool = self.pool;
+        let images = pool.images();
+        self.serial += 1;
+        let mut live: Vec<u32> = self.pages.keys().copied().collect();
+        live.sort_unstable();
+        let pick = |i: u32| live[i as usize % live.len()];
+        let is_held = |held: &[(u32, PageRef<'p>, Vec<u8>)], id| held.iter().any(|h| h.0 == id);
+        match op {
+            RingOp::Fetch(i) => match pool.fetch(pick(i)) {
+                Ok(page) => assert_eq!(tuple(&page), self.pages[&pick(i)], "page {}", pick(i)),
+                Err(e) => self.exhausted(e),
+            },
+            RingOp::Mutate(i) => {
+                let id = pick(i);
+                let value = format!("page {id} write {}", self.serial).into_bytes();
+                match pool.fetch_mut(id) {
+                    Ok(mut page) => {
+                        assert!(page.update(0, &value).unwrap());
+                        self.pages.insert(id, value);
+                        self.dirty.insert(id);
+                        self.writes += 1;
+                    }
+                    Err(Error::PageBusy(busy)) => assert!(busy == id && is_held(&self.held, id)),
+                    Err(e) => self.exhausted(e),
+                }
+            }
+            RingOp::Hold(i) => {
+                if self.held.len() == 3 {
+                    self.held.remove(0);
+                }
+                match pool.fetch(pick(i)) {
+                    Ok(page) => self
+                        .held
+                        .push((pick(i), page, self.pages[&pick(i)].clone())),
+                    Err(e) => self.exhausted(e),
+                }
+            }
+            RingOp::Release => drop(self.held.pop()),
+            RingOp::Lease(i) => match pool.lease(pick(i)) {
+                Ok(lease) => {
+                    assert_eq!(leased(&lease), self.pages[&pick(i)]);
+                    self.lease = Some((lease, self.pages[&pick(i)].clone()));
+                }
+                Err(Error::PageDirty(_)) => assert!(pool.is_dirty(pick(i))),
+                Err(e) => self.exhausted(e),
+            },
+            RingOp::Free(i) => {
+                let id = pick(i);
+                if live.len() > 1 && !is_held(&self.held, id) {
+                    pool.free_page(id);
+                    self.pages.remove(&id);
+                    self.dirty.remove(&id);
+                }
+            }
+            RingOp::Checkpoint => {
+                pool.checkpoint().unwrap();
+                self.durable = self.pages.clone();
+                self.dirty.clear();
+            }
+            RingOp::Flush => {
+                pool.flush_all().unwrap();
+                self.durable = self.pages.clone();
+                self.dirty.clear();
+                self.writes = 0;
+            }
+            RingOp::Allocate if pool.num_pages() < 120 || pool.free_pages() > 0 => {
+                match pool.allocate_pinned(false) {
+                    Ok((id, mut page)) => {
+                        let value = format!("page {id} write {}", self.serial).into_bytes();
+                        assert_eq!(page.live_count(), 0, "an allocated page starts empty");
+                        page.insert(&value).unwrap();
+                        self.pages.insert(id, value);
+                        self.dirty.insert(id);
+                        self.writes += 1;
+                        self.allocated_inside += usize::from(inside);
+                    }
+                    Err(e) => self.exhausted(e),
+                }
+            }
+            RingOp::Allocate => {}
+        }
+        if !inside {
+            self.gained_outside += pool.images() - images;
+        }
+        self.busy_max = self.busy_max.max(self.busy());
+        self.check();
+    }
+
+    fn check(&self) {
+        for (id, guard, value) in &self.held {
+            assert_eq!(&tuple(guard), value, "held guard on page {id}");
+            assert!(self.pool.is_resident(*id), "held page {id} evicted");
+        }
+        if let Some((lease, frozen)) = &self.lease {
+            assert_eq!(&leased(lease), frozen, "a lease's image is frozen");
+            assert!(
+                self.pool.is_resident(lease.id()),
+                "leased page {} evicted",
+                lease.id()
+            );
+        }
+        for &id in &self.dirty {
+            assert!(self.pool.is_dirty(id), "dirty page {id} left its frame");
+        }
+        let ring = RING_PAGES.max(self.busy_max + 1);
+        let bound = ring + self.gained_outside + self.allocated_inside;
+        let images = self.pool.images();
+        assert!(images <= self.pool.capacity());
+        assert!(images <= bound, "{images} images, at most {bound} expected");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Runs of operations, each inside a bulk read or not, on a logged
+    /// pool over 96 stored pages (growing to 120) with 12 or 64 frames,
+    /// then a crash.
+    #[test]
+    fn bulk_reads_keep_every_held_page_and_leave_a_ring_of_images(
+        small in any::<bool>(),
+        runs in prop::collection::vec((any::<bool>(), prop::collection::vec(ring_op_strategy(), 1..100)), 1..8),
+    ) {
+        let mut pager = MemPager::new();
+        let mut pages = HashMap::new();
+        for _ in 0..96 {
+            let id = pager.allocate().unwrap();
+            let value = format!("page {id} write 0").into_bytes();
+            let mut page = Page::new();
+            page.insert(&value).unwrap();
+            pager.write(id, &page).unwrap();
+            pages.insert(id, value);
+        }
+        let wal = pagestore::Wal::new(Box::new(pagestore::MemWalStore::new()));
+        let capacity = if small { 12 } else { 64 };
+        let pool = BufferPool::with_wal(Box::new(pager), wal, capacity);
+        let mut model = RingModel {
+            pool: &pool,
+            durable: pages.clone(),
+            dirty: HashSet::new(),
+            pages,
+            held: Vec::new(),
+            lease: None,
+            serial: 0,
+            gained_outside: 0,
+            allocated_inside: 0,
+            writes: 0,
+            busy_max: 0,
+        };
+        for (inside, ops) in runs {
+            if inside {
+                pool.bulk_read(|| ops.iter().for_each(|&op| model.apply(op, true)));
+            } else {
+                ops.iter().for_each(|&op| model.apply(op, false));
+            }
+        }
+        model.held.clear();
+        model.lease = None;
+        for (id, value) in &model.pages {
+            assert_eq!(&tuple(&pool.fetch(*id).unwrap()), value, "page {id} at the end");
+        }
+        // No dirty page reached the data file: a crash loses exactly the
+        // writes since the last flush.
+        pool.recover().unwrap();
+        for (id, value) in &model.durable {
+            assert_eq!(&tuple(&pool.fetch(*id).unwrap()), value, "page {id} after a crash");
         }
     }
 }

@@ -81,11 +81,14 @@ impl Database {
     /// log attached and has been recovered (tests wrap its pager and log
     /// in fault injectors). Every table the directory at page 0 describes
     /// is opened by reading its pages — nothing is written, so a database
-    /// larger than the pool opens too. Spans land in `recorder`, under
-    /// whatever span the caller holds open there.
+    /// larger than the pool opens too. The pages are read as a bulk read,
+    /// so the pool keeps at most a ring of them. Spans land in
+    /// `recorder`, under whatever span the caller holds open there.
     pub fn open_pool(pool: BufferPool, recorder: Recorder) -> Result<Self> {
         let mut db = Database::from_pool(pool, recorder);
-        let (directory, tables) = Directory::load(&db.pool, &db.recorder)?;
+        let (directory, tables) = db
+            .pool
+            .bulk_read(|| Directory::load(&db.pool, &db.recorder))?;
         db.directory = Some(RefCell::new(directory));
         db.tables = tables;
         Ok(db)

@@ -44,7 +44,11 @@ echo "==> benchmarks/loadgen unit tests (unedited; the benchmark's link surface)
 
 echo "==> fault-injection / crash-recovery suite (release)"
 # The crash-point matrix walks a fault through every I/O of a commit; run
-# it in release so the full matrix stays fast.
+# it in release so the full matrix stays fast. Beside it, the pool's
+# properties — among them bulk reads: random fetches, writes, held pins,
+# leases and frees in and out of `bulk_read`, at 12 and 64 frames, never
+# lose a held page or a dirty one, read back every write, survive a
+# crash, and leave at most the 32-frame ring of page images.
 cargo test -p pagestore --release -q --test crash_matrix --test pool_props
 # The same walk one and two layers up: every I/O of an `OrpheusDb::commit`
 # and of a two-commit server batch leaves the batch visible whole or not
@@ -52,7 +56,10 @@ cargo test -p pagestore --release -q --test crash_matrix --test pool_props
 # CVD of 300+ pages under a 64-frame pool, histories that read back as
 # they were closed, write cycles that reuse their staging pages — and
 # each CVD's records in RAM are its data table's tuples, byte for byte,
-# after keyed, unkeyed, merge and schema-evolving commits and a reopen.
+# after keyed, unkeyed, merge and schema-evolving commits and a reopen —
+# and a store of 300+ pages reopened under an 8 192-frame pool holds at
+# most the 32 page images of open's bulk-read ring, and answers the query
+# corpus as before, also after a commit and another reopen.
 cargo test -p orpheus-core --release -q --lib metadata::tests
 # A checkout copied at its first read commits what one copied at once
 # commits: random keyed, unkeyed and merge histories.
