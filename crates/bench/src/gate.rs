@@ -346,9 +346,10 @@ mod tests {
         assert!(r.regressions.iter().any(|m| m.contains("missing")));
     }
 
-    // lint:allow too_many_arguments — fixture builder: each test names only
-    // the knob it perturbs, a params struct would just duplicate the JSON.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each test names only the knob it perturbs; a struct would repeat the JSON"
+    )]
     fn frontier_doc(
         bytes: f64,
         storage: f64,

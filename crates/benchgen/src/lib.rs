@@ -18,10 +18,6 @@
 //! (fresh `rid`) with the same primary key, per the immutable-record rule of
 //! §3.1 and the no-cross-version-diff rule of §3.3.1.
 
-// Index-based loops are kept where they mirror the paper's pseudocode
-// (graph algorithms over parallel arrays).
-#![allow(clippy::needless_range_loop)]
-
 pub mod generator;
 pub mod spec;
 

@@ -6,7 +6,7 @@
 //! formulation (§7.2.3) as the optimality reference for heuristic
 //! validation — usable up to a dozen or so versions.
 
-use crate::graph::{StorageGraph, ROOT};
+use crate::graph::StorageGraph;
 use crate::solution::StorageSolution;
 
 /// Which objective/constraint pair to solve exactly.
@@ -97,12 +97,6 @@ pub fn solve_exact(graph: &StorageGraph, problem: ExactProblem) -> Option<Storag
 
     rec(1, n, &candidates, &mut sol, 0, problem, &mut best);
     best.map(|(_, s)| s)
-}
-
-// Compile-time anchor keeping the ROOT constant referenced outside tests.
-#[allow(dead_code)]
-fn _root_is_zero() {
-    let _ = ROOT;
 }
 
 #[cfg(test)]

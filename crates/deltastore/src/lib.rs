@@ -26,9 +26,10 @@
 //! delta encoding (item-level add/remove sets) used to build real matrices
 //! from version contents.
 
-// Index-based loops are kept where they mirror the paper's pseudocode
-// (graph algorithms over parallel arrays).
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "index loops mirror the paper's pseudocode over parallel arrays"
+)]
 
 pub mod baselines;
 pub mod budget;

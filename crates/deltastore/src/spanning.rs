@@ -5,7 +5,7 @@
 //! arborescence on Δ (Lemma 7.2); Problem 7.2 (minimize every recreation
 //! cost) is the shortest-path tree on Φ (Lemma 7.3).
 
-use crate::graph::{NodeId, StorageGraph, ROOT};
+use crate::graph::{StorageGraph, ROOT};
 use crate::solution::StorageSolution;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -279,10 +279,6 @@ pub fn min_storage_tree(graph: &StorageGraph) -> StorageSolution {
 pub fn shortest_phi_distances(graph: &StorageGraph) -> Vec<u64> {
     dijkstra_spt(graph).recreation_costs()
 }
-
-// Compile-time anchor keeping the NodeId alias referenced outside tests.
-#[allow(dead_code)]
-fn _unused(_: NodeId) {}
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,10 @@
 //! # exec-pool — the workspace's scoped and service threads
 //!
 //! This crate is the only place in the workspace allowed to create
-//! threads (enforced by `orpheus-lint` rule L007): routing every spawn
-//! through it means joins and panics can never be forgotten at a call
-//! site. The engine itself runs each query on one thread; the threads
+//! threads (`clippy.toml`'s disallowed methods refuse
+//! `std::thread::{spawn, scope, Builder}` elsewhere): routing every
+//! spawn through it means joins and panics can never be forgotten at a
+//! call site. The engine itself runs each query on one thread; the threads
 //! made here are client fan-outs (load generators, smoke tests) and
 //! resident service loops.
 //!
@@ -18,6 +19,13 @@
 //!   thread for subsystems that genuinely need one resident thread (a
 //!   TCP acceptor, a storage-engine loop): the thread still gets a name,
 //!   a panic-capturing join, and an owner that cannot forget to join it.
+
+// Library code surfaces a broken invariant as a typed error, never as an
+// abort, and drops no `Result` or span guard unread; test code may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::unused_result_ok))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -114,6 +122,7 @@ impl WorkerPool {
         if workers <= 1 {
             work(0);
         } else {
+            #[expect(clippy::disallowed_methods, reason = "the pool makes the threads")]
             std::thread::scope(|scope| {
                 for w in 0..workers {
                     let work = &work;
@@ -138,8 +147,8 @@ impl WorkerPool {
     }
 }
 
-/// A named, long-lived service thread: the one sanctioned way (lint rule
-/// L007) to hold a resident thread for the lifetime of a subsystem —
+/// A named, long-lived service thread: the one sanctioned way (see the
+/// crate docs) to hold a resident thread for the lifetime of a subsystem —
 /// network acceptors, single-threaded engine loops, background daemons.
 ///
 /// Contract:
@@ -168,6 +177,7 @@ impl ServiceThread {
         F: FnOnce() + Send + 'static,
     {
         let name = name.into();
+        #[expect(clippy::disallowed_methods, reason = "the pool makes the threads")]
         let handle = std::thread::Builder::new()
             .name(name.clone())
             .spawn(body)

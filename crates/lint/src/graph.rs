@@ -1,43 +1,34 @@
-//! Workspace-wide analysis over the code model: the call graph, the
-//! lock-acquisition graph, and the concurrency rules L009–L012.
+//! The workspace call graph and rule L010: no `Mutex` guard held across
+//! a blocking boundary.
 //!
 //! **Call graph.** Call sites resolve by name with a same-file-first
 //! policy: a callee name that resolves inside its own file resolves
-//! *only* there (so the four `locked()` helpers in obs/exec-pool never
+//! *only* there (so the `locked()` helpers in obs/exec-pool never
 //! cross-contaminate); otherwise every workspace function with that
 //! name outside integration tests is a candidate — a `tests/` helper is
 //! reachable from its own file only, so a test's `fn load()` that syncs
 //! cannot make a library's `x.load()` look blocking. Method calls whose
 //! names are ubiquitous std vocabulary (`push`, `get`, `clone`, …) never
-//! resolve across files — resolving `.push(…)` to `Journal::push` would
-//! hallucinate an edge into the journal ring from every vector append.
-//! Calls named `drop` resolve to nothing: `std::mem::drop` is almost
-//! always what is meant.
+//! resolve across files. Calls named `drop` resolve to nothing:
+//! `std::mem::drop` is almost always what is meant.
 //!
-//! **Lock-acquisition graph.** Nodes are lock *classes* (one per
-//! engine resource: `metrics-registry`, `journal-ring`, `buffer-pool`,
-//! `session-table`, `commit-queue`, `pool-queue`, plus per-receiver
-//! classes for unmapped files). There is an edge `A → B` when some
-//! function holds a guard of class `A` across a point that acquires
-//! `B` — either a direct acquisition in the same body or a call whose
-//! (transitive) callees acquire `B`. "Held across call" is the edge
-//! relation because that is the only way lock orders compose across
-//! functions: the callee inherits the caller's held set. A cycle in
-//! this graph is a lock-order inversion: two threads entering it from
-//! different edges can each hold what the other wants (L009).
-//!
-//! **Fixpoints.** Four properties propagate over the call graph until
-//! stable: the set of classes a function may acquire; whether it can
-//! block (`fsync`/`sync_all`/`sync_data`, channel `recv`/
-//! `recv_timeout`, no-arg `join`, or the WAL write path) for L010;
-//! whether it creates an obs span for L012; and whether it *returns* a
-//! guard (the `fn locked(…) -> MutexGuard` idiom), in which case a
-//! `let`-bound call to it is an acquisition at the call site.
+//! **Fixpoints.** Two properties propagate over the call graph until
+//! stable: whether a function can block (`fsync`/`sync_all`/
+//! `sync_data`, channel `recv`/`recv_timeout`, no-arg `join`, or the WAL
+//! write path), and whether it *returns* a held `Mutex` guard (the `fn
+//! locked(…) -> MutexGuard` idiom), in which case a call to it is an
+//! acquisition at the call site. L010 then walks each function's held
+//! regions against the calls inside them. Every thread contending for a
+//! lock stalls behind I/O done under it; the group-commit design depends
+//! on the commit queue never being wedged behind an fsync.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::model::{Acquisition, CallSite, FileModel, GuardKind};
-use crate::rules::{classify, Finding, Rule, VENDORED_SHIMS};
+use crate::model::{Acquisition, CallSite, FileModel, FnModel};
+use crate::rules::{is_test_path, Finding, Rule};
+
+/// Vendored dependency shims: external API surface, not linted.
+const VENDORED_SHIMS: &[&str] = &["rand", "proptest", "criterion"];
 
 /// Method names that never resolve across files: std vocabulary that
 /// would otherwise alias workspace functions (`.push(…)` is a Vec, not
@@ -136,23 +127,6 @@ const BLOCKING_ANY_ARGS: &[&str] = &["sync_all", "sync_data", "fsync", "recv_tim
 /// before the fsync — a group-commit leader stalls every follower.
 const BLOCKING_DEFS: &[(&str, &str)] = &[("/wal.rs", "write_at"), ("/wal.rs", "sync")];
 
-/// Return-type identifiers that mark a fn as handing its caller a live
-/// guard (`fn locked(…) -> MutexGuard<…>` and friends).
-const GUARD_RET_TYPES: &[&str] = &[
-    "MutexGuard",
-    "RwLockReadGuard",
-    "RwLockWriteGuard",
-    "Ref",
-    "RefMut",
-    "PageLease",
-];
-
-fn returns_guard_type(f: &crate::model::FnModel) -> bool {
-    f.ret_idents
-        .iter()
-        .any(|r| GUARD_RET_TYPES.contains(&r.as_str()))
-}
-
 /// `true` when a call site blocks by name alone (std / OS boundary the
 /// call graph cannot see into).
 fn direct_blocking(c: &CallSite) -> bool {
@@ -166,15 +140,46 @@ fn direct_blocking(c: &CallSite) -> bool {
 
 type FnId = (usize, usize); // (file index, fn index)
 
-/// Run the graph rules over the whole workspace model. Returns findings
-/// tagged with the index of the file they belong to.
+/// Run L010 over the whole workspace model. Returns findings tagged
+/// with the index of the file they belong to.
 pub fn analyze(files: &[FileModel]) -> Vec<(usize, Finding)> {
     let ws = Workspace::build(files);
     let mut out = Vec::new();
-    l009_lock_order_cycles(&ws, &mut out);
-    l010_no_guard_across_blocking(&ws, &mut out);
-    l011_no_discarded_results(&ws, &mut out);
-    l012_command_entry_points_traced(&ws, &mut out);
+    for id in ws.all_fns() {
+        let f = ws.fn_of(id);
+        let path = &files[id.0].path;
+        let vendored = VENDORED_SHIMS
+            .iter()
+            .any(|v| path.starts_with(&format!("crates/{v}/")));
+        if f.in_test || vendored {
+            continue;
+        }
+        let mut reported: BTreeSet<u32> = BTreeSet::new();
+        for a in ws.effective_acquisitions(id) {
+            for (c, ts) in f.calls.iter().zip(&ws.targets[&id]) {
+                if c.tok <= a.tok || c.tok >= a.held_to {
+                    continue;
+                }
+                let blocking = direct_blocking(c) || ts.iter().any(|t| ws.blocking.contains(t));
+                if blocking && reported.insert(c.line) {
+                    out.push((
+                        id.0,
+                        Finding {
+                            line: c.line,
+                            rule: Rule::L010,
+                            msg: format!(
+                                "`{}(…)` can block (fsync/WAL/recv/join) while \
+                                 the mutex guard from line {} is held; every \
+                                 thread contending for that lock stalls behind \
+                                 the I/O — drop the guard before blocking",
+                                c.name, a.line,
+                            ),
+                        },
+                    ));
+                }
+            }
+        }
+    }
     out
 }
 
@@ -184,14 +189,10 @@ struct Workspace<'a> {
     by_name: BTreeMap<&'a str, Vec<FnId>>,
     /// Resolved call targets, parallel to each fn's `calls`.
     targets: BTreeMap<FnId, Vec<Vec<FnId>>>,
-    /// Classes each fn may (transitively) acquire.
-    acquires: BTreeMap<FnId, BTreeSet<String>>,
     /// Fns that may block (directly or transitively).
     blocking: BTreeSet<FnId>,
-    /// Fns that (transitively) create an obs span.
-    creates_span: BTreeSet<FnId>,
-    /// Guard-returning fns and the guard they return.
-    guard_source: BTreeMap<FnId, (GuardKind, String)>,
+    /// Fns that hand their caller a held lock guard.
+    guard_source: BTreeSet<FnId>,
 }
 
 impl<'a> Workspace<'a> {
@@ -206,10 +207,8 @@ impl<'a> Workspace<'a> {
             files,
             by_name,
             targets: BTreeMap::new(),
-            acquires: BTreeMap::new(),
             blocking: BTreeSet::new(),
-            creates_span: BTreeSet::new(),
-            guard_source: BTreeMap::new(),
+            guard_source: BTreeSet::new(),
         };
         for (fi, file) in files.iter().enumerate() {
             for (gi, f) in file.fns.iter().enumerate() {
@@ -245,11 +244,11 @@ impl<'a> Workspace<'a> {
         candidates
             .iter()
             .copied()
-            .filter(|&(fi, _)| !classify(&self.files[fi].path).test_code)
+            .filter(|&(fi, _)| !is_test_path(&self.files[fi].path))
             .collect()
     }
 
-    fn fn_of(&self, id: FnId) -> &'a crate::model::FnModel {
+    fn fn_of(&self, id: FnId) -> &'a FnModel {
         &self.files[id.0].fns[id.1]
     }
 
@@ -261,22 +260,9 @@ impl<'a> Workspace<'a> {
     }
 
     fn fixpoints(&mut self) {
-        // Seeds. Only Mutex/RwLock guards feed the lock graph: a RefCell
-        // borrow or page lease cannot block another thread, so it cannot
-        // be a deadlock edge (it stays in the model for other uses).
         for id in self.all_fns().collect::<Vec<_>>() {
             let f = self.fn_of(id);
             let path = &self.files[id.0].path;
-            let mut acq = BTreeSet::new();
-            for a in &f.acquisitions {
-                if a.kind == GuardKind::Lock {
-                    acq.insert(a.class.clone());
-                }
-                if a.kind == GuardKind::Span {
-                    self.creates_span.insert(id);
-                }
-            }
-            self.acquires.insert(id, acq);
             if f.calls.iter().any(direct_blocking)
                 || BLOCKING_DEFS
                     .iter()
@@ -288,61 +274,28 @@ impl<'a> Workspace<'a> {
             // a guard acquired in tail position inside a constructor that
             // returns an owning type (`fn open() -> Db`) does NOT hand
             // its caller a live guard.
-            if let Some(g) = &f.tail_guard {
-                if returns_guard_type(f) {
-                    self.guard_source.insert(id, g.clone());
-                }
+            if f.tail_guard && f.returns_guard {
+                self.guard_source.insert(id);
             }
         }
-        // Propagate until stable. The workspace has a few hundred fns,
+        // Propagate until stable. The workspace has a few thousand fns,
         // so a simple iterate-to-fixpoint is plenty fast.
         loop {
             let mut changed = false;
             for id in self.all_fns().collect::<Vec<_>>() {
-                let callee_ids: Vec<FnId> = self.targets[&id].iter().flatten().copied().collect();
-                // acquires ∪= callees' acquires
-                let mut gained: Vec<String> = Vec::new();
-                for t in &callee_ids {
-                    for cls in &self.acquires[t] {
-                        if !self.acquires[&id].contains(cls) {
-                            gained.push(cls.clone());
-                        }
-                    }
-                }
-                if !gained.is_empty() {
-                    self.acquires.get_mut(&id).unwrap().extend(gained);
-                    changed = true;
-                }
-                // blocking / creates_span propagate along calls
-                if !self.blocking.contains(&id)
-                    && callee_ids.iter().any(|t| self.blocking.contains(t))
-                {
-                    self.blocking.insert(id);
-                    changed = true;
-                }
-                if !self.creates_span.contains(&id)
-                    && callee_ids.iter().any(|t| self.creates_span.contains(t))
-                {
-                    self.creates_span.insert(id);
-                    changed = true;
-                }
-                // guard sources propagate through tail calls, but only
-                // into fns whose signature also returns a guard type
-                if !self.guard_source.contains_key(&id) && returns_guard_type(self.fn_of(id)) {
-                    let f = self.fn_of(id);
-                    let tail_names: Vec<&String> = f.tail_calls.iter().collect();
-                    let found = f
-                        .calls
+                let f = self.fn_of(id);
+                let targets = &self.targets[&id];
+                let blocks = targets.iter().flatten().any(|t| self.blocking.contains(t));
+                // Guard sources propagate through tail calls, but only
+                // into fns whose signature also returns a guard type.
+                let source = f.returns_guard
+                    && f.calls
                         .iter()
-                        .zip(&self.targets[&id])
-                        .filter(|(c, _)| tail_names.contains(&&c.name))
-                        .flat_map(|(_, ts)| ts.iter())
-                        .find_map(|t| self.guard_source.get(t).cloned());
-                    if let Some(g) = found {
-                        self.guard_source.insert(id, g);
-                        changed = true;
-                    }
-                }
+                        .zip(targets)
+                        .filter(|(c, _)| f.tail_calls.contains(&c.name))
+                        .any(|(_, ts)| ts.iter().any(|t| self.guard_source.contains(t)));
+                changed |= blocks && self.blocking.insert(id);
+                changed |= source && self.guard_source.insert(id);
             }
             if !changed {
                 break;
@@ -350,294 +303,22 @@ impl<'a> Workspace<'a> {
         }
     }
 
-    /// Direct lock acquisitions plus derived ones (a `let`-bound call
-    /// to a guard-returning fn acquires that guard at the call site).
-    /// Span guards, borrows, and leases are excluded — they do not
-    /// block other threads, so they are not deadlock participants.
+    /// Direct lock acquisitions plus derived ones (a call to a
+    /// guard-returning fn acquires that guard at the call site).
     fn effective_acquisitions(&self, id: FnId) -> Vec<Acquisition> {
         let f = self.fn_of(id);
-        let mut out: Vec<Acquisition> = f
-            .acquisitions
-            .iter()
-            .filter(|a| a.kind == GuardKind::Lock)
-            .cloned()
-            .collect();
+        let mut out = f.acquisitions.clone();
         for (c, ts) in f.calls.iter().zip(&self.targets[&id]) {
-            let source = ts
-                .iter()
-                .find_map(|t| self.guard_source.get(t))
-                .filter(|(kind, _)| *kind == GuardKind::Lock);
-            if let Some((kind, class)) = source {
+            if ts.iter().any(|t| self.guard_source.contains(t)) {
                 out.push(Acquisition {
-                    kind: *kind,
-                    class: class.clone(),
                     line: c.line,
                     tok: c.tok,
                     held_to: c.held_to,
-                    binding: c.binding.clone(),
                 });
             }
         }
         out.sort_by_key(|a| a.tok);
         out
-    }
-
-    /// Should this file produce graph-rule findings at all?
-    fn reportable(&self, file_idx: usize) -> bool {
-        let path = &self.files[file_idx].path;
-        let vendored = VENDORED_SHIMS
-            .iter()
-            .any(|v| path.starts_with(&format!("crates/{v}/")));
-        !vendored && !classify(path).test_code
-    }
-}
-
-// ---------------------------------------------------------------------
-// L009 — lock-order cycles
-// ---------------------------------------------------------------------
-
-/// One held-across edge `from → to` with the site that creates it.
-struct Edge {
-    from: String,
-    to: String,
-    file: usize,
-    line: u32,
-    via: String,
-}
-
-fn l009_lock_order_cycles(ws: &Workspace, out: &mut Vec<(usize, Finding)>) {
-    let mut edges: Vec<Edge> = Vec::new();
-    let mut seen: BTreeSet<(usize, u32, String, String)> = BTreeSet::new();
-    for id in ws.all_fns() {
-        let f = ws.fn_of(id);
-        if f.in_test || !ws.reportable(id.0) {
-            continue;
-        }
-        let acqs = ws.effective_acquisitions(id);
-        for a in &acqs {
-            // Direct nested acquisition of a different class.
-            for b in &acqs {
-                if b.tok > a.tok && b.tok < a.held_to && b.class != a.class {
-                    push_edge(&mut edges, &mut seen, a, &b.class, id.0, b.line, "acquired");
-                }
-            }
-            // A call whose transitive callees acquire a different class.
-            for (c, ts) in f.calls.iter().zip(&ws.targets[&id]) {
-                if c.tok <= a.tok || c.tok >= a.held_to {
-                    continue;
-                }
-                let mut classes: BTreeSet<&String> =
-                    ts.iter().flat_map(|t| ws.acquires[t].iter()).collect();
-                classes.retain(|cls| **cls != a.class);
-                for cls in classes {
-                    let via = format!("via `{}(…)`", c.name);
-                    push_edge(&mut edges, &mut seen, a, cls, id.0, c.line, &via);
-                }
-            }
-        }
-    }
-
-    // Build the class digraph and find its cycles (any edge whose head
-    // reaches back to its tail participates in one).
-    let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for e in &edges {
-        adj.entry(e.from.as_str())
-            .or_default()
-            .insert(e.to.as_str());
-    }
-    for e in &edges {
-        // The path already ends at `e.from`, closing the cycle.
-        if let Some(path) = path_between(&adj, e.to.as_str(), e.from.as_str()) {
-            let mut cycle = vec![e.from.as_str()];
-            cycle.extend(path);
-            out.push((
-                e.file,
-                Finding {
-                    line: e.line,
-                    rule: Rule::L009,
-                    msg: format!(
-                        "acquiring `{}` while holding `{}` ({}) closes a \
-                         lock-order cycle [{}]; two threads entering it from \
-                         different edges deadlock — release the held guard \
-                         first or fix one global order",
-                        e.to,
-                        e.from,
-                        e.via,
-                        cycle.join(" -> "),
-                    ),
-                },
-            ));
-        }
-    }
-}
-
-fn push_edge(
-    edges: &mut Vec<Edge>,
-    seen: &mut BTreeSet<(usize, u32, String, String)>,
-    held: &Acquisition,
-    to: &str,
-    file: usize,
-    line: u32,
-    via: &str,
-) {
-    if seen.insert((file, line, held.class.clone(), to.to_owned())) {
-        edges.push(Edge {
-            from: held.class.clone(),
-            to: to.to_owned(),
-            file,
-            line,
-            via: via.to_owned(),
-        });
-    }
-}
-
-/// Shortest path `from ⇝ to` in the class digraph (BFS, deterministic
-/// because the adjacency sets are ordered). Excludes the start node
-/// itself from the returned path's head.
-fn path_between<'c>(
-    adj: &BTreeMap<&'c str, BTreeSet<&'c str>>,
-    from: &'c str,
-    to: &str,
-) -> Option<Vec<&'c str>> {
-    let mut prev: BTreeMap<&'c str, &'c str> = BTreeMap::new();
-    let mut queue = std::collections::VecDeque::from([from]);
-    let mut visited = BTreeSet::from([from]);
-    while let Some(n) = queue.pop_front() {
-        if n == to {
-            let mut path = vec![n];
-            let mut cur = n;
-            while let Some(&p) = prev.get(cur) {
-                path.push(p);
-                cur = p;
-            }
-            path.reverse();
-            return Some(path);
-        }
-        for &next in adj.get(n).into_iter().flatten() {
-            if visited.insert(next) {
-                prev.insert(next, n);
-                queue.push_back(next);
-            }
-        }
-    }
-    None
-}
-
-// ---------------------------------------------------------------------
-// L010 — no Mutex/RwLock guard held across a blocking boundary
-// ---------------------------------------------------------------------
-
-fn l010_no_guard_across_blocking(ws: &Workspace, out: &mut Vec<(usize, Finding)>) {
-    for id in ws.all_fns() {
-        let f = ws.fn_of(id);
-        if f.in_test || !ws.reportable(id.0) {
-            continue;
-        }
-        let locks: Vec<Acquisition> = ws
-            .effective_acquisitions(id)
-            .into_iter()
-            .filter(|a| a.kind == GuardKind::Lock)
-            .collect();
-        if locks.is_empty() {
-            continue;
-        }
-        let mut reported: BTreeSet<u32> = BTreeSet::new();
-        for a in &locks {
-            for (c, ts) in f.calls.iter().zip(&ws.targets[&id]) {
-                if c.tok <= a.tok || c.tok >= a.held_to {
-                    continue;
-                }
-                let blocking = direct_blocking(c) || ts.iter().any(|t| ws.blocking.contains(t));
-                if blocking && reported.insert(c.line) {
-                    out.push((
-                        id.0,
-                        Finding {
-                            line: c.line,
-                            rule: Rule::L010,
-                            msg: format!(
-                                "`{}(…)` can block (fsync/WAL/recv/join) while \
-                                 the mutex guard from line {} is held; every \
-                                 thread contending for that lock stalls behind \
-                                 the I/O — drop the guard before blocking",
-                                c.name, a.line,
-                            ),
-                        },
-                    ));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// L011 — no silently discarded Result in engine library code
-// ---------------------------------------------------------------------
-
-fn l011_no_discarded_results(ws: &Workspace, out: &mut Vec<(usize, Finding)>) {
-    for id in ws.all_fns() {
-        let f = ws.fn_of(id);
-        let path = &ws.files[id.0].path;
-        if f.in_test || !classify(path).engine_lib {
-            continue;
-        }
-        for (c, ts) in f.calls.iter().zip(&ws.targets[&id]) {
-            // `let _ = fallible();` where the callee's return type is a
-            // Result: the error is dropped without a trace. (L002 also
-            // fires on the `let _ =` shape; L011 adds *why* it matters.)
-            if c.let_discard
-                && ts
-                    .iter()
-                    .any(|t| ws.fn_of(*t).ret_idents.iter().any(|r| r == "Result"))
-            {
-                out.push((
-                    id.0,
-                    Finding {
-                        line: c.line,
-                        rule: Rule::L011,
-                        msg: format!(
-                            "`let _ =` discards the `Result` from `{}(…)`; \
-                             propagate with `?`, handle the error, or \
-                             suppress with a written reason",
-                            c.name,
-                        ),
-                    },
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// L012 — command entry points must be traced
-// ---------------------------------------------------------------------
-
-/// Crates whose public command surface must create obs spans.
-const TRACED_CRATES: &[&str] = &["crates/orpheus-core/src", "crates/orpheus-server/src"];
-
-fn l012_command_entry_points_traced(ws: &Workspace, out: &mut Vec<(usize, Finding)>) {
-    for id in ws.all_fns() {
-        let f = ws.fn_of(id);
-        let path = &ws.files[id.0].path;
-        if f.in_test || !TRACED_CRATES.iter().any(|p| path.starts_with(p)) {
-            continue;
-        }
-        let command_entry = f.is_pub && f.ret_idents.iter().any(|r| r == "CommandOutput");
-        if command_entry && !ws.creates_span.contains(&id) {
-            out.push((
-                id.0,
-                Finding {
-                    line: f.line,
-                    rule: Rule::L012,
-                    msg: format!(
-                        "pub command entry point `{}` returns CommandOutput \
-                         but never creates an obs span (directly or via its \
-                         callees); trace it with `enter_request`/`span` or \
-                         suppress with a written reason",
-                        f.qual,
-                    ),
-                },
-            ));
-        }
     }
 }
 
@@ -692,9 +373,7 @@ mod tests {
              fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> { m.lock().unwrap_or_else(PoisonError::into_inner) }\n\
              fn f(m: &Mutex<u32>, file: &std::fs::File) { let g = locked(m); let _r = file.sync_all(); let _v = *g; }",
         )]);
-        let ws = Workspace::build(&ms);
-        let mut out = Vec::new();
-        l010_no_guard_across_blocking(&ws, &mut out);
+        let out = analyze(&ms);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].1.rule, Rule::L010);
     }

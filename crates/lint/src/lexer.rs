@@ -1,12 +1,12 @@
 //! A lossy Rust tokenizer for lint rules.
 //!
 //! This is not a full Rust lexer: it recognizes exactly enough structure
-//! for the rule catalog — identifiers, punctuation, string/char literals
+//! for the code model — identifiers, punctuation, string/char literals
 //! (including raw and byte strings), numbers, lifetimes — and it keeps
-//! every comment with its line range, because the suppression engine and
-//! the `SAFETY:`/reason rules are comment-driven. Everything inside a
-//! string or comment produces no identifier tokens, so a doc example
-//! containing `.unwrap()` never trips L001.
+//! every comment with its line range, because suppressions are
+//! comments. Everything inside a string or comment produces no
+//! identifier tokens, so a doc example containing `.lock()` is no
+//! acquisition.
 //!
 //! The approach follows `crates/vquel/src/lexer.rs`: a single forward
 //! pass over a peekable character cursor.
@@ -50,7 +50,7 @@ pub struct Comment {
     pub end_line: u32,
     pub text: String,
     /// Doc comments (`///`, `//!`, `/** */`, `/*! */`) document an item;
-    /// they do not count as lint suppression or reason comments.
+    /// they are never suppressions.
     pub doc: bool,
 }
 

@@ -1,22 +1,18 @@
-//! `orpheus-lint`: a static-analysis pass that enforces the engine's
-//! correctness invariants. The analyzer links nothing; the binary links
-//! `obs` to render `--json`.
+//! `orpheus-lint`: the workspace's call-graph rule, the one invariant
+//! the compiler and clippy cannot check. It links nothing.
 //!
-//! The WAL/recovery protocol, the RAII span layer, the analytic cost
-//! model, and the multi-session server's lock discipline all rest on
-//! conventions the compiler cannot check: no panicking paths inside the
-//! storage engine, span guards actually held, cost estimation
-//! deterministic, recovery tests never `#[ignore]`d, every suppression
-//! justified, no lock-order cycles, and no guard held across an fsync.
-//! This crate tokenizes the workspace's Rust sources (no rustc, no
-//! external parser), builds a lightweight code model (`model`: fn/impl
-//! boundaries, call sites, guard held-regions) and a workspace call +
-//! lock-acquisition graph (`graph`), and enforces the numbered rule
-//! catalog L001–L013; see `README.md` for the catalog.
+//! The group-commit design rests on one lock discipline: no `Mutex`
+//! guard is held across an fsync, the WAL write path, a channel receive
+//! or a thread join (rule L010). Seeing that takes a call graph
+//! across crates, so this crate tokenizes the workspace's Rust sources
+//! (no rustc, no external parser), builds a lightweight code model
+//! (`model`: fn boundaries, call sites, guard held-regions) and a
+//! workspace call graph (`graph`). Token-level rules are clippy lints in
+//! the workspace manifest; see `README.md`.
 //!
-//! Findings print as `file:line: Lxxx message` (or as JSON with
-//! `--json`) and the binary exits non-zero when any survive
-//! suppression — `scripts/ci.sh` runs it as a first-class gate.
+//! Findings print as `file:line: Lxxx message` and the binary exits
+//! non-zero when any survive suppression — `scripts/ci.sh` runs it as a
+//! gate.
 
 pub mod graph;
 pub mod lexer;
@@ -28,7 +24,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-pub use rules::{classify, lint_source, Finding, Rule};
+pub use rules::{Finding, Rule};
 
 /// A finding bound to the file it was found in.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,29 +46,19 @@ impl std::fmt::Display for FileFinding {
     }
 }
 
-/// Lint a set of sources *together*: per-file rules, then the graph
-/// rules over the shared workspace model (so a lock-order cycle split
-/// across two files is still a cycle), then per-file suppressions.
-/// `files` holds `(workspace-relative path, contents)`; findings come
-/// back sorted by `(path, line, rule)`.
+/// Lint a set of sources *together*: the rule runs over the shared
+/// workspace model (so a blocking callee in another file is still
+/// seen), then per-file suppressions apply. `files` holds
+/// `(workspace-relative path, contents)`; findings come back sorted by
+/// `(path, line, rule)`.
 pub fn lint_sources(files: &[(String, String)]) -> Vec<FileFinding> {
     let lexed: Vec<lexer::Lexed> = files.iter().map(|(_, src)| lexer::lex(src)).collect();
-    let masks: Vec<Vec<bool>> = lexed
-        .iter()
-        .map(|l| rules::test_region_mask(&l.toks))
-        .collect();
-    let mut per_file: Vec<Vec<Finding>> = files
-        .iter()
-        .zip(&lexed)
-        .zip(&masks)
-        .map(|(((rel, _), lx), mask)| rules::per_file_findings(rel, lx, mask))
-        .collect();
     let models: Vec<model::FileModel> = files
         .iter()
         .zip(&lexed)
-        .zip(&masks)
-        .map(|(((rel, _), lx), mask)| model::build(rel, lx, mask))
+        .map(|((rel, _), lx)| model::build(rel, lx, &rules::test_region_mask(&lx.toks)))
         .collect();
+    let mut per_file: Vec<Vec<Finding>> = vec![Vec::new(); files.len()];
     for (file_idx, finding) in graph::analyze(&models) {
         per_file[file_idx].push(finding);
     }
@@ -90,16 +76,20 @@ pub fn lint_sources(files: &[(String, String)]) -> Vec<FileFinding> {
     out
 }
 
+/// Every workspace source file under `root` (see [`walk`]), as
+/// `(workspace-relative path, contents)`.
+pub fn workspace_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
+    walk::workspace_files(root)?
+        .into_iter()
+        .map(|(rel, abs)| Ok((rel, fs::read_to_string(&abs)?)))
+        .collect()
+}
+
 /// Lint every workspace source file under `root`. Returns the findings
 /// and the number of files scanned.
 pub fn lint_workspace(root: &Path) -> io::Result<(Vec<FileFinding>, usize)> {
-    let files = walk::workspace_files(root)?;
-    let scanned = files.len();
-    let mut sources = Vec::with_capacity(scanned);
-    for (rel, abs) in files {
-        sources.push((rel, fs::read_to_string(&abs)?));
-    }
-    Ok((lint_sources(&sources), scanned))
+    let sources = workspace_sources(root)?;
+    Ok((lint_sources(&sources), sources.len()))
 }
 
 /// Lint one or more files *jointly* (shared call graph). If a file's
@@ -114,11 +104,6 @@ pub fn lint_files(paths: &[&Path]) -> io::Result<Vec<FileFinding>> {
         sources.push((rel, src));
     }
     Ok(lint_sources(&sources))
-}
-
-/// Lint a single file (see [`lint_files`]).
-pub fn lint_file(path: &Path) -> io::Result<Vec<FileFinding>> {
-    lint_files(&[path])
 }
 
 /// Extract the `//@path …` directive from a fixture's first line.

@@ -1,15 +1,12 @@
 //! A lightweight code model on top of the lexer: the item parser.
 //!
-//! The token-level rules (L001–L007) treat a file as a flat token
-//! stream; the concurrency rules (L009–L012) need to know *which
-//! function* a token belongs to, what that function calls, and which
-//! guards it holds over which spans of code. This module parses the
-//! token stream into just enough structure for that — `fn` / `impl` /
-//! `mod` boundaries, per-function call sites, and guard-acquisition
-//! sites (`.lock()`, `.borrow{,_mut}()`, `BufferPool::lease`,
-//! `Recorder::enter*` / `.span(…)`) with a *held region* for each
-//! guard — without becoming a Rust parser. Like the lexer it is lossy
-//! and must degrade gracefully on code that does not compile.
+//! Rule L010 needs to know *which function* a token belongs to, what
+//! that function calls, and which lock guards it holds over which spans
+//! of code. This module parses the token stream into just enough
+//! structure for that — `fn` boundaries, per-function call sites, and
+//! `.lock()` acquisitions with a *held region* for each guard — without
+//! becoming a Rust parser. Like the lexer it is lossy and must degrade
+//! gracefully on code that does not compile.
 //!
 //! Held-region model (token indices into the file's token stream):
 //!
@@ -22,42 +19,22 @@
 //! - any other temporary — held to the statement's `;`, or to the `{`
 //!   opening an `if`/`while` body (condition temporaries drop there).
 //!
-//! The model records *every* call site with the same binding/held-region
+//! The model records *every* call site with the same held-region
 //! information, because a call may turn out to be an acquisition once
 //! the graph layer discovers guard-returning functions (the workspace's
 //! `locked()` idiom).
 
 use crate::lexer::{Lexed, Tok, TokKind};
-use crate::rules::classify;
+use crate::rules::is_test_path;
 
-/// What kind of guard an acquisition site produces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuardKind {
-    /// `Mutex::lock` (an `std` lock guard).
-    Lock,
-    /// `RefCell::borrow` / `borrow_mut`.
-    Borrow,
-    /// `BufferPool::lease` — a page lease pin.
-    Lease,
-    /// An obs span guard (`enter*` / `.span(…)`); excluded from the
-    /// lock-order rules but recorded for completeness and L012.
-    Span,
-}
-
-/// A direct guard acquisition inside a function body.
+/// A `.lock()` acquisition inside a function body.
 #[derive(Debug, Clone)]
 pub struct Acquisition {
-    pub kind: GuardKind,
-    /// Lock class (deadlock-analysis resource name), e.g.
-    /// `metrics-registry` or `lockdemo.rs:order_a` for unmapped files.
-    pub class: String,
     pub line: u32,
-    /// Token index of the acquisition's method/function name.
+    /// Token index of the `lock` name.
     pub tok: usize,
     /// Exclusive end of the held region (token index).
     pub held_to: usize,
-    /// `let`-binding name, if the guard is bound.
-    pub binding: Option<String>,
 }
 
 /// A call site inside a function body.
@@ -65,22 +42,16 @@ pub struct Acquisition {
 pub struct CallSite {
     /// Callee name: the identifier directly before the `(`.
     pub name: String,
-    /// Receiver identifier for `recv.name(…)` method calls.
-    pub recv: Option<String>,
-    /// True for `.name(…)` method calls (resolution is conservative for
-    /// these: common std method names never resolve across files).
+    /// True for `.name(…)` method calls.
     pub is_method: bool,
     pub line: u32,
     pub tok: usize,
     /// Held region the call's result would occupy *if* the callee turns
     /// out to be a guard-returning function.
     pub held_to: usize,
-    pub binding: Option<String>,
     /// `name()` with an empty argument list (distinguishes the blocking
     /// `handle.join()` from `Vec::join(sep)`).
     pub no_args: bool,
-    /// The call's statement is `let _ = …;` — the value is discarded.
-    pub let_discard: bool,
 }
 
 /// One function item.
@@ -88,24 +59,19 @@ pub struct CallSite {
 pub struct FnModel {
     /// Bare name.
     pub name: String,
-    /// `Type::name` inside an `impl` block, `mod::name` inside a named
-    /// module, else the bare name. Display-only.
-    pub qual: String,
-    pub line: u32,
-    pub is_pub: bool,
     /// Inside a `#[cfg(test)]` region or a test-classified file.
     pub in_test: bool,
-    /// Identifier tokens of the return type (empty when none).
-    pub ret_idents: Vec<String>,
+    /// The return type names a `MutexGuard`.
+    pub returns_guard: bool,
     /// Token range of the body: `(open_brace, close_brace)`; `None` for
     /// bodyless declarations.
     pub body: Option<(usize, usize)>,
     pub calls: Vec<CallSite>,
     pub acquisitions: Vec<Acquisition>,
-    /// True when the function's tail expression contains a guard
-    /// acquisition: callers receive the guard (`fn locked(…) ->
-    /// MutexGuard` idiom). The graph layer extends this transitively.
-    pub tail_guard: Option<(GuardKind, String)>,
+    /// True when the function's tail expression acquires a lock: callers
+    /// receive the guard (`fn locked(…) -> MutexGuard` idiom). The graph
+    /// layer extends this transitively.
+    pub tail_guard: bool,
     /// Call names appearing in the tail expression (for transitive
     /// guard-source discovery).
     pub tail_calls: Vec<String>,
@@ -119,24 +85,6 @@ pub struct FileModel {
     pub fns: Vec<FnModel>,
 }
 
-/// Files whose guards all protect one well-known engine resource. Any
-/// `.lock()`/`.borrow*()` in these files maps to the named class; other
-/// files fall back to a per-receiver class so unrelated mutexes stay
-/// distinguishable.
-const CLASS_BY_PATH: &[(&str, &str)] = &[
-    ("crates/obs/src/metrics.rs", "metrics-registry"),
-    ("crates/obs/src/journal.rs", "journal-ring"),
-    ("crates/obs/src/span.rs", "span-tree"),
-    ("crates/pagestore/src/buffer.rs", "buffer-pool"),
-    ("crates/orpheus-server/src/server.rs", "session-table"),
-    ("crates/orpheus-server/src/session.rs", "session-table"),
-    ("crates/orpheus-server/src/engine.rs", "commit-queue"),
-    ("crates/exec-pool/src/", "pool-queue"),
-];
-
-/// Names that create an obs span guard.
-pub const SPAN_CALLS: &[&str] = &["enter", "enter_request", "enter_with", "span"];
-
 /// Keywords that look like `name (` in the token stream but are not
 /// calls.
 const NON_CALL_KEYWORDS: &[&str] = &[
@@ -145,58 +93,23 @@ const NON_CALL_KEYWORDS: &[&str] = &[
     "const", "static", "unsafe", "extern", "async", "await", "dyn", "break", "continue", "type",
 ];
 
-/// Resolve the lock class for an acquisition in `path` whose receiver
-/// identifier is `recv`.
-fn lock_class(path: &str, recv: Option<&str>) -> String {
-    for (prefix, class) in CLASS_BY_PATH {
-        if path.starts_with(prefix) {
-            return (*class).to_owned();
-        }
-    }
-    let stem = path.rsplit('/').next().unwrap_or(path);
-    format!("{stem}:{}", recv.unwrap_or("anon"))
-}
-
 /// Build the code model for one lexed file. `in_test` is the
 /// `#[cfg(test)]` token mask from `rules::test_region_mask`.
 pub fn build(path: &str, lexed: &Lexed, in_test: &[bool]) -> FileModel {
     let toks = &lexed.toks;
-    let class = classify(path);
+    let file_is_test = is_test_path(path);
     let enclosing_close = enclosing_block_close(toks);
     let mut fns = Vec::new();
-    let mut fn_starts = Vec::new(); // body ranges, for nested-fn exclusion
 
-    // Pass 1: locate every `fn` item and its body.
-    let mut scopes: Vec<(String, usize)> = Vec::new(); // (name, close brace)
+    // Pass 1: locate every `fn` item and its body. Scanning resumes
+    // *inside* a body so nested `fn` items are found too; pass 2
+    // excludes their ranges from the enclosing function's sites.
     let mut i = 0usize;
     while i < toks.len() {
-        while let Some(&(_, close)) = scopes.last() {
-            if i > close {
-                scopes.pop();
-            } else {
-                break;
-            }
-        }
-        let t = &toks[i];
-        if t.is_ident("impl") || t.is_ident("mod") {
-            if let Some((name, open)) = scope_header(toks, i) {
-                let close = matching_brace(toks, open);
-                scopes.push((name, close));
-                i = open + 1;
-                continue;
-            }
-        }
-        if t.is_ident("fn") {
-            if let Some(f) = parse_fn(toks, i, &scopes, in_test, class.test_code) {
-                // Resume *inside* the body so nested `fn` items are
-                // found too; pass 2 excludes their ranges from the
-                // enclosing function's sites.
-                let resume = f.0.body.map(|(open, _)| open + 1).unwrap_or(f.1);
-                if let Some(body) = f.0.body {
-                    fn_starts.push(body);
-                }
-                fns.push(f.0);
-                i = resume;
+        if toks[i].is_ident("fn") {
+            if let Some((f, resume)) = parse_fn(toks, i, in_test, file_is_test) {
+                i = f.body.map_or(resume, |(open, _)| open + 1);
+                fns.push(f);
                 continue;
             }
         }
@@ -205,16 +118,17 @@ pub fn build(path: &str, lexed: &Lexed, in_test: &[bool]) -> FileModel {
 
     // Pass 2: extract calls and acquisitions per body, skipping the
     // ranges of functions nested inside (their sites belong to them).
+    let bodies: Vec<(usize, usize)> = fns.iter().filter_map(|f| f.body).collect();
     for f in &mut fns {
         let Some((open, close)) = f.body else {
             continue;
         };
-        let nested: Vec<(usize, usize)> = fn_starts
+        let nested: Vec<(usize, usize)> = bodies
             .iter()
             .copied()
             .filter(|&(o, c)| o > open && c < close)
             .collect();
-        extract_sites(path, toks, open, close, &nested, &enclosing_close, f);
+        extract_sites(toks, open, close, &nested, &enclosing_close, f);
     }
     FileModel {
         path: path.to_owned(),
@@ -258,12 +172,18 @@ fn brace_closes(toks: &[Tok]) -> Vec<usize> {
     out
 }
 
-fn matching_brace(toks: &[Tok], open: usize) -> usize {
+/// Index of the token closing the bracket `open` opens (`(`/`{`), or the
+/// last token when unbalanced.
+fn matching_close(toks: &[Tok], open: usize) -> usize {
+    let (open_ch, close_ch) = match toks[open].kind {
+        TokKind::Punct('(') => ('(', ')'),
+        _ => ('{', '}'),
+    };
     let mut depth = 0i32;
     for (k, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct('{') {
+        if t.is_punct(open_ch) {
             depth += 1;
-        } else if t.is_punct('}') {
+        } else if t.is_punct(close_ch) {
             depth -= 1;
             if depth == 0 {
                 return k;
@@ -273,44 +193,11 @@ fn matching_brace(toks: &[Tok], open: usize) -> usize {
     toks.len().saturating_sub(1)
 }
 
-/// Parse an `impl`/`mod` header at `at`; returns the scope name and the
-/// index of its opening `{`. `mod name;` declarations return `None`.
-fn scope_header(toks: &[Tok], at: usize) -> Option<(String, usize)> {
-    let mut name = String::new();
-    let mut k = at + 1;
-    let mut angle = 0i32;
-    while k < toks.len() {
-        match &toks[k].kind {
-            TokKind::Punct('{') if angle == 0 => {
-                return if name.is_empty() {
-                    None
-                } else {
-                    Some((name, k))
-                };
-            }
-            TokKind::Punct(';') if angle == 0 => return None,
-            TokKind::Punct('<') => angle += 1,
-            // `->`/`=>` never appear in a scope header's type position
-            // at angle depth 0, but guard anyway.
-            TokKind::Punct('>') if angle > 0 => angle -= 1,
-            // `impl Trait for Type` — keep the *last* path segment seen
-            // outside angle brackets, which is the implementing type.
-            TokKind::Ident(id) if angle == 0 && id != "for" && id != "where" => {
-                name = id.clone();
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    None
-}
-
 /// Parse the `fn` item whose `fn` keyword is at `at`. Returns the model
 /// and the index to resume scanning from.
 fn parse_fn(
     toks: &[Tok],
     at: usize,
-    scopes: &[(String, usize)],
     in_test: &[bool],
     file_is_test: bool,
 ) -> Option<(FnModel, usize)> {
@@ -318,7 +205,6 @@ fn parse_fn(
         Some(TokKind::Ident(n)) => n.clone(),
         _ => return None, // `fn(` type position
     };
-    let is_pub = leading_qualifiers_contain_pub(toks, at);
     let mut k = at + 2;
     // Generic parameters: skip `<…>` with angle-depth tracking. A `>`
     // preceded by `-` or `=` is part of `->`/`=>` and closes nothing —
@@ -344,12 +230,12 @@ fn parse_fn(
             k += 1;
         }
     }
-    // Scan to the body `{` or declaration `;`, capturing return-type
-    // identifiers between a paren-depth-0 `->` and `where`/body.
+    // Scan to the body `{` or declaration `;`, looking for a guard type
+    // between a paren-depth-0 `->` and `where`/body.
     let mut paren = 0i32;
     let mut bracket = 0i32;
     let mut in_ret = false;
-    let mut ret_idents = Vec::new();
+    let mut returns_guard = false;
     let mut body_open = None;
     while k < toks.len() {
         let t = &toks[k];
@@ -371,65 +257,31 @@ fn parse_fn(
             TokKind::Ident(id) if id == "where" && paren == 0 && bracket == 0 => {
                 in_ret = false;
             }
-            TokKind::Ident(id) if in_ret => ret_idents.push(id.clone()),
+            TokKind::Ident(id) if in_ret => {
+                returns_guard |= id == "MutexGuard";
+            }
             _ => {}
         }
         k += 1;
     }
-    let body = body_open.map(|open| (open, matching_brace(toks, open)));
-    let qual = match scopes.last() {
-        Some((scope, _)) => format!("{scope}::{name}"),
-        None => name.clone(),
-    };
+    let body = body_open.map(|open| (open, matching_close(toks, open)));
     let end = body.map(|(_, close)| close).unwrap_or(k);
     let model = FnModel {
         name,
-        qual,
-        line: toks[at].line,
-        is_pub,
         in_test: file_is_test || in_test.get(at).copied().unwrap_or(false),
-        ret_idents,
+        returns_guard,
         body,
         calls: Vec::new(),
         acquisitions: Vec::new(),
-        tail_guard: None,
+        tail_guard: false,
         tail_calls: Vec::new(),
     };
     Some((model, end + 1))
 }
 
-/// Walk backwards over the qualifier tokens before `fn` (`pub`,
-/// `pub(crate)`, `const`, `unsafe`, `async`, `extern "C"`) looking for
-/// `pub`.
-fn leading_qualifiers_contain_pub(toks: &[Tok], fn_at: usize) -> bool {
-    let mut k = fn_at;
-    let mut budget = 8usize;
-    while k > 0 && budget > 0 {
-        k -= 1;
-        budget -= 1;
-        match &toks[k].kind {
-            TokKind::Ident(id)
-                if matches!(
-                    id.as_str(),
-                    "pub" | "crate" | "super" | "in" | "const" | "unsafe" | "async" | "extern"
-                ) =>
-            {
-                if id == "pub" {
-                    return true;
-                }
-            }
-            TokKind::Punct('(') | TokKind::Punct(')') | TokKind::Str => {}
-            _ => return false,
-        }
-    }
-    false
-}
-
 /// Extract call sites and acquisitions from a body range, skipping
 /// nested fn bodies.
-#[allow(clippy::too_many_arguments)] // internal helper, reads better flat
 fn extract_sites(
-    path: &str,
     toks: &[Tok],
     open: usize,
     close: usize,
@@ -450,63 +302,31 @@ fn extract_sites(
                 continue;
             }
         };
+        // `name!(…)` macros are not call sites (their argument tokens
+        // still get scanned).
         let followed_by_paren = matches!(toks.get(i + 1), Some(t) if t.is_punct('('));
         if !followed_by_paren || NON_CALL_KEYWORDS.contains(&name) {
             i += 1;
             continue;
         }
-        // `name!(…)` macros are not call sites (their argument tokens
-        // still get scanned).
-        if matches!(toks.get(i + 1), Some(t) if t.is_punct('!')) {
-            i += 1;
-            continue;
-        }
         let is_method = i > 0 && toks[i - 1].is_punct('.');
-        let recv = if is_method && i >= 2 {
-            match &toks[i - 2].kind {
-                TokKind::Ident(r) => Some(r.clone()),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        let args_close = matching_paren_from(toks, i + 1);
-        let no_args = args_close == i + 2;
-        let (binding, held_to, let_discard) = held_region(toks, i, close, enclosing_close);
+        let no_args = matching_close(toks, i + 1) == i + 2;
+        let held_to = held_region(toks, i, close, enclosing_close);
         let line = toks[i].line;
-
-        let guard = match name {
-            "lock" if is_method && no_args => Some(GuardKind::Lock),
-            "borrow" | "borrow_mut" if is_method && no_args => Some(GuardKind::Borrow),
-            "lease" => Some(GuardKind::Lease),
-            n if SPAN_CALLS.contains(&n) => Some(GuardKind::Span),
-            _ => None,
-        };
-        if let Some(kind) = guard {
-            let class = match kind {
-                GuardKind::Lease => "buffer-pool".to_owned(),
-                GuardKind::Span => "span-guard".to_owned(),
-                _ => lock_class(path, recv.as_deref()),
-            };
+        if name == "lock" && is_method && no_args {
             f.acquisitions.push(Acquisition {
-                kind,
-                class,
                 line,
                 tok: i,
                 held_to,
-                binding,
             });
         } else {
             f.calls.push(CallSite {
                 name: name.to_owned(),
-                recv,
                 is_method,
                 line,
                 tok: i,
                 held_to,
-                binding,
                 no_args,
-                let_discard,
             });
         }
         i += 1;
@@ -515,15 +335,12 @@ fn extract_sites(
     // Tail expression: tokens after the last body-top-level `;` (or the
     // whole body). A guard acquired there is returned to the caller.
     let tail_start = last_top_level_semi(toks, open, close).map_or(open + 1, |s| s + 1);
-    f.tail_guard = f
-        .acquisitions
-        .iter()
-        .find(|a| a.tok >= tail_start && a.tok < close && a.kind != GuardKind::Span)
-        .map(|a| (a.kind, a.class.clone()));
+    let in_tail = |tok: usize| tok >= tail_start && tok < close;
+    f.tail_guard = f.acquisitions.iter().any(|a| in_tail(a.tok));
     f.tail_calls = f
         .calls
         .iter()
-        .filter(|c| c.tok >= tail_start && c.tok < close)
+        .filter(|c| in_tail(c.tok))
         .map(|c| c.name.clone())
         .collect();
 }
@@ -543,30 +360,9 @@ fn last_top_level_semi(toks: &[Tok], open: usize, close: usize) -> Option<usize>
     last
 }
 
-fn matching_paren_from(toks: &[Tok], at: usize) -> usize {
-    let mut depth = 0i32;
-    for (k, t) in toks.iter().enumerate().skip(at) {
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return k;
-            }
-        }
-    }
-    toks.len().saturating_sub(1)
-}
-
-/// Compute the binding name, held-region end, and `let _ =` flag for a
-/// potential guard produced at token `site`, per the module-level
-/// held-region model.
-fn held_region(
-    toks: &[Tok],
-    site: usize,
-    body_close: usize,
-    enclosing_close: &[usize],
-) -> (Option<String>, usize, bool) {
+/// The held-region end for a potential guard produced at token `site`,
+/// per the module-level held-region model.
+fn held_region(toks: &[Tok], site: usize, body_close: usize, enclosing_close: &[usize]) -> usize {
     let start = statement_start(toks, site);
     let head = &toks[start];
     let head_is = |s: &str| head.is_ident(s);
@@ -577,63 +373,55 @@ fn held_region(
         .and_then(|let_at| binding_name(toks, let_at, site));
 
     if head_is("let") {
-        match binding {
+        return match binding {
             Some(name) => {
                 let block_end = enclosing_close
                     .get(site)
                     .copied()
                     .unwrap_or(body_close)
                     .min(body_close);
-                return (
-                    Some(name.clone()),
-                    drop_site(toks, site, block_end, &name),
-                    false,
-                );
+                drop_site(toks, site, block_end, &name)
             }
             // `let _ = …` never binds: the guard drops at once.
-            None => return (None, site + 1, true),
-        }
+            None => site + 1,
+        };
     }
-    if (head_is("if") || head_is("while")) && binding.is_some() {
+    if let (true, Some(name)) = (head_is("if") || head_is("while"), &binding) {
         // `if let Ok(g) = …` — the guard lives for the statement's block.
-        let name = binding.clone().unwrap_or_default();
         if let Some(block_open) = first_depth0_brace(toks, site, body_close) {
-            let block_end = brace_close_from(toks, block_open).min(body_close);
-            return (binding, drop_site(toks, site, block_end, &name), false);
+            let block_end = matching_close(toks, block_open).min(body_close);
+            return drop_site(toks, site, block_end, name);
         }
     }
     // Temporary: scan forward for the statement end. `match` scrutinee
     // temporaries live through the match block; `if`/`while` condition
     // temporaries drop at the block's `{`.
     let mut depth = 0i32;
-    let mut k = site;
-    while k < body_close {
-        let t = &toks[k];
-        match t.kind {
+    for k in site..body_close {
+        match toks[k].kind {
             TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
             TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
             TokKind::Punct('{') => {
                 if depth == 0 {
                     return if head_is("match") {
-                        (None, brace_close_from(toks, k).min(body_close), false)
+                        matching_close(toks, k).min(body_close)
                     } else {
-                        (None, k, false)
+                        k
                     };
                 }
                 depth += 1;
             }
             TokKind::Punct('}') => {
                 if depth == 0 {
-                    return (None, k, false);
+                    return k;
                 }
                 depth -= 1;
             }
-            TokKind::Punct(';') if depth == 0 => return (None, k, false),
+            TokKind::Punct(';') if depth == 0 => return k,
             _ => {}
         }
-        k += 1;
     }
-    (None, body_close, false)
+    body_close
 }
 
 /// Walk back from `site` to the token after the previous `;`, `{`, or
@@ -690,10 +478,6 @@ fn first_depth0_brace(toks: &[Tok], site: usize, limit: usize) -> Option<usize> 
     None
 }
 
-fn brace_close_from(toks: &[Tok], open: usize) -> usize {
-    matching_brace(toks, open)
-}
-
 /// An explicit `drop(name)` before `limit` ends the held region early
 /// (the `drop` call itself is outside the region).
 fn drop_site(toks: &[Tok], from: usize, limit: usize, name: &str) -> usize {
@@ -722,16 +506,13 @@ mod tests {
     }
 
     #[test]
-    fn finds_fns_and_impl_scope() {
+    fn finds_fns_in_impls_and_nested_fns() {
         let m = model(
             "crates/demo/src/a.rs",
-            "pub fn free() {}\nimpl Widget { fn helper(&self) {} pub fn go(&self) {} }",
+            "pub fn free() { fn inner() {} }\nimpl Widget { fn helper(&self) {} pub fn go(&self) {} }",
         );
-        let names: Vec<&str> = m.fns.iter().map(|f| f.qual.as_str()).collect();
-        assert_eq!(names, ["free", "Widget::helper", "Widget::go"]);
-        assert!(m.fns[0].is_pub);
-        assert!(!m.fns[1].is_pub);
-        assert!(m.fns[2].is_pub);
+        let names: Vec<&str> = m.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["free", "inner", "helper", "go"]);
     }
 
     #[test]
@@ -742,7 +523,7 @@ mod tests {
         );
         let names: Vec<&str> = m.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, ["f", "after"]);
-        assert!(m.fns[0].ret_idents.iter().any(|i| i == "Result"));
+        assert!(!m.fns[0].returns_guard);
     }
 
     #[test]
@@ -754,7 +535,6 @@ mod tests {
         let f = &m.fns[0];
         assert_eq!(f.acquisitions.len(), 1);
         let a = &f.acquisitions[0];
-        assert_eq!(a.binding.as_deref(), Some("g"));
         let work = f.calls.iter().find(|c| c.name == "work").unwrap();
         let after = f.calls.iter().find(|c| c.name == "after").unwrap();
         assert!(work.tok < a.held_to, "work() is inside the held region");
@@ -781,7 +561,7 @@ mod tests {
             "crates/demo/src/a.rs",
             "fn locked(m: &std::sync::Mutex<u32>) -> std::sync::MutexGuard<'_, u32> { m.lock().unwrap_or_else(std::sync::PoisonError::into_inner) }",
         );
-        assert!(matches!(m.fns[0].tail_guard, Some((GuardKind::Lock, _))));
+        assert!(m.fns[0].tail_guard && m.fns[0].returns_guard);
     }
 
     #[test]

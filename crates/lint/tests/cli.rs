@@ -31,115 +31,34 @@ fn clean_workspace_exits_zero() {
 }
 
 #[test]
-fn each_firing_fixture_exits_one_with_its_rule_on_stdout() {
-    for (name, rule) in [
-        ("l001_fire.rs", "L001"),
-        ("l002_fire.rs", "L002"),
-        ("l003_fire.rs", "L003"),
-        ("l004_fire.rs", "L004"),
-        ("l005_fire.rs", "L005"),
-        ("l006_fire.rs", "L006"),
-        ("l007_fire.rs", "L007"),
-        ("l009_fire.rs", "L009"),
-        ("l010_fire.rs", "L010"),
-        ("l011_fire.rs", "L011"),
-        ("l012_fire.rs", "L012"),
-        ("l013_fire.rs", "L013"),
-        ("suppress_bad.rs", "L006"),
-    ] {
-        let out = bin().args(["--file", &fixture(name)]).output().unwrap();
-        assert_eq!(out.status.code(), Some(1), "{name} must fail the gate");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.contains(rule), "{name} stdout:\n{stdout}");
-    }
-}
-
-#[test]
-fn clean_fixtures_exit_zero() {
-    for name in [
-        "l001_clean.rs",
-        "l002_clean.rs",
-        "l003_clean.rs",
-        "l004_clean.rs",
-        "l005_clean.rs",
-        "l006_clean.rs",
-        "l007_clean.rs",
-        "l009_clean.rs",
-        "l010_clean.rs",
-        "l011_clean.rs",
-        "l012_clean.rs",
-        "l013_clean.rs",
-        "suppress_ok.rs",
-    ] {
-        let out = bin().args(["--file", &fixture(name)]).output().unwrap();
-        assert_eq!(out.status.code(), Some(0), "{name} must pass the gate");
-    }
-}
-
-/// Pins the `--json` schema (`orpheus-lint/1`): the document and each
-/// finding object must keep their keys, parsed back with `obs::json` —
-/// the same parser the engine's tooling uses on this output.
-#[test]
-fn json_output_matches_schema() {
+fn a_firing_fixture_exits_one_with_its_rule_on_stdout() {
     let out = bin()
-        .args(["--json", "--file", &fixture("l001_fire.rs")])
+        .args(["--file", &fixture("l010_fire.rs")])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let text = String::from_utf8(out.stdout).unwrap();
-    let missing = obs::json::missing_keys(&text, &["schema", "files_scanned", "findings"])
-        .expect("--json must emit parseable JSON");
-    assert!(missing.is_empty(), "missing keys: {missing:?}");
-    let doc = obs::json::parse(&text).unwrap();
     assert_eq!(
-        doc.get("schema").and_then(|s| s.as_str()),
-        Some("orpheus-lint/1")
+        out.status.code(),
+        Some(1),
+        "l010_fire.rs must fail the gate"
     );
-    let findings = match doc.get("findings") {
-        Some(obs::json::Json::Arr(items)) => items,
-        other => panic!("findings must be an array, got {other:?}"),
-    };
-    assert!(!findings.is_empty(), "l001_fire must produce findings");
-    for f in findings {
-        for key in ["path", "line", "rule", "msg"] {
-            assert!(f.get(key).is_some(), "finding missing `{key}`:\n{text}");
-        }
-        assert_eq!(f.get("rule").and_then(|r| r.as_str()), Some("L001"));
-    }
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("L010"), "stdout:\n{stdout}");
+}
 
-    // A clean run still emits the full skeleton, with an empty array.
+#[test]
+fn a_clean_fixture_exits_zero() {
     let out = bin()
-        .args(["--json", "--file", &fixture("l001_clean.rs")])
+        .args(["--file", &fixture("l010_clean.rs")])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(0));
-    let doc = obs::json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
-    assert!(
-        matches!(doc.get("findings"), Some(obs::json::Json::Arr(v)) if v.is_empty()),
-        "clean runs keep the schema skeleton"
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "l010_clean.rs must pass the gate"
     );
 }
 
-/// `--json` output is byte-stable across runs: findings are sorted by
-/// (path, line, rule) with no timestamps or map-iteration order inside.
-#[test]
-fn json_output_is_stable_across_runs() {
-    let run = || {
-        bin()
-            .args([
-                "--json",
-                "--file",
-                &fixture("l001_fire.rs"),
-                &fixture("l002_fire.rs"),
-            ])
-            .output()
-            .unwrap()
-            .stdout
-    };
-    assert_eq!(run(), run());
-}
-
-/// Satellite: the self-lint runtime budget from the lint's design —
+/// The self-lint runtime budget from the lint's design —
 /// whole-workspace analysis must stay interactive (< 250 ms). Debug
 /// builds are several times slower, so the gate runs only when the
 /// binary under test is compiled with optimizations.

@@ -23,6 +23,13 @@
 //! storage, which the Chapter 5 figures build from a LyreSplit
 //! partitioning; the engine's `optimize` only reports such a plan.
 
+// Library code surfaces a broken invariant as a typed error, never as an
+// abort, and drops no `Result` or span guard unread; test code may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::unused_result_ok))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+
 mod a_table_per_version;
 mod combined_table;
 mod delta_based;

@@ -201,7 +201,10 @@ impl Journal {
     /// sampling rate (invalid values fall back to the default; the CLI
     /// validates and exits first, so the fallback only covers embedders).
     pub fn from_env() -> Journal {
-        // lint:allow(L013): loadgen measures the journal's cost by setting this around `Server::start`; no setting reaches the recorder each `Database` makes
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "loadgen sets this around `Server::start`; no setting reaches each `Database`'s recorder"
+        )]
         let raw = std::env::var(SAMPLE_ENV).ok();
         let sample = raw.as_deref().and_then(parse_sample);
         Journal::new(DEFAULT_CAPACITY, sample.unwrap_or(DEFAULT_SAMPLE))
@@ -470,6 +473,10 @@ pub fn parse_sample(raw: &str) -> Option<u64> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "concurrency tests spawn their own threads"
+)]
 mod tests {
     use super::*;
 

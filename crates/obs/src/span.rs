@@ -476,6 +476,10 @@ impl SpanReport {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "concurrency tests spawn their own threads"
+)]
 mod tests {
     use super::*;
     use crate::journal::Phase;

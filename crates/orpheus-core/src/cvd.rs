@@ -293,9 +293,10 @@ impl Cvd {
     /// version graph is derived state: it is regrown here exactly as
     /// `init`/`commit` grew it, version by version in vid order, with
     /// parent-edge weights recomputed from the rid intersections.
-    // lint: the eight parts are the CVD's tables and system row 1:1; a
-    // builder would hide which of them a CVD is made of.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the parts are the CVD's tables and system row 1:1; a builder would hide them"
+    )]
     pub(crate) fn from_parts(
         name: String,
         schema: Schema,

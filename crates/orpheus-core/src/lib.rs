@@ -34,6 +34,13 @@
 //!   `commit`, `diff`, `ls`, `drop`, `optimize` (a LyreSplit plan), plus
 //!   user management and the access-controlled staging area (§3.3.1).
 
+// Library code surfaces a broken invariant as a typed error, never as an
+// abort, and drops no `Result` or span guard unread; test code may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::unused_result_ok))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+
 pub mod command;
 pub mod commands;
 pub mod cvd;

@@ -16,6 +16,8 @@
 //! `EXPLAIN ANALYZE` therefore reports the tree the engine runs by
 //! construction: there is no second builder to drift.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use crate::cvd::{common, only_in, Cvd};
 use crate::error::{Error, Result};
 use crate::metadata::{data_name, data_schema};

@@ -175,7 +175,6 @@ impl EngineHandle {
 
     /// Parse `line` and [`send`](Self::send) it. `_session`, the caller's
     /// session id, is not used: the engine keys nothing by session.
-    // lint:allow(L012): traced engine-side in run_one via enter_with (the work crosses an mpsc channel the lint call graph cannot follow)
     pub fn execute(
         &self,
         _session: u64,
@@ -188,7 +187,6 @@ impl EngineHandle {
 
     /// The same as [`execute`](Self::execute): the command decides its
     /// route.
-    // lint:allow(L012): traced engine-side in run_one via enter_with, re-attached to `trace` across the group-commit channel
     pub fn submit_commit(
         &self,
         _session: u64,
@@ -206,7 +204,6 @@ impl EngineHandle {
     /// and is rejected with [`code::BACKPRESSURE`] — without blocking and
     /// without queueing — when `admission_capacity` such commands are
     /// already waiting.
-    // lint:allow(L012): traced engine-side in run_one via enter_with (the work crosses an mpsc channel the lint call graph cannot follow)
     pub(crate) fn send(
         &self,
         user: &str,

@@ -35,6 +35,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+// Library code surfaces a broken invariant as a typed error, never as an
+// abort, and drops no `Result` or span guard unread; test code may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::unused_result_ok))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+
 pub mod client;
 pub mod engine;
 pub mod protocol;

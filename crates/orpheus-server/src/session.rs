@@ -501,6 +501,10 @@ fn dispatch<W: Write>(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "concurrency tests spawn their own threads"
+)]
 mod tests {
     use super::*;
     use crate::protocol::{read_server, write_server, MAX_FRAME, WINDOW};

@@ -2,6 +2,11 @@
 //! server, equivalence with a serial replay, group-commit fsync
 //! batching, wire-level backpressure, and snapshot isolation.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the tests drive clients from threads of their own"
+)]
+
 use orpheus_core::CommandOutput;
 use orpheus_server::{
     client::render_messages, output_messages, Client, ClientError, EngineConfig, Server,

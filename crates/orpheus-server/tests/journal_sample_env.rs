@@ -5,6 +5,11 @@
 //! `Server::start`. This file holds one test, so it runs in a process of
 //! its own and may change the environment.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this process sets the variable the journal reads"
+)]
+
 use obs::journal::SAMPLE_ENV;
 use orpheus_server::{Client, EngineConfig, Server, ServerConfig};
 

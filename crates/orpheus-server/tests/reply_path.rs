@@ -4,6 +4,11 @@
 //! Every test that used to hang runs under a watchdog, so a regression is
 //! a failed assertion, not a hung CI.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the tests drive clients from threads of their own"
+)]
+
 use orpheus_core::{CommandOutput, OrpheusDb};
 use orpheus_server::protocol::{self, MAX_FRAME, WINDOW};
 use orpheus_server::{

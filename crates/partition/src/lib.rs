@@ -19,9 +19,10 @@
 //! * **[`cost`]** — the storage cost `S = Σ|Rk|` and checkout cost
 //!   `Cavg = Σ|Vk||Rk| / n` (Eq. 5.1–5.2).
 
-// Index-based loops are kept where they mirror the paper's pseudocode
-// (graph algorithms over parallel arrays).
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "index loops mirror the paper's pseudocode over parallel arrays"
+)]
 
 pub mod baselines;
 pub mod cost;

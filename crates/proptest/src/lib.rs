@@ -248,8 +248,10 @@ pub mod strategy {
         ($($name:ident),+) => {
             impl<$($name: Strategy),+> Strategy for ($($name,)+) {
                 type Value = ($($name::Value,)+);
-                // Macro binds tuple elements to their type-parameter names.
-                #[allow(non_snake_case)]
+                #[expect(
+                    non_snake_case,
+                    reason = "binds tuple elements to their type-parameter names"
+                )]
                 fn generate(&self, rng: &mut StdRng) -> Self::Value {
                     let ($($name,)+) = self;
                     ($($name.generate(rng),)+)
@@ -537,8 +539,10 @@ macro_rules! __proptest_fns {
                     ));
                     let $arg = value;
                 )+
-                // An IIFE gives `prop_assert*` a `?`-compatible scope per case.
-                #[allow(clippy::redundant_closure_call)]
+                #[allow(
+                    clippy::redundant_closure_call,
+                    reason = "the closure gives `prop_assert*` a `?`-compatible scope per case"
+                )]
                 let outcome = (|| -> ::std::result::Result<(), $crate::test_runner::TestCaseError> {
                     $body
                     ::std::result::Result::Ok(())

@@ -15,6 +15,8 @@
 //! from the pool around each table access — the estimated and measured
 //! sides of the same operator can be compared directly.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use pagestore::IoStats;
 
 /// Cost-model constants (PostgreSQL defaults).

@@ -44,9 +44,16 @@
 //! assert_eq!(t.live_row_count(), 2);
 //! ```
 
-// Index-based loops are kept where they mirror the paper's pseudocode
-// (graph algorithms over parallel arrays).
-#![allow(clippy::needless_range_loop)]
+// Library code surfaces a broken invariant as a typed error, never as an
+// abort, and drops no `Result` or span guard unread; test code may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::unused_result_ok))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "index loops mirror the paper's pseudocode over parallel arrays"
+)]
 
 pub mod codec;
 pub mod cost;

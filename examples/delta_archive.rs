@@ -4,7 +4,10 @@
 //!
 //! Run with: `cargo run --example delta_archive`
 
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "index loops walk the versions and their contents in lockstep"
+)]
 use orpheusdb::deltastore::{
     delta::graph_from_contents, p1_min_storage, p2_min_recreation, p3_min_sum_recreation,
     p5_min_storage_sum, p6_min_storage_max, Delta, VersionContent,

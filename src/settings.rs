@@ -20,6 +20,10 @@ pub type Env = HashMap<String, String>;
 /// The process environment as [`Settings::resolve`] takes it. A variable
 /// whose name is not UTF-8 is left out; a value that is not is decoded
 /// lossily (and so fails its parser).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the binary reads the environment here, once, for every setting"
+)]
 pub fn environment() -> Env {
     std::env::vars_os()
         .filter_map(|(k, v)| Some((k.into_string().ok()?, v.to_string_lossy().into_owned())))

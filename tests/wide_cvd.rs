@@ -5,6 +5,11 @@
 //! refused before anything is written, by `init`, by `commit -s` and by a
 //! schema-evolving commit, and the CVD stays absent or unchanged.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the tests drive clients from threads of their own"
+)]
+
 use orpheusdb::orpheus::commands::parse_schema_spec;
 use orpheusdb::orpheus::{Error, OrpheusDb, Vid};
 use orpheusdb::relstore;
